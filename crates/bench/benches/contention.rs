@@ -17,12 +17,10 @@
 //!
 //! A second group, `beldi_hotkey`, measures the same adversarial single
 //! key through the *full Beldi protocol* (exactly-once logged writes via
-//! SSF invocations) with the DAAL write combiner off (`plain/wN`) and on
-//! (`combined/wN`): a fixed budget of hot-key appends split across `N`
-//! workers. The gap between the two series at `N ≥ 4` is the group-commit
-//! win — the combiner folds concurrent tail appends into one conditional
-//! write. Both series always run (criterion takes no custom flags); the
-//! equivalent driver A/B is `drive --write-combine`.
+//! SSF invocations), `plain/wN`: a fixed budget of hot-key appends split
+//! across `N` workers. Writes to one item serialise in the latency model
+//! (DynamoDB's per-item write ceiling), so the series flattens as workers
+//! are added: it is the hot-key ceiling.
 
 use std::sync::Arc;
 
@@ -121,13 +119,11 @@ const HOT_TOTAL_OPS: usize = 64;
 /// A Beldi-mode environment with one registered hot-key writer SSF and a
 /// seeded DAAL HEAD. Built fresh inside every measured iteration so chain
 /// length — and therefore traversal cost — is identical for every
-/// measurement; the construction cost is common to both series and
-/// cancels out of the plain-vs-combined comparison.
-fn hot_env(write_combine: bool) -> BeldiEnv {
+/// measurement.
+fn hot_env() -> BeldiEnv {
     let cfg = BeldiConfig::for_mode(Mode::Beldi)
         .with_row_capacity(100)
-        .with_partitions(8)
-        .with_write_combine(write_combine);
+        .with_partitions(8);
     let env = BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(beldi_bench::microbench_platform())
@@ -167,18 +163,16 @@ fn bench_beldi_hotkey(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(2));
     for workers in [1usize, 2, 4, 8] {
-        for (series, combine) in [("plain", false), ("combined", true)] {
-            group.bench_with_input(
-                BenchmarkId::new(series, format!("w{workers}")),
-                &workers,
-                |b, &workers| {
-                    b.iter(|| {
-                        let env = hot_env(combine);
-                        hot_batch(&env, workers);
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("plain", format!("w{workers}")),
+            &workers,
+            |b, &workers| {
+                b.iter(|| {
+                    let env = hot_env();
+                    hot_batch(&env, workers);
+                });
+            },
+        );
     }
     group.finish();
 }

@@ -19,6 +19,7 @@ fn bench_row_capacity(c: &mut Criterion) {
             capacity,
             5_000.0,
             beldi_simdb::DEFAULT_PARTITIONS,
+            false,
         );
         register_micro_ops(&env);
         group.bench_with_input(BenchmarkId::new("write", capacity), &env, |b, env| {

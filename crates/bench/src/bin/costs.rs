@@ -45,18 +45,17 @@ fn main() {
         .flag("--iters", "N", "100", "invocations per measured operation")
         .partitions_flag()
         .switch("--tail-cache", "measure the cached read path instead")
-        .switch("--write-combine", "group-commit unconditional DAAL appends")
-        .switch("--snapshot-reads", "serve traversal reads from snapshots")
         .parse();
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
     let partitions = args.usize("--partitions");
+    let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
     let mut storage = Vec::new();
     let mut partition_load = Vec::new();
     for (system, mode) in SYSTEMS {
-        let env = experiment_env(mode, 100, 2_000.0, partitions);
+        let env = experiment_env(mode, 100, 2_000.0, partitions, tail_cache);
         register_micro_ops(&env);
         env.seed("micro", "t", "k", Value::from(VALUE_16B))
             .expect("seed");

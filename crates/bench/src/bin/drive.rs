@@ -7,11 +7,7 @@
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
 //! workers {1, 4}, 120 requests per run, a low clock rate for stability.
 //! `--no-tail-cache` disables the DAAL tail-row cache for A/B measurement
-//! of the hot-path fix. `--write-combine` routes unconditional DAAL
-//! appends through the group-commit combiner and `--snapshot-reads`
-//! serves traversal reads from per-instance table snapshots (both Beldi
-//! mode only; off = the uncombined paper protocol, for A/B
-//! measurement). `--gc` turns on *online garbage collection*:
+//! of the hot-path fix. `--gc` turns on *online garbage collection*:
 //! per-SSF collector functions run on virtual-time timers concurrently
 //! with the client workers, and every run records a storage-growth
 //! series (sampled per-table row counts, DAAL depths, cumulative GC
@@ -79,8 +75,6 @@ fn main() {
             "",
             "tail-cache rows per table",
         )
-        .switch("--write-combine", "group-commit unconditional DAAL appends")
-        .switch("--snapshot-reads", "serve traversal reads from snapshots")
         .switch("--gc", "run online collectors concurrently with traffic")
         .flag("--gc-period-ms", "MS", "500", "collector pass period")
         .flag("--gc-tmax-ms", "MS", "2000", "collector lease T_max")
@@ -152,8 +146,6 @@ fn main() {
         tail_cache_capacity: args
             .value("--tail-cache-capacity")
             .and_then(|v| v.parse().ok()),
-        write_combine: args.flag("--write-combine"),
-        snapshot_reads: args.flag("--snapshot-reads"),
         gc: args.flag("--gc"),
         gc_period: Duration::from_millis(args.u64("--gc-period-ms")),
         gc_t_max: Duration::from_millis(args.u64("--gc-tmax-ms")),

@@ -8,7 +8,7 @@
 //!     [--app media|social|travel|all] [--mode beldi|cross-table|baseline|all] \
 //!     [--requests 4] [--seed 42] [--stride 1] [--depth2-samples 0] \
 //!     [--max-schedules N] [--gc-check] [--gc-interleave] [--smoke] \
-//!     [--write-combine] [--canary] [--canary-combine]
+//!     [--canary]
 //! ```
 //!
 //! `--gc-interleave` runs one garbage-collector pass per SSF after every
@@ -17,17 +17,12 @@
 //! paper's six steps while SSF traffic is live.
 //!
 //! `--smoke` is the CI configuration: fewer requests and a strided sweep
-//! so all apps finish in seconds. `--write-combine` routes unconditional
-//! DAAL appends through the write combiner, adding the `daal.combine.*`
-//! crash points to the sweep. `--canary` plants a deliberate
+//! so all apps finish in seconds. `--canary` plants a deliberate
 //! exactly-once bug and *expects* the sweep to report violations (exit 0
 //! when it does — the self-test). The canary runs on the synthetic
 //! `pipeline` workload, whose gate write recomputes from an earlier read
 //! — the dependency shape a read-replay bug needs to become visible
 //! (pass `--app` explicitly to canary a different workload).
-//! `--canary-combine` (implies `--write-combine`) plants the combiner's
-//! bug instead: the leader skips replay detection, so a crashed and
-//! re-executed combined append double-applies.
 //!
 //! Exit status: 0 when every sweep is clean (or, under `--canary`, when
 //! the bug was caught); 1 otherwise. Every violation line carries the
@@ -70,23 +65,13 @@ fn main() {
             "interleave collector passes with requests",
         )
         .switch("--smoke", "CI preset: fewer requests, strided sweep")
-        .switch(
-            "--write-combine",
-            "add the combiner crash points to the sweep",
-        )
         .switch("--canary", "plant the read-replay bug; expect detection")
-        .switch(
-            "--canary-combine",
-            "plant the combiner bug (implies --write-combine)",
-        )
         .parse();
 
     let app_arg = args.str("--app");
     let mode_arg = args.str("--mode");
     let smoke = args.flag("--smoke");
     let canary = args.flag("--canary");
-    let canary_combine = args.flag("--canary-combine");
-    let any_canary = canary || canary_combine;
 
     let opts = ExploreOptions {
         requests: if args.present("--requests") {
@@ -115,12 +100,10 @@ fn main() {
         gc_check: args.flag("--gc-check"),
         gc_interleave: args.flag("--gc-interleave"),
         canary,
-        write_combine: args.flag("--write-combine") || canary_combine,
-        canary_combine,
     };
 
     let apps: Vec<&str> = match app_arg.as_str() {
-        "all" if any_canary => vec!["pipeline"],
+        "all" if canary => vec!["pipeline"],
         "all" => vec!["media", "social", "travel"],
         one => vec![one],
     };
@@ -196,7 +179,7 @@ fn main() {
         }
     }
 
-    if any_canary {
+    if canary {
         if all_violations.is_empty() {
             eprintln!("canary mode: the planted bug was NOT detected — the checker is broken");
             std::process::exit(1);

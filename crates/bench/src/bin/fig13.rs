@@ -44,17 +44,16 @@ fn main() {
         .clock_rate_flag("15")
         .partitions_flag()
         .switch("--tail-cache", "measure the cached read path instead")
-        .switch("--write-combine", "group-commit unconditional DAAL appends")
-        .switch("--snapshot-reads", "serve traversal reads from snapshots")
         .parse();
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
     let clock_rate = args.f64("--clock-rate");
     let partitions = args.usize("--partitions");
+    let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
     for (system, mode) in SYSTEMS {
-        let env = experiment_env(mode, CAPACITY, clock_rate, partitions);
+        let env = experiment_env(mode, CAPACITY, clock_rate, partitions, tail_cache);
         register_micro_ops(&env);
         if mode == Mode::Beldi {
             // Pre-populate the hot key's DAAL to the target depth; reads,

@@ -4,10 +4,10 @@
 //! [`Cli::switch`], plus the [`Cli::app_flag`]-style helpers for the
 //! flags all harnesses share), and [`Cli::parse`] derives everything
 //! from that single declaration: value lookup with typed accessors,
-//! a generated `--help` page, and unknown-flag rejection. This replaces
-//! the per-binary copies of `arg_value`/`arg_usize` lookups, which
-//! accepted any typo silently (`--worker 8` simply ran with the
-//! default).
+//! a generated `--help` page, and unknown-flag rejection (a typo such
+//! as `--worker 8` is an error, not a silent run with the default).
+//! The binaries pass parsed values on as function arguments; nothing
+//! else in the library reads the process's argv.
 //!
 //! ```
 //! use beldi_bench::cli::Cli;

@@ -17,6 +17,10 @@
 //! | `GET /ssfs`            | `200` JSON array of registered SSF names  |
 //! | `POST /invoke/{ssf}`   | `200` `{"ok": result}` / `500` `{"error"}`|
 //!
+//! Request sizes are bounded by constants: a declared body over 1 MiB is
+//! answered `413` before it is allocated, a request or header line over
+//! 8 KiB or a 65th header `431`; either closes the connection.
+//!
 //! A caller may pin the workflow instance id with an
 //! `x-beldi-instance` header; retrying a request under the same id
 //! replays the recorded result instead of re-executing (the root
@@ -180,11 +184,46 @@ struct Request {
     close: bool,
 }
 
+/// Largest request body the door accepts (`413` above it).
+const MAX_BODY_BYTES: usize = 1 << 20;
+/// Longest request or header line the door accepts (`431` above it).
+const MAX_LINE_BYTES: usize = 8 << 10;
+/// Most header lines the door accepts per request (`431` above it).
+const MAX_HEADERS: usize = 64;
+
+fn headers_too_large() -> Response {
+    Response::json(
+        431,
+        "Request Header Fields Too Large",
+        "{\"error\":\"request or header line over 8 KiB, or more than 64 headers\"}".into(),
+    )
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`] into `line`; returns the
+/// byte count (`0` at EOF), or `None` once the line runs past the bound.
+fn read_bounded_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+) -> io::Result<Option<usize>> {
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_line(line)?;
+    Ok((n <= MAX_LINE_BYTES).then_some(n))
+}
+
 /// Reads one framed request; `None` on clean EOF before a request line.
-fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
+/// A request over one of the size limits comes back as the `Err`
+/// response to send; nothing is allocated for it and the rest of its
+/// bytes are left unread, so the connection cannot be reused.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+) -> io::Result<Option<Result<Request, Response>>> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+    match read_bounded_line(reader, &mut line)? {
+        None => return Ok(Some(Err(headers_too_large()))),
+        Some(0) => return Ok(None),
+        Some(_) => {}
     }
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -198,17 +237,24 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
     let mut content_length = 0usize;
     let mut instance = None;
     let mut close = false;
-    loop {
+    for n_headers in 0.. {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "eof in headers",
-            ));
+        match read_bounded_line(reader, &mut header)? {
+            None => return Ok(Some(Err(headers_too_large()))),
+            Some(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "eof in headers",
+                ))
+            }
+            Some(_) => {}
         }
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        if n_headers == MAX_HEADERS {
+            return Ok(Some(Err(headers_too_large())));
         }
         let Some((name, value)) = header.split_once(':') else {
             continue;
@@ -224,15 +270,22 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>
             close = value.eq_ignore_ascii_case("close");
         }
     }
+    if content_length > MAX_BODY_BYTES {
+        return Ok(Some(Err(Response::json(
+            413,
+            "Content Too Large",
+            "{\"error\":\"body over 1 MiB\"}".into(),
+        ))));
+    }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(Request {
+    Ok(Some(Ok(Request {
         method,
         path,
         instance,
         body,
         close,
-    }))
+    })))
 }
 
 struct Response {
@@ -269,24 +322,30 @@ impl Response {
 fn serve_connection(stream: TcpStream, state: &DoorState) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    while let Some(req) = read_request(&mut reader)? {
-        // A scripted front-door crash (`front.*` label) unwinds here;
-        // drop the connection abruptly, as a crashed gateway would.
-        let response = match std::panic::catch_unwind(AssertUnwindSafe(|| route(&req, state))) {
-            Ok(r) => r,
-            Err(payload) => {
-                if payload.downcast_ref::<CrashSignal>().is_some() {
-                    return Ok(());
+    while let Some(framed) = read_request(&mut reader)? {
+        let (response, close) = match framed {
+            Ok(req) => {
+                // A scripted front-door crash (`front.*` label) unwinds
+                // here; drop the connection abruptly, as a crashed
+                // gateway would.
+                match std::panic::catch_unwind(AssertUnwindSafe(|| route(&req, state))) {
+                    Ok(r) => (r, req.close),
+                    Err(payload) => {
+                        if payload.downcast_ref::<CrashSignal>().is_some() {
+                            return Ok(());
+                        }
+                        std::panic::resume_unwind(payload);
+                    }
                 }
-                std::panic::resume_unwind(payload);
             }
+            Err(reject) => (reject, true),
         };
         state.served.fetch_add(1, Ordering::SeqCst);
         if response.status >= 300 {
             state.errors.fetch_add(1, Ordering::SeqCst);
         }
         response.write_to(&mut writer)?;
-        if req.close {
+        if close {
             break;
         }
     }
@@ -669,6 +728,45 @@ mod tests {
         let (status, _) = client.request("GET", "/nowhere", &[], "").unwrap();
         assert_eq!(status, 404);
         assert_eq!(door.request_errors(), 3);
+        door.shutdown();
+    }
+
+    #[test]
+    fn oversized_requests_are_rejected_and_the_door_survives() {
+        let (_env, door, _app) = door_for_media();
+        // Each hostile request ends where the door stops reading it, so
+        // the door's close is a clean FIN and the reply always arrives.
+        let with_headers =
+            |n: usize| format!("GET /healthz HTTP/1.1\r\n{}", "x-junk: 1\r\n".repeat(n));
+        let with_body = |declared: usize, sent: usize| {
+            format!(
+                "POST /invoke/no-such-ssf HTTP/1.1\r\ncontent-length: {declared}\r\n\r\n{}",
+                " ".repeat(sent)
+            )
+        };
+        let endless = "a".repeat(MAX_LINE_BYTES + 1);
+        let cases = [
+            // A lying content-length: rejected before any allocation.
+            (with_body(99_999_999_999_999, 0), 413),
+            (with_body(MAX_BODY_BYTES, MAX_BODY_BYTES), 404),
+            (format!("GET /healthz HTTP/1.1\r\n{endless}"), 431),
+            (endless.clone(), 431),
+            (with_headers(MAX_HEADERS + 1), 431),
+            (with_headers(MAX_HEADERS) + "\r\n", 200),
+        ];
+        for (request, want) in cases {
+            let mut stream = TcpStream::connect(door.addr()).unwrap();
+            stream.write_all(request.as_bytes()).unwrap();
+            let mut reply = String::new();
+            BufReader::new(stream).read_line(&mut reply).unwrap();
+            let status: u16 = reply.split_whitespace().nth(1).unwrap().parse().unwrap();
+            assert_eq!(status, want, "{:.60}", request);
+            // The door outlives whatever it just rejected.
+            let (ok, _) = FrontClient::new(door.addr())
+                .request("GET", "/healthz", &[], "")
+                .unwrap();
+            assert_eq!(ok, 200);
+        }
         door.shutdown();
     }
 

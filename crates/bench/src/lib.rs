@@ -39,12 +39,6 @@ pub fn config_for(mode: Mode, row_capacity: usize, partitions: usize) -> BeldiCo
         .with_partitions(partitions)
 }
 
-/// Parses the storage-sharding flag shared by all experiment binaries:
-/// `--partitions n` (default: [`beldi_simdb::DEFAULT_PARTITIONS`]).
-pub fn arg_partitions() -> usize {
-    arg_usize("--partitions", beldi_simdb::DEFAULT_PARTITIONS)
-}
-
 /// A platform shaped like the paper's AWS setup: 1,000-concurrent-Lambda
 /// cap (the Figs. 14/15/26 bottleneck), modest cold starts, queueing at
 /// saturation.
@@ -77,34 +71,23 @@ pub fn microbench_platform() -> PlatformConfig {
     }
 }
 
-/// True when `--flag` appears verbatim on the command line.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
 /// Builds an environment with the DynamoDB-shaped latency model and the
 /// low-overhead platform (per-operation experiments).
 ///
-/// The DAAL tail-row cache is **off** here unless `--tail-cache` is on
-/// the command line: the per-operation tables (`fig13`, `costs`)
-/// reproduce the *paper's* read protocol — one traversal scan plus one
-/// point get — and §7.3's "one extra scan per read" would vanish with
-/// the cache warm. Pass `--tail-cache` to measure the optimized path;
-/// the app-level harnesses and the workload driver keep the runtime
-/// default (cache on). The same opt-in logic covers the group-commit
-/// optimizations: `--write-combine` routes DAAL appends through the
-/// write combiner and `--snapshot-reads` serves reads from per-instance
-/// table snapshots; both default off, preserving the paper protocol.
+/// `tail_cache` is the DAAL tail-row cache flag. The per-operation
+/// tables (`fig13`, `costs`) pass `false` unless given `--tail-cache`:
+/// they reproduce the *paper's* read protocol — one traversal scan plus
+/// one point get — and §7.3's "one extra scan per read" would vanish
+/// with the cache warm. The app-level harnesses and the workload driver
+/// keep the runtime default (cache on).
 pub fn experiment_env(
     mode: Mode,
     row_capacity: usize,
     clock_rate: f64,
     partitions: usize,
+    tail_cache: bool,
 ) -> BeldiEnv {
-    let cfg = config_for(mode, row_capacity, partitions)
-        .with_tail_cache(arg_flag("--tail-cache"))
-        .with_write_combine(arg_flag("--write-combine"))
-        .with_snapshot_reads(arg_flag("--snapshot-reads"));
+    let cfg = config_for(mode, row_capacity, partitions).with_tail_cache(tail_cache);
     BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(microbench_platform())
@@ -334,35 +317,19 @@ pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-/// Minimal `--flag value` argument lookup for the experiment binaries.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Parses `--flag n` with a default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses `--flag x.y` with a default.
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn micro_env_runs_every_op() {
-        let env = experiment_env(Mode::Beldi, 5, 2000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = experiment_env(
+            Mode::Beldi,
+            5,
+            2000.0,
+            beldi_simdb::DEFAULT_PARTITIONS,
+            false,
+        );
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {
             let h = measure_op(&env, "micro", &micro_payload(op), 3);
@@ -375,7 +342,13 @@ mod tests {
 
     #[test]
     fn prepopulate_grows_the_chain() {
-        let env = experiment_env(Mode::Beldi, 5, 2000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = experiment_env(
+            Mode::Beldi,
+            5,
+            2000.0,
+            beldi_simdb::DEFAULT_PARTITIONS,
+            false,
+        );
         register_micro_ops(&env);
         prepopulate_daal(&env, 4, 5);
         let len = env.daal_chain_len("micro", "t", "k").unwrap();
@@ -385,7 +358,7 @@ mod tests {
     #[test]
     fn all_three_systems_run_the_micro_ops() {
         for (name, mode) in SYSTEMS {
-            let env = experiment_env(mode, 5, 2000.0, 4);
+            let env = experiment_env(mode, 5, 2000.0, 4, false);
             register_micro_ops(&env);
             let h = measure_op(&env, "micro", &micro_payload("write"), 2);
             assert_eq!(h.len(), 2, "{name}");

@@ -87,32 +87,6 @@ pub struct BeldiConfig {
     /// correct; this one is O(1) and keeps the hot working set resident
     /// as long as it fits.
     pub daal_tail_cache_capacity: usize,
-    /// Combine concurrent DAAL log appends to one `(table, key)` into a
-    /// single conditional write against the tail row (Beldi mode only;
-    /// see `combine::Combiner`).
-    ///
-    /// Under hot-key contention every logger otherwise pays its own
-    /// traversal scan plus conditional update against the same tail row;
-    /// with combining, one elected leader folds the whole queue into one
-    /// scan and one multi-entry update and publishes per-entry results.
-    /// Per-entry log keys, replay detection, and exactly-once semantics
-    /// are preserved; any batch the fold cannot prove safe falls back to
-    /// the per-entry paper protocol. Off by default — the A/B knob behind
-    /// the driver's `--write-combine` flag.
-    pub daal_write_combine: bool,
-    /// Serve DAAL value reads from a per-instance consistent table
-    /// snapshot instead of re-scanning the live chain per read (Beldi
-    /// mode only, non-transactional reads only).
-    ///
-    /// The first read an instance makes against a table materializes a
-    /// snapshot of that table (`Database::snapshot_table`, paid as one
-    /// scan); subsequent reads of the same table are served from the
-    /// snapshot — snapshot isolation rather than per-read linearizable
-    /// reads. Read logging (first-writer-wins replay) is unchanged, and
-    /// a write through the same instance invalidates its table snapshot,
-    /// so read-your-own-writes still holds. Off by default — the A/B
-    /// knob behind the driver's `--snapshot-reads` flag.
-    pub snapshot_reads: bool,
     /// **Test-only sabotage switch** (the crash explorer's canary): when
     /// set, read-log appends skip their first-writer-wins guard, so a
     /// re-executed instance re-reads *fresh* state instead of replaying
@@ -123,25 +97,13 @@ pub struct BeldiConfig {
     /// plain `beldi` builds cannot reach the sabotage.
     #[cfg(feature = "canary")]
     pub canary_skip_read_guard: bool,
-    /// **Test-only sabotage switch** for the write combiner: when set,
-    /// the combine leader drops the per-entry replay guard — it neither
-    /// checks the chain for already-logged entries nor carries the
-    /// per-entry `not_exists(Writes.{log_key})` condition in its folded
-    /// flush — so a crashed-and-re-executed combined append re-applies
-    /// its effect. The explorer self-test enables this and asserts the
-    /// sweep detects the divergence. Only compiled with the `canary`
-    /// cargo feature.
-    #[cfg(feature = "canary")]
-    pub canary_combine_drop_replay: bool,
 }
 
-/// Why [`ConfigBuilder::build`] rejected a configuration.
+/// Why [`BeldiConfig::validate`] rejected a configuration.
 ///
-/// Each variant names one incoherent combination; the builder reports
+/// Each variant names one incoherent combination; `validate` reports
 /// the first one it finds (checks run in the order the variants are
-/// declared). The legacy `with_*` setters predate this enum and keep
-/// their original panic-on-zero behavior for the knobs that always
-/// validated eagerly.
+/// declared).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `daal_row_capacity` was zero: no DAAL row could hold any entry.
@@ -164,189 +126,26 @@ pub enum ConfigError {
     /// every instance at launch, and the GC's "wait `T` after finish"
     /// horizon would collapse to recycling logs immediately.
     EnforcedZeroLease,
-    /// `daal_write_combine` outside [`Mode::Beldi`]: combining folds
-    /// concurrent appends into the linked DAAL's tail row, which the
-    /// other modes do not have. The runtime ignores the flag there, so
-    /// a configuration asking for it is asking for an A/B arm that
-    /// cannot exist.
-    CombineOutsideBeldi(Mode),
-    /// `snapshot_reads` outside [`Mode::Beldi`]: snapshot isolation is
-    /// implemented over the DAAL read path and is ignored by the other
-    /// modes (same incoherence as [`ConfigError::CombineOutsideBeldi`]).
-    SnapshotReadsOutsideBeldi(Mode),
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::ZeroRowCapacity => write!(f, "DAAL row capacity must be at least 1"),
-            ConfigError::ZeroPartitions => write!(f, "partition count must be at least 1"),
+        f.write_str(match self {
+            ConfigError::ZeroRowCapacity => "DAAL row capacity must be at least 1",
+            ConfigError::ZeroPartitions => "partition count must be at least 1",
             ConfigError::ZeroTailCacheCapacity => {
-                write!(
-                    f,
-                    "tail-cache capacity must be at least 1 when the cache is on"
-                )
+                "tail-cache capacity must be at least 1 when the cache is on"
             }
             ConfigError::ZeroCollectorBatch => {
-                write!(f, "collector batch limit of 0 would make no pass progress")
+                "collector batch limit of 0 would make no pass progress"
             }
-            ConfigError::ZeroCollectorPeriod => {
-                write!(f, "collector period must be nonzero")
-            }
-            ConfigError::EnforcedZeroLease => {
-                write!(f, "enforce_t_max requires a nonzero t_max lease")
-            }
-            ConfigError::CombineOutsideBeldi(mode) => {
-                write!(f, "write combining requires Beldi mode (got {mode:?})")
-            }
-            ConfigError::SnapshotReadsOutsideBeldi(mode) => {
-                write!(f, "snapshot reads require Beldi mode (got {mode:?})")
-            }
-        }
+            ConfigError::ZeroCollectorPeriod => "collector period must be nonzero",
+            ConfigError::EnforcedZeroLease => "enforce_t_max requires a nonzero t_max lease",
+        })
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-/// A validating builder for [`BeldiConfig`] — the one place the knobs
-/// are cross-checked for coherence.
-///
-/// Obtained from [`BeldiConfig::builder`] (Beldi-mode defaults) or
-/// [`BeldiConfig::builder_for`] (any mode's preset). Setters mirror the
-/// config fields; [`ConfigBuilder::build`] runs [`BeldiConfig::validate`]
-/// and returns a typed [`ConfigError`] instead of panicking, so callers
-/// assembling a config from user input (CLI flags, HTTP requests) can
-/// report *which* combination was incoherent.
-///
-/// ```
-/// use beldi::{BeldiConfig, ConfigError, Mode};
-///
-/// let cfg = BeldiConfig::builder()
-///     .row_capacity(50)
-///     .partitions(8)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.daal_row_capacity, 50);
-///
-/// // Snapshot reads are a DAAL read-path feature; asking for them in
-/// // baseline mode is incoherent and rejected with a typed error.
-/// let err = BeldiConfig::builder_for(Mode::Baseline)
-///     .snapshot_reads(true)
-///     .build()
-///     .unwrap_err();
-/// assert_eq!(err, ConfigError::SnapshotReadsOutsideBeldi(Mode::Baseline));
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConfigBuilder {
-    cfg: BeldiConfig,
-}
-
-impl ConfigBuilder {
-    /// Sets the mode (see [`Mode`]).
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.cfg.mode = mode;
-        self
-    }
-
-    /// Sets the DAAL row capacity (the paper's `N`).
-    pub fn row_capacity(mut self, n: usize) -> Self {
-        self.cfg.daal_row_capacity = n;
-        self
-    }
-
-    /// Sets `T`, the maximum instance lifetime.
-    pub fn t_max(mut self, t: Duration) -> Self {
-        self.cfg.t_max = t;
-        self
-    }
-
-    /// Turns wrapper-side enforcement of the `t_max` timeout on or off.
-    pub fn enforce_t_max(mut self, on: bool) -> Self {
-        self.cfg.enforce_t_max = on;
-        self
-    }
-
-    /// Sets the IC restart delay.
-    pub fn ic_restart_delay(mut self, d: Duration) -> Self {
-        self.cfg.ic_restart_delay = d;
-        self
-    }
-
-    /// Sets the collector timer period.
-    pub fn collector_period(mut self, d: Duration) -> Self {
-        self.cfg.collector_period = d;
-        self
-    }
-
-    /// Bounds the intents processed per collector pass (Appendix A's
-    /// paging); [`ConfigBuilder::unbounded_collector_batch`] removes the
-    /// bound.
-    pub fn collector_batch_limit(mut self, n: usize) -> Self {
-        self.cfg.collector_batch_limit = Some(n);
-        self
-    }
-
-    /// Removes the collector batch bound (the default).
-    pub fn unbounded_collector_batch(mut self) -> Self {
-        self.cfg.collector_batch_limit = None;
-        self
-    }
-
-    /// Sets the database partition count.
-    pub fn partitions(mut self, n: usize) -> Self {
-        self.cfg.partitions = n;
-        self
-    }
-
-    /// Enables or disables the DAAL tail-row cache.
-    pub fn tail_cache(mut self, on: bool) -> Self {
-        self.cfg.daal_tail_cache = on;
-        self
-    }
-
-    /// Sets the total DAAL tail-cache entry capacity.
-    pub fn tail_cache_capacity(mut self, n: usize) -> Self {
-        self.cfg.daal_tail_cache_capacity = n;
-        self
-    }
-
-    /// Enables or disables DAAL write combining (Beldi mode only —
-    /// [`ConfigBuilder::build`] rejects it elsewhere).
-    pub fn write_combine(mut self, on: bool) -> Self {
-        self.cfg.daal_write_combine = on;
-        self
-    }
-
-    /// Enables or disables snapshot-isolation reads (Beldi mode only —
-    /// [`ConfigBuilder::build`] rejects it elsewhere).
-    pub fn snapshot_reads(mut self, on: bool) -> Self {
-        self.cfg.snapshot_reads = on;
-        self
-    }
-
-    /// Sets the read-guard canary sabotage switch (test-only; see
-    /// [`BeldiConfig::canary_skip_read_guard`]).
-    #[cfg(feature = "canary")]
-    pub fn canary_skip_read_guard(mut self, on: bool) -> Self {
-        self.cfg.canary_skip_read_guard = on;
-        self
-    }
-
-    /// Sets the combiner canary sabotage switch (test-only; see
-    /// [`BeldiConfig::canary_combine_drop_replay`]).
-    #[cfg(feature = "canary")]
-    pub fn canary_combine_drop_replay(mut self, on: bool) -> Self {
-        self.cfg.canary_combine_drop_replay = on;
-        self
-    }
-
-    /// Validates the assembled configuration and returns it, or the
-    /// first [`ConfigError`] describing an incoherent combination.
-    pub fn build(self) -> Result<BeldiConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 impl BeldiConfig {
     /// Paper-like defaults in Beldi mode.
@@ -362,12 +161,8 @@ impl BeldiConfig {
             partitions: beldi_simdb::DEFAULT_PARTITIONS,
             daal_tail_cache: true,
             daal_tail_cache_capacity: DEFAULT_TAIL_CACHE_CAPACITY,
-            daal_write_combine: false,
-            snapshot_reads: false,
             #[cfg(feature = "canary")]
             canary_skip_read_guard: false,
-            #[cfg(feature = "canary")]
-            canary_combine_drop_replay: false,
         }
     }
 
@@ -397,29 +192,12 @@ impl BeldiConfig {
         }
     }
 
-    /// A validating builder seeded with the Beldi-mode defaults (see
-    /// [`ConfigBuilder`]).
-    pub fn builder() -> ConfigBuilder {
-        ConfigBuilder {
-            cfg: BeldiConfig::beldi(),
-        }
-    }
-
-    /// A validating builder seeded with the given mode's preset.
-    pub fn builder_for(mode: Mode) -> ConfigBuilder {
-        ConfigBuilder {
-            cfg: BeldiConfig::for_mode(mode),
-        }
-    }
-
-    /// Checks the configuration for incoherent knob combinations (the
-    /// checks behind [`ConfigBuilder::build`]); returns the first
-    /// violation found.
+    /// Checks the configuration for incoherent knob combinations and
+    /// returns the first violation found.
     ///
-    /// Not invoked on the legacy `with_*` path: configurations assembled
-    /// by setters keep their historical lenient semantics (mode-gated
-    /// flags are silently ignored at runtime), so existing callers that
-    /// set `--write-combine` uniformly across A/B modes keep working.
+    /// The `with_*` setters do not check anything themselves;
+    /// [`crate::EnvBuilder::build`] calls this once, so every
+    /// configuration is checked however it was assembled.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.daal_row_capacity == 0 {
             return Err(ConfigError::ZeroRowCapacity);
@@ -439,108 +217,74 @@ impl BeldiConfig {
         if self.enforce_t_max && self.t_max.is_zero() {
             return Err(ConfigError::EnforcedZeroLease);
         }
-        if self.daal_write_combine && self.mode != Mode::Beldi {
-            return Err(ConfigError::CombineOutsideBeldi(self.mode));
-        }
-        if self.snapshot_reads && self.mode != Mode::Beldi {
-            return Err(ConfigError::SnapshotReadsOutsideBeldi(self.mode));
-        }
         Ok(())
     }
 
-    /// Sets the DAAL row capacity.
-    ///
-    /// Legacy setter — prefer [`BeldiConfig::builder`], which reports a
-    /// typed [`ConfigError`] instead of panicking.
-    pub fn with_row_capacity(self, n: usize) -> Self {
-        assert!(n >= 1, "row capacity must be at least 1");
-        ConfigBuilder { cfg: self }.row_capacity(n).cfg
+    /// Sets the DAAL row capacity (the paper's `N`).
+    pub fn with_row_capacity(mut self, n: usize) -> Self {
+        self.daal_row_capacity = n;
+        self
     }
 
-    /// Sets `T`. Legacy setter — prefer [`BeldiConfig::builder`].
-    pub fn with_t_max(self, t: Duration) -> Self {
-        ConfigBuilder { cfg: self }.t_max(t).cfg
+    /// Sets `T`, the maximum instance lifetime.
+    pub fn with_t_max(mut self, t: Duration) -> Self {
+        self.t_max = t;
+        self
     }
 
     /// Turns wrapper-side enforcement of the `t_max` execution timeout
-    /// on or off. Legacy setter — prefer [`BeldiConfig::builder`].
-    pub fn with_enforce_t_max(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }.enforce_t_max(on).cfg
+    /// on or off.
+    pub fn with_enforce_t_max(mut self, on: bool) -> Self {
+        self.enforce_t_max = on;
+        self
     }
 
-    /// Sets the IC restart delay. Legacy setter — prefer
-    /// [`BeldiConfig::builder`].
-    pub fn with_ic_restart_delay(self, d: Duration) -> Self {
-        ConfigBuilder { cfg: self }.ic_restart_delay(d).cfg
+    /// Sets the IC restart delay.
+    pub fn with_ic_restart_delay(mut self, d: Duration) -> Self {
+        self.ic_restart_delay = d;
+        self
     }
 
-    /// Sets the collector timer period. Legacy setter — prefer
-    /// [`BeldiConfig::builder`].
-    pub fn with_collector_period(self, d: Duration) -> Self {
-        ConfigBuilder { cfg: self }.collector_period(d).cfg
+    /// Sets the collector timer period.
+    pub fn with_collector_period(mut self, d: Duration) -> Self {
+        self.collector_period = d;
+        self
     }
 
     /// Bounds the intents processed per collector pass (Appendix A's
-    /// paging). Legacy setter — prefer [`BeldiConfig::builder`].
-    pub fn with_collector_batch_limit(self, n: usize) -> Self {
-        ConfigBuilder { cfg: self }.collector_batch_limit(n).cfg
+    /// paging).
+    pub fn with_collector_batch_limit(mut self, n: usize) -> Self {
+        self.collector_batch_limit = Some(n);
+        self
     }
 
-    /// Sets the database partition count. Legacy setter — prefer
-    /// [`BeldiConfig::builder`].
-    pub fn with_partitions(self, n: usize) -> Self {
-        assert!(n >= 1, "partition count must be at least 1");
-        ConfigBuilder { cfg: self }.partitions(n).cfg
+    /// Sets the database partition count.
+    pub fn with_partitions(mut self, n: usize) -> Self {
+        self.partitions = n;
+        self
     }
 
     /// Enables or disables the DAAL tail-row cache (on by default).
-    /// Disabling it restores the always-scan read path — the A/B knob
-    /// behind the driver's `--no-tail-cache` flag. Legacy setter —
-    /// prefer [`BeldiConfig::builder`].
-    pub fn with_tail_cache(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }.tail_cache(on).cfg
+    /// Disabling it restores the always-scan read path — §7.3's "one
+    /// extra scan per read", which `fig13` and `costs` reproduce.
+    pub fn with_tail_cache(mut self, on: bool) -> Self {
+        self.daal_tail_cache = on;
+        self
     }
 
     /// Sets the total DAAL tail-cache entry capacity (see
-    /// [`BeldiConfig::daal_tail_cache_capacity`]). Legacy setter —
-    /// prefer [`BeldiConfig::builder`].
-    pub fn with_tail_cache_capacity(self, n: usize) -> Self {
-        assert!(n >= 1, "tail-cache capacity must be at least 1");
-        ConfigBuilder { cfg: self }.tail_cache_capacity(n).cfg
-    }
-
-    /// Enables or disables DAAL write combining (off by default — see
-    /// [`BeldiConfig::daal_write_combine`]). Legacy setter — prefer
-    /// [`BeldiConfig::builder`]; unlike the builder, this does not
-    /// reject non-Beldi modes (the flag is ignored there).
-    pub fn with_write_combine(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }.write_combine(on).cfg
-    }
-
-    /// Enables or disables snapshot-isolation reads (off by default —
-    /// see [`BeldiConfig::snapshot_reads`]). Legacy setter — prefer
-    /// [`BeldiConfig::builder`]; unlike the builder, this does not
-    /// reject non-Beldi modes (the flag is ignored there).
-    pub fn with_snapshot_reads(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }.snapshot_reads(on).cfg
+    /// [`BeldiConfig::daal_tail_cache_capacity`]).
+    pub fn with_tail_cache_capacity(mut self, n: usize) -> Self {
+        self.daal_tail_cache_capacity = n;
+        self
     }
 
     /// Sets the canary sabotage switch (see
-    /// [`BeldiConfig::canary_skip_read_guard`]). Test-only legacy
-    /// setter — prefer [`BeldiConfig::builder`].
+    /// [`BeldiConfig::canary_skip_read_guard`]). Test-only.
     #[cfg(feature = "canary")]
-    pub fn with_canary_skip_read_guard(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }.canary_skip_read_guard(on).cfg
-    }
-
-    /// Sets the combiner canary sabotage switch (see
-    /// [`BeldiConfig::canary_combine_drop_replay`]). Test-only legacy
-    /// setter — prefer [`BeldiConfig::builder`].
-    #[cfg(feature = "canary")]
-    pub fn with_canary_combine_drop_replay(self, on: bool) -> Self {
-        ConfigBuilder { cfg: self }
-            .canary_combine_drop_replay(on)
-            .cfg
+    pub fn with_canary_skip_read_guard(mut self, on: bool) -> Self {
+        self.canary_skip_read_guard = on;
+        self
     }
 
     /// True when the canary sabotage is active. Always false without the
@@ -554,25 +298,6 @@ impl BeldiConfig {
         {
             false
         }
-    }
-
-    /// True when the combiner canary sabotage is active. Always false
-    /// without the `canary` cargo feature.
-    pub(crate) fn canary_combine_active(&self) -> bool {
-        #[cfg(feature = "canary")]
-        {
-            self.canary_combine_drop_replay
-        }
-        #[cfg(not(feature = "canary"))]
-        {
-            false
-        }
-    }
-}
-
-impl Default for BeldiConfig {
-    fn default() -> Self {
-        BeldiConfig::beldi()
     }
 }
 
@@ -588,18 +313,26 @@ mod tests {
     }
 
     #[test]
-    fn builders_apply() {
+    fn setters_apply() {
         let c = BeldiConfig::beldi()
             .with_row_capacity(7)
             .with_t_max(Duration::from_secs(5))
+            .with_enforce_t_max(true)
             .with_ic_restart_delay(Duration::from_secs(1))
             .with_collector_period(Duration::from_secs(2))
-            .with_partitions(4);
+            .with_collector_batch_limit(64)
+            .with_partitions(4)
+            .with_tail_cache(false)
+            .with_tail_cache_capacity(128);
         assert_eq!(c.daal_row_capacity, 7);
         assert_eq!(c.t_max, Duration::from_secs(5));
+        assert!(c.enforce_t_max);
         assert_eq!(c.ic_restart_delay, Duration::from_secs(1));
         assert_eq!(c.collector_period, Duration::from_secs(2));
+        assert_eq!(c.collector_batch_limit, Some(64));
         assert_eq!(c.partitions, 4);
+        assert!(!c.daal_tail_cache);
+        assert_eq!(c.daal_tail_cache_capacity, 128);
     }
 
     #[test]
@@ -608,126 +341,6 @@ mod tests {
             BeldiConfig::beldi().partitions,
             beldi_simdb::DEFAULT_PARTITIONS
         );
-    }
-
-    #[test]
-    fn combine_and_snapshot_flags_default_off() {
-        for mode in [Mode::Beldi, Mode::CrossTable, Mode::Baseline] {
-            let c = BeldiConfig::for_mode(mode);
-            assert!(!c.daal_write_combine, "combining must be opt-in");
-            assert!(!c.snapshot_reads, "snapshot reads must be opt-in");
-        }
-        let c = BeldiConfig::beldi()
-            .with_write_combine(true)
-            .with_snapshot_reads(true);
-        assert!(c.daal_write_combine);
-        assert!(c.snapshot_reads);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_capacity_rejected() {
-        let _ = BeldiConfig::beldi().with_row_capacity(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_partitions_rejected() {
-        let _ = BeldiConfig::beldi().with_partitions(0);
-    }
-
-    #[test]
-    fn builder_applies_every_knob() {
-        let c = BeldiConfig::builder()
-            .mode(Mode::Beldi)
-            .row_capacity(7)
-            .t_max(Duration::from_secs(5))
-            .enforce_t_max(true)
-            .ic_restart_delay(Duration::from_secs(1))
-            .collector_period(Duration::from_secs(2))
-            .collector_batch_limit(64)
-            .partitions(4)
-            .tail_cache(true)
-            .tail_cache_capacity(128)
-            .write_combine(true)
-            .snapshot_reads(true)
-            .build()
-            .expect("coherent config");
-        assert_eq!(c.daal_row_capacity, 7);
-        assert_eq!(c.t_max, Duration::from_secs(5));
-        assert!(c.enforce_t_max);
-        assert_eq!(c.ic_restart_delay, Duration::from_secs(1));
-        assert_eq!(c.collector_period, Duration::from_secs(2));
-        assert_eq!(c.collector_batch_limit, Some(64));
-        assert_eq!(c.partitions, 4);
-        assert!(c.daal_tail_cache);
-        assert_eq!(c.daal_tail_cache_capacity, 128);
-        assert!(c.daal_write_combine);
-        assert!(c.snapshot_reads);
-    }
-
-    #[test]
-    fn builder_rejects_each_incoherent_combination() {
-        use ConfigError::*;
-        let cases: Vec<(ConfigBuilder, ConfigError)> = vec![
-            (BeldiConfig::builder().row_capacity(0), ZeroRowCapacity),
-            (BeldiConfig::builder().partitions(0), ZeroPartitions),
-            (
-                BeldiConfig::builder()
-                    .tail_cache(true)
-                    .tail_cache_capacity(0),
-                ZeroTailCacheCapacity,
-            ),
-            (
-                BeldiConfig::builder().collector_batch_limit(0),
-                ZeroCollectorBatch,
-            ),
-            (
-                BeldiConfig::builder().collector_period(Duration::ZERO),
-                ZeroCollectorPeriod,
-            ),
-            (
-                BeldiConfig::builder()
-                    .enforce_t_max(true)
-                    .t_max(Duration::ZERO),
-                EnforcedZeroLease,
-            ),
-            (
-                BeldiConfig::builder_for(Mode::CrossTable).write_combine(true),
-                CombineOutsideBeldi(Mode::CrossTable),
-            ),
-            (
-                BeldiConfig::builder_for(Mode::Baseline).snapshot_reads(true),
-                SnapshotReadsOutsideBeldi(Mode::Baseline),
-            ),
-        ];
-        for (builder, want) in cases {
-            let got = builder.clone().build().expect_err("incoherent combo");
-            assert_eq!(got, want, "{builder:?}");
-            assert!(!got.to_string().is_empty(), "error must explain itself");
-        }
-    }
-
-    #[test]
-    fn builder_allows_zero_capacity_when_cache_is_off() {
-        // A disabled tail cache never allocates, so a zero capacity is
-        // inert, not incoherent.
-        let c = BeldiConfig::builder()
-            .tail_cache(false)
-            .tail_cache_capacity(0)
-            .build()
-            .expect("cache off makes capacity irrelevant");
-        assert!(!c.daal_tail_cache);
-    }
-
-    #[test]
-    fn builder_unbounded_collector_batch_clears_the_limit() {
-        let c = BeldiConfig::builder()
-            .collector_batch_limit(10)
-            .unbounded_collector_batch()
-            .build()
-            .expect("unbounded is the default and always coherent");
-        assert_eq!(c.collector_batch_limit, None);
     }
 
     #[test]
@@ -740,50 +353,51 @@ mod tests {
     }
 
     #[test]
-    fn legacy_setters_match_builder_output() {
-        let legacy = BeldiConfig::beldi()
-            .with_row_capacity(9)
-            .with_t_max(Duration::from_secs(3))
-            .with_enforce_t_max(true)
-            .with_collector_batch_limit(5)
-            .with_partitions(2)
-            .with_tail_cache_capacity(77)
-            .with_write_combine(true)
-            .with_snapshot_reads(true);
-        let built = BeldiConfig::builder()
-            .row_capacity(9)
-            .t_max(Duration::from_secs(3))
-            .enforce_t_max(true)
-            .collector_batch_limit(5)
-            .partitions(2)
-            .tail_cache_capacity(77)
-            .write_combine(true)
-            .snapshot_reads(true)
-            .build()
-            .expect("coherent");
-        assert_eq!(legacy.daal_row_capacity, built.daal_row_capacity);
-        assert_eq!(legacy.t_max, built.t_max);
-        assert_eq!(legacy.enforce_t_max, built.enforce_t_max);
-        assert_eq!(legacy.collector_batch_limit, built.collector_batch_limit);
-        assert_eq!(legacy.partitions, built.partitions);
-        assert_eq!(
-            legacy.daal_tail_cache_capacity,
-            built.daal_tail_cache_capacity
-        );
-        assert_eq!(legacy.daal_write_combine, built.daal_write_combine);
-        assert_eq!(legacy.snapshot_reads, built.snapshot_reads);
+    fn validate_reports_each_incoherent_combination() {
+        use ConfigError::*;
+        let cases = [
+            (BeldiConfig::beldi().with_row_capacity(0), ZeroRowCapacity),
+            (BeldiConfig::beldi().with_partitions(0), ZeroPartitions),
+            (
+                BeldiConfig::beldi().with_tail_cache_capacity(0),
+                ZeroTailCacheCapacity,
+            ),
+            (
+                BeldiConfig::beldi().with_collector_batch_limit(0),
+                ZeroCollectorBatch,
+            ),
+            (
+                BeldiConfig::beldi().with_collector_period(Duration::ZERO),
+                ZeroCollectorPeriod,
+            ),
+            (
+                BeldiConfig::beldi()
+                    .with_enforce_t_max(true)
+                    .with_t_max(Duration::ZERO),
+                EnforcedZeroLease,
+            ),
+        ];
+        for (cfg, want) in cases {
+            let got = cfg.validate().expect_err("incoherent combo");
+            assert_eq!(got, want, "{cfg:?}");
+            assert!(!got.to_string().is_empty(), "error must explain itself");
+        }
     }
 
     #[test]
-    fn legacy_setters_stay_lenient_about_mode_gated_flags() {
-        // drive() historically sets --write-combine uniformly across A/B
-        // modes; the runtime ignores the flag outside Beldi mode, so the
-        // legacy path must keep accepting it.
-        let c = BeldiConfig::cross_table().with_write_combine(true);
-        assert!(c.daal_write_combine);
-        assert_eq!(
-            c.validate().unwrap_err(),
-            ConfigError::CombineOutsideBeldi(Mode::CrossTable)
-        );
+    fn zero_capacity_is_inert_when_the_cache_is_off() {
+        // A disabled tail cache never allocates, so a zero capacity is
+        // inert, not incoherent.
+        BeldiConfig::beldi()
+            .with_tail_cache(false)
+            .with_tail_cache_capacity(0)
+            .validate()
+            .expect("cache off makes capacity irrelevant");
+    }
+
+    #[test]
+    #[should_panic(expected = "partition count must be at least 1")]
+    fn env_build_panics_with_the_config_error_text() {
+        let _ = crate::BeldiEnv::builder(BeldiConfig::beldi().with_partitions(0)).build();
     }
 }

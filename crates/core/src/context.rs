@@ -34,11 +34,6 @@ pub struct SsfContext {
     pub(crate) caller: Option<String>,
     pub(crate) is_async: bool,
     pub(crate) txn: Option<TxnState>,
-    /// Lazily materialized per-table snapshots for snapshot-isolation
-    /// reads ([`crate::BeldiConfig::snapshot_reads`]), keyed by physical
-    /// table name. Empty unless the flag is on; a write through this
-    /// context drops the written table's entry (read-your-own-writes).
-    pub(crate) snapshots: std::collections::HashMap<String, beldi_simdb::TableSnapshot>,
     /// Virtual deadline of this *launch*'s execution lease
     /// ([`crate::BeldiConfig::enforce_t_max`]); `None` when enforcement
     /// is off. Checked at every crash probe — the platform-timeout
@@ -67,7 +62,6 @@ impl SsfContext {
             caller,
             is_async,
             txn,
-            snapshots: std::collections::HashMap::new(),
             deadline_ms,
         }
     }

@@ -187,37 +187,6 @@ pub(crate) fn read_tail_row(db: &Database, table: &str, key: &str) -> BeldiResul
     Ok(db.get(table, &pk, None)?)
 }
 
-/// Reconstructs the full-row chain (HEAD first) from an *unprojected* scan
-/// of one key's rows, dropping orphans — the full-row sibling of
-/// [`traverse`], for callers that need every attribute of every chain row
-/// at once: the write combiner's batched replay check and snapshot reads.
-///
-/// The same consistency argument as [`traverse`] applies: rows are
-/// append-only, so the pointer walk from `HEAD` to the first missing
-/// `NextRow` is a consistent snapshot even though the scan is not atomic.
-pub(crate) fn chain_from_rows(rows: Vec<Value>) -> BeldiResult<Vec<Value>> {
-    let total = rows.len();
-    let mut by_id: std::collections::HashMap<String, Value> =
-        std::collections::HashMap::with_capacity(total);
-    for row in rows {
-        if let Some(id) = row.get_str(A_ROW_ID) {
-            by_id.insert(id.to_owned(), row);
-        }
-    }
-    let mut chain = Vec::new();
-    let mut cursor = by_id.remove(ROW_HEAD);
-    while let Some(row) = cursor {
-        let next = row.get_str(A_NEXT_ROW).map(str::to_owned);
-        chain.push(row);
-        cursor = next.and_then(|id| by_id.remove(&id));
-        // Defensive bound, mirroring `traverse`.
-        if chain.len() > total {
-            return Err(BeldiError::Protocol("linked DAAL contains a cycle".into()));
-        }
-    }
-    Ok(chain)
-}
-
 /// Number of independently locked [`TailCache`] shards.
 const TAIL_CACHE_SHARDS: usize = 16;
 
@@ -304,7 +273,7 @@ impl TailCache {
             .cloned()
     }
 
-    pub(crate) fn put(&self, table: &str, key: &str, row_id: &str) {
+    fn put(&self, table: &str, key: &str, row_id: &str) {
         let mut shard = self.shard(table, key).lock();
         let entry_key = (table.to_owned(), key.to_owned());
         if shard.len() >= self.capacity_per_shard && !shard.contains_key(&entry_key) {
@@ -442,7 +411,7 @@ impl WriteOutcome {
     }
 
     /// Decodes a `RecentWrites` flag back into an outcome.
-    pub(crate) fn from_flag(flag: &Value) -> Self {
+    fn from_flag(flag: &Value) -> Self {
         match flag {
             // Plain writes log `true` (Fig. 3); conditional writes log the
             // condition outcome.
@@ -525,7 +494,7 @@ fn log_actions(p: &DaalParams<'_>, log_key: &str, flag: bool) -> Update {
 }
 
 /// Merges two update fragments.
-pub(crate) fn merge(a: &Update, b: &Update) -> Update {
+fn merge(a: &Update, b: &Update) -> Update {
     let mut out = a.clone();
     for action in b.actions() {
         out = out.push(action.clone());

@@ -121,9 +121,6 @@ pub(crate) struct EnvCore {
     /// Tail-row cache for DAAL reads (`Some` only in Beldi mode with
     /// [`BeldiConfig::daal_tail_cache`] on).
     pub tail_cache: Option<daal::TailCache>,
-    /// Write combiner for DAAL appends (`Some` only in Beldi mode with
-    /// [`BeldiConfig::daal_write_combine`] on).
-    pub combiner: Option<crate::combine::Combiner>,
     /// Aggregated GC statistics (see [`GcTotals`]).
     gc_totals: Mutex<GcTotals>,
     /// Aggregated IC statistics (see [`IcTotals`]).
@@ -217,6 +214,37 @@ impl EnvCore {
         let now_ms = self.platform.clock().now().as_millis();
         state.samples_ms.push(now_ms.saturating_sub(created_ms));
     }
+
+    /// Client retry contract under lease enforcement, shared by the
+    /// blocking and the executor root-invoke loops: retries of one
+    /// request are issued only within `T_max` of the first attempt.
+    /// The GC recycles a done intent no earlier than `finish + 2·T_max`
+    /// (and `finish` can't precede registration), so no retry inside
+    /// this window can find its intent recycled and silently
+    /// re-register it — the full-workflow re-execution path that shows
+    /// up as duplicate effects when a storm outlasts the recycle
+    /// horizon. Past the window the request fails back to the caller
+    /// instead of risking a second execution.
+    fn root_retry_closed(&self, first_attempt_ms: u64) -> bool {
+        self.config.enforce_t_max
+            && self.platform.clock().now().as_millis()
+                > first_attempt_ms + self.config.t_max.as_millis() as u64
+    }
+
+    /// After a failed root attempt: the instance may have completed
+    /// before dying (e.g. crashed after marking done). Returns the
+    /// intent's recorded return value if so — and records the recovery
+    /// sample — or `None` when the root must be re-launched.
+    fn root_done_ret(&self, name: &str, instance: &str) -> BeldiResult<Option<Value>> {
+        let table = schema::intent_table(name);
+        match intent::load(&self.db, &table, instance)? {
+            Some(rec) if rec.done => {
+                self.record_recovery(instance, rec.created_ms);
+                Ok(Some(rec.ret.unwrap_or(Value::Null)))
+            }
+            _ => Ok(None),
+        }
+    }
 }
 
 /// Builder for a [`BeldiEnv`] with non-default substrate parameters
@@ -276,7 +304,15 @@ impl EnvBuilder {
     }
 
     /// Builds the environment.
+    ///
+    /// # Panics
+    ///
+    /// With the [`crate::ConfigError`] text when
+    /// [`BeldiConfig::validate`] rejects the configuration.
     pub fn build(self) -> BeldiEnv {
+        if let Err(e) = self.config.validate() {
+            panic!("invalid BeldiConfig: {e}");
+        }
         let clock = self.clock.unwrap_or_else(|| ScaledClock::shared(2_000.0));
         let db = Database::with_partitions(
             clock.clone(),
@@ -287,8 +323,6 @@ impl EnvBuilder {
         let platform = Platform::new(clock, self.platform, self.seed.wrapping_add(1));
         let tail_cache = (self.config.mode == Mode::Beldi && self.config.daal_tail_cache)
             .then(|| daal::TailCache::with_capacity(self.config.daal_tail_cache_capacity));
-        let combiner = (self.config.mode == Mode::Beldi && self.config.daal_write_combine)
-            .then(crate::combine::Combiner::new);
         BeldiEnv {
             core: Arc::new(EnvCore {
                 db,
@@ -296,7 +330,6 @@ impl EnvBuilder {
                 config: self.config,
                 registry: RwLock::new(HashMap::new()),
                 tail_cache,
-                combiner,
                 gc_totals: Mutex::new(GcTotals::default()),
                 ic_totals: Mutex::new(IcTotals::default()),
                 ic_corrupt: AtomicU64::new(0),
@@ -481,39 +514,18 @@ impl BeldiEnv {
                 .map_err(BeldiError::Invoke)?;
             return Outcome::from_value(&v).into_result();
         }
-        // Client retry contract under lease enforcement: retries of one
-        // request are issued only within `T_max` of the first attempt.
-        // The GC recycles a done intent no earlier than `finish + 2·T_max`
-        // (and `finish` can't precede registration), so no retry inside
-        // this window can find its intent recycled and silently
-        // re-register it — the full-workflow re-execution path that shows
-        // up as duplicate effects when a storm outlasts the recycle
-        // horizon. Past the window the request fails back to the caller
-        // instead of risking a second execution.
-        let retry_deadline_ms =
-            self.core.config.enforce_t_max.then(|| {
-                self.clock().now().as_millis() + self.core.config.t_max.as_millis() as u64
-            });
+        let first_attempt_ms = self.clock().now().as_millis();
         let mut last_err = None;
         for _ in 0..max_attempts.max(1) {
-            if let (Some(deadline), Some(_)) = (retry_deadline_ms, &last_err) {
-                if self.clock().now().as_millis() > deadline {
-                    break;
-                }
+            if last_err.is_some() && self.core.root_retry_closed(first_attempt_ms) {
+                break;
             }
             match self.core.platform.invoke_sync(name, envelope.clone()) {
                 Ok(v) => return Outcome::from_value(&v).into_result(),
                 Err(e) => {
                     last_err = Some(e);
-                    // The instance may have completed before dying (e.g.
-                    // crashed after marking done); check the intent table.
-                    let table = schema::intent_table(name);
-                    if let Some(rec) = intent::load(&self.core.db, &table, instance)? {
-                        if rec.done {
-                            self.core.record_recovery(instance, rec.created_ms);
-                            let ret = rec.ret.unwrap_or(Value::Null);
-                            return Outcome::from_value(&ret).into_result();
-                        }
+                    if let Some(ret) = self.core.root_done_ret(name, instance)? {
+                        return Outcome::from_value(&ret).into_result();
                     }
                     self.clock().sleep(Duration::from_millis(2));
                 }
@@ -584,32 +596,18 @@ impl BeldiEnv {
                     .map_err(BeldiError::Invoke)?;
                 return Outcome::from_value(&v).into_result();
             }
-            // Same client retry contract as the blocking path (see
-            // `invoke_attempts`): retries only within `T_max` of the
-            // first attempt when lease enforcement is on.
-            let retry_deadline_ms = core.config.enforce_t_max.then(|| {
-                core.platform.clock().now().as_millis() + core.config.t_max.as_millis() as u64
-            });
+            let first_attempt_ms = core.platform.clock().now().as_millis();
             let mut last_err = None;
             for _ in 0..max_attempts.max(1) {
-                if let (Some(deadline), Some(_)) = (retry_deadline_ms, &last_err) {
-                    if core.platform.clock().now().as_millis() > deadline {
-                        break;
-                    }
+                if last_err.is_some() && core.root_retry_closed(first_attempt_ms) {
+                    break;
                 }
                 match core.platform.invoke_pending(&name, envelope.clone()).await {
                     Ok(v) => return Outcome::from_value(&v).into_result(),
                     Err(e) => {
                         last_err = Some(e);
-                        // The instance may have completed before dying;
-                        // check the intent table before re-launching.
-                        let table = schema::intent_table(&name);
-                        if let Some(rec) = intent::load(&core.db, &table, &instance)? {
-                            if rec.done {
-                                core.record_recovery(&instance, rec.created_ms);
-                                let ret = rec.ret.unwrap_or(Value::Null);
-                                return Outcome::from_value(&ret).into_result();
-                            }
+                        if let Some(ret) = core.root_done_ret(&name, &instance)? {
+                            return Outcome::from_value(&ret).into_result();
                         }
                         beldi_runtime::sleep(Duration::from_millis(2)).await;
                     }
@@ -921,13 +919,6 @@ impl BeldiEnv {
             let (hits, misses) = c.stats();
             (hits, misses, c.len())
         })
-    }
-
-    /// Write-combiner counters `(landed batches, combined entries, solo
-    /// fallbacks)`, or `None` when combining is disabled (non-Beldi modes
-    /// or [`BeldiConfig::daal_write_combine`] off).
-    pub fn combine_stats(&self) -> Option<(u64, u64, u64)> {
-        self.core.combiner.as_ref().map(|c| c.stats())
     }
 
     /// A snapshot of platform metrics.

@@ -55,7 +55,6 @@
 //! - [`Mode::Baseline`] — raw database and invocation calls with no
 //!   guarantees (the paper's baseline).
 
-mod combine;
 mod config;
 mod context;
 mod daal;
@@ -73,7 +72,7 @@ pub mod stepfn;
 mod txn;
 mod wrapper;
 
-pub use config::{BeldiConfig, ConfigBuilder, ConfigError, Mode, DEFAULT_TAIL_CACHE_CAPACITY};
+pub use config::{BeldiConfig, ConfigError, Mode, DEFAULT_TAIL_CACHE_CAPACITY};
 pub use context::SsfContext;
 pub use env::{BeldiEnv, DrainReport, EnvBuilder, GcTotals, IcTotals, SsfBody};
 pub use error::{BeldiError, BeldiResult};

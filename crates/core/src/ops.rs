@@ -49,39 +49,11 @@ impl SsfContext {
         }
         let physical = self.data_table(table)?;
         self.crash(labels::READ_ENTER);
-        let val = if self.mode() == Mode::Beldi && self.core.config.snapshot_reads {
-            self.snapshot_read_value(&physical, key)?
-        } else {
-            self.raw_read_value(&physical, key)?
-        };
+        let val = self.raw_read_value(&physical, key)?;
         if self.mode() == Mode::Baseline {
             return Ok(val);
         }
         self.log_value(val)
-    }
-
-    /// Snapshot-isolation raw read ([`crate::BeldiConfig::snapshot_reads`]):
-    /// the first read of a table materializes one metered
-    /// [`beldi_simdb::Database::snapshot_table`]; this and every later
-    /// read of that table walk the key's DAAL chain *inside* the snapshot
-    /// — no further scans, locks, or point gets. A write through this
-    /// context invalidates the table's snapshot (see
-    /// [`SsfContext::write_step`]), so the instance reads its own writes.
-    ///
-    /// Exactly-once is untouched: the returned value still flows through
-    /// [`SsfContext::log_value`], so re-executions replay the recorded
-    /// value no matter what any snapshot held.
-    fn snapshot_read_value(&mut self, physical: &str, key: &str) -> BeldiResult<Value> {
-        if !self.snapshots.contains_key(physical) {
-            let snap = self.db().snapshot_table(physical)?;
-            self.snapshots.insert(physical.to_owned(), snap);
-        }
-        let snap = &self.snapshots[physical];
-        let chain = daal::chain_from_rows(snap.rows_for_hash(&Value::from(key)))?;
-        Ok(chain
-            .last()
-            .and_then(|row| row.get_attr(A_VALUE).cloned())
-            .unwrap_or(Value::Null))
     }
 
     /// The mode-appropriate raw (unlogged) read of a data table.
@@ -212,24 +184,7 @@ impl SsfContext {
                 let wp = WritePayload {
                     apply: payload.clone(),
                 };
-                match (&self.core.combiner, user_cond) {
-                    // Unconditional appends go through the write combiner
-                    // when enabled (`BeldiConfig::daal_write_combine`):
-                    // semantically identical to `try_write`, but hot-key
-                    // batches fold into one flush (see `crate::combine`).
-                    (Some(combiner), None) => crate::combine::combined_write(
-                        p,
-                        combiner,
-                        self.core.tail_cache.as_ref(),
-                        self.clock(),
-                        physical,
-                        key,
-                        &log_key,
-                        &wp,
-                        self.core.config.canary_combine_active(),
-                    ),
-                    _ => daal::try_write(p, physical, key, &log_key, &wp, user_cond),
-                }
+                daal::try_write(p, physical, key, &log_key, &wp, user_cond)
             })?,
             Mode::CrossTable => {
                 let wlog = crate::schema::write_log_table(&self.ssf);
@@ -257,10 +212,6 @@ impl SsfContext {
                 }
             }
         };
-        // Read-your-own-writes under snapshot reads: the table's snapshot
-        // (if any) predates this write; drop it so the next read
-        // re-materializes. No-op when snapshot reads are off (empty map).
-        self.snapshots.remove(physical);
         self.crash(labels::WRITE_EXIT);
         Ok(out)
     }
@@ -468,51 +419,6 @@ mod tests {
         assert_eq!(cached_vals, plain_vals, "cache must not change values");
         assert_eq!(plain_queries, 5, "uncached: one traversal scan per read");
         assert_eq!(cached_queries, 1, "cached: only the first read scans");
-    }
-
-    #[test]
-    fn snapshot_reads_serve_many_keys_from_one_scan() {
-        let run = |snapshot_reads: bool| -> (Vec<Value>, u64, u64) {
-            let cfg = BeldiConfig::beldi()
-                .with_snapshot_reads(snapshot_reads)
-                .with_tail_cache(false);
-            let env = BeldiEnv::for_tests_with(cfg);
-            env.register_ssf("f", &["state"], Arc::new(|_, _| Ok(Value::Null)));
-            for i in 0..5 {
-                env.seed("f", "state", &format!("k{i}"), Value::Int(i))
-                    .unwrap();
-            }
-            let before = env.db_metrics();
-            let mut reader = env.test_context("f", "reader-1");
-            let vals: Vec<Value> = (0..5)
-                .map(|i| reader.read("state", &format!("k{i}")).unwrap())
-                .collect();
-            let d = env.db_metrics().delta(&before);
-            (vals, d.queries, d.scans)
-        };
-        let (snap_vals, snap_queries, snap_scans) = run(true);
-        let (plain_vals, plain_queries, plain_scans) = run(false);
-        assert_eq!(snap_vals, plain_vals, "snapshot must not change values");
-        assert_eq!(plain_queries, 5, "uncached: one traversal scan per read");
-        assert_eq!(plain_scans, 0);
-        assert_eq!(snap_queries, 0, "snapshot: no per-read traversals");
-        assert_eq!(snap_scans, 1, "snapshot: one metered table scan");
-    }
-
-    #[test]
-    fn snapshot_reads_observe_own_writes() {
-        let cfg = BeldiConfig::beldi().with_snapshot_reads(true);
-        let env = BeldiEnv::for_tests_with(cfg);
-        env.register_ssf("f", &["state"], Arc::new(|_, _| Ok(Value::Null)));
-        let mut ctx = env.test_context("f", "inst-1");
-        assert_eq!(ctx.read("state", "k").unwrap(), Value::Null);
-        ctx.write("state", "k", Value::Int(7)).unwrap();
-        // The write dropped the stale snapshot; the re-materialized one
-        // holds our own write.
-        assert_eq!(ctx.read("state", "k").unwrap(), Value::Int(7));
-        // And an independent instance agrees.
-        let mut other = env.test_context("f", "inst-2");
-        assert_eq!(other.read("state", "k").unwrap(), Value::Int(7));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //! (§4.3's transition-graph argument) and the traversal's snapshot
 //! consistency claim (§4.1).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv};
+use beldi_simclock::{ManualClock, SharedClock};
 use beldi_simdb::ScanRequest;
 
 fn env_with_writer(capacity: usize) -> BeldiEnv {
@@ -289,13 +292,20 @@ fn independent_keys_do_not_interfere() {
 
 /// Appends racing the GC: entries and chain stay coherent while rows are
 /// disconnected and deleted underneath the writers.
+///
+/// Runs on a [`ManualClock`] that only moves between rounds, while no
+/// invocation is in flight: GC passes still interleave with appends, but
+/// no writer can outlive `T` however the host schedules its thread (on
+/// a scaled clock, `T` is microseconds of real time, and a descheduled
+/// writer legitimately loses its row to the GC).
 #[test]
 fn append_storm_with_concurrent_gc_is_safe() {
-    let env = Arc::new(BeldiEnv::for_tests_with(
-        BeldiConfig::beldi()
-            .with_row_capacity(2)
-            .with_t_max(std::time::Duration::from_millis(60)),
-    ));
+    const T: Duration = Duration::from_millis(60);
+    const ROUNDS: i64 = 6;
+    let clock = ManualClock::shared();
+    let env = BeldiEnv::builder(BeldiConfig::beldi().with_row_capacity(2).with_t_max(T))
+        .clock(clock.clone() as SharedClock)
+        .build();
     env.register_ssf(
         "w",
         &["t"],
@@ -305,31 +315,44 @@ fn append_storm_with_concurrent_gc_is_safe() {
             Ok(Value::Null)
         }),
     );
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let gc = {
-        let env = Arc::clone(&env);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+    let env = &env;
+    for round in 0..ROUNDS {
+        let writers_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            // Back-to-back passes for as long as the writers run, plus
+            // one after they finish, so every round stamps its intents
+            // and works on the rows that aged in the rounds before.
+            s.spawn(|| loop {
+                let last_pass = writers_done.load(Ordering::SeqCst);
                 env.run_gc_once("w").unwrap();
-                env.clock().sleep(std::time::Duration::from_millis(40));
+                if last_pass {
+                    break;
+                }
+            });
+            let writers: Vec<_> = (0..4i64)
+                .map(|t| {
+                    s.spawn(move || {
+                        for i in 0..3 {
+                            let val = round * 1000 + t * 100 + i;
+                            env.invoke("w", vmap! { "val" => val }).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for w in writers {
+                w.join().unwrap();
             }
-        })
-    };
-    let mut handles = Vec::new();
-    for t in 0..4i64 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..15 {
-                env.invoke("w", vmap! { "val" => t * 100 + i }).unwrap();
-            }
-        }));
+            writers_done.store(true, Ordering::SeqCst);
+        });
+        clock.advance(T + Duration::from_millis(1));
     }
-    for h in handles {
-        h.join().unwrap();
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    gc.join().unwrap();
+    // The GC did all of its work under the writers: recycled intents,
+    // disconnected full rows, then deleted them a round later.
+    let gc = env.gc_totals().report;
+    assert!(gc.recycled_intents > 0, "{gc:?}");
+    assert!(gc.disconnected_rows > 0, "{gc:?}");
+    assert!(gc.deleted_rows > 0, "{gc:?}");
+    assert_eq!(gc.corrupt_chains, 0, "{gc:?}");
     // The store remains readable and the tail holds a written value.
     let v = env.read_current("w", "t", "k").unwrap();
     assert!(matches!(v, Value::Int(_)), "{v:?}");

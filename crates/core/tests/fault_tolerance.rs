@@ -420,8 +420,11 @@ fn drain_recovery_completes_crashed_async_work() {
 #[test]
 fn expired_execution_lease_kills_instances_before_their_next_effect() {
     beldi::silence_crash_backtraces();
+    // The shortest lease `validate()` admits: 1 ms of virtual time is
+    // half a microsecond of real time here, gone before the wrapper has
+    // registered the intent.
     let cfg = BeldiConfig::beldi()
-        .with_t_max(std::time::Duration::ZERO)
+        .with_t_max(std::time::Duration::from_millis(1))
         .with_enforce_t_max(true);
     let env = pipeline_env(cfg);
     env.invoke("root", Value::Int(0)).unwrap_err();

@@ -75,42 +75,6 @@ impl TransactOp {
     }
 }
 
-/// A consistent-per-partition copy of one table's rows, taken (and paid
-/// for, in metrics and modelled latency) by [`Database::snapshot_table`].
-/// Lookups against it are free — the snapshot-isolation read path
-/// amortizes one metered scan over many traversals.
-#[derive(Debug, Clone)]
-pub struct TableSnapshot {
-    rows: BTreeMap<PrimaryKey, Value>,
-}
-
-impl TableSnapshot {
-    /// All rows of one hash key, in sort-key order — what an unfiltered,
-    /// unprojected [`Database::query`] would have returned at snapshot
-    /// time.
-    pub fn rows_for_hash(&self, hash: &Value) -> Vec<Value> {
-        let lo = std::ops::Bound::Included(PrimaryKey {
-            hash: hash.clone(),
-            sort: None,
-        });
-        self.rows
-            .range((lo, std::ops::Bound::Unbounded))
-            .take_while(|(k, _)| &k.hash == hash)
-            .map(|(_, v)| v.clone())
-            .collect()
-    }
-
-    /// Number of rows captured.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table was empty at snapshot time.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-}
-
 /// Entry-count threshold above which [`ItemWriteQueue`] drops entries
 /// whose busy deadline has already passed.
 const ITEM_QUEUE_PRUNE_LEN: usize = 4096;
@@ -728,39 +692,6 @@ impl Database {
             out.insert(name, rows);
         }
         crate::DbSnapshot::new(out)
-    }
-
-    /// Takes a *metered* snapshot of one table's rows, in primary-key
-    /// order — the storage half of snapshot-isolation reads.
-    ///
-    /// Unlike [`Database::snapshot`] (out-of-band verification tooling),
-    /// this is a first-class read operation: it records one [`OpKind::Scan`]
-    /// covering every row and pays the scan's modelled latency, so a
-    /// client that snapshots once and then answers many reads from the
-    /// result is measurably cheaper than one that re-scans per read.
-    ///
-    /// Each partition is locked once and copied whole, so the snapshot is
-    /// *per-partition consistent* (all rows of one hash key live in one
-    /// partition, hence any single key's row set is internally
-    /// consistent); it is not atomic across partitions, the same contract
-    /// as a paged scan.
-    pub fn snapshot_table(&self, table: &str) -> DbResult<TableSnapshot> {
-        let t = self.handle(table)?;
-        let mut rows: BTreeMap<PrimaryKey, Value> = BTreeMap::new();
-        let mut bytes = 0usize;
-        for p in 0..t.partition_count() {
-            let data = self.lock_partition(&t, p);
-            for (k, v) in &data.rows {
-                bytes += v.size_bytes();
-                rows.insert(k.clone(), v.clone());
-            }
-        }
-        self.metrics.record_op(OpKind::Scan);
-        self.metrics.record_rows_scanned(rows.len());
-        self.metrics.record_read_bytes(bytes);
-        self.clock
-            .sleep(self.sampler.sample(OpKind::Scan, rows.len(), bytes));
-        Ok(TableSnapshot { rows })
     }
 
     /// Atomically applies a batch of conditional writes across tables.
@@ -1472,46 +1403,5 @@ mod tests {
             "uniform keys should spread over partitions: {:?}",
             s.partition_ops
         );
-    }
-
-    #[test]
-    fn snapshot_table_is_metered_and_serves_sorted_hash_lookups() {
-        let db = db_with_table();
-        for key in ["a", "b"] {
-            for row in 0..3i64 {
-                db.put("t", vmap! { "Key" => key, "RowId" => row, "V" => row * 10 })
-                    .unwrap();
-            }
-        }
-        let before = db.metrics();
-        let snap = db.snapshot_table("t").unwrap();
-        let after = db.metrics();
-        // One metered scan covering every row — unlike `snapshot()`,
-        // which is out-of-band.
-        assert_eq!(after.scans, before.scans + 1);
-        assert_eq!(after.rows_scanned, before.rows_scanned + 6);
-        assert!(after.bytes_read > before.bytes_read);
-        assert_eq!(snap.len(), 6);
-        // Hash lookups return exactly the query result, in sort order.
-        let a_rows = snap.rows_for_hash(&Value::from("a"));
-        assert_eq!(a_rows.len(), 3);
-        let sorts: Vec<i64> = a_rows.iter().filter_map(|r| r.get_int("RowId")).collect();
-        assert_eq!(sorts, vec![0, 1, 2]);
-        assert!(snap.rows_for_hash(&Value::from("zzz")).is_empty());
-        // Lookups are free: no further ops recorded.
-        assert_eq!(db.metrics().scans, after.scans);
-        // The snapshot is a copy: later writes do not leak in.
-        db.put("t", vmap! { "Key" => "a", "RowId" => 9i64 })
-            .unwrap();
-        assert_eq!(snap.rows_for_hash(&Value::from("a")).len(), 3);
-    }
-
-    #[test]
-    fn snapshot_table_of_unknown_table_errors() {
-        let db = db_with_table();
-        assert!(matches!(
-            db.snapshot_table("nope"),
-            Err(DbError::TableNotFound(_))
-        ));
     }
 }

@@ -45,7 +45,7 @@ mod scan;
 mod snapshot;
 mod table;
 
-pub use database::{Database, TableSnapshot, TransactOp};
+pub use database::{Database, TransactOp};
 pub use error::{DbError, DbResult};
 pub use key::{PrimaryKey, TableSchema};
 pub use latency::{LatencyModel, OpKind};

@@ -74,30 +74,6 @@ pub const DAAL_WRITE_POST_APPLY: &str = "daal.write.post_apply";
 pub const DAAL_WRITE_PRE_LOG_FALSE: &str = "daal.write.pre_log_false";
 /// After the false outcome was logged. Work-dependent: success arm.
 pub const DAAL_WRITE_POST_LOG_FALSE: &str = "daal.write.post_log_false";
-// ---- DAAL write combining (group commit over the tail row) ----
-//
-// The combiner is opt-in (`BeldiConfig::daal_write_combine`); with it on,
-// every plain logged write routes through these points, so the explorer
-// can kill a logger before it enqueues, a leader on either side of its
-// folded flush, and a leader between flushing and publishing results.
-
-/// A logged write entered the combiner path, before its intent enqueues.
-pub const DAAL_COMBINE_ENTER: &str = "daal.combine.enter";
-/// The elected leader is about to fold its drained batch into the single
-/// conditional write against the tail row. Work-dependent: fires only on
-/// batches with at least one non-replay entry.
-pub const DAAL_COMBINE_PRE_FLUSH: &str = "daal.combine.pre_flush";
-/// The leader's folded flush landed (all entries applied and logged
-/// atomically). Work-dependent: success arm.
-pub const DAAL_COMBINE_POST_FLUSH: &str = "daal.combine.post_flush";
-/// The leader is about to publish per-entry results to parked followers.
-/// A crash here strands followers with an applied-but-unannounced batch;
-/// they must time out and recover their outcomes via solo replay.
-/// Work-dependent: fires once per drained batch a leader processes.
-pub const DAAL_COMBINE_PRE_PUBLISH: &str = "daal.combine.pre_publish";
-/// A follower parked waiting for its leader's verdict. Work-dependent:
-/// fires only when another logger already leads the group.
-pub const DAAL_COMBINE_FOLLOWER_WAIT: &str = "daal.combine.follower_wait";
 
 /// Before creating a fresh DAAL row (append step 1).
 pub const DAAL_APPEND_PRE_CREATE: &str = "daal.append.pre_create";
@@ -243,11 +219,6 @@ pub const ALL: &[&str] = &[
     DAAL_WRITE_POST_APPLY,
     DAAL_WRITE_PRE_LOG_FALSE,
     DAAL_WRITE_POST_LOG_FALSE,
-    DAAL_COMBINE_ENTER,
-    DAAL_COMBINE_PRE_FLUSH,
-    DAAL_COMBINE_POST_FLUSH,
-    DAAL_COMBINE_PRE_PUBLISH,
-    DAAL_COMBINE_FOLLOWER_WAIT,
     DAAL_APPEND_PRE_CREATE,
     DAAL_APPEND_POST_CREATE,
     DAAL_APPEND_POST_LINK,
@@ -292,10 +263,6 @@ pub const WORK_DEPENDENT: &[&str] = &[
     DAAL_WRITE_POST_APPLY,
     DAAL_WRITE_PRE_LOG_FALSE,
     DAAL_WRITE_POST_LOG_FALSE,
-    DAAL_COMBINE_PRE_FLUSH,
-    DAAL_COMBINE_POST_FLUSH,
-    DAAL_COMBINE_PRE_PUBLISH,
-    DAAL_COMBINE_FOLLOWER_WAIT,
     INVOKE_PRE_ASYNCREG,
     TXN_PRE_FLUSH_ITEM,
     TXN_PRE_RELEASE_ITEM,

@@ -313,9 +313,9 @@ impl Platform {
     }
 
     /// Starts a worker for an invocation whose permit is already held.
-    /// The worker runs the handler on its own thread, delivers the
-    /// result through `sink`, then returns itself to the warm pool and
-    /// frees the permit. Shared by the blocking (mpsc) and async
+    /// The worker runs the handler on its own thread, returns itself to
+    /// the warm pool and frees the permit, then delivers the result
+    /// through `sink`. Shared by the blocking (mpsc) and async
     /// (waker-completion) delivery paths.
     fn launch_worker(
         self: &Arc<Self>,
@@ -366,18 +366,20 @@ impl Platform {
                         .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
                     (handler)(&ctx, payload)
                 }));
-                match result {
+                let reply = match result {
                     Ok(value) => {
                         platform.metrics.finish_ok();
-                        sink(Ok(value));
+                        Ok(value)
                     }
                     Err(panic) => {
                         platform.metrics.finish_crash();
-                        let msg = describe_panic(panic);
-                        sink(Err(InvokeError::Crashed(msg)));
+                        Err(InvokeError::Crashed(describe_panic(panic)))
                     }
-                }
-                // Return the worker to the warm pool and free the permit.
+                };
+                // Return the worker to the warm pool and free the permit
+                // *before* replying: a closed-loop caller re-invokes the
+                // moment the reply lands, and must find this worker warm
+                // and its permit free rather than race them.
                 {
                     let mut idle = warm_idle.lock();
                     if *idle < warm_cap {
@@ -385,6 +387,7 @@ impl Platform {
                     }
                 }
                 platform.permits.release();
+                sink(reply);
             })
             .expect("spawn worker thread");
         request_id
@@ -786,6 +789,48 @@ mod tests {
         let m = p.metrics();
         assert_eq!(m.cold_starts, 1, "only the first start is cold");
         assert_eq!(m.warm_starts, 2);
+    }
+
+    /// Closed-loop callers re-invoke the moment a reply lands. With one
+    /// permit and the re-invoke issued *from the reply callback*, the
+    /// worker must already be back in the pool with its permit free.
+    #[test]
+    fn reinvoke_from_reply_callback_is_never_cold() {
+        const REINVOKES: usize = 20;
+
+        fn invoke_chain(p: Arc<Platform>, left: usize, done: mpsc::Sender<()>) {
+            let (handler, warm_idle) = p.lookup("echo").unwrap();
+            assert!(p.permits.try_acquire(), "permit still held at reply time");
+            let next = p.clone();
+            p.launch_worker(
+                "echo",
+                handler,
+                warm_idle,
+                Value::Null,
+                Box::new(move |result| {
+                    result.unwrap();
+                    match left {
+                        0 => done.send(()).unwrap(),
+                        _ => invoke_chain(next, left - 1, done),
+                    }
+                }),
+            );
+        }
+
+        let config = PlatformConfig {
+            concurrency_limit: 1,
+            ..PlatformConfig::for_tests()
+        };
+        let p = Platform::new(ScaledClock::shared(1.0), config, 0);
+        p.register("echo", echo_handler());
+        let (done_tx, done_rx) = mpsc::channel();
+        invoke_chain(p.clone(), REINVOKES, done_tx);
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a reply callback failed to re-invoke");
+        let m = p.metrics();
+        assert_eq!(m.cold_starts, 1, "only the first start is cold");
+        assert_eq!(m.warm_starts, REINVOKES as u64);
     }
 
     #[test]

@@ -124,13 +124,6 @@ pub struct DriveOptions {
     /// Total DAAL tail-cache entry capacity (`None` = the library
     /// default; small values A/B the eviction behaviour).
     pub tail_cache_capacity: Option<usize>,
-    /// Route unconditional DAAL appends through the write combiner
-    /// (group commit over the tail row; Beldi mode only, off = the
-    /// uncombined paper protocol for A/B comparison).
-    pub write_combine: bool,
-    /// Serve traversal reads from per-instance table snapshots instead
-    /// of per-key tail scans (Beldi mode only).
-    pub snapshot_reads: bool,
     /// Run timer-triggered per-SSF garbage collectors *concurrently with
     /// the client workers* (online GC, paper §5): background collector
     /// functions fire every [`DriveOptions::gc_period`] of virtual time
@@ -224,8 +217,6 @@ impl Default for DriveOptions {
             model_latency: true,
             tail_cache: true,
             tail_cache_capacity: None,
-            write_combine: false,
-            snapshot_reads: false,
             gc: false,
             gc_period: Duration::from_millis(500),
             gc_t_max: Duration::from_secs(2),
@@ -898,9 +889,7 @@ fn build_bench_env(
 ) -> BeldiEnv {
     let mut cfg = BeldiConfig::for_mode(mode)
         .with_partitions(opts.partitions)
-        .with_tail_cache(opts.tail_cache)
-        .with_write_combine(opts.write_combine)
-        .with_snapshot_reads(opts.snapshot_reads);
+        .with_tail_cache(opts.tail_cache);
     if let Some(capacity) = opts.tail_cache_capacity {
         cfg = cfg.with_tail_cache_capacity(capacity);
     }

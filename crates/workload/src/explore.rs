@@ -71,17 +71,6 @@ pub struct ExploreOptions {
     /// ([`BeldiConfig::canary_skip_read_guard`]); the sweep is then
     /// expected to *report* violations.
     pub canary: bool,
-    /// Route unconditional DAAL appends through the write combiner
-    /// ([`BeldiConfig::daal_write_combine`]), adding the
-    /// `daal.combine.*` crash points to the explored stream — the sweep
-    /// then kills leaders mid-batch (pre/post flush, pre publish).
-    pub write_combine: bool,
-    /// Enable the combiner's planted bug
-    /// ([`BeldiConfig::canary_combine_drop_replay`]: the leader skips
-    /// replay detection, so a crashed-and-re-executed combined append
-    /// re-applies); implies nothing unless `write_combine` is also on.
-    /// The sweep is then expected to *report* violations.
-    pub canary_combine: bool,
 }
 
 impl Default for ExploreOptions {
@@ -95,8 +84,6 @@ impl Default for ExploreOptions {
             gc_check: false,
             gc_interleave: false,
             canary: false,
-            write_combine: false,
-            canary_combine: false,
         }
     }
 }
@@ -320,9 +307,7 @@ fn build_env(mode: Mode, opts: &ExploreOptions) -> BeldiEnv {
     let cfg = BeldiConfig::for_mode(mode)
         .with_t_max(EXPLORE_T_MAX)
         .with_ic_restart_delay(EXPLORE_IC_DELAY)
-        .with_canary_skip_read_guard(opts.canary)
-        .with_write_combine(opts.write_combine)
-        .with_canary_combine_drop_replay(opts.canary_combine);
+        .with_canary_skip_read_guard(opts.canary);
     BeldiEnv::builder(cfg).seed(opts.seed).build()
 }
 

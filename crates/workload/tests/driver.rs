@@ -217,55 +217,6 @@ fn tail_cache_does_not_change_results_only_cost() {
 }
 
 #[test]
-fn write_combining_and_snapshot_reads_change_cost_not_results() {
-    // The combiner folds concurrent tail appends into one conditional
-    // write and snapshot reads replace per-key traversal scans with one
-    // table snapshot: both are pure optimizations, so the final state
-    // and effect counts must match the plain protocol exactly.
-    let plain = test_opts(4, 60, 5);
-    let optimized = DriveOptions {
-        write_combine: true,
-        snapshot_reads: true,
-        ..plain.clone()
-    };
-    let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &plain);
-    let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &optimized);
-    assert_eq!(a.errors, 0);
-    assert_eq!(b.errors, 0);
-    assert_eq!(
-        a.state_digest, b.state_digest,
-        "combining changed semantics"
-    );
-    assert_eq!(a.effects, b.effects);
-    assert!(
-        b.db.scans > a.db.scans,
-        "snapshot reads should replace queries with table scans ({} vs {})",
-        b.db.scans,
-        a.db.scans
-    );
-}
-
-#[test]
-fn defaults_off_run_is_bit_identical_to_explicit_off() {
-    // The A/B guarantee the flags rest on: a default-configured drive
-    // and one that spells out `write_combine: false, snapshot_reads:
-    // false` are the *same* protocol — identical digests, effects, and
-    // database operation counts.
-    let defaults = test_opts(4, 60, 11);
-    let explicit = DriveOptions {
-        write_combine: false,
-        snapshot_reads: false,
-        ..defaults.clone()
-    };
-    let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &defaults);
-    let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &explicit);
-    assert_eq!(a.state_digest, b.state_digest);
-    assert_eq!(a.effects, b.effects);
-    assert_eq!(a.ops, b.ops);
-    assert_eq!(a.errors, b.errors);
-}
-
-#[test]
 fn bounded_tail_cache_preserves_smoke_scale_behaviour() {
     // Capacity A/B: at smoke-scale key cardinality the bounded default
     // cache must behave identically to an effectively unbounded one —

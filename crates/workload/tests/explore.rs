@@ -111,80 +111,6 @@ fn canary_bug_is_caught_by_the_sweep() {
     assert!(clean.ok(), "{:#?}", clean.violations);
 }
 
-/// A depth-1 sweep with the write combiner enabled must stay clean: the
-/// `daal.combine.*` labels join the crash stream, so schedules now kill
-/// leaders between batch flush and result publication, and recovery must
-/// still converge to the oracle's state exactly once.
-#[test]
-fn depth1_sweep_with_write_combining_is_clean() {
-    let opts = ExploreOptions {
-        requests: 3,
-        write_combine: true,
-        ..ExploreOptions::default()
-    };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
-    assert!(
-        report.ok(),
-        "combined appends must survive every schedule:\n{:#?}",
-        report.violations
-    );
-    // The combiner's own crash points widen the stream relative to the
-    // plain protocol run of the same workload.
-    let plain = explore(
-        &PipelineApp,
-        Mode::Beldi,
-        &ExploreOptions {
-            requests: 3,
-            ..ExploreOptions::default()
-        },
-    );
-    assert!(
-        report.crash_points > plain.crash_points,
-        "expected daal.combine.* points on top of the plain stream \
-         ({} vs {})",
-        report.crash_points,
-        plain.crash_points
-    );
-}
-
-/// The combiner canary self-test: with replay detection dropped from the
-/// combined-append path, a crashed-and-re-executed logger re-applies its
-/// write, and the sweep must catch the divergence.
-#[test]
-fn combine_canary_bug_is_caught_by_the_sweep() {
-    let opts = ExploreOptions {
-        requests: 2,
-        write_combine: true,
-        canary_combine: true,
-        ..ExploreOptions::default()
-    };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
-    assert!(
-        !report.ok(),
-        "the sweep failed to detect the planted combiner replay bug"
-    );
-    assert!(
-        report.violations.iter().any(|v| matches!(
-            v.kind,
-            ViolationKind::StateDivergence | ViolationKind::EffectDivergence
-        )),
-        "expected state/effect divergence, got {:#?}",
-        report.violations
-    );
-    // The same sweep with the canary off (combiner still on) is clean.
-    let clean = explore(
-        &PipelineApp,
-        Mode::Beldi,
-        &ExploreOptions {
-            requests: 2,
-            write_combine: true,
-            canary_combine: false,
-            ..ExploreOptions::default()
-        },
-    );
-    assert!(clean.ok(), "{:#?}", clean.violations);
-}
-
 /// Satellite: identical seed ⇒ identical explorer verdict, twice over.
 #[test]
 fn explorer_verdict_is_seed_stable() {
