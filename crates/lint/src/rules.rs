@@ -674,6 +674,9 @@ fn blocking_primitive(call: &CallSite) -> Option<&'static str> {
         "sleep" if call.path_qual.as_deref() == Some("thread") => {
             Some("`std::thread::sleep` (real-time sleep)")
         }
+        "park" | "park_timeout" if call.path_qual.as_deref() == Some("thread") => {
+            Some("`std::thread::park` (parks the OS thread)")
+        }
         "recv" | "recv_timeout" | "recv_deadline" if call.is_method => {
             Some("a blocking channel receive")
         }
@@ -805,7 +808,7 @@ pub fn async_safety(ws: &Workspace, files: &[SourceFile], findings: &mut Vec<Fin
                         format!(
                             "{what} {context} parks the executor thread and stalls \
                              every in-flight task; use the virtual-time / waker surface \
-                             (`clock.sleep`, `Handle::sleep`, `park_waiter`) or move the \
+                             (`clock.sleep`, `Handle::sleep`, `Semaphore::acquire`) or move the \
                              wait onto a dedicated thread"
                         ),
                         sf.line_text(call.line),

@@ -176,8 +176,8 @@ fn canary_removing_the_waiver_fails_the_build() {
 
 /// Dogfood: the real tree's executor surfaces carry documented waivers
 /// for each sanctioned blocking site (the front door's channel-parking
-/// handler, the semaphore's thread-per-worker discipline, the
-/// scheduler's own idle park).
+/// handler, the platform's blocking fronts parking their caller's
+/// thread, the scheduler's own idle park).
 #[test]
 fn real_tree_sanctioned_blocking_sites_are_waived() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -185,7 +185,7 @@ fn real_tree_sanctioned_blocking_sites_are_waived() {
     assert!(report.active.is_empty(), "{:#?}", report.active);
     for path in [
         "crates/bench/src/front.rs",
-        "crates/simfaas/src/semaphore.rs",
+        "crates/simfaas/src/platform.rs",
         "crates/runtime/src/executor.rs",
     ] {
         assert!(

@@ -1,170 +1,21 @@
-//! Waker-based async primitives for executor tasks.
+//! The executor-side name of the workspace's waker-based [`Semaphore`].
 //!
-//! One inhabitant so far: a FIFO [`Semaphore`]. Its load-bearing use is
-//! *admission control* in the async workload driver: a bounded platform
-//! worker pool livelocks when every freed permit is handed to a parked
-//! root workflow (each admitted root spawns nested SSF calls that need
-//! permits of their own, so roots must never be allowed to saturate the
-//! pool). Gating root submission through this semaphore leaves headroom
-//! for nested calls while tens of thousands of workflow tasks stay
-//! cheaply parked here.
-//!
-//! The wait discipline is park-then-retry: a waiter parks its waker,
-//! [`release`](SemInner::release) wakes the oldest live waiter, and the
-//! woken task re-contends for the permit (a fresh acquirer may have
-//! taken it first, in which case the waiter parks again at the front of
-//! its poll). Withdrawn waiters (dropped futures) leave cleared slots
-//! that release skips, so cancellation can never strand a permit.
+//! The implementation lives in [`beldi_simclock::sync`] (the crate this
+//! one and `beldi-simfaas` both depend on); it is re-exported here so
+//! task code keeps writing `beldi_runtime::Semaphore`. Its tests stay
+//! here because they drive it with the [`Executor`](crate::Executor).
 
-use std::collections::VecDeque;
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
-
-/// A parked waiter: `None` after withdrawal (dropped or re-parked).
-type WaiterSlot = Arc<Mutex<Option<Waker>>>;
-
-struct SemState {
-    permits: usize,
-    waiters: VecDeque<WaiterSlot>,
-}
-
-struct SemInner {
-    state: Mutex<SemState>,
-}
-
-impl SemInner {
-    fn release(&self) {
-        let to_wake = {
-            let mut s = self.state.lock();
-            s.permits += 1;
-            // Pop withdrawn slots; hand the wake to the oldest live
-            // waiter. The waker is invoked outside the lock.
-            loop {
-                match s.waiters.pop_front() {
-                    Some(slot) => {
-                        if let Some(waker) = slot.lock().take() {
-                            break Some(waker);
-                        }
-                    }
-                    None => break None,
-                }
-            }
-        };
-        if let Some(waker) = to_wake {
-            waker.wake();
-        }
-    }
-}
-
-/// An async counting semaphore with FIFO wakeups (see module docs).
-///
-/// Cloning shares the permit pool. Permits are RAII: dropping a
-/// [`Permit`] releases it.
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Arc<SemInner>,
-}
-
-impl Semaphore {
-    /// A pool of `permits` permits.
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            inner: Arc::new(SemInner {
-                state: Mutex::new(SemState {
-                    permits,
-                    waiters: VecDeque::new(),
-                }),
-            }),
-        }
-    }
-
-    /// Takes a permit without waiting, if one is free.
-    pub fn try_acquire(&self) -> Option<Permit> {
-        let mut s = self.inner.state.lock();
-        if s.permits > 0 {
-            s.permits -= 1;
-            Some(Permit {
-                inner: Arc::clone(&self.inner),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Waits for a permit. The returned future is cancel-safe: dropping
-    /// it withdraws the parked waiter.
-    pub fn acquire(&self) -> Acquire {
-        Acquire {
-            inner: Arc::clone(&self.inner),
-            slot: None,
-        }
-    }
-
-    /// Currently free permits (diagnostic; racy by nature).
-    pub fn available(&self) -> usize {
-        self.inner.state.lock().permits
-    }
-}
-
-/// An acquired permit; released on drop.
-pub struct Permit {
-    inner: Arc<SemInner>,
-}
-
-impl Drop for Permit {
-    fn drop(&mut self) {
-        self.inner.release();
-    }
-}
-
-/// The future of [`Semaphore::acquire`].
-pub struct Acquire {
-    inner: Arc<SemInner>,
-    slot: Option<WaiterSlot>,
-}
-
-impl Future for Acquire {
-    type Output = Permit;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Permit> {
-        // Withdraw the previous park first: this poll may have been
-        // triggered by the very release that consumed that slot, and a
-        // stale live slot would eat a future wakeup.
-        if let Some(slot) = self.slot.take() {
-            slot.lock().take();
-        }
-        let mut s = self.inner.state.lock();
-        if s.permits > 0 {
-            s.permits -= 1;
-            return Poll::Ready(Permit {
-                inner: Arc::clone(&self.inner),
-            });
-        }
-        let slot: WaiterSlot = Arc::new(Mutex::new(Some(cx.waker().clone())));
-        s.waiters.push_back(Arc::clone(&slot));
-        drop(s);
-        self.slot = Some(slot);
-        Poll::Pending
-    }
-}
-
-impl Drop for Acquire {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            slot.lock().take();
-        }
-    }
-}
+pub use beldi_simclock::sync::{Acquire, Permit, Semaphore};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Executor;
+    use std::future::Future;
+    use std::pin::Pin;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::task::{Context, Poll};
 
     #[test]
     fn permits_bound_concurrency() {
@@ -232,6 +83,40 @@ mod tests {
         let h = rt.handle();
         rt.block_on(async move { h.sleep(std::time::Duration::from_millis(1)).await });
         drop(holder);
+        rt.run();
+        assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    /// The release's one wake goes to the oldest waiter; if that waiter
+    /// is dropped before it re-polls, the wake must move on to the next
+    /// or the permit sits free beside a parked task forever.
+    #[test]
+    fn woken_then_dropped_acquire_passes_the_wake_on() {
+        let rt = Executor::simulated(5);
+        let sem = Semaphore::new(1);
+        let done = Arc::new(AtomicUsize::new(0));
+        let holder = sem.try_acquire().expect("free");
+        // First in line: parks, then outlives its task un-polled.
+        let doomed = Arc::new(parking_lot::Mutex::new(None));
+        {
+            let (sem, doomed) = (sem.clone(), Arc::clone(&doomed));
+            rt.block_on(async move {
+                let mut acq = Box::pin(sem.acquire());
+                futures_poll_once(&mut acq).await;
+                *doomed.lock() = Some(acq);
+            });
+        }
+        {
+            let (sem, done) = (sem.clone(), Arc::clone(&done));
+            rt.spawn(async move {
+                let _p = sem.acquire().await;
+                done.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        let h = rt.handle();
+        rt.block_on(async move { h.sleep(std::time::Duration::from_millis(1)).await });
+        drop(holder); // spends its wake on `doomed`
+        drop(doomed.lock().take()); // never re-polled
         rt.run();
         assert_eq!(done.load(Ordering::SeqCst), 1);
     }

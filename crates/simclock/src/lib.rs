@@ -17,9 +17,15 @@
 //!
 //! Both hand out [`SimInstant`]s: virtual nanoseconds since the clock's
 //! epoch.
+//!
+//! The crate also holds the two waiting primitives every layer above
+//! shares: the periodic [`Ticker`] and the waker-based [`Semaphore`]
+//! ([`sync`]).
 
 mod clock;
+pub mod sync;
 mod ticker;
 
 pub use clock::{Clock, ManualClock, ScaledClock, SharedClock, SimInstant};
+pub use sync::{Permit, Semaphore};
 pub use ticker::{Ticker, TickerHandle};

@@ -7,7 +7,9 @@
 //!   function writes to its database.
 //! - **Synchronous and asynchronous invocation** ([`Platform::invoke_sync`],
 //!   [`Platform::invoke_async`]); callers of a synchronous chain each occupy
-//!   a worker, as on Lambda.
+//!   a worker, as on Lambda. Both park the calling thread on the one
+//!   admission-then-completion path that [`Platform::invoke_pending`]
+//!   hands to executor tasks as a future.
 //! - **Cold/warm starts**: a per-function pool of warm workers; invocations
 //!   that find no idle warm worker pay a cold-start penalty.
 //! - **A platform-wide concurrency cap** (AWS: 1,000 concurrent Lambdas per
@@ -29,7 +31,6 @@ mod fault;
 pub mod labels;
 mod metrics;
 mod platform;
-mod semaphore;
 
 pub use error::{InvokeError, InvokeResult};
 pub use fault::{
@@ -38,6 +39,5 @@ pub use fault::{
 };
 pub use metrics::{PlatformMetrics, PlatformSnapshot};
 pub use platform::{
-    FunctionHandler, InvocationCtx, PendingInvoke, Platform, PlatformConfig, SaturationPolicy,
-    TimerHandle,
+    FunctionHandler, InvocationCtx, Platform, PlatformConfig, SaturationPolicy, TimerHandle,
 };

@@ -1,15 +1,19 @@
 //! The simulated FaaS [`Platform`].
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::task::{Context, Poll, Waker};
+use std::pin::pin;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::Duration;
 
-use beldi_simclock::{ScaledClock, SharedClock, SimInstant, Ticker, TickerHandle};
+use beldi_simclock::{
+    Permit, ScaledClock, Semaphore, SharedClock, SimInstant, Ticker, TickerHandle,
+};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -19,7 +23,6 @@ use crate::error::{InvokeError, InvokeResult};
 use crate::fault::{CrashSignal, FaultInjector};
 use crate::labels;
 use crate::metrics::{PlatformMetrics, PlatformSnapshot};
-use crate::semaphore::{Semaphore, WaiterSlot};
 
 /// Context handed to a running function instance.
 #[derive(Clone)]
@@ -99,6 +102,7 @@ impl PlatformConfig {
     }
 }
 
+#[derive(Clone)]
 struct FunctionEntry {
     handler: FunctionHandler,
     /// Number of idle warm workers for this function.
@@ -206,125 +210,144 @@ impl Platform {
         v
     }
 
-    fn lookup(&self, name: &str) -> InvokeResult<(FunctionHandler, Arc<Mutex<usize>>)> {
+    fn lookup(&self, name: &str) -> InvokeResult<FunctionEntry> {
         let functions = self.functions.read();
-        let entry = functions
+        functions
             .get(name)
-            .ok_or_else(|| InvokeError::FunctionNotFound(name.to_owned()))?;
-        Ok((entry.handler.clone(), entry.warm_idle.clone()))
+            .cloned()
+            .ok_or_else(|| InvokeError::FunctionNotFound(name.to_owned()))
     }
 
-    /// Waits for a concurrency permit according to the saturation policy.
-    fn acquire_permit(&self, deadline: SimInstant) -> InvokeResult<()> {
-        if self.permits.try_acquire() {
-            return Ok(());
-        }
-        match self.config.saturation {
+    /// The one admission step behind every entry point: resolves `name`
+    /// and takes a concurrency permit under the saturation policy —
+    /// `Reject` throttles at once, `Queue` parks the caller's waker in
+    /// the semaphore until a permit frees.
+    async fn admit(&self, name: &str) -> InvokeResult<(FunctionEntry, Permit)> {
+        let entry = self.lookup(name)?;
+        let permit = match self.config.saturation {
+            SaturationPolicy::Queue => self.permits.acquire().await,
             SaturationPolicy::Reject => {
-                self.metrics.record_throttle();
-                Err(InvokeError::Throttled)
+                self.permits.try_acquire().ok_or_else(|| self.throttled())?
             }
-            SaturationPolicy::Queue => {
-                // Poll in small virtual-time steps so queueing delay shows
-                // up in virtual time regardless of the clock rate.
-                loop {
-                    if self.permits.acquire(Some(Duration::from_micros(200))) {
-                        return Ok(());
-                    }
-                    if self.clock.now() >= deadline {
-                        self.metrics.record_throttle();
-                        return Err(InvokeError::Throttled);
-                    }
+        };
+        Ok((entry, permit))
+    }
+
+    /// Counts and names a refusal at the concurrency cap.
+    fn throttled(&self) -> InvokeError {
+        self.metrics.record_throttle();
+        InvokeError::Throttled
+    }
+
+    /// The one completion step: launches the admitted invocation and
+    /// resolves to the worker's reply. The worker fills a cell and wakes
+    /// whoever awaits it — an executor task, or a thread in [`park_on`].
+    async fn complete(
+        self: &Arc<Self>,
+        name: &str,
+        admitted: (FunctionEntry, Permit),
+        payload: Value,
+    ) -> InvokeResult<Value> {
+        let cell = Arc::new(Mutex::new(Completion::default()));
+        let filled = cell.clone();
+        let sink = move |reply| {
+            let waker = {
+                let mut c = filled.lock();
+                c.reply = Some(reply);
+                c.waker.take()
+            };
+            if let Some(w) = waker {
+                w.wake();
+            }
+        };
+        self.launch_worker(name, admitted, payload, Box::new(sink));
+        std::future::poll_fn(|cx| {
+            let mut c = cell.lock();
+            match c.reply.take() {
+                Some(reply) => Poll::Ready(reply),
+                None => {
+                    c.waker = Some(cx.waker().clone());
+                    Poll::Pending
                 }
             }
-        }
+        })
+        .await
     }
 
     /// Invokes a function synchronously, returning its result.
     ///
-    /// The caller blocks (up to the configured timeout in virtual time);
-    /// the instance runs on its own worker thread. A panic inside the
-    /// handler — including injected [`CrashSignal`]s — yields
-    /// [`InvokeError::Crashed`].
+    /// The calling thread parks on the same admission and completion
+    /// steps [`Platform::invoke_pending`] awaits, up to the configured
+    /// timeout in virtual time: [`InvokeError::Throttled`] if that
+    /// passes while the invocation is still queued for a permit,
+    /// [`InvokeError::Timeout`] once it is running (the abandoned worker
+    /// runs on and frees its own permit). The instance runs on its own
+    /// worker thread; a panic inside the handler — including injected
+    /// [`CrashSignal`]s — yields [`InvokeError::Crashed`].
     pub fn invoke_sync(self: &Arc<Self>, name: &str, payload: Value) -> InvokeResult<Value> {
         let deadline = self.clock.now().plus(self.config.invoke_timeout);
-        let rx = self.dispatch(name, payload, deadline)?;
-        // Wait for the worker in virtual time.
-        loop {
-            // beldi-lint: allow(async-safety/blocking-in-task, invoke_sync is
-            // the thread-per-worker platform path - callers opt into blocking
-            // their own thread; executor tasks go through invoke_async, which
-            // parks a waker instead)
-            match rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(result) => return result,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.clock.now() >= deadline {
-                        self.metrics.record_timeout();
-                        return Err(InvokeError::Timeout);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Worker vanished without sending: treat as crash.
-                    return Err(InvokeError::Crashed("worker-lost".into()));
-                }
+        let queued = Cell::new(true);
+        let invocation = async {
+            let admitted = self.admit(name).await?;
+            queued.set(false);
+            self.complete(name, admitted, payload).await
+        };
+        match park_on(&self.clock, deadline, invocation) {
+            Some(result) => result,
+            None if queued.get() => Err(self.throttled()),
+            None => {
+                self.metrics.record_timeout();
+                Err(InvokeError::Timeout)
             }
         }
     }
 
-    /// Invokes a function asynchronously (fire and forget).
-    ///
-    /// Returns the request id assigned to the execution.
+    /// Invokes a function asynchronously (fire and forget): blocks only
+    /// until the invocation is admitted, then returns the request id
+    /// assigned to the execution.
     pub fn invoke_async(self: &Arc<Self>, name: &str, payload: Value) -> InvokeResult<String> {
         let deadline = self.clock.now().plus(self.config.invoke_timeout);
-        let (request_id, rx) = self.dispatch_inner(name, payload, deadline)?;
-        drop(rx);
-        Ok(request_id)
+        let admitted =
+            park_on(&self.clock, deadline, self.admit(name)).ok_or_else(|| self.throttled())??;
+        Ok(self.launch_worker(name, admitted, payload, Box::new(|_| {})))
     }
 
-    fn dispatch(
+    /// Invokes a function without blocking: the returned future waits
+    /// for a concurrency permit (parked on a waker, not a thread) and
+    /// then for the worker's completion. This is the async executor's
+    /// entry point — ten thousand pending invocations cost ten thousand
+    /// parked tasks, not ten thousand blocked threads.
+    ///
+    /// Unlike [`Platform::invoke_sync`] there is no caller-side timeout:
+    /// queued invocations wait for a permit indefinitely (the platform
+    /// `T_max` execution lease bounds runaway workers instead). Under
+    /// [`SaturationPolicy::Reject`] the future resolves to
+    /// [`InvokeError::Throttled`] immediately when no permit is free.
+    pub fn invoke_pending(
         self: &Arc<Self>,
         name: &str,
         payload: Value,
-        deadline: SimInstant,
-    ) -> InvokeResult<mpsc::Receiver<InvokeResult<Value>>> {
-        self.dispatch_inner(name, payload, deadline)
-            .map(|(_, rx)| rx)
+    ) -> impl Future<Output = InvokeResult<Value>> + Send + 'static {
+        let platform = self.clone();
+        let name = name.to_owned();
+        async move {
+            let admitted = platform.admit(&name).await?;
+            platform.complete(&name, admitted, payload).await
+        }
     }
 
-    fn dispatch_inner(
-        self: &Arc<Self>,
-        name: &str,
-        payload: Value,
-        deadline: SimInstant,
-    ) -> InvokeResult<(String, mpsc::Receiver<InvokeResult<Value>>)> {
-        let (handler, warm_idle) = self.lookup(name)?;
-        self.acquire_permit(deadline)?;
-        let (tx, rx) = mpsc::sync_channel::<InvokeResult<Value>>(1);
-        let request_id = self.launch_worker(
-            name,
-            handler,
-            warm_idle,
-            payload,
-            Box::new(move |result| {
-                let _ = tx.send(result);
-            }),
-        );
-        Ok((request_id, rx))
-    }
-
-    /// Starts a worker for an invocation whose permit is already held.
-    /// The worker runs the handler on its own thread, returns itself to
-    /// the warm pool and frees the permit, then delivers the result
-    /// through `sink`. Shared by the blocking (mpsc) and async
-    /// (waker-completion) delivery paths.
+    /// Starts a worker for an admitted invocation and returns its
+    /// request id. The worker runs the handler on its own thread,
+    /// returns itself to the warm pool and frees the permit, then
+    /// delivers exactly one reply through `sink`.
     fn launch_worker(
         self: &Arc<Self>,
         name: &str,
-        handler: FunctionHandler,
-        warm_idle: Arc<Mutex<usize>>,
+        admitted: (FunctionEntry, Permit),
         payload: Value,
         sink: Box<dyn FnOnce(InvokeResult<Value>) + Send>,
     ) -> String {
+        let (FunctionEntry { handler, warm_idle }, permit) = admitted;
         // Cold or warm start?
         let cold = {
             let mut idle = warm_idle.lock();
@@ -355,70 +378,51 @@ impl Platform {
         std::thread::Builder::new()
             .name(format!("ssf-{fn_name}"))
             .spawn(move || {
-                platform.clock.sleep(startup);
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // The worker booted (startup delay paid) but may die
-                    // before the handler runs: the permit is still freed
-                    // below and the caller sees `Crashed`, so recovery
-                    // must re-run the intent from scratch.
-                    platform
-                        .faults
-                        .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
-                    (handler)(&ctx, payload)
-                }));
-                let reply = match result {
-                    Ok(value) => {
-                        platform.metrics.finish_ok();
-                        Ok(value)
-                    }
-                    Err(panic) => {
-                        platform.metrics.finish_crash();
-                        Err(InvokeError::Crashed(describe_panic(panic)))
-                    }
-                };
-                // Return the worker to the warm pool and free the permit
-                // *before* replying: a closed-loop caller re-invokes the
-                // moment the reply lands, and must find this worker warm
-                // and its permit free rather than race them.
-                {
+                let run = || {
+                    platform.clock.sleep(startup);
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        // The worker booted (startup delay paid) but may
+                        // die before the handler runs: the permit is
+                        // still freed below and the caller sees
+                        // `Crashed`, so recovery must re-run the intent
+                        // from scratch.
+                        platform
+                            .faults
+                            .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
+                        (handler)(&ctx, payload)
+                    }));
+                    let reply = match result {
+                        Ok(value) => {
+                            platform.metrics.finish_ok();
+                            Ok(value)
+                        }
+                        Err(panic) => {
+                            platform.metrics.finish_crash();
+                            Err(InvokeError::Crashed(describe_panic(panic)))
+                        }
+                    };
                     let mut idle = warm_idle.lock();
                     if *idle < warm_cap {
                         *idle += 1;
                     }
-                }
-                platform.permits.release();
+                    reply
+                };
+                // A worker that dies outside its handler (while booting,
+                // say) still owes its caller a reply: without one a task
+                // in `invoke_pending`, which has no timeout, waits forever.
+                let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+                    platform.metrics.finish_crash();
+                    Err(InvokeError::Crashed("worker-lost".into()))
+                });
+                // Free the permit (the worker is already back in the warm
+                // pool) *before* replying: a closed-loop caller re-invokes
+                // the moment the reply lands, and must find this worker
+                // warm and its permit free rather than race them.
+                drop(permit);
                 sink(reply);
             })
             .expect("spawn worker thread");
         request_id
-    }
-
-    /// Invokes a function without blocking: returns a [`PendingInvoke`]
-    /// future that waits for a concurrency permit (parked on a waker,
-    /// not a thread) and then for the worker's completion. This is the
-    /// async executor's entry point — ten thousand pending invocations
-    /// cost ten thousand parked tasks, not ten thousand blocked threads.
-    ///
-    /// Unlike [`Platform::invoke_sync`] there is no caller-side timeout:
-    /// queued invocations wait for a permit indefinitely (the platform
-    /// `T_max` execution lease bounds runaway workers instead). Under
-    /// [`SaturationPolicy::Reject`] the future resolves to
-    /// [`InvokeError::Throttled`] immediately when no permit is free.
-    pub fn invoke_pending(self: &Arc<Self>, name: &str, payload: Value) -> PendingInvoke {
-        let state = match self.lookup(name) {
-            Ok((handler, warm_idle)) => PendingState::Queued {
-                name: name.to_owned(),
-                payload: Some(payload),
-                handler,
-                warm_idle,
-                slot: None,
-            },
-            Err(e) => PendingState::Failed(Some(e)),
-        };
-        PendingInvoke {
-            platform: self.clone(),
-            state,
-        }
     }
 
     /// Schedules `function` to be invoked asynchronously every `period`
@@ -441,141 +445,54 @@ impl Platform {
     }
 }
 
-/// The worker→future completion cell: the worker thread fills `result`
-/// and wakes `waker`; the awaiting task takes the result on its next
-/// poll.
-struct CompletionCell {
-    result: Option<InvokeResult<Value>>,
+/// The worker→caller completion cell of [`Platform::complete`].
+#[derive(Default)]
+struct Completion {
+    reply: Option<InvokeResult<Value>>,
     waker: Option<Waker>,
 }
 
-enum PendingState {
-    /// Lookup failed at creation; the error surfaces on first poll.
-    Failed(Option<InvokeError>),
-    /// Waiting for a concurrency permit.
-    Queued {
-        name: String,
-        payload: Option<Value>,
-        handler: FunctionHandler,
-        warm_idle: Arc<Mutex<usize>>,
-        /// Our parked waiter in the semaphore's wake queue, if any.
-        slot: Option<WaiterSlot>,
-    },
-    /// Worker launched; waiting for its completion.
-    Running {
-        cell: Arc<Mutex<CompletionCell>>,
-    },
-    Done,
+/// The blocking fronts' waker: unparks the thread waiting in [`park_on`].
+struct Unparker {
+    thread: Thread,
+    /// Set by a wake, cleared by the poll it causes (`Release`/`Acquire`
+    /// pair), so a timed-out park re-checks the deadline without
+    /// re-polling — a poll would re-queue a semaphore waiter at the back.
+    woken: AtomicBool,
 }
 
-/// Future returned by [`Platform::invoke_pending`]; resolves to the
-/// invocation's result. See that method for the waiting semantics.
-pub struct PendingInvoke {
-    platform: Arc<Platform>,
-    state: PendingState,
-}
-
-impl Future for PendingInvoke {
-    type Output = InvokeResult<Value>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        loop {
-            match &mut this.state {
-                PendingState::Failed(e) => {
-                    let e = e.take().expect("PendingInvoke polled after completion");
-                    this.state = PendingState::Done;
-                    return Poll::Ready(Err(e));
-                }
-                PendingState::Queued { slot, .. } => {
-                    // Any previously parked slot may already have been
-                    // consumed by a release (that is why we are being
-                    // polled); withdraw it and re-contend fresh.
-                    if let Some(old) = slot.take() {
-                        *old.lock() = None;
-                    }
-                    let acquired = this.platform.permits.try_acquire() || {
-                        match this.platform.config.saturation {
-                            SaturationPolicy::Reject => {
-                                this.platform.metrics.record_throttle();
-                                this.state = PendingState::Done;
-                                return Poll::Ready(Err(InvokeError::Throttled));
-                            }
-                            SaturationPolicy::Queue => {
-                                // Park first, then re-try: closes the
-                                // race with a release that found an
-                                // empty waiter queue.
-                                let parked = this.platform.permits.park_waiter(cx.waker().clone());
-                                if this.platform.permits.try_acquire() {
-                                    *parked.lock() = None;
-                                    true
-                                } else {
-                                    *slot = Some(parked);
-                                    return Poll::Pending;
-                                }
-                            }
-                        }
-                    };
-                    debug_assert!(acquired);
-                    let PendingState::Queued {
-                        name,
-                        payload,
-                        handler,
-                        warm_idle,
-                        ..
-                    } = std::mem::replace(&mut this.state, PendingState::Done)
-                    else {
-                        unreachable!("state checked above");
-                    };
-                    let cell = Arc::new(Mutex::new(CompletionCell {
-                        result: None,
-                        waker: None,
-                    }));
-                    let sink_cell = cell.clone();
-                    this.platform.launch_worker(
-                        &name,
-                        handler,
-                        warm_idle,
-                        payload.expect("payload present until launch"),
-                        Box::new(move |result| {
-                            let waker = {
-                                let mut c = sink_cell.lock();
-                                c.result = Some(result);
-                                c.waker.take()
-                            };
-                            if let Some(w) = waker {
-                                w.wake();
-                            }
-                        }),
-                    );
-                    this.state = PendingState::Running { cell };
-                    // Fall through to the Running arm.
-                }
-                PendingState::Running { cell } => {
-                    let mut c = cell.lock();
-                    if let Some(result) = c.result.take() {
-                        drop(c);
-                        this.state = PendingState::Done;
-                        return Poll::Ready(result);
-                    }
-                    c.waker = Some(cx.waker().clone());
-                    return Poll::Pending;
-                }
-                PendingState::Done => panic!("PendingInvoke polled after completion"),
-            }
-        }
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.woken.store(true, Ordering::Release);
+        self.thread.unpark();
     }
 }
 
-impl Drop for PendingInvoke {
-    fn drop(&mut self) {
-        // Withdraw a parked waiter so a release does not wake a corpse.
-        if let PendingState::Queued {
-            slot: Some(slot), ..
-        } = &self.state
-        {
-            *slot.lock() = None;
+/// Drives `fut` on the calling thread until it resolves, or until
+/// virtual time reaches `deadline` — then `None`, and dropping the
+/// future withdraws whatever waker it had parked.
+fn park_on<F: Future>(clock: &SharedClock, deadline: SimInstant, fut: F) -> Option<F::Output> {
+    let mut fut = pin!(fut);
+    let unparker = Arc::new(Unparker {
+        thread: std::thread::current(),
+        woken: AtomicBool::new(true),
+    });
+    let waker = Waker::from(unparker.clone());
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if unparker.woken.swap(false, Ordering::Acquire) {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return Some(out);
+            }
         }
+        if clock.now() >= deadline {
+            return None;
+        }
+        // beldi-lint: allow(async-safety/blocking-in-task, the one real-time
+        // wait in simfaas: invoke_sync/invoke_async callers opt into blocking
+        // their own thread, and the deadline is virtual, so the park re-checks
+        // the clock every 200 us; executor tasks await invoke_pending instead)
+        std::thread::park_timeout(Duration::from_micros(200));
     }
 }
 
@@ -595,11 +512,43 @@ fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::labels;
+    use beldi_simclock::{Clock, ManualClock};
     use beldi_value::vmap;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     fn echo_handler() -> FunctionHandler {
         Arc::new(|_ctx, payload| payload)
+    }
+
+    /// A handler that blocks until the returned sender passes it a token
+    /// (one per invocation) or is dropped (all at once).
+    fn gated_handler() -> (mpsc::Sender<()>, FunctionHandler) {
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let handler: FunctionHandler = Arc::new(move |_ctx, payload| {
+            let _ = rx.lock().recv();
+            payload
+        });
+        (tx, handler)
+    }
+
+    /// A one-permit `Queue` platform on `clock`.
+    fn one_permit(clock: SharedClock, invoke_timeout: Duration) -> Arc<Platform> {
+        let config = PlatformConfig {
+            concurrency_limit: 1,
+            invoke_timeout,
+            ..PlatformConfig::for_tests()
+        };
+        Platform::new(clock, config, 0)
+    }
+
+    /// Spins (yielding) until `cond` holds: waits for another thread to
+    /// reach a state the test can observe, with no time margin.
+    fn wait_until(cond: impl Fn() -> bool) {
+        while !cond() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -750,31 +699,17 @@ mod tests {
         cfg.concurrency_limit = 1;
         cfg.saturation = SaturationPolicy::Reject;
         let p = Platform::new(ScaledClock::shared(1.0), cfg, 0);
-        let (tx, rx) = mpsc::sync_channel::<()>(0);
-        let rx = Arc::new(Mutex::new(rx));
-        let rx2 = rx.clone();
-        p.register(
-            "slow",
-            Arc::new(move |_ctx: &InvocationCtx, _| {
-                // Block until the test releases us.
-                let _ = rx2.lock().recv();
-                Value::Null
-            }),
-        );
+        let (gate, slow) = gated_handler();
+        p.register("slow", slow);
         let p2 = p.clone();
         let h = std::thread::spawn(move || p2.invoke_sync("slow", Value::Null));
         // Wait for the first invocation to hold the only permit.
-        for _ in 0..200 {
-            if p.metrics().active == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| p.metrics().active == 1);
         assert_eq!(
             p.invoke_sync("slow", Value::Null),
             Err(InvokeError::Throttled)
         );
-        tx.send(()).unwrap();
+        gate.send(()).unwrap();
         h.join().unwrap().unwrap();
         assert_eq!(p.metrics().throttles, 1);
     }
@@ -799,13 +734,15 @@ mod tests {
         const REINVOKES: usize = 20;
 
         fn invoke_chain(p: Arc<Platform>, left: usize, done: mpsc::Sender<()>) {
-            let (handler, warm_idle) = p.lookup("echo").unwrap();
-            assert!(p.permits.try_acquire(), "permit still held at reply time");
+            let entry = p.lookup("echo").unwrap();
+            let permit = p
+                .permits
+                .try_acquire()
+                .expect("permit still held at reply time");
             let next = p.clone();
             p.launch_worker(
                 "echo",
-                handler,
-                warm_idle,
+                (entry, permit),
                 Value::Null,
                 Box::new(move |result| {
                     result.unwrap();
@@ -817,20 +754,160 @@ mod tests {
             );
         }
 
-        let config = PlatformConfig {
-            concurrency_limit: 1,
-            ..PlatformConfig::for_tests()
-        };
-        let p = Platform::new(ScaledClock::shared(1.0), config, 0);
+        let p = one_permit(ScaledClock::shared(1.0), Duration::from_secs(3600));
         p.register("echo", echo_handler());
         let (done_tx, done_rx) = mpsc::channel();
         invoke_chain(p.clone(), REINVOKES, done_tx);
+        // A callback that panics drops its sender, which ends the wait.
         done_rx
-            .recv_timeout(Duration::from_secs(30))
+            .recv()
             .expect("a reply callback failed to re-invoke");
         let m = p.metrics();
         assert_eq!(m.cold_starts, 1, "only the first start is cold");
         assert_eq!(m.warm_starts, REINVOKES as u64);
+    }
+
+    /// A clock on which no worker survives its start-up delay: `sleep`
+    /// runs outside the handler's `catch_unwind`.
+    struct BootKillingClock;
+
+    impl Clock for BootKillingClock {
+        fn now(&self) -> SimInstant {
+            SimInstant::EPOCH
+        }
+
+        fn sleep(&self, _: Duration) {
+            panic!("worker dies while booting");
+        }
+    }
+
+    /// A worker lost before it replies must fail its caller, not hang
+    /// it, whichever way the caller waits; and it must not keep its
+    /// permit (one permit: the second call would queue forever).
+    #[test]
+    fn lost_worker_fails_the_caller_on_both_fronts() {
+        let p = one_permit(Arc::new(BootKillingClock), Duration::from_secs(3600));
+        p.register("echo", echo_handler());
+        let lost = Err(InvokeError::Crashed("worker-lost".into()));
+
+        assert_eq!(p.invoke_sync("echo", Value::Null), lost);
+        assert_eq!(p.permits.available(), 1);
+        assert_eq!(p.metrics().active, 0);
+
+        let rt = beldi_runtime::Executor::new(p.clock().clone(), 1);
+        assert_eq!(rt.block_on(p.invoke_pending("echo", Value::Null)), lost);
+        assert_eq!(p.permits.available(), 1);
+        assert_eq!(p.metrics().active, 0);
+        assert_eq!(p.metrics().crashes, 2);
+    }
+
+    /// Threads in `invoke_sync` and tasks in `invoke_pending` queue on
+    /// one semaphore: every invocation completes and the cap holds.
+    #[test]
+    fn mixed_fronts_share_one_permit_pool() {
+        let mut cfg = PlatformConfig::for_tests();
+        cfg.concurrency_limit = 2;
+        let p = Platform::new(ScaledClock::shared(1000.0), cfg, 0);
+        p.register(
+            "work",
+            Arc::new(|ctx: &InvocationCtx, v| {
+                ctx.platform.clock().sleep(Duration::from_millis(500));
+                v
+            }),
+        );
+        let threads: Vec<_> = (0..6)
+            .map(|i| {
+                let p = p.clone();
+                std::thread::spawn(move || p.invoke_sync("work", Value::Int(i)))
+            })
+            .collect();
+        let rt = beldi_runtime::Executor::new(p.clock().clone(), 3);
+        let tasks: Vec<_> = (6..12)
+            .map(|i| rt.spawn(p.invoke_pending("work", Value::Int(i))))
+            .collect();
+        rt.run();
+        let mut seen: Vec<Value> = threads
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        seen.extend(tasks.into_iter().map(|h| h.take_result().unwrap().unwrap()));
+        assert_eq!(seen, (0..12).map(Value::Int).collect::<Vec<_>>());
+        let m = p.metrics();
+        assert_eq!(m.completions, 12);
+        assert!(m.peak_active <= 2, "cap breached: {}", m.peak_active);
+        assert_eq!(p.permits.available(), 2);
+    }
+
+    /// The sync front's timeout is virtual and names where the
+    /// invocation was when it passed: `Timeout` if running, `Throttled`
+    /// if still queued. Neither abandoned invocation leaks a permit.
+    #[test]
+    fn sync_deadline_distinguishes_queued_from_running() {
+        let timeout = Duration::from_secs(10);
+        let clock = ManualClock::shared();
+        let p = one_permit(clock.clone(), timeout);
+        let (gate, hold) = gated_handler();
+        p.register("hold", hold);
+        p.register("echo", echo_handler());
+
+        // Running: the deadline was fixed before admission, so once the
+        // handler is in, one step past it must time the caller out.
+        let p2 = p.clone();
+        let running = std::thread::spawn(move || p2.invoke_sync("hold", Value::Null));
+        wait_until(|| p.metrics().active == 1);
+        clock.advance(timeout + Duration::from_secs(1));
+        assert_eq!(running.join().unwrap(), Err(InvokeError::Timeout));
+        assert_eq!(p.metrics().timeouts, 1);
+        assert_eq!(p.permits.available(), 0, "the abandoned worker runs on");
+
+        // Queued behind that worker: keep stepping past any deadline the
+        // caller can have computed until it gives up.
+        let p2 = p.clone();
+        let queued = std::thread::spawn(move || p2.invoke_sync("echo", Value::Null));
+        while !queued.is_finished() {
+            clock.advance(timeout + Duration::from_secs(1));
+            std::thread::yield_now();
+        }
+        assert_eq!(queued.join().unwrap(), Err(InvokeError::Throttled));
+        let m = p.metrics();
+        assert_eq!((m.throttles, m.timeouts, m.invocations), (1, 1, 1));
+
+        // Let the abandoned worker finish: its permit comes back, and the
+        // withdrawn waiter took none with it.
+        drop(gate);
+        wait_until(|| p.permits.available() == 1);
+        assert_eq!(p.metrics().active, 0);
+        assert_eq!(p.invoke_sync("echo", Value::Int(1)), Ok(Value::Int(1)));
+    }
+
+    /// `invoke_async` is fire-and-forget only once admitted: against a
+    /// saturated `Queue` pool it blocks until a permit frees.
+    #[test]
+    fn async_invoke_waits_for_admission() {
+        let p = one_permit(ScaledClock::shared(1.0), Duration::from_secs(3600));
+        let (gate, hold) = gated_handler();
+        p.register("hold", hold);
+        let p2 = p.clone();
+        let holder = std::thread::spawn(move || p2.invoke_sync("hold", Value::Null));
+        wait_until(|| p.metrics().active == 1);
+
+        let p2 = p.clone();
+        let fire = std::thread::spawn(move || {
+            let request_id = p2.invoke_async("hold", Value::Null);
+            (request_id, p2.metrics().completions)
+        });
+        // Whenever `fire` gets going, it cannot be admitted while the
+        // holder has the only permit.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(p.metrics().invocations, 1);
+        gate.send(()).unwrap();
+        holder.join().unwrap().unwrap();
+
+        let (request_id, completions_at_return) = fire.join().unwrap();
+        assert!(!request_id.unwrap().is_empty());
+        assert_eq!(completions_at_return, 1, "admitted before the permit freed");
+        gate.send(()).unwrap();
+        wait_until(|| p.metrics().completions == 2);
     }
 
     #[test]
