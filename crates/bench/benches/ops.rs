@@ -9,7 +9,8 @@ fn bench_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("ops");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
-    for (system, mode) in beldi_bench::SYSTEMS {
+    for mode in beldi_bench::SYSTEMS {
+        let system = mode.name();
         let env = experiment_env(mode, 5, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS, false);
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {

@@ -1,13 +1,15 @@
-//! Shared command-line parsing for the experiment binaries.
+//! The `beldi-bench` command line: the subcommand table and the flag
+//! parser behind every subcommand.
 //!
-//! Every binary declares its flags in one table ([`Cli::flag`] /
-//! [`Cli::switch`], plus the [`Cli::app_flag`]-style helpers for the
-//! flags all harnesses share), and [`Cli::parse`] derives everything
-//! from that single declaration: value lookup with typed accessors,
-//! a generated `--help` page, and unknown-flag rejection (a typo such
-//! as `--worker 8` is an error, not a silent run with the default).
-//! The binaries pass parsed values on as function arguments; nothing
-//! else in the library reads the process's argv.
+//! `beldi-bench <subcommand> [flags]` — [`SUBCOMMANDS`] lists the
+//! subcommands, [`dispatch`] runs one. Each subcommand declares its
+//! flags in one table ([`Cli::flag`] / [`Cli::switch`], plus the
+//! [`Cli::app_flag`]-style helpers for the flags several subcommands
+//! share), and everything derives from that single declaration: value
+//! lookup with typed accessors, a generated `--help` page, and
+//! unknown-flag rejection (a typo such as `--worker 8` is an error, not
+//! a silent run with the default). Subcommand bodies receive the parsed
+//! [`Args`]; nothing else in the library reads the process's argv.
 //!
 //! ```
 //! use beldi_bench::cli::Cli;
@@ -25,6 +27,10 @@
 //! assert_eq!(args.str("--app"), "all");
 //! ```
 
+use beldi::Mode;
+
+use crate::cmd;
+
 /// One declared flag: its spelling, value placeholder (empty for
 /// boolean switches), rendered default, and help line.
 #[derive(Debug, Clone)]
@@ -41,7 +47,7 @@ impl FlagSpec {
     }
 }
 
-/// A flag-table builder for one binary (see the module docs).
+/// A flag-table builder for one subcommand (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Cli {
     bin: &'static str,
@@ -51,13 +57,8 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Starts a table for `bin`, reading the process arguments.
-    pub fn new(bin: &'static str, about: &'static str) -> Self {
-        Cli::from_args(bin, about, std::env::args().skip(1).collect())
-    }
-
-    /// Starts a table over explicit arguments (tests; `argv` excludes
-    /// the program name).
+    /// Starts a table over `argv` (which excludes the program and
+    /// subcommand names).
     pub fn from_args(bin: &'static str, about: &'static str, argv: Vec<String>) -> Self {
         Cli {
             bin,
@@ -107,14 +108,10 @@ impl Cli {
         )
     }
 
-    /// `--mode`: which system(s) to run as.
-    pub fn mode_flag(self, default: &'static str, spellings: &'static str) -> Self {
+    /// `--mode`: which system(s) to run as ([`Args::modes`]).
+    pub fn mode_flag(self, default: &'static str) -> Self {
+        let spellings = "system: beldi | cross-table | baseline | both | all";
         self.flag("--mode", "MODE", default, spellings)
-    }
-
-    /// `--workers`: driver thread count.
-    pub fn workers_flag(self, default: &'static str) -> Self {
-        self.flag("--workers", "N", default, "concurrent request workers")
     }
 
     /// `--seed`: the run's determinism seed.
@@ -132,7 +129,7 @@ impl Cli {
         self.flag(
             "--partitions",
             "N",
-            partitions_default(),
+            PARTITIONS_DEFAULT,
             "hash partitions per database table",
         )
     }
@@ -147,25 +144,18 @@ impl Cli {
         )
     }
 
-    /// Parses the arguments against the table: prints generated help and
-    /// exits on `--help`/`-h`, rejects undeclared flags with exit code 2.
-    pub fn parse(self) -> Args {
-        if self.argv.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", self.help());
-            std::process::exit(0);
-        }
-        let bin = self.bin;
-        match self.try_parse() {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("{e}\nrun `{bin} --help` for the flag table");
-                std::process::exit(2);
-            }
-        }
+    /// `--json`: where to also write the report.
+    pub fn json_flag(self) -> Self {
+        self.flag(
+            "--json",
+            "PATH",
+            "",
+            "also write the report as JSON to PATH",
+        )
     }
 
-    /// [`Cli::parse`] without the process exits (tests and callers that
-    /// handle errors themselves).
+    /// Parses the arguments against the table, rejecting undeclared
+    /// flags.
     pub fn try_parse(self) -> Result<Args, String> {
         let mut i = 0;
         while i < self.argv.len() {
@@ -186,6 +176,7 @@ impl Cli {
             }
         }
         Ok(Args {
+            bin: self.bin,
             flags: self.flags,
             argv: self.argv,
         })
@@ -222,11 +213,17 @@ impl Cli {
 /// panic (programmer error), not a silent default.
 #[derive(Debug, Clone)]
 pub struct Args {
+    bin: &'static str,
     flags: Vec<FlagSpec>,
     argv: Vec<String>,
 }
 
 impl Args {
+    /// The subcommand these arguments were parsed for.
+    pub fn subcommand(&self) -> &'static str {
+        self.bin
+    }
+
     fn spec(&self, name: &str) -> &FlagSpec {
         self.flags
             .iter()
@@ -281,6 +278,38 @@ impl Args {
         self.argv.iter().any(|a| a == name)
     }
 
+    /// The applications `--app` names: one of them, or `all` three.
+    pub fn apps(&self) -> Vec<String> {
+        match self.str("--app").as_str() {
+            "all" => ["media", "social", "travel"].map(String::from).to_vec(),
+            one => vec![one.to_owned()],
+        }
+    }
+
+    /// The systems `--mode` names: one [`Mode::name`], `both` (the two
+    /// fault-tolerant designs — the comparison that matters) or `all`.
+    /// Exits with status 2 on any other spelling.
+    pub fn modes(&self) -> Vec<Mode> {
+        match self.str("--mode").as_str() {
+            "both" => vec![Mode::Beldi, Mode::CrossTable],
+            "all" => vec![Mode::Beldi, Mode::CrossTable, Mode::Baseline],
+            one => match Mode::parse(one) {
+                Some(mode) => vec![mode],
+                None => usage_error(format!("unknown --mode {one}")),
+            },
+        }
+    }
+
+    /// `name`'s value when given; otherwise `preset` under `--smoke`, the
+    /// declared default without it.
+    pub fn or_smoke<T: std::str::FromStr>(&self, name: &str, preset: T) -> T {
+        if self.flag("--smoke") && !self.present(name) {
+            preset
+        } else {
+            self.parsed(name)
+        }
+    }
+
     fn parsed<T: std::str::FromStr>(&self, name: &str) -> T {
         let raw = self.str(name);
         raw.parse().unwrap_or_else(|_| {
@@ -292,14 +321,117 @@ impl Args {
     }
 }
 
-/// The default partition count, as a static string for the flag table.
-fn partitions_default() -> &'static str {
-    // `DEFAULT_PARTITIONS` is a compile-time constant; keep the rendered
-    // default in lockstep with it.
-    const S: &str = "8";
-    const { assert!(beldi_simdb::DEFAULT_PARTITIONS == 8, "update cli default") };
-    S
+/// Reports a command line that cannot run: `message` to stderr, exit
+/// status 2.
+pub fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
+
+/// One subcommand of the `beldi-bench` executable.
+pub struct Subcommand {
+    /// Its name on the command line.
+    pub name: &'static str,
+    /// One line for the subcommand listing and the top of its `--help`.
+    pub about: &'static str,
+    flags: fn(Cli) -> Cli,
+    body: fn(&Args),
+}
+
+macro_rules! subcommands {
+    ($($name:literal => $module:ident, $about:literal;)*) => {
+        /// Every subcommand, in listing order (`DESIGN.md` §4).
+        pub const SUBCOMMANDS: &[Subcommand] = &[$(Subcommand {
+            name: $name,
+            about: $about,
+            flags: cmd::$module::flags,
+            body: cmd::$module::main,
+        },)*];
+    };
+}
+subcommands! {
+    "fig13" => fig13, "per-operation latency of Beldi primitives (§7.3; --rows 5 = Fig. 25)";
+    "fig14" => sweeps, "movie review service: latency vs throughput (§7.4)";
+    "fig15" => sweeps, "travel reservation service: latency vs throughput (§7.4)";
+    "fig16" => fig16, "write latency over time under GC configurations (§7.5)";
+    "fig26" => sweeps, "social media site: latency vs throughput (App. C.1)";
+    "costs" => costs, "per-operation storage and network overhead (§7.3)";
+    "drive" => drive, "closed-loop concurrent workload driver";
+    "gate" => gate, "CI perf, storage-growth, and recovery gates over drive reports";
+    "explore" => explore, "systematic crash-schedule exploration";
+    "front" => serve, "HTTP front door over the cooperative executor";
+}
+
+/// What a command line resolves to before anything runs.
+pub enum Invocation {
+    /// Run this subcommand's body on these arguments.
+    Run(&'static Subcommand, Args),
+    /// Print the text (to stdout for status 0, else stderr) and exit.
+    Exit(i32, String),
+}
+
+fn is_help(arg: &String) -> bool {
+    arg == "--help" || arg == "-h"
+}
+
+fn usage() -> String {
+    let mut out = "usage: beldi-bench <subcommand> [flags]\n\nsubcommands:\n".to_owned();
+    for c in SUBCOMMANDS {
+        out.push_str(&format!("  {:8}  {}\n", c.name, c.about));
+    }
+    out + "\n`beldi-bench <subcommand> --help` prints that subcommand's flag table"
+}
+
+/// Resolves `argv` (without the program name) against [`SUBCOMMANDS`]:
+/// `--help` alone lists the subcommands, `<subcommand> --help` prints
+/// its generated flag table, an unknown subcommand or flag is status 2.
+pub fn resolve(argv: Vec<String>) -> Invocation {
+    let mut argv = argv.into_iter();
+    let name = match argv.next() {
+        None => return Invocation::Exit(2, usage()),
+        Some(arg) if is_help(&arg) => return Invocation::Exit(0, usage()),
+        Some(name) => name,
+    };
+    let Some(cmd) = SUBCOMMANDS.iter().find(|c| c.name == name) else {
+        let text = format!("beldi-bench: unknown subcommand {name:?}\n{}", usage());
+        return Invocation::Exit(2, text);
+    };
+    let cli = (cmd.flags)(Cli::from_args(cmd.name, cmd.about, argv.collect()));
+    if cli.argv.iter().any(is_help) {
+        return Invocation::Exit(0, cli.help());
+    }
+    match cli.try_parse() {
+        Ok(args) => Invocation::Run(cmd, args),
+        Err(e) => Invocation::Exit(
+            2,
+            format!("{e}\nrun `beldi-bench {name} --help` for the flag table"),
+        ),
+    }
+}
+
+/// Runs the subcommand `argv` names and returns the process exit status
+/// (bodies that fail their own checks exit directly).
+pub fn dispatch(argv: Vec<String>) -> i32 {
+    match resolve(argv) {
+        Invocation::Run(cmd, args) => {
+            (cmd.body)(&args);
+            0
+        }
+        Invocation::Exit(0, text) => {
+            println!("{text}");
+            0
+        }
+        Invocation::Exit(status, text) => {
+            eprintln!("{text}");
+            status
+        }
+    }
+}
+
+/// The default partition count as the flag table renders it, kept in
+/// lockstep with the compile-time constant.
+const PARTITIONS_DEFAULT: &str = "8";
+const _: () = assert!(beldi_simdb::DEFAULT_PARTITIONS == 8, "update cli default");
 
 #[cfg(test)]
 mod tests {
@@ -312,8 +444,8 @@ mod tests {
             argv.iter().map(|s| s.to_string()).collect(),
         )
         .app_flag("all")
-        .mode_flag("both", "baseline | beldi | cross-table | both | all")
-        .workers_flag("4")
+        .mode_flag("both")
+        .flag("--workers", "N", "4", "concurrent request workers")
         .seed_flag()
         .partitions_flag()
         .switch("--smoke", "tiny preset")
@@ -363,6 +495,57 @@ mod tests {
             );
         }
         assert!(help.contains("[default: 42]"), "{help}");
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn every_subcommand_help_lists_each_of_its_flags_once() {
+        assert_eq!(SUBCOMMANDS.len(), 10);
+        for cmd in SUBCOMMANDS {
+            let Invocation::Exit(0, help) = resolve(argv(&[cmd.name, "--help"])) else {
+                panic!("{} --help must print its table and exit 0", cmd.name);
+            };
+            let declared = (cmd.flags)(Cli::from_args(cmd.name, cmd.about, Vec::new())).flags;
+            assert!(!declared.is_empty(), "{}", cmd.name);
+            for flag in &declared {
+                let rows = help
+                    .lines()
+                    .filter(|l| l.split_whitespace().next() == Some(flag.name))
+                    .count();
+                assert_eq!(rows, 1, "{} {} in:\n{help}", cmd.name, flag.name);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_errors_exit_2_and_point_at_the_fix() {
+        let cases: [(&[&str], i32, &[&str]); 5] = [
+            // `--help` alone lists every subcommand; no arguments at all
+            // is the same text as an error.
+            (&["--help"], 0, &["fig13", "fig26", "gate", "front"]),
+            (&[], 2, &["usage:", "explore"]),
+            (&["bench_gate"], 2, &["unknown subcommand", "gate", "drive"]),
+            (
+                &["drive", "--worker", "8"],
+                2,
+                &["unknown flag --worker", "drive --help"],
+            ),
+            (&["fig13", "--rows"], 2, &["needs a value"]),
+        ];
+        for (args, want_status, want_text) in cases {
+            let Invocation::Exit(status, text) = resolve(argv(args)) else {
+                panic!("{args:?} must not run anything");
+            };
+            assert_eq!(status, want_status, "{args:?}");
+            for needle in want_text {
+                assert!(text.contains(needle), "{args:?}: no {needle:?} in:\n{text}");
+            }
+        }
+        let run = resolve(argv(&["drive", "--workers", "8"]));
+        assert!(matches!(run, Invocation::Run(cmd, _) if cmd.name == "drive"));
     }
 
     #[test]

@@ -17,35 +17,32 @@
 //! acquisitions per partition and the number that had to wait, so key
 //! skew (everything here hammers one hot key) is visible directly.
 //!
-//! ```text
-//! cargo run -p beldi-bench --release --bin costs \
-//!     [-- --rows 20 --iters 100 --partitions 8 --tail-cache]
-//! ```
-//!
 //! By default the DAAL tail-row cache is disabled so the per-op numbers
 //! reproduce the paper's read protocol (§7.3 counts one extra scan per
 //! read); `--tail-cache` measures the optimized read path instead.
 
 use beldi::value::Value;
 use beldi::Mode;
-use beldi_bench::cli::Cli;
-use beldi_bench::{
+
+use crate::cli::{Args, Cli};
+use crate::{
     experiment_env, micro_payload_n, prepopulate_daal, print_table, register_micro_ops, SYSTEMS,
     VALUE_16B,
 };
 
-fn main() {
-    let args = Cli::new("costs", "per-operation storage and network overhead (§7.3)")
-        .flag(
-            "--rows",
-            "N",
-            "20",
-            "pre-populated DAAL depth of the hot key",
-        )
-        .flag("--iters", "N", "100", "invocations per measured operation")
-        .partitions_flag()
-        .switch("--tail-cache", "measure the cached read path instead")
-        .parse();
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.flag(
+        "--rows",
+        "N",
+        "20",
+        "pre-populated DAAL depth of the hot key",
+    )
+    .flag("--iters", "N", "100", "invocations per measured operation")
+    .partitions_flag()
+    .switch("--tail-cache", "measure the cached read path instead")
+}
+
+pub(crate) fn main(args: &Args) {
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
     let partitions = args.usize("--partitions");
@@ -54,7 +51,8 @@ fn main() {
     let mut table = Vec::new();
     let mut storage = Vec::new();
     let mut partition_load = Vec::new();
-    for (system, mode) in SYSTEMS {
+    for mode in SYSTEMS {
+        let system = mode.name();
         let env = experiment_env(mode, 100, 2_000.0, partitions, tail_cache);
         register_micro_ops(&env);
         env.seed("micro", "t", "k", Value::from(VALUE_16B))

@@ -1,45 +1,27 @@
 //! Closed-loop concurrent workload driver: the macro benchmark behind
-//! `BENCH_results.json` and the CI perf gate (see `DESIGN.md` §9).
-//!
-//! Run `drive --help` for the full flag table (it is generated from the
-//! same declarations the parser uses, so it cannot drift).
+//! `BENCH_results.json` and the CI perf gate (`DESIGN.md` §9).
 //!
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
 //! workers {1, 4}, 120 requests per run, a low clock rate for stability.
-//! `--no-tail-cache` disables the DAAL tail-row cache for A/B measurement
-//! of the hot-path fix. `--gc` turns on *online garbage collection*:
-//! per-SSF collector functions run on virtual-time timers concurrently
-//! with the client workers, and every run records a storage-growth
-//! series (sampled per-table row counts, DAAL depths, cumulative GC
-//! reports) which `bench_gate --gc-results` checks for a steady-state
-//! plateau. `--chaos` unleashes a seeded crash storm on top of live
-//! traffic *and* the online collectors: SSF instances and IC/GC passes
-//! are killed mid-flight at registry-labelled crash points while the
-//! intent collector relaunches the casualties; each chaos run records a
-//! `recovery` section (crash counts by site, intent-creation→Done
-//! recovery-latency percentiles on virtual time, and a conservation
-//! check against a crash-free oracle run of the same request stream)
-//! which `bench_gate --chaos-results` turns into CI gates.
+//! `--gc` runs the per-SSF collectors beside the client workers and
+//! records the storage-growth series `gate --gc-results` checks (§10);
+//! `--chaos` adds a seeded crash storm over traffic and collectors and
+//! records the `recovery` section `gate --chaos-results` checks (§13);
 //! `--runtime async` swaps the thread-per-worker closed loop for the
-//! cooperative executor (one spawned task per request, `workers` only
-//! seeding the request streams); async runs are keyed `…@async` in the
-//! report and carry an `in_flight` live-task series. Exit status: 0
+//! cooperative executor, keying its runs `…@async` (§14). Exit status: 0
 //! when every run completed without request errors, 1 otherwise.
 
 use std::time::Duration;
 
-use beldi::Mode;
 use beldi_apps::{bench_app, MixProfile};
-use beldi_bench::cli::Cli;
 use beldi_workload::driver::{drive_on, BenchReport, ChaosOptions, DriveOptions, RuntimeKind};
 
-fn main() {
-    let args = Cli::new("drive", "closed-loop concurrent workload driver")
-        .app_flag("all")
-        .mode_flag(
-            "both",
-            "system: beldi | cross-table | baseline | both | all",
-        )
+use crate::cli::{usage_error, Args, Cli};
+use crate::print_table;
+
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.app_flag("all")
+        .mode_flag("both")
         .flag(
             "--workers",
             "LIST",
@@ -69,12 +51,6 @@ fn main() {
         .clock_rate_flag("120")
         .switch("--smoke", "CI preset: tiny runs at a stable clock rate")
         .switch("--no-tail-cache", "disable the DAAL tail-row cache (A/B)")
-        .flag(
-            "--tail-cache-capacity",
-            "N",
-            "",
-            "tail-cache rows per table",
-        )
         .switch("--gc", "run online collectors concurrently with traffic")
         .flag("--gc-period-ms", "MS", "500", "collector pass period")
         .flag("--gc-tmax-ms", "MS", "2000", "collector lease T_max")
@@ -99,53 +75,31 @@ fn main() {
             "IC relaunch delay after a kill",
         )
         .flag("--chaos-tmax-ms", "MS", "60000", "storm lease T_max")
-        .flag("--json", "PATH", "", "write the report as JSON to PATH")
-        .parse();
-    let smoke = args.flag("--smoke");
+        .json_flag()
+}
 
-    let workers_arg = if args.present("--workers") {
-        args.str("--workers")
-    } else if smoke {
-        "1,4".into()
-    } else {
-        "1,2,4,8".into()
-    };
+pub(crate) fn main(args: &Args) {
+    let workers_arg: String = args.or_smoke("--workers", "1,4".into());
     let Some(mix) = MixProfile::parse(&args.str("--mix")) else {
-        eprintln!("unknown --mix (use default | write-heavy)");
-        std::process::exit(2);
+        usage_error("unknown --mix (use default | write-heavy)");
     };
     let runtimes: Vec<RuntimeKind> = match args.str("--runtime").as_str() {
-        "thread" => vec![RuntimeKind::Thread],
-        "async" => vec![RuntimeKind::Async],
         "both" => vec![RuntimeKind::Thread, RuntimeKind::Async],
-        other => {
-            eprintln!("unknown --runtime {other} (use thread | async | both)");
-            std::process::exit(2);
-        }
+        one => match RuntimeKind::parse(one) {
+            Some(runtime) => vec![runtime],
+            None => usage_error(format!(
+                "unknown --runtime {one} (use thread | async | both)"
+            )),
+        },
     };
 
     let opts_template = DriveOptions {
-        total_ops: if args.present("--duration-ops") {
-            args.u64("--duration-ops")
-        } else if smoke {
-            120
-        } else {
-            5_000
-        },
+        total_ops: args.or_smoke("--duration-ops", 120),
         seed: args.u64("--seed"),
         partitions: args.usize("--partitions"),
-        clock_rate: if args.present("--clock-rate") {
-            args.f64("--clock-rate")
-        } else if smoke {
-            40.0
-        } else {
-            120.0
-        },
+        clock_rate: args.or_smoke("--clock-rate", 40.0),
         model_latency: true,
         tail_cache: !args.flag("--no-tail-cache"),
-        tail_cache_capacity: args
-            .value("--tail-cache-capacity")
-            .and_then(|v| v.parse().ok()),
         gc: args.flag("--gc"),
         gc_period: Duration::from_millis(args.u64("--gc-period-ms")),
         gc_t_max: Duration::from_millis(args.u64("--gc-tmax-ms")),
@@ -160,31 +114,15 @@ fn main() {
         ..DriveOptions::default()
     };
 
-    let app_arg = args.str("--app");
-    let apps: Vec<&str> = match app_arg.as_str() {
-        "all" => vec!["media", "social", "travel"],
-        one => vec![one],
-    };
-    let modes: Vec<Mode> = match args.str("--mode").as_str() {
-        // The two fault-tolerant designs — the comparison that matters.
-        "both" => vec![Mode::Beldi, Mode::CrossTable],
-        "all" => vec![Mode::Beldi, Mode::CrossTable, Mode::Baseline],
-        "beldi" => vec![Mode::Beldi],
-        "cross-table" | "cross" => vec![Mode::CrossTable],
-        "baseline" => vec![Mode::Baseline],
-        other => {
-            eprintln!("unknown --mode {other}");
-            std::process::exit(2);
-        }
-    };
+    let apps = args.apps();
+    let modes = args.modes();
     let workers: Vec<usize> = workers_arg
         .split(',')
         .filter_map(|w| w.trim().parse().ok())
         .filter(|&w| w > 0)
         .collect();
     if workers.is_empty() {
-        eprintln!("--workers needs a comma-separated list of positive counts");
-        std::process::exit(2);
+        usage_error("--workers needs a comma-separated list of positive counts");
     }
 
     let mut report = BenchReport {
@@ -201,21 +139,16 @@ fn main() {
             for &w in &workers {
                 for &rt in &runtimes {
                     let Some(app) = bench_app(kind, mode, mix) else {
-                        eprintln!("unknown --app {kind}");
-                        std::process::exit(2);
+                        usage_error(format!("unknown --app {kind}"));
                     };
                     let opts = DriveOptions {
                         workers: w,
                         ..opts_template.clone()
                     };
                     let run = drive_on(rt, app.as_ref(), mode, &opts);
-                    let mode_cell = match rt {
-                        RuntimeKind::Thread => run.mode.clone(),
-                        RuntimeKind::Async => format!("{}@async", run.mode),
-                    };
                     rows.push(vec![
                         run.app.clone(),
-                        mode_cell,
+                        format!("{}{}", run.mode, rt.key_suffix()),
                         w.to_string(),
                         run.ops.to_string(),
                         run.errors.to_string(),
@@ -232,7 +165,7 @@ fn main() {
         }
     }
 
-    beldi_bench::print_table(
+    print_table(
         "Closed-loop drive (virtual-time throughput and latency)",
         &[
             "app",
@@ -263,7 +196,7 @@ fn main() {
         })
         .collect();
     if !in_flight_rows.is_empty() {
-        beldi_bench::print_table(
+        print_table(
             "Async engine in-flight workflows (live executor tasks)",
             &["run", "high_water", "samples"],
             &in_flight_rows,
@@ -291,7 +224,7 @@ fn main() {
                 ]
             })
             .collect();
-        beldi_bench::print_table(
+        print_table(
             "Online GC steady state (metadata rows mid-run vs end; cumulative GC work)",
             &[
                 "run",
@@ -327,7 +260,7 @@ fn main() {
                 ])
             })
             .collect();
-        beldi_bench::print_table(
+        print_table(
             "Crash storm recovery (virtual-time latency; conservation vs crash-free oracle)",
             &[
                 "run",

@@ -3,42 +3,30 @@
 //! schedules (depth 2), recover via the intent collector, and diff the
 //! final state against a crash-free oracle (see `DESIGN.md` §8).
 //!
-//! ```text
-//! cargo run -p beldi-bench --release --bin explore -- \
-//!     [--app media|social|travel|all] [--mode beldi|cross-table|baseline|all] \
-//!     [--requests 4] [--seed 42] [--stride 1] [--depth2-samples 0] \
-//!     [--max-schedules N] [--gc-check] [--gc-interleave] [--smoke] \
-//!     [--canary]
-//! ```
-//!
 //! `--gc-interleave` runs one garbage-collector pass per SSF after every
 //! frontend request (the online-GC regime): the collectors' own crash
 //! points join the sweep, so schedules also kill GC passes between the
 //! paper's six steps while SSF traffic is live.
 //!
 //! `--smoke` is the CI configuration: fewer requests and a strided sweep
-//! so all apps finish in seconds. `--canary` plants a deliberate
-//! exactly-once bug and *expects* the sweep to report violations (exit 0
-//! when it does — the self-test). The canary runs on the synthetic
-//! `pipeline` workload, whose gate write recomputes from an earlier read
-//! — the dependency shape a read-replay bug needs to become visible
-//! (pass `--app` explicitly to canary a different workload).
+//! so all apps finish in seconds. `--canary` sweeps the sabotaged
+//! `pipeline` workload (`PipelineApp::sabotaged`: its root re-reads
+//! fresh state on re-execution, a deliberate exactly-once bug) and
+//! *expects* the sweep to report violations (exit 0 when it does — the
+//! self-test).
 //!
 //! Exit status: 0 when every sweep is clean (or, under `--canary`, when
 //! the bug was caught); 1 otherwise. Every violation line carries the
 //! seed and schedule needed to replay it.
 
-use beldi::Mode;
-use beldi_apps::small_app;
-use beldi_bench::cli::Cli;
-use beldi_workload::{explore, mode_name, ExploreOptions};
+use beldi_apps::{small_app, WorkflowApp};
+use beldi_workload::{explore, ExploreOptions, PipelineApp};
 
-fn main() {
-    beldi::silence_crash_backtraces();
+use crate::cli::{usage_error, Args, Cli};
 
-    let args = Cli::new("explore", "systematic crash-schedule exploration")
-        .app_flag("all")
-        .mode_flag("all", "system: beldi | cross-table | baseline | all")
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.app_flag("all")
+        .mode_flag("all")
         .flag(
             "--requests",
             "N",
@@ -66,77 +54,43 @@ fn main() {
         )
         .switch("--smoke", "CI preset: fewer requests, strided sweep")
         .switch("--canary", "plant the read-replay bug; expect detection")
-        .parse();
+}
 
-    let app_arg = args.str("--app");
-    let mode_arg = args.str("--mode");
-    let smoke = args.flag("--smoke");
+pub(crate) fn main(args: &Args) {
+    beldi::silence_crash_backtraces();
     let canary = args.flag("--canary");
 
     let opts = ExploreOptions {
-        requests: if args.present("--requests") {
-            args.usize("--requests")
-        } else if smoke {
-            2
-        } else {
-            4
-        },
+        requests: args.or_smoke("--requests", 2),
         seed: args.u64("--seed"),
-        stride: if args.present("--stride") {
-            args.usize("--stride")
-        } else if smoke {
-            7
-        } else {
-            1
-        },
+        stride: args.or_smoke("--stride", 7),
         max_depth1: args.value("--max-schedules").and_then(|v| v.parse().ok()),
-        depth2_samples: if args.present("--depth2-samples") {
-            args.usize("--depth2-samples")
-        } else if smoke {
-            2
-        } else {
-            0
-        },
+        depth2_samples: args.or_smoke("--depth2-samples", 2),
         gc_check: args.flag("--gc-check"),
         gc_interleave: args.flag("--gc-interleave"),
-        canary,
     };
 
-    let apps: Vec<&str> = match app_arg.as_str() {
-        "all" if canary => vec!["pipeline"],
-        "all" => vec!["media", "social", "travel"],
-        one => vec![one],
+    let apps = if canary {
+        vec!["pipeline".to_owned()]
+    } else {
+        args.apps()
     };
-    let modes: Vec<Mode> = match mode_arg.as_str() {
-        "all" => vec![Mode::Beldi, Mode::CrossTable, Mode::Baseline],
-        "beldi" => vec![Mode::Beldi],
-        "cross-table" | "cross" => vec![Mode::CrossTable],
-        "baseline" => vec![Mode::Baseline],
-        other => {
-            eprintln!("unknown --mode {other}");
-            std::process::exit(2);
-        }
-    };
+    let modes = args.modes();
 
     let mut rows = Vec::new();
     let mut all_violations = Vec::new();
     for kind in &apps {
         for &mode in &modes {
-            let app: Box<dyn beldi_apps::WorkflowApp> = if *kind == "pipeline" {
-                Box::new(beldi_workload::PipelineApp)
-            } else {
-                match small_app(kind, mode) {
-                    Some(app) => app,
-                    None => {
-                        eprintln!("unknown --app {kind}");
-                        std::process::exit(2);
-                    }
-                }
+            let app: Box<dyn WorkflowApp> = match kind.as_str() {
+                "pipeline" if canary => PipelineApp::sabotaged(),
+                "pipeline" => Box::new(PipelineApp),
+                _ => small_app(kind, mode)
+                    .unwrap_or_else(|| usage_error(format!("unknown --app {kind}"))),
             };
             let report = explore(app.as_ref(), mode, &opts);
             rows.push(vec![
                 report.app.clone(),
-                mode_name(report.mode).to_owned(),
+                report.mode.name().to_owned(),
                 report.crash_points.to_string(),
                 report.schedules.to_string(),
                 report.crashes_injected.to_string(),
@@ -147,10 +101,10 @@ fn main() {
                 all_violations.push(format!(
                     "{} {} {} — replay: explore --app {} --mode {} --seed {} --requests {}",
                     report.app,
-                    mode_name(report.mode),
+                    report.mode.name(),
                     v,
                     report.app,
-                    mode_name(report.mode),
+                    report.mode.name(),
                     report.seed,
                     report.requests,
                 ));
@@ -158,7 +112,7 @@ fn main() {
         }
     }
 
-    beldi_bench::print_table(
+    crate::print_table(
         "Crash-schedule exploration (depth-1 sweep + sampled depth-2)",
         &[
             "app",

@@ -8,20 +8,16 @@
 //! rows (paper: 20, "the length of the linked DAAL after 30 minutes
 //! without garbage collection").
 //!
-//! ```text
-//! cargo run -p beldi-bench --release --bin fig13 \
-//!     [-- --rows 20 --iters 300 --partitions 8 --tail-cache]
-//! ```
-//!
 //! By default the DAAL tail-row cache is disabled so read latency pays
 //! the paper's traversal scan over all `--rows` rows; `--tail-cache`
 //! measures the optimized read path instead.
 
 use beldi::value::Value;
 use beldi::Mode;
-use beldi_bench::cli::Cli;
-use beldi_bench::{
-    experiment_env, measure_op, measure_op_amortized, ms, prepopulate_daal, print_table,
+
+use crate::cli::{Args, Cli};
+use crate::{
+    experiment_env, measure_op, micro_payload_n, ms, prepopulate_daal, print_table,
     register_micro_ops, SYSTEMS,
 };
 
@@ -30,21 +26,22 @@ use beldi_bench::{
 /// while ensuring the measurement's own writes barely deepen the chain.
 const CAPACITY: usize = 100;
 
-fn main() {
-    let args = Cli::new("fig13", "per-operation latency of Beldi primitives (§7.3)")
-        .flag(
-            "--rows",
-            "N",
-            "20",
-            "pre-populated DAAL depth of the hot key",
-        )
-        .flag("--iters", "N", "300", "invocations per measured operation")
-        // Modest clock rate: virtual sleeps dominate real scheduling
-        // noise (see `measure_op`'s docs).
-        .clock_rate_flag("15")
-        .partitions_flag()
-        .switch("--tail-cache", "measure the cached read path instead")
-        .parse();
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.flag(
+        "--rows",
+        "N",
+        "20",
+        "pre-populated DAAL depth of the hot key",
+    )
+    .flag("--iters", "N", "300", "invocations per measured operation")
+    // Modest clock rate: virtual sleeps dominate real scheduling
+    // noise (see `measure_op`'s docs).
+    .clock_rate_flag("15")
+    .partitions_flag()
+    .switch("--tail-cache", "measure the cached read path instead")
+}
+
+pub(crate) fn main(args: &Args) {
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
     let clock_rate = args.f64("--clock-rate");
@@ -52,7 +49,8 @@ fn main() {
     let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
-    for (system, mode) in SYSTEMS {
+    for mode in SYSTEMS {
+        let system = mode.name();
         let env = experiment_env(mode, CAPACITY, clock_rate, partitions, tail_cache);
         register_micro_ops(&env);
         if mode == Mode::Beldi {
@@ -65,11 +63,11 @@ fn main() {
         // Per-operation costs: 8 ops per invocation amortize the
         // intent-table bookkeeping, matching the paper's per-op framing.
         for op in ["read", "write", "condwrite"] {
-            let hist = measure_op_amortized(&env, op, iters, 8);
+            let hist = measure_op(&env, "micro", &micro_payload_n(op, 8), iters, 8);
             let p = hist.percentiles();
             table.push(vec![op.to_owned(), system.to_owned(), ms(p.p50), ms(p.p99)]);
         }
-        let hist = measure_op(&env, "op-invoke", &Value::Null, iters);
+        let hist = measure_op(&env, "op-invoke", &Value::Null, iters, 1);
         let p = hist.percentiles();
         table.push(vec![
             "invoke".to_owned(),

@@ -19,56 +19,41 @@
 //! multiplies real scheduling overhead into virtual time, so rates above
 //! ~30× start measuring host CPU instead of the modelled database. The
 //! default (20×) runs one virtual minute in 3 s of real time.
-//!
-//! ```text
-//! cargo run -p beldi-bench --release --bin fig16 \
-//!     [-- --minutes 15 --rate 2 --clock-rate 20 --partitions 8]
-//! ```
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
-use beldi_bench::cli::Cli;
-use beldi_bench::{ms, print_table};
 use beldi_workload::RateRunner;
 
-struct GcConfig {
-    name: &'static str,
-    mode: Mode,
-    /// GC enabled with this `T`, or `None` for no GC.
-    t_max: Option<Duration>,
-}
+use crate::cli::{Args, Cli};
+use crate::{ms, print_table};
 
-fn build_env(cfg: &GcConfig, clock_rate: f64, partitions: usize) -> BeldiEnv {
-    let mut config = match cfg.mode {
-        Mode::Beldi => BeldiConfig::beldi(),
-        Mode::CrossTable => BeldiConfig::cross_table(),
-        Mode::Baseline => BeldiConfig::baseline(),
-    }
-    // Small rows so DAAL growth is visible within a short run.
-    .with_row_capacity(10)
-    // The paper's 1-minute collector trigger (§7.2).
-    .with_collector_period(Duration::from_secs(60))
-    .with_partitions(partitions);
-    if let Some(t) = cfg.t_max {
-        config = config.with_t_max(t);
+/// One measured configuration: its name, the system it runs as, and
+/// the `T` (in seconds) GC runs with — `None` for no GC at all.
+type GcConfig = (&'static str, Mode, Option<u64>);
+
+fn build_env(mode: Mode, t_max: Option<u64>, clock_rate: f64, partitions: usize) -> BeldiEnv {
+    let mut config = BeldiConfig::for_mode(mode)
+        // Small rows so DAAL growth is visible within a short run.
+        .with_row_capacity(10)
+        // The paper's 1-minute collector trigger (§7.2).
+        .with_collector_period(Duration::from_secs(60))
+        .with_partitions(partitions);
+    if let Some(t) = t_max {
+        config = config.with_t_max(Duration::from_secs(t));
     }
     BeldiEnv::builder(config)
         .latency(beldi_simdb::LatencyModel::dynamo())
-        .platform(beldi_bench::microbench_platform())
+        .platform(crate::microbench_platform())
         .clock_rate(clock_rate)
         .seed(7)
         .build()
 }
 
-fn main() {
-    let args = Cli::new(
-        "fig16",
-        "write latency over time under GC configurations (§7.5)",
-    )
-    .flag(
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.flag(
         "--minutes",
         "N",
         "15",
@@ -77,43 +62,25 @@ fn main() {
     .flag("--rate", "RPS", "2", "constant offered request rate")
     .clock_rate_flag("20")
     .partitions_flag()
-    .parse();
+}
+
+pub(crate) fn main(args: &Args) {
     let minutes = args.usize("--minutes");
     let rate = args.f64("--rate");
     let clock_rate = args.f64("--clock-rate");
     let partitions = args.usize("--partitions");
 
-    let configs = [
-        GcConfig {
-            name: "no-gc",
-            mode: Mode::Beldi,
-            t_max: None,
-        },
-        GcConfig {
-            name: "gc-T=1min",
-            mode: Mode::Beldi,
-            t_max: Some(Duration::from_secs(60)),
-        },
-        GcConfig {
-            name: "gc-T=10min",
-            mode: Mode::Beldi,
-            t_max: Some(Duration::from_secs(600)),
-        },
-        GcConfig {
-            name: "gc-T=30min",
-            mode: Mode::Beldi,
-            t_max: Some(Duration::from_secs(1800)),
-        },
-        GcConfig {
-            name: "cross-table",
-            mode: Mode::CrossTable,
-            t_max: Some(Duration::from_secs(60)),
-        },
+    let configs: [GcConfig; 5] = [
+        ("no-gc", Mode::Beldi, None),
+        ("gc-T=1min", Mode::Beldi, Some(60)),
+        ("gc-T=10min", Mode::Beldi, Some(600)),
+        ("gc-T=30min", Mode::Beldi, Some(1800)),
+        (Mode::CrossTable.name(), Mode::CrossTable, Some(60)),
     ];
 
     let mut rows = Vec::new();
-    for cfg in &configs {
-        let env = Arc::new(build_env(cfg, clock_rate, partitions));
+    for (name, mode, t_max) in configs {
+        let env = Arc::new(build_env(mode, t_max, clock_rate, partitions));
         env.register_ssf(
             "hot-writer",
             &["t"],
@@ -122,7 +89,7 @@ fn main() {
                 Ok(Value::Null)
             }),
         );
-        if cfg.t_max.is_some() {
+        if t_max.is_some() {
             env.start_collectors();
         }
         for minute in 0..minutes {
@@ -131,7 +98,7 @@ fn main() {
             let report = runner.run(Arc::new(move |i| {
                 env2.invoke("hot-writer", Value::Int(i as i64)).is_ok()
             }));
-            let depth = if cfg.mode == Mode::Beldi {
+            let depth = if mode == Mode::Beldi {
                 env.daal_chain_len("hot-writer", "t", "k")
                     .unwrap_or(0)
                     .to_string()
@@ -139,7 +106,7 @@ fn main() {
                 "-".to_owned()
             };
             rows.push(vec![
-                cfg.name.to_owned(),
+                name.to_owned(),
                 minute.to_string(),
                 ms(report.latency.p50),
                 ms(report.latency.p99),

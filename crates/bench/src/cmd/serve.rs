@@ -1,27 +1,17 @@
-//! The network front door: serve a benchmark app's SSFs over HTTP/1.1,
-//! or run the CI smoke gate (DESIGN.md §14).
-//!
-//! ```text
-//! # Serve until killed: POST /invoke/{ssf} with a JSON body.
-//! cargo run -p beldi-bench --release --bin front -- \
-//!     --app media --mode beldi --addr 127.0.0.1:8377
-//!
-//! # CI smoke gate: drive a seeded stream through real sockets, replay
-//! # it in-process, and fail unless the state digests match and the
-//! # door sustained a nonzero request rate.
-//! cargo run -p beldi-bench --release --bin front -- \
-//!     --smoke [--requests 64 --clients 4 --json BENCH_front_smoke.json]
-//! ```
+//! The `front` subcommand: serve a benchmark app's SSFs over HTTP/1.1
+//! (`POST /invoke/{ssf}` with a JSON body, until killed), or, with
+//! `--smoke`, run the CI gate — drive a seeded stream through real
+//! sockets, replay it in-process, and fail unless the state digests match
+//! and the door sustained a nonzero request rate (DESIGN.md §14).
 
 use std::sync::Arc;
 
-use beldi_bench::cli::Cli;
-use beldi_bench::front::{front_smoke, FrontDoor};
+use crate::cli::{usage_error, Args, Cli};
+use crate::front::{front_smoke, FrontDoor};
 
-fn main() {
-    let args = Cli::new("front", "HTTP front door over the cooperative executor")
-        .app_flag("media")
-        .mode_flag("beldi", "beldi|cross-table|baseline")
+pub(crate) fn flags(cli: Cli) -> Cli {
+    cli.app_flag("media")
+        .mode_flag("beldi")
         .flag(
             "--addr",
             "HOST:PORT",
@@ -44,17 +34,18 @@ fn main() {
             "4",
             "smoke: concurrent client connections",
         )
-        .flag("--json", "PATH", "", "smoke: also write the report as JSON")
-        .parse();
+        .json_flag()
+}
+
+pub(crate) fn main(args: &Args) {
     let kind = args.str("--app");
-    let mode = match args.str("--mode").as_str() {
-        "beldi" => beldi::Mode::Beldi,
-        "cross-table" | "cross" => beldi::Mode::CrossTable,
-        "baseline" => beldi::Mode::Baseline,
-        other => {
-            eprintln!("unknown --mode {other}");
-            std::process::exit(2);
-        }
+    let &[mode] = args.modes().as_slice() else {
+        usage_error("front: --mode takes one system");
+    };
+    let unknown_app = || -> ! {
+        usage_error(format!(
+            "unknown app {kind:?} (expected media, social, or travel)"
+        ))
     };
     let seed = args.u64("--seed");
     let partitions = args.usize("--partitions");
@@ -64,10 +55,7 @@ fn main() {
         let requests = args.usize("--requests");
         let clients = args.usize("--clients");
         let report = front_smoke(&kind, mode, requests, clients, clock_rate, partitions, seed)
-            .unwrap_or_else(|| {
-                eprintln!("unknown app {kind:?} (expected media, social, or travel)");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|| unknown_app());
         println!(
             "front smoke: {} requests via {} client(s) in {} ms ({:.1} rps, {} errors)",
             report.requests, report.clients, report.wall_ms, report.rps, report.errors
@@ -90,12 +78,9 @@ fn main() {
         return;
     }
 
-    let app =
-        beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default).unwrap_or_else(|| {
-            eprintln!("unknown app {kind:?} (expected media, social, or travel)");
-            std::process::exit(2);
-        });
-    let env = Arc::new(beldi_bench::bench_env(mode, clock_rate, partitions));
+    let app = beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default)
+        .unwrap_or_else(|| unknown_app());
+    let env = Arc::new(crate::bench_env(mode, clock_rate, partitions));
     app.setup(&env);
     let door =
         FrontDoor::start(Arc::clone(&env), &args.str("--addr"), seed).expect("bind the front door");

@@ -44,14 +44,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use beldi::value::{json, Value};
-use beldi::{BeldiEnv, Mode};
+use beldi::{BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::bench_app;
 use beldi_runtime::{Executor, Handle, Semaphore};
 use beldi_simfaas::{labels, CrashSignal};
-
-/// Root-invocation retry budget for workflows dispatched by the door
-/// (same figure the async driver uses).
-const ROOT_ATTEMPTS: usize = 50;
+use beldi_workload::driver::state_digest;
+use beldi_workload::wire::with_key;
 
 struct DoorState {
     env: Arc<BeldiEnv>,
@@ -410,7 +408,7 @@ fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
     // channel while the task runs the root-invocation protocol.
     let fut = state
         .env
-        .invoke_task(ssf, &instance, payload, ROOT_ATTEMPTS);
+        .invoke_task(ssf, &instance, payload, MAX_ROOT_ATTEMPTS);
     let (tx, rx) = mpsc::channel();
     state.handle.spawn(async move {
         let _ = tx.send(fut.await);
@@ -557,7 +555,7 @@ impl FrontClient {
 pub struct FrontSmokeReport {
     /// App driven ("media" / "social" / "travel").
     pub app: String,
-    /// Mode's CLI spelling ("beldi" / "cross-table" / "baseline").
+    /// The mode's spelling ([`Mode::name`]).
     pub mode: String,
     /// Requests sent over the wire (== requests replayed in-process).
     pub requests: u64,
@@ -582,28 +580,16 @@ impl FrontSmokeReport {
     }
 
     /// Serializes the report for `BENCH_async_results.json`-style
-    /// artifacts.
+    /// artifacts: its fields plus the derived `digest_match` verdict.
     pub fn to_json(&self) -> String {
-        let mut m = std::collections::BTreeMap::new();
-        m.insert("app".to_owned(), Value::from(self.app.clone()));
-        m.insert("mode".to_owned(), Value::from(self.mode.clone()));
-        m.insert("requests".to_owned(), Value::Int(self.requests as i64));
-        m.insert("clients".to_owned(), Value::Int(self.clients as i64));
-        m.insert("errors".to_owned(), Value::Int(self.errors as i64));
-        m.insert("wall_ms".to_owned(), Value::Int(self.wall_ms as i64));
-        m.insert("rps".to_owned(), Value::Float(self.rps));
-        m.insert(
-            "front_digest".to_owned(),
-            Value::from(self.front_digest.clone()),
-        );
-        m.insert(
-            "inproc_digest".to_owned(),
-            Value::from(self.inproc_digest.clone()),
-        );
-        m.insert("digest_match".to_owned(), Value::Bool(self.digest_match()));
-        json::to_json_pretty(&Value::Map(m))
+        let verdict = Value::Bool(self.digest_match());
+        json::to_json_pretty(&with_key(self, "digest_match", verdict))
     }
 }
+
+beldi_workload::wire_fields!(FrontSmokeReport:
+    app, mode, requests, clients, errors, wall_ms, rps, front_digest, inproc_digest
+);
 
 /// Drives `requests` seeded frontend requests for `kind`/`mode` through
 /// a real [`FrontDoor`] with `clients` concurrent connections, replays
@@ -664,7 +650,7 @@ pub fn front_smoke(
     };
     let wall = started.elapsed();
     door.shutdown();
-    let front_digest = fingerprint_digest(app.as_ref(), &served_env);
+    let front_digest = state_digest(app.as_ref(), &served_env);
 
     // In-process side: the same stream, no sockets, no executor.
     let inproc_env = crate::bench_env(mode, clock_rate, partitions);
@@ -672,12 +658,12 @@ pub fn front_smoke(
     for payload in &reqs {
         let _ = inproc_env.invoke(entry, payload.clone());
     }
-    let inproc_digest = fingerprint_digest(app.as_ref(), &inproc_env);
+    let inproc_digest = state_digest(app.as_ref(), &inproc_env);
 
     let wall_ms = wall.as_millis() as u64;
     Some(FrontSmokeReport {
         app: kind.to_owned(),
-        mode: beldi_workload::mode_name(mode).to_owned(),
+        mode: mode.name().to_owned(),
         requests: requests as u64,
         clients: clients.max(1),
         errors,
@@ -686,13 +672,6 @@ pub fn front_smoke(
         front_digest,
         inproc_digest,
     })
-}
-
-fn fingerprint_digest(app: &dyn beldi_apps::WorkflowApp, env: &BeldiEnv) -> String {
-    format!(
-        "{:016x}",
-        beldi_workload::driver::value_digest(&app.bench_fingerprint(env))
-    )
 }
 
 #[cfg(test)]
@@ -798,13 +777,13 @@ mod tests {
         let path = format!("/invoke/{}", app.entry_point());
         let headers = [("x-beldi-instance", "pinned-1")];
         let (s1, b1) = client.request("POST", &path, &headers, &payload).unwrap();
-        let digest_after_first = fingerprint_digest(app.as_ref(), &env);
+        let digest_after_first = state_digest(app.as_ref(), &env);
         let (s2, b2) = client.request("POST", &path, &headers, &payload).unwrap();
         assert_eq!((s1, s2), (200, 200));
         assert_eq!(b1, b2, "a retry under the same id must replay the result");
         assert_eq!(
             digest_after_first,
-            fingerprint_digest(app.as_ref(), &env),
+            state_digest(app.as_ref(), &env),
             "the retry must not re-execute effects"
         );
         door.shutdown();

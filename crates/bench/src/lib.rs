@@ -1,60 +1,49 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! The experiment harness: one executable, `beldi-bench <subcommand>`,
+//! plus the library code its subcommands and the Criterion benches share.
 //!
-//! One binary per paper table/figure (see `DESIGN.md` §4 for the index):
+//! | Subcommand | Reproduces / does |
+//! |------------|-------------------|
+//! | `fig13`   | Median/p99 per-operation latency, baseline vs Beldi vs cross-table (20-row DAAL; `--rows 5` gives Fig. 25) |
+//! | `fig14`   | Latency vs throughput, movie review service |
+//! | `fig15`   | Latency vs throughput, travel reservation (with the cross-SSF transaction) |
+//! | `fig16`   | Median write latency over time under GC configurations |
+//! | `fig26`   | Latency vs throughput, social media site |
+//! | `costs`   | §7.3's storage / network overhead accounting |
+//! | `drive`   | Closed-loop concurrent workload driver (`BENCH_results.json`) |
+//! | `gate`    | CI gates over `drive` reports: throughput, p99, storage growth, chaos recovery |
+//! | `explore` | Systematic crash-schedule exploration |
+//! | `front`   | The HTTP front door: serve an app, or run its smoke gate |
 //!
-//! | Binary  | Reproduces |
-//! |---------|------------|
-//! | `fig13` | Median/p99 per-operation latency, baseline vs Beldi vs cross-table (20-row DAAL; `--rows 5` gives Fig. 25) |
-//! | `fig14` | Latency vs throughput, movie review service |
-//! | `fig15` | Latency vs throughput, travel reservation (with the cross-SSF transaction) |
-//! | `fig16` | Median write latency over time under GC configurations |
-//! | `fig26` | Latency vs throughput, social media site |
-//! | `costs` | §7.3's storage / network overhead accounting |
+//! [`cli::SUBCOMMANDS`] is the table the executable dispatches on; each
+//! subcommand's flags come from `beldi-bench <subcommand> --help`
+//! (`DESIGN.md` §4).
 //!
 //! All latencies are **virtual-time** milliseconds from the scaled clock;
 //! absolute values depend on the latency model, but the comparative
 //! *shapes* are the reproduction targets (see `EXPERIMENTS.md`).
 
 pub mod cli;
+mod cmd;
 pub mod front;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
+use beldi_apps::WorkflowApp;
 use beldi_simfaas::{PlatformConfig, SaturationPolicy};
+use beldi_workload::driver::{driver_platform, lambda_like_platform};
 use beldi_workload::Histogram;
 
 /// The three measured systems, in the paper's presentation order.
-pub const SYSTEMS: [(&str, Mode); 3] = [
-    ("baseline", Mode::Baseline),
-    ("beldi", Mode::Beldi),
-    ("cross-table", Mode::CrossTable),
-];
+pub const SYSTEMS: [Mode; 3] = [Mode::Baseline, Mode::Beldi, Mode::CrossTable];
 
 /// Beldi configuration for a mode with experiment-friendly knobs.
 pub fn config_for(mode: Mode, row_capacity: usize, partitions: usize) -> BeldiConfig {
     BeldiConfig::for_mode(mode)
         .with_row_capacity(row_capacity)
         .with_partitions(partitions)
-}
-
-/// A platform shaped like the paper's AWS setup: 1,000-concurrent-Lambda
-/// cap (the Figs. 14/15/26 bottleneck), modest cold starts, queueing at
-/// saturation.
-pub fn lambda_like_platform() -> PlatformConfig {
-    PlatformConfig {
-        concurrency_limit: 1000,
-        invoke_timeout: Duration::from_secs(120),
-        cold_start: Duration::from_millis(150),
-        warm_start: Duration::from_millis(3),
-        // AWS invocation dispatch is tens of ms; weighting it like the
-        // real platform keeps Beldi's extra database round trips in
-        // paper-like proportion to invocation cost.
-        invoke_overhead: Duration::from_millis(10),
-        warm_pool_per_fn: 2_000,
-        saturation: SaturationPolicy::Queue,
-    }
 }
 
 /// A low-overhead platform for micro-benchmarks (per-operation costs,
@@ -69,6 +58,17 @@ pub fn microbench_platform() -> PlatformConfig {
         warm_pool_per_fn: 10_000,
         saturation: SaturationPolicy::Queue,
     }
+}
+
+/// The environment every harness here builds: DynamoDB-shaped latencies,
+/// seed 42, and the given configuration, platform and clock rate.
+fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock_rate: f64) -> BeldiEnv {
+    BeldiEnv::builder(cfg)
+        .latency(beldi_simdb::LatencyModel::dynamo())
+        .platform(platform)
+        .clock_rate(clock_rate)
+        .seed(42)
+        .build()
 }
 
 /// Builds an environment with the DynamoDB-shaped latency model and the
@@ -88,12 +88,7 @@ pub fn experiment_env(
     tail_cache: bool,
 ) -> BeldiEnv {
     let cfg = config_for(mode, row_capacity, partitions).with_tail_cache(tail_cache);
-    BeldiEnv::builder(cfg)
-        .latency(beldi_simdb::LatencyModel::dynamo())
-        .platform(microbench_platform())
-        .clock_rate(clock_rate)
-        .seed(42)
-        .build()
+    harness_env(cfg, microbench_platform(), clock_rate)
 }
 
 /// Like [`app_env`] but with an effectively unbounded invocation timeout:
@@ -101,27 +96,15 @@ pub fn experiment_env(
 /// *virtual* timeout corresponds to only milliseconds of real time and
 /// scheduling jitter would abort requests spuriously.
 pub fn bench_env(mode: Mode, clock_rate: f64, partitions: usize) -> BeldiEnv {
-    let platform = PlatformConfig {
-        invoke_timeout: Duration::from_secs(24 * 3600),
-        ..lambda_like_platform()
-    };
-    BeldiEnv::builder(config_for(mode, 100, partitions))
-        .latency(beldi_simdb::LatencyModel::dynamo())
-        .platform(platform)
-        .clock_rate(clock_rate)
-        .seed(42)
-        .build()
+    let cfg = config_for(mode, 100, partitions);
+    harness_env(cfg, driver_platform(None), clock_rate)
 }
 
 /// Builds an environment for the app-level load experiments (Figs.
 /// 14/15/26): DynamoDB latencies plus the Lambda-like platform.
 pub fn app_env(mode: Mode, clock_rate: f64, partitions: usize) -> BeldiEnv {
-    BeldiEnv::builder(config_for(mode, 100, partitions))
-        .latency(beldi_simdb::LatencyModel::dynamo())
-        .platform(lambda_like_platform())
-        .clock_rate(clock_rate)
-        .seed(42)
-        .build()
+    let cfg = config_for(mode, 100, partitions);
+    harness_env(cfg, lambda_like_platform(), clock_rate)
 }
 
 /// Registers the micro-op SSFs used by Fig. 13/25: a single `micro` SSF
@@ -130,7 +113,6 @@ pub fn app_env(mode: Mode, clock_rate: f64, partitions: usize) -> BeldiEnv {
 /// [`prepopulate_daal`] deepens — plus an `op-invoke` SSF calling a
 /// `noop` SSF (§7.3: 1-byte keys, 16-byte values).
 pub fn register_micro_ops(env: &BeldiEnv) {
-    use std::sync::Arc;
     env.register_ssf("noop", &[], Arc::new(|_, input| Ok(input)));
     env.register_ssf(
         "micro",
@@ -187,22 +169,6 @@ pub fn micro_payload_n(op: &str, count: i64) -> Value {
     beldi::value::vmap! { "op" => op, "count" => count }
 }
 
-/// Like [`measure_op`], but each invocation performs `count` operations
-/// and the recorded latency is divided by `count` — isolating the
-/// per-*operation* cost from per-invocation bookkeeping, which is how the
-/// paper's Fig. 13 frames its bars.
-pub fn measure_op_amortized(env: &BeldiEnv, op: &str, iters: usize, count: i64) -> Histogram {
-    let payload = micro_payload_n(op, count);
-    let mut hist = Histogram::new();
-    let clock = env.clock();
-    for _ in 0..iters {
-        let t0 = clock.now();
-        env.invoke("micro", payload.clone()).expect("op invocation");
-        hist.record(clock.now().since(t0) / count as u32);
-    }
-    hist
-}
-
 /// The paper's 16-byte value.
 pub const VALUE_16B: &str = "0123456789abcdef";
 
@@ -217,58 +183,50 @@ pub fn prepopulate_daal(env: &BeldiEnv, rows: usize, capacity: usize) {
 }
 
 /// Measures `iters` invocations of `ssf` with `payload`, returning the
-/// virtual-latency histogram.
+/// virtual-latency histogram. When one invocation performs `ops`
+/// operations ([`micro_payload_n`]) each sample is divided by `ops` —
+/// isolating the per-*operation* cost from per-invocation bookkeeping,
+/// which is how the paper's Fig. 13 frames its bars.
 ///
 /// Latency experiments should use a *modest* clock rate (≲ 20×): the
 /// scaled clock multiplies real scheduling overhead into virtual time, so
 /// very high rates would measure host thread-spawn cost instead of the
 /// modelled database round trips.
-pub fn measure_op(env: &BeldiEnv, ssf: &str, payload: &Value, iters: usize) -> Histogram {
+pub fn measure_op(env: &BeldiEnv, ssf: &str, payload: &Value, iters: usize, ops: u32) -> Histogram {
     let mut hist = Histogram::new();
     let clock = env.clock();
     for _ in 0..iters {
         let t0 = clock.now();
         env.invoke(ssf, payload.clone()).expect("op invocation");
-        hist.record(clock.now().since(t0));
+        hist.record(clock.now().since(t0) / ops);
     }
     hist
 }
 
-/// One installed application inside an environment: where to send
-/// requests and how to generate them (deterministically, by index).
-pub struct AppHandle {
-    /// The workflow's frontend SSF.
-    pub entry: &'static str,
-    /// Request generator: index → frontend payload.
-    pub gen: std::sync::Arc<dyn Fn(u64) -> Value + Send + Sync>,
-}
-
 /// Runs a latency-vs-throughput sweep of an application (the Figs.
 /// 14/15/26 methodology): for each offered rate, a fresh environment is
-/// built, the app installed and seeded by `setup`, and an open-loop run
-/// executed; each point reports achieved rate, p50, and p99.
-///
-/// `make_env` isolates the environment recipe (mode, latency model,
-/// platform cap) so the same sweep serves all systems.
+/// built by `make_env` (mode, latency model, platform cap), `app` is set
+/// up in it, and an open-loop run executed, request `i` drawn from
+/// `request_rng(seed + i)`; each point reports achieved rate, p50, and
+/// p99.
 pub fn sweep_app(
     make_env: &dyn Fn() -> BeldiEnv,
-    setup: &dyn Fn(&BeldiEnv) -> AppHandle,
+    app: &Arc<dyn WorkflowApp>,
+    seed: u64,
     rates: &[f64],
     duration: Duration,
     issuers: usize,
 ) -> Vec<beldi_workload::SweepPoint> {
     let mut points = Vec::with_capacity(rates.len());
     for &rate in rates {
-        let env = std::sync::Arc::new(make_env());
-        let handle = setup(&env);
-        let clock = env.clock().clone();
-        let runner = beldi_workload::RateRunner::new(clock, rate, duration, issuers);
-        let entry = handle.entry;
-        let gen = handle.gen.clone();
-        let env2 = std::sync::Arc::clone(&env);
-        let report = runner.run(std::sync::Arc::new(move |i| {
-            let payload = gen(i);
-            env2.invoke(entry, payload).is_ok()
+        let env = Arc::new(make_env());
+        app.setup(&env);
+        let runner = beldi_workload::RateRunner::new(env.clock().clone(), rate, duration, issuers);
+        let app = Arc::clone(app);
+        let report = runner.run(Arc::new(move |i| {
+            let mut rng = beldi_apps::rng::request_rng(seed + i);
+            let payload = app.gen_load_request(&mut rng);
+            env.invoke(app.entry_point(), payload).is_ok()
         }));
         points.push(beldi_workload::SweepPoint::from(&report));
     }
@@ -332,11 +290,11 @@ mod tests {
         );
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {
-            let h = measure_op(&env, "micro", &micro_payload(op), 3);
+            let h = measure_op(&env, "micro", &micro_payload(op), 3, 1);
             assert_eq!(h.len(), 3, "{op}");
             assert!(h.max() > Duration::ZERO, "{op} should cost time");
         }
-        let h = measure_op(&env, "op-invoke", &Value::Null, 3);
+        let h = measure_op(&env, "op-invoke", &Value::Null, 3, 1);
         assert_eq!(h.len(), 3);
     }
 
@@ -357,11 +315,11 @@ mod tests {
 
     #[test]
     fn all_three_systems_run_the_micro_ops() {
-        for (name, mode) in SYSTEMS {
+        for mode in SYSTEMS {
             let env = experiment_env(mode, 5, 2000.0, 4, false);
             register_micro_ops(&env);
-            let h = measure_op(&env, "micro", &micro_payload("write"), 2);
-            assert_eq!(h.len(), 2, "{name}");
+            let h = measure_op(&env, "micro", &micro_payload("write"), 2, 1);
+            assert_eq!(h.len(), 2, "{}", mode.name());
         }
     }
 }

@@ -18,11 +18,24 @@ pub enum Mode {
     Baseline,
 }
 
-/// Default total capacity of the DAAL tail cache (entries across all
-/// shards). An entry is a `(table, key) → row id` triple of short
-/// strings, so the default bounds the cache to a few megabytes while
-/// comfortably holding benchmark-scale working sets.
-pub const DEFAULT_TAIL_CACHE_CAPACITY: usize = 65_536;
+impl Mode {
+    /// The mode's spelling on command lines and in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Beldi => "beldi",
+            Mode::CrossTable => "cross-table",
+            Mode::Baseline => "baseline",
+        }
+    }
+
+    /// Parses [`Mode::name`]'s spelling (`cross` is accepted for
+    /// `cross-table`).
+    pub fn parse(s: &str) -> Option<Mode> {
+        [Mode::Beldi, Mode::CrossTable, Mode::Baseline]
+            .into_iter()
+            .find(|m| m.name() == s || (*m == Mode::CrossTable && s == "cross"))
+    }
+}
 
 /// Tuning knobs for a [`crate::BeldiEnv`]. Durations are virtual time.
 #[derive(Debug, Clone)]
@@ -79,24 +92,6 @@ pub struct BeldiConfig {
     /// present and `NextRow` absent), so it is never authoritative and
     /// can be disabled for A/B measurement without changing semantics.
     pub daal_tail_cache: bool,
-    /// Total entry capacity of the DAAL tail cache (split evenly across
-    /// its shards). Production key cardinality is unbounded; without a
-    /// bound the cache's `(table, key) → row id` map grows host memory
-    /// forever. Exceeding the bound evicts an arbitrary resident entry —
-    /// the cache is never authoritative, so any eviction policy is
-    /// correct; this one is O(1) and keeps the hot working set resident
-    /// as long as it fits.
-    pub daal_tail_cache_capacity: usize,
-    /// **Test-only sabotage switch** (the crash explorer's canary): when
-    /// set, read-log appends skip their first-writer-wins guard, so a
-    /// re-executed instance re-reads *fresh* state instead of replaying
-    /// its logged reads — a deliberate exactly-once bug. The explorer's
-    /// self-test enables this and asserts the sweep reports violations,
-    /// proving the checker has teeth. Only compiled with the `canary`
-    /// cargo feature (enabled by `beldi-workload` for the self-test);
-    /// plain `beldi` builds cannot reach the sabotage.
-    #[cfg(feature = "canary")]
-    pub canary_skip_read_guard: bool,
 }
 
 /// Why [`BeldiConfig::validate`] rejected a configuration.
@@ -111,10 +106,6 @@ pub enum ConfigError {
     /// `partitions` was zero: the simulated database needs at least one
     /// shard to place rows in.
     ZeroPartitions,
-    /// `daal_tail_cache_capacity` was zero while the tail cache was
-    /// enabled: every insert would evict itself, so the cache could
-    /// never hold an entry.
-    ZeroTailCacheCapacity,
     /// `collector_batch_limit` was `Some(0)`: every IC/GC pass would
     /// process nothing, so Appendix A's paging never makes progress.
     ZeroCollectorBatch,
@@ -133,9 +124,6 @@ impl fmt::Display for ConfigError {
         f.write_str(match self {
             ConfigError::ZeroRowCapacity => "DAAL row capacity must be at least 1",
             ConfigError::ZeroPartitions => "partition count must be at least 1",
-            ConfigError::ZeroTailCacheCapacity => {
-                "tail-cache capacity must be at least 1 when the cache is on"
-            }
             ConfigError::ZeroCollectorBatch => {
                 "collector batch limit of 0 would make no pass progress"
             }
@@ -160,9 +148,6 @@ impl BeldiConfig {
             collector_batch_limit: None,
             partitions: beldi_simdb::DEFAULT_PARTITIONS,
             daal_tail_cache: true,
-            daal_tail_cache_capacity: DEFAULT_TAIL_CACHE_CAPACITY,
-            #[cfg(feature = "canary")]
-            canary_skip_read_guard: false,
         }
     }
 
@@ -204,9 +189,6 @@ impl BeldiConfig {
         }
         if self.partitions == 0 {
             return Err(ConfigError::ZeroPartitions);
-        }
-        if self.daal_tail_cache && self.daal_tail_cache_capacity == 0 {
-            return Err(ConfigError::ZeroTailCacheCapacity);
         }
         if self.collector_batch_limit == Some(0) {
             return Err(ConfigError::ZeroCollectorBatch);
@@ -271,34 +253,6 @@ impl BeldiConfig {
         self.daal_tail_cache = on;
         self
     }
-
-    /// Sets the total DAAL tail-cache entry capacity (see
-    /// [`BeldiConfig::daal_tail_cache_capacity`]).
-    pub fn with_tail_cache_capacity(mut self, n: usize) -> Self {
-        self.daal_tail_cache_capacity = n;
-        self
-    }
-
-    /// Sets the canary sabotage switch (see
-    /// [`BeldiConfig::canary_skip_read_guard`]). Test-only.
-    #[cfg(feature = "canary")]
-    pub fn with_canary_skip_read_guard(mut self, on: bool) -> Self {
-        self.canary_skip_read_guard = on;
-        self
-    }
-
-    /// True when the canary sabotage is active. Always false without the
-    /// `canary` cargo feature.
-    pub(crate) fn canary_active(&self) -> bool {
-        #[cfg(feature = "canary")]
-        {
-            self.canary_skip_read_guard
-        }
-        #[cfg(not(feature = "canary"))]
-        {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -322,8 +276,7 @@ mod tests {
             .with_collector_period(Duration::from_secs(2))
             .with_collector_batch_limit(64)
             .with_partitions(4)
-            .with_tail_cache(false)
-            .with_tail_cache_capacity(128);
+            .with_tail_cache(false);
         assert_eq!(c.daal_row_capacity, 7);
         assert_eq!(c.t_max, Duration::from_secs(5));
         assert!(c.enforce_t_max);
@@ -332,7 +285,15 @@ mod tests {
         assert_eq!(c.collector_batch_limit, Some(64));
         assert_eq!(c.partitions, 4);
         assert!(!c.daal_tail_cache);
-        assert_eq!(c.daal_tail_cache_capacity, 128);
+    }
+
+    #[test]
+    fn mode_names_parse_back() {
+        for mode in [Mode::Beldi, Mode::CrossTable, Mode::Baseline] {
+            assert_eq!(Mode::parse(mode.name()), Some(mode));
+        }
+        assert_eq!(Mode::parse("cross"), Some(Mode::CrossTable));
+        assert_eq!(Mode::parse("both"), None);
     }
 
     #[test]
@@ -359,10 +320,6 @@ mod tests {
             (BeldiConfig::beldi().with_row_capacity(0), ZeroRowCapacity),
             (BeldiConfig::beldi().with_partitions(0), ZeroPartitions),
             (
-                BeldiConfig::beldi().with_tail_cache_capacity(0),
-                ZeroTailCacheCapacity,
-            ),
-            (
                 BeldiConfig::beldi().with_collector_batch_limit(0),
                 ZeroCollectorBatch,
             ),
@@ -382,17 +339,6 @@ mod tests {
             assert_eq!(got, want, "{cfg:?}");
             assert!(!got.to_string().is_empty(), "error must explain itself");
         }
-    }
-
-    #[test]
-    fn zero_capacity_is_inert_when_the_cache_is_off() {
-        // A disabled tail cache never allocates, so a zero capacity is
-        // inert, not incoherent.
-        BeldiConfig::beldi()
-            .with_tail_cache(false)
-            .with_tail_cache_capacity(0)
-            .validate()
-            .expect("cache off makes capacity irrelevant");
     }
 
     #[test]

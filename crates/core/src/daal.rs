@@ -237,16 +237,21 @@ pub(crate) struct TailCache {
     misses: AtomicU64,
 }
 
+/// Total capacity of the DAAL tail cache (entries across all shards).
+/// An entry is a `(table, key) → row id` triple of short strings, so
+/// this bounds the cache to a few megabytes while comfortably holding
+/// benchmark-scale working sets.
+const TAIL_CACHE_CAPACITY: usize = 65_536;
+
 impl TailCache {
-    /// Creates an empty cache with the default capacity.
-    #[cfg_attr(not(test), allow(dead_code))] // Production sizes via config.
+    /// Creates an empty cache of [`TAIL_CACHE_CAPACITY`] entries.
     pub fn new() -> Self {
-        TailCache::with_capacity(crate::config::DEFAULT_TAIL_CACHE_CAPACITY)
+        TailCache::with_capacity(TAIL_CACHE_CAPACITY)
     }
 
     /// Creates an empty cache holding at most `capacity` entries in
     /// total (split evenly across shards, at least one per shard).
-    pub fn with_capacity(capacity: usize) -> Self {
+    fn with_capacity(capacity: usize) -> Self {
         TailCache {
             shards: (0..TAIL_CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
@@ -294,14 +299,16 @@ impl TailCache {
     }
 
     /// Resident entries across all shards.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// `(validated hits, misses)` since creation. A hit is a cached row
     /// id whose point read confirmed it is still the tail; everything
     /// else — absent entry or failed validation — is a miss.
-    pub fn stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),

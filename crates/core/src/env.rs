@@ -322,7 +322,7 @@ impl EnvBuilder {
         );
         let platform = Platform::new(clock, self.platform, self.seed.wrapping_add(1));
         let tail_cache = (self.config.mode == Mode::Beldi && self.config.daal_tail_cache)
-            .then(|| daal::TailCache::with_capacity(self.config.daal_tail_cache_capacity));
+            .then(daal::TailCache::new);
         BeldiEnv {
             core: Arc::new(EnvCore {
                 db,
@@ -355,8 +355,10 @@ pub struct BeldiEnv {
 }
 
 /// Root invocations retry (acting as an impatient intent collector for
-/// the workflow root) up to this many times.
-const MAX_ROOT_ATTEMPTS: usize = 50;
+/// the workflow root) up to this many times. Harnesses that pin instance
+/// ids ([`BeldiEnv::invoke_attempts`], [`BeldiEnv::invoke_task`]) pass
+/// the same budget.
+pub const MAX_ROOT_ATTEMPTS: usize = 50;
 
 /// Summary of one [`BeldiEnv::drain_recovery`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -495,8 +497,8 @@ impl BeldiEnv {
     /// [`BeldiEnv::invoke_as`] with an explicit retry budget.
     ///
     /// `max_attempts = 1` disables the root's built-in re-launch — the
-    /// configuration the chaos canary tests use to prove the conservation
-    /// gates actually detect lost executions. Attempt budgets don't apply
+    /// configuration the chaos driver's no-relaunch tests use to prove the
+    /// conservation gates actually detect lost executions. Attempt budgets don't apply
     /// to baseline mode (which never retries).
     pub fn invoke_attempts(
         &self,
@@ -909,16 +911,6 @@ impl BeldiEnv {
     /// A snapshot of database operation metrics.
     pub fn db_metrics(&self) -> MetricsSnapshot {
         self.core.db.metrics()
-    }
-
-    /// DAAL tail-cache counters `(validated hits, misses)` and resident
-    /// entries, or `None` when the cache is disabled (non-Beldi modes or
-    /// [`BeldiConfig::daal_tail_cache`] off).
-    pub fn tail_cache_stats(&self) -> Option<(u64, u64, usize)> {
-        self.core.tail_cache.as_ref().map(|c| {
-            let (hits, misses) = c.stats();
-            (hits, misses, c.len())
-        })
     }
 
     /// A snapshot of platform metrics.

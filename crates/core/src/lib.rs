@@ -72,9 +72,9 @@ pub mod stepfn;
 mod txn;
 mod wrapper;
 
-pub use config::{BeldiConfig, ConfigError, Mode, DEFAULT_TAIL_CACHE_CAPACITY};
+pub use config::{BeldiConfig, ConfigError, Mode};
 pub use context::SsfContext;
-pub use env::{BeldiEnv, DrainReport, EnvBuilder, GcTotals, IcTotals, SsfBody};
+pub use env::{BeldiEnv, DrainReport, EnvBuilder, GcTotals, IcTotals, SsfBody, MAX_ROOT_ATTEMPTS};
 pub use error::{BeldiError, BeldiResult};
 pub use gc::GcReport;
 pub use ic::IcReport;

@@ -81,16 +81,9 @@ impl SsfContext {
         let log_key = self.next_log_key();
         let rlog = self.read_log_table();
         self.crash(labels::READ_PRE_LOG);
-        // Canary sabotage (`canary` feature only, see
-        // `BeldiConfig::canary_skip_read_guard`): dropping the
-        // first-writer-wins guard lets every re-execution overwrite the
-        // log with a fresh read — the exactly-once violation the
-        // crash-schedule explorer's self-test must detect.
-        let entry_cond = if self.core.config.canary_active() {
-            Cond::True
-        } else {
-            Cond::not_exists(A_LOG_KEY)
-        };
+        // First writer wins: a re-execution must find the value its
+        // predecessor logged, never overwrite it with a fresh read.
+        let entry_cond = Cond::not_exists(A_LOG_KEY);
         let update = Update::new()
             .set(A_LOG_KEY, log_key.as_str())
             .set(A_OWNER, self.instance_id())

@@ -445,7 +445,7 @@ pub fn crash_points(sf: &SourceFile, reg: &Registry, findings: &mut Vec<Finding>
         // plan/probe constructors are checked; arbitrary strings (table
         // names like "txn.data") are not labels.
         if let Some(id) = ident_at(sf, i) {
-            if matches!(id, "AtLabel" | "AtLabelOccurrence") || PROBE_IDENTS.contains(&id) {
+            if id == "AtLabel" || PROBE_IDENTS.contains(&id) {
                 if let Some(open) = call_args_open(sf, i) {
                     if let LabelArg::Literal(s, line) = label_arg(sf, open) {
                         if !labels.contains(s.as_str()) {

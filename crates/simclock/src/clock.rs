@@ -108,11 +108,6 @@ impl ScaledClock {
         }
     }
 
-    /// Creates a real-time clock (`rate = 1.0`).
-    pub fn realtime() -> Self {
-        ScaledClock::new(1.0)
-    }
-
     /// Returns the configured rate.
     pub fn rate(&self) -> f64 {
         self.rate

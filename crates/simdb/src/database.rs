@@ -183,11 +183,6 @@ impl Database {
         &self.clock
     }
 
-    /// Returns the latency model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        self.sampler.model()
-    }
-
     /// Returns the number of partitions per table.
     pub fn partitions(&self) -> usize {
         self.partitions

@@ -125,10 +125,6 @@ impl LatencySampler {
         }
     }
 
-    pub(crate) fn model(&self) -> &LatencyModel {
-        &self.model
-    }
-
     /// Samples the virtual-time cost of one operation.
     pub(crate) fn sample(&self, op: OpKind, rows: usize, bytes: usize) -> Duration {
         let base = self.model.base_cost(op, rows, bytes);

@@ -121,12 +121,6 @@ impl ScanRequest {
         self
     }
 
-    /// Sets the within-partition resume key for queries (builder style).
-    pub fn with_start_after(mut self, key: PrimaryKey) -> Self {
-        self.start_after = Some(key);
-        self
-    }
-
     /// Sets the scan resume cursor (builder style).
     pub fn with_cursor(mut self, cursor: ScanCursor) -> Self {
         self.cursor = Some(cursor);

@@ -62,8 +62,8 @@ pub fn silence_crash_backtraces() {
 
 /// A scripted crash plan.
 ///
-/// Installed per instance id ([`FaultInjector::plan`]), ordinals and
-/// occurrences count that instance's own crash points; installed globally
+/// Installed per instance id ([`FaultInjector::plan`]), ordinals count
+/// that instance's own crash points; installed globally
 /// ([`FaultInjector::set_global_plan`]), they count the *global* crash
 /// stream across every instance (and "lifetime" equals "ordinal", since
 /// the global stream is never reset).
@@ -76,9 +76,6 @@ pub enum CrashPlan {
     AtOrdinal(usize),
     /// Crash the first time the instance passes the given label. One-shot.
     AtLabel(String),
-    /// Crash at the `n`-th occurrence (0-based) of the given label.
-    /// One-shot.
-    AtLabelOccurrence(String, usize),
     /// Crash at the `n`-th crash point of the instance's whole *lifetime*
     /// (0-based), counted across restarts — never reset by
     /// [`FaultInjector::instance_started`]. One-shot.
@@ -226,20 +223,13 @@ impl PlanState {
 
     /// Evaluates the plan at one crash point; returns `(fire, consumed)`.
     ///
-    /// `ordinal`/`label_count` are per-execution counters, `lifetime` the
-    /// across-restarts counter (for the global stream all three coincide
-    /// with the global step).
-    fn check(
-        &mut self,
-        ordinal: usize,
-        lifetime: usize,
-        label: &str,
-        label_count: usize,
-    ) -> (bool, bool) {
+    /// `ordinal` is the per-execution counter, `lifetime` the
+    /// across-restarts counter (for the global stream both are the
+    /// global step).
+    fn check(&mut self, ordinal: usize, lifetime: usize, label: &str) -> (bool, bool) {
         match &self.plan {
             CrashPlan::AtOrdinal(n) => (ordinal == *n, true),
             CrashPlan::AtLabel(l) => (l == label, true),
-            CrashPlan::AtLabelOccurrence(l, n) => (l == label && label_count == *n, true),
             CrashPlan::AtLifetimeOrdinal(n) => (lifetime == *n, true),
             // `<=` so an entry whose exact step was passed while another
             // plan (or the random policy) fired there still triggers at
@@ -257,28 +247,31 @@ impl PlanState {
     }
 }
 
-/// State of the global crash stream.
+/// Everything a crash-point decision reads or writes. One lock, so a
+/// decision — counters, plans, random draw, storm hash, trace entry — is
+/// a single ordered event in the global crash stream.
 #[derive(Default)]
-struct GlobalState {
+struct InjectorState {
+    /// Per-instance scripted plans.
+    plans: HashMap<String, PlanState>,
+    /// Per-instance crash-point counters.
+    instances: HashMap<String, InstanceState>,
     /// Next global step number.
     step: u64,
-    /// Label occurrence counts over the global stream.
-    label_counts: HashMap<String, usize>,
     /// The global plan, if any.
-    plan: Option<PlanState>,
+    global_plan: Option<PlanState>,
     /// Recorded entries while trace mode is on.
     trace: Option<Vec<TraceEntry>>,
     /// Injected crashes per label ("crash counts by site").
     crash_sites: BTreeMap<String, u64>,
+    random: Option<(RandomCrashPolicy, SmallRng)>,
+    storm: Option<StormPolicy>,
 }
 
 /// Decides, at every crash point, whether the current instance dies.
+#[derive(Default)]
 pub struct FaultInjector {
-    plans: Mutex<HashMap<String, PlanState>>,
-    states: Mutex<HashMap<String, InstanceState>>,
-    global: Mutex<GlobalState>,
-    random: Mutex<Option<(RandomCrashPolicy, SmallRng)>>,
-    storm: Mutex<Option<StormPolicy>>,
+    state: Mutex<InjectorState>,
     injected: AtomicU64,
     restarts: AtomicU64,
     timeouts: AtomicU64,
@@ -287,16 +280,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates an injector with no faults configured.
     pub fn new() -> Self {
-        FaultInjector {
-            plans: Mutex::new(HashMap::new()),
-            states: Mutex::new(HashMap::new()),
-            global: Mutex::new(GlobalState::default()),
-            random: Mutex::new(None),
-            storm: Mutex::new(None),
-            injected: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-        }
+        FaultInjector::default()
     }
 
     /// Kills the calling instance because its execution lease expired
@@ -310,15 +294,13 @@ impl FaultInjector {
     /// the fault policy firing.
     pub fn timeout_kill(&self, instance_id: &str, label: &str) -> ! {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
-        if let Some(st) = self.states.lock().get_mut(instance_id) {
-            st.crashes += 1;
+        {
+            let mut s = self.state.lock();
+            if let Some(st) = s.instances.get_mut(instance_id) {
+                st.crashes += 1;
+            }
+            *s.crash_sites.entry(label.to_owned()).or_insert(0) += 1;
         }
-        *self
-            .global
-            .lock()
-            .crash_sites
-            .entry(label.to_owned())
-            .or_insert(0) += 1;
         std::panic::panic_any(CrashSignal {
             point: format!("{label}@{instance_id}"),
         });
@@ -335,8 +317,9 @@ impl FaultInjector {
     /// Applies to the instance's *next* execution that reaches the point;
     /// plans are one-shot so the intent-collector re-execution proceeds.
     pub fn plan(&self, instance_id: impl Into<String>, plan: CrashPlan) {
-        self.plans
+        self.state
             .lock()
+            .plans
             .insert(instance_id.into(), PlanState::new(plan));
     }
 
@@ -348,12 +331,12 @@ impl FaultInjector {
     /// reaches step `n` of this workload", with [`CrashPlan::Script`]
     /// extending it to multi-crash schedules across recoveries.
     pub fn set_global_plan(&self, plan: Option<CrashPlan>) {
-        self.global.lock().plan = plan.map(PlanState::new);
+        self.state.lock().global_plan = plan.map(PlanState::new);
     }
 
     /// Installs (or clears) the random crash policy.
     pub fn set_random_policy(&self, policy: Option<RandomCrashPolicy>) {
-        *self.random.lock() = policy.map(|p| {
+        self.state.lock().random = policy.map(|p| {
             let rng = SmallRng::seed_from_u64(p.seed);
             (p, rng)
         });
@@ -361,7 +344,7 @@ impl FaultInjector {
 
     /// Installs (or clears) the deterministic crash storm.
     pub fn set_storm_policy(&self, policy: Option<StormPolicy>) {
-        *self.storm.lock() = policy;
+        self.state.lock().storm = policy;
     }
 
     /// Number of crashes injected so far.
@@ -378,45 +361,37 @@ impl FaultInjector {
     /// Injected crashes at one instance across its lifetime (zero for
     /// instances never seen or never killed).
     pub fn instance_crashes(&self, instance_id: &str) -> u64 {
-        self.states
-            .lock()
-            .get(instance_id)
-            .map(|s| s.crashes)
-            .unwrap_or(0)
+        let s = self.state.lock();
+        s.instances.get(instance_id).map_or(0, |st| st.crashes)
     }
 
     /// Injected crashes per crash-point label, sorted by label.
     pub fn crash_sites(&self) -> BTreeMap<String, u64> {
-        self.global.lock().crash_sites.clone()
-    }
-
-    /// The number of crash points passed so far across every instance
-    /// (the length of the global crash stream).
-    pub fn global_step(&self) -> u64 {
-        self.global.lock().step
+        self.state.lock().crash_sites.clone()
     }
 
     /// Starts (or restarts) trace mode: subsequent crash points are
     /// recorded until [`FaultInjector::take_trace`].
     pub fn start_trace(&self) {
-        self.global.lock().trace = Some(Vec::new());
+        self.state.lock().trace = Some(Vec::new());
     }
 
     /// Stops trace mode and returns the recorded entries (empty if trace
     /// mode was never started).
     pub fn take_trace(&self) -> Vec<TraceEntry> {
-        self.global.lock().trace.take().unwrap_or_default()
+        self.state.lock().trace.take().unwrap_or_default()
     }
 
     /// Resets per-execution crash-point counters for an instance.
     ///
     /// The platform calls this when an execution (including a re-execution)
-    /// begins, so `AtOrdinal`/occurrence plans count points within a single
+    /// begins, so `AtOrdinal` plans count points within a single
     /// execution. The lifetime counter (for
     /// [`CrashPlan::AtLifetimeOrdinal`] and [`CrashPlan::Script`]) is
     /// preserved across restarts.
     pub fn instance_started(&self, instance_id: &str) {
-        let mut states = self.states.lock();
+        let mut guard = self.state.lock();
+        let states = &mut guard.instances;
         let (lifetime, generation, crashes) = match states.get(instance_id) {
             Some(s) => {
                 self.restarts.fetch_add(1, Ordering::Relaxed);
@@ -444,116 +419,97 @@ impl FaultInjector {
     /// (per-instance plan, global plan, or random policy) to die here. The
     /// platform catches it.
     pub fn crash_point(&self, instance_id: &str, label: &str) {
-        let (ordinal, lifetime, label_count, generation) = {
-            let mut states = self.states.lock();
-            let st = states
-                .entry(instance_id.to_owned())
-                .or_insert(InstanceState {
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
+
+        // Lookups before inserts: the id and label are allocated as map
+        // keys only the first time this execution passes them.
+        if !s.instances.contains_key(instance_id) {
+            s.instances.insert(
+                instance_id.to_owned(),
+                InstanceState {
                     ordinal: 0,
                     lifetime: 0,
                     label_counts: HashMap::new(),
                     generation: 0,
                     crashes: 0,
-                });
-            let ordinal = st.ordinal;
-            st.ordinal += 1;
-            let lifetime = st.lifetime;
-            st.lifetime += 1;
-            let c = st.label_counts.entry(label.to_owned()).or_insert(0);
-            let label_count = *c;
-            *c += 1;
-            (ordinal, lifetime, label_count, st.generation)
-        };
-
-        let mut should_crash = {
-            let mut plans = self.plans.lock();
-            let (fire, consumed) = match plans.get_mut(instance_id) {
-                Some(ps) => ps.check(ordinal, lifetime, label, label_count),
-                None => (false, false),
-            };
-            if fire && consumed {
-                plans.remove(instance_id);
-            }
-            fire
-        };
-
-        // The global stream: assign this point its step number, evaluate
-        // the global plan, and record the trace entry. The random policy
-        // draws inside the same critical section so the whole decision is
-        // a single ordered event in the stream.
-        let step = {
-            let mut g = self.global.lock();
-            let step = g.step;
-            g.step += 1;
-            let global_count = {
-                let c = g.label_counts.entry(label.to_owned()).or_insert(0);
-                let n = *c;
+                },
+            );
+        }
+        let st = s.instances.get_mut(instance_id).expect("just ensured");
+        let (ordinal, lifetime, generation) = (st.ordinal, st.lifetime, st.generation);
+        st.ordinal += 1;
+        st.lifetime += 1;
+        let label_count = match st.label_counts.get_mut(label) {
+            Some(c) => {
                 *c += 1;
-                n
-            };
-            if !should_crash {
-                let (fire, consumed) = match g.plan.as_mut() {
-                    // In the global stream the point's ordinal, lifetime,
-                    // and occurrence counters are the stream's own.
-                    Some(ps) => ps.check(step as usize, step as usize, label, global_count),
-                    None => (false, false),
-                };
-                if fire && consumed {
-                    g.plan = None;
-                }
-                should_crash |= fire;
+                *c - 1
             }
-            if !should_crash {
-                let mut guard = self.random.lock();
-                should_crash = match guard.as_mut() {
-                    Some((policy, rng))
-                        if self.injected.load(Ordering::Relaxed) < policy.max_crashes =>
-                    {
-                        rng.gen_bool(policy.prob)
-                    }
-                    _ => false,
-                };
+            None => {
+                st.label_counts.insert(label.to_owned(), 1);
+                0
             }
-            if !should_crash {
-                // The storm's hash decision is interleaving-invariant;
-                // only the cap check reads shared state (and storms are
-                // configured with caps they never reach).
-                should_crash = match self.storm.lock().as_ref() {
-                    Some(storm) if self.injected.load(Ordering::Relaxed) < storm.max_crashes => {
-                        storm.kills(instance_id, generation, label, label_count)
-                    }
-                    _ => false,
-                };
-            }
-            if should_crash {
-                *g.crash_sites.entry(label.to_owned()).or_insert(0) += 1;
-            }
-            if let Some(trace) = g.trace.as_mut() {
-                trace.push(TraceEntry {
-                    step,
-                    instance: instance_id.to_owned(),
-                    label: label.to_owned(),
-                    crashed: should_crash,
-                });
-            }
-            step
         };
 
+        // Decision order: per-instance plan, global plan, random policy,
+        // storm. This point's position in the global stream is `step`.
+        let step = s.step;
+        s.step += 1;
+        let mut should_crash = false;
+        if let Some(ps) = s.plans.get_mut(instance_id) {
+            let (fire, consumed) = ps.check(ordinal, lifetime, label);
+            if fire && consumed {
+                s.plans.remove(instance_id);
+            }
+            should_crash = fire;
+        }
+        if !should_crash {
+            if let Some(ps) = s.global_plan.as_mut() {
+                let (fire, consumed) = ps.check(step as usize, step as usize, label);
+                if fire && consumed {
+                    s.global_plan = None;
+                }
+                should_crash = fire;
+            }
+        }
+        let injected = self.injected.load(Ordering::Relaxed);
+        if !should_crash {
+            should_crash = match s.random.as_mut() {
+                Some((policy, rng)) if injected < policy.max_crashes => rng.gen_bool(policy.prob),
+                _ => false,
+            };
+        }
+        if !should_crash {
+            // The storm's hash decision is interleaving-invariant; only
+            // the cap check reads shared state (and storms are configured
+            // with caps they never reach).
+            should_crash = match s.storm.as_ref() {
+                Some(storm) if injected < storm.max_crashes => {
+                    storm.kills(instance_id, generation, label, label_count)
+                }
+                _ => false,
+            };
+        }
+        if let Some(trace) = s.trace.as_mut() {
+            trace.push(TraceEntry {
+                step,
+                instance: instance_id.to_owned(),
+                label: label.to_owned(),
+                crashed: should_crash,
+            });
+        }
         if should_crash {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            if let Some(st) = self.states.lock().get_mut(instance_id) {
-                st.crashes += 1;
-            }
+            *s.crash_sites.entry(label.to_owned()).or_insert(0) += 1;
+            s.instances
+                .get_mut(instance_id)
+                .expect("just ensured")
+                .crashes += 1;
+            drop(guard);
             std::panic::panic_any(CrashSignal {
                 point: format!("{label}#{label_count}@{ordinal}/g{step}"),
             });
         }
-    }
-}
-
-impl Default for FaultInjector {
-    fn default() -> Self {
-        FaultInjector::new()
     }
 }
 
@@ -579,7 +535,6 @@ mod tests {
         inj.crash_point("i1", crate::labels::WRITE_BEFORE);
         inj.crash_point("i1", crate::labels::WRITE_AFTER);
         assert_eq!(inj.injected_count(), 0);
-        assert_eq!(inj.global_step(), 2);
     }
 
     #[test]
@@ -600,19 +555,6 @@ mod tests {
         inj.crash_point("i1", "b");
         inj.crash_point("i1", "c");
         assert_eq!(inj.injected_count(), 1);
-    }
-
-    #[test]
-    fn at_label_occurrence() {
-        let inj = FaultInjector::new();
-        inj.plan("i1", CrashPlan::AtLabelOccurrence("w".into(), 1));
-        inj.instance_started("i1");
-        inj.crash_point("i1", "w"); // Occurrence 0: survives.
-        let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "w"); // Occurrence 1: dies.
-        }))
-        .unwrap();
-        assert!(sig.point.starts_with("w#1"));
     }
 
     #[test]
@@ -757,7 +699,6 @@ mod tests {
         // One-shot: the stream continues crash-free.
         inj.crash_point("i1", "b");
         assert_eq!(inj.injected_count(), 1);
-        assert_eq!(inj.global_step(), 4);
     }
 
     #[test]

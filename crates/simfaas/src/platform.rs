@@ -198,18 +198,6 @@ impl Platform {
         );
     }
 
-    /// Returns true if a function is registered under `name`.
-    pub fn has_function(&self, name: &str) -> bool {
-        self.functions.read().contains_key(name)
-    }
-
-    /// Returns all registered function names, sorted.
-    pub fn function_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.functions.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     fn lookup(&self, name: &str) -> InvokeResult<FunctionEntry> {
         let functions = self.functions.read();
         functions

@@ -474,7 +474,7 @@ mod tests {
 
     /// Parsing must stay linear in input size: the chaos drive's nightly
     /// reports reach tens of megabytes, and a quadratic string path once
-    /// turned `bench_gate` into a 30-minute CPU burn. A megabyte of
+    /// turned the report gate into a 30-minute CPU burn. A megabyte of
     /// string-heavy JSON should parse in milliseconds; the bound is
     /// generous enough to never flake, while a quadratic regression
     /// (minutes) sails past it.

@@ -13,7 +13,7 @@
 //!   DynamoDB-shaped latency model, so reported latencies/throughput are
 //!   dominated by *modelled* storage round trips, not host speed —
 //!   numbers are comparable across machines, which is what lets CI gate
-//!   on them (`tools/bench_gate.rs`).
+//!   on them (the `gate` subcommand).
 //! - **Determinism.** The request stream is split up front: worker `w`
 //!   gets a fixed share of `total_ops` and its own seeded RNG
 //!   ([`worker_rng`]), so the *multiset* of issued requests is a pure
@@ -28,15 +28,17 @@
 //!   (the consistent-snapshot contract is `DbMetrics::snapshot`'s).
 //!
 //! Reports serialize to JSON via `beldi_value::json` (see `DESIGN.md` §9
-//! for the schema) and read back for the CI regression gate.
+//! for the schema) and read back for the CI regression gate; each report
+//! struct's field list is declared once, in a [`wire_fields!`] call
+//! beside it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::value::{vmap, Map, Value};
-use beldi::{schema, BeldiConfig, BeldiEnv, Mode};
+use beldi::value::Value;
+use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
 use beldi_simdb::{LatencyModel, MetricsSnapshot};
 use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
@@ -44,8 +46,9 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::explore::mode_name;
 use crate::histogram::Histogram;
+use crate::wire::{with_key, Wire};
+use crate::wire_fields;
 
 /// Report schema version (bumped on incompatible JSON changes).
 pub const BENCH_SCHEMA: i64 = 1;
@@ -58,9 +61,8 @@ pub const BENCH_SCHEMA: i64 = 1;
 /// differ only in how waiting is implemented:
 ///
 /// - [`Thread`](RuntimeKind::Thread): one OS thread per client worker,
-///   each blocking on its in-flight request (the original closed-loop
-///   path, and the default — its report JSON is byte-identical to
-///   pre-async builds).
+///   each blocking on its in-flight request (the closed-loop path, and
+///   the default).
 /// - [`Async`](RuntimeKind::Async): every request becomes one
 ///   cooperative task on a [`beldi_runtime`] executor, all spawned up
 ///   front — tens of thousands of in-flight workflows park on wakers
@@ -84,19 +86,31 @@ impl RuntimeKind {
         }
     }
 
-    /// Parses the CLI spelling.
-    ///
-    /// # Errors
-    ///
-    /// A message listing the accepted spellings.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "thread" => Ok(RuntimeKind::Thread),
-            "async" => Ok(RuntimeKind::Async),
-            other => Err(format!(
-                "unknown runtime '{other}' (expected 'thread' or 'async')"
-            )),
+    /// What marks this engine's runs in [`BenchRun::key`]: nothing for
+    /// the default engine, `@async` for the other.
+    pub fn key_suffix(self) -> &'static str {
+        match self {
+            RuntimeKind::Thread => "",
+            RuntimeKind::Async => "@async",
         }
+    }
+
+    /// Parses [`RuntimeKind::name`]'s spelling.
+    pub fn parse(s: &str) -> Option<Self> {
+        [RuntimeKind::Thread, RuntimeKind::Async]
+            .into_iter()
+            .find(|k| k.name() == s)
+    }
+}
+
+impl Wire for RuntimeKind {
+    fn encode(&self) -> Option<Value> {
+        Some(Value::from(self.name()))
+    }
+    fn decode(v: Option<&Value>) -> Self {
+        v.and_then(Value::as_str)
+            .and_then(RuntimeKind::parse)
+            .unwrap_or_default()
     }
 }
 
@@ -121,9 +135,6 @@ pub struct DriveOptions {
     /// Enable the DAAL tail-row cache (the measured hot-path fix; off
     /// restores the always-scan read path for A/B comparison).
     pub tail_cache: bool,
-    /// Total DAAL tail-cache entry capacity (`None` = the library
-    /// default; small values A/B the eviction behaviour).
-    pub tail_cache_capacity: Option<usize>,
     /// Run timer-triggered per-SSF garbage collectors *concurrently with
     /// the client workers* (online GC, paper §5): background collector
     /// functions fire every [`DriveOptions::gc_period`] of virtual time
@@ -184,9 +195,9 @@ pub struct ChaosOptions {
     /// request-latency tail, not the smoke defaults.
     pub t_max: Duration,
     /// Re-launch killed intents (root retries + IC timers + post-run
-    /// recovery drain). `false` is the sabotage configuration for the
-    /// canary tests: killed workflows stay dead, so the conservation
-    /// gates must fail.
+    /// recovery drain). `false` is the sabotage configuration the
+    /// gates' own tests use: killed workflows stay dead, so the
+    /// conservation gates must fail.
     pub relaunch: bool,
 }
 
@@ -216,7 +227,6 @@ impl Default for DriveOptions {
             clock_rate: 120.0,
             model_latency: true,
             tail_cache: true,
-            tail_cache_capacity: None,
             gc: false,
             gc_period: Duration::from_millis(500),
             gc_t_max: Duration::from_secs(2),
@@ -255,30 +265,9 @@ impl LatencySummary {
             max_us: us(h.max()),
         }
     }
-
-    fn to_value(self) -> Value {
-        vmap! {
-            "p50_us" => self.p50_us as i64,
-            "p90_us" => self.p90_us as i64,
-            "p95_us" => self.p95_us as i64,
-            "p99_us" => self.p99_us as i64,
-            "mean_us" => self.mean_us as i64,
-            "max_us" => self.max_us as i64,
-        }
-    }
-
-    fn from_value(v: &Value) -> Self {
-        let get = |k: &str| v.get_int(k).unwrap_or(0) as u64;
-        LatencySummary {
-            p50_us: get("p50_us"),
-            p90_us: get("p90_us"),
-            p95_us: get("p95_us"),
-            p99_us: get("p99_us"),
-            mean_us: get("mean_us"),
-            max_us: get("max_us"),
-        }
-    }
 }
+
+wire_fields!(LatencySummary: p50_us, p90_us, p95_us, p99_us, mean_us, max_us);
 
 /// One storage-growth observation, taken on virtual time during a run.
 ///
@@ -319,55 +308,10 @@ pub struct StorageSample {
     pub tables: BTreeMap<String, u64>,
 }
 
-impl StorageSample {
-    fn to_value(&self) -> Value {
-        let mut tables = Map::new();
-        for (name, rows) in &self.tables {
-            tables.insert(name.clone(), Value::Int(*rows as i64));
-        }
-        vmap! {
-            "t_us" => self.t_us as i64,
-            "meta_rows" => self.meta_rows as i64,
-            "data_rows" => self.data_rows as i64,
-            "gc_passes" => self.gc_passes as i64,
-            "gc_recycled" => self.gc_recycled as i64,
-            "gc_deleted_log_entries" => self.gc_deleted_log_entries as i64,
-            "gc_deleted_rows" => self.gc_deleted_rows as i64,
-            "gc_corrupt_chains" => self.gc_corrupt_chains as i64,
-            "ic_passes" => self.ic_passes as i64,
-            "ic_restarted" => self.ic_restarted as i64,
-            "ic_corrupt" => self.ic_corrupt as i64,
-            "tables" => Value::Map(tables),
-        }
-    }
-
-    fn from_value(v: &Value) -> Self {
-        let get = |k: &str| v.get_int(k).unwrap_or(0) as u64;
-        let tables = v
-            .get_attr("tables")
-            .and_then(Value::as_map)
-            .map(|m| {
-                m.iter()
-                    .filter_map(|(k, v)| v.as_int().map(|n| (k.clone(), n as u64)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        StorageSample {
-            t_us: get("t_us"),
-            meta_rows: get("meta_rows"),
-            data_rows: get("data_rows"),
-            gc_passes: get("gc_passes"),
-            gc_recycled: get("gc_recycled"),
-            gc_deleted_log_entries: get("gc_deleted_log_entries"),
-            gc_deleted_rows: get("gc_deleted_rows"),
-            gc_corrupt_chains: get("gc_corrupt_chains"),
-            ic_passes: get("ic_passes"),
-            ic_restarted: get("ic_restarted"),
-            ic_corrupt: get("ic_corrupt"),
-            tables,
-        }
-    }
-}
+wire_fields!(StorageSample:
+    t_us, meta_rows, data_rows, gc_passes, gc_recycled, gc_deleted_log_entries, gc_deleted_rows,
+    gc_corrupt_chains, ic_passes, ic_restarted, ic_corrupt, tables
+);
 
 /// The storage-growth record of one run: periodic [`StorageSample`]s
 /// plus end-of-run DAAL statistics. See `DESIGN.md` §10 for how the CI
@@ -383,24 +327,7 @@ pub struct StorageSeries {
     pub max_chain_len: u64,
 }
 
-impl StorageSeries {
-    fn to_value(&self) -> Value {
-        vmap! {
-            "samples" => Value::List(self.samples.iter().map(StorageSample::to_value).collect()),
-            "max_chain_len" => self.max_chain_len as i64,
-        }
-    }
-
-    fn from_value(v: &Value) -> Self {
-        StorageSeries {
-            samples: v
-                .get_list("samples")
-                .map(|l| l.iter().map(StorageSample::from_value).collect())
-                .unwrap_or_default(),
-            max_chain_len: v.get_int("max_chain_len").unwrap_or(0) as u64,
-        }
-    }
-}
+wire_fields!(StorageSeries: samples, max_chain_len);
 
 /// One in-flight observation from an async drive: how many executor
 /// tasks were live at a moment of virtual time.
@@ -432,36 +359,8 @@ pub struct InFlightSeries {
     pub high_water: u64,
 }
 
-impl InFlightSeries {
-    fn to_value(&self) -> Value {
-        let samples = self
-            .samples
-            .iter()
-            .map(|s| vmap! { "t_us" => s.t_us as i64, "live" => s.live as i64 })
-            .collect();
-        vmap! {
-            "samples" => Value::List(samples),
-            "high_water" => self.high_water as i64,
-        }
-    }
-
-    fn from_value(v: &Value) -> Self {
-        InFlightSeries {
-            samples: v
-                .get_list("samples")
-                .map(|l| {
-                    l.iter()
-                        .map(|s| InFlightSample {
-                            t_us: s.get_int("t_us").unwrap_or(0) as u64,
-                            live: s.get_int("live").unwrap_or(0) as u64,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            high_water: v.get_int("high_water").unwrap_or(0) as u64,
-        }
-    }
-}
+wire_fields!(InFlightSample: t_us, live);
+wire_fields!(InFlightSeries: samples, high_water);
 
 /// The recovery record of one chaos drive: what the storm did, how fast
 /// killed workflows came back, and whether the end state matches a
@@ -511,61 +410,11 @@ pub struct RecoverySection {
     pub digest_match: bool,
 }
 
-impl RecoverySection {
-    fn to_value(&self) -> Value {
-        let mut sites = Map::new();
-        for (label, n) in &self.crash_sites {
-            sites.insert(label.clone(), Value::Int(*n as i64));
-        }
-        vmap! {
-            "injected_crashes" => self.injected_crashes as i64,
-            "restarts" => self.restarts as i64,
-            "crash_sites" => Value::Map(sites),
-            "ic_passes" => self.ic_passes as i64,
-            "ic_restarted" => self.ic_restarted as i64,
-            "ic_crashes" => self.ic_crashes as i64,
-            "gc_crashes" => self.gc_crashes as i64,
-            "ic_corrupt" => self.ic_corrupt as i64,
-            "recovered_intents" => self.recovered_intents as i64,
-            "recovery_p50_ms" => self.recovery_p50_ms as i64,
-            "recovery_p90_ms" => self.recovery_p90_ms as i64,
-            "recovery_p99_ms" => self.recovery_p99_ms as i64,
-            "duplicate_effects" => self.duplicate_effects,
-            "oracle_digest" => self.oracle_digest.as_str(),
-            "digest_match" => self.digest_match,
-        }
-    }
-
-    fn from_value(v: &Value) -> Self {
-        let get = |k: &str| v.get_int(k).unwrap_or(0) as u64;
-        let crash_sites = v
-            .get_attr("crash_sites")
-            .and_then(Value::as_map)
-            .map(|m| {
-                m.iter()
-                    .filter_map(|(k, v)| v.as_int().map(|n| (k.clone(), n as u64)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        RecoverySection {
-            injected_crashes: get("injected_crashes"),
-            restarts: get("restarts"),
-            crash_sites,
-            ic_passes: get("ic_passes"),
-            ic_restarted: get("ic_restarted"),
-            ic_crashes: get("ic_crashes"),
-            gc_crashes: get("gc_crashes"),
-            ic_corrupt: get("ic_corrupt"),
-            recovered_intents: get("recovered_intents"),
-            recovery_p50_ms: get("recovery_p50_ms"),
-            recovery_p90_ms: get("recovery_p90_ms"),
-            recovery_p99_ms: get("recovery_p99_ms"),
-            duplicate_effects: v.get_int("duplicate_effects").unwrap_or(0),
-            oracle_digest: v.get_str("oracle_digest").unwrap_or_default().to_owned(),
-            digest_match: v.get_bool("digest_match").unwrap_or(false),
-        }
-    }
-}
+wire_fields!(RecoverySection:
+    injected_crashes, restarts, crash_sites, ic_passes, ic_restarted, ic_crashes, gc_crashes,
+    ic_corrupt, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
+    duplicate_effects, oracle_digest, digest_match
+);
 
 /// The result of one `app × mode × workers` drive.
 #[derive(Debug, Clone, PartialEq)]
@@ -604,9 +453,8 @@ pub struct BenchRun {
     /// Storage-growth series (always recorded; sampled densely when GC
     /// is on, final-only otherwise).
     pub storage: StorageSeries,
-    /// Which engine drove the load. Thread runs serialize *without* a
-    /// `runtime` key so their report JSON stays byte-identical to
-    /// pre-async builds.
+    /// Which engine drove the load (a report without the key reads as
+    /// [`RuntimeKind::Thread`]).
     pub runtime: RuntimeKind,
     /// In-flight task series (`Some` only for async drives).
     pub in_flight: Option<InFlightSeries>,
@@ -614,88 +462,34 @@ pub struct BenchRun {
     pub recovery: Option<RecoverySection>,
 }
 
+wire_fields!(BenchRun:
+    app, mode, workers, partitions, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
+    latency, db, state_digest, effects, gc, storage, runtime, in_flight, recovery
+);
+wire_fields!(MetricsSnapshot:
+    gets, writes, queries, scans, transact_writes, deletes, cond_failures, bytes_read,
+    bytes_written, rows_scanned, lock_waits, partition_ops
+);
+
 impl BenchRun {
     /// The identity CI matches baseline and current runs on. Async runs
     /// get a distinct suffix so the two engines' numbers (which have
     /// different latency semantics — spawn-all queueing vs closed loop)
     /// can never be compared against each other by accident.
     pub fn key(&self) -> String {
-        match self.runtime {
-            RuntimeKind::Thread => format!("{}/{}/w{}", self.app, self.mode, self.workers),
-            RuntimeKind::Async => format!("{}/{}/w{}@async", self.app, self.mode, self.workers),
-        }
+        let engine = self.runtime.key_suffix();
+        format!("{}/{}/w{}{engine}", self.app, self.mode, self.workers)
     }
 
     /// Serializes the run for the JSON report.
     pub fn to_value(&self) -> Value {
-        let mut v = vmap! {
-            "app" => self.app.as_str(),
-            "mode" => self.mode.as_str(),
-            "workers" => self.workers as i64,
-            "partitions" => self.partitions as i64,
-            "ops" => self.ops as i64,
-            "errors" => self.errors as i64,
-            "elapsed_virtual_us" => self.elapsed_virtual_us as i64,
-            "wall_ms" => self.wall_ms as i64,
-            "throughput_rps" => self.throughput_rps,
-            "latency" => self.latency.to_value(),
-            "db" => metrics_to_value(&self.db),
-            "state_digest" => self.state_digest.as_str(),
-            "effects" => self.effects,
-            "gc" => self.gc,
-            "storage" => self.storage.to_value(),
-        };
-        if let Value::Map(m) = &mut v {
-            // Async-only keys: absent from thread runs so the default
-            // engine's report stays byte-identical to pre-async builds.
-            if self.runtime != RuntimeKind::Thread {
-                m.insert("runtime".into(), Value::Str(self.runtime.name().into()));
-            }
-            if let Some(in_flight) = &self.in_flight {
-                m.insert("in_flight".into(), in_flight.to_value());
-            }
-            if let Some(recovery) = &self.recovery {
-                m.insert("recovery".into(), recovery.to_value());
-            }
-        }
-        v
+        self.encode().expect("a record always encodes")
     }
 
     /// Decodes a run from report JSON (tolerant of missing fields, which
     /// decode as zero/empty — the gate validates what it needs).
     pub fn from_value(v: &Value) -> Self {
-        BenchRun {
-            app: v.get_str("app").unwrap_or_default().to_owned(),
-            mode: v.get_str("mode").unwrap_or_default().to_owned(),
-            workers: v.get_int("workers").unwrap_or(0) as usize,
-            partitions: v.get_int("partitions").unwrap_or(0) as usize,
-            ops: v.get_int("ops").unwrap_or(0) as u64,
-            errors: v.get_int("errors").unwrap_or(0) as u64,
-            elapsed_virtual_us: v.get_int("elapsed_virtual_us").unwrap_or(0) as u64,
-            wall_ms: v.get_int("wall_ms").unwrap_or(0) as u64,
-            throughput_rps: v
-                .get_attr("throughput_rps")
-                .and_then(Value::as_float)
-                .unwrap_or(0.0),
-            latency: v
-                .get_attr("latency")
-                .map(LatencySummary::from_value)
-                .unwrap_or_default(),
-            db: v.get_attr("db").map(metrics_from_value).unwrap_or_default(),
-            state_digest: v.get_str("state_digest").unwrap_or_default().to_owned(),
-            effects: v.get_int("effects").unwrap_or(0),
-            gc: v.get_bool("gc").unwrap_or(false),
-            storage: v
-                .get_attr("storage")
-                .map(StorageSeries::from_value)
-                .unwrap_or_default(),
-            runtime: v
-                .get_str("runtime")
-                .and_then(|s| RuntimeKind::parse(s).ok())
-                .unwrap_or_default(),
-            in_flight: v.get_attr("in_flight").map(InFlightSeries::from_value),
-            recovery: v.get_attr("recovery").map(RecoverySection::from_value),
-        }
+        Wire::decode(Some(v))
     }
 }
 
@@ -717,18 +511,14 @@ pub struct BenchReport {
     pub runs: Vec<BenchRun>,
 }
 
+wire_fields!(BenchReport:
+    seed, total_ops, mix = "default".to_owned(), clock_rate, tail_cache = true, runs
+);
+
 impl BenchReport {
     /// Serializes the report (the `BENCH_results.json` document).
     pub fn to_value(&self) -> Value {
-        vmap! {
-            "schema" => BENCH_SCHEMA,
-            "seed" => self.seed as i64,
-            "total_ops" => self.total_ops as i64,
-            "mix" => self.mix.as_str(),
-            "clock_rate" => self.clock_rate,
-            "tail_cache" => self.tail_cache,
-            "runs" => Value::List(self.runs.iter().map(BenchRun::to_value).collect()),
-        }
+        with_key(self, "schema", Value::Int(BENCH_SCHEMA))
     }
 
     /// Pretty JSON text of the report.
@@ -748,23 +538,10 @@ impl BenchReport {
             Some(other) => return Err(format!("unsupported bench schema {other}")),
             None => return Err("not a bench report (no `schema` field)".into()),
         }
-        let runs = v
-            .get_list("runs")
-            .ok_or("bench report has no `runs` list")?
-            .iter()
-            .map(BenchRun::from_value)
-            .collect();
-        Ok(BenchReport {
-            seed: v.get_int("seed").unwrap_or(0) as u64,
-            total_ops: v.get_int("total_ops").unwrap_or(0) as u64,
-            mix: v.get_str("mix").unwrap_or("default").to_owned(),
-            clock_rate: v
-                .get_attr("clock_rate")
-                .and_then(Value::as_float)
-                .unwrap_or(0.0),
-            tail_cache: v.get_bool("tail_cache").unwrap_or(true),
-            runs,
-        })
+        if v.get_list("runs").is_none() {
+            return Err("bench report has no `runs` list".into());
+        }
+        Ok(Wire::decode(Some(v)))
     }
 
     /// Parses report JSON text.
@@ -792,19 +569,34 @@ pub fn ops_for_worker(total: u64, workers: usize, w: usize) -> u64 {
     base + extra
 }
 
-/// Platform shaped like the paper's AWS setup but with an effectively
-/// unbounded invocation timeout: at high clock rates a realistic virtual
-/// timeout is milliseconds of real time, and host scheduling jitter
-/// would abort requests spuriously.
-fn driver_platform(opts: &DriveOptions) -> PlatformConfig {
+/// A platform shaped like the paper's AWS setup: 1,000-concurrent-Lambda
+/// cap (the Figs. 14/15/26 bottleneck), modest cold starts, queueing at
+/// saturation.
+pub fn lambda_like_platform() -> PlatformConfig {
     PlatformConfig {
-        concurrency_limit: opts.platform_concurrency.unwrap_or(1000),
-        invoke_timeout: Duration::from_secs(24 * 3600),
+        concurrency_limit: 1000,
+        invoke_timeout: Duration::from_secs(120),
         cold_start: Duration::from_millis(150),
         warm_start: Duration::from_millis(3),
+        // AWS invocation dispatch is tens of ms; weighting it like the
+        // real platform keeps Beldi's extra database round trips in
+        // paper-like proportion to invocation cost.
         invoke_overhead: Duration::from_millis(10),
         warm_pool_per_fn: 2_000,
         saturation: SaturationPolicy::Queue,
+    }
+}
+
+/// [`lambda_like_platform`] with an effectively unbounded invocation
+/// timeout (at high clock rates a realistic virtual timeout is
+/// milliseconds of real time, and host scheduling jitter would abort
+/// requests spuriously) and, optionally, another concurrency cap.
+pub fn driver_platform(concurrency: Option<usize>) -> PlatformConfig {
+    let aws = lambda_like_platform();
+    PlatformConfig {
+        concurrency_limit: concurrency.unwrap_or(aws.concurrency_limit),
+        invoke_timeout: Duration::from_secs(24 * 3600),
+        ..aws
     }
 }
 
@@ -877,9 +669,8 @@ fn resolve_run_shape(mode: Mode, opts: &DriveOptions) -> (Option<&ChaosOptions>,
 }
 
 /// Builds the environment for one drive — config resolution, app setup,
-/// and the metrics-window reset. Shared verbatim by the thread and async
-/// paths so their runs are equivalent by construction; collector
-/// *launch* is the caller's job (timer threads vs executor tasks).
+/// and the metrics-window reset. Collector *launch* is the engine's job
+/// (timer threads vs executor tasks).
 fn build_bench_env(
     app: &dyn WorkflowApp,
     mode: Mode,
@@ -890,9 +681,6 @@ fn build_bench_env(
     let mut cfg = BeldiConfig::for_mode(mode)
         .with_partitions(opts.partitions)
         .with_tail_cache(opts.tail_cache);
-    if let Some(capacity) = opts.tail_cache_capacity {
-        cfg = cfg.with_tail_cache_capacity(capacity);
-    }
     if gc {
         cfg = cfg
             .with_t_max(opts.gc_t_max)
@@ -912,7 +700,7 @@ fn build_bench_env(
     let mut builder = BeldiEnv::builder(cfg)
         .seed(opts.seed)
         .clock_rate(opts.clock_rate)
-        .platform(driver_platform(opts));
+        .platform(driver_platform(opts.platform_concurrency));
     if opts.model_latency {
         builder = builder.latency(LatencyModel::dynamo());
     }
@@ -923,51 +711,194 @@ fn build_bench_env(
     env
 }
 
-/// Dispatches to [`drive`] or [`drive_async`] by `runtime`.
+/// What both engines need to know about the run they load.
+struct RunShape<'a> {
+    app: &'a dyn WorkflowApp,
+    opts: &'a DriveOptions,
+    env: &'a BeldiEnv,
+    /// Whether garbage collectors run beside the load.
+    gc: bool,
+    /// Whether the intent collector runs beside the load (chaos runs,
+    /// except with `relaunch: false`, which keeps the IC off so killed
+    /// workflows stay dead and the conservation gates have something to
+    /// catch).
+    ic: bool,
+    /// Chaos runs pin every workflow root to a deterministic instance id
+    /// (`storm-w{w}-op{i}`): combined with log-key-derived callee ids this
+    /// makes the whole execution tree's ids — and therefore the storm's
+    /// kill schedule — a pure function of the seed. The budget re-drives
+    /// a killed root with the *same* id (exactly-once), or is 1 with
+    /// `relaunch: false`. `None` outside chaos runs.
+    root_attempts: Option<usize>,
+}
+
+/// What an engine's load loop hands back to the shared finish.
+struct Load {
+    /// Virtual time from the first request's issue to the last reply.
+    elapsed: Duration,
+    errors: u64,
+    hist: Histogram,
+    /// Storage observations taken while the load ran.
+    storage_samples: Vec<StorageSample>,
+    in_flight: Option<InFlightSeries>,
+}
+
+/// Runs one drive of `app` in `mode` on the given engine: the shared
+/// set-up, the engine's load loop, the shared finish. See the module
+/// docs, and [`thread_load`] / [`async_load`] for what the engines do.
 pub fn drive_on(
     runtime: RuntimeKind,
     app: &dyn WorkflowApp,
     mode: Mode,
     opts: &DriveOptions,
 ) -> BenchRun {
-    match runtime {
-        RuntimeKind::Thread => drive(app, mode, opts),
-        RuntimeKind::Async => drive_async(app, mode, opts),
-    }
-}
-
-/// Runs one closed-loop drive of `app` in `mode`. See the module docs.
-pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
     assert!(opts.workers > 0, "need at least one worker");
     let (chaos, gc) = resolve_run_shape(mode, opts);
     let env = build_bench_env(app, mode, opts, chaos, gc);
-    if gc {
-        // Online collectors on virtual-time timers, racing the client
-        // workers below: GC alone for plain online-GC runs, IC + GC for
-        // chaos runs — except the canary configuration (`relaunch:
-        // false`), which keeps the IC off so killed workflows stay dead
-        // and the conservation gates have something to catch.
-        match chaos {
-            Some(c) if c.relaunch => env.start_collectors(),
-            _ => env.start_gc(),
-        }
-    }
+    let faults = env.platform().faults();
     if let Some(c) = chaos {
-        // The storm races everything above. Crash panics are simulated
-        // failures, not bugs — keep them out of the test output.
+        // The storm races the load and the collectors. Crash panics are
+        // simulated failures, not bugs — keep them out of the test output.
         beldi_simfaas::silence_crash_backtraces();
-        env.platform().faults().set_storm_policy(Some(StormPolicy {
+        faults.set_storm_policy(Some(StormPolicy {
             ssf_prob: c.ssf_kill_prob,
             collector_prob: c.collector_kill_prob,
             max_crashes: c.max_crashes,
             seed: opts.seed,
         }));
     }
+    let shape = RunShape {
+        app,
+        opts,
+        env: &env,
+        gc,
+        ic: chaos.is_some_and(|c| c.relaunch),
+        root_attempts: chaos.map(|c| if c.relaunch { MAX_ROOT_ATTEMPTS } else { 1 }),
+    };
 
-    let clock = env.clock().clone();
     // beldi-lint: allow(determinism/wall-clock, wall-clock runtime is operator
     // reporting only and never enters the simulated timeline or logged state)
     let wall_start = std::time::Instant::now();
+    let load = match runtime {
+        RuntimeKind::Thread => thread_load(&shape),
+        RuntimeKind::Async => async_load(&shape),
+    };
+
+    if let Some(c) = chaos {
+        // Storm over. Drain: re-drive every interrupted intent to
+        // completion on virtual time so the end state is quiescent and
+        // comparable to the oracle's — unless killed workflows are meant
+        // to stay dead.
+        faults.set_storm_policy(None);
+        if c.relaunch {
+            env.drain_recovery(50)
+                .expect("recovery drain must not fail");
+        }
+    }
+    let db = env.db_metrics();
+    // The steady-state endpoint: one final sample after the last request
+    // (and collector stop / recovery drain), then the end-of-run DAAL
+    // depth statistic.
+    let mut storage = StorageSeries {
+        samples: load.storage_samples,
+        max_chain_len: max_chain_len(&env, mode),
+    };
+    storage
+        .samples
+        .push(storage_sample(&env, load.elapsed.as_micros() as u64));
+    let digest = state_digest(app, &env);
+    let effects = app.effect_count(&env);
+
+    // Conservation check: re-drive the same request stream crash-free on
+    // the thread engine and compare final-state digests and effect
+    // counts. The apps' fingerprints are interleaving-invariant, so under
+    // exactly-once semantics the digests must be bit-identical no matter
+    // what the storm killed — and, for an async run, the same equality is
+    // the sync-vs-async equivalence claim.
+    let recovery = chaos.map(|_| {
+        let mut samples_ms = env.recovery_samples_ms();
+        samples_ms.sort_unstable();
+        let pct = |q: f64| -> u64 {
+            match samples_ms.len() {
+                0 => 0,
+                n => samples_ms[(((n - 1) as f64) * q).round() as usize],
+            }
+        };
+        let ic = env.ic_totals();
+        let oracle_opts = DriveOptions {
+            chaos: None,
+            ..opts.clone()
+        };
+        let oracle = drive(app, mode, &oracle_opts);
+        RecoverySection {
+            injected_crashes: faults.injected_count(),
+            restarts: faults.restart_count(),
+            crash_sites: faults.crash_sites(),
+            ic_passes: ic.passes,
+            ic_restarted: ic.report.restarted as u64,
+            ic_crashes: ic.crashes,
+            gc_crashes: env.gc_totals().crashes,
+            ic_corrupt: env.ic_corrupt_total(),
+            recovered_intents: samples_ms.len() as u64,
+            recovery_p50_ms: pct(0.50),
+            recovery_p90_ms: pct(0.90),
+            recovery_p99_ms: pct(0.99),
+            duplicate_effects: (effects - oracle.effects).max(0),
+            digest_match: digest == oracle.state_digest,
+            oracle_digest: oracle.state_digest,
+        }
+    });
+
+    BenchRun {
+        app: app.kind().to_owned(),
+        mode: mode.name().to_owned(),
+        workers: opts.workers,
+        partitions: opts.partitions,
+        ops: opts.total_ops,
+        errors: load.errors,
+        elapsed_virtual_us: load.elapsed.as_micros() as u64,
+        wall_ms: wall_start.elapsed().as_millis() as u64,
+        throughput_rps: opts.total_ops as f64 / load.elapsed.as_secs_f64().max(1e-9),
+        latency: LatencySummary::from_histogram(&load.hist),
+        db,
+        state_digest: digest,
+        effects,
+        gc,
+        storage,
+        runtime,
+        in_flight: load.in_flight,
+        recovery,
+    }
+}
+
+/// [`drive_on`] the thread engine: the closed loop of the module docs.
+pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
+    drive_on(RuntimeKind::Thread, app, mode, opts)
+}
+
+/// [`drive_on`] the cooperative executor ([`RuntimeKind::Async`]).
+///
+/// Latency semantics differ from the closed loop: each sample includes
+/// queueing behind the concurrency cap, not just service time. Async
+/// runs therefore carry a distinct [`BenchRun::key`] suffix and are
+/// never gated against thread baselines — the cross-engine contract is
+/// digest equality, not latency equality.
+pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
+    drive_on(RuntimeKind::Async, app, mode, opts)
+}
+
+/// The thread engine: one OS thread per client worker, each issuing its
+/// next request the moment the previous one completes, with the
+/// collectors on virtual-time timer threads racing them.
+fn thread_load(shape: &RunShape<'_>) -> Load {
+    let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
+    if gc {
+        match shape.ic {
+            true => env.start_collectors(),
+            false => env.start_gc(),
+        }
+    }
+    let clock = env.clock().clone();
     let start = clock.now();
     let errors = AtomicU64::new(0);
     let hist = Mutex::new(Histogram::new());
@@ -986,18 +917,10 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
     }
     std::thread::scope(|s| {
         for w in 0..opts.workers {
-            let env = &env;
             let clock = &clock;
             let errors = &errors;
             let hist = &hist;
             let live_workers = &live_workers;
-            // Chaos runs pin every workflow root to a deterministic
-            // instance id: combined with log-key-derived callee ids this
-            // makes the whole execution tree's ids — and therefore the
-            // storm's kill schedule — a pure function of the seed. The
-            // retry budget re-drives a killed root with the *same* id
-            // (exactly-once), or is 1 in the canary configuration.
-            let root_attempts = chaos.map(|c| if c.relaunch { 50 } else { 1 });
             s.spawn(move || {
                 let _exit = WorkerExit(live_workers);
                 let mut rng = worker_rng(opts.seed, w);
@@ -1005,7 +928,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
                 for i in 0..ops_for_worker(opts.total_ops, opts.workers, w) {
                     let request = app.gen_load_request(&mut rng);
                     let t0 = clock.now();
-                    let result = match root_attempts {
+                    let result = match shape.root_attempts {
                         Some(n) => {
                             env.invoke_attempts(entry, &format!("storm-w{w}-op{i}"), request, n)
                         }
@@ -1021,9 +944,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         }
         if gc {
             // Storage sampler: one observation every two GC periods while
-            // any worker is still issuing requests (the final post-run
-            // sample is taken outside the scope).
-            let env = &env;
+            // any worker is still issuing requests.
             let clock = &clock;
             let samples = &samples;
             let live_workers = &live_workers;
@@ -1039,151 +960,41 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
     });
     let elapsed = clock.now().since(start);
     env.stop_collectors();
-    if let Some(c) = chaos {
-        // Storm over. Drain: re-drive every interrupted intent to
-        // completion on virtual time so the end state is quiescent and
-        // comparable to the oracle's — except in the canary
-        // configuration, where killed workflows deliberately stay dead.
-        env.platform().faults().set_storm_policy(None);
-        if c.relaunch {
-            env.drain_recovery(50)
-                .expect("recovery drain must not fail");
-        }
-    }
-    let db = env.db_metrics();
-    let hist = hist.into_inner();
-    let fingerprint = app.bench_fingerprint(&env);
-    let mut storage = StorageSeries {
-        samples: samples.into_inner(),
-        max_chain_len: 0,
-    };
-    // The steady-state endpoint: one final sample after the last request
-    // (and collector stop / recovery drain), then the end-of-run DAAL
-    // depth statistic.
-    storage
-        .samples
-        .push(storage_sample(&env, elapsed.as_micros() as u64));
-    storage.max_chain_len = max_chain_len(&env, mode);
-    let state_digest = format!("{:016x}", value_digest(&fingerprint));
-    let effects = app.effect_count(&env);
-
-    // Conservation check: re-drive the same request stream crash-free
-    // and compare final-state digests and effect counts. The apps'
-    // fingerprints are interleaving-invariant, so under exactly-once
-    // semantics the digests must be bit-identical no matter what the
-    // storm killed.
-    let recovery = chaos.map(|_| {
-        let faults = env.platform().faults();
-        let mut recovery_samples = env.recovery_samples_ms();
-        recovery_samples.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            match recovery_samples.len() {
-                0 => 0,
-                n => recovery_samples[(((n - 1) as f64) * q).round() as usize],
-            }
-        };
-        let ic = env.ic_totals();
-        let oracle_opts = DriveOptions {
-            chaos: None,
-            ..opts.clone()
-        };
-        let oracle = drive(app, mode, &oracle_opts);
-        RecoverySection {
-            injected_crashes: faults.injected_count(),
-            restarts: faults.restart_count(),
-            crash_sites: faults.crash_sites(),
-            ic_passes: ic.passes,
-            ic_restarted: ic.report.restarted as u64,
-            ic_crashes: ic.crashes,
-            gc_crashes: env.gc_totals().crashes,
-            ic_corrupt: env.ic_corrupt_total(),
-            recovered_intents: recovery_samples.len() as u64,
-            recovery_p50_ms: pct(0.50),
-            recovery_p90_ms: pct(0.90),
-            recovery_p99_ms: pct(0.99),
-            duplicate_effects: (effects - oracle.effects).max(0),
-            oracle_digest: oracle.state_digest.clone(),
-            digest_match: state_digest == oracle.state_digest,
-        }
-    });
-
-    BenchRun {
-        app: app.kind().to_owned(),
-        mode: mode_name(mode).to_owned(),
-        workers: opts.workers,
-        partitions: opts.partitions,
-        ops: opts.total_ops,
+    Load {
+        elapsed,
         errors: errors.into_inner(),
-        elapsed_virtual_us: elapsed.as_micros() as u64,
-        wall_ms: wall_start.elapsed().as_millis() as u64,
-        throughput_rps: opts.total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency: LatencySummary::from_histogram(&hist),
-        db,
-        state_digest,
-        effects,
-        gc,
-        storage,
-        runtime: RuntimeKind::Thread,
+        hist: hist.into_inner(),
+        storage_samples: samples.into_inner(),
         in_flight: None,
-        recovery,
     }
 }
 
-/// Runs one drive of `app` in `mode` on a cooperative executor
-/// ([`RuntimeKind::Async`]).
-///
-/// Same request multiset as [`drive`] — every worker's stream is drawn
-/// from the same [`worker_rng`] in the same order — but *all* requests
-/// are spawned up front as executor tasks awaiting
-/// [`BeldiEnv::invoke_task`], so the whole load is in flight at once:
-/// requests past the platform's concurrency cap park on wakers instead
-/// of holding OS threads, which is what lets one process carry ≥10k
-/// concurrent workflows. GC/IC collectors run as executor tasks
+/// The async engine: same request multiset as [`thread_load`] — every
+/// worker's stream is drawn from the same [`worker_rng`] in the same
+/// order — but *all* requests are spawned up front as executor tasks
+/// awaiting [`BeldiEnv::invoke_task`], so the whole load is in flight at
+/// once: requests past the platform's concurrency cap park on wakers
+/// instead of holding OS threads, which is what lets one process carry
+/// ≥10k concurrent workflows. GC/IC collectors run as executor tasks
 /// ([`BeldiEnv::spawn_collectors_on`]) rather than timer threads; the
 /// chaos storm works unchanged (kill decisions hash instance ids, which
-/// use the same `storm-w{w}-op{i}` scheme as the thread path's chaos
+/// use the same `storm-w{w}-op{i}` scheme as the thread engine's chaos
 /// mode).
-///
-/// Latency semantics differ from the closed loop: each sample includes
-/// queueing behind the concurrency cap, not just service time. Async
-/// runs therefore carry a distinct [`BenchRun::key`] suffix and are
-/// never gated against thread baselines — the cross-engine contract is
-/// digest equality, not latency equality.
-pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
-    assert!(opts.workers > 0, "need at least one worker");
-    let (chaos, gc) = resolve_run_shape(mode, opts);
-    let env = build_bench_env(app, mode, opts, chaos, gc);
+fn async_load(shape: &RunShape<'_>) -> Load {
+    let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
     let rt = beldi_runtime::Executor::new(env.clock().clone(), opts.seed);
     let handle = rt.handle();
     if gc {
-        // Same collector selection as the thread path: GC alone for
-        // plain online-GC runs, IC + GC for chaos runs, IC off in the
-        // canary configuration so killed workflows stay dead.
-        let ic = matches!(chaos, Some(c) if c.relaunch);
-        env.spawn_collectors_on(&handle, ic, true);
+        env.spawn_collectors_on(&handle, shape.ic, true);
     }
-    if let Some(c) = chaos {
-        beldi_simfaas::silence_crash_backtraces();
-        env.platform().faults().set_storm_policy(Some(StormPolicy {
-            ssf_prob: c.ssf_kill_prob,
-            collector_prob: c.collector_kill_prob,
-            max_crashes: c.max_crashes,
-            seed: opts.seed,
-        }));
-    }
-
     let clock = env.clock().clone();
-    // beldi-lint: allow(determinism/wall-clock, wall-clock runtime is operator
-    // reporting only and never enters the simulated timeline or logged state)
-    let wall_start = std::time::Instant::now();
     let start = clock.now();
     let errors = Arc::new(AtomicU64::new(0));
     let hist = Arc::new(Mutex::new(Histogram::new()));
     let entry = app.entry_point();
-    // Root retries mirror the thread path: chaos re-drives killed roots
-    // under the same instance id (or never, in the canary config); a
-    // crash-free run takes one attempt, exactly like `BeldiEnv::invoke`.
-    let root_attempts = chaos.map_or(1, |c| if c.relaunch { 50 } else { 1 });
+    // A crash-free run takes one attempt, exactly like a thread worker's
+    // `BeldiEnv::invoke` when nothing fails.
+    let root_attempts = shape.root_attempts.unwrap_or(1);
     // Admission gate: roots must never saturate the platform's worker
     // pool, because every admitted root issues *nested* SSF calls that
     // need permits of their own — hand all the permits to parked roots
@@ -1193,7 +1004,7 @@ pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> Be
     // on semaphore wakers, which is exactly the cheap in-flight
     // representation under test.
     let admission = Arc::new(beldi_runtime::Semaphore::new(
-        (opts.platform_concurrency.unwrap_or(1000) / 4).max(1),
+        (env.platform().config().concurrency_limit / 4).max(1),
     ));
     let mut tasks = Vec::with_capacity(opts.total_ops as usize);
     for w in 0..opts.workers {
@@ -1222,30 +1033,28 @@ pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> Be
 
     // Observational sampler on a plain thread (in-flight decay curve,
     // plus storage growth when collectors run) — excluded from the
-    // determinism contract like the thread path's sampler.
+    // determinism contract like the thread engine's sampler.
     let sampler_stop = Arc::new(AtomicBool::new(false));
-    let in_flight_samples = Arc::new(Mutex::new(Vec::new()));
-    let storage_samples = Arc::new(Mutex::new(Vec::new()));
     let sampler = {
         let stop = Arc::clone(&sampler_stop);
-        let in_flight_samples = Arc::clone(&in_flight_samples);
-        let storage_samples = Arc::clone(&storage_samples);
         let clock = clock.clone();
         let handle = handle.clone();
         let env = env.clone();
         let period = opts.gc_period.max(Duration::from_millis(1)) * 2;
         std::thread::spawn(move || {
+            let (mut in_flight, mut storage) = (Vec::new(), Vec::new());
             while !stop.load(Ordering::Relaxed) {
                 clock.sleep(period);
                 let elapsed = clock.now().since(start).as_micros() as u64;
-                in_flight_samples.lock().push(InFlightSample {
+                in_flight.push(InFlightSample {
                     t_us: elapsed,
                     live: handle.live_tasks() as u64,
                 });
                 if gc {
-                    storage_samples.lock().push(storage_sample(&env, elapsed));
+                    storage.push(storage_sample(&env, elapsed));
                 }
             }
+            (in_flight, storage)
         })
     };
 
@@ -1262,97 +1071,18 @@ pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> Be
     // Collector tasks observe the stop flags at their next tick; drain
     // them so the executor is empty before the recovery phase.
     rt.run();
-    sampler.join().expect("sampler thread must not panic");
-    if let Some(c) = chaos {
-        env.platform().faults().set_storm_policy(None);
-        if c.relaunch {
-            env.drain_recovery(50)
-                .expect("recovery drain must not fail");
-        }
-    }
-
-    let db = env.db_metrics();
-    let hist = Arc::try_unwrap(hist)
-        .expect("all histogram holders done")
-        .into_inner();
-    let fingerprint = app.bench_fingerprint(&env);
-    let mut storage = StorageSeries {
-        samples: std::mem::take(&mut *storage_samples.lock()),
-        max_chain_len: 0,
-    };
-    storage
-        .samples
-        .push(storage_sample(&env, elapsed.as_micros() as u64));
-    storage.max_chain_len = max_chain_len(&env, mode);
-    let mut in_flight = InFlightSeries {
-        samples: std::mem::take(&mut *in_flight_samples.lock()),
-        high_water: spawned_live,
-    };
-    in_flight.high_water = in_flight
-        .samples
-        .iter()
-        .map(|s| s.live)
-        .fold(in_flight.high_water, u64::max);
-    let state_digest = format!("{:016x}", value_digest(&fingerprint));
-    let effects = app.effect_count(&env);
-
-    // Conservation check against a crash-free *thread* drive of the same
-    // request stream: digest equality here is simultaneously the
-    // exactly-once claim and the sync-vs-async equivalence claim.
-    let recovery = chaos.map(|_| {
-        let faults = env.platform().faults();
-        let mut recovery_samples = env.recovery_samples_ms();
-        recovery_samples.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            match recovery_samples.len() {
-                0 => 0,
-                n => recovery_samples[(((n - 1) as f64) * q).round() as usize],
-            }
-        };
-        let ic = env.ic_totals();
-        let oracle_opts = DriveOptions {
-            chaos: None,
-            ..opts.clone()
-        };
-        let oracle = drive(app, mode, &oracle_opts);
-        RecoverySection {
-            injected_crashes: faults.injected_count(),
-            restarts: faults.restart_count(),
-            crash_sites: faults.crash_sites(),
-            ic_passes: ic.passes,
-            ic_restarted: ic.report.restarted as u64,
-            ic_crashes: ic.crashes,
-            gc_crashes: env.gc_totals().crashes,
-            ic_corrupt: env.ic_corrupt_total(),
-            recovered_intents: recovery_samples.len() as u64,
-            recovery_p50_ms: pct(0.50),
-            recovery_p90_ms: pct(0.90),
-            recovery_p99_ms: pct(0.99),
-            duplicate_effects: (effects - oracle.effects).max(0),
-            oracle_digest: oracle.state_digest.clone(),
-            digest_match: state_digest == oracle.state_digest,
-        }
-    });
-
-    BenchRun {
-        app: app.kind().to_owned(),
-        mode: mode_name(mode).to_owned(),
-        workers: opts.workers,
-        partitions: opts.partitions,
-        ops: opts.total_ops,
+    let (samples, storage_samples) = sampler.join().expect("sampler thread must not panic");
+    let high_water = samples.iter().map(|s| s.live).fold(spawned_live, u64::max);
+    let hist = Arc::try_unwrap(hist).expect("all histogram holders done");
+    Load {
+        elapsed,
         errors: errors.load(Ordering::Relaxed),
-        elapsed_virtual_us: elapsed.as_micros() as u64,
-        wall_ms: wall_start.elapsed().as_millis() as u64,
-        throughput_rps: opts.total_ops as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency: LatencySummary::from_histogram(&hist),
-        db,
-        state_digest,
-        effects,
-        gc,
-        storage,
-        runtime: RuntimeKind::Async,
-        in_flight: Some(in_flight),
-        recovery,
+        hist: hist.into_inner(),
+        storage_samples,
+        in_flight: Some(InFlightSeries {
+            samples,
+            high_water,
+        }),
     }
 }
 
@@ -1362,62 +1092,22 @@ pub fn value_digest(v: &Value) -> u64 {
     beldi::value::Fnv1a::digest(v)
 }
 
-/// Serializes a [`MetricsSnapshot`] for the report.
-fn metrics_to_value(m: &MetricsSnapshot) -> Value {
-    vmap! {
-        "gets" => m.gets as i64,
-        "writes" => m.writes as i64,
-        "queries" => m.queries as i64,
-        "scans" => m.scans as i64,
-        "transact_writes" => m.transact_writes as i64,
-        "deletes" => m.deletes as i64,
-        "cond_failures" => m.cond_failures as i64,
-        "bytes_read" => m.bytes_read as i64,
-        "bytes_written" => m.bytes_written as i64,
-        "rows_scanned" => m.rows_scanned as i64,
-        "lock_waits" => m.lock_waits as i64,
-        "partition_ops" => Value::List(
-            m.partition_ops.iter().map(|&n| Value::Int(n as i64)).collect()
-        ),
-    }
-}
-
-/// Decodes a [`MetricsSnapshot`] from the report.
-fn metrics_from_value(v: &Value) -> MetricsSnapshot {
-    let get = |k: &str| v.get_int(k).unwrap_or(0) as u64;
-    MetricsSnapshot {
-        gets: get("gets"),
-        writes: get("writes"),
-        queries: get("queries"),
-        scans: get("scans"),
-        transact_writes: get("transact_writes"),
-        deletes: get("deletes"),
-        cond_failures: get("cond_failures"),
-        bytes_read: get("bytes_read"),
-        bytes_written: get("bytes_written"),
-        rows_scanned: get("rows_scanned"),
-        lock_waits: get("lock_waits"),
-        partition_ops: v
-            .get_list("partition_ops")
-            .map(|l| {
-                l.iter()
-                    .filter_map(Value::as_int)
-                    .map(|i| i as u64)
-                    .collect()
-            })
-            .unwrap_or_default(),
-    }
+/// The hex digest of `app`'s interleaving-invariant final-state
+/// fingerprint in `env` ([`BenchRun::state_digest`]).
+pub fn state_digest(app: &dyn WorkflowApp, env: &BeldiEnv) -> String {
+    format!("{:016x}", value_digest(&app.bench_fingerprint(env)))
 }
 
 /// A tiny helper used by report consumers: `Map` of run key → run, for
 /// joining baseline and current reports.
-pub fn runs_by_key(report: &BenchReport) -> std::collections::BTreeMap<String, &BenchRun> {
+pub fn runs_by_key(report: &BenchReport) -> BTreeMap<String, &BenchRun> {
     report.runs.iter().map(|r| (r.key(), r)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beldi::value::vmap;
 
     #[test]
     fn ops_split_covers_total_exactly() {
@@ -1538,51 +1228,231 @@ mod tests {
                 digest_match: true,
             }),
         };
+        // One of each shape a report can hold: a plain thread run, an
+        // async run with its in-flight series, a chaos run with its
+        // recovery section.
+        let thread = BenchRun {
+            runtime: RuntimeKind::Thread,
+            in_flight: None,
+            recovery: None,
+            ..run.clone()
+        };
+        let chaos = BenchRun {
+            in_flight: None,
+            ..thread.clone()
+        };
+        let chaos = BenchRun {
+            recovery: run.recovery.clone(),
+            ..chaos
+        };
+        let asynchronous = BenchRun {
+            recovery: None,
+            ..run
+        };
         let report = BenchReport {
             seed: 42,
             total_ops: 100,
             mix: "default".into(),
             clock_rate: 40.0,
             tail_cache: true,
-            runs: vec![run],
+            runs: vec![thread, asynchronous, chaos],
         };
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
-        assert_eq!(parsed.runs[0].key(), "media/beldi/w4@async");
+        let keys: Vec<String> = parsed.runs.iter().map(BenchRun::key).collect();
+        assert_eq!(
+            keys,
+            ["media/beldi/w4", "media/beldi/w4@async", "media/beldi/w4"]
+        );
+    }
+
+    fn keys_of(v: &Value) -> Vec<&str> {
+        v.as_map().unwrap().keys().map(String::as_str).collect()
+    }
+
+    /// The wire names are the Rust field names; this pins them, so
+    /// renaming a field cannot silently change the report schema.
+    #[test]
+    fn report_keys_are_pinned() {
+        let run = BenchRun {
+            in_flight: Some(InFlightSeries {
+                samples: vec![InFlightSample::default()],
+                high_water: 1,
+            }),
+            recovery: Some(Wire::decode(None)),
+            storage: StorageSeries {
+                samples: vec![StorageSample::default()],
+                max_chain_len: 0,
+            },
+            ..Wire::decode(None)
+        };
+        let report = BenchReport {
+            runs: vec![run],
+            ..Wire::decode(None)
+        };
+        let v = report.to_value();
+        assert_eq!(
+            keys_of(&v),
+            [
+                "clock_rate",
+                "mix",
+                "runs",
+                "schema",
+                "seed",
+                "tail_cache",
+                "total_ops"
+            ]
+        );
+        let run = &v.get_list("runs").unwrap()[0];
+        assert_eq!(
+            keys_of(run),
+            [
+                "app",
+                "db",
+                "effects",
+                "elapsed_virtual_us",
+                "errors",
+                "gc",
+                "in_flight",
+                "latency",
+                "mode",
+                "ops",
+                "partitions",
+                "recovery",
+                "runtime",
+                "state_digest",
+                "storage",
+                "throughput_rps",
+                "wall_ms",
+                "workers",
+            ]
+        );
+        assert_eq!(
+            keys_of(run.get_attr("latency").unwrap()),
+            ["max_us", "mean_us", "p50_us", "p90_us", "p95_us", "p99_us"]
+        );
+        assert_eq!(
+            keys_of(run.get_attr("db").unwrap()),
+            [
+                "bytes_read",
+                "bytes_written",
+                "cond_failures",
+                "deletes",
+                "gets",
+                "lock_waits",
+                "partition_ops",
+                "queries",
+                "rows_scanned",
+                "scans",
+                "transact_writes",
+                "writes",
+            ]
+        );
+        let storage = run.get_attr("storage").unwrap();
+        assert_eq!(keys_of(storage), ["max_chain_len", "samples"]);
+        assert_eq!(
+            keys_of(&storage.get_list("samples").unwrap()[0]),
+            [
+                "data_rows",
+                "gc_corrupt_chains",
+                "gc_deleted_log_entries",
+                "gc_deleted_rows",
+                "gc_passes",
+                "gc_recycled",
+                "ic_corrupt",
+                "ic_passes",
+                "ic_restarted",
+                "meta_rows",
+                "t_us",
+                "tables",
+            ]
+        );
+        let in_flight = run.get_attr("in_flight").unwrap();
+        assert_eq!(keys_of(in_flight), ["high_water", "samples"]);
+        assert_eq!(
+            keys_of(&in_flight.get_list("samples").unwrap()[0]),
+            ["live", "t_us"]
+        );
+        assert_eq!(
+            keys_of(run.get_attr("recovery").unwrap()),
+            [
+                "crash_sites",
+                "digest_match",
+                "duplicate_effects",
+                "gc_crashes",
+                "ic_corrupt",
+                "ic_crashes",
+                "ic_passes",
+                "ic_restarted",
+                "injected_crashes",
+                "oracle_digest",
+                "recovered_intents",
+                "recovery_p50_ms",
+                "recovery_p90_ms",
+                "recovery_p99_ms",
+                "restarts",
+            ]
+        );
+    }
+
+    /// Everything `old` says, `new` says too (maps may have gained keys).
+    fn assert_kept(old: &Value, new: &Value, path: &str) {
+        match (old, new) {
+            (Value::Map(old), Value::Map(new)) => {
+                for (k, v) in old {
+                    let kept = new
+                        .get(k)
+                        .unwrap_or_else(|| panic!("{path}.{k} was dropped"));
+                    assert_kept(v, kept, &format!("{path}.{k}"));
+                }
+            }
+            (Value::List(old), Value::List(new)) => {
+                assert_eq!(old.len(), new.len(), "{path}");
+                for (i, (o, n)) in old.iter().zip(new).enumerate() {
+                    assert_kept(o, n, &format!("{path}[{i}]"));
+                }
+            }
+            _ => assert_eq!(old, new, "{path}"),
+        }
+    }
+
+    /// The committed baseline was written before `runtime` (and the
+    /// samples' `ic_*` counters) existed: it must keep parsing, as thread
+    /// runs, and writing it back must keep every value it holds.
+    #[test]
+    fn committed_baseline_decodes_and_reencodes_to_itself() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let committed = beldi::value::json::from_json(text).unwrap();
+        let report = BenchReport::from_value(&committed).unwrap();
+        assert!(!report.runs.is_empty());
+        for run in &report.runs {
+            assert_eq!(run.runtime, RuntimeKind::Thread, "{}", run.key());
+            assert_eq!(run.to_value().get_str("runtime"), Some("thread"));
+        }
+        assert_kept(&committed, &report.to_value(), "baseline");
     }
 
     #[test]
     fn thread_runs_serialize_without_async_keys() {
-        // The byte-identity contract for the default engine: a thread
-        // run's JSON must not even mention the async-only fields.
+        // A thread run's JSON names its engine and carries none of the
+        // async-only or chaos-only sections.
         let run = BenchRun {
             app: "media".into(),
             mode: "beldi".into(),
             workers: 2,
-            partitions: 4,
-            ops: 10,
-            errors: 0,
-            elapsed_virtual_us: 1,
-            wall_ms: 1,
-            throughput_rps: 1.0,
-            latency: LatencySummary::default(),
-            db: MetricsSnapshot::default(),
-            state_digest: "0".into(),
-            effects: 0,
-            gc: false,
-            storage: StorageSeries::default(),
-            runtime: RuntimeKind::Thread,
-            in_flight: None,
-            recovery: None,
+            ..Wire::decode(None)
         };
         let json = beldi::value::json::to_json_pretty(&run.to_value());
-        assert!(!json.contains("runtime"));
+        assert!(json.contains("\"runtime\": \"thread\""), "{json}");
         assert!(!json.contains("in_flight"));
+        assert!(!json.contains("recovery"));
         assert_eq!(run.key(), "media/beldi/w2");
-        // And it decodes back to the thread engine by default.
-        let parsed = BenchRun::from_value(&beldi::value::json::from_json(&json).unwrap());
+        // A report written without the key decodes to the thread engine.
+        let mut value = run.to_value();
+        value.as_map_mut().unwrap().remove("runtime");
+        let parsed = BenchRun::from_value(&value);
         assert_eq!(parsed.runtime, RuntimeKind::Thread);
-        assert_eq!(parsed.in_flight, None);
+        assert_eq!(parsed, run);
     }
 
     #[test]

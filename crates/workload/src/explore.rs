@@ -67,10 +67,6 @@ pub struct ExploreOptions {
     /// traffic is live — the online-GC regime — and verifies the final
     /// state against the (equally GC-interleaved) crash-free oracle.
     pub gc_interleave: bool,
-    /// Enable the deliberate exactly-once bug
-    /// ([`BeldiConfig::canary_skip_read_guard`]); the sweep is then
-    /// expected to *report* violations.
-    pub canary: bool,
 }
 
 impl Default for ExploreOptions {
@@ -83,7 +79,6 @@ impl Default for ExploreOptions {
             depth2_samples: 0,
             gc_check: false,
             gc_interleave: false,
-            canary: false,
         }
     }
 }
@@ -175,30 +170,6 @@ impl ExploreReport {
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// One summary line (greppable).
-    pub fn summary(&self) -> String {
-        format!(
-            "app={} mode={} seed={} points={} schedules={} crashes={} effects={} violations={}",
-            self.app,
-            mode_name(self.mode),
-            self.seed,
-            self.crash_points,
-            self.schedules,
-            self.crashes_injected,
-            self.oracle_effects,
-            self.violations.len()
-        )
-    }
-}
-
-/// Short name of a mode (CLI flag spelling).
-pub fn mode_name(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Beldi => "beldi",
-        Mode::CrossTable => "cross-table",
-        Mode::Baseline => "baseline",
-    }
 }
 
 /// A two-SSF synthetic pipeline exercising every primitive — read, write,
@@ -207,27 +178,39 @@ pub fn mode_name(mode: Mode) -> &'static str {
 ///
 /// This is the explorer's reference workload and the **canary's**
 /// sensitizer: its conditional write computes from an earlier read
-/// (`gate = count + 1`), so a crash landing between the read and the
-/// not-yet-applied gate write forces the re-execution to recompute the
-/// write's value from its replayed read. With the canary sabotage
-/// ([`BeldiConfig::canary_skip_read_guard`]) that replay re-reads fresh
-/// state and the gate diverges — the detection the self-test asserts.
-/// Workloads whose writes don't depend on earlier reads (pure stores,
-/// self-correcting list appends) cannot expose a read-replay bug, which
-/// is exactly why the canary runs here.
+/// (`gate = count + 1`), so a crash landing between the count write and
+/// the not-yet-applied gate write forces the re-execution to recompute
+/// the gate's value from its replayed read. In the sabotaged variant
+/// ([`PipelineApp::sabotaged`]) that read bypasses the log, so the
+/// replay sees fresh state and the gate diverges — the detection the
+/// self-test asserts. Workloads whose writes don't depend on earlier
+/// reads (pure stores, self-correcting list appends) cannot expose a
+/// read-replay bug, which is exactly why the canary runs here.
 pub struct PipelineApp;
 
-impl WorkflowApp for PipelineApp {
-    fn kind(&self) -> &'static str {
-        "pipeline"
+/// [`PipelineApp`] with a planted exactly-once bug (see
+/// [`PipelineApp::sabotaged`]).
+struct SabotagedPipeline;
+
+impl PipelineApp {
+    /// The explorer's canary: the same pipeline, except that `root` takes
+    /// its `count` from outside the logged API, so a re-execution re-reads
+    /// *fresh* state instead of replaying what its first execution saw. A
+    /// sweep over it must report violations; one that does not has lost
+    /// its teeth.
+    pub fn sabotaged() -> Box<dyn WorkflowApp> {
+        Box::new(SabotagedPipeline)
     }
 
-    fn entry_point(&self) -> &'static str {
-        "root"
-    }
-
-    fn setup(&self, env: &BeldiEnv) {
+    /// Registers the two SSFs; `logged_count` is whether `root` reads its
+    /// counter through the read log (the correct protocol) or straight
+    /// from the store (the planted bug).
+    fn register(env: &BeldiEnv, logged_count: bool) {
         use std::sync::Arc;
+        // The unlogged read goes through a captured handle, which makes
+        // the environment own a reference to itself: sabotaged
+        // environments are leaked, a price only the self-test pays.
+        let store = (!logged_count).then(|| env.clone());
         env.register_ssf(
             "worker",
             &["wt"],
@@ -240,8 +223,12 @@ impl WorkflowApp for PipelineApp {
         env.register_ssf(
             "root",
             &["rt"],
-            Arc::new(|ctx, input| {
-                let c = ctx.read("rt", "count")?.as_int().unwrap_or(0);
+            Arc::new(move |ctx, input| {
+                let c = match &store {
+                    None => ctx.read("rt", "count")?,
+                    Some(env) => env.read_current("root", "rt", "count")?,
+                };
+                let c = c.as_int().unwrap_or(0);
                 ctx.write("rt", "count", Value::Int(c + 1))?;
                 let gated = ctx.cond_write(
                     "rt",
@@ -254,6 +241,20 @@ impl WorkflowApp for PipelineApp {
                 Ok(beldi::value::vmap! { "count" => c + 1, "gated" => gated, "sub" => sub })
             }),
         );
+    }
+}
+
+impl WorkflowApp for PipelineApp {
+    fn kind(&self) -> &'static str {
+        "pipeline"
+    }
+
+    fn entry_point(&self) -> &'static str {
+        "root"
+    }
+
+    fn setup(&self, env: &BeldiEnv) {
+        PipelineApp::register(env, true);
     }
 
     fn gen_request(&self, rng: &mut SmallRng) -> Value {
@@ -276,6 +277,32 @@ impl WorkflowApp for PipelineApp {
                 .unwrap_or(0)
         };
         get("root", "rt", "count") + get("root", "rt", "gate") + get("worker", "wt", "count")
+    }
+}
+
+impl WorkflowApp for SabotagedPipeline {
+    fn kind(&self) -> &'static str {
+        PipelineApp.kind()
+    }
+
+    fn entry_point(&self) -> &'static str {
+        PipelineApp.entry_point()
+    }
+
+    fn setup(&self, env: &BeldiEnv) {
+        PipelineApp::register(env, false);
+    }
+
+    fn gen_request(&self, rng: &mut SmallRng) -> Value {
+        PipelineApp.gen_request(rng)
+    }
+
+    fn canonical_state(&self, env: &BeldiEnv) -> Value {
+        PipelineApp.canonical_state(env)
+    }
+
+    fn effect_count(&self, env: &BeldiEnv) -> i64 {
+        PipelineApp.effect_count(env)
     }
 }
 
@@ -306,8 +333,7 @@ const DRAIN_PASSES: usize = 40;
 fn build_env(mode: Mode, opts: &ExploreOptions) -> BeldiEnv {
     let cfg = BeldiConfig::for_mode(mode)
         .with_t_max(EXPLORE_T_MAX)
-        .with_ic_restart_delay(EXPLORE_IC_DELAY)
-        .with_canary_skip_read_guard(opts.canary);
+        .with_ic_restart_delay(EXPLORE_IC_DELAY);
     BeldiEnv::builder(cfg).seed(opts.seed).build()
 }
 
@@ -413,20 +439,18 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
     };
     let mut residue = Vec::new();
     for ssf in &ssfs {
-        for table in [schema::intent_table(ssf), schema::read_log_table(ssf)] {
+        let mut logs = vec![
+            schema::intent_table(ssf),
+            schema::read_log_table(ssf),
+            schema::invoke_log_table(ssf),
+        ];
+        if mode == Mode::CrossTable {
+            logs.push(schema::write_log_table(ssf));
+        }
+        for table in logs {
             let n = count(&table);
             if n > 0 {
                 residue.push(format!("{table}: {n} row(s)"));
-            }
-        }
-        let n = count(&schema::invoke_log_table(ssf));
-        if n > 0 {
-            residue.push(format!("{}: {n} row(s)", schema::invoke_log_table(ssf)));
-        }
-        if mode == Mode::CrossTable {
-            let n = count(&schema::write_log_table(ssf));
-            if n > 0 {
-                residue.push(format!("{}: {n} row(s)", schema::write_log_table(ssf)));
             }
         }
         if mode == Mode::Beldi {

@@ -2,7 +2,7 @@
 //!
 //! CI runs `drive --smoke`, uploads `BENCH_results.json`, and feeds it —
 //! together with the checked-in `BENCH_baseline.json` — through this
-//! comparator (`tools/bench_gate.rs` is the thin CLI). The gate fails
+//! comparator (the `gate` subcommand is the thin CLI). The gate fails
 //! when any `app × mode × workers` point regresses in throughput by more
 //! than the allowed fraction, when a baseline point is missing from the
 //! results, or when a result run is itself unsound (zero ops, request
@@ -17,22 +17,24 @@
 
 use crate::driver::{runs_by_key, BenchReport, BenchRun};
 
-/// One baseline-vs-current comparison row.
+/// One baseline-vs-current comparison row of either column gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateRow {
     /// The run identity (`app/mode/wN`).
     pub key: String,
-    /// Baseline throughput (requests per virtual second).
-    pub baseline_rps: f64,
-    /// Current throughput.
-    pub current_rps: f64,
+    /// The gated column of the baseline run: throughput in requests per
+    /// virtual second ([`gate`]) or p99 service latency in virtual
+    /// microseconds ([`latency_gate`]).
+    pub baseline: f64,
+    /// The same column of the current run.
+    pub current: f64,
     /// `current / baseline`.
     pub ratio: f64,
     /// Whether this row passes the gate.
     pub ok: bool,
 }
 
-/// The gate's verdict across all runs.
+/// A column gate's verdict across all runs.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GateReport {
     /// Per-run comparisons (baseline order).
@@ -48,141 +50,136 @@ impl GateReport {
     }
 }
 
-/// Compares `current` against `baseline`, allowing throughput to drop by
-/// at most `max_regress` (a fraction, e.g. `0.25`).
-///
-/// Extra runs in `current` (new apps/worker counts) are reported but
-/// never fail the gate; missing runs do. Zero-throughput or erroring
-/// current runs fail regardless of ratio — they indicate a broken
-/// driver, not a slow one.
-pub fn gate(baseline: &BenchReport, current: &BenchReport, max_regress: f64) -> GateReport {
-    let mut report = GateReport::default();
-    let current_by_key = runs_by_key(current);
-    let floor = 1.0 - max_regress;
-
-    for base in &baseline.runs {
-        let key = base.key();
-        // A broken baseline must never gate vacuously: a run that
-        // recorded no throughput or request errors was a broken drive,
-        // and comparing against it would let any regression through.
-        if base.throughput_rps <= 0.0 || base.errors > 0 {
-            report.failures.push(format!(
-                "{key}: baseline run is unsound ({} rps, {} error(s)) — regenerate BENCH_baseline.json",
-                base.throughput_rps, base.errors
-            ));
-            continue;
-        }
-        let Some(cur) = current_by_key.get(&key) else {
-            report.failures.push(format!(
-                "{key}: present in baseline but missing from results"
-            ));
-            continue;
-        };
-        if cur.ops == 0 {
-            report.failures.push(format!("{key}: zero ops in results"));
-            continue;
-        }
-        if cur.errors > 0 {
-            report
-                .failures
-                .push(format!("{key}: {} request error(s) in results", cur.errors));
-        }
-        let ratio = cur.throughput_rps / base.throughput_rps;
-        let ok = ratio >= floor;
-        if !ok {
-            report.failures.push(format!(
-                "{key}: throughput regressed {:.1}% (baseline {:.1} rps, current {:.1} rps, floor {:.0}%)",
-                (1.0 - ratio) * 100.0,
-                base.throughput_rps,
-                cur.throughput_rps,
-                floor * 100.0
-            ));
-        }
-        report.rows.push(GateRow {
-            key,
-            baseline_rps: base.throughput_rps,
-            current_rps: cur.throughput_rps,
-            ratio,
-            ok,
-        });
-    }
-    report
-}
-
-/// One baseline-vs-current p99 latency comparison row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyGateRow {
-    /// The run identity (`app/mode/wN`).
-    pub key: String,
-    /// Baseline p99 service latency (virtual microseconds).
-    pub baseline_p99_us: u64,
-    /// Current p99.
-    pub current_p99_us: u64,
-    /// `current / baseline`.
-    pub ratio: f64,
-    /// Whether this row passes the gate.
-    pub ok: bool,
-}
-
 /// Absolute slack on the p99 ceiling: tail percentiles of smoke-scale
 /// runs sit on a handful of samples, so a sub-millisecond wobble must
 /// never trip the fractional bound.
 const P99_SLACK_US: u64 = 500;
 
-/// The tail-latency gate: every baseline run's p99 may grow by at most
-/// `max_regress` (a fraction, e.g. `0.5`), plus a small absolute slack
-/// ([`P99_SLACK_US`]) for smoke-scale tails.
-///
-/// Mirrors [`gate`]'s matching rules: extra current runs are ignored,
-/// missing runs fail, and a baseline run with no latency data (zero p99
-/// — a drive without the latency model) is unsound rather than a free
-/// pass. Returns human-readable failures plus the comparison rows;
-/// empty failures = pass.
-pub fn latency_gate(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    max_regress: f64,
-) -> (Vec<LatencyGateRow>, Vec<String>) {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    let current_by_key = runs_by_key(current);
+/// Which column of a run a gate compares, with its allowed regression
+/// (a fraction, e.g. `0.25`).
+#[derive(Clone, Copy)]
+enum Column {
+    Throughput(f64),
+    P99(f64),
+}
 
+impl Column {
+    fn of(self, run: &BenchRun) -> f64 {
+        match self {
+            Column::Throughput(_) => run.throughput_rps,
+            Column::P99(_) => run.latency.p99_us as f64,
+        }
+    }
+
+    /// Why `base` cannot be gated against, if it cannot. A broken
+    /// baseline must never gate vacuously: comparing against a run that
+    /// recorded no throughput, request errors, or no latency data (a
+    /// drive without the latency model) would let any regression through.
+    fn unsound_baseline(self, base: &BenchRun) -> Option<String> {
+        match self {
+            Column::Throughput(_) if base.throughput_rps <= 0.0 || base.errors > 0 => {
+                Some(format!(
+                    "baseline run is unsound ({} rps, {} error(s)) — regenerate BENCH_baseline.json",
+                    base.throughput_rps, base.errors
+                ))
+            }
+            Column::P99(_) if base.latency.p99_us == 0 => Some(
+                "baseline run has no latency data (p99 = 0) — \
+                 regenerate BENCH_baseline.json with the latency model on"
+                    .to_owned(),
+            ),
+            _ => None,
+        }
+    }
+
+    /// How `current` breaks the bound `baseline` sets, if it does.
+    fn regression(self, baseline: f64, current: f64) -> Option<String> {
+        let ratio = current / baseline;
+        match self {
+            Column::Throughput(max_regress) => {
+                let floor = 1.0 - max_regress;
+                (ratio < floor).then(|| {
+                    format!(
+                        "throughput regressed {:.1}% (baseline {baseline:.1} rps, \
+                         current {current:.1} rps, floor {:.0}%)",
+                        (1.0 - ratio) * 100.0,
+                        floor * 100.0
+                    )
+                })
+            }
+            Column::P99(max_regress) => {
+                let ceiling = (baseline * (1.0 + max_regress)) as u64 + P99_SLACK_US;
+                (current as u64 > ceiling).then(|| {
+                    format!(
+                        "p99 regressed {:.1}% (baseline {baseline} µs, current {current} µs, \
+                         ceiling {ceiling} µs)",
+                        (ratio - 1.0) * 100.0
+                    )
+                })
+            }
+        }
+    }
+}
+
+/// The one comparison loop behind [`gate`] and [`latency_gate`]: every
+/// baseline run must be sound, present in `current`, and within the
+/// column's bound. Extra runs in `current` (new apps/worker counts) are
+/// never compared; missing runs fail.
+fn compare(baseline: &BenchReport, current: &BenchReport, column: Column) -> GateReport {
+    let mut report = GateReport::default();
+    let current_by_key = runs_by_key(current);
     for base in &baseline.runs {
         let key = base.key();
-        if base.latency.p99_us == 0 {
-            failures.push(format!(
-                "{key}: baseline run has no latency data (p99 = 0) — \
-                 regenerate BENCH_baseline.json with the latency model on"
-            ));
+        if let Some(why) = column.unsound_baseline(base) {
+            report.failures.push(format!("{key}: {why}"));
             continue;
         }
         let Some(cur) = current_by_key.get(&key) else {
-            failures.push(format!(
+            report.failures.push(format!(
                 "{key}: present in baseline but missing from results"
             ));
             continue;
         };
-        let ceiling = (base.latency.p99_us as f64 * (1.0 + max_regress)) as u64 + P99_SLACK_US;
-        let ratio = cur.latency.p99_us as f64 / base.latency.p99_us as f64;
-        let ok = cur.latency.p99_us <= ceiling;
-        if !ok {
-            failures.push(format!(
-                "{key}: p99 regressed {:.1}% (baseline {} µs, current {} µs, ceiling {} µs)",
-                (ratio - 1.0) * 100.0,
-                base.latency.p99_us,
-                cur.latency.p99_us,
-                ceiling
-            ));
+        if let Column::Throughput(_) = column {
+            // Zero-op or erroring current runs fail regardless of ratio —
+            // they indicate a broken driver, not a slow one.
+            if cur.ops == 0 {
+                report.failures.push(format!("{key}: zero ops in results"));
+                continue;
+            }
+            if cur.errors > 0 {
+                report
+                    .failures
+                    .push(format!("{key}: {} request error(s) in results", cur.errors));
+            }
         }
-        rows.push(LatencyGateRow {
-            key,
-            baseline_p99_us: base.latency.p99_us,
-            current_p99_us: cur.latency.p99_us,
-            ratio,
-            ok,
+        let (baseline, current) = (column.of(base), column.of(cur));
+        let regression = column.regression(baseline, current);
+        report.rows.push(GateRow {
+            key: key.clone(),
+            baseline,
+            current,
+            ratio: current / baseline,
+            ok: regression.is_none(),
         });
+        report
+            .failures
+            .extend(regression.map(|why| format!("{key}: {why}")));
     }
-    (rows, failures)
+    report
+}
+
+/// The throughput gate: every baseline run's throughput may drop by at
+/// most `max_regress` (a fraction, e.g. `0.25`).
+pub fn gate(baseline: &BenchReport, current: &BenchReport, max_regress: f64) -> GateReport {
+    compare(baseline, current, Column::Throughput(max_regress))
+}
+
+/// The tail-latency gate: every baseline run's p99 may grow by at most
+/// `max_regress` (a fraction, e.g. `0.5`), plus a small absolute slack
+/// ([`P99_SLACK_US`]) for smoke-scale tails.
+pub fn latency_gate(baseline: &BenchReport, current: &BenchReport, max_regress: f64) -> GateReport {
+    compare(baseline, current, Column::P99(max_regress))
 }
 
 /// Slack added to the plateau bound so tiny absolute counts (a handful
@@ -445,6 +442,17 @@ mod tests {
     }
 
     #[test]
+    fn committed_baseline_gates_against_itself() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let base = BenchReport::from_json(text).unwrap();
+        for g in [gate(&base, &base, 0.25), latency_gate(&base, &base, 3.0)] {
+            assert!(g.ok(), "{:?}", g.failures);
+            assert_eq!(g.rows.len(), base.runs.len());
+            assert!(g.rows.iter().all(|r| r.ok && r.ratio == 1.0));
+        }
+    }
+
+    #[test]
     fn small_regression_passes_big_regression_fails() {
         let base = report(vec![run("media", 1, 100.0, 0)]);
         let slightly_slow = report(vec![run("media", 1, 80.0, 0)]);
@@ -518,7 +526,7 @@ mod tests {
             run_p99("media", 1, 40_000),
             run_p99("media", 4, 90_000),
         ]);
-        let (rows, failures) = latency_gate(&base, &base, 0.5);
+        let GateReport { rows, failures } = latency_gate(&base, &base, 0.5);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.ok));
@@ -527,7 +535,7 @@ mod tests {
             run_p99("media", 1, 10_000),
             run_p99("media", 4, 20_000),
         ]);
-        let (_, failures) = latency_gate(&base, &faster, 0.5);
+        let GateReport { failures, .. } = latency_gate(&base, &faster, 0.5);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -536,10 +544,10 @@ mod tests {
         let base = report(vec![run_p99("media", 1, 40_000)]);
         // 50% growth + slack is in budget at 0.5; double is not.
         let slower = report(vec![run_p99("media", 1, 59_000)]);
-        let (_, failures) = latency_gate(&base, &slower, 0.5);
+        let GateReport { failures, .. } = latency_gate(&base, &slower, 0.5);
         assert!(failures.is_empty(), "{failures:?}");
         let much_slower = report(vec![run_p99("media", 1, 80_000)]);
-        let (rows, failures) = latency_gate(&base, &much_slower, 0.5);
+        let GateReport { rows, failures } = latency_gate(&base, &much_slower, 0.5);
         assert!(!failures.is_empty());
         assert!(failures[0].contains("p99 regressed"), "{failures:?}");
         assert!(!rows[0].ok);
@@ -551,7 +559,7 @@ mod tests {
         // sub-millisecond smoke tails must not gate.
         let base = report(vec![run_p99("media", 1, 200)]);
         let wobbled = report(vec![run_p99("media", 1, 600)]);
-        let (_, failures) = latency_gate(&base, &wobbled, 0.5);
+        let GateReport { failures, .. } = latency_gate(&base, &wobbled, 0.5);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -559,7 +567,7 @@ mod tests {
     fn latency_gate_rejects_unsound_baselines_and_missing_runs() {
         // p99 = 0 in the baseline: a latency-model-free drive, unsound.
         let no_latency = report(vec![run("media", 1, 100.0, 0)]);
-        let (_, failures) = latency_gate(&no_latency, &no_latency, 0.5);
+        let GateReport { failures, .. } = latency_gate(&no_latency, &no_latency, 0.5);
         assert!(
             failures.iter().any(|f| f.contains("no latency data")),
             "{failures:?}"
@@ -570,7 +578,7 @@ mod tests {
             run_p99("travel", 1, 40_000),
         ]);
         let missing = report(vec![run_p99("media", 1, 40_000)]);
-        let (_, failures) = latency_gate(&base, &missing, 0.5);
+        let GateReport { failures, .. } = latency_gate(&base, &missing, 0.5);
         assert!(
             failures.iter().any(|f| f.contains("missing")),
             "{failures:?}"
@@ -581,7 +589,7 @@ mod tests {
             run_p99("media", 1, 40_000),
             run_p99("social", 8, 1_000),
         ]);
-        let (rows, failures) =
+        let GateReport { rows, failures } =
             latency_gate(&report(vec![run_p99("media", 1, 40_000)]), &extra, 0.5);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(rows.len(), 1);

@@ -30,17 +30,14 @@ pub mod gate;
 mod histogram;
 mod runner;
 mod sweep;
+pub mod wire;
 
 pub use driver::{
     drive, drive_async, drive_on, BenchReport, BenchRun, ChaosOptions, DriveOptions,
     InFlightSample, InFlightSeries, RecoverySection, RuntimeKind, StorageSample, StorageSeries,
 };
-pub use explore::{
-    explore, mode_name, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind,
-};
-pub use gate::{
-    gate, growth_gate, latency_gate, recovery_gate, GateReport, GateRow, LatencyGateRow,
-};
+pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
+pub use gate::{gate, growth_gate, latency_gate, recovery_gate, GateReport, GateRow};
 pub use histogram::{Histogram, Percentiles};
 pub use runner::{RateRunner, RunReport};
 pub use sweep::{sweep, SweepPoint};

@@ -216,43 +216,6 @@ fn tail_cache_does_not_change_results_only_cost() {
     );
 }
 
-#[test]
-fn bounded_tail_cache_preserves_smoke_scale_behaviour() {
-    // Capacity A/B: at smoke-scale key cardinality the bounded default
-    // cache must behave identically to an effectively unbounded one —
-    // same state, same database operation counts (hit rate preserved).
-    let base = test_opts(4, 80, 21);
-    let unbounded = DriveOptions {
-        tail_cache_capacity: Some(1 << 22),
-        ..base.clone()
-    };
-    let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &base);
-    let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &unbounded);
-    assert_eq!(a.state_digest, b.state_digest);
-    assert_eq!(a.effects, b.effects);
-    // Query counts can wobble slightly run-to-run (wait-die retries
-    // depend on interleaving); hit-rate parity means the scan counts
-    // agree within a whisker rather than bit-for-bit.
-    let (qa, qb) = (a.db.queries, b.db.queries);
-    assert!(
-        qa.abs_diff(qb) * 25 <= qa.max(qb),
-        "bounded cache lost hits at smoke scale: {qa} vs {qb} scans"
-    );
-
-    // A pathologically tiny cache still changes only cost, never results.
-    let tiny = DriveOptions {
-        tail_cache_capacity: Some(16),
-        ..base
-    };
-    let c = drive_app("travel", Mode::Beldi, MixProfile::Default, &tiny);
-    assert_eq!(c.state_digest, a.state_digest, "eviction changed semantics");
-    assert_eq!(c.effects, a.effects);
-    assert!(
-        c.db.queries >= a.db.queries,
-        "a tiny cache cannot out-hit the default"
-    );
-}
-
 /// Wraps a single run in a report shell so the recovery gate can judge it.
 fn report_of(run: BenchRun, opts: &DriveOptions) -> BenchReport {
     BenchReport {

@@ -74,17 +74,16 @@ fn depth2_scripted_pairs_are_clean() {
 }
 
 /// Satellite: the canary self-test. A deliberately planted exactly-once
-/// bug (read-log appends skip their first-writer-wins guard, so replays
+/// bug (`root` reads its counter outside the logged API, so replays
 /// re-read fresh state) must be *detected* by the sweep — proof the
 /// checker has teeth.
 #[test]
 fn canary_bug_is_caught_by_the_sweep() {
     let opts = ExploreOptions {
         requests: 2,
-        canary: true,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
+    let report = explore(PipelineApp::sabotaged().as_ref(), Mode::Beldi, &opts);
     assert!(
         !report.ok(),
         "the sweep failed to detect the planted exactly-once bug"
@@ -99,15 +98,7 @@ fn canary_bug_is_caught_by_the_sweep() {
     );
     // And the identical sweep without the canary is clean — the detection
     // is the bug, not the harness.
-    let clean = explore(
-        &PipelineApp,
-        Mode::Beldi,
-        &ExploreOptions {
-            requests: 2,
-            canary: false,
-            ..ExploreOptions::default()
-        },
-    );
+    let clean = explore(&PipelineApp, Mode::Beldi, &opts);
     assert!(clean.ok(), "{:#?}", clean.violations);
 }
 
