@@ -14,7 +14,7 @@ fn bench_apps(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(4));
     for (system, mode) in [("baseline", Mode::Baseline), ("beldi", Mode::Beldi)] {
         // Movie page view (the dominant media request).
-        let env = bench_env(mode, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = bench_env(mode, beldi_simdb::DEFAULT_PARTITIONS);
         let media = MediaApp::default();
         media.install(&env);
         media.seed(&env);
@@ -29,7 +29,7 @@ fn bench_apps(c: &mut Criterion) {
         });
 
         // Hotel search (the dominant travel request).
-        let env = bench_env(mode, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = bench_env(mode, beldi_simdb::DEFAULT_PARTITIONS);
         let travel = TravelApp::default();
         travel.install(&env);
         travel.seed(&env);
@@ -44,7 +44,7 @@ fn bench_apps(c: &mut Criterion) {
         });
 
         // Home timeline read (the dominant social request).
-        let env = bench_env(mode, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = bench_env(mode, beldi_simdb::DEFAULT_PARTITIONS);
         let social = SocialApp::default();
         social.install(&env);
         social.seed(&env);

@@ -24,6 +24,7 @@
 
 use std::sync::Arc;
 
+use beldi::simclock::ScaledClock;
 use beldi::value::{vmap, Cond, Update, Value};
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_simdb::{Database, PrimaryKey, TableSchema, TransactOp};
@@ -127,7 +128,7 @@ fn hot_env() -> BeldiEnv {
     let env = BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(beldi_bench::microbench_platform())
-        .clock_rate(5_000.0)
+        .clock(ScaledClock::shared(5_000.0))
         .seed(42)
         .build();
     env.register_ssf(

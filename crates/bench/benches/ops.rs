@@ -11,7 +11,7 @@ fn bench_ops(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for mode in beldi_bench::SYSTEMS {
         let system = mode.name();
-        let env = experiment_env(mode, 5, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS, false);
+        let env = experiment_env(mode, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {
             let payload = beldi_bench::micro_payload(op);

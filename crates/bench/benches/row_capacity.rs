@@ -17,7 +17,6 @@ fn bench_row_capacity(c: &mut Criterion) {
         let env = experiment_env(
             Mode::Beldi,
             capacity,
-            5_000.0,
             beldi_simdb::DEFAULT_PARTITIONS,
             false,
         );

@@ -32,13 +32,7 @@ fn bench_traversal(c: &mut Criterion) {
     let mut group = c.benchmark_group("traversal");
     group.sample_size(20);
     for depth in [5usize, 20, 50] {
-        let env = experiment_env(
-            Mode::Beldi,
-            5,
-            5_000.0,
-            beldi_simdb::DEFAULT_PARTITIONS,
-            false,
-        );
+        let env = experiment_env(Mode::Beldi, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
         register_micro_ops(&env);
         prepopulate_daal(&env, depth, 5);
         let table = beldi::schema::data_table("micro", "t");

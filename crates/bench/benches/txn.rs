@@ -13,7 +13,7 @@ fn bench_txn(c: &mut Criterion) {
     group.sample_size(15);
     group.measurement_time(std::time::Duration::from_secs(4));
     for (name, transactional) in [("reserve-txn", true), ("reserve-notxn", false)] {
-        let env = bench_env(Mode::Beldi, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS);
+        let env = bench_env(Mode::Beldi, beldi_simdb::DEFAULT_PARTITIONS);
         let app = TravelApp {
             hotels: 20,
             flights: 20,
@@ -36,7 +36,7 @@ fn bench_txn(c: &mut Criterion) {
         });
     }
     // The plain-write floor for context.
-    let env = bench_env(Mode::Beldi, 5_000.0, beldi_simdb::DEFAULT_PARTITIONS);
+    let env = bench_env(Mode::Beldi, beldi_simdb::DEFAULT_PARTITIONS);
     beldi_bench::register_micro_ops(&env);
     group.bench_with_input(BenchmarkId::new("plain-write", "beldi"), &env, |b, env| {
         b.iter(|| {

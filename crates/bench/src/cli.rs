@@ -134,16 +134,6 @@ impl Cli {
         )
     }
 
-    /// `--clock-rate`: virtual-clock speedup.
-    pub fn clock_rate_flag(self, default: &'static str) -> Self {
-        self.flag(
-            "--clock-rate",
-            "X",
-            default,
-            "virtual-time speedup over wall time",
-        )
-    }
-
     /// `--json`: where to also write the report.
     pub fn json_flag(self) -> Self {
         self.flag(

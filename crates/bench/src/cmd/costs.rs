@@ -53,7 +53,7 @@ pub(crate) fn main(args: &Args) {
     let mut partition_load = Vec::new();
     for mode in SYSTEMS {
         let system = mode.name();
-        let env = experiment_env(mode, 100, 2_000.0, partitions, tail_cache);
+        let env = experiment_env(mode, 100, partitions, tail_cache);
         register_micro_ops(&env);
         env.seed("micro", "t", "k", Value::from(VALUE_16B))
             .expect("seed");

@@ -2,7 +2,8 @@
 //! `BENCH_results.json` and the CI perf gate (`DESIGN.md` §9).
 //!
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
-//! workers {1, 4}, 120 requests per run, a low clock rate for stability.
+//! workers {1, 4}, 120 requests per run. Every number in the report but
+//! `wall_ms` repeats exactly for the same flags.
 //! `--gc` runs the per-SSF collectors beside the client workers and
 //! records the storage-growth series `gate --gc-results` checks (§10);
 //! `--chaos` adds a seeded crash storm over traffic and collectors and
@@ -48,8 +49,7 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         )
         .seed_flag()
         .partitions_flag()
-        .clock_rate_flag("120")
-        .switch("--smoke", "CI preset: tiny runs at a stable clock rate")
+        .switch("--smoke", "CI preset: tiny runs")
         .switch("--no-tail-cache", "disable the DAAL tail-row cache (A/B)")
         .switch("--gc", "run online collectors concurrently with traffic")
         .flag("--gc-period-ms", "MS", "500", "collector pass period")
@@ -97,7 +97,6 @@ pub(crate) fn main(args: &Args) {
         total_ops: args.or_smoke("--duration-ops", 120),
         seed: args.u64("--seed"),
         partitions: args.usize("--partitions"),
-        clock_rate: args.or_smoke("--clock-rate", 40.0),
         model_latency: true,
         tail_cache: !args.flag("--no-tail-cache"),
         gc: args.flag("--gc"),
@@ -129,7 +128,6 @@ pub(crate) fn main(args: &Args) {
         seed: opts_template.seed,
         total_ops: opts_template.total_ops,
         mix: mix.name().to_owned(),
-        clock_rate: opts_template.clock_rate,
         tail_cache: opts_template.tail_cache,
         runs: Vec::new(),
     };

@@ -34,9 +34,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "pre-populated DAAL depth of the hot key",
     )
     .flag("--iters", "N", "300", "invocations per measured operation")
-    // Modest clock rate: virtual sleeps dominate real scheduling
-    // noise (see `measure_op`'s docs).
-    .clock_rate_flag("15")
     .partitions_flag()
     .switch("--tail-cache", "measure the cached read path instead")
 }
@@ -44,14 +41,13 @@ pub(crate) fn flags(cli: Cli) -> Cli {
 pub(crate) fn main(args: &Args) {
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
-    let clock_rate = args.f64("--clock-rate");
     let partitions = args.usize("--partitions");
     let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
     for mode in SYSTEMS {
         let system = mode.name();
-        let env = experiment_env(mode, CAPACITY, clock_rate, partitions, tail_cache);
+        let env = experiment_env(mode, CAPACITY, partitions, tail_cache);
         register_micro_ops(&env);
         if mode == Mode::Beldi {
             // Pre-populate the hot key's DAAL to the target depth; reads,

@@ -14,15 +14,11 @@
 //!
 //! Output: one row per (config, minute) with the median write latency in
 //! that minute and the hot key's DAAL depth at the end of it.
-//!
-//! The clock rate trades run time for latency fidelity: the scaled clock
-//! multiplies real scheduling overhead into virtual time, so rates above
-//! ~30× start measuring host CPU instead of the modelled database. The
-//! default (20×) runs one virtual minute in 3 s of real time.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use beldi::simclock::SimClock;
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_workload::RateRunner;
@@ -34,7 +30,7 @@ use crate::{ms, print_table};
 /// the `T` (in seconds) GC runs with — `None` for no GC at all.
 type GcConfig = (&'static str, Mode, Option<u64>);
 
-fn build_env(mode: Mode, t_max: Option<u64>, clock_rate: f64, partitions: usize) -> BeldiEnv {
+fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
     let mut config = BeldiConfig::for_mode(mode)
         // Small rows so DAAL growth is visible within a short run.
         .with_row_capacity(10)
@@ -47,7 +43,7 @@ fn build_env(mode: Mode, t_max: Option<u64>, clock_rate: f64, partitions: usize)
     BeldiEnv::builder(config)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(crate::microbench_platform())
-        .clock_rate(clock_rate)
+        .clock(SimClock::shared(7))
         .seed(7)
         .build()
 }
@@ -60,14 +56,12 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "virtual minutes driven per configuration",
     )
     .flag("--rate", "RPS", "2", "constant offered request rate")
-    .clock_rate_flag("20")
     .partitions_flag()
 }
 
 pub(crate) fn main(args: &Args) {
     let minutes = args.usize("--minutes");
     let rate = args.f64("--rate");
-    let clock_rate = args.f64("--clock-rate");
     let partitions = args.usize("--partitions");
 
     let configs: [GcConfig; 5] = [
@@ -80,7 +74,7 @@ pub(crate) fn main(args: &Args) {
 
     let mut rows = Vec::new();
     for (name, mode, t_max) in configs {
-        let env = Arc::new(build_env(mode, t_max, clock_rate, partitions));
+        let env = Arc::new(build_env(mode, t_max, partitions));
         env.register_ssf(
             "hot-writer",
             &["t"],

@@ -20,7 +20,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         )
         .seed_flag()
         .partitions_flag()
-        .clock_rate_flag("500")
         .switch("--smoke", "run the digest-equivalence smoke gate and exit")
         .flag(
             "--requests",
@@ -49,12 +48,11 @@ pub(crate) fn main(args: &Args) {
     };
     let seed = args.u64("--seed");
     let partitions = args.usize("--partitions");
-    let clock_rate = args.f64("--clock-rate");
 
     if args.flag("--smoke") {
         let requests = args.usize("--requests");
         let clients = args.usize("--clients");
-        let report = front_smoke(&kind, mode, requests, clients, clock_rate, partitions, seed)
+        let report = front_smoke(&kind, mode, requests, clients, partitions, seed)
             .unwrap_or_else(|| unknown_app());
         println!(
             "front smoke: {} requests via {} client(s) in {} ms ({:.1} rps, {} errors)",
@@ -80,7 +78,7 @@ pub(crate) fn main(args: &Args) {
 
     let app = beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default)
         .unwrap_or_else(|| unknown_app());
-    let env = Arc::new(crate::bench_env(mode, clock_rate, partitions));
+    let env = Arc::new(crate::front_env(mode, partitions));
     app.setup(&env);
     let door =
         FrontDoor::start(Arc::clone(&env), &args.str("--addr"), seed).expect("bind the front door");
@@ -91,6 +89,8 @@ pub(crate) fn main(args: &Args) {
     }
     // Serve until the process is killed.
     loop {
+        // beldi-lint: allow(async-safety/blocking-in-task, the door's threads
+        // do the serving; this one only keeps the process alive)
         std::thread::park();
     }
 }

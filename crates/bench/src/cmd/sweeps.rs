@@ -90,7 +90,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "virtual time driven per rate point",
     )
     .flag("--issuers", "N", "192", "open-loop request issuer threads")
-    .clock_rate_flag("4")
     .flag(
         "--max-rate",
         "RPS",
@@ -107,14 +106,13 @@ pub(crate) fn main(args: &Args) {
         .expect("the subcommand table names only these figures");
     let duration = Duration::from_millis(args.u64("--duration-ms"));
     let issuers = args.usize("--issuers");
-    let clock_rate = args.f64("--clock-rate");
     let max_rate = args.f64("--max-rate");
     let partitions = args.usize("--partitions");
     let rates: Vec<f64> = (1..=8).map(|i| max_rate * i as f64 / 8.0).collect();
 
     let mut rows = Vec::new();
     for &(system, mode, transactional) in figure.series {
-        let make_env = || app_env(mode, clock_rate, partitions);
+        let make_env = || app_env(mode, partitions);
         let app = (figure.app)(transactional);
         let points = sweep_app(&make_env, &app, figure.seed, &rates, duration, issuers);
         rows.extend(sweep_rows(system, &points));
@@ -132,28 +130,33 @@ pub(crate) fn main(args: &Args) {
 fn travel_consistency(series: &[Series], partitions: usize) {
     let mut consistency = Vec::new();
     for &(system, mode, transactional) in series {
-        let env = app_env(mode, 50.0, partitions);
-        let app = TravelApp {
+        let env = Arc::new(app_env(mode, partitions));
+        let app = Arc::new(TravelApp {
             rooms_per_hotel: 2,
             seats_per_flight: 2,
             hotels: 10,
             flights: 10,
             transactional,
             ..TravelApp::default()
-        };
+        });
         app.install(&env);
         app.seed(&env);
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let (env, app) = (&env, &app);
-                s.spawn(move || {
+        let clock = env.clock().clone();
+        let clients: Vec<_> = (0..8)
+            .map(|t| {
+                let (env, app) = (Arc::clone(&env), Arc::clone(&app));
+                let client = move || {
                     let mut rng = beldi_apps::rng::request_rng(0xC0 + t);
                     for _ in 0..12 {
                         let _ = env.invoke(app.entry(), app.reserve_request(&mut rng));
                     }
-                });
-            }
-        });
+                };
+                clock.spawn(format!("client-{t}"), Box::new(client))
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("a reservation client panicked");
+        }
         let (rooms, seats) = app.remaining_inventory(&env);
         consistency.push(vec![
             system.to_owned(),

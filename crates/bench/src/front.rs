@@ -37,6 +37,13 @@
 //! stream in-process, and compares state digests (exactly-once across
 //! the network equals exactly-once in memory).
 
+// beldi-lint: allow-file(async-safety/blocking-in-task, the real-socket
+// exception: the acceptor, the per-connection threads and the smoke
+// clients wait on TCP peers no simulated clock can see, so the door runs
+// on plain threads over a ScaledClock; a handler parks its own connection
+// thread on a channel while its task runs on the executor thread, which
+// never blocks here)
+
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -74,9 +81,6 @@ impl FrontDoor {
     /// starts serving `env`'s registered SSFs on a fresh executor
     /// seeded with `seed`.
     pub fn start(env: Arc<BeldiEnv>, bind: &str, seed: u64) -> io::Result<FrontDoor> {
-        // beldi-lint: allow(async-safety/blocking-in-task, the listener lives on
-        // the dedicated acceptor thread spawned below, never on the executor;
-        // the graph reaches this `start` only through a name collision)
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
 
@@ -414,10 +418,6 @@ fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
         let _ = tx.send(fut.await);
     });
     faults.crash_point(&instance, labels::FRONT_POST_SPAWN);
-    // beldi-lint: allow(async-safety/blocking-in-task, channel-parking pattern:
-    // this handler runs on a per-connection thread and parks on the channel
-    // while the spawned task runs on the executor thread; the executor itself
-    // never blocks here)
     let result = rx.recv();
     faults.crash_point(&instance, labels::FRONT_PRE_REPLY);
 
@@ -455,10 +455,6 @@ impl FrontClient {
 
     fn conn(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
         if self.conn.is_none() {
-            // beldi-lint: allow(async-safety/blocking-in-task, harness-side
-            // client: runs on bench/test threads, never inside the door's
-            // executor; reached only because `FrontClient::invoke` shares its
-            // name with the front-door handler root)
             let stream = TcpStream::connect(self.addr)?;
             self.conn = Some(BufReader::new(stream));
         }
@@ -600,7 +596,6 @@ pub fn front_smoke(
     mode: Mode,
     requests: usize,
     clients: usize,
-    clock_rate: f64,
     partitions: usize,
     seed: u64,
 ) -> Option<FrontSmokeReport> {
@@ -618,7 +613,7 @@ pub fn front_smoke(
     let entry = app.entry_point();
 
     // HTTP side: a served environment behind a real socket.
-    let served_env = Arc::new(crate::bench_env(mode, clock_rate, partitions));
+    let served_env = Arc::new(crate::front_env(mode, partitions));
     app.setup(&served_env);
     let door = FrontDoor::start(Arc::clone(&served_env), "127.0.0.1:0", seed)
         .expect("bind an ephemeral front door");
@@ -653,7 +648,7 @@ pub fn front_smoke(
     let front_digest = state_digest(app.as_ref(), &served_env);
 
     // In-process side: the same stream, no sockets, no executor.
-    let inproc_env = crate::bench_env(mode, clock_rate, partitions);
+    let inproc_env = crate::front_env(mode, partitions);
     app.setup(&inproc_env);
     for payload in &reqs {
         let _ = inproc_env.invoke(entry, payload.clone());
@@ -681,7 +676,7 @@ mod tests {
     fn door_for_media() -> (Arc<BeldiEnv>, FrontDoor, Box<dyn beldi_apps::WorkflowApp>) {
         let app =
             bench_app("media", Mode::Beldi, beldi_apps::MixProfile::Default).expect("media exists");
-        let env = Arc::new(crate::bench_env(Mode::Beldi, 500.0, 4));
+        let env = Arc::new(crate::front_env(Mode::Beldi, 4));
         app.setup(&env);
         let door = FrontDoor::start(Arc::clone(&env), "127.0.0.1:0", 7).expect("bind");
         (env, door, app)
@@ -791,7 +786,7 @@ mod tests {
 
     #[test]
     fn smoke_digest_matches_in_process_run() {
-        let report = front_smoke("media", Mode::Beldi, 16, 4, 500.0, 4, 42).expect("known app");
+        let report = front_smoke("media", Mode::Beldi, 16, 4, 4, 42).expect("known app");
         assert_eq!(report.errors, 0, "all HTTP invokes should succeed");
         assert!(report.digest_match(), "{report:?}");
         assert!(report.rps > 0.0);

@@ -10,7 +10,7 @@
 //! | `fig26`   | Latency vs throughput, social media site |
 //! | `costs`   | §7.3's storage / network overhead accounting |
 //! | `drive`   | Closed-loop concurrent workload driver (`BENCH_results.json`) |
-//! | `gate`    | CI gates over `drive` reports: throughput, p99, storage growth, chaos recovery |
+//! | `gate`    | CI gates over `drive` reports: equality with the baseline, storage growth, chaos recovery |
 //! | `explore` | Systematic crash-schedule exploration |
 //! | `front`   | The HTTP front door: serve an app, or run its smoke gate |
 //!
@@ -18,9 +18,11 @@
 //! subcommand's flags come from `beldi-bench <subcommand> --help`
 //! (`DESIGN.md` §4).
 //!
-//! All latencies are **virtual-time** milliseconds from the scaled clock;
-//! absolute values depend on the latency model, but the comparative
-//! *shapes* are the reproduction targets (see `EXPERIMENTS.md`).
+//! All latencies are **virtual-time** milliseconds on a
+//! [`SimClock`](beldi::simclock::SimClock): sums of modelled waits, the
+//! same on every host. Absolute values depend on the latency model; the
+//! comparative *shapes* are the reproduction targets (see
+//! `EXPERIMENTS.md`).
 
 pub mod cli;
 mod cmd;
@@ -29,6 +31,7 @@ pub mod front;
 use std::sync::Arc;
 use std::time::Duration;
 
+use beldi::simclock::{ScaledClock, SharedClock, SimClock};
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_apps::WorkflowApp;
@@ -60,14 +63,21 @@ pub fn microbench_platform() -> PlatformConfig {
     }
 }
 
+/// The seed of every harness environment and its clock's schedule.
+const HARNESS_SEED: u64 = 42;
+
+/// How fast the front door's clock runs against the host's: its peers
+/// are real sockets, so its time must flow on its own.
+const FRONT_CLOCK_RATE: f64 = 500.0;
+
 /// The environment every harness here builds: DynamoDB-shaped latencies,
-/// seed 42, and the given configuration, platform and clock rate.
-fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock_rate: f64) -> BeldiEnv {
+/// seed 42, and the given configuration, platform and clock.
+fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock: SharedClock) -> BeldiEnv {
     BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(platform)
-        .clock_rate(clock_rate)
-        .seed(42)
+        .clock(clock)
+        .seed(HARNESS_SEED)
         .build()
 }
 
@@ -80,31 +90,45 @@ fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock_rate: f64) -> B
 /// one point get — and §7.3's "one extra scan per read" would vanish
 /// with the cache warm. The app-level harnesses and the workload driver
 /// keep the runtime default (cache on).
+///
+/// Like every environment here but [`front_env`], it runs on a fresh
+/// [`SimClock`]: the calling thread is the clock's first participant, and
+/// any other thread that touches the environment must be started with
+/// `env.clock().spawn`.
 pub fn experiment_env(
     mode: Mode,
     row_capacity: usize,
-    clock_rate: f64,
     partitions: usize,
     tail_cache: bool,
 ) -> BeldiEnv {
     let cfg = config_for(mode, row_capacity, partitions).with_tail_cache(tail_cache);
-    harness_env(cfg, microbench_platform(), clock_rate)
+    harness_env(cfg, microbench_platform(), SimClock::shared(HARNESS_SEED))
 }
 
-/// Like [`app_env`] but with an effectively unbounded invocation timeout:
-/// wall-clock benches run at very high clock rates, where a realistic
-/// *virtual* timeout corresponds to only milliseconds of real time and
-/// scheduling jitter would abort requests spuriously.
-pub fn bench_env(mode: Mode, clock_rate: f64, partitions: usize) -> BeldiEnv {
+/// Like [`app_env`] but with an effectively unbounded invocation timeout
+/// (the workload driver's platform).
+pub fn bench_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness_env(cfg, driver_platform(None), clock_rate)
+    harness_env(cfg, driver_platform(None), SimClock::shared(HARNESS_SEED))
+}
+
+/// [`bench_env`] for the HTTP front door: the one environment on a
+/// [`ScaledClock`], because connection threads wait on real sockets no
+/// simulated clock can see.
+pub fn front_env(mode: Mode, partitions: usize) -> BeldiEnv {
+    let cfg = config_for(mode, 100, partitions);
+    harness_env(
+        cfg,
+        driver_platform(None),
+        ScaledClock::shared(FRONT_CLOCK_RATE),
+    )
 }
 
 /// Builds an environment for the app-level load experiments (Figs.
 /// 14/15/26): DynamoDB latencies plus the Lambda-like platform.
-pub fn app_env(mode: Mode, clock_rate: f64, partitions: usize) -> BeldiEnv {
+pub fn app_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness_env(cfg, lambda_like_platform(), clock_rate)
+    harness_env(cfg, lambda_like_platform(), SimClock::shared(HARNESS_SEED))
 }
 
 /// Registers the micro-op SSFs used by Fig. 13/25: a single `micro` SSF
@@ -187,11 +211,6 @@ pub fn prepopulate_daal(env: &BeldiEnv, rows: usize, capacity: usize) {
 /// operations ([`micro_payload_n`]) each sample is divided by `ops` —
 /// isolating the per-*operation* cost from per-invocation bookkeeping,
 /// which is how the paper's Fig. 13 frames its bars.
-///
-/// Latency experiments should use a *modest* clock rate (≲ 20×): the
-/// scaled clock multiplies real scheduling overhead into virtual time, so
-/// very high rates would measure host thread-spawn cost instead of the
-/// modelled database round trips.
 pub fn measure_op(env: &BeldiEnv, ssf: &str, payload: &Value, iters: usize, ops: u32) -> Histogram {
     let mut hist = Histogram::new();
     let clock = env.clock();
@@ -281,13 +300,7 @@ mod tests {
 
     #[test]
     fn micro_env_runs_every_op() {
-        let env = experiment_env(
-            Mode::Beldi,
-            5,
-            2000.0,
-            beldi_simdb::DEFAULT_PARTITIONS,
-            false,
-        );
+        let env = experiment_env(Mode::Beldi, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {
             let h = measure_op(&env, "micro", &micro_payload(op), 3, 1);
@@ -300,13 +313,7 @@ mod tests {
 
     #[test]
     fn prepopulate_grows_the_chain() {
-        let env = experiment_env(
-            Mode::Beldi,
-            5,
-            2000.0,
-            beldi_simdb::DEFAULT_PARTITIONS,
-            false,
-        );
+        let env = experiment_env(Mode::Beldi, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
         register_micro_ops(&env);
         prepopulate_daal(&env, 4, 5);
         let len = env.daal_chain_len("micro", "t", "k").unwrap();
@@ -316,7 +323,7 @@ mod tests {
     #[test]
     fn all_three_systems_run_the_micro_ops() {
         for mode in SYSTEMS {
-            let env = experiment_env(mode, 5, 2000.0, 4, false);
+            let env = experiment_env(mode, 5, 4, false);
             register_micro_ops(&env);
             let h = measure_op(&env, "micro", &micro_payload("write"), 2, 1);
             assert_eq!(h.len(), 2, "{}", mode.name());

@@ -134,9 +134,6 @@ pub(crate) struct EnvCore {
     /// Recovery-latency samples for crashed instances.
     recovery: Mutex<RecoveryState>,
     timers: Mutex<Vec<beldi_simfaas::TimerHandle>>,
-    /// Stop flags for executor-task collector loops
-    /// ([`BeldiEnv::spawn_collectors_on`]), drained alongside `timers`.
-    async_stops: Mutex<Vec<Arc<AtomicBool>>>,
 }
 
 impl EnvCore {
@@ -248,7 +245,7 @@ impl EnvCore {
 }
 
 /// Builder for a [`BeldiEnv`] with non-default substrate parameters
-/// (latency model, clock rate, platform limits) — what the benchmark
+/// (latency model, clock, platform limits) — what the benchmark
 /// harnesses use to reproduce the paper's setup.
 pub struct EnvBuilder {
     config: BeldiConfig,
@@ -269,12 +266,6 @@ impl EnvBuilder {
             platform: PlatformConfig::for_tests(),
             seed: 7,
         }
-    }
-
-    /// Uses a scaled clock running at `rate` × real time.
-    pub fn clock_rate(mut self, rate: f64) -> Self {
-        self.clock = Some(ScaledClock::shared(rate));
-        self
     }
 
     /// Uses an explicit shared clock.
@@ -336,7 +327,6 @@ impl EnvBuilder {
                 ic_cursors: Mutex::new(HashMap::new()),
                 recovery: Mutex::new(RecoveryState::default()),
                 timers: Mutex::new(Vec::new()),
-                async_stops: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -707,57 +697,13 @@ impl BeldiEnv {
         }
     }
 
-    /// The executor-task counterpart of [`BeldiEnv::start_collectors`] /
-    /// [`BeldiEnv::start_gc`]: instead of one ticker *thread* per
-    /// collector timer, spawns one lightweight task per collector on
-    /// `rt`. Each task sleeps the collector period in virtual time and
-    /// then awaits its pass's completion, so one timer's passes never
-    /// overlap (the `Ticker` contract); the per-SSF busy guard still
-    /// covers cross-timer overlap. Tasks exit on
-    /// [`BeldiEnv::stop_collectors`] (checked after each period) or when
-    /// the environment drops.
-    pub fn spawn_collectors_on(&self, rt: &beldi_runtime::Handle, ic: bool, gc: bool) {
-        if self.core.config.mode == Mode::Baseline {
-            return;
-        }
-        let period = self.core.config.collector_period;
-        let stop = Arc::new(AtomicBool::new(false));
-        self.core.async_stops.lock().push(stop.clone());
-        // Sorted names, like `start_timers`: spawn order decides task ids
-        // and therefore the seeded schedule.
-        for name in self.ssf_names() {
-            for suffix in ["ic", "gc"] {
-                if (suffix == "ic" && !ic) || (suffix == "gc" && !gc) {
-                    continue;
-                }
-                let function = format!("{name}.{suffix}");
-                let weak = Arc::downgrade(&self.core);
-                let stop = stop.clone();
-                let h = rt.clone();
-                rt.spawn(async move {
-                    loop {
-                        h.sleep(period).await;
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let Some(core) = weak.upgrade() else { return };
-                        // Collector crashes (chaos kills) surface as
-                        // Crashed errors here; the next tick retries,
-                        // exactly like the ticker path.
-                        let _ = core.platform.invoke_pending(&function, Value::Null).await;
-                    }
-                });
-            }
-        }
-    }
-
-    /// Stops all collector timers and executor collector tasks.
+    /// Stops all collector timers.
     pub fn stop_collectors(&self) {
-        for t in self.core.timers.lock().drain(..) {
+        // Taken out first: stopping a timer waits for its thread, and
+        // that wait must not hold the lock.
+        let timers = std::mem::take(&mut *self.core.timers.lock());
+        for t in timers {
             t.stop();
-        }
-        for s in self.core.async_stops.lock().drain(..) {
-            s.store(true, Ordering::Release);
         }
     }
 
@@ -1167,28 +1113,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 64, "every task's write must land exactly once");
-    }
-
-    #[test]
-    fn collector_tasks_run_passes_and_stop() {
-        let cfg = BeldiConfig::beldi().with_collector_period(Duration::from_millis(20));
-        let env = BeldiEnv::for_tests_with(cfg);
-        env.register_ssf("f", &["t"], Arc::new(|_, _| Ok(Value::Null)));
-        let rt = beldi_runtime::Executor::new(env.clock().clone(), 7);
-        env.spawn_collectors_on(&rt.handle(), true, true);
-        // Drive the executor long enough for several virtual periods.
-        let h = rt.handle();
-        rt.block_on(async move { h.sleep(Duration::from_millis(200)).await });
-        env.stop_collectors();
-        rt.run(); // Collector tasks observe the stop flag and exit.
-        assert!(
-            env.gc_totals().passes >= 1,
-            "gc collector tasks should have completed passes"
-        );
-        assert!(
-            env.ic_totals().passes >= 1,
-            "ic collector tasks should have completed passes"
-        );
     }
 
     #[test]

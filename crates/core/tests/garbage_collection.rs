@@ -1,9 +1,9 @@
 //! Garbage collection (§5): log pruning, DAAL compaction, and safety
 //! against concurrent SSF/GC activity.
 //!
-//! Uses a small `T` (the max SSF lifetime) and a fast virtual clock so the
-//! two-phase `finish + T` / `dangle + T` waits elapse in microseconds of
-//! real time while preserving every ordering.
+//! Uses a small `T` (the max SSF lifetime) and virtual time, so the
+//! two-phase `finish + T` / `dangle + T` waits cost no real time while
+//! preserving every ordering.
 
 use beldi::labels;
 use std::sync::Arc;
@@ -11,6 +11,7 @@ use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv};
+use beldi_simclock::SimClock;
 use beldi_simdb::ScanRequest;
 
 fn gc_config() -> BeldiConfig {
@@ -21,7 +22,10 @@ fn gc_config() -> BeldiConfig {
 
 /// Counter SSF used throughout.
 fn counter_env(cfg: BeldiConfig) -> BeldiEnv {
-    let env = BeldiEnv::for_tests_with(cfg);
+    with_counter(BeldiEnv::for_tests_with(cfg))
+}
+
+fn with_counter(env: BeldiEnv) -> BeldiEnv {
     env.register_ssf(
         "ctr",
         &["t"],
@@ -126,26 +130,29 @@ fn daal_stays_shallow_under_gc() {
 
 #[test]
 fn gc_is_safe_against_concurrent_writers() {
-    let env = Arc::new(counter_env(gc_config()));
+    let env = Arc::new(with_counter(sim_env(gc_config())));
+    let clock = env.clock().clone();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let gc_thread = {
         let env = Arc::clone(&env);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+        let collector = move || {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 env.run_gc_once("ctr").unwrap();
                 env.clock().sleep(Duration::from_millis(60));
             }
-        })
+        };
+        clock.spawn("gc".into(), Box::new(collector))
     };
     let mut handles = Vec::new();
-    for _ in 0..4 {
+    for i in 0..4 {
         let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
+        let writer = move || {
             for _ in 0..10 {
                 env.invoke("ctr", Value::Null).unwrap();
             }
-        }));
+        };
+        handles.push(clock.spawn(format!("writer-{i}"), Box::new(writer)));
     }
     for h in handles {
         h.join().unwrap();
@@ -169,7 +176,8 @@ fn gc_is_safe_against_concurrent_writers() {
 fn gc_with_locked_writers_loses_nothing() {
     // Locked increments serialize the RMW, so the final count is exact
     // even with a GC racing the writers.
-    let env = Arc::new(BeldiEnv::for_tests_with(gc_config()));
+    let env = Arc::new(sim_env(gc_config()));
+    let clock = env.clock().clone();
     env.register_ssf(
         "lctr",
         &["t"],
@@ -185,21 +193,23 @@ fn gc_with_locked_writers_loses_nothing() {
     let gc_thread = {
         let env = Arc::clone(&env);
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+        let collector = move || {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 env.run_gc_once("lctr").unwrap();
                 env.clock().sleep(Duration::from_millis(60));
             }
-        })
+        };
+        clock.spawn("gc".into(), Box::new(collector))
     };
     let mut handles = Vec::new();
-    for _ in 0..4 {
+    for i in 0..4 {
         let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
+        let writer = move || {
             for _ in 0..8 {
                 env.invoke("lctr", Value::Null).unwrap();
             }
-        }));
+        };
+        handles.push(clock.spawn(format!("writer-{i}"), Box::new(writer)));
     }
     for h in handles {
         h.join().unwrap();
@@ -209,15 +219,16 @@ fn gc_with_locked_writers_loses_nothing() {
     assert_eq!(env.read_current("lctr", "t", "k").unwrap(), Value::Int(32));
 }
 
-/// A GC-test environment whose `T` honours the synchrony assumption in
-/// *real* terms: at clock rate 100, `T = 10 s` virtual is 100 ms real —
-/// far above any instance's real execution time, so no live straggler
-/// ever looks dead to the collector (unlike the 2000× default, where
-/// `T` compresses to microseconds and the paper's precondition breaks).
+/// An environment on a [`SimClock`]: the calling test thread is its first
+/// participant, every other thread must come from `env.clock().spawn`.
+/// Time moves only by what is slept, so however slowly the host runs an
+/// instance, it can never look older than `T` to a collector.
+fn sim_env(cfg: BeldiConfig) -> BeldiEnv {
+    BeldiEnv::builder(cfg).clock(SimClock::shared(7)).build()
+}
+
 fn online_gc_env(cfg: BeldiConfig) -> BeldiEnv {
-    BeldiEnv::builder(cfg.with_t_max(Duration::from_secs(10)))
-        .clock_rate(100.0)
-        .build()
+    sim_env(cfg.with_t_max(Duration::from_secs(10)))
 }
 
 #[test]
@@ -240,25 +251,28 @@ fn two_racing_collectors_and_an_appender_lose_nothing() {
         }),
     );
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let clock = env.clock().clone();
     let mut gc_threads = Vec::new();
-    for _ in 0..2 {
+    for i in 0..2 {
         let env = Arc::clone(&env);
         let stop = Arc::clone(&stop);
-        gc_threads.push(std::thread::spawn(move || {
+        let collector = move || {
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 env.run_gc_once("lctr").unwrap();
                 env.clock().sleep(Duration::from_millis(400));
             }
-        }));
+        };
+        gc_threads.push(clock.spawn(format!("gc-{i}"), Box::new(collector)));
     }
     let mut writers = Vec::new();
-    for _ in 0..3 {
+    for i in 0..3 {
         let env = Arc::clone(&env);
-        writers.push(std::thread::spawn(move || {
+        let writer = move || {
             for _ in 0..12 {
                 env.invoke("lctr", Value::Null).unwrap();
             }
-        }));
+        };
+        writers.push(clock.spawn(format!("writer-{i}"), Box::new(writer)));
     }
     for h in writers {
         h.join().unwrap();
@@ -300,11 +314,8 @@ fn timer_triggered_online_gc_bounds_tables_under_live_traffic() {
         env.invoke("ctr", Value::Null).unwrap();
     }
     // Drain: let finish-stamping and the two `T` waits elapse while the
-    // timers keep firing (brief real sleeps let pass threads run).
-    for _ in 0..10 {
-        env.clock().sleep(Duration::from_secs(4));
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // timers keep firing.
+    env.clock().sleep(Duration::from_secs(40));
     env.stop_collectors();
     let totals = env.gc_totals();
     assert!(
@@ -394,7 +405,7 @@ fn gc_report_counts_are_coherent() {
 #[test]
 fn lease_enforcement_doubles_the_recycle_horizon() {
     let t = Duration::from_secs(60);
-    let env = counter_env(gc_config().with_t_max(t).with_enforce_t_max(true));
+    let env = with_counter(sim_env(gc_config().with_t_max(t).with_enforce_t_max(true)));
     env.invoke("ctr", Value::Null).unwrap();
     env.run_gc_once("ctr").unwrap(); // pass 1 stamps the finish time
 

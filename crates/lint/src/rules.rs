@@ -74,14 +74,21 @@ fn coverage_scope(p: &str) -> bool {
 }
 
 /// Crates whose library code runs on the virtual timeline: a real-time
-/// `std::thread::sleep` anywhere here distorts the simulation even when
-/// it is not on an executor path. `simclock` (which *implements* the
-/// virtual clock on real sleeps) and the host-side lint tool are out.
+/// `std::thread` wait or a raw `std::thread` start anywhere here escapes
+/// the clock's schedule even when it is not on an executor path.
+/// `simclock` and the host-side lint tool are out.
 fn async_scope(p: &str) -> bool {
     p.starts_with("crates/")
         && p.contains("/src/")
-        && !p.starts_with("crates/simclock/")
+        && !clock_impl(p)
         && !p.starts_with("crates/lint/")
+}
+
+/// `simclock` *implements* the clock's waits and threads on the host's:
+/// its parks are what every virtual-time wait compiles down to, on or
+/// off an executor path.
+fn clock_impl(p: &str) -> bool {
+    p.starts_with("crates/simclock/")
 }
 
 fn simdb_scope(p: &str) -> bool {
@@ -665,28 +672,44 @@ const GUARD_METHODS: &[&str] = &[
     "upgradable_read",
 ];
 
-/// Calls that block the calling thread. `thread::sleep` is matched by
-/// its path qualifier, so the workspace's virtual-time `sleep` surface
-/// (`Clock::sleep`, `Handle::sleep`, `beldi_runtime::sleep`) never
-/// trips it.
-fn blocking_primitive(call: &CallSite) -> Option<&'static str> {
-    match call.name.as_str() {
-        "sleep" if call.path_qual.as_deref() == Some("thread") => {
-            Some("`std::thread::sleep` (real-time sleep)")
+/// Calls that block the calling thread, or start one the workspace
+/// clock cannot schedule. The `std::thread` ones are matched by their
+/// path qualifier, so the workspace's virtual-time surface
+/// (`Clock::sleep`, `Clock::spawn`, `Handle::sleep`, `Executor::spawn`,
+/// `beldi_runtime::sleep`) never trips them. The flag says whether the
+/// call *waits* (and so stalls an executor it runs on) or only starts a
+/// thread.
+fn blocking_primitive(call: &CallSite) -> Option<(&'static str, bool)> {
+    let std_thread = call.path_qual.as_deref() == Some("thread");
+    Some(match call.name.as_str() {
+        "sleep" if std_thread => ("`std::thread::sleep` (real-time sleep)", true),
+        "park" | "park_timeout" if std_thread => {
+            ("`std::thread::park` (parks the OS thread)", true)
         }
-        "park" | "park_timeout" if call.path_qual.as_deref() == Some("thread") => {
-            Some("`std::thread::park` (parks the OS thread)")
-        }
+        "spawn" if std_thread => (
+            "`std::thread::spawn` (a thread outside the clock's schedule)",
+            false,
+        ),
+        "scope" if std_thread => (
+            "`std::thread::scope` (threads outside the clock's schedule)",
+            false,
+        ),
+        // `std::thread::Builder::new().spawn(..)`: the `spawn` is a bare
+        // method call, so the builder's constructor marks the site.
+        "new" if call.path_qual.as_deref() == Some("Builder") => (
+            "`std::thread::Builder` (a thread outside the clock's schedule)",
+            false,
+        ),
         "recv" | "recv_timeout" | "recv_deadline" if call.is_method => {
-            Some("a blocking channel receive")
+            ("a blocking channel receive", true)
         }
         "wait" | "wait_until" | "wait_timeout" | "wait_while" | "wait_timeout_while"
             if call.is_method =>
         {
-            Some("a blocking condvar wait")
+            ("a blocking condvar wait", true)
         }
-        _ => None,
-    }
+        _ => return None,
+    })
 }
 
 /// `std::net` handle types: their construction or use is synchronous IO.
@@ -786,10 +809,17 @@ pub fn async_safety(ws: &Workspace, files: &[SourceFile], findings: &mut Vec<Fin
 
         // (a) blocking-in-task: blocking primitives at call sites.
         for call in &m.calls {
-            let Some(what) = blocking_primitive(call) else {
+            let Some((what, waits)) = blocking_primitive(call) else {
                 continue;
             };
-            let context = if whole || m.in_async_block(call.tok) {
+            if clock_impl(&sf.path) {
+                continue;
+            }
+            // A thread start stalls no task; wherever it is, it is the
+            // off-path finding below.
+            let context = if !waits {
+                None
+            } else if whole || m.in_async_block(call.tok) {
                 Some(format!("inside {}", graph::seed_desc(m, sf)))
             } else {
                 reach[idx].as_ref().map(|r| {
@@ -815,21 +845,20 @@ pub fn async_safety(ws: &Workspace, files: &[SourceFile], findings: &mut Vec<Fin
                     ));
                 }
             } else if async_scope(&sf.path)
-                && call.name == "sleep"
-                && call.path_qual.as_deref() == Some("thread")
+                && call.path_qual.is_some()
                 && seen.insert((sf.path.clone(), call.line))
             {
-                // Off every executor path, a real-time sleep in library
-                // code still distorts the virtual timeline.
+                // Off every executor path, a `std::thread` wait or start
+                // in library code still escapes the clock's schedule.
                 findings.push(Finding::new(
                     "async-safety/blocking-in-task",
                     &sf.path,
                     call.line,
                     format!(
-                        "`std::thread::sleep` in `{}`: virtual-time library code must \
-                         not wait in real time (the simulated timeline and the clock \
-                         rate drift apart); pace on the workspace clock \
-                         (`clock.sleep`) instead",
+                        "{what} in `{}`: virtual-time library code must wait and start \
+                         threads through the workspace clock (`clock.sleep`, \
+                         `clock.park_until`, `clock.spawn`), or the simulated schedule \
+                         cannot see them",
                         m.name
                     ),
                     sf.line_text(call.line),

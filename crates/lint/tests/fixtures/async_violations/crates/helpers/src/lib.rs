@@ -10,3 +10,13 @@ pub fn stash(ctx: &mut SsfContext, v: Value) -> Result<Value> {
 pub fn stash_indirect(ctx: &mut SsfContext, v: Value) -> Result<Value> {
     stash(ctx, v)
 }
+
+// async-safety/blocking-in-task, off every executor path: library code
+// that waits or starts threads behind the workspace clock's back.
+pub fn fan_out(jobs: Vec<Job>) {
+    let worker = std::thread::spawn(move || run_all(jobs)); // planted: raw-spawn
+    std::thread::scope(|s| drain(s)); // planted: raw-scope
+    let named = std::thread::Builder::new().name("w".into()); // planted: raw-builder
+    std::thread::park_timeout(Duration::from_micros(200)); // planted: raw-park
+    finish(worker, named);
+}

@@ -22,31 +22,34 @@
 //! tasks wake together, preserving determinism on continuously flowing
 //! clocks ([`beldi_simclock::ScaledClock`]).
 //!
+//! # Idle
+//!
+//! With nothing runnable the executor thread parks on its clock
+//! ([`beldi_simclock::Clock::park_until`]) until the earliest timer
+//! deadline, or with no deadline when the heap is empty. That is its only wait: a
+//! [`beldi_simclock::SimClock`] sees it and moves virtual time straight
+//! to the deadline, a real-time clock re-checks on its own cadence.
+//!
 //! # Cross-thread wakes
 //!
 //! Wakers are `Send`; platform worker threads complete invocations by
 //! waking the awaiting task, which enqueues it and unparks the executor
-//! through a condvar. The executor never blocks while holding the
-//! scheduler lock.
+//! thread through the clock. The executor never blocks while holding
+//! the scheduler lock.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::{Duration, Instant};
+use std::thread::Thread;
+use std::time::Duration;
 
-use beldi_simclock::{Clock, ManualClock, SharedClock, SimInstant};
-use parking_lot::{Condvar, Mutex};
+use beldi_simclock::{SharedClock, SimClock, SimInstant};
+use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::join::{complete, JoinHandle, JoinState};
-
-/// Granularity of the executor's real-time timer polls while waiting for
-/// a virtual deadline. The clock trait deliberately hides its rate, so
-/// the executor re-checks virtual time at this cadence — same technique
-/// (and same constant) as the platform's sync-invoke wait loop.
-const TIMER_POLL: Duration = Duration::from_micros(200);
 
 type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
@@ -98,28 +101,35 @@ struct Sched {
     /// Poll-order trace (task ids), recorded when tracing is on.
     trace: Option<Vec<u64>>,
     polls: u64,
+    /// The executor thread, while it is parked idle: whoever makes work
+    /// for it takes this and unparks it.
+    idle: Option<Thread>,
 }
 
 pub(crate) struct Inner {
     clock: SharedClock,
-    /// Discrete-event mode: when set, an idle executor *advances* this
-    /// clock to the next timer deadline instead of waiting for it. Time
-    /// then depends only on the task set, never on host speed — the
-    /// strongest determinism the runtime offers (see
-    /// [`Executor::simulated`]).
-    auto: Option<Arc<ManualClock>>,
     sched: Mutex<Sched>,
-    cv: Condvar,
 }
 
 impl Inner {
+    /// Unparks the executor if it went idle before `s` gained the work
+    /// the caller just added. Consumes the guard: the clock is called
+    /// with the scheduler lock released.
+    fn rouse(&self, mut s: parking_lot::MutexGuard<'_, Sched>) {
+        let idle = s.idle.take();
+        drop(s);
+        if let Some(thread) = idle {
+            self.clock.unpark(&thread);
+        }
+    }
+
     fn wake_task(&self, id: u64) {
         let mut s = self.sched.lock();
         if let Some(slot) = s.tasks.get_mut(&id) {
             if !slot.queued {
                 slot.queued = true;
                 s.ready.push(id);
-                self.cv.notify_all();
+                self.rouse(s);
             }
         }
     }
@@ -133,9 +143,9 @@ impl Inner {
             seq,
             waker,
         });
-        // The executor may be parked without a timer poll deadline
-        // (empty heap); unpark it so it picks the new deadline up.
-        self.cv.notify_all();
+        // The executor may be parked past this deadline (or without
+        // one); unpark it so it picks the new deadline up.
+        self.rouse(s);
     }
 }
 
@@ -170,26 +180,9 @@ impl Executor {
     /// Creates an executor over `clock`, with `seed` fixing every
     /// ready-queue scheduling decision.
     pub fn new(clock: SharedClock, seed: u64) -> Executor {
-        Executor::build(clock, None, seed)
-    }
-
-    /// Creates a fully simulated executor: its own [`ManualClock`] that
-    /// the scheduler advances to the next timer deadline whenever no
-    /// task is runnable. With no foreign threads in play, the schedule
-    /// *and* every virtual timestamp are a pure function of (task set,
-    /// seed) — host load cannot perturb which timers fire together, so
-    /// same-seed replay is exact. This is the mode the determinism
-    /// suite and the 10k-task stress test run under.
-    pub fn simulated(seed: u64) -> Executor {
-        let clock = ManualClock::shared();
-        Executor::build(clock.clone() as SharedClock, Some(clock), seed)
-    }
-
-    fn build(clock: SharedClock, auto: Option<Arc<ManualClock>>, seed: u64) -> Executor {
         Executor {
             inner: Arc::new(Inner {
                 clock,
-                auto,
                 sched: Mutex::new(Sched {
                     tasks: HashMap::new(),
                     ready: Vec::new(),
@@ -200,10 +193,19 @@ impl Executor {
                     rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
                     trace: None,
                     polls: 0,
+                    idle: None,
                 }),
-                cv: Condvar::new(),
             }),
         }
+    }
+
+    /// Creates an executor on its own [`SimClock`], whose first
+    /// participant is the calling thread — which must therefore also be
+    /// the one that runs it. An idle executor then jumps virtual time to
+    /// its next timer deadline, so the schedule *and* every virtual
+    /// timestamp are a pure function of (task set, seed).
+    pub fn simulated(seed: u64) -> Executor {
+        Executor::new(SimClock::shared(seed), seed)
     }
 
     /// Returns a cloneable handle usable from any thread.
@@ -274,11 +276,11 @@ impl Executor {
             enum Next {
                 Poll(u64, TaskFuture),
                 FireTimers(Vec<Waker>),
-                WaitTimer(u64),
-                WaitWake,
+                Park(Option<SimInstant>),
             }
             let next = {
                 let mut s = self.inner.sched.lock();
+                s.idle = None;
                 if finished(&s) {
                     return;
                 }
@@ -315,21 +317,24 @@ impl Executor {
                         // Stale id of a completed task.
                         None => continue,
                     }
-                } else if let Some(head) = s.timers.peek() {
-                    if self.inner.clock.now().as_nanos() >= head.at {
-                        // Fire exactly the equal-deadline batch (module
-                        // docs: determinism under clock overshoot).
-                        let due_at = head.at;
-                        let mut wakers = Vec::new();
-                        while s.timers.peek().is_some_and(|t| t.at == due_at) {
-                            wakers.push(s.timers.pop().expect("peeked").waker);
-                        }
-                        Next::FireTimers(wakers)
-                    } else {
-                        Next::WaitTimer(head.at)
-                    }
                 } else {
-                    Next::WaitWake
+                    match s.timers.peek().map(|head| head.at) {
+                        Some(due_at) if self.inner.clock.now().as_nanos() >= due_at => {
+                            // Fire exactly the equal-deadline batch (module
+                            // docs: determinism under clock overshoot).
+                            let mut wakers = Vec::new();
+                            while s.timers.peek().is_some_and(|t| t.at == due_at) {
+                                wakers.push(s.timers.pop().expect("peeked").waker);
+                            }
+                            Next::FireTimers(wakers)
+                        }
+                        // Nothing runnable: park until the next deadline,
+                        // or — with none — until another thread's wake.
+                        next_deadline => {
+                            s.idle = Some(std::thread::current());
+                            Next::Park(next_deadline.map(SimInstant::from_nanos))
+                        }
+                    }
                 }
             };
 
@@ -359,44 +364,10 @@ impl Executor {
                         w.wake();
                     }
                 }
-                Next::WaitTimer(at) => {
-                    if let Some(manual) = &self.inner.auto {
-                        // Discrete-event mode: jump virtual time to the
-                        // deadline instead of waiting it out.
-                        let target = SimInstant::from_nanos(at);
-                        if target > manual.now() {
-                            manual.advance_to(target);
-                        }
-                    } else {
-                        // Re-check virtual time at a fixed real cadence;
-                        // a cross-thread wake unparks us sooner.
-                        let mut s = self.inner.sched.lock();
-                        if s.ready.is_empty() {
-                            self.inner
-                                .cv
-                                // beldi-lint: allow(async-safety/blocking-in-task,
-                                // this *is* the scheduler's idle park - the wait
-                                // every task's sleep compiles down to, not a
-                                // wait inside a task)
-                                .wait_until(&mut s, Instant::now() + TIMER_POLL);
-                        }
-                    }
-                }
-                Next::WaitWake => {
-                    let mut s = self.inner.sched.lock();
-                    if s.ready.is_empty() && s.timers.is_empty() && !finished(&s) {
-                        // Nothing runnable and no deadline to poll for:
-                        // park until an external wake. Spurious wakeups
-                        // only cost a loop iteration. A real-time poll
-                        // backstops a wake racing the park decision.
-                        self.inner
-                            .cv
-                            // beldi-lint: allow(async-safety/blocking-in-task,
-                            // the scheduler's own no-work park between tasks;
-                            // no task is suspended mid-poll while it waits)
-                            .wait_until(&mut s, Instant::now() + 50 * TIMER_POLL);
-                    }
-                }
+                // `idle` was set under the lock that found no work, so
+                // a wake that came since has already unparked this
+                // thread and the park returns at once.
+                Next::Park(deadline) => self.inner.clock.park_until(deadline),
             }
         }
     }
@@ -428,7 +399,7 @@ impl Handle {
         );
         s.ready.push(id);
         s.live += 1;
-        self.inner.cv.notify_all();
+        self.inner.rouse(s);
         JoinHandle { state, id }
     }
 

@@ -2,6 +2,7 @@
 
 use std::fmt;
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -58,10 +59,18 @@ impl fmt::Display for SimInstant {
     }
 }
 
+/// How often a thread parked by the default [`Clock::park_until`]
+/// re-reads a clock whose rate it cannot see.
+const PARK_RECHECK: Duration = Duration::from_micros(200);
+
 /// A source of virtual time.
 ///
 /// Implementations must be monotonic: successive [`Clock::now`] calls never
-/// go backwards.
+/// go backwards. Only [`Clock::now`] and [`Clock::sleep`] are required;
+/// the parking and thread methods default to the host's own
+/// (`std::thread`), which is right for every clock whose time flows
+/// without being told who is waiting. [`crate::SimClock`] overrides them
+/// to make those waits visible to its schedule.
 pub trait Clock: Send + Sync {
     /// Returns the current virtual time.
     fn now(&self) -> SimInstant;
@@ -75,6 +84,67 @@ pub trait Clock: Send + Sync {
         if deadline > now {
             self.sleep(deadline.since(now));
         }
+    }
+
+    /// Parks the calling thread until [`Clock::unpark`] names it or
+    /// virtual time reaches `deadline`. May return early: callers loop
+    /// on their own condition. An `unpark` that comes first is not lost —
+    /// the next park returns at once.
+    fn park_until(&self, deadline: Option<SimInstant>) {
+        match deadline {
+            None => std::thread::park(),
+            Some(_) => std::thread::park_timeout(PARK_RECHECK),
+        }
+    }
+
+    /// Wakes `thread` from [`Clock::park_until`].
+    fn unpark(&self, thread: &Thread) {
+        thread.unpark();
+    }
+
+    /// Runs `body` on a new thread named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the host refuses to start the thread.
+    fn spawn(&self, name: String, body: Box<dyn FnOnce() + Send>) -> JoinHandle {
+        JoinHandle::new(spawn_named(name, body), None)
+    }
+}
+
+pub(crate) fn spawn_named(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("the host must be able to start a thread")
+}
+
+/// Handle to a thread started by [`Clock::spawn`]. Dropping it detaches
+/// the thread.
+pub struct JoinHandle {
+    thread: std::thread::JoinHandle<()>,
+    /// The clock-visible part of the wait, for clocks that schedule
+    /// their threads.
+    await_exit: Option<Box<dyn FnOnce() + Send>>,
+}
+
+impl JoinHandle {
+    pub(crate) fn new(
+        thread: std::thread::JoinHandle<()>,
+        await_exit: Option<Box<dyn FnOnce() + Send>>,
+    ) -> JoinHandle {
+        JoinHandle { thread, await_exit }
+    }
+
+    /// Waits for the thread to finish; `Err` carries its panic.
+    pub fn join(self) -> std::thread::Result<()> {
+        if let Some(await_exit) = self.await_exit {
+            await_exit();
+        }
+        self.thread.join()
     }
 }
 

@@ -4,28 +4,52 @@
 //! (Fig. 16 runs for 60 minutes) depend only on *relative* time: an SSF
 //! instance lives at most `T`, the GC waits `T` before deleting, intent and
 //! garbage collectors fire every minute. All components in this workspace
-//! therefore read time exclusively through the [`Clock`] trait, and the
-//! experiments drive a [`ScaledClock`] that compresses virtual minutes into
-//! real milliseconds while preserving every ordering.
+//! therefore read time exclusively through the [`Clock`] trait, whose
+//! required surface is two methods, `now` and `sleep`.
 //!
-//! Two implementations are provided:
+//! Three clocks, by who moves time:
 //!
-//! - [`ScaledClock`] — virtual time advances at `rate` × real time;
-//!   `sleep(d)` costs `d / rate` of wall time. `rate = 1.0` is real time.
-//! - [`ManualClock`] — time advances only when a test calls
-//!   [`ManualClock::advance`]; sleepers wake deterministically.
+//! - [`SimClock`] — *the schedule does.* Every experiment runs on it.
+//!   Time jumps to the earliest deadline when every participant thread is
+//!   waiting, one participant runs at a time, and the order is seeded:
+//!   virtual time is the sum of the modelled waits and nothing of the
+//!   host's. Use it whenever every thread that touches the system can be
+//!   started through the clock.
+//! - [`ScaledClock`] — *the host does.* Virtual time is real time ×
+//!   `rate`; `sleep(d)` costs `d / rate` of wall time. For code with a
+//!   real-world peer (the HTTP front door's sockets) and for tests that
+//!   call in from raw `std::thread`s.
+//! - [`ManualClock`] — *the test does*, by calling
+//!   [`ManualClock::advance`].
 //!
-//! Both hand out [`SimInstant`]s: virtual nanoseconds since the clock's
+//! All hand out [`SimInstant`]s: virtual nanoseconds since the clock's
 //! epoch.
+//!
+//! # The participant contract
+//!
+//! A wait is *clock-visible* when it goes through the trait:
+//! [`Clock::sleep`] / [`Clock::sleep_until`]; [`Clock::park_until`], woken
+//! by [`Clock::unpark`] (what [`park_on`] — and so the platform's blocking
+//! invokes and a thread's `Semaphore` acquire — and the executor's idle
+//! wait are built on); and [`JoinHandle::join`] of a thread started with
+//! [`Clock::spawn`]. On `ScaledClock`, `ManualClock` and any clock that
+//! implements only `now` + `sleep`, the last three default to the host's
+//! `std::thread` equivalents. On a `SimClock` they are how the schedule
+//! learns that a thread has stopped running: a participant must wait in no
+//! other way on anything another participant has to run to provide, and a
+//! thread the clock did not start must not wait on it at all (it panics,
+//! naming the thread). [`SimClock`]'s docs give the details.
 //!
 //! The crate also holds the two waiting primitives every layer above
 //! shares: the periodic [`Ticker`] and the waker-based [`Semaphore`]
 //! ([`sync`]).
 
 mod clock;
+mod sim;
 pub mod sync;
 mod ticker;
 
-pub use clock::{Clock, ManualClock, ScaledClock, SharedClock, SimInstant};
-pub use sync::{Permit, Semaphore};
+pub use clock::{Clock, JoinHandle, ManualClock, ScaledClock, SharedClock, SimInstant};
+pub use sim::SimClock;
+pub use sync::{park_on, Permit, Semaphore};
 pub use ticker::{Ticker, TickerHandle};

@@ -17,18 +17,23 @@
 //! it first, in which case the waiter parks again at the back). The
 //! permit count and the wait queue sit under one lock, so a poll checks
 //! and parks atomically. An executor task awaits [`Acquire`] directly; a
-//! thread that wants to block polls the same future with a waker that
-//! unparks it. Withdrawn waiters (dropped futures) leave cleared slots
-//! that a release skips, and a waiter dropped after it was woken passes
-//! the wake on, so cancellation can never strand a permit.
+//! thread that wants to block drives the same future with [`park_on`],
+//! whose waker unparks it through the clock. Withdrawn waiters (dropped
+//! futures) leave cleared slots that a release skips, and a waiter
+//! dropped after it was woken passes the wake on, so cancellation can
+//! never strand a permit.
 
 use std::collections::VecDeque;
 use std::future::Future;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 
 use parking_lot::Mutex;
+
+use crate::clock::{SharedClock, SimInstant};
 
 /// A parked waiter: `None` after withdrawal (dropped or re-parked).
 type WaiterSlot = Arc<Mutex<Option<Waker>>>;
@@ -170,5 +175,48 @@ impl Drop for Acquire {
                 self.inner.wake_next(0);
             }
         }
+    }
+}
+
+/// [`park_on`]'s waker: unparks the waiting thread through the clock.
+struct Unparker {
+    clock: SharedClock,
+    thread: Thread,
+    /// Set by a wake, cleared by the poll it causes (`Release`/`Acquire`
+    /// pair), so a park that ends on its deadline re-checks the clock
+    /// without re-polling — a poll would re-queue a semaphore waiter at
+    /// the back.
+    woken: AtomicBool,
+}
+
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.woken.store(true, Ordering::Release);
+        self.clock.unpark(&self.thread);
+    }
+}
+
+/// Drives `fut` on the calling thread, parked on `clock` between polls,
+/// until it resolves or virtual time reaches `deadline` — then `None`,
+/// and dropping the future withdraws whatever waker it had parked.
+pub fn park_on<F: Future>(clock: &SharedClock, deadline: SimInstant, fut: F) -> Option<F::Output> {
+    let mut fut = pin!(fut);
+    let unparker = Arc::new(Unparker {
+        clock: Arc::clone(clock),
+        thread: std::thread::current(),
+        woken: AtomicBool::new(true),
+    });
+    let waker = Waker::from(Arc::clone(&unparker));
+    let mut cx = Context::from_waker(&waker);
+    loop {
+        if unparker.woken.swap(false, Ordering::Acquire) {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return Some(out);
+            }
+        }
+        if clock.now() >= deadline {
+            return None;
+        }
+        clock.park_until(Some(deadline));
     }
 }

@@ -3,14 +3,13 @@
 //! Beldi triggers its intent collector and garbage collector "by a timer
 //! every 1 minute, which is the finest resolution supported by AWS" (§7.2).
 //! [`Ticker`] reproduces that: it invokes a callback every `period` of
-//! virtual time on a dedicated thread until stopped.
+//! virtual time on a dedicated thread of the clock until stopped.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::clock::SharedClock;
+use crate::clock::{JoinHandle, SharedClock};
 
 /// A periodic virtual-time timer.
 pub struct Ticker;
@@ -19,7 +18,7 @@ pub struct Ticker;
 /// [`TickerHandle::stop`].
 pub struct TickerHandle {
     stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<()>>,
+    join: Option<JoinHandle>,
 }
 
 impl Ticker {
@@ -41,29 +40,28 @@ impl Ticker {
         assert!(!period.is_zero(), "ticker period must be non-zero");
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let join = std::thread::Builder::new()
-            .name("sim-ticker".into())
-            .spawn(move || {
-                let mut next = clock.now().plus(period);
-                loop {
-                    clock.sleep_until(next);
-                    if stop2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    tick();
-                    if stop2.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // Schedule relative to *now* so long ticks delay rather
-                    // than pile up.
-                    let now = clock.now();
-                    next = next.plus(period);
-                    if next < now {
-                        next = now.plus(period);
-                    }
+        let spawner = clock.clone();
+        let body = move || {
+            let mut next = clock.now().plus(period);
+            loop {
+                clock.sleep_until(next);
+                if stop2.load(Ordering::Acquire) {
+                    return;
                 }
-            })
-            .expect("spawn ticker thread");
+                tick();
+                if stop2.load(Ordering::Acquire) {
+                    return;
+                }
+                // Schedule relative to *now* so long ticks delay rather
+                // than pile up.
+                let now = clock.now();
+                next = next.plus(period);
+                if next < now {
+                    next = now.plus(period);
+                }
+            }
+        };
+        let join = spawner.spawn("sim-ticker".into(), Box::new(body));
         TickerHandle {
             stop,
             join: Some(join),
@@ -72,12 +70,12 @@ impl Ticker {
 }
 
 impl TickerHandle {
-    /// Stops the timer and waits for its thread to exit.
-    ///
-    /// Note: with a [`crate::ManualClock`], the timer thread may be blocked
-    /// in `sleep_until`; the caller must advance the clock for the thread to
-    /// observe the stop flag. With a [`crate::ScaledClock`] this returns
-    /// within one period.
+    /// Stops the timer and waits for its thread to exit, which it does
+    /// at the end of the period it is sleeping through: within one
+    /// period on a [`crate::ScaledClock`], at once on a
+    /// [`crate::SimClock`] (the join is a wait the clock sees, so time
+    /// moves to the timer's deadline), and on a [`crate::ManualClock`]
+    /// when some other thread advances the clock that far.
     pub fn stop(mut self) {
         self.stop_inner();
     }
@@ -102,7 +100,7 @@ impl Drop for TickerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ScaledClock;
+    use crate::clock::{Clock, ScaledClock};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -133,6 +131,24 @@ mod tests {
         let n = count.load(Ordering::SeqCst);
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(count.load(Ordering::SeqCst), n);
+    }
+
+    /// On a `SimClock` the ticks land exactly on the period, and `stop`
+    /// needs nobody to advance the clock: joining is a wait the clock
+    /// sees, so time moves to the ticker's next deadline and it exits.
+    #[test]
+    fn sim_clock_ticker_is_exact_and_stops_unaided() {
+        let clock = crate::SimClock::shared(1);
+        let ticks = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let (c, t) = (clock.clone(), ticks.clone());
+        let h = Ticker::spawn(clock.clone(), Duration::from_secs(60), move || {
+            t.lock().push(c.now().as_millis());
+        });
+        clock.sleep(Duration::from_secs(200));
+        assert_eq!(*ticks.lock(), [60_000, 120_000, 180_000]);
+        h.stop();
+        assert_eq!(ticks.lock().len(), 3);
+        assert_eq!(clock.now().as_millis(), 240_000);
     }
 
     #[test]

@@ -4,16 +4,12 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
-use std::pin::pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
-use std::thread::Thread;
+use std::task::{Poll, Waker};
 use std::time::Duration;
 
-use beldi_simclock::{
-    Permit, ScaledClock, Semaphore, SharedClock, SimInstant, Ticker, TickerHandle,
-};
+use beldi_simclock::{park_on, Permit, ScaledClock, Semaphore, SharedClock, Ticker, TickerHandle};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -363,53 +359,52 @@ impl Platform {
             };
         let warm_cap = self.config.warm_pool_per_fn;
         self.metrics.start(cold);
-        std::thread::Builder::new()
-            .name(format!("ssf-{fn_name}"))
-            .spawn(move || {
-                let run = || {
-                    platform.clock.sleep(startup);
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        // The worker booted (startup delay paid) but may
-                        // die before the handler runs: the permit is
-                        // still freed below and the caller sees
-                        // `Crashed`, so recovery must re-run the intent
-                        // from scratch.
-                        platform
-                            .faults
-                            .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
-                        (handler)(&ctx, payload)
-                    }));
-                    let reply = match result {
-                        Ok(value) => {
-                            platform.metrics.finish_ok();
-                            Ok(value)
-                        }
-                        Err(panic) => {
-                            platform.metrics.finish_crash();
-                            Err(InvokeError::Crashed(describe_panic(panic)))
-                        }
-                    };
-                    let mut idle = warm_idle.lock();
-                    if *idle < warm_cap {
-                        *idle += 1;
+        let worker = move || {
+            let run = || {
+                platform.clock.sleep(startup);
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    // The worker booted (startup delay paid) but may
+                    // die before the handler runs: the permit is
+                    // still freed below and the caller sees
+                    // `Crashed`, so recovery must re-run the intent
+                    // from scratch.
+                    platform
+                        .faults
+                        .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
+                    (handler)(&ctx, payload)
+                }));
+                let reply = match result {
+                    Ok(value) => {
+                        platform.metrics.finish_ok();
+                        Ok(value)
                     }
-                    reply
+                    Err(panic) => {
+                        platform.metrics.finish_crash();
+                        Err(InvokeError::Crashed(describe_panic(panic)))
+                    }
                 };
-                // A worker that dies outside its handler (while booting,
-                // say) still owes its caller a reply: without one a task
-                // in `invoke_pending`, which has no timeout, waits forever.
-                let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-                    platform.metrics.finish_crash();
-                    Err(InvokeError::Crashed("worker-lost".into()))
-                });
-                // Free the permit (the worker is already back in the warm
-                // pool) *before* replying: a closed-loop caller re-invokes
-                // the moment the reply lands, and must find this worker
-                // warm and its permit free rather than race them.
-                drop(permit);
-                sink(reply);
-            })
-            .expect("spawn worker thread");
+                let mut idle = warm_idle.lock();
+                if *idle < warm_cap {
+                    *idle += 1;
+                }
+                reply
+            };
+            // A worker that dies outside its handler (while booting,
+            // say) still owes its caller a reply: without one a task
+            // in `invoke_pending`, which has no timeout, waits forever.
+            let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+                platform.metrics.finish_crash();
+                Err(InvokeError::Crashed("worker-lost".into()))
+            });
+            // Free the permit (the worker is already back in the warm
+            // pool) *before* replying: a closed-loop caller re-invokes
+            // the moment the reply lands, and must find this worker
+            // warm and its permit free rather than race them.
+            drop(permit);
+            sink(reply);
+        };
+        // Detached: the worker's reply, not its exit, is what callers await.
+        self.clock.spawn(format!("ssf-{fn_name}"), Box::new(worker));
         request_id
     }
 
@@ -440,50 +435,6 @@ struct Completion {
     waker: Option<Waker>,
 }
 
-/// The blocking fronts' waker: unparks the thread waiting in [`park_on`].
-struct Unparker {
-    thread: Thread,
-    /// Set by a wake, cleared by the poll it causes (`Release`/`Acquire`
-    /// pair), so a timed-out park re-checks the deadline without
-    /// re-polling — a poll would re-queue a semaphore waiter at the back.
-    woken: AtomicBool,
-}
-
-impl Wake for Unparker {
-    fn wake(self: Arc<Self>) {
-        self.woken.store(true, Ordering::Release);
-        self.thread.unpark();
-    }
-}
-
-/// Drives `fut` on the calling thread until it resolves, or until
-/// virtual time reaches `deadline` — then `None`, and dropping the
-/// future withdraws whatever waker it had parked.
-fn park_on<F: Future>(clock: &SharedClock, deadline: SimInstant, fut: F) -> Option<F::Output> {
-    let mut fut = pin!(fut);
-    let unparker = Arc::new(Unparker {
-        thread: std::thread::current(),
-        woken: AtomicBool::new(true),
-    });
-    let waker = Waker::from(unparker.clone());
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        if unparker.woken.swap(false, Ordering::Acquire) {
-            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
-                return Some(out);
-            }
-        }
-        if clock.now() >= deadline {
-            return None;
-        }
-        // beldi-lint: allow(async-safety/blocking-in-task, the one real-time
-        // wait in simfaas: invoke_sync/invoke_async callers opt into blocking
-        // their own thread, and the deadline is virtual, so the park re-checks
-        // the clock every 200 us; executor tasks await invoke_pending instead)
-        std::thread::park_timeout(Duration::from_micros(200));
-    }
-}
-
 fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(sig) = panic.downcast_ref::<CrashSignal>() {
         sig.point.clone()
@@ -500,7 +451,7 @@ fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::labels;
-    use beldi_simclock::{Clock, ManualClock};
+    use beldi_simclock::{Clock, ManualClock, SimInstant};
     use beldi_value::vmap;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;

@@ -9,19 +9,20 @@
 //!
 //! Design points:
 //!
-//! - **Virtual time.** The environment runs on a scaled clock with the
-//!   DynamoDB-shaped latency model, so reported latencies/throughput are
-//!   dominated by *modelled* storage round trips, not host speed —
-//!   numbers are comparable across machines, which is what lets CI gate
-//!   on them (the `gate` subcommand).
+//! - **Virtual time.** The environment runs on a
+//!   [`SimClock`](beldi_simclock::SimClock) seeded with the run's seed:
+//!   every client worker, platform worker, collector timer and sampler
+//!   is a participant of its one-at-a-time schedule, and time moves only
+//!   by the *modelled* storage and invocation waits. Host speed cannot
+//!   enter, which is what lets CI gate on equality (the `gate`
+//!   subcommand).
 //! - **Determinism.** The request stream is split up front: worker `w`
 //!   gets a fixed share of `total_ops` and its own seeded RNG
-//!   ([`worker_rng`]), so the *multiset* of issued requests is a pure
-//!   function of `(seed, workers, total_ops)` regardless of scheduling.
-//!   Combined with the apps' interleaving-invariant
-//!   [`WorkflowApp::bench_fingerprint`] projections, the whole
-//!   [`BenchRun`] — op counts, per-kind database deltas, final-state
-//!   digest — reproduces exactly for a fixed seed and worker count.
+//!   ([`worker_rng`]). With the schedule seeded too, everything in a
+//!   [`BenchRun`] but `wall_ms` — latency summary, virtual duration,
+//!   per-kind database deltas, every storage and in-flight sample, the
+//!   chaos recovery record, the final-state digest — is a pure function
+//!   of `(seed, options)`.
 //! - **Metrics windows.** The database counters are
 //!   [`reset`](beldi_simdb::Database::reset_metrics) after setup/seeding,
 //!   so [`BenchRun::db`] is exactly the measured run's operation delta
@@ -40,6 +41,7 @@ use std::time::Duration;
 use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
+use beldi_simclock::SimClock;
 use beldi_simdb::{LatencyModel, MetricsSnapshot};
 use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
 use parking_lot::Mutex;
@@ -50,8 +52,15 @@ use crate::histogram::Histogram;
 use crate::wire::{with_key, Wire};
 use crate::wire_fields;
 
-/// Report schema version (bumped on incompatible JSON changes).
-pub const BENCH_SCHEMA: i64 = 1;
+/// Report schema version (bumped on incompatible JSON changes). Schema 1
+/// reports were timed on a host-scaled clock; their numbers include host
+/// CPU time and compare with nothing written since.
+pub const BENCH_SCHEMA: i64 = 2;
+
+/// How to write a fresh `BENCH_baseline.json`, quoted by every message
+/// that refuses a stale one.
+pub const REBASELINE: &str =
+    "cargo run --release -p beldi-bench -- drive --smoke --json BENCH_baseline.json";
 
 /// Which execution engine drives the request load.
 ///
@@ -125,10 +134,6 @@ pub struct DriveOptions {
     pub seed: u64,
     /// Database partitions (the sharding knob under test).
     pub partitions: usize,
-    /// Virtual-clock rate (× real time). Modest rates keep host CPU cost
-    /// a small fraction of the modelled latencies; the smoke preset uses
-    /// a low rate for CI stability.
-    pub clock_rate: f64,
     /// Apply the DynamoDB-shaped latency model (off = zero-latency
     /// storage, for functional tests).
     pub model_latency: bool,
@@ -224,7 +229,6 @@ impl Default for DriveOptions {
             total_ops: 1_000,
             seed: 42,
             partitions: beldi_simdb::DEFAULT_PARTITIONS,
-            clock_rate: 120.0,
             model_latency: true,
             tail_cache: true,
             gc: false,
@@ -271,10 +275,8 @@ wire_fields!(LatencySummary: p50_us, p90_us, p95_us, p99_us, mean_us, max_us);
 
 /// One storage-growth observation, taken on virtual time during a run.
 ///
-/// Sampling is observational (it reads partition map sizes without
-/// touching the latency model or metrics) and, like `wall_ms`, excluded
-/// from the determinism contract: sample *timing* depends on host
-/// scheduling even though the run's final state does not.
+/// Sampling is observational: it reads partition map sizes without
+/// touching the latency model or metrics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StorageSample {
     /// Virtual microseconds since the measurement window opened.
@@ -333,11 +335,7 @@ wire_fields!(StorageSeries: samples, max_chain_len);
 /// tasks were live at a moment of virtual time.
 ///
 /// "Live" counts every unfinished task on the run's executor — parked
-/// request workflows (the overwhelming majority), plus the handful of
-/// collector tasks and the drive's own await-all task. Like
-/// [`StorageSample`] timing, the sample *schedule* is observational and
-/// outside the determinism contract; the high-water mark is not (it is
-/// read at a fixed point, right after the spawn loop).
+/// request workflows, plus the drive's own await-all task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InFlightSample {
     /// Virtual microseconds since the measurement window opened.
@@ -352,10 +350,9 @@ pub struct InFlightSample {
 pub struct InFlightSeries {
     /// Samples in time order.
     pub samples: Vec<InFlightSample>,
-    /// Maximum concurrent live tasks: the deterministic post-spawn
-    /// reading (every request task is in flight at that point) or the
-    /// largest sample, whichever is greater. The ≥10k acceptance gate
-    /// reads this.
+    /// Maximum concurrent live tasks: the post-spawn reading (every
+    /// request task is in flight at that point) or the largest sample,
+    /// whichever is greater. The ≥10k acceptance gate reads this.
     pub high_water: u64,
 }
 
@@ -433,8 +430,8 @@ pub struct BenchRun {
     pub errors: u64,
     /// Virtual time the run took, in microseconds.
     pub elapsed_virtual_us: u64,
-    /// Wall-clock milliseconds (informational; machine-dependent and
-    /// excluded from all comparisons).
+    /// Wall-clock milliseconds (informational; the one machine-dependent
+    /// field, excluded from all comparisons).
     pub wall_ms: u64,
     /// Completions per virtual second.
     pub throughput_rps: f64,
@@ -503,8 +500,6 @@ pub struct BenchReport {
     pub total_ops: u64,
     /// The mix preset name ("default" / "write-heavy").
     pub mix: String,
-    /// Virtual-clock rate used.
-    pub clock_rate: f64,
     /// Whether the tail cache was enabled.
     pub tail_cache: bool,
     /// The measured runs.
@@ -512,7 +507,7 @@ pub struct BenchReport {
 }
 
 wire_fields!(BenchReport:
-    seed, total_ops, mix = "default".to_owned(), clock_rate, tail_cache = true, runs
+    seed, total_ops, mix = "default".to_owned(), tail_cache = true, runs
 );
 
 impl BenchReport {
@@ -530,12 +525,17 @@ impl BenchReport {
     ///
     /// # Errors
     ///
-    /// A message naming the problem when the document is not a schema-1
-    /// report.
+    /// A message naming the problem when the document is not a report of
+    /// the current [`BENCH_SCHEMA`].
     pub fn from_value(v: &Value) -> Result<Self, String> {
         match v.get_int("schema") {
             Some(BENCH_SCHEMA) => {}
-            Some(other) => return Err(format!("unsupported bench schema {other}")),
+            Some(other) => {
+                return Err(format!(
+                    "bench schema {other}, this build reads and writes schema {BENCH_SCHEMA}: \
+                     regenerate the report (`{REBASELINE}`)"
+                ))
+            }
             None => return Err("not a bench report (no `schema` field)".into()),
         }
         if v.get_list("runs").is_none() {
@@ -588,9 +588,8 @@ pub fn lambda_like_platform() -> PlatformConfig {
 }
 
 /// [`lambda_like_platform`] with an effectively unbounded invocation
-/// timeout (at high clock rates a realistic virtual timeout is
-/// milliseconds of real time, and host scheduling jitter would abort
-/// requests spuriously) and, optionally, another concurrency cap.
+/// timeout (a closed-loop client waits for its reply however long the
+/// queue) and, optionally, another concurrency cap.
 pub fn driver_platform(concurrency: Option<usize>) -> PlatformConfig {
     let aws = lambda_like_platform();
     PlatformConfig {
@@ -669,8 +668,8 @@ fn resolve_run_shape(mode: Mode, opts: &DriveOptions) -> (Option<&ChaosOptions>,
 }
 
 /// Builds the environment for one drive — config resolution, app setup,
-/// and the metrics-window reset. Collector *launch* is the engine's job
-/// (timer threads vs executor tasks).
+/// and the metrics-window reset — on a fresh [`SimClock`] whose first
+/// participant is the calling thread.
 fn build_bench_env(
     app: &dyn WorkflowApp,
     mode: Mode,
@@ -699,7 +698,7 @@ fn build_bench_env(
     }
     let mut builder = BeldiEnv::builder(cfg)
         .seed(opts.seed)
-        .clock_rate(opts.clock_rate)
+        .clock(SimClock::shared(opts.seed))
         .platform(driver_platform(opts.platform_concurrency));
     if opts.model_latency {
         builder = builder.latency(LatencyModel::dynamo());
@@ -715,7 +714,7 @@ fn build_bench_env(
 struct RunShape<'a> {
     app: &'a dyn WorkflowApp,
     opts: &'a DriveOptions,
-    env: &'a BeldiEnv,
+    env: &'a Arc<BeldiEnv>,
     /// Whether garbage collectors run beside the load.
     gc: bool,
     /// Whether the intent collector runs beside the load (chaos runs,
@@ -754,7 +753,7 @@ pub fn drive_on(
 ) -> BenchRun {
     assert!(opts.workers > 0, "need at least one worker");
     let (chaos, gc) = resolve_run_shape(mode, opts);
-    let env = build_bench_env(app, mode, opts, chaos, gc);
+    let env = Arc::new(build_bench_env(app, mode, opts, chaos, gc));
     let faults = env.platform().faults();
     if let Some(c) = chaos {
         // The storm races the load and the collectors. Crash panics are
@@ -887,106 +886,123 @@ pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> Be
     drive_on(RuntimeKind::Async, app, mode, opts)
 }
 
-/// The thread engine: one OS thread per client worker, each issuing its
-/// next request the moment the previous one completes, with the
-/// collectors on virtual-time timer threads racing them.
-fn thread_load(shape: &RunShape<'_>) -> Load {
-    let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
-    if gc {
+/// Worker `w`'s request stream, in issue order — drawn up front so both
+/// engines issue the same multiset whatever their schedule.
+fn worker_requests(app: &dyn WorkflowApp, opts: &DriveOptions, w: usize) -> Vec<Value> {
+    let mut rng = worker_rng(opts.seed, w);
+    (0..ops_for_worker(opts.total_ops, opts.workers, w))
+        .map(|_| app.gen_load_request(&mut rng))
+        .collect()
+}
+
+/// Starts the run's collector timers: threads of the environment's
+/// clock, whichever engine drives the load.
+fn start_collectors(shape: &RunShape<'_>) {
+    if shape.gc {
         match shape.ic {
-            true => env.start_collectors(),
-            false => env.start_gc(),
+            true => shape.env.start_collectors(),
+            false => shape.env.start_gc(),
         }
     }
+}
+
+/// Waits for a thread of the run; a panic in it is the run's panic.
+fn join(thread: beldi_simclock::JoinHandle) {
+    if let Err(panic) = thread.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// The thread engine: one clock thread per client worker, each issuing
+/// its next request the moment the previous one completes, with the
+/// collector timers beside them.
+fn thread_load(shape: &RunShape<'_>) -> Load {
+    let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
+    start_collectors(shape);
     let clock = env.clock().clone();
     let start = clock.now();
-    let errors = AtomicU64::new(0);
-    let hist = Mutex::new(Histogram::new());
-    let samples = Mutex::new(Vec::new());
-    let live_workers = AtomicU64::new(opts.workers as u64);
+    let errors = Arc::new(AtomicU64::new(0));
+    let hist = Arc::new(Mutex::new(Histogram::new()));
+    let samples = Arc::new(Mutex::new(Vec::new()));
+    let live_workers = Arc::new(AtomicU64::new(opts.workers as u64));
     let entry = app.entry_point();
+    let root_attempts = shape.root_attempts;
     /// Decrements the live-worker count when dropped — on clean exit *or*
     /// unwind, so a panicking worker can never leave the sampler loop
-    /// waiting forever (the scope would join it before re-raising the
-    /// panic, turning a test failure into a hang).
-    struct WorkerExit<'a>(&'a AtomicU64);
-    impl Drop for WorkerExit<'_> {
+    /// waiting forever (turning a test failure into a hang).
+    struct WorkerExit(Arc<AtomicU64>);
+    impl Drop for WorkerExit {
         fn drop(&mut self) {
             self.0.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    std::thread::scope(|s| {
-        for w in 0..opts.workers {
-            let clock = &clock;
-            let errors = &errors;
-            let hist = &hist;
-            let live_workers = &live_workers;
-            s.spawn(move || {
-                let _exit = WorkerExit(live_workers);
-                let mut rng = worker_rng(opts.seed, w);
-                let mut local = Histogram::new();
-                for i in 0..ops_for_worker(opts.total_ops, opts.workers, w) {
-                    let request = app.gen_load_request(&mut rng);
-                    let t0 = clock.now();
-                    let result = match shape.root_attempts {
-                        Some(n) => {
-                            env.invoke_attempts(entry, &format!("storm-w{w}-op{i}"), request, n)
-                        }
-                        None => env.invoke(entry, request),
-                    };
-                    if result.is_err() {
-                        errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    local.record(clock.now().since(t0));
+    let mut threads = Vec::with_capacity(opts.workers + 1);
+    for w in 0..opts.workers {
+        let requests = worker_requests(app, opts, w);
+        let exit = WorkerExit(Arc::clone(&live_workers));
+        let (c, e) = (clock.clone(), Arc::clone(env));
+        let (errors, hist) = (Arc::clone(&errors), Arc::clone(&hist));
+        let worker = move || {
+            let _exit = exit;
+            let mut local = Histogram::new();
+            for (i, request) in requests.into_iter().enumerate() {
+                let t0 = c.now();
+                let result = match root_attempts {
+                    Some(n) => e.invoke_attempts(entry, &format!("storm-w{w}-op{i}"), request, n),
+                    None => e.invoke(entry, request),
+                };
+                if result.is_err() {
+                    errors.fetch_add(1, Ordering::Relaxed);
                 }
-                hist.lock().merge(&local);
-            });
-        }
-        if gc {
-            // Storage sampler: one observation every two GC periods while
-            // any worker is still issuing requests.
-            let clock = &clock;
-            let samples = &samples;
-            let live_workers = &live_workers;
-            s.spawn(move || {
-                let period = opts.gc_period * 2;
-                while live_workers.load(Ordering::Relaxed) > 0 {
-                    clock.sleep(period);
-                    let elapsed = clock.now().since(start).as_micros() as u64;
-                    samples.lock().push(storage_sample(env, elapsed));
-                }
-            });
-        }
-    });
+                local.record(c.now().since(t0));
+            }
+            hist.lock().merge(&local);
+        };
+        threads.push(clock.spawn(format!("client-{w}"), Box::new(worker)));
+    }
+    if gc {
+        // Storage sampler: one observation every two GC periods while
+        // any worker is still issuing requests.
+        let (c, e) = (clock.clone(), Arc::clone(env));
+        let (samples, live_workers) = (Arc::clone(&samples), Arc::clone(&live_workers));
+        let period = opts.gc_period * 2;
+        let sampler = move || {
+            while live_workers.load(Ordering::Relaxed) > 0 {
+                c.sleep(period);
+                let elapsed = c.now().since(start).as_micros() as u64;
+                samples.lock().push(storage_sample(&e, elapsed));
+            }
+        };
+        threads.push(clock.spawn("storage-sampler".into(), Box::new(sampler)));
+    }
+    threads.into_iter().for_each(join);
     let elapsed = clock.now().since(start);
     env.stop_collectors();
+    let storage_samples = std::mem::take(&mut *samples.lock());
+    let hist = std::mem::take(&mut *hist.lock());
     Load {
         elapsed,
-        errors: errors.into_inner(),
-        hist: hist.into_inner(),
-        storage_samples: samples.into_inner(),
+        errors: errors.load(Ordering::Relaxed),
+        hist,
+        storage_samples,
         in_flight: None,
     }
 }
 
 /// The async engine: same request multiset as [`thread_load`] — every
-/// worker's stream is drawn from the same [`worker_rng`] in the same
-/// order — but *all* requests are spawned up front as executor tasks
-/// awaiting [`BeldiEnv::invoke_task`], so the whole load is in flight at
-/// once: requests past the platform's concurrency cap park on wakers
-/// instead of holding OS threads, which is what lets one process carry
-/// ≥10k concurrent workflows. GC/IC collectors run as executor tasks
-/// ([`BeldiEnv::spawn_collectors_on`]) rather than timer threads; the
-/// chaos storm works unchanged (kill decisions hash instance ids, which
-/// use the same `storm-w{w}-op{i}` scheme as the thread engine's chaos
-/// mode).
+/// worker's stream is [`worker_requests`] — but *all* requests are
+/// spawned up front as executor tasks awaiting [`BeldiEnv::invoke_task`],
+/// so the whole load is in flight at once: requests past the platform's
+/// concurrency cap park on wakers instead of holding OS threads, which
+/// is what lets one process carry ≥10k concurrent workflows. The
+/// collector timers and the chaos storm work unchanged (kill decisions
+/// hash instance ids, which use the same `storm-w{w}-op{i}` scheme as
+/// the thread engine's chaos mode).
 fn async_load(shape: &RunShape<'_>) -> Load {
     let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
     let rt = beldi_runtime::Executor::new(env.clock().clone(), opts.seed);
     let handle = rt.handle();
-    if gc {
-        env.spawn_collectors_on(&handle, shape.ic, true);
-    }
+    start_collectors(shape);
     let clock = env.clock().clone();
     let start = clock.now();
     let errors = Arc::new(AtomicU64::new(0));
@@ -1008,9 +1024,7 @@ fn async_load(shape: &RunShape<'_>) -> Load {
     ));
     let mut tasks = Vec::with_capacity(opts.total_ops as usize);
     for w in 0..opts.workers {
-        let mut rng = worker_rng(opts.seed, w);
-        for i in 0..ops_for_worker(opts.total_ops, opts.workers, w) {
-            let request = app.gen_load_request(&mut rng);
+        for (i, request) in worker_requests(app, opts, w).into_iter().enumerate() {
             let instance = format!("storm-w{w}-op{i}");
             let fut = env.invoke_task(entry, &instance, request, root_attempts);
             let errors = Arc::clone(&errors);
@@ -1027,35 +1041,35 @@ fn async_load(shape: &RunShape<'_>) -> Load {
             }));
         }
     }
-    // Deterministic high-water reading: every request task (plus the
-    // collector tasks) is live right here, before the executor runs.
+    // Every request task is live right here, before the executor runs.
     let spawned_live = handle.live_tasks() as u64;
 
-    // Observational sampler on a plain thread (in-flight decay curve,
-    // plus storage growth when collectors run) — excluded from the
-    // determinism contract like the thread engine's sampler.
+    // Sampler thread: the in-flight decay curve, plus storage growth
+    // when collectors run.
     let sampler_stop = Arc::new(AtomicBool::new(false));
+    let sampled = Arc::new(Mutex::new((Vec::new(), Vec::new())));
     let sampler = {
         let stop = Arc::clone(&sampler_stop);
-        let clock = clock.clone();
+        let sampled = Arc::clone(&sampled);
+        let c = clock.clone();
         let handle = handle.clone();
-        let env = env.clone();
+        let env = Arc::clone(env);
         let period = opts.gc_period.max(Duration::from_millis(1)) * 2;
-        std::thread::spawn(move || {
-            let (mut in_flight, mut storage) = (Vec::new(), Vec::new());
+        let body = move || {
             while !stop.load(Ordering::Relaxed) {
-                clock.sleep(period);
-                let elapsed = clock.now().since(start).as_micros() as u64;
-                in_flight.push(InFlightSample {
+                c.sleep(period);
+                let elapsed = c.now().since(start).as_micros() as u64;
+                let mut sampled = sampled.lock();
+                sampled.0.push(InFlightSample {
                     t_us: elapsed,
                     live: handle.live_tasks() as u64,
                 });
                 if gc {
-                    storage.push(storage_sample(&env, elapsed));
+                    sampled.1.push(storage_sample(&env, elapsed));
                 }
             }
-            (in_flight, storage)
-        })
+        };
+        clock.spawn("in-flight-sampler".into(), Box::new(body))
     };
 
     // Drive everything to completion on this thread: the await-all task
@@ -1068,16 +1082,14 @@ fn async_load(shape: &RunShape<'_>) -> Load {
     let elapsed = clock.now().since(start);
     sampler_stop.store(true, Ordering::Relaxed);
     env.stop_collectors();
-    // Collector tasks observe the stop flags at their next tick; drain
-    // them so the executor is empty before the recovery phase.
-    rt.run();
-    let (samples, storage_samples) = sampler.join().expect("sampler thread must not panic");
+    join(sampler);
+    let (samples, storage_samples) = std::mem::take(&mut *sampled.lock());
     let high_water = samples.iter().map(|s| s.live).fold(spawned_live, u64::max);
-    let hist = Arc::try_unwrap(hist).expect("all histogram holders done");
+    let hist = std::mem::take(&mut *hist.lock());
     Load {
         elapsed,
         errors: errors.load(Ordering::Relaxed),
-        hist: hist.into_inner(),
+        hist,
         storage_samples,
         in_flight: Some(InFlightSeries {
             samples,
@@ -1253,7 +1265,6 @@ mod tests {
             seed: 42,
             total_ops: 100,
             mix: "default".into(),
-            clock_rate: 40.0,
             tail_cache: true,
             runs: vec![thread, asynchronous, chaos],
         };
@@ -1293,15 +1304,7 @@ mod tests {
         let v = report.to_value();
         assert_eq!(
             keys_of(&v),
-            [
-                "clock_rate",
-                "mix",
-                "runs",
-                "schema",
-                "seed",
-                "tail_cache",
-                "total_ops"
-            ]
+            ["mix", "runs", "schema", "seed", "tail_cache", "total_ops"]
         );
         let run = &v.get_list("runs").unwrap()[0];
         assert_eq!(
@@ -1395,41 +1398,15 @@ mod tests {
         );
     }
 
-    /// Everything `old` says, `new` says too (maps may have gained keys).
-    fn assert_kept(old: &Value, new: &Value, path: &str) {
-        match (old, new) {
-            (Value::Map(old), Value::Map(new)) => {
-                for (k, v) in old {
-                    let kept = new
-                        .get(k)
-                        .unwrap_or_else(|| panic!("{path}.{k} was dropped"));
-                    assert_kept(v, kept, &format!("{path}.{k}"));
-                }
-            }
-            (Value::List(old), Value::List(new)) => {
-                assert_eq!(old.len(), new.len(), "{path}");
-                for (i, (o, n)) in old.iter().zip(new).enumerate() {
-                    assert_kept(o, n, &format!("{path}[{i}]"));
-                }
-            }
-            _ => assert_eq!(old, new, "{path}"),
-        }
-    }
-
-    /// The committed baseline was written before `runtime` (and the
-    /// samples' `ic_*` counters) existed: it must keep parsing, as thread
-    /// runs, and writing it back must keep every value it holds.
+    /// The committed baseline is the gate's exact golden: it must be a
+    /// report this build reads, and writing it back must change nothing.
     #[test]
     fn committed_baseline_decodes_and_reencodes_to_itself() {
         let text = include_str!("../../../BENCH_baseline.json");
         let committed = beldi::value::json::from_json(text).unwrap();
         let report = BenchReport::from_value(&committed).unwrap();
         assert!(!report.runs.is_empty());
-        for run in &report.runs {
-            assert_eq!(run.runtime, RuntimeKind::Thread, "{}", run.key());
-            assert_eq!(run.to_value().get_str("runtime"), Some("thread"));
-        }
-        assert_kept(&committed, &report.to_value(), "baseline");
+        assert_eq!(report.to_value(), committed);
     }
 
     #[test]
@@ -1461,9 +1438,14 @@ mod tests {
         assert!(BenchReport::from_json("[1,2]")
             .unwrap_err()
             .contains("schema"));
-        assert!(BenchReport::from_json("{\"schema\":1}")
+        assert!(BenchReport::from_json("{\"schema\":2}")
             .unwrap_err()
             .contains("runs"));
+        let stale = BenchReport::from_json("{\"schema\":1,\"runs\":[]}").unwrap_err();
+        assert!(
+            stale.contains("schema 1") && stale.contains(REBASELINE),
+            "{stale}"
+        );
         assert!(BenchReport::from_json("not json").is_err());
     }
 }

@@ -37,7 +37,7 @@ pub use driver::{
     InFlightSample, InFlightSeries, RecoverySection, RuntimeKind, StorageSample, StorageSeries,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
-pub use gate::{gate, growth_gate, latency_gate, recovery_gate, GateReport, GateRow};
+pub use gate::{gate, growth_gate, recovery_gate};
 pub use histogram::{Histogram, Percentiles};
 pub use runner::{RateRunner, RunReport};
-pub use sweep::{sweep, SweepPoint};
+pub use sweep::SweepPoint;

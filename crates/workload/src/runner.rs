@@ -16,7 +16,7 @@ pub type Request = Arc<dyn Fn(u64) -> bool + Send + Sync>;
 /// Open-loop constant-rate load runner.
 ///
 /// Arrival times are fixed up front at `1/rate` spacing (virtual time);
-/// a pool of issuer threads executes them, and each latency is measured
+/// a pool of issuer threads (threads of the clock) executes them, and each latency is measured
 /// from the request's *intended* arrival — so a backlog shows up as
 /// latency (no coordinated omission), exactly like wrk2 with a fixed
 /// connection count.
@@ -71,14 +71,14 @@ impl RateRunner {
         let hist = Arc::new(Mutex::new(Histogram::new()));
 
         let mut handles = Vec::with_capacity(self.issuers);
-        for _ in 0..self.issuers {
+        for issuer in 0..self.issuers {
             let clock = self.clock.clone();
             let next = Arc::clone(&next);
             let errors = Arc::clone(&errors);
             let done = Arc::clone(&done);
             let hist = Arc::clone(&hist);
             let request = Arc::clone(&request);
-            handles.push(std::thread::spawn(move || {
+            let body = move || {
                 let mut local = Histogram::new();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -96,7 +96,9 @@ impl RateRunner {
                     done.fetch_add(1, Ordering::Relaxed);
                 }
                 hist.lock().merge(&local);
-            }));
+            };
+            let name = format!("issuer-{issuer}");
+            handles.push(self.clock.spawn(name, Box::new(body)));
         }
         for h in handles {
             h.join().expect("issuer thread panicked");

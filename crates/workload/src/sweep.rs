@@ -2,9 +2,7 @@
 
 use std::time::Duration;
 
-use beldi_simclock::SharedClock;
-
-use crate::runner::{RateRunner, Request, RunReport};
+use crate::runner::RunReport;
 
 /// One point of a latency-vs-throughput series.
 #[derive(Debug, Clone)]
@@ -30,80 +28,5 @@ impl From<&RunReport> for SweepPoint {
             p99: r.latency.p99,
             errors: r.errors,
         }
-    }
-}
-
-/// Runs `request` at each rate in `rates` for `duration` (virtual) each,
-/// with `issuers` concurrent issuer threads, returning one point per rate
-/// — the paper's "issue load at a constant rate … increasing in
-/// increments … until the system is saturated" methodology (§7.4).
-pub fn sweep(
-    clock: SharedClock,
-    rates: &[f64],
-    duration: Duration,
-    issuers: usize,
-    request: Request,
-) -> Vec<SweepPoint> {
-    rates
-        .iter()
-        .map(|&rate| {
-            let runner = RateRunner::new(clock.clone(), rate, duration, issuers);
-            let report = runner.run(request.clone());
-            SweepPoint::from(&report)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use beldi_simclock::ScaledClock;
-    use std::sync::Arc;
-
-    #[test]
-    fn sweep_produces_one_point_per_rate() {
-        let clock = ScaledClock::shared(2000.0);
-        let c = clock.clone();
-        let points = sweep(
-            clock,
-            &[50.0, 100.0, 200.0],
-            Duration::from_millis(500),
-            4,
-            Arc::new(move |_| {
-                c.sleep(Duration::from_millis(1));
-                true
-            }),
-        );
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].offered_rate, 50.0);
-        assert_eq!(points[2].offered_rate, 200.0);
-        for p in &points {
-            assert_eq!(p.errors, 0);
-            assert!(p.p99 >= p.p50);
-        }
-    }
-
-    #[test]
-    fn saturation_shows_up_as_latency_growth() {
-        // Service time 10ms from 2 issuers caps capacity at ~200/s; the
-        // sweep's overloaded point must show far higher latency.
-        let clock = ScaledClock::shared(2000.0);
-        let c = clock.clone();
-        let points = sweep(
-            clock,
-            &[50.0, 800.0],
-            Duration::from_millis(500),
-            2,
-            Arc::new(move |_| {
-                c.sleep(Duration::from_millis(10));
-                true
-            }),
-        );
-        assert!(
-            points[1].p50 > points[0].p50 * 3,
-            "saturated p50 {:?} vs unloaded {:?}",
-            points[1].p50,
-            points[0].p50
-        );
     }
 }

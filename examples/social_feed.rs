@@ -10,6 +10,7 @@ use std::time::Duration;
 
 use beldi_repro::apps::SocialApp;
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, RandomCrashPolicy};
+use beldi_repro::simclock::ScaledClock;
 use beldi_repro::value::vmap;
 
 fn main() {
@@ -21,7 +22,9 @@ fn main() {
         .with_t_max(Duration::from_secs(120))
         .with_ic_restart_delay(Duration::from_secs(30))
         .with_collector_period(Duration::from_secs(60));
-    let env = BeldiEnv::builder(config).clock_rate(100.0).build();
+    let env = BeldiEnv::builder(config)
+        .clock(ScaledClock::shared(100.0))
+        .build();
     let app = SocialApp {
         users: 12,
         follows_per_user: 4,

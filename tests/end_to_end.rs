@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use beldi_repro::apps::{MediaApp, SocialApp, TravelApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, RandomCrashPolicy};
+use beldi_repro::simclock::ScaledClock;
 use beldi_repro::value::{vmap, Value};
 use beldi_repro::workload::RateRunner;
 
@@ -69,7 +70,9 @@ fn travel_inventory_consistent_under_crash_storm() {
         .with_ic_restart_delay(Duration::from_secs(30))
         .with_collector_period(Duration::from_secs(60))
         .with_t_max(Duration::from_secs(120));
-    let env = BeldiEnv::builder(cfg).clock_rate(100.0).build();
+    let env = BeldiEnv::builder(cfg)
+        .clock(ScaledClock::shared(100.0))
+        .build();
     let app = TravelApp {
         hotels: 8,
         flights: 8,
@@ -155,7 +158,9 @@ fn baseline_duplicates_reservations_on_retry() {
 #[test]
 fn load_driver_runs_media_app_under_timers() {
     let cfg = BeldiConfig::beldi().with_collector_period(Duration::from_secs(60));
-    let env = BeldiEnv::builder(cfg).clock_rate(100.0).build();
+    let env = BeldiEnv::builder(cfg)
+        .clock(ScaledClock::shared(100.0))
+        .build();
     let app = MediaApp {
         movies: 10,
         users: 6,
