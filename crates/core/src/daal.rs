@@ -36,8 +36,8 @@ use parking_lot::Mutex;
 use crate::error::{BeldiError, BeldiResult};
 use crate::labels;
 use crate::schema::{
-    A_CREATED, A_DANGLE, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID, A_VALUE, A_WRITES,
-    ROW_HEAD,
+    A_APPENDED, A_CREATED, A_DANGLE, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID, A_VALUE,
+    A_WRITES, ROW_HEAD,
 };
 
 /// Attributes carried over from a full tail to a freshly appended row.
@@ -650,10 +650,14 @@ fn append_row(p: &DaalParams<'_>, table: &str, key: &str, prev: &Value) -> Beldi
     let new_id = (p.new_row_id)();
     debug_assert_ne!(new_id, ROW_HEAD);
 
-    // 1. Create the new row with the carried-over state.
+    // 1. Create the new row with the carried-over state. This is the only
+    // place a non-head row comes into being, so the marker set here is on
+    // every one of them — linked, orphaned by a lost race, or orphaned by
+    // a crash before step 2.
     let mut update = Update::new()
         .set(A_LOG_SIZE, Value::Int(0))
-        .set(A_CREATED, Value::Int(p.now_ms as i64));
+        .set(A_CREATED, Value::Int(p.now_ms as i64))
+        .set(A_APPENDED, Value::Bool(true));
     for attr in CARRY_ATTRS {
         if let Some(v) = prev.get_attr(attr) {
             update = update.set(attr, v.clone());
@@ -838,6 +842,14 @@ mod tests {
         assert_eq!(f.value("k"), Value::Int(9));
         // Capacity 3 → 10 writes span 4 rows.
         assert_eq!(f.chain_len("k"), 4);
+        // The three appended rows are in the sparse index; the head is not.
+        let appended =
+            f.db.index_query("t", A_APPENDED, &Value::Bool(true), &ScanRequest::all())
+                .unwrap();
+        assert_eq!(appended.len(), 3);
+        assert!(appended
+            .iter()
+            .all(|r| r.get_str(A_ROW_ID) != Some(ROW_HEAD)));
     }
 
     #[test]
@@ -942,7 +954,7 @@ mod tests {
             "t",
             beldi_value::vmap! {
                 A_KEY => "k", A_ROW_ID => "Rorphan", A_VALUE => 777i64,
-                A_LOG_SIZE => 0i64
+                A_LOG_SIZE => 0i64, A_APPENDED => true
             },
         )
         .unwrap();

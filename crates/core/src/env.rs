@@ -17,7 +17,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use beldi_simclock::{ScaledClock, SharedClock};
-use beldi_simdb::{Database, LatencyModel, MetricsSnapshot};
+use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest};
 use beldi_simfaas::{Platform, PlatformConfig, PlatformSnapshot};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
@@ -766,7 +766,12 @@ impl BeldiEnv {
             let left = self
                 .core
                 .db
-                .index_query(&table, schema::A_DONE, &Value::Bool(false))
+                .index_query(
+                    &table,
+                    schema::A_DONE,
+                    &Value::Bool(false),
+                    &ScanRequest::all(),
+                )
                 .map(|rows| rows.len())
                 .unwrap_or(0);
             if left == 0 {

@@ -22,6 +22,10 @@
 //!    entry whose owner is *absent* from the intent table is provably
 //!    recyclable (its intent was removed by an earlier completed pass).
 //!
+//! Steps 4–5 do not walk the store: in a data table they visit only the
+//! keys a sparse index over appended rows lists (`collect_daal_table`
+//! has the exactness argument), so a pass costs what its garbage costs.
+//!
 //! Shadow tables (§6.2) are collected the same way, except whole chains —
 //! including head and tail — are deleted once every entry is recyclable,
 //! since a finished transaction never reads its shadow again.
@@ -32,7 +36,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use beldi_simdb::{Database, DbError, PrimaryKey, ScanRequest};
+use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest};
 use beldi_value::{Cond, Update, Value};
 
 use crate::config::Mode;
@@ -43,7 +47,8 @@ use crate::ids::parse_log_key;
 use crate::intent::{self, IntentRecord};
 use crate::labels;
 use crate::schema::{
-    self, A_CREATED, A_DANGLE, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER, A_ROW_ID, A_WRITES, ROW_HEAD,
+    self, A_APPENDED, A_CREATED, A_DANGLE, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER, A_ROW_ID,
+    A_WRITES, ROW_HEAD,
 };
 
 /// Summary of one garbage-collector pass.
@@ -260,9 +265,11 @@ pub(crate) fn run_gc_with(
     Ok(report)
 }
 
-/// Deletes every entry of `owner` in a log table (via the owner index).
+/// Deletes every entry of `owner` in a log table (via the owner index,
+/// read keys-only: the delete needs nothing but the log key).
 fn delete_log_entries_of(db: &Database, table: &str, owner: &str) -> BeldiResult<usize> {
-    let rows = db.index_query(table, A_OWNER, &Value::from(owner))?;
+    let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_LOG_KEY]));
+    let rows = db.index_query(table, A_OWNER, &Value::from(owner), &keys_only)?;
     let mut deleted = 0;
     for row in rows {
         if let Some(lk) = row.get_str(A_LOG_KEY) {
@@ -281,6 +288,16 @@ fn delete_log_entries_of(db: &Database, table: &str, owner: &str) -> BeldiResult
 
 /// Collects one DAAL (or shadow) table: disconnect fully recyclable
 /// non-tail rows, then delete rows that have dangled for more than `T`.
+///
+/// Fig. 10 fixes what may be deleted, not how candidates are found. In a
+/// data table everything steps 4–5 can touch — an interior row, a
+/// dangle-stamped row, the orphan of a lost append, a cyclic chain — is
+/// or requires a non-head row, and every non-head row carries
+/// [`A_APPENDED`] from the update that created it. So the keys the
+/// sparse index on that marker lists are exactly the keys with anything
+/// to collect, and a pass costs what its garbage costs, not what the
+/// store holds. Shadow tables are walked key by key: every shadow chain
+/// is garbage-to-be and is collected whole, head included.
 #[allow(clippy::too_many_arguments)] // Internal helper mirroring Fig. 10's loop.
 fn collect_daal_table(
     db: &Database,
@@ -292,12 +309,26 @@ fn collect_daal_table(
     report: &mut GcReport,
     hooks: &GcHooks<'_>,
 ) -> BeldiResult<()> {
-    for key in db.distinct_hash_keys(table)? {
-        let Some(key_str) = key.as_str().map(str::to_owned) else {
+    let keys = if is_shadow {
+        db.distinct_hash_keys(table)?
+    } else {
+        // One index entry per non-head row, in key order: a key's rows
+        // are adjacent, so `dedup` leaves each key once.
+        let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
+        let mut keys: Vec<Value> = db
+            .index_query(table, A_APPENDED, &Value::Bool(true), &keys_only)?
+            .iter()
+            .filter_map(|row| row.get_attr(A_KEY).cloned())
+            .collect();
+        keys.dedup();
+        keys
+    };
+    for key in &keys {
+        let Some(key) = key.as_str() else {
             continue;
         };
         collect_daal_key(
-            db, table, &key_str, status, now_ms, t_ms, is_shadow, report, hooks,
+            db, table, key, status, now_ms, t_ms, is_shadow, report, hooks,
         )?;
     }
     Ok(())
@@ -553,6 +584,10 @@ mod tests {
             crate::schema::A_LOG_SIZE => 0i64, A_CREATED => 0i64
         };
         let attrs = row.as_map_mut().unwrap();
+        if row_id != ROW_HEAD {
+            // As `daal::append_row` creates every non-head row.
+            attrs.insert(A_APPENDED.to_owned(), Value::Bool(true));
+        }
         if let Some(n) = next {
             attrs.insert(A_NEXT_ROW.to_owned(), Value::from(n));
         }

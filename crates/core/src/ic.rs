@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use beldi_simdb::ScanRequest;
 use beldi_value::Value;
 
 use crate::env::EnvCore;
@@ -63,7 +64,9 @@ pub(crate) fn run_ic_with(
 ) -> BeldiResult<IcReport> {
     crash(labels::IC_ENTER);
     let table = intent_table(ssf);
-    let mut rows = core.db.index_query(&table, A_DONE, &Value::Bool(false))?;
+    let mut rows = core
+        .db
+        .index_query(&table, A_DONE, &Value::Bool(false), &ScanRequest::all())?;
     // Appendix A: collectors are SSFs with execution timeouts, so a pass
     // may be bounded. The batch window *rotates* through the index via a
     // persisted per-SSF cursor: truncating the same prefix every pass

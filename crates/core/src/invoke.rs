@@ -21,7 +21,7 @@
 //! asynchronous call. The callee stub refuses to run unregistered or
 //! completed intents so the GC can prune them without interference.
 
-use beldi_simdb::{DbError, PrimaryKey};
+use beldi_simdb::{DbError, PrimaryKey, ScanRequest};
 use beldi_value::{Cond, Map, Update, Value};
 
 use crate::context::SsfContext;
@@ -568,9 +568,12 @@ pub(crate) fn handle_callback(
     result: Option<&Value>,
 ) -> BeldiResult<()> {
     let ilog = invoke_log_table(ssf);
-    let rows = core
-        .db
-        .index_query(&ilog, A_CALLEE_ID, &Value::from(callee_id))?;
+    let rows = core.db.index_query(
+        &ilog,
+        A_CALLEE_ID,
+        &Value::from(callee_id),
+        &ScanRequest::all(),
+    )?;
     for row in rows {
         let Some(log_key) = row.get_str(A_LOG_KEY) else {
             continue;

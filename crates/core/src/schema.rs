@@ -26,6 +26,11 @@ pub const A_WRITES: &str = "RecentWrites";
 pub const A_LOCK: &str = "LockOwner";
 /// GC dangling timestamp (ms), set when the row is disconnected.
 pub const A_DANGLE: &str = "DangleTime";
+/// Constant `true` on every row an append created, i.e. on every
+/// non-head row; the head never carries it. Data tables index it (a
+/// sparse index: a row without the attribute has no entry), and that
+/// index is how the GC finds the keys that can hold garbage.
+pub const A_APPENDED: &str = "Appended";
 
 /// The distinguished row id of a DAAL head.
 pub const ROW_HEAD: &str = "HEAD";
@@ -148,9 +153,10 @@ pub fn is_meta_table(table: &str) -> bool {
 
 // ---- Schemas ----
 
-/// Schema of a linked-DAAL data table: hash `Key`, sort `RowId`.
+/// Schema of a linked-DAAL data table: hash `Key`, sort `RowId`, indexed
+/// by the appended-row marker (the GC's candidate list).
 pub fn daal_schema() -> TableSchema {
-    TableSchema::hash_and_sort(A_KEY, A_ROW_ID)
+    TableSchema::hash_and_sort(A_KEY, A_ROW_ID).with_index(A_APPENDED)
 }
 
 /// Schema of an intent table (secondary index on `Done` — the IC's
@@ -217,6 +223,7 @@ mod tests {
         assert!(ilog.index_attrs.contains(&A_CALLEE_ID.to_string()));
         assert!(ilog.index_attrs.contains(&A_TXN_ID.to_string()));
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
+        assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub(crate) fn parse_lock_owner(v: &Value) -> Option<(&str, u64)> {
 
 // ---- The transaction protocol on SsfContext ----
 
-use beldi_simdb::{DbError, PrimaryKey};
+use beldi_simdb::{DbError, PrimaryKey, ScanRequest};
 use beldi_value::{Cond, Path, Update};
 
 use crate::config::Mode;
@@ -604,9 +604,12 @@ impl SsfContext {
         let mut out = std::collections::BTreeSet::new();
         for logical in self.logical_tables() {
             let shadow = self.shadow_table(&logical)?;
-            let rows = self
-                .db()
-                .index_query(&shadow, A_TXN_ID, &Value::from(txn_id))?;
+            let rows = self.db().index_query(
+                &shadow,
+                A_TXN_ID,
+                &Value::from(txn_id),
+                &ScanRequest::all(),
+            )?;
             let mut skeys = std::collections::BTreeSet::new();
             for row in &rows {
                 if let Some(k) = row.get_str(A_KEY) {
@@ -637,9 +640,9 @@ impl SsfContext {
     /// transaction, from the invoke log's transaction-id index.
     fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<String>> {
         let ilog = self.invoke_log_table();
-        let rows = self
-            .db()
-            .index_query(&ilog, A_TXN_ID, &Value::from(txn_id))?;
+        let rows =
+            self.db()
+                .index_query(&ilog, A_TXN_ID, &Value::from(txn_id), &ScanRequest::all())?;
         let mut set = std::collections::BTreeSet::new();
         for row in rows {
             if let Some(f) = row.get_str(A_CALLEE_FN) {

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::Value;
-use beldi::{BeldiConfig, BeldiEnv};
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan};
 use beldi_simclock::SimClock;
 use beldi_simdb::ScanRequest;
 
@@ -457,4 +457,85 @@ fn collector_batch_limit_pages_work_across_passes() {
     assert_eq!(recycled, 5, "paged passes eventually drain the backlog");
     assert_eq!(table_len(&env, "ctr.intent"), 0);
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(5));
+}
+
+/// A pass costs what its garbage costs: the same requests drive 8 keys
+/// past the row capacity beside 100 and beside 5,000 keys that were
+/// seeded and never touched, and every pass reports and is billed the
+/// same in both — the idle keys have no non-head row, so the collector
+/// never visits them.
+#[test]
+fn a_pass_costs_the_same_beside_100_and_5000_idle_keys() {
+    let passes_beside = |idle: usize| {
+        let env = sim_env(gc_config());
+        env.register_ssf(
+            "w",
+            &["t"],
+            Arc::new(|ctx, key| {
+                ctx.write("t", key.as_str().unwrap_or_default(), Value::Int(1))?;
+                Ok(Value::Null)
+            }),
+        );
+        for i in 0..idle {
+            env.seed("w", "t", &format!("idle-{i:04}"), Value::Int(0))
+                .unwrap();
+        }
+        // Seven writes at capacity 3: head, one interior row, tail.
+        for k in 0..8 {
+            for _ in 0..7 {
+                env.invoke("w", Value::from(format!("hot-{k}"))).unwrap();
+            }
+        }
+        // Stamp finish times; recycle and disconnect; delete — each pass
+        // with what the store charged for it.
+        let mut passes = Vec::new();
+        for _ in 0..3 {
+            let before = env.db_metrics();
+            let report = env.run_gc_once("w").unwrap();
+            passes.push((report, env.db_metrics().delta(&before)));
+            wait_t(&env);
+        }
+        passes
+    };
+    let small = passes_beside(100);
+    assert_eq!(small[0].0.finish_stamped, 56);
+    assert_eq!(small[1].0.disconnected_rows, 8);
+    assert_eq!(small[2].0.deleted_rows, 8);
+    assert_eq!(small, passes_beside(5_000));
+}
+
+/// A crash between an append's two steps leaves a row nothing points to.
+/// It carries the appended-row marker like any other non-head row, so the
+/// sparse index leads the collector to it: stamped once it is older than
+/// `T`, deleted a `T` later.
+#[test]
+fn the_orphan_of_a_crashed_append_is_found_stamped_and_deleted() {
+    let env = with_counter(sim_env(gc_config()));
+    for _ in 0..3 {
+        env.invoke("ctr", Value::Null).unwrap(); // Fills the head row.
+    }
+    env.platform().faults().plan(
+        "crasher",
+        CrashPlan::AtLabel(labels::DAAL_APPEND_POST_CREATE.into()),
+    );
+    // The retry appends (and links) a second fresh row.
+    env.invoke_as("ctr", "crasher", Value::Null).unwrap();
+    assert_eq!(env.platform().faults().injected_count(), 1);
+    assert_eq!(env.daal_chain_len("ctr", "t", "k").unwrap(), 2);
+    assert_eq!(
+        table_len(&env, "ctr.data.t"),
+        3,
+        "head, tail and the orphan"
+    );
+
+    let young = env.run_gc_once("ctr").unwrap();
+    assert_eq!((young.disconnected_rows, young.deleted_rows), (0, 0));
+    wait_t(&env);
+    let stamped = env.run_gc_once("ctr").unwrap();
+    assert_eq!((stamped.disconnected_rows, stamped.deleted_rows), (1, 0));
+    wait_t(&env);
+    let deleted = env.run_gc_once("ctr").unwrap();
+    assert_eq!((deleted.disconnected_rows, deleted.deleted_rows), (0, 1));
+    assert_eq!(table_len(&env, "ctr.data.t"), 2);
+    assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(4));
 }

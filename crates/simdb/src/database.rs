@@ -75,6 +75,16 @@ impl TransactOp {
     }
 }
 
+/// Evaluates a write condition against the stored row, or against an
+/// empty item when the row is absent (so `not_exists(attr)` holds for
+/// absent rows, matching DynamoDB).
+fn cond_holds(cond: &Cond, row: Option<&Value>) -> DbResult<bool> {
+    Ok(match row {
+        Some(row) => cond.eval(row)?,
+        None => cond.eval(&Value::Map(beldi_value::Map::new()))?,
+    })
+}
+
 /// Entry-count threshold above which [`ItemWriteQueue`] drops entries
 /// whose busy deadline has already passed.
 const ITEM_QUEUE_PRUNE_LEN: usize = 4096;
@@ -385,16 +395,12 @@ impl Database {
         cond: &Cond,
         update: &Update,
     ) -> DbResult<usize> {
-        let existing = data.rows.get(key).cloned();
-        let base = match &existing {
-            Some(row) => row.clone(),
-            None => Value::Map(beldi_value::Map::new()),
-        };
-        if !cond.eval(&base)? {
+        let existing = data.rows.get(key);
+        if !cond_holds(cond, existing)? {
             return Err(DbError::ConditionFailed);
         }
         let mut new_row = match existing {
-            Some(row) => row,
+            Some(row) => row.clone(),
             None => {
                 // Fresh row: seed it with the key attributes.
                 let mut m = beldi_value::Map::new();
@@ -417,12 +423,7 @@ impl Database {
         let t = self.handle(table)?;
         let result = {
             let mut data = self.lock_partition(&t, t.route(&key.hash));
-            let base = data
-                .rows
-                .get(key)
-                .cloned()
-                .unwrap_or_else(|| Value::Map(beldi_value::Map::new()));
-            if !cond.eval(&base)? {
+            if !cond_holds(cond, data.rows.get(key))? {
                 Err(DbError::ConditionFailed)
             } else {
                 data.remove_row(key);
@@ -584,33 +585,73 @@ impl Database {
         Ok(out)
     }
 
-    /// Exact-match lookup through a secondary index, returning full rows
-    /// in key order (the per-partition index shards are merged on read).
-    pub fn index_query(&self, table: &str, attr: &str, value: &Value) -> DbResult<Vec<Value>> {
+    /// Exact-match lookup through a secondary index, in key order (the
+    /// per-partition index shards are merged on read).
+    ///
+    /// `req.filter` and `req.projection` apply as in [`Database::query`]
+    /// — a `Key`-only projection is DynamoDB's `KEYS_ONLY` index read;
+    /// the paging fields (`limit`, `start_after`, `cursor`) do not: an
+    /// index read always runs to the end of its match list. It is billed
+    /// the way `query` is, one `Query` op per `page_rows` index entries
+    /// examined, and a page that comes back full is followed by one more
+    /// (the reader cannot know the list ended there), so a read of fewer
+    /// than `page_rows` entries is one op whatever it returns.
+    pub fn index_query(
+        &self,
+        table: &str,
+        attr: &str,
+        value: &Value,
+        req: &ScanRequest,
+    ) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
-        let mut hits: Vec<(PrimaryKey, Value)> = Vec::new();
-        let mut bytes = 0usize;
+        // Every index entry examined, with the item it yields (`None`
+        // when the filter rejects the row).
+        let mut entries: Vec<(PrimaryKey, Option<Value>)> = Vec::new();
         for part in 0..t.partition_count() {
             let data = self.lock_partition(&t, part);
             for k in data.index_lookup(attr, value)? {
-                if let Some(row) = data.rows.get(&k) {
-                    bytes += row.size_bytes();
-                    hits.push((k, row.clone()));
-                }
+                let Some(row) = data.rows.get(&k) else {
+                    continue;
+                };
+                let keep = match &req.filter {
+                    Some(f) => f.eval(row)?,
+                    None => true,
+                };
+                let item = keep.then(|| match &req.projection {
+                    Some(p) => p.apply(row),
+                    None => row.clone(),
+                });
+                entries.push((k, item));
             }
         }
-        hits.sort_by(|a, b| a.0.cmp(&b.0));
-        let items: Vec<Value> = hits.into_iter().map(|(_, row)| row).collect();
-        self.metrics.record_op(OpKind::Query);
-        self.metrics.record_rows_scanned(items.len());
-        self.metrics.record_read_bytes(bytes);
-        self.clock
-            .sleep(self.sampler.sample(OpKind::Query, items.len(), bytes));
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut items = Vec::with_capacity(entries.len());
+        let mut entries = entries.into_iter();
+        loop {
+            let mut page_rows = 0usize;
+            let mut page_bytes = 0usize;
+            for (_, item) in entries.by_ref().take(self.page_rows) {
+                page_rows += 1;
+                if let Some(item) = item {
+                    page_bytes += item.size_bytes();
+                    items.push(item);
+                }
+            }
+            self.metrics.record_op(OpKind::Query);
+            self.metrics.record_rows_scanned(page_rows);
+            self.metrics.record_read_bytes(page_bytes);
+            self.clock
+                .sleep(self.sampler.sample(OpKind::Query, page_rows, page_bytes));
+            if page_rows < self.page_rows {
+                break;
+            }
+        }
         Ok(items)
     }
 
-    /// Returns the distinct hash-key values of a table, sorted (GC
-    /// support; per-partition listings are merged on read).
+    /// Returns the distinct hash-key values of a table, sorted (the GC's
+    /// shadow-table walk and verification walks; per-partition listings
+    /// are merged on read).
     pub fn distinct_hash_keys(&self, table: &str) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
         let mut keys: Vec<Value> = Vec::new();
@@ -761,12 +802,7 @@ impl Database {
         for (i, op) in ops.iter().enumerate() {
             let (key, part) = &op_keys[i];
             let data = &guards[&(op.table(), *part)];
-            let base = data
-                .rows
-                .get(key)
-                .cloned()
-                .unwrap_or_else(|| Value::Map(beldi_value::Map::new()));
-            if !op.cond().eval(&base)? {
+            if !cond_holds(op.cond(), data.rows.get(key))? {
                 drop(guards);
                 self.metrics.record_op(OpKind::TransactWrite);
                 self.metrics.record_cond_failure();
@@ -1113,9 +1149,115 @@ mod tests {
         db.put("intents", vmap! { "Id" => "i3", "Done" => false })
             .unwrap();
         let unfinished = db
-            .index_query("intents", "Done", &Value::Bool(false))
+            .index_query("intents", "Done", &Value::Bool(false), &ScanRequest::all())
             .unwrap();
         assert_eq!(unfinished.len(), 2);
+    }
+
+    /// A table indexed on `Tag` holding `matches` rows tagged `"hit"`
+    /// (ids in key order, `V` = position), three tagged otherwise and two
+    /// untagged — the last five must never be examined or billed.
+    fn tagged_db(matches: usize) -> Arc<Database> {
+        let db = Database::for_tests();
+        db.create_table("ix", TableSchema::hash_only("Id").with_index("Tag"))
+            .unwrap();
+        for i in 0..matches {
+            db.put(
+                "ix",
+                vmap! { "Id" => format!("m{i:03}"), "Tag" => "hit", "V" => i as i64, "Pad" => "x".repeat(40) },
+            )
+            .unwrap();
+        }
+        for i in 0..3 {
+            db.put("ix", vmap! { "Id" => format!("o{i}"), "Tag" => "other" })
+                .unwrap();
+        }
+        for i in 0..2 {
+            db.put("ix", vmap! { "Id" => format!("u{i}") }).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn index_query_is_billed_per_page_of_entries_examined() {
+        let page = DEFAULT_PAGE_ROWS;
+        for (matches, ops) in [
+            (0, 1),
+            (1, 1),
+            (page - 1, 1),
+            (page, 2), // A full page is followed by an (empty) one, as in `query`.
+            (2 * page + 5, 3),
+        ] {
+            let db = tagged_db(matches);
+            let hit = Value::from("hit");
+            let row_bytes =
+                vmap! { "Id" => "m000", "Tag" => "hit", "V" => 0i64, "Pad" => "x".repeat(40) }
+                    .size_bytes();
+            let key_bytes = vmap! { "Id" => "m000" }.size_bytes();
+
+            let before = db.metrics();
+            let full = db
+                .index_query("ix", "Tag", &hit, &ScanRequest::all())
+                .unwrap();
+            let d = db.metrics().delta(&before);
+            assert_eq!(full.len(), matches);
+            assert_eq!(d.total_ops(), ops, "{matches} matches");
+            assert_eq!(d.queries, ops, "{matches} matches");
+            assert_eq!(d.rows_scanned, matches as u64);
+            assert_eq!(d.bytes_read, (matches * row_bytes) as u64);
+
+            // Keys only: the same pages, a fraction of the bytes.
+            let before = db.metrics();
+            let keys = db
+                .index_query(
+                    "ix",
+                    "Tag",
+                    &hit,
+                    &ScanRequest::all().with_projection(Projection::attrs(["Id"])),
+                )
+                .unwrap();
+            let d = db.metrics().delta(&before);
+            assert_eq!(keys.len(), matches);
+            assert!(keys.iter().all(|k| k.as_map().unwrap().len() == 1));
+            assert_eq!(d.queries, ops, "{matches} matches, keys only");
+            assert_eq!(d.rows_scanned, matches as u64);
+            assert_eq!(d.bytes_read, (matches * key_bytes) as u64);
+        }
+    }
+
+    #[test]
+    fn index_query_filters_then_projects_like_query() {
+        let db = tagged_db(10);
+        let req = ScanRequest::all()
+            .with_filter(Cond::ge("V", 7i64))
+            .with_projection(Projection::attrs(["Id"]));
+        let before = db.metrics();
+        let rows = db
+            .index_query("ix", "Tag", &Value::from("hit"), &req)
+            .unwrap();
+        let d = db.metrics().delta(&before);
+        // The filter sees the whole row (`V` is not projected); rejected
+        // entries are examined but not returned or charged bytes.
+        let ids: Vec<&str> = rows.iter().map(|r| r.get_str("Id").unwrap()).collect();
+        assert_eq!(ids, ["m007", "m008", "m009"]);
+        assert!(rows.iter().all(|r| r.get_attr("V").is_none()));
+        assert_eq!(d.rows_scanned, 10);
+        assert_eq!(
+            d.bytes_read,
+            3 * vmap! { "Id" => "m007" }.size_bytes() as u64
+        );
+    }
+
+    #[test]
+    fn delete_of_an_absent_row_sees_the_empty_item() {
+        let db = db_with_table();
+        let absent = PrimaryKey::hash_sort("zz", 0i64);
+        assert_eq!(
+            db.delete("t", &absent, &Cond::exists("Key")),
+            Err(DbError::ConditionFailed)
+        );
+        db.delete("t", &absent, &Cond::not_exists("Key")).unwrap();
+        assert!(db.get("t", &absent, None).unwrap().is_none());
     }
 
     #[test]

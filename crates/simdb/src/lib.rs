@@ -15,9 +15,13 @@
 //!   performs for linked-DAAL traversal (§4.1).
 //! - **Row size limits**: the default 400 KB cap is the very constraint the
 //!   linked DAAL exists to work around (§4.1).
-//! - **Secondary indexes** ([`Database::index_query`]): used by the intent
-//!   collector to find unfinished intents and by the invocation callback
-//!   handler to locate invoke-log entries by callee id.
+//! - **Secondary indexes** ([`Database::index_query`]), sparse (a row
+//!   without the indexed attribute has no entry) and read with the same
+//!   filter + projection and the same per-page billing as a query: used
+//!   by the intent collector to find unfinished intents, by the
+//!   invocation callback handler to locate invoke-log entries by callee
+//!   id, and by the garbage collector to list the keys whose DAAL has
+//!   grown past its head row.
 //! - **Optional cross-table transactions** ([`Database::transact_write`]):
 //!   the comparator the paper benchmarks against the linked DAAL in
 //!   Figs. 13, 16, and 25.

@@ -136,8 +136,9 @@ impl PartitionData {
     /// Returns the distinct hash-key values present in this partition, in
     /// sorted order. Readers merge (and re-sort) across partitions.
     ///
-    /// Used by the garbage collector's `getAllDataKeys` step (paper
-    /// Fig. 10).
+    /// The literal `getAllDataKeys` of the paper's Fig. 10; the garbage
+    /// collector uses it on shadow tables only (data tables go through
+    /// the sparse appended-row index).
     pub(crate) fn distinct_hash_keys(&self) -> Vec<Value> {
         let mut out: Vec<Value> = Vec::new();
         for key in self.rows.keys() {

@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use beldi_simdb::{Database, DbError, PrimaryKey, ScanRequest, TableSchema, TransactOp};
+use beldi_simdb::{
+    Database, DbError, PrimaryKey, Projection, ScanRequest, TableSchema, TransactOp,
+};
 use beldi_value::{vmap, Cond, Update, Value};
 
 /// A tiny deterministic PRNG (xorshift64*), so the stress tests need no
@@ -245,7 +247,38 @@ fn run_fixed_sequence(partitions: usize) -> Vec<String> {
     }
     push(
         "index",
-        format!("{:?}", db.index_query("ix", "Done", &Value::Bool(true))),
+        format!(
+            "{:?}",
+            db.index_query("ix", "Done", &Value::Bool(true), &ScanRequest::all())
+        ),
+    );
+    // A multi-page index read (over two pages of matches), filtered and
+    // keys-only: the same items and the same bill whatever the layout.
+    for i in 0..70i64 {
+        let r = db.put(
+            "ix",
+            vmap! { "Id" => format!("p{i:02}"), "Done" => "paged", "V" => i },
+        );
+        push("ixput", format!("{r:?}"));
+    }
+    let before = db.metrics();
+    let req = ScanRequest::all()
+        .with_filter(Cond::ge("V", 3i64))
+        .with_projection(Projection::attrs(["Id"]));
+    push(
+        "index-paged",
+        format!(
+            "{:?}",
+            db.index_query("ix", "Done", &Value::from("paged"), &req)
+        ),
+    );
+    let bill = db.metrics().delta(&before);
+    push(
+        "index-paged-bill",
+        format!(
+            "{} ops, {} rows, {} bytes",
+            bill.queries, bill.rows_scanned, bill.bytes_read
+        ),
     );
     push(
         "distinct",

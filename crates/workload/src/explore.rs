@@ -29,7 +29,9 @@
 //! With [`ExploreOptions::gc_check`] the explorer additionally verifies
 //! GC quiescence per schedule: after `T` elapses, repeated GC passes must
 //! empty the read/invoke/write logs and intent tables and shrink every
-//! DAAL to head + tail.
+//! DAAL to head + tail — found by walking every key, which also checks
+//! that the collector's sparse appended-row index lists exactly the keys
+//! holding a non-head row.
 
 use std::time::Duration;
 
@@ -37,7 +39,7 @@ use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, CrashPlan, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
-use beldi_simdb::{DbSnapshot, ScanRequest};
+use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
 use beldi_simfaas::TraceEntry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -460,20 +462,7 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
                 if n > 0 {
                     residue.push(format!("{shadow}: {n} shadow row(s)"));
                 }
-                // Every DAAL must have been compacted to head + tail.
-                let data = schema::data_table(ssf, &logical);
-                if let Ok(keys) = env.db().distinct_hash_keys(&data) {
-                    for key in keys {
-                        let rows = env
-                            .db()
-                            .query(&data, &key, &ScanRequest::all())
-                            .map(|r| r.len())
-                            .unwrap_or(0);
-                        if rows > 2 {
-                            residue.push(format!("{data}/{key}: {rows} DAAL rows (> head+tail)"));
-                        }
-                    }
-                }
+                daal_table_residue(env, &schema::data_table(ssf, &logical), &mut residue);
             }
         }
     }
@@ -481,6 +470,56 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
         None
     } else {
         Some(residue.join("; "))
+    }
+}
+
+/// Checks one quiescent data table by walking every key, independently
+/// of the collector's sparse index, which makes the walk that index's
+/// completeness reference: every DAAL is compacted to head + tail, every
+/// non-head row carries the appended-row marker, and the index lists
+/// exactly the keys the walk finds holding such a row.
+fn daal_table_residue(env: &BeldiEnv, data: &str, residue: &mut Vec<String>) {
+    let Ok(keys) = env.db().distinct_hash_keys(data) else {
+        return;
+    };
+    let mut walked = Vec::new();
+    for key in keys {
+        let rows = env
+            .db()
+            .query(data, &key, &ScanRequest::all())
+            .unwrap_or_default();
+        if rows.len() > 2 {
+            let n = rows.len();
+            residue.push(format!("{data}/{key}: {n} DAAL rows (> head+tail)"));
+        }
+        let appended: Vec<&Value> = rows
+            .iter()
+            .filter(|row| row.get_str(schema::A_ROW_ID) != Some(schema::ROW_HEAD))
+            .collect();
+        if appended.is_empty() {
+            continue;
+        }
+        if appended
+            .iter()
+            .any(|row| row.get_bool(schema::A_APPENDED) != Some(true))
+        {
+            residue.push(format!("{data}/{key}: non-head row without the marker"));
+        }
+        walked.push(key);
+    }
+    let keys_only = ScanRequest::all().with_projection(Projection::attrs([schema::A_KEY]));
+    let mut indexed: Vec<Value> = env
+        .db()
+        .index_query(data, schema::A_APPENDED, &Value::Bool(true), &keys_only)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|row| row.get_attr(schema::A_KEY).cloned())
+        .collect();
+    indexed.dedup();
+    if indexed != walked {
+        residue.push(format!(
+            "{data}: the appended-row index lists {indexed:?}, the walk found {walked:?}"
+        ));
     }
 }
 
@@ -609,4 +648,49 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beldi::value::vmap;
+    use std::sync::Arc;
+
+    /// The quiescence walk polices the collector's sparse index: a chain
+    /// grown and compacted by the protocol leaves no residue, a non-head
+    /// row planted without the marker is reported twice over (unmarked,
+    /// and absent from the index).
+    #[test]
+    fn quiescence_walk_checks_the_appended_row_index() {
+        let env = build_env(Mode::Beldi, &ExploreOptions::default());
+        env.register_ssf(
+            "w",
+            &["t"],
+            Arc::new(|ctx, key| {
+                ctx.write("t", key.as_str().unwrap_or_default(), Value::Int(1))?;
+                Ok(Value::Null)
+            }),
+        );
+        let capacity = BeldiConfig::beldi().daal_row_capacity;
+        for _ in 0..2 * capacity + 1 {
+            env.invoke("w", Value::from("grown")).unwrap();
+        }
+        env.invoke("w", Value::from("single")).unwrap();
+        assert_eq!(env.daal_chain_len("w", "t", "grown").unwrap(), 3);
+        assert_eq!(gc_quiescence_residue(&env, Mode::Beldi), None);
+        assert_eq!(env.daal_chain_len("w", "t", "grown").unwrap(), 2);
+
+        env.db()
+            .put(
+                "w.data.t",
+                vmap! { schema::A_KEY => "single", schema::A_ROW_ID => "R-planted" },
+            )
+            .unwrap();
+        let residue = gc_quiescence_residue(&env, Mode::Beldi).expect("planted row");
+        assert!(
+            residue.contains(r#""single": non-head row without the marker"#),
+            "{residue}"
+        );
+        assert!(residue.contains(r#"lists [Str("grown")],"#), "{residue}");
+    }
 }
