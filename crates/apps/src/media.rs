@@ -673,18 +673,19 @@ mod tests {
     fn concurrent_composes_on_one_movie_lose_nothing() {
         let (env, app) = installed_env();
         let env = std::sync::Arc::new(env);
-        let mut handles = Vec::new();
-        for u in 0..4 {
-            let env = std::sync::Arc::clone(&env);
-            let app = app.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..3 {
-                    compose(&env, &app, &format!("user-{u}"), 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+        let threads: Vec<_> = (0..4)
+            .map(|u| {
+                let (e, app) = (std::sync::Arc::clone(&env), app.clone());
+                let client = move || {
+                    for _ in 0..3 {
+                        compose(&e, &app, &format!("user-{u}"), 1);
+                    }
+                };
+                env.clock().spawn(format!("client-{u}"), Box::new(client))
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
         let list = env
             .read_current("media-movie-review", "bymovie", "movie-1")

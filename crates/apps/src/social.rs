@@ -784,18 +784,19 @@ mod tests {
         let env = std::sync::Arc::new(env);
         // All of user-1's followers receive every one of 8 concurrent
         // posts (locked appends).
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let env = std::sync::Arc::clone(&env);
-            let app = app.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..2 {
-                    compose(&env, &app, "user-1", &format!("p{t}-{i}"));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (e, app) = (std::sync::Arc::clone(&env), app.clone());
+                let client = move || {
+                    for i in 0..2 {
+                        compose(&e, &app, "user-1", &format!("p{t}-{i}"));
+                    }
+                };
+                env.clock().spawn(format!("client-{t}"), Box::new(client))
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
         let followers = env
             .read_current("social-graph", "followers", "user-1")

@@ -128,6 +128,9 @@ fn hot_env() -> BeldiEnv {
     let env = BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(beldi_bench::microbench_platform())
+        // Host time on purpose: the series is wall-clock throughput of N
+        // free-running OS threads, which a one-at-a-time simulated
+        // schedule cannot measure.
         .clock(ScaledClock::shared(5_000.0))
         .seed(42)
         .build();

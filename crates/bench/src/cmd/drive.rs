@@ -7,15 +7,15 @@
 //! `--gc` runs the per-SSF collectors beside the client workers and
 //! records the storage-growth series `gate --gc-results` checks (§10);
 //! `--chaos` adds a seeded crash storm over traffic and collectors and
-//! records the `recovery` section `gate --chaos-results` checks (§13);
-//! `--runtime async` swaps the thread-per-worker closed loop for the
-//! cooperative executor, keying its runs `…@async` (§14). Exit status: 0
-//! when every run completed without request errors, 1 otherwise.
+//! records the `recovery` section `gate --chaos-results` checks (§13).
+//! Workers are tasks on one executor (§14): `--workers N --duration-ops N`
+//! puts every request in flight at once. Exit status: 0 when every run
+//! completed without request errors, 1 otherwise.
 
 use std::time::Duration;
 
 use beldi_apps::{bench_app, MixProfile};
-use beldi_workload::driver::{drive_on, BenchReport, ChaosOptions, DriveOptions, RuntimeKind};
+use beldi_workload::driver::{drive, BenchReport, ChaosOptions, DriveOptions};
 
 use crate::cli::{usage_error, Args, Cli};
 use crate::print_table;
@@ -34,12 +34,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
             "PROFILE",
             "default",
             "request mix: default | write-heavy",
-        )
-        .flag(
-            "--runtime",
-            "ENGINE",
-            "thread",
-            "execution engine: thread | async | both",
         )
         .flag(
             "--duration-ops",
@@ -83,15 +77,7 @@ pub(crate) fn main(args: &Args) {
     let Some(mix) = MixProfile::parse(&args.str("--mix")) else {
         usage_error("unknown --mix (use default | write-heavy)");
     };
-    let runtimes: Vec<RuntimeKind> = match args.str("--runtime").as_str() {
-        "both" => vec![RuntimeKind::Thread, RuntimeKind::Async],
-        one => match RuntimeKind::parse(one) {
-            Some(runtime) => vec![runtime],
-            None => usage_error(format!(
-                "unknown --runtime {one} (use thread | async | both)"
-            )),
-        },
-    };
+    let workers = parse_workers(&workers_arg).unwrap_or_else(|e| usage_error(e));
 
     let opts_template = DriveOptions {
         total_ops: args.or_smoke("--duration-ops", 120),
@@ -115,14 +101,6 @@ pub(crate) fn main(args: &Args) {
 
     let apps = args.apps();
     let modes = args.modes();
-    let workers: Vec<usize> = workers_arg
-        .split(',')
-        .filter_map(|w| w.trim().parse().ok())
-        .filter(|&w| w > 0)
-        .collect();
-    if workers.is_empty() {
-        usage_error("--workers needs a comma-separated list of positive counts");
-    }
 
     let mut report = BenchReport {
         seed: opts_template.seed,
@@ -135,30 +113,29 @@ pub(crate) fn main(args: &Args) {
     for kind in &apps {
         for &mode in &modes {
             for &w in &workers {
-                for &rt in &runtimes {
-                    let Some(app) = bench_app(kind, mode, mix) else {
-                        usage_error(format!("unknown --app {kind}"));
-                    };
-                    let opts = DriveOptions {
-                        workers: w,
-                        ..opts_template.clone()
-                    };
-                    let run = drive_on(rt, app.as_ref(), mode, &opts);
-                    rows.push(vec![
-                        run.app.clone(),
-                        format!("{}{}", run.mode, rt.key_suffix()),
-                        w.to_string(),
-                        run.ops.to_string(),
-                        run.errors.to_string(),
-                        format!("{:.1}", run.throughput_rps),
-                        format!("{:.2}", run.latency.p50_us as f64 / 1e3),
-                        format!("{:.2}", run.latency.p99_us as f64 / 1e3),
-                        format!("{:.1}", run.db.total_ops() as f64 / run.ops.max(1) as f64),
-                        run.db.lock_waits.to_string(),
-                        run.wall_ms.to_string(),
-                    ]);
-                    report.runs.push(run);
-                }
+                let Some(app) = bench_app(kind, mode, mix) else {
+                    usage_error(format!("unknown --app {kind}"));
+                };
+                let opts = DriveOptions {
+                    workers: w,
+                    ..opts_template.clone()
+                };
+                let run = drive(app.as_ref(), mode, &opts);
+                rows.push(vec![
+                    run.app.clone(),
+                    run.mode.clone(),
+                    w.to_string(),
+                    run.ops.to_string(),
+                    run.errors.to_string(),
+                    format!("{:.1}", run.throughput_rps),
+                    format!("{:.2}", run.latency.p50_us as f64 / 1e3),
+                    format!("{:.2}", run.latency.p99_us as f64 / 1e3),
+                    format!("{:.1}", run.db.total_ops() as f64 / run.ops.max(1) as f64),
+                    run.db.lock_waits.to_string(),
+                    run.in_flight.high_water.to_string(),
+                    run.wall_ms.to_string(),
+                ]);
+                report.runs.push(run);
             }
         }
     }
@@ -176,30 +153,11 @@ pub(crate) fn main(args: &Args) {
             "p99_ms",
             "db_ops/req",
             "lock_waits",
+            "in_flight",
             "wall_ms",
         ],
         &rows,
     );
-
-    let in_flight_rows: Vec<Vec<String>> = report
-        .runs
-        .iter()
-        .filter_map(|run| {
-            let series = run.in_flight.as_ref()?;
-            Some(vec![
-                run.key(),
-                series.high_water.to_string(),
-                series.samples.len().to_string(),
-            ])
-        })
-        .collect();
-    if !in_flight_rows.is_empty() {
-        print_table(
-            "Async engine in-flight workflows (live executor tasks)",
-            &["run", "high_water", "samples"],
-            &in_flight_rows,
-        );
-    }
 
     if opts_template.gc {
         let gc_rows: Vec<Vec<String>> = report
@@ -287,5 +245,44 @@ pub(crate) fn main(args: &Args) {
     if errors > 0 {
         eprintln!("{errors} request error(s) across runs");
         std::process::exit(1);
+    }
+}
+
+/// Parses `--workers`: a comma-separated list of positive counts.
+///
+/// # Errors
+///
+/// A usage message naming the first entry that is not one.
+fn parse_workers(list: &str) -> Result<Vec<usize>, String> {
+    list.split(',')
+        .map(|entry| match entry.trim().parse() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!(
+                "--workers {list}: {entry:?} is not a positive count \
+                 (use a comma-separated list, e.g. 1,4)"
+            )),
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    #[test]
+    fn workers_list_rejects_what_it_cannot_run() {
+        assert_eq!(parse_workers("1,4"), Ok(vec![1, 4]));
+        assert_eq!(parse_workers(" 8 , 16 "), Ok(vec![8, 16]));
+        // A malformed or zero entry is an error that names it, never a
+        // silently shorter list.
+        for (list, culprit) in [
+            ("1,x,4", "\"x\""),
+            ("0,4", "\"0\""),
+            ("4,", "\"\""),
+            ("", "\"\""),
+        ] {
+            let err = parse_workers(list).unwrap_err();
+            assert!(err.contains(culprit), "{list:?}: {err}");
+        }
     }
 }

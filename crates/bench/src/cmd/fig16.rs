@@ -18,7 +18,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::simclock::SimClock;
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_workload::RateRunner;
@@ -43,7 +42,6 @@ fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
     BeldiEnv::builder(config)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(crate::microbench_platform())
-        .clock(SimClock::shared(7))
         .seed(7)
         .build()
 }

@@ -4,9 +4,11 @@
 //! A [`FrontDoor`] binds a [`std::net::TcpListener`], accepts
 //! keep-alive connections on plain threads, and routes every
 //! `POST /invoke/{ssf}` body onto one [`beldi_runtime::Executor`] as a
-//! root workflow task ([`beldi::BeldiEnv::invoke_task`]): connection
-//! threads only park on a channel while ten thousand in-flight
-//! workflows stay cheap executor tasks. The wire format is deliberately
+//! root workflow task ([`beldi::BeldiEnv::invoke_task`]). The workflow
+//! is a cheap executor task, but each in-flight request also holds its
+//! connection's thread, parked on a channel until the reply: the door
+//! carries as many requests at once as it has connections, one OS thread
+//! each. The wire format is deliberately
 //! minimal — JSON bodies, `content-length` framing, no chunked
 //! encoding — because the client is the workspace's own harness, not a
 //! browser.

@@ -31,7 +31,7 @@ pub mod front;
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::simclock::{ScaledClock, SharedClock, SimClock};
+use beldi::simclock::ScaledClock;
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_apps::WorkflowApp;
@@ -70,15 +70,14 @@ const HARNESS_SEED: u64 = 42;
 /// are real sockets, so its time must flow on its own.
 const FRONT_CLOCK_RATE: f64 = 500.0;
 
-/// The environment every harness here builds: DynamoDB-shaped latencies,
-/// seed 42, and the given configuration, platform and clock.
-fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock: SharedClock) -> BeldiEnv {
+/// The builder every harness environment here starts from: DynamoDB-shaped
+/// latencies, seed 42 (the substrate's and, on the default clock, the
+/// schedule's), and the given configuration and platform.
+fn harness(cfg: BeldiConfig, platform: PlatformConfig) -> beldi::EnvBuilder {
     BeldiEnv::builder(cfg)
         .latency(beldi_simdb::LatencyModel::dynamo())
         .platform(platform)
-        .clock(clock)
         .seed(HARNESS_SEED)
-        .build()
 }
 
 /// Builds an environment with the DynamoDB-shaped latency model and the
@@ -91,10 +90,11 @@ fn harness_env(cfg: BeldiConfig, platform: PlatformConfig, clock: SharedClock) -
 /// with the cache warm. The app-level harnesses and the workload driver
 /// keep the runtime default (cache on).
 ///
-/// Like every environment here but [`front_env`], it runs on a fresh
-/// [`SimClock`]: the calling thread is the clock's first participant, and
-/// any other thread that touches the environment must be started with
-/// `env.clock().spawn`.
+/// Like every environment here but [`front_env`], it runs on the
+/// builder's default clock, a fresh
+/// [`SimClock`](beldi::simclock::SimClock): the calling thread is the
+/// clock's first participant, and any other thread that touches the
+/// environment must be started with `env.clock().spawn`.
 pub fn experiment_env(
     mode: Mode,
     row_capacity: usize,
@@ -102,14 +102,14 @@ pub fn experiment_env(
     tail_cache: bool,
 ) -> BeldiEnv {
     let cfg = config_for(mode, row_capacity, partitions).with_tail_cache(tail_cache);
-    harness_env(cfg, microbench_platform(), SimClock::shared(HARNESS_SEED))
+    harness(cfg, microbench_platform()).build()
 }
 
 /// Like [`app_env`] but with an effectively unbounded invocation timeout
 /// (the workload driver's platform).
 pub fn bench_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness_env(cfg, driver_platform(None), SimClock::shared(HARNESS_SEED))
+    harness(cfg, driver_platform(None)).build()
 }
 
 /// [`bench_env`] for the HTTP front door: the one environment on a
@@ -117,18 +117,16 @@ pub fn bench_env(mode: Mode, partitions: usize) -> BeldiEnv {
 /// simulated clock can see.
 pub fn front_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness_env(
-        cfg,
-        driver_platform(None),
-        ScaledClock::shared(FRONT_CLOCK_RATE),
-    )
+    harness(cfg, driver_platform(None))
+        .clock(ScaledClock::shared(FRONT_CLOCK_RATE))
+        .build()
 }
 
 /// Builds an environment for the app-level load experiments (Figs.
 /// 14/15/26): DynamoDB latencies plus the Lambda-like platform.
 pub fn app_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness_env(cfg, lambda_like_platform(), SimClock::shared(HARNESS_SEED))
+    harness(cfg, lambda_like_platform()).build()
 }
 
 /// Registers the micro-op SSFs used by Fig. 13/25: a single `micro` SSF

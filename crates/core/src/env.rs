@@ -12,13 +12,14 @@
 //! functions — the SSF's intent collector and garbage collector.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use beldi_simclock::{ScaledClock, SharedClock};
+use beldi_simclock::{SharedClock, SimClock};
 use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest};
-use beldi_simfaas::{Platform, PlatformConfig, PlatformSnapshot};
+use beldi_simfaas::{InvokeError, Platform, PlatformConfig, PlatformSnapshot};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 
@@ -48,59 +49,92 @@ pub(crate) struct SsfEntry {
     pub tables: Vec<String>,
     /// The application body.
     pub body: SsfBody,
-    /// Reentrancy guard for this SSF's garbage collector: timer ticks
-    /// fire on schedule whether or not the previous pass finished, and
-    /// without the guard a slow pass lets invocations pile up without
-    /// bound (hundreds of concurrent collectors scanning the same
-    /// tables). One pass per SSF at a time; a tick that finds the
-    /// collector busy simply yields to it — GC is at-least-once, so
-    /// skipped ticks cost nothing.
-    pub gc_busy: Arc<AtomicBool>,
-    /// The intent collector's twin of `gc_busy`.
-    pub ic_busy: Arc<AtomicBool>,
-    /// Executed GC passes (timer ticks that won the busy guard), used to
-    /// mint the deterministic per-pass instance id `{ssf}.gc#p{N}` the
-    /// chaos storm's kill decisions key on.
-    pub gc_pass: Arc<AtomicU64>,
-    /// The intent collector's twin of `gc_pass` (`{ssf}.ic#p{N}`).
-    pub ic_pass: Arc<AtomicU64>,
 }
 
-/// Cumulative garbage-collection statistics for one environment.
+/// Cumulative statistics of one collector for one environment.
 ///
-/// Every completed GC pass — timer-triggered or driven synchronously via
-/// [`BeldiEnv::run_gc_once`] — folds its [`GcReport`] in here, so
-/// harnesses observing an *online* collector (background timers racing
-/// live traffic) can sample progress without intercepting individual
-/// passes.
+/// Every completed pass — timer-triggered or driven synchronously via
+/// [`BeldiEnv::run_gc_once`] / [`BeldiEnv::run_ic_once`] — folds its
+/// report in here, so harnesses observing an *online* collector
+/// (background timers racing live traffic) can sample progress without
+/// intercepting individual passes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcTotals {
-    /// Completed GC passes.
+pub struct CollectorTotals<R> {
+    /// Completed passes.
     pub passes: u64,
     /// Passes that returned an error (the next timer tick retries; the
-    /// collector needs only at-least-once semantics).
+    /// collectors need only at-least-once semantics).
     pub errors: u64,
-    /// Passes killed mid-flight by injected crashes.
+    /// Passes killed mid-flight by injected crashes. The pass's partial
+    /// work is already durable (GC is idempotent, IC restart claims are
+    /// CAS-guarded), so the next pass resumes safely.
     pub crashes: u64,
-    /// Summed per-pass counters.
-    pub report: GcReport,
+    /// Summed per-pass counters of the successful passes.
+    pub report: R,
 }
 
-/// Cumulative intent-collector statistics — [`GcTotals`]'s twin for the
-/// at-least-once half of the protocol, fed by timer-triggered IC passes
-/// and [`BeldiEnv::run_ic_once`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IcTotals {
-    /// Completed IC passes.
-    pub passes: u64,
-    /// Passes that returned an error (the next timer tick retries).
-    pub errors: u64,
-    /// Passes killed mid-flight by injected crashes.
-    pub crashes: u64,
-    /// Summed per-pass counters (successful passes only; the
-    /// authoritative corrupt-intent total — which survives failed
-    /// passes — is [`BeldiEnv::ic_corrupt_total`]).
-    pub report: IcReport,
+/// The garbage collector's [`CollectorTotals`].
+pub type GcTotals = CollectorTotals<GcReport>;
+
+/// The intent collector's [`CollectorTotals`]. The authoritative
+/// corrupt-intent total — which survives failed passes — is
+/// [`BeldiEnv::ic_corrupt_total`].
+pub type IcTotals = CollectorTotals<IcReport>;
+
+/// What tells the two collectors apart in the environment's books: their
+/// per-pass report types implement this.
+trait Collector: Sized + 'static {
+    /// Suffix of the platform function (`{ssf}.ic`) and of the per-pass
+    /// instance id.
+    const KIND: &'static str;
+
+    /// Runs one pass for `ssf`, firing `crash` at each crash point.
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self>;
+
+    /// Adds another pass's counters to this report.
+    fn absorb(&mut self, other: &Self);
+
+    fn totals(core: &EnvCore) -> &Mutex<CollectorTotals<Self>>;
+}
+
+impl Collector for IcReport {
+    const KIND: &'static str = "ic";
+
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self> {
+        ic::run_ic_with(core, ssf, crash)
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        IcReport::absorb(self, other);
+    }
+
+    fn totals(core: &EnvCore) -> &Mutex<IcTotals> {
+        &core.ic_totals
+    }
+}
+
+impl Collector for GcReport {
+    const KIND: &'static str = "gc";
+
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self> {
+        let probe = |_: &str| {};
+        gc::run_gc_with(
+            core,
+            ssf,
+            &gc::GcHooks {
+                crash,
+                probe: &probe,
+            },
+        )
+    }
+
+    fn absorb(&mut self, other: &Self) {
+        GcReport::absorb(self, other);
+    }
+
+    fn totals(core: &EnvCore) -> &Mutex<GcTotals> {
+        &core.gc_totals
+    }
 }
 
 /// Recovery-latency bookkeeping for crashed instances (chaos mode).
@@ -137,46 +171,14 @@ pub(crate) struct EnvCore {
 }
 
 impl EnvCore {
-    /// Folds one GC pass outcome into the environment totals.
-    fn record_gc(&self, result: &BeldiResult<GcReport>) {
-        let mut totals = self.gc_totals.lock();
+    /// Folds one collector pass outcome into the environment totals.
+    fn record_pass<R: Collector>(&self, result: &BeldiResult<R>) {
+        let mut totals = R::totals(self).lock();
+        totals.passes += 1;
         match result {
-            Ok(report) => {
-                totals.passes += 1;
-                totals.report.absorb(report);
-            }
-            Err(_) => {
-                totals.passes += 1;
-                totals.errors += 1;
-            }
+            Ok(report) => totals.report.absorb(report),
+            Err(_) => totals.errors += 1,
         }
-    }
-
-    /// Counts a GC pass killed by an injected crash (the pass's partial
-    /// work is already durable; idempotence lets the next pass resume).
-    fn record_gc_crash(&self) {
-        self.gc_totals.lock().crashes += 1;
-    }
-
-    /// Folds one IC pass outcome into the environment totals.
-    fn record_ic(&self, result: &BeldiResult<IcReport>) {
-        let mut totals = self.ic_totals.lock();
-        match result {
-            Ok(report) => {
-                totals.passes += 1;
-                totals.report.absorb(report);
-            }
-            Err(_) => {
-                totals.passes += 1;
-                totals.errors += 1;
-            }
-        }
-    }
-
-    /// Counts an IC pass killed by an injected crash (restart claims are
-    /// CAS-guarded, so the next pass resumes safely).
-    fn record_ic_crash(&self) {
-        self.ic_totals.lock().crashes += 1;
     }
 
     /// Counts one corrupt intent quarantined by the IC.
@@ -211,37 +213,6 @@ impl EnvCore {
         let now_ms = self.platform.clock().now().as_millis();
         state.samples_ms.push(now_ms.saturating_sub(created_ms));
     }
-
-    /// Client retry contract under lease enforcement, shared by the
-    /// blocking and the executor root-invoke loops: retries of one
-    /// request are issued only within `T_max` of the first attempt.
-    /// The GC recycles a done intent no earlier than `finish + 2·T_max`
-    /// (and `finish` can't precede registration), so no retry inside
-    /// this window can find its intent recycled and silently
-    /// re-register it — the full-workflow re-execution path that shows
-    /// up as duplicate effects when a storm outlasts the recycle
-    /// horizon. Past the window the request fails back to the caller
-    /// instead of risking a second execution.
-    fn root_retry_closed(&self, first_attempt_ms: u64) -> bool {
-        self.config.enforce_t_max
-            && self.platform.clock().now().as_millis()
-                > first_attempt_ms + self.config.t_max.as_millis() as u64
-    }
-
-    /// After a failed root attempt: the instance may have completed
-    /// before dying (e.g. crashed after marking done). Returns the
-    /// intent's recorded return value if so — and records the recovery
-    /// sample — or `None` when the root must be re-launched.
-    fn root_done_ret(&self, name: &str, instance: &str) -> BeldiResult<Option<Value>> {
-        let table = schema::intent_table(name);
-        match intent::load(&self.db, &table, instance)? {
-            Some(rec) if rec.done => {
-                self.record_recovery(instance, rec.created_ms);
-                Ok(Some(rec.ret.unwrap_or(Value::Null)))
-            }
-            _ => Ok(None),
-        }
-    }
 }
 
 /// Builder for a [`BeldiEnv`] with non-default substrate parameters
@@ -257,7 +228,17 @@ pub struct EnvBuilder {
 
 impl EnvBuilder {
     /// Starts a builder with the given Beldi configuration, a zero-latency
-    /// database, a fast-forward clock, and a test platform.
+    /// database, a test platform, and — unless [`EnvBuilder::clock`] says
+    /// otherwise — a [`SimClock`] seeded like the substrate, whose first
+    /// participant is the thread that calls [`EnvBuilder::build`].
+    ///
+    /// On that default clock every other thread that touches the
+    /// environment must be started with `env.clock().spawn(..)` and wait
+    /// through the clock (`env.clock().sleep(..)`, joining a clock
+    /// thread); a raw `std::thread` that waits on it panics with "spawn
+    /// it through the clock". For free-threaded real time (a socket
+    /// peer, a parallelism benchmark) pass
+    /// `.clock(ScaledClock::shared(rate))`.
     pub fn new(config: BeldiConfig) -> Self {
         EnvBuilder {
             config,
@@ -304,7 +285,7 @@ impl EnvBuilder {
         if let Err(e) = self.config.validate() {
             panic!("invalid BeldiConfig: {e}");
         }
-        let clock = self.clock.unwrap_or_else(|| ScaledClock::shared(2_000.0));
+        let clock = self.clock.unwrap_or_else(|| SimClock::shared(self.seed));
         let db = Database::with_partitions(
             clock.clone(),
             self.latency,
@@ -350,6 +331,106 @@ pub struct BeldiEnv {
 /// the same budget.
 pub const MAX_ROOT_ATTEMPTS: usize = 50;
 
+/// How long a root waits before re-launching a failed attempt.
+const ROOT_RETRY_BACKOFF: Duration = Duration::from_millis(2);
+
+/// One root invocation's retry policy — the driver side of exactly-once —
+/// stated once for the blocking front ([`BeldiEnv::invoke_attempts`]) and
+/// the executor front ([`BeldiEnv::invoke_task`]), which differ only in
+/// how they wait for the platform and for the back-off.
+struct RootCall<'a> {
+    core: &'a EnvCore,
+    name: &'a str,
+    instance: &'a str,
+    envelope: Value,
+    attempts_left: usize,
+    first_attempt_ms: u64,
+    last_err: Option<InvokeError>,
+}
+
+impl<'a> RootCall<'a> {
+    /// Baseline mode makes one attempt whatever the budget: it has no
+    /// intent to re-drive.
+    fn new(
+        core: &'a EnvCore,
+        name: &'a str,
+        instance: &'a str,
+        input: Value,
+        max_attempts: usize,
+    ) -> Self {
+        RootCall {
+            core,
+            name,
+            instance,
+            envelope: Envelope::root_call(instance, input, false).to_value(),
+            attempts_left: match core.config.mode {
+                Mode::Baseline => 1,
+                _ => max_attempts.max(1),
+            },
+            first_attempt_ms: core.platform.clock().now().as_millis(),
+            last_err: None,
+        }
+    }
+
+    /// The payload of the next attempt, or `None` once the budget is
+    /// spent or the retry window has closed.
+    ///
+    /// Client retry contract under lease enforcement: retries of one
+    /// request are issued only within `T_max` of the first attempt.
+    /// The GC recycles a done intent no earlier than `finish + 2·T_max`
+    /// (and `finish` can't precede registration), so no retry inside
+    /// this window can find its intent recycled and silently
+    /// re-register it — the full-workflow re-execution path that shows
+    /// up as duplicate effects when a storm outlasts the recycle
+    /// horizon. Past the window the request fails back to the caller
+    /// instead of risking a second execution.
+    fn next_attempt(&mut self) -> Option<Value> {
+        let config = &self.core.config;
+        let window_closed = self.last_err.is_some()
+            && config.enforce_t_max
+            && self.core.platform.clock().now().as_millis()
+                > self.first_attempt_ms + config.t_max.as_millis() as u64;
+        if self.attempts_left == 0 || window_closed {
+            return None;
+        }
+        self.attempts_left -= 1;
+        Some(match self.attempts_left {
+            0 => std::mem::take(&mut self.envelope),
+            _ => self.envelope.clone(),
+        })
+    }
+
+    /// Folds one attempt's reply in: `Break` carries the call's result,
+    /// `Continue` means back off and try [`RootCall::next_attempt`].
+    fn settle(&mut self, reply: Result<Value, InvokeError>) -> ControlFlow<BeldiResult<Value>> {
+        let err = match reply {
+            Ok(v) => return ControlFlow::Break(Outcome::from_value(&v).into_result()),
+            Err(e) if self.core.config.mode == Mode::Baseline => {
+                return ControlFlow::Break(Err(BeldiError::Invoke(e)))
+            }
+            Err(e) => e,
+        };
+        self.last_err = Some(err);
+        // The instance may have completed before dying (e.g. crashed
+        // after marking done): then the intent holds the return value.
+        let table = schema::intent_table(self.name);
+        match intent::load(&self.core.db, &table, self.instance) {
+            Ok(Some(rec)) if rec.done => {
+                self.core.record_recovery(self.instance, rec.created_ms);
+                let ret = rec.ret.unwrap_or(Value::Null);
+                ControlFlow::Break(Outcome::from_value(&ret).into_result())
+            }
+            Ok(_) => ControlFlow::Continue(()),
+            Err(e) => ControlFlow::Break(Err(e)),
+        }
+    }
+
+    /// The call's error once [`RootCall::next_attempt`] returned `None`.
+    fn give_up(self) -> BeldiError {
+        BeldiError::Invoke(self.last_err.expect("at least one attempt"))
+    }
+}
+
 /// Summary of one [`BeldiEnv::drain_recovery`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainReport {
@@ -364,7 +445,10 @@ pub struct DrainReport {
 
 impl BeldiEnv {
     /// A fast, deterministic environment for tests and examples: Beldi
-    /// mode, zero storage latency, no platform overheads, a 2000× clock.
+    /// mode, zero storage latency, no platform overheads, and the
+    /// builder's default seeded [`SimClock`] — so the caller's own
+    /// threads go through `env.clock().spawn(..)` (see
+    /// [`EnvBuilder::new`]).
     pub fn for_tests() -> Self {
         EnvBuilder::new(BeldiConfig::beldi()).build()
     }
@@ -407,10 +491,6 @@ impl BeldiEnv {
                 SsfEntry {
                     tables: tables.iter().map(|s| (*s).to_owned()).collect(),
                     body,
-                    gc_busy: Arc::new(AtomicBool::new(false)),
-                    ic_busy: Arc::new(AtomicBool::new(false)),
-                    gc_pass: Arc::new(AtomicU64::new(0)),
-                    ic_pass: Arc::new(AtomicU64::new(0)),
                 },
             );
         }
@@ -447,11 +527,11 @@ impl BeldiEnv {
         if mode != Mode::Baseline {
             self.core.platform.register(
                 format!("{name}.ic"),
-                collector_handler(&self.core, name, true),
+                collector_handler::<IcReport>(&self.core, name),
             );
             self.core.platform.register(
                 format!("{name}.gc"),
-                collector_handler(&self.core, name, false),
+                collector_handler::<GcReport>(&self.core, name),
             );
         }
     }
@@ -486,10 +566,9 @@ impl BeldiEnv {
 
     /// [`BeldiEnv::invoke_as`] with an explicit retry budget.
     ///
-    /// `max_attempts = 1` disables the root's built-in re-launch — the
-    /// configuration the chaos driver's no-relaunch tests use to prove the
-    /// conservation gates actually detect lost executions. Attempt budgets don't apply
-    /// to baseline mode (which never retries).
+    /// `max_attempts = 1` disables the root's built-in re-launch.
+    /// Attempt budgets don't apply to baseline mode (which never
+    /// retries).
     pub fn invoke_attempts(
         &self,
         name: &str,
@@ -497,33 +576,15 @@ impl BeldiEnv {
         input: Value,
         max_attempts: usize,
     ) -> BeldiResult<Value> {
-        let envelope = Envelope::root_call(instance, input, false).to_value();
-        if self.core.config.mode == Mode::Baseline {
-            let v = self
-                .core
-                .platform
-                .invoke_sync(name, envelope)
-                .map_err(BeldiError::Invoke)?;
-            return Outcome::from_value(&v).into_result();
-        }
-        let first_attempt_ms = self.clock().now().as_millis();
-        let mut last_err = None;
-        for _ in 0..max_attempts.max(1) {
-            if last_err.is_some() && self.core.root_retry_closed(first_attempt_ms) {
-                break;
+        let mut call = RootCall::new(&self.core, name, instance, input, max_attempts);
+        while let Some(envelope) = call.next_attempt() {
+            let reply = self.core.platform.invoke_sync(name, envelope);
+            if let ControlFlow::Break(result) = call.settle(reply) {
+                return result;
             }
-            match self.core.platform.invoke_sync(name, envelope.clone()) {
-                Ok(v) => return Outcome::from_value(&v).into_result(),
-                Err(e) => {
-                    last_err = Some(e);
-                    if let Some(ret) = self.core.root_done_ret(name, instance)? {
-                        return Outcome::from_value(&ret).into_result();
-                    }
-                    self.clock().sleep(Duration::from_millis(2));
-                }
-            }
+            self.clock().sleep(ROOT_RETRY_BACKOFF);
         }
-        Err(BeldiError::Invoke(last_err.expect("at least one attempt")))
+        Err(call.give_up())
     }
 
     /// Invokes SSF `name` asynchronously as a workflow root; returns the
@@ -554,16 +615,17 @@ impl BeldiEnv {
         Ok(instance)
     }
 
-    /// The executor-task counterpart of [`BeldiEnv::invoke_as`]: returns
-    /// a future that drives the same root-invocation protocol — the same
-    /// [`Envelope::root_call`] payload, the same wrapper and replay path,
-    /// the same retry-with-the-same-id discipline and `T_max` retry
-    /// window — but parks on a waker while the instance runs instead of
-    /// blocking a client thread. Spawned on a
-    /// [`beldi_runtime::Executor`], ten thousand of these are ten
-    /// thousand in-flight workflows in one process; the SSF bodies
-    /// themselves still execute on platform worker threads, bounded by
-    /// the concurrency cap.
+    /// The executor-task counterpart of [`BeldiEnv::invoke_attempts`]:
+    /// returns a future that drives the same root-invocation protocol —
+    /// one `RootCall` policy: the same payload, retry-with-the-same-id
+    /// discipline and `T_max` retry window — but parks on a waker while
+    /// the instance runs instead of blocking a client thread. Spawned on
+    /// a [`beldi_runtime::Executor`], ten thousand of these are ten
+    /// thousand in-flight workflows in one process (the workload
+    /// driver's client workers; with `max_attempts = 1` its no-relaunch
+    /// runs prove the conservation gates detect lost executions); the
+    /// SSF bodies themselves still execute on platform worker threads,
+    /// bounded by the concurrency cap.
     ///
     /// The future must be awaited *inside* an executor (its retry
     /// backoff uses [`beldi_runtime::sleep`], which resolves the
@@ -579,33 +641,15 @@ impl BeldiEnv {
         let name = name.to_owned();
         let instance = instance.to_owned();
         async move {
-            let envelope = Envelope::root_call(&instance, input, false).to_value();
-            if core.config.mode == Mode::Baseline {
-                let v = core
-                    .platform
-                    .invoke_pending(&name, envelope)
-                    .await
-                    .map_err(BeldiError::Invoke)?;
-                return Outcome::from_value(&v).into_result();
-            }
-            let first_attempt_ms = core.platform.clock().now().as_millis();
-            let mut last_err = None;
-            for _ in 0..max_attempts.max(1) {
-                if last_err.is_some() && core.root_retry_closed(first_attempt_ms) {
-                    break;
+            let mut call = RootCall::new(&core, &name, &instance, input, max_attempts);
+            while let Some(envelope) = call.next_attempt() {
+                let reply = core.platform.invoke_pending(&name, envelope).await;
+                if let ControlFlow::Break(result) = call.settle(reply) {
+                    return result;
                 }
-                match core.platform.invoke_pending(&name, envelope.clone()).await {
-                    Ok(v) => return Outcome::from_value(&v).into_result(),
-                    Err(e) => {
-                        last_err = Some(e);
-                        if let Some(ret) = core.root_done_ret(&name, &instance)? {
-                            return Outcome::from_value(&ret).into_result();
-                        }
-                        beldi_runtime::sleep(Duration::from_millis(2)).await;
-                    }
-                }
+                beldi_runtime::sleep(ROOT_RETRY_BACKOFF).await;
             }
-            Err(BeldiError::Invoke(last_err.expect("at least one attempt")))
+            Err(call.give_up())
         }
     }
 
@@ -614,14 +658,14 @@ impl BeldiEnv {
     /// Runs one intent-collector pass for `ssf` synchronously.
     pub fn run_ic_once(&self, ssf: &str) -> BeldiResult<IcReport> {
         let result = ic::run_ic(&self.core, ssf);
-        self.core.record_ic(&result);
+        self.core.record_pass(&result);
         result
     }
 
     /// Runs one garbage-collector pass for `ssf` synchronously.
     pub fn run_gc_once(&self, ssf: &str) -> BeldiResult<GcReport> {
         let result = gc::run_gc(&self.core, ssf);
-        self.core.record_gc(&result);
+        self.core.record_pass(&result);
         result
     }
 
@@ -898,67 +942,45 @@ impl Drop for BeldiEnv {
 /// `gc.*` crash points — so the crash-schedule explorer and the chaos
 /// storm can kill collectors between any two steps exactly like they kill
 /// SSF instances. A killed pass re-panics (the platform reports it
-/// crashed); the next invocation resumes the idempotent work. One pass
-/// per SSF and collector at a time (see `SsfEntry::gc_busy`/`ic_busy`):
-/// a tick arriving while the previous pass still runs yields immediately
-/// instead of stacking another collector.
-fn collector_handler(
+/// crashed); the next invocation resumes the idempotent work.
+fn collector_handler<R: Collector>(
     core: &Arc<EnvCore>,
     ssf: &str,
-    is_ic: bool,
 ) -> beldi_simfaas::FunctionHandler {
     let weak: Weak<EnvCore> = Arc::downgrade(core);
     let ssf = ssf.to_owned();
+    // Reentrancy guard: timer ticks fire on schedule whether or not the
+    // previous pass finished, and without the guard a slow pass lets
+    // invocations pile up without bound (hundreds of concurrent
+    // collectors scanning the same tables). One pass per SSF and
+    // collector at a time; a tick that finds the collector busy simply
+    // yields to it — both collectors are at-least-once, so skipped ticks
+    // cost nothing.
+    let busy = AtomicBool::new(false);
+    // Executed passes (ticks that won the busy guard): mints the per-pass
+    // instance id the chaos storm's kill decisions key on.
+    let passes = AtomicU64::new(0);
     Arc::new(move |_ictx, _payload| {
         let Some(core) = weak.upgrade() else {
             return Value::Null;
         };
-        let (busy, pass_ctr) = {
-            let registry = core.registry.read();
-            match registry.get(&ssf) {
-                Some(entry) if is_ic => (entry.ic_busy.clone(), entry.ic_pass.clone()),
-                Some(entry) => (entry.gc_busy.clone(), entry.gc_pass.clone()),
-                None => return Value::Null,
-            }
-        };
         if busy.swap(true, Ordering::AcqRel) {
             return Value::Null;
         }
-        let pass = pass_ctr.fetch_add(1, Ordering::Relaxed);
-        let kind = if is_ic { "ic" } else { "gc" };
-        let instance = format!("{ssf}.{kind}#p{pass}");
+        let pass = passes.fetch_add(1, Ordering::Relaxed);
+        let instance = format!("{ssf}.{}#p{pass}", R::KIND);
         let faults = core.platform.faults();
         faults.instance_started(&instance);
         let crash = |label: &str| faults.crash_point(&instance, label);
-        // Collector failures are non-fatal: the next timer tick retries.
-        if is_ic {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ic::run_ic_with(&core, &ssf, &crash)
-            }));
-            busy.store(false, Ordering::Release);
-            match result {
-                Ok(outcome) => core.record_ic(&outcome),
-                Err(panic) => {
-                    core.record_ic_crash();
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        } else {
-            let probe = |_: &str| {};
-            let hooks = gc::GcHooks {
-                crash: &crash,
-                probe: &probe,
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                gc::run_gc_with(&core, &ssf, &hooks)
-            }));
-            busy.store(false, Ordering::Release);
-            match result {
-                Ok(outcome) => core.record_gc(&outcome),
-                Err(panic) => {
-                    core.record_gc_crash();
-                    std::panic::resume_unwind(panic);
-                }
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| R::run(&core, &ssf, &crash)));
+        busy.store(false, Ordering::Release);
+        match result {
+            // Collector failures are non-fatal: the next timer tick retries.
+            Ok(outcome) => core.record_pass(&outcome),
+            Err(panic) => {
+                R::totals(&core).lock().crashes += 1;
+                std::panic::resume_unwind(panic);
             }
         }
         Value::Null
@@ -1039,7 +1061,7 @@ mod tests {
                     break;
                 }
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            env.clock().sleep(Duration::from_millis(1));
         }
         assert_eq!(env.read_current("writer", "t", "k").unwrap(), Value::Int(5));
     }

@@ -74,7 +74,10 @@ mod wrapper;
 
 pub use config::{BeldiConfig, ConfigError, Mode};
 pub use context::SsfContext;
-pub use env::{BeldiEnv, DrainReport, EnvBuilder, GcTotals, IcTotals, SsfBody, MAX_ROOT_ATTEMPTS};
+pub use env::{
+    BeldiEnv, CollectorTotals, DrainReport, EnvBuilder, GcTotals, IcTotals, SsfBody,
+    MAX_ROOT_ATTEMPTS,
+};
 pub use error::{BeldiError, BeldiResult};
 pub use gc::GcReport;
 pub use ic::IcReport;

@@ -2,21 +2,24 @@
 //! (§4.3's transition-graph argument) and the traversal's snapshot
 //! consistency claim (§4.1).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv};
-use beldi_simclock::{ManualClock, SharedClock};
+use beldi_simclock::JoinHandle;
 use beldi_simdb::ScanRequest;
+
+mod common;
+use common::{contended_env, join_all, spawn};
 
 fn env_with_writer(capacity: usize) -> BeldiEnv {
     env_with_writer_partitioned(capacity, beldi_simdb::DEFAULT_PARTITIONS)
 }
 
 fn env_with_writer_partitioned(capacity: usize, partitions: usize) -> BeldiEnv {
-    let env = BeldiEnv::for_tests_with(
+    let env = contended_env(
         BeldiConfig::beldi()
             .with_row_capacity(capacity)
             .with_partitions(partitions),
@@ -49,6 +52,20 @@ fn logged_entries(env: &BeldiEnv, key: &str) -> usize {
         .sum()
 }
 
+/// Eight clock threads, twelve writes each to the key `hot`.
+fn hot_key_writers(env: &Arc<BeldiEnv>) -> Vec<JoinHandle> {
+    (0..8i64)
+        .map(|t| {
+            spawn(env, format!("writer-{t}"), move |env| {
+                for i in 0..12 {
+                    env.invoke("w", vmap! { "key" => "hot", "val" => t * 100 + i })
+                        .unwrap();
+                }
+            })
+        })
+        .collect()
+}
+
 /// Many writers, one hot key, tiny rows: maximal append contention.
 /// Every write is logged exactly once and the chain stays acyclic and
 /// fully traversable.
@@ -56,23 +73,15 @@ fn logged_entries(env: &BeldiEnv, key: &str) -> usize {
 fn hot_key_append_storm_logs_each_write_once() {
     for capacity in [1usize, 2, 7] {
         let env = Arc::new(env_with_writer(capacity));
-        let mut handles = Vec::new();
-        for t in 0..8i64 {
-            let env = Arc::clone(&env);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..12 {
-                    env.invoke("w", vmap! { "key" => "hot", "val" => t * 100 + i })
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_all(hot_key_writers(&env));
         assert_eq!(
             logged_entries(&env, "hot"),
             96,
             "capacity {capacity}: lost or duplicated log entries"
+        );
+        assert!(
+            env.db_metrics().cond_failures > 0,
+            "capacity {capacity}: the writers never raced an append"
         );
         let len = env.daal_chain_len("w", "t", "hot").unwrap();
         assert!(len >= 96 / capacity, "capacity {capacity}: chain len {len}");
@@ -90,40 +99,42 @@ fn traversal_is_consistent_during_appends() {
     let env = Arc::new(env_with_writer(2));
     env.invoke("w", vmap! { "key" => "k", "val" => 0i64 })
         .unwrap();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
+    let observations = Arc::new(AtomicU64::new(0));
     let reader = {
-        let env = Arc::clone(&env);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
+        let (stop, observations) = (Arc::clone(&stop), Arc::clone(&observations));
+        spawn(&env, "reader", move |env| {
             let mut last = 0usize;
-            let mut observations = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            // Each traversal's modelled scan is where the writers get
+            // their turns.
+            while !stop.load(Ordering::Relaxed) {
                 let len = env
                     .daal_chain_len("w", "t", "k")
                     .expect("traversal must not error");
                 assert!(len >= last, "chain shrank without GC: {last} -> {len}");
                 last = len;
-                observations += 1;
+                observations.fetch_add(1, Ordering::Relaxed);
             }
-            observations
         })
     };
-    let mut handles = Vec::new();
-    for t in 0..4i64 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for i in 0..15 {
-                env.invoke("w", vmap! { "key" => "k", "val" => t * 50 + i })
-                    .unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let observations = reader.join().unwrap();
-    assert!(observations > 0, "reader never ran");
+    let writers = (0..4i64)
+        .map(|t| {
+            spawn(&env, format!("writer-{t}"), move |env| {
+                for i in 0..15 {
+                    env.invoke("w", vmap! { "key" => "k", "val" => t * 50 + i })
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    join_all(writers);
+    stop.store(true, Ordering::Relaxed);
+    reader.join().unwrap();
+    let observations = observations.load(Ordering::Relaxed);
+    assert!(
+        observations > 60,
+        "the reader must interleave with the 60 appends, saw {observations}"
+    );
 }
 
 /// The DAAL protocol is partition-count invariant: the hot-key storm
@@ -133,19 +144,7 @@ fn traversal_is_consistent_during_appends() {
 fn hot_key_append_storm_across_partition_counts() {
     for partitions in [1usize, 8] {
         let env = Arc::new(env_with_writer_partitioned(2, partitions));
-        let mut handles = Vec::new();
-        for t in 0..8i64 {
-            let env = Arc::clone(&env);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..12 {
-                    env.invoke("w", vmap! { "key" => "hot", "val" => t * 100 + i })
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        join_all(hot_key_writers(&env));
         assert_eq!(
             logged_entries(&env, "hot"),
             96,
@@ -165,7 +164,7 @@ fn concurrent_transact_writes_through_env_are_atomic() {
     use beldi::value::{Cond, Update};
     use beldi_simdb::{PrimaryKey, TableSchema, TransactOp};
 
-    let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_partitions(4));
+    let env = Arc::new(contended_env(BeldiConfig::beldi().with_partitions(4)));
     let db = env.db();
     db.create_table("x", TableSchema::hash_only("Id")).unwrap();
     db.create_table("y", TableSchema::hash_only("Id")).unwrap();
@@ -175,33 +174,34 @@ fn concurrent_transact_writes_through_env_are_atomic() {
         db.put("y", vmap! { "Id" => format!("k{k}"), "N" => 0i64 })
             .unwrap();
     }
-    std::thread::scope(|s| {
-        for t in 0..8usize {
-            let db = db.clone();
-            s.spawn(move || {
+    let threads = (0..8usize)
+        .map(|t| {
+            spawn(&env, format!("txn-{t}"), move |env| {
                 for i in 0..40usize {
                     let k = (t + i) % 8;
                     // Paired increment across two tables (and usually two
                     // partitions), gated on the pair being in sync.
-                    db.transact_write(&[
-                        TransactOp::Update {
-                            table: "x".into(),
-                            key: PrimaryKey::hash(format!("k{k}")),
-                            cond: Cond::exists("Id"),
-                            update: Update::new().inc("N", 1),
-                        },
-                        TransactOp::Update {
-                            table: "y".into(),
-                            key: PrimaryKey::hash(format!("k{k}")),
-                            cond: Cond::exists("Id"),
-                            update: Update::new().inc("N", 1),
-                        },
-                    ])
-                    .unwrap();
+                    env.db()
+                        .transact_write(&[
+                            TransactOp::Update {
+                                table: "x".into(),
+                                key: PrimaryKey::hash(format!("k{k}")),
+                                cond: Cond::exists("Id"),
+                                update: Update::new().inc("N", 1),
+                            },
+                            TransactOp::Update {
+                                table: "y".into(),
+                                key: PrimaryKey::hash(format!("k{k}")),
+                                cond: Cond::exists("Id"),
+                                update: Update::new().inc("N", 1),
+                            },
+                        ])
+                        .unwrap();
                 }
-            });
-        }
-    });
+            })
+        })
+        .collect();
+    join_all(threads);
     for k in 0..8 {
         let x = db
             .get("x", &beldi_simdb::PrimaryKey::hash(format!("k{k}")), None)
@@ -219,14 +219,27 @@ fn concurrent_transact_writes_through_env_are_atomic() {
     }
 }
 
+/// Six clock threads, each writing 0..10 to its own key `k{t}`.
+fn own_key_writers(env: &Arc<BeldiEnv>) -> Vec<JoinHandle> {
+    (0..6i64)
+        .map(|t| {
+            spawn(env, format!("writer-{t}"), move |env| {
+                let key = format!("k{t}");
+                for i in 0..10 {
+                    env.invoke("w", vmap! { "key" => key.as_str(), "val" => i })
+                        .unwrap();
+                }
+            })
+        })
+        .collect()
+}
+
 /// CrossTable mode routes every logical write through `transact_write`
 /// (value row + write-log row); concurrent writers across partitions must
 /// neither lose writes nor deadlock.
 #[test]
 fn cross_table_mode_concurrent_writes_survive_partitioning() {
-    let env = Arc::new(BeldiEnv::for_tests_with(
-        BeldiConfig::cross_table().with_partitions(4),
-    ));
+    let env = Arc::new(contended_env(BeldiConfig::cross_table().with_partitions(4)));
     env.register_ssf(
         "w",
         &["t"],
@@ -237,20 +250,7 @@ fn cross_table_mode_concurrent_writes_survive_partitioning() {
             Ok(Value::Null)
         }),
     );
-    let mut handles = Vec::new();
-    for t in 0..6i64 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            let key = format!("k{t}");
-            for i in 0..10 {
-                env.invoke("w", vmap! { "key" => key.as_str(), "val" => i })
-                    .unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    join_all(own_key_writers(&env));
     for t in 0..6 {
         let key = format!("k{t}");
         assert_eq!(
@@ -265,20 +265,7 @@ fn cross_table_mode_concurrent_writes_survive_partitioning() {
 #[test]
 fn independent_keys_do_not_interfere() {
     let env = Arc::new(env_with_writer(3));
-    let mut handles = Vec::new();
-    for t in 0..6i64 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            let key = format!("k{t}");
-            for i in 0..10 {
-                env.invoke("w", vmap! { "key" => key.as_str(), "val" => i })
-                    .unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    join_all(own_key_writers(&env));
     for t in 0..6 {
         let key = format!("k{t}");
         assert_eq!(logged_entries(&env, &key), 10, "{key}");
@@ -293,19 +280,18 @@ fn independent_keys_do_not_interfere() {
 /// Appends racing the GC: entries and chain stay coherent while rows are
 /// disconnected and deleted underneath the writers.
 ///
-/// Runs on a [`ManualClock`] that only moves between rounds, while no
-/// invocation is in flight: GC passes still interleave with appends, but
-/// no writer can outlive `T` however the host schedules its thread (on
-/// a scaled clock, `T` is microseconds of real time, and a descheduled
-/// writer legitimately loses its row to the GC).
+/// `T` is sized in modelled time: two virtual seconds is far longer than
+/// an invocation takes under the latency model, so no writer can outlive
+/// `T` whatever the schedule, and the test sleeps past `T` only between
+/// rounds, while no invocation is in flight. GC passes still interleave
+/// with appends at every database operation.
 #[test]
 fn append_storm_with_concurrent_gc_is_safe() {
-    const T: Duration = Duration::from_millis(60);
+    const T: Duration = Duration::from_secs(2);
     const ROUNDS: i64 = 6;
-    let clock = ManualClock::shared();
-    let env = BeldiEnv::builder(BeldiConfig::beldi().with_row_capacity(2).with_t_max(T))
-        .clock(clock.clone() as SharedClock)
-        .build();
+    let env = Arc::new(contended_env(
+        BeldiConfig::beldi().with_row_capacity(2).with_t_max(T),
+    ));
     env.register_ssf(
         "w",
         &["t"],
@@ -315,36 +301,35 @@ fn append_storm_with_concurrent_gc_is_safe() {
             Ok(Value::Null)
         }),
     );
-    let env = &env;
     for round in 0..ROUNDS {
-        let writers_done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            // Back-to-back passes for as long as the writers run, plus
-            // one after they finish, so every round stamps its intents
-            // and works on the rows that aged in the rounds before.
-            s.spawn(|| loop {
+        // Back-to-back passes for as long as the writers run, plus one
+        // after they finish, so every round stamps its intents and works
+        // on the rows that aged in the rounds before.
+        let writers_done = Arc::new(AtomicBool::new(false));
+        let collector = {
+            let writers_done = Arc::clone(&writers_done);
+            spawn(&env, "collector", move |env| loop {
                 let last_pass = writers_done.load(Ordering::SeqCst);
                 env.run_gc_once("w").unwrap();
                 if last_pass {
                     break;
                 }
-            });
-            let writers: Vec<_> = (0..4i64)
-                .map(|t| {
-                    s.spawn(move || {
-                        for i in 0..3 {
-                            let val = round * 1000 + t * 100 + i;
-                            env.invoke("w", vmap! { "val" => val }).unwrap();
-                        }
-                    })
+            })
+        };
+        let writers = (0..4i64)
+            .map(|t| {
+                spawn(&env, format!("writer-{t}"), move |env| {
+                    for i in 0..3 {
+                        let val = round * 1000 + t * 100 + i;
+                        env.invoke("w", vmap! { "val" => val }).unwrap();
+                    }
                 })
-                .collect();
-            for w in writers {
-                w.join().unwrap();
-            }
-            writers_done.store(true, Ordering::SeqCst);
-        });
-        clock.advance(T + Duration::from_millis(1));
+            })
+            .collect();
+        join_all(writers);
+        writers_done.store(true, Ordering::SeqCst);
+        collector.join().unwrap();
+        env.clock().sleep(T + Duration::from_millis(1));
     }
     // The GC did all of its work under the writers: recycled intents,
     // disconnected full rows, then deleted them a round later.

@@ -10,15 +10,27 @@
 
 use beldi::labels;
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, RandomCrashPolicy};
+
+mod common;
 
 /// A workflow that exercises every primitive: the root reads and bumps a
 /// counter, performs a conditional write, and synchronously invokes a
 /// worker that bumps its own counter.
 fn pipeline_env(cfg: BeldiConfig) -> BeldiEnv {
-    let env = BeldiEnv::for_tests_with(cfg);
+    register_pipeline(BeldiEnv::for_tests_with(cfg))
+}
+
+/// [`pipeline_env`] with modelled storage latency: the lease tests need
+/// virtual time to pass inside an execution.
+fn slow_pipeline_env(cfg: BeldiConfig) -> BeldiEnv {
+    register_pipeline(common::contended_env(cfg))
+}
+
+fn register_pipeline(env: BeldiEnv) -> BeldiEnv {
     env.register_ssf(
         "worker",
         &["wt"],
@@ -193,7 +205,7 @@ fn baseline_mode_duplicates_effects_under_retry() {
 /// A crashed *asynchronous* instance is finished by the intent collector.
 #[test]
 fn intent_collector_completes_crashed_async_instance() {
-    let cfg = BeldiConfig::beldi().with_ic_restart_delay(std::time::Duration::from_millis(200));
+    let cfg = BeldiConfig::beldi().with_ic_restart_delay(Duration::from_millis(200));
     let env = BeldiEnv::for_tests_with(cfg);
     env.register_ssf(
         "sink",
@@ -212,22 +224,20 @@ fn intent_collector_completes_crashed_async_instance() {
         id.clone(),
         CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
     );
-    // Let the (crashing) first execution happen.
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    // Let the (crashing) first execution happen: it runs while this
+    // thread sleeps.
+    env.clock().sleep(Duration::from_millis(30));
     // Advance virtual time past the restart delay, then run the IC until
     // the intent completes.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let deadline = env.clock().now().plus(Duration::from_secs(5));
     loop {
-        env.clock().sleep(std::time::Duration::from_millis(300));
+        env.clock().sleep(Duration::from_millis(300));
         let report = env.run_ic_once("sink").unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        env.clock().sleep(Duration::from_millis(10));
         if report.unfinished == 0 {
             break;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "IC never finished the intent"
-        );
+        assert!(env.clock().now() < deadline, "IC never finished the intent");
     }
     assert_eq!(
         env.read_current("sink", "t", "count").unwrap(),
@@ -266,12 +276,9 @@ fn callee_crash_between_callback_and_done() {
 /// started, crashed async work completes with no manual driving.
 #[test]
 fn timer_collectors_recover_crashed_work() {
-    // Periods are virtual; BeldiEnv::for_tests runs a 2000x clock, so one
-    // virtual second of period is 0.5 ms of real time — keep periods in
-    // whole seconds to avoid a timer storm.
     let cfg = BeldiConfig::beldi()
-        .with_ic_restart_delay(std::time::Duration::from_secs(2))
-        .with_collector_period(std::time::Duration::from_secs(4));
+        .with_ic_restart_delay(Duration::from_secs(2))
+        .with_collector_period(Duration::from_secs(4));
     let env = BeldiEnv::for_tests_with(cfg);
     env.register_ssf(
         "job",
@@ -287,20 +294,22 @@ fn timer_collectors_recover_crashed_work() {
     env.platform()
         .faults()
         .plan(id, CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()));
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    // Two collector periods are enough: the first tick may find the
+    // intent younger than the restart delay.
+    let deadline = env.clock().now().plus(Duration::from_secs(10));
     loop {
         if env.read_current("job", "t", "done").unwrap() == Value::Int(1) {
             break;
         }
         assert!(
-            std::time::Instant::now() < deadline,
+            env.clock().now() < deadline,
             "timer collectors never completed the job"
         );
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        env.clock().sleep(Duration::from_millis(10));
     }
     env.stop_collectors();
     // Give any in-flight duplicate a moment, then confirm exactly-once.
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    env.clock().sleep(Duration::from_millis(50));
     assert_eq!(env.read_current("job", "t", "done").unwrap(), Value::Int(1));
 }
 
@@ -375,7 +384,7 @@ fn global_schedule_crashes_are_exactly_once() {
 /// manual IC driving.
 #[test]
 fn drain_recovery_completes_crashed_async_work() {
-    let cfg = BeldiConfig::beldi().with_ic_restart_delay(std::time::Duration::from_millis(50));
+    let cfg = BeldiConfig::beldi().with_ic_restart_delay(Duration::from_millis(50));
     let env = BeldiEnv::for_tests_with(cfg);
     env.register_ssf(
         "sink",
@@ -392,7 +401,7 @@ fn drain_recovery_completes_crashed_async_work() {
         .faults()
         .plan(id, CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()));
     // Let the (crashing) first execution happen, then drain.
-    std::thread::sleep(std::time::Duration::from_millis(30));
+    env.clock().sleep(Duration::from_millis(30));
     let report = env.drain_recovery(40).unwrap();
     assert_eq!(report.unfinished, 0, "drain must quiesce: {report:?}");
     assert!(
@@ -414,19 +423,19 @@ fn drain_recovery_completes_crashed_async_work() {
 /// duplicate can outlive the recycling of its own intent row and re-apply
 /// effects. The simulator enforces that lease at crash probes when
 /// `enforce_t_max` is on: an expired instance dies at its next probe,
-/// *before* its next effect. With a zero-length lease every launch
-/// expires immediately, so the invocation exhausts its attempts without
-/// ever writing state.
+/// *before* its next effect. With a lease shorter than any storage
+/// operation every launch has expired by its second probe, so the
+/// invocation fails without ever writing state.
 #[test]
 fn expired_execution_lease_kills_instances_before_their_next_effect() {
     beldi::silence_crash_backtraces();
-    // The shortest lease `validate()` admits: 1 ms of virtual time is
-    // half a microsecond of real time here, gone before the wrapper has
-    // registered the intent.
+    // The shortest lease `validate()` admits, against a latency model
+    // whose fastest operation takes over 2 ms: the body's first read
+    // outlasts the lease, and the probe before its log write kills it.
     let cfg = BeldiConfig::beldi()
-        .with_t_max(std::time::Duration::from_millis(1))
+        .with_t_max(Duration::from_millis(1))
         .with_enforce_t_max(true);
-    let env = pipeline_env(cfg);
+    let env = slow_pipeline_env(cfg);
     env.invoke("root", Value::Int(0)).unwrap_err();
     assert!(
         env.platform().faults().timeout_count() > 0,
@@ -445,7 +454,7 @@ fn expired_execution_lease_kills_instances_before_their_next_effect() {
 #[test]
 fn generous_execution_lease_is_never_binding() {
     let cfg = BeldiConfig::beldi()
-        .with_t_max(std::time::Duration::from_secs(3_600))
+        .with_t_max(Duration::from_secs(3_600))
         .with_enforce_t_max(true);
     let env = pipeline_env(cfg);
     env.invoke("root", Value::Int(0)).unwrap();
@@ -463,10 +472,11 @@ fn generous_execution_lease_is_never_binding() {
 fn root_retries_stop_at_the_lease_window() {
     beldi::silence_crash_backtraces();
     let cfg = BeldiConfig::beldi()
-        .with_t_max(std::time::Duration::from_millis(10))
+        .with_t_max(Duration::from_millis(10))
         .with_enforce_t_max(true);
-    let env = pipeline_env(cfg);
-    // Every attempt dies on the (near-zero-slack) lease. A 1000-attempt
+    let env = slow_pipeline_env(cfg);
+    // Every attempt dies on the lease: the pipeline's storage operations
+    // add up to several times 10 ms of modelled time. A 1000-attempt
     // budget without the window would record ~1000 timeout kills; the
     // window admits only the few that fit inside `T_max` of virtual time.
     env.invoke_attempts("root", "stale-root", Value::Int(0), 1_000)

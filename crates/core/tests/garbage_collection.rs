@@ -11,7 +11,6 @@ use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, CrashPlan};
-use beldi_simclock::SimClock;
 use beldi_simdb::ScanRequest;
 
 fn gc_config() -> BeldiConfig {
@@ -22,10 +21,7 @@ fn gc_config() -> BeldiConfig {
 
 /// Counter SSF used throughout.
 fn counter_env(cfg: BeldiConfig) -> BeldiEnv {
-    with_counter(BeldiEnv::for_tests_with(cfg))
-}
-
-fn with_counter(env: BeldiEnv) -> BeldiEnv {
+    let env = BeldiEnv::for_tests_with(cfg);
     env.register_ssf(
         "ctr",
         &["t"],
@@ -80,7 +76,9 @@ fn unfinished_intents_are_never_recycled() {
         id.clone(),
         beldi::CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
     );
-    std::thread::sleep(Duration::from_millis(30));
+    // The planned execution runs — and dies — while this thread sleeps.
+    env.clock().sleep(Duration::from_millis(30));
+    assert_eq!(env.platform().faults().injected_count(), 1);
 
     env.run_gc_once("ctr").unwrap();
     wait_t(&env);
@@ -130,7 +128,7 @@ fn daal_stays_shallow_under_gc() {
 
 #[test]
 fn gc_is_safe_against_concurrent_writers() {
-    let env = Arc::new(with_counter(sim_env(gc_config())));
+    let env = Arc::new(counter_env(gc_config()));
     let clock = env.clock().clone();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let gc_thread = {
@@ -176,7 +174,7 @@ fn gc_is_safe_against_concurrent_writers() {
 fn gc_with_locked_writers_loses_nothing() {
     // Locked increments serialize the RMW, so the final count is exact
     // even with a GC racing the writers.
-    let env = Arc::new(sim_env(gc_config()));
+    let env = Arc::new(BeldiEnv::for_tests_with(gc_config()));
     let clock = env.clock().clone();
     env.register_ssf(
         "lctr",
@@ -219,16 +217,8 @@ fn gc_with_locked_writers_loses_nothing() {
     assert_eq!(env.read_current("lctr", "t", "k").unwrap(), Value::Int(32));
 }
 
-/// An environment on a [`SimClock`]: the calling test thread is its first
-/// participant, every other thread must come from `env.clock().spawn`.
-/// Time moves only by what is slept, so however slowly the host runs an
-/// instance, it can never look older than `T` to a collector.
-fn sim_env(cfg: BeldiConfig) -> BeldiEnv {
-    BeldiEnv::builder(cfg).clock(SimClock::shared(7)).build()
-}
-
 fn online_gc_env(cfg: BeldiConfig) -> BeldiEnv {
-    sim_env(cfg.with_t_max(Duration::from_secs(10)))
+    BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_secs(10)))
 }
 
 #[test]
@@ -405,7 +395,7 @@ fn gc_report_counts_are_coherent() {
 #[test]
 fn lease_enforcement_doubles_the_recycle_horizon() {
     let t = Duration::from_secs(60);
-    let env = with_counter(sim_env(gc_config().with_t_max(t).with_enforce_t_max(true)));
+    let env = counter_env(gc_config().with_t_max(t).with_enforce_t_max(true));
     env.invoke("ctr", Value::Null).unwrap();
     env.run_gc_once("ctr").unwrap(); // pass 1 stamps the finish time
 
@@ -467,7 +457,7 @@ fn collector_batch_limit_pages_work_across_passes() {
 #[test]
 fn a_pass_costs_the_same_beside_100_and_5000_idle_keys() {
     let passes_beside = |idle: usize| {
-        let env = sim_env(gc_config());
+        let env = BeldiEnv::for_tests_with(gc_config());
         env.register_ssf(
             "w",
             &["t"],
@@ -510,7 +500,7 @@ fn a_pass_costs_the_same_beside_100_and_5000_idle_keys() {
 /// `T`, deleted a `T` later.
 #[test]
 fn the_orphan_of_a_crashed_append_is_found_stamped_and_deleted() {
-    let env = with_counter(sim_env(gc_config()));
+    let env = counter_env(gc_config());
     for _ in 0..3 {
         env.invoke("ctr", Value::Null).unwrap(); // Fills the head row.
     }

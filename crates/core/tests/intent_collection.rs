@@ -65,7 +65,8 @@ fn bounded_ic_pass_rotates_past_an_ineligible_head() {
         id.clone(),
         CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
     );
-    std::thread::sleep(Duration::from_millis(30));
+    env.clock().sleep(Duration::from_millis(30));
+    assert_eq!(env.platform().faults().injected_count(), 1);
     // …aged past the restart delay.
     env.clock().sleep(Duration::from_secs(7_200));
 
@@ -93,13 +94,13 @@ fn bounded_ic_pass_rotates_past_an_ineligible_head() {
     );
 
     // The re-launch completes the crashed workflow exactly once.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = env.clock().now().plus(Duration::from_secs(5));
     while env.read_current("sink", "t", "count").unwrap() != Value::Int(1) {
         assert!(
-            std::time::Instant::now() < deadline,
+            env.clock().now() < deadline,
             "re-launched intent never completed"
         );
-        std::thread::sleep(Duration::from_millis(10));
+        env.clock().sleep(Duration::from_millis(10));
     }
     assert_eq!(
         env.read_current("sink", "t", "last").unwrap(),

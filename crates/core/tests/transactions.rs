@@ -4,9 +4,13 @@
 
 use beldi::labels;
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi::value::{vmap, Cond, Path, Value};
 use beldi::{BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome};
+
+mod common;
+use common::{contended_env, join_all, spawn};
 
 /// Retries a transactional root invocation through wait-die aborts.
 fn invoke_retrying(env: &BeldiEnv, ssf: &str, input: Value) -> Value {
@@ -14,7 +18,7 @@ fn invoke_retrying(env: &BeldiEnv, ssf: &str, input: Value) -> Value {
         match env.invoke(ssf, input.clone()) {
             Ok(v) => return v,
             Err(BeldiError::TxnAborted) => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                env.clock().sleep(Duration::from_millis(1));
             }
             Err(e) => panic!("unexpected error: {e}"),
         }
@@ -270,9 +274,11 @@ fn cross_ssf_txn_abort_rolls_back_first_leg() {
     );
 }
 
-#[test]
-fn concurrent_transfers_conserve_money() {
-    let env = Arc::new(BeldiEnv::for_tests());
+/// Four clock threads of contended transfers among three accounts of 100
+/// on a default (seeded-schedule) environment with modelled latency.
+/// Returns the environment and the final balances.
+fn run_concurrent_transfers() -> (Arc<BeldiEnv>, Vec<i64>) {
+    let env = Arc::new(contended_env(BeldiConfig::beldi()));
     env.register_ssf(
         "transfer",
         &["acct"],
@@ -293,19 +299,18 @@ fn concurrent_transfers_conserve_money() {
     for k in ["a", "b", "c"] {
         env.seed("transfer", "acct", k, Value::Int(100)).unwrap();
     }
-    let mut handles = Vec::new();
-    for (from, to) in [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")] {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..5 {
-                invoke_retrying(&env, "transfer", vmap! { "from" => from, "to" => to });
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let total: i64 = ["a", "b", "c"]
+    let threads = [("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")]
+        .into_iter()
+        .map(|(from, to)| {
+            spawn(&env, format!("{from}-to-{to}"), move |env| {
+                for _ in 0..5 {
+                    invoke_retrying(env, "transfer", vmap! { "from" => from, "to" => to });
+                }
+            })
+        })
+        .collect();
+    join_all(threads);
+    let balances = ["a", "b", "c"]
         .iter()
         .map(|k| {
             env.read_current("transfer", "acct", k)
@@ -313,15 +318,43 @@ fn concurrent_transfers_conserve_money() {
                 .as_int()
                 .unwrap()
         })
-        .sum();
-    assert_eq!(total, 300, "money must be conserved under concurrency");
+        .collect();
+    (env, balances)
+}
+
+#[test]
+fn concurrent_transfers_conserve_money() {
+    let (env, balances) = run_concurrent_transfers();
+    assert_eq!(
+        balances.iter().sum::<i64>(),
+        300,
+        "money must be conserved under concurrency"
+    );
+    assert!(
+        env.db_metrics().cond_failures > 0,
+        "the transfers never contended for a lock"
+    );
+}
+
+/// An environment built with no explicit clock runs on the seeded
+/// schedule: the same concurrent scenario takes the same interleaving,
+/// the same wait-die aborts and retries, and the same virtual time on
+/// every run. (On a host-time clock `now` alone would differ.)
+#[test]
+fn default_environments_are_deterministic() {
+    let (a, a_balances) = run_concurrent_transfers();
+    let (b, b_balances) = run_concurrent_transfers();
+    assert_eq!(a.db_metrics(), b.db_metrics());
+    assert_eq!(a.clock().now(), b.clock().now());
+    assert!(a.clock().now() > beldi_simclock::SimInstant::EPOCH);
+    assert_eq!(a_balances, b_balances);
 }
 
 #[test]
 fn wait_die_prevents_deadlock_on_opposite_lock_orders() {
     // Two transactions acquiring {x, y} in opposite orders would deadlock
     // under plain 2PL; wait-die kills the younger and the workload drains.
-    let env = Arc::new(BeldiEnv::for_tests());
+    let env = Arc::new(contended_env(BeldiConfig::beldi()));
     env.register_ssf(
         "locker",
         &["t"],
@@ -344,18 +377,22 @@ fn wait_die_prevents_deadlock_on_opposite_lock_orders() {
     );
     env.seed("locker", "t", "x", Value::Int(0)).unwrap();
     env.seed("locker", "t", "y", Value::Int(0)).unwrap();
-    let mut handles = Vec::new();
-    for fwd in [true, false, true, false] {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..4 {
-                invoke_retrying(&env, "locker", vmap! { "fwd" => fwd });
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap(); // Completion itself proves no deadlock.
-    }
+    let threads = [true, false, true, false]
+        .into_iter()
+        .enumerate()
+        .map(|(i, fwd)| {
+            spawn(&env, format!("locker-{i}"), move |env| {
+                for _ in 0..4 {
+                    invoke_retrying(env, "locker", vmap! { "fwd" => fwd });
+                }
+            })
+        })
+        .collect();
+    join_all(threads); // Completion itself proves no deadlock.
+    assert!(
+        env.db_metrics().cond_failures > 0,
+        "the opposite lock orders never met"
+    );
     assert_eq!(
         env.read_current("locker", "t", "x").unwrap(),
         Value::Int(16)
@@ -403,14 +440,11 @@ fn opacity_transactions_read_consistent_snapshots() {
     env.seed("pairwriter", "t", "x", Value::Int(0)).unwrap();
     env.seed("pairwriter", "t", "y", Value::Int(0)).unwrap();
 
-    let writer = {
-        let env = Arc::clone(&env);
-        std::thread::spawn(move || {
-            for _ in 0..10 {
-                invoke_retrying(&env, "pairwriter", Value::Null);
-            }
-        })
-    };
+    let writer = spawn(&env, "writer", |env| {
+        for _ in 0..10 {
+            invoke_retrying(env, "pairwriter", Value::Null);
+        }
+    });
     writer.join().unwrap();
     let x = env.read_current("pairwriter", "t", "x").unwrap();
     let y = env.read_current("pairwriter", "t", "y").unwrap();

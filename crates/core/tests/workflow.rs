@@ -2,9 +2,13 @@
 //! callbacks, recursion, and driver-function graphs (§2.1, §4.5).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv, BeldiError};
+
+mod common;
+use common::{contended_env, join_all, spawn};
 
 /// Two-SSF chain: `outer` invokes `inner` and combines results.
 fn chain_env(cfg: BeldiConfig) -> BeldiEnv {
@@ -156,14 +160,14 @@ fn async_invoke_runs_exactly_once() {
         Value::from("fired")
     );
     // Wait for the async sink to land.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let deadline = env.clock().now().plus(Duration::from_secs(5));
     loop {
         let c = env.read_current("sink", "t", "count").unwrap();
         if c == Value::Int(1) {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "async sink never ran");
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(env.clock().now() < deadline, "async sink never ran");
+        env.clock().sleep(Duration::from_millis(2));
     }
     assert_eq!(
         env.read_current("sink", "t", "last").unwrap(),
@@ -173,7 +177,7 @@ fn async_invoke_runs_exactly_once() {
     for _ in 0..3 {
         env.run_ic_once("sink").unwrap();
     }
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    env.clock().sleep(Duration::from_millis(20));
     assert_eq!(
         env.read_current("sink", "t", "count").unwrap(),
         Value::Int(1)
@@ -182,7 +186,7 @@ fn async_invoke_runs_exactly_once() {
 
 #[test]
 fn concurrent_root_invocations_are_isolated() {
-    let env = Arc::new(BeldiEnv::for_tests());
+    let env = Arc::new(contended_env(BeldiConfig::beldi()));
     env.register_ssf(
         "acc",
         &["t"],
@@ -193,19 +197,17 @@ fn concurrent_root_invocations_are_isolated() {
             Ok(Value::Null)
         }),
     );
-    let mut handles = Vec::new();
-    for i in 0..8 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..5 {
-                env.invoke("acc", vmap! { "key" => format!("k{i}") })
-                    .unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let threads = (0..8)
+        .map(|i| {
+            spawn(&env, format!("client-{i}"), move |env| {
+                for _ in 0..5 {
+                    env.invoke("acc", vmap! { "key" => format!("k{i}") })
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    join_all(threads);
     for i in 0..8 {
         assert_eq!(
             env.read_current("acc", "t", &format!("k{i}")).unwrap(),
@@ -219,7 +221,7 @@ fn concurrent_root_invocations_are_isolated() {
 fn contended_counter_with_locks_is_linear() {
     // Many concurrent workflows increment one counter under the lock API;
     // the result must equal the number of invocations.
-    let env = Arc::new(BeldiEnv::for_tests());
+    let env = Arc::new(contended_env(BeldiConfig::beldi()));
     env.register_ssf(
         "locked-inc",
         &["t"],
@@ -231,18 +233,16 @@ fn contended_counter_with_locks_is_linear() {
             Ok(Value::Int(cur + 1))
         }),
     );
-    let mut handles = Vec::new();
-    for _ in 0..6 {
-        let env = Arc::clone(&env);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..4 {
-                env.invoke("locked-inc", Value::Null).unwrap();
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let threads = (0..6)
+        .map(|i| {
+            spawn(&env, format!("client-{i}"), |env| {
+                for _ in 0..4 {
+                    env.invoke("locked-inc", Value::Null).unwrap();
+                }
+            })
+        })
+        .collect();
+    join_all(threads);
     assert_eq!(
         env.read_current("locked-inc", "t", "counter").unwrap(),
         Value::Int(24)

@@ -1,9 +1,11 @@
 //! `beldi-runtime`: a deterministic cooperative async executor on
 //! virtual time (DESIGN.md §14).
 //!
-//! The thread-per-worker driver caps "in flight" at the OS thread count;
-//! this crate makes ten thousand concurrent in-flight workflows
-//! representable as lightweight tasks polled by one thread. It is built
+//! A client thread per in-flight request caps "in flight" at the OS
+//! thread count; this crate makes ten thousand concurrent in-flight
+//! workflows representable as lightweight tasks polled by one thread —
+//! what the workload driver's client workers and the HTTP front door's
+//! requests are. It is built
 //! from the standard library only — hand-rolled `Future` tasks, a
 //! [`std::task::Wake`] waker per task, a seeded ready queue (same seed ⇒
 //! same interleaving), and a virtual-time timer heap driven by the
@@ -13,9 +15,8 @@
 //! ```
 //! use std::time::Duration;
 //! use beldi_runtime::Executor;
-//! use beldi_simclock::ScaledClock;
 //!
-//! let rt = Executor::new(ScaledClock::shared(1000.0), 42);
+//! let rt = Executor::simulated(42);
 //! let sum = rt.block_on(async {
 //!     let a = beldi_runtime::spawn(async {
 //!         beldi_runtime::sleep(Duration::from_millis(5)).await;
@@ -62,7 +63,7 @@ pub fn yield_now() -> YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beldi_simclock::{ManualClock, ScaledClock, SharedClock};
+    use beldi_simclock::{ScaledClock, SharedClock};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -178,24 +179,6 @@ mod tests {
         tx.send(()).unwrap();
         let handle = producer.join().unwrap();
         assert_eq!(rt.block_on(handle), 99);
-    }
-
-    #[test]
-    fn manual_clock_timer_poll_progresses() {
-        let clock = ManualClock::shared();
-        let rt = Executor::new(clock.clone() as SharedClock, 2);
-        let done = rt.spawn(async {
-            sleep(Duration::from_secs(10)).await;
-            7
-        });
-        let driver = std::thread::spawn(move || {
-            // Give the executor a moment to park, then release time.
-            std::thread::sleep(Duration::from_millis(20));
-            clock.advance(Duration::from_secs(10));
-        });
-        rt.run();
-        driver.join().unwrap();
-        assert_eq!(done.take_result(), Some(7));
     }
 
     #[test]

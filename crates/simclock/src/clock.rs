@@ -1,11 +1,9 @@
-//! The [`Clock`] trait and its scaled/manual implementations.
+//! The [`Clock`] trait and its host-scaled implementation.
 
 use std::fmt;
 use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 /// A point in virtual time: nanoseconds since the clock's epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -206,77 +204,9 @@ impl Clock for ScaledClock {
     }
 }
 
-/// A clock driven entirely by the test: time moves only on
-/// [`ManualClock::advance`].
-///
-/// Sleeping threads block on a condition variable and wake when the clock
-/// passes their deadline, making timer-dependent logic deterministic.
-pub struct ManualClock {
-    state: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl ManualClock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        ManualClock {
-            state: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Wraps a new manual clock in an [`Arc`] for sharing.
-    pub fn shared() -> Arc<ManualClock> {
-        Arc::new(ManualClock::new())
-    }
-
-    /// Advances virtual time by `d`, waking any sleepers whose deadline
-    /// passed.
-    pub fn advance(&self, d: Duration) {
-        let mut t = self.state.lock();
-        *t = t.saturating_add(d.as_nanos() as u64);
-        drop(t);
-        self.cv.notify_all();
-    }
-
-    /// Sets virtual time to `at` (must not move backwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current time.
-    pub fn advance_to(&self, at: SimInstant) {
-        let mut t = self.state.lock();
-        assert!(at.as_nanos() >= *t, "manual clock may not move backwards");
-        *t = at.as_nanos();
-        drop(t);
-        self.cv.notify_all();
-    }
-}
-
-impl Default for ManualClock {
-    fn default() -> Self {
-        ManualClock::new()
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> SimInstant {
-        SimInstant::from_nanos(*self.state.lock())
-    }
-
-    fn sleep(&self, d: Duration) {
-        let mut t = self.state.lock();
-        let deadline = t.saturating_add(d.as_nanos() as u64);
-        while *t < deadline {
-            self.cv.wait(&mut t);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn sim_instant_arithmetic() {
@@ -313,43 +243,9 @@ mod tests {
     }
 
     #[test]
-    fn manual_clock_is_deterministic() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), SimInstant::EPOCH);
-        c.advance(Duration::from_secs(5));
-        assert_eq!(c.now().as_millis(), 5000);
-        c.advance_to(SimInstant::from_millis(8000));
-        assert_eq!(c.now().as_millis(), 8000);
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn manual_clock_rejects_backwards() {
-        let c = ManualClock::new();
-        c.advance(Duration::from_secs(5));
-        c.advance_to(SimInstant::from_millis(1));
-    }
-
-    #[test]
-    fn manual_clock_wakes_sleepers() {
-        let c = ManualClock::shared();
-        let woke = Arc::new(AtomicBool::new(false));
-        let (c2, woke2) = (c.clone(), woke.clone());
-        let h = std::thread::spawn(move || {
-            c2.sleep(Duration::from_secs(10));
-            woke2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!woke.load(Ordering::SeqCst));
-        c.advance(Duration::from_secs(10));
-        h.join().unwrap();
-        assert!(woke.load(Ordering::SeqCst));
-    }
-
-    #[test]
     fn sleep_until_past_deadline_is_noop() {
-        let c = ManualClock::new();
-        c.advance(Duration::from_secs(1));
+        let c = crate::SimClock::new(1);
+        c.sleep(Duration::from_secs(1));
         c.sleep_until(SimInstant::from_millis(500)); // Must not block.
         assert_eq!(c.now().as_millis(), 1000);
     }

@@ -7,22 +7,20 @@
 //! therefore read time exclusively through the [`Clock`] trait, whose
 //! required surface is two methods, `now` and `sleep`.
 //!
-//! Three clocks, by who moves time:
+//! Two clocks, by who moves time:
 //!
-//! - [`SimClock`] — *the schedule does.* Every experiment runs on it.
-//!   Time jumps to the earliest deadline when every participant thread is
-//!   waiting, one participant runs at a time, and the order is seeded:
-//!   virtual time is the sum of the modelled waits and nothing of the
-//!   host's. Use it whenever every thread that touches the system can be
-//!   started through the clock.
+//! - [`SimClock`] — *the schedule does.* Every experiment and every
+//!   default `BeldiEnv` runs on it. Time jumps to the earliest deadline
+//!   when every participant thread is waiting, one participant runs at a
+//!   time, and the order is seeded: virtual time is the sum of the
+//!   modelled waits and nothing of the host's. Use it whenever every
+//!   thread that touches the system can be started through the clock.
 //! - [`ScaledClock`] — *the host does.* Virtual time is real time ×
-//!   `rate`; `sleep(d)` costs `d / rate` of wall time. For code with a
-//!   real-world peer (the HTTP front door's sockets) and for tests that
-//!   call in from raw `std::thread`s.
-//! - [`ManualClock`] — *the test does*, by calling
-//!   [`ManualClock::advance`].
+//!   `rate`; `sleep(d)` costs `d / rate` of wall time. For code whose
+//!   time base really is the host: a real-world peer (the HTTP front
+//!   door's sockets) or a measurement of real parallelism.
 //!
-//! All hand out [`SimInstant`]s: virtual nanoseconds since the clock's
+//! Both hand out [`SimInstant`]s: virtual nanoseconds since the clock's
 //! epoch.
 //!
 //! # The participant contract
@@ -32,8 +30,8 @@
 //! by [`Clock::unpark`] (what [`park_on`] — and so the platform's blocking
 //! invokes and a thread's `Semaphore` acquire — and the executor's idle
 //! wait are built on); and [`JoinHandle::join`] of a thread started with
-//! [`Clock::spawn`]. On `ScaledClock`, `ManualClock` and any clock that
-//! implements only `now` + `sleep`, the last three default to the host's
+//! [`Clock::spawn`]. On `ScaledClock` and any clock that implements only
+//! `now` + `sleep`, the last three default to the host's
 //! `std::thread` equivalents. On a `SimClock` they are how the schedule
 //! learns that a thread has stopped running: a participant must wait in no
 //! other way on anything another participant has to run to provide, and a
@@ -49,7 +47,7 @@ mod sim;
 pub mod sync;
 mod ticker;
 
-pub use clock::{Clock, JoinHandle, ManualClock, ScaledClock, SharedClock, SimInstant};
+pub use clock::{Clock, JoinHandle, ScaledClock, SharedClock, SimInstant};
 pub use sim::SimClock;
 pub use sync::{park_on, Permit, Semaphore};
 pub use ticker::{Ticker, TickerHandle};

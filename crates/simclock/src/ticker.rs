@@ -74,8 +74,7 @@ impl TickerHandle {
     /// at the end of the period it is sleeping through: within one
     /// period on a [`crate::ScaledClock`], at once on a
     /// [`crate::SimClock`] (the join is a wait the clock sees, so time
-    /// moves to the timer's deadline), and on a [`crate::ManualClock`]
-    /// when some other thread advances the clock that far.
+    /// moves to the timer's deadline).
     pub fn stop(mut self) {
         self.stop_inner();
     }

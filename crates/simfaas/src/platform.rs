@@ -451,7 +451,7 @@ fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::labels;
-    use beldi_simclock::{Clock, ManualClock, SimInstant};
+    use beldi_simclock::{Clock, SimClock, SimInstant};
     use beldi_value::vmap;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
@@ -783,38 +783,41 @@ mod tests {
     #[test]
     fn sync_deadline_distinguishes_queued_from_running() {
         let timeout = Duration::from_secs(10);
-        let clock = ManualClock::shared();
+        let clock = SimClock::shared(0);
         let p = one_permit(clock.clone(), timeout);
-        let (gate, hold) = gated_handler();
-        p.register("hold", hold);
+        // Holds the only permit for 25 s: past the first caller's
+        // deadline (10 s) and the second's (20 s).
+        p.register(
+            "hold",
+            Arc::new(|ctx: &InvocationCtx, v| {
+                ctx.platform.clock().sleep(Duration::from_secs(25));
+                v
+            }),
+        );
         p.register("echo", echo_handler());
 
-        // Running: the deadline was fixed before admission, so once the
-        // handler is in, one step past it must time the caller out.
-        let p2 = p.clone();
-        let running = std::thread::spawn(move || p2.invoke_sync("hold", Value::Null));
-        wait_until(|| p.metrics().active == 1);
-        clock.advance(timeout + Duration::from_secs(1));
-        assert_eq!(running.join().unwrap(), Err(InvokeError::Timeout));
+        // Running: the handler is in when the deadline passes.
+        assert_eq!(
+            p.invoke_sync("hold", Value::Null),
+            Err(InvokeError::Timeout)
+        );
+        assert_eq!(clock.now(), SimInstant::from_millis(10_000));
         assert_eq!(p.metrics().timeouts, 1);
         assert_eq!(p.permits.available(), 0, "the abandoned worker runs on");
 
-        // Queued behind that worker: keep stepping past any deadline the
-        // caller can have computed until it gives up.
-        let p2 = p.clone();
-        let queued = std::thread::spawn(move || p2.invoke_sync("echo", Value::Null));
-        while !queued.is_finished() {
-            clock.advance(timeout + Duration::from_secs(1));
-            std::thread::yield_now();
-        }
-        assert_eq!(queued.join().unwrap(), Err(InvokeError::Throttled));
+        // Queued behind that worker until its own deadline.
+        assert_eq!(
+            p.invoke_sync("echo", Value::Null),
+            Err(InvokeError::Throttled)
+        );
+        assert_eq!(clock.now(), SimInstant::from_millis(20_000));
         let m = p.metrics();
         assert_eq!((m.throttles, m.timeouts, m.invocations), (1, 1, 1));
 
         // Let the abandoned worker finish: its permit comes back, and the
         // withdrawn waiter took none with it.
-        drop(gate);
-        wait_until(|| p.permits.available() == 1);
+        clock.sleep(Duration::from_secs(6));
+        assert_eq!(p.permits.available(), 1);
         assert_eq!(p.metrics().active, 0);
         assert_eq!(p.invoke_sync("echo", Value::Int(1)), Ok(Value::Int(1)));
     }

@@ -9,13 +9,19 @@
 //!
 //! Design points:
 //!
-//! - **Virtual time.** The environment runs on a
+//! - **One load loop.** A worker is a task on one
+//!   [`beldi_runtime::Executor`], awaiting [`BeldiEnv::invoke_task`] for
+//!   each of its requests in turn; a waiting worker is a parked waker,
+//!   not an OS thread, so "every request in flight at once" is simply
+//!   `workers = total_ops`. The SSF bodies run on platform worker
+//!   threads, bounded by the concurrency cap.
+//! - **Virtual time.** The environment runs on its default clock, a
 //!   [`SimClock`](beldi_simclock::SimClock) seeded with the run's seed:
-//!   every client worker, platform worker, collector timer and sampler
-//!   is a participant of its one-at-a-time schedule, and time moves only
-//!   by the *modelled* storage and invocation waits. Host speed cannot
-//!   enter, which is what lets CI gate on equality (the `gate`
-//!   subcommand).
+//!   the executor thread, every platform worker, collector timer and the
+//!   sampler are participants of its one-at-a-time schedule, and time
+//!   moves only by the *modelled* storage and invocation waits. Host
+//!   speed cannot enter, which is what lets CI gate on equality (the
+//!   `gate` subcommand).
 //! - **Determinism.** The request stream is split up front: worker `w`
 //!   gets a fixed share of `total_ops` and its own seeded RNG
 //!   ([`worker_rng`]). With the schedule seeded too, everything in a
@@ -41,7 +47,6 @@ use std::time::Duration;
 use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
-use beldi_simclock::SimClock;
 use beldi_simdb::{LatencyModel, MetricsSnapshot};
 use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
 use parking_lot::Mutex;
@@ -52,81 +57,21 @@ use crate::histogram::Histogram;
 use crate::wire::{with_key, Wire};
 use crate::wire_fields;
 
-/// Report schema version (bumped on incompatible JSON changes). Schema 1
-/// reports were timed on a host-scaled clock; their numbers include host
-/// CPU time and compare with nothing written since.
-pub const BENCH_SCHEMA: i64 = 2;
+/// Report schema version (bumped on incompatible JSON changes). Schema 2
+/// reports named one of two load engines per run; their multi-worker
+/// numbers come from a loop this build no longer has.
+pub const BENCH_SCHEMA: i64 = 3;
 
 /// How to write a fresh `BENCH_baseline.json`, quoted by every message
 /// that refuses a stale one.
 pub const REBASELINE: &str =
     "cargo run --release -p beldi-bench -- drive --smoke --json BENCH_baseline.json";
 
-/// Which execution engine drives the request load.
-///
-/// The two engines issue the *same* request multiset (same per-worker
-/// seeded streams) through the same protocol paths, so their final-state
-/// digests must match — `tests/driver.rs` pins that equivalence. They
-/// differ only in how waiting is implemented:
-///
-/// - [`Thread`](RuntimeKind::Thread): one OS thread per client worker,
-///   each blocking on its in-flight request (the closed-loop path, and
-///   the default).
-/// - [`Async`](RuntimeKind::Async): every request becomes one
-///   cooperative task on a [`beldi_runtime`] executor, all spawned up
-///   front — tens of thousands of in-flight workflows park on wakers
-///   instead of holding OS threads, and the run records an
-///   [`InFlightSeries`] proving it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RuntimeKind {
-    /// Thread-per-worker closed loop (default).
-    #[default]
-    Thread,
-    /// Task-per-request cooperative executor.
-    Async,
-}
-
-impl RuntimeKind {
-    /// CLI / report spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuntimeKind::Thread => "thread",
-            RuntimeKind::Async => "async",
-        }
-    }
-
-    /// What marks this engine's runs in [`BenchRun::key`]: nothing for
-    /// the default engine, `@async` for the other.
-    pub fn key_suffix(self) -> &'static str {
-        match self {
-            RuntimeKind::Thread => "",
-            RuntimeKind::Async => "@async",
-        }
-    }
-
-    /// Parses [`RuntimeKind::name`]'s spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        [RuntimeKind::Thread, RuntimeKind::Async]
-            .into_iter()
-            .find(|k| k.name() == s)
-    }
-}
-
-impl Wire for RuntimeKind {
-    fn encode(&self) -> Option<Value> {
-        Some(Value::from(self.name()))
-    }
-    fn decode(v: Option<&Value>) -> Self {
-        v.and_then(Value::as_str)
-            .and_then(RuntimeKind::parse)
-            .unwrap_or_default()
-    }
-}
-
 /// Tuning knobs for one [`drive`] call.
 #[derive(Debug, Clone)]
 pub struct DriveOptions {
-    /// Concurrent client workers sharing the environment.
+    /// Concurrent client workers sharing the environment. With
+    /// `workers = total_ops` every request is in flight at once.
     pub workers: usize,
     /// Total requests across all workers (split deterministically).
     pub total_ops: u64,
@@ -156,9 +101,9 @@ pub struct DriveOptions {
     /// within the measured window.
     pub gc_t_max: Duration,
     /// Platform concurrency cap override (`None` = the driver default of
-    /// 1000). The async in-flight stress tests pin this *low* to prove
-    /// the point of the cooperative runtime: 10k parked workflows over a
-    /// few dozen worker threads.
+    /// 1000). The in-flight stress tests pin this *low* to prove the
+    /// point of the cooperative runtime: 10k parked workflows over a few
+    /// dozen worker threads.
     pub platform_concurrency: Option<usize>,
     /// Chaos-production mode (`None` = no fault injection): a seeded
     /// crash storm kills SSF instances *and* IC/GC collector passes
@@ -331,11 +276,11 @@ pub struct StorageSeries {
 
 wire_fields!(StorageSeries: samples, max_chain_len);
 
-/// One in-flight observation from an async drive: how many executor
-/// tasks were live at a moment of virtual time.
+/// One in-flight observation: how many executor tasks were live at a
+/// moment of virtual time.
 ///
-/// "Live" counts every unfinished task on the run's executor — parked
-/// request workflows, plus the drive's own await-all task.
+/// "Live" counts every unfinished task on the run's executor — the client
+/// workers, plus the drive's own await-all task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InFlightSample {
     /// Virtual microseconds since the measurement window opened.
@@ -344,14 +289,14 @@ pub struct InFlightSample {
     pub live: u64,
 }
 
-/// The in-flight record of one async drive ([`RuntimeKind::Async`]
-/// only): periodic [`InFlightSample`]s plus the high-water mark.
+/// The in-flight record of one drive: periodic [`InFlightSample`]s plus
+/// the high-water mark.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InFlightSeries {
     /// Samples in time order.
     pub samples: Vec<InFlightSample>,
     /// Maximum concurrent live tasks: the post-spawn reading (every
-    /// request task is in flight at that point) or the largest sample,
+    /// client worker is in flight at that point) or the largest sample,
     /// whichever is greater. The ≥10k acceptance gate reads this.
     pub high_water: u64,
 }
@@ -450,18 +395,15 @@ pub struct BenchRun {
     /// Storage-growth series (always recorded; sampled densely when GC
     /// is on, final-only otherwise).
     pub storage: StorageSeries,
-    /// Which engine drove the load (a report without the key reads as
-    /// [`RuntimeKind::Thread`]).
-    pub runtime: RuntimeKind,
-    /// In-flight task series (`Some` only for async drives).
-    pub in_flight: Option<InFlightSeries>,
+    /// In-flight client-task series.
+    pub in_flight: InFlightSeries,
     /// Recovery record (`Some` only for chaos drives).
     pub recovery: Option<RecoverySection>,
 }
 
 wire_fields!(BenchRun:
     app, mode, workers, partitions, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
-    latency, db, state_digest, effects, gc, storage, runtime, in_flight, recovery
+    latency, db, state_digest, effects, gc, storage, in_flight, recovery
 );
 wire_fields!(MetricsSnapshot:
     gets, writes, queries, scans, transact_writes, deletes, cond_failures, bytes_read,
@@ -469,13 +411,9 @@ wire_fields!(MetricsSnapshot:
 );
 
 impl BenchRun {
-    /// The identity CI matches baseline and current runs on. Async runs
-    /// get a distinct suffix so the two engines' numbers (which have
-    /// different latency semantics — spawn-all queueing vs closed loop)
-    /// can never be compared against each other by accident.
+    /// The identity CI matches baseline and current runs on.
     pub fn key(&self) -> String {
-        let engine = self.runtime.key_suffix();
-        format!("{}/{}/w{}{engine}", self.app, self.mode, self.workers)
+        format!("{}/{}/w{}", self.app, self.mode, self.workers)
     }
 
     /// Serializes the run for the JSON report.
@@ -668,8 +606,9 @@ fn resolve_run_shape(mode: Mode, opts: &DriveOptions) -> (Option<&ChaosOptions>,
 }
 
 /// Builds the environment for one drive — config resolution, app setup,
-/// and the metrics-window reset — on a fresh [`SimClock`] whose first
-/// participant is the calling thread.
+/// and the metrics-window reset — on the builder's default clock: a fresh
+/// `SimClock` seeded like the substrate, whose first participant is the
+/// calling thread.
 fn build_bench_env(
     app: &dyn WorkflowApp,
     mode: Mode,
@@ -698,7 +637,6 @@ fn build_bench_env(
     }
     let mut builder = BeldiEnv::builder(cfg)
         .seed(opts.seed)
-        .clock(SimClock::shared(opts.seed))
         .platform(driver_platform(opts.platform_concurrency));
     if opts.model_latency {
         builder = builder.latency(LatencyModel::dynamo());
@@ -710,7 +648,7 @@ fn build_bench_env(
     env
 }
 
-/// What both engines need to know about the run they load.
+/// What the load loop needs to know about the run.
 struct RunShape<'a> {
     app: &'a dyn WorkflowApp,
     opts: &'a DriveOptions,
@@ -727,11 +665,12 @@ struct RunShape<'a> {
     /// makes the whole execution tree's ids — and therefore the storm's
     /// kill schedule — a pure function of the seed. The budget re-drives
     /// a killed root with the *same* id (exactly-once), or is 1 with
-    /// `relaunch: false`. `None` outside chaos runs.
+    /// `relaunch: false`. `None` outside chaos runs: fresh ids, the full
+    /// [`MAX_ROOT_ATTEMPTS`] budget.
     root_attempts: Option<usize>,
 }
 
-/// What an engine's load loop hands back to the shared finish.
+/// What the load loop hands back to the finish.
 struct Load {
     /// Virtual time from the first request's issue to the last reply.
     elapsed: Duration,
@@ -739,18 +678,12 @@ struct Load {
     hist: Histogram,
     /// Storage observations taken while the load ran.
     storage_samples: Vec<StorageSample>,
-    in_flight: Option<InFlightSeries>,
+    in_flight: InFlightSeries,
 }
 
-/// Runs one drive of `app` in `mode` on the given engine: the shared
-/// set-up, the engine's load loop, the shared finish. See the module
-/// docs, and [`thread_load`] / [`async_load`] for what the engines do.
-pub fn drive_on(
-    runtime: RuntimeKind,
-    app: &dyn WorkflowApp,
-    mode: Mode,
-    opts: &DriveOptions,
-) -> BenchRun {
+/// Runs one drive of `app` in `mode`: the set-up, the load loop
+/// (`run_load`), the finish. See the module docs.
+pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
     assert!(opts.workers > 0, "need at least one worker");
     let (chaos, gc) = resolve_run_shape(mode, opts);
     let env = Arc::new(build_bench_env(app, mode, opts, chaos, gc));
@@ -778,10 +711,7 @@ pub fn drive_on(
     // beldi-lint: allow(determinism/wall-clock, wall-clock runtime is operator
     // reporting only and never enters the simulated timeline or logged state)
     let wall_start = std::time::Instant::now();
-    let load = match runtime {
-        RuntimeKind::Thread => thread_load(&shape),
-        RuntimeKind::Async => async_load(&shape),
-    };
+    let load = run_load(&shape);
 
     if let Some(c) = chaos {
         // Storm over. Drain: re-drive every interrupted intent to
@@ -808,12 +738,11 @@ pub fn drive_on(
     let digest = state_digest(app, &env);
     let effects = app.effect_count(&env);
 
-    // Conservation check: re-drive the same request stream crash-free on
-    // the thread engine and compare final-state digests and effect
-    // counts. The apps' fingerprints are interleaving-invariant, so under
-    // exactly-once semantics the digests must be bit-identical no matter
-    // what the storm killed — and, for an async run, the same equality is
-    // the sync-vs-async equivalence claim.
+    // Conservation check: re-drive the same request stream crash-free and
+    // compare final-state digests and effect counts. The apps'
+    // fingerprints are interleaving-invariant, so under exactly-once
+    // semantics the digests must be bit-identical no matter what the
+    // storm killed.
     let recovery = chaos.map(|_| {
         let mut samples_ms = env.recovery_samples_ms();
         samples_ms.sort_unstable();
@@ -864,30 +793,13 @@ pub fn drive_on(
         effects,
         gc,
         storage,
-        runtime,
         in_flight: load.in_flight,
         recovery,
     }
 }
 
-/// [`drive_on`] the thread engine: the closed loop of the module docs.
-pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
-    drive_on(RuntimeKind::Thread, app, mode, opts)
-}
-
-/// [`drive_on`] the cooperative executor ([`RuntimeKind::Async`]).
-///
-/// Latency semantics differ from the closed loop: each sample includes
-/// queueing behind the concurrency cap, not just service time. Async
-/// runs therefore carry a distinct [`BenchRun::key`] suffix and are
-/// never gated against thread baselines — the cross-engine contract is
-/// digest equality, not latency equality.
-pub fn drive_async(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
-    drive_on(RuntimeKind::Async, app, mode, opts)
-}
-
-/// Worker `w`'s request stream, in issue order — drawn up front so both
-/// engines issue the same multiset whatever their schedule.
+/// Worker `w`'s request stream, in issue order — drawn up front, so the
+/// request multiset is the same whatever the schedule.
 fn worker_requests(app: &dyn WorkflowApp, opts: &DriveOptions, w: usize) -> Vec<Value> {
     let mut rng = worker_rng(opts.seed, w);
     (0..ops_for_worker(opts.total_ops, opts.workers, w))
@@ -895,157 +807,69 @@ fn worker_requests(app: &dyn WorkflowApp, opts: &DriveOptions, w: usize) -> Vec<
         .collect()
 }
 
-/// Starts the run's collector timers: threads of the environment's
-/// clock, whichever engine drives the load.
-fn start_collectors(shape: &RunShape<'_>) {
-    if shape.gc {
-        match shape.ic {
-            true => shape.env.start_collectors(),
-            false => shape.env.start_gc(),
-        }
-    }
-}
-
-/// Waits for a thread of the run; a panic in it is the run's panic.
-fn join(thread: beldi_simclock::JoinHandle) {
-    if let Err(panic) = thread.join() {
-        std::panic::resume_unwind(panic);
-    }
-}
-
-/// The thread engine: one clock thread per client worker, each issuing
-/// its next request the moment the previous one completes, with the
-/// collector timers beside them.
-fn thread_load(shape: &RunShape<'_>) -> Load {
-    let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
-    start_collectors(shape);
-    let clock = env.clock().clone();
-    let start = clock.now();
-    let errors = Arc::new(AtomicU64::new(0));
-    let hist = Arc::new(Mutex::new(Histogram::new()));
-    let samples = Arc::new(Mutex::new(Vec::new()));
-    let live_workers = Arc::new(AtomicU64::new(opts.workers as u64));
-    let entry = app.entry_point();
-    let root_attempts = shape.root_attempts;
-    /// Decrements the live-worker count when dropped — on clean exit *or*
-    /// unwind, so a panicking worker can never leave the sampler loop
-    /// waiting forever (turning a test failure into a hang).
-    struct WorkerExit(Arc<AtomicU64>);
-    impl Drop for WorkerExit {
-        fn drop(&mut self) {
-            self.0.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let mut threads = Vec::with_capacity(opts.workers + 1);
-    for w in 0..opts.workers {
-        let requests = worker_requests(app, opts, w);
-        let exit = WorkerExit(Arc::clone(&live_workers));
-        let (c, e) = (clock.clone(), Arc::clone(env));
-        let (errors, hist) = (Arc::clone(&errors), Arc::clone(&hist));
-        let worker = move || {
-            let _exit = exit;
-            let mut local = Histogram::new();
-            for (i, request) in requests.into_iter().enumerate() {
-                let t0 = c.now();
-                let result = match root_attempts {
-                    Some(n) => e.invoke_attempts(entry, &format!("storm-w{w}-op{i}"), request, n),
-                    None => e.invoke(entry, request),
-                };
-                if result.is_err() {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-                local.record(c.now().since(t0));
-            }
-            hist.lock().merge(&local);
-        };
-        threads.push(clock.spawn(format!("client-{w}"), Box::new(worker)));
-    }
-    if gc {
-        // Storage sampler: one observation every two GC periods while
-        // any worker is still issuing requests.
-        let (c, e) = (clock.clone(), Arc::clone(env));
-        let (samples, live_workers) = (Arc::clone(&samples), Arc::clone(&live_workers));
-        let period = opts.gc_period * 2;
-        let sampler = move || {
-            while live_workers.load(Ordering::Relaxed) > 0 {
-                c.sleep(period);
-                let elapsed = c.now().since(start).as_micros() as u64;
-                samples.lock().push(storage_sample(&e, elapsed));
-            }
-        };
-        threads.push(clock.spawn("storage-sampler".into(), Box::new(sampler)));
-    }
-    threads.into_iter().for_each(join);
-    let elapsed = clock.now().since(start);
-    env.stop_collectors();
-    let storage_samples = std::mem::take(&mut *samples.lock());
-    let hist = std::mem::take(&mut *hist.lock());
-    Load {
-        elapsed,
-        errors: errors.load(Ordering::Relaxed),
-        hist,
-        storage_samples,
-        in_flight: None,
-    }
-}
-
-/// The async engine: same request multiset as [`thread_load`] — every
-/// worker's stream is [`worker_requests`] — but *all* requests are
-/// spawned up front as executor tasks awaiting [`BeldiEnv::invoke_task`],
-/// so the whole load is in flight at once: requests past the platform's
-/// concurrency cap park on wakers instead of holding OS threads, which
-/// is what lets one process carry ≥10k concurrent workflows. The
-/// collector timers and the chaos storm work unchanged (kill decisions
-/// hash instance ids, which use the same `storm-w{w}-op{i}` scheme as
-/// the thread engine's chaos mode).
-fn async_load(shape: &RunShape<'_>) -> Load {
+/// The load loop: `opts.workers` closed-loop client tasks on one
+/// executor, each awaiting [`BeldiEnv::invoke_task`] for its
+/// [`worker_requests`] in turn, with the collector timers and a sampler
+/// thread beside them. A worker waiting for its reply — or for the
+/// admission gate — is a parked waker, which is what lets one process
+/// carry ≥10k concurrent workflows over a handful of platform threads.
+fn run_load(shape: &RunShape<'_>) -> Load {
     let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
     let rt = beldi_runtime::Executor::new(env.clock().clone(), opts.seed);
     let handle = rt.handle();
-    start_collectors(shape);
+    // The collector timers are threads of the environment's clock.
+    if gc {
+        match shape.ic {
+            true => env.start_collectors(),
+            false => env.start_gc(),
+        }
+    }
     let clock = env.clock().clone();
     let start = clock.now();
     let errors = Arc::new(AtomicU64::new(0));
     let hist = Arc::new(Mutex::new(Histogram::new()));
     let entry = app.entry_point();
-    // A crash-free run takes one attempt, exactly like a thread worker's
-    // `BeldiEnv::invoke` when nothing fails.
-    let root_attempts = shape.root_attempts.unwrap_or(1);
+    let root_attempts = shape.root_attempts;
     // Admission gate: roots must never saturate the platform's worker
     // pool, because every admitted root issues *nested* SSF calls that
     // need permits of their own — hand all the permits to parked roots
     // and the pool livelocks with every root stuck behind its own
     // callees. A quarter of the pool for roots leaves the rest for
-    // nested fan-out; the other ~N-admitted workflow tasks stay parked
-    // on semaphore wakers, which is exactly the cheap in-flight
-    // representation under test.
+    // nested fan-out; workers past the gate stay parked on semaphore
+    // wakers.
     let admission = Arc::new(beldi_runtime::Semaphore::new(
         (env.platform().config().concurrency_limit / 4).max(1),
     ));
-    let mut tasks = Vec::with_capacity(opts.total_ops as usize);
+    let mut clients = Vec::with_capacity(opts.workers);
     for w in 0..opts.workers {
-        for (i, request) in worker_requests(app, opts, w).into_iter().enumerate() {
-            let instance = format!("storm-w{w}-op{i}");
-            let fut = env.invoke_task(entry, &instance, request, root_attempts);
-            let errors = Arc::clone(&errors);
-            let hist = Arc::clone(&hist);
-            let clock = clock.clone();
-            let admission = Arc::clone(&admission);
-            tasks.push(rt.spawn(async move {
+        let requests = worker_requests(app, opts, w);
+        let (env, clock) = (Arc::clone(env), clock.clone());
+        let (errors, hist) = (Arc::clone(&errors), Arc::clone(&hist));
+        let admission = Arc::clone(&admission);
+        clients.push(rt.spawn(async move {
+            let mut local = Histogram::new();
+            for (i, request) in requests.into_iter().enumerate() {
                 let t0 = clock.now();
-                let _permit = admission.acquire().await;
-                if fut.await.is_err() {
+                let (instance, attempts) = match root_attempts {
+                    Some(n) => (format!("storm-w{w}-op{i}"), n),
+                    None => (env.platform().new_uuid(), MAX_ROOT_ATTEMPTS),
+                };
+                let permit = admission.acquire().await;
+                let result = env.invoke_task(entry, &instance, request, attempts).await;
+                drop(permit);
+                if result.is_err() {
                     errors.fetch_add(1, Ordering::Relaxed);
                 }
-                hist.lock().record(clock.now().since(t0));
-            }));
-        }
+                local.record(clock.now().since(t0));
+            }
+            hist.lock().merge(&local);
+        }));
     }
-    // Every request task is live right here, before the executor runs.
+    // Every client worker is live right here, before the executor runs.
     let spawned_live = handle.live_tasks() as u64;
 
-    // Sampler thread: the in-flight decay curve, plus storage growth
-    // when collectors run.
+    // Sampler thread: the in-flight curve, plus storage growth when
+    // collectors run.
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let sampled = Arc::new(Mutex::new((Vec::new(), Vec::new())));
     let sampler = {
@@ -1069,20 +893,22 @@ fn async_load(shape: &RunShape<'_>) -> Load {
                 }
             }
         };
-        clock.spawn("in-flight-sampler".into(), Box::new(body))
+        clock.spawn("sampler".into(), Box::new(body))
     };
 
     // Drive everything to completion on this thread: the await-all task
-    // keeps the executor running until the last request resolves.
+    // keeps the executor running until the last worker finishes.
     rt.block_on(async move {
-        for t in tasks {
-            t.await;
+        for c in clients {
+            c.await;
         }
     });
     let elapsed = clock.now().since(start);
     sampler_stop.store(true, Ordering::Relaxed);
     env.stop_collectors();
-    join(sampler);
+    if let Err(panic) = sampler.join() {
+        std::panic::resume_unwind(panic);
+    }
     let (samples, storage_samples) = std::mem::take(&mut *sampled.lock());
     let high_water = samples.iter().map(|s| s.live).fold(spawned_live, u64::max);
     let hist = std::mem::take(&mut *hist.lock());
@@ -1091,10 +917,10 @@ fn async_load(shape: &RunShape<'_>) -> Load {
         errors: errors.load(Ordering::Relaxed),
         hist,
         storage_samples,
-        in_flight: Some(InFlightSeries {
+        in_flight: InFlightSeries {
             samples,
             high_water,
-        }),
+        },
     }
 }
 
@@ -1203,8 +1029,7 @@ mod tests {
                 }],
                 max_chain_len: 3,
             },
-            runtime: RuntimeKind::Async,
-            in_flight: Some(InFlightSeries {
+            in_flight: InFlightSeries {
                 samples: vec![
                     InFlightSample {
                         t_us: 250_000,
@@ -1216,7 +1041,7 @@ mod tests {
                     },
                 ],
                 high_water: 10_412,
-            }),
+            },
             recovery: Some(RecoverySection {
                 injected_crashes: 17,
                 restarts: 21,
@@ -1240,41 +1065,25 @@ mod tests {
                 digest_match: true,
             }),
         };
-        // One of each shape a report can hold: a plain thread run, an
-        // async run with its in-flight series, a chaos run with its
-        // recovery section.
-        let thread = BenchRun {
-            runtime: RuntimeKind::Thread,
-            in_flight: None,
+        // Both shapes a report can hold: a plain run, and a chaos run
+        // with its recovery section.
+        let plain = BenchRun {
             recovery: None,
             ..run.clone()
-        };
-        let chaos = BenchRun {
-            in_flight: None,
-            ..thread.clone()
-        };
-        let chaos = BenchRun {
-            recovery: run.recovery.clone(),
-            ..chaos
-        };
-        let asynchronous = BenchRun {
-            recovery: None,
-            ..run
         };
         let report = BenchReport {
             seed: 42,
             total_ops: 100,
             mix: "default".into(),
             tail_cache: true,
-            runs: vec![thread, asynchronous, chaos],
+            runs: vec![plain, run],
         };
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
-        let keys: Vec<String> = parsed.runs.iter().map(BenchRun::key).collect();
-        assert_eq!(
-            keys,
-            ["media/beldi/w4", "media/beldi/w4@async", "media/beldi/w4"]
-        );
+        assert_eq!(parsed.runs[0].key(), "media/beldi/w4");
+        // A plain run's JSON carries no chaos-only section.
+        let plain = beldi::value::json::to_json_pretty(&parsed.runs[0].to_value());
+        assert!(!plain.contains("recovery"), "{plain}");
     }
 
     fn keys_of(v: &Value) -> Vec<&str> {
@@ -1286,10 +1095,10 @@ mod tests {
     #[test]
     fn report_keys_are_pinned() {
         let run = BenchRun {
-            in_flight: Some(InFlightSeries {
+            in_flight: InFlightSeries {
                 samples: vec![InFlightSample::default()],
                 high_water: 1,
-            }),
+            },
             recovery: Some(Wire::decode(None)),
             storage: StorageSeries {
                 samples: vec![StorageSample::default()],
@@ -1322,7 +1131,6 @@ mod tests {
                 "ops",
                 "partitions",
                 "recovery",
-                "runtime",
                 "state_digest",
                 "storage",
                 "throughput_rps",
@@ -1410,40 +1218,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_runs_serialize_without_async_keys() {
-        // A thread run's JSON names its engine and carries none of the
-        // async-only or chaos-only sections.
-        let run = BenchRun {
-            app: "media".into(),
-            mode: "beldi".into(),
-            workers: 2,
-            ..Wire::decode(None)
-        };
-        let json = beldi::value::json::to_json_pretty(&run.to_value());
-        assert!(json.contains("\"runtime\": \"thread\""), "{json}");
-        assert!(!json.contains("in_flight"));
-        assert!(!json.contains("recovery"));
-        assert_eq!(run.key(), "media/beldi/w2");
-        // A report written without the key decodes to the thread engine.
-        let mut value = run.to_value();
-        value.as_map_mut().unwrap().remove("runtime");
-        let parsed = BenchRun::from_value(&value);
-        assert_eq!(parsed.runtime, RuntimeKind::Thread);
-        assert_eq!(parsed, run);
-    }
-
-    #[test]
     fn malformed_reports_are_rejected_with_reasons() {
         assert!(BenchReport::from_json("{}").unwrap_err().contains("schema"));
         assert!(BenchReport::from_json("[1,2]")
             .unwrap_err()
             .contains("schema"));
-        assert!(BenchReport::from_json("{\"schema\":2}")
+        assert!(BenchReport::from_json("{\"schema\":3}")
             .unwrap_err()
             .contains("runs"));
-        let stale = BenchReport::from_json("{\"schema\":1,\"runs\":[]}").unwrap_err();
+        let stale = BenchReport::from_json("{\"schema\":2,\"runs\":[]}").unwrap_err();
         assert!(
-            stale.contains("schema 1") && stale.contains(REBASELINE),
+            stale.contains("schema 2") && stale.contains(REBASELINE),
             "{stale}"
         );
         assert!(BenchReport::from_json("not json").is_err());

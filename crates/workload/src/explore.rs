@@ -322,8 +322,8 @@ struct RunOutcome {
     gc_residue: Option<String>,
 }
 
-/// `T` used for explorer environments: small, so GC quiescence elapses in
-/// microseconds of real time on the fast-forward clock.
+/// `T` used for explorer environments (virtual, like every wait here: the
+/// environments run on the builder's default seeded clock).
 const EXPLORE_T_MAX: Duration = Duration::from_millis(200);
 
 /// IC restart delay for explorer environments (virtual).

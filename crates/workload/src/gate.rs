@@ -296,8 +296,7 @@ mod tests {
             effects: 0,
             gc: false,
             storage: StorageSeries::default(),
-            runtime: crate::driver::RuntimeKind::Thread,
-            in_flight: None,
+            in_flight: Default::default(),
             recovery: None,
         }
     }
@@ -417,11 +416,16 @@ mod tests {
     #[test]
     fn a_schema_1_baseline_is_refused_with_the_regenerate_command() {
         let current = report(vec![run("media", 1, 100.0, 0)]);
-        let stale = current.to_json().replace("\"schema\": 2", "\"schema\": 1");
-        assert_ne!(stale, current.to_json(), "the document names its schema");
-        let refusal = BenchReport::from_json(&stale).unwrap_err();
-        assert!(refusal.contains("schema 1"), "{refusal}");
-        assert!(refusal.contains(REBASELINE), "{refusal}");
+        let named = format!("\"schema\": {}", crate::driver::BENCH_SCHEMA);
+        for old in [1, 2] {
+            let stale = current
+                .to_json()
+                .replace(&named, &format!("\"schema\": {old}"));
+            assert_ne!(stale, current.to_json(), "the document names its schema");
+            let refusal = BenchReport::from_json(&stale).unwrap_err();
+            assert!(refusal.contains(&format!("schema {old}")), "{refusal}");
+            assert!(refusal.contains(REBASELINE), "{refusal}");
+        }
     }
 
     #[test]

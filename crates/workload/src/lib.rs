@@ -33,8 +33,8 @@ mod sweep;
 pub mod wire;
 
 pub use driver::{
-    drive, drive_async, drive_on, BenchReport, BenchRun, ChaosOptions, DriveOptions,
-    InFlightSample, InFlightSeries, RecoverySection, RuntimeKind, StorageSample, StorageSeries,
+    drive, BenchReport, BenchRun, ChaosOptions, DriveOptions, InFlightSample, InFlightSeries,
+    RecoverySection, StorageSample, StorageSeries,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
 pub use gate::{gate, growth_gate, recovery_gate};

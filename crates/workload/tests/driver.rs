@@ -1,6 +1,7 @@
 //! Integration tests for the closed-loop workload driver: bit-identical
-//! same-seed runs on both engines, and conservation laws checked against
-//! independently recomputed request streams.
+//! same-seed runs — at a few workers and with every request in flight at
+//! once — and conservation laws checked against independently recomputed
+//! request streams.
 
 use std::time::Duration;
 
@@ -8,8 +9,8 @@ use beldi::value::{Map, Value};
 use beldi::Mode;
 use beldi_apps::{bench_app, MixProfile, WorkflowApp};
 use beldi_workload::driver::{
-    drive, drive_async, ops_for_worker, value_digest, worker_rng, BenchReport, BenchRun,
-    ChaosOptions, DriveOptions, RuntimeKind,
+    drive, ops_for_worker, value_digest, worker_rng, BenchReport, BenchRun, ChaosOptions,
+    DriveOptions,
 };
 use beldi_workload::recovery_gate;
 
@@ -55,7 +56,7 @@ fn modelled(mut run: BenchRun) -> BenchRun {
 /// summary, virtual duration, throughput, database deltas, every storage
 /// sample, the state digest — is a function of the seed.
 #[test]
-fn same_seed_thread_drives_are_bit_identical_at_4_workers() {
+fn same_seed_drives_are_bit_identical_at_4_workers() {
     let opts = DriveOptions {
         model_latency: true,
         gc: true,
@@ -99,11 +100,16 @@ fn travel_inventory_is_conserved_under_8_workers() {
     let run = drive(app.as_ref(), Mode::Beldi, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
 
-    // Independently recompute the reservation demand per hotel/flight
-    // from the deterministic request streams. Inventory is effectively
-    // unbounded in the bench config, so every reservation must consume
-    // exactly one room and one seat — no more (duplicated legs), no
-    // fewer (lost legs), regardless of how 8 workers interleaved.
+    let reservations = assert_travel_conserved(app.as_ref(), &opts, &run);
+    assert!(reservations > 40, "write-heavy mix should reserve a lot");
+}
+
+/// Independently recomputes the reservation demand per hotel/flight from
+/// the deterministic request streams. Inventory is effectively unbounded
+/// in the bench config, so every reservation must consume exactly one
+/// room and one seat — no more (duplicated legs), no fewer (lost legs),
+/// however the workers interleaved. Returns the reservation count.
+fn assert_travel_conserved(app: &dyn WorkflowApp, opts: &DriveOptions, run: &BenchRun) -> i64 {
     let mut rooms: Map = Map::new();
     let mut seats: Map = Map::new();
     for i in 0..25 {
@@ -111,7 +117,7 @@ fn travel_inventory_is_conserved_under_8_workers() {
         seats.insert(format!("flight-{i}"), Value::Int(1_000_000));
     }
     let mut reservations = 0i64;
-    for req in regenerate_requests(app.as_ref(), &opts) {
+    for req in regenerate_requests(app, opts) {
         if req.get_str("op") == Some("reserve") {
             reservations += 1;
             for (map, field) in [(&mut rooms, "hotel"), (&mut seats, "flight")] {
@@ -123,7 +129,6 @@ fn travel_inventory_is_conserved_under_8_workers() {
             }
         }
     }
-    assert!(reservations > 40, "write-heavy mix should reserve a lot");
     assert_eq!(
         run.effects,
         2 * reservations,
@@ -139,6 +144,7 @@ fn travel_inventory_is_conserved_under_8_workers() {
         format!("{:016x}", value_digest(&Value::Map(expected))),
         "final inventory diverged from the request streams"
     );
+    reservations
 }
 
 #[test]
@@ -284,9 +290,9 @@ fn chaos_same_seed_runs_are_bit_identical() {
     assert_eq!(modelled(a), modelled(b));
 }
 
-/// The async engine's leg of the same contract, in-flight series
-/// included: the executor thread, the platform workers and the sampler
-/// all take turns on one seeded schedule.
+/// The same contract with online GC at 8 workers, in-flight series
+/// included: the executor thread, the platform workers, the collector
+/// timers and the sampler all take turns on one seeded schedule.
 #[test]
 fn async_same_seed_runs_are_bit_identical_at_8_workers() {
     let opts = DriveOptions {
@@ -294,13 +300,15 @@ fn async_same_seed_runs_are_bit_identical_at_8_workers() {
         gc: true,
         ..test_opts(8, 96, 29)
     };
-    let app = bench_app("travel", Mode::Beldi, MixProfile::Default).expect("travel");
-    let a = drive_async(app.as_ref(), Mode::Beldi, &opts);
+    let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(a.errors, 0, "{a:?}");
-    let in_flight = a.in_flight.as_ref().expect("async runs record in-flight");
-    assert!(in_flight.high_water >= 96, "all requests spawn up front");
-    assert!(in_flight.samples.len() > 1, "{in_flight:?}");
-    let b = drive_async(app.as_ref(), Mode::Beldi, &opts);
+    assert!(
+        a.in_flight.high_water >= 8,
+        "a closed loop keeps every worker in flight: {:?}",
+        a.in_flight
+    );
+    assert!(a.in_flight.samples.len() > 1, "{:?}", a.in_flight);
+    let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(modelled(a), modelled(b));
 }
 
@@ -334,134 +342,105 @@ fn disabling_relaunch_fails_the_conservation_gate() {
     );
 }
 
-/// Sync-vs-async equivalence, the redesigned execution API's core
-/// contract: the cooperative task-per-request engine must land on the
-/// same final state and effect counts as the thread-per-worker closed
-/// loop, because both issue the same request multiset through the same
-/// protocol paths. Checked across apps and modes.
+/// With `workers = total_ops` every request is in flight at once, parked
+/// behind the quarter-pool admission gate. The final state is a function
+/// of the request multiset, not of how many roots the gate lets run
+/// together: a 1000-permit pool (250 roots at a time — all 60) and an
+/// 8-permit pool (2 at a time) must land on the same digest and effect
+/// counts. Checked across apps and modes.
 #[test]
-fn async_drive_matches_thread_drive_state() {
-    let opts = test_opts(4, 60, 7);
+fn final_state_does_not_depend_on_the_admission_width() {
+    let wide = test_opts(60, 60, 7);
+    let narrow = DriveOptions {
+        platform_concurrency: Some(8),
+        ..wide.clone()
+    };
     for (kind, mode) in [
         ("travel", Mode::Beldi),
         ("media", Mode::Beldi),
         ("social", Mode::CrossTable),
     ] {
-        let app = bench_app(kind, mode, MixProfile::Default).expect("known app");
-        let t = drive(app.as_ref(), mode, &opts);
-        let a = drive_async(app.as_ref(), mode, &opts);
-        assert_eq!(a.errors, 0, "{kind}: {a:?}");
+        let a = drive_app(kind, mode, MixProfile::Default, &wide);
+        let b = drive_app(kind, mode, MixProfile::Default, &narrow);
+        assert_eq!((a.errors, b.errors), (0, 0), "{kind}: {a:?}");
         assert_eq!(
-            t.state_digest, a.state_digest,
-            "{kind}/{mode:?}: engines diverged"
+            a.state_digest, b.state_digest,
+            "{kind}/{mode:?}: the admission width changed the final state"
         );
-        assert_eq!(t.effects, a.effects, "{kind}");
-        assert_eq!(t.ops, a.ops, "{kind}");
-        assert_eq!(a.runtime, RuntimeKind::Async);
-        let in_flight = a.in_flight.expect("async runs record in-flight");
-        assert!(
-            in_flight.high_water >= 60,
-            "all 60 requests spawn up front: {in_flight:?}"
-        );
+        assert_eq!(a.effects, b.effects, "{kind}");
+        for run in [&a, &b] {
+            assert!(
+                run.in_flight.high_water >= 60,
+                "{kind}: all 60 workers spawn up front: {:?}",
+                run.in_flight
+            );
+        }
     }
 }
 
-/// The tentpole capacity claim: ten thousand concurrent in-flight
-/// workflows in one process, over a platform capped at four worker
-/// threads — requests past the admission gate park on executor wakers,
-/// not OS threads. Conservation is audited against an independent
-/// recomputation of the request streams. Baseline mode keeps
-/// per-request cost low enough for a debug-build tier-1 test, but its
-/// `begin_tx` is a no-op (no wait-die locks), so the audit is only
-/// exact under race-free execution: capping the platform at 4 yields an
-/// admission gate of one root workflow at a time while every other
-/// request stays parked (and counted) at the semaphore. The
-/// full-protocol equivalence and chaos claims are pinned by the
-/// beldi-mode tests above/below, and the release-built bench driver
-/// runs the beldi-mode 10k demonstration for
-/// `BENCH_async_results.json`.
+/// The capacity claim: ten thousand concurrent in-flight workflows in one
+/// process, over a platform capped at four worker threads — workers past
+/// the admission gate park on executor wakers, not OS threads.
+/// Conservation is audited against an independent recomputation of the
+/// request streams. Baseline mode keeps per-request cost low enough for a
+/// debug-build tier-1 test, but its `begin_tx` is a no-op (no wait-die
+/// locks), so the audit is only exact under race-free execution: capping
+/// the platform at 4 yields an admission gate of one root workflow at a
+/// time while every other worker stays parked (and counted) at the
+/// semaphore. The full-protocol claims are pinned by the Beldi-mode tests
+/// above and below.
 #[test]
 fn async_drive_sustains_10k_in_flight_workflows() {
     let opts = DriveOptions {
         platform_concurrency: Some(4),
-        ..test_opts(8, 10_000, 42)
+        ..test_opts(10_000, 10_000, 42)
     };
     let app = bench_app("travel", Mode::Baseline, MixProfile::Default).expect("travel");
-    let run = drive_async(app.as_ref(), Mode::Baseline, &opts);
+    let run = drive(app.as_ref(), Mode::Baseline, &opts);
     assert_eq!(run.errors, 0, "errors at 10k in flight");
-    let in_flight = run.in_flight.as_ref().expect("async runs record in-flight");
     assert!(
-        in_flight.high_water >= 10_000,
+        run.in_flight.high_water >= 10_000,
         "high water {} < 10k — the load was not concurrently in flight",
-        in_flight.high_water
+        run.in_flight.high_water
     );
-
-    // Conservation audit: every reservation consumed exactly one room
-    // and one seat, and the final inventory equals the recomputation.
-    let mut rooms: Map = Map::new();
-    let mut seats: Map = Map::new();
-    for i in 0..25 {
-        rooms.insert(format!("hotel-{i}"), Value::Int(1_000_000));
-        seats.insert(format!("flight-{i}"), Value::Int(1_000_000));
-    }
-    let mut reservations = 0i64;
-    for req in regenerate_requests(app.as_ref(), &opts) {
-        if req.get_str("op") == Some("reserve") {
-            reservations += 1;
-            for (map, field) in [(&mut rooms, "hotel"), (&mut seats, "flight")] {
-                let key = req.get_str(field).unwrap().to_owned();
-                let Some(Value::Int(n)) = map.get_mut(&key) else {
-                    panic!("unknown {field} {key}");
-                };
-                *n -= 1;
-            }
-        }
-    }
-    assert_eq!(run.effects, 2 * reservations, "lost or duplicated legs");
-    let mut expected = rooms;
-    expected.append(&mut seats);
-    assert_eq!(
-        run.state_digest,
-        format!("{:016x}", value_digest(&Value::Map(expected))),
-        "final inventory diverged from the request streams"
-    );
+    assert_travel_conserved(app.as_ref(), &opts, &run);
 }
 
 /// Full-protocol (Beldi mode) in-flight scale at debug-affordable size:
-/// a thousand workflows in flight over 64 worker threads, exact-once
-/// conservation against the thread engine's digest.
+/// a thousand workflows in flight over 64 worker threads, exactly-once
+/// conservation against the recomputed request streams — and a thousand
+/// parked wakers are scheduled as reproducibly as four workers.
 #[test]
 fn async_drive_beldi_mode_parks_1k_workflows() {
     let opts = DriveOptions {
         platform_concurrency: Some(64),
-        ..test_opts(8, 1_000, 17)
+        ..test_opts(1_000, 1_000, 17)
     };
     let app = bench_app("travel", Mode::Beldi, MixProfile::Default).expect("travel");
-    let a = drive_async(app.as_ref(), Mode::Beldi, &opts);
-    assert_eq!(a.errors, 0, "{:?}", a.errors);
-    let in_flight = a.in_flight.as_ref().expect("async runs record in-flight");
+    let run = drive(app.as_ref(), Mode::Beldi, &opts);
+    assert_eq!(run.errors, 0, "{:?}", run.errors);
     assert!(
-        in_flight.high_water >= 1_000,
+        run.in_flight.high_water >= 1_000,
         "high water {} < 1k",
-        in_flight.high_water
+        run.in_flight.high_water
     );
-    let t = drive(app.as_ref(), Mode::Beldi, &opts);
-    assert_eq!(t.state_digest, a.state_digest, "engines diverged");
-    assert_eq!(t.effects, a.effects);
+    assert_travel_conserved(app.as_ref(), &opts, &run);
+    let again = drive(app.as_ref(), Mode::Beldi, &opts);
+    assert_eq!(modelled(run), modelled(again));
 }
 
-/// `--runtime async` chaos: the storm kills SSFs and collector passes
-/// mid-flight while all requests are in flight at once; recovery must still converge on the crash-free *thread*
-/// oracle's digest (so this is also a cross-engine conservation check).
+/// The storm with every request in flight at once: SSFs and collector
+/// passes die mid-flight while 80 roots queue at the admission gate;
+/// recovery must still converge on the crash-free oracle's digest.
 #[test]
 fn async_chaos_storm_recovers_to_the_oracle_state() {
     let opts = DriveOptions {
         chaos: Some(ChaosOptions::default()),
-        ..test_opts(8, 80, 7)
+        ..test_opts(80, 80, 7)
     };
-    let app = bench_app("media", Mode::Beldi, MixProfile::Default).expect("media");
-    let run = drive_async(app.as_ref(), Mode::Beldi, &opts);
+    let run = drive_app("media", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
+    assert!(run.in_flight.high_water >= 80, "{:?}", run.in_flight);
     let rec = run.recovery.clone().expect("chaos runs record recovery");
     assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
     assert!(rec.digest_match, "conservation violated: {rec:?}");
@@ -471,7 +450,7 @@ fn async_chaos_storm_recovers_to_the_oracle_state() {
     assert!(failures.is_empty(), "{failures:?}");
 }
 
-/// Online GC under the async engine: the collector timers must actually
+/// Online GC on zero-latency storage: the collector timers must actually
 /// complete passes during the run (a pass is a scan; it happens every
 /// `gc_period` whether or not anything is old enough to recycle).
 #[test]
@@ -481,8 +460,7 @@ fn async_drive_runs_gc_collectors() {
         gc_period: Duration::from_millis(200),
         ..test_opts(4, 120, 3)
     };
-    let app = bench_app("travel", Mode::Beldi, MixProfile::Default).expect("travel");
-    let run = drive_async(app.as_ref(), Mode::Beldi, &opts);
+    let run = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
     assert!(run.gc);
     let last = run.storage.samples.last().expect("final storage sample");

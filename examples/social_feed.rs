@@ -10,21 +10,18 @@ use std::time::Duration;
 
 use beldi_repro::apps::SocialApp;
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, RandomCrashPolicy};
-use beldi_repro::simclock::ScaledClock;
 use beldi_repro::value::vmap;
 
 fn main() {
     beldi_repro::beldi::silence_crash_backtraces();
-    // The paper's deployment: 1-minute collector timers. With 13 SSFs the
-    // workflow runs 26 collectors, so the demo uses a 100× clock (one
-    // virtual minute = 0.6 s real) to keep the timer load reasonable.
+    // The paper's deployment: 1-minute collector timers, 26 of them for
+    // the workflow's 13 SSFs. Time is virtual: a minute passes when this
+    // thread sleeps a minute on the environment's clock.
     let config = BeldiConfig::beldi()
         .with_t_max(Duration::from_secs(120))
         .with_ic_restart_delay(Duration::from_secs(30))
         .with_collector_period(Duration::from_secs(60));
-    let env = BeldiEnv::builder(config)
-        .clock(ScaledClock::shared(100.0))
-        .build();
+    let env = BeldiEnv::for_tests_with(config);
     let app = SocialApp {
         users: 12,
         follows_per_user: 4,
@@ -60,6 +57,15 @@ fn main() {
     println!(
         "   crashes injected along the way: {}\n",
         env.platform().faults().injected_count()
+    );
+
+    // Two virtual minutes: every collector fires twice and finishes
+    // whatever the storm left unfinished.
+    env.clock().sleep(Duration::from_secs(120));
+    println!(
+        "   collector passes two minutes later: {} intent, {} garbage\n",
+        env.ic_totals().passes,
+        env.gc_totals().passes
     );
 
     println!("== Reading timelines ==");

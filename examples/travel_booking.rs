@@ -98,19 +98,22 @@ fn main() {
     travel.install(&env);
     travel.seed(&env);
     let env = Arc::new(env);
-    let mut handles = Vec::new();
-    for t in 0..8u64 {
-        let env = Arc::clone(&env);
-        let travel = travel.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = beldi_repro::apps::rng::request_rng(t);
-            for _ in 0..12 {
-                let _ = env.invoke(travel.entry(), travel.reserve_request(&mut rng));
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
+    // The environment runs on a seeded schedule: its client threads are
+    // started through its clock.
+    let clients: Vec<_> = (0..8u64)
+        .map(|t| {
+            let (e, travel) = (Arc::clone(&env), travel.clone());
+            let client = move || {
+                let mut rng = beldi_repro::apps::rng::request_rng(t);
+                for _ in 0..12 {
+                    let _ = e.invoke(travel.entry(), travel.reserve_request(&mut rng));
+                }
+            };
+            env.clock().spawn(format!("client-{t}"), Box::new(client))
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
     }
     let (rooms, seats) = travel.remaining_inventory(&env);
     println!(

@@ -3,12 +3,12 @@
 //! collectors on timers, fault injection, and the workload driver —
 //! exercised together the way the paper's evaluation deploys them.
 
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use beldi_repro::apps::{MediaApp, SocialApp, TravelApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, RandomCrashPolicy};
-use beldi_repro::simclock::ScaledClock;
 use beldi_repro::value::{vmap, Value};
 use beldi_repro::workload::RateRunner;
 
@@ -64,14 +64,15 @@ fn all_apps_serve_their_mix_in_all_modes() {
 /// inventory legs never drift on Beldi.
 #[test]
 fn travel_inventory_consistent_under_crash_storm() {
-    // Collector periods are virtual; at the 100× clock below one virtual
-    // minute is 0.6 s real, keeping the 20 timers lightweight.
+    // Modelled storage latency makes the storm take virtual time (a few
+    // seconds per client), and the collector periods are sized to it so
+    // that both collectors tick many times while requests are in flight.
     let cfg = BeldiConfig::beldi()
-        .with_ic_restart_delay(Duration::from_secs(30))
-        .with_collector_period(Duration::from_secs(60))
+        .with_ic_restart_delay(Duration::from_millis(200))
+        .with_collector_period(Duration::from_millis(500))
         .with_t_max(Duration::from_secs(120));
     let env = BeldiEnv::builder(cfg)
-        .clock(ScaledClock::shared(100.0))
+        .latency(beldi_repro::simdb::LatencyModel::dynamo())
         .build();
     let app = TravelApp {
         hotels: 8,
@@ -94,30 +95,34 @@ fn travel_inventory_consistent_under_crash_storm() {
         }));
 
     let env = Arc::new(env);
-    let mut handles = Vec::new();
-    for t in 0..6u64 {
-        let env = Arc::clone(&env);
-        let app = app.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = beldi_repro::apps::rng::request_rng(t);
-            let mut reserved = 0i64;
-            for _ in 0..10 {
-                if let Ok(out) = env.invoke(app.entry(), app.reserve_request(&mut rng)) {
-                    if out.get_str("status") == Some("reserved") {
-                        reserved += 1;
+    let reserved = Arc::new(AtomicI64::new(0));
+    let clients: Vec<_> = (0..6u64)
+        .map(|t| {
+            let (e, app, reserved) = (Arc::clone(&env), app.clone(), Arc::clone(&reserved));
+            let client = move || {
+                let mut rng = beldi_repro::apps::rng::request_rng(t);
+                for _ in 0..10 {
+                    if let Ok(out) = e.invoke(app.entry(), app.reserve_request(&mut rng)) {
+                        if out.get_str("status") == Some("reserved") {
+                            reserved.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
-            }
-            reserved
-        }));
+            };
+            env.clock().spawn(format!("client-{t}"), Box::new(client))
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
     }
-    let mut total_reserved = 0;
-    for h in handles {
-        total_reserved += h.join().unwrap();
-    }
+    let total_reserved = reserved.load(Ordering::Relaxed);
     env.platform().faults().set_random_policy(None);
     env.stop_collectors();
 
+    assert!(
+        env.ic_totals().report.restarted > 0,
+        "the timer-driven intent collector never re-launched a killed instance"
+    );
     let (rooms, seats) = app.remaining_inventory(&env);
     assert_eq!(rooms, seats, "legs must never drift under Beldi");
     assert_eq!(
@@ -157,10 +162,10 @@ fn baseline_duplicates_reservations_on_retry() {
 /// collectors running: the full Figs. 14/15/26 pipeline in miniature.
 #[test]
 fn load_driver_runs_media_app_under_timers() {
-    let cfg = BeldiConfig::beldi().with_collector_period(Duration::from_secs(60));
-    let env = BeldiEnv::builder(cfg)
-        .clock(ScaledClock::shared(100.0))
-        .build();
+    // The run lasts two virtual seconds: a half-second period has every
+    // collector tick beside the load.
+    let cfg = BeldiConfig::beldi().with_collector_period(Duration::from_millis(500));
+    let env = BeldiEnv::for_tests_with(cfg);
     let app = MediaApp {
         movies: 10,
         users: 6,
@@ -178,6 +183,7 @@ fn load_driver_runs_media_app_under_timers() {
         env2.invoke(app2.entry(), app2.request(&mut rng)).is_ok()
     }));
     env.stop_collectors();
+    assert!(env.gc_totals().passes > 0, "no collector ticked");
     assert_eq!(report.errors, 0, "all requests served");
     assert_eq!(report.latency.count, 120);
     assert!(report.latency.p99 >= report.latency.p50);
