@@ -26,7 +26,7 @@
 //! [`crate::SsfContext`] so they can be unit-tested against a bare
 //! database.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest};
@@ -70,7 +70,7 @@ pub(crate) struct DaalParams<'a> {
 }
 
 /// One row of the locally reconstructed DAAL skeleton.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SkelRow {
     /// The row id.
     pub row_id: String,
@@ -121,55 +121,51 @@ pub(crate) fn traverse(
 ) -> BeldiResult<Skeleton> {
     let mut proj = Projection::attrs([A_ROW_ID, A_NEXT_ROW]);
     if let Some(lk) = log_key {
-        proj = proj.with_path(Path::attr(A_WRITES).then_attr(lk));
+        proj = proj.with_path(Path::attr(A_WRITES).then_attr(lk.to_owned()));
     }
     let req = ScanRequest::all().with_projection(proj);
     let rows = db.query(table, &Value::from(key), &req)?;
 
-    // Index rows by id, then walk the pointers from HEAD.
-    let mut by_id: std::collections::HashMap<String, SkelRow> =
-        std::collections::HashMap::with_capacity(rows.len());
-    for row in &rows {
-        let Some(row_id) = row.get_str(A_ROW_ID) else {
+    // The projected rows are ours: their strings move into the skeleton.
+    let mut skel: Vec<SkelRow> = Vec::with_capacity(rows.len());
+    for mut row in rows {
+        let Some(row_id) = row.take_str(A_ROW_ID) else {
             continue;
         };
-        let next = row.get_str(A_NEXT_ROW).map(str::to_owned);
-        let logged = log_key.and_then(|lk| {
-            row.get_path(&Path::attr(A_WRITES).then_attr(lk))
-                .ok()
-                .flatten()
-                .cloned()
+        let logged = log_key.and_then(|lk| row.take_attr(A_WRITES)?.take_attr(lk));
+        skel.push(SkelRow {
+            row_id,
+            next: row.take_str(A_NEXT_ROW),
+            logged,
         });
-        by_id.insert(
-            row_id.to_owned(),
-            SkelRow {
-                row_id: row_id.to_owned(),
-                next,
-                logged,
-            },
-        );
     }
+    // A query answers in sort-key order, which is row-id order, so a
+    // pointer is resolved by binary search (the sort is a no-op pass
+    // unless a row's `RowId` attribute disagrees with its key).
+    skel.sort_unstable_by(|a, b| a.row_id.cmp(&b.row_id));
+    let find = |id: &str| skel.binary_search_by(|r| r.row_id.as_str().cmp(id)).ok();
 
-    let mut chain = Vec::new();
-    let mut cursor = by_id.remove(ROW_HEAD);
-    while let Some(row) = cursor {
-        let next_id = row.next.clone();
-        chain.push(row);
-        cursor = match next_id {
-            // A pointer to a row the scan did not return: the append that
-            // created it had not completed when the scan started. Its
-            // predecessor still holds the current value, so it is the tail
-            // of our consistent snapshot.
-            Some(id) => by_id.remove(&id),
-            None => None,
-        };
+    // Walk the pointers from HEAD.
+    let mut order = Vec::with_capacity(skel.len());
+    let mut cursor = find(ROW_HEAD);
+    while let Some(i) = cursor {
         // Defensive bound: the chain cannot be longer than the scan result.
-        if chain.len() > rows.len() {
+        if order.len() == skel.len() {
             return Err(BeldiError::Protocol(format!(
                 "linked DAAL for {table}/{key} contains a cycle"
             )));
         }
+        order.push(i);
+        // A pointer to a row the scan did not return: the append that
+        // created it had not completed when the scan started. Its
+        // predecessor still holds the current value, so it is the tail
+        // of our consistent snapshot.
+        cursor = skel[i].next.as_deref().and_then(find);
     }
+    let chain = order
+        .into_iter()
+        .map(|i| std::mem::take(&mut skel[i]))
+        .collect();
     Ok(Skeleton { chain })
 }
 
@@ -231,10 +227,19 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// the bound, production key cardinality — millions of users — would
 /// grow the map monotonically for the life of the process.
 pub(crate) struct TailCache {
-    shards: Vec<Mutex<HashMap<(String, String), String>>>,
+    shards: Vec<Mutex<TailShard>>,
     capacity_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// One shard: table → key → tail row id. Two levels, so that a probe
+/// with a `(&str, &str)` builds no owned key.
+#[derive(Default)]
+struct TailShard {
+    tables: BTreeMap<String, HashMap<String, String>>,
+    /// Entries across all tables.
+    len: usize,
 }
 
 /// Total capacity of the DAAL tail cache (entries across all shards).
@@ -254,7 +259,7 @@ impl TailCache {
     fn with_capacity(capacity: usize) -> Self {
         TailCache {
             shards: (0..TAIL_CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(TailShard::default()))
                 .collect(),
             capacity_per_shard: (capacity / TAIL_CACHE_SHARDS).max(1),
             hits: AtomicU64::new(0),
@@ -263,7 +268,7 @@ impl TailCache {
     }
 
     /// FNV-1a shard routing over table and key.
-    fn shard(&self, table: &str, key: &str) -> &Mutex<HashMap<(String, String), String>> {
+    fn shard(&self, table: &str, key: &str) -> &Mutex<TailShard> {
         use std::hash::Hasher;
         let mut h = beldi_value::Fnv1a::new();
         h.write(table.as_bytes());
@@ -272,36 +277,49 @@ impl TailCache {
     }
 
     fn get(&self, table: &str, key: &str) -> Option<String> {
-        self.shard(table, key)
-            .lock()
-            .get(&(table.to_owned(), key.to_owned()))
-            .cloned()
+        let shard = self.shard(table, key).lock();
+        shard.tables.get(table)?.get(key).cloned()
     }
 
     fn put(&self, table: &str, key: &str, row_id: &str) {
         let mut shard = self.shard(table, key).lock();
-        let entry_key = (table.to_owned(), key.to_owned());
-        if shard.len() >= self.capacity_per_shard && !shard.contains_key(&entry_key) {
-            // Evict an arbitrary resident. Any choice is sound (the cache
-            // is validated at use); arbitrary is O(1) and needs no
+        if let Some(cached) = shard.tables.get_mut(table).and_then(|t| t.get_mut(key)) {
+            row_id.clone_into(cached);
+            return;
+        }
+        if shard.len >= self.capacity_per_shard {
+            // Evict an arbitrary resident of the fullest table. Any choice
+            // is sound (the cache is validated at use); arbitrary needs no
             // recency bookkeeping on the hit path.
-            if let Some(victim) = shard.keys().next().cloned() {
-                shard.remove(&victim);
+            let fullest = shard.tables.values_mut().max_by_key(|keys| keys.len());
+            if let Some(keys) = fullest {
+                if let Some(victim) = keys.keys().next().cloned() {
+                    keys.remove(&victim);
+                    shard.len -= 1;
+                }
             }
         }
-        shard.insert(entry_key, row_id.to_owned());
+        if !shard.tables.contains_key(table) {
+            shard.tables.insert(table.to_owned(), HashMap::new());
+        }
+        let keys = shard.tables.get_mut(table).expect("just ensured");
+        keys.insert(key.to_owned(), row_id.to_owned());
+        shard.len += 1;
     }
 
     fn invalidate(&self, table: &str, key: &str) {
-        self.shard(table, key)
-            .lock()
-            .remove(&(table.to_owned(), key.to_owned()));
+        let mut shard = self.shard(table, key).lock();
+        if let Some(keys) = shard.tables.get_mut(table) {
+            if keys.remove(key).is_some() {
+                shard.len -= 1;
+            }
+        }
     }
 
     /// Resident entries across all shards.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().len).sum()
     }
 
     /// `(validated hits, misses)` since creation. A hit is a cached row
@@ -316,21 +334,29 @@ impl TailCache {
     }
 }
 
-/// [`read_tail_row`] with an optional [`TailCache`]: one point get on a
-/// validated hit, scan + get (and a refreshed entry) otherwise.
-pub(crate) fn read_tail_row_cached(
+/// The current value of `key` — [`read_value`] — with an optional
+/// [`TailCache`]: one point get on a validated hit, scan + get (and a
+/// refreshed entry) otherwise. Absent keys and value-less tails read as
+/// `Null`.
+///
+/// The validating get asks for `Value` and `NextRow` only: the row's
+/// write log — up to `N` entries — stays in the store.
+pub(crate) fn read_value_cached(
     db: &Database,
     cache: Option<&TailCache>,
     table: &str,
     key: &str,
-) -> BeldiResult<Option<Value>> {
+) -> BeldiResult<Value> {
+    let value_of = |mut row: Value| row.take_attr(A_VALUE).unwrap_or(Value::Null);
     if let Some(cache) = cache {
         if let Some(row_id) = cache.get(table, key) {
-            let pk = PrimaryKey::hash_sort(key, row_id.as_str());
-            match db.get(table, &pk, None)? {
+            let pk = PrimaryKey::hash_sort(key, row_id);
+            let tail_probe = Projection::attrs([A_VALUE, A_NEXT_ROW]);
+            match db.get(table, &pk, Some(&tail_probe))? {
+                // Present (with or without a value) and no successor.
                 Some(row) if row.get_str(A_NEXT_ROW).is_none() => {
                     cache.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Some(row));
+                    return Ok(value_of(row));
                 }
                 // The cached row filled up (has a successor) or was
                 // GC-deleted: stale entry, take the slow path.
@@ -341,35 +367,20 @@ pub(crate) fn read_tail_row_cached(
     }
     let skel = traverse(db, table, key, None)?;
     let Some(tail) = skel.tail_row_id() else {
-        return Ok(None);
+        return Ok(Value::Null);
     };
     if let Some(cache) = cache {
         cache.put(table, key, tail);
     }
     let pk = PrimaryKey::hash_sort(key, tail);
-    Ok(db.get(table, &pk, None)?)
-}
-
-/// The current value of `key` via [`read_tail_row_cached`]; absent keys
-/// and value-less tails read as `Null`.
-pub(crate) fn read_value_cached(
-    db: &Database,
-    cache: Option<&TailCache>,
-    table: &str,
-    key: &str,
-) -> BeldiResult<Value> {
-    Ok(read_tail_row_cached(db, cache, table, key)?
-        .and_then(|row| row.get_attr(A_VALUE).cloned())
-        .unwrap_or(Value::Null))
+    Ok(db.get(table, &pk, None)?.map_or(Value::Null, value_of))
 }
 
 /// The current value of `key`, i.e. the `Value` column of its tail row.
 ///
 /// Absent keys and keys whose tail carries no value read as `Null`.
 pub(crate) fn read_value(db: &Database, table: &str, key: &str) -> BeldiResult<Value> {
-    Ok(read_tail_row(db, table, key)?
-        .and_then(|row| row.get_attr(A_VALUE).cloned())
-        .unwrap_or(Value::Null))
+    read_value_cached(db, None, table, key)
 }
 
 /// What a successful DAAL write applies to the target row, beyond logging.
@@ -447,10 +458,13 @@ pub(crate) fn try_write(
     table: &str,
     key: &str,
     log_key: &str,
-    payload: &WritePayload,
+    payload: WritePayload,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
     (p.crash)(labels::DAAL_WRITE_ENTER);
+    // What case B applies: the payload, then the log entry. Built once,
+    // around the payload itself, however often the loop retries.
+    let apply = log_actions(p, log_key, true, payload.apply);
     // Bound the retry loop defensively; every iteration either makes
     // progress along the chain or observes a concurrent writer's progress,
     // so this bound is never hit in practice.
@@ -466,7 +480,7 @@ pub(crate) fn try_write(
             .tail_row_id()
             .map(str::to_owned)
             .unwrap_or_else(|| ROW_HEAD.to_owned());
-        match write_at(p, table, key, &start, log_key, payload, user_cond)? {
+        match write_at(p, table, key, &start, log_key, &apply, user_cond)? {
             Some(outcome) => return Ok(outcome),
             // The local view went stale (e.g. the GC deleted the candidate
             // row under us); rebuild it and retry.
@@ -487,26 +501,21 @@ const MAX_CHASE: usize = 128;
 /// The condition of case B / B1: this step is not yet logged in the row,
 /// the log has room, and the row is still the tail.
 fn case_b_cond(p: &DaalParams<'_>, log_key: &str) -> Cond {
-    Cond::not_exists(Path::attr(A_WRITES).then_attr(log_key))
+    Cond::not_exists(Path::attr(A_WRITES).then_attr(log_key.to_owned()))
         .and(Cond::not_exists(A_LOG_SIZE).or(Cond::lt(A_LOG_SIZE, Value::Int(p.capacity as i64))))
         .and(Cond::not_exists(A_NEXT_ROW))
 }
 
-/// The bookkeeping every successful log append performs.
-fn log_actions(p: &DaalParams<'_>, log_key: &str, flag: bool) -> Update {
-    Update::new()
+/// Appends to `update` the bookkeeping every successful log append
+/// performs.
+fn log_actions(p: &DaalParams<'_>, log_key: &str, flag: bool, update: Update) -> Update {
+    update
         .inc(A_LOG_SIZE, 1)
-        .set(Path::attr(A_WRITES).then_attr(log_key), Value::Bool(flag))
+        .set(
+            Path::attr(A_WRITES).then_attr(log_key.to_owned()),
+            Value::Bool(flag),
+        )
         .set_if_absent(A_CREATED, Value::Int(p.now_ms as i64))
-}
-
-/// Merges two update fragments.
-fn merge(a: &Update, b: &Update) -> Update {
-    let mut out = a.clone();
-    for action in b.actions() {
-        out = out.push(action.clone());
-    }
-    out
 }
 
 /// Runs the tail protocol starting from row `row_id`.
@@ -519,7 +528,7 @@ fn write_at(
     key: &str,
     row_id: &str,
     log_key: &str,
-    payload: &WritePayload,
+    apply: &Update,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<Option<WriteOutcome>> {
     let mut row_id = row_id.to_owned();
@@ -544,9 +553,8 @@ fn write_at(
         if let Some(uc) = user_cond {
             cond = cond.and(uc.clone());
         }
-        let update = merge(&payload.apply, &log_actions(p, log_key, true));
         (p.crash)(labels::DAAL_WRITE_PRE_APPLY);
-        match p.db.update(table, &pk, &cond, &update) {
+        match p.db.update(table, &pk, &cond, apply) {
             Ok(()) => {
                 (p.crash)(labels::DAAL_WRITE_POST_APPLY);
                 return Ok(Some(WriteOutcome::Applied));
@@ -559,7 +567,7 @@ fn write_at(
         // at the serialization point; log the failed outcome.
         if user_cond.is_some() {
             let cond = case_b_cond(p, log_key).and(existence);
-            let update = log_actions(p, log_key, false);
+            let update = log_actions(p, log_key, false, Update::new());
             (p.crash)(labels::DAAL_WRITE_PRE_LOG_FALSE);
             match p.db.update(table, &pk, &cond, &update) {
                 Ok(()) => {
@@ -601,7 +609,7 @@ fn write_at(
             }
             return Ok(None);
         };
-        if let Ok(Some(flag)) = row.get_path(&Path::attr(A_WRITES).then_attr(log_key)) {
+        if let Some(flag) = row.get_attr(A_WRITES).and_then(|w| w.get_attr(log_key)) {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
             return Ok(Some(WriteOutcome::from_flag(flag)));
@@ -777,7 +785,7 @@ mod tests {
                 "t",
                 key,
                 log_key,
-                &WritePayload::set_value(Value::Int(v)),
+                WritePayload::set_value(Value::Int(v)),
                 None,
             )
             .unwrap()
@@ -795,7 +803,7 @@ mod tests {
                 "t",
                 key,
                 log_key,
-                &WritePayload::set_value(Value::Int(v)),
+                WritePayload::set_value(Value::Int(v)),
                 Some(&cond),
             )
             .unwrap()
@@ -926,7 +934,7 @@ mod tests {
             "t",
             "k",
             "a#1",
-            &WritePayload::set_lock(owner.clone()),
+            WritePayload::set_lock(owner.clone()),
             Some(&free),
         )
         .unwrap();
@@ -938,7 +946,7 @@ mod tests {
             "t",
             "k",
             "b#0",
-            &WritePayload::set_lock(crate::txn::lock_owner_value("txn-2", 30)),
+            WritePayload::set_lock(crate::txn::lock_owner_value("txn-2", 30)),
             Some(&free),
         )
         .unwrap();
@@ -998,6 +1006,29 @@ mod tests {
             Value::Null
         );
         assert!(cache.get("t", "nope").is_none(), "no negative caching");
+    }
+
+    #[test]
+    fn cached_row_without_value_or_successor_is_a_valid_hit() {
+        // The validating get asks for `Value` and `NextRow`; a tail that
+        // has neither comes back empty, not absent.
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        f.db.put(
+            "t",
+            beldi_value::vmap! { A_KEY => "k", A_ROW_ID => ROW_HEAD, A_LOG_SIZE => 0i64 },
+        )
+        .unwrap();
+        cache.put("t", "k", ROW_HEAD);
+        let before = f.db.metrics();
+        assert_eq!(
+            read_value_cached(&f.db, Some(&cache), "t", "k").unwrap(),
+            Value::Null
+        );
+        let d = f.db.metrics().delta(&before);
+        assert_eq!((d.gets, d.queries), (1, 0), "one get, no traversal");
+        assert_eq!(cache.stats(), (1, 0));
+        assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
     }
 
     #[test]

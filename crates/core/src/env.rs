@@ -362,7 +362,7 @@ impl<'a> RootCall<'a> {
             core,
             name,
             instance,
-            envelope: Envelope::root_call(instance, input, false).to_value(),
+            envelope: Envelope::root_call(instance, input, false).into_value(),
             attempts_left: match core.config.mode {
                 Mode::Baseline => 1,
                 _ => max_attempts.max(1),
@@ -404,7 +404,7 @@ impl<'a> RootCall<'a> {
     /// `Continue` means back off and try [`RootCall::next_attempt`].
     fn settle(&mut self, reply: Result<Value, InvokeError>) -> ControlFlow<BeldiResult<Value>> {
         let err = match reply {
-            Ok(v) => return ControlFlow::Break(Outcome::from_value(&v).into_result()),
+            Ok(v) => return ControlFlow::Break(Outcome::from_value(v).into_result()),
             Err(e) if self.core.config.mode == Mode::Baseline => {
                 return ControlFlow::Break(Err(BeldiError::Invoke(e)))
             }
@@ -418,7 +418,7 @@ impl<'a> RootCall<'a> {
             Ok(Some(rec)) if rec.done => {
                 self.core.record_recovery(self.instance, rec.created_ms);
                 let ret = rec.ret.unwrap_or(Value::Null);
-                ControlFlow::Break(Outcome::from_value(&ret).into_result())
+                ControlFlow::Break(Outcome::from_value(ret).into_result())
             }
             Ok(_) => ControlFlow::Continue(()),
             Err(e) => ControlFlow::Break(Err(e)),
@@ -595,14 +595,14 @@ impl BeldiEnv {
     /// finish the execution even if this initial dispatch is lost.
     pub fn invoke_async(&self, name: &str, input: Value) -> BeldiResult<String> {
         let instance = self.core.platform.new_uuid();
-        let envelope = Envelope::root_call(&instance, input, true);
+        let envelope = Envelope::root_call(&instance, input, true).into_value();
         if self.core.config.mode != Mode::Baseline {
             let now_ms = self.clock().now().as_millis();
             intent::register(
                 &self.core.db,
                 &schema::intent_table(name),
                 &instance,
-                envelope.to_value(),
+                envelope.clone(),
                 true,
                 None,
                 now_ms,
@@ -610,7 +610,7 @@ impl BeldiEnv {
         }
         self.core
             .platform
-            .invoke_async(name, envelope.to_value())
+            .invoke_async(name, envelope)
             .map_err(BeldiError::Invoke)?;
         Ok(instance)
     }
@@ -974,6 +974,8 @@ fn collector_handler<R: Collector>(
         let crash = |label: &str| faults.crash_point(&instance, label);
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| R::run(&core, &ssf, &crash)));
+        // A pass id is used once: done or killed, the injector can let go.
+        faults.forget(&instance);
         busy.store(false, Ordering::Release);
         match result {
             // Collector failures are non-fatal: the next timer tick retries.

@@ -44,11 +44,11 @@ use crate::daal;
 use crate::env::EnvCore;
 use crate::error::BeldiResult;
 use crate::ids::parse_log_key;
-use crate::intent::{self, IntentRecord};
+use crate::intent;
 use crate::labels;
 use crate::schema::{
-    self, A_APPENDED, A_CREATED, A_DANGLE, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER, A_ROW_ID,
-    A_WRITES, ROW_HEAD,
+    self, A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW,
+    A_OWNER, A_ROW_ID, A_WRITES, ROW_HEAD,
 };
 
 /// Summary of one garbage-collector pass.
@@ -179,22 +179,24 @@ pub(crate) fn run_gc_with(
     // timeouts, so the remainder waits for later passes.
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
     let mut recyclable: Vec<String> = Vec::new();
-    let rows = db.scan_all(&intent_table, &ScanRequest::all())?;
-    for row in &rows {
-        let Some(rec) = IntentRecord::from_row(row) else {
+    // Classifying needs three small attributes; the envelopes (`Args`,
+    // `Ret`) that make up most of an intent row stay in the store.
+    let classify = ScanRequest::all().with_projection(Projection::attrs([A_ID, A_DONE, A_FINISH]));
+    for row in db.scan_all(&intent_table, &classify)? {
+        let Some(id) = row.get_str(A_ID) else {
             continue;
         };
-        if !rec.done {
+        if !row.get_bool(A_DONE).unwrap_or(false) {
             continue;
         }
-        match rec.finish_ms {
+        match row.get_int(A_FINISH).map(|f| f as u64) {
             None if report.finish_stamped < batch_limit => {
-                intent::stamp_finish(db, &intent_table, &rec.id, now_ms)?;
+                intent::stamp_finish(db, &intent_table, id, now_ms)?;
                 report.finish_stamped += 1;
             }
             None => {}
             Some(f) if now_ms.saturating_sub(f) > t_ms && recyclable.len() < batch_limit => {
-                recyclable.push(rec.id.clone());
+                recyclable.push(id.to_owned());
             }
             Some(_) => {}
         }
@@ -256,9 +258,13 @@ pub(crate) fn run_gc_with(
     }
     (hooks.crash)(labels::GC_POST_DAAL);
 
-    // Step 6: remove the recycled intents themselves.
+    // Step 6: remove the recycled intents themselves — and, with each,
+    // what the fault injector kept about the instance. From here on the
+    // id can only come back as a zombie past its lease, whose counters
+    // start over.
     for id in &recyclable {
         intent::delete(db, &intent_table, id)?;
+        core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
     (hooks.crash)(labels::GC_EXIT);
@@ -661,6 +667,56 @@ mod tests {
         e2.clock().sleep(Duration::from_millis(120));
         let report = run_gc_with(e2.test_core(), "f", &GcHooks::none()).unwrap();
         assert_eq!(report.deleted_rows, 1, "expired unreachable row reclaimed");
+    }
+
+    /// Steps 1–2 look at `Id`, `Done` and `FinishTime`: what they read
+    /// must not depend on how large the intents' envelopes are.
+    #[test]
+    fn classify_scan_reads_the_same_bytes_whatever_the_envelopes_hold() {
+        use std::cell::Cell;
+        // `(bytes read by steps 1–2, report)` of the stamping pass and of
+        // the recycling pass, over five intents with `input`-sized `Args`
+        // and `Ret`.
+        let passes = |input: usize| {
+            let e = BeldiEnv::for_tests_with(
+                BeldiConfig::beldi().with_t_max(Duration::from_millis(50)),
+            );
+            e.register_ssf("echo", &[], std::sync::Arc::new(|_, input| Ok(input)));
+            for i in 0..5 {
+                let big = Value::from("x".repeat(input));
+                e.invoke_as("echo", &format!("i-{i}"), big).unwrap();
+            }
+            let mut out = Vec::new();
+            for _ in 0..2 {
+                let start = e.db_metrics().bytes_read;
+                let classify = Cell::new(0);
+                let at_boundary = |label: &str| {
+                    if label == labels::GC_POST_CLASSIFY {
+                        classify.set(e.db_metrics().bytes_read - start);
+                    }
+                };
+                let hooks = GcHooks {
+                    crash: &at_boundary,
+                    probe: &|_| {},
+                };
+                let report = run_gc_with(e.test_core(), "echo", &hooks).unwrap();
+                out.push((classify.get(), report));
+                e.clock().sleep(Duration::from_millis(120));
+            }
+            assert_eq!(e.db().row_count("echo.intent").unwrap(), 0);
+            out
+        };
+        let small = passes(16);
+        assert_eq!(
+            (small[0].1.finish_stamped, small[1].1.recycled_intents),
+            (5, 5)
+        );
+        assert!(
+            small[0].0 > 0 && small[0].0 < 5 * 40,
+            "{} bytes",
+            small[0].0
+        );
+        assert_eq!(passes(16 << 10), small);
     }
 
     /// The cycle guard: a fabricated cyclic chain must surface loudly —

@@ -85,7 +85,7 @@ pub(crate) fn run_ic_with(
 
     let mut report = IcReport::default();
     for row in rows {
-        let Some(rec) = IntentRecord::from_row(&row) else {
+        let Some(rec) = IntentRecord::from_row(row) else {
             continue;
         };
         if rec.args.is_null() {
@@ -108,7 +108,7 @@ pub(crate) fn run_ic_with(
         crash(labels::IC_PRE_RESTART);
         // Re-fire the original envelope. Failures here are fine: the next
         // pass tries again.
-        if core.platform.invoke_async(ssf, rec.args.clone()).is_ok() {
+        if core.platform.invoke_async(ssf, rec.args).is_ok() {
             report.restarted += 1;
         }
     }

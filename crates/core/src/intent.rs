@@ -37,35 +37,34 @@ pub(crate) struct IntentRecord {
     pub created_ms: u64,
     /// Last (re-)launch timestamp (virtual ms), advanced by the IC.
     pub last_launch_ms: u64,
-    /// GC finish timestamp, stamped by the first GC pass after `Done`.
-    pub finish_ms: Option<u64>,
 }
 
 impl IntentRecord {
-    /// Decodes an intent row; rows with unknown shape decode defensively
-    /// (the GC must tolerate anything it scans).
-    pub fn from_row(row: &Value) -> Option<Self> {
+    /// Decodes an intent row, taking `Args` and `Ret` out of it; rows
+    /// with unknown shape decode defensively (the collectors must
+    /// tolerate anything they scan).
+    pub fn from_row(mut row: Value) -> Option<Self> {
         let id = row.get_str(A_ID)?.to_owned();
         Some(IntentRecord {
             id,
             done: row.get_bool(A_DONE).unwrap_or(false),
             is_async: row.get_bool(A_ASYNC).unwrap_or(false),
-            args: row.get_attr(A_ARGS).cloned().unwrap_or(Value::Null),
-            ret: row.get_attr(A_RET).cloned().filter(|v| !v.is_null()),
+            args: row.take_attr(A_ARGS).unwrap_or(Value::Null),
+            ret: row.take_attr(A_RET).filter(|v| !v.is_null()),
             caller: row.get_str(A_CALLER).map(str::to_owned),
             created_ms: row.get_int(A_CREATED).unwrap_or(0) as u64,
             last_launch_ms: row.get_int(A_LAST_LAUNCH).unwrap_or(0) as u64,
-            finish_ms: row.get_int(A_FINISH).map(|v| v as u64),
         })
     }
 }
 
 /// Registers an intent if it is not already present.
 ///
-/// Returns the *authoritative* record: the fresh one on first execution,
-/// or the existing one when this is a re-execution (in which case the
-/// caller must honor an already-set `Done` flag by replaying the recorded
-/// return value).
+/// `None` means this registration won: the record is exactly what was
+/// passed in, created at `now_ms`, not done (no read-back, and no copy of
+/// `args` kept to describe it). `Some` is the record a previous execution
+/// registered — the *authoritative* one: the caller must honor an
+/// already-set `Done` flag by replaying the recorded return value.
 pub(crate) fn register(
     db: &Database,
     table: &str,
@@ -74,46 +73,33 @@ pub(crate) fn register(
     is_async: bool,
     caller: Option<&str>,
     now_ms: u64,
-) -> BeldiResult<IntentRecord> {
+) -> BeldiResult<Option<IntentRecord>> {
     let pk = PrimaryKey::hash(id);
     let mut update = Update::new()
         .set(A_DONE, Value::Bool(false))
         .set(A_ASYNC, Value::Bool(is_async))
-        .set(A_ARGS, args.clone())
+        .set(A_ARGS, args)
         .set(A_CREATED, Value::Int(now_ms as i64))
         .set(A_LAST_LAUNCH, Value::Int(now_ms as i64));
     if let Some(c) = caller {
         update = update.set(A_CALLER, Value::from(c));
     }
     match db.update(table, &pk, &Cond::not_exists(A_ID), &update) {
-        Ok(()) => {
-            // Our registration won: the record is exactly what we wrote,
-            // no read-back needed (one round trip saved on the hot path).
-            return Ok(IntentRecord {
-                id: id.to_owned(),
-                done: false,
-                is_async,
-                args,
-                ret: None,
-                caller: caller.map(str::to_owned),
-                created_ms: now_ms,
-                last_launch_ms: now_ms,
-                finish_ms: None,
-            });
-        }
+        Ok(()) => return Ok(None),
         Err(DbError::ConditionFailed) => {}
         Err(e) => return Err(e.into()),
     }
     // A previous execution registered first; its record is authoritative.
-    load(db, table, id)?.ok_or_else(|| {
+    let earlier = load(db, table, id)?.ok_or_else(|| {
         crate::error::BeldiError::Protocol(format!("intent {id} vanished after registration"))
-    })
+    })?;
+    Ok(Some(earlier))
 }
 
 /// Loads an intent record, if present.
 pub(crate) fn load(db: &Database, table: &str, id: &str) -> BeldiResult<Option<IntentRecord>> {
     let row = db.get(table, &PrimaryKey::hash(id), None)?;
-    Ok(row.as_ref().and_then(IntentRecord::from_row))
+    Ok(row.and_then(IntentRecord::from_row))
 }
 
 /// Marks an intent as done, recording its outcome envelope.
@@ -180,13 +166,15 @@ mod tests {
     fn register_is_first_wins() {
         let db = db();
         let a = register(&db, "i", "x", Value::Int(1), false, Some("caller"), 5).unwrap();
-        assert_eq!(a.args, Value::Int(1));
-        assert_eq!(a.caller.as_deref(), Some("caller"));
-        assert!(!a.done);
+        assert!(a.is_none(), "the first registration wins");
         // A re-execution re-registers with different args; the original
-        // registration wins.
-        let b = register(&db, "i", "x", Value::Int(2), false, None, 9).unwrap();
+        // registration is what it gets back.
+        let b = register(&db, "i", "x", Value::Int(2), false, None, 9)
+            .unwrap()
+            .expect("the earlier record");
         assert_eq!(b.args, Value::Int(1));
+        assert_eq!(b.caller.as_deref(), Some("caller"));
+        assert!(!b.done);
         assert_eq!(b.created_ms, 5);
     }
 
@@ -215,14 +203,18 @@ mod tests {
     #[test]
     fn finish_stamp_is_sticky() {
         let db = db();
+        let finish = || {
+            let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
+            row.get_int(A_FINISH)
+        };
         register(&db, "i", "x", Value::Null, false, None, 0).unwrap();
         // Not done yet: no stamp.
         stamp_finish(&db, "i", "x", 7).unwrap();
-        assert_eq!(load(&db, "i", "x").unwrap().unwrap().finish_ms, None);
+        assert_eq!(finish(), None);
         mark_done(&db, "i", "x", Value::Null).unwrap();
         stamp_finish(&db, "i", "x", 7).unwrap();
         stamp_finish(&db, "i", "x", 99).unwrap();
-        assert_eq!(load(&db, "i", "x").unwrap().unwrap().finish_ms, Some(7));
+        assert_eq!(finish(), Some(7));
     }
 
     #[test]

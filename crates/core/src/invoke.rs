@@ -117,8 +117,9 @@ impl Envelope {
         }
     }
 
-    /// Serializes the envelope for the platform payload.
-    pub fn to_value(&self) -> Value {
+    /// Serializes the envelope for the platform payload. The envelope's
+    /// fields move into it.
+    pub fn into_value(self) -> Value {
         let mut m = Map::new();
         match self {
             Envelope::Call {
@@ -130,82 +131,66 @@ impl Envelope {
             } => {
                 m.insert(K_OP.into(), "call".into());
                 if let Some(id) = id {
-                    m.insert(K_ID.into(), id.as_str().into());
+                    m.insert(K_ID.into(), id.into());
                 }
-                m.insert(K_INPUT.into(), input.clone());
+                m.insert(K_INPUT.into(), input);
                 if let Some(c) = caller {
-                    m.insert(K_CALLER.into(), c.as_str().into());
+                    m.insert(K_CALLER.into(), c.into());
                 }
                 if let Some(t) = txn {
                     m.insert(K_TXN.into(), t.to_value());
                 }
-                m.insert(K_ASYNC.into(), Value::Bool(*is_async));
+                m.insert(K_ASYNC.into(), Value::Bool(is_async));
             }
             Envelope::Callback { callee_id, result } => {
                 m.insert(K_OP.into(), "callback".into());
-                m.insert(K_CALLEE_ID.into(), callee_id.as_str().into());
+                m.insert(K_CALLEE_ID.into(), callee_id.into());
                 if let Some(r) = result {
-                    m.insert(K_RESULT.into(), r.clone());
+                    m.insert(K_RESULT.into(), r);
                 }
             }
             Envelope::AsyncReg { id, input, caller } => {
                 m.insert(K_OP.into(), "asyncreg".into());
-                m.insert(K_ID.into(), id.as_str().into());
-                m.insert(K_INPUT.into(), input.clone());
-                m.insert(K_CALLER.into(), caller.as_str().into());
+                m.insert(K_ID.into(), id.into());
+                m.insert(K_INPUT.into(), input);
+                m.insert(K_CALLER.into(), caller.into());
             }
             Envelope::TxnSignal { id, txn } => {
                 m.insert(K_OP.into(), "txnsignal".into());
-                m.insert(K_ID.into(), id.as_str().into());
+                m.insert(K_ID.into(), id.into());
                 m.insert(K_TXN.into(), txn.to_value());
             }
         }
         Value::Map(m)
     }
 
-    /// Parses a platform payload back into an envelope.
-    pub fn from_value(v: &Value) -> BeldiResult<Self> {
+    /// Parses a platform payload back into an envelope, taking the
+    /// fields out of its map.
+    pub fn from_value(mut v: Value) -> BeldiResult<Self> {
         let op = v
-            .get_str(K_OP)
+            .take_str(K_OP)
             .ok_or_else(|| BeldiError::Protocol("payload is not a Beldi envelope".into()))?;
-        match op {
+        let missing = |what: &str| BeldiError::Protocol(format!("{op} missing {what}"));
+        match op.as_str() {
             "call" => Ok(Envelope::Call {
-                id: v.get_str(K_ID).map(str::to_owned),
-                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
-                caller: v.get_str(K_CALLER).map(str::to_owned),
-                txn: match v.get_attr(K_TXN) {
-                    Some(t) => Some(TxnContext::from_value(t)?),
-                    None => None,
-                },
+                id: v.take_str(K_ID),
+                caller: v.take_str(K_CALLER),
+                input: v.take_attr(K_INPUT).unwrap_or(Value::Null),
+                txn: v.get_attr(K_TXN).map(TxnContext::from_value).transpose()?,
                 is_async: v.get_bool(K_ASYNC).unwrap_or(false),
             }),
             "callback" => Ok(Envelope::Callback {
-                callee_id: v
-                    .get_str(K_CALLEE_ID)
-                    .ok_or_else(|| BeldiError::Protocol("callback missing CalleeId".into()))?
-                    .to_owned(),
-                result: v.get_attr(K_RESULT).cloned(),
+                callee_id: v.take_str(K_CALLEE_ID).ok_or_else(|| missing("CalleeId"))?,
+                result: v.take_attr(K_RESULT),
             }),
             "asyncreg" => Ok(Envelope::AsyncReg {
-                id: v
-                    .get_str(K_ID)
-                    .ok_or_else(|| BeldiError::Protocol("asyncreg missing Id".into()))?
-                    .to_owned(),
-                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
-                caller: v
-                    .get_str(K_CALLER)
-                    .ok_or_else(|| BeldiError::Protocol("asyncreg missing Caller".into()))?
-                    .to_owned(),
+                id: v.take_str(K_ID).ok_or_else(|| missing("Id"))?,
+                caller: v.take_str(K_CALLER).ok_or_else(|| missing("Caller"))?,
+                input: v.take_attr(K_INPUT).unwrap_or(Value::Null),
             }),
             "txnsignal" => Ok(Envelope::TxnSignal {
-                id: v
-                    .get_str(K_ID)
-                    .ok_or_else(|| BeldiError::Protocol("txnsignal missing Id".into()))?
-                    .to_owned(),
-                txn: TxnContext::from_value(
-                    v.get_attr(K_TXN)
-                        .ok_or_else(|| BeldiError::Protocol("txnsignal missing TxnCtx".into()))?,
-                )?,
+                id: v.take_str(K_ID).ok_or_else(|| missing("Id"))?,
+                txn: TxnContext::from_value(v.get_attr(K_TXN).ok_or_else(|| missing("TxnCtx"))?)?,
             }),
             other => Err(BeldiError::Protocol(format!(
                 "unknown envelope op `{other}`"
@@ -229,24 +214,26 @@ pub(crate) enum Outcome {
 }
 
 impl Outcome {
-    /// Serializes the outcome.
-    pub fn to_value(&self) -> Value {
+    /// Serializes the outcome; the return value moves into it.
+    pub fn into_value(self) -> Value {
         match self {
-            Outcome::Ok(v) => beldi_value::vmap! { "Outcome" => "ok", "Ret" => v.clone() },
+            Outcome::Ok(v) => beldi_value::vmap! { "Outcome" => "ok", "Ret" => v },
             Outcome::Abort => beldi_value::vmap! { "Outcome" => "abort" },
-            Outcome::Error(m) => {
-                beldi_value::vmap! { "Outcome" => "error", "Msg" => m.as_str() }
-            }
+            Outcome::Error(m) => beldi_value::vmap! { "Outcome" => "error", "Msg" => m },
         }
     }
 
-    /// Parses an outcome; malformed payloads decode as errors so a caller
-    /// never mistakes infrastructure failures for success.
-    pub fn from_value(v: &Value) -> Self {
+    /// Parses an outcome, taking the return value out of it; malformed
+    /// payloads decode as errors so a caller never mistakes
+    /// infrastructure failures for success.
+    pub fn from_value(mut v: Value) -> Self {
         match v.get_str("Outcome") {
-            Some("ok") => Outcome::Ok(v.get_attr("Ret").cloned().unwrap_or(Value::Null)),
+            Some("ok") => Outcome::Ok(v.take_attr("Ret").unwrap_or(Value::Null)),
             Some("abort") => Outcome::Abort,
-            Some("error") => Outcome::Error(v.get_str("Msg").unwrap_or("unknown error").to_owned()),
+            Some("error") => Outcome::Error(
+                v.take_str("Msg")
+                    .unwrap_or_else(|| "unknown error".to_owned()),
+            ),
             _ => Outcome::Error(format!("malformed outcome envelope: {v}")),
         }
     }
@@ -275,10 +262,11 @@ pub(crate) struct InvokeEntry {
 }
 
 impl InvokeEntry {
-    fn from_row(row: &Value) -> Option<Self> {
+    /// Decodes a row read from the invoke log, taking its fields.
+    fn from_row(mut row: Value) -> Option<Self> {
         Some(InvokeEntry {
-            callee_id: row.get_str(A_CALLEE_ID)?.to_owned(),
-            result: row.get_attr(A_RESULT).cloned().filter(|v| !v.is_null()),
+            callee_id: row.take_str(A_CALLEE_ID)?,
+            result: row.take_attr(A_RESULT).filter(|v| !v.is_null()),
             registered: row.get_bool(A_REGISTERED).unwrap_or(false),
         })
     }
@@ -323,7 +311,7 @@ impl SsfContext {
                 let row = self.db().get(&ilog, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;
-                InvokeEntry::from_row(&row).ok_or_else(|| {
+                InvokeEntry::from_row(row).ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} malformed"))
                 })
             }
@@ -337,7 +325,7 @@ impl SsfContext {
     fn reload_entry(&self, log_key: &str) -> BeldiResult<Option<InvokeEntry>> {
         let ilog = self.invoke_log_table();
         let row = self.db().get(&ilog, &PrimaryKey::hash(log_key), None)?;
-        Ok(row.as_ref().and_then(InvokeEntry::from_row))
+        Ok(row.and_then(InvokeEntry::from_row))
     }
 
     // ---- Synchronous invocation (Figs. 8, 9, 19) ----
@@ -366,9 +354,9 @@ impl SsfContext {
             };
             let v = self
                 .platform()
-                .invoke_sync(callee, env.to_value())
+                .invoke_sync(callee, env.into_value())
                 .map_err(BeldiError::Invoke)?;
-            return Outcome::from_value(&v).into_result();
+            return Outcome::from_value(v).into_result();
         }
         let txn = self
             .txn
@@ -377,9 +365,9 @@ impl SsfContext {
         let caller = self.ssf.clone();
         let outcome = self.invoke_with_entry(callee, |callee_id| Envelope::Call {
             id: Some(callee_id.to_owned()),
-            input: input.clone(),
-            caller: Some(caller.clone()),
-            txn: txn.clone(),
+            input,
+            caller: Some(caller),
+            txn,
             is_async: false,
         })?;
         if matches!(outcome, Outcome::Abort) {
@@ -396,20 +384,26 @@ impl SsfContext {
     pub(crate) fn invoke_with_entry(
         &mut self,
         callee: &str,
-        make_envelope: impl Fn(&str) -> Envelope,
+        make_envelope: impl FnOnce(&str) -> Envelope,
     ) -> BeldiResult<Outcome> {
         let step = self.step;
         let entry = self.invoke_entry(callee)?;
-        if let Some(r) = &entry.result {
+        if let Some(r) = entry.result {
             // A previous execution already has the callee's result.
             return Ok(Outcome::from_value(r));
         }
         let log_key = crate::ids::log_key(&self.instance, step);
-        let envelope = make_envelope(&entry.callee_id).to_value();
+        let mut envelope = make_envelope(&entry.callee_id).into_value();
         self.crash(labels::INVOKE_PRE_CALL);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
-            match self.platform().invoke_sync(callee, envelope.clone()) {
-                Ok(v) => return Ok(Outcome::from_value(&v)),
+            // A copy is kept while a retry may still need it.
+            let payload = if attempt + 1 < MAX_INVOKE_ATTEMPTS {
+                envelope.clone()
+            } else {
+                std::mem::take(&mut envelope)
+            };
+            match self.platform().invoke_sync(callee, payload) {
+                Ok(v) => return Ok(Outcome::from_value(v)),
                 Err(_) => {
                     // The callee (or the response channel) died. Its
                     // callback may still have recorded the result.
@@ -429,7 +423,7 @@ impl SsfContext {
                                     self.core.record_recovery(&entry.callee_id, rec.created_ms);
                                 }
                             }
-                            return Ok(Outcome::from_value(&r));
+                            return Ok(Outcome::from_value(r));
                         }
                     }
                     if attempt + 1 < MAX_INVOKE_ATTEMPTS {
@@ -469,7 +463,7 @@ impl SsfContext {
                 is_async: true,
             };
             self.platform()
-                .invoke_async(callee, env.to_value())
+                .invoke_async(callee, env.into_value())
                 .map_err(BeldiError::Invoke)?;
             return Ok(());
         }
@@ -480,12 +474,13 @@ impl SsfContext {
         // Step 1: ensure the callee's intent is registered (skippable when
         // a previous execution got the registration confirmed).
         if !entry.registered {
+            // The input is needed again for the call itself (step 2).
             let reg = Envelope::AsyncReg {
                 id: entry.callee_id.clone(),
                 input: input.clone(),
                 caller: self.ssf.clone(),
             }
-            .to_value();
+            .into_value();
             self.crash(labels::INVOKE_PRE_ASYNCREG);
             let mut ok = false;
             for attempt in 0..MAX_INVOKE_ATTEMPTS {
@@ -515,7 +510,7 @@ impl SsfContext {
             txn: None,
             is_async: true,
         }
-        .to_value();
+        .into_value();
         self.crash(labels::INVOKE_PRE_ASYNC_CALL);
         self.platform()
             .invoke_async(callee, call)
@@ -536,15 +531,17 @@ pub(crate) fn send_callback(
     core: &EnvCore,
     caller_fn: &str,
     callee_id: &str,
-    result: Option<Value>,
+    result: Option<&Value>,
 ) -> bool {
-    let envelope = Envelope::Callback {
-        callee_id: callee_id.to_owned(),
-        result,
-    }
-    .to_value();
     for attempt in 0..MAX_INVOKE_ATTEMPTS {
-        match core.platform.invoke_sync(caller_fn, envelope.clone()) {
+        // The payload's copy of the result is made per attempt, so the
+        // one delivery that usually suffices costs one.
+        let envelope = Envelope::Callback {
+            callee_id: callee_id.to_owned(),
+            result: result.cloned(),
+        }
+        .into_value();
+        match core.platform.invoke_sync(caller_fn, envelope) {
             Ok(_) => return true,
             Err(_) if attempt + 1 < MAX_INVOKE_ATTEMPTS => {
                 core.platform.clock().sleep(RETRY_BACKOFF);
@@ -565,7 +562,7 @@ pub(crate) fn handle_callback(
     core: &EnvCore,
     ssf: &str,
     callee_id: &str,
-    result: Option<&Value>,
+    mut result: Option<Value>,
 ) -> BeldiResult<()> {
     let ilog = invoke_log_table(ssf);
     let rows = core.db.index_query(
@@ -574,14 +571,22 @@ pub(crate) fn handle_callback(
         &Value::from(callee_id),
         &ScanRequest::all(),
     )?;
-    for row in rows {
+    let last = rows.len().saturating_sub(1);
+    for (i, row) in rows.iter().enumerate() {
         let Some(log_key) = row.get_str(A_LOG_KEY) else {
             continue;
         };
         let pk = PrimaryKey::hash(log_key);
+        // One entry per callee id, as a rule: the result moves into its
+        // update, and is copied only for entries before the last.
+        let result = if i < last {
+            result.clone()
+        } else {
+            result.take()
+        };
         let update = match result {
             Some(r) => Update::new()
-                .set_if_absent(A_RESULT, r.clone())
+                .set_if_absent(A_RESULT, r)
                 .set(A_REGISTERED, Value::Bool(true)),
             None => Update::new().set(A_REGISTERED, Value::Bool(true)),
         };
@@ -646,30 +651,71 @@ mod tests {
             },
         ];
         for e in cases {
-            assert_eq!(Envelope::from_value(&e.to_value()).unwrap(), e);
+            assert_eq!(Envelope::from_value(e.clone().into_value()).unwrap(), e);
         }
     }
 
     #[test]
     fn non_envelope_payload_rejected() {
-        assert!(Envelope::from_value(&Value::Int(3)).is_err());
-        assert!(Envelope::from_value(&beldi_value::vmap! { "Op" => "bogus" }).is_err());
+        let protocol_error = |payload: Value| match Envelope::from_value(payload) {
+            Err(BeldiError::Protocol(msg)) => msg,
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        // Not a map; a map without `Op`; an `Op` that is not a string.
+        for payload in [
+            Value::Int(3),
+            Value::from("call"),
+            beldi_value::vmap! { "Id" => "i-1" },
+            beldi_value::vmap! { "Op" => 7i64 },
+        ] {
+            assert_eq!(protocol_error(payload), "payload is not a Beldi envelope");
+        }
+        assert_eq!(
+            protocol_error(beldi_value::vmap! { "Op" => "bogus" }),
+            "unknown envelope op `bogus`"
+        );
+        // A string where a field's map is expected.
+        assert_eq!(
+            protocol_error(beldi_value::vmap! { "Op" => "call", "TxnCtx" => "t" }),
+            "txn ctx missing Id"
+        );
+        assert_eq!(
+            protocol_error(beldi_value::vmap! { "Op" => "txnsignal", "Id" => "s" }),
+            "txnsignal missing TxnCtx"
+        );
+        assert_eq!(
+            protocol_error(beldi_value::vmap! { "Op" => "callback", "CalleeId" => 1i64 }),
+            "callback missing CalleeId"
+        );
     }
 
     #[test]
     fn outcome_round_trips() {
         for o in [
             Outcome::Ok(Value::Int(1)),
+            Outcome::Ok(beldi_value::vmap! { "Outcome" => "nested", "Ret" => 2i64 }),
             Outcome::Abort,
             Outcome::Error("boom".into()),
         ] {
-            assert_eq!(Outcome::from_value(&o.to_value()), o);
+            assert_eq!(Outcome::from_value(o.clone().into_value()), o);
         }
         // Malformed outcomes decode as errors, never as success.
-        assert!(matches!(
-            Outcome::from_value(&Value::Null),
-            Outcome::Error(_)
-        ));
+        for v in [
+            Value::Null,
+            Value::from("ok"),
+            beldi_value::vmap! { "Outcome" => 1i64, "Ret" => 2i64 },
+        ] {
+            assert!(matches!(Outcome::from_value(v), Outcome::Error(_)));
+        }
+        // A return value is optional, a message too.
+        assert_eq!(
+            Outcome::from_value(beldi_value::vmap! { "Outcome" => "ok" }),
+            Outcome::Ok(Value::Null)
+        );
+        assert_eq!(
+            Outcome::from_value(beldi_value::vmap! { "Outcome" => "error", "Msg" => 5i64 }),
+            Outcome::Error("unknown error".into())
+        );
     }
 
     #[test]

@@ -174,10 +174,8 @@ impl SsfContext {
         self.crash(labels::WRITE_ENTER);
         let out = match self.mode() {
             Mode::Beldi => self.daal_params().with(|p| {
-                let wp = WritePayload {
-                    apply: payload.clone(),
-                };
-                daal::try_write(p, physical, key, &log_key, &wp, user_cond)
+                let payload = WritePayload { apply: payload };
+                daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
             Mode::CrossTable => {
                 let wlog = crate::schema::write_log_table(&self.ssf);
@@ -412,6 +410,31 @@ mod tests {
         assert_eq!(cached_vals, plain_vals, "cache must not change values");
         assert_eq!(plain_queries, 5, "uncached: one traversal scan per read");
         assert_eq!(cached_queries, 1, "cached: only the first read scans");
+    }
+
+    #[test]
+    fn read_bills_the_value_not_the_write_log() {
+        // What one read fetches when the key's tail row carries `writes`
+        // log entries (the default row holds up to 100).
+        let one_read = |writes: usize| {
+            let env = BeldiEnv::for_tests();
+            env.register_ssf("f", &["state"], Arc::new(|_, _| Ok(Value::Null)));
+            env.seed("f", "state", "k", Value::from("v")).unwrap();
+            let mut writer = env.test_context("f", "writer");
+            for _ in 0..writes {
+                writer.write("state", "k", Value::from("v")).unwrap();
+            }
+            // The first read finds the tail; the second is the steady state.
+            env.test_context("f", "r-0").read("state", "k").unwrap();
+            let before = env.db_metrics();
+            let val = env.test_context("f", "r-1").read("state", "k").unwrap();
+            assert_eq!(val, Value::from("v"));
+            let d = env.db_metrics().delta(&before);
+            (d.gets, d.queries, d.bytes_read)
+        };
+        let bare = one_read(0);
+        assert_eq!(bare, (1, 0, "v".len() as u64 + 3 + A_VALUE.len() as u64));
+        assert_eq!(one_read(99), bare, "the write log must stay in the store");
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub(crate) fn make_handler(core: Weak<EnvCore>, name: String) -> FunctionHandler
 }
 
 fn dispatch(core: &Arc<EnvCore>, ssf: &str, ictx: &InvocationCtx, payload: Value) -> Value {
-    let envelope = match Envelope::from_value(&payload) {
+    let envelope = match Envelope::from_value(payload) {
         Ok(e) => e,
-        Err(e) => return Outcome::Error(format!("bad envelope: {e}")).to_value(),
+        Err(e) => return Outcome::Error(format!("bad envelope: {e}")).into_value(),
     };
     match envelope {
         Envelope::Call {
@@ -69,9 +69,9 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &str, ictx: &InvocationCtx, payload: Value
             }
         }
         Envelope::Callback { callee_id, result } => {
-            match invoke::handle_callback(core, ssf, &callee_id, result.as_ref()) {
-                Ok(()) => Outcome::Ok(Value::Null).to_value(),
-                Err(e) => Outcome::Error(format!("callback failed: {e}")).to_value(),
+            match invoke::handle_callback(core, ssf, &callee_id, result) {
+                Ok(()) => Outcome::Ok(Value::Null).into_value(),
+                Err(e) => Outcome::Error(format!("callback failed: {e}")).into_value(),
             }
         }
         Envelope::AsyncReg { id, input, caller } => run_async_reg(core, ssf, &id, input, &caller),
@@ -86,14 +86,14 @@ fn run_baseline(core: &Arc<EnvCore>, ssf: &str, instance: &str, input: Value) ->
         let registry = core.registry.read();
         match registry.get(ssf) {
             Some(e) => e.body.clone(),
-            None => return Outcome::Error(format!("SSF {ssf} not registered")).to_value(),
+            None => return Outcome::Error(format!("SSF {ssf} not registered")).into_value(),
         }
     };
     let mut ctx = SsfContext::new(core.clone(), ssf, instance, None, false, None);
     match body(&mut ctx, input) {
-        Ok(v) => Outcome::Ok(v).to_value(),
-        Err(BeldiError::TxnAborted) => Outcome::Abort.to_value(),
-        Err(e) => Outcome::Error(e.to_string()).to_value(),
+        Ok(v) => Outcome::Ok(v).into_value(),
+        Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
+        Err(e) => Outcome::Error(e.to_string()).into_value(),
     }
 }
 
@@ -117,51 +117,56 @@ fn run_call(
     let intent_table = crate::schema::intent_table(ssf);
     let now_ms = core.platform.clock().now().as_millis();
 
-    let record = if is_async {
+    // The record of an earlier execution of this intent, if there was one.
+    let earlier = if is_async {
         // Async stub (Fig. 20): only run intents that were registered by
         // the caller's registration step and are still incomplete, so the
         // GC can prune completed intents without interference.
         match intent::load(db, &intent_table, instance) {
-            Ok(Some(r)) if !r.done => r,
-            Ok(_) => return Outcome::Ok(Value::Null).to_value(),
-            Err(e) => return Outcome::Error(e.to_string()).to_value(),
+            Ok(Some(r)) if !r.done => Some(r),
+            Ok(_) => return Outcome::Ok(Value::Null).into_value(),
+            Err(e) => return Outcome::Error(e.to_string()).into_value(),
         }
     } else {
         // Synchronous path: register the intent (idempotent; the first
-        // registration wins and re-executions adopt it).
-        let envelope = Envelope::Call {
+        // registration wins and re-executions adopt it). Its `Args` are
+        // the call as the collector must re-send it: the body's input is
+        // the one deep copy this makes.
+        let args = Envelope::Call {
             id: Some(instance.to_owned()),
             input: input.clone(),
             caller: caller.clone(),
             txn: txn.clone(),
             is_async,
-        };
+        }
+        .into_value();
         match intent::register(
             db,
             &intent_table,
             instance,
-            envelope.to_value(),
+            args,
             is_async,
             caller.as_deref(),
             now_ms,
         ) {
             Ok(r) => r,
-            Err(e) => return Outcome::Error(e.to_string()).to_value(),
+            Err(e) => return Outcome::Error(e.to_string()).into_value(),
         }
     };
     faults.crash_point(instance, labels::WRAPPER_POST_INTENT);
+    let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
 
-    if record.done {
+    if let Some(record) = earlier.filter(|r| r.done) {
         // Completed by a previous execution: replay the recorded outcome.
         // The callback is re-issued (at-least-once) in case the original
         // completion died between callback and response delivery; the
         // *recorded* caller is authoritative (the envelope of a duplicate
         // dispatch might be stale).
-        core.record_recovery(instance, record.created_ms);
-        let outcome = record.ret.clone().unwrap_or(Value::Null);
+        core.record_recovery(instance, created_ms);
+        let outcome = record.ret.unwrap_or(Value::Null);
         if let Some(c) = &record.caller {
             if !record.is_async {
-                invoke::send_callback(core, c, instance, Some(outcome.clone()));
+                invoke::send_callback(core, c, instance, Some(&outcome));
             }
         }
         return outcome;
@@ -172,7 +177,7 @@ fn run_call(
         let registry = core.registry.read();
         match registry.get(ssf) {
             Some(e) => e.body.clone(),
-            None => return Outcome::Error(format!("SSF {ssf} not registered")).to_value(),
+            None => return Outcome::Error(format!("SSF {ssf} not registered")).into_value(),
         }
     };
     let txn_state = txn.map(TxnState::inherited);
@@ -189,7 +194,7 @@ fn run_call(
     // The intent is durably done: if this instance was ever killed by the
     // injector, its recovery completes here (crashes *after* this point
     // land in the replay path above instead).
-    core.record_recovery(instance, record.created_ms);
+    core.record_recovery(instance, created_ms);
     ret
 }
 
@@ -243,7 +248,9 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 }
 
 /// The completion sequence shared by calls and signals: callback to the
-/// caller, then mark the intent done (in that order — Fig. 9).
+/// caller, then mark the intent done (in that order — Fig. 9). Two copies
+/// of the outcome are owed — the callback's payload and the intent's
+/// `Ret` — and the outcome itself is what is returned.
 fn finish(
     core: &Arc<EnvCore>,
     ssf: &str,
@@ -253,10 +260,10 @@ fn finish(
     outcome: Outcome,
 ) -> Value {
     let instance = ctx.instance_id().to_owned();
-    let outcome_value = outcome.to_value();
+    let outcome_value = outcome.into_value();
     ctx.crash(labels::WRAPPER_PRE_CALLBACK);
     if let (Some(c), false) = (caller, is_async) {
-        if !invoke::send_callback(core, c, &instance, Some(outcome_value.clone())) {
+        if !invoke::send_callback(core, c, &instance, Some(&outcome_value)) {
             // Without the callback the caller may never learn the result;
             // crash and let the intent collector retry the whole tail.
             panic!("beldi: result callback to `{c}` undeliverable");
@@ -305,12 +312,12 @@ fn run_async_reg(
         &core.db,
         &intent_table,
         instance,
-        call.to_value(),
+        call.into_value(),
         true,
         Some(caller),
         now_ms,
     ) {
-        return Outcome::Error(e.to_string()).to_value();
+        return Outcome::Error(e.to_string()).into_value();
     }
     core.platform
         .faults()
@@ -318,7 +325,7 @@ fn run_async_reg(
     // Registration confirmation: sets `Registered` on the caller's
     // invoke-log entry. At-least-once.
     invoke::send_callback(core, caller, instance, None);
-    Outcome::Ok(Value::Null).to_value()
+    Outcome::Ok(Value::Null).into_value()
 }
 
 /// Handles a commit/abort signal (§6.2): an exactly-once instance that
@@ -333,19 +340,19 @@ fn run_txn_signal(core: &Arc<EnvCore>, ssf: &str, instance: &str, txn: crate::Tx
         id: instance.to_owned(),
         txn: txn.clone(),
     };
-    let record = match intent::register(
+    let earlier = match intent::register(
         &core.db,
         &intent_table,
         instance,
-        envelope.to_value(),
+        envelope.into_value(),
         false,
         None,
         now_ms,
     ) {
         Ok(r) => r,
-        Err(e) => return Outcome::Error(e.to_string()).to_value(),
+        Err(e) => return Outcome::Error(e.to_string()).into_value(),
     };
-    if record.done {
+    if let Some(record) = earlier.filter(|r| r.done) {
         return record.ret.unwrap_or(Value::Null);
     }
     let decision = txn.mode;

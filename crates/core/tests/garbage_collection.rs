@@ -327,6 +327,52 @@ fn timer_triggered_online_gc_bounds_tables_under_live_traffic() {
 }
 
 #[test]
+fn fault_injector_forgets_what_the_gc_recycles() {
+    // The injector keeps crash-point counters per instance id; nothing
+    // used to drop them, so a long-running process grew by one entry (and
+    // its label strings) per request, callee and collector pass. The GC
+    // retires an instance's counters with its intent, and a collector
+    // pass retires its own id.
+    let env = online_gc_env(BeldiConfig::beldi().with_collector_period(Duration::from_secs(1)));
+    env.register_ssf(
+        "leaf",
+        &["t"],
+        Arc::new(|ctx, input| {
+            ctx.write("t", "k", input)?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "front",
+        &[],
+        Arc::new(|ctx, input| ctx.sync_invoke("leaf", input)),
+    );
+    let intents = |env: &BeldiEnv| table_len(env, "front.intent") + table_len(env, "leaf.intent");
+    let faults = env.platform().faults();
+    env.start_gc();
+    for block in 0..4 {
+        for i in 0..10 {
+            env.invoke("front", Value::Int(block * 10 + i)).unwrap();
+        }
+        // Mid-run the bound already holds: whatever the injector still
+        // tracks has its intent (collector passes have retired theirs).
+        env.clock().sleep(Duration::from_secs(5));
+        let (tracked, rows) = (faults.tracked_instances(), intents(&env));
+        assert!(
+            tracked <= rows,
+            "block {block}: {tracked} tracked instances, {rows} intents"
+        );
+    }
+    // Past the recycle horizon everything is gone, from both.
+    env.clock().sleep(Duration::from_secs(40));
+    env.stop_collectors();
+    assert_eq!(env.gc_totals().report.recycled_intents, 80);
+    assert_eq!(intents(&env), 0);
+    assert_eq!(faults.tracked_instances(), 0);
+    assert_eq!(env.read_current("leaf", "t", "k").unwrap(), Value::Int(39));
+}
+
+#[test]
 fn shadow_chains_are_reclaimed_after_commit() {
     let env = BeldiEnv::for_tests_with(gc_config());
     env.register_ssf(

@@ -290,9 +290,18 @@ impl Database {
                 .map_or(now, |&busy| busy.max(now));
             let deadline = start.plus(d);
             for (t, k) in items {
-                let table = queue.busy.entry((*t).to_owned()).or_default();
-                if table.insert((*k).clone(), deadline).is_none() {
-                    queue.entries += 1;
+                // Looked up before inserted: the table name and the key
+                // are copied only the first time they are seen.
+                if !queue.busy.contains_key(*t) {
+                    queue.busy.insert((*t).to_owned(), HashMap::new());
+                }
+                let table = queue.busy.get_mut(*t).expect("just ensured");
+                match table.get_mut(*k) {
+                    Some(busy) => *busy = deadline,
+                    None => {
+                        table.insert((*k).clone(), deadline);
+                        queue.entries += 1;
+                    }
                 }
             }
             deadline
@@ -308,14 +317,15 @@ impl Database {
         projection: Option<&crate::scan::Projection>,
     ) -> DbResult<Option<Value>> {
         let t = self.handle(table)?;
+        // Projected under the lock, off the stored row: what the
+        // projection drops is never copied.
         let item = {
             let data = self.lock_partition(&t, t.route(&key.hash));
-            data.rows.get(key).cloned()
+            data.rows.get(key).map(|row| match projection {
+                Some(p) => p.apply(row),
+                None => row.clone(),
+            })
         };
-        let item = item.map(|v| match projection {
-            Some(p) => p.apply(&v),
-            None => v,
-        });
         let bytes = item.as_ref().map(SizeOf::size_bytes).unwrap_or(0);
         self.metrics.record_op(OpKind::Get);
         self.metrics.record_read_bytes(bytes);
@@ -387,7 +397,8 @@ impl Database {
     }
 
     /// Applies a conditional update under a partition lock; returns the
-    /// new row size.
+    /// new row size. An existing row is updated where it is stored
+    /// ([`PartitionData::update_row`]), never through a copy.
     fn apply_update(
         data: &mut PartitionData,
         schema: &TableSchema,
@@ -399,18 +410,16 @@ impl Database {
         if !cond_holds(cond, existing)? {
             return Err(DbError::ConditionFailed);
         }
-        let mut new_row = match existing {
-            Some(row) => row.clone(),
-            None => {
-                // Fresh row: seed it with the key attributes.
-                let mut m = beldi_value::Map::new();
-                m.insert(schema.hash_attr.clone(), key.hash.clone());
-                if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
-                    m.insert(attr.clone(), sort.clone());
-                }
-                Value::Map(m)
-            }
-        };
+        if existing.is_some() {
+            return data.update_row(key, update, schema.max_row_bytes);
+        }
+        // Fresh row: seed it with the key attributes.
+        let mut m = beldi_value::Map::new();
+        m.insert(schema.hash_attr.clone(), key.hash.clone());
+        if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
+            m.insert(attr.clone(), sort.clone());
+        }
+        let mut new_row = Value::Map(m);
         update.apply(&mut new_row)?;
         data.put_row(key.clone(), new_row, schema.max_row_bytes)
     }

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use beldi_value::{Fnv1a, SizeOf, Value};
+use beldi_value::{Fnv1a, SizeOf, Update, Value};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
@@ -92,6 +92,59 @@ impl PartitionData {
         Ok(size)
     }
 
+    /// Applies `update` to the stored row at `key`, in place: no copy of
+    /// the row is made. Returns the new size in bytes.
+    ///
+    /// All or nothing: if an action fails, or the result is over
+    /// `max_row_bytes`, the update is taken back
+    /// ([`beldi_value::UndoLog`]) and the row and the index shards are
+    /// exactly as before. Index shards move only for attributes the
+    /// update names.
+    ///
+    /// # Panics
+    ///
+    /// If there is no row at `key` (the caller evaluated its condition
+    /// against it, under the same lock).
+    pub(crate) fn update_row(
+        &mut self,
+        key: &PrimaryKey,
+        update: &Update,
+        max_row_bytes: usize,
+    ) -> DbResult<usize> {
+        let row = self.rows.get_mut(key).expect("update_row: no such row");
+        // The indexed attributes the update can change (an empty path
+        // replaces the row, so names them all), with their values now.
+        let mut named = Vec::new();
+        for (attr, index) in self.indexes.iter_mut() {
+            let names = |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr);
+            if update.actions().iter().any(|a| names(a.path())) {
+                named.push((attr.as_str(), index, row.get_attr(attr).cloned()));
+            }
+        }
+        let undo = update.apply_undoable(row)?;
+        let size = row.size_bytes();
+        if size > max_row_bytes {
+            undo.rollback(row);
+            return Err(DbError::RowTooLarge {
+                size,
+                limit: max_row_bytes,
+            });
+        }
+        for (attr, index, old) in named {
+            let new = row.get_attr(attr);
+            if old.as_ref() == new {
+                continue;
+            }
+            if let Some(old) = &old {
+                unindex(index, old, key);
+            }
+            if let Some(new) = new {
+                index.entry(new.clone()).or_default().insert(key.clone());
+            }
+        }
+        Ok(size)
+    }
+
     /// Removes a row, maintaining index shards. Returns the removed row.
     pub(crate) fn remove_row(&mut self, key: &PrimaryKey) -> Option<Value> {
         let row = self.rows.remove(key)?;
@@ -110,12 +163,7 @@ impl PartitionData {
     fn unindex_row(&mut self, key: &PrimaryKey, row: &Value) {
         for (attr, index) in self.indexes.iter_mut() {
             if let Some(v) = row.get_attr(attr) {
-                if let Some(set) = index.get_mut(v) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        index.remove(v);
-                    }
-                }
+                unindex(index, v, key);
             }
         }
     }
@@ -147,6 +195,16 @@ impl PartitionData {
             }
         }
         out
+    }
+}
+
+/// Drops `key` from the entry of `value` in one index shard.
+fn unindex(index: &mut BTreeMap<Value, BTreeSet<PrimaryKey>>, value: &Value, key: &PrimaryKey) {
+    if let Some(set) = index.get_mut(value) {
+        set.remove(key);
+        if set.is_empty() {
+            index.remove(value);
+        }
     }
 }
 
@@ -282,5 +340,218 @@ mod tests {
             p.distinct_hash_keys(),
             vec![Value::from("a"), Value::from("b")]
         );
+    }
+
+    // ---- In-place update against its specification ----
+
+    use beldi_value::{Map, Path, PathSegment, UpdateAction};
+    use proptest::prelude::*;
+
+    /// The specification of an update, written the obvious way: by
+    /// recursion, on a copy that is thrown away when an action fails.
+    /// `None` is failure.
+    fn spec_apply(update: &Update, row: &Value) -> Option<Value> {
+        fn get<'v>(v: &'v Value, segs: &[PathSegment]) -> Result<Option<&'v Value>, ()> {
+            let Some((first, rest)) = segs.split_first() else {
+                return Ok(Some(v));
+            };
+            match (first, v) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_ref()) {
+                    Some(inner) => get(inner, rest),
+                    None => Ok(None),
+                },
+                (PathSegment::Index(i), Value::List(l)) => match l.get(*i) {
+                    Some(inner) => get(inner, rest),
+                    None => Ok(None),
+                },
+                _ => Err(()),
+            }
+        }
+        fn set(v: &mut Value, segs: &[PathSegment], new: Value) -> Result<(), ()> {
+            let Some((first, rest)) = segs.split_first() else {
+                *v = new;
+                return Ok(());
+            };
+            match (first, v) {
+                (PathSegment::Attr(a), Value::Map(m)) if rest.is_empty() => {
+                    m.insert(a.to_string(), new);
+                    Ok(())
+                }
+                (PathSegment::Attr(a), Value::Map(m)) => {
+                    let inner = m.entry(a.to_string()).or_insert(Value::Map(Map::new()));
+                    set(inner, rest, new)
+                }
+                (PathSegment::Index(i), Value::List(l)) if rest.is_empty() && *i == l.len() => {
+                    l.push(new);
+                    Ok(())
+                }
+                (PathSegment::Index(i), Value::List(l)) => set(l.get_mut(*i).ok_or(())?, rest, new),
+                _ => Err(()),
+            }
+        }
+        /// Removing what is not there — or cannot be reached — is a no-op.
+        fn remove(v: &mut Value, segs: &[PathSegment]) {
+            match (segs, v) {
+                ([PathSegment::Attr(a)], Value::Map(m)) => {
+                    m.remove(a.as_ref());
+                }
+                ([PathSegment::Index(i)], Value::List(l)) if *i < l.len() => {
+                    l.remove(*i);
+                }
+                ([PathSegment::Attr(a), rest @ ..], Value::Map(m)) => {
+                    if let Some(inner) = m.get_mut(a.as_ref()) {
+                        remove(inner, rest);
+                    }
+                }
+                ([PathSegment::Index(i), rest @ ..], Value::List(l)) => {
+                    if let Some(inner) = l.get_mut(*i) {
+                        remove(inner, rest);
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut copy = row.clone();
+        for action in update.actions() {
+            let segs = action.path().segments();
+            match action {
+                UpdateAction::Set(_, v) => set(&mut copy, segs, v.clone()).ok()?,
+                UpdateAction::SetIfAbsent(_, v) => {
+                    if get(&copy, segs).ok()?.is_none() {
+                        set(&mut copy, segs, v.clone()).ok()?;
+                    }
+                }
+                UpdateAction::Inc(_, delta) => {
+                    let cur = match get(&copy, segs).ok()? {
+                        Some(Value::Int(i)) => *i,
+                        Some(_) => return None,
+                        None => 0,
+                    };
+                    set(&mut copy, segs, Value::Int(cur.checked_add(*delta)?)).ok()?;
+                }
+                UpdateAction::Remove(_) if segs.is_empty() => return None,
+                UpdateAction::Remove(_) => remove(&mut copy, segs),
+            }
+        }
+        Some(copy)
+    }
+
+    /// Paths chosen to meet every kind of node — and every way to fail,
+    /// some only after an intermediate map was created.
+    const PATHS: [&str; 16] = [
+        "Done",
+        "Owner",
+        "N",
+        "S",
+        "M.a",
+        "M.b.c",
+        "L[0]",
+        "L[1]",
+        "L[2]",
+        "L[7]",
+        "L[0].x",
+        "S.x",
+        "New.deep.leaf",
+        "New.deep[0].z",
+        "New.deep.leaf.under",
+        "M",
+    ];
+
+    fn path(i: usize) -> Path {
+        match PATHS.get(i) {
+            Some(p) => Path::parse(p).unwrap(),
+            None => Path::new(Vec::new()), // The whole row.
+        }
+    }
+
+    fn value(i: usize) -> Value {
+        match i {
+            0 => Value::Null,
+            1 => Value::Bool(true),
+            2 => Value::Bool(false),
+            3 => Value::Int(i64::MAX),
+            4 => Value::Int(1),
+            5 => Value::from("o1"),
+            6 => Value::from("x".repeat(300)),
+            7 => vmap! { "a" => 1i64, "Done" => true },
+            _ => Value::List(vec![Value::Int(1), vmap! { "x" => 2i64 }]),
+        }
+    }
+
+    fn action() -> impl Strategy<Value = UpdateAction> {
+        let (p, v) = (0..PATHS.len() + 1, 0..9usize);
+        prop_oneof![
+            (p.clone(), v.clone()).prop_map(|(p, v)| UpdateAction::Set(path(p), value(v))),
+            (p.clone(), v).prop_map(|(p, v)| UpdateAction::SetIfAbsent(path(p), value(v))),
+            (p.clone(), 0..3usize)
+                .prop_map(|(p, d)| UpdateAction::Inc(path(p), [1, -1, i64::MAX][d])),
+            p.prop_map(|p| UpdateAction::Remove(path(p))),
+        ]
+    }
+
+    /// A row holding the attributes `mask` selects, at values `pick` varies.
+    fn random_row(mask: usize, pick: usize) -> Value {
+        let mut m = Map::new();
+        m.insert("Key".into(), "k".into());
+        m.insert("RowId".into(), Value::Int(0));
+        let optional = [
+            ("Done", value(1 + pick % 2)),
+            ("Owner", value(5)),
+            ("N", value(3 + pick % 2)),
+            ("S", Value::from("s")),
+            ("M", vmap! { "a" => 1i64, "b" => vmap! { "c" => 2i64 } }),
+            ("L", value(8)),
+            ("New", vmap! { "deep" => vmap! {} }),
+        ];
+        for (bit, (name, v)) in optional.into_iter().enumerate() {
+            if mask & (1 << bit) != 0 {
+                m.insert(name.into(), v);
+            }
+        }
+        Value::Map(m)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// Updating the stored row in place is indistinguishable from the
+        /// copy–apply–`put_row` it replaced: the same row, size and index
+        /// shards when the update goes through, and nothing moved at all —
+        /// row, neighbours, shards — when it does not.
+        #[test]
+        fn update_in_place_matches_copy_apply_put(
+            mask in 0..128usize,
+            pick in 0..4usize,
+            actions in prop::collection::vec(action(), 1..6),
+        ) {
+            let s = TableSchema::hash_and_sort("Key", "RowId")
+                .with_index("Done")
+                .with_index("Owner")
+                .with_max_row_bytes(400);
+            let update = actions.into_iter().fold(Update::new(), Update::push);
+            let row = random_row(mask, pick);
+            let key = s.key_of(&row).unwrap();
+            let neighbour = vmap! { "Key" => "k", "RowId" => 1i64, "Done" => true, "Owner" => "o1" };
+            let mut p = PartitionData::new(&s);
+            put(&mut p, &s, neighbour).unwrap();
+            put(&mut p, &s, row.clone()).unwrap();
+            let mut reference = PartitionData::new(&s);
+            reference.rows = p.rows.clone();
+            reference.indexes = p.indexes.clone();
+
+            let expected = spec_apply(&update, &row)
+                .ok_or(())
+                .and_then(|new| reference.put_row(key.clone(), new, s.max_row_bytes).map_err(drop));
+            let got = p.update_row(&key, &update, s.max_row_bytes);
+            prop_assert_eq!(got.as_ref().ok(), expected.as_ref().ok(), "{} on {}", update, row);
+            if let (Err(e), Some(new)) = (&got, spec_apply(&update, &row)) {
+                prop_assert!(matches!(e, DbError::RowTooLarge { size, .. } if *size == new.size_bytes()));
+            }
+            // On failure `reference` is the untouched copy of the input.
+            prop_assert_eq!(
+                format!("{:?}", p.rows), format!("{:?}", reference.rows), "{} on {}", update, row
+            );
+            prop_assert_eq!(&p.indexes, &reference.indexes, "{} on {}", update, row);
+        }
     }
 }

@@ -25,10 +25,10 @@ impl Projection {
     pub fn attrs<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: Into<std::borrow::Cow<'static, str>>,
     {
         Projection {
-            paths: names.into_iter().map(|n| Path::attr(n.into())).collect(),
+            paths: names.into_iter().map(Path::attr).collect(),
         }
     }
 

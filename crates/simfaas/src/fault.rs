@@ -370,6 +370,25 @@ impl FaultInjector {
         self.state.lock().crash_sites.clone()
     }
 
+    /// Drops everything kept about one instance: its crash-point counters
+    /// and any scripted plan it never reached.
+    ///
+    /// For the owner of the instance's lifetime to call once the id is
+    /// retired (the garbage collector, when it deletes the intent) —
+    /// without it the injector grows by one entry per instance for the
+    /// life of the process. An id seen again afterwards starts over as a
+    /// new instance.
+    pub fn forget(&self, instance_id: &str) {
+        let mut s = self.state.lock();
+        s.instances.remove(instance_id);
+        s.plans.remove(instance_id);
+    }
+
+    /// Number of instances the injector currently keeps counters for.
+    pub fn tracked_instances(&self) -> usize {
+        self.state.lock().instances.len()
+    }
+
     /// Starts (or restarts) trace mode: subsequent crash points are
     /// recorded until [`FaultInjector::take_trace`].
     pub fn start_trace(&self) {

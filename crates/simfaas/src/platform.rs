@@ -373,6 +373,9 @@ impl Platform {
                         .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
                     (handler)(&ctx, payload)
                 }));
+                // The request id is this run's alone (a re-execution is a
+                // new request): the injector need not remember it.
+                platform.faults.forget(&ctx.request_id);
                 let reply = match result {
                     Ok(value) => {
                         platform.metrics.finish_ok();

@@ -22,6 +22,7 @@ pub mod fnv;
 pub mod json;
 mod path;
 mod size;
+mod undo;
 mod update;
 mod value;
 
@@ -30,7 +31,7 @@ pub use error::{ValueError, ValueResult};
 pub use fnv::Fnv1a;
 pub use path::{Path, PathSegment};
 pub use size::SizeOf;
-pub use update::{Update, UpdateAction};
+pub use update::{UndoLog, Update, UpdateAction};
 pub use value::{Kind, Map, Value};
 
 /// Builds a [`Value::Map`] from `key => value` pairs.

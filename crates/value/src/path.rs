@@ -1,6 +1,8 @@
 //! Attribute paths for navigating [`crate::Value`] trees.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -9,8 +11,9 @@ use crate::error::{ValueError, ValueResult};
 /// One step of a [`Path`]: a map attribute or a list index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PathSegment {
-    /// A map attribute name.
-    Attr(String),
+    /// A map attribute name: borrowed when it is a constant of the
+    /// program (schema attributes), owned when it was computed (log keys).
+    Attr(Cow<'static, str>),
     /// A list index.
     Index(usize),
 }
@@ -19,37 +22,58 @@ pub enum PathSegment {
 ///
 /// Attribute names may contain any character except `.`, `[`, and `]`;
 /// Beldi log keys (`<instance>:<step>`) therefore embed directly.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Path {
-    segments: Vec<PathSegment>,
+    repr: Repr,
+}
+
+/// Most paths name one top-level attribute; that one segment is held
+/// inline, so building the path allocates nothing.
+#[derive(Debug, Clone)]
+enum Repr {
+    One(PathSegment),
+    Many(Vec<PathSegment>),
 }
 
 impl Path {
     /// Creates a path from pre-built segments.
-    pub fn new(segments: Vec<PathSegment>) -> Self {
-        Path { segments }
+    pub fn new(mut segments: Vec<PathSegment>) -> Self {
+        let repr = match segments.len() {
+            1 => Repr::One(segments.pop().expect("length checked")),
+            _ => Repr::Many(segments),
+        };
+        Path { repr }
     }
 
     /// Creates a single-attribute path without parsing.
     ///
     /// Unlike [`Path::parse`], the attribute may contain dots or brackets;
-    /// use this for dynamic keys such as Beldi log keys.
-    pub fn attr(name: impl Into<String>) -> Self {
+    /// use this for dynamic keys such as Beldi log keys. A `&'static str`
+    /// is borrowed, a `String` is taken over; neither is copied.
+    pub fn attr(name: impl Into<Cow<'static, str>>) -> Self {
         Path {
-            segments: vec![PathSegment::Attr(name.into())],
+            repr: Repr::One(PathSegment::Attr(name.into())),
         }
     }
 
     /// Appends an attribute segment (builder style).
-    pub fn then_attr(mut self, name: impl Into<String>) -> Self {
-        self.segments.push(PathSegment::Attr(name.into()));
-        self
+    pub fn then_attr(self, name: impl Into<Cow<'static, str>>) -> Self {
+        self.then(PathSegment::Attr(name.into()))
     }
 
     /// Appends an index segment (builder style).
-    pub fn then_index(mut self, i: usize) -> Self {
-        self.segments.push(PathSegment::Index(i));
-        self
+    pub fn then_index(self, i: usize) -> Self {
+        self.then(PathSegment::Index(i))
+    }
+
+    fn then(self, segment: PathSegment) -> Self {
+        match self.repr {
+            Repr::One(first) => Path::new(vec![first, segment]),
+            Repr::Many(mut segments) => {
+                segments.push(segment);
+                Path::new(segments)
+            }
+        }
     }
 
     /// Parses a dotted path with optional `[i]` index suffixes.
@@ -76,7 +100,7 @@ impl Path {
             let attr_end = rest.find('[').unwrap_or(rest.len());
             let (attr, mut idx) = rest.split_at(attr_end);
             if !attr.is_empty() {
-                segments.push(PathSegment::Attr(attr.to_owned()));
+                segments.push(PathSegment::Attr(Cow::Owned(attr.to_owned())));
             } else if !idx.is_empty() && segments.is_empty() {
                 return Err(ValueError::BadPath(s.to_owned()));
             }
@@ -96,33 +120,52 @@ impl Path {
             rest = "";
             let _ = rest;
         }
-        Ok(Path { segments })
+        Ok(Path::new(segments))
     }
 
     /// Returns the segments of the path.
     pub fn segments(&self) -> &[PathSegment] {
-        &self.segments
+        match &self.repr {
+            Repr::One(segment) => std::slice::from_ref(segment),
+            Repr::Many(segments) => segments,
+        }
     }
 
     /// Returns true if the path has no segments.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.segments().is_empty()
     }
 
     /// Returns the first segment's attribute name, if it is an attribute.
     ///
     /// Projections and filters often only need the top-level attribute.
     pub fn root_attr(&self) -> Option<&str> {
-        match self.segments.first() {
+        match self.segments().first() {
             Some(PathSegment::Attr(a)) => Some(a),
             _ => None,
         }
     }
 }
 
+// Equality and hashing go through `segments()`, so they cannot tell how
+// a path is held.
+impl PartialEq for Path {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl Eq for Path {}
+
+impl Hash for Path {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.segments().hash(state);
+    }
+}
+
 impl fmt::Display for Path {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, seg) in self.segments().iter().enumerate() {
             match seg {
                 PathSegment::Attr(a) => {
                     if i > 0 {
@@ -137,12 +180,17 @@ impl fmt::Display for Path {
     }
 }
 
-impl From<&str> for Path {
-    /// Parses the string, panicking on malformed paths.
+impl From<&'static str> for Path {
+    /// Reads a string literal as [`Path::parse`] would, panicking on
+    /// malformed paths. A plain attribute name — the usual case, a schema
+    /// constant — is borrowed as it stands: no parse, no allocation.
     ///
-    /// Intended for string literals in code; use [`Path::parse`] for
-    /// untrusted input and [`Path::attr`] for dynamic single attributes.
-    fn from(s: &str) -> Self {
+    /// Use [`Path::parse`] for untrusted or computed input and
+    /// [`Path::attr`] for dynamic single attributes.
+    fn from(s: &'static str) -> Self {
+        if !s.is_empty() && !s.contains(['.', '[']) {
+            return Path::attr(s);
+        }
         Path::parse(s).expect("malformed path literal")
     }
 }
@@ -194,6 +242,47 @@ mod tests {
             let p = Path::parse(s).unwrap();
             assert_eq!(format!("{p}"), s);
         }
+    }
+
+    #[test]
+    fn literal_attribute_is_borrowed_not_parsed() {
+        let p = Path::from("RecentWrites");
+        assert!(matches!(
+            p.segments(),
+            [PathSegment::Attr(Cow::Borrowed("RecentWrites"))]
+        ));
+        assert_eq!(p, Path::parse("RecentWrites").unwrap());
+        // Anything with structure still goes through the parser.
+        assert_eq!(Path::from("a.b[1]"), Path::parse("a.b[1]").unwrap());
+        assert_eq!(Path::from("a]"), Path::parse("a]").unwrap());
+        // An owned name is taken over, not copied.
+        let name = String::from("inst:3");
+        let ptr = name.as_ptr();
+        match Path::attr("w").then_attr(name).segments() {
+            [_, PathSegment::Attr(Cow::Owned(s))] => assert_eq!(s.as_ptr(), ptr),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "malformed path literal")]
+    fn empty_literal_is_malformed() {
+        let _ = Path::from("");
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_how_segments_are_held() {
+        use std::collections::HashSet;
+        let inline = Path::attr("a");
+        let spilled = Path::attr("a").then_index(0);
+        let rebuilt = Path::new(inline.segments().to_vec());
+        assert_eq!(inline, rebuilt);
+        assert_ne!(inline, spilled);
+        assert_eq!(Path::new(spilled.segments()[..1].to_vec()), inline);
+        let set: HashSet<Path> = [inline, rebuilt, spilled].into_iter().collect();
+        assert_eq!(set.len(), 2);
+        assert!(Path::new(Vec::new()).is_empty());
+        assert_eq!(Path::new(Vec::new()).then_attr("a"), Path::attr("a"));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
 use crate::path::Path;
+use crate::undo::{Prior, Undo};
 use crate::value::Value;
 
 /// One action inside an [`Update`].
@@ -27,6 +28,37 @@ pub enum UpdateAction {
     /// `SET path = value` only if the path is currently absent
     /// (DynamoDB `if_not_exists`); otherwise a no-op.
     SetIfAbsent(Path, Value),
+}
+
+impl UpdateAction {
+    /// The path the action writes to.
+    pub fn path(&self) -> &Path {
+        match self {
+            UpdateAction::Set(p, _)
+            | UpdateAction::Inc(p, _)
+            | UpdateAction::Remove(p)
+            | UpdateAction::SetIfAbsent(p, _) => p,
+        }
+    }
+}
+
+/// The undo records of one [`Update::apply_undoable`], oldest first.
+///
+/// Dropping it keeps the update; [`UndoLog::rollback`] takes it back.
+#[derive(Debug)]
+pub struct UndoLog<'u> {
+    records: Vec<Undo<'u>>,
+}
+
+impl UndoLog<'_> {
+    /// Takes the update back, newest action first: `row` — which must
+    /// not have been touched since the update — is again exactly what
+    /// the update was applied to.
+    pub fn rollback(self, row: &mut Value) {
+        for record in self.records.into_iter().rev() {
+            record.revert(row);
+        }
+    }
 }
 
 /// An ordered list of update actions, applied atomically by the database.
@@ -84,39 +116,64 @@ impl Update {
         self.actions.is_empty()
     }
 
-    /// Applies all actions to `row`, in order.
+    /// Applies all actions to `row`, in order and in place.
     ///
-    /// The caller (the database) is responsible for making the application
-    /// atomic; on error the caller must discard the partially updated row.
+    /// All or nothing: when an action fails, `row` is left exactly as it
+    /// was (the actions before it are taken back).
     pub fn apply(&self, row: &mut Value) -> ValueResult<()> {
+        self.apply_undoable(row).map(drop)
+    }
+
+    /// [`Update::apply`], returning the means to take the update back —
+    /// for a caller that can only judge the result (the database's
+    /// row-size cap) once it is there.
+    pub fn apply_undoable<'u>(&'u self, row: &mut Value) -> ValueResult<UndoLog<'u>> {
+        // An action leaves at most one record.
+        let mut log = UndoLog {
+            records: Vec::with_capacity(self.actions.len()),
+        };
         for action in &self.actions {
-            match action {
-                UpdateAction::Set(p, v) => row.set_path(p, v.clone())?,
-                UpdateAction::Inc(p, delta) => {
-                    let cur = match row.get_path(p)? {
-                        Some(Value::Int(i)) => *i,
-                        Some(other) => {
-                            return Err(ValueError::TypeMismatch {
-                                expected: "int",
-                                found: other.kind().name(),
-                            })
-                        }
-                        None => 0,
-                    };
-                    let next = cur.checked_add(*delta).ok_or(ValueError::Overflow)?;
-                    row.set_path(p, Value::Int(next))?;
-                }
-                UpdateAction::Remove(p) => {
-                    row.remove_path(p)?;
-                }
-                UpdateAction::SetIfAbsent(p, v) => {
-                    if row.get_path(p)?.is_none() {
-                        row.set_path(p, v.clone())?;
-                    }
+            match action.apply(row) {
+                Ok(record) => log.records.extend(record),
+                Err(e) => {
+                    log.rollback(row);
+                    return Err(e);
                 }
             }
         }
-        Ok(())
+        Ok(log)
+    }
+}
+
+impl UpdateAction {
+    /// Applies the action in place; `None` when it changed nothing. On
+    /// error `row` is as it was.
+    fn apply<'u>(&'u self, row: &mut Value) -> ValueResult<Option<Undo<'u>>> {
+        match self {
+            UpdateAction::Set(p, v) => row.set_path_undoable(p, v.clone()).map(Some),
+            UpdateAction::Inc(p, delta) => {
+                let cur = match row.get_path(p)? {
+                    Some(Value::Int(i)) => *i,
+                    Some(other) => {
+                        return Err(ValueError::TypeMismatch {
+                            expected: "int",
+                            found: other.kind().name(),
+                        })
+                    }
+                    None => 0,
+                };
+                let next = cur.checked_add(*delta).ok_or(ValueError::Overflow)?;
+                row.set_path_undoable(p, Value::Int(next)).map(Some)
+            }
+            UpdateAction::Remove(p) => Ok(row.remove_path(p)?.map(|old| Undo {
+                at: p.segments(),
+                prior: Prior::Removed(old),
+            })),
+            UpdateAction::SetIfAbsent(p, v) => match row.get_path(p)? {
+                Some(_) => Ok(None),
+                None => row.set_path_undoable(p, v.clone()).map(Some),
+            },
+        }
     }
 }
 
@@ -218,6 +275,115 @@ mod tests {
             .apply(&mut row)
             .unwrap();
         assert_eq!(row.get_int("a"), Some(2));
+    }
+
+    /// Applies `update`, which must fail, and checks that nothing of it
+    /// is left in `row`.
+    fn fails_and_leaves_untouched(update: Update, row: Value) -> ValueError {
+        let mut target = row.clone();
+        let err = update.apply(&mut target).unwrap_err();
+        assert_eq!(format!("{target:?}"), format!("{row:?}"), "after {update}");
+        err
+    }
+
+    #[test]
+    fn failed_update_takes_back_the_actions_before_it() {
+        let row = vmap! {
+            "n" => 1i64, "s" => "str", "m" => vmap! { "a" => 1i64 },
+            "l" => Value::List(vec![Value::Int(1), Value::Int(2)])
+        };
+        // Each ends in an action that fails (`s` is a string, `other`
+        // overflows).
+        let cases = [
+            // Overwrite, create, remove — map attributes and list slots.
+            Update::new()
+                .set("n", 2i64)
+                .set("fresh", true)
+                .remove("m")
+                .inc("s", 1),
+            Update::new()
+                .set("l[0]", "x")
+                .set("l[2]", 3i64)
+                .remove("l[0]")
+                .inc("s", 1),
+            // The same path twice in one update.
+            Update::new()
+                .inc("n", 1)
+                .inc("n", 1)
+                .inc("zero", 5)
+                .inc("zero", 5)
+                .inc("s", 1),
+            Update::new()
+                .remove("n")
+                .remove("n")
+                .set("n", 9i64)
+                .inc("s", 1),
+            Update::new()
+                .set_if_absent("x", 1i64)
+                .set_if_absent("x", 2i64)
+                .inc("s", 1),
+            // Intermediates created by one action and used by the next.
+            Update::new()
+                .set("q.r.z", 1i64)
+                .set("q.r.y", 2i64)
+                .remove("q.r")
+                .inc("s", 1),
+            // The whole row replaced (an empty path), then more.
+            Update::new()
+                .set(Path::new(Vec::new()), vmap! { "other" => 1i64 })
+                .set("other", 2i64)
+                .inc("other", i64::MAX),
+        ];
+        for update in cases {
+            fails_and_leaves_untouched(update, row.clone());
+        }
+    }
+
+    #[test]
+    fn failing_action_takes_back_its_own_intermediates() {
+        let row = vmap! { "s" => "str", "l" => Value::List(vec![Value::Int(1)]) };
+        // `q` and `q.r` are created on the way, then `r` turns out not to
+        // be a list; a scalar is in the way, in the row or in a map an
+        // earlier action created; the list is too short for the slot.
+        let cases = [
+            Update::new().set("q.r[0].z", 1i64),
+            Update::new()
+                .set("fresh.deep.s", 1i64)
+                .set("fresh.deep.s.er", 2i64),
+            Update::new().set("l[0].x.y", 1i64),
+            Update::new().set("fresh.l[3]", 1i64),
+            Update::new().set_if_absent("q.r.z", 1i64).inc("q.r.z.n", 1),
+        ];
+        for update in cases {
+            let err = fails_and_leaves_untouched(update, row.clone());
+            assert!(matches!(
+                err,
+                ValueError::TypeMismatch { .. } | ValueError::IndexOutOfBounds(_)
+            ));
+        }
+        let err = fails_and_leaves_untouched(Update::new().inc("n", i64::MAX).inc("n", 1), row);
+        assert_eq!(err, ValueError::Overflow);
+    }
+
+    #[test]
+    fn rollback_restores_a_successful_update() {
+        let row = vmap! {
+            "n" => 1i64, "m" => vmap! { "a" => 1i64 },
+            "l" => Value::List(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
+        };
+        let update = Update::new()
+            .set("m.b.c", 1i64)
+            .inc("n", 4)
+            .remove("l[1]")
+            .set("l[2]", "pushed")
+            .set_if_absent("m.a", 7i64)
+            .remove("absent");
+        let mut target = row.clone();
+        let undo = update.apply_undoable(&mut target).unwrap();
+        assert_eq!(target.get_int("n"), Some(5));
+        assert_eq!(target.get_list("l").unwrap().len(), 3);
+        undo.rollback(&mut target);
+        assert_eq!(format!("{target:?}"), format!("{row:?}"));
     }
 
     #[test]

@@ -165,6 +165,21 @@ impl Value {
         self.as_map().and_then(|m| m.get(name))
     }
 
+    /// Convenience: takes a top-level attribute out of a map value — how a
+    /// decoder that owns the value gets a field without copying it.
+    pub fn take_attr(&mut self, name: &str) -> Option<Value> {
+        self.as_map_mut().and_then(|m| m.remove(name))
+    }
+
+    /// Convenience: takes a string-typed top-level attribute out of a map
+    /// value (an attribute of another type is dropped).
+    pub fn take_str(&mut self, name: &str) -> Option<String> {
+        match self.take_attr(name) {
+            Some(Value::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
     /// Convenience: gets a string-typed top-level attribute of a map value.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         self.get_attr(name).and_then(Value::as_str)
@@ -193,7 +208,7 @@ impl Value {
         let mut cur = self;
         for seg in path.segments() {
             match (seg, cur) {
-                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_str()) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_ref()) {
                     Some(v) => cur = v,
                     None => return Ok(None),
                 },
@@ -221,61 +236,10 @@ impl Value {
     /// Sets the value at `path`, creating intermediate maps as needed.
     ///
     /// Mirrors DynamoDB `SET` semantics: missing intermediate map attributes
-    /// are created; traversing through a non-map is an error.
+    /// are created; traversing through a non-map is an error, and leaves
+    /// `self` as it was.
     pub fn set_path(&mut self, path: &Path, value: Value) -> ValueResult<()> {
-        if path.is_empty() {
-            *self = value;
-            return Ok(());
-        }
-        let mut cur = self;
-        let segs = path.segments();
-        for seg in &segs[..segs.len() - 1] {
-            cur = match (seg, cur) {
-                (PathSegment::Attr(a), Value::Map(m)) => {
-                    m.entry(a.clone()).or_insert_with(|| Value::Map(Map::new()))
-                }
-                (PathSegment::Index(i), Value::List(l)) => {
-                    l.get_mut(*i).ok_or(ValueError::IndexOutOfBounds(*i))?
-                }
-                (PathSegment::Attr(_), other) => {
-                    return Err(ValueError::TypeMismatch {
-                        expected: "map",
-                        found: other.kind().name(),
-                    })
-                }
-                (PathSegment::Index(_), other) => {
-                    return Err(ValueError::TypeMismatch {
-                        expected: "list",
-                        found: other.kind().name(),
-                    })
-                }
-            };
-        }
-        match (segs.last().expect("non-empty path"), cur) {
-            (PathSegment::Attr(a), Value::Map(m)) => {
-                m.insert(a.clone(), value);
-                Ok(())
-            }
-            (PathSegment::Index(i), Value::List(l)) => {
-                if *i < l.len() {
-                    l[*i] = value;
-                    Ok(())
-                } else if *i == l.len() {
-                    l.push(value);
-                    Ok(())
-                } else {
-                    Err(ValueError::IndexOutOfBounds(*i))
-                }
-            }
-            (PathSegment::Attr(_), other) => Err(ValueError::TypeMismatch {
-                expected: "map",
-                found: other.kind().name(),
-            }),
-            (PathSegment::Index(_), other) => Err(ValueError::TypeMismatch {
-                expected: "list",
-                found: other.kind().name(),
-            }),
-        }
+        self.set_path_undoable(path, value).map(drop)
     }
 
     /// Removes the value at `path`, returning it if present.
@@ -287,7 +251,7 @@ impl Value {
         let segs = path.segments();
         for seg in &segs[..segs.len() - 1] {
             cur = match (seg, cur) {
-                (PathSegment::Attr(a), Value::Map(m)) => match m.get_mut(a.as_str()) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get_mut(a.as_ref()) {
                     Some(v) => v,
                     None => return Ok(None),
                 },
@@ -299,7 +263,7 @@ impl Value {
             };
         }
         match (segs.last().expect("non-empty path"), cur) {
-            (PathSegment::Attr(a), Value::Map(m)) => Ok(m.remove(a.as_str())),
+            (PathSegment::Attr(a), Value::Map(m)) => Ok(m.remove(a.as_ref())),
             (PathSegment::Index(i), Value::List(l)) => {
                 if *i < l.len() {
                     Ok(Some(l.remove(*i)))

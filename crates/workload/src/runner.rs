@@ -128,12 +128,16 @@ fn sleep_until(clock: &SharedClock, deadline: SimInstant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beldi_simclock::ScaledClock;
+    use beldi_simclock::SimClock;
+
+    /// Virtual time only: the runs below are exact, whatever the host does.
+    fn sim_clock() -> SharedClock {
+        SimClock::shared(7)
+    }
 
     #[test]
     fn issues_the_scheduled_number_of_requests() {
-        let clock = ScaledClock::shared(1000.0);
-        let runner = RateRunner::new(clock, 100.0, Duration::from_secs(2), 4);
+        let runner = RateRunner::new(sim_clock(), 100.0, Duration::from_secs(2), 4);
         let count = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&count);
         let report = runner.run(Arc::new(move |_| {
@@ -143,13 +147,15 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 200);
         assert_eq!(report.latency.count, 200);
         assert_eq!(report.errors, 0);
-        assert!(report.achieved_rate > 50.0, "{}", report.achieved_rate);
+        // Instant requests are never late, and the run ends with the last
+        // arrival, 1.99 s in.
+        assert_eq!(report.latency.max, Duration::ZERO);
+        assert_eq!(report.achieved_rate, 200.0 / 1.99);
     }
 
     #[test]
     fn errors_are_counted() {
-        let clock = ScaledClock::shared(1000.0);
-        let runner = RateRunner::new(clock, 50.0, Duration::from_secs(1), 2);
+        let runner = RateRunner::new(sim_clock(), 50.0, Duration::from_secs(1), 2);
         let report = runner.run(Arc::new(|i| i % 5 != 0));
         assert_eq!(report.errors, 10);
     }
@@ -158,28 +164,28 @@ mod tests {
     fn slow_requests_inflate_latency_not_rate_accounting() {
         // Each request takes 40ms virtual but arrivals come every 10ms
         // from 2 issuers: the backlog must appear as latency growth.
-        let clock = ScaledClock::shared(1000.0);
+        let clock = sim_clock();
         let runner = RateRunner::new(clock.clone(), 100.0, Duration::from_secs(1), 2);
-        let c2 = clock.clone();
         let report = runner.run(Arc::new(move |_| {
-            c2.sleep(Duration::from_millis(40));
+            clock.sleep(Duration::from_millis(40));
             true
         }));
-        assert_eq!(report.latency.count, 100);
-        // p99 sees queueing delay far above the 40ms service time.
-        assert!(
-            report.latency.p99 > Duration::from_millis(200),
-            "p99 = {:?}",
-            report.latency.p99
-        );
-        // And p50 is also above service time (steady backlog).
-        assert!(report.latency.p50 >= Duration::from_millis(40));
+        // The two issuers serve one request every 20ms between them, so
+        // request `i`, due at `10 i` ms, completes at `40 + 10 i +
+        // 20 (i / 2)` ms — queueing delay far above the service time.
+        let mut expected = Histogram::new();
+        for i in 0..100u64 {
+            expected.record(Duration::from_millis(40 + 20 * (i / 2)));
+        }
+        assert_eq!(report.latency, expected.percentiles());
+        assert!(report.latency.p99 > Duration::from_millis(1000));
+        // 100 requests, the last done 2.01 s in.
+        assert_eq!(report.achieved_rate, 100.0 / 2.01);
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
-        let clock = ScaledClock::shared(1000.0);
-        let _ = RateRunner::new(clock, 0.0, Duration::from_secs(1), 1);
+        let _ = RateRunner::new(sim_clock(), 0.0, Duration::from_secs(1), 1);
     }
 }
