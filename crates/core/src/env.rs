@@ -929,8 +929,18 @@ impl BeldiEnv {
 }
 
 impl Drop for BeldiEnv {
+    /// Stops the timers and retires the platform's warm workers, waiting
+    /// for both: no thread outlives its environment. The waits are ones
+    /// the clock sees, so the dropping thread must be one of the clock's.
     fn drop(&mut self) {
+        // An unwinding thread waits for nothing: on a poisoned `SimClock`
+        // the wait panics, and a second panic aborts the process. Timers
+        // and workers then stop unjoined, when their handles drop.
+        if std::thread::panicking() {
+            return;
+        }
         self.stop_collectors();
+        self.core.platform.retire_workers();
     }
 }
 

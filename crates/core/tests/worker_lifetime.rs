@@ -1,0 +1,74 @@
+//! A warm worker is a parked thread, so an environment owns threads: it
+//! must take them with it when it drops.
+//!
+//! One test, so that nothing else in this process starts or ends a
+//! thread while the count is read.
+#![cfg(target_os = "linux")]
+
+use std::sync::Arc;
+
+use beldi::value::Value;
+use beldi::{BeldiConfig, BeldiEnv};
+use beldi_simclock::{ScaledClock, SharedClock};
+
+/// A default (`SimClock`) environment, or one on `clock`, with a two-SSF
+/// chain whose workers are warm: `outer` has invoked `inner` once (and
+/// `inner` has called back into `outer` while that worker was occupied).
+fn warmed_env(clock: Option<SharedClock>) -> BeldiEnv {
+    let env = match clock {
+        None => BeldiEnv::for_tests(),
+        Some(clock) => BeldiEnv::builder(BeldiConfig::beldi()).clock(clock).build(),
+    };
+    env.register_ssf("inner", &[], Arc::new(|_ctx, input| Ok(input)));
+    env.register_ssf(
+        "outer",
+        &[],
+        Arc::new(|ctx, input| ctx.sync_invoke("inner", input)),
+    );
+    assert_eq!(env.invoke("outer", Value::Int(7)).unwrap(), Value::Int(7));
+    env
+}
+
+fn threads_now() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+/// The thread count once it is back at `expected`. A joined thread can
+/// stay listed for a moment while the kernel reaps it, so a higher
+/// reading is re-taken a bounded number of times; a leak stays higher.
+fn threads_settled_at(expected: usize) -> usize {
+    for _ in 0..10_000 {
+        if threads_now() <= expected {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    threads_now()
+}
+
+#[test]
+fn no_thread_outlives_its_environment() {
+    let scaled = || Some(ScaledClock::shared(1_000.0));
+    let at_start = threads_now();
+
+    for clock in [|| None, scaled] {
+        for _ in 0..20 {
+            let env = warmed_env(clock());
+            let workers = env.platform_metrics().cold_starts as usize;
+            assert!(workers >= 2, "one per SSF at least");
+            assert_eq!(threads_now(), at_start + workers, "each one parked");
+            drop(env);
+        }
+        assert_eq!(threads_settled_at(at_start), at_start);
+    }
+
+    // Dropped by a thread of the clock other than the one that built it:
+    // neither hangs nor panics, and still leaves nothing behind.
+    for clock in [|| None, scaled] {
+        let env = warmed_env(clock());
+        let env_clock = env.clock().clone();
+        let dropper = env_clock.spawn("dropper".into(), Box::new(move || drop(env)));
+        dropper.join().expect("the drop panicked");
+        assert_eq!(threads_settled_at(at_start), at_start);
+    }
+}

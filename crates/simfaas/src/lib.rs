@@ -10,8 +10,9 @@
 //!   a worker, as on Lambda. Both park the calling thread on the one
 //!   admission-then-completion path that [`Platform::invoke_pending`]
 //!   hands to executor tasks as a future.
-//! - **Cold/warm starts**: a per-function pool of warm workers; invocations
-//!   that find no idle warm worker pay a cold-start penalty.
+//! - **Cold/warm starts**: a per-function pool of warm workers, each a
+//!   thread parked between invocations; an invocation that finds none
+//!   idle starts one and pays the cold-start penalty.
 //! - **A platform-wide concurrency cap** (AWS: 1,000 concurrent Lambdas per
 //!   account) — the saturation bottleneck in the paper's Figs. 14, 15, 26.
 //! - **Execution timeouts**: a synchronous caller gives up after the

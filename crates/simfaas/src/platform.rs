@@ -5,11 +5,14 @@ use std::collections::HashMap;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::task::{Poll, Waker};
+use std::thread::Thread;
 use std::time::Duration;
 
-use beldi_simclock::{park_on, Permit, ScaledClock, Semaphore, SharedClock, Ticker, TickerHandle};
+use beldi_simclock::{
+    park_on, JoinHandle, Permit, Semaphore, SharedClock, SimClock, Ticker, TickerHandle,
+};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::SmallRng;
@@ -101,8 +104,169 @@ impl PlatformConfig {
 #[derive(Clone)]
 struct FunctionEntry {
     handler: FunctionHandler,
-    /// Number of idle warm workers for this function.
-    warm_idle: Arc<Mutex<usize>>,
+    /// The function's idle warm workers.
+    warm_idle: Arc<Mutex<WarmPool>>,
+}
+
+#[derive(Default)]
+struct WarmPool {
+    /// Parked workers, most recently used last.
+    idle: Vec<Arc<Worker>>,
+    /// Set when the function is replaced or its platform torn down: a
+    /// worker still running exits instead of coming back.
+    retired: bool,
+}
+
+/// A warm worker: a thread a cold start began, parked on the clock
+/// between invocations.
+#[derive(Default)]
+struct Worker {
+    /// Published by the worker's thread before it first enters the pool.
+    thread: OnceLock<Thread>,
+    /// What the worker does when it next wakes.
+    next: Mutex<Next>,
+    /// For whoever retires the worker and waits for its thread.
+    join: Mutex<Option<JoinHandle>>,
+}
+
+#[derive(Default)]
+enum Next {
+    /// Nothing yet: park.
+    #[default]
+    Wait,
+    Run(Job),
+    Retire,
+}
+
+/// One admitted invocation, as a worker receives it.
+struct Job {
+    ctx: InvocationCtx,
+    payload: Value,
+    /// Dispatch overhead plus the cold- or warm-start delay.
+    startup: Duration,
+    permit: Permit,
+    sink: ReplySink,
+}
+
+/// Where a worker delivers its one reply.
+type ReplySink = Box<dyn FnOnce(InvokeResult<Value>) + Send>;
+
+impl FunctionEntry {
+    /// Closes the pool and tells its idle workers to exit. Returns their
+    /// handles: join them to wait, drop them not to.
+    fn retire(&self, clock: &SharedClock) -> Vec<JoinHandle> {
+        let idle = {
+            let mut pool = self.warm_idle.lock();
+            pool.retired = true;
+            std::mem::take(&mut pool.idle)
+        };
+        idle.iter()
+            .filter_map(|worker| {
+                worker.wake(clock, Next::Retire);
+                worker.join.lock().take()
+            })
+            .collect()
+    }
+}
+
+impl Worker {
+    /// Hands a parked worker its next step.
+    fn wake(&self, clock: &SharedClock, next: Next) {
+        *self.next.lock() = next;
+        let thread = self.thread.get().expect("a pooled worker has run");
+        clock.unpark(thread);
+    }
+
+    /// The worker thread's body: runs `job`, then whatever the pool hands
+    /// it, until it is retired or the pool has no room for it. Between
+    /// invocations it holds no reference to the platform.
+    fn serve(
+        self: Arc<Self>,
+        mut job: Job,
+        handler: FunctionHandler,
+        pool: Arc<Mutex<WarmPool>>,
+        clock: SharedClock,
+    ) {
+        let thread = self.thread.set(std::thread::current());
+        thread.expect("a worker serves on one thread");
+        while self.run(job, &handler, &pool) {
+            job = loop {
+                // Taken in its own statement: the lock must not be held
+                // while parked.
+                let next = std::mem::take(&mut *self.next.lock());
+                match next {
+                    Next::Run(job) => break job,
+                    Next::Retire => return,
+                    Next::Wait => clock.park_until(None),
+                }
+            };
+        }
+    }
+
+    /// Runs one invocation: the handler, back into the warm pool, the
+    /// permit freed, then exactly one reply through the job's sink.
+    /// Returns whether the worker is pooled again.
+    fn run(self: &Arc<Self>, job: Job, handler: &FunctionHandler, pool: &Mutex<WarmPool>) -> bool {
+        let Job {
+            ctx,
+            payload,
+            startup,
+            permit,
+            sink,
+        } = job;
+        let platform = &ctx.platform;
+        let mut pooled = false;
+        let run = || {
+            platform.clock.sleep(startup);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // The worker booted (startup delay paid) but may
+                // die before the handler runs: the permit is
+                // still freed below and the caller sees
+                // `Crashed`, so recovery must re-run the intent
+                // from scratch.
+                platform
+                    .faults
+                    .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
+                (handler)(&ctx, payload)
+            }));
+            // The request id is this run's alone (a re-execution is a
+            // new request): the injector need not remember it.
+            platform.faults.forget(&ctx.request_id);
+            let reply = match result {
+                Ok(value) => {
+                    platform.metrics.finish_ok();
+                    Ok(value)
+                }
+                Err(panic) => {
+                    platform.metrics.finish_crash();
+                    Err(InvokeError::Crashed(describe_panic(panic)))
+                }
+            };
+            // A crashed handler took its container's state with it, not
+            // the container: the worker is warm either way.
+            let mut pool = pool.lock();
+            if !pool.retired && pool.idle.len() < platform.config.warm_pool_per_fn {
+                pool.idle.push(Arc::clone(self));
+                pooled = true;
+            }
+            reply
+        };
+        // A worker that dies outside its handler (while booting,
+        // say) still owes its caller a reply: without one a task
+        // in `invoke_pending`, which has no timeout, waits forever.
+        // It is not pooled: its thread exits.
+        let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            platform.metrics.finish_crash();
+            Err(InvokeError::Crashed("worker-lost".into()))
+        });
+        // Free the permit (the worker is already back in the warm
+        // pool) *before* replying: a closed-loop caller re-invokes
+        // the moment the reply lands, and must find this worker
+        // warm and its permit free rather than race them.
+        drop(permit);
+        sink(reply);
+        pooled
+    }
 }
 
 /// Handle to a timer trigger; the timer stops when this is dropped or
@@ -148,9 +312,10 @@ impl Platform {
         })
     }
 
-    /// Creates a zero-overhead platform on a real-time clock, for tests.
+    /// Creates a zero-overhead platform on a [`SimClock`], for tests: the
+    /// calling thread is the clock's first participant.
     pub fn for_tests() -> Arc<Self> {
-        Platform::new(ScaledClock::shared(1.0), PlatformConfig::for_tests(), 0)
+        Platform::new(SimClock::shared(0), PlatformConfig::for_tests(), 0)
     }
 
     /// Returns the platform clock.
@@ -183,15 +348,39 @@ impl Platform {
         format!("{r:016x}-{n:08x}")
     }
 
-    /// Registers (or replaces) a function under `name`.
+    /// Registers (or replaces) a function under `name`. A replaced
+    /// function's warm workers are retired, not waited for.
     pub fn register(&self, name: impl Into<String>, handler: FunctionHandler) {
-        self.functions.write().insert(
-            name.into(),
-            FunctionEntry {
-                handler,
-                warm_idle: Arc::new(Mutex::new(0)),
-            },
-        );
+        let entry = FunctionEntry {
+            handler,
+            warm_idle: Arc::default(),
+        };
+        let replaced = self.functions.write().insert(name.into(), entry);
+        if let Some(replaced) = replaced {
+            replaced.retire(&self.clock);
+        }
+    }
+
+    /// Retires every function's warm pool and waits for the idle workers'
+    /// threads to exit; a worker still running exits when it is done.
+    /// The wait is one the clock sees, so call it from a thread of the
+    /// clock. Later invocations all start cold.
+    pub fn retire_workers(&self) {
+        for worker in self.retire_all() {
+            let _ = worker.join();
+        }
+    }
+
+    fn retire_all(&self) -> Vec<JoinHandle> {
+        let functions = self.functions.read();
+        // By name, not hash order: on a `SimClock` the order workers are
+        // woken in is part of the schedule.
+        let mut entries: Vec<_> = functions.iter().collect();
+        entries.sort_unstable_by_key(|(name, _)| *name);
+        entries
+            .into_iter()
+            .flat_map(|(_, entry)| entry.retire(&self.clock))
+            .collect()
     }
 
     fn lookup(&self, name: &str) -> InvokeResult<FunctionEntry> {
@@ -265,8 +454,8 @@ impl Platform {
     /// timeout in virtual time: [`InvokeError::Throttled`] if that
     /// passes while the invocation is still queued for a permit,
     /// [`InvokeError::Timeout`] once it is running (the abandoned worker
-    /// runs on and frees its own permit). The instance runs on its own
-    /// worker thread; a panic inside the handler — including injected
+    /// runs on and frees its own permit). The instance runs on a warm
+    /// worker's thread; a panic inside the handler — including injected
     /// [`CrashSignal`]s — yields [`InvokeError::Crashed`].
     pub fn invoke_sync(self: &Arc<Self>, name: &str, payload: Value) -> InvokeResult<Value> {
         let deadline = self.clock.now().plus(self.config.invoke_timeout);
@@ -320,28 +509,22 @@ impl Platform {
         }
     }
 
-    /// Starts a worker for an admitted invocation and returns its
-    /// request id. The worker runs the handler on its own thread,
-    /// returns itself to the warm pool and frees the permit, then
-    /// delivers exactly one reply through `sink`.
+    /// Hands an admitted invocation to a worker and returns its request
+    /// id: to the function's most recently idle warm worker if there is
+    /// one, else to a thread started here — a cold start, the only thing
+    /// that starts one. The worker runs the handler, returns itself to
+    /// the warm pool and frees the permit, then delivers exactly one
+    /// reply through `sink`.
     fn launch_worker(
         self: &Arc<Self>,
         name: &str,
         admitted: (FunctionEntry, Permit),
         payload: Value,
-        sink: Box<dyn FnOnce(InvokeResult<Value>) + Send>,
+        sink: ReplySink,
     ) -> String {
         let (FunctionEntry { handler, warm_idle }, permit) = admitted;
-        // Cold or warm start?
-        let cold = {
-            let mut idle = warm_idle.lock();
-            if *idle > 0 {
-                *idle -= 1;
-                false
-            } else {
-                true
-            }
-        };
+        let warm = warm_idle.lock().idle.pop();
+        let cold = warm.is_none();
 
         let request_id = self.new_uuid();
         let ctx = InvocationCtx {
@@ -349,65 +532,30 @@ impl Platform {
             function: name.to_owned(),
             platform: self.clone(),
         };
-        let platform = self.clone();
-        let fn_name = name.to_owned();
         let startup = self.config.invoke_overhead
             + if cold {
                 self.config.cold_start
             } else {
                 self.config.warm_start
             };
-        let warm_cap = self.config.warm_pool_per_fn;
         self.metrics.start(cold);
-        let worker = move || {
-            let run = || {
-                platform.clock.sleep(startup);
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // The worker booted (startup delay paid) but may
-                    // die before the handler runs: the permit is
-                    // still freed below and the caller sees
-                    // `Crashed`, so recovery must re-run the intent
-                    // from scratch.
-                    platform
-                        .faults
-                        .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
-                    (handler)(&ctx, payload)
-                }));
-                // The request id is this run's alone (a re-execution is a
-                // new request): the injector need not remember it.
-                platform.faults.forget(&ctx.request_id);
-                let reply = match result {
-                    Ok(value) => {
-                        platform.metrics.finish_ok();
-                        Ok(value)
-                    }
-                    Err(panic) => {
-                        platform.metrics.finish_crash();
-                        Err(InvokeError::Crashed(describe_panic(panic)))
-                    }
-                };
-                let mut idle = warm_idle.lock();
-                if *idle < warm_cap {
-                    *idle += 1;
-                }
-                reply
-            };
-            // A worker that dies outside its handler (while booting,
-            // say) still owes its caller a reply: without one a task
-            // in `invoke_pending`, which has no timeout, waits forever.
-            let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-                platform.metrics.finish_crash();
-                Err(InvokeError::Crashed("worker-lost".into()))
-            });
-            // Free the permit (the worker is already back in the warm
-            // pool) *before* replying: a closed-loop caller re-invokes
-            // the moment the reply lands, and must find this worker
-            // warm and its permit free rather than race them.
-            drop(permit);
-            sink(reply);
+        let job = Job {
+            ctx,
+            payload,
+            startup,
+            permit,
+            sink,
         };
-        // Detached: the worker's reply, not its exit, is what callers await.
-        self.clock.spawn(format!("ssf-{fn_name}"), Box::new(worker));
+        match warm {
+            Some(worker) => worker.wake(&self.clock, Next::Run(job)),
+            None => {
+                let worker = Arc::new(Worker::default());
+                let (served, clock) = (worker.clone(), self.clock.clone());
+                let body = move || served.serve(job, handler, warm_idle, clock);
+                let thread = self.clock.spawn(format!("ssf-{name}"), Box::new(body));
+                *worker.join.lock() = Some(thread);
+            }
+        }
         request_id
     }
 
@@ -428,6 +576,14 @@ impl Platform {
         TimerHandle {
             inner: Some(ticker),
         }
+    }
+}
+
+impl Drop for Platform {
+    /// Retires the warm workers without waiting for them: dropping must
+    /// not block on a clock that may never advance again.
+    fn drop(&mut self) {
+        self.retire_all();
     }
 }
 
@@ -454,25 +610,45 @@ fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
     use crate::labels;
-    use beldi_simclock::{Clock, SimClock, SimInstant};
+    use beldi_simclock::{Clock, ScaledClock, SimInstant};
     use beldi_value::vmap;
+    use std::collections::HashSet;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
+    use std::thread::ThreadId;
 
     fn echo_handler() -> FunctionHandler {
         Arc::new(|_ctx, payload| payload)
     }
 
-    /// A handler that blocks until the returned sender passes it a token
-    /// (one per invocation) or is dropped (all at once).
-    fn gated_handler() -> (mpsc::Sender<()>, FunctionHandler) {
-        let (tx, rx) = mpsc::channel::<()>();
-        let rx = Mutex::new(rx);
+    /// A handler that holds its worker, and its permit, for `d` of
+    /// virtual time.
+    fn holding_handler(d: Duration) -> FunctionHandler {
+        Arc::new(move |ctx, payload| {
+            ctx.platform.clock().sleep(d);
+            payload
+        })
+    }
+
+    /// A handler that notes the thread each invocation runs on.
+    fn thread_noting_handler() -> (Arc<Mutex<Vec<ThreadId>>>, FunctionHandler) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
         let handler: FunctionHandler = Arc::new(move |_ctx, payload| {
-            let _ = rx.lock().recv();
+            seen2.lock().push(std::thread::current().id());
             payload
         });
-        (tx, handler)
+        (seen, handler)
+    }
+
+    /// Worker threads alive for a registered `handler`: each holds one
+    /// reference, beside the test's and the function table's.
+    fn live_workers(handler: &FunctionHandler) -> usize {
+        Arc::strong_count(handler) - 2
+    }
+
+    fn idle_workers(p: &Platform, name: &str) -> usize {
+        p.lookup(name).unwrap().warm_idle.lock().idle.len()
     }
 
     /// A one-permit `Queue` platform on `clock`.
@@ -485,11 +661,18 @@ mod tests {
         Platform::new(clock, config, 0)
     }
 
-    /// Spins (yielding) until `cond` holds: waits for another thread to
-    /// reach a state the test can observe, with no time margin.
-    fn wait_until(cond: impl Fn() -> bool) {
-        while !cond() {
-            std::thread::sleep(Duration::from_millis(1));
+    /// Runs `body` on a new thread of `p`'s clock. The returned closure
+    /// joins the thread and yields what `body` returned.
+    fn on_clock<T: Send + 'static>(
+        p: &Platform,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> impl FnOnce() -> T {
+        let (tx, rx) = mpsc::channel();
+        let send = move || tx.send(body()).expect("the test still listens");
+        let thread = p.clock().spawn("caller".into(), Box::new(send));
+        move || {
+            thread.join().expect("the caller thread panicked");
+            rx.recv().expect("a joined caller has sent its result")
         }
     }
 
@@ -516,7 +699,7 @@ mod tests {
     #[test]
     fn request_ids_are_unique() {
         let p = Platform::for_tests();
-        let ids: std::collections::HashSet<String> = (0..1000).map(|_| p.new_uuid()).collect();
+        let ids: HashSet<String> = (0..1000).map(|_| p.new_uuid()).collect();
         assert_eq!(ids.len(), 1000);
     }
 
@@ -626,13 +809,9 @@ mod tests {
         );
         let rid = p.invoke_async("bump", Value::Null).unwrap();
         assert!(!rid.is_empty());
-        for _ in 0..100 {
-            if hits.load(Ordering::SeqCst) == 1 {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        panic!("async invocation never ran");
+        assert_eq!(hits.load(Ordering::SeqCst), 0, "the caller did not wait");
+        p.clock().sleep(Duration::from_millis(1));
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -640,19 +819,18 @@ mod tests {
         let mut cfg = PlatformConfig::for_tests();
         cfg.concurrency_limit = 1;
         cfg.saturation = SaturationPolicy::Reject;
-        let p = Platform::new(ScaledClock::shared(1.0), cfg, 0);
-        let (gate, slow) = gated_handler();
-        p.register("slow", slow);
+        let p = Platform::new(SimClock::shared(0), cfg, 0);
+        p.register("slow", holding_handler(Duration::from_secs(10)));
         let p2 = p.clone();
-        let h = std::thread::spawn(move || p2.invoke_sync("slow", Value::Null));
-        // Wait for the first invocation to hold the only permit.
-        wait_until(|| p.metrics().active == 1);
+        let first = on_clock(&p, move || p2.invoke_sync("slow", Value::Null));
+        // Let the first invocation take the only permit.
+        p.clock().sleep(Duration::from_secs(1));
+        assert_eq!(p.metrics().active, 1);
         assert_eq!(
             p.invoke_sync("slow", Value::Null),
             Err(InvokeError::Throttled)
         );
-        gate.send(()).unwrap();
-        h.join().unwrap().unwrap();
+        first().unwrap();
         assert_eq!(p.metrics().throttles, 1);
     }
 
@@ -666,6 +844,174 @@ mod tests {
         let m = p.metrics();
         assert_eq!(m.cold_starts, 1, "only the first start is cold");
         assert_eq!(m.warm_starts, 2);
+    }
+
+    /// The warm pool is the mechanism, not a count beside it: a cold
+    /// start begins a thread and every warm start reuses one.
+    #[test]
+    fn a_warm_worker_is_one_thread_reused() {
+        const CALLS: usize = 50;
+        let p = Platform::for_tests();
+        let (seen, handler) = thread_noting_handler();
+        p.register("echo", handler);
+        for _ in 0..CALLS {
+            p.invoke_sync("echo", Value::Null).unwrap();
+        }
+        let seen = seen.lock().clone();
+        assert_eq!(seen.len(), CALLS);
+        assert_ne!(seen[0], std::thread::current().id());
+        assert!(seen.iter().all(|thread| *thread == seen[0]), "{seen:?}");
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (1, CALLS as u64 - 1));
+    }
+
+    /// A synchronous chain occupies one worker per link, as on Lambda;
+    /// repeating it starts no further thread.
+    #[test]
+    fn a_nested_chain_reuses_one_thread_per_function() {
+        let p = Platform::for_tests();
+        let (seen, inner) = thread_noting_handler();
+        p.register("inner", inner);
+        let seen2 = seen.clone();
+        p.register(
+            "outer",
+            Arc::new(move |ctx: &InvocationCtx, payload: Value| {
+                seen2.lock().push(std::thread::current().id());
+                ctx.platform.invoke_sync("inner", payload).unwrap()
+            }),
+        );
+        for _ in 0..10 {
+            p.invoke_sync("outer", Value::Null).unwrap();
+        }
+        let seen = seen.lock().clone();
+        assert_eq!(seen.len(), 20);
+        assert_ne!(seen[0], seen[1], "the caller's worker is occupied");
+        let distinct: HashSet<ThreadId> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), 2);
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (2, 18));
+    }
+
+    /// A crash inside the handler — a plain panic or an injected
+    /// `CrashSignal` — loses the instance, not the container: the worker
+    /// goes back to the pool and the next start is warm, on its thread.
+    #[test]
+    fn a_crashed_handler_leaves_its_worker_warm() {
+        let p = Platform::for_tests();
+        let (seen, note) = thread_noting_handler();
+        p.register(
+            "flaky",
+            Arc::new(move |ctx: &InvocationCtx, payload: Value| {
+                note(ctx, Value::Null);
+                if payload == Value::from("panic") {
+                    panic!("kaboom");
+                }
+                let faults = ctx.platform.faults();
+                faults.instance_started(&ctx.request_id);
+                faults.crash_point(&ctx.request_id, labels::WRITE_AFTER);
+                payload
+            }),
+        );
+        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+        let err = p.invoke_sync("flaky", Value::from("panic")).unwrap_err();
+        assert!(matches!(err, InvokeError::Crashed(ref m) if m.contains("kaboom")));
+        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+        p.faults()
+            .set_global_plan(Some(crate::CrashPlan::AtLabel(labels::WRITE_AFTER.into())));
+        let err = p.invoke_sync("flaky", Value::Null).unwrap_err();
+        assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains(labels::WRITE_AFTER)));
+        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+
+        let seen = seen.lock().clone();
+        assert_eq!(seen.len(), 5);
+        assert!(seen.iter().all(|thread| *thread == seen[0]), "{seen:?}");
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts, m.crashes), (1, 4, 2));
+    }
+
+    /// A worker that finishes when the pool already holds
+    /// `warm_pool_per_fn` idle workers is not kept: its thread exits.
+    #[test]
+    fn a_full_pool_turns_a_finishing_worker_away() {
+        let mut cfg = PlatformConfig::for_tests();
+        cfg.warm_pool_per_fn = 1;
+        let p = Platform::new(SimClock::shared(0), cfg, 0);
+        let hold = holding_handler(Duration::from_secs(1));
+        p.register("hold", hold.clone());
+        let two_at_once = |p: &Arc<Platform>| {
+            let calls: Vec<_> = (0..2)
+                .map(|_| {
+                    let p2 = p.clone();
+                    on_clock(p, move || p2.invoke_sync("hold", Value::Null))
+                })
+                .collect();
+            for call in calls {
+                call().unwrap();
+            }
+        };
+        two_at_once(&p);
+        assert_eq!(p.metrics().cold_starts, 2);
+        assert_eq!(idle_workers(&p, "hold"), 1);
+        assert_eq!(live_workers(&hold), 1);
+        // One warm worker for two callers: the second start is cold again.
+        two_at_once(&p);
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (3, 1));
+        assert_eq!(live_workers(&hold), 1);
+    }
+
+    /// A worker still running when its pool is retired exits when it is
+    /// done instead of parking in a pool nobody will wake.
+    #[test]
+    fn a_worker_running_when_its_pool_retires_does_not_come_back() {
+        let p = Platform::for_tests();
+        let hold = holding_handler(Duration::from_secs(1));
+        p.register("hold", hold.clone());
+        let p2 = p.clone();
+        let call = on_clock(&p, move || p2.invoke_sync("hold", Value::Null));
+        p.clock().sleep(Duration::from_millis(1));
+        assert_eq!(p.metrics().active, 1);
+        p.retire_workers();
+        assert_eq!(live_workers(&hold), 1, "nobody idle to retire");
+        call().unwrap();
+        assert_eq!(idle_workers(&p, "hold"), 0);
+        assert_eq!(live_workers(&hold), 0);
+        // The platform still serves; every start is cold now.
+        p.invoke_sync("hold", Value::Null).unwrap();
+        assert_eq!(p.metrics().cold_starts, 2);
+        assert_eq!(live_workers(&hold), 0);
+    }
+
+    /// `retire_workers` returns once the idle workers' threads are gone.
+    #[test]
+    fn retire_workers_waits_for_the_idle_threads() {
+        let p = Platform::for_tests();
+        let (inner, outer) = (echo_handler(), echo_handler());
+        p.register("inner", inner.clone());
+        p.register("outer", outer.clone());
+        p.invoke_sync("inner", Value::Null).unwrap();
+        p.invoke_sync("outer", Value::Null).unwrap();
+        assert_eq!((live_workers(&inner), live_workers(&outer)), (1, 1));
+        p.retire_workers();
+        assert_eq!((live_workers(&inner), live_workers(&outer)), (0, 0));
+    }
+
+    #[test]
+    fn replacing_a_function_retires_its_idle_workers() {
+        let p = Platform::for_tests();
+        let old = echo_handler();
+        p.register("f", old.clone());
+        p.invoke_sync("f", Value::Int(1)).unwrap();
+        assert_eq!(live_workers(&old), 1);
+        p.register("f", Arc::new(|_ctx, _payload| Value::from("new")));
+        // Retired, not waited for: the worker needs a turn to exit.
+        p.clock().sleep(Duration::from_millis(1));
+        assert_eq!(Arc::strong_count(&old), 1, "table entry and worker gone");
+        assert_eq!(
+            p.invoke_sync("f", Value::Int(1)).unwrap(),
+            Value::from("new")
+        );
+        assert_eq!(p.metrics().cold_starts, 2, "the new function starts cold");
     }
 
     /// Closed-loop callers re-invoke the moment a reply lands. With one
@@ -724,12 +1070,14 @@ mod tests {
     }
 
     /// A worker lost before it replies must fail its caller, not hang
-    /// it, whichever way the caller waits; and it must not keep its
-    /// permit (one permit: the second call would queue forever).
+    /// it, whichever way the caller waits; it must not keep its permit
+    /// (one permit: the second call would queue forever); and it is not
+    /// pooled — a lost container is gone, thread and all.
     #[test]
     fn lost_worker_fails_the_caller_on_both_fronts() {
         let p = one_permit(Arc::new(BootKillingClock), Duration::from_secs(3600));
-        p.register("echo", echo_handler());
+        let echo = echo_handler();
+        p.register("echo", echo.clone());
         let lost = Err(InvokeError::Crashed("worker-lost".into()));
 
         assert_eq!(p.invoke_sync("echo", Value::Null), lost);
@@ -741,6 +1089,15 @@ mod tests {
         assert_eq!(p.permits.available(), 1);
         assert_eq!(p.metrics().active, 0);
         assert_eq!(p.metrics().crashes, 2);
+
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (2, 0));
+        assert_eq!(idle_workers(&p, "echo"), 0);
+        // Host threads (this clock schedules nothing): each exits right
+        // after its reply, which is all there is to wait for.
+        while live_workers(&echo) > 0 {
+            std::thread::yield_now();
+        }
     }
 
     /// Threads in `invoke_sync` and tasks in `invoke_pending` queue on
@@ -749,18 +1106,12 @@ mod tests {
     fn mixed_fronts_share_one_permit_pool() {
         let mut cfg = PlatformConfig::for_tests();
         cfg.concurrency_limit = 2;
-        let p = Platform::new(ScaledClock::shared(1000.0), cfg, 0);
-        p.register(
-            "work",
-            Arc::new(|ctx: &InvocationCtx, v| {
-                ctx.platform.clock().sleep(Duration::from_millis(500));
-                v
-            }),
-        );
+        let p = Platform::new(SimClock::shared(0), cfg, 0);
+        p.register("work", holding_handler(Duration::from_millis(500)));
         let threads: Vec<_> = (0..6)
             .map(|i| {
-                let p = p.clone();
-                std::thread::spawn(move || p.invoke_sync("work", Value::Int(i)))
+                let p2 = p.clone();
+                on_clock(&p, move || p2.invoke_sync("work", Value::Int(i)))
             })
             .collect();
         let rt = beldi_runtime::Executor::new(p.clock().clone(), 3);
@@ -768,16 +1119,15 @@ mod tests {
             .map(|i| rt.spawn(p.invoke_pending("work", Value::Int(i))))
             .collect();
         rt.run();
-        let mut seen: Vec<Value> = threads
-            .into_iter()
-            .map(|h| h.join().unwrap().unwrap())
-            .collect();
+        let mut seen: Vec<Value> = threads.into_iter().map(|join| join().unwrap()).collect();
         seen.extend(tasks.into_iter().map(|h| h.take_result().unwrap().unwrap()));
         assert_eq!(seen, (0..12).map(Value::Int).collect::<Vec<_>>());
         let m = p.metrics();
         assert_eq!(m.completions, 12);
-        assert!(m.peak_active <= 2, "cap breached: {}", m.peak_active);
+        assert_eq!(m.peak_active, 2, "the cap binds and holds");
         assert_eq!(p.permits.available(), 2);
+        // Twelve invocations, two at a time, half a second each.
+        assert_eq!(p.clock().now(), SimInstant::from_millis(3_000));
     }
 
     /// The sync front's timeout is virtual and names where the
@@ -790,13 +1140,7 @@ mod tests {
         let p = one_permit(clock.clone(), timeout);
         // Holds the only permit for 25 s: past the first caller's
         // deadline (10 s) and the second's (20 s).
-        p.register(
-            "hold",
-            Arc::new(|ctx: &InvocationCtx, v| {
-                ctx.platform.clock().sleep(Duration::from_secs(25));
-                v
-            }),
-        );
+        p.register("hold", holding_handler(Duration::from_secs(25)));
         p.register("echo", echo_handler());
 
         // Running: the handler is in when the deadline passes.
@@ -829,30 +1173,33 @@ mod tests {
     /// saturated `Queue` pool it blocks until a permit frees.
     #[test]
     fn async_invoke_waits_for_admission() {
-        let p = one_permit(ScaledClock::shared(1.0), Duration::from_secs(3600));
-        let (gate, hold) = gated_handler();
-        p.register("hold", hold);
+        let clock = SimClock::shared(0);
+        let p = one_permit(clock.clone(), Duration::from_secs(3600));
+        p.register("hold", holding_handler(Duration::from_secs(10)));
         let p2 = p.clone();
-        let holder = std::thread::spawn(move || p2.invoke_sync("hold", Value::Null));
-        wait_until(|| p.metrics().active == 1);
+        let holder = on_clock(&p, move || p2.invoke_sync("hold", Value::Null));
+        clock.sleep(Duration::from_secs(1));
+        assert_eq!(p.metrics().active, 1);
 
         let p2 = p.clone();
-        let fire = std::thread::spawn(move || {
+        let fire = on_clock(&p, move || {
             let request_id = p2.invoke_async("hold", Value::Null);
-            (request_id, p2.metrics().completions)
+            (request_id, p2.metrics().completions, p2.clock().now())
         });
-        // Whenever `fire` gets going, it cannot be admitted while the
-        // holder has the only permit.
-        std::thread::sleep(Duration::from_millis(20));
+        // `fire` has run as far as it can: it cannot be admitted while
+        // the holder has the only permit.
+        clock.sleep(Duration::from_secs(1));
         assert_eq!(p.metrics().invocations, 1);
-        gate.send(()).unwrap();
-        holder.join().unwrap().unwrap();
+        holder().unwrap();
 
-        let (request_id, completions_at_return) = fire.join().unwrap();
+        let (request_id, completions_at_return, returned_at) = fire();
         assert!(!request_id.unwrap().is_empty());
         assert_eq!(completions_at_return, 1, "admitted before the permit freed");
-        gate.send(()).unwrap();
-        wait_until(|| p.metrics().completions == 2);
+        assert_eq!(returned_at, SimInstant::from_millis(10_000));
+        // Fired and forgotten: the second invocation holds for its own 10 s.
+        assert_eq!(p.metrics().completions, 1);
+        clock.sleep(Duration::from_secs(11));
+        assert_eq!(p.metrics().completions, 2);
     }
 
     #[test]
@@ -895,7 +1242,7 @@ mod tests {
         // future must still resolve (parked on wakers, not threads).
         let mut cfg = PlatformConfig::for_tests();
         cfg.concurrency_limit = 4;
-        let p = Platform::new(ScaledClock::shared(1000.0), cfg, 0);
+        let p = Platform::new(SimClock::shared(0), cfg, 0);
         let hits = Arc::new(AtomicUsize::new(0));
         let hits2 = hits.clone();
         p.register(
@@ -924,7 +1271,7 @@ mod tests {
         let mut cfg = PlatformConfig::for_tests();
         cfg.concurrency_limit = 0;
         cfg.saturation = SaturationPolicy::Reject;
-        let p = Platform::new(ScaledClock::shared(1.0), cfg, 0);
+        let p = Platform::new(SimClock::shared(0), cfg, 0);
         p.register("echo", echo_handler());
         let rt = beldi_runtime::Executor::new(p.clock().clone(), 2);
         let err = rt
@@ -936,8 +1283,8 @@ mod tests {
 
     #[test]
     fn timer_trigger_fires() {
-        let clock = ScaledClock::shared(1000.0);
-        let p = Platform::new(clock, PlatformConfig::for_tests(), 0);
+        let clock = SimClock::shared(0);
+        let p = Platform::new(clock.clone(), PlatformConfig::for_tests(), 0);
         let hits = Arc::new(AtomicUsize::new(0));
         let hits2 = hits.clone();
         p.register(
@@ -948,10 +1295,10 @@ mod tests {
             }),
         );
         let timer = p.schedule_timer("tick", Duration::from_secs(60), Value::Null);
-        // 5 virtual minutes = 300 ms real.
-        std::thread::sleep(Duration::from_millis(400));
+        // Five minutes and a moment: the tick due at the fifth minute
+        // has fired and its invocation has run.
+        clock.sleep(Duration::from_millis(5 * 60_000 + 1));
         timer.stop();
-        let n = hits.load(Ordering::SeqCst);
-        assert!(n >= 2, "timer should have fired repeatedly, got {n}");
+        assert_eq!(hits.load(Ordering::SeqCst), 5);
     }
 }
