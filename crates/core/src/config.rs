@@ -8,9 +8,9 @@ use std::time::Duration;
 pub enum Mode {
     /// Full Beldi: exactly-once semantics over the linked DAAL.
     Beldi,
-    /// Exactly-once semantics with a separate write-log table updated via
-    /// cross-table transactions instead of a linked DAAL (the comparator
-    /// in Figs. 13, 16, 25).
+    /// Exactly-once semantics with a write's log entry in a separate
+    /// table (the SSF's log) updated via cross-table transactions instead
+    /// of a linked DAAL (the comparator in Figs. 13, 16, 25).
     CrossTable,
     /// Raw database/invocation calls with no fault-tolerance or
     /// transactions (the paper's baseline; under crashes it corrupts

@@ -207,14 +207,9 @@ impl SsfContext {
         schema::intent_table(&self.ssf)
     }
 
-    /// The SSF's read-log table name.
-    pub(crate) fn read_log_table(&self) -> String {
-        schema::read_log_table(&self.ssf)
-    }
-
-    /// The SSF's invoke-log table name.
-    pub(crate) fn invoke_log_table(&self) -> String {
-        schema::invoke_log_table(&self.ssf)
+    /// The SSF's log table name.
+    pub(crate) fn log_table(&self) -> String {
+        schema::log_table(&self.ssf)
     }
 
     /// DAAL parameters bound to this context.

@@ -169,18 +169,24 @@ pub(crate) fn traverse(
     Ok(Skeleton { chain })
 }
 
-/// Reads the full tail row of `key`'s DAAL, or `None` when the key has
-/// never been written.
+/// Reads the tail row of `key`'s DAAL through `proj`, or `None` when the
+/// key has never been written. What `proj` leaves out — the write log
+/// above all — stays in the store.
 ///
 /// This is the first half of the paper's `read` wrapper (Fig. 5): traverse
 /// to the tail via scan + projection, then point-read the tail row.
-pub(crate) fn read_tail_row(db: &Database, table: &str, key: &str) -> BeldiResult<Option<Value>> {
+pub(crate) fn read_tail_row(
+    db: &Database,
+    table: &str,
+    key: &str,
+    proj: &Projection,
+) -> BeldiResult<Option<Value>> {
     let skel = traverse(db, table, key, None)?;
     let Some(tail) = skel.tail_row_id() else {
         return Ok(None);
     };
     let pk = PrimaryKey::hash_sort(key, tail);
-    Ok(db.get(table, &pk, None)?)
+    Ok(db.get(table, &pk, Some(proj))?)
 }
 
 /// Number of independently locked [`TailCache`] shards.
@@ -728,8 +734,8 @@ pub(crate) fn seed(
 
 /// The lock owner recorded on `key`'s tail row, if any.
 pub(crate) fn lock_owner(db: &Database, table: &str, key: &str) -> BeldiResult<Option<Value>> {
-    Ok(read_tail_row(db, table, key)?
-        .and_then(|row| row.get_attr(A_LOCK).cloned())
+    Ok(read_tail_row(db, table, key, &Projection::attrs([A_LOCK]))?
+        .and_then(|mut row| row.take_attr(A_LOCK))
         .filter(|v| !v.is_null()))
 }
 
@@ -951,6 +957,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
+    }
+
+    /// A projected tail read leaves the row's write log in the store.
+    #[test]
+    fn tail_row_read_bills_what_it_projects() {
+        let f = Fixture::new();
+        f.write("k", "a#0", 1);
+        let probe = || {
+            let before = f.db.metrics().bytes_read;
+            let row = read_tail_row(&f.db, "t", "k", &Projection::attrs([A_VALUE])).unwrap();
+            (row, f.db.metrics().bytes_read - before)
+        };
+        let lean = probe();
+        assert_eq!(lean.0, Some(beldi_value::vmap! { A_VALUE => 1i64 }));
+        // Two more entries in the same row's log: the read costs the same.
+        f.write("k", "a#1", 1);
+        f.write("k", "a#2", 1);
+        assert_eq!(f.chain_len("k"), 1);
+        assert_eq!(probe(), lean);
     }
 
     #[test]

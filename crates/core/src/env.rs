@@ -7,7 +7,7 @@
 //! the workflow entry".
 //!
 //! Per-SSF resources created at registration (data sovereignty, §2.2):
-//! an intent table, a read log, an invoke log, the SSF's data tables
+//! an intent table, a log table, the SSF's data tables
 //! (linked DAALs in Beldi mode), their shadow tables, and — as platform
 //! functions — the SSF's intent collector and garbage collector.
 
@@ -467,9 +467,9 @@ impl BeldiEnv {
 
     /// Registers SSF `name` with its logical data tables and body.
     ///
-    /// Creates the SSF's tables (intent, read log, invoke log, one linked
-    /// DAAL plus shadow table per data table — or their plain-table
-    /// equivalents in cross-table/baseline mode) and registers the SSF,
+    /// Creates the SSF's tables (intent, log, one linked DAAL plus shadow
+    /// table per data table — or their plain-table equivalents in
+    /// cross-table/baseline mode) and registers the SSF,
     /// its intent collector (`{name}.ic`), and its garbage collector
     /// (`{name}.gc`) on the platform.
     ///
@@ -501,11 +501,7 @@ impl BeldiEnv {
         };
         if mode != Mode::Baseline {
             create(schema::intent_table(name), schema::intent_schema());
-            create(schema::read_log_table(name), schema::read_log_schema());
-            create(schema::invoke_log_table(name), schema::invoke_log_schema());
-        }
-        if mode == Mode::CrossTable {
-            create(schema::write_log_table(name), schema::write_log_schema());
+            create(schema::log_table(name), schema::log_schema());
         }
         for table in tables {
             match mode {

@@ -1,6 +1,6 @@
 //! The garbage collector (§5, Fig. 10).
 //!
-//! Left alone, the linked DAAL and the read/invoke/intent logs grow
+//! Left alone, the linked DAAL, the log and the intent table grow
 //! without bound. The GC — a timer-triggered serverless function per SSF —
 //! prunes them *without blocking concurrent SSF, IC, or other GC
 //! instances*, relying on one synchrony assumption: an SSF instance lives
@@ -11,8 +11,9 @@
 //! 1. stamp a finish time on intents that completed since the last pass;
 //! 2. classify intents whose finish time is older than `T` as
 //!    *recyclable* — no live instance can still need their logs;
-//! 3. delete the recyclable intents' read-log and invoke-log entries
-//!    (and, in cross-table mode, their write-log entries);
+//! 3. delete the recyclable intents' log entries — one owner-index query
+//!    per intent finds its read, invoke and (cross-table mode) write
+//!    entries together, since an SSF keeps them in one table;
 //! 4. disconnect non-tail DAAL rows whose write logs are fully
 //!    recyclable, stamping them with a dangling time;
 //! 5. delete disconnected rows whose dangling time is older than `T`
@@ -58,7 +59,7 @@ pub struct GcReport {
     pub finish_stamped: usize,
     /// Intents classified recyclable and removed.
     pub recycled_intents: usize,
-    /// Read/invoke/write-log entries deleted.
+    /// Log entries deleted.
     pub deleted_log_entries: usize,
     /// DAAL rows disconnected (stamped dangling).
     pub disconnected_rows: usize,
@@ -135,7 +136,13 @@ impl OwnerStatus<'_> {
         if let Some(&hit) = self.cache.get(owner) {
             return Ok(hit);
         }
-        let absent = intent::load(self.db, &self.intent_table, owner)?.is_none();
+        // An existence probe: the envelopes stay in the store.
+        let id_only = Projection::attrs([A_ID]);
+        let pk = PrimaryKey::hash(owner);
+        let absent = self
+            .db
+            .get(&self.intent_table, &pk, Some(&id_only))?
+            .is_none();
         self.cache.insert(owner.to_owned(), absent);
         Ok(absent)
     }
@@ -204,14 +211,9 @@ pub(crate) fn run_gc_with(
     (hooks.crash)(labels::GC_POST_CLASSIFY);
 
     // Step 3: prune the recyclable intents' log entries.
-    let mut log_tables = vec![schema::read_log_table(ssf), schema::invoke_log_table(ssf)];
-    if core.config.mode == Mode::CrossTable {
-        log_tables.push(schema::write_log_table(ssf));
-    }
-    for table in &log_tables {
-        for owner in &recyclable {
-            report.deleted_log_entries += delete_log_entries_of(db, table, owner)?;
-        }
+    let log = schema::log_table(ssf);
+    for owner in &recyclable {
+        report.deleted_log_entries += delete_log_entries_of(db, &log, owner)?;
     }
     (hooks.crash)(labels::GC_POST_LOG_PRUNE);
 
@@ -271,7 +273,7 @@ pub(crate) fn run_gc_with(
     Ok(report)
 }
 
-/// Deletes every entry of `owner` in a log table (via the owner index,
+/// Deletes every entry of `owner` in the log table (via the owner index,
 /// read keys-only: the delete needs nothing but the log key).
 fn delete_log_entries_of(db: &Database, table: &str, owner: &str) -> BeldiResult<usize> {
     let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_LOG_KEY]));
@@ -717,6 +719,48 @@ mod tests {
             small[0].0
         );
         assert_eq!(passes(16 << 10), small);
+    }
+
+    /// Step 3 asks the store once per recyclable intent, whatever kinds
+    /// of entries the intent logged: they are all in `{ssf}.log`.
+    #[test]
+    fn log_prune_queries_once_per_recyclable_intent() {
+        use std::cell::Cell;
+        for cfg in [BeldiConfig::beldi(), BeldiConfig::cross_table()] {
+            let e = BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_millis(50)));
+            e.register_ssf("leaf", &[], std::sync::Arc::new(|_, input| Ok(input)));
+            e.register_ssf(
+                "f",
+                &["t"],
+                std::sync::Arc::new(|ctx, input| {
+                    ctx.read("t", "k")?;
+                    ctx.write("t", "k", input.clone())?;
+                    ctx.sync_invoke("leaf", input)
+                }),
+            );
+            for i in 0..4 {
+                e.invoke_as("f", &format!("i-{i}"), Value::Int(i)).unwrap();
+            }
+            run_gc(e.test_core(), "f").unwrap(); // Stamps the finish times.
+            e.clock().sleep(Duration::from_millis(120));
+
+            let (before, after) = (Cell::new(0), Cell::new(0));
+            let at_boundary = |label: &str| {
+                if label == labels::GC_POST_CLASSIFY {
+                    before.set(e.db_metrics().queries);
+                } else if label == labels::GC_POST_LOG_PRUNE {
+                    after.set(e.db_metrics().queries);
+                }
+            };
+            let hooks = GcHooks {
+                crash: &at_boundary,
+                probe: &|_| {},
+            };
+            let report = run_gc_with(e.test_core(), "f", &hooks).unwrap();
+            assert_eq!(report.recycled_intents, 4);
+            assert!(report.deleted_log_entries >= 2 * 4, "{report:?}");
+            assert_eq!(after.get() - before.get(), 4, "one owner query each");
+        }
     }
 
     /// The cycle guard: a fabricated cyclic chain must surface loudly —

@@ -29,8 +29,7 @@ use crate::env::EnvCore;
 use crate::error::{BeldiError, BeldiResult};
 use crate::labels;
 use crate::schema::{
-    invoke_log_table, A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT,
-    A_TXN_ID,
+    log_table, A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT, A_TXN_ID,
 };
 use crate::txn::{TxnContext, TxnMode};
 
@@ -277,7 +276,7 @@ impl SsfContext {
     /// exactly-once assignment of a callee instance id (Fig. 8).
     fn invoke_entry(&mut self, callee_fn: &str) -> BeldiResult<InvokeEntry> {
         let log_key = self.next_log_key();
-        let ilog = self.invoke_log_table();
+        let log = self.log_table();
         // The callee id is opaque and first-writer-wins logged, so deriving
         // it from the (replay-stable) log key instead of drawing a platform
         // UUID makes the whole execution tree's instance ids a pure function
@@ -300,7 +299,7 @@ impl SsfContext {
             .db()
             // beldi-lint: allow(crash-points/coverage, invoke.pre_entry fires before this
             // append; invoke.pre_call / invoke.pre_asyncreg fire after it in the callers)
-            .update(&ilog, &pk, &Cond::not_exists(A_LOG_KEY), &update)
+            .update(&log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
         {
             Ok(()) => Ok(InvokeEntry {
                 callee_id: fresh_id,
@@ -308,7 +307,7 @@ impl SsfContext {
                 registered: false,
             }),
             Err(DbError::ConditionFailed) => {
-                let row = self.db().get(&ilog, &pk, None)?.ok_or_else(|| {
+                let row = self.db().get(&log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;
                 InvokeEntry::from_row(row).ok_or_else(|| {
@@ -323,8 +322,9 @@ impl SsfContext {
     /// a callback-delivered result). `step` must be the step the entry was
     /// created under.
     fn reload_entry(&self, log_key: &str) -> BeldiResult<Option<InvokeEntry>> {
-        let ilog = self.invoke_log_table();
-        let row = self.db().get(&ilog, &PrimaryKey::hash(log_key), None)?;
+        let row = self
+            .db()
+            .get(&self.log_table(), &PrimaryKey::hash(log_key), None)?;
         Ok(row.and_then(InvokeEntry::from_row))
     }
 
@@ -564,9 +564,9 @@ pub(crate) fn handle_callback(
     callee_id: &str,
     mut result: Option<Value>,
 ) -> BeldiResult<()> {
-    let ilog = invoke_log_table(ssf);
+    let log = log_table(ssf);
     let rows = core.db.index_query(
-        &ilog,
+        &log,
         A_CALLEE_ID,
         &Value::from(callee_id),
         &ScanRequest::all(),
@@ -594,7 +594,7 @@ pub(crate) fn handle_callback(
             .db
             // beldi-lint: allow(crash-points/coverage, the callback result write is
             // bracketed by wrapper.pre_callback and wrapper.pre_done in the callee)
-            .update(&ilog, &pk, &Cond::exists(A_LOG_KEY), &update)
+            .update(&log, &pk, &Cond::exists(A_LOG_KEY), &update)
         {
             Ok(()) | Err(DbError::ConditionFailed) => {}
             Err(e) => return Err(e.into()),

@@ -4,9 +4,9 @@
 //!
 //! - **Beldi** — exactly-once writes over the linked DAAL (`daal.rs`);
 //! - **cross-table transactions** — the comparator of Figs. 13/16/25:
-//!   the value lives in a plain one-row-per-key table and the write log
-//!   in a *separate* table, kept consistent with DynamoDB-style
-//!   `TransactWriteItems`;
+//!   the value lives in a plain one-row-per-key table and the write's
+//!   log entry in a *separate* table (the SSF's log), kept consistent
+//!   with DynamoDB-style `TransactWriteItems`;
 //! - **baseline** — raw reads/writes with no logging and no guarantees.
 //!
 //! This module implements the cross-table and baseline primitives; the
@@ -70,11 +70,11 @@ pub(crate) fn baseline_cond_write(
 
 // ---- Cross-table transactional logging ----
 
-/// Index of the write-log `Put` inside the transact batches below; a
+/// Index of the log-entry `Put` inside the transact batches below; a
 /// cancellation blaming this op means "this step already executed".
 const LOG_OP: usize = 1;
 
-fn wlog_entry(log_key: &str, owner: &str, flag: bool) -> Value {
+fn write_entry(log_key: &str, owner: &str, flag: bool) -> Value {
     beldi_value::vmap! {
         A_LOG_KEY => log_key,
         A_OWNER => owner,
@@ -82,18 +82,18 @@ fn wlog_entry(log_key: &str, owner: &str, flag: bool) -> Value {
     }
 }
 
-fn wlog_put(wlog: &str, log_key: &str, owner: &str, flag: bool) -> TransactOp {
+fn write_entry_put(log: &str, log_key: &str, owner: &str, flag: bool) -> TransactOp {
     TransactOp::Put {
-        table: wlog.to_owned(),
-        item: wlog_entry(log_key, owner, flag),
+        table: log.to_owned(),
+        item: write_entry(log_key, owner, flag),
         cond: Cond::not_exists(A_LOG_KEY),
     }
 }
 
-/// Reads the logged outcome of `log_key` from the write-log table.
-fn wlog_flag(db: &Database, wlog: &str, log_key: &str) -> BeldiResult<WriteOutcome> {
+/// Reads the logged outcome of write step `log_key` from the log table.
+fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutcome> {
     let row = db
-        .get(wlog, &PrimaryKey::hash(log_key), None)?
+        .get(log, &PrimaryKey::hash(log_key), None)?
         .ok_or_else(|| {
             BeldiError::Protocol(format!("write-log entry {log_key} vanished after conflict"))
         })?;
@@ -116,7 +116,7 @@ fn wlog_flag(db: &Database, wlog: &str, log_key: &str) -> BeldiResult<WriteOutco
 pub(crate) fn cross_table_write(
     db: &Database,
     table: &str,
-    wlog: &str,
+    log: &str,
     key: &str,
     log_key: &str,
     owner: &str,
@@ -132,21 +132,21 @@ pub(crate) fn cross_table_write(
             cond: data_cond,
             update: payload,
         },
-        wlog_put(wlog, log_key, owner, true),
+        write_entry_put(log, log_key, owner, true),
     ];
     match db.transact_write(&ops) {
         Ok(()) => Ok(WriteOutcome::Applied),
         Err(DbError::TransactionCanceled { failed_op }) if failed_op == LOG_OP => {
             // The step already executed; replay its logged outcome.
-            wlog_flag(db, wlog, log_key)
+            logged_flag(db, log, log_key)
         }
         Err(DbError::TransactionCanceled { .. }) => {
             // The user condition failed at the serialization point; log
             // the false outcome (unless a racing re-execution logged
             // first, in which case replay it).
-            match db.transact_write(&[wlog_put(wlog, log_key, owner, false)]) {
+            match db.transact_write(&[write_entry_put(log, log_key, owner, false)]) {
                 Ok(()) => Ok(WriteOutcome::ConditionFalse),
-                Err(DbError::TransactionCanceled { .. }) => wlog_flag(db, wlog, log_key),
+                Err(DbError::TransactionCanceled { .. }) => logged_flag(db, log, log_key),
                 Err(e) => Err(e.into()),
             }
         }
@@ -181,12 +181,12 @@ pub(crate) fn seed_plain(db: &Database, table: &str, key: &str, value: Value) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{plain_data_schema, write_log_schema};
+    use crate::schema::{log_schema, plain_data_schema};
 
     fn db() -> std::sync::Arc<Database> {
         let db = Database::for_tests();
         db.create_table("d", plain_data_schema()).unwrap();
-        db.create_table("w", write_log_schema()).unwrap();
+        db.create_table("w", log_schema()).unwrap();
         db
     }
 

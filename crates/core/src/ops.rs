@@ -5,8 +5,8 @@
 //! instance deterministically replays recorded results instead of
 //! re-performing effects:
 //!
-//! - [`SsfContext::read`] logs the value it returned in the read log
-//!   (Fig. 5) — reads have no external effect, but their results feed
+//! - [`SsfContext::read`] logs the value it returned as a read entry of
+//!   the SSF's log (Fig. 5) — reads have no external effect, but their results feed
 //!   later effects, so replay must reproduce them;
 //! - [`SsfContext::write`] / [`SsfContext::cond_write`] execute and log
 //!   atomically inside the storage atomicity scope (Figs. 6/17 via the
@@ -79,7 +79,7 @@ impl SsfContext {
     /// every logged source of nondeterminism.
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
         let log_key = self.next_log_key();
-        let rlog = self.read_log_table();
+        let log = self.log_table();
         self.crash(labels::READ_PRE_LOG);
         // First writer wins: a re-execution must find the value its
         // predecessor logged, never overwrite it with a fresh read.
@@ -89,7 +89,7 @@ impl SsfContext {
             .set(A_OWNER, self.instance_id())
             .set(A_VALUE, val.clone());
         let pk = PrimaryKey::hash(log_key.as_str());
-        match self.db().update(&rlog, &pk, &entry_cond, &update) {
+        match self.db().update(&log, &pk, &entry_cond, &update) {
             Ok(()) => {
                 self.crash(labels::READ_POST_LOG);
                 Ok(val)
@@ -97,7 +97,7 @@ impl SsfContext {
             Err(DbError::ConditionFailed) => {
                 // A previous execution of this step logged first; its
                 // value is authoritative.
-                let row = self.db().get(&rlog, &pk, None)?.ok_or_else(|| {
+                let row = self.db().get(&log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("read-log entry {log_key} vanished"))
                 })?;
                 Ok(row.get_attr(A_VALUE).cloned().unwrap_or(Value::Null))
@@ -178,12 +178,12 @@ impl SsfContext {
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
             Mode::CrossTable => {
-                let wlog = crate::schema::write_log_table(&self.ssf);
+                let log = self.log_table();
                 let owner = self.instance_id().to_owned();
                 modes::cross_table_write(
                     self.db(),
                     physical,
-                    &wlog,
+                    &log,
                     key,
                     &log_key,
                     &owner,

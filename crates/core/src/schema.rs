@@ -1,9 +1,17 @@
 //! Table naming and attribute constants.
 //!
 //! Beldi maintains, **per SSF** (data sovereignty, §2.2): an intent table,
-//! a read log, an invoke log, and the SSF's data tables stored as linked
-//! DAALs (Fig. 3). Each SSF's tables live under its own name prefix; an
-//! SSF can only reach its own prefix through [`crate::SsfContext`].
+//! one log table, and the SSF's data tables stored as linked DAALs
+//! (Fig. 3). Each SSF's tables live under its own name prefix; an SSF can
+//! only reach its own prefix through [`crate::SsfContext`].
+//!
+//! Fig. 3's read log and invoke log — and the cross-table mode's write
+//! log — are one table, `{ssf}.log`: every logged operation of an instance
+//! draws its key from the one step counter
+//! ([`crate::SsfContext`]'s `next_log_key`), so entries of different kinds
+//! never share a `LogKey`, and the callee-id and transaction-id indexes
+//! are sparse, so only invoke entries appear in them. The collector finds
+//! everything an intent logged with one owner-index query.
 
 use beldi_simdb::TableSchema;
 
@@ -58,9 +66,9 @@ pub const A_CLAIMANT: &str = "Claimant";
 /// Last (re-)launch timestamp (ms), maintained by the IC.
 pub const A_LAST_LAUNCH: &str = "LastLaunch";
 
-// ---- Attribute names: read & invoke logs (Fig. 3) ----
+// ---- Attribute names: log entries (Fig. 3) ----
 
-/// Log key `instance#step` (hash key of log tables).
+/// Log key `instance#step` (hash key of the log table).
 pub const A_LOG_KEY: &str = "LogKey";
 /// Owning instance id (indexed; lets the GC delete by instance).
 pub const A_OWNER: &str = "Owner";
@@ -93,19 +101,10 @@ pub fn intent_table(ssf: &str) -> String {
     format!("{ssf}.intent")
 }
 
-/// Name of an SSF's read log table.
-pub fn read_log_table(ssf: &str) -> String {
-    format!("{ssf}.rlog")
-}
-
-/// Name of an SSF's invoke log table.
-pub fn invoke_log_table(ssf: &str) -> String {
-    format!("{ssf}.ilog")
-}
-
-/// Name of an SSF's write-log table (cross-table mode only).
-pub fn write_log_table(ssf: &str) -> String {
-    format!("{ssf}.wlog")
+/// Name of an SSF's log table: its read and invoke entries and, in
+/// cross-table mode, its write entries.
+pub fn log_table(ssf: &str) -> String {
+    format!("{ssf}.log")
 }
 
 /// Fully qualified name of an SSF data table.
@@ -119,8 +118,7 @@ pub fn shadow_table(ssf: &str, table: &str) -> String {
 }
 
 /// True when `table` is one of Beldi's own metadata tables — intent,
-/// read/invoke/write logs, or shadow tables — rather than application
-/// data.
+/// log, or shadow tables — rather than application data.
 ///
 /// The crash-schedule explorer uses this to split snapshot diffs
 /// ([`beldi_simdb::SnapshotDiff::split`]): metadata legitimately differs
@@ -141,14 +139,11 @@ pub fn is_meta_table(table: &str) -> bool {
         }
     }
     // Everything under `.data.` is an application table, whatever its
-    // logical name (`{ssf}.data.wlog` is data, not a write log).
+    // logical name (`{ssf}.data.log` is data, not the log).
     if table.contains(".data.") {
         return false;
     }
-    table.ends_with(".intent")
-        || table.ends_with(".rlog")
-        || table.ends_with(".ilog")
-        || table.ends_with(".wlog")
+    table.ends_with(".intent") || table.ends_with(".log")
 }
 
 // ---- Schemas ----
@@ -165,23 +160,14 @@ pub fn intent_schema() -> TableSchema {
     TableSchema::hash_only(A_ID).with_index(A_DONE)
 }
 
-/// Schema of a read log (indexed by owner for GC deletion).
-pub fn read_log_schema() -> TableSchema {
-    TableSchema::hash_only(A_LOG_KEY).with_index(A_OWNER)
-}
-
-/// Schema of an invoke log (indexed by owner for GC, by callee id for
-/// callbacks, and by transaction id for commit/abort propagation).
-pub fn invoke_log_schema() -> TableSchema {
+/// Schema of a log table: indexed by owner for GC deletion, and — invoke
+/// entries only, the indexes being sparse — by callee id for callbacks
+/// and by transaction id for commit/abort propagation.
+pub fn log_schema() -> TableSchema {
     TableSchema::hash_only(A_LOG_KEY)
         .with_index(A_OWNER)
         .with_index(A_CALLEE_ID)
         .with_index(A_TXN_ID)
-}
-
-/// Schema of a cross-table-mode write log.
-pub fn write_log_schema() -> TableSchema {
-    TableSchema::hash_only(A_LOG_KEY).with_index(A_OWNER)
 }
 
 /// Schema of a plain one-row-per-key data table (baseline and cross-table
@@ -210,6 +196,7 @@ mod tests {
     #[test]
     fn table_names_are_prefixed_per_ssf() {
         assert_eq!(intent_table("hotel"), "hotel.intent");
+        assert_eq!(log_table("hotel"), "hotel.log");
         assert_eq!(data_table("hotel", "rooms"), "hotel.data.rooms");
         assert_eq!(shadow_table("hotel", "rooms"), "hotel.data.rooms.shadow");
         // Two SSFs never share a table name.
@@ -219,33 +206,26 @@ mod tests {
     #[test]
     fn schemas_have_expected_indexes() {
         assert!(intent_schema().index_attrs.contains(&A_DONE.to_string()));
-        let ilog = invoke_log_schema();
-        assert!(ilog.index_attrs.contains(&A_CALLEE_ID.to_string()));
-        assert!(ilog.index_attrs.contains(&A_TXN_ID.to_string()));
+        assert_eq!(log_schema().index_attrs, [A_OWNER, A_CALLEE_ID, A_TXN_ID]);
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
     }
 
     #[test]
     fn meta_table_classifier_matches_naming() {
-        for t in [
-            intent_table("f"),
-            read_log_table("f"),
-            invoke_log_table("f"),
-            write_log_table("f"),
-            shadow_table("f", "t"),
-        ] {
+        for t in [intent_table("f"), log_table("f"), shadow_table("f", "t")] {
             assert!(is_meta_table(&t), "{t} must classify as metadata");
         }
         assert!(!is_meta_table(&data_table("f", "t")));
         // Application tables whose logical names collide with metadata
         // suffixes stay application data.
-        for logical in ["wlog", "rlog", "ilog", "intent", "shadow"] {
+        for logical in ["log", "intent", "shadow"] {
             let t = data_table("f", logical);
             assert!(!is_meta_table(&t), "{t} is app data, not metadata");
         }
+        assert!(is_meta_table("f.log") && !is_meta_table("f.data.log"));
         // ...while a real shadow of such a table is still metadata.
-        assert!(is_meta_table(&shadow_table("f", "wlog")));
+        assert!(is_meta_table(&shadow_table("f", "log")));
     }
 
     #[test]

@@ -190,7 +190,7 @@ pub(crate) fn parse_lock_owner(v: &Value) -> Option<(&str, u64)> {
 
 // ---- The transaction protocol on SsfContext ----
 
-use beldi_simdb::{DbError, PrimaryKey, ScanRequest};
+use beldi_simdb::{DbError, PrimaryKey, Projection, ScanRequest};
 use beldi_value::{Cond, Path, Update};
 
 use crate::config::Mode;
@@ -440,9 +440,10 @@ impl SsfContext {
         let ctx = self.txn_ctx_cloned()?;
         let shadow = self.shadow_table(logical)?;
         let skey = shadow_key(&ctx.id, key);
-        if let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey)? {
+        let probe = Projection::attrs([A_WRITTEN, A_VALUE]);
+        if let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
             if tail.get_bool(A_WRITTEN).unwrap_or(false) {
-                return Ok(tail.get_attr(A_VALUE).cloned().unwrap_or(Value::Null));
+                return Ok(tail.take_attr(A_VALUE).unwrap_or(Value::Null));
             }
         }
         let physical = self.data_table(logical)?;
@@ -601,15 +602,14 @@ impl SsfContext {
     /// Reconstructs, from the shadow tables, the deterministic sorted list
     /// of items this transaction locked/wrote in this SSF.
     fn shadow_entries(&mut self, txn_id: &str) -> BeldiResult<Vec<ShadowEntry>> {
+        let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
+        let origin = Projection::attrs([A_ORIG_KEY, A_ORIG_TABLE, A_WRITTEN]);
         let mut out = std::collections::BTreeSet::new();
         for logical in self.logical_tables() {
             let shadow = self.shadow_table(&logical)?;
-            let rows = self.db().index_query(
-                &shadow,
-                A_TXN_ID,
-                &Value::from(txn_id),
-                &ScanRequest::all(),
-            )?;
+            let rows =
+                self.db()
+                    .index_query(&shadow, A_TXN_ID, &Value::from(txn_id), &keys_only)?;
             let mut skeys = std::collections::BTreeSet::new();
             for row in &rows {
                 if let Some(k) = row.get_str(A_KEY) {
@@ -617,7 +617,7 @@ impl SsfContext {
                 }
             }
             for skey in skeys {
-                let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey)? else {
+                let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey, &origin)? else {
                     continue;
                 };
                 let Some(key) = tail.get_str(A_ORIG_KEY) else {
@@ -637,12 +637,14 @@ impl SsfContext {
     }
 
     /// The deterministic sorted set of SSFs this SSF invoked inside the
-    /// transaction, from the invoke log's transaction-id index.
+    /// transaction, from the log's transaction-id index.
     fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<String>> {
-        let ilog = self.invoke_log_table();
-        let rows =
-            self.db()
-                .index_query(&ilog, A_TXN_ID, &Value::from(txn_id), &ScanRequest::all())?;
+        let rows = self.db().index_query(
+            &self.log_table(),
+            A_TXN_ID,
+            &Value::from(txn_id),
+            &ScanRequest::all(),
+        )?;
         let mut set = std::collections::BTreeSet::new();
         for row in rows {
             if let Some(f) = row.get_str(A_CALLEE_FN) {

@@ -100,7 +100,7 @@ fn spurious_callbacks_are_ignored() {
     // The caller's invoke log is still empty.
     let rows = env
         .db()
-        .scan_all("caller.ilog", &ScanRequest::all())
+        .scan_all("caller.log", &ScanRequest::all())
         .unwrap();
     assert!(rows.is_empty());
 }
@@ -114,7 +114,7 @@ fn duplicate_callbacks_keep_first_result() {
     // result; the original must win (set-if-absent semantics).
     let rows = env
         .db()
-        .scan_all("caller.ilog", &ScanRequest::all())
+        .scan_all("caller.log", &ScanRequest::all())
         .unwrap();
     assert_eq!(rows.len(), 1);
     let callee_id = rows[0].get_str("CalleeId").unwrap().to_owned();
@@ -126,7 +126,7 @@ fn duplicate_callbacks_keep_first_result() {
     env.platform().invoke_sync("caller", forged).unwrap();
     let rows = env
         .db()
-        .scan_all("caller.ilog", &ScanRequest::all())
+        .scan_all("caller.log", &ScanRequest::all())
         .unwrap();
     let result = rows[0].get_attr("Result").unwrap();
     assert_ne!(result.get_str("Ret"), Some("forged"));
@@ -177,4 +177,63 @@ fn caller_crash_after_callback_reuses_logged_result() {
         env.read_current("callee", "ct", "runs").unwrap(),
         Value::Int(1)
     );
+}
+
+/// Read entries and invoke entries share `{ssf}.log`. The callee-id and
+/// transaction-id indexes are sparse, so the two paths that look entries
+/// up by them — the callback and commit propagation — see invoke entries
+/// only, however many reads the instance logged beside them.
+#[test]
+fn callee_and_txn_indexes_list_invoke_entries_only() {
+    let env = caller_callee_env(BeldiConfig::beldi());
+    env.register_ssf(
+        "front",
+        &["ft"],
+        Arc::new(|ctx, input| {
+            ctx.read("ft", "seen")?;
+            ctx.begin_tx()?; // Logs the transaction's id and start time.
+            ctx.read("ft", "seen")?;
+            let out = ctx.sync_invoke("callee", input)?;
+            ctx.end_tx()?;
+            Ok(out)
+        }),
+    );
+    env.seed("front", "ft", "seen", Value::Int(0)).unwrap();
+    let out = env.invoke_as("front", "f-1", Value::Int(3)).unwrap();
+    assert_eq!(out.get_int("run"), Some(1));
+    // The commit reached the callee through the transaction-id index.
+    assert_eq!(
+        env.read_current("callee", "ct", "runs").unwrap(),
+        Value::Int(1)
+    );
+
+    let log = "front.log";
+    let rows = env.db().scan_all(log, &ScanRequest::all()).unwrap();
+    let (invokes, reads): (Vec<_>, Vec<_>) =
+        rows.iter().partition(|r| r.get_str("CalleeId").is_some());
+    assert!(reads.len() >= 4, "{} read entries", reads.len());
+    assert!(reads.iter().all(|r| r.get_attr("TxnId").is_none()));
+    for entry in &invokes {
+        let id = entry.get_attr("CalleeId").unwrap();
+        let by_callee = env
+            .db()
+            .index_query(log, "CalleeId", id, &ScanRequest::all())
+            .unwrap();
+        assert_eq!(by_callee, [(*entry).clone()]);
+    }
+    // The callback found the call's entry and left the result on it (the
+    // commit signal's entry beside it carries none).
+    let call = invokes
+        .iter()
+        .find(|r| r.get_attr("Result").is_some())
+        .expect("the call's entry holds its result");
+    let txn = call.get_attr("TxnId").expect("invoked inside the txn");
+    let by_txn = env
+        .db()
+        .index_query(log, "TxnId", txn, &ScanRequest::all())
+        .unwrap();
+    assert!(!by_txn.is_empty());
+    for entry in &by_txn {
+        assert_eq!(entry.get_str("CalleeFn"), Some("callee"), "{entry:?}");
+    }
 }

@@ -50,7 +50,7 @@ fn completed_intents_and_logs_are_recycled() {
         env.invoke("ctr", Value::Null).unwrap();
     }
     assert!(table_len(&env, "ctr.intent") >= 5);
-    assert!(table_len(&env, "ctr.rlog") >= 5);
+    assert!(table_len(&env, "ctr.log") >= 5);
 
     // Pass 1 stamps finish times; after T, pass 2 recycles.
     env.run_gc_once("ctr").unwrap();
@@ -59,7 +59,7 @@ fn completed_intents_and_logs_are_recycled() {
     assert_eq!(report.recycled_intents, 5);
     assert!(report.deleted_log_entries >= 5);
     assert_eq!(table_len(&env, "ctr.intent"), 0);
-    assert_eq!(table_len(&env, "ctr.rlog"), 0);
+    assert_eq!(table_len(&env, "ctr.log"), 0);
     // State survives collection.
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(5));
 }
@@ -318,10 +318,10 @@ fn timer_triggered_online_gc_bounds_tables_under_live_traffic() {
     );
     assert_eq!(totals.report.corrupt_chains, 0);
     let intents = table_len(&env, "ctr.intent");
-    let rlog = table_len(&env, "ctr.rlog");
+    let log = table_len(&env, "ctr.log");
     assert!(
-        intents <= 5 && rlog <= 5,
-        "tables unbounded under online GC: {intents} intents, {rlog} rlog rows"
+        intents <= 5 && log <= 5,
+        "tables unbounded under online GC: {intents} intents, {log} log rows"
     );
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(30));
 }
@@ -411,13 +411,65 @@ fn cross_table_mode_write_log_is_pruned() {
     for _ in 0..4 {
         env.invoke("ctr", Value::Null).unwrap();
     }
-    assert!(table_len(&env, "ctr.wlog") >= 4);
+    assert!(table_len(&env, "ctr.log") >= 4);
     env.run_gc_once("ctr").unwrap();
     wait_t(&env);
     let report = env.run_gc_once("ctr").unwrap();
     assert!(report.deleted_log_entries >= 4);
-    assert_eq!(table_len(&env, "ctr.wlog"), 0);
+    assert_eq!(table_len(&env, "ctr.log"), 0);
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(4));
+}
+
+/// One log per SSF: an instance that reads, invokes (sync and async) and
+/// writes leaves one `{ssf}.log` row per logged step outside the DAAL —
+/// the write is such a step in cross-table mode only — no two under one
+/// `LogKey`, and two passes past `T` empty the table.
+#[test]
+fn every_kind_of_log_entry_shares_one_table_and_is_collected() {
+    for (cfg, logged) in [(BeldiConfig::beldi(), 3), (BeldiConfig::cross_table(), 4)] {
+        let env = BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_millis(100)));
+        env.register_ssf(
+            "leaf",
+            &["lt"],
+            Arc::new(|ctx, _| {
+                let n = ctx.read("lt", "runs")?.as_int().unwrap_or(0);
+                ctx.write("lt", "runs", Value::Int(n + 1))?;
+                Ok(Value::Null)
+            }),
+        );
+        env.register_ssf(
+            "mix",
+            &["t"],
+            Arc::new(|ctx, _| {
+                let c = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                ctx.sync_invoke("leaf", Value::Null)?;
+                ctx.async_invoke("leaf", Value::Null)?;
+                ctx.write("t", "k", Value::Int(c + 1))?;
+                Ok(Value::Null)
+            }),
+        );
+        env.invoke_as("mix", "m-1", Value::Null).unwrap();
+        // The async leaf lands on its own time.
+        let deadline = env.clock().now().plus(Duration::from_secs(5));
+        while env.read_current("leaf", "lt", "runs").unwrap() != Value::Int(2) {
+            assert!(env.clock().now() < deadline, "async leaf never ran");
+            env.clock().sleep(Duration::from_millis(2));
+        }
+
+        let rows = env.db().scan_all("mix.log", &ScanRequest::all()).unwrap();
+        let mut keys: Vec<&str> = rows.iter().filter_map(|r| r.get_str("LogKey")).collect();
+        keys.sort_unstable();
+        let steps: Vec<String> = (0..logged).map(|step| format!("m-1#{step}")).collect();
+        assert_eq!(keys, steps, "one row per logged step, read first");
+        assert!(rows.iter().all(|r| r.get_str("Owner") == Some("m-1")));
+
+        env.run_gc_once("mix").unwrap();
+        wait_t(&env);
+        let report = env.run_gc_once("mix").unwrap();
+        assert_eq!(report.deleted_log_entries, logged);
+        assert_eq!(table_len(&env, "mix.log"), 0);
+        assert_eq!(env.read_current("mix", "t", "k").unwrap(), Value::Int(1));
+    }
 }
 
 #[test]
@@ -451,7 +503,7 @@ fn lease_enforcement_doubles_the_recycle_horizon() {
     assert_eq!(mid.recycled_intents, 0, "recycled inside the zombie window");
     assert_eq!(table_len(&env, "ctr.intent"), 1);
     assert!(
-        table_len(&env, "ctr.rlog") >= 1,
+        table_len(&env, "ctr.log") >= 1,
         "logs pruned inside the zombie window"
     );
 
@@ -460,7 +512,7 @@ fn lease_enforcement_doubles_the_recycle_horizon() {
     let late = env.run_gc_once("ctr").unwrap();
     assert_eq!(late.recycled_intents, 1);
     assert_eq!(table_len(&env, "ctr.intent"), 0);
-    assert_eq!(table_len(&env, "ctr.rlog"), 0);
+    assert_eq!(table_len(&env, "ctr.log"), 0);
 }
 
 #[test]

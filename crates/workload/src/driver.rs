@@ -226,8 +226,8 @@ wire_fields!(LatencySummary: p50_us, p90_us, p95_us, p99_us, mean_us, max_us);
 pub struct StorageSample {
     /// Virtual microseconds since the measurement window opened.
     pub t_us: u64,
-    /// Total rows across Beldi metadata tables (intent, read/invoke/
-    /// write logs, shadow tables) — the storage GC exists to bound.
+    /// Total rows across Beldi metadata tables (intent, log, shadow
+    /// tables) — the storage GC exists to bound.
     pub meta_rows: u64,
     /// Total rows across application data tables (DAAL rows in Beldi
     /// mode; one row per key otherwise).

@@ -28,8 +28,8 @@
 //!
 //! With [`ExploreOptions::gc_check`] the explorer additionally verifies
 //! GC quiescence per schedule: after `T` elapses, repeated GC passes must
-//! empty the read/invoke/write logs and intent tables and shrink every
-//! DAAL to head + tail — found by walking every key, which also checks
+//! empty the log and intent tables and shrink every DAAL to head +
+//! tail — found by walking every key, which also checks
 //! that the collector's sparse appended-row index lists exactly the keys
 //! holding a non-head row.
 
@@ -441,15 +441,7 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
     };
     let mut residue = Vec::new();
     for ssf in &ssfs {
-        let mut logs = vec![
-            schema::intent_table(ssf),
-            schema::read_log_table(ssf),
-            schema::invoke_log_table(ssf),
-        ];
-        if mode == Mode::CrossTable {
-            logs.push(schema::write_log_table(ssf));
-        }
-        for table in logs {
+        for table in [schema::intent_table(ssf), schema::log_table(ssf)] {
             let n = count(&table);
             if n > 0 {
                 residue.push(format!("{table}: {n} row(s)"));
