@@ -207,3 +207,61 @@ pub fn bench_app(kind: &str, mode: beldi::Mode, mix: MixProfile) -> Option<Box<d
         _ => None,
     }
 }
+
+/// The static half of "an application mutates state only through the
+/// logged API" is this crate's `clippy.toml` (DESIGN.md §11).
+#[cfg(test)]
+mod clippy_canaries {
+    use beldi::value::{vmap, Cond, Update};
+    use beldi::BeldiEnv;
+    use beldi_simdb::PrimaryKey;
+
+    /// What a seeding helper that went around `SsfContext` would look
+    /// like. Clippy resolves the callee, so it is caught in a helper, at
+    /// any depth, as surely as in a handler body.
+    fn helper_that_writes_around_the_log(env: &BeldiEnv) {
+        let key = PrimaryKey::hash("k");
+        #[expect(clippy::disallowed_methods, reason = "canary: Database::put")]
+        env.db().put("t", vmap! { "Id" => "k" }).ok();
+        #[expect(clippy::disallowed_methods, reason = "canary: Database::update")]
+        env.db()
+            .update("t", &key, &Cond::True, &Update::new().inc("N", 1))
+            .ok();
+        #[expect(clippy::disallowed_methods, reason = "canary: Database::delete")]
+        env.db().delete("t", &key, &Cond::True).ok();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "canary: Database::transact_write"
+        )]
+        env.db().transact_write(&[]).ok();
+    }
+
+    /// An expectation that excuses nothing fails `cargo clippy
+    /// --all-targets -- -D warnings`: that is the test. Running the
+    /// helper only keeps it from being dead code.
+    #[test]
+    fn the_store_write_surface_is_disallowed_in_this_crate() {
+        helper_that_writes_around_the_log(&BeldiEnv::for_tests());
+    }
+
+    fn paths(toml: &str) -> Vec<&str> {
+        toml.lines()
+            .filter(|l| l.trim_start().starts_with("{ path = "))
+            .collect()
+    }
+
+    /// Clippy reads the nearest `clippy.toml` and does not merge, so this
+    /// crate's file must carry every entry of the root's.
+    #[test]
+    fn clippy_toml_repeats_the_root() {
+        let root = paths(include_str!("../../../clippy.toml"));
+        let mine = paths(include_str!("../clippy.toml"));
+        assert!(root.len() >= 15);
+        for entry in &root {
+            assert!(mine.contains(entry), "missing here: {entry}");
+        }
+        let own: Vec<_> = mine.iter().filter(|e| !root.contains(e)).collect();
+        assert_eq!(own.len(), 4, "put, update, delete, transact_write: {own:?}");
+        assert!(own.iter().all(|e| e.contains("beldi_simdb::Database::")));
+    }
+}

@@ -22,6 +22,11 @@
 //! (DynamoDB's per-item write ceiling), so the series flattens as workers
 //! are added: it is the hot-key ceiling.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the measurement is real parallelism on host threads over a real-time clock"
+)]
+
 use std::sync::Arc;
 
 use beldi::simclock::ScaledClock;

@@ -89,8 +89,10 @@ pub(crate) fn main(args: &Args) {
     }
     // Serve until the process is killed.
     loop {
-        // beldi-lint: allow(async-safety/blocking-in-task, the door's threads
-        // do the serving; this one only keeps the process alive)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the door's threads do the serving; this one only keeps the process alive"
+        )]
         std::thread::park();
     }
 }

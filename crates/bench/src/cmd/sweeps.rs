@@ -148,7 +148,7 @@ fn travel_consistency(series: &[Series], partitions: usize) {
                 let client = move || {
                     let mut rng = beldi_apps::rng::request_rng(0xC0 + t);
                     for _ in 0..12 {
-                        let _ = env.invoke(app.entry(), app.reserve_request(&mut rng));
+                        env.invoke(app.entry(), app.reserve_request(&mut rng)).ok();
                     }
                 };
                 clock.spawn(format!("client-{t}"), Box::new(client))

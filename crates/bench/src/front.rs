@@ -39,12 +39,14 @@
 //! stream in-process, and compares state digests (exactly-once across
 //! the network equals exactly-once in memory).
 
-// beldi-lint: allow-file(async-safety/blocking-in-task, the real-socket
-// exception: the acceptor, the per-connection threads and the smoke
-// clients wait on TCP peers no simulated clock can see, so the door runs
-// on plain threads over a ScaledClock; a handler parks its own connection
-// thread on a channel while its task runs on the executor thread, which
-// never blocks here)
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the real-socket exception: the acceptor, the per-connection threads and the smoke \
+              clients wait on TCP peers no simulated clock can see, so the door runs on plain \
+              threads over a ScaledClock; a handler parks its own connection thread on a channel \
+              while its task runs on the executor thread, which never blocks here"
+)]
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -121,7 +123,7 @@ impl FrontDoor {
                     let Ok(stream) = conn else { continue };
                     let state = Arc::clone(&state);
                     std::thread::spawn(move || {
-                        let _ = serve_connection(stream, &state);
+                        serve_connection(stream, &state).ok();
                     });
                 }
             })
@@ -161,13 +163,13 @@ impl FrontDoor {
     fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor's `incoming()` with a throwaway connect.
-        let _ = TcpStream::connect(self.addr);
+        TcpStream::connect(self.addr).ok();
         if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
+            t.join().ok();
         }
         drop(self.keepalive.take());
         if let Some(t) = self.executor.take() {
-            let _ = t.join();
+            t.join().ok();
         }
     }
 }
@@ -417,7 +419,7 @@ fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
         .invoke_task(ssf, &instance, payload, MAX_ROOT_ATTEMPTS);
     let (tx, rx) = mpsc::channel();
     state.handle.spawn(async move {
-        let _ = tx.send(fut.await);
+        tx.send(fut.await).ok();
     });
     faults.crash_point(&instance, labels::FRONT_POST_SPAWN);
     let result = rx.recv();
@@ -653,7 +655,7 @@ pub fn front_smoke(
     let inproc_env = crate::front_env(mode, partitions);
     app.setup(&inproc_env);
     for payload in &reqs {
-        let _ = inproc_env.invoke(entry, payload.clone());
+        inproc_env.invoke(entry, payload.clone()).ok();
     }
     let inproc_digest = state_digest(app.as_ref(), &inproc_env);
 

@@ -1,5 +1,6 @@
 //! The experiment harness: one executable, `beldi-bench <subcommand>`,
-//! plus the library code its subcommands and the Criterion benches share.
+//! plus the library code its subcommands and the `contention` Criterion
+//! bench share.
 //!
 //! | Subcommand | Reproduces / does |
 //! |------------|-------------------|
@@ -21,8 +22,10 @@
 //! All latencies are **virtual-time** milliseconds on a
 //! [`SimClock`](beldi::simclock::SimClock): sums of modelled waits, the
 //! same on every host. Absolute values depend on the latency model; the
-//! comparative *shapes* are the reproduction targets (see
-//! `EXPERIMENTS.md`).
+//! comparative *shapes* are the reproduction targets (baseline ≪ Beldi ≈
+//! cross-table latency; `invoke` is the heaviest operation).
+
+#![warn(clippy::let_underscore_must_use)]
 
 pub mod cli;
 mod cmd;
@@ -105,16 +108,10 @@ pub fn experiment_env(
     harness(cfg, microbench_platform()).build()
 }
 
-/// Like [`app_env`] but with an effectively unbounded invocation timeout
-/// (the workload driver's platform).
-pub fn bench_env(mode: Mode, partitions: usize) -> BeldiEnv {
-    let cfg = config_for(mode, 100, partitions);
-    harness(cfg, driver_platform(None)).build()
-}
-
-/// [`bench_env`] for the HTTP front door: the one environment on a
-/// [`ScaledClock`], because connection threads wait on real sockets no
-/// simulated clock can see.
+/// The HTTP front door's environment — like [`app_env`] but on the
+/// workload driver's platform (an effectively unbounded invocation
+/// timeout), and the one environment on a [`ScaledClock`], because
+/// connection threads wait on real sockets no simulated clock can see.
 pub fn front_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
     harness(cfg, driver_platform(None))

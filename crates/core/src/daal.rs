@@ -400,7 +400,10 @@ pub(crate) struct WritePayload {
     pub apply: Update,
 }
 
-#[cfg_attr(not(test), allow(dead_code))] // Constructors exercised by unit tests.
+#[cfg_attr(
+    not(test),
+    allow(dead_code, reason = "constructors exercised by unit tests")
+)]
 impl WritePayload {
     /// Payload of a plain value write.
     pub fn set_value(value: Value) -> Self {
@@ -1155,6 +1158,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+    )]
     fn concurrent_cached_readers_see_writer_progress() {
         use std::sync::Arc;
         let f = Arc::new(Fixture::new());
@@ -1198,6 +1205,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+    )]
     fn concurrent_writers_converge() {
         use std::sync::Arc;
         let f = Arc::new(Fixture::new());

@@ -306,7 +306,10 @@ fn delete_log_entries_of(db: &Database, table: &str, owner: &str) -> BeldiResult
 /// to collect, and a pass costs what its garbage costs, not what the
 /// store holds. Shadow tables are walked key by key: every shadow chain
 /// is garbage-to-be and is collected whole, head included.
-#[allow(clippy::too_many_arguments)] // Internal helper mirroring Fig. 10's loop.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal helper mirroring Fig. 10's loop"
+)]
 fn collect_daal_table(
     db: &Database,
     table: &str,
@@ -385,7 +388,10 @@ fn report_corrupt_chain(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)] // Internal helper mirroring Fig. 10's loop.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "internal helper mirroring Fig. 10's loop"
+)]
 fn collect_daal_key(
     db: &Database,
     table: &str,

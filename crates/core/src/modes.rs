@@ -110,9 +110,10 @@ fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutc
 /// `payload` is applied to the data row on success (e.g. `SET Value = v`
 /// or `SET LockOwner = o`); `user_cond` gates it, with the false outcome
 /// logged exactly as in the DAAL protocol (Fig. 17).
-// The argument list mirrors the DAAL write-protocol inputs one-to-one;
-// bundling them into a struct would just rename the call sites.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the argument list mirrors the DAAL write-protocol inputs one-to-one; bundling them into a struct would just rename the call sites"
+)]
 pub(crate) fn cross_table_write(
     db: &Database,
     table: &str,
@@ -160,7 +161,7 @@ pub(crate) fn cross_table_read(db: &Database, table: &str, key: &str) -> BeldiRe
 }
 
 /// The lock owner recorded on a cross-table data row, if any.
-#[cfg_attr(not(test), allow(dead_code))] // Exercised by unit tests.
+#[cfg_attr(not(test), allow(dead_code, reason = "exercised by unit tests"))]
 pub(crate) fn cross_table_lock_owner(
     db: &Database,
     table: &str,

@@ -6,7 +6,10 @@
 //! latency an invocation has none, so "concurrent" invocations would run
 //! one after the other.
 
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary includes this module and uses its own subset"
+)]
 
 use std::sync::Arc;
 

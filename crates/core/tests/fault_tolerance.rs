@@ -333,8 +333,8 @@ fn scripted_multi_crash_across_restarts_is_exactly_once() {
     );
 }
 
-/// `AtLifetimeOrdinal` counts across restarts: combined with an earlier
-/// crash it fires inside the *re-execution*, not the first run.
+/// A script's ordinals count across restarts: the entry after an earlier
+/// crash fires inside the *re-execution*, not the first run.
 #[test]
 fn lifetime_ordinal_crash_in_reexecution_is_exactly_once() {
     let env = pipeline_env(BeldiConfig::beldi());

@@ -1,13 +1,9 @@
-//! Findings, baseline keys, and report serialization.
-
-use std::collections::BTreeSet;
+//! Findings and report serialization.
 
 use beldi_value::{json, Map, Value};
 
 /// One diagnostic. `line` is 1-indexed; `snippet` is the trimmed source
-/// line, shown to humans and hashed into the baseline key (so a finding
-/// tracks its code, not its line number — insertions above it don't
-/// invalidate the baseline entry).
+/// line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: String,
@@ -34,12 +30,6 @@ impl Finding {
         }
     }
 
-    /// Stable identity for baseline matching: rule, file, and a hash of
-    /// the offending line's text.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{:016x}", self.rule, self.path, fnv64(&self.snippet))
-    }
-
     pub fn human(&self) -> String {
         format!(
             "{}:{}: [{}] {}\n    {}",
@@ -54,19 +44,8 @@ impl Finding {
         m.insert("line".to_owned(), Value::Int(self.line as i64));
         m.insert("message".to_owned(), Value::Str(self.message.clone()));
         m.insert("snippet".to_owned(), Value::Str(self.snippet.clone()));
-        m.insert("key".to_owned(), Value::Str(self.baseline_key()));
         Value::Map(m)
     }
-}
-
-/// FNV-1a, 64-bit — tiny, dependency-free, stable across runs.
-pub fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The lint run's outcome, split by disposition.
@@ -76,8 +55,6 @@ pub struct Report {
     pub active: Vec<Finding>,
     /// Suppressed by an inline waiver (rule, reason recorded).
     pub waived: Vec<(Finding, String)>,
-    /// Suppressed by the baseline file.
-    pub baselined: Vec<Finding>,
     /// Files scanned.
     pub files: usize,
 }
@@ -106,69 +83,6 @@ impl Report {
                     .collect(),
             ),
         );
-        root.insert(
-            "baselined".to_owned(),
-            Value::List(self.baselined.iter().map(Finding::to_value).collect()),
-        );
         json::to_json_pretty(&Value::Map(root))
-    }
-
-    /// Baseline file payload listing every currently-active finding key.
-    pub fn to_baseline(&self) -> String {
-        let keys: BTreeSet<String> = self.active.iter().map(Finding::baseline_key).collect();
-        let mut m = Map::new();
-        m.insert(
-            "findings".to_owned(),
-            Value::List(keys.into_iter().map(Value::Str).collect()),
-        );
-        json::to_json_pretty(&Value::Map(m))
-    }
-}
-
-/// Parses a baseline file into its set of finding keys.
-pub fn parse_baseline(text: &str) -> Result<BTreeSet<String>, String> {
-    let v = json::from_json(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-    let Value::Map(m) = &v else {
-        return Err("baseline root must be an object".into());
-    };
-    let Some(Value::List(items)) = m.get("findings") else {
-        return Err("baseline must have a `findings` array".into());
-    };
-    let mut out = BTreeSet::new();
-    for it in items {
-        match it {
-            Value::Str(s) => {
-                out.insert(s.clone());
-            }
-            _ => return Err("baseline `findings` entries must be strings".into()),
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_round_trip() {
-        let f = Finding::new(
-            "determinism/wall-clock",
-            "a/b.rs",
-            7,
-            "msg",
-            "  Instant::now()  ",
-        );
-        let mut r = Report::default();
-        r.active.push(f.clone());
-        let keys = parse_baseline(&r.to_baseline()).unwrap();
-        assert!(keys.contains(&f.baseline_key()));
-    }
-
-    #[test]
-    fn baseline_key_ignores_line_number() {
-        let a = Finding::new("r", "f.rs", 1, "m", "x.lock()");
-        let b = Finding::new("r", "f.rs", 99, "m", "   x.lock()");
-        assert_eq!(a.baseline_key(), b.baseline_key());
     }
 }

@@ -1,29 +1,26 @@
 //! `beldi-lint`: a protocol-invariant static analyzer for the Beldi
 //! workspace.
 //!
-//! Beldi's exactly-once guarantee rests on invariants the compiler cannot
-//! see: SSF bodies must be deterministic under replay, every state
-//! mutation must flow through the logged `SsfContext` API, the
-//! crash-schedule explorer only proves what the hand-placed
-//! `FaultInjector::crash_point` probes let it see, and the simulated
-//! database's deadlock freedom rests on an ascending lock order. This
-//! crate checks those invariants mechanically on every commit — four rule
-//! families over a hand-rolled, comment/string-aware lexer (no `syn`; the
-//! build environment is offline).
+//! Beldi's exactly-once guarantee rests on invariants of the code, not
+//! only of its runs. Each is checked by the most exact tool that can
+//! state it — privacy, rustc, `clippy.toml` — and this crate checks the
+//! ones that need knowledge of the protocol: the crash-schedule explorer
+//! only proves what the hand-placed `FaultInjector::crash_point` probes
+//! let it see, iteration order must not leak into logged state, and the
+//! simulated database's deadlock freedom rests on an ascending lock
+//! order. Eight rules over a hand-rolled, comment/string-aware lexer (no
+//! `syn`; the build environment is offline).
 //!
-//! See `DESIGN.md` §11 for the rule catalogue, waiver syntax
-//! (`// beldi-lint: allow(<rule>, <reason>)`), and the procedure for
-//! adding a new crash point.
+//! See `DESIGN.md` §11 for the table of every static check and its
+//! home, the waiver syntax (`// beldi-lint: allow(<rule>, <reason>)`),
+//! and the procedure for adding a check or a crash point.
 
 pub mod findings;
-pub mod graph;
 pub mod lexer;
-pub mod model;
 pub mod registry;
 pub mod rules;
 pub mod source;
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -33,17 +30,6 @@ use source::SourceFile;
 
 /// Workspace-relative path of the label registry.
 pub const REGISTRY_PATH: &str = "crates/simfaas/src/labels.rs";
-
-/// Default baseline file name (workspace root).
-pub const BASELINE_FILE: &str = "lint.baseline.json";
-
-#[derive(Debug, Default, Clone)]
-pub struct Options {
-    /// Ignore the baseline (nightly strict mode).
-    pub strict: bool,
-    /// Baseline keys to suppress (already loaded by the caller).
-    pub baseline: BTreeSet<String>,
-}
 
 /// Directories never scanned: build output, the offline dependency shims
 /// (external API surface, not protocol code), and linter test fixtures
@@ -83,19 +69,19 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
 }
 
 /// Runs every rule over the workspace at `root` and dispositions the
-/// findings against waivers and the baseline.
-pub fn run(root: &Path, opts: &Options) -> std::io::Result<Report> {
+/// findings against the inline waivers.
+pub fn run(root: &Path) -> std::io::Result<Report> {
     let sources = collect_sources(root)?;
     let mut files: Vec<SourceFile> = Vec::with_capacity(sources.len());
     for (rel, path) in &sources {
         let text = fs::read_to_string(path)?;
         files.push(SourceFile::parse(rel, &text));
     }
-    Ok(run_parsed(&files, opts))
+    Ok(run_parsed(&files))
 }
 
 /// Rule pass over already-parsed sources (tests use this on fixtures).
-pub fn run_parsed(files: &[SourceFile], opts: &Options) -> Report {
+pub fn run_parsed(files: &[SourceFile]) -> Report {
     let mut raw: Vec<Finding> = Vec::new();
 
     // The registry first: other rules consult it.
@@ -114,8 +100,7 @@ pub fn run_parsed(files: &[SourceFile], opts: &Options) -> Report {
     };
 
     for sf in files {
-        rules::determinism(sf, &mut raw);
-        rules::logged_ops(sf, &mut raw);
+        rules::hashmap_iteration(sf, &mut raw);
         rules::crash_points(sf, &reg, &mut raw);
         rules::lock_order(sf, &mut raw);
         for bad in &sf.bad_waivers {
@@ -129,14 +114,8 @@ pub fn run_parsed(files: &[SourceFile], opts: &Options) -> Report {
         }
     }
 
-    // Workspace-wide passes: the function model + call graph feed the
-    // async-safety family and the transitive logged-ops rule.
-    let ws = model::Workspace::build(files);
-    rules::async_safety(&ws, files, &mut raw);
-    rules::transitive_db(&ws, files, &mut raw);
-
-    // Disposition: inline waiver beats baseline; `waiver/malformed` is
-    // itself unwaivable (a waiver you cannot parse must not self-excuse).
+    // Disposition: `waiver/malformed` is itself unwaivable (a waiver you
+    // cannot parse must not self-excuse).
     let mut report = Report {
         files: files.len(),
         ..Report::default()
@@ -148,8 +127,6 @@ pub fn run_parsed(files: &[SourceFile], opts: &Options) -> Report {
             .flatten();
         if let Some(w) = waiver {
             report.waived.push((f, w.reason.clone()));
-        } else if !opts.strict && opts.baseline.contains(&f.baseline_key()) {
-            report.baselined.push(f);
         } else {
             report.active.push(f);
         }

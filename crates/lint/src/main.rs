@@ -1,26 +1,19 @@
 //! CLI for `beldi-lint`.
 //!
 //! ```text
-//! beldi-lint [--root <dir>] [--json <path>] [--baseline <path>]
-//!            [--strict] [--write-baseline] [--check-baseline]
+//! beldi-lint [--root <dir>] [--json <path>]
 //! ```
 //!
-//! Exit codes: 0 clean, 1 unwaived findings (or, with
-//! `--check-baseline`, stale baseline entries), 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 unwaived findings, 2 usage or I/O error.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use beldi_lint::{findings::parse_baseline, run, Options, BASELINE_FILE};
+use beldi_lint::run;
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut strict = false;
-    let mut write_baseline = false;
-    let mut check_baseline = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -33,27 +26,14 @@ fn main() -> ExitCode {
                 Some(v) => json_out = Some(PathBuf::from(v)),
                 None => return usage("--json needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage("--baseline needs a path"),
-            },
-            "--strict" => strict = true,
-            "--write-baseline" => write_baseline = true,
-            "--check-baseline" => check_baseline = true,
             "--help" | "-h" => {
                 println!(
                     "beldi-lint: protocol-invariant static analysis for the Beldi workspace\n\
                      \n\
-                     usage: beldi-lint [--root <dir>] [--json <path>] [--baseline <path>]\n\
-                     \x20                 [--strict] [--write-baseline] [--check-baseline]\n\
+                     usage: beldi-lint [--root <dir>] [--json <path>]\n\
                      \n\
                      --root            workspace root to scan (default: .)\n\
-                     --json <path>     write machine-readable findings\n\
-                     --baseline <path> baseline file (default: <root>/{BASELINE_FILE})\n\
-                     --strict          ignore the baseline (nightly mode)\n\
-                     --write-baseline  write current findings as the new baseline and exit\n\
-                     --check-baseline  fail if the baseline holds keys no finding matches\n\
-                     \x20                 (stale entries must be pruned with --write-baseline)"
+                     --json <path>     write machine-readable findings"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -72,73 +52,13 @@ fn main() -> ExitCode {
         probe = probe.join("..");
     }
 
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join(BASELINE_FILE));
-    let baseline_file_keys: BTreeSet<String> = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match parse_baseline(&text) {
-            Ok(keys) => keys,
-            Err(e) => {
-                eprintln!("beldi-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => BTreeSet::new(), // no baseline file: nothing suppressed
-    };
-    let baseline: BTreeSet<String> = if strict || write_baseline {
-        BTreeSet::new()
-    } else {
-        baseline_file_keys.clone()
-    };
-
-    let report = match run(&root, &Options { strict, baseline }) {
+    let report = match run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("beldi-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if write_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, report.to_baseline()) {
-            eprintln!("beldi-lint: cannot write baseline: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "beldi-lint: wrote {} finding key(s) to {}",
-            report.active.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if check_baseline {
-        // A baseline key is live while some finding (whatever its
-        // disposition) still matches it; anything else is a stale entry
-        // — evidence the violation was fixed or re-waived without the
-        // baseline shrinking alongside.
-        let live: BTreeSet<String> = report
-            .active
-            .iter()
-            .chain(report.baselined.iter())
-            .chain(report.waived.iter().map(|(f, _)| f))
-            .map(|f| f.baseline_key())
-            .collect();
-        let stale: Vec<&String> = baseline_file_keys
-            .iter()
-            .filter(|k| !live.contains(*k))
-            .collect();
-        for k in &stale {
-            println!("beldi-lint: stale baseline entry: {k}");
-        }
-        println!(
-            "beldi-lint: baseline check: {} entr{} stale of {}",
-            stale.len(),
-            if stale.len() == 1 { "y" } else { "ies" },
-            baseline_file_keys.len()
-        );
-        if !stale.is_empty() {
-            return ExitCode::FAILURE;
-        }
-    }
 
     if let Some(path) = &json_out {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -151,12 +71,10 @@ fn main() -> ExitCode {
         println!("{}", f.human());
     }
     println!(
-        "beldi-lint: {} file(s), {} active finding(s), {} waived, {} baselined{}",
+        "beldi-lint: {} file(s), {} active finding(s), {} waived",
         report.files,
         report.active.len(),
         report.waived.len(),
-        report.baselined.len(),
-        if strict { " (strict)" } else { "" },
     );
     if report.active.is_empty() {
         ExitCode::SUCCESS

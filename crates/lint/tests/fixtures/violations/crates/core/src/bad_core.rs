@@ -1,17 +1,7 @@
-//! Fixture: one planted violation per core-scoped rule.
+//! Fixture: one planted violation per core-scoped rule, plus one waiver
+//! that excuses nothing and one that cannot be parsed.
 
 use crate::labels;
-
-// determinism/wall-clock
-pub fn stamp() -> u64 {
-    let t = SystemTime::now();
-    to_ms(t)
-}
-
-// determinism/ad-hoc-rng
-pub fn fresh_id() -> u64 {
-    thread_rng().gen()
-}
 
 // determinism/hashmap-iter (no sort, no BTree in sight)
 pub fn visit(reg: &HashMap<String, u64>) -> Vec<String> {
@@ -38,3 +28,13 @@ pub fn conditional_probe(ctx: &Ctx, found: bool) {
         ctx.crash(labels::OP_EXIT);
     }
 }
+
+// waiver/unused: nothing on the next line mutates the database
+// beldi-lint: allow(crash-points/coverage, a probe brackets this in the caller)
+pub fn reads_only(ctx: &Ctx) -> usize {
+    ctx.db.count("table")
+}
+
+// waiver/malformed: no reason given
+// beldi-lint: allow(crash-points/coverage)
+pub fn unexplained() {}

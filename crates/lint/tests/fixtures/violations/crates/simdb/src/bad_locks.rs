@@ -1,12 +1,6 @@
-//! Fixture: lock-order violations.
+//! Fixture: a lock-order violation.
 
 impl Database {
-    // lock-order/raw-lock: raw acquisition outside lock_partition
-    pub fn peek(&self, p: usize) -> usize {
-        let data = self.partitions[p].lock();
-        data.len()
-    }
-
     // lock-order/nested: guards retained across an unsorted Vec loop
     pub fn transact(&self, parts: &Vec<usize>) -> Result<()> {
         let mut guards = Vec::new();

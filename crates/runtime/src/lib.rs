@@ -28,6 +28,8 @@
 //! assert_eq!(sum, 5);
 //! ```
 
+#![warn(clippy::let_underscore_must_use)]
+
 mod context;
 mod executor;
 mod join;
@@ -164,6 +166,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wake under test comes from a thread foreign to the executor, on a real-time clock"
+    )]
     fn cross_thread_wake_unparks_executor() {
         let rt = Executor::new(fast_clock(), 5);
         let h = rt.handle();

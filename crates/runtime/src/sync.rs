@@ -128,7 +128,7 @@ mod tests {
         impl<F: Future + Unpin> Future for Once<'_, F> {
             type Output = ();
             fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-                let _ = Pin::new(&mut *self.0).poll(cx);
+                drop(Pin::new(&mut *self.0).poll(cx));
                 Poll::Ready(())
             }
         }

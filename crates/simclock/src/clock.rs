@@ -1,5 +1,12 @@
 //! The [`Clock`] trait and its host-scaled implementation.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module *implements* the clock's waits and threads on the host's: its parks, \
+              sleeps and thread starts are what every clock-visible wait compiles down to on a \
+              ScaledClock"
+)]
+
 use std::fmt;
 use std::sync::Arc;
 use std::thread::Thread;

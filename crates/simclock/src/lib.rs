@@ -42,6 +42,10 @@
 //! shares: the periodic [`Ticker`] and the waker-based [`Semaphore`]
 //! ([`sync`]).
 
+#![warn(clippy::let_underscore_must_use)]
+
+#[cfg(test)]
+mod clippy_canaries;
 mod clock;
 mod sim;
 pub mod sync;

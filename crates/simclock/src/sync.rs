@@ -96,6 +96,7 @@ impl Semaphore {
     }
 
     /// Takes a permit without waiting, if one is free.
+    #[must_use = "a permit bound to `_` is released on the same line"]
     pub fn try_acquire(&self) -> Option<Permit> {
         let mut s = self.inner.state.lock();
         if s.permits > 0 {
@@ -124,6 +125,7 @@ impl Semaphore {
 }
 
 /// An acquired permit; released on drop.
+#[must_use = "a permit bound to `_` is released on the same line"]
 pub struct Permit {
     inner: Arc<SemInner>,
 }

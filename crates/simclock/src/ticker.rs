@@ -82,7 +82,7 @@ impl TickerHandle {
     fn stop_inner(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(j) = self.join.take() {
-            let _ = j.join();
+            j.join().ok();
         }
     }
 }
@@ -102,34 +102,32 @@ mod tests {
     use crate::clock::{Clock, ScaledClock};
     use std::sync::atomic::AtomicUsize;
 
-    #[test]
-    fn ticker_fires_repeatedly() {
-        let clock = ScaledClock::shared(1000.0);
+    fn counting_ticker() -> (SharedClock, TickerHandle, Arc<AtomicUsize>) {
+        let clock: SharedClock = crate::SimClock::shared(1);
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = count.clone();
         let h = Ticker::spawn(clock.clone(), Duration::from_secs(1), move || {
             c2.fetch_add(1, Ordering::SeqCst);
         });
-        // 10 virtual seconds = 10 ms real.
-        std::thread::sleep(Duration::from_millis(50));
+        (clock, h, count)
+    }
+
+    #[test]
+    fn ticker_fires_repeatedly() {
+        let (clock, h, count) = counting_ticker();
+        clock.sleep(Duration::from_millis(10_500));
+        assert_eq!(count.load(Ordering::SeqCst), 10, "one tick a period");
         h.stop();
-        let n = count.load(Ordering::SeqCst);
-        assert!(n >= 3, "expected several ticks, got {n}");
     }
 
     #[test]
     fn stop_prevents_further_ticks() {
-        let clock = ScaledClock::shared(1000.0);
-        let count = Arc::new(AtomicUsize::new(0));
-        let c2 = count.clone();
-        let h = Ticker::spawn(clock, Duration::from_secs(1), move || {
-            c2.fetch_add(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(20));
+        let (clock, h, count) = counting_ticker();
+        clock.sleep(Duration::from_millis(2_500));
         h.stop();
-        let n = count.load(Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(count.load(Ordering::SeqCst), n);
+        assert_eq!(clock.now().as_millis(), 3_000, "it exits at its deadline");
+        clock.sleep(Duration::from_secs(5));
+        assert_eq!(count.load(Ordering::SeqCst), 2, "the third tick never ran");
     }
 
     /// On a `SimClock` the ticks land exactly on the period, and `stop`

@@ -125,7 +125,6 @@ pub struct Database {
     sampler: LatencySampler,
     metrics: DbMetrics,
     item_writes: Mutex<ItemWriteQueue>,
-    transactions_enabled: bool,
     page_rows: usize,
     partitions: usize,
 }
@@ -145,7 +144,16 @@ impl Database {
         seed: u64,
         partitions: usize,
     ) -> Arc<Self> {
-        Database::build(clock, latency, seed, partitions, true)
+        assert!(partitions >= 1, "a database needs at least one partition");
+        Arc::new(Database {
+            tables: RwLock::new(HashMap::new()),
+            clock,
+            sampler: LatencySampler::new(latency, seed),
+            metrics: DbMetrics::new(partitions),
+            item_writes: Mutex::new(ItemWriteQueue::default()),
+            page_rows: DEFAULT_PAGE_ROWS,
+            partitions,
+        })
     }
 
     /// Creates a zero-latency database on a real-time clock, for tests.
@@ -161,31 +169,6 @@ impl Database {
             0,
             partitions,
         )
-    }
-
-    /// Disables cross-table transactions (simulating e.g. Bigtable).
-    pub fn without_transactions(clock: SharedClock, latency: LatencyModel, seed: u64) -> Arc<Self> {
-        Database::build(clock, latency, seed, DEFAULT_PARTITIONS, false)
-    }
-
-    fn build(
-        clock: SharedClock,
-        latency: LatencyModel,
-        seed: u64,
-        partitions: usize,
-        transactions_enabled: bool,
-    ) -> Arc<Self> {
-        assert!(partitions >= 1, "a database needs at least one partition");
-        Arc::new(Database {
-            tables: RwLock::new(HashMap::new()),
-            clock,
-            sampler: LatencySampler::new(latency, seed),
-            metrics: DbMetrics::new(partitions),
-            item_writes: Mutex::new(ItemWriteQueue::default()),
-            transactions_enabled,
-            page_rows: DEFAULT_PAGE_ROWS,
-            partitions,
-        })
     }
 
     /// Returns the database clock.
@@ -272,8 +255,6 @@ impl Database {
             return;
         }
         let deadline = {
-            // beldi-lint: allow(lock-order/raw-lock, the admission-queue mutex is
-            // not a partition lock; it is never held across another acquisition)
             let mut queue = self.item_writes.lock();
             let now = self.clock.now();
             if queue.entries >= ITEM_QUEUE_PRUNE_LEN {
@@ -756,15 +737,10 @@ impl Database {
     ///
     /// # Errors
     ///
-    /// - [`DbError::TransactionsUnsupported`] when disabled (Bigtable
-    ///   mode);
     /// - [`DbError::DuplicateTransactionItem`] when two ops target the
     ///   same row (DynamoDB's restriction — and a semantic necessity here,
     ///   since conditions are validated against the pre-state only).
     pub fn transact_write(&self, ops: &[TransactOp]) -> DbResult<()> {
-        if !self.transactions_enabled {
-            return Err(DbError::TransactionsUnsupported);
-        }
         // Resolve handles first so TableNotFound beats TransactionCanceled,
         // then extract per-op keys (Puts derive theirs from the schema,
         // which lives outside the partition locks) and the lock set.
@@ -911,45 +887,41 @@ mod tests {
     #[test]
     fn hot_item_writes_serialize_but_distinct_items_overlap() {
         use std::time::Duration;
-        // Constant 20 ms virtual writes (zero() has no jitter or tail),
-        // clock at 10x so the serialized phase costs ~32 ms real.
+        // Constant 20 ms virtual writes (zero() has no jitter or tail).
         let model = LatencyModel {
             write_base: Duration::from_millis(20),
             ..LatencyModel::zero()
         };
-        let db = Database::with_partitions(ScaledClock::shared(10.0), model, 0, 8);
+        let clock: SharedClock = beldi_simclock::SimClock::shared(1);
+        let db = Database::with_partitions(clock.clone(), model, 0, 8);
         db.create_table("t", TableSchema::hash_only("Id")).unwrap();
-        let clock = db.clock().clone();
-        let run = |pick: &(dyn Fn(usize) -> PrimaryKey + Sync)| {
+        // Four writers, four writes each.
+        let run = |pick: fn(usize) -> PrimaryKey| {
             let t0 = clock.now();
-            std::thread::scope(|s| {
-                for w in 0..4 {
-                    let db = &db;
-                    s.spawn(move || {
+            let writers: Vec<_> = (0..4)
+                .map(|w| {
+                    let db = Arc::clone(&db);
+                    let body = move || {
                         let key = pick(w);
                         for _ in 0..4 {
                             db.update("t", &key, &Cond::True, &Update::new().inc("N", 1))
                                 .unwrap();
                         }
-                    });
-                }
-            });
+                    };
+                    clock.spawn(format!("writer-{w}"), Box::new(body))
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("a writer panicked");
+            }
             clock.now().since(t0)
         };
-        let hot = run(&|_| PrimaryKey::hash("hot"));
-        let distinct = run(&|w| PrimaryKey::hash(format!("k{w}")));
-        // 16 writes to one item at a constant 20 ms each may not
-        // overlap: ≥ 16 × 20 ms of virtual time end to end. Four
-        // distinct items written in parallel need only ~4 × 20 ms
-        // per thread.
-        assert!(
-            hot >= Duration::from_millis(315),
-            "hot-item writes overlapped: {hot:?}"
-        );
-        assert!(
-            distinct.as_millis() * 2 < hot.as_millis(),
-            "distinct-item writes did not overlap: {distinct:?} vs {hot:?}"
-        );
+        // 16 writes to one item may not overlap; four distinct items are
+        // written in parallel, so only a writer's own four add up.
+        let hot = run(|_| PrimaryKey::hash("hot"));
+        assert_eq!(hot, Duration::from_millis(16 * 20));
+        let distinct = run(|w| PrimaryKey::hash(format!("k{w}")));
+        assert_eq!(distinct, Duration::from_millis(4 * 20));
     }
 
     #[test]
@@ -1437,20 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn transactions_can_be_disabled() {
-        let db = Database::without_transactions(ScaledClock::shared(1.0), LatencyModel::zero(), 0);
-        db.create_table("a", TableSchema::hash_only("Id")).unwrap();
-        assert_eq!(
-            db.transact_write(&[TransactOp::Put {
-                table: "a".into(),
-                item: vmap! { "Id" => "x" },
-                cond: Cond::True,
-            }]),
-            Err(DbError::TransactionsUnsupported)
-        );
-    }
-
-    #[test]
     fn missing_table_errors() {
         let db = Database::for_tests();
         assert!(matches!(
@@ -1478,6 +1436,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+    )]
     fn concurrent_conditional_increments_never_lose_updates() {
         let db = db_with_table();
         let key = PrimaryKey::hash_sort("ctr", 0i64);

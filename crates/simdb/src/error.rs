@@ -41,9 +41,6 @@ pub enum DbError {
         /// Index of the first failing operation.
         failed_op: usize,
     },
-    /// Cross-table transactions were disabled for this database
-    /// (e.g. when simulating Bigtable, which lacks them — paper §7.3).
-    TransactionsUnsupported,
     /// A cross-table transaction named the same row in more than one
     /// operation (DynamoDB `ValidationException`: "Transaction request
     /// cannot include multiple operations on one item").
@@ -67,9 +64,6 @@ impl fmt::Display for DbError {
             DbError::Validation(e) => write!(f, "expression validation: {e}"),
             DbError::TransactionCanceled { failed_op } => {
                 write!(f, "transaction canceled (op {failed_op} condition failed)")
-            }
-            DbError::TransactionsUnsupported => {
-                write!(f, "cross-table transactions are not supported")
             }
             DbError::DuplicateTransactionItem { item } => {
                 write!(f, "transaction includes multiple operations on {item}")

@@ -131,8 +131,6 @@ impl LatencySampler {
         if base.is_zero() {
             return base;
         }
-        // beldi-lint: allow(lock-order/raw-lock, the latency-jitter RNG mutex is not
-        // a partition lock; it is never held across another acquisition)
         let mut rng = self.rng.lock();
         let jitter = if self.model.jitter > 0.0 {
             1.0 + rng.gen_range(-self.model.jitter..self.model.jitter)

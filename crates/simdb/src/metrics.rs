@@ -277,6 +277,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a stress test of real parallelism on atomics: nothing in it waits on a clock"
+    )]
     fn snapshot_is_monotonic_under_load_and_exact_at_quiescence() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;

@@ -58,6 +58,10 @@ fn total_balance(db: &Database, accounts: usize) -> i64 {
 /// enforcement at the commit point), and the run terminates (no deadlock
 /// among concurrent multi-partition lock holders).
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+)]
 fn concurrent_transfers_conserve_money_without_deadlock() {
     const ACCOUNTS: usize = 16;
     const BALANCE: i64 = 100;
@@ -120,6 +124,10 @@ fn concurrent_transfers_conserve_money_without_deadlock() {
 /// ops, even when those ops land in other partitions and race concurrent
 /// committers.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+)]
 fn failed_transactions_are_isolated_across_partitions() {
     let db = accounts_db(8, 8, 100);
     std::thread::scope(|s| {
@@ -344,6 +352,10 @@ fn scan_cursor_covers_each_row_exactly_once() {
 /// Single-row writers racing a multi-partition transaction on the same
 /// rows never tear it: the transaction's two writes land atomically.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a stress test of real parallelism over a zero-latency store: nothing in it waits on a clock"
+)]
 fn single_row_writers_never_observe_torn_transactions() {
     let db = Database::for_tests_with_partitions(8);
     db.create_table("pair", TableSchema::hash_only("Id"))

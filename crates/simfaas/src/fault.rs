@@ -76,13 +76,12 @@ pub enum CrashPlan {
     AtOrdinal(usize),
     /// Crash the first time the instance passes the given label. One-shot.
     AtLabel(String),
-    /// Crash at the `n`-th crash point of the instance's whole *lifetime*
-    /// (0-based), counted across restarts — never reset by
-    /// [`FaultInjector::instance_started`]. One-shot.
-    AtLifetimeOrdinal(usize),
-    /// Scripted multi-crash sequence: crash at each listed lifetime
-    /// ordinal in turn (write entries strictly ascending), so one plan
-    /// kills the instance several times across successive restarts. An
+    /// Scripted multi-crash sequence: crash at each listed *lifetime*
+    /// ordinal in turn — the `n`-th crash point (0-based) the instance
+    /// passes counted across restarts, never reset by
+    /// [`FaultInjector::instance_started`] (write entries strictly
+    /// ascending) — so one plan kills the instance several times across
+    /// successive restarts; a one-entry script is one crash there. An
     /// entry whose exact point was missed (e.g. another plan fired there
     /// first) triggers at the next point reached instead of stalling the
     /// script. The plan is consumed when its last entry fires.
@@ -230,7 +229,6 @@ impl PlanState {
         match &self.plan {
             CrashPlan::AtOrdinal(n) => (ordinal == *n, true),
             CrashPlan::AtLabel(l) => (l == label, true),
-            CrashPlan::AtLifetimeOrdinal(n) => (lifetime == *n, true),
             // `<=` so an entry whose exact step was passed while another
             // plan (or the random policy) fired there still triggers at
             // the next point instead of silently stalling the rest of the
@@ -405,8 +403,7 @@ impl FaultInjector {
     ///
     /// The platform calls this when an execution (including a re-execution)
     /// begins, so `AtOrdinal` plans count points within a single
-    /// execution. The lifetime counter (for
-    /// [`CrashPlan::AtLifetimeOrdinal`] and [`CrashPlan::Script`]) is
+    /// execution. The lifetime counter (for [`CrashPlan::Script`]) is
     /// preserved across restarts.
     pub fn instance_started(&self, instance_id: &str) {
         let mut guard = self.state.lock();
@@ -630,7 +627,7 @@ mod tests {
     #[test]
     fn lifetime_ordinal_survives_restarts() {
         let inj = FaultInjector::new();
-        inj.plan("i1", CrashPlan::AtLifetimeOrdinal(3));
+        inj.plan("i1", CrashPlan::Script(vec![3]));
         inj.instance_started("i1");
         inj.crash_point("i1", "a"); // lifetime 0
         inj.crash_point("i1", "b"); // lifetime 1

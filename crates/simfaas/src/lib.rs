@@ -27,6 +27,8 @@
 //! - **Timer triggers** ([`Platform::schedule_timer`]) for intent and
 //!   garbage collectors (1-minute resolution on AWS).
 
+#![warn(clippy::let_underscore_must_use)]
+
 mod error;
 mod fault;
 pub mod labels;

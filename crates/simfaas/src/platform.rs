@@ -367,7 +367,7 @@ impl Platform {
     /// clock. Later invocations all start cold.
     pub fn retire_workers(&self) {
         for worker in self.retire_all() {
-            let _ = worker.join();
+            worker.join().ok();
         }
     }
 
@@ -571,7 +571,7 @@ impl Platform {
         let platform = self.clone();
         let function = function.into();
         let ticker = Ticker::spawn(self.clock.clone(), period, move || {
-            let _ = platform.invoke_async(&function, payload.clone());
+            platform.invoke_async(&function, payload.clone()).ok();
         });
         TimerHandle {
             inner: Some(ticker),
@@ -672,7 +672,7 @@ mod tests {
         let thread = p.clock().spawn("caller".into(), Box::new(send));
         move || {
             thread.join().expect("the caller thread panicked");
-            rx.recv().expect("a joined caller has sent its result")
+            rx.try_recv().expect("a joined caller has sent its result")
         }
     }
 
@@ -1018,6 +1018,10 @@ mod tests {
     /// permit and the re-invoke issued *from the reply callback*, the
     /// worker must already be back in the pool with its permit free.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test thread waits on callbacks that run on worker threads of a real-time clock"
+    )]
     fn reinvoke_from_reply_callback_is_never_cold() {
         const REINVOKES: usize = 20;
 

@@ -113,7 +113,10 @@ impl Cond {
     }
 
     /// Negates the condition (builder style).
-    #[allow(clippy::should_implement_trait)]
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "a by-value builder beside `and`/`or`, not an operator"
+    )]
     pub fn not(self) -> Self {
         match self {
             Cond::True => Cond::False,

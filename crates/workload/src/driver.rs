@@ -708,8 +708,10 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         root_attempts: chaos.map(|c| if c.relaunch { MAX_ROOT_ATTEMPTS } else { 1 }),
     };
 
-    // beldi-lint: allow(determinism/wall-clock, wall-clock runtime is operator
-    // reporting only and never enters the simulated timeline or logged state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock runtime is operator reporting only and never enters the simulated timeline or logged state"
+    )]
     let wall_start = std::time::Instant::now();
     let load = run_load(&shape);
 

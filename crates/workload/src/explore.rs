@@ -381,9 +381,9 @@ fn run_schedule(
             // the end-of-run quiescence drive) resumes the idempotent
             // work. Only non-crash errors would be bugs, and those
             // surface through the gc_check residue scan.
-            let _ = env
-                .platform()
-                .invoke_sync(&format!("{ssf}.gc"), Value::Null);
+            env.platform()
+                .invoke_sync(&format!("{ssf}.gc"), Value::Null)
+                .ok();
         }
     }
     let unfinished = match env.drain_recovery(DRAIN_PASSES) {

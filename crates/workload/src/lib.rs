@@ -24,6 +24,8 @@
 //! [`BenchReport`] (`BENCH_results.json`), which the [`gate`] module
 //! compares against a checked-in baseline in CI (DESIGN.md §9).
 
+#![warn(clippy::let_underscore_must_use)]
+
 pub mod driver;
 pub mod explore;
 pub mod gate;

@@ -229,6 +229,10 @@ impl Condvar {
     }
 
     /// Blocks until notified or `deadline` passes.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the shim is the host's primitives under parking_lot's names: a deadline on the host's clock is its contract"
+    )]
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
@@ -270,6 +274,10 @@ mod tests {
     use std::time::Duration;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the property under test is a holder that panics on another host thread"
+    )]
     fn mutex_survives_panicking_holder() {
         let m = Arc::new(Mutex::new(0u32));
         let m2 = m.clone();
@@ -288,7 +296,13 @@ mod tests {
         let m = Mutex::new(());
         let cv = Condvar::new();
         let mut g = m.lock();
-        let res = cv.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
+        #[expect(clippy::disallowed_methods, reason = "a deadline on the host's clock")]
+        let deadline = Instant::now() + Duration::from_millis(10);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the shim's own test of its host-time wait"
+        )]
+        let res = cv.wait_until(&mut g, deadline);
         assert!(res.timed_out());
         drop(g);
         // The guard must be intact after the wait.
