@@ -154,7 +154,7 @@ impl SsfContext {
     /// `t_max` deadline here guarantees an expired instance dies before
     /// its next effect — the platform-timeout bound that makes GC
     /// recycling (`finish + T_max`) safe against in-flight duplicates.
-    pub(crate) fn crash(&self, label: &str) {
+    pub(crate) fn crash(&self, label: &'static str) {
         if let Some(deadline) = self.deadline_ms {
             if self.raw_now_ms() > deadline {
                 self.core
@@ -231,7 +231,7 @@ impl DaalCtx<'_> {
         f: impl FnOnce(&crate::daal::DaalParams<'_>) -> BeldiResult<R>,
     ) -> BeldiResult<R> {
         let ctx = self.ctx;
-        let crash = |label: &str| ctx.crash(label);
+        let crash = |label: &'static str| ctx.crash(label);
         let new_row_id = || format!("R-{}", ctx.fresh_uuid());
         let p = crate::daal::DaalParams {
             db: ctx.db(),

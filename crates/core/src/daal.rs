@@ -64,7 +64,7 @@ pub(crate) struct DaalParams<'a> {
     pub now_ms: u64,
     /// Crash-point hook; called with a label before/after every externally
     /// visible effect. Panics (with a `CrashSignal`) to model a crash.
-    pub crash: &'a dyn Fn(&str),
+    pub crash: &'a dyn Fn(&'static str),
     /// Fresh unique row-id generator (never returns `HEAD`).
     pub new_row_id: &'a dyn Fn() -> String,
 }
@@ -353,16 +353,15 @@ pub(crate) fn read_value_cached(
     table: &str,
     key: &str,
 ) -> BeldiResult<Value> {
-    let value_of = |mut row: Value| row.take_attr(A_VALUE).unwrap_or(Value::Null);
     if let Some(cache) = cache {
         if let Some(row_id) = cache.get(table, key) {
             let pk = PrimaryKey::hash_sort(key, row_id);
             let tail_probe = Projection::attrs([A_VALUE, A_NEXT_ROW]);
             match db.get(table, &pk, Some(&tail_probe))? {
                 // Present (with or without a value) and no successor.
-                Some(row) if row.get_str(A_NEXT_ROW).is_none() => {
+                Some(mut row) if row.get_str(A_NEXT_ROW).is_none() => {
                     cache.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(value_of(row));
+                    return Ok(row.take_attr(A_VALUE).unwrap_or(Value::Null));
                 }
                 // The cached row filled up (has a successor) or was
                 // GC-deleted: stale entry, take the slow path.
@@ -379,7 +378,11 @@ pub(crate) fn read_value_cached(
         cache.put(table, key, tail);
     }
     let pk = PrimaryKey::hash_sort(key, tail);
-    Ok(db.get(table, &pk, None)?.map_or(Value::Null, value_of))
+    // A whole row shares its map with the stored one: read, don't take.
+    let row = db.get(table, &pk, None)?;
+    Ok(row
+        .and_then(|row| row.get_attr(A_VALUE).cloned())
+        .unwrap_or(Value::Null))
 }
 
 /// The current value of `key`, i.e. the `Value` column of its tail row.

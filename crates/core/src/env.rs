@@ -89,7 +89,7 @@ trait Collector: Sized + 'static {
     const KIND: &'static str;
 
     /// Runs one pass for `ssf`, firing `crash` at each crash point.
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self>;
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self>;
 
     /// Adds another pass's counters to this report.
     fn absorb(&mut self, other: &Self);
@@ -100,7 +100,7 @@ trait Collector: Sized + 'static {
 impl Collector for IcReport {
     const KIND: &'static str = "ic";
 
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self> {
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
         ic::run_ic_with(core, ssf, crash)
     }
 
@@ -116,7 +116,7 @@ impl Collector for IcReport {
 impl Collector for GcReport {
     const KIND: &'static str = "gc";
 
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&str)) -> BeldiResult<Self> {
+    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
         let probe = |_: &str| {};
         gc::run_gc_with(
             core,
@@ -394,10 +394,7 @@ impl<'a> RootCall<'a> {
             return None;
         }
         self.attempts_left -= 1;
-        Some(match self.attempts_left {
-            0 => std::mem::take(&mut self.envelope),
-            _ => self.envelope.clone(),
-        })
+        Some(self.envelope.clone())
     }
 
     /// Folds one attempt's reply in: `Break` carries the call's result,
@@ -977,7 +974,7 @@ fn collector_handler<R: Collector>(
         let instance = format!("{ssf}.{}#p{pass}", R::KIND);
         let faults = core.platform.faults();
         faults.instance_started(&instance);
-        let crash = |label: &str| faults.crash_point(&instance, label);
+        let crash = |label: &'static str| faults.crash_point(&instance, label);
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| R::run(&core, &ssf, &crash)));
         // A pass id is used once: done or killed, the injector can let go.

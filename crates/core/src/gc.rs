@@ -98,7 +98,7 @@ impl GcReport {
 /// a pass; production passes a no-op.
 pub(crate) struct GcHooks<'a> {
     /// Fault-injection crash points (fixed count per pass).
-    pub crash: &'a dyn Fn(&str),
+    pub crash: &'a dyn Fn(&'static str),
     /// Test-only interleaving probe (work-dependent points).
     pub probe: &'a dyn Fn(&str),
 }

@@ -60,7 +60,7 @@ pub(crate) fn run_ic(core: &Arc<EnvCore>, ssf: &str) -> BeldiResult<IcReport> {
 pub(crate) fn run_ic_with(
     core: &Arc<EnvCore>,
     ssf: &str,
-    crash: &dyn Fn(&str),
+    crash: &dyn Fn(&'static str),
 ) -> BeldiResult<IcReport> {
     crash(labels::IC_ENTER);
     let table = intent_table(ssf);

@@ -40,17 +40,17 @@ pub(crate) struct IntentRecord {
 }
 
 impl IntentRecord {
-    /// Decodes an intent row, taking `Args` and `Ret` out of it; rows
-    /// with unknown shape decode defensively (the collectors must
-    /// tolerate anything they scan).
-    pub fn from_row(mut row: Value) -> Option<Self> {
-        let id = row.get_str(A_ID)?.to_owned();
+    /// Decodes an intent row. The row shares its map with the stored one,
+    /// so `Args` and `Ret` are read, not taken. Rows with unknown shape
+    /// decode defensively (the collectors must tolerate anything they
+    /// scan).
+    pub fn from_row(row: Value) -> Option<Self> {
         Some(IntentRecord {
-            id,
+            id: row.get_str(A_ID)?.to_owned(),
             done: row.get_bool(A_DONE).unwrap_or(false),
             is_async: row.get_bool(A_ASYNC).unwrap_or(false),
-            args: row.take_attr(A_ARGS).unwrap_or(Value::Null),
-            ret: row.take_attr(A_RET).filter(|v| !v.is_null()),
+            args: row.get_attr(A_ARGS).cloned().unwrap_or(Value::Null),
+            ret: row.get_attr(A_RET).filter(|v| !v.is_null()).cloned(),
             caller: row.get_str(A_CALLER).map(str::to_owned),
             created_ms: row.get_int(A_CREATED).unwrap_or(0) as u64,
             last_launch_ms: row.get_int(A_LAST_LAUNCH).unwrap_or(0) as u64,

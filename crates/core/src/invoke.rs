@@ -163,32 +163,33 @@ impl Envelope {
         Value::Map(m)
     }
 
-    /// Parses a platform payload back into an envelope, taking the
-    /// fields out of its map.
-    pub fn from_value(mut v: Value) -> BeldiResult<Self> {
+    /// Parses a platform payload back into an envelope. The payload shares
+    /// its map with the sender's retry copy, so fields are read, not taken.
+    pub fn from_value(v: Value) -> BeldiResult<Self> {
         let op = v
-            .take_str(K_OP)
+            .get_str(K_OP)
             .ok_or_else(|| BeldiError::Protocol("payload is not a Beldi envelope".into()))?;
         let missing = |what: &str| BeldiError::Protocol(format!("{op} missing {what}"));
-        match op.as_str() {
+        let string = |key: &str| v.get_str(key).map(str::to_owned);
+        match op {
             "call" => Ok(Envelope::Call {
-                id: v.take_str(K_ID),
-                caller: v.take_str(K_CALLER),
-                input: v.take_attr(K_INPUT).unwrap_or(Value::Null),
+                id: string(K_ID),
+                caller: string(K_CALLER),
+                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
                 txn: v.get_attr(K_TXN).map(TxnContext::from_value).transpose()?,
                 is_async: v.get_bool(K_ASYNC).unwrap_or(false),
             }),
             "callback" => Ok(Envelope::Callback {
-                callee_id: v.take_str(K_CALLEE_ID).ok_or_else(|| missing("CalleeId"))?,
-                result: v.take_attr(K_RESULT),
+                callee_id: string(K_CALLEE_ID).ok_or_else(|| missing("CalleeId"))?,
+                result: v.get_attr(K_RESULT).cloned(),
             }),
             "asyncreg" => Ok(Envelope::AsyncReg {
-                id: v.take_str(K_ID).ok_or_else(|| missing("Id"))?,
-                caller: v.take_str(K_CALLER).ok_or_else(|| missing("Caller"))?,
-                input: v.take_attr(K_INPUT).unwrap_or(Value::Null),
+                id: string(K_ID).ok_or_else(|| missing("Id"))?,
+                caller: string(K_CALLER).ok_or_else(|| missing("Caller"))?,
+                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
             }),
             "txnsignal" => Ok(Envelope::TxnSignal {
-                id: v.take_str(K_ID).ok_or_else(|| missing("Id"))?,
+                id: string(K_ID).ok_or_else(|| missing("Id"))?,
                 txn: TxnContext::from_value(v.get_attr(K_TXN).ok_or_else(|| missing("TxnCtx"))?)?,
             }),
             other => Err(BeldiError::Protocol(format!(
@@ -222,17 +223,15 @@ impl Outcome {
         }
     }
 
-    /// Parses an outcome, taking the return value out of it; malformed
-    /// payloads decode as errors so a caller never mistakes
+    /// Parses an outcome. The reply shares its map with the intent's `Ret`
+    /// and the callback's `Result`, so the return value is read, not taken.
+    /// Malformed payloads decode as errors so a caller never mistakes
     /// infrastructure failures for success.
-    pub fn from_value(mut v: Value) -> Self {
+    pub fn from_value(v: Value) -> Self {
         match v.get_str("Outcome") {
-            Some("ok") => Outcome::Ok(v.take_attr("Ret").unwrap_or(Value::Null)),
+            Some("ok") => Outcome::Ok(v.get_attr("Ret").cloned().unwrap_or(Value::Null)),
             Some("abort") => Outcome::Abort,
-            Some("error") => Outcome::Error(
-                v.take_str("Msg")
-                    .unwrap_or_else(|| "unknown error".to_owned()),
-            ),
+            Some("error") => Outcome::Error(v.get_str("Msg").unwrap_or("unknown error").to_owned()),
             _ => Outcome::Error(format!("malformed outcome envelope: {v}")),
         }
     }
@@ -261,11 +260,12 @@ pub(crate) struct InvokeEntry {
 }
 
 impl InvokeEntry {
-    /// Decodes a row read from the invoke log, taking its fields.
-    fn from_row(mut row: Value) -> Option<Self> {
+    /// Decodes a row read from the invoke log. The row shares its map with
+    /// the stored one, so fields are read, not taken.
+    fn from_row(row: Value) -> Option<Self> {
         Some(InvokeEntry {
-            callee_id: row.take_str(A_CALLEE_ID)?,
-            result: row.take_attr(A_RESULT).filter(|v| !v.is_null()),
+            callee_id: row.get_str(A_CALLEE_ID)?.to_owned(),
+            result: row.get_attr(A_RESULT).filter(|v| !v.is_null()).cloned(),
             registered: row.get_bool(A_REGISTERED).unwrap_or(false),
         })
     }
@@ -392,21 +392,15 @@ impl SsfContext {
             // A previous execution already has the callee's result.
             return Ok(Outcome::from_value(r));
         }
-        let log_key = crate::ids::log_key(&self.instance, step);
-        let mut envelope = make_envelope(&entry.callee_id).into_value();
+        let envelope = make_envelope(&entry.callee_id).into_value();
         self.crash(labels::INVOKE_PRE_CALL);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
-            // A copy is kept while a retry may still need it.
-            let payload = if attempt + 1 < MAX_INVOKE_ATTEMPTS {
-                envelope.clone()
-            } else {
-                std::mem::take(&mut envelope)
-            };
-            match self.platform().invoke_sync(callee, payload) {
+            match self.platform().invoke_sync(callee, envelope.clone()) {
                 Ok(v) => return Ok(Outcome::from_value(v)),
                 Err(_) => {
                     // The callee (or the response channel) died. Its
                     // callback may still have recorded the result.
+                    let log_key = crate::ids::log_key(&self.instance, step);
                     if let Some(e) = self.reload_entry(&log_key)? {
                         if let Some(r) = e.result {
                             // A killed callee whose callback landed is a
@@ -467,9 +461,7 @@ impl SsfContext {
                 .map_err(BeldiError::Invoke)?;
             return Ok(());
         }
-        let step = self.step;
         let entry = self.invoke_entry(callee)?;
-        let log_key = crate::ids::log_key(&self.instance, step);
 
         // Step 1: ensure the callee's intent is registered (skippable when
         // a previous execution got the registration confirmed).
@@ -515,7 +507,6 @@ impl SsfContext {
         self.platform()
             .invoke_async(callee, call)
             .map_err(BeldiError::Invoke)?;
-        let _ = log_key;
         Ok(())
     }
 }
@@ -533,15 +524,13 @@ pub(crate) fn send_callback(
     callee_id: &str,
     result: Option<&Value>,
 ) -> bool {
+    let envelope = Envelope::Callback {
+        callee_id: callee_id.to_owned(),
+        result: result.cloned(),
+    }
+    .into_value();
     for attempt in 0..MAX_INVOKE_ATTEMPTS {
-        // The payload's copy of the result is made per attempt, so the
-        // one delivery that usually suffices costs one.
-        let envelope = Envelope::Callback {
-            callee_id: callee_id.to_owned(),
-            result: result.cloned(),
-        }
-        .into_value();
-        match core.platform.invoke_sync(caller_fn, envelope) {
+        match core.platform.invoke_sync(caller_fn, envelope.clone()) {
             Ok(_) => return true,
             Err(_) if attempt + 1 < MAX_INVOKE_ATTEMPTS => {
                 core.platform.clock().sleep(RETRY_BACKOFF);
@@ -562,34 +551,28 @@ pub(crate) fn handle_callback(
     core: &EnvCore,
     ssf: &str,
     callee_id: &str,
-    mut result: Option<Value>,
+    result: Option<Value>,
 ) -> BeldiResult<()> {
     let log = log_table(ssf);
-    let rows = core.db.index_query(
-        &log,
-        A_CALLEE_ID,
-        &Value::from(callee_id),
-        &ScanRequest::all(),
-    )?;
-    let last = rows.len().saturating_sub(1);
-    for (i, row) in rows.iter().enumerate() {
-        let Some(log_key) = row.get_str(A_LOG_KEY) else {
-            continue;
-        };
-        let pk = PrimaryKey::hash(log_key);
-        // One entry per callee id, as a rule: the result moves into its
-        // update, and is copied only for entries before the last.
-        let result = if i < last {
-            result.clone()
-        } else {
-            result.take()
-        };
-        let update = match result {
-            Some(r) => Update::new()
-                .set_if_absent(A_RESULT, r)
-                .set(A_REGISTERED, Value::Bool(true)),
-            None => Update::new().set(A_REGISTERED, Value::Bool(true)),
-        };
+    // Only the keys are kept: a row held here would share its map with the
+    // stored one, and the update below would copy it instead of writing in
+    // place.
+    let keys: Vec<PrimaryKey> = core
+        .db
+        .index_query(
+            &log,
+            A_CALLEE_ID,
+            &Value::from(callee_id),
+            &ScanRequest::all(),
+        )?
+        .iter()
+        .filter_map(|row| row.get_str(A_LOG_KEY).map(PrimaryKey::hash))
+        .collect();
+    let mut update = Update::new().set(A_REGISTERED, Value::Bool(true));
+    if let Some(r) = result {
+        update = update.set_if_absent(A_RESULT, r);
+    }
+    for pk in keys {
         match core
             .db
             // beldi-lint: allow(crash-points/coverage, the callback result write is

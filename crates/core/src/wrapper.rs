@@ -130,8 +130,7 @@ fn run_call(
     } else {
         // Synchronous path: register the intent (idempotent; the first
         // registration wins and re-executions adopt it). Its `Args` are
-        // the call as the collector must re-send it: the body's input is
-        // the one deep copy this makes.
+        // the call as the collector must re-send it.
         let args = Envelope::Call {
             id: Some(instance.to_owned()),
             input: input.clone(),
@@ -248,9 +247,9 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 }
 
 /// The completion sequence shared by calls and signals: callback to the
-/// caller, then mark the intent done (in that order — Fig. 9). Two copies
-/// of the outcome are owed — the callback's payload and the intent's
-/// `Ret` — and the outcome itself is what is returned.
+/// caller, then mark the intent done (in that order — Fig. 9). The
+/// callback's payload, the intent's `Ret` and the value returned share one
+/// outcome.
 fn finish(
     core: &Arc<EnvCore>,
     ssf: &str,

@@ -1,0 +1,154 @@
+//! Where the protocol stores a value twice, it stores one allocation twice.
+//!
+//! Exactly-once is bought by keeping every value in several places: a
+//! call's input in the callee's intent, its outcome in the intent and in
+//! the caller's invoke log (§4.5, Fig. 9), every read in the read log
+//! (Fig. 5). A [`Map`] clone is a reference-count bump, so those places
+//! hold one tree. These tests fail if a deep copy comes back on that path,
+//! or a write through a shared handle that re-homes the map below it. (A
+//! write that copies only the level it writes leaves the levels below
+//! shared and does not show here: CI's `allocs_per_req` guard counts it.)
+
+use std::sync::Arc;
+
+use beldi::labels;
+use beldi::schema::{intent_table, log_table, A_ARGS, A_RESULT, A_RET};
+use beldi::value::{vmap, Map, Value};
+use beldi::{BeldiEnv, CrashPlan, A_VALUE};
+use beldi_simdb::ScanRequest;
+use parking_lot::Mutex;
+
+/// What one execution of a body saw.
+#[derive(Debug, Clone, PartialEq)]
+struct Seen {
+    input: Value,
+    read: Value,
+    ret: Value,
+}
+
+type Log = Arc<Mutex<Vec<Seen>>>;
+
+/// `caller` passes its input to `callee`, which reads a map-valued item
+/// and returns a map. Every execution of either body is recorded.
+fn env() -> (BeldiEnv, Log, Log) {
+    let env = BeldiEnv::for_tests();
+    let (callee_log, caller_log) = (Log::default(), Log::default());
+    let log = callee_log.clone();
+    env.register_ssf(
+        "callee",
+        &["ct"],
+        Arc::new(move |ctx, input| {
+            let read = ctx.read("ct", "item")?;
+            let ret = vmap! { "answer" => vmap! { "n" => 42i64 } };
+            let seen = Seen {
+                input,
+                read,
+                ret: ret.clone(),
+            };
+            log.lock().push(seen);
+            Ok(ret)
+        }),
+    );
+    let log = caller_log.clone();
+    env.register_ssf(
+        "caller",
+        &[],
+        Arc::new(move |ctx, input| {
+            let ret = ctx.sync_invoke("callee", input.clone())?;
+            let seen = Seen {
+                input,
+                read: Value::Null,
+                ret: ret.clone(),
+            };
+            log.lock().push(seen);
+            Ok(ret)
+        }),
+    );
+    env.seed(
+        "callee",
+        "ct",
+        "item",
+        vmap! { "stock" => vmap! { "left" => 3i64 } },
+    )
+    .unwrap();
+    (env, callee_log, caller_log)
+}
+
+fn same(a: &Value, b: &Value) -> bool {
+    Map::ptr_eq(a.as_map().expect("a map"), b.as_map().expect("a map"))
+}
+
+/// The one row of `table` that has `attr`, and that attribute.
+fn stored(env: &BeldiEnv, table: &str, attr: &str) -> Value {
+    let rows = env.db().scan_all(table, &ScanRequest::all()).unwrap();
+    let mut found = rows.iter().filter_map(|row| row.get_attr(attr));
+    let value = found.next().expect("a row with the attribute").clone();
+    assert!(found.next().is_none(), "one row of {table} has {attr}");
+    value
+}
+
+/// The sharing every completed caller → callee request leaves behind,
+/// given what the last execution of each body saw.
+fn assert_stored_once(env: &BeldiEnv, callee: &Seen, caller: &Seen) {
+    // The outcome: returned by the callee's body, recorded in its intent,
+    // delivered to the caller's invoke log, returned to the caller's body.
+    let intent_ret = stored(env, &intent_table("callee"), A_RET);
+    let logged_result = stored(env, &log_table("caller"), A_RESULT);
+    assert!(same(&intent_ret, &logged_result));
+    for held in [
+        intent_ret.get_attr("Ret").unwrap(),
+        logged_result.get_attr("Ret").unwrap(),
+        &caller.ret,
+    ] {
+        assert!(same(held, &callee.ret), "{held} is a copy of the outcome");
+    }
+    // The input: received by the body, recorded in the intent's `Args`.
+    for (ssf, seen) in [("callee", callee), ("caller", caller)] {
+        let args = stored(env, &intent_table(ssf), A_ARGS);
+        assert!(same(args.get_attr("Input").unwrap(), &seen.input));
+    }
+    assert!(same(&callee.input, &caller.input));
+    // The read: returned to the body, recorded in the read log.
+    assert!(same(
+        &stored(env, &log_table("callee"), A_VALUE),
+        &callee.read
+    ));
+}
+
+#[test]
+fn a_value_the_protocol_stores_twice_is_one_allocation() {
+    let (env, callee_log, caller_log) = env();
+    let input = vmap! { "order" => vmap! { "qty" => 2i64 } };
+    let ret = env.invoke_as("caller", "root", input.clone()).unwrap();
+
+    let (callee, caller) = (callee_log.lock().clone(), caller_log.lock().clone());
+    assert_eq!((callee.len(), caller.len()), (1, 1));
+    assert_stored_once(&env, &callee[0], &caller[0]);
+    // The client's own handles are the same trees again.
+    assert!(same(&ret, &callee[0].ret));
+    assert!(same(&input, &callee[0].input));
+}
+
+#[test]
+fn a_re_executed_instance_gets_equal_values_and_shares_them_still() {
+    let (env, callee_log, caller_log) = env();
+    // The callee dies after its body ran, before its callback: the caller's
+    // retry re-executes it, and the body replays its read from the log.
+    env.platform()
+        .faults()
+        .set_global_plan(Some(CrashPlan::AtLabel(
+            labels::WRAPPER_PRE_CALLBACK.into(),
+        )));
+    let input = vmap! { "order" => vmap! { "qty" => 2i64 } };
+    let ret = env.invoke_as("caller", "root", input).unwrap();
+    assert_eq!(env.platform().faults().injected_count(), 1);
+
+    let (callee, caller) = (callee_log.lock().clone(), caller_log.lock().clone());
+    assert_eq!((callee.len(), caller.len()), (2, 1));
+    assert_eq!(
+        callee[0], callee[1],
+        "the replay saw what the first run saw"
+    );
+    assert_eq!(ret, callee[1].ret);
+    assert_stored_once(&env, &callee[1], &caller[0]);
+}

@@ -93,7 +93,9 @@ impl PartitionData {
     }
 
     /// Applies `update` to the stored row at `key`, in place: no copy of
-    /// the row is made. Returns the new size in bytes.
+    /// the row is made, unless a reader still holds a handle to its map
+    /// (then the levels written are copied first and the reader keeps what
+    /// it read). Returns the new size in bytes.
     ///
     /// All or nothing: if an action fails, or the result is over
     /// `max_row_bytes`, the update is taken back
@@ -344,6 +346,7 @@ mod tests {
 
     // ---- In-place update against its specification ----
 
+    use crate::scan::Projection;
     use beldi_value::{Map, Path, PathSegment, UpdateAction};
     use proptest::prelude::*;
 
@@ -517,7 +520,8 @@ mod tests {
         /// Updating the stored row in place is indistinguishable from the
         /// copy–apply–`put_row` it replaced: the same row, size and index
         /// shards when the update goes through, and nothing moved at all —
-        /// row, neighbours, shards — when it does not.
+        /// row, neighbours, shards — when it does not. And a copy a reader
+        /// took before never changes, whichever of the two happened.
         #[test]
         fn update_in_place_matches_copy_apply_put(
             mask in 0..128usize,
@@ -539,10 +543,22 @@ mod tests {
             reference.rows = p.rows.clone();
             reference.indexes = p.indexes.clone();
 
+            // A reader's copies of the stored row, taken before the update:
+            // the whole one shares its map with it, the projected one every
+            // map under these attributes.
+            let stored = &p.rows[&key];
+            let whole = stored.clone();
+            let projected = Projection::attrs(["M", "L", "New", "S"]).apply(stored);
+            let printed = (format!("{row:?}"), format!("{projected:?}"));
+
             let expected = spec_apply(&update, &row)
                 .ok_or(())
                 .and_then(|new| reference.put_row(key.clone(), new, s.max_row_bytes).map_err(drop));
             let got = p.update_row(&key, &update, s.max_row_bytes);
+            // Gone through, failed or rolled back: the reader saw none of it.
+            prop_assert_eq!(
+                (format!("{whole:?}"), format!("{projected:?}")), printed, "{} on {}", update, row
+            );
             prop_assert_eq!(got.as_ref().ok(), expected.as_ref().ok(), "{} on {}", update, row);
             if let (Err(e), Some(new)) = (&got, spec_apply(&update, &row)) {
                 prop_assert!(matches!(e, DbError::RowTooLarge { size, .. } if *size == new.size_bytes()));

@@ -195,8 +195,9 @@ struct InstanceState {
     /// Crash points passed across the instance's whole lifetime (never
     /// reset).
     lifetime: usize,
-    /// Occurrences per label (reset on re-execution).
-    label_counts: HashMap<String, usize>,
+    /// Occurrences per label (reset on re-execution). Labels are registry
+    /// constants, so a probe allocates no key.
+    label_counts: HashMap<&'static str, usize>,
     /// Which execution of this instance is running (0-based; bumped by
     /// [`FaultInjector::instance_started`], never reset). Feeds the
     /// [`StormPolicy`] hash so restarts draw fresh decisions.
@@ -290,7 +291,7 @@ impl FaultInjector {
     /// the victim like any other casualty — but the `injected` counter is
     /// untouched: a timeout is the platform enforcing its contract, not
     /// the fault policy firing.
-    pub fn timeout_kill(&self, instance_id: &str, label: &str) -> ! {
+    pub fn timeout_kill(&self, instance_id: &str, label: &'static str) -> ! {
         self.timeouts.fetch_add(1, Ordering::Relaxed);
         {
             let mut s = self.state.lock();
@@ -434,12 +435,12 @@ impl FaultInjector {
     /// Panics with a [`CrashSignal`] payload when the instance is scripted
     /// (per-instance plan, global plan, or random policy) to die here. The
     /// platform catches it.
-    pub fn crash_point(&self, instance_id: &str, label: &str) {
+    pub fn crash_point(&self, instance_id: &str, label: &'static str) {
         let mut guard = self.state.lock();
         let s = &mut *guard;
 
-        // Lookups before inserts: the id and label are allocated as map
-        // keys only the first time this execution passes them.
+        // Lookup before insert: the id is allocated as a map key only the
+        // first time this instance passes a probe.
         if !s.instances.contains_key(instance_id) {
             s.instances.insert(
                 instance_id.to_owned(),
@@ -456,16 +457,9 @@ impl FaultInjector {
         let (ordinal, lifetime, generation) = (st.ordinal, st.lifetime, st.generation);
         st.ordinal += 1;
         st.lifetime += 1;
-        let label_count = match st.label_counts.get_mut(label) {
-            Some(c) => {
-                *c += 1;
-                *c - 1
-            }
-            None => {
-                st.label_counts.insert(label.to_owned(), 1);
-                0
-            }
-        };
+        let count = st.label_counts.entry(label).or_insert(0);
+        let label_count = *count;
+        *count += 1;
 
         // Decision order: per-instance plan, global plan, random policy,
         // storm. This point's position in the global stream is `step`.

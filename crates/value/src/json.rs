@@ -16,6 +16,7 @@
 //! as a hex string (it does not occur in benchmark reports); non-finite
 //! floats are written as `null`, as `JSON.stringify` does.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::error::{ValueError, ValueResult};
@@ -228,11 +229,13 @@ impl Parser<'_> {
 
     fn map(&mut self) -> ValueResult<Value> {
         self.expect(b'{')?;
-        let mut m = Map::new();
+        // Filled as a plain tree: an insert through the handle would check
+        // each time that the handle is the only one.
+        let mut m = BTreeMap::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Map(m));
+            return Ok(Value::Map(Map::new()));
         }
         loop {
             self.skip_ws();
@@ -247,7 +250,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Map(m));
+                    return Ok(Value::Map(m.into()));
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }

@@ -3,14 +3,137 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
 use crate::path::{Path, PathSegment};
 
-/// Attribute maps use ordered keys so scans and dumps are deterministic.
-pub type Map = BTreeMap<String, Value>;
+/// A string-keyed attribute map: a copy-on-write handle to an ordered tree
+/// (ordered keys keep scans and dumps deterministic).
+///
+/// `clone` bumps a reference count, so a value the protocol stores several
+/// times — a call's input, its outcome, a logged read — is one tree with
+/// several handles. Reading goes through `Deref`. Writing goes through
+/// `DerefMut`, which is [`Arc::make_mut`]: a uniquely held map is updated in
+/// place; the first write through a *shared* handle copies one level of the
+/// tree (its entries; nested maps stay shared) and leaves every other handle
+/// as it was. A copy therefore never observes a later write to the original.
+/// Code that only decodes a map it may share should borrow from it rather
+/// than take fields out of it.
+///
+/// Equality, order, hash and `Debug` go by content. An empty map holds no
+/// allocation. `Value` stays `Send + Sync`.
+#[derive(Clone, Default)]
+pub struct Map(Option<Arc<BTreeMap<String, Value>>>);
+
+static EMPTY: BTreeMap<String, Value> = BTreeMap::new();
+
+impl Map {
+    /// An empty map; allocates nothing.
+    pub const fn new() -> Self {
+        Map(None)
+    }
+
+    /// True when both handles share one allocation (two empty maps that hold
+    /// none do not).
+    pub fn ptr_eq(a: &Map, b: &Map) -> bool {
+        matches!((&a.0, &b.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+}
+
+impl Deref for Map {
+    type Target = BTreeMap<String, Value>;
+
+    fn deref(&self) -> &Self::Target {
+        self.0.as_deref().unwrap_or(&EMPTY)
+    }
+}
+
+impl DerefMut for Map {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        Arc::make_mut(self.0.get_or_insert_with(Arc::default))
+    }
+}
+
+impl From<BTreeMap<String, Value>> for Map {
+    fn from(tree: BTreeMap<String, Value>) -> Self {
+        Map((!tree.is_empty()).then(|| Arc::new(tree)))
+    }
+}
+
+impl FromIterator<(String, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+        BTreeMap::from_iter(iter).into()
+    }
+}
+
+impl IntoIterator for Map {
+    type Item = (String, Value);
+    type IntoIter = std::collections::btree_map::IntoIter<String, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0
+            .map(Arc::unwrap_or_clone)
+            .unwrap_or_default()
+            .into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Map {
+    type Item = (&'a String, &'a Value);
+    type IntoIter = std::collections::btree_map::Iter<'a, String, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Map {
+    type Item = (&'a String, &'a mut Value);
+    type IntoIter = std::collections::btree_map::IterMut<'a, String, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl PartialEq for Map {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Map {}
+
+impl PartialOrd for Map {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Map {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Map::ptr_eq(self, other) {
+            return Ordering::Equal;
+        }
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::hash::Hash for Map {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Map {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// A schema-less dynamic value, comparable to a DynamoDB attribute value.
 ///
@@ -166,7 +289,9 @@ impl Value {
     }
 
     /// Convenience: takes a top-level attribute out of a map value — how a
-    /// decoder that owns the value gets a field without copying it.
+    /// decoder that holds the map's only handle (a projected row) gets a
+    /// string without copying it. Through a shared handle this copies the
+    /// map first: read with `get_attr(..).cloned()` there.
     pub fn take_attr(&mut self, name: &str) -> Option<Value> {
         self.as_map_mut().and_then(|m| m.remove(name))
     }
@@ -457,6 +582,52 @@ mod tests {
         assert_eq!(Value::from(2i64).as_float(), Some(2.0));
         assert!(Value::Null.is_null());
         assert!(Value::from(0i64).as_bool().is_none());
+    }
+
+    #[test]
+    fn clone_shares_and_the_first_write_copies_one_level() {
+        fn map(v: &Value) -> &Map {
+            v.as_map().unwrap()
+        }
+        let a = vmap! { "m" => vmap! { "x" => 1i64 }, "n" => 1i64 };
+        let mut b = a.clone();
+        assert!(Map::ptr_eq(map(&a), map(&b)));
+        b.set_path(&Path::attr("n"), Value::Int(2)).unwrap();
+        assert!(!Map::ptr_eq(map(&a), map(&b)));
+        assert!(Map::ptr_eq(
+            map(a.get_attr("m").unwrap()),
+            map(b.get_attr("m").unwrap())
+        ));
+        assert_eq!(a.get_int("n"), Some(1));
+        // A uniquely held map is written in place.
+        drop(a);
+        let tree = |v: &Value| std::ptr::from_ref(&**map(v));
+        let before = tree(&b);
+        b.set_path(&Path::attr("n"), Value::Int(3)).unwrap();
+        assert_eq!(before, tree(&b));
+
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Value>();
+    }
+
+    #[test]
+    fn empty_maps_are_one_value_however_they_were_made() {
+        let mut emptied = Map::new();
+        emptied.insert("k".into(), Value::Null);
+        emptied.remove("k");
+        let empties = [Map::new(), Map::default(), BTreeMap::new().into(), emptied];
+        let digest = crate::Fnv1a::digest::<Map>;
+        for a in &empties {
+            for b in &empties {
+                assert_eq!(a, b);
+                assert_eq!(a.cmp(b), Ordering::Equal);
+                assert_eq!(digest(a), digest(b));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+            assert!(a < &Map::from_iter([("k".to_owned(), Value::Null)]));
+        }
+        // The first three hold no allocation to share.
+        assert!(!Map::ptr_eq(&empties[0], &empties[2]));
     }
 
     #[test]
