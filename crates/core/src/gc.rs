@@ -12,8 +12,8 @@
 //! 2. classify intents whose finish time is older than `T` as
 //!    *recyclable* — no live instance can still need their logs;
 //! 3. delete the recyclable intents' log entries — one owner-index query
-//!    per intent finds its read, invoke and (cross-table mode) write
-//!    entries together, since an SSF keeps them in one table;
+//!    per intent that ran finds its read, invoke and (cross-table mode)
+//!    write entries together, since an SSF keeps them in one table;
 //! 4. disconnect non-tail DAAL rows whose write logs are fully
 //!    recyclable, stamping them with a dangling time;
 //! 5. delete disconnected rows whose dangling time is older than `T`
@@ -44,7 +44,7 @@ use crate::config::Mode;
 use crate::daal;
 use crate::env::EnvCore;
 use crate::error::BeldiResult;
-use crate::ids::parse_log_key;
+use crate::ids::{is_finalize_marker, parse_log_key};
 use crate::intent;
 use crate::labels;
 use crate::schema::{
@@ -210,9 +210,9 @@ pub(crate) fn run_gc_with(
     }
     (hooks.crash)(labels::GC_POST_CLASSIFY);
 
-    // Step 3: prune the recyclable intents' log entries.
+    // Step 3: prune the log entries of the recyclable intents that ran.
     let log = schema::log_table(ssf);
-    for owner in &recyclable {
+    for owner in recyclable.iter().filter(|id| !is_finalize_marker(id)) {
         report.deleted_log_entries += delete_log_entries_of(db, &log, owner)?;
     }
     (hooks.crash)(labels::GC_POST_LOG_PRUNE);
@@ -767,6 +767,56 @@ mod tests {
             assert!(report.deleted_log_entries >= 2 * 4, "{report:?}");
             assert_eq!(after.get() - before.get(), 4, "one owner query each");
         }
+    }
+
+    /// A transaction's finalize marker is a done intent that never ran:
+    /// step 3 recycles it without asking the owner index about it, and the
+    /// instance that claimed it still has its entries deleted.
+    #[test]
+    fn finalize_marker_costs_no_owner_query() {
+        use std::cell::Cell;
+        let e =
+            BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(Duration::from_millis(50)));
+        e.register_ssf(
+            "f",
+            &["t"],
+            std::sync::Arc::new(|ctx, input| {
+                ctx.begin_tx()?;
+                ctx.write("t", "k", input)?;
+                ctx.end_tx()?;
+                Ok(Value::Null)
+            }),
+        );
+        e.invoke_as("f", "i-0", Value::Int(1)).unwrap();
+        let intents = e.db().scan_all("f.intent", &ScanRequest::all()).unwrap();
+        let marker = intents
+            .iter()
+            .find(|r| r.get_str(A_ID).is_some_and(is_finalize_marker))
+            .expect("the transaction claimed its marker");
+        assert_eq!(marker.get_str(schema::A_CLAIMANT), Some("i-0"));
+        assert_eq!(intents.len(), 2);
+        assert!(e.db().row_count("f.log").unwrap() > 0);
+        run_gc(e.test_core(), "f").unwrap(); // Stamps the finish times.
+        e.clock().sleep(Duration::from_millis(120));
+
+        let (before, after) = (Cell::new(0), Cell::new(0));
+        let at_boundary = |label: &str| {
+            if label == labels::GC_POST_CLASSIFY {
+                before.set(e.db_metrics().queries);
+            } else if label == labels::GC_POST_LOG_PRUNE {
+                after.set(e.db_metrics().queries);
+            }
+        };
+        let hooks = GcHooks {
+            crash: &at_boundary,
+            probe: &|_| {},
+        };
+        let report = run_gc_with(e.test_core(), "f", &hooks).unwrap();
+        assert_eq!(report.recycled_intents, 2);
+        assert_eq!(after.get() - before.get(), 1, "the claimant's query only");
+        assert!(report.deleted_log_entries > 0, "{report:?}");
+        assert_eq!(e.db().row_count("f.log").unwrap(), 0);
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
     }
 
     /// The cycle guard: a fabricated cyclic chain must surface loudly —

@@ -1,10 +1,13 @@
 //! Instance ids, step numbers, and log keys.
 //!
 //! Every SSF execution is identified by an *instance id* (§3.3): the
-//! platform request id for workflow roots, or a caller-generated UUID for
-//! callees. Every external operation inside an instance gets a
-//! monotonically increasing *step number*. The pair `(instance id, step)`
-//! keys all of Beldi's logs (Fig. 3).
+//! platform request id for workflow roots, and for a callee the id
+//! [`callee_id`] derives from its caller's invoke-log key, which a callback
+//! inverts to write that entry by key (if callee ids stopped naming a log
+//! key, `callbacks.rs::callback_lands_before_done_so_gc_cannot_outrun_caller`
+//! fails). Every external operation inside an instance gets a monotonically
+//! increasing *step number*. The pair `(instance id, step)` keys all of
+//! Beldi's logs (Fig. 3).
 
 /// An SSF instance id (unique per execution intent, stable across
 /// re-executions of the same intent).
@@ -13,9 +16,8 @@ pub type InstanceId = String;
 /// A step number within an instance.
 pub type StepNumber = u64;
 
-/// Separator between instance id and step in a log key.
-///
-/// Instance ids are platform UUIDs and never contain `#`.
+/// Separator between instance id and step in a log key. A callee id
+/// contains it too, so a key splits at the last one.
 pub const LOG_KEY_SEP: char = '#';
 
 /// Builds the log key for `(instance, step)` — the primary key of read,
@@ -24,13 +26,33 @@ pub fn log_key(instance: &str, step: StepNumber) -> String {
     format!("{instance}{LOG_KEY_SEP}{step}")
 }
 
-/// Splits a log key back into `(instance, step)`.
-///
-/// Returns `None` for malformed keys (useful when the GC scans logs).
+/// Splits a log key back into `(instance, step)`; `None` when malformed.
 pub fn parse_log_key(key: &str) -> Option<(&str, StepNumber)> {
     let (instance, step) = key.rsplit_once(LOG_KEY_SEP)?;
     let step = step.parse().ok()?;
     Some((instance, step))
+}
+
+/// The id of the callee invoked at the caller's invoke-log entry `log_key`.
+pub fn callee_id(log_key: &str) -> String {
+    format!("{log_key}.c")
+}
+
+/// Inverts [`callee_id`]; `None` for an id no log key derives (a root's, a forged one).
+pub fn callee_log_key(callee_id: &str) -> Option<&str> {
+    callee_id
+        .strip_suffix(".c")
+        .filter(|k| parse_log_key(k).is_some())
+}
+
+/// The intent-table id of transaction `txn_id`'s finalize marker (§6.2).
+pub fn finalize_marker(txn_id: &str) -> String {
+    format!("txnfinal#{txn_id}")
+}
+
+/// A finalize marker is written done and never runs: it owns no log entry.
+pub fn is_finalize_marker(id: &str) -> bool {
+    id.starts_with("txnfinal#")
 }
 
 #[cfg(test)]
@@ -52,8 +74,38 @@ mod tests {
 
     #[test]
     fn parse_uses_last_separator() {
-        // Defensive: even if an id somehow contained the separator, the
-        // step is always the last segment.
+        // A callee id contains the separator; the step is always the last
+        // segment.
         assert_eq!(parse_log_key("a#b#3"), Some(("a#b", 3)));
+        assert_eq!(parse_log_key("r#1.c#2"), Some(("r#1.c", 2)));
+    }
+
+    #[test]
+    fn callee_id_round_trips() {
+        let k = log_key("root", 3);
+        let id = callee_id(&k);
+        assert_eq!(id, "root#3.c");
+        assert_eq!(callee_log_key(&id), Some(k.as_str()));
+        // A callee's callee: the log key holds the parent callee's id.
+        let nested = callee_id(&log_key(&id, 2));
+        assert_eq!(nested, "root#3.c#2.c");
+        assert_eq!(callee_log_key(&nested), Some("root#3.c#2"));
+        assert_eq!(callee_log_key("r#1.c#2.c"), Some("r#1.c#2"));
+    }
+
+    #[test]
+    fn callee_log_key_rejects_ids_no_log_key_produces() {
+        for id in ["ghost-callee", "", ".c", "x.c.c", "x#1.c.c", "r#1", "r#.c"] {
+            assert_eq!(callee_log_key(id), None, "{id:?}");
+        }
+    }
+
+    #[test]
+    fn finalize_marker_is_recognised() {
+        let m = finalize_marker("t-1");
+        assert_eq!(m, "txnfinal#t-1");
+        assert!(is_finalize_marker(&m));
+        assert!(!is_finalize_marker("t-1"));
+        assert!(!is_finalize_marker(&callee_id(&log_key("root", 1))));
     }
 }

@@ -12,8 +12,8 @@
 //! work twice.
 //!
 //! Request routing is stateless: the callback reaches *some* instance of
-//! the caller function, not the blocked original. The handler resolves
-//! the invoke-log entry through a secondary index on the callee id.
+//! the caller function, not the blocked original, and writes the
+//! invoke-log entry by the key its callee id names ([`crate::ids`]).
 //!
 //! Asynchronous invocations (Fig. 20) flip the order: the caller first
 //! synchronously asks the callee to *register* the intent (confirmed by a
@@ -21,7 +21,7 @@
 //! asynchronous call. The callee stub refuses to run unregistered or
 //! completed intents so the GC can prune them without interference.
 
-use beldi_simdb::{DbError, PrimaryKey, ScanRequest};
+use beldi_simdb::{DbError, PrimaryKey};
 use beldi_value::{Cond, Map, Update, Value};
 
 use crate::context::SsfContext;
@@ -277,12 +277,11 @@ impl SsfContext {
     fn invoke_entry(&mut self, callee_fn: &str) -> BeldiResult<InvokeEntry> {
         let log_key = self.next_log_key();
         let log = self.log_table();
-        // The callee id is opaque and first-writer-wins logged, so deriving
-        // it from the (replay-stable) log key instead of drawing a platform
-        // UUID makes the whole execution tree's instance ids a pure function
-        // of the root id — which is what lets the chaos storm policy produce
-        // bit-identical crash schedules across runs of the same seed.
-        let fresh_id = format!("{log_key}.c");
+        // A callee id derived from the (replay-stable) log key, not a
+        // platform UUID, makes the execution tree's instance ids a pure
+        // function of the root id (bit-identical chaos crash schedules per
+        // seed) and lets the callback address this entry.
+        let fresh_id = crate::ids::callee_id(&log_key);
         let mut update = Update::new()
             .set(A_LOG_KEY, log_key.as_str())
             .set(A_OWNER, self.instance_id())
@@ -318,9 +317,7 @@ impl SsfContext {
         }
     }
 
-    /// Re-reads this step's invoke-log entry by log key (used to poll for
-    /// a callback-delivered result). `step` must be the step the entry was
-    /// created under.
+    /// Re-reads an invoke-log entry (to poll for a callback-delivered result).
     fn reload_entry(&self, log_key: &str) -> BeldiResult<Option<InvokeEntry>> {
         let row = self
             .db()
@@ -542,48 +539,29 @@ pub(crate) fn send_callback(
 }
 
 /// Handles an incoming callback at the caller's side: records the result
-/// (or registration) on the invoke-log entry addressed by callee id.
-///
-/// Spurious callbacks — for entries that no longer exist because the
-/// caller completed and was garbage collected — are detected and ignored
-/// (§4.5).
+/// (or registration) on the invoke-log entry the callee id names. A
+/// spurious callback (§4.5) — a collected entry, a forged id, a read
+/// entry's key — fails the condition, creates no row, and is ignored.
 pub(crate) fn handle_callback(
     core: &EnvCore,
     ssf: &str,
     callee_id: &str,
     result: Option<Value>,
 ) -> BeldiResult<()> {
-    let log = log_table(ssf);
-    // Only the keys are kept: a row held here would share its map with the
-    // stored one, and the update below would copy it instead of writing in
-    // place.
-    let keys: Vec<PrimaryKey> = core
-        .db
-        .index_query(
-            &log,
-            A_CALLEE_ID,
-            &Value::from(callee_id),
-            &ScanRequest::all(),
-        )?
-        .iter()
-        .filter_map(|row| row.get_str(A_LOG_KEY).map(PrimaryKey::hash))
-        .collect();
+    let Some(pk) = crate::ids::callee_log_key(callee_id).map(PrimaryKey::hash) else {
+        return Ok(());
+    };
     let mut update = Update::new().set(A_REGISTERED, Value::Bool(true));
     if let Some(r) = result {
         update = update.set_if_absent(A_RESULT, r);
     }
-    for pk in keys {
-        match core
-            .db
-            // beldi-lint: allow(crash-points/coverage, the callback result write is
-            // bracketed by wrapper.pre_callback and wrapper.pre_done in the callee)
-            .update(&log, &pk, &Cond::exists(A_LOG_KEY), &update)
-        {
-            Ok(()) | Err(DbError::ConditionFailed) => {}
-            Err(e) => return Err(e.into()),
-        }
+    let cond = Cond::eq(A_CALLEE_ID, callee_id);
+    // beldi-lint: allow(crash-points/coverage, the callback result write is
+    // bracketed by wrapper.pre_callback and wrapper.pre_done in the callee)
+    match core.db.update(&log_table(ssf), &pk, &cond, &update) {
+        Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
+        Err(e) => Err(e.into()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@
 //! log — are one table, `{ssf}.log`: every logged operation of an instance
 //! draws its key from the one step counter
 //! ([`crate::SsfContext`]'s `next_log_key`), so entries of different kinds
-//! never share a `LogKey`, and the callee-id and transaction-id indexes
-//! are sparse, so only invoke entries appear in them. The collector finds
-//! everything an intent logged with one owner-index query.
+//! never share a `LogKey`, and the transaction-id index is sparse, so only
+//! invoke entries appear in it. The collector finds everything an intent
+//! logged with one owner-index query.
 
 use beldi_simdb::TableSchema;
 
@@ -72,7 +72,7 @@ pub const A_LAST_LAUNCH: &str = "LastLaunch";
 pub const A_LOG_KEY: &str = "LogKey";
 /// Owning instance id (indexed; lets the GC delete by instance).
 pub const A_OWNER: &str = "Owner";
-/// Callee instance id (indexed; resolves callbacks).
+/// Callee instance id; a callback's condition checks it.
 pub const A_CALLEE_ID: &str = "CalleeId";
 /// Callee function name (lets commit/abort propagation find callees).
 pub const A_CALLEE_FN: &str = "CalleeFn";
@@ -160,13 +160,12 @@ pub fn intent_schema() -> TableSchema {
     TableSchema::hash_only(A_ID).with_index(A_DONE)
 }
 
-/// Schema of a log table: indexed by owner for GC deletion, and — invoke
-/// entries only, the indexes being sparse — by callee id for callbacks
-/// and by transaction id for commit/abort propagation.
+/// Schema of a log table: indexed by owner for GC deletion and — invoke
+/// entries only, the index being sparse — by transaction id for
+/// commit/abort propagation. A callback writes its entry by key.
 pub fn log_schema() -> TableSchema {
     TableSchema::hash_only(A_LOG_KEY)
         .with_index(A_OWNER)
-        .with_index(A_CALLEE_ID)
         .with_index(A_TXN_ID)
 }
 
@@ -206,7 +205,7 @@ mod tests {
     #[test]
     fn schemas_have_expected_indexes() {
         assert!(intent_schema().index_attrs.contains(&A_DONE.to_string()));
-        assert_eq!(log_schema().index_attrs, [A_OWNER, A_CALLEE_ID, A_TXN_ID]);
+        assert_eq!(log_schema().index_attrs, [A_OWNER, A_TXN_ID]);
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
     }

@@ -568,7 +568,7 @@ impl SsfContext {
     /// finalizes this transaction here.
     fn claim_finalize_marker(&mut self, txn_id: &str) -> BeldiResult<bool> {
         let table = self.intent_table();
-        let marker_id = format!("txnfinal#{txn_id}");
+        let marker_id = crate::ids::finalize_marker(txn_id);
         let pk = PrimaryKey::hash(marker_id.as_str());
         // `Done = true` keeps the intent collector away; the GC recycles
         // the marker like any completed intent.

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan};
-use beldi_simdb::ScanRequest;
+use beldi::{callee_id, callee_log_key, BeldiConfig, BeldiEnv, CrashPlan};
+use beldi_simdb::{MetricsSnapshot, ScanRequest};
 
 fn caller_callee_env(cfg: BeldiConfig) -> BeldiEnv {
     let env = BeldiEnv::for_tests_with(cfg);
@@ -179,10 +179,11 @@ fn caller_crash_after_callback_reuses_logged_result() {
     );
 }
 
-/// Read entries and invoke entries share `{ssf}.log`. The callee-id and
-/// transaction-id indexes are sparse, so the two paths that look entries
-/// up by them — the callback and commit propagation — see invoke entries
-/// only, however many reads the instance logged beside them.
+/// Read entries and invoke entries share `{ssf}.log`. An invoke entry's
+/// callee id names the entry's own key, which is how the callback finds
+/// it; the transaction-id index is sparse, so commit propagation sees
+/// invoke entries only, however many reads the instance logged beside
+/// them.
 #[test]
 fn callee_and_txn_indexes_list_invoke_entries_only() {
     let env = caller_callee_env(BeldiConfig::beldi());
@@ -214,12 +215,8 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
     assert!(reads.len() >= 4, "{} read entries", reads.len());
     assert!(reads.iter().all(|r| r.get_attr("TxnId").is_none()));
     for entry in &invokes {
-        let id = entry.get_attr("CalleeId").unwrap();
-        let by_callee = env
-            .db()
-            .index_query(log, "CalleeId", id, &ScanRequest::all())
-            .unwrap();
-        assert_eq!(by_callee, [(*entry).clone()]);
+        let id = entry.get_str("CalleeId").unwrap();
+        assert_eq!(callee_log_key(id), entry.get_str("LogKey"), "{entry:?}");
     }
     // The callback found the call's entry and left the result on it (the
     // commit signal's entry beside it carries none).
@@ -236,4 +233,83 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
     for entry in &by_txn {
         assert_eq!(entry.get_str("CalleeFn"), Some("callee"), "{entry:?}");
     }
+}
+
+/// A callback addresses its entry by the key its callee id names, and the
+/// write is conditional on the entry carrying that callee id. A forged id
+/// that names a *read* entry's key writes nothing on it.
+#[test]
+fn forged_callback_naming_a_read_entry_writes_nothing() {
+    let env = caller_callee_env(BeldiConfig::beldi());
+    env.register_ssf("reader", &["rt"], Arc::new(|ctx, _| ctx.read("rt", "k")));
+    env.invoke_as("reader", "r-1", Value::Null).unwrap();
+    let before = env
+        .db()
+        .scan_all("reader.log", &ScanRequest::all())
+        .unwrap();
+    assert_eq!(before.len(), 1);
+    assert!(before[0].get_attr("CalleeId").is_none(), "a read entry");
+    let forged = vmap! {
+        "Op" => "callback",
+        "CalleeId" => callee_id(before[0].get_str("LogKey").unwrap()),
+        "Result" => vmap! { "Outcome" => "ok", "Ret" => "forged" },
+    };
+    let out = env.platform().invoke_sync("reader", forged).unwrap();
+    assert_eq!(out.get_str("Outcome"), Some("ok"), "acknowledged");
+    let after = env
+        .db()
+        .scan_all("reader.log", &ScanRequest::all())
+        .unwrap();
+    assert_eq!(after, before, "the read entry is untouched");
+}
+
+/// A callback that arrives after the caller's entry was collected (§4.5's
+/// spurious callback) is ignored: its keyed write creates no row.
+#[test]
+fn callback_for_a_collected_entry_creates_no_row() {
+    let env = caller_callee_env(BeldiConfig::beldi().with_t_max(Duration::from_millis(50)));
+    env.invoke_as("caller", "c-1", Value::Int(1)).unwrap();
+    let rows = env
+        .db()
+        .scan_all("caller.log", &ScanRequest::all())
+        .unwrap();
+    let id = rows[0].get_str("CalleeId").unwrap().to_owned();
+    for _ in 0..3 {
+        env.run_gc_once("caller").unwrap();
+        env.clock().sleep(Duration::from_millis(80));
+    }
+    assert_eq!(env.db().row_count("caller.log").unwrap(), 0, "collected");
+    let late = vmap! {
+        "Op" => "callback",
+        "CalleeId" => id.as_str(),
+        "Result" => vmap! { "Outcome" => "ok", "Ret" => 1i64 },
+    };
+    let out = env.platform().invoke_sync("caller", late).unwrap();
+    assert_eq!(out.get_str("Outcome"), Some("ok"), "acknowledged");
+    assert_eq!(env.db().row_count("caller.log").unwrap(), 0);
+}
+
+/// What one happy-path `sync_invoke` costs the store: the caller's entry,
+/// the callee's intent, the callback and the callee's done mark — four
+/// writes and no query, so an index read cannot creep back onto the
+/// callback path unseen.
+#[test]
+fn sync_invoke_is_four_writes_and_no_query() {
+    let env = BeldiEnv::for_tests_with(BeldiConfig::beldi());
+    env.register_ssf("noop", &[], Arc::new(|_, input| Ok(input)));
+    let delta = Arc::new(std::sync::Mutex::new(None::<MetricsSnapshot>));
+    let (db, slot) = (Arc::clone(env.db()), Arc::clone(&delta));
+    env.register_ssf(
+        "caller",
+        &[],
+        Arc::new(move |ctx, input| {
+            let before = db.metrics();
+            let out = ctx.sync_invoke("noop", input)?;
+            *slot.lock().unwrap() = Some(db.metrics().delta(&before));
+            Ok(out)
+        }),
+    );
+    assert_eq!(env.invoke("caller", Value::Int(5)).unwrap(), Value::Int(5));
+    let d = delta.lock().unwrap().take().expect("the body ran");
+    assert_eq!((d.writes, d.queries), (4, 0), "{d:?}");
 }
