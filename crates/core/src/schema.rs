@@ -176,11 +176,15 @@ pub fn plain_data_schema() -> TableSchema {
 }
 
 /// Schema of a shadow table: hash `Key` (= `txn|key`), sort `RowId`,
-/// indexed by transaction id and original key.
+/// indexed by transaction id.
+///
+/// Both `TxnId` indexes, this one and the log's, stay: each is one `Query`
+/// per finalize per table (five per benchmark reservation), and the only
+/// durable list of what the transaction's instances of an SSF touched or
+/// invoked, which its finalizing instance — for a callee, the decision's
+/// signal instance, which ran none of them — must release and signal.
 pub fn shadow_schema() -> TableSchema {
-    TableSchema::hash_and_sort(A_KEY, A_ROW_ID)
-        .with_index(A_TXN_ID)
-        .with_index(A_ORIG_KEY)
+    TableSchema::hash_and_sort(A_KEY, A_ROW_ID).with_index(A_TXN_ID)
 }
 
 /// The combined hash key of a shadow DAAL: transaction id + original key.
@@ -208,6 +212,7 @@ mod tests {
         assert_eq!(log_schema().index_attrs, [A_OWNER, A_TXN_ID]);
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
+        assert_eq!(shadow_schema().index_attrs, [A_TXN_ID]);
     }
 
     #[test]

@@ -8,16 +8,17 @@
 //! - A [`TxnContext`] (transaction id, intent-creation timestamp, and
 //!   [`TxnMode`]) is created by `begin_tx` and piggybacks on every SSF
 //!   invocation made inside the transaction.
-//! - In `Execute` mode, every `read`/`write`/`cond_write` first acquires
-//!   the item's lock (owned by the *transaction*, not the instance, so
-//!   crash-restart keeps ownership — "locks with intent", §6.1). Writes
-//!   are redirected to a per-transaction *shadow table*; reads check the
-//!   shadow first so transactions read their own writes.
-//! - `end_tx` flips the mode to `Commit` (flush shadow values to the real
-//!   tables, release locks) or `Abort` (release locks only) and invokes
-//!   every callee recorded in the invoke log under this transaction with
-//!   the new mode; those SSFs do the same for their data and callees,
-//!   which mimics the second phase of 2PC over the workflow graph.
+//! - In `Execute` mode, an execution's first `read`/`write`/`cond_write`
+//!   of an item acquires its lock (owned by the *transaction*, not the
+//!   instance, so crash-restart keeps ownership — "locks with intent",
+//!   §6.1). Writes are redirected to a per-transaction *shadow table*;
+//!   reads check the shadow first so transactions read their own writes.
+//! - `end_tx` flips the mode to `Commit` (flush each written item and
+//!   release its lock in one write; release the rest) or `Abort` (release
+//!   locks only) and invokes every callee recorded in the invoke log under
+//!   this transaction with the new mode; those SSFs do the same for their
+//!   data and callees, which mimics the second phase of 2PC over the
+//!   workflow graph.
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -146,6 +147,9 @@ pub(crate) struct TxnState {
     /// Depth of ignored nested `begin_tx` calls (§6.2: nested begin/end
     /// pairs are absorbed into the top-level transaction).
     pub nested: u32,
+    /// The `(logical table, key)` items this execution locked (few, so a
+    /// list). Replay rebuilds it: each first lock replays as applied.
+    locked: Vec<(String, String)>,
 }
 
 impl TxnState {
@@ -157,17 +161,15 @@ impl TxnState {
             aborted: false,
             ended: false,
             nested: 0,
+            locked: Vec::new(),
         }
     }
 
     /// A state for a context created by this instance.
     pub fn owned(ctx: TxnContext) -> Self {
         TxnState {
-            ctx,
             owned: true,
-            aborted: false,
-            ended: false,
-            nested: 0,
+            ..TxnState::inherited(ctx)
         }
     }
 }
@@ -218,8 +220,9 @@ struct ShadowEntry {
     logical: String,
     /// Original item key.
     key: String,
-    /// True when the transaction wrote the item (vs only locking it).
-    written: bool,
+    /// The buffered value when the transaction wrote the item; `None`
+    /// when it only locked it.
+    written: Option<Value>,
 }
 
 impl SsfContext {
@@ -342,7 +345,10 @@ impl SsfContext {
     // ---- Execute-mode operation semantics (§6.2) ----
 
     /// Acquires the transaction's lock on `key` with wait-die deadlock
-    /// prevention (Fig. 11).
+    /// prevention (Fig. 11), unless this execution holds it. Returns true
+    /// when this call created the item's shadow entry, which then holds no
+    /// write: an SSF's instances in one transaction run one at a time
+    /// (async invokes are refused inside one).
     ///
     /// # Errors
     ///
@@ -350,7 +356,11 @@ impl SsfContext {
     /// the lock — this transaction must die (it cannot kill the holder;
     /// SSFs have no way to kill each other, which is why wait-die rather
     /// than wound-wait).
-    pub(crate) fn txn_lock(&mut self, logical: &str, key: &str) -> BeldiResult<()> {
+    pub(crate) fn txn_lock(&mut self, logical: &str, key: &str) -> BeldiResult<bool> {
+        let holds = |t: &TxnState| t.locked.iter().any(|(l, k)| l == logical && k == key);
+        if self.txn.as_ref().is_some_and(holds) {
+            return Ok(false);
+        }
         let physical = self.data_table(logical)?;
         let ctx = self.txn_ctx_cloned()?;
         let owner = lock_owner_value(&ctx.id, ctx.start_ms);
@@ -362,8 +372,11 @@ impl SsfContext {
                 Some(&Self::lock_free_cond(&ctx.id)),
             )?;
             if out.as_bool() {
-                self.ensure_shadow_entry(logical, key)?;
-                return Ok(());
+                let created = self.ensure_shadow_entry(logical, key)?;
+                if let Some(t) = &mut self.txn {
+                    t.locked.push((logical.to_owned(), key.to_owned()));
+                }
+                return Ok(created);
             }
             // Who holds it? Logged so replay takes the same branch.
             let holder = daal::lock_owner(self.db(), &physical, key)?.unwrap_or(Value::Null);
@@ -395,8 +408,8 @@ impl SsfContext {
     /// Transactional read: lock, then read the shadow value if this
     /// transaction wrote the item, else the real value. Logged.
     pub(crate) fn txn_read(&mut self, logical: &str, key: &str) -> BeldiResult<Value> {
-        self.txn_lock(logical, key)?;
-        let val = self.txn_effective_value(logical, key)?;
+        let fresh = self.txn_lock(logical, key)?;
+        let val = self.txn_effective_value(logical, key, fresh)?;
         self.log_value(val)
     }
 
@@ -421,8 +434,8 @@ impl SsfContext {
         value: Value,
         cond: Cond,
     ) -> BeldiResult<bool> {
-        self.txn_lock(logical, key)?;
-        let cur = self.txn_effective_value(logical, key)?;
+        let fresh = self.txn_lock(logical, key)?;
+        let cur = self.txn_effective_value(logical, key, fresh)?;
         let cur = self.log_value(cur)?;
         let row = beldi_value::vmap! { A_VALUE => cur };
         let holds = cond
@@ -435,15 +448,19 @@ impl SsfContext {
     }
 
     /// The value this transaction observes for `key`: its own shadow write
-    /// if present, else the committed value.
-    fn txn_effective_value(&mut self, logical: &str, key: &str) -> BeldiResult<Value> {
-        let ctx = self.txn_ctx_cloned()?;
-        let shadow = self.shadow_table(logical)?;
-        let skey = shadow_key(&ctx.id, key);
-        let probe = Projection::attrs([A_WRITTEN, A_VALUE]);
-        if let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
-            if tail.get_bool(A_WRITTEN).unwrap_or(false) {
-                return Ok(tail.take_attr(A_VALUE).unwrap_or(Value::Null));
+    /// if present, else the committed value. A `fresh` shadow entry (see
+    /// [`SsfContext::txn_lock`]) is not probed; on replay the read log
+    /// returns the logged value either way.
+    fn txn_effective_value(&mut self, logical: &str, key: &str, fresh: bool) -> BeldiResult<Value> {
+        if !fresh {
+            let ctx = self.txn_ctx_cloned()?;
+            let shadow = self.shadow_table(logical)?;
+            let skey = shadow_key(&ctx.id, key);
+            let probe = Projection::attrs([A_WRITTEN, A_VALUE]);
+            if let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
+                if tail.get_bool(A_WRITTEN).unwrap_or(false) {
+                    return Ok(tail.take_attr(A_VALUE).unwrap_or(Value::Null));
+                }
             }
         }
         let physical = self.data_table(logical)?;
@@ -451,8 +468,8 @@ impl SsfContext {
     }
 
     /// Creates the shadow-table entry for a locked item if absent
-    /// (idempotent, unlogged — `set_if_absent` semantics).
-    fn ensure_shadow_entry(&mut self, logical: &str, key: &str) -> BeldiResult<()> {
+    /// (idempotent, unlogged — `set_if_absent` semantics); true if created.
+    fn ensure_shadow_entry(&mut self, logical: &str, key: &str) -> BeldiResult<bool> {
         let ctx = self.txn_ctx_cloned()?;
         let shadow = self.shadow_table(logical)?;
         let skey = shadow_key(&ctx.id, key);
@@ -473,7 +490,8 @@ impl SsfContext {
             // bracketed by write.enter/write.exit around the shadow write in ops.rs)
             .update(&shadow, &pk, &Cond::not_exists(A_KEY), &update)
         {
-            Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
+            Ok(()) => Ok(true),
+            Err(DbError::ConditionFailed) => Ok(false),
             Err(e) => Err(e.into()),
         }
     }
@@ -509,9 +527,12 @@ impl SsfContext {
     /// Exactly-once overall: the *finalize marker* (a claimed row in the
     /// intent table) guarantees each SSF finalizes a transaction once even
     /// when workflow cycles or diamond topologies deliver multiple
-    /// signals, and every flush/release/propagate step below is a logged
-    /// step of the finalizing instance, so crash-restart resumes rather
-    /// than repeats.
+    /// signals, and every write and signal below is a logged step of the
+    /// finalizing instance, so crash-restart resumes rather than repeats.
+    ///
+    /// Each item costs one write under the held lock: on commit a written
+    /// item's flush and release, else its release. A flush whose lock is
+    /// not held is a [`BeldiError::Protocol`], never a lost write.
     pub(crate) fn finalize(&mut self, decision: TxnMode) -> BeldiResult<()> {
         debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
         let ctx = self.txn_ctx_cloned()?;
@@ -520,35 +541,27 @@ impl SsfContext {
             return Ok(());
         }
 
-        let entries = self.shadow_entries(&ctx.id)?;
-
-        // 1. Commit only: flush shadow values to the real tables.
-        if decision == TxnMode::Commit {
-            for e in entries.iter().filter(|e| e.written) {
-                let shadow = self.shadow_table(&e.logical)?;
-                let skey = shadow_key(&ctx.id, &e.key);
-                let val = daal::read_value(self.db(), &shadow, &skey)?;
-                let physical = self.data_table(&e.logical)?;
-                self.crash(labels::TXN_PRE_FLUSH_ITEM);
-                self.write_step(&physical, &e.key, Update::new().set(A_VALUE, val), None)?;
+        // 1. Flush (commit only) and release every item held here.
+        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), ctx.id.as_str());
+        for e in self.shadow_entries(&ctx.id)? {
+            let physical = self.data_table(&e.logical)?;
+            let release = Update::new().set(A_LOCK, Value::Null);
+            let (label, update, flush) = match e.written.filter(|_| decision == TxnMode::Commit) {
+                Some(val) => (labels::TXN_PRE_FLUSH_ITEM, release.set(A_VALUE, val), true),
+                None => (labels::TXN_PRE_RELEASE_ITEM, release, false),
+            };
+            self.crash(label);
+            let out = self.write_step(&physical, &e.key, update, Some(&held))?;
+            // A release may find the lock gone (a replayed release).
+            if flush && !out.as_bool() {
+                return Err(BeldiError::Protocol(format!(
+                    "commit of {}/{} found its lock not held",
+                    e.logical, e.key
+                )));
             }
         }
 
-        // 2. Release every lock the transaction holds here.
-        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), ctx.id.as_str());
-        for e in &entries {
-            let physical = self.data_table(&e.logical)?;
-            self.crash(labels::TXN_PRE_RELEASE_ITEM);
-            // ConditionFalse means a replayed release; both are fine.
-            self.write_step(
-                &physical,
-                &e.key,
-                Update::new().set(A_LOCK, Value::Null),
-                Some(&held),
-            )?;
-        }
-
-        // 3. Signal the callees this SSF invoked inside the transaction.
+        // 2. Signal the callees this SSF invoked inside the transaction.
         for callee in self.txn_callees(&ctx.id)? {
             let signal_ctx = ctx.with_mode(decision);
             self.crash(labels::TXN_PRE_SIGNAL);
@@ -600,10 +613,11 @@ impl SsfContext {
     }
 
     /// Reconstructs, from the shadow tables, the deterministic sorted list
-    /// of items this transaction locked/wrote in this SSF.
+    /// of items this transaction locked/wrote in this SSF, with the values
+    /// it wrote: one read of each shadow tail.
     fn shadow_entries(&mut self, txn_id: &str) -> BeldiResult<Vec<ShadowEntry>> {
         let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
-        let origin = Projection::attrs([A_ORIG_KEY, A_ORIG_TABLE, A_WRITTEN]);
+        let proj = Projection::attrs([A_ORIG_KEY, A_ORIG_TABLE, A_WRITTEN, A_VALUE]);
         let mut out = std::collections::BTreeSet::new();
         for logical in self.logical_tables() {
             let shadow = self.shadow_table(&logical)?;
@@ -617,19 +631,19 @@ impl SsfContext {
                 }
             }
             for skey in skeys {
-                let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey, &origin)? else {
+                let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &proj)? else {
                     continue;
                 };
-                let Some(key) = tail.get_str(A_ORIG_KEY) else {
+                let Some(key) = tail.take_str(A_ORIG_KEY) else {
                     continue;
                 };
                 out.insert(ShadowEntry {
                     logical: tail
-                        .get_str(A_ORIG_TABLE)
-                        .unwrap_or(logical.as_str())
-                        .to_owned(),
-                    key: key.to_owned(),
-                    written: tail.get_bool(A_WRITTEN).unwrap_or(false),
+                        .take_str(A_ORIG_TABLE)
+                        .unwrap_or_else(|| logical.clone()),
+                    key,
+                    written: (tail.get_bool(A_WRITTEN) == Some(true))
+                        .then(|| tail.take_attr(A_VALUE).unwrap_or(Value::Null)),
                 });
             }
         }
@@ -692,7 +706,21 @@ mod tests {
         assert!(!a.is_older_than(5, "b"));
         // Ties break on id.
         assert!(a.is_older_than(10, "b"));
-        assert!(!a.is_older_than(10, "A".to_lowercase().as_str()) || a.id == "a");
+        // A transaction is not older than itself.
+        assert!(!a.is_older_than(10, "a"));
+        // Antisymmetric: of two distinct transactions exactly one is older.
+        for (ts, id) in [(10, "b"), (10, "0"), (5, "z"), (20, "a")] {
+            let b = TxnContext {
+                id: id.into(),
+                start_ms: ts,
+                mode: TxnMode::Execute,
+            };
+            assert_ne!(
+                a.is_older_than(b.start_ms, &b.id),
+                b.is_older_than(a.start_ms, &a.id),
+                "({ts}, {id})"
+            );
+        }
     }
 
     #[test]

@@ -455,7 +455,9 @@ fn opacity_transactions_read_consistent_snapshots() {
 #[test]
 fn commit_protocol_survives_crashes() {
     // Crash the root at each commit-protocol point; the retried instance
-    // must finish the commit exactly once.
+    // must finish the commit exactly once. `k` is written (its commit is
+    // one flush-and-release write) and `r` only read (its commit is a
+    // release), so every label below is on the commit path.
     for label in [
         labels::TXN_PRE_FINALIZE,
         labels::TXN_PRE_FLUSH_ITEM,
@@ -468,21 +470,37 @@ fn commit_protocol_survives_crashes() {
             &["t"],
             Arc::new(|ctx, _| {
                 ctx.begin_tx()?;
+                let r = ctx.read("t", "r")?.as_int().unwrap_or(0);
                 let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
-                ctx.write("t", "k", Value::Int(v + 1))?;
+                ctx.write("t", "k", Value::Int(v + r))?;
                 ctx.end_tx()?;
                 Ok(Value::Null)
             }),
         );
         env.seed("txnroot", "t", "k", Value::Int(0)).unwrap();
+        env.seed("txnroot", "t", "r", Value::Int(1)).unwrap();
         let id = format!("txn-crash-{label}");
         env.platform()
             .faults()
             .plan(id.clone(), CrashPlan::AtLabel(label.to_owned()));
         env.invoke_as("txnroot", &id, Value::Null).unwrap();
         assert_eq!(
+            env.platform().faults().crash_sites().get(label),
+            Some(&1),
+            "label {label} never crashed"
+        );
+        for (key, want) in [("k", 1), ("r", 1)] {
+            assert_eq!(
+                env.read_current("txnroot", "t", key).unwrap(),
+                Value::Int(want),
+                "label {label}, key {key}"
+            );
+        }
+        // Both locks were released: a second transaction takes them.
+        env.invoke("txnroot", Value::Null).unwrap();
+        assert_eq!(
             env.read_current("txnroot", "t", "k").unwrap(),
-            Value::Int(1),
+            Value::Int(2),
             "label {label}"
         );
     }
@@ -573,6 +591,133 @@ fn transactional_cond_write_sees_shadow_state() {
         env.read_current("gate", "t", "stock").unwrap(),
         Value::Int(0)
     );
+}
+
+/// Crash-point visits at `label` in a trace.
+fn visits(trace: &[beldi_simfaas::TraceEntry], label: &str) -> usize {
+    trace.iter().filter(|e| e.label == label).count()
+}
+
+/// An SSF that increments `t/k` and returns the new value: a read, then a
+/// write of the same item.
+fn register_incrementer(env: &BeldiEnv) {
+    env.register_ssf(
+        "incr",
+        &["t"],
+        Arc::new(|ctx, _| {
+            let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+            ctx.write("t", "k", Value::Int(v + 1))?;
+            Ok(Value::Int(v + 1))
+        }),
+    );
+}
+
+#[test]
+fn second_instance_in_a_txn_reads_the_first_instances_shadow_write() {
+    // The second instance's lock finds the shadow entry the first one
+    // created, so its read probes the shadow and sees the first write.
+    let env = BeldiEnv::for_tests();
+    register_incrementer(&env);
+    env.register_ssf(
+        "twice",
+        &[],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            let a = ctx.sync_invoke("incr", Value::Null)?;
+            let b = ctx.sync_invoke("incr", Value::Null)?;
+            assert_eq!(ctx.end_tx()?, TxnOutcome::Committed);
+            Ok(Value::List(vec![a, b]))
+        }),
+    );
+    env.seed("incr", "t", "k", Value::Int(0)).unwrap();
+    env.platform().faults().start_trace();
+    let out = env.invoke("twice", Value::Null).unwrap();
+    let trace = env.platform().faults().take_trace();
+    assert_eq!(out, Value::List(vec![Value::Int(1), Value::Int(2)]));
+    assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(2));
+    assert_eq!(visits(&trace, labels::TXN_PRE_FLUSH_ITEM), 1, "one flush");
+    assert_eq!(visits(&trace, labels::TXN_PRE_RELEASE_ITEM), 0);
+}
+
+#[test]
+fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
+    // The body reads `k`, then the write — the second touch — dies once
+    // its shadow write has taken effect. The re-execution replays the
+    // read's lock, so it holds the item again without a second lock, and
+    // commits the same value once.
+    let env = BeldiEnv::for_tests();
+    let platform = Arc::clone(env.platform());
+    let armed = std::sync::atomic::AtomicBool::new(true);
+    env.register_ssf(
+        "rw",
+        &["t"],
+        Arc::new(move |ctx, _| {
+            ctx.begin_tx()?;
+            let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+            if armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                platform.faults().plan(
+                    ctx.instance_id(),
+                    CrashPlan::AtLabel(labels::WRITE_EXIT.to_owned()),
+                );
+            }
+            ctx.write("t", "k", Value::Int(v + 1))?;
+            ctx.end_tx()?;
+            Ok(Value::Int(v + 1))
+        }),
+    );
+    env.seed("rw", "t", "k", Value::Int(41)).unwrap();
+    env.platform().faults().start_trace();
+    let out = env.invoke_as("rw", "rw-crash", Value::Null).unwrap();
+    let trace = env.platform().faults().take_trace();
+    assert_eq!(
+        env.platform()
+            .faults()
+            .crash_sites()
+            .get(labels::WRITE_EXIT),
+        Some(&1)
+    );
+    assert_eq!(out, Value::Int(42));
+    assert_eq!(env.read_current("rw", "t", "k").unwrap(), Value::Int(42));
+    assert_eq!(visits(&trace, labels::TXN_PRE_FLUSH_ITEM), 1, "one flush");
+    // Write steps: the lock and the shadow write before the crash; their
+    // replays and the flush after it. A re-execution that forgot the held
+    // lock would take it again.
+    assert_eq!(visits(&trace, labels::WRITE_ENTER), 5);
+}
+
+#[test]
+fn read_write_commit_of_one_key_has_a_pinned_cost() {
+    // One SSF's transaction reads, writes and commits one key. Each stage
+    // pays for the item once:
+    // - begin: 2 writes (the logged id and start time);
+    // - read: lock (query + write), shadow-entry create (write), the
+    //   committed value (query + get), read log (write);
+    // - write: the shadow write (query + write), under the held lock;
+    // - commit: finalize marker (write), shadow index (query) and tail
+    //   (query + get), flush-and-release (query + write), callee index
+    //   (query).
+    let env = BeldiEnv::for_tests();
+    register_incrementer(&env);
+    env.seed("incr", "t", "k", Value::Int(0)).unwrap();
+    let mut ctx = env.test_context("incr", "pinned");
+    let before = env.db_metrics();
+    ctx.begin_tx().unwrap();
+    let v = ctx.read("t", "k").unwrap().as_int().unwrap();
+    ctx.write("t", "k", Value::Int(v + 1)).unwrap();
+    assert_eq!(ctx.end_tx().unwrap(), TxnOutcome::Committed);
+    let d = env.db_metrics().delta(&before);
+    assert_eq!(
+        (
+            d.gets,
+            d.writes,
+            d.queries,
+            d.scans,
+            d.deletes,
+            d.cond_failures
+        ),
+        (2, 8, 7, 0, 0, 0)
+    );
+    assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
 
 #[test]

@@ -98,11 +98,13 @@ pub const INVOKE_PRE_ASYNC_CALL: &str = "invoke.pre_async_call";
 
 /// Entry of the finalize (commit/abort) protocol.
 pub const TXN_PRE_FINALIZE: &str = "txn.pre_finalize";
-/// Before flushing one shadow value to its real table (commit only).
-/// Work-dependent: once per written shadow entry.
+/// Before the one write that flushes a written item's shadow value to its
+/// real table and releases its lock (commit only). Work-dependent: once
+/// per written shadow entry.
 pub const TXN_PRE_FLUSH_ITEM: &str = "txn.pre_flush_item";
-/// Before releasing one transactional lock. Work-dependent: once per
-/// entry the transaction touched here.
+/// Before releasing the lock of an item with no flush: one the
+/// transaction only read, or any item on abort. Work-dependent: once per
+/// such entry.
 pub const TXN_PRE_RELEASE_ITEM: &str = "txn.pre_release_item";
 /// Before propagating the decision to one callee. Work-dependent: once
 /// per callee invoked inside the transaction.
