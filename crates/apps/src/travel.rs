@@ -406,8 +406,8 @@ fn install_profile(env: &BeldiEnv) {
                 let Some(id) = id.as_str() else { continue };
                 let p = ctx.read("profiles", id)?;
                 let mut m = Map::new();
-                m.insert("id".into(), Value::from(id));
-                m.insert("profile".into(), p);
+                m.insert("id", Value::from(id));
+                m.insert("profile", p);
                 out.push(Value::Map(m));
             }
             Ok(Value::List(out))

@@ -14,10 +14,9 @@ use beldi_simdb::Database;
 use beldi_simfaas::Platform;
 
 use crate::config::Mode;
-use crate::env::EnvCore;
+use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::ids::{log_key, InstanceId, StepNumber};
-use crate::schema;
 use crate::txn::TxnState;
 
 /// Execution context of one SSF instance.
@@ -28,10 +27,11 @@ use crate::txn::TxnState;
 /// recorded results instead of re-performing them.
 pub struct SsfContext {
     pub(crate) core: Arc<EnvCore>,
-    pub(crate) ssf: String,
+    /// The running SSF, with its table names.
+    pub(crate) ssf: Arc<Ssf>,
     pub(crate) instance: InstanceId,
     pub(crate) step: StepNumber,
-    pub(crate) caller: Option<String>,
+    pub(crate) caller: Option<Arc<str>>,
     pub(crate) is_async: bool,
     pub(crate) txn: Option<TxnState>,
     /// Virtual deadline of this *launch*'s execution lease
@@ -45,9 +45,9 @@ impl SsfContext {
     /// Builds a context for a fresh (or re-executed) instance.
     pub(crate) fn new(
         core: Arc<EnvCore>,
-        ssf: impl Into<String>,
-        instance: impl Into<InstanceId>,
-        caller: Option<String>,
+        ssf: Arc<Ssf>,
+        instance: InstanceId,
+        caller: Option<Arc<str>>,
         is_async: bool,
         txn: Option<TxnState>,
     ) -> Self {
@@ -56,8 +56,8 @@ impl SsfContext {
         });
         SsfContext {
             core,
-            ssf: ssf.into(),
-            instance: instance.into(),
+            ssf,
+            instance,
             step: 0,
             caller,
             is_async,
@@ -70,7 +70,7 @@ impl SsfContext {
 
     /// Name of the running SSF.
     pub fn ssf_name(&self) -> &str {
-        &self.ssf
+        &self.ssf.name
     }
 
     /// This execution intent's instance id (stable across re-executions).
@@ -98,7 +98,7 @@ impl SsfContext {
 
     /// The current transaction id, if inside a transaction.
     pub fn txn_id(&self) -> Option<&str> {
-        self.txn.as_ref().map(|t| t.ctx.id.as_str())
+        self.txn.as_ref().map(|t| &*t.ctx.id)
     }
 
     /// Name of the SSF that invoked this instance, if any (workflow roots
@@ -140,7 +140,7 @@ impl SsfContext {
     }
 
     /// Consumes and returns the next log key (`instance#step`).
-    pub(crate) fn next_log_key(&mut self) -> String {
+    pub(crate) fn next_log_key(&mut self) -> Arc<str> {
         let k = log_key(&self.instance, self.step);
         self.step += 1;
         k
@@ -172,44 +172,23 @@ impl SsfContext {
     /// Resolves a logical table name to the SSF's physical data table,
     /// enforcing data sovereignty (§2.2): an SSF can only name tables it
     /// registered.
-    pub(crate) fn data_table(&self, logical: &str) -> BeldiResult<String> {
-        let registry = self.core.registry.read();
-        let entry = registry
-            .get(&self.ssf)
-            .ok_or_else(|| BeldiError::Protocol(format!("SSF {} not registered", self.ssf)))?;
-        if !entry.tables.iter().any(|t| t == logical) {
-            return Err(BeldiError::Protocol(format!(
-                "SSF {} has no table `{logical}` (data sovereignty)",
-                self.ssf
-            )));
-        }
-        Ok(schema::data_table(&self.ssf, logical))
+    pub(crate) fn data_table(&self, logical: &str) -> BeldiResult<Arc<str>> {
+        self.table(logical).map(|t| t.data.clone())
     }
 
     /// The shadow table backing a logical table (§6.2).
-    pub(crate) fn shadow_table(&self, logical: &str) -> BeldiResult<String> {
-        // Sovereignty is enforced by the same registry lookup.
-        self.data_table(logical)?;
-        Ok(schema::shadow_table(&self.ssf, logical))
+    pub(crate) fn shadow_table(&self, logical: &str) -> BeldiResult<Arc<str>> {
+        self.table(logical).map(|t| t.shadow.clone())
     }
 
-    /// The logical tables registered for this SSF.
-    pub(crate) fn logical_tables(&self) -> Vec<String> {
-        let registry = self.core.registry.read();
-        registry
-            .get(&self.ssf)
-            .map(|e| e.tables.clone())
-            .unwrap_or_default()
-    }
-
-    /// The SSF's intent table name.
-    pub(crate) fn intent_table(&self) -> String {
-        schema::intent_table(&self.ssf)
-    }
-
-    /// The SSF's log table name.
-    pub(crate) fn log_table(&self) -> String {
-        schema::log_table(&self.ssf)
+    fn table(&self, logical: &str) -> BeldiResult<&crate::env::SsfTable> {
+        let table = self.ssf.tables.iter().find(|t| t.logical == logical);
+        table.ok_or_else(|| {
+            BeldiError::Protocol(format!(
+                "SSF {} has no table `{logical}` (data sovereignty)",
+                self.ssf.name
+            ))
+        })
     }
 
     /// DAAL parameters bound to this context.
@@ -232,7 +211,7 @@ impl DaalCtx<'_> {
     ) -> BeldiResult<R> {
         let ctx = self.ctx;
         let crash = |label: &'static str| ctx.crash(label);
-        let new_row_id = || format!("R-{}", ctx.fresh_uuid());
+        let new_row_id = || crate::ids::shared(format_args!("R-{}", ctx.fresh_uuid()));
         let p = crate::daal::DaalParams {
             db: ctx.db(),
             capacity: ctx.core.config.daal_row_capacity,

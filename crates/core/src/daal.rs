@@ -24,10 +24,13 @@
 //!
 //! Functions here take a [`DaalParams`] handle instead of a full
 //! [`crate::SsfContext`] so they can be unit-tested against a bare
-//! database.
+//! database. An item key, a row id and a log key are shared strings: the
+//! one a caller passes in, or the one a scan returned, is the one every
+//! row key, path and cache entry below holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest};
 use beldi_value::{Cond, Path, Update, Value};
@@ -66,16 +69,16 @@ pub(crate) struct DaalParams<'a> {
     /// visible effect. Panics (with a `CrashSignal`) to model a crash.
     pub crash: &'a dyn Fn(&'static str),
     /// Fresh unique row-id generator (never returns `HEAD`).
-    pub new_row_id: &'a dyn Fn() -> String,
+    pub new_row_id: &'a dyn Fn() -> Arc<str>,
 }
 
 /// One row of the locally reconstructed DAAL skeleton.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SkelRow {
     /// The row id.
-    pub row_id: String,
+    pub row_id: Arc<str>,
     /// `NextRow` pointer, if any.
-    pub next: Option<String>,
+    pub next: Option<Arc<str>>,
     /// The projected `RecentWrites.{log_key}` flag, if the scan requested
     /// one and this row has it.
     pub logged: Option<Value>,
@@ -92,8 +95,8 @@ pub(crate) struct Skeleton {
 
 impl Skeleton {
     /// Row id of the tail (the last reachable row).
-    pub fn tail_row_id(&self) -> Option<&str> {
-        self.chain.last().map(|r| r.row_id.as_str())
+    pub fn tail_row_id(&self) -> Option<&Arc<str>> {
+        self.chain.last().map(|r| &r.row_id)
     }
 
     /// The logged flag for the scanned log key, searching every chain row
@@ -116,17 +119,18 @@ impl Skeleton {
 pub(crate) fn traverse(
     db: &Database,
     table: &str,
-    key: &str,
-    log_key: Option<&str>,
+    key: &Arc<str>,
+    log_key: Option<&Arc<str>>,
 ) -> BeldiResult<Skeleton> {
     let mut proj = Projection::attrs([A_ROW_ID, A_NEXT_ROW]);
     if let Some(lk) = log_key {
-        proj = proj.with_path(Path::attr(A_WRITES).then_attr(lk.to_owned()));
+        proj = proj.with_path(Path::attr(A_WRITES).then_attr(lk.clone()));
     }
     let req = ScanRequest::all().with_projection(proj);
     let rows = db.query(table, &Value::from(key), &req)?;
 
-    // The projected rows are ours: their strings move into the skeleton.
+    // The projected rows are ours: their row ids move into the skeleton,
+    // still the strings the store holds.
     let mut skel: Vec<SkelRow> = Vec::with_capacity(rows.len());
     for mut row in rows {
         let Some(row_id) = row.take_str(A_ROW_ID) else {
@@ -143,7 +147,7 @@ pub(crate) fn traverse(
     // pointer is resolved by binary search (the sort is a no-op pass
     // unless a row's `RowId` attribute disagrees with its key).
     skel.sort_unstable_by(|a, b| a.row_id.cmp(&b.row_id));
-    let find = |id: &str| skel.binary_search_by(|r| r.row_id.as_str().cmp(id)).ok();
+    let find = |id: &str| skel.binary_search_by(|r| (*r.row_id).cmp(id)).ok();
 
     // Walk the pointers from HEAD.
     let mut order = Vec::with_capacity(skel.len());
@@ -162,10 +166,7 @@ pub(crate) fn traverse(
         // of our consistent snapshot.
         cursor = skel[i].next.as_deref().and_then(find);
     }
-    let chain = order
-        .into_iter()
-        .map(|i| std::mem::take(&mut skel[i]))
-        .collect();
+    let chain = order.into_iter().map(|i| skel[i].clone()).collect();
     Ok(Skeleton { chain })
 }
 
@@ -178,7 +179,7 @@ pub(crate) fn traverse(
 pub(crate) fn read_tail_row(
     db: &Database,
     table: &str,
-    key: &str,
+    key: &Arc<str>,
     proj: &Projection,
 ) -> BeldiResult<Option<Value>> {
     let skel = traverse(db, table, key, None)?;
@@ -240,10 +241,11 @@ pub(crate) struct TailCache {
 }
 
 /// One shard: table → key → tail row id. Two levels, so that a probe
-/// with a `(&str, &str)` builds no owned key.
+/// with a `(&str, &str)` builds no owned key; the key and the row id are
+/// the shared strings the read already held.
 #[derive(Default)]
 struct TailShard {
-    tables: BTreeMap<String, HashMap<String, String>>,
+    tables: BTreeMap<String, HashMap<Arc<str>, Arc<str>>>,
     /// Entries across all tables.
     len: usize,
 }
@@ -282,15 +284,15 @@ impl TailCache {
         &self.shards[(h.finish() as usize) % TAIL_CACHE_SHARDS]
     }
 
-    fn get(&self, table: &str, key: &str) -> Option<String> {
+    fn get(&self, table: &str, key: &str) -> Option<Arc<str>> {
         let shard = self.shard(table, key).lock();
         shard.tables.get(table)?.get(key).cloned()
     }
 
-    fn put(&self, table: &str, key: &str, row_id: &str) {
+    fn put(&self, table: &str, key: &Arc<str>, row_id: &Arc<str>) {
         let mut shard = self.shard(table, key).lock();
-        if let Some(cached) = shard.tables.get_mut(table).and_then(|t| t.get_mut(key)) {
-            row_id.clone_into(cached);
+        if let Some(cached) = shard.tables.get_mut(table).and_then(|t| t.get_mut(&**key)) {
+            cached.clone_from(row_id);
             return;
         }
         if shard.len >= self.capacity_per_shard {
@@ -309,7 +311,7 @@ impl TailCache {
             shard.tables.insert(table.to_owned(), HashMap::new());
         }
         let keys = shard.tables.get_mut(table).expect("just ensured");
-        keys.insert(key.to_owned(), row_id.to_owned());
+        keys.insert(key.clone(), row_id.clone());
         shard.len += 1;
     }
 
@@ -351,7 +353,7 @@ pub(crate) fn read_value_cached(
     db: &Database,
     cache: Option<&TailCache>,
     table: &str,
-    key: &str,
+    key: &Arc<str>,
 ) -> BeldiResult<Value> {
     if let Some(cache) = cache {
         if let Some(row_id) = cache.get(table, key) {
@@ -388,7 +390,7 @@ pub(crate) fn read_value_cached(
 /// The current value of `key`, i.e. the `Value` column of its tail row.
 ///
 /// Absent keys and keys whose tail carries no value read as `Null`.
-pub(crate) fn read_value(db: &Database, table: &str, key: &str) -> BeldiResult<Value> {
+pub(crate) fn read_value(db: &Database, table: &str, key: &Arc<str>) -> BeldiResult<Value> {
     read_value_cached(db, None, table, key)
 }
 
@@ -468,8 +470,8 @@ impl WriteOutcome {
 pub(crate) fn try_write(
     p: &DaalParams<'_>,
     table: &str,
-    key: &str,
-    log_key: &str,
+    key: &Arc<str>,
+    log_key: &Arc<str>,
     payload: WritePayload,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
@@ -490,9 +492,9 @@ pub(crate) fn try_write(
         // Fresh DAALs start at HEAD (the conditional update creates it).
         let start = skel
             .tail_row_id()
-            .map(str::to_owned)
-            .unwrap_or_else(|| ROW_HEAD.to_owned());
-        match write_at(p, table, key, &start, log_key, &apply, user_cond)? {
+            .cloned()
+            .unwrap_or_else(|| ROW_HEAD.into());
+        match write_at(p, table, key, start, log_key, &apply, user_cond)? {
             Some(outcome) => return Ok(outcome),
             // The local view went stale (e.g. the GC deleted the candidate
             // row under us); rebuild it and retry.
@@ -512,19 +514,19 @@ const MAX_CHASE: usize = 128;
 
 /// The condition of case B / B1: this step is not yet logged in the row,
 /// the log has room, and the row is still the tail.
-fn case_b_cond(p: &DaalParams<'_>, log_key: &str) -> Cond {
-    Cond::not_exists(Path::attr(A_WRITES).then_attr(log_key.to_owned()))
+fn case_b_cond(p: &DaalParams<'_>, log_key: &Arc<str>) -> Cond {
+    Cond::not_exists(Path::attr(A_WRITES).then_attr(log_key.clone()))
         .and(Cond::not_exists(A_LOG_SIZE).or(Cond::lt(A_LOG_SIZE, Value::Int(p.capacity as i64))))
         .and(Cond::not_exists(A_NEXT_ROW))
 }
 
 /// Appends to `update` the bookkeeping every successful log append
 /// performs.
-fn log_actions(p: &DaalParams<'_>, log_key: &str, flag: bool, update: Update) -> Update {
+fn log_actions(p: &DaalParams<'_>, log_key: &Arc<str>, flag: bool, update: Update) -> Update {
     update
         .inc(A_LOG_SIZE, 1)
         .set(
-            Path::attr(A_WRITES).then_attr(log_key.to_owned()),
+            Path::attr(A_WRITES).then_attr(log_key.clone()),
             Value::Bool(flag),
         )
         .set_if_absent(A_CREATED, Value::Int(p.now_ms as i64))
@@ -537,23 +539,22 @@ fn log_actions(p: &DaalParams<'_>, log_key: &str, flag: bool, update: Update) ->
 fn write_at(
     p: &DaalParams<'_>,
     table: &str,
-    key: &str,
-    row_id: &str,
-    log_key: &str,
+    key: &Arc<str>,
+    mut row_id: Arc<str>,
+    log_key: &Arc<str>,
     apply: &Update,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<Option<WriteOutcome>> {
-    let mut row_id = row_id.to_owned();
     // The row whose `NextRow` pointer we last chased, for pointer repair
     // (see below).
-    let mut chased_from: Option<String> = None;
+    let mut chased_from: Option<Arc<str>> = None;
     for _ in 0..MAX_CHASE {
-        let pk = PrimaryKey::hash_sort(key, row_id.as_str());
+        let pk = PrimaryKey::hash_sort(key, &row_id);
         // Rows other than HEAD must already exist: a conditional update
         // that "succeeds" against a row the GC deleted would resurrect it
         // as an unreachable orphan, silently losing the write. HEAD is the
         // one row the write path is allowed to create.
-        let existence = if row_id == ROW_HEAD {
+        let existence = if &*row_id == ROW_HEAD {
             Cond::True
         } else {
             Cond::exists(A_KEY)
@@ -608,8 +609,8 @@ fn write_at(
             // CAS-clearing the pointer is a safe repair that restores
             // liveness. Then re-scan from scratch either way.
             if let Some(prev) = &chased_from {
-                let prev_pk = PrimaryKey::hash_sort(key, prev.as_str());
-                let cond = Cond::eq(A_NEXT_ROW, row_id.as_str());
+                let prev_pk = PrimaryKey::hash_sort(key, prev);
+                let cond = Cond::eq(A_NEXT_ROW, &row_id);
                 let update = Update::new().remove(A_NEXT_ROW);
                 // beldi-lint: allow(crash-points/coverage, dangling-pointer CAS repair on a
                 // violated T assumption; idempotent remove bracketed by daal.write.enter and
@@ -626,11 +627,11 @@ fn write_at(
             // racing the original instance) already performed it.
             return Ok(Some(WriteOutcome::from_flag(flag)));
         }
-        match row.get_str(A_NEXT_ROW) {
+        match row.get_shared_str(A_NEXT_ROW) {
             // Case C: the row filled up and points onward; chase the tail.
             Some(next) => {
                 chased_from = Some(row_id);
-                row_id = next.to_owned();
+                row_id = next.clone();
             }
             // Case D: full tail. Append a fresh row and advance to it.
             // (The row may instead still have space if only the user
@@ -662,13 +663,17 @@ fn write_at(
 /// out) and the winner's row is followed instead.
 ///
 /// Returns the row id the caller should advance to.
-fn append_row(p: &DaalParams<'_>, table: &str, key: &str, prev: &Value) -> BeldiResult<String> {
+fn append_row(
+    p: &DaalParams<'_>,
+    table: &str,
+    key: &Arc<str>,
+    prev: &Value,
+) -> BeldiResult<Arc<str>> {
     let prev_id = prev
-        .get_str(A_ROW_ID)
-        .ok_or_else(|| BeldiError::Protocol("DAAL row without RowId".into()))?
-        .to_owned();
+        .get_shared_str(A_ROW_ID)
+        .ok_or_else(|| BeldiError::Protocol("DAAL row without RowId".into()))?;
     let new_id = (p.new_row_id)();
-    debug_assert_ne!(new_id, ROW_HEAD);
+    debug_assert_ne!(&*new_id, ROW_HEAD);
 
     // 1. Create the new row with the carried-over state. This is the only
     // place a non-head row comes into being, so the marker set here is on
@@ -683,18 +688,18 @@ fn append_row(p: &DaalParams<'_>, table: &str, key: &str, prev: &Value) -> Beldi
             update = update.set(attr, v.clone());
         }
     }
-    let new_pk = PrimaryKey::hash_sort(key, new_id.as_str());
+    let new_pk = PrimaryKey::hash_sort(key, &new_id);
     (p.crash)(labels::DAAL_APPEND_PRE_CREATE);
     p.db.update(table, &new_pk, &Cond::not_exists(A_KEY), &update)?;
     (p.crash)(labels::DAAL_APPEND_POST_CREATE);
 
     // 2. Link it, only if no one else appended in the meantime.
-    let prev_pk = PrimaryKey::hash_sort(key, prev_id.as_str());
+    let prev_pk = PrimaryKey::hash_sort(key, prev_id);
     let link = p.db.update(
         table,
         &prev_pk,
         &Cond::not_exists(A_NEXT_ROW).and(Cond::exists(A_KEY)),
-        &Update::new().set(A_NEXT_ROW, new_id.as_str()),
+        &Update::new().set(A_NEXT_ROW, &new_id),
     );
     (p.crash)(labels::DAAL_APPEND_POST_LINK);
     match link {
@@ -704,8 +709,8 @@ fn append_row(p: &DaalParams<'_>, table: &str, key: &str, prev: &Value) -> Beldi
             let row =
                 p.db.get(table, &prev_pk, None)?
                     .ok_or_else(|| BeldiError::Protocol("DAAL row vanished mid-append".into()))?;
-            row.get_str(A_NEXT_ROW)
-                .map(str::to_owned)
+            row.get_shared_str(A_NEXT_ROW)
+                .cloned()
                 .ok_or_else(|| BeldiError::Protocol("link lost but NextRow absent".into()))
         }
         Err(e) => Err(e.into()),
@@ -739,7 +744,7 @@ pub(crate) fn seed(
 }
 
 /// The lock owner recorded on `key`'s tail row, if any.
-pub(crate) fn lock_owner(db: &Database, table: &str, key: &str) -> BeldiResult<Option<Value>> {
+pub(crate) fn lock_owner(db: &Database, table: &str, key: &Arc<str>) -> BeldiResult<Option<Value>> {
     Ok(read_tail_row(db, table, key, &Projection::attrs([A_LOCK]))?
         .and_then(|mut row| row.take_attr(A_LOCK))
         .filter(|v| !v.is_null()))
@@ -787,7 +792,7 @@ mod tests {
 
         fn write(&self, key: &str, log_key: &str, v: i64) -> WriteOutcome {
             let ids = &self.counter;
-            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed));
+            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
             let p = DaalParams {
                 new_row_id: &gen,
                 ..self.params()
@@ -795,8 +800,8 @@ mod tests {
             try_write(
                 &p,
                 "t",
-                key,
-                log_key,
+                &key.into(),
+                &log_key.into(),
                 WritePayload::set_value(Value::Int(v)),
                 None,
             )
@@ -805,7 +810,7 @@ mod tests {
 
         fn cond_write(&self, key: &str, log_key: &str, v: i64, cond: Cond) -> WriteOutcome {
             let ids = &self.counter;
-            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed));
+            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
             let p = DaalParams {
                 new_row_id: &gen,
                 ..self.params()
@@ -813,8 +818,8 @@ mod tests {
             try_write(
                 &p,
                 "t",
-                key,
-                log_key,
+                &key.into(),
+                &log_key.into(),
                 WritePayload::set_value(Value::Int(v)),
                 Some(&cond),
             )
@@ -822,11 +827,14 @@ mod tests {
         }
 
         fn value(&self, key: &str) -> Value {
-            read_value(&self.db, "t", key).unwrap()
+            read_value(&self.db, "t", &key.into()).unwrap()
         }
 
         fn chain_len(&self, key: &str) -> usize {
-            traverse(&self.db, "t", key, None).unwrap().chain.len()
+            traverse(&self.db, "t", &key.into(), None)
+                .unwrap()
+                .chain
+                .len()
         }
     }
 
@@ -934,31 +942,31 @@ mod tests {
         let f = Fixture::new();
         f.write("k", "a#0", 1);
         let ids = &f.counter;
-        let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed));
+        let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
         let p = DaalParams {
             new_row_id: &gen,
             ..f.params()
         };
-        let owner = crate::txn::lock_owner_value("txn-1", 17);
+        let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let out = try_write(
             &p,
             "t",
-            "k",
-            "a#1",
+            &"k".into(),
+            &"a#1".into(),
             WritePayload::set_lock(owner.clone()),
             Some(&free),
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::Applied);
-        assert_eq!(lock_owner(&f.db, "t", "k").unwrap(), Some(owner));
+        assert_eq!(lock_owner(&f.db, "t", &"k".into()).unwrap(), Some(owner));
         // A second transaction fails to acquire.
         let out = try_write(
             &p,
             "t",
-            "k",
-            "b#0",
-            WritePayload::set_lock(crate::txn::lock_owner_value("txn-2", 30)),
+            &"k".into(),
+            &"b#0".into(),
+            WritePayload::set_lock(crate::txn::lock_owner_value(&"txn-2".into(), 30)),
             Some(&free),
         )
         .unwrap();
@@ -972,7 +980,8 @@ mod tests {
         f.write("k", "a#0", 1);
         let probe = || {
             let before = f.db.metrics().bytes_read;
-            let row = read_tail_row(&f.db, "t", "k", &Projection::attrs([A_VALUE])).unwrap();
+            let row =
+                read_tail_row(&f.db, "t", &"k".into(), &Projection::attrs([A_VALUE])).unwrap();
             (row, f.db.metrics().bytes_read - before)
         };
         let lean = probe();
@@ -1018,12 +1027,12 @@ mod tests {
         // cached read must agree with the scan-based read.
         for step in 0..10 {
             f.write("k", &format!("i#{step}"), step);
-            let cached = read_value_cached(&f.db, Some(&cache), "t", "k").unwrap();
+            let cached = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
             assert_eq!(cached, f.value("k"), "after step {step}");
         }
         // A second cached read is a pure hit and still agrees.
         let q_before = f.db.metrics().queries;
-        let hit = read_value_cached(&f.db, Some(&cache), "t", "k").unwrap();
+        let hit = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
         assert_eq!(hit, Value::Int(9));
         assert_eq!(f.db.metrics().queries, q_before, "hit must not scan");
     }
@@ -1033,7 +1042,7 @@ mod tests {
         let f = Fixture::new();
         let cache = TailCache::new();
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", "nope").unwrap(),
+            read_value_cached(&f.db, Some(&cache), "t", &"nope".into()).unwrap(),
             Value::Null
         );
         assert!(cache.get("t", "nope").is_none(), "no negative caching");
@@ -1050,10 +1059,10 @@ mod tests {
             beldi_value::vmap! { A_KEY => "k", A_ROW_ID => ROW_HEAD, A_LOG_SIZE => 0i64 },
         )
         .unwrap();
-        cache.put("t", "k", ROW_HEAD);
+        cache.put("t", &"k".into(), &ROW_HEAD.into());
         let before = f.db.metrics();
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", "k").unwrap(),
+            read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap(),
             Value::Null
         );
         let d = f.db.metrics().delta(&before);
@@ -1067,20 +1076,20 @@ mod tests {
         let f = Fixture::new();
         let cache = TailCache::new();
         f.write("k", "a#0", 1);
-        read_value_cached(&f.db, Some(&cache), "t", "k").unwrap();
+        read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
         let cached_row = cache.get("t", "k").unwrap();
         // Fill the row so the chain extends past the cached tail.
         for step in 1..5 {
             f.write("k", &format!("a#{step}"), step);
         }
         assert!(f.chain_len("k") > 1);
-        let v = read_value_cached(&f.db, Some(&cache), "t", "k").unwrap();
+        let v = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
         assert_eq!(v, Value::Int(4));
         assert_ne!(cache.get("t", "k").unwrap(), cached_row, "entry refreshed");
         // A deleted cached row (GC) also falls back cleanly.
-        cache.put("t", "k", "R-gone");
+        cache.put("t", &"k".into(), &"R-gone".into());
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", "k").unwrap(),
+            read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap(),
             Value::Int(4)
         );
     }
@@ -1093,7 +1102,7 @@ mod tests {
         for i in 0..500 {
             let key = format!("k{i}");
             f.write(&key, "a#0", i);
-            read_value_cached(&f.db, Some(&cache), "t", &key).unwrap();
+            read_value_cached(&f.db, Some(&cache), "t", &key.as_str().into()).unwrap();
         }
         assert!(
             cache.len() <= 32,
@@ -1104,7 +1113,7 @@ mod tests {
         for i in 0..500 {
             let key = format!("k{i}");
             assert_eq!(
-                read_value_cached(&f.db, Some(&cache), "t", &key).unwrap(),
+                read_value_cached(&f.db, Some(&cache), "t", &key.as_str().into()).unwrap(),
                 Value::Int(i),
             );
         }
@@ -1125,7 +1134,8 @@ mod tests {
             }
             for round in 0..5 {
                 for i in 0..40 {
-                    let v = read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}")).unwrap();
+                    let v = read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}").into())
+                        .unwrap();
                     assert_eq!(v, Value::Int(i), "round {round}");
                 }
             }
@@ -1153,7 +1163,7 @@ mod tests {
         }
         for i in 0..60 {
             assert_eq!(
-                read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}")).unwrap(),
+                read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}").into()).unwrap(),
                 Value::Int(i),
             );
         }
@@ -1185,7 +1195,7 @@ mod tests {
             readers.push(std::thread::spawn(move || {
                 let mut last = -1i64;
                 for _ in 0..200 {
-                    let v = read_value_cached(&f.db, Some(&cache), "t", "hot")
+                    let v = read_value_cached(&f.db, Some(&cache), "t", &"hot".into())
                         .unwrap()
                         .as_int()
                         .expect("value is always an int");
@@ -1202,7 +1212,7 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", "hot").unwrap(),
+            read_value_cached(&f.db, Some(&cache), "t", &"hot".into()).unwrap(),
             Value::Int(60)
         );
     }

@@ -43,12 +43,43 @@ use crate::wrapper;
 /// [`SsfContext::logged_now_ms`]) or logged reads.
 pub type SsfBody = Arc<dyn Fn(&mut SsfContext, Value) -> BeldiResult<Value> + Send + Sync>;
 
-/// Registry entry for one SSF.
-pub(crate) struct SsfEntry {
-    /// Logical data-table names the SSF declared.
-    pub tables: Vec<String>,
-    /// The application body.
+/// A registered SSF: its name, body and table names. The names are built
+/// here once (`schema.rs` spells them) and read from then on by the
+/// wrapper, every [`SsfContext`] and the collectors.
+pub(crate) struct Ssf {
+    pub name: Arc<str>,
+    pub intent_table: Arc<str>,
+    pub log_table: Arc<str>,
+    /// Its data tables, in declaration order.
+    pub tables: Vec<SsfTable>,
     pub body: SsfBody,
+}
+
+/// One data table an SSF declared: the name its code uses, the physical
+/// table and the shadow table backing it (§6.2).
+pub(crate) struct SsfTable {
+    pub logical: String,
+    pub data: Arc<str>,
+    pub shadow: Arc<str>,
+}
+
+impl Ssf {
+    fn new(name: &str, tables: &[&str], body: SsfBody) -> Self {
+        Ssf {
+            name: name.into(),
+            intent_table: schema::intent_table(name).into(),
+            log_table: schema::log_table(name).into(),
+            tables: tables
+                .iter()
+                .map(|&logical| SsfTable {
+                    logical: logical.to_owned(),
+                    data: schema::data_table(name, logical).into(),
+                    shadow: schema::shadow_table(name, logical).into(),
+                })
+                .collect(),
+            body,
+        }
+    }
 }
 
 /// Cumulative statistics of one collector for one environment.
@@ -89,7 +120,7 @@ trait Collector: Sized + 'static {
     const KIND: &'static str;
 
     /// Runs one pass for `ssf`, firing `crash` at each crash point.
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self>;
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self>;
 
     /// Adds another pass's counters to this report.
     fn absorb(&mut self, other: &Self);
@@ -100,7 +131,7 @@ trait Collector: Sized + 'static {
 impl Collector for IcReport {
     const KIND: &'static str = "ic";
 
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
         ic::run_ic_with(core, ssf, crash)
     }
 
@@ -116,7 +147,7 @@ impl Collector for IcReport {
 impl Collector for GcReport {
     const KIND: &'static str = "gc";
 
-    fn run(core: &Arc<EnvCore>, ssf: &str, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
         let probe = |_: &str| {};
         gc::run_gc_with(
             core,
@@ -151,7 +182,7 @@ pub(crate) struct EnvCore {
     pub db: Arc<Database>,
     pub platform: Arc<Platform>,
     pub config: BeldiConfig,
-    pub registry: RwLock<HashMap<String, SsfEntry>>,
+    pub registry: RwLock<HashMap<String, Arc<Ssf>>>,
     /// Tail-row cache for DAAL reads (`Some` only in Beldi mode with
     /// [`BeldiConfig::daal_tail_cache`] on).
     pub tail_cache: Option<daal::TailCache>,
@@ -179,6 +210,15 @@ impl EnvCore {
             Ok(report) => totals.report.absorb(report),
             Err(_) => totals.errors += 1,
         }
+    }
+
+    /// The registered SSF `name`.
+    pub(crate) fn ssf(&self, name: &str) -> BeldiResult<Arc<Ssf>> {
+        self.registry
+            .read()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| BeldiError::Protocol(format!("SSF {name} not registered")))
     }
 
     /// Counts one corrupt intent quarantined by the IC.
@@ -341,7 +381,7 @@ const ROOT_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 struct RootCall<'a> {
     core: &'a EnvCore,
     name: &'a str,
-    instance: &'a str,
+    instance: Arc<str>,
     envelope: Value,
     attempts_left: usize,
     first_attempt_ms: u64,
@@ -358,11 +398,12 @@ impl<'a> RootCall<'a> {
         input: Value,
         max_attempts: usize,
     ) -> Self {
+        let instance: Arc<str> = instance.into();
         RootCall {
             core,
             name,
+            envelope: Envelope::root_call(&instance, input, false).into_value(),
             instance,
-            envelope: Envelope::root_call(instance, input, false).into_value(),
             attempts_left: match core.config.mode {
                 Mode::Baseline => 1,
                 _ => max_attempts.max(1),
@@ -410,10 +451,13 @@ impl<'a> RootCall<'a> {
         self.last_err = Some(err);
         // The instance may have completed before dying (e.g. crashed
         // after marking done): then the intent holds the return value.
-        let table = schema::intent_table(self.name);
-        match intent::load(&self.core.db, &table, self.instance) {
+        let loaded = self
+            .core
+            .ssf(self.name)
+            .and_then(|ssf| intent::load(&self.core.db, &ssf.intent_table, &self.instance));
+        match loaded {
             Ok(Some(rec)) if rec.done => {
-                self.core.record_recovery(self.instance, rec.created_ms);
+                self.core.record_recovery(&self.instance, rec.created_ms);
                 let ret = rec.ret.unwrap_or(Value::Null);
                 ControlFlow::Break(Outcome::from_value(ret).into_result())
             }
@@ -477,37 +521,32 @@ impl BeldiEnv {
     /// are deployment bugs.
     pub fn register_ssf(&self, name: &str, tables: &[&str], body: SsfBody) {
         let mode = self.core.config.mode;
+        let ssf = Arc::new(Ssf::new(name, tables, body));
         {
             let mut registry = self.core.registry.write();
             assert!(
                 !registry.contains_key(name),
                 "SSF `{name}` registered twice"
             );
-            registry.insert(
-                name.to_owned(),
-                SsfEntry {
-                    tables: tables.iter().map(|s| (*s).to_owned()).collect(),
-                    body,
-                },
-            );
+            registry.insert(name.to_owned(), ssf.clone());
         }
         let db = &self.core.db;
-        let create = |table: String, schema: beldi_simdb::TableSchema| {
-            db.create_table(table.clone(), schema)
+        let create = |table: &str, schema: beldi_simdb::TableSchema| {
+            db.create_table(table, schema)
                 .unwrap_or_else(|e| panic!("creating table {table}: {e}"));
         };
         if mode != Mode::Baseline {
-            create(schema::intent_table(name), schema::intent_schema());
-            create(schema::log_table(name), schema::log_schema());
+            create(&ssf.intent_table, schema::intent_schema());
+            create(&ssf.log_table, schema::log_schema());
         }
-        for table in tables {
+        for table in &ssf.tables {
             match mode {
                 Mode::Beldi => {
-                    create(schema::data_table(name, table), schema::daal_schema());
-                    create(schema::shadow_table(name, table), schema::shadow_schema());
+                    create(&table.data, schema::daal_schema());
+                    create(&table.shadow, schema::shadow_schema());
                 }
                 Mode::CrossTable | Mode::Baseline => {
-                    create(schema::data_table(name, table), schema::plain_data_schema());
+                    create(&table.data, schema::plain_data_schema());
                 }
             }
         }
@@ -516,15 +555,15 @@ impl BeldiEnv {
         let weak = Arc::downgrade(&self.core);
         self.core
             .platform
-            .register(name, wrapper::make_handler(weak, name.to_owned()));
+            .register(name, wrapper::make_handler(weak, ssf.clone()));
         if mode != Mode::Baseline {
             self.core.platform.register(
                 format!("{name}.ic"),
-                collector_handler::<IcReport>(&self.core, name),
+                collector_handler::<IcReport>(&self.core, &ssf),
             );
             self.core.platform.register(
                 format!("{name}.gc"),
-                collector_handler::<GcReport>(&self.core, name),
+                collector_handler::<GcReport>(&self.core, &ssf),
             );
         }
     }
@@ -587,13 +626,13 @@ impl BeldiEnv {
     /// plays the caller's role in Fig. 20), so the intent collector can
     /// finish the execution even if this initial dispatch is lost.
     pub fn invoke_async(&self, name: &str, input: Value) -> BeldiResult<String> {
-        let instance = self.core.platform.new_uuid();
+        let instance: Arc<str> = self.core.platform.new_uuid().into();
         let envelope = Envelope::root_call(&instance, input, true).into_value();
         if self.core.config.mode != Mode::Baseline {
             let now_ms = self.clock().now().as_millis();
             intent::register(
                 &self.core.db,
-                &schema::intent_table(name),
+                &self.core.ssf(name)?.intent_table,
                 &instance,
                 envelope.clone(),
                 true,
@@ -605,7 +644,7 @@ impl BeldiEnv {
             .platform
             .invoke_async(name, envelope)
             .map_err(BeldiError::Invoke)?;
-        Ok(instance)
+        Ok(instance.to_string())
     }
 
     /// The executor-task counterpart of [`BeldiEnv::invoke_attempts`]:
@@ -650,14 +689,20 @@ impl BeldiEnv {
 
     /// Runs one intent-collector pass for `ssf` synchronously.
     pub fn run_ic_once(&self, ssf: &str) -> BeldiResult<IcReport> {
-        let result = ic::run_ic(&self.core, ssf);
+        let result = self
+            .core
+            .ssf(ssf)
+            .and_then(|ssf| ic::run_ic(&self.core, &ssf));
         self.core.record_pass(&result);
         result
     }
 
     /// Runs one garbage-collector pass for `ssf` synchronously.
     pub fn run_gc_once(&self, ssf: &str) -> BeldiResult<GcReport> {
-        let result = gc::run_gc(&self.core, ssf);
+        let result = self
+            .core
+            .ssf(ssf)
+            .and_then(|ssf| gc::run_gc(&self.core, &ssf));
         self.core.record_pass(&result);
         result
     }
@@ -774,11 +819,12 @@ impl BeldiEnv {
             self.clock().sleep(step);
             let mut unfinished = 0;
             for name in &names {
-                let r = ic::run_ic(&self.core, name)?;
+                let ssf = self.core.ssf(name)?;
+                let r = ic::run_ic(&self.core, &ssf)?;
                 unfinished += r.unfinished;
                 report.restarted += r.restarted;
                 if r.restarted > 0 {
-                    self.await_ssf_quiescence(name);
+                    self.await_ssf_quiescence(&ssf);
                 }
             }
             report.unfinished = unfinished;
@@ -796,15 +842,14 @@ impl BeldiEnv {
     /// picks it up. Paced on the workspace clock so exploration and
     /// scaled-time runs see a consistent timeline (a real-time sleep
     /// here stalled wall-clock time per drained intent).
-    fn await_ssf_quiescence(&self, ssf: &str) {
-        let table = schema::intent_table(ssf);
+    fn await_ssf_quiescence(&self, ssf: &Ssf) {
         for _ in 0..50 {
             self.clock().sleep(Duration::from_millis(1));
             let left = self
                 .core
                 .db
                 .index_query(
-                    &table,
+                    &ssf.intent_table,
                     schema::A_DONE,
                     &Value::Bool(false),
                     &ScanRequest::all(),
@@ -842,7 +887,7 @@ impl BeldiEnv {
     pub fn read_current(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<Value> {
         let physical = schema::data_table(ssf, table);
         match self.core.config.mode {
-            Mode::Beldi => daal::read_value(&self.core.db, &physical, key),
+            Mode::Beldi => daal::read_value(&self.core.db, &physical, &key.into()),
             Mode::CrossTable => modes::cross_table_read(&self.core.db, &physical, key),
             Mode::Baseline => modes::baseline_read(&self.core.db, &physical, key),
         }
@@ -851,7 +896,7 @@ impl BeldiEnv {
     /// The length of `key`'s DAAL chain (Beldi mode), for GC experiments.
     pub fn daal_chain_len(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<usize> {
         let physical = schema::data_table(ssf, table);
-        Ok(daal::traverse(&self.core.db, &physical, key, None)?
+        Ok(daal::traverse(&self.core.db, &physical, &key.into(), None)?
             .chain
             .len())
     }
@@ -872,7 +917,7 @@ impl BeldiEnv {
             .registry
             .read()
             .get(ssf)
-            .map(|e| e.tables.clone())
+            .map(|e| e.tables.iter().map(|t| t.logical.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -910,7 +955,8 @@ impl BeldiEnv {
     /// test helper: drives the ops layer without the wrapper).
     #[doc(hidden)]
     pub fn test_context(&self, ssf: &str, instance: &str) -> SsfContext {
-        SsfContext::new(self.core.clone(), ssf, instance, None, false, None)
+        let ssf = self.core.ssf(ssf).expect("test_context: a registered SSF");
+        SsfContext::new(self.core.clone(), ssf, instance.into(), None, false, None)
     }
 
     /// The shared interior (crate-internal test helper: lets unit tests
@@ -918,6 +964,12 @@ impl BeldiEnv {
     #[cfg(test)]
     pub(crate) fn test_core(&self) -> &Arc<EnvCore> {
         &self.core
+    }
+
+    /// The registered SSF `name` (crate-internal test helper).
+    #[cfg(test)]
+    pub(crate) fn test_ssf(&self, name: &str) -> Arc<Ssf> {
+        self.core.ssf(name).expect("a registered SSF")
     }
 }
 
@@ -948,10 +1000,10 @@ impl Drop for BeldiEnv {
 /// crashed); the next invocation resumes the idempotent work.
 fn collector_handler<R: Collector>(
     core: &Arc<EnvCore>,
-    ssf: &str,
+    ssf: &Arc<Ssf>,
 ) -> beldi_simfaas::FunctionHandler {
     let weak: Weak<EnvCore> = Arc::downgrade(core);
-    let ssf = ssf.to_owned();
+    let ssf = ssf.clone();
     // Reentrancy guard: timer ticks fire on schedule whether or not the
     // previous pass finished, and without the guard a slow pass lets
     // invocations pile up without bound (hundreds of concurrent
@@ -971,7 +1023,7 @@ fn collector_handler<R: Collector>(
             return Value::Null;
         }
         let pass = passes.fetch_add(1, Ordering::Relaxed);
-        let instance = format!("{ssf}.{}#p{pass}", R::KIND);
+        let instance = format!("{}.{}#p{pass}", ssf.name, R::KIND);
         let faults = core.platform.faults();
         faults.instance_started(&instance);
         let crash = |label: &'static str| faults.crash_point(&instance, label);
@@ -1057,7 +1109,7 @@ mod tests {
                 Ok(Value::Null)
             }),
         );
-        let id = env.invoke_async("writer", Value::Int(5)).unwrap();
+        let id = env.invoke_async("writer", Value::Int(5)).unwrap().into();
         // Wait for the async instance to finish.
         let table = schema::intent_table("writer");
         for _ in 0..500 {

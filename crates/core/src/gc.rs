@@ -42,14 +42,14 @@ use beldi_value::{Cond, Update, Value};
 
 use crate::config::Mode;
 use crate::daal;
-use crate::env::EnvCore;
+use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiResult;
 use crate::ids::{is_finalize_marker, parse_log_key};
 use crate::intent;
 use crate::labels;
 use crate::schema::{
-    self, A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW,
-    A_OWNER, A_ROW_ID, A_WRITES, ROW_HEAD,
+    A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER,
+    A_ROW_ID, A_WRITES, ROW_HEAD,
 };
 
 /// Summary of one garbage-collector pass.
@@ -119,8 +119,8 @@ impl GcHooks<'static> {
 /// Tracks which log owners are recyclable during one pass.
 struct OwnerStatus<'a> {
     db: &'a Database,
-    intent_table: String,
-    recyclable: HashSet<String>,
+    intent_table: &'a str,
+    recyclable: HashSet<Arc<str>>,
     cache: HashMap<String, bool>,
 }
 
@@ -141,7 +141,7 @@ impl OwnerStatus<'_> {
         let pk = PrimaryKey::hash(owner);
         let absent = self
             .db
-            .get(&self.intent_table, &pk, Some(&id_only))?
+            .get(self.intent_table, &pk, Some(&id_only))?
             .is_none();
         self.cache.insert(owner.to_owned(), absent);
         Ok(absent)
@@ -149,14 +149,14 @@ impl OwnerStatus<'_> {
 }
 
 /// Runs one GC pass for `ssf` with no observation hooks.
-pub(crate) fn run_gc(core: &Arc<EnvCore>, ssf: &str) -> BeldiResult<GcReport> {
+pub(crate) fn run_gc(core: &Arc<EnvCore>, ssf: &Ssf) -> BeldiResult<GcReport> {
     run_gc_with(core, ssf, &GcHooks::none())
 }
 
 /// Runs one GC pass for `ssf`, firing `hooks` along the way.
 pub(crate) fn run_gc_with(
     core: &Arc<EnvCore>,
-    ssf: &str,
+    ssf: &Ssf,
     hooks: &GcHooks<'_>,
 ) -> BeldiResult<GcReport> {
     let db = &core.db;
@@ -177,7 +177,7 @@ pub(crate) fn run_gc_with(
     } else {
         t_ms
     };
-    let intent_table = schema::intent_table(ssf);
+    let intent_table = &*ssf.intent_table;
     let mut report = GcReport::default();
     (hooks.crash)(labels::GC_ENTER);
 
@@ -185,12 +185,12 @@ pub(crate) fn run_gc_with(
     // may be bounded (Appendix A): collectors are SSFs with execution
     // timeouts, so the remainder waits for later passes.
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
-    let mut recyclable: Vec<String> = Vec::new();
+    let mut recyclable: Vec<Arc<str>> = Vec::new();
     // Classifying needs three small attributes; the envelopes (`Args`,
     // `Ret`) that make up most of an intent row stay in the store.
     let classify = ScanRequest::all().with_projection(Projection::attrs([A_ID, A_DONE, A_FINISH]));
-    for row in db.scan_all(&intent_table, &classify)? {
-        let Some(id) = row.get_str(A_ID) else {
+    for row in db.scan_all(intent_table, &classify)? {
+        let Some(id) = row.get_shared_str(A_ID) else {
             continue;
         };
         if !row.get_bool(A_DONE).unwrap_or(false) {
@@ -198,12 +198,12 @@ pub(crate) fn run_gc_with(
         }
         match row.get_int(A_FINISH).map(|f| f as u64) {
             None if report.finish_stamped < batch_limit => {
-                intent::stamp_finish(db, &intent_table, id, now_ms)?;
+                intent::stamp_finish(db, intent_table, id, now_ms)?;
                 report.finish_stamped += 1;
             }
             None => {}
             Some(f) if now_ms.saturating_sub(f) > t_ms && recyclable.len() < batch_limit => {
-                recyclable.push(id.to_owned());
+                recyclable.push(id.clone());
             }
             Some(_) => {}
         }
@@ -211,9 +211,8 @@ pub(crate) fn run_gc_with(
     (hooks.crash)(labels::GC_POST_CLASSIFY);
 
     // Step 3: prune the log entries of the recyclable intents that ran.
-    let log = schema::log_table(ssf);
     for owner in recyclable.iter().filter(|id| !is_finalize_marker(id)) {
-        report.deleted_log_entries += delete_log_entries_of(db, &log, owner)?;
+        report.deleted_log_entries += delete_log_entries_of(db, &ssf.log_table, owner)?;
     }
     (hooks.crash)(labels::GC_POST_LOG_PRUNE);
 
@@ -222,22 +221,14 @@ pub(crate) fn run_gc_with(
     if core.config.mode == Mode::Beldi {
         let mut status = OwnerStatus {
             db,
-            intent_table: intent_table.clone(),
+            intent_table,
             recyclable: recyclable.iter().cloned().collect(),
             cache: HashMap::new(),
         };
-        let logical_tables = {
-            let registry = core.registry.read();
-            registry
-                .get(ssf)
-                .map(|e| e.tables.clone())
-                .unwrap_or_default()
-        };
-        for logical in &logical_tables {
-            let data = schema::data_table(ssf, logical);
+        for table in &ssf.tables {
             collect_daal_table(
                 db,
-                &data,
+                &table.data,
                 &mut status,
                 now_ms,
                 t_ms,
@@ -245,10 +236,9 @@ pub(crate) fn run_gc_with(
                 &mut report,
                 hooks,
             )?;
-            let shadow = schema::shadow_table(ssf, logical);
             collect_daal_table(
                 db,
-                &shadow,
+                &table.shadow,
                 &mut status,
                 now_ms,
                 t_ms,
@@ -265,7 +255,7 @@ pub(crate) fn run_gc_with(
     // id can only come back as a zombie past its lease, whose counters
     // start over.
     for id in &recyclable {
-        intent::delete(db, &intent_table, id)?;
+        intent::delete(db, intent_table, id)?;
         core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
@@ -275,12 +265,12 @@ pub(crate) fn run_gc_with(
 
 /// Deletes every entry of `owner` in the log table (via the owner index,
 /// read keys-only: the delete needs nothing but the log key).
-fn delete_log_entries_of(db: &Database, table: &str, owner: &str) -> BeldiResult<usize> {
+fn delete_log_entries_of(db: &Database, table: &str, owner: &Arc<str>) -> BeldiResult<usize> {
     let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_LOG_KEY]));
     let rows = db.index_query(table, A_OWNER, &Value::from(owner), &keys_only)?;
     let mut deleted = 0;
     for row in rows {
-        if let Some(lk) = row.get_str(A_LOG_KEY) {
+        if let Some(lk) = row.get_shared_str(A_LOG_KEY) {
             // beldi-lint: allow(crash-points/coverage, bracketed by gc.post_classify and
             // gc.post_log_prune in run_gc_with; per-entry probes would make the pass
             // probe count work-dependent and break the fixed global crash stream)
@@ -335,7 +325,7 @@ fn collect_daal_table(
         keys
     };
     for key in &keys {
-        let Some(key) = key.as_str() else {
+        let Some(key) = key.as_shared_str() else {
             continue;
         };
         collect_daal_key(
@@ -395,7 +385,7 @@ fn report_corrupt_chain(
 fn collect_daal_key(
     db: &Database,
     table: &str,
-    key: &str,
+    key: &Arc<str>,
     status: &mut OwnerStatus<'_>,
     now_ms: u64,
     t_ms: u64,
@@ -443,11 +433,12 @@ fn collect_daal_key(
             if !row_fully_recyclable(row, status)? {
                 continue;
             }
-            let (Some(row_id), Some(next)) = (row.get_str(A_ROW_ID), row.get_str(A_NEXT_ROW))
+            let (Some(row_id), Some(next)) =
+                (row.get_shared_str(A_ROW_ID), row.get_shared_str(A_NEXT_ROW))
             else {
                 continue;
             };
-            let Some(prev_id) = chain[i - 1].get_str(A_ROW_ID) else {
+            let Some(prev_id) = chain[i - 1].get_shared_str(A_ROW_ID) else {
                 continue;
             };
             // Unlink: prev.NextRow = row.NextRow, guarded so a concurrent
@@ -493,27 +484,28 @@ fn collect_daal_key(
     // dangle wait makes a *fresh* scan decisive: any view from before the
     // disconnect is now older than `T`, so its holder has died and no
     // further re-link of this row can occur.
-    let candidates: Vec<&str> = rows
+    let candidates: Vec<&Arc<str>> = rows
         .iter()
         .filter(|row| daal::dangling_expired(row, now_ms, t_ms))
-        .filter_map(|row| row.get_str(A_ROW_ID))
+        .filter_map(|row| row.get_shared_str(A_ROW_ID))
         .collect();
     if candidates.is_empty() {
         return Ok(());
     }
-    let fresh_reachable: Option<HashSet<String>> = if is_shadow {
+    let fresh_rows;
+    let fresh_reachable = if is_shadow {
         None // Shadow chains are stamped whole; reachability is moot.
     } else {
         (hooks.probe)(labels::GC_STEP5_PRE_RESCAN);
-        let fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
+        fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
         let Some((_, fresh)) = reconstruct_chain(&fresh_rows) else {
             return report_corrupt_chain(report, table, key, "step-5 re-scan");
         };
-        Some(fresh.iter().map(|s| (*s).to_owned()).collect())
+        Some(fresh)
     };
     for row_id in candidates {
         if let Some(fresh) = &fresh_reachable {
-            if fresh.contains(row_id) {
+            if fresh.contains(&**row_id) {
                 continue; // Re-linked since the pass snapshot: still live.
             }
         }
@@ -550,11 +542,11 @@ fn row_fully_recyclable(row: &Value, status: &mut OwnerStatus<'_>) -> BeldiResul
 fn stamp_dangle(
     db: &Database,
     table: &str,
-    key: &str,
+    key: &Arc<str>,
     row: &Value,
     now_ms: u64,
 ) -> BeldiResult<()> {
-    let Some(row_id) = row.get_str(A_ROW_ID) else {
+    let Some(row_id) = row.get_shared_str(A_ROW_ID) else {
         return Ok(());
     };
     let pk = PrimaryKey::hash_sort(key, row_id);
@@ -600,13 +592,13 @@ mod tests {
         let attrs = row.as_map_mut().unwrap();
         if row_id != ROW_HEAD {
             // As `daal::append_row` creates every non-head row.
-            attrs.insert(A_APPENDED.to_owned(), Value::Bool(true));
+            attrs.insert(A_APPENDED, Value::Bool(true));
         }
         if let Some(n) = next {
-            attrs.insert(A_NEXT_ROW.to_owned(), Value::from(n));
+            attrs.insert(A_NEXT_ROW, Value::from(n));
         }
         if let Some(d) = dangle {
-            attrs.insert(A_DANGLE.to_owned(), Value::Int(d));
+            attrs.insert(A_DANGLE, Value::Int(d));
         }
         env.db().put("f.data.t", row).unwrap();
     }
@@ -650,7 +642,7 @@ mod tests {
             crash: &|_| {},
             probe: &relink,
         };
-        run_gc_with(e.test_core(), "f", &hooks).unwrap();
+        run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks).unwrap();
 
         // B survived: the fresh scan saw it reachable. The chain is whole
         // and the tail value intact.
@@ -663,7 +655,7 @@ mod tests {
             "re-linked row must not be deleted"
         );
         assert_eq!(
-            daal::read_value(e.db(), "f.data.t", "k").unwrap(),
+            daal::read_value(e.db(), "f.data.t", &"k".into()).unwrap(),
             Value::Int(3),
             "tail value lost — the chain was severed"
         );
@@ -673,7 +665,7 @@ mod tests {
         plant_row(&e2, "B", 2, Some("C"), Some(1));
         plant_row(&e2, "C", 3, None, None);
         e2.clock().sleep(Duration::from_millis(120));
-        let report = run_gc_with(e2.test_core(), "f", &GcHooks::none()).unwrap();
+        let report = run_gc_with(e2.test_core(), &e2.test_ssf("f"), &GcHooks::none()).unwrap();
         assert_eq!(report.deleted_rows, 1, "expired unreachable row reclaimed");
     }
 
@@ -707,7 +699,7 @@ mod tests {
                     crash: &at_boundary,
                     probe: &|_| {},
                 };
-                let report = run_gc_with(e.test_core(), "echo", &hooks).unwrap();
+                let report = run_gc_with(e.test_core(), &e.test_ssf("echo"), &hooks).unwrap();
                 out.push((classify.get(), report));
                 e.clock().sleep(Duration::from_millis(120));
             }
@@ -747,7 +739,7 @@ mod tests {
             for i in 0..4 {
                 e.invoke_as("f", &format!("i-{i}"), Value::Int(i)).unwrap();
             }
-            run_gc(e.test_core(), "f").unwrap(); // Stamps the finish times.
+            run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
             e.clock().sleep(Duration::from_millis(120));
 
             let (before, after) = (Cell::new(0), Cell::new(0));
@@ -762,7 +754,7 @@ mod tests {
                 crash: &at_boundary,
                 probe: &|_| {},
             };
-            let report = run_gc_with(e.test_core(), "f", &hooks).unwrap();
+            let report = run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks).unwrap();
             assert_eq!(report.recycled_intents, 4);
             assert!(report.deleted_log_entries >= 2 * 4, "{report:?}");
             assert_eq!(after.get() - before.get(), 4, "one owner query each");
@@ -793,10 +785,10 @@ mod tests {
             .iter()
             .find(|r| r.get_str(A_ID).is_some_and(is_finalize_marker))
             .expect("the transaction claimed its marker");
-        assert_eq!(marker.get_str(schema::A_CLAIMANT), Some("i-0"));
+        assert_eq!(marker.get_str(crate::schema::A_CLAIMANT), Some("i-0"));
         assert_eq!(intents.len(), 2);
         assert!(e.db().row_count("f.log").unwrap() > 0);
-        run_gc(e.test_core(), "f").unwrap(); // Stamps the finish times.
+        run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
         e.clock().sleep(Duration::from_millis(120));
 
         let (before, after) = (Cell::new(0), Cell::new(0));
@@ -811,7 +803,7 @@ mod tests {
             crash: &at_boundary,
             probe: &|_| {},
         };
-        let report = run_gc_with(e.test_core(), "f", &hooks).unwrap();
+        let report = run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks).unwrap();
         assert_eq!(report.recycled_intents, 2);
         assert_eq!(after.get() - before.get(), 1, "the claimant's query only");
         assert!(report.deleted_log_entries > 0, "{report:?}");
@@ -827,7 +819,7 @@ mod tests {
         let e = env();
         plant_row(&e, ROW_HEAD, 1, Some("R1"), None);
         plant_row(&e, "R1", 2, Some("R1"), None); // Self-loop.
-        let result = run_gc_with(e.test_core(), "f", &GcHooks::none());
+        let result = run_gc_with(e.test_core(), &e.test_ssf("f"), &GcHooks::none());
         // Tests compile with debug assertions: corruption is a hard error.
         let err = result.expect_err("debug builds fail loudly on corruption");
         assert!(err.to_string().contains("cycl"), "{err}");

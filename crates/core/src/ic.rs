@@ -20,11 +20,11 @@ use std::sync::Arc;
 use beldi_simdb::ScanRequest;
 use beldi_value::Value;
 
-use crate::env::EnvCore;
+use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::intent::{self, IntentRecord};
 use crate::labels;
-use crate::schema::{intent_table, A_DONE};
+use crate::schema::A_DONE;
 
 /// Summary of one intent-collector pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,21 +52,21 @@ impl IcReport {
 
 /// Runs one IC pass for `ssf` without fault injection (synchronous
 /// harness passes and recovery drains).
-pub(crate) fn run_ic(core: &Arc<EnvCore>, ssf: &str) -> BeldiResult<IcReport> {
+pub(crate) fn run_ic(core: &Arc<EnvCore>, ssf: &Ssf) -> BeldiResult<IcReport> {
     run_ic_with(core, ssf, &|_| {})
 }
 
 /// Runs one IC pass for `ssf`, firing `crash` at each `ic.*` point.
 pub(crate) fn run_ic_with(
     core: &Arc<EnvCore>,
-    ssf: &str,
+    ssf: &Ssf,
     crash: &dyn Fn(&'static str),
 ) -> BeldiResult<IcReport> {
     crash(labels::IC_ENTER);
-    let table = intent_table(ssf);
+    let table = &*ssf.intent_table;
     let mut rows = core
         .db
-        .index_query(&table, A_DONE, &Value::Bool(false), &ScanRequest::all())?;
+        .index_query(table, A_DONE, &Value::Bool(false), &ScanRequest::all())?;
     // Appendix A: collectors are SSFs with execution timeouts, so a pass
     // may be bounded. The batch window *rotates* through the index via a
     // persisted per-SSF cursor: truncating the same prefix every pass
@@ -74,7 +74,7 @@ pub(crate) fn run_ic_with(
     // ineligible (too recent, or perpetually crashing re-executions).
     if let Some(limit) = core.config.collector_batch_limit {
         if rows.len() > limit {
-            let start = core.ic_scan_offset(ssf, limit, rows.len());
+            let start = core.ic_scan_offset(&ssf.name, limit, rows.len());
             rows.rotate_left(start);
             rows.truncate(limit);
         }
@@ -93,7 +93,7 @@ pub(crate) fn run_ic_with(
             // intents always store one at registration). Quarantine it
             // so the Done=false index stops returning it — otherwise it
             // is rescanned every pass and quiescence is never reached.
-            report_corrupt_intent(core, &table, &rec.id, &mut report)?;
+            report_corrupt_intent(core, table, &rec.id, &mut report)?;
             continue;
         }
         report.unfinished += 1;
@@ -102,13 +102,13 @@ pub(crate) fn run_ic_with(
             continue;
         }
         // Claim the restart; losers saw a concurrent IC win the CAS.
-        if !intent::claim_launch(&core.db, &table, &rec.id, rec.last_launch_ms, now_ms)? {
+        if !intent::claim_launch(&core.db, table, &rec.id, rec.last_launch_ms, now_ms)? {
             continue;
         }
         crash(labels::IC_PRE_RESTART);
         // Re-fire the original envelope. Failures here are fine: the next
         // pass tries again.
-        if core.platform.invoke_async(ssf, rec.args).is_ok() {
+        if core.platform.invoke_async(&ssf.name, rec.args).is_ok() {
             report.restarted += 1;
         }
     }
@@ -123,7 +123,7 @@ pub(crate) fn run_ic_with(
 fn report_corrupt_intent(
     core: &Arc<EnvCore>,
     table: &str,
-    id: &str,
+    id: &Arc<str>,
     report: &mut IcReport,
 ) -> BeldiResult<()> {
     report.corrupt += 1;

@@ -7,11 +7,16 @@
 //! key, `callbacks.rs::callback_lands_before_done_so_gc_cannot_outrun_caller`
 //! fails). Every external operation inside an instance gets a monotonically
 //! increasing *step number*. The pair `(instance id, step)` keys all of
-//! Beldi's logs (Fig. 3).
+//! Beldi's logs (Fig. 3). Each id and log key is built once, as one shared
+//! string that every row key, attribute and path naming it holds.
+
+use std::cell::RefCell;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// An SSF instance id (unique per execution intent, stable across
 /// re-executions of the same intent).
-pub type InstanceId = String;
+pub type InstanceId = Arc<str>;
 
 /// A step number within an instance.
 pub type StepNumber = u64;
@@ -20,10 +25,21 @@ pub type StepNumber = u64;
 /// contains it too, so a key splits at the last one.
 pub const LOG_KEY_SEP: char = '#';
 
+/// Formats `args` into one shared string. The text is assembled in a
+/// reused per-thread buffer, so the `Arc` is the only allocation.
+pub(crate) fn shared(args: fmt::Arguments<'_>) -> Arc<str> {
+    thread_local!(static BUF: RefCell<String> = const { RefCell::new(String::new()) });
+    BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        let _ = buf.write_fmt(args); // Writing to a `String` cannot fail.
+        Arc::from(buf.as_str())
+    })
+}
+
 /// Builds the log key for `(instance, step)` — the primary key of read,
 /// write, and invoke log entries (paper Fig. 3).
-pub fn log_key(instance: &str, step: StepNumber) -> String {
-    format!("{instance}{LOG_KEY_SEP}{step}")
+pub fn log_key(instance: &str, step: StepNumber) -> Arc<str> {
+    shared(format_args!("{instance}{LOG_KEY_SEP}{step}"))
 }
 
 /// Splits a log key back into `(instance, step)`; `None` when malformed.
@@ -34,8 +50,8 @@ pub fn parse_log_key(key: &str) -> Option<(&str, StepNumber)> {
 }
 
 /// The id of the callee invoked at the caller's invoke-log entry `log_key`.
-pub fn callee_id(log_key: &str) -> String {
-    format!("{log_key}.c")
+pub fn callee_id(log_key: &str) -> Arc<str> {
+    shared(format_args!("{log_key}.c"))
 }
 
 /// Inverts [`callee_id`]; `None` for an id no log key derives (a root's, a forged one).
@@ -46,8 +62,8 @@ pub fn callee_log_key(callee_id: &str) -> Option<&str> {
 }
 
 /// The intent-table id of transaction `txn_id`'s finalize marker (§6.2).
-pub fn finalize_marker(txn_id: &str) -> String {
-    format!("txnfinal#{txn_id}")
+pub fn finalize_marker(txn_id: &str) -> Arc<str> {
+    shared(format_args!("txnfinal#{txn_id}"))
 }
 
 /// A finalize marker is written done and never runs: it owns no log entry.
@@ -62,7 +78,7 @@ mod tests {
     #[test]
     fn log_key_round_trips() {
         let k = log_key("abc-123", 42);
-        assert_eq!(k, "abc-123#42");
+        assert_eq!(&*k, "abc-123#42");
         assert_eq!(parse_log_key(&k), Some(("abc-123", 42)));
     }
 
@@ -84,11 +100,11 @@ mod tests {
     fn callee_id_round_trips() {
         let k = log_key("root", 3);
         let id = callee_id(&k);
-        assert_eq!(id, "root#3.c");
-        assert_eq!(callee_log_key(&id), Some(k.as_str()));
+        assert_eq!(&*id, "root#3.c");
+        assert_eq!(callee_log_key(&id), Some(&*k));
         // A callee's callee: the log key holds the parent callee's id.
         let nested = callee_id(&log_key(&id, 2));
-        assert_eq!(nested, "root#3.c#2.c");
+        assert_eq!(&*nested, "root#3.c#2.c");
         assert_eq!(callee_log_key(&nested), Some("root#3.c#2"));
         assert_eq!(callee_log_key("r#1.c#2.c"), Some("r#1.c#2"));
     }
@@ -103,7 +119,7 @@ mod tests {
     #[test]
     fn finalize_marker_is_recognised() {
         let m = finalize_marker("t-1");
-        assert_eq!(m, "txnfinal#t-1");
+        assert_eq!(&*m, "txnfinal#t-1");
         assert!(is_finalize_marker(&m));
         assert!(!is_finalize_marker("t-1"));
         assert!(!is_finalize_marker(&callee_id(&log_key("root", 1))));

@@ -9,6 +9,8 @@
 // beldi-lint: allow-file(crash-points/coverage, intent rows are written inside
 // the wrapper protocol; wrapper.enter/post_intent/pre_done/post_done bracket
 // every register/mark_done/claim/delete call site)
+use std::sync::Arc;
+
 use beldi_simdb::{Database, DbError, PrimaryKey};
 use beldi_value::{Cond, Update, Value};
 
@@ -21,7 +23,7 @@ use crate::schema::{
 #[derive(Debug, Clone)]
 pub(crate) struct IntentRecord {
     /// Instance id.
-    pub id: String,
+    pub id: Arc<str>,
     /// Completion flag.
     pub done: bool,
     /// Whether the instance was invoked asynchronously.
@@ -31,7 +33,7 @@ pub(crate) struct IntentRecord {
     /// The outcome envelope recorded at completion.
     pub ret: Option<Value>,
     /// Calling SSF name, if any.
-    pub caller: Option<String>,
+    pub caller: Option<Arc<str>>,
     /// Creation timestamp (virtual ms); the start of the recovery-latency
     /// window for crashed instances.
     pub created_ms: u64,
@@ -46,12 +48,12 @@ impl IntentRecord {
     /// scan).
     pub fn from_row(row: Value) -> Option<Self> {
         Some(IntentRecord {
-            id: row.get_str(A_ID)?.to_owned(),
+            id: row.get_shared_str(A_ID)?.clone(),
             done: row.get_bool(A_DONE).unwrap_or(false),
             is_async: row.get_bool(A_ASYNC).unwrap_or(false),
             args: row.get_attr(A_ARGS).cloned().unwrap_or(Value::Null),
             ret: row.get_attr(A_RET).filter(|v| !v.is_null()).cloned(),
-            caller: row.get_str(A_CALLER).map(str::to_owned),
+            caller: row.get_shared_str(A_CALLER).cloned(),
             created_ms: row.get_int(A_CREATED).unwrap_or(0) as u64,
             last_launch_ms: row.get_int(A_LAST_LAUNCH).unwrap_or(0) as u64,
         })
@@ -68,10 +70,10 @@ impl IntentRecord {
 pub(crate) fn register(
     db: &Database,
     table: &str,
-    id: &str,
+    id: &Arc<str>,
     args: Value,
     is_async: bool,
-    caller: Option<&str>,
+    caller: Option<&Arc<str>>,
     now_ms: u64,
 ) -> BeldiResult<Option<IntentRecord>> {
     let pk = PrimaryKey::hash(id);
@@ -97,7 +99,7 @@ pub(crate) fn register(
 }
 
 /// Loads an intent record, if present.
-pub(crate) fn load(db: &Database, table: &str, id: &str) -> BeldiResult<Option<IntentRecord>> {
+pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Option<IntentRecord>> {
     let row = db.get(table, &PrimaryKey::hash(id), None)?;
     Ok(row.and_then(IntentRecord::from_row))
 }
@@ -106,7 +108,7 @@ pub(crate) fn load(db: &Database, table: &str, id: &str) -> BeldiResult<Option<I
 ///
 /// Idempotent: re-executions overwrite with the identical (deterministic)
 /// outcome.
-pub(crate) fn mark_done(db: &Database, table: &str, id: &str, ret: Value) -> BeldiResult<()> {
+pub(crate) fn mark_done(db: &Database, table: &str, id: &Arc<str>, ret: Value) -> BeldiResult<()> {
     let update = Update::new().set(A_DONE, Value::Bool(true)).set(A_RET, ret);
     db.update(table, &PrimaryKey::hash(id), &Cond::exists(A_ID), &update)?;
     Ok(())
@@ -118,7 +120,7 @@ pub(crate) fn mark_done(db: &Database, table: &str, id: &str, ret: Value) -> Bel
 pub(crate) fn claim_launch(
     db: &Database,
     table: &str,
-    id: &str,
+    id: &Arc<str>,
     seen_last_launch_ms: u64,
     now_ms: u64,
 ) -> BeldiResult<bool> {
@@ -133,7 +135,12 @@ pub(crate) fn claim_launch(
 }
 
 /// Stamps the GC finish time on a completed intent, if not already set.
-pub(crate) fn stamp_finish(db: &Database, table: &str, id: &str, now_ms: u64) -> BeldiResult<()> {
+pub(crate) fn stamp_finish(
+    db: &Database,
+    table: &str,
+    id: &Arc<str>,
+    now_ms: u64,
+) -> BeldiResult<()> {
     let cond = Cond::eq(A_DONE, Value::Bool(true)).and(Cond::not_exists(A_FINISH));
     let update = Update::new().set(A_FINISH, Value::Int(now_ms as i64));
     match db.update(table, &PrimaryKey::hash(id), &cond, &update) {
@@ -143,7 +150,7 @@ pub(crate) fn stamp_finish(db: &Database, table: &str, id: &str, now_ms: u64) ->
 }
 
 /// Deletes an intent row (the GC's final step for a recycled intent).
-pub(crate) fn delete(db: &Database, table: &str, id: &str) -> BeldiResult<()> {
+pub(crate) fn delete(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<()> {
     match db.delete(table, &PrimaryKey::hash(id), &Cond::True) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),
@@ -162,14 +169,27 @@ mod tests {
         db
     }
 
+    fn x() -> Arc<str> {
+        "x".into()
+    }
+
     #[test]
     fn register_is_first_wins() {
         let db = db();
-        let a = register(&db, "i", "x", Value::Int(1), false, Some("caller"), 5).unwrap();
+        let a = register(
+            &db,
+            "i",
+            &x(),
+            Value::Int(1),
+            false,
+            Some(&"caller".into()),
+            5,
+        )
+        .unwrap();
         assert!(a.is_none(), "the first registration wins");
         // A re-execution re-registers with different args; the original
         // registration is what it gets back.
-        let b = register(&db, "i", "x", Value::Int(2), false, None, 9)
+        let b = register(&db, "i", &x(), Value::Int(2), false, None, 9)
             .unwrap()
             .expect("the earlier record");
         assert_eq!(b.args, Value::Int(1));
@@ -181,9 +201,9 @@ mod tests {
     #[test]
     fn done_round_trips_return_value() {
         let db = db();
-        register(&db, "i", "x", Value::Null, false, None, 0).unwrap();
-        mark_done(&db, "i", "x", Value::Int(42)).unwrap();
-        let rec = load(&db, "i", "x").unwrap().unwrap();
+        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
+        mark_done(&db, "i", &x(), Value::Int(42)).unwrap();
+        let rec = load(&db, "i", &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, Some(Value::Int(42)));
     }
@@ -191,13 +211,13 @@ mod tests {
     #[test]
     fn claim_launch_is_a_cas() {
         let db = db();
-        register(&db, "i", "x", Value::Null, false, None, 0).unwrap();
-        assert!(claim_launch(&db, "i", "x", 0, 10).unwrap());
+        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
+        assert!(claim_launch(&db, "i", &x(), 0, 10).unwrap());
         // Second claimer saw the stale timestamp and loses.
-        assert!(!claim_launch(&db, "i", "x", 0, 11).unwrap());
+        assert!(!claim_launch(&db, "i", &x(), 0, 11).unwrap());
         // Done intents are never claimed.
-        mark_done(&db, "i", "x", Value::Null).unwrap();
-        assert!(!claim_launch(&db, "i", "x", 10, 20).unwrap());
+        mark_done(&db, "i", &x(), Value::Null).unwrap();
+        assert!(!claim_launch(&db, "i", &x(), 10, 20).unwrap());
     }
 
     #[test]
@@ -207,22 +227,22 @@ mod tests {
             let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
             row.get_int(A_FINISH)
         };
-        register(&db, "i", "x", Value::Null, false, None, 0).unwrap();
+        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
         // Not done yet: no stamp.
-        stamp_finish(&db, "i", "x", 7).unwrap();
+        stamp_finish(&db, "i", &x(), 7).unwrap();
         assert_eq!(finish(), None);
-        mark_done(&db, "i", "x", Value::Null).unwrap();
-        stamp_finish(&db, "i", "x", 7).unwrap();
-        stamp_finish(&db, "i", "x", 99).unwrap();
+        mark_done(&db, "i", &x(), Value::Null).unwrap();
+        stamp_finish(&db, "i", &x(), 7).unwrap();
+        stamp_finish(&db, "i", &x(), 99).unwrap();
         assert_eq!(finish(), Some(7));
     }
 
     #[test]
     fn delete_is_idempotent() {
         let db = db();
-        register(&db, "i", "x", Value::Null, false, None, 0).unwrap();
-        delete(&db, "i", "x").unwrap();
-        delete(&db, "i", "x").unwrap();
-        assert!(load(&db, "i", "x").unwrap().is_none());
+        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
+        delete(&db, "i", &x()).unwrap();
+        delete(&db, "i", &x()).unwrap();
+        assert!(load(&db, "i", &x()).unwrap().is_none());
     }
 }

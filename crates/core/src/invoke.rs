@@ -21,15 +21,17 @@
 //! asynchronous call. The callee stub refuses to run unregistered or
 //! completed intents so the GC can prune them without interference.
 
+use std::sync::Arc;
+
 use beldi_simdb::{DbError, PrimaryKey};
 use beldi_value::{Cond, Map, Update, Value};
 
 use crate::context::SsfContext;
-use crate::env::EnvCore;
+use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::labels;
 use crate::schema::{
-    log_table, A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT, A_TXN_ID,
+    A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT, A_TXN_ID,
 };
 use crate::txn::{TxnContext, TxnMode};
 
@@ -46,18 +48,19 @@ const RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
 /// The wire format between SSF instances.
 ///
 /// Every platform invocation of a Beldi-wrapped function carries one of
-/// these, serialized as a [`Value`] map under the keys below.
+/// these, serialized as a [`Value`] map under the keys below. Its ids and
+/// names are the shared strings the payload map holds.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Envelope {
     /// Run the SSF's body.
     Call {
         /// Instance id chosen by the caller (None for workflow roots,
         /// which adopt the platform request id).
-        id: Option<String>,
+        id: Option<Arc<str>>,
         /// Application input.
         input: Value,
         /// Calling SSF name (for the result callback), if any.
-        caller: Option<String>,
+        caller: Option<Arc<str>>,
         /// Transaction context forwarded from the caller, if any.
         txn: Option<TxnContext>,
         /// True when this call was issued asynchronously.
@@ -67,7 +70,7 @@ pub(crate) enum Envelope {
     /// log. At-least-once; never logged itself.
     Callback {
         /// The callee instance whose entry should be updated.
-        callee_id: String,
+        callee_id: Arc<str>,
         /// The outcome envelope, or `None` for an async-registration
         /// confirmation (which sets `Registered` instead).
         result: Option<Value>,
@@ -75,16 +78,16 @@ pub(crate) enum Envelope {
     /// Register an intent for a later asynchronous call (Fig. 20, step 1).
     AsyncReg {
         /// The instance id the async call will use.
-        id: String,
+        id: Arc<str>,
         /// Application input, stored as the intent's args.
         input: Value,
         /// Caller to confirm registration to.
-        caller: String,
+        caller: Arc<str>,
     },
     /// Commit/abort propagation along workflow edges (§6.2).
     TxnSignal {
         /// Instance id for the signal execution (exactly-once).
-        id: String,
+        id: Arc<str>,
         /// The transaction context in `Commit` or `Abort` mode.
         txn: TxnContext,
     },
@@ -106,9 +109,9 @@ impl Envelope {
     /// [`crate::BeldiEnv::invoke_task`] (executor task) differ only in
     /// how the caller waits; the wire payload, and therefore the whole
     /// wrapper/replay path behind it, is identical.
-    pub(crate) fn root_call(instance: &str, input: Value, is_async: bool) -> Envelope {
+    pub(crate) fn root_call(instance: &Arc<str>, input: Value, is_async: bool) -> Envelope {
         Envelope::Call {
-            id: Some(instance.to_owned()),
+            id: Some(instance.clone()),
             input,
             caller: None,
             txn: None,
@@ -128,36 +131,36 @@ impl Envelope {
                 txn,
                 is_async,
             } => {
-                m.insert(K_OP.into(), "call".into());
+                m.insert(K_OP, "call".into());
                 if let Some(id) = id {
-                    m.insert(K_ID.into(), id.into());
+                    m.insert(K_ID, id.into());
                 }
-                m.insert(K_INPUT.into(), input);
+                m.insert(K_INPUT, input);
                 if let Some(c) = caller {
-                    m.insert(K_CALLER.into(), c.into());
+                    m.insert(K_CALLER, c.into());
                 }
                 if let Some(t) = txn {
-                    m.insert(K_TXN.into(), t.to_value());
+                    m.insert(K_TXN, t.to_value());
                 }
-                m.insert(K_ASYNC.into(), Value::Bool(is_async));
+                m.insert(K_ASYNC, Value::Bool(is_async));
             }
             Envelope::Callback { callee_id, result } => {
-                m.insert(K_OP.into(), "callback".into());
-                m.insert(K_CALLEE_ID.into(), callee_id.into());
+                m.insert(K_OP, "callback".into());
+                m.insert(K_CALLEE_ID, callee_id.into());
                 if let Some(r) = result {
-                    m.insert(K_RESULT.into(), r);
+                    m.insert(K_RESULT, r);
                 }
             }
             Envelope::AsyncReg { id, input, caller } => {
-                m.insert(K_OP.into(), "asyncreg".into());
-                m.insert(K_ID.into(), id.into());
-                m.insert(K_INPUT.into(), input);
-                m.insert(K_CALLER.into(), caller.into());
+                m.insert(K_OP, "asyncreg".into());
+                m.insert(K_ID, id.into());
+                m.insert(K_INPUT, input);
+                m.insert(K_CALLER, caller.into());
             }
             Envelope::TxnSignal { id, txn } => {
-                m.insert(K_OP.into(), "txnsignal".into());
-                m.insert(K_ID.into(), id.into());
-                m.insert(K_TXN.into(), txn.to_value());
+                m.insert(K_OP, "txnsignal".into());
+                m.insert(K_ID, id.into());
+                m.insert(K_TXN, txn.to_value());
             }
         }
         Value::Map(m)
@@ -170,7 +173,7 @@ impl Envelope {
             .get_str(K_OP)
             .ok_or_else(|| BeldiError::Protocol("payload is not a Beldi envelope".into()))?;
         let missing = |what: &str| BeldiError::Protocol(format!("{op} missing {what}"));
-        let string = |key: &str| v.get_str(key).map(str::to_owned);
+        let string = |key: &str| v.get_shared_str(key).cloned();
         match op {
             "call" => Ok(Envelope::Call {
                 id: string(K_ID),
@@ -252,7 +255,7 @@ impl Outcome {
 #[derive(Debug, Clone)]
 pub(crate) struct InvokeEntry {
     /// The callee instance id chosen at first execution.
-    pub callee_id: String,
+    pub callee_id: Arc<str>,
     /// The recorded outcome envelope, if the callback has landed.
     pub result: Option<Value>,
     /// Set once an async callee confirmed registration.
@@ -264,7 +267,7 @@ impl InvokeEntry {
     /// the stored one, so fields are read, not taken.
     fn from_row(row: Value) -> Option<Self> {
         Some(InvokeEntry {
-            callee_id: row.get_str(A_CALLEE_ID)?.to_owned(),
+            callee_id: row.get_shared_str(A_CALLEE_ID)?.clone(),
             result: row.get_attr(A_RESULT).filter(|v| !v.is_null()).cloned(),
             registered: row.get_bool(A_REGISTERED).unwrap_or(false),
         })
@@ -276,29 +279,29 @@ impl SsfContext {
     /// exactly-once assignment of a callee instance id (Fig. 8).
     fn invoke_entry(&mut self, callee_fn: &str) -> BeldiResult<InvokeEntry> {
         let log_key = self.next_log_key();
-        let log = self.log_table();
+        let log = &self.ssf.log_table;
         // A callee id derived from the (replay-stable) log key, not a
         // platform UUID, makes the execution tree's instance ids a pure
         // function of the root id (bit-identical chaos crash schedules per
-        // seed) and lets the callback address this entry.
+        // seed) and lets the callback address this entry. The fresh row is
+        // seeded with its key; its `Owner` and `CalleeId` share their strings.
         let fresh_id = crate::ids::callee_id(&log_key);
         let mut update = Update::new()
-            .set(A_LOG_KEY, log_key.as_str())
-            .set(A_OWNER, self.instance_id())
-            .set(A_CALLEE_ID, fresh_id.as_str())
+            .set(A_OWNER, &self.instance)
+            .set(A_CALLEE_ID, &fresh_id)
             .set(A_CALLEE_FN, callee_fn);
         if let Some(t) = &self.txn {
             if t.ctx.mode == TxnMode::Execute && !t.ended {
-                update = update.set(A_TXN_ID, t.ctx.id.as_str());
+                update = update.set(A_TXN_ID, &t.ctx.id);
             }
         }
-        let pk = PrimaryKey::hash(log_key.as_str());
+        let pk = PrimaryKey::hash(&log_key);
         self.crash(labels::INVOKE_PRE_ENTRY);
         match self
             .db()
             // beldi-lint: allow(crash-points/coverage, invoke.pre_entry fires before this
             // append; invoke.pre_call / invoke.pre_asyncreg fire after it in the callers)
-            .update(&log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
+            .update(log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
         {
             Ok(()) => Ok(InvokeEntry {
                 callee_id: fresh_id,
@@ -306,7 +309,7 @@ impl SsfContext {
                 registered: false,
             }),
             Err(DbError::ConditionFailed) => {
-                let row = self.db().get(&log, &pk, None)?.ok_or_else(|| {
+                let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;
                 InvokeEntry::from_row(row).ok_or_else(|| {
@@ -318,10 +321,10 @@ impl SsfContext {
     }
 
     /// Re-reads an invoke-log entry (to poll for a callback-delivered result).
-    fn reload_entry(&self, log_key: &str) -> BeldiResult<Option<InvokeEntry>> {
+    fn reload_entry(&self, log_key: &Arc<str>) -> BeldiResult<Option<InvokeEntry>> {
         let row = self
             .db()
-            .get(&self.log_table(), &PrimaryKey::hash(log_key), None)?;
+            .get(&self.ssf.log_table, &PrimaryKey::hash(log_key), None)?;
         Ok(row.and_then(InvokeEntry::from_row))
     }
 
@@ -359,9 +362,9 @@ impl SsfContext {
             .txn
             .as_ref()
             .and_then(|t| (t.ctx.mode == TxnMode::Execute && !t.ended).then(|| t.ctx.clone()));
-        let caller = self.ssf.clone();
+        let caller = self.ssf.name.clone();
         let outcome = self.invoke_with_entry(callee, |callee_id| Envelope::Call {
-            id: Some(callee_id.to_owned()),
+            id: Some(callee_id.clone()),
             input,
             caller: Some(caller),
             txn,
@@ -381,7 +384,7 @@ impl SsfContext {
     pub(crate) fn invoke_with_entry(
         &mut self,
         callee: &str,
-        make_envelope: impl FnOnce(&str) -> Envelope,
+        make_envelope: impl FnOnce(&Arc<str>) -> Envelope,
     ) -> BeldiResult<Outcome> {
         let step = self.step;
         let entry = self.invoke_entry(callee)?;
@@ -406,7 +409,7 @@ impl SsfContext {
                             // kill between them leaves a done intent this
                             // caller never re-invokes (and the IC skips).
                             // Record it here, off the happy path.
-                            let table = crate::schema::intent_table(callee);
+                            let table = self.core.ssf(callee)?.intent_table.clone();
                             if let Some(rec) =
                                 crate::intent::load(&self.core.db, &table, &entry.callee_id)?
                             {
@@ -467,7 +470,7 @@ impl SsfContext {
             let reg = Envelope::AsyncReg {
                 id: entry.callee_id.clone(),
                 input: input.clone(),
-                caller: self.ssf.clone(),
+                caller: self.ssf.name.clone(),
             }
             .into_value();
             self.crash(labels::INVOKE_PRE_ASYNCREG);
@@ -495,7 +498,7 @@ impl SsfContext {
         let call = Envelope::Call {
             id: Some(entry.callee_id.clone()),
             input,
-            caller: Some(self.ssf.clone()),
+            caller: Some(self.ssf.name.clone()),
             txn: None,
             is_async: true,
         }
@@ -518,11 +521,11 @@ impl SsfContext {
 pub(crate) fn send_callback(
     core: &EnvCore,
     caller_fn: &str,
-    callee_id: &str,
+    callee_id: &Arc<str>,
     result: Option<&Value>,
 ) -> bool {
     let envelope = Envelope::Callback {
-        callee_id: callee_id.to_owned(),
+        callee_id: callee_id.clone(),
         result: result.cloned(),
     }
     .into_value();
@@ -544,8 +547,8 @@ pub(crate) fn send_callback(
 /// entry's key — fails the condition, creates no row, and is ignored.
 pub(crate) fn handle_callback(
     core: &EnvCore,
-    ssf: &str,
-    callee_id: &str,
+    ssf: &Ssf,
+    callee_id: &Arc<str>,
     result: Option<Value>,
 ) -> BeldiResult<()> {
     let Some(pk) = crate::ids::callee_log_key(callee_id).map(PrimaryKey::hash) else {
@@ -558,7 +561,7 @@ pub(crate) fn handle_callback(
     let cond = Cond::eq(A_CALLEE_ID, callee_id);
     // beldi-lint: allow(crash-points/coverage, the callback result write is
     // bracketed by wrapper.pre_callback and wrapper.pre_done in the callee)
-    match core.db.update(&log_table(ssf), &pk, &cond, &update) {
+    match core.db.update(&ssf.log_table, &pk, &cond, &update) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),
     }

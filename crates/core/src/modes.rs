@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn cross_table_lock_payload() {
         let db = db();
-        let owner = crate::txn::lock_owner_value("t1", 7);
+        let owner = crate::txn::lock_owner_value(&"t1".into(), 7);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let out = cross_table_write(
             &db,

@@ -18,6 +18,8 @@
 //!   the two common sources of nondeterminism replayable, as Olive
 //!   prescribes for nondeterministic intent code.
 
+use std::sync::Arc;
+
 use beldi_simdb::{DbError, PrimaryKey};
 use beldi_value::{Cond, Path, Update, Value};
 
@@ -64,9 +66,12 @@ impl SsfContext {
     /// path; see `daal::TailCache`).
     pub(crate) fn raw_read_value(&self, physical: &str, key: &str) -> BeldiResult<Value> {
         match self.mode() {
-            Mode::Beldi => {
-                daal::read_value_cached(self.db(), self.core.tail_cache.as_ref(), physical, key)
-            }
+            Mode::Beldi => daal::read_value_cached(
+                self.db(),
+                self.core.tail_cache.as_ref(),
+                physical,
+                &key.into(),
+            ),
             Mode::CrossTable => modes::cross_table_read(self.db(), physical, key),
             Mode::Baseline => modes::baseline_read(self.db(), physical, key),
         }
@@ -79,17 +84,17 @@ impl SsfContext {
     /// every logged source of nondeterminism.
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
         let log_key = self.next_log_key();
-        let log = self.log_table();
+        let log = &self.ssf.log_table;
         self.crash(labels::READ_PRE_LOG);
         // First writer wins: a re-execution must find the value its
-        // predecessor logged, never overwrite it with a fresh read.
+        // predecessor logged, never overwrite it with a fresh read. The
+        // fresh entry is seeded with its key; `Owner` is the instance id.
         let entry_cond = Cond::not_exists(A_LOG_KEY);
         let update = Update::new()
-            .set(A_LOG_KEY, log_key.as_str())
-            .set(A_OWNER, self.instance_id())
+            .set(A_OWNER, &self.instance)
             .set(A_VALUE, val.clone());
-        let pk = PrimaryKey::hash(log_key.as_str());
-        match self.db().update(&log, &pk, &entry_cond, &update) {
+        let pk = PrimaryKey::hash(&log_key);
+        match self.db().update(log, &pk, &entry_cond, &update) {
             Ok(()) => {
                 self.crash(labels::READ_POST_LOG);
                 Ok(val)
@@ -97,7 +102,7 @@ impl SsfContext {
             Err(DbError::ConditionFailed) => {
                 // A previous execution of this step logged first; its
                 // value is authoritative.
-                let row = self.db().get(&log, &pk, None)?.ok_or_else(|| {
+                let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("read-log entry {log_key} vanished"))
                 })?;
                 Ok(row.get_attr(A_VALUE).cloned().unwrap_or(Value::Null))
@@ -122,7 +127,8 @@ impl SsfContext {
         if self.mode() == Mode::Baseline {
             return modes::baseline_write(self.db(), &physical, key, value);
         }
-        self.write_step(&physical, key, Update::new().set(A_VALUE, value), None)?;
+        let key = key.into();
+        self.write_step(&physical, &key, Update::new().set(A_VALUE, value), None)?;
         Ok(())
     }
 
@@ -150,7 +156,7 @@ impl SsfContext {
         }
         let out = self.write_step(
             &physical,
-            key,
+            &key.into(),
             Update::new().set(A_VALUE, value),
             Some(&cond),
         )?;
@@ -166,7 +172,7 @@ impl SsfContext {
     pub(crate) fn write_step(
         &mut self,
         physical: &str,
-        key: &str,
+        key: &Arc<str>,
         payload: Update,
         user_cond: Option<&Cond>,
     ) -> BeldiResult<WriteOutcome> {
@@ -177,20 +183,16 @@ impl SsfContext {
                 let payload = WritePayload { apply: payload };
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
-            Mode::CrossTable => {
-                let log = self.log_table();
-                let owner = self.instance_id().to_owned();
-                modes::cross_table_write(
-                    self.db(),
-                    physical,
-                    &log,
-                    key,
-                    &log_key,
-                    &owner,
-                    payload,
-                    user_cond,
-                )?
-            }
+            Mode::CrossTable => modes::cross_table_write(
+                self.db(),
+                physical,
+                &self.ssf.log_table,
+                key,
+                &log_key,
+                &self.instance,
+                payload,
+                user_cond,
+            )?,
             Mode::Baseline => {
                 // Unlogged; used only via lock/flush paths that are no-ops
                 // in baseline mode, but kept total for robustness.
@@ -210,7 +212,7 @@ impl SsfContext {
     // ---- Locks (§6.1) ----
 
     /// The condition under which `owner_id` may take (or retake) a lock.
-    pub(crate) fn lock_free_cond(owner_id: &str) -> Cond {
+    pub(crate) fn lock_free_cond(owner_id: &Arc<str>) -> Cond {
         Cond::not_exists(A_LOCK)
             .or(Cond::eq(A_LOCK, Value::Null))
             .or(Cond::eq(Path::attr(A_LOCK).then_attr("Id"), owner_id))
@@ -228,18 +230,18 @@ impl SsfContext {
     /// [`SsfContext::begin_tx`] switches locking to wait-die.
     pub fn lock(&mut self, table: &str, key: &str) -> BeldiResult<()> {
         if self.in_txn() {
-            return self.txn_lock(table, key).map(|_| ());
+            return self.txn_lock(table, &key.into()).map(|_| ());
         }
         if self.mode() == Mode::Baseline {
             return Ok(());
         }
         let physical = self.data_table(table)?;
-        let owner_id = self.instance_id().to_owned();
+        let (owner_id, key) = (self.instance.clone(), key.into());
         let owner = crate::txn::lock_owner_value(&owner_id, 0);
         for _ in 0..MAX_LOCK_SPINS {
             let out = self.write_step(
                 &physical,
-                key,
+                &key,
                 Update::new().set(A_LOCK, owner.clone()),
                 Some(&Self::lock_free_cond(&owner_id)),
             )?;
@@ -274,11 +276,10 @@ impl SsfContext {
             return Ok(());
         }
         let physical = self.data_table(table)?;
-        let owner_id = self.instance_id().to_owned();
-        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), owner_id);
+        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), &self.instance);
         let out = self.write_step(
             &physical,
-            key,
+            &key.into(),
             Update::new().set(A_LOCK, Value::Null),
             Some(&held),
         )?;

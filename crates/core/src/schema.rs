@@ -188,8 +188,8 @@ pub fn shadow_schema() -> TableSchema {
 }
 
 /// The combined hash key of a shadow DAAL: transaction id + original key.
-pub fn shadow_key(txn_id: &str, key: &str) -> String {
-    format!("{txn_id}|{key}")
+pub fn shadow_key(txn_id: &str, key: &str) -> std::sync::Arc<str> {
+    crate::ids::shared(format_args!("{txn_id}|{key}"))
 }
 
 #[cfg(test)]
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn schemas_have_expected_indexes() {
-        assert!(intent_schema().index_attrs.contains(&A_DONE.to_string()));
+        assert_eq!(intent_schema().index_attrs, [A_DONE]);
         assert_eq!(log_schema().index_attrs, [A_OWNER, A_TXN_ID]);
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn shadow_key_is_unambiguous() {
-        assert_eq!(shadow_key("t1", "k"), "t1|k");
+        assert_eq!(&*shadow_key("t1", "k"), "t1|k");
         assert_ne!(shadow_key("t1", "k"), shadow_key("t2", "k"));
     }
 }

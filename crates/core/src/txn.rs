@@ -26,6 +26,8 @@
 //! *replays* whatever a crashed instance read (Fig. 12's OCC infinite
 //! loop is reproduced as a test in `tests/opacity.rs`).
 
+use std::sync::Arc;
+
 use beldi_value::{Map, Value};
 
 use crate::error::{BeldiError, BeldiResult};
@@ -76,8 +78,9 @@ pub enum TxnOutcome {
 /// invocation inside the transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxnContext {
-    /// Globally unique transaction id (also the lock-owner id).
-    pub id: String,
+    /// Globally unique transaction id (also the lock-owner id), shared by
+    /// every lock, shadow entry and envelope that names it.
+    pub id: Arc<str>,
     /// Intent-creation timestamp in virtual ms — the age used by wait-die.
     pub start_ms: u64,
     /// Current phase.
@@ -88,16 +91,16 @@ impl TxnContext {
     /// Serializes the context for an invocation envelope or intent record.
     pub(crate) fn to_value(&self) -> Value {
         let mut m = Map::new();
-        m.insert("Id".into(), Value::from(self.id.as_str()));
-        m.insert("StartMs".into(), Value::Int(self.start_ms as i64));
-        m.insert("Mode".into(), Value::from(self.mode.as_str()));
+        m.insert("Id", Value::from(&self.id));
+        m.insert("StartMs", Value::Int(self.start_ms as i64));
+        m.insert("Mode", Value::from(self.mode.as_str()));
         Value::Map(m)
     }
 
     /// Parses a context from an envelope value.
     pub(crate) fn from_value(v: &Value) -> BeldiResult<Self> {
         let id = v
-            .get_str("Id")
+            .get_shared_str("Id")
             .ok_or_else(|| BeldiError::Protocol("txn ctx missing Id".into()))?;
         let start_ms = v
             .get_int("StartMs")
@@ -108,7 +111,7 @@ impl TxnContext {
             .and_then(TxnMode::parse)
             .ok_or_else(|| BeldiError::Protocol("txn ctx missing Mode".into()))?;
         Ok(TxnContext {
-            id: id.to_owned(),
+            id: id.clone(),
             start_ms,
             mode,
         })
@@ -126,7 +129,7 @@ impl TxnContext {
     /// Wait-die seniority: `self` waits for `owner` only when `self` is
     /// older. Ties break on the id so the order is total.
     pub(crate) fn is_older_than(&self, owner_start_ms: u64, owner_id: &str) -> bool {
-        (self.start_ms, self.id.as_str()) < (owner_start_ms, owner_id)
+        (self.start_ms, &*self.id) < (owner_start_ms, owner_id)
     }
 }
 
@@ -176,10 +179,10 @@ impl TxnState {
 
 /// Builds the `LockOwner` column value for a transaction or instance
 /// (Fig. 11 stores `[TXNID, START_TIME]`).
-pub(crate) fn lock_owner_value(owner_id: &str, start_ms: u64) -> Value {
+pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
     let mut m = Map::new();
-    m.insert("Id".into(), Value::from(owner_id));
-    m.insert("Ts".into(), Value::Int(start_ms as i64));
+    m.insert("Id", Value::from(owner_id));
+    m.insert("Ts", Value::Int(start_ms as i64));
     Value::Map(m)
 }
 
@@ -217,9 +220,9 @@ const WAIT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(1);
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ShadowEntry {
     /// Logical data-table name.
-    logical: String,
+    logical: Arc<str>,
     /// Original item key.
-    key: String,
+    key: Arc<str>,
     /// The buffered value when the transaction wrote the item; `None`
     /// when it only locked it.
     written: Option<Value>,
@@ -269,7 +272,7 @@ impl SsfContext {
         // The id and creation time are nondeterministic, so they are
         // logged: a re-executed instance resumes the *same* transaction
         // (and still owns its locks).
-        let id = self.logged_uuid()?;
+        let id = self.logged_uuid()?.into();
         let start_ms = self.logged_now_ms()?;
         self.txn = Some(TxnState::owned(TxnContext {
             id,
@@ -356,8 +359,8 @@ impl SsfContext {
     /// the lock — this transaction must die (it cannot kill the holder;
     /// SSFs have no way to kill each other, which is why wait-die rather
     /// than wound-wait).
-    pub(crate) fn txn_lock(&mut self, logical: &str, key: &str) -> BeldiResult<bool> {
-        let holds = |t: &TxnState| t.locked.iter().any(|(l, k)| l == logical && k == key);
+    pub(crate) fn txn_lock(&mut self, logical: &str, key: &Arc<str>) -> BeldiResult<bool> {
+        let holds = |t: &TxnState| t.locked.iter().any(|(l, k)| l == logical && **k == **key);
         if self.txn.as_ref().is_some_and(holds) {
             return Ok(false);
         }
@@ -374,7 +377,7 @@ impl SsfContext {
             if out.as_bool() {
                 let created = self.ensure_shadow_entry(logical, key)?;
                 if let Some(t) = &mut self.txn {
-                    t.locked.push((logical.to_owned(), key.to_owned()));
+                    t.locked.push((logical.to_owned(), key.to_string()));
                 }
                 return Ok(created);
             }
@@ -384,7 +387,7 @@ impl SsfContext {
             match parse_lock_owner(&holder) {
                 None => continue, // Freed in between; retry immediately.
                 Some((owner_id, owner_ts)) => {
-                    if owner_id == ctx.id {
+                    if owner_id == &*ctx.id {
                         continue; // Stale view of our own lock; retry.
                     }
                     if ctx.is_older_than(owner_ts, owner_id) {
@@ -408,16 +411,18 @@ impl SsfContext {
     /// Transactional read: lock, then read the shadow value if this
     /// transaction wrote the item, else the real value. Logged.
     pub(crate) fn txn_read(&mut self, logical: &str, key: &str) -> BeldiResult<Value> {
-        let fresh = self.txn_lock(logical, key)?;
-        let val = self.txn_effective_value(logical, key, fresh)?;
+        let key = key.into();
+        let fresh = self.txn_lock(logical, &key)?;
+        let val = self.txn_effective_value(logical, &key, fresh)?;
         self.log_value(val)
     }
 
     /// Transactional write: lock, then buffer the value in the shadow
     /// table (flushed to the real table at commit).
     pub(crate) fn txn_write(&mut self, logical: &str, key: &str, value: Value) -> BeldiResult<()> {
-        self.txn_lock(logical, key)?;
-        self.shadow_write(logical, key, value)
+        let key = key.into();
+        self.txn_lock(logical, &key)?;
+        self.shadow_write(logical, &key, value)
     }
 
     /// Transactional conditional write: the condition is evaluated against
@@ -434,15 +439,16 @@ impl SsfContext {
         value: Value,
         cond: Cond,
     ) -> BeldiResult<bool> {
-        let fresh = self.txn_lock(logical, key)?;
-        let cur = self.txn_effective_value(logical, key, fresh)?;
+        let key = key.into();
+        let fresh = self.txn_lock(logical, &key)?;
+        let cur = self.txn_effective_value(logical, &key, fresh)?;
         let cur = self.log_value(cur)?;
         let row = beldi_value::vmap! { A_VALUE => cur };
         let holds = cond
             .eval(&row)
             .map_err(|e| BeldiError::Protocol(format!("in-txn condition error: {e}")))?;
         if holds {
-            self.shadow_write(logical, key, value)?;
+            self.shadow_write(logical, &key, value)?;
         }
         Ok(holds)
     }
@@ -451,7 +457,12 @@ impl SsfContext {
     /// if present, else the committed value. A `fresh` shadow entry (see
     /// [`SsfContext::txn_lock`]) is not probed; on replay the read log
     /// returns the logged value either way.
-    fn txn_effective_value(&mut self, logical: &str, key: &str, fresh: bool) -> BeldiResult<Value> {
+    fn txn_effective_value(
+        &mut self,
+        logical: &str,
+        key: &Arc<str>,
+        fresh: bool,
+    ) -> BeldiResult<Value> {
         if !fresh {
             let ctx = self.txn_ctx_cloned()?;
             let shadow = self.shadow_table(logical)?;
@@ -469,13 +480,13 @@ impl SsfContext {
 
     /// Creates the shadow-table entry for a locked item if absent
     /// (idempotent, unlogged — `set_if_absent` semantics); true if created.
-    fn ensure_shadow_entry(&mut self, logical: &str, key: &str) -> BeldiResult<bool> {
+    fn ensure_shadow_entry(&mut self, logical: &str, key: &Arc<str>) -> BeldiResult<bool> {
         let ctx = self.txn_ctx_cloned()?;
         let shadow = self.shadow_table(logical)?;
         let skey = shadow_key(&ctx.id, key);
-        let pk = PrimaryKey::hash_sort(skey.as_str(), ROW_HEAD);
+        let pk = PrimaryKey::hash_sort(skey, ROW_HEAD);
         let update = Update::new()
-            .set(A_TXN_ID, ctx.id.as_str())
+            .set(A_TXN_ID, &ctx.id)
             .set(A_ORIG_KEY, key)
             .set(A_ORIG_TABLE, logical)
             .set(A_WRITTEN, Value::Bool(false))
@@ -497,7 +508,7 @@ impl SsfContext {
     }
 
     /// Exactly-once buffered write into the shadow DAAL.
-    fn shadow_write(&mut self, logical: &str, key: &str, value: Value) -> BeldiResult<()> {
+    fn shadow_write(&mut self, logical: &str, key: &Arc<str>, value: Value) -> BeldiResult<()> {
         let ctx = self.txn_ctx_cloned()?;
         let shadow = self.shadow_table(logical)?;
         let skey = shadow_key(&ctx.id, key);
@@ -542,7 +553,7 @@ impl SsfContext {
         }
 
         // 1. Flush (commit only) and release every item held here.
-        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), ctx.id.as_str());
+        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), &ctx.id);
         for e in self.shadow_entries(&ctx.id)? {
             let physical = self.data_table(&e.logical)?;
             let release = Update::new().set(A_LOCK, Value::Null);
@@ -580,15 +591,14 @@ impl SsfContext {
     /// re-execution of the claimant); false when another instance already
     /// finalizes this transaction here.
     fn claim_finalize_marker(&mut self, txn_id: &str) -> BeldiResult<bool> {
-        let table = self.intent_table();
-        let marker_id = crate::ids::finalize_marker(txn_id);
-        let pk = PrimaryKey::hash(marker_id.as_str());
+        let table = &self.ssf.intent_table;
+        let pk = PrimaryKey::hash(crate::ids::finalize_marker(txn_id));
         // `Done = true` keeps the intent collector away; the GC recycles
-        // the marker like any completed intent.
+        // the marker like any completed intent. Its fresh row is seeded
+        // with its `Id`.
         let update = Update::new()
-            .set(A_ID, marker_id.as_str())
             .set(A_DONE, Value::Bool(true))
-            .set(A_CLAIMANT, self.instance_id())
+            .set(A_CLAIMANT, &self.instance)
             .set(
                 crate::schema::A_CREATED,
                 Value::Int(self.raw_now_ms() as i64),
@@ -597,11 +607,11 @@ impl SsfContext {
             .db()
             // beldi-lint: allow(crash-points/coverage, txn.pre_finalize fires before the
             // marker claim and txn.post_finalize after it in finalize)
-            .update(&table, &pk, &Cond::not_exists(A_ID), &update)
+            .update(table, &pk, &Cond::not_exists(A_ID), &update)
         {
             Ok(()) => Ok(true),
             Err(DbError::ConditionFailed) => {
-                let row = self.db().get(&table, &pk, None)?;
+                let row = self.db().get(table, &pk, None)?;
                 Ok(row
                     .as_ref()
                     .and_then(|r| r.get_str(A_CLAIMANT))
@@ -615,23 +625,22 @@ impl SsfContext {
     /// Reconstructs, from the shadow tables, the deterministic sorted list
     /// of items this transaction locked/wrote in this SSF, with the values
     /// it wrote: one read of each shadow tail.
-    fn shadow_entries(&mut self, txn_id: &str) -> BeldiResult<Vec<ShadowEntry>> {
+    fn shadow_entries(&mut self, txn_id: &Arc<str>) -> BeldiResult<Vec<ShadowEntry>> {
         let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
         let proj = Projection::attrs([A_ORIG_KEY, A_ORIG_TABLE, A_WRITTEN, A_VALUE]);
         let mut out = std::collections::BTreeSet::new();
-        for logical in self.logical_tables() {
-            let shadow = self.shadow_table(&logical)?;
-            let rows =
-                self.db()
-                    .index_query(&shadow, A_TXN_ID, &Value::from(txn_id), &keys_only)?;
-            let mut skeys = std::collections::BTreeSet::new();
-            for row in &rows {
-                if let Some(k) = row.get_str(A_KEY) {
-                    skeys.insert(k.to_owned());
-                }
-            }
+        let ssf = self.ssf.clone();
+        for table in &ssf.tables {
+            let shadow = &table.shadow;
+            let rows = self
+                .db()
+                .index_query(shadow, A_TXN_ID, &Value::from(txn_id), &keys_only)?;
+            let skeys: std::collections::BTreeSet<&Arc<str>> = rows
+                .iter()
+                .filter_map(|row| row.get_shared_str(A_KEY))
+                .collect();
             for skey in skeys {
-                let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &proj)? else {
+                let Some(mut tail) = daal::read_tail_row(self.db(), shadow, skey, &proj)? else {
                     continue;
                 };
                 let Some(key) = tail.take_str(A_ORIG_KEY) else {
@@ -640,7 +649,7 @@ impl SsfContext {
                 out.insert(ShadowEntry {
                     logical: tail
                         .take_str(A_ORIG_TABLE)
-                        .unwrap_or_else(|| logical.clone()),
+                        .unwrap_or_else(|| table.logical.as_str().into()),
                     key,
                     written: (tail.get_bool(A_WRITTEN) == Some(true))
                         .then(|| tail.take_attr(A_VALUE).unwrap_or(Value::Null)),
@@ -654,7 +663,7 @@ impl SsfContext {
     /// transaction, from the log's transaction-id index.
     fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<String>> {
         let rows = self.db().index_query(
-            &self.log_table(),
+            &self.ssf.log_table,
             A_TXN_ID,
             &Value::from(txn_id),
             &ScanRequest::all(),
@@ -725,7 +734,7 @@ mod tests {
 
     #[test]
     fn lock_owner_round_trips() {
-        let v = lock_owner_value("txn-9", 123);
+        let v = lock_owner_value(&"txn-9".into(), 123);
         assert_eq!(parse_lock_owner(&v), Some(("txn-9", 123)));
         assert_eq!(parse_lock_owner(&Value::Null), None);
     }

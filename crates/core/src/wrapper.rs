@@ -27,28 +27,28 @@ use beldi_value::Value;
 
 use crate::config::Mode;
 use crate::context::SsfContext;
-use crate::env::EnvCore;
+use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiError;
 use crate::intent;
 use crate::invoke::{self, Envelope, Outcome};
 use crate::labels;
 use crate::txn::{TxnMode, TxnState};
 
-/// Builds the platform handler wrapping SSF `name`.
+/// Builds the platform handler wrapping SSF `ssf`.
 ///
 /// The handler holds only a weak reference to the environment so dropping
 /// the [`crate::BeldiEnv`] tears everything down; invocations racing the
 /// teardown fail as crashes.
-pub(crate) fn make_handler(core: Weak<EnvCore>, name: String) -> FunctionHandler {
+pub(crate) fn make_handler(core: Weak<EnvCore>, ssf: Arc<Ssf>) -> FunctionHandler {
     Arc::new(move |ictx: &InvocationCtx, payload: Value| -> Value {
         let Some(core) = core.upgrade() else {
             panic!("beldi: environment dropped");
         };
-        dispatch(&core, &name, ictx, payload)
+        dispatch(&core, &ssf, ictx, payload)
     })
 }
 
-fn dispatch(core: &Arc<EnvCore>, ssf: &str, ictx: &InvocationCtx, payload: Value) -> Value {
+fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: Value) -> Value {
     let envelope = match Envelope::from_value(payload) {
         Ok(e) => e,
         Err(e) => return Outcome::Error(format!("bad envelope: {e}")).into_value(),
@@ -61,11 +61,11 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &str, ictx: &InvocationCtx, payload: Value
             txn,
             is_async,
         } => {
-            let instance = id.unwrap_or_else(|| ictx.request_id.clone());
+            let instance = id.unwrap_or_else(|| ictx.request_id.as_str().into());
             if core.config.mode == Mode::Baseline {
-                run_baseline(core, ssf, &instance, input)
+                run_baseline(core, ssf, instance, input)
             } else {
-                run_call(core, ssf, &instance, input, caller, txn, is_async)
+                run_call(core, ssf, instance, input, caller, txn, is_async)
             }
         }
         Envelope::Callback { callee_id, result } => {
@@ -75,22 +75,15 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &str, ictx: &InvocationCtx, payload: Value
             }
         }
         Envelope::AsyncReg { id, input, caller } => run_async_reg(core, ssf, &id, input, &caller),
-        Envelope::TxnSignal { id, txn } => run_txn_signal(core, ssf, &id, txn),
+        Envelope::TxnSignal { id, txn } => run_txn_signal(core, ssf, id, txn),
     }
 }
 
 /// Baseline mode: run the body with raw semantics — no intent, no logs, no
 /// guarantees. This is the paper's comparison system.
-fn run_baseline(core: &Arc<EnvCore>, ssf: &str, instance: &str, input: Value) -> Value {
-    let body = {
-        let registry = core.registry.read();
-        match registry.get(ssf) {
-            Some(e) => e.body.clone(),
-            None => return Outcome::Error(format!("SSF {ssf} not registered")).into_value(),
-        }
-    };
-    let mut ctx = SsfContext::new(core.clone(), ssf, instance, None, false, None);
-    match body(&mut ctx, input) {
+fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, instance: Arc<str>, input: Value) -> Value {
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, None, false, None);
+    match (ssf.body)(&mut ctx, input) {
         Ok(v) => Outcome::Ok(v).into_value(),
         Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
         Err(e) => Outcome::Error(e.to_string()).into_value(),
@@ -102,19 +95,19 @@ fn run_baseline(core: &Arc<EnvCore>, ssf: &str, instance: &str, input: Value) ->
 /// skipping the result callback).
 fn run_call(
     core: &Arc<EnvCore>,
-    ssf: &str,
-    instance: &str,
+    ssf: &Arc<Ssf>,
+    instance: Arc<str>,
     input: Value,
-    caller: Option<String>,
+    caller: Option<Arc<str>>,
     txn: Option<crate::TxnContext>,
     is_async: bool,
 ) -> Value {
     let faults = core.platform.faults();
-    faults.instance_started(instance);
-    faults.crash_point(instance, labels::WRAPPER_ENTER);
+    faults.instance_started(&instance);
+    faults.crash_point(&instance, labels::WRAPPER_ENTER);
 
     let db = &core.db;
-    let intent_table = crate::schema::intent_table(ssf);
+    let intent_table = &ssf.intent_table;
     let now_ms = core.platform.clock().now().as_millis();
 
     // The record of an earlier execution of this intent, if there was one.
@@ -122,7 +115,7 @@ fn run_call(
         // Async stub (Fig. 20): only run intents that were registered by
         // the caller's registration step and are still incomplete, so the
         // GC can prune completed intents without interference.
-        match intent::load(db, &intent_table, instance) {
+        match intent::load(db, intent_table, &instance) {
             Ok(Some(r)) if !r.done => Some(r),
             Ok(_) => return Outcome::Ok(Value::Null).into_value(),
             Err(e) => return Outcome::Error(e.to_string()).into_value(),
@@ -132,7 +125,7 @@ fn run_call(
         // registration wins and re-executions adopt it). Its `Args` are
         // the call as the collector must re-send it.
         let args = Envelope::Call {
-            id: Some(instance.to_owned()),
+            id: Some(instance.clone()),
             input: input.clone(),
             caller: caller.clone(),
             txn: txn.clone(),
@@ -141,18 +134,18 @@ fn run_call(
         .into_value();
         match intent::register(
             db,
-            &intent_table,
-            instance,
+            intent_table,
+            &instance,
             args,
             is_async,
-            caller.as_deref(),
+            caller.as_ref(),
             now_ms,
         ) {
             Ok(r) => r,
             Err(e) => return Outcome::Error(e.to_string()).into_value(),
         }
     };
-    faults.crash_point(instance, labels::WRAPPER_POST_INTENT);
+    faults.crash_point(&instance, labels::WRAPPER_POST_INTENT);
     let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
 
     if let Some(record) = earlier.filter(|r| r.done) {
@@ -161,39 +154,32 @@ fn run_call(
         // completion died between callback and response delivery; the
         // *recorded* caller is authoritative (the envelope of a duplicate
         // dispatch might be stale).
-        core.record_recovery(instance, created_ms);
+        core.record_recovery(&instance, created_ms);
         let outcome = record.ret.unwrap_or(Value::Null);
         if let Some(c) = &record.caller {
             if !record.is_async {
-                invoke::send_callback(core, c, instance, Some(&outcome));
+                invoke::send_callback(core, c, &instance, Some(&outcome));
             }
         }
         return outcome;
     }
 
     // Fresh (or resumed) execution.
-    let body = {
-        let registry = core.registry.read();
-        match registry.get(ssf) {
-            Some(e) => e.body.clone(),
-            None => return Outcome::Error(format!("SSF {ssf} not registered")).into_value(),
-        }
-    };
     let txn_state = txn.map(TxnState::inherited);
     let mut ctx = SsfContext::new(
         core.clone(),
-        ssf,
+        ssf.clone(),
         instance,
         caller.clone(),
         is_async,
         txn_state,
     );
-    let outcome = run_body(&mut ctx, &body, input);
-    let ret = finish(core, ssf, &mut ctx, caller.as_deref(), is_async, outcome);
+    let outcome = run_body(&mut ctx, &ssf.body, input);
+    let ret = finish(core, &mut ctx, caller.as_deref(), is_async, outcome);
     // The intent is durably done: if this instance was ever killed by the
     // injector, its recovery completes here (crashes *after* this point
     // land in the replay path above instead).
-    core.record_recovery(instance, created_ms);
+    core.record_recovery(ctx.instance_id(), created_ms);
     ret
 }
 
@@ -252,13 +238,12 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 /// outcome.
 fn finish(
     core: &Arc<EnvCore>,
-    ssf: &str,
     ctx: &mut SsfContext,
     caller: Option<&str>,
     is_async: bool,
     outcome: Outcome,
 ) -> Value {
-    let instance = ctx.instance_id().to_owned();
+    let instance = ctx.instance.clone();
     let outcome_value = outcome.into_value();
     ctx.crash(labels::WRAPPER_PRE_CALLBACK);
     if let (Some(c), false) = (caller, is_async) {
@@ -269,8 +254,8 @@ fn finish(
         }
     }
     ctx.crash(labels::WRAPPER_PRE_DONE);
-    let intent_table = crate::schema::intent_table(ssf);
-    if let Err(e) = intent::mark_done(&core.db, &intent_table, &instance, outcome_value.clone()) {
+    let intent_table = &ctx.ssf.intent_table;
+    if let Err(e) = intent::mark_done(&core.db, intent_table, &instance, outcome_value.clone()) {
         if let crate::error::BeldiError::Db(beldi_simdb::DbError::ConditionFailed) = e {
             // The intent row is gone: every instance registers before its
             // first effect, so absence means the GC already recycled this
@@ -292,24 +277,23 @@ fn finish(
 /// log the intent, confirm to the caller via callback, return.
 fn run_async_reg(
     core: &Arc<EnvCore>,
-    ssf: &str,
-    instance: &str,
+    ssf: &Ssf,
+    instance: &Arc<str>,
     input: Value,
-    caller: &str,
+    caller: &Arc<str>,
 ) -> Value {
-    let intent_table = crate::schema::intent_table(ssf);
     let now_ms = core.platform.clock().now().as_millis();
     // Args = the call envelope the IC should re-fire.
     let call = Envelope::Call {
-        id: Some(instance.to_owned()),
+        id: Some(instance.clone()),
         input,
-        caller: Some(caller.to_owned()),
+        caller: Some(caller.clone()),
         txn: None,
         is_async: true,
     };
     if let Err(e) = intent::register(
         &core.db,
-        &intent_table,
+        &ssf.intent_table,
         instance,
         call.into_value(),
         true,
@@ -330,19 +314,23 @@ fn run_async_reg(
 /// Handles a commit/abort signal (§6.2): an exactly-once instance that
 /// skips the SSF's logic and runs only the decision protocol for its
 /// share of the transaction, then signals its own callees.
-fn run_txn_signal(core: &Arc<EnvCore>, ssf: &str, instance: &str, txn: crate::TxnContext) -> Value {
+fn run_txn_signal(
+    core: &Arc<EnvCore>,
+    ssf: &Arc<Ssf>,
+    instance: Arc<str>,
+    txn: crate::TxnContext,
+) -> Value {
     let faults = core.platform.faults();
-    faults.instance_started(instance);
-    let intent_table = crate::schema::intent_table(ssf);
+    faults.instance_started(&instance);
     let now_ms = core.platform.clock().now().as_millis();
     let envelope = Envelope::TxnSignal {
-        id: instance.to_owned(),
+        id: instance.clone(),
         txn: txn.clone(),
     };
     let earlier = match intent::register(
         &core.db,
-        &intent_table,
-        instance,
+        &ssf.intent_table,
+        &instance,
         envelope.into_value(),
         false,
         None,
@@ -358,7 +346,7 @@ fn run_txn_signal(core: &Arc<EnvCore>, ssf: &str, instance: &str, txn: crate::Tx
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
     let mut ctx = SsfContext::new(
         core.clone(),
-        ssf,
+        ssf.clone(),
         instance,
         None,
         false,
@@ -368,5 +356,5 @@ fn run_txn_signal(core: &Arc<EnvCore>, ssf: &str, instance: &str, txn: crate::Tx
         Ok(()) => Outcome::Ok(Value::Null),
         Err(e) => Outcome::Error(e.to_string()),
     };
-    finish(core, ssf, &mut ctx, None, false, outcome)
+    finish(core, &mut ctx, None, false, outcome)
 }

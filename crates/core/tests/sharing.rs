@@ -8,11 +8,18 @@
 //! or a write through a shared handle that re-homes the map below it. (A
 //! write that copies only the level it writes leaves the levels below
 //! shared and does not show here: CI's `allocs_per_req` guard counts it.)
+//!
+//! Ids are stored several times too, and each is one string: a callee id
+//! is its caller's `CalleeId`, the callee's intent key and the `Owner` of
+//! every entry the callee logs; a log key is its entry's row key and its
+//! `LogKey`.
 
 use std::sync::Arc;
 
 use beldi::labels;
-use beldi::schema::{intent_table, log_table, A_ARGS, A_RESULT, A_RET};
+use beldi::schema::{
+    intent_table, log_table, A_ARGS, A_CALLEE_ID, A_ID, A_LOG_KEY, A_OWNER, A_RESULT, A_RET,
+};
 use beldi::value::{vmap, Map, Value};
 use beldi::{BeldiEnv, CrashPlan, A_VALUE};
 use beldi_simdb::ScanRequest;
@@ -151,4 +158,36 @@ fn a_re_executed_instance_gets_equal_values_and_shares_them_still() {
     );
     assert_eq!(ret, callee[1].ret);
     assert_stored_once(&env, &callee[1], &caller[0]);
+}
+
+/// The string a stored attribute holds, by address.
+fn text(v: &Value) -> *const u8 {
+    v.as_shared_str().expect("a string").as_ptr()
+}
+
+#[test]
+fn an_id_the_protocol_stores_several_times_is_one_string() {
+    let (env, _, _) = env();
+    env.invoke_as("caller", "root", Value::Null).unwrap();
+
+    // The callee id: the caller's invoke-log entry names it, the callee's
+    // intent is keyed by it, and the callee's read-log entry is owned by it.
+    let callee_id = stored(&env, &log_table("caller"), A_CALLEE_ID);
+    let intent = stored(&env, &intent_table("callee"), A_ID);
+    let owner = stored(&env, &log_table("callee"), A_OWNER);
+    assert_eq!(callee_id, intent);
+    assert_eq!(text(&callee_id), text(&intent));
+    assert_eq!(text(&callee_id), text(&owner));
+
+    // A log key: the read-log entry's `LogKey` is its row key.
+    let snapshot = env.db().snapshot();
+    let (key, row) = snapshot
+        .rows(&log_table("callee"))
+        .expect("the callee's log")
+        .iter()
+        .next()
+        .expect("its read-log entry");
+    let log_key = row.get_attr(A_LOG_KEY).expect("a log key");
+    assert_eq!(&key.hash, log_key);
+    assert_eq!(text(&key.hash), text(log_key));
 }

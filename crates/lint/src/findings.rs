@@ -39,11 +39,11 @@ impl Finding {
 
     fn to_value(&self) -> Value {
         let mut m = Map::new();
-        m.insert("rule".to_owned(), Value::Str(self.rule.clone()));
-        m.insert("file".to_owned(), Value::Str(self.path.clone()));
-        m.insert("line".to_owned(), Value::Int(self.line as i64));
-        m.insert("message".to_owned(), Value::Str(self.message.clone()));
-        m.insert("snippet".to_owned(), Value::Str(self.snippet.clone()));
+        m.insert("rule", Value::from(&self.rule));
+        m.insert("file", Value::from(&self.path));
+        m.insert("line", Value::Int(self.line as i64));
+        m.insert("message", Value::from(&self.message));
+        m.insert("snippet", Value::from(&self.snippet));
         Value::Map(m)
     }
 }
@@ -63,7 +63,7 @@ impl Report {
     /// Machine-readable `lint.json` payload.
     pub fn to_json(&self) -> String {
         let mut root = Map::new();
-        root.insert("files_scanned".to_owned(), Value::Int(self.files as i64));
+        root.insert("files_scanned", Value::Int(self.files as i64));
         root.insert(
             "active".to_owned(),
             Value::List(self.active.iter().map(Finding::to_value).collect()),
@@ -76,7 +76,7 @@ impl Report {
                     .map(|(f, reason)| {
                         let mut v = f.to_value();
                         if let Value::Map(m) = &mut v {
-                            m.insert("waive_reason".to_owned(), Value::Str(reason.clone()));
+                            m.insert("waive_reason", Value::from(reason.as_str()));
                         }
                         v
                     })

@@ -380,6 +380,9 @@ impl Database {
     /// Applies a conditional update under a partition lock; returns the
     /// new row size. An existing row is updated where it is stored
     /// ([`PartitionData::update_row`]), never through a copy.
+    ///
+    /// An update that changes a key attribute, of the stored row or a fresh
+    /// one, is refused ([`DbError::BadKey`]) and leaves the partition as it was.
     fn apply_update(
         data: &mut PartitionData,
         schema: &TableSchema,
@@ -392,9 +395,10 @@ impl Database {
             return Err(DbError::ConditionFailed);
         }
         if existing.is_some() {
-            return data.update_row(key, update, schema.max_row_bytes);
+            return data.update_row(key, update, schema);
         }
-        // Fresh row: seed it with the key attributes.
+        // Fresh row: seed it with the key attributes (the schema's names
+        // and the key's values are shared handles, so this copies nothing).
         let mut m = beldi_value::Map::new();
         m.insert(schema.hash_attr.clone(), key.hash.clone());
         if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
@@ -402,6 +406,7 @@ impl Database {
         }
         let mut new_row = Value::Map(m);
         update.apply(&mut new_row)?;
+        schema.check_key(&new_row, key)?;
         data.put_row(key.clone(), new_row, schema.max_row_bytes)
     }
 
@@ -995,6 +1000,73 @@ mod tests {
         assert_eq!(row.get_str("Key"), Some("new"));
         assert_eq!(row.get_int("RowId"), Some(3));
         assert_eq!(row.get_str("V"), Some("hello"));
+    }
+
+    #[test]
+    fn an_update_cannot_re_file_a_row() {
+        let db = Database::for_tests();
+        db.create_table(
+            "t",
+            TableSchema::hash_and_sort("Key", "RowId").with_index("Done"),
+        )
+        .unwrap();
+        let key = PrimaryKey::hash_sort("a", 0i64);
+        db.put(
+            "t",
+            vmap! { "Key" => "a", "RowId" => 0i64, "Done" => false, "N" => 1i64 },
+        )
+        .unwrap();
+        let stored = || db.get("t", &key, None).unwrap();
+        let done = |v: bool| {
+            db.index_query("t", "Done", &Value::Bool(v), &ScanRequest::all())
+                .unwrap()
+        };
+        let before = (stored(), done(false), db.row_count("t").unwrap());
+        let refiles = [
+            Update::new().set("Done", true).set("Key", "b"),
+            Update::new().inc("N", 1).set("RowId", 1i64),
+            Update::new().remove("Key"),
+            Update::new().set(beldi_value::Path::new(Vec::new()), vmap! { "Done" => true }),
+        ];
+        for update in &refiles {
+            let err = db.update("t", &key, &Cond::True, update).unwrap_err();
+            assert!(matches!(err, DbError::BadKey(_)), "{update}: {err}");
+            // Refused in a transaction too, and all of it taken back.
+            let ops = [
+                TransactOp::Update {
+                    table: "t".into(),
+                    key: PrimaryKey::hash_sort("other", 0i64),
+                    cond: Cond::True,
+                    update: Update::new().set("N", 9i64),
+                },
+                TransactOp::Update {
+                    table: "t".into(),
+                    key: key.clone(),
+                    cond: Cond::True,
+                    update: update.clone(),
+                },
+            ];
+            let err = db.transact_write(&ops).unwrap_err();
+            assert!(matches!(err, DbError::BadKey(_)), "{update}: {err}");
+            assert_eq!(
+                (stored(), done(false), db.row_count("t").unwrap()),
+                before,
+                "{update}"
+            );
+            assert!(done(true).is_empty(), "{update}");
+        }
+        // An upsert is seeded with its key and may not change it either.
+        let fresh = PrimaryKey::hash_sort("new", 0i64);
+        for update in &refiles[..2] {
+            let err = db.update("t", &fresh, &Cond::True, update).unwrap_err();
+            assert!(matches!(err, DbError::BadKey(_)), "{update}: {err}");
+        }
+        assert!(db.get("t", &fresh, None).unwrap().is_none());
+        assert_eq!(db.row_count("t").unwrap(), 1);
+        assert!(done(true).is_empty());
+        // Setting a key attribute to the value it has is no change.
+        db.update("t", &key, &Cond::True, &Update::new().set("Key", "a"))
+            .unwrap();
     }
 
     #[test]

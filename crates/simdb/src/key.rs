@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use beldi_value::Value;
+use beldi_value::{Name, Value};
 
 use crate::error::{DbError, DbResult};
 
@@ -11,16 +11,17 @@ use crate::error::{DbError, DbResult};
 ///
 /// The linked DAAL uses `hash = Key`, `sort = RowId` (paper §4.1), so that a
 /// [`crate::Database::query`] on `Key` returns every row of one item's DAAL.
+/// Its attribute names are [`Name`]s, which a fresh row's key borrows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Name of the hash-key attribute.
-    pub hash_attr: String,
+    pub hash_attr: Name,
     /// Name of the sort-key attribute, if the table has one.
-    pub sort_attr: Option<String>,
+    pub sort_attr: Option<Name>,
     /// Maximum row size in bytes (DynamoDB: 400 KB).
     pub max_row_bytes: usize,
     /// Secondary index attributes (exact-match lookup).
-    pub index_attrs: Vec<String>,
+    pub index_attrs: Vec<Name>,
 }
 
 /// DynamoDB's documented item size limit in bytes.
@@ -28,7 +29,7 @@ pub const DYNAMO_ROW_LIMIT: usize = 400 * 1024;
 
 impl TableSchema {
     /// Creates a hash-only schema with the DynamoDB row limit.
-    pub fn hash_only(hash_attr: impl Into<String>) -> Self {
+    pub fn hash_only(hash_attr: impl Into<Name>) -> Self {
         TableSchema {
             hash_attr: hash_attr.into(),
             sort_attr: None,
@@ -38,7 +39,7 @@ impl TableSchema {
     }
 
     /// Creates a hash+sort schema with the DynamoDB row limit.
-    pub fn hash_and_sort(hash_attr: impl Into<String>, sort_attr: impl Into<String>) -> Self {
+    pub fn hash_and_sort(hash_attr: impl Into<Name>, sort_attr: impl Into<Name>) -> Self {
         TableSchema {
             hash_attr: hash_attr.into(),
             sort_attr: Some(sort_attr.into()),
@@ -54,7 +55,7 @@ impl TableSchema {
     }
 
     /// Adds a secondary index on an attribute (builder style).
-    pub fn with_index(mut self, attr: impl Into<String>) -> Self {
+    pub fn with_index(mut self, attr: impl Into<Name>) -> Self {
         self.index_attrs.push(attr.into());
         self
     }
@@ -74,6 +75,18 @@ impl TableSchema {
             None => None,
         };
         Ok(PrimaryKey { hash, sort })
+    }
+
+    /// Refuses an updated row stored at `key` whose key attributes are no
+    /// longer `key`: an update may not re-file a row.
+    pub(crate) fn check_key(&self, item: &Value, key: &PrimaryKey) -> DbResult<()> {
+        let sort = self.sort_attr.as_ref().and_then(|s| item.get_attr(s));
+        if item.get_attr(&self.hash_attr) == Some(&key.hash) && sort == key.sort.as_ref() {
+            return Ok(());
+        }
+        Err(DbError::BadKey(format!(
+            "an update changed the key of {key}"
+        )))
     }
 }
 
@@ -155,7 +168,7 @@ mod tests {
             .with_max_row_bytes(1024)
             .with_index("Done");
         assert_eq!(s.max_row_bytes, 1024);
-        assert_eq!(s.index_attrs, vec!["Done".to_string()]);
+        assert_eq!(s.index_attrs, ["Done"]);
         assert!(s.sort_attr.is_none());
     }
 }

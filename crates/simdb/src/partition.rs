@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use beldi_value::{Fnv1a, SizeOf, Update, Value};
+use beldi_value::{Fnv1a, Name, SizeOf, Update, Value};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
@@ -47,7 +47,7 @@ pub(crate) struct PartitionData {
     pub(crate) rows: BTreeMap<PrimaryKey, Value>,
     /// index attribute name -> indexed value -> set of row keys
     /// (restricted to rows of this partition; readers merge shards).
-    indexes: HashMap<String, BTreeMap<Value, BTreeSet<PrimaryKey>>>,
+    indexes: HashMap<Name, BTreeMap<Value, BTreeSet<PrimaryKey>>>,
 }
 
 impl PartitionData {
@@ -97,11 +97,12 @@ impl PartitionData {
     /// (then the levels written are copied first and the reader keeps what
     /// it read). Returns the new size in bytes.
     ///
-    /// All or nothing: if an action fails, or the result is over
-    /// `max_row_bytes`, the update is taken back
-    /// ([`beldi_value::UndoLog`]) and the row and the index shards are
-    /// exactly as before. Index shards move only for attributes the
-    /// update names.
+    /// All or nothing: if an action fails, the result is over the
+    /// schema's `max_row_bytes`, or it would re-file the row (its key
+    /// attributes no longer `key`: [`DbError::BadKey`], as DynamoDB
+    /// refuses), the update is taken back ([`beldi_value::UndoLog`]) and
+    /// the row and the index shards are exactly as before. Index shards
+    /// move only for attributes the update names.
     ///
     /// # Panics
     ///
@@ -111,26 +112,32 @@ impl PartitionData {
         &mut self,
         key: &PrimaryKey,
         update: &Update,
-        max_row_bytes: usize,
+        schema: &TableSchema,
     ) -> DbResult<usize> {
         let row = self.rows.get_mut(key).expect("update_row: no such row");
         // The indexed attributes the update can change (an empty path
         // replaces the row, so names them all), with their values now.
         let mut named = Vec::new();
         for (attr, index) in self.indexes.iter_mut() {
-            let names = |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr);
+            let names =
+                |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr.as_str());
             if update.actions().iter().any(|a| names(a.path())) {
                 named.push((attr.as_str(), index, row.get_attr(attr).cloned()));
             }
         }
         let undo = update.apply_undoable(row)?;
         let size = row.size_bytes();
-        if size > max_row_bytes {
-            undo.rollback(row);
-            return Err(DbError::RowTooLarge {
+        let checked = if size > schema.max_row_bytes {
+            Err(DbError::RowTooLarge {
                 size,
-                limit: max_row_bytes,
-            });
+                limit: schema.max_row_bytes,
+            })
+        } else {
+            schema.check_key(row, key)
+        };
+        if let Err(e) = checked {
+            undo.rollback(row);
+            return Err(e);
         }
         for (attr, index, old) in named {
             let new = row.get_attr(attr);
@@ -359,7 +366,7 @@ mod tests {
                 return Ok(Some(v));
             };
             match (first, v) {
-                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_ref()) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_str()) {
                     Some(inner) => get(inner, rest),
                     None => Ok(None),
                 },
@@ -377,11 +384,11 @@ mod tests {
             };
             match (first, v) {
                 (PathSegment::Attr(a), Value::Map(m)) if rest.is_empty() => {
-                    m.insert(a.to_string(), new);
+                    m.insert(a.clone(), new);
                     Ok(())
                 }
                 (PathSegment::Attr(a), Value::Map(m)) => {
-                    let inner = m.entry(a.to_string()).or_insert(Value::Map(Map::new()));
+                    let inner = m.entry(a.clone()).or_insert(Value::Map(Map::new()));
                     set(inner, rest, new)
                 }
                 (PathSegment::Index(i), Value::List(l)) if rest.is_empty() && *i == l.len() => {
@@ -396,13 +403,13 @@ mod tests {
         fn remove(v: &mut Value, segs: &[PathSegment]) {
             match (segs, v) {
                 ([PathSegment::Attr(a)], Value::Map(m)) => {
-                    m.remove(a.as_ref());
+                    m.remove(a.as_str());
                 }
                 ([PathSegment::Index(i)], Value::List(l)) if *i < l.len() => {
                     l.remove(*i);
                 }
                 ([PathSegment::Attr(a), rest @ ..], Value::Map(m)) => {
-                    if let Some(inner) = m.get_mut(a.as_ref()) {
+                    if let Some(inner) = m.get_mut(a.as_str()) {
                         remove(inner, rest);
                     }
                 }
@@ -495,8 +502,8 @@ mod tests {
     /// A row holding the attributes `mask` selects, at values `pick` varies.
     fn random_row(mask: usize, pick: usize) -> Value {
         let mut m = Map::new();
-        m.insert("Key".into(), "k".into());
-        m.insert("RowId".into(), Value::Int(0));
+        m.insert("Key", "k".into());
+        m.insert("RowId", Value::Int(0));
         let optional = [
             ("Done", value(1 + pick % 2)),
             ("Owner", value(5)),
@@ -508,7 +515,7 @@ mod tests {
         ];
         for (bit, (name, v)) in optional.into_iter().enumerate() {
             if mask & (1 << bit) != 0 {
-                m.insert(name.into(), v);
+                m.insert(name, v);
             }
         }
         Value::Map(m)
@@ -551,16 +558,19 @@ mod tests {
             let projected = Projection::attrs(["M", "L", "New", "S"]).apply(stored);
             let printed = (format!("{row:?}"), format!("{projected:?}"));
 
-            let expected = spec_apply(&update, &row)
+            // The specification refuses an update that re-files the row.
+            let spec = spec_apply(&update, &row).filter(|new| s.key_of(new).ok().as_ref() == Some(&key));
+            let expected = spec
+                .clone()
                 .ok_or(())
                 .and_then(|new| reference.put_row(key.clone(), new, s.max_row_bytes).map_err(drop));
-            let got = p.update_row(&key, &update, s.max_row_bytes);
+            let got = p.update_row(&key, &update, &s);
             // Gone through, failed or rolled back: the reader saw none of it.
             prop_assert_eq!(
                 (format!("{whole:?}"), format!("{projected:?}")), printed, "{} on {}", update, row
             );
             prop_assert_eq!(got.as_ref().ok(), expected.as_ref().ok(), "{} on {}", update, row);
-            if let (Err(e), Some(new)) = (&got, spec_apply(&update, &row)) {
+            if let (Err(e), Some(new)) = (&got, spec) {
                 prop_assert!(matches!(e, DbError::RowTooLarge { size, .. } if *size == new.size_bytes()));
             }
             // On failure `reference` is the untouched copy of the input.

@@ -1,6 +1,6 @@
 //! Scan/query requests, projections, and result pages.
 
-use beldi_value::{Cond, Path, Value};
+use beldi_value::{Cond, Name, Path, Value};
 
 use crate::key::PrimaryKey;
 
@@ -25,7 +25,7 @@ impl Projection {
     pub fn attrs<I, S>(names: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<std::borrow::Cow<'static, str>>,
+        S: Into<Name>,
     {
         Projection {
             paths: names.into_iter().map(Path::attr).collect(),

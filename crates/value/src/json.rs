@@ -18,8 +18,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::error::{ValueError, ValueResult};
+use crate::name::Name;
 use crate::value::{Map, Value};
 
 /// Serializes a value as compact JSON with deterministic key order.
@@ -143,6 +145,7 @@ pub fn from_json(text: &str) -> ValueResult<Value> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        buf: String::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -156,6 +159,8 @@ pub fn from_json(text: &str) -> ValueResult<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Reused to decode each string before it becomes one `Arc<str>`.
+    buf: String,
 }
 
 impl Parser<'_> {
@@ -239,7 +244,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = Name::from(self.string()?);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -257,16 +262,21 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> ValueResult<String> {
+    fn string(&mut self) -> ValueResult<Arc<str>> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut s = std::mem::take(&mut self.buf);
+        s.clear();
         loop {
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(s),
+                b'"' => {
+                    let decoded = Arc::from(s.as_str());
+                    self.buf = s;
+                    return Ok(decoded);
+                }
                 b'\\' => {
                     let Some(esc) = self.peek() else {
                         return Err(self.err("unterminated escape"));

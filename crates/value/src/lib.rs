@@ -6,8 +6,9 @@
 //! Beldi's correctness (OSDI 2020, §4) rests entirely on such conditional
 //! updates, so this crate provides:
 //!
-//! - [`Value`] — a JSON-like dynamic value with a total order and
-//!   DynamoDB-style size accounting,
+//! - [`Value`] — a JSON-like dynamic value with a total order, shared
+//!   strings and maps, and DynamoDB-style size accounting,
+//! - [`Name`] — a map key: a borrowed constant or a shared string,
 //! - [`Path`] — dotted attribute paths (`RecentWrites.instance:3`),
 //! - [`Cond`] — a condition-expression AST evaluated against a row,
 //! - [`Update`] — an update-expression AST applied atomically to a row.
@@ -20,6 +21,7 @@ mod cond;
 mod error;
 pub mod fnv;
 pub mod json;
+mod name;
 mod path;
 mod size;
 mod undo;
@@ -29,12 +31,14 @@ mod value;
 pub use cond::Cond;
 pub use error::{ValueError, ValueResult};
 pub use fnv::Fnv1a;
+pub use name::Name;
 pub use path::{Path, PathSegment};
 pub use size::SizeOf;
 pub use update::{UndoLog, Update, UpdateAction};
 pub use value::{Kind, Map, Value};
 
-/// Builds a [`Value::Map`] from `key => value` pairs.
+/// Builds a [`Value::Map`] from `key => value` pairs. A key is anything
+/// that converts into a [`Name`]: a constant is borrowed, not copied.
 ///
 /// # Examples
 ///
@@ -49,7 +53,7 @@ macro_rules! vmap {
     () => { $crate::Value::Map($crate::Map::new()) };
     ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
         let mut m = $crate::Map::new();
-        $( m.insert(::std::string::String::from($k), $crate::Value::from($v)); )+
+        $( m.insert($k, $crate::Value::from($v)); )+
         $crate::Value::Map(m)
     }};
 }

@@ -1,19 +1,21 @@
 //! Attribute paths for navigating [`crate::Value`] trees.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
+use crate::name::Name;
 
 /// One step of a [`Path`]: a map attribute or a list index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PathSegment {
-    /// A map attribute name: borrowed when it is a constant of the
-    /// program (schema attributes), owned when it was computed (log keys).
-    Attr(Cow<'static, str>),
+    /// A map attribute: a [`Name`], so a constant of the program (a schema
+    /// attribute) is borrowed and a computed one (a log key) is the shared
+    /// string it already was. The first write of a new attribute makes the
+    /// row's key a clone of this name, not a copy of its text.
+    Attr(Name),
     /// A list index.
     Index(usize),
 }
@@ -49,15 +51,15 @@ impl Path {
     ///
     /// Unlike [`Path::parse`], the attribute may contain dots or brackets;
     /// use this for dynamic keys such as Beldi log keys. A `&'static str`
-    /// is borrowed, a `String` is taken over; neither is copied.
-    pub fn attr(name: impl Into<Cow<'static, str>>) -> Self {
+    /// is borrowed and an `Arc<str>` shared; neither is copied.
+    pub fn attr(name: impl Into<Name>) -> Self {
         Path {
             repr: Repr::One(PathSegment::Attr(name.into())),
         }
     }
 
     /// Appends an attribute segment (builder style).
-    pub fn then_attr(self, name: impl Into<Cow<'static, str>>) -> Self {
+    pub fn then_attr(self, name: impl Into<Name>) -> Self {
         self.then(PathSegment::Attr(name.into()))
     }
 
@@ -100,7 +102,7 @@ impl Path {
             let attr_end = rest.find('[').unwrap_or(rest.len());
             let (attr, mut idx) = rest.split_at(attr_end);
             if !attr.is_empty() {
-                segments.push(PathSegment::Attr(Cow::Owned(attr.to_owned())));
+                segments.push(PathSegment::Attr(attr.to_owned().into()));
             } else if !idx.is_empty() && segments.is_empty() {
                 return Err(ValueError::BadPath(s.to_owned()));
             }
@@ -141,7 +143,7 @@ impl Path {
     /// Projections and filters often only need the top-level attribute.
     pub fn root_attr(&self) -> Option<&str> {
         match self.segments().first() {
-            Some(PathSegment::Attr(a)) => Some(a),
+            Some(PathSegment::Attr(a)) => Some(a.as_str()),
             _ => None,
         }
     }
@@ -246,20 +248,20 @@ mod tests {
 
     #[test]
     fn literal_attribute_is_borrowed_not_parsed() {
-        let p = Path::from("RecentWrites");
-        assert!(matches!(
-            p.segments(),
-            [PathSegment::Attr(Cow::Borrowed("RecentWrites"))]
-        ));
+        const NAME: &str = "RecentWrites";
+        let p = Path::from(NAME);
+        match p.segments() {
+            [PathSegment::Attr(a)] => assert_eq!(a.as_ptr(), NAME.as_ptr()),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(p, Path::parse("RecentWrites").unwrap());
         // Anything with structure still goes through the parser.
         assert_eq!(Path::from("a.b[1]"), Path::parse("a.b[1]").unwrap());
         assert_eq!(Path::from("a]"), Path::parse("a]").unwrap());
-        // An owned name is taken over, not copied.
-        let name = String::from("inst:3");
-        let ptr = name.as_ptr();
-        match Path::attr("w").then_attr(name).segments() {
-            [_, PathSegment::Attr(Cow::Owned(s))] => assert_eq!(s.as_ptr(), ptr),
+        // A shared name is shared, not copied.
+        let name: std::sync::Arc<str> = "inst:3".into();
+        match Path::attr("w").then_attr(name.clone()).segments() {
+            [_, PathSegment::Attr(a)] => assert_eq!(a.as_ptr(), name.as_ptr()),
             other => panic!("{other:?}"),
         }
     }

@@ -49,7 +49,7 @@ impl Undo<'_> {
         let mut parent = row;
         for seg in parents {
             parent = match (seg, parent) {
-                (PathSegment::Attr(a), Value::Map(m)) => m.get_mut(a.as_ref()),
+                (PathSegment::Attr(a), Value::Map(m)) => m.get_mut(a.as_str()),
                 (PathSegment::Index(i), Value::List(l)) => l.get_mut(*i),
                 _ => None,
             }
@@ -57,10 +57,10 @@ impl Undo<'_> {
         }
         match (last, parent, self.prior) {
             (PathSegment::Attr(a), Value::Map(m), Prior::Absent) => {
-                m.remove(a.as_ref());
+                m.remove(a.as_str());
             }
             (PathSegment::Attr(a), Value::Map(m), Prior::Replaced(old) | Prior::Removed(old)) => {
-                m.insert(a.to_string(), old);
+                m.insert(a.clone(), old);
             }
             // Only a push creates a list element, so it is the last one.
             (PathSegment::Index(i), Value::List(l), Prior::Absent) => l.truncate(*i),
@@ -119,13 +119,13 @@ impl Value {
         for (depth, seg) in parents.iter().enumerate() {
             cur = match (seg, cur) {
                 (PathSegment::Attr(a), Value::Map(m)) => {
-                    // Looked up before inserted: the name becomes a key
-                    // `String` only when the attribute is new.
-                    if !m.contains_key(a.as_ref()) {
-                        m.insert(a.to_string(), Value::Map(Map::new()));
+                    // A new attribute's key is a clone of the path's name:
+                    // a borrowed constant or a shared string, never a copy.
+                    if !m.contains_key(a.as_str()) {
+                        m.insert(a.clone(), Value::Map(Map::new()));
                         created.get_or_insert(depth);
                     }
-                    m.get_mut(a.as_ref()).expect("just ensured")
+                    m.get_mut(a.as_str()).expect("just ensured")
                 }
                 (PathSegment::Index(i), Value::List(l)) => {
                     l.get_mut(*i).ok_or(ValueError::IndexOutOfBounds(*i))?
@@ -134,10 +134,10 @@ impl Value {
             };
         }
         match (last, cur) {
-            (PathSegment::Attr(a), Value::Map(m)) => Ok(match m.get_mut(a.as_ref()) {
+            (PathSegment::Attr(a), Value::Map(m)) => Ok(match m.get_mut(a.as_str()) {
                 Some(slot) => Prior::Replaced(mem::replace(slot, value)),
                 None => {
-                    m.insert(a.to_string(), value);
+                    m.insert(a.clone(), value);
                     Prior::Absent
                 }
             }),

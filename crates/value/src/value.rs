@@ -9,27 +9,30 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
+use crate::name::Name;
 use crate::path::{Path, PathSegment};
 
-/// A string-keyed attribute map: a copy-on-write handle to an ordered tree
-/// (ordered keys keep scans and dumps deterministic).
+/// A [`Name`]-keyed attribute map: a copy-on-write handle to an ordered
+/// tree (ordered keys keep scans and dumps deterministic).
 ///
 /// `clone` bumps a reference count, so a value the protocol stores several
 /// times — a call's input, its outcome, a logged read — is one tree with
-/// several handles. Reading goes through `Deref`. Writing goes through
-/// `DerefMut`, which is [`Arc::make_mut`]: a uniquely held map is updated in
-/// place; the first write through a *shared* handle copies one level of the
-/// tree (its entries; nested maps stay shared) and leaves every other handle
-/// as it was. A copy therefore never observes a later write to the original.
-/// Code that only decodes a map it may share should borrow from it rather
-/// than take fields out of it.
+/// several handles. Reading goes through `Deref` (`get` takes a `&str`).
+/// Writing goes through [`Map::insert`] or `DerefMut`, which is
+/// [`Arc::make_mut`]: a uniquely held map is updated in place; the first
+/// write through a *shared* handle copies one level of the tree (its
+/// entries, themselves handles) and leaves every other handle as it was. A
+/// copy therefore never observes a later write to the original. Code that
+/// only decodes a map it may share should borrow from it rather than take
+/// fields out of it.
 ///
-/// Equality, order, hash and `Debug` go by content. An empty map holds no
-/// allocation. `Value` stays `Send + Sync`.
+/// Equality, order, hash and `Debug` go by content, as for a
+/// `BTreeMap<String, Value>`. An empty map holds no allocation. `Value`
+/// stays `Send + Sync`.
 #[derive(Clone, Default)]
-pub struct Map(Option<Arc<BTreeMap<String, Value>>>);
+pub struct Map(Option<Arc<BTreeMap<Name, Value>>>);
 
-static EMPTY: BTreeMap<String, Value> = BTreeMap::new();
+static EMPTY: BTreeMap<Name, Value> = BTreeMap::new();
 
 impl Map {
     /// An empty map; allocates nothing.
@@ -42,10 +45,16 @@ impl Map {
     pub fn ptr_eq(a: &Map, b: &Map) -> bool {
         matches!((&a.0, &b.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
     }
+
+    /// Inserts `value` under `name`, returning what was there. A constant
+    /// is passed as it stands (`m.insert(K_OP, ..)`) and borrowed.
+    pub fn insert(&mut self, name: impl Into<Name>, value: Value) -> Option<Value> {
+        (**self).insert(name.into(), value)
+    }
 }
 
 impl Deref for Map {
-    type Target = BTreeMap<String, Value>;
+    type Target = BTreeMap<Name, Value>;
 
     fn deref(&self) -> &Self::Target {
         self.0.as_deref().unwrap_or(&EMPTY)
@@ -58,21 +67,21 @@ impl DerefMut for Map {
     }
 }
 
-impl From<BTreeMap<String, Value>> for Map {
-    fn from(tree: BTreeMap<String, Value>) -> Self {
+impl From<BTreeMap<Name, Value>> for Map {
+    fn from(tree: BTreeMap<Name, Value>) -> Self {
         Map((!tree.is_empty()).then(|| Arc::new(tree)))
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        BTreeMap::from_iter(iter).into()
+impl<K: Into<Name>> FromIterator<(K, Value)> for Map {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        BTreeMap::from_iter(iter.into_iter().map(|(k, v)| (k.into(), v))).into()
     }
 }
 
 impl IntoIterator for Map {
-    type Item = (String, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<String, Value>;
+    type Item = (Name, Value);
+    type IntoIter = std::collections::btree_map::IntoIter<Name, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0
@@ -83,8 +92,8 @@ impl IntoIterator for Map {
 }
 
 impl<'a> IntoIterator for &'a Map {
-    type Item = (&'a String, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, String, Value>;
+    type Item = (&'a Name, &'a Value);
+    type IntoIter = std::collections::btree_map::Iter<'a, Name, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -92,8 +101,8 @@ impl<'a> IntoIterator for &'a Map {
 }
 
 impl<'a> IntoIterator for &'a mut Map {
-    type Item = (&'a String, &'a mut Value);
-    type IntoIter = std::collections::btree_map::IterMut<'a, String, Value>;
+    type Item = (&'a Name, &'a mut Value);
+    type IntoIter = std::collections::btree_map::IterMut<'a, Name, Value>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter_mut()
@@ -139,7 +148,9 @@ impl fmt::Debug for Map {
 ///
 /// `Value` supports a *total* order (used for sort keys and condition
 /// comparisons): values of different kinds order by [`Kind`] rank, floats
-/// order by IEEE total ordering so that `Value` can implement [`Eq`].
+/// order by IEEE total ordering so that `Value` can implement [`Eq`], and
+/// an int and a float compare exactly. Strings and maps are shared: a
+/// clone copies lists and byte blobs only.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub enum Value {
     /// The absent value.
@@ -151,8 +162,8 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float; ordered with IEEE total ordering.
     Float(f64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string, shared: a clone is a reference-count bump.
+    Str(Arc<str>),
     /// An opaque byte blob.
     Bytes(Vec<u8>),
     /// An ordered list of values.
@@ -245,6 +256,12 @@ impl Value {
 
     /// Returns the string slice if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
+        self.as_shared_str().map(|s| &**s)
+    }
+
+    /// Returns the shared string if this is a [`Value::Str`]: a clone of
+    /// it is the same string.
+    pub fn as_shared_str(&self) -> Option<&Arc<str>> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -289,16 +306,17 @@ impl Value {
     }
 
     /// Convenience: takes a top-level attribute out of a map value — how a
-    /// decoder that holds the map's only handle (a projected row) gets a
-    /// string without copying it. Through a shared handle this copies the
-    /// map first: read with `get_attr(..).cloned()` there.
+    /// decoder that holds the map's only handle (a projected row) takes a
+    /// value without touching a reference count. Through a shared handle
+    /// this copies the map first: read with `get_attr(..).cloned()` there.
     pub fn take_attr(&mut self, name: &str) -> Option<Value> {
         self.as_map_mut().and_then(|m| m.remove(name))
     }
 
     /// Convenience: takes a string-typed top-level attribute out of a map
-    /// value (an attribute of another type is dropped).
-    pub fn take_str(&mut self, name: &str) -> Option<String> {
+    /// value (an attribute of another type is dropped), the map's string
+    /// itself.
+    pub fn take_str(&mut self, name: &str) -> Option<Arc<str>> {
         match self.take_attr(name) {
             Some(Value::Str(s)) => Some(s),
             _ => None,
@@ -308,6 +326,11 @@ impl Value {
     /// Convenience: gets a string-typed top-level attribute of a map value.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         self.get_attr(name).and_then(Value::as_str)
+    }
+
+    /// Convenience: [`Value::get_str`] as the shared string it is.
+    pub fn get_shared_str(&self, name: &str) -> Option<&Arc<str>> {
+        self.get_attr(name).and_then(Value::as_shared_str)
     }
 
     /// Convenience: gets an int-typed top-level attribute of a map value.
@@ -333,7 +356,7 @@ impl Value {
         let mut cur = self;
         for seg in path.segments() {
             match (seg, cur) {
-                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_ref()) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get(a.as_str()) {
                     Some(v) => cur = v,
                     None => return Ok(None),
                 },
@@ -376,7 +399,7 @@ impl Value {
         let segs = path.segments();
         for seg in &segs[..segs.len() - 1] {
             cur = match (seg, cur) {
-                (PathSegment::Attr(a), Value::Map(m)) => match m.get_mut(a.as_ref()) {
+                (PathSegment::Attr(a), Value::Map(m)) => match m.get_mut(a.as_str()) {
                     Some(v) => v,
                     None => return Ok(None),
                 },
@@ -388,7 +411,7 @@ impl Value {
             };
         }
         match (segs.last().expect("non-empty path"), cur) {
-            (PathSegment::Attr(a), Value::Map(m)) => Ok(m.remove(a.as_ref())),
+            (PathSegment::Attr(a), Value::Map(m)) => Ok(m.remove(a.as_str())),
             (PathSegment::Index(i), Value::List(l)) => {
                 if *i < l.len() {
                     Ok(Some(l.remove(*i)))
@@ -422,11 +445,8 @@ impl Ord for Value {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            // Cross-numeric comparison: compare as floats, fall back to kind
-            // rank when incomparable (NaN never equals anything here because
-            // total_cmp is used for Float-Float).
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Float(a), Float(b)) => a.total_cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
             (Bytes(a), Bytes(b)) => a.cmp(b),
@@ -434,6 +454,23 @@ impl Ord for Value {
             (Map(a), Map(b)) => a.cmp(b),
             (a, b) => kind_rank(a).cmp(&kind_rank(b)),
         }
+    }
+}
+
+/// Compares an int with a float exactly (`a as f64` rounds beyond ±2^53,
+/// which broke transitivity): an integral float in `i64` range as that
+/// integer, one beyond it as beyond every int, and the rest — fractions,
+/// `-0.0`, NaNs, which rounding cannot cross — in `f64::total_cmp` order.
+fn cmp_int_float(a: i64, b: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.fract() == 0.0 && (-TWO_63..TWO_63).contains(&b) && !(b == 0.0 && b.is_sign_negative()) {
+        a.cmp(&(b as i64))
+    } else if b >= TWO_63 {
+        Ordering::Less
+    } else if b < -TWO_63 {
+        Ordering::Greater
+    } else {
+        (a as f64).total_cmp(&b)
     }
 }
 
@@ -530,16 +567,26 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_owned())
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 impl From<&String> for Value {
     fn from(s: &String) -> Self {
+        Value::Str(s.as_str().into())
+    }
+}
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
+        Value::Str(s)
+    }
+}
+impl From<&Arc<str>> for Value {
+    fn from(s: &Arc<str>) -> Self {
         Value::Str(s.clone())
     }
 }
@@ -613,7 +660,7 @@ mod tests {
     #[test]
     fn empty_maps_are_one_value_however_they_were_made() {
         let mut emptied = Map::new();
-        emptied.insert("k".into(), Value::Null);
+        emptied.insert("k", Value::Null);
         emptied.remove("k");
         let empties = [Map::new(), Map::default(), BTreeMap::new().into(), emptied];
         let digest = crate::Fnv1a::digest::<Map>;
@@ -654,6 +701,17 @@ mod tests {
         assert!(Value::Int(1) < Value::Float(1.5));
         assert!(Value::Float(0.5) < Value::Int(1));
         assert_eq!(Value::Int(2), Value::Float(2.0));
+        // Exact beyond 2^53, where `as f64` rounds two ints to one float.
+        let two_53 = 1i64 << 53;
+        assert_eq!(Value::Int(two_53), Value::Float(two_53 as f64));
+        assert!(Value::Int(two_53 + 1) > Value::Float(two_53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        // `-0.0` sits between the negative numbers and `0`, as for floats.
+        assert!(Value::Int(-1) < Value::Float(-0.0));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
     }
 
     #[test]

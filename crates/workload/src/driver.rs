@@ -1089,7 +1089,7 @@ mod tests {
     }
 
     fn keys_of(v: &Value) -> Vec<&str> {
-        v.as_map().unwrap().keys().map(String::as_str).collect()
+        v.as_map().unwrap().keys().map(|k| k.as_str()).collect()
     }
 
     /// The wire names are the Rust field names; this pins them, so

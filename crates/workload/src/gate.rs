@@ -25,7 +25,8 @@ fn diff(path: &str, base: &Value, cur: &Value, out: &mut Vec<String>) {
     let absent = Value::from("<absent>");
     match (base, cur) {
         (Value::Map(b), Value::Map(c)) => {
-            let keys: std::collections::BTreeSet<&String> = b.keys().chain(c.keys()).collect();
+            let keys: std::collections::BTreeSet<&str> =
+                b.keys().chain(c.keys()).map(|k| k.as_str()).collect();
             for k in keys {
                 let (bv, cv) = (b.get(k).unwrap_or(&absent), c.get(k).unwrap_or(&absent));
                 diff(&format!("{path}.{k}"), bv, cv, out);

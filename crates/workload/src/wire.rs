@@ -55,7 +55,7 @@ impl Wire for bool {
 
 impl Wire for String {
     fn encode(&self) -> Option<Value> {
-        Some(Value::Str(self.clone()))
+        Some(Value::from(self))
     }
     fn decode(v: Option<&Value>) -> Self {
         v.and_then(Value::as_str).unwrap_or_default().to_owned()
@@ -91,7 +91,7 @@ impl<T: Wire> Wire for BTreeMap<String, T> {
     fn decode(v: Option<&Value>) -> Self {
         let entries = v.and_then(Value::as_map).into_iter().flatten();
         entries
-            .map(|(k, x)| (k.clone(), T::decode(Some(x))))
+            .map(|(k, x)| (k.to_string(), T::decode(Some(x))))
             .collect()
     }
 }
@@ -116,7 +116,7 @@ macro_rules! wire_fields {
             fn encode(&self) -> Option<$crate::wire::Value> {
                 let mut m = $crate::wire::Map::new();
                 $(if let Some(v) = $crate::wire::Wire::encode(&self.$field) {
-                    m.insert(stringify!($field).to_owned(), v);
+                    m.insert(stringify!($field), v);
                 })*
                 Some($crate::wire::Value::Map(m))
             }

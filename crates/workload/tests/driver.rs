@@ -122,7 +122,7 @@ fn assert_travel_conserved(app: &dyn WorkflowApp, opts: &DriveOptions, run: &Ben
             reservations += 1;
             for (map, field) in [(&mut rooms, "hotel"), (&mut seats, "flight")] {
                 let key = req.get_str(field).unwrap().to_owned();
-                let Some(Value::Int(n)) = map.get_mut(&key) else {
+                let Some(Value::Int(n)) = map.get_mut(key.as_str()) else {
                     panic!("unknown {field} {key}");
                 };
                 *n -= 1;
