@@ -58,7 +58,7 @@ use beldi::value::{json, Value};
 use beldi::{BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::bench_app;
 use beldi_runtime::{Executor, Handle, Semaphore};
-use beldi_simfaas::{labels, CrashSignal};
+use beldi_simfaas::{CrashSignal, Label};
 use beldi_workload::driver::state_digest;
 use beldi_workload::wire::with_key;
 
@@ -410,7 +410,7 @@ fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
         .unwrap_or_else(|| format!("front-{}", state.seq.fetch_add(1, Ordering::SeqCst)));
 
     let faults = state.env.platform().faults();
-    faults.crash_point(&instance, labels::FRONT_ENTER);
+    faults.crash_point(&instance, Label::FrontEnter);
 
     // Hand the workflow to the executor; this thread parks on the
     // channel while the task runs the root-invocation protocol.
@@ -421,9 +421,9 @@ fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
     state.handle.spawn(async move {
         tx.send(fut.await).ok();
     });
-    faults.crash_point(&instance, labels::FRONT_POST_SPAWN);
+    faults.crash_point(&instance, Label::FrontPostSpawn);
     let result = rx.recv();
-    faults.crash_point(&instance, labels::FRONT_PRE_REPLY);
+    faults.crash_point(&instance, Label::FrontPreReply);
 
     match result {
         Ok(Ok(value)) => Response::json(200, "OK", format!("{{\"ok\":{}}}", json::to_json(&value))),

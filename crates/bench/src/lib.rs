@@ -40,7 +40,7 @@ use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_apps::WorkflowApp;
 use beldi_simfaas::{PlatformConfig, SaturationPolicy};
 use beldi_workload::driver::{driver_platform, lambda_like_platform};
-use beldi_workload::Histogram;
+use beldi_workload::{Histogram, RunReport};
 
 /// The three measured systems, in the paper's presentation order.
 pub const SYSTEMS: [Mode; 3] = [Mode::Baseline, Mode::Beldi, Mode::CrossTable];
@@ -230,25 +230,26 @@ pub fn sweep_app(
     rates: &[f64],
     duration: Duration,
     issuers: usize,
-) -> Vec<beldi_workload::SweepPoint> {
-    let mut points = Vec::with_capacity(rates.len());
-    for &rate in rates {
-        let env = Arc::new(make_env());
-        app.setup(&env);
-        let runner = beldi_workload::RateRunner::new(env.clock().clone(), rate, duration, issuers);
-        let app = Arc::clone(app);
-        let report = runner.run(Arc::new(move |i| {
-            let mut rng = beldi_apps::rng::request_rng(seed + i);
-            let payload = app.gen_load_request(&mut rng);
-            env.invoke(app.entry_point(), payload).is_ok()
-        }));
-        points.push(beldi_workload::SweepPoint::from(&report));
-    }
-    points
+) -> Vec<RunReport> {
+    rates
+        .iter()
+        .map(|&rate| {
+            let env = Arc::new(make_env());
+            app.setup(&env);
+            let runner =
+                beldi_workload::RateRunner::new(env.clock().clone(), rate, duration, issuers);
+            let app = Arc::clone(app);
+            runner.run(Arc::new(move |i| {
+                let mut rng = beldi_apps::rng::request_rng(seed + i);
+                let payload = app.gen_load_request(&mut rng);
+                env.invoke(app.entry_point(), payload).is_ok()
+            }))
+        })
+        .collect()
 }
 
 /// Formats sweep points as table rows for [`print_table`].
-pub fn sweep_rows(system: &str, points: &[beldi_workload::SweepPoint]) -> Vec<Vec<String>> {
+pub fn sweep_rows(system: &str, points: &[RunReport]) -> Vec<Vec<String>> {
     points
         .iter()
         .map(|p| {
@@ -256,8 +257,8 @@ pub fn sweep_rows(system: &str, points: &[beldi_workload::SweepPoint]) -> Vec<Ve
                 system.to_owned(),
                 format!("{:.0}", p.offered_rate),
                 format!("{:.0}", p.achieved_rate),
-                ms(p.p50),
-                ms(p.p99),
+                ms(p.latency.p50),
+                ms(p.latency.p99),
                 p.errors.to_string(),
             ]
         })

@@ -11,9 +11,10 @@ use std::sync::Arc;
 
 use beldi_simclock::SharedClock;
 use beldi_simdb::Database;
-use beldi_simfaas::Platform;
+use beldi_simfaas::{Label, Platform};
 
 use crate::config::Mode;
+use crate::daal::DaalParams;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::ids::{log_key, InstanceId, StepNumber};
@@ -154,19 +155,14 @@ impl SsfContext {
     /// `t_max` deadline here guarantees an expired instance dies before
     /// its next effect — the platform-timeout bound that makes GC
     /// recycling (`finish + T_max`) safe against in-flight duplicates.
-    pub(crate) fn crash(&self, label: &'static str) {
+    pub(crate) fn crash(&self, label: Label) {
+        let faults = self.core.platform.faults();
         if let Some(deadline) = self.deadline_ms {
             if self.raw_now_ms() > deadline {
-                self.core
-                    .platform
-                    .faults()
-                    .timeout_kill(&self.instance, beldi_simfaas::labels::PLATFORM_T_MAX);
+                faults.timeout_kill(&self.instance);
             }
         }
-        self.core
-            .platform
-            .faults()
-            .crash_point(&self.instance, label);
+        faults.crash_point(&self.instance, label);
     }
 
     /// Resolves a logical table name to the SSF's physical data table,
@@ -191,34 +187,20 @@ impl SsfContext {
         })
     }
 
-    /// DAAL parameters bound to this context.
-    pub(crate) fn daal_params(&self) -> DaalCtx<'_> {
-        DaalCtx { ctx: self }
-    }
-}
-
-/// Borrowing adapter that exposes a [`SsfContext`] as
-/// [`crate::daal::DaalParams`] without cloning.
-pub(crate) struct DaalCtx<'a> {
-    ctx: &'a SsfContext,
-}
-
-impl DaalCtx<'_> {
-    /// Runs `f` with DAAL parameters derived from the context.
-    pub fn with<R>(
+    /// Runs `f` with DAAL parameters bound to this context: its store,
+    /// row capacity, clock, crash probes and row-id source.
+    pub(crate) fn with_daal<R>(
         &self,
-        f: impl FnOnce(&crate::daal::DaalParams<'_>) -> BeldiResult<R>,
+        f: impl FnOnce(&DaalParams<'_>) -> BeldiResult<R>,
     ) -> BeldiResult<R> {
-        let ctx = self.ctx;
-        let crash = |label: &'static str| ctx.crash(label);
-        let new_row_id = || crate::ids::shared(format_args!("R-{}", ctx.fresh_uuid()));
-        let p = crate::daal::DaalParams {
-            db: ctx.db(),
-            capacity: ctx.core.config.daal_row_capacity,
-            now_ms: ctx.raw_now_ms(),
+        let crash = |label: Label| self.crash(label);
+        let new_row_id = || crate::ids::shared(format_args!("R-{}", self.fresh_uuid()));
+        f(&DaalParams {
+            db: self.db(),
+            capacity: self.core.config.daal_row_capacity,
+            now_ms: self.raw_now_ms(),
             crash: &crash,
             new_row_id: &new_row_id,
-        };
-        f(&p)
+        })
     }
 }

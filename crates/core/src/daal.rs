@@ -37,11 +37,11 @@ use beldi_value::{Cond, Path, Update, Value};
 use parking_lot::Mutex;
 
 use crate::error::{BeldiError, BeldiResult};
-use crate::labels;
 use crate::schema::{
     A_APPENDED, A_CREATED, A_DANGLE, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID, A_VALUE,
     A_WRITES, ROW_HEAD,
 };
+use crate::Label;
 
 /// Attributes carried over from a full tail to a freshly appended row.
 ///
@@ -67,7 +67,7 @@ pub(crate) struct DaalParams<'a> {
     pub now_ms: u64,
     /// Crash-point hook; called with a label before/after every externally
     /// visible effect. Panics (with a `CrashSignal`) to model a crash.
-    pub crash: &'a dyn Fn(&'static str),
+    pub crash: &'a dyn Fn(Label),
     /// Fresh unique row-id generator (never returns `HEAD`).
     pub new_row_id: &'a dyn Fn() -> Arc<str>,
 }
@@ -475,7 +475,7 @@ pub(crate) fn try_write(
     payload: WritePayload,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
-    (p.crash)(labels::DAAL_WRITE_ENTER);
+    (p.crash)(Label::DaalWriteEnter);
     // What case B applies: the payload, then the log entry. Built once,
     // around the payload itself, however often the loop retries.
     let apply = log_actions(p, log_key, true, payload.apply);
@@ -566,10 +566,10 @@ fn write_at(
         if let Some(uc) = user_cond {
             cond = cond.and(uc.clone());
         }
-        (p.crash)(labels::DAAL_WRITE_PRE_APPLY);
+        (p.crash)(Label::DaalWritePreApply);
         match p.db.update(table, &pk, &cond, apply) {
             Ok(()) => {
-                (p.crash)(labels::DAAL_WRITE_POST_APPLY);
+                (p.crash)(Label::DaalWritePostApply);
                 return Ok(Some(WriteOutcome::Applied));
             }
             Err(DbError::ConditionFailed) => {}
@@ -581,10 +581,10 @@ fn write_at(
         if user_cond.is_some() {
             let cond = case_b_cond(p, log_key).and(existence);
             let update = log_actions(p, log_key, false, Update::new());
-            (p.crash)(labels::DAAL_WRITE_PRE_LOG_FALSE);
+            (p.crash)(Label::DaalWritePreLogFalse);
             match p.db.update(table, &pk, &cond, &update) {
                 Ok(()) => {
-                    (p.crash)(labels::DAAL_WRITE_POST_LOG_FALSE);
+                    (p.crash)(Label::DaalWritePostLogFalse);
                     return Ok(Some(WriteOutcome::ConditionFalse));
                 }
                 Err(DbError::ConditionFailed) => {}
@@ -689,9 +689,9 @@ fn append_row(
         }
     }
     let new_pk = PrimaryKey::hash_sort(key, &new_id);
-    (p.crash)(labels::DAAL_APPEND_PRE_CREATE);
+    (p.crash)(Label::DaalAppendPreCreate);
     p.db.update(table, &new_pk, &Cond::not_exists(A_KEY), &update)?;
-    (p.crash)(labels::DAAL_APPEND_POST_CREATE);
+    (p.crash)(Label::DaalAppendPostCreate);
 
     // 2. Link it, only if no one else appended in the meantime.
     let prev_pk = PrimaryKey::hash_sort(key, prev_id);
@@ -701,7 +701,7 @@ fn append_row(
         &Cond::not_exists(A_NEXT_ROW).and(Cond::exists(A_KEY)),
         &Update::new().set(A_NEXT_ROW, &new_id),
     );
-    (p.crash)(labels::DAAL_APPEND_POST_LINK);
+    (p.crash)(Label::DaalAppendPostLink);
     match link {
         Ok(()) => Ok(new_id),
         Err(DbError::ConditionFailed) => {
@@ -763,7 +763,7 @@ mod tests {
     use crate::schema::daal_schema;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn no_crash(_: &str) {}
+    fn no_crash(_: Label) {}
 
     struct Fixture {
         db: std::sync::Arc<Database>,

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use beldi_simclock::{SharedClock, SimClock};
 use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest};
-use beldi_simfaas::{InvokeError, Platform, PlatformConfig, PlatformSnapshot};
+use beldi_simfaas::{InvokeError, Label, Platform, PlatformConfig, PlatformSnapshot};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 
@@ -120,7 +120,7 @@ trait Collector: Sized + 'static {
     const KIND: &'static str;
 
     /// Runs one pass for `ssf`, firing `crash` at each crash point.
-    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self>;
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Self>;
 
     /// Adds another pass's counters to this report.
     fn absorb(&mut self, other: &Self);
@@ -131,7 +131,7 @@ trait Collector: Sized + 'static {
 impl Collector for IcReport {
     const KIND: &'static str = "ic";
 
-    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Self> {
         ic::run_ic_with(core, ssf, crash)
     }
 
@@ -147,8 +147,8 @@ impl Collector for IcReport {
 impl Collector for GcReport {
     const KIND: &'static str = "gc";
 
-    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(&'static str)) -> BeldiResult<Self> {
-        let probe = |_: &str| {};
+    fn run(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Self> {
+        let probe = |_: Label| {};
         gc::run_gc_with(
             core,
             ssf,
@@ -1026,7 +1026,7 @@ fn collector_handler<R: Collector>(
         let instance = format!("{}.{}#p{pass}", ssf.name, R::KIND);
         let faults = core.platform.faults();
         faults.instance_started(&instance);
-        let crash = |label: &'static str| faults.crash_point(&instance, label);
+        let crash = |label: Label| faults.crash_point(&instance, label);
         let result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| R::run(&core, &ssf, &crash)));
         // A pass id is used once: done or killed, the injector can let go.

@@ -46,11 +46,11 @@ use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiResult;
 use crate::ids::{is_finalize_marker, parse_log_key};
 use crate::intent;
-use crate::labels;
 use crate::schema::{
     A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER,
     A_ROW_ID, A_WRITES, ROW_HEAD,
 };
+use crate::Label;
 
 /// Summary of one garbage-collector pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,13 +98,13 @@ impl GcReport {
 /// a pass; production passes a no-op.
 pub(crate) struct GcHooks<'a> {
     /// Fault-injection crash points (fixed count per pass).
-    pub crash: &'a dyn Fn(&'static str),
+    pub crash: &'a dyn Fn(Label),
     /// Test-only interleaving probe (work-dependent points).
-    pub probe: &'a dyn Fn(&str),
+    pub probe: &'a dyn Fn(Label),
 }
 
 /// The no-op hook used outside fault-injection contexts.
-fn noop(_: &str) {}
+fn noop(_: Label) {}
 
 impl GcHooks<'static> {
     /// Hooks that observe nothing.
@@ -179,7 +179,7 @@ pub(crate) fn run_gc_with(
     };
     let intent_table = &*ssf.intent_table;
     let mut report = GcReport::default();
-    (hooks.crash)(labels::GC_ENTER);
+    (hooks.crash)(Label::GcEnter);
 
     // Steps 1–2: stamp finish times; classify recyclable intents. A pass
     // may be bounded (Appendix A): collectors are SSFs with execution
@@ -208,13 +208,13 @@ pub(crate) fn run_gc_with(
             Some(_) => {}
         }
     }
-    (hooks.crash)(labels::GC_POST_CLASSIFY);
+    (hooks.crash)(Label::GcPostClassify);
 
     // Step 3: prune the log entries of the recyclable intents that ran.
     for owner in recyclable.iter().filter(|id| !is_finalize_marker(id)) {
         report.deleted_log_entries += delete_log_entries_of(db, &ssf.log_table, owner)?;
     }
-    (hooks.crash)(labels::GC_POST_LOG_PRUNE);
+    (hooks.crash)(Label::GcPostLogPrune);
 
     // Steps 4–5: DAAL maintenance (Beldi mode only; cross-table and
     // baseline data tables are single rows with no log to prune).
@@ -248,7 +248,7 @@ pub(crate) fn run_gc_with(
             )?;
         }
     }
-    (hooks.crash)(labels::GC_POST_DAAL);
+    (hooks.crash)(Label::GcPostDaal);
 
     // Step 6: remove the recycled intents themselves — and, with each,
     // what the fault injector kept about the instance. From here on the
@@ -259,7 +259,7 @@ pub(crate) fn run_gc_with(
         core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
-    (hooks.crash)(labels::GC_EXIT);
+    (hooks.crash)(Label::GcExit);
     Ok(report)
 }
 
@@ -443,7 +443,7 @@ fn collect_daal_key(
             };
             // Unlink: prev.NextRow = row.NextRow, guarded so a concurrent
             // GC's earlier unlink is not clobbered.
-            (hooks.probe)(labels::GC_STEP4_PRE_UNLINK);
+            (hooks.probe)(Label::GcStep4PreUnlink);
             let prev_pk = PrimaryKey::hash_sort(key, prev_id);
             let cond = Cond::eq(A_NEXT_ROW, row_id);
             let update = Update::new().set(A_NEXT_ROW, next);
@@ -496,7 +496,7 @@ fn collect_daal_key(
     let fresh_reachable = if is_shadow {
         None // Shadow chains are stamped whole; reachability is moot.
     } else {
-        (hooks.probe)(labels::GC_STEP5_PRE_RESCAN);
+        (hooks.probe)(Label::GcStep5PreRescan);
         fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
         let Some((_, fresh)) = reconstruct_chain(&fresh_rows) else {
             return report_corrupt_chain(report, table, key, "step-5 re-scan");
@@ -509,7 +509,7 @@ fn collect_daal_key(
                 continue; // Re-linked since the pass snapshot: still live.
             }
         }
-        (hooks.probe)(labels::GC_STEP5_PRE_DELETE);
+        (hooks.probe)(Label::GcStep5PreDelete);
         let pk = PrimaryKey::hash_sort(key, row_id);
         // beldi-lint: allow(crash-points/coverage, gc.step5.pre_delete fires before
         // each delete; gc.post_daal fires after the sweep in run_gc_with)
@@ -625,8 +625,8 @@ mod tests {
         plant_row(&e, "C", 3, None, None);
         e.clock().sleep(Duration::from_millis(120)); // Dangle waits expire.
 
-        let relink = move |label: &str| {
-            if label == labels::GC_STEP5_PRE_RESCAN {
+        let relink = move |label: Label| {
+            if label == Label::GcStep5PreRescan {
                 // The stale-view collector's guarded unlink of A lands
                 // now: HEAD.NextRow = B. B is reachable again.
                 db.update(
@@ -690,8 +690,8 @@ mod tests {
             for _ in 0..2 {
                 let start = e.db_metrics().bytes_read;
                 let classify = Cell::new(0);
-                let at_boundary = |label: &str| {
-                    if label == labels::GC_POST_CLASSIFY {
+                let at_boundary = |label: Label| {
+                    if label == Label::GcPostClassify {
                         classify.set(e.db_metrics().bytes_read - start);
                     }
                 };
@@ -743,10 +743,10 @@ mod tests {
             e.clock().sleep(Duration::from_millis(120));
 
             let (before, after) = (Cell::new(0), Cell::new(0));
-            let at_boundary = |label: &str| {
-                if label == labels::GC_POST_CLASSIFY {
+            let at_boundary = |label: Label| {
+                if label == Label::GcPostClassify {
                     before.set(e.db_metrics().queries);
-                } else if label == labels::GC_POST_LOG_PRUNE {
+                } else if label == Label::GcPostLogPrune {
                     after.set(e.db_metrics().queries);
                 }
             };
@@ -792,10 +792,10 @@ mod tests {
         e.clock().sleep(Duration::from_millis(120));
 
         let (before, after) = (Cell::new(0), Cell::new(0));
-        let at_boundary = |label: &str| {
-            if label == labels::GC_POST_CLASSIFY {
+        let at_boundary = |label: Label| {
+            if label == Label::GcPostClassify {
                 before.set(e.db_metrics().queries);
-            } else if label == labels::GC_POST_LOG_PRUNE {
+            } else if label == Label::GcPostLogPrune {
                 after.set(e.db_metrics().queries);
             }
         };

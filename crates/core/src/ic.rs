@@ -23,8 +23,9 @@ use beldi_value::Value;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::intent::{self, IntentRecord};
-use crate::labels;
+use crate::invoke::Envelope;
 use crate::schema::A_DONE;
+use crate::Label;
 
 /// Summary of one intent-collector pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,8 +36,8 @@ pub struct IcReport {
     pub restarted: usize,
     /// Intents skipped because they were launched too recently.
     pub too_recent: usize,
-    /// Corrupt intents found (no stored call envelope) and quarantined.
-    /// A healthy system never increments this.
+    /// Corrupt intents found (no call or signal envelope to re-send) and
+    /// quarantined. A healthy system never increments this.
     pub corrupt: usize,
 }
 
@@ -60,9 +61,9 @@ pub(crate) fn run_ic(core: &Arc<EnvCore>, ssf: &Ssf) -> BeldiResult<IcReport> {
 pub(crate) fn run_ic_with(
     core: &Arc<EnvCore>,
     ssf: &Ssf,
-    crash: &dyn Fn(&'static str),
+    crash: &dyn Fn(Label),
 ) -> BeldiResult<IcReport> {
-    crash(labels::IC_ENTER);
+    crash(Label::IcEnter);
     let table = &*ssf.intent_table;
     let mut rows = core
         .db
@@ -79,7 +80,7 @@ pub(crate) fn run_ic_with(
             rows.truncate(limit);
         }
     }
-    crash(labels::IC_POST_SCAN);
+    crash(Label::IcPostScan);
     let now_ms = core.platform.clock().now().as_millis();
     let delay_ms = core.config.ic_restart_delay.as_millis() as u64;
 
@@ -88,11 +89,12 @@ pub(crate) fn run_ic_with(
         let Some(rec) = IntentRecord::from_row(row) else {
             continue;
         };
-        if rec.args.is_null() {
-            // No call envelope to re-fire: the row is corrupt (normal
-            // intents always store one at registration). Quarantine it
-            // so the Done=false index stops returning it — otherwise it
-            // is rescanned every pass and quiescence is never reached.
+        if !relaunchable(&rec.args) {
+            // Nothing to re-fire: the row is corrupt (registration always
+            // stores the call, or the decision signal, to re-send). A
+            // relaunch would only earn a "bad envelope" reply and leave the
+            // intent unfinished, so quarantine it: the Done=false index
+            // stops returning it, and quiescence is reached.
             report_corrupt_intent(core, table, &rec.id, &mut report)?;
             continue;
         }
@@ -105,18 +107,27 @@ pub(crate) fn run_ic_with(
         if !intent::claim_launch(&core.db, table, &rec.id, rec.last_launch_ms, now_ms)? {
             continue;
         }
-        crash(labels::IC_PRE_RESTART);
+        crash(Label::IcPreRestart);
         // Re-fire the original envelope. Failures here are fine: the next
         // pass tries again.
         if core.platform.invoke_async(&ssf.name, rec.args).is_ok() {
             report.restarted += 1;
         }
     }
-    crash(labels::IC_EXIT);
+    crash(Label::IcExit);
     Ok(report)
 }
 
-/// Counts and quarantines a corrupt (envelope-less) intent: marked done
+/// Whether `args` is an envelope the collector can re-send: the call an
+/// execution intent stores, or the signal a decision intent stores.
+fn relaunchable(args: &Value) -> bool {
+    matches!(
+        Envelope::from_value(args.clone()),
+        Ok(Envelope::Call { .. } | Envelope::TxnSignal { .. })
+    )
+}
+
+/// Counts and quarantines a corrupt intent (nothing to re-send): marked done
 /// with a null outcome so it leaves the unfinished index and the GC can
 /// recycle it. Debug builds fail the pass loudly — a corrupt intent is a
 /// protocol bug, not an operational condition.

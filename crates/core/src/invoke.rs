@@ -29,11 +29,11 @@ use beldi_value::{Cond, Map, Update, Value};
 use crate::context::SsfContext;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
-use crate::labels;
 use crate::schema::{
     A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT, A_TXN_ID,
 };
 use crate::txn::{TxnContext, TxnMode};
+use crate::Label;
 
 /// How many times an invocation (or callback) is retried against platform
 /// failures before the instance gives up and crashes itself, deferring to
@@ -296,7 +296,7 @@ impl SsfContext {
             }
         }
         let pk = PrimaryKey::hash(&log_key);
-        self.crash(labels::INVOKE_PRE_ENTRY);
+        self.crash(Label::InvokePreEntry);
         match self
             .db()
             // beldi-lint: allow(crash-points/coverage, invoke.pre_entry fires before this
@@ -393,7 +393,7 @@ impl SsfContext {
             return Ok(Outcome::from_value(r));
         }
         let envelope = make_envelope(&entry.callee_id).into_value();
-        self.crash(labels::INVOKE_PRE_CALL);
+        self.crash(Label::InvokePreCall);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
             match self.platform().invoke_sync(callee, envelope.clone()) {
                 Ok(v) => return Ok(Outcome::from_value(v)),
@@ -473,7 +473,7 @@ impl SsfContext {
                 caller: self.ssf.name.clone(),
             }
             .into_value();
-            self.crash(labels::INVOKE_PRE_ASYNCREG);
+            self.crash(Label::InvokePreAsyncReg);
             let mut ok = false;
             for attempt in 0..MAX_INVOKE_ATTEMPTS {
                 match self.platform().invoke_sync(callee, reg.clone()) {
@@ -503,7 +503,7 @@ impl SsfContext {
             is_async: true,
         }
         .into_value();
-        self.crash(labels::INVOKE_PRE_ASYNC_CALL);
+        self.crash(Label::InvokePreAsyncCall);
         self.platform()
             .invoke_async(callee, call)
             .map_err(BeldiError::Invoke)?;

@@ -91,6 +91,5 @@ pub use schema::{A_LOCK, A_VALUE};
 
 // Re-exports so applications depend on `beldi` alone.
 pub use beldi_simclock as simclock;
-pub use beldi_simfaas::labels;
-pub use beldi_simfaas::{silence_crash_backtraces, CrashPlan, RandomCrashPolicy};
+pub use beldi_simfaas::{silence_crash_backtraces, CrashPlan, Label, RandomCrashPolicy};
 pub use beldi_value as value;

@@ -27,9 +27,9 @@ use crate::config::Mode;
 use crate::context::SsfContext;
 use crate::daal::{self, WriteOutcome, WritePayload};
 use crate::error::{BeldiError, BeldiResult};
-use crate::labels;
 use crate::modes;
 use crate::schema::{A_LOCK, A_LOG_KEY, A_OWNER, A_VALUE};
+use crate::Label;
 
 /// Maximum spins while waiting for a contended lock before concluding the
 /// application has a liveness bug (standalone locks have no deadlock
@@ -50,7 +50,7 @@ impl SsfContext {
             return self.txn_read(table, key);
         }
         let physical = self.data_table(table)?;
-        self.crash(labels::READ_ENTER);
+        self.crash(Label::ReadEnter);
         let val = self.raw_read_value(&physical, key)?;
         if self.mode() == Mode::Baseline {
             return Ok(val);
@@ -85,7 +85,7 @@ impl SsfContext {
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
         let log_key = self.next_log_key();
         let log = &self.ssf.log_table;
-        self.crash(labels::READ_PRE_LOG);
+        self.crash(Label::ReadPreLog);
         // First writer wins: a re-execution must find the value its
         // predecessor logged, never overwrite it with a fresh read. The
         // fresh entry is seeded with its key; `Owner` is the instance id.
@@ -96,7 +96,7 @@ impl SsfContext {
         let pk = PrimaryKey::hash(&log_key);
         match self.db().update(log, &pk, &entry_cond, &update) {
             Ok(()) => {
-                self.crash(labels::READ_POST_LOG);
+                self.crash(Label::ReadPostLog);
                 Ok(val)
             }
             Err(DbError::ConditionFailed) => {
@@ -177,9 +177,9 @@ impl SsfContext {
         user_cond: Option<&Cond>,
     ) -> BeldiResult<WriteOutcome> {
         let log_key = self.next_log_key();
-        self.crash(labels::WRITE_ENTER);
+        self.crash(Label::WriteEnter);
         let out = match self.mode() {
-            Mode::Beldi => self.daal_params().with(|p| {
+            Mode::Beldi => self.with_daal(|p| {
                 let payload = WritePayload { apply: payload };
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
@@ -205,7 +205,7 @@ impl SsfContext {
                 }
             }
         };
-        self.crash(labels::WRITE_EXIT);
+        self.crash(Label::WriteExit);
         Ok(out)
     }
 

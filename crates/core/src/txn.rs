@@ -202,11 +202,11 @@ use crate::config::Mode;
 use crate::context::SsfContext;
 use crate::daal;
 use crate::invoke::Envelope;
-use crate::labels;
 use crate::schema::{
     shadow_key, A_CALLEE_FN, A_CLAIMANT, A_DONE, A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE,
     A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
 };
+use crate::Label;
 
 /// Wait-die retry budget: an older transaction spins this many times
 /// (sleeping between attempts) for a younger lock holder to finish.
@@ -547,7 +547,7 @@ impl SsfContext {
     pub(crate) fn finalize(&mut self, decision: TxnMode) -> BeldiResult<()> {
         debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
         let ctx = self.txn_ctx_cloned()?;
-        self.crash(labels::TXN_PRE_FINALIZE);
+        self.crash(Label::TxnPreFinalize);
         if !self.claim_finalize_marker(&ctx.id)? {
             return Ok(());
         }
@@ -558,8 +558,8 @@ impl SsfContext {
             let physical = self.data_table(&e.logical)?;
             let release = Update::new().set(A_LOCK, Value::Null);
             let (label, update, flush) = match e.written.filter(|_| decision == TxnMode::Commit) {
-                Some(val) => (labels::TXN_PRE_FLUSH_ITEM, release.set(A_VALUE, val), true),
-                None => (labels::TXN_PRE_RELEASE_ITEM, release, false),
+                Some(val) => (Label::TxnPreFlushItem, release.set(A_VALUE, val), true),
+                None => (Label::TxnPreReleaseItem, release, false),
             };
             self.crash(label);
             let out = self.write_step(&physical, &e.key, update, Some(&held))?;
@@ -575,13 +575,13 @@ impl SsfContext {
         // 2. Signal the callees this SSF invoked inside the transaction.
         for callee in self.txn_callees(&ctx.id)? {
             let signal_ctx = ctx.with_mode(decision);
-            self.crash(labels::TXN_PRE_SIGNAL);
+            self.crash(Label::TxnPreSignal);
             let _ = self.invoke_with_entry(&callee, |id| Envelope::TxnSignal {
                 id: id.to_owned(),
                 txn: signal_ctx.clone(),
             })?;
         }
-        self.crash(labels::TXN_POST_FINALIZE);
+        self.crash(Label::TxnPostFinalize);
         Ok(())
     }
 

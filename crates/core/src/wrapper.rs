@@ -31,8 +31,8 @@ use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiError;
 use crate::intent;
 use crate::invoke::{self, Envelope, Outcome};
-use crate::labels;
 use crate::txn::{TxnMode, TxnState};
+use crate::Label;
 
 /// Builds the platform handler wrapping SSF `ssf`.
 ///
@@ -104,7 +104,7 @@ fn run_call(
 ) -> Value {
     let faults = core.platform.faults();
     faults.instance_started(&instance);
-    faults.crash_point(&instance, labels::WRAPPER_ENTER);
+    faults.crash_point(&instance, Label::WrapperEnter);
 
     let db = &core.db;
     let intent_table = &ssf.intent_table;
@@ -145,7 +145,7 @@ fn run_call(
             Err(e) => return Outcome::Error(e.to_string()).into_value(),
         }
     };
-    faults.crash_point(&instance, labels::WRAPPER_POST_INTENT);
+    faults.crash_point(&instance, Label::WrapperPostIntent);
     let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
 
     if let Some(record) = earlier.filter(|r| r.done) {
@@ -245,7 +245,7 @@ fn finish(
 ) -> Value {
     let instance = ctx.instance.clone();
     let outcome_value = outcome.into_value();
-    ctx.crash(labels::WRAPPER_PRE_CALLBACK);
+    ctx.crash(Label::WrapperPreCallback);
     if let (Some(c), false) = (caller, is_async) {
         if !invoke::send_callback(core, c, &instance, Some(&outcome_value)) {
             // Without the callback the caller may never learn the result;
@@ -253,7 +253,7 @@ fn finish(
             panic!("beldi: result callback to `{c}` undeliverable");
         }
     }
-    ctx.crash(labels::WRAPPER_PRE_DONE);
+    ctx.crash(Label::WrapperPreDone);
     let intent_table = &ctx.ssf.intent_table;
     if let Err(e) = intent::mark_done(&core.db, intent_table, &instance, outcome_value.clone()) {
         if let crate::error::BeldiError::Db(beldi_simdb::DbError::ConditionFailed) = e {
@@ -263,13 +263,11 @@ fn finish(
             // T_max` elapsed. We are a zombie past our execution lease;
             // die like a timed-out instance instead of aborting the
             // process (the winner's outcome was already delivered).
-            core.platform
-                .faults()
-                .timeout_kill(&instance, labels::PLATFORM_T_MAX);
+            core.platform.faults().timeout_kill(&instance);
         }
         panic!("beldi: marking intent done failed: {e}");
     }
-    ctx.crash(labels::WRAPPER_POST_DONE);
+    ctx.crash(Label::WrapperPostDone);
     outcome_value
 }
 
@@ -304,7 +302,7 @@ fn run_async_reg(
     }
     core.platform
         .faults()
-        .crash_point(instance, labels::ASYNCREG_POST_INTENT);
+        .crash_point(instance, Label::AsyncRegPostIntent);
     // Registration confirmation: sets `Registered` on the caller's
     // invoke-log entry. At-least-once.
     invoke::send_callback(core, caller, instance, None);

@@ -2,7 +2,7 @@
 //! ordering, spurious callbacks, duplicate callbacks, and the federated
 //! GC race the protocol exists to prevent.
 
-use beldi::labels;
+use beldi::Label;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,7 +43,7 @@ fn callback_lands_before_done_so_gc_cannot_outrun_caller() {
     let caller_id = "caller-fig9";
     env.platform().faults().plan(
         caller_id.to_owned(),
-        CrashPlan::AtLabel(labels::WRAPPER_PRE_DONE.into()),
+        CrashPlan::AtLabel(Label::WrapperPreDone),
     );
     // Dispatch once, bypassing the driver's automatic retry, so the crash
     // leaves the caller unfinished while the callee is fully done.
@@ -167,10 +167,9 @@ fn completed_callee_replays_and_recallbacks() {
 fn caller_crash_after_callback_reuses_logged_result() {
     let env = caller_callee_env(BeldiConfig::beldi());
     let id = "caller-crash-postcb";
-    env.platform().faults().plan(
-        id.to_owned(),
-        CrashPlan::AtLabel(labels::WRAPPER_PRE_DONE.into()),
-    );
+    env.platform()
+        .faults()
+        .plan(id.to_owned(), CrashPlan::AtLabel(Label::WrapperPreDone));
     let out = env.invoke_as("caller", id, Value::Int(9)).unwrap();
     assert_eq!(out.get_int("run"), Some(1));
     assert_eq!(

@@ -8,7 +8,7 @@
 //! a single crash-free execution: counters incremented exactly once,
 //! conditional writes decided exactly once, callees executed exactly once.
 
-use beldi::labels;
+use beldi::Label;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -118,27 +118,27 @@ fn root_crash_at_every_ordinal_is_exactly_once() {
 #[test]
 fn root_crash_at_named_labels_is_exactly_once() {
     let labels = [
-        labels::WRAPPER_ENTER,
-        labels::WRAPPER_POST_INTENT,
-        labels::READ_PRE_LOG,
-        labels::READ_POST_LOG,
-        labels::WRITE_ENTER,
-        labels::WRITE_EXIT,
-        labels::DAAL_WRITE_PRE_APPLY,
-        labels::DAAL_WRITE_POST_APPLY,
-        labels::DAAL_WRITE_PRE_LOG_FALSE,
-        labels::INVOKE_PRE_ENTRY,
-        labels::INVOKE_PRE_CALL,
-        labels::WRAPPER_PRE_CALLBACK,
-        labels::WRAPPER_PRE_DONE,
-        labels::WRAPPER_POST_DONE,
+        Label::WrapperEnter,
+        Label::WrapperPostIntent,
+        Label::ReadPreLog,
+        Label::ReadPostLog,
+        Label::WriteEnter,
+        Label::WriteExit,
+        Label::DaalWritePreApply,
+        Label::DaalWritePostApply,
+        Label::DaalWritePreLogFalse,
+        Label::InvokePreEntry,
+        Label::InvokePreCall,
+        Label::WrapperPreCallback,
+        Label::WrapperPreDone,
+        Label::WrapperPostDone,
     ];
     for label in labels {
         let env = pipeline_env(BeldiConfig::beldi());
         let root_id = format!("root-{label}");
         env.platform()
             .faults()
-            .plan(root_id.clone(), CrashPlan::AtLabel(label.to_owned()));
+            .plan(root_id.clone(), CrashPlan::AtLabel(label));
         let out = env.invoke_as("root", &root_id, Value::Int(5)).unwrap();
         assert_eq!(out.get_int("count"), Some(1), "label {label}");
         assert_pipeline_state(&env, 1);
@@ -220,10 +220,9 @@ fn intent_collector_completes_crashed_async_instance() {
     let id = env.invoke_async("sink", Value::Int(7)).unwrap();
     // Too late to crash the dispatch deterministically, so re-plan and
     // re-check: crash its first write effect when it runs.
-    env.platform().faults().plan(
-        id.clone(),
-        CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
-    );
+    env.platform()
+        .faults()
+        .plan(id.clone(), CrashPlan::AtLabel(Label::DaalWritePreApply));
     // Let the (crashing) first execution happen: it runs while this
     // thread sleeps.
     env.clock().sleep(Duration::from_millis(30));
@@ -293,7 +292,7 @@ fn timer_collectors_recover_crashed_work() {
     let id = env.invoke_async("job", Value::Null).unwrap();
     env.platform()
         .faults()
-        .plan(id, CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()));
+        .plan(id, CrashPlan::AtLabel(Label::DaalWritePreApply));
     // Two collector periods are enough: the first tick may find the
     // intent younger than the restart delay.
     let deadline = env.clock().now().plus(Duration::from_secs(10));
@@ -399,7 +398,7 @@ fn drain_recovery_completes_crashed_async_work() {
     let id = env.invoke_async("sink", Value::Int(7)).unwrap();
     env.platform()
         .faults()
-        .plan(id, CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()));
+        .plan(id, CrashPlan::AtLabel(Label::DaalWritePreApply));
     // Let the (crashing) first execution happen, then drain.
     env.clock().sleep(Duration::from_millis(30));
     let report = env.drain_recovery(40).unwrap();

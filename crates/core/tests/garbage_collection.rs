@@ -5,7 +5,7 @@
 //! two-phase `finish + T` / `dangle + T` waits cost no real time while
 //! preserving every ordering.
 
-use beldi::labels;
+use beldi::Label;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -74,7 +74,7 @@ fn unfinished_intents_are_never_recycled() {
     let id = env.invoke_async("ctr", Value::Null).unwrap();
     env.platform().faults().plan(
         id.clone(),
-        beldi::CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
+        beldi::CrashPlan::AtLabel(Label::DaalWritePreApply),
     );
     // The planned execution runs — and dies — while this thread sleeps.
     env.clock().sleep(Duration::from_millis(30));
@@ -602,10 +602,9 @@ fn the_orphan_of_a_crashed_append_is_found_stamped_and_deleted() {
     for _ in 0..3 {
         env.invoke("ctr", Value::Null).unwrap(); // Fills the head row.
     }
-    env.platform().faults().plan(
-        "crasher",
-        CrashPlan::AtLabel(labels::DAAL_APPEND_POST_CREATE.into()),
-    );
+    env.platform()
+        .faults()
+        .plan("crasher", CrashPlan::AtLabel(Label::DaalAppendPostCreate));
     // The retry appends (and links) a second fresh row.
     env.invoke_as("ctr", "crasher", Value::Null).unwrap();
     assert_eq!(env.platform().faults().injected_count(), 1);

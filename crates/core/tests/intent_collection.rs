@@ -1,17 +1,17 @@
 //! Intent-collector regressions: tail starvation under a bounded batch
-//! window, and quarantine of corrupt (envelope-less) intent rows.
+//! window, and quarantine of corrupt intent rows — ones with no envelope
+//! the collector can re-send.
 //!
-//! Both bugs were surfaced by the chaos driver: a storm that keeps the
-//! head of the intent index perpetually ineligible starves the tail
-//! forever if a bounded pass always truncates the same scan prefix, and
-//! an intent row without a stored call envelope is rescanned by every
-//! pass without ever reaching quiescence.
+//! A storm that keeps the head of the intent index perpetually ineligible
+//! starves the tail forever if a bounded pass always truncates the same
+//! scan prefix, and an intent row without a call envelope is rescanned
+//! (or relaunched) by every pass without ever reaching quiescence.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::labels;
-use beldi::value::{Cond, Update, Value};
+use beldi::value::{vmap, Cond, Update, Value};
+use beldi::Label;
 use beldi::{BeldiConfig, BeldiEnv, CrashPlan, IcReport};
 use beldi_simdb::PrimaryKey;
 
@@ -61,10 +61,9 @@ fn bounded_ic_pass_rotates_past_an_ineligible_head() {
 
     // One genuinely recoverable intent: a crashed async execution…
     let id = env.invoke_async("sink", Value::Int(7)).unwrap();
-    env.platform().faults().plan(
-        id.clone(),
-        CrashPlan::AtLabel(labels::DAAL_WRITE_PRE_APPLY.into()),
-    );
+    env.platform()
+        .faults()
+        .plan(id.clone(), CrashPlan::AtLabel(Label::DaalWritePreApply));
     env.clock().sleep(Duration::from_millis(30));
     assert_eq!(env.platform().faults().injected_count(), 1);
     // …aged past the restart delay.
@@ -75,7 +74,8 @@ fn bounded_ic_pass_rotates_past_an_ineligible_head() {
     // starvation scenario.
     let now = env.clock().now().as_millis();
     for i in 0..8 {
-        plant_intent(&env, "sink", &format!("poison-{i}"), Value::from("p"), now);
+        let call = vmap! { "Op" => "call", "Input" => "p" };
+        plant_intent(&env, "sink", &format!("poison-{i}"), call, now);
     }
 
     // 9 unfinished rows, batch 2: the rotating cursor covers every scan
@@ -134,4 +134,38 @@ fn null_args_intent_is_quarantined_not_rescanned_forever() {
     let second = env.run_ic_once("sink").unwrap();
     assert_eq!(second, IcReport::default(), "{second:?}");
     assert_eq!(env.ic_corrupt_total(), 1, "no double counting");
+}
+
+/// An intent whose `Args` is not a call or a decision signal — a bare
+/// value, a callback envelope — cannot be re-fired either: the wrapper
+/// answers "bad envelope" and the intent stays unfinished. The IC
+/// quarantines it the way it quarantines a null envelope, instead of
+/// relaunching it on every pass.
+#[test]
+fn undecodable_intent_is_quarantined_not_relaunched_forever() {
+    let cfg = BeldiConfig::beldi().with_ic_restart_delay(Duration::from_millis(1));
+    let env = sink_env(cfg);
+    let now = env.clock().now().as_millis();
+    plant_intent(&env, "sink", "bare", Value::Int(7), now);
+    let callback = vmap! { "Op" => "callback", "CalleeId" => "bare" };
+    plant_intent(&env, "sink", "callback", callback, now);
+    env.clock().sleep(Duration::from_millis(10));
+
+    // Debug builds fail each pass that quarantines, one row per pass.
+    if cfg!(debug_assertions) {
+        for _ in 0..2 {
+            let err = env.run_ic_once("sink").unwrap_err().to_string();
+            assert!(err.contains("no stored call envelope"), "{err}");
+        }
+    } else {
+        let pass = env.run_ic_once("sink").unwrap();
+        assert_eq!((pass.corrupt, pass.restarted), (2, 0), "{pass:?}");
+    }
+    assert_eq!(env.ic_corrupt_total(), 2);
+
+    // Quarantined: nothing is unfinished and nothing restarts.
+    env.clock().sleep(Duration::from_millis(10));
+    let quiet = env.run_ic_once("sink").unwrap();
+    assert_eq!(quiet, IcReport::default(), "{quiet:?}");
+    assert_eq!(env.ic_corrupt_total(), 2);
 }

@@ -16,11 +16,11 @@
 
 use std::sync::Arc;
 
-use beldi::labels;
 use beldi::schema::{
     intent_table, log_table, A_ARGS, A_CALLEE_ID, A_ID, A_LOG_KEY, A_OWNER, A_RESULT, A_RET,
 };
 use beldi::value::{vmap, Map, Value};
+use beldi::Label;
 use beldi::{BeldiEnv, CrashPlan, A_VALUE};
 use beldi_simdb::ScanRequest;
 use parking_lot::Mutex;
@@ -143,9 +143,7 @@ fn a_re_executed_instance_gets_equal_values_and_shares_them_still() {
     // retry re-executes it, and the body replays its read from the log.
     env.platform()
         .faults()
-        .set_global_plan(Some(CrashPlan::AtLabel(
-            labels::WRAPPER_PRE_CALLBACK.into(),
-        )));
+        .set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreCallback)));
     let input = vmap! { "order" => vmap! { "qty" => 2i64 } };
     let ret = env.invoke_as("caller", "root", input).unwrap();
     assert_eq!(env.platform().faults().injected_count(), 1);

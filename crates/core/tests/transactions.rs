@@ -2,7 +2,7 @@
 //! deadlock prevention, opacity, and crash recovery of the commit/abort
 //! protocol.
 
-use beldi::labels;
+use beldi::Label;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -459,10 +459,10 @@ fn commit_protocol_survives_crashes() {
     // one flush-and-release write) and `r` only read (its commit is a
     // release), so every label below is on the commit path.
     for label in [
-        labels::TXN_PRE_FINALIZE,
-        labels::TXN_PRE_FLUSH_ITEM,
-        labels::TXN_PRE_RELEASE_ITEM,
-        labels::TXN_POST_FINALIZE,
+        Label::TxnPreFinalize,
+        Label::TxnPreFlushItem,
+        Label::TxnPreReleaseItem,
+        Label::TxnPostFinalize,
     ] {
         let env = BeldiEnv::for_tests();
         env.register_ssf(
@@ -482,10 +482,10 @@ fn commit_protocol_survives_crashes() {
         let id = format!("txn-crash-{label}");
         env.platform()
             .faults()
-            .plan(id.clone(), CrashPlan::AtLabel(label.to_owned()));
+            .plan(id.clone(), CrashPlan::AtLabel(label));
         env.invoke_as("txnroot", &id, Value::Null).unwrap();
         assert_eq!(
-            env.platform().faults().crash_sites().get(label),
+            env.platform().faults().crash_sites().get(label.as_str()),
             Some(&1),
             "label {label} never crashed"
         );
@@ -594,7 +594,7 @@ fn transactional_cond_write_sees_shadow_state() {
 }
 
 /// Crash-point visits at `label` in a trace.
-fn visits(trace: &[beldi_simfaas::TraceEntry], label: &str) -> usize {
+fn visits(trace: &[beldi_simfaas::TraceEntry], label: Label) -> usize {
     trace.iter().filter(|e| e.label == label).count()
 }
 
@@ -635,8 +635,8 @@ fn second_instance_in_a_txn_reads_the_first_instances_shadow_write() {
     let trace = env.platform().faults().take_trace();
     assert_eq!(out, Value::List(vec![Value::Int(1), Value::Int(2)]));
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(2));
-    assert_eq!(visits(&trace, labels::TXN_PRE_FLUSH_ITEM), 1, "one flush");
-    assert_eq!(visits(&trace, labels::TXN_PRE_RELEASE_ITEM), 0);
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 1, "one flush");
+    assert_eq!(visits(&trace, Label::TxnPreReleaseItem), 0);
 }
 
 #[test]
@@ -655,10 +655,9 @@ fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
             ctx.begin_tx()?;
             let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
             if armed.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                platform.faults().plan(
-                    ctx.instance_id(),
-                    CrashPlan::AtLabel(labels::WRITE_EXIT.to_owned()),
-                );
+                platform
+                    .faults()
+                    .plan(ctx.instance_id(), CrashPlan::AtLabel(Label::WriteExit));
             }
             ctx.write("t", "k", Value::Int(v + 1))?;
             ctx.end_tx()?;
@@ -673,16 +672,16 @@ fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
         env.platform()
             .faults()
             .crash_sites()
-            .get(labels::WRITE_EXIT),
+            .get(Label::WriteExit.as_str()),
         Some(&1)
     );
     assert_eq!(out, Value::Int(42));
     assert_eq!(env.read_current("rw", "t", "k").unwrap(), Value::Int(42));
-    assert_eq!(visits(&trace, labels::TXN_PRE_FLUSH_ITEM), 1, "one flush");
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 1, "one flush");
     // Write steps: the lock and the shadow write before the crash; their
     // replays and the flush after it. A re-execution that forgot the held
     // lock would take it again.
-    assert_eq!(visits(&trace, labels::WRITE_ENTER), 5);
+    assert_eq!(visits(&trace, Label::WriteEnter), 5);
 }
 
 #[test]

@@ -8,8 +8,10 @@
 //! only proves what the hand-placed `FaultInjector::crash_point` probes
 //! let it see, iteration order must not leak into logged state, and the
 //! simulated database's deadlock freedom rests on an ascending lock
-//! order. Eight rules over a hand-rolled, comment/string-aware lexer (no
-//! `syn`; the build environment is offline).
+//! order. Six rules over a hand-rolled, comment/string-aware lexer (no
+//! `syn`; the build environment is offline). That a probe fires a
+//! declared label is not among them: a crash label is a `Label`, so a
+//! misspelled one does not compile.
 //!
 //! See `DESIGN.md` §11 for the table of every static check and its
 //! home, the waiver syntax (`// beldi-lint: allow(<rule>, <reason>)`),
@@ -17,7 +19,6 @@
 
 pub mod findings;
 pub mod lexer;
-pub mod registry;
 pub mod rules;
 pub mod source;
 
@@ -25,11 +26,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use findings::{Finding, Report};
-use registry::Registry;
 use source::SourceFile;
 
-/// Workspace-relative path of the label registry.
-pub const REGISTRY_PATH: &str = "crates/simfaas/src/labels.rs";
+/// Workspace-relative path of the crash-label table.
+pub const LABELS_PATH: &str = "crates/simfaas/src/labels.rs";
 
 /// Directories never scanned: build output, the offline dependency shims
 /// (external API surface, not protocol code), and linter test fixtures
@@ -84,24 +84,17 @@ pub fn run(root: &Path) -> std::io::Result<Report> {
 pub fn run_parsed(files: &[SourceFile]) -> Report {
     let mut raw: Vec<Finding> = Vec::new();
 
-    // The registry first: other rules consult it.
-    let reg = match files.iter().find(|f| f.path == REGISTRY_PATH) {
-        Some(sf) => Registry::parse(sf, &mut raw),
-        None => {
-            raw.push(Finding::new(
-                "crash-points/registry",
-                REGISTRY_PATH,
-                1,
-                "label registry file is missing from the workspace",
-                "",
-            ));
-            Registry::default()
-        }
-    };
+    // Without the label table no label is work-dependent, so every
+    // conditional probe is a finding.
+    let work_dependent = files
+        .iter()
+        .find(|f| f.path == LABELS_PATH)
+        .map(rules::work_dependent_labels)
+        .unwrap_or_default();
 
     for sf in files {
         rules::hashmap_iteration(sf, &mut raw);
-        rules::crash_points(sf, &reg, &mut raw);
+        rules::crash_points(sf, &work_dependent, &mut raw);
         rules::lock_order(sf, &mut raw);
         for bad in &sf.bad_waivers {
             raw.push(Finding::new(

@@ -42,10 +42,10 @@ fn main() -> ExitCode {
     }
 
     // Make the workspace root findable when invoked via `cargo run -p`
-    // from a crate directory: walk up until the registry file appears.
+    // from a crate directory: walk up until the label table appears.
     let mut probe = root.clone();
     for _ in 0..4 {
-        if probe.join(beldi_lint::REGISTRY_PATH).exists() {
+        if probe.join(beldi_lint::LABELS_PATH).exists() {
             root = probe;
             break;
         }

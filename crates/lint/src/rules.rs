@@ -9,17 +9,17 @@
 //! | rule id                          | guards                                        |
 //! |----------------------------------|-----------------------------------------------|
 //! | `determinism/hashmap-iter`       | no order-sensitive `HashMap` iteration        |
-//! | `crash-points/label-literal`     | probes fire registry constants, not strings   |
-//! | `crash-points/registry`          | referenced labels exist and are well-formed   |
 //! | `crash-points/coverage`          | probes before *and* after core DB mutations   |
-//! | `crash-points/conditional`       | conditional probes must be `WORK_DEPENDENT`   |
+//! | `crash-points/conditional`       | conditional probes fire work-dependent labels |
 //! | `lock-order/nested`              | multi-partition holds iterate a sorted set    |
+//!
+//! That a probe fires a declared label is the type system's: a label is
+//! a `Label`, never a string.
 
 use std::collections::BTreeSet;
 
 use crate::findings::Finding;
 use crate::lexer::{Tok, TokKind};
-use crate::registry::Registry;
 use crate::source::SourceFile;
 
 // ---- Path scopes ----------------------------------------------------------
@@ -44,10 +44,6 @@ fn coverage_scope(p: &str) -> bool {
     p.starts_with("crates/core/src/")
         || p.starts_with("crates/runtime/src/")
         || p == "crates/bench/src/front.rs"
-}
-
-fn is_registry_file(p: &str) -> bool {
-    p.ends_with("simfaas/src/labels.rs")
 }
 
 // ---- Shared token helpers -------------------------------------------------
@@ -155,34 +151,18 @@ fn is_db_mutation(sf: &SourceFile, i: usize) -> bool {
         .any(|r| r == "db" || r == "database" || r.ends_with("_db") || r == "simdb")
 }
 
-/// Resolves the label argument of a probe/plan call whose arg list opens
-/// at `open`: a string literal, a `labels::CONST` / bare `ALL_CAPS`
-/// constant, or an opaque expression (pass-through site).
-enum LabelArg {
-    Literal(String, u32),
-    Const(String, u32),
-    Opaque,
-}
-
-fn label_arg(sf: &SourceFile, open: usize) -> LabelArg {
+/// The label a probe call whose arg list opens at `open` fires: the
+/// variant of a `Label::Variant` argument, or `None` for a pass-through
+/// site (the label arrives as a parameter).
+fn label_arg(sf: &SourceFile, open: usize) -> Option<&str> {
     let close = sf.match_of[open];
     if close == usize::MAX {
-        return LabelArg::Opaque;
+        return None;
     }
-    for j in open + 1..close {
-        match &sf.toks[j].kind {
-            TokKind::Str(s) if Registry::label_shaped(s) => {
-                return LabelArg::Literal(s.clone(), sf.toks[j].line)
-            }
-            TokKind::Ident(id)
-                if id.len() > 1 && id.chars().all(|c| c.is_ascii_uppercase() || c == '_') =>
-            {
-                return LabelArg::Const(id.clone(), sf.toks[j].line)
-            }
-            _ => {}
-        }
-    }
-    LabelArg::Opaque
+    (open + 1..close.saturating_sub(2)).find_map(|j| {
+        let path = sf.toks[j].is_ident("Label") && sf.toks[j + 1].kind == TokKind::PathSep;
+        path.then(|| ident_at(sf, j + 2)).flatten()
+    })
 }
 
 // ---- Determinism ---------------------------------------------------------
@@ -267,114 +247,71 @@ pub fn hashmap_iteration(sf: &SourceFile, findings: &mut Vec<Finding>) {
 
 // ---- Crash points --------------------------------------------------------
 
-pub fn crash_points(sf: &SourceFile, reg: &Registry, findings: &mut Vec<Finding>) {
-    if is_registry_file(&sf.path) {
-        return;
-    }
+/// The variants in the `work_dependent { .. }` group of the `labels!`
+/// table in `sf` (`simfaas/src/labels.rs`).
+pub fn work_dependent_labels(sf: &SourceFile) -> BTreeSet<String> {
     let toks = &sf.toks;
-    let labels = reg.labels();
+    // The end of the bracketed group opening at `open` (tolerating an
+    // unbalanced file: we lint, we don't compile).
+    let close = |open: usize| sf.match_of[open].min(toks.len() - 1);
+    // The invocation `labels! { .. }`, not the `macro_rules! labels` that
+    // declares it.
+    let Some(table) = (0..toks.len().saturating_sub(2)).find(|&i| {
+        toks[i].is_ident("labels") && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('{')
+    }) else {
+        return BTreeSet::new();
+    };
+    let Some(group) = (table + 3..close(table + 2))
+        .find(|&i| toks[i].is_ident("work_dependent") && toks[i + 1].is_punct('{'))
+    else {
+        return BTreeSet::new();
+    };
+    (group + 2..close(group + 1))
+        .filter(|&i| toks[i + 1].kind == TokKind::FatArrow)
+        .filter_map(|i| ident_at(sf, i).map(str::to_owned))
+        .collect()
+}
 
-    for i in 0..toks.len() {
-        // (a) Probe sites in protocol code: labels must be constants, and
-        // conditional probes must be registered work-dependent.
-        if probe_scope(&sf.path) && !sf.in_test[i] && is_probe_site(sf, i) {
-            let open = call_args_open(sf, i).unwrap();
-            match label_arg(sf, open) {
-                LabelArg::Literal(s, line) => {
-                    findings.push(Finding::new(
-                        "crash-points/label-literal",
-                        &sf.path,
-                        line,
-                        format!(
-                            "crash probe fires string literal \"{s}\"; declare it in \
-                             `simfaas::labels` and fire the constant, so the registry, \
-                             the explorer, and the tests share one source of truth"
-                        ),
-                        sf.line_text(line),
-                    ));
-                    check_conditional(sf, reg, i, &s, findings);
-                }
-                LabelArg::Const(name, line) => {
-                    match reg.label_of_const(&name) {
-                        Some(label) => {
-                            let label = label.to_owned();
-                            check_conditional(sf, reg, i, &label, findings);
-                        }
-                        None => findings.push(Finding::new(
-                            "crash-points/registry",
-                            &sf.path,
-                            line,
-                            format!("probe fires unknown label constant `{name}` (not in `simfaas::labels`)"),
-                            sf.line_text(line),
-                        )),
-                    }
-                }
-                LabelArg::Opaque => {} // pass-through site (label arrives as a parameter)
+/// Conditional probes in protocol code must fire a work-dependent label,
+/// and every DB mutation in core must be bracketed by probes.
+pub fn crash_points(
+    sf: &SourceFile,
+    work_dependent: &BTreeSet<String>,
+    findings: &mut Vec<Finding>,
+) {
+    if probe_scope(&sf.path) {
+        for i in 0..sf.toks.len() {
+            if sf.in_test[i] || !is_probe_site(sf, i) {
+                continue;
             }
-        }
-
-        // (b) Every label-shaped string anywhere (tests, explorer, plans)
-        // must resolve in the registry — a typo in `AtLabel("...")`
-        // otherwise silently explores nothing. Only strings fed to
-        // plan/probe constructors are checked; arbitrary strings (table
-        // names like "txn.data") are not labels.
-        if let Some(id) = ident_at(sf, i) {
-            if id == "AtLabel" || PROBE_IDENTS.contains(&id) {
-                if let Some(open) = call_args_open(sf, i) {
-                    if let LabelArg::Literal(s, line) = label_arg(sf, open) {
-                        if !labels.contains(s.as_str()) {
-                            findings.push(Finding::new(
-                                "crash-points/registry",
-                                &sf.path,
-                                line,
-                                format!(
-                                    "label \"{s}\" is not declared in `simfaas::labels`; \
-                                     a plan or probe naming it can never match a real \
-                                     crash point"
-                                ),
-                                sf.line_text(line),
-                            ));
-                        }
-                    }
-                }
+            let Some(label) = label_arg(sf, call_args_open(sf, i).unwrap()) else {
+                continue; // pass-through site
+            };
+            if work_dependent.contains(label) || sf.conditional_depth(i) == 0 {
+                continue;
             }
+            let line = sf.toks[i].line;
+            findings.push(Finding::new(
+                "crash-points/conditional",
+                &sf.path,
+                line,
+                format!(
+                    "probe `Label::{label}` sits under a conditional but is not in the \
+                     label table's `work_dependent` group; a probe whose firing depends \
+                     on the work found changes the global crash stream between runs and \
+                     breaks fixed-schedule exploration"
+                ),
+                sf.line_text(line),
+            ));
         }
     }
 
-    // (c) Coverage: every DB mutation in core protocol code (and the
+    // Coverage: every DB mutation in core protocol code (and the
     // runtime/front-door surfaces) must have a probe lexically before and
     // after it inside the same function, or the crash-schedule explorer
     // cannot exercise a crash on either side of that effect.
     if coverage_scope(&sf.path) {
         coverage(sf, findings);
-    }
-}
-
-fn check_conditional(
-    sf: &SourceFile,
-    reg: &Registry,
-    site: usize,
-    label: &str,
-    findings: &mut Vec<Finding>,
-) {
-    if reg.work_dependent.contains(label) {
-        return;
-    }
-    let depth = sf.conditional_depth(site);
-    if depth > 0 {
-        let line = sf.toks[site].line;
-        findings.push(Finding::new(
-            "crash-points/conditional",
-            &sf.path,
-            line,
-            format!(
-                "probe \"{label}\" sits under a conditional but is not listed in \
-                 `labels::WORK_DEPENDENT`; a probe whose firing depends on the work \
-                 found changes the global crash stream between runs and breaks \
-                 fixed-schedule exploration"
-            ),
-            sf.line_text(line),
-        ));
     }
 }
 

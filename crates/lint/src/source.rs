@@ -443,7 +443,7 @@ mod tests {
             "t.rs",
             "// beldi-lint: allow-file(crash-points, injector unit tests use abstract labels)\nfn f() {}\n",
         );
-        assert!(sf.waived("crash-points/registry", 40).is_some());
+        assert!(sf.waived("crash-points/conditional", 40).is_some());
         assert!(sf.waived("determinism/hashmap-iter", 40).is_none());
     }
 }

@@ -1,25 +1,25 @@
 //! Fixture: a well-behaved core mutation path.
 //!
-//! The canary test deletes the `OP_EXIT` probe line below and asserts
+//! The canary test deletes the `OpExit` probe line below and asserts
 //! the coverage rule fires — proving a silently-dropped crash point
 //! fails the build.
 
-use crate::labels;
+use crate::Label;
 
 pub fn logged_write(ctx: &Ctx, key: &str, v: Value) -> Result<()> {
-    ctx.crash(labels::OP_ENTER);
+    ctx.crash(Label::OpEnter);
     ctx.db.update("table", key, v)?;
-    ctx.crash(labels::OP_EXIT); // canary: coverage probe after the mutation
+    ctx.crash(Label::OpExit); // canary: coverage probe after the mutation
     Ok(())
 }
 
 pub fn sweep(ctx: &Ctx, items: &[Item]) -> Result<()> {
-    ctx.crash(labels::OP_ENTER);
+    ctx.crash(Label::OpEnter);
     for it in items {
-        ctx.crash(labels::OP_PER_ITEM);
+        ctx.crash(Label::OpPerItem);
         ctx.db.delete("table", &it.key)?;
     }
-    ctx.crash(labels::OP_EXIT);
+    ctx.crash(Label::OpExit);
     Ok(())
 }
 

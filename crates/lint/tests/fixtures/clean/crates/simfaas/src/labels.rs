@@ -1,10 +1,11 @@
-//! Fixture registry: a miniature `simfaas::labels`.
+//! Fixture label table: a miniature `simfaas/src/labels.rs`.
 
-pub const OP_ENTER: &str = "op.enter";
-pub const OP_EXIT: &str = "op.exit";
-pub const OP_PER_ITEM: &str = "op.per_item";
-pub const FX_AFTER: &str = "fx:after";
-
-pub const ALL: &[&str] = &[OP_ENTER, OP_EXIT, OP_PER_ITEM, FX_AFTER];
-
-pub const WORK_DEPENDENT: &[&str] = &[OP_PER_ITEM];
+labels! {
+    fixed {
+        OpEnter => "op.enter",
+        OpExit => "op.exit",
+    }
+    work_dependent {
+        OpPerItem => "op.per_item",
+    }
+}

@@ -1,7 +1,7 @@
 //! Fixture: one planted violation per core-scoped rule, plus one waiver
 //! that excuses nothing and one that cannot be parsed.
 
-use crate::labels;
+use crate::Label;
 
 // determinism/hashmap-iter (no sort, no BTree in sight)
 pub fn visit(reg: &HashMap<String, u64>) -> Vec<String> {
@@ -17,15 +17,10 @@ pub fn unprobed_write(ctx: &Ctx, key: &str, v: Value) -> Result<()> {
     ctx.db.update("table", key, v)
 }
 
-// crash-points/label-literal: probe fires a raw string
-pub fn literal_probe(ctx: &Ctx) {
-    ctx.crash("op.enter");
-}
-
-// crash-points/conditional: OP_EXIT is not WORK_DEPENDENT
+// crash-points/conditional: OpExit is not work-dependent
 pub fn conditional_probe(ctx: &Ctx, found: bool) {
     if found {
-        ctx.crash(labels::OP_EXIT);
+        ctx.crash(Label::OpExit);
     }
 }
 

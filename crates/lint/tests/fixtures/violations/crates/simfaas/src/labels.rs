@@ -1,8 +1,9 @@
-//! Fixture registry for the violations tree.
+//! Fixture label table for the violations tree.
 
-pub const OP_ENTER: &str = "op.enter";
-pub const OP_EXIT: &str = "op.exit";
-
-pub const ALL: &[&str] = &[OP_ENTER, OP_EXIT];
-
-pub const WORK_DEPENDENT: &[&str] = &[];
+labels! {
+    fixed {
+        OpEnter => "op.enter",
+        OpExit => "op.exit",
+    }
+    work_dependent {}
+}

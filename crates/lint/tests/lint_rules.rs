@@ -49,8 +49,6 @@ fn violations_tree_trips_every_rule_family() {
         [
             "crash-points/conditional",
             "crash-points/coverage",
-            "crash-points/label-literal",
-            "crash-points/registry",
             "determinism/hashmap-iter",
             "lock-order/nested",
             "waiver/malformed",
@@ -73,8 +71,8 @@ fn violations_land_in_the_right_files() {
             .collect()
     };
     assert_eq!(
-        at("crash-points/registry"),
-        ["crates/core/tests/bad_plan.rs"]
+        at("crash-points/conditional"),
+        ["crates/core/src/bad_core.rs"]
     );
     assert!(at("lock-order/nested")
         .iter()
@@ -120,10 +118,7 @@ fn canary_removing_a_probe_fails_the_coverage_rule() {
 #[test]
 fn waiver_suppresses_and_is_reported_as_used() {
     let bad = "pub fn seed(env: &Env, v: Value) -> Result<Value> {\n    // beldi-lint: allow(crash-points/coverage, seeding helper used by the loader)\n    env.db.update(\"state\", \"k\", v)\n}\n";
-    let files = vec![
-        SourceFile::parse("crates/core/src/a.rs", bad),
-        registry_sf(),
-    ];
+    let files = vec![SourceFile::parse("crates/core/src/a.rs", bad), labels_sf()];
     let report = run_parsed(&files);
     assert!(report.active.is_empty(), "{:#?}", report.active);
     assert_eq!(report.waived.len(), 1);
@@ -133,10 +128,7 @@ fn waiver_suppresses_and_is_reported_as_used() {
 #[test]
 fn unused_and_malformed_waivers_are_findings() {
     let src = "// beldi-lint: allow(lock-order/nested, nothing here locks)\npub fn noop() {}\n// beldi-lint: allow(no reason given)\n";
-    let files = vec![
-        SourceFile::parse("crates/apps/src/a.rs", src),
-        registry_sf(),
-    ];
+    let files = vec![SourceFile::parse("crates/apps/src/a.rs", src), labels_sf()];
     let report = run_parsed(&files);
     let rules = rules_of(&report);
     assert!(rules.contains("waiver/unused"), "{rules:?}");
@@ -157,7 +149,7 @@ fn repository_lints_clean() {
     assert!(report.waived.len() >= 10);
 }
 
-fn registry_sf() -> SourceFile {
+fn labels_sf() -> SourceFile {
     let text =
         fs::read_to_string(fixture_root("clean").join("crates/simfaas/src/labels.rs")).unwrap();
     SourceFile::parse("crates/simfaas/src/labels.rs", &text)

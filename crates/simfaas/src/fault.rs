@@ -28,6 +28,8 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::Label;
+
 /// Panic payload distinguishing an injected crash from a genuine bug.
 #[derive(Debug, Clone)]
 pub struct CrashSignal {
@@ -75,7 +77,7 @@ pub enum CrashPlan {
     /// re-executed instance runs on.
     AtOrdinal(usize),
     /// Crash the first time the instance passes the given label. One-shot.
-    AtLabel(String),
+    AtLabel(Label),
     /// Scripted multi-crash sequence: crash at each listed *lifetime*
     /// ordinal in turn — the `n`-th crash point (0-based) the instance
     /// passes counted across restarts, never reset by
@@ -113,8 +115,8 @@ pub struct RandomCrashPolicy {
 ///
 /// Two restrictions keep that invariant honest:
 ///
-/// - labels listed in [`crate::labels::WORK_DEPENDENT`] are never killed
-///   (their occurrence counts vary with the interleaving);
+/// - work-dependent labels ([`Label::is_work_dependent`]) are never
+///   killed (their occurrence counts vary with the interleaving);
 /// - the execution *generation* (how many times the instance started)
 ///   feeds the hash, so a killed execution's restart draws fresh
 ///   decisions instead of dying at the same point forever.
@@ -122,8 +124,8 @@ pub struct RandomCrashPolicy {
 pub struct StormPolicy {
     /// Kill probability at each eligible SSF crash point.
     pub ssf_prob: f64,
-    /// Kill probability at each eligible collector (`ic.*` / `gc.*`)
-    /// crash point.
+    /// Kill probability at each eligible collector (`ic.*` / `gc.*`,
+    /// [`Label::is_collector`]) crash point.
     pub collector_prob: f64,
     /// Hard cap on total injected crashes (shared with every other
     /// policy; guarantees workloads finish).
@@ -135,11 +137,11 @@ pub struct StormPolicy {
 impl StormPolicy {
     /// The storm's kill probability for `label`, or `None` when the
     /// label is ineligible (work-dependent).
-    fn prob_for(&self, label: &str) -> Option<f64> {
-        if crate::labels::WORK_DEPENDENT.contains(&label) {
+    fn prob_for(&self, label: Label) -> Option<f64> {
+        if label.is_work_dependent() {
             return None;
         }
-        Some(if label.starts_with("ic.") || label.starts_with("gc.") {
+        Some(if label.is_collector() {
             self.collector_prob
         } else {
             self.ssf_prob
@@ -147,7 +149,7 @@ impl StormPolicy {
     }
 
     /// The interleaving-invariant kill decision (see type docs).
-    fn kills(&self, instance: &str, generation: u64, label: &str, label_count: usize) -> bool {
+    fn kills(&self, instance: &str, generation: u64, label: Label, label_count: u32) -> bool {
         let Some(prob) = self.prob_for(label) else {
             return false;
         };
@@ -161,9 +163,9 @@ impl StormPolicy {
             instance.as_bytes(),
             b"\x00",
             &generation.to_le_bytes(),
-            label.as_bytes(),
+            label.as_str().as_bytes(),
             b"\x00",
-            &(label_count as u64).to_le_bytes(),
+            &u64::from(label_count).to_le_bytes(),
         ] {
             for &b in chunk {
                 h ^= u64::from(b);
@@ -183,7 +185,7 @@ pub struct TraceEntry {
     /// The instance that passed the point.
     pub instance: String,
     /// The crash-point label.
-    pub label: String,
+    pub label: Label,
     /// Whether an injected crash fired here.
     pub crashed: bool,
 }
@@ -195,15 +197,26 @@ struct InstanceState {
     /// Crash points passed across the instance's whole lifetime (never
     /// reset).
     lifetime: usize,
-    /// Occurrences per label (reset on re-execution). Labels are registry
-    /// constants, so a probe allocates no key.
-    label_counts: HashMap<&'static str, usize>,
+    /// Occurrences per label, indexed by [`Label::index`] (reset on
+    /// re-execution).
+    label_counts: [u32; Label::COUNT],
     /// Which execution of this instance is running (0-based; bumped by
     /// [`FaultInjector::instance_started`], never reset). Feeds the
     /// [`StormPolicy`] hash so restarts draw fresh decisions.
     generation: u64,
     /// Injected crashes at this instance across its lifetime.
     crashes: u64,
+}
+
+impl InstanceState {
+    /// An instance before its first execution.
+    const FRESH: InstanceState = InstanceState {
+        ordinal: 0,
+        lifetime: 0,
+        label_counts: [0; Label::COUNT],
+        generation: 0,
+        crashes: 0,
+    };
 }
 
 /// A plan plus its progress (for [`CrashPlan::Script`]).
@@ -226,10 +239,10 @@ impl PlanState {
     /// `ordinal` is the per-execution counter, `lifetime` the
     /// across-restarts counter (for the global stream both are the
     /// global step).
-    fn check(&mut self, ordinal: usize, lifetime: usize, label: &str) -> (bool, bool) {
+    fn check(&mut self, ordinal: usize, lifetime: usize, label: Label) -> (bool, bool) {
         match &self.plan {
             CrashPlan::AtOrdinal(n) => (ordinal == *n, true),
-            CrashPlan::AtLabel(l) => (l == label, true),
+            CrashPlan::AtLabel(l) => (*l == label, true),
             // `<=` so an entry whose exact step was passed while another
             // plan (or the random policy) fired there still triggers at
             // the next point instead of silently stalling the rest of the
@@ -261,8 +274,8 @@ struct InjectorState {
     global_plan: Option<PlanState>,
     /// Recorded entries while trace mode is on.
     trace: Option<Vec<TraceEntry>>,
-    /// Injected crashes per label ("crash counts by site").
-    crash_sites: BTreeMap<String, u64>,
+    /// Injected crashes per label ("crash counts by site"), by name.
+    crash_sites: BTreeMap<&'static str, u64>,
     random: Option<(RandomCrashPolicy, SmallRng)>,
     storm: Option<StormPolicy>,
 }
@@ -290,15 +303,16 @@ impl FaultInjector {
     /// and the per-site tally both advance, so recovery tracking treats
     /// the victim like any other casualty — but the `injected` counter is
     /// untouched: a timeout is the platform enforcing its contract, not
-    /// the fault policy firing.
-    pub fn timeout_kill(&self, instance_id: &str, label: &'static str) -> ! {
+    /// the fault policy firing. The site is [`Label::PlatformTMax`].
+    pub fn timeout_kill(&self, instance_id: &str) -> ! {
+        let label = Label::PlatformTMax;
         self.timeouts.fetch_add(1, Ordering::Relaxed);
         {
             let mut s = self.state.lock();
             if let Some(st) = s.instances.get_mut(instance_id) {
                 st.crashes += 1;
             }
-            *s.crash_sites.entry(label.to_owned()).or_insert(0) += 1;
+            *s.crash_sites.entry(label.as_str()).or_insert(0) += 1;
         }
         std::panic::panic_any(CrashSignal {
             point: format!("{label}@{instance_id}"),
@@ -364,9 +378,13 @@ impl FaultInjector {
         s.instances.get(instance_id).map_or(0, |st| st.crashes)
     }
 
-    /// Injected crashes per crash-point label, sorted by label.
+    /// Injected crashes per crash-point label, sorted by label name.
     pub fn crash_sites(&self) -> BTreeMap<String, u64> {
-        self.state.lock().crash_sites.clone()
+        let s = self.state.lock();
+        s.crash_sites
+            .iter()
+            .map(|(&label, &n)| (label.to_owned(), n))
+            .collect()
     }
 
     /// Drops everything kept about one instance: its crash-point counters
@@ -405,59 +423,64 @@ impl FaultInjector {
     /// The platform calls this when an execution (including a re-execution)
     /// begins, so `AtOrdinal` plans count points within a single
     /// execution. The lifetime counter (for [`CrashPlan::Script`]) is
-    /// preserved across restarts.
+    /// preserved across restarts. A known instance is reset in place, so
+    /// a restart allocates nothing.
     pub fn instance_started(&self, instance_id: &str) {
         let mut guard = self.state.lock();
         let states = &mut guard.instances;
-        let (lifetime, generation, crashes) = match states.get(instance_id) {
-            Some(s) => {
+        match states.get_mut(instance_id) {
+            Some(st) => {
                 self.restarts.fetch_add(1, Ordering::Relaxed);
-                (s.lifetime, s.generation + 1, s.crashes)
+                st.ordinal = 0;
+                st.label_counts = [0; Label::COUNT];
+                st.generation += 1;
             }
-            None => (0, 0, 0),
-        };
-        states.insert(
-            instance_id.to_owned(),
-            InstanceState {
-                ordinal: 0,
-                lifetime,
-                label_counts: HashMap::new(),
-                generation,
-                crashes,
-            },
-        );
+            None => {
+                states.insert(instance_id.to_owned(), InstanceState::FRESH);
+            }
+        }
     }
 
-    /// Called by the Beldi library at each labelled crash point.
+    /// Called by the Beldi library at each labelled crash point. After an
+    /// instance's first probe, a probe that does not crash allocates
+    /// nothing (unless trace mode records it).
+    ///
+    /// A label is a [`Label`]:
+    ///
+    /// ```
+    /// use beldi_simfaas::{FaultInjector, Label};
+    /// let faults = FaultInjector::new();
+    /// faults.crash_point("i1", Label::WrapperEnter);
+    /// ```
+    ///
+    /// never a string:
+    ///
+    /// ```compile_fail
+    /// use beldi_simfaas::FaultInjector;
+    /// let faults = FaultInjector::new();
+    /// faults.crash_point("i1", "wrapper.enter");
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics with a [`CrashSignal`] payload when the instance is scripted
     /// (per-instance plan, global plan, or random policy) to die here. The
     /// platform catches it.
-    pub fn crash_point(&self, instance_id: &str, label: &'static str) {
+    pub fn crash_point(&self, instance_id: &str, label: Label) {
         let mut guard = self.state.lock();
         let s = &mut *guard;
 
         // Lookup before insert: the id is allocated as a map key only the
         // first time this instance passes a probe.
         if !s.instances.contains_key(instance_id) {
-            s.instances.insert(
-                instance_id.to_owned(),
-                InstanceState {
-                    ordinal: 0,
-                    lifetime: 0,
-                    label_counts: HashMap::new(),
-                    generation: 0,
-                    crashes: 0,
-                },
-            );
+            s.instances
+                .insert(instance_id.to_owned(), InstanceState::FRESH);
         }
         let st = s.instances.get_mut(instance_id).expect("just ensured");
         let (ordinal, lifetime, generation) = (st.ordinal, st.lifetime, st.generation);
         st.ordinal += 1;
         st.lifetime += 1;
-        let count = st.label_counts.entry(label).or_insert(0);
+        let count = &mut st.label_counts[label.index()];
         let label_count = *count;
         *count += 1;
 
@@ -504,13 +527,13 @@ impl FaultInjector {
             trace.push(TraceEntry {
                 step,
                 instance: instance_id.to_owned(),
-                label: label.to_owned(),
+                label,
                 crashed: should_crash,
             });
         }
         if should_crash {
             self.injected.fetch_add(1, Ordering::Relaxed);
-            *s.crash_sites.entry(label.to_owned()).or_insert(0) += 1;
+            *s.crash_sites.entry(label.as_str()).or_insert(0) += 1;
             s.instances
                 .get_mut(instance_id)
                 .expect("just ensured")
@@ -527,6 +550,12 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    // Real labels standing in for the points of an execution.
+    const A: Label = Label::WrapperEnter;
+    const B: Label = Label::ReadEnter;
+    const C: Label = Label::WriteEnter;
+    const D: Label = Label::WriteExit;
+
     fn catches_crash(f: impl FnOnce() + std::panic::UnwindSafe) -> Option<CrashSignal> {
         match std::panic::catch_unwind(f) {
             Ok(()) => None,
@@ -542,8 +571,8 @@ mod tests {
     fn no_plan_no_crash() {
         let inj = FaultInjector::new();
         inj.instance_started("i1");
-        inj.crash_point("i1", crate::labels::WRITE_BEFORE);
-        inj.crash_point("i1", crate::labels::WRITE_AFTER);
+        inj.crash_point("i1", C);
+        inj.crash_point("i1", D);
         assert_eq!(inj.injected_count(), 0);
     }
 
@@ -552,30 +581,30 @@ mod tests {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::AtOrdinal(2));
         inj.instance_started("i1");
-        inj.crash_point("i1", "a");
-        inj.crash_point("i1", "b");
+        inj.crash_point("i1", A);
+        inj.crash_point("i1", B);
         let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "c");
+            inj.crash_point("i1", C);
         }))
         .expect("third point must crash");
-        assert!(sig.point.starts_with("c#0@2"));
+        assert!(sig.point.starts_with("write.enter#0@2"), "{}", sig.point);
         // Re-execution: plan consumed, no further crash.
         inj.instance_started("i1");
-        inj.crash_point("i1", "a");
-        inj.crash_point("i1", "b");
-        inj.crash_point("i1", "c");
+        inj.crash_point("i1", A);
+        inj.crash_point("i1", B);
+        inj.crash_point("i1", C);
         assert_eq!(inj.injected_count(), 1);
     }
 
     #[test]
     fn plans_are_per_instance() {
         let inj = FaultInjector::new();
-        inj.plan("victim", CrashPlan::AtLabel("x".into()));
+        inj.plan("victim", CrashPlan::AtLabel(D));
         inj.instance_started("victim");
         inj.instance_started("bystander");
-        inj.crash_point("bystander", "x"); // Unaffected.
+        inj.crash_point("bystander", D); // Unaffected.
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("victim", "x");
+            inj.crash_point("victim", D);
         }))
         .is_some());
     }
@@ -593,7 +622,7 @@ mod tests {
             let id = format!("i{i}");
             inj.instance_started(&id);
             if catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point(&id, "p");
+                inj.crash_point(&id, A);
             }))
             .is_some()
             {
@@ -609,11 +638,11 @@ mod tests {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::AtOrdinal(1));
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // ordinal 0.
+        inj.crash_point("i1", A); // ordinal 0.
         inj.instance_started("i1"); // Restart before reaching ordinal 1.
-        inj.crash_point("i1", "a"); // ordinal 0 again — survives...
+        inj.crash_point("i1", A); // ordinal 0 again — survives...
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "b"); // ...ordinal 1 — dies.
+            inj.crash_point("i1", B); // ...ordinal 1 — dies.
         }))
         .is_some());
     }
@@ -623,18 +652,18 @@ mod tests {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::Script(vec![3]));
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // lifetime 0
-        inj.crash_point("i1", "b"); // lifetime 1
+        inj.crash_point("i1", A); // lifetime 0
+        inj.crash_point("i1", B); // lifetime 1
         inj.instance_started("i1"); // restart resets ordinal, not lifetime
-        inj.crash_point("i1", "a"); // lifetime 2
+        inj.crash_point("i1", A); // lifetime 2
         let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "b"); // lifetime 3 — dies (ordinal is 1).
+            inj.crash_point("i1", B); // lifetime 3 — dies (ordinal is 1).
         }))
         .unwrap();
         // Per-execution counters reset on restart: this is execution 2's
-        // first `b` (occurrence 0, ordinal 1) — only the lifetime count
+        // first `B` (occurrence 0, ordinal 1) — only the lifetime count
         // made the plan fire.
-        assert!(sig.point.starts_with("b#0@1"), "{}", sig.point);
+        assert!(sig.point.starts_with("read.enter#0@1"), "{}", sig.point);
     }
 
     #[test]
@@ -642,22 +671,22 @@ mod tests {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::Script(vec![1, 4]));
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // lifetime 0
+        inj.crash_point("i1", A); // lifetime 0
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "b"); // lifetime 1 — first crash.
+            inj.crash_point("i1", B); // lifetime 1 — first crash.
         }))
         .is_some());
         // Restart: re-runs the same points.
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // lifetime 2
-        inj.crash_point("i1", "b"); // lifetime 3
+        inj.crash_point("i1", A); // lifetime 2
+        inj.crash_point("i1", B); // lifetime 3
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "c"); // lifetime 4 — second crash.
+            inj.crash_point("i1", C); // lifetime 4 — second crash.
         }))
         .is_some());
         // Script exhausted: a third restart runs clean.
         inj.instance_started("i1");
-        for l in ["a", "b", "c", "d"] {
+        for l in [A, B, C, D] {
             inj.crash_point("i1", l);
         }
         assert_eq!(inj.injected_count(), 2);
@@ -672,22 +701,22 @@ mod tests {
         inj.plan("i1", CrashPlan::AtOrdinal(1));
         inj.set_global_plan(Some(CrashPlan::Script(vec![1, 3])));
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // step 0
+        inj.crash_point("i1", A); // step 0
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "b"); // step 1 — per-instance plan wins.
+            inj.crash_point("i1", B); // step 1 — per-instance plan wins.
         }))
         .is_some());
         inj.instance_started("i1");
         assert!(
             catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point("i1", "a"); // step 2 — script catches up.
+                inj.crash_point("i1", A); // step 2 — script catches up.
             }))
             .is_some(),
             "missed script entry must fire at the next point"
         );
         inj.instance_started("i1");
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "a"); // step 3 — second entry on time.
+            inj.crash_point("i1", A); // step 3 — second entry on time.
         }))
         .is_some());
         assert_eq!(inj.injected_count(), 3);
@@ -699,15 +728,15 @@ mod tests {
         inj.set_global_plan(Some(CrashPlan::AtOrdinal(2)));
         inj.instance_started("i1");
         inj.instance_started("i2");
-        inj.crash_point("i1", "a"); // global step 0
-        inj.crash_point("i2", "a"); // global step 1
+        inj.crash_point("i1", A); // global step 0
+        inj.crash_point("i2", A); // global step 1
         let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i2", "b"); // global step 2 — dies.
+            inj.crash_point("i2", B); // global step 2 — dies.
         }))
         .unwrap();
         assert!(sig.point.ends_with("/g2"), "{}", sig.point);
         // One-shot: the stream continues crash-free.
-        inj.crash_point("i1", "b");
+        inj.crash_point("i1", B);
         assert_eq!(inj.injected_count(), 1);
     }
 
@@ -717,17 +746,17 @@ mod tests {
         inj.set_global_plan(Some(CrashPlan::Script(vec![0, 2])));
         inj.instance_started("i1");
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "a"); // step 0 — dies.
+            inj.crash_point("i1", A); // step 0 — dies.
         }))
         .is_some());
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // step 1
+        inj.crash_point("i1", A); // step 1
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "b"); // step 2 — dies.
+            inj.crash_point("i1", B); // step 2 — dies.
         }))
         .is_some());
         inj.instance_started("i1");
-        inj.crash_point("i1", "a"); // step 3 — script exhausted.
+        inj.crash_point("i1", A); // step 3 — script exhausted.
         assert_eq!(inj.injected_count(), 2);
     }
 
@@ -737,22 +766,22 @@ mod tests {
         inj.start_trace();
         inj.instance_started("i1");
         inj.instance_started("i2");
-        inj.crash_point("i1", "a");
-        inj.crash_point("i2", "b");
-        inj.plan("i1", CrashPlan::AtLabel("c".into()));
+        inj.crash_point("i1", A);
+        inj.crash_point("i2", B);
+        inj.plan("i1", CrashPlan::AtLabel(C));
         let _ = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "c");
+            inj.crash_point("i1", C);
         }));
         let trace = inj.take_trace();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].step, 0);
         assert_eq!(trace[0].instance, "i1");
-        assert_eq!(trace[0].label, "a");
+        assert_eq!(trace[0].label, A);
         assert!(!trace[0].crashed);
-        assert_eq!(trace[2].label, "c");
+        assert_eq!(trace[2].label, C);
         assert!(trace[2].crashed);
         // Trace mode is off after take_trace.
-        inj.crash_point("i2", "d");
+        inj.crash_point("i2", D);
         assert!(inj.take_trace().is_empty());
     }
 
@@ -767,8 +796,8 @@ mod tests {
         // Pure function of the decision key: same inputs, same answer.
         for count in 0..8 {
             assert_eq!(
-                storm.kills("i1", 0, crate::labels::WRAPPER_ENTER, count),
-                storm.kills("i1", 0, crate::labels::WRAPPER_ENTER, count),
+                storm.kills("i1", 0, Label::WrapperEnter, count),
+                storm.kills("i1", 0, Label::WrapperEnter, count),
             );
         }
         // The generation feeds the hash, so a restart is not doomed to
@@ -776,8 +805,8 @@ mod tests {
         // decision must flip at least once.
         let flips = (0..64)
             .filter(|&g| {
-                storm.kills("i1", g, crate::labels::WRAPPER_ENTER, 0)
-                    != storm.kills("i1", g + 1, crate::labels::WRAPPER_ENTER, 0)
+                storm.kills("i1", g, Label::WrapperEnter, 0)
+                    != storm.kills("i1", g + 1, Label::WrapperEnter, 0)
             })
             .count();
         assert!(flips > 0, "generation must vary the decision");
@@ -788,8 +817,12 @@ mod tests {
             max_crashes: 1_000,
             seed: 7,
         };
-        for label in crate::labels::WORK_DEPENDENT {
-            assert!(!eager.kills("i1", 0, label, 0), "{label} must be exempt");
+        for label in Label::ALL {
+            assert_eq!(
+                eager.kills("i1", 0, label, 0),
+                !label.is_work_dependent(),
+                "{label}"
+            );
         }
         // Collector labels draw from collector_prob, SSF labels from
         // ssf_prob.
@@ -799,9 +832,43 @@ mod tests {
             max_crashes: 1_000,
             seed: 7,
         };
-        assert!(collectors_only.kills("f.ic#p0", 0, crate::labels::IC_ENTER, 0));
-        assert!(collectors_only.kills("f.gc#p0", 0, crate::labels::GC_ENTER, 0));
-        assert!(!collectors_only.kills("i1", 0, crate::labels::WRAPPER_ENTER, 0));
+        assert!(collectors_only.kills("f.ic#p0", 0, Label::IcEnter, 0));
+        assert!(collectors_only.kills("f.gc#p0", 0, Label::GcEnter, 0));
+        assert!(!collectors_only.kills("i1", 0, Label::WrapperEnter, 0));
+    }
+
+    /// The storm hashes `(seed, instance, generation, label name,
+    /// occurrence)`: these decisions are what that hash gave when labels
+    /// were strings. A change to what the hash reads moves them.
+    #[test]
+    fn storm_decisions_are_pinned() {
+        let pins = [
+            (7, "i1", 0, Label::WrapperEnter, 0, false),
+            (7, "i1", 0, Label::WrapperEnter, 3, false),
+            (42, "root-17", 2, Label::WriteExit, 1, true),
+            (42, "media-9", 0, Label::InvokePreCall, 5, false),
+            (3, "f.ic#p4", 0, Label::IcEnter, 0, true),
+            (3, "f.gc#p11", 1, Label::GcPostDaal, 0, false),
+            (99, "front-3", 0, Label::FrontPreReply, 0, true),
+            (1, "i2", 7, Label::TxnPreFinalize, 2, true),
+            (11, "x-5", 3, Label::ReadPreLog, 9, false),
+            (5, "t", 0, Label::DaalAppendPostLink, 1, true),
+            (13, "i1", 0, Label::AsyncRegPostIntent, 0, true),
+            (21, "front-8", 4, Label::FrontEnter, 0, false),
+        ];
+        for (seed, instance, generation, label, count, kills) in pins {
+            let storm = StormPolicy {
+                ssf_prob: 0.5,
+                collector_prob: 0.3,
+                max_crashes: 1_000,
+                seed,
+            };
+            assert_eq!(
+                storm.kills(instance, generation, label, count),
+                kills,
+                "({seed}, {instance}, {generation}, {label}, {count})"
+            );
+        }
     }
 
     #[test]
@@ -818,7 +885,7 @@ mod tests {
             let id = format!("i{i}");
             inj.instance_started(&id);
             if catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point(&id, crate::labels::WRAPPER_ENTER);
+                inj.crash_point(&id, Label::WrapperEnter);
             }))
             .is_some()
             {
@@ -827,10 +894,7 @@ mod tests {
         }
         assert_eq!(crashes, 2);
         assert_eq!(inj.injected_count(), 2);
-        assert_eq!(
-            inj.crash_sites().get(crate::labels::WRAPPER_ENTER),
-            Some(&2)
-        );
+        assert_eq!(inj.crash_sites().get("wrapper.enter"), Some(&2));
         // Both victims record a lifetime crash count of one.
         assert_eq!(inj.instance_crashes("i0"), 1);
         assert_eq!(inj.instance_crashes("i9"), 0);
@@ -858,7 +922,7 @@ mod tests {
         inj.plan("i1", CrashPlan::AtOrdinal(0));
         inj.instance_started("i1");
         assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", "x");
+            inj.crash_point("i1", A);
         }))
         .is_some());
     }

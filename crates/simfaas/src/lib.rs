@@ -31,7 +31,7 @@
 
 mod error;
 mod fault;
-pub mod labels;
+mod labels;
 mod metrics;
 mod platform;
 
@@ -40,6 +40,7 @@ pub use fault::{
     silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, RandomCrashPolicy,
     StormPolicy, TraceEntry,
 };
+pub use labels::Label;
 pub use metrics::{PlatformMetrics, PlatformSnapshot};
 pub use platform::{
     FunctionHandler, InvocationCtx, Platform, PlatformConfig, SaturationPolicy, TimerHandle,

@@ -20,8 +20,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::{InvokeError, InvokeResult};
 use crate::fault::{CrashSignal, FaultInjector};
-use crate::labels;
 use crate::metrics::{PlatformMetrics, PlatformSnapshot};
+use crate::Label;
 
 /// Context handed to a running function instance.
 #[derive(Clone)]
@@ -226,7 +226,7 @@ impl Worker {
                 // from scratch.
                 platform
                     .faults
-                    .crash_point(&ctx.request_id, labels::WORKER_PRE_HANDLER);
+                    .crash_point(&ctx.request_id, Label::WorkerPreHandler);
                 (handler)(&ctx, payload)
             }));
             // The request id is this run's alone (a re-execution is a
@@ -609,7 +609,6 @@ fn describe_panic(panic: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels;
     use beldi_simclock::{Clock, ScaledClock, SimInstant};
     use beldi_value::vmap;
     use std::collections::HashSet;
@@ -726,7 +725,7 @@ mod tests {
             Arc::new(move |ctx: &InvocationCtx, _| -> Value {
                 p2.faults().instance_started(&ctx.request_id);
                 p2.faults()
-                    .crash_point(&ctx.request_id, labels::WRITE_AFTER);
+                    .crash_point(&ctx.request_id, Label::WrapperEnter);
                 Value::from("survived")
             }),
         );
@@ -739,9 +738,9 @@ mod tests {
         // global label-targeted plan (a blanket random policy would fire
         // at `worker.pre_handler` before the handler's own probe).
         p.faults()
-            .set_global_plan(Some(crate::CrashPlan::AtLabel(labels::WRITE_AFTER.into())));
+            .set_global_plan(Some(crate::CrashPlan::AtLabel(Label::WrapperEnter)));
         let err = p.invoke_sync("flaky", Value::Null).unwrap_err();
-        assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains(labels::WRITE_AFTER)));
+        assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains("wrapper.enter")));
         // One-shot plan consumed: next call survives.
         assert!(p.invoke_sync("flaky", Value::Null).is_ok());
     }
@@ -768,7 +767,7 @@ mod tests {
         // freed so the next invocation still gets a worker.
         let err = p.invoke_sync("victim", Value::Null).unwrap_err();
         assert!(
-            matches!(err, InvokeError::Crashed(ref pt) if pt.contains(labels::WORKER_PRE_HANDLER))
+            matches!(err, InvokeError::Crashed(ref pt) if pt.contains(Label::WorkerPreHandler.as_str()))
         );
         assert_eq!(entered.load(Ordering::SeqCst), 0);
         assert_eq!(
@@ -908,7 +907,7 @@ mod tests {
                 }
                 let faults = ctx.platform.faults();
                 faults.instance_started(&ctx.request_id);
-                faults.crash_point(&ctx.request_id, labels::WRITE_AFTER);
+                faults.crash_point(&ctx.request_id, Label::WrapperEnter);
                 payload
             }),
         );
@@ -917,9 +916,9 @@ mod tests {
         assert!(matches!(err, InvokeError::Crashed(ref m) if m.contains("kaboom")));
         assert!(p.invoke_sync("flaky", Value::Null).is_ok());
         p.faults()
-            .set_global_plan(Some(crate::CrashPlan::AtLabel(labels::WRITE_AFTER.into())));
+            .set_global_plan(Some(crate::CrashPlan::AtLabel(Label::WrapperEnter)));
         let err = p.invoke_sync("flaky", Value::Null).unwrap_err();
-        assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains(labels::WRITE_AFTER)));
+        assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains("wrapper.enter")));
         assert!(p.invoke_sync("flaky", Value::Null).is_ok());
 
         let seen = seen.lock().clone();

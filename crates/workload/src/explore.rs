@@ -125,7 +125,7 @@ pub struct Violation {
     pub schedule: Vec<u64>,
     /// The label of the first scheduled crash point (from the oracle
     /// trace), when known.
-    pub label: String,
+    pub label: &'static str,
     /// Human-readable specifics (divergent rows, error messages).
     pub detail: String,
 }
@@ -536,7 +536,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         report.violations.push(Violation {
             kind: ViolationKind::RequestError,
             schedule: Vec::new(),
-            label: "<oracle>".to_owned(),
+            label: "<oracle>",
             detail: format!(
                 "crash-free oracle run failed: errors={:?} unfinished={}",
                 oracle.errors, oracle.unfinished
@@ -583,13 +583,12 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         let label = schedule
             .first()
             .and_then(|&k| oracle.trace.get(k as usize))
-            .map(|t| t.label.clone())
-            .unwrap_or_default();
+            .map_or("", |t| t.label.as_str());
         let mut fail = |kind, detail| {
             report.violations.push(Violation {
                 kind,
                 schedule: schedule.clone(),
-                label: label.clone(),
+                label,
                 detail,
             });
         };

@@ -31,7 +31,6 @@ pub mod explore;
 pub mod gate;
 mod histogram;
 mod runner;
-mod sweep;
 pub mod wire;
 
 pub use driver::{
@@ -42,4 +41,3 @@ pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation
 pub use gate::{gate, growth_gate, recovery_gate};
 pub use histogram::{Histogram, Percentiles};
 pub use runner::{RateRunner, RunReport};
-pub use sweep::SweepPoint;

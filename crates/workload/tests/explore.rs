@@ -138,10 +138,10 @@ fn random_crash_policy_is_seed_stable() {
         }
         let trace = env.platform().faults().take_trace();
         let state = PipelineApp.canonical_state(&env);
-        let fired: Vec<(u64, String)> = trace
+        let fired: Vec<(u64, beldi::Label)> = trace
             .iter()
             .filter(|t| t.crashed)
-            .map(|t| (t.step, t.label.clone()))
+            .map(|t| (t.step, t.label))
             .collect();
         (fired, state, env.platform().faults().injected_count())
     };
