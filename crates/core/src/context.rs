@@ -32,6 +32,10 @@ pub struct SsfContext {
     pub(crate) ssf: Arc<Ssf>,
     pub(crate) instance: InstanceId,
     pub(crate) step: StepNumber,
+    /// The steps at which this instance has an entry in its SSF's log,
+    /// whichever execution wrote it; the done-mark records them for the
+    /// collector.
+    pub(crate) log_steps: Vec<StepNumber>,
     pub(crate) caller: Option<Arc<str>>,
     pub(crate) is_async: bool,
     pub(crate) txn: Option<TxnState>,
@@ -60,6 +64,7 @@ impl SsfContext {
             ssf,
             instance,
             step: 0,
+            log_steps: Vec::new(),
             caller,
             is_async,
             txn,

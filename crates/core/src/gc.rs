@@ -11,9 +11,10 @@
 //! 1. stamp a finish time on intents that completed since the last pass;
 //! 2. classify intents whose finish time is older than `T` as
 //!    *recyclable* — no live instance can still need their logs;
-//! 3. delete the recyclable intents' log entries — one owner-index query
-//!    per intent that ran finds its read, invoke and (cross-table mode)
-//!    write entries together, since an SSF keeps them in one table;
+//! 3. delete the recyclable intents' log entries — by key, with no read:
+//!    an intent's done-mark lists the steps at which it has an entry in
+//!    its SSF's one log table (`LogSteps`), so the entries are
+//!    `log_key(id, step)` for each listed step;
 //! 4. disconnect non-tail DAAL rows whose write logs are fully
 //!    recyclable, stamping them with a dangling time;
 //! 5. delete disconnected rows whose dangling time is older than `T`
@@ -22,6 +23,18 @@
 //! 6. delete the recyclable intent rows themselves — last, so that a log
 //!    entry whose owner is *absent* from the intent table is provably
 //!    recyclable (its intent was removed by an earlier completed pass).
+//!
+//! The list in step 3 is complete. Every execution of an intent replays
+//! the others step for step, because each nondeterministic input it acts
+//! on is logged; so the execution that marks the intent done passes every
+//! step at which any execution of it logged, and records each whether it
+//! wrote the entry or found it. A callback only updates an entry that
+//! already exists — its condition needs the entry's `CalleeId` — so
+//! nothing else creates a row under an intent's keys. A done intent
+//! without the list — a transaction's finalize marker, a body that logged
+//! nothing, an intent the IC quarantined — is taken to have logged
+//! nothing; one whose list is malformed is counted corrupt and left in
+//! place with its entries.
 //!
 //! Steps 4–5 do not walk the store: in a data table they visit only the
 //! keys a sparse index over appended rows lists (`collect_daal_table`
@@ -44,11 +57,11 @@ use crate::config::Mode;
 use crate::daal;
 use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiResult;
-use crate::ids::{is_finalize_marker, parse_log_key};
+use crate::ids::{log_key, parse_log_key, StepNumber};
 use crate::intent;
 use crate::schema::{
-    A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW, A_OWNER,
-    A_ROW_ID, A_WRITES, ROW_HEAD,
+    A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_LOG_STEPS,
+    A_NEXT_ROW, A_ROW_ID, A_WRITES, ROW_HEAD,
 };
 use crate::Label;
 
@@ -70,6 +83,11 @@ pub struct GcReport {
     /// protocol; a non-zero count means the store is damaged and the key
     /// was left untouched rather than part-collected.
     pub corrupt_chains: usize,
+    /// Done intents past the horizon whose `LogSteps` is not a list of
+    /// step numbers, left in place with their log entries: which entries
+    /// such an intent owns is unknown. A non-zero count means the store
+    /// is damaged.
+    pub corrupt_intents: usize,
 }
 
 impl GcReport {
@@ -82,6 +100,7 @@ impl GcReport {
         self.disconnected_rows += other.disconnected_rows;
         self.deleted_rows += other.deleted_rows;
         self.corrupt_chains += other.corrupt_chains;
+        self.corrupt_intents += other.corrupt_intents;
     }
 }
 
@@ -185,10 +204,16 @@ pub(crate) fn run_gc_with(
     // may be bounded (Appendix A): collectors are SSFs with execution
     // timeouts, so the remainder waits for later passes.
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
-    let mut recyclable: Vec<Arc<str>> = Vec::new();
-    // Classifying needs three small attributes; the envelopes (`Args`,
+    // Each recyclable intent with the steps its done-mark lists.
+    let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
+    // Classifying needs four small attributes; the envelopes (`Args`,
     // `Ret`) that make up most of an intent row stay in the store.
-    let classify = ScanRequest::all().with_projection(Projection::attrs([A_ID, A_DONE, A_FINISH]));
+    let classify = ScanRequest::all().with_projection(Projection::attrs([
+        A_ID,
+        A_DONE,
+        A_FINISH,
+        A_LOG_STEPS,
+    ]));
     for row in db.scan_all(intent_table, &classify)? {
         let Some(id) = row.get_shared_str(A_ID) else {
             continue;
@@ -203,16 +228,33 @@ pub(crate) fn run_gc_with(
             }
             None => {}
             Some(f) if now_ms.saturating_sub(f) > t_ms && recyclable.len() < batch_limit => {
-                recyclable.push(id.clone());
+                // Without its list, what the intent owns in the log is
+                // unknown: it and its entries stay.
+                match intent::log_steps(&row) {
+                    Some(steps) => recyclable.push((id.clone(), steps)),
+                    None => report_corruption(&mut report.corrupt_intents, || {
+                        format!("GC found intent {id} in {intent_table} with a malformed LogSteps")
+                    })?,
+                }
             }
             Some(_) => {}
         }
     }
     (hooks.crash)(Label::GcPostClassify);
 
-    // Step 3: prune the log entries of the recyclable intents that ran.
-    for owner in recyclable.iter().filter(|id| !is_finalize_marker(id)) {
-        report.deleted_log_entries += delete_log_entries_of(db, &ssf.log_table, owner)?;
+    // Step 3: delete the log entries the recyclable intents' done-marks
+    // list. The condition keeps a pass re-run after a crash here from
+    // counting an entry twice.
+    let present = Cond::exists(A_LOG_KEY);
+    for (id, steps) in &recyclable {
+        for &step in steps {
+            let pk = PrimaryKey::hash(log_key(id, step));
+            match db.delete(&ssf.log_table, &pk, &present) {
+                Ok(()) => report.deleted_log_entries += 1,
+                Err(DbError::ConditionFailed) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
     (hooks.crash)(Label::GcPostLogPrune);
 
@@ -222,7 +264,7 @@ pub(crate) fn run_gc_with(
         let mut status = OwnerStatus {
             db,
             intent_table,
-            recyclable: recyclable.iter().cloned().collect(),
+            recyclable: recyclable.iter().map(|(id, _)| id.clone()).collect(),
             cache: HashMap::new(),
         };
         for table in &ssf.tables {
@@ -254,34 +296,13 @@ pub(crate) fn run_gc_with(
     // what the fault injector kept about the instance. From here on the
     // id can only come back as a zombie past its lease, whose counters
     // start over.
-    for id in &recyclable {
+    for (id, _) in &recyclable {
         intent::delete(db, intent_table, id)?;
         core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
     (hooks.crash)(Label::GcExit);
     Ok(report)
-}
-
-/// Deletes every entry of `owner` in the log table (via the owner index,
-/// read keys-only: the delete needs nothing but the log key).
-fn delete_log_entries_of(db: &Database, table: &str, owner: &Arc<str>) -> BeldiResult<usize> {
-    let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_LOG_KEY]));
-    let rows = db.index_query(table, A_OWNER, &Value::from(owner), &keys_only)?;
-    let mut deleted = 0;
-    for row in rows {
-        if let Some(lk) = row.get_shared_str(A_LOG_KEY) {
-            // beldi-lint: allow(crash-points/coverage, bracketed by gc.post_classify and
-            // gc.post_log_prune in run_gc_with; per-entry probes would make the pass
-            // probe count work-dependent and break the fixed global crash stream)
-            match db.delete(table, &PrimaryKey::hash(lk), &Cond::True) {
-                Ok(()) => deleted += 1,
-                Err(DbError::ConditionFailed) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-    Ok(deleted)
 }
 
 /// Collects one DAAL (or shadow) table: disconnect fully recyclable
@@ -358,24 +379,30 @@ fn reconstruct_chain(rows: &[Value]) -> Option<(Vec<&Value>, HashSet<&str>)> {
     Some((chain, reachable))
 }
 
-/// Records a cyclic (corrupt) chain: counter bump, hard error in debug
-/// builds, `Ok` in release so the pass skips the key. A cycle is
-/// corruption, never a transient race — the key is left untouched
-/// either way, since part-collecting a damaged chain could destroy
-/// evidence or live data.
+/// Records corruption a pass found — a cyclic chain, a malformed
+/// `LogSteps`: counter bump, hard error in debug builds, `Ok` in release
+/// so the pass skips the item. Corruption is never a transient race, and
+/// the item is left untouched either way, since part-collecting damaged
+/// state could destroy evidence or live data.
+fn report_corruption(count: &mut usize, what: impl FnOnce() -> String) -> BeldiResult<()> {
+    *count += 1;
+    if cfg!(debug_assertions) {
+        return Err(crate::error::BeldiError::Protocol(what()));
+    }
+    Ok(())
+}
+
+/// Records a cyclic (corrupt) chain at `table`/`key` (see
+/// [`report_corruption`]).
 fn report_corrupt_chain(
     report: &mut GcReport,
     table: &str,
     key: &str,
     context: &str,
 ) -> BeldiResult<()> {
-    report.corrupt_chains += 1;
-    if cfg!(debug_assertions) {
-        return Err(crate::error::BeldiError::Protocol(format!(
-            "GC {context} found a cyclic DAAL chain at {table}/{key}"
-        )));
-    }
-    Ok(())
+    report_corruption(&mut report.corrupt_chains, || {
+        format!("GC {context} found a cyclic DAAL chain at {table}/{key}")
+    })
 }
 
 #[allow(
@@ -564,9 +591,11 @@ fn stamp_dangle(
 mod tests {
     use super::*;
     use crate::config::BeldiConfig;
-    use crate::env::BeldiEnv;
+    use crate::env::{BeldiEnv, SsfBody};
     use crate::schema::A_VALUE;
+    use beldi_simdb::MetricsSnapshot;
     use beldi_value::vmap;
+    use std::cell::{Cell, RefCell};
     use std::time::Duration;
 
     /// A Beldi env with one registered SSF (`f`, table `t`) and a tiny `T`.
@@ -673,7 +702,6 @@ mod tests {
     /// must not depend on how large the intents' envelopes are.
     #[test]
     fn classify_scan_reads_the_same_bytes_whatever_the_envelopes_hold() {
-        use std::cell::Cell;
         // `(bytes read by steps 1–2, report)` of the stamping pass and of
         // the recycling pass, over five intents with `input`-sized `Args`
         // and `Ret`.
@@ -719,96 +747,161 @@ mod tests {
         assert_eq!(passes(16 << 10), small);
     }
 
-    /// Step 3 asks the store once per recyclable intent, whatever kinds
-    /// of entries the intent logged: they are all in `{ssf}.log`.
+    /// Runs one pass over `ssf` and returns its report with what the store
+    /// was charged for step 3: between `gc.post_classify` and
+    /// `gc.post_log_prune`.
+    fn step3_cost(e: &BeldiEnv, ssf: &str) -> (GcReport, MetricsSnapshot) {
+        let (before, after) = (RefCell::new(None), RefCell::new(None));
+        let at_boundary = |label: Label| match label {
+            Label::GcPostClassify => *before.borrow_mut() = Some(e.db_metrics()),
+            Label::GcPostLogPrune => *after.borrow_mut() = Some(e.db_metrics()),
+            _ => {}
+        };
+        let hooks = GcHooks {
+            crash: &at_boundary,
+            probe: &|_| {},
+        };
+        let report = run_gc_with(e.test_core(), &e.test_ssf(ssf), &hooks).unwrap();
+        let (before, after) = (before.take().unwrap(), after.take().unwrap());
+        (report, after.delta(&before))
+    }
+
+    /// Step 3 reads nothing: it deletes the keys the done-marks list, one
+    /// delete per logged entry, whatever kinds of entries an intent logged
+    /// and in either logged mode. A transaction's finalize marker is a done
+    /// intent that never ran and lists nothing; the instance that claimed
+    /// it still has its entries deleted.
     #[test]
-    fn log_prune_queries_once_per_recyclable_intent() {
-        use std::cell::Cell;
-        for cfg in [BeldiConfig::beldi(), BeldiConfig::cross_table()] {
+    fn log_prune_reads_nothing() {
+        let read_write_invoke: SsfBody = Arc::new(|ctx, input| {
+            ctx.read("t", "k")?;
+            ctx.write("t", "k", input.clone())?;
+            ctx.sync_invoke("leaf", input)
+        });
+        let transaction: SsfBody = Arc::new(|ctx, input| {
+            ctx.begin_tx()?;
+            ctx.write("t", "k", input)?;
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        });
+        // (config, body, intents recycled: four instances, plus a
+        // finalize marker each in the transaction case)
+        for (cfg, body, intents) in [
+            (BeldiConfig::beldi(), read_write_invoke.clone(), 4),
+            (BeldiConfig::cross_table(), read_write_invoke, 4),
+            (BeldiConfig::beldi(), transaction, 8),
+        ] {
             let e = BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_millis(50)));
-            e.register_ssf("leaf", &[], std::sync::Arc::new(|_, input| Ok(input)));
-            e.register_ssf(
-                "f",
-                &["t"],
-                std::sync::Arc::new(|ctx, input| {
-                    ctx.read("t", "k")?;
-                    ctx.write("t", "k", input.clone())?;
-                    ctx.sync_invoke("leaf", input)
-                }),
-            );
+            e.register_ssf("leaf", &[], Arc::new(|_, input| Ok(input)));
+            e.register_ssf("f", &["t"], body);
             for i in 0..4 {
                 e.invoke_as("f", &format!("i-{i}"), Value::Int(i)).unwrap();
             }
             run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
             e.clock().sleep(Duration::from_millis(120));
 
-            let (before, after) = (Cell::new(0), Cell::new(0));
-            let at_boundary = |label: Label| {
-                if label == Label::GcPostClassify {
-                    before.set(e.db_metrics().queries);
-                } else if label == Label::GcPostLogPrune {
-                    after.set(e.db_metrics().queries);
-                }
-            };
-            let hooks = GcHooks {
-                crash: &at_boundary,
-                probe: &|_| {},
-            };
-            let report = run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks).unwrap();
-            assert_eq!(report.recycled_intents, 4);
-            assert!(report.deleted_log_entries >= 2 * 4, "{report:?}");
-            assert_eq!(after.get() - before.get(), 4, "one owner query each");
+            let logged = e.db().row_count("f.log").unwrap();
+            assert!(logged >= 2 * 4, "{logged} entries");
+            let (report, step3) = step3_cost(&e, "f");
+            assert_eq!(report.recycled_intents, intents);
+            assert_eq!((step3.queries, step3.gets, step3.scans), (0, 0, 0));
+            assert_eq!(step3.deletes, logged as u64);
+            assert_eq!(step3.cond_failures, 0);
+            assert_eq!(report.deleted_log_entries, logged);
+            assert_eq!(e.db().row_count("f.log").unwrap(), 0);
+            assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
         }
     }
 
-    /// A transaction's finalize marker is a done intent that never ran:
-    /// step 3 recycles it without asking the owner index about it, and the
-    /// instance that claimed it still has its entries deleted.
+    /// A pass killed after step 3 leaves its intents for the next pass,
+    /// whose deletes find nothing: each entry is counted deleted once.
     #[test]
-    fn finalize_marker_costs_no_owner_query() {
-        use std::cell::Cell;
+    fn a_pass_rerun_after_a_crash_past_step_3_counts_each_entry_once() {
         let e =
             BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(Duration::from_millis(50)));
         e.register_ssf(
             "f",
             &["t"],
-            std::sync::Arc::new(|ctx, input| {
-                ctx.begin_tx()?;
-                ctx.write("t", "k", input)?;
-                ctx.end_tx()?;
+            Arc::new(|ctx, _| {
+                ctx.read("t", "k")?;
+                ctx.logged_now_ms()?;
                 Ok(Value::Null)
             }),
         );
-        e.invoke_as("f", "i-0", Value::Int(1)).unwrap();
-        let intents = e.db().scan_all("f.intent", &ScanRequest::all()).unwrap();
-        let marker = intents
-            .iter()
-            .find(|r| r.get_str(A_ID).is_some_and(is_finalize_marker))
-            .expect("the transaction claimed its marker");
-        assert_eq!(marker.get_str(crate::schema::A_CLAIMANT), Some("i-0"));
-        assert_eq!(intents.len(), 2);
-        assert!(e.db().row_count("f.log").unwrap() > 0);
+        for i in 0..3 {
+            e.invoke_as("f", &format!("i-{i}"), Value::Null).unwrap();
+        }
         run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
         e.clock().sleep(Duration::from_millis(120));
+        assert_eq!(e.db().row_count("f.log").unwrap(), 6);
 
-        let (before, after) = (Cell::new(0), Cell::new(0));
-        let at_boundary = |label: Label| {
-            if label == Label::GcPostClassify {
-                before.set(e.db_metrics().queries);
-            } else if label == Label::GcPostLogPrune {
-                after.set(e.db_metrics().queries);
+        let before = RefCell::new(None);
+        let deleted = Cell::new(0);
+        let kill_after_step_3 = |label: Label| match label {
+            Label::GcPostClassify => *before.borrow_mut() = Some(e.db_metrics()),
+            Label::GcPostLogPrune => {
+                let before = before.take().unwrap();
+                deleted.set(e.db_metrics().delta(&before).deletes);
+                panic!("collector killed after step 3");
             }
+            _ => {}
         };
         let hooks = GcHooks {
-            crash: &at_boundary,
+            crash: &kill_after_step_3,
             probe: &|_| {},
         };
-        let report = run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks).unwrap();
-        assert_eq!(report.recycled_intents, 2);
-        assert_eq!(after.get() - before.get(), 1, "the claimant's query only");
-        assert!(report.deleted_log_entries > 0, "{report:?}");
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_gc_with(e.test_core(), &e.test_ssf("f"), &hooks)
+        }));
+        assert!(killed.is_err());
+        assert_eq!(deleted.get(), 6);
         assert_eq!(e.db().row_count("f.log").unwrap(), 0);
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 3);
+
+        let rerun = run_gc(e.test_core(), &e.test_ssf("f")).unwrap();
+        assert_eq!((rerun.recycled_intents, rerun.deleted_log_entries), (3, 0));
         assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
+    }
+
+    /// A done intent whose `LogSteps` is not a list of step numbers is
+    /// corruption: an error in debug builds, a `corrupt_intents` count in
+    /// release, and the intent and its entries stay.
+    #[test]
+    fn a_malformed_log_step_list_is_reported_not_collected() {
+        for bad in [
+            Value::from("0"),
+            Value::List(vec![Value::Int(0), Value::Bool(true)]),
+            Value::List(vec![Value::Int(-1)]),
+        ] {
+            let e = env();
+            let intent = vmap! {
+                A_ID => "bad", A_DONE => true, A_FINISH => 0i64, A_LOG_STEPS => bad.clone()
+            };
+            e.db().put("f.intent", intent).unwrap();
+            e.db()
+                .put("f.log", vmap! { A_LOG_KEY => "bad#0", A_VALUE => 1i64 })
+                .unwrap();
+            e.clock().sleep(Duration::from_millis(120));
+
+            for _ in 0..2 {
+                match e.run_gc_once("f") {
+                    Err(err) if cfg!(debug_assertions) => {
+                        assert!(err.to_string().contains("LogSteps"), "{err}")
+                    }
+                    Ok(report) if !cfg!(debug_assertions) => {
+                        assert_eq!(report.corrupt_intents, 1, "{report:?}");
+                        assert_eq!(report.recycled_intents, 0, "{report:?}");
+                    }
+                    other => panic!("debug builds fail the pass, release counts: {other:?}"),
+                }
+            }
+            let totals = e.gc_totals();
+            assert_eq!(totals.passes, 2);
+            let corrupt = totals.errors + totals.report.corrupt_intents as u64;
+            assert_eq!(corrupt, 2, "{totals:?}");
+            assert_eq!(e.db().row_count("f.intent").unwrap(), 1, "{bad}");
+            assert_eq!(e.db().row_count("f.log").unwrap(), 1, "{bad}");
+        }
     }
 
     /// The cycle guard: a fabricated cyclic chain must surface loudly —
@@ -869,6 +962,7 @@ mod tests {
             disconnected_rows: 4,
             deleted_rows: 5,
             corrupt_chains: 6,
+            corrupt_intents: 7,
         };
         let mut total = a;
         total.absorb(&a);
@@ -881,6 +975,7 @@ mod tests {
                 disconnected_rows: 8,
                 deleted_rows: 10,
                 corrupt_chains: 12,
+                corrupt_intents: 14,
             }
         );
     }

@@ -66,11 +66,6 @@ pub fn finalize_marker(txn_id: &str) -> Arc<str> {
     shared(format_args!("txnfinal#{txn_id}"))
 }
 
-/// A finalize marker is written done and never runs: it owns no log entry.
-pub fn is_finalize_marker(id: &str) -> bool {
-    id.starts_with("txnfinal#")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,8 +115,8 @@ mod tests {
     fn finalize_marker_is_recognised() {
         let m = finalize_marker("t-1");
         assert_eq!(&*m, "txnfinal#t-1");
-        assert!(is_finalize_marker(&m));
-        assert!(!is_finalize_marker("t-1"));
-        assert!(!is_finalize_marker(&callee_id(&log_key("root", 1))));
+        assert_ne!(finalize_marker("t-2"), m);
+        // A marker's id names no log entry a callback could address.
+        assert_eq!(callee_log_key(&m), None);
     }
 }

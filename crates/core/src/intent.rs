@@ -15,8 +15,9 @@ use beldi_simdb::{Database, DbError, PrimaryKey};
 use beldi_value::{Cond, Update, Value};
 
 use crate::error::BeldiResult;
+use crate::ids::StepNumber;
 use crate::schema::{
-    A_ARGS, A_ASYNC, A_CALLER, A_CREATED, A_DONE, A_FINISH, A_ID, A_LAST_LAUNCH, A_RET,
+    A_ARGS, A_ASYNC, A_CALLER, A_CREATED, A_DONE, A_FINISH, A_ID, A_LAST_LAUNCH, A_LOG_STEPS, A_RET,
 };
 
 /// A decoded intent-table row.
@@ -104,14 +105,39 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
     Ok(row.and_then(IntentRecord::from_row))
 }
 
-/// Marks an intent as done, recording its outcome envelope.
+/// Marks an intent as done, recording its outcome envelope and the steps
+/// at which it has a log entry ([`A_LOG_STEPS`], omitted when there are
+/// none) in the same write.
 ///
 /// Idempotent: re-executions overwrite with the identical (deterministic)
-/// outcome.
-pub(crate) fn mark_done(db: &Database, table: &str, id: &Arc<str>, ret: Value) -> BeldiResult<()> {
-    let update = Update::new().set(A_DONE, Value::Bool(true)).set(A_RET, ret);
+/// outcome and steps.
+pub(crate) fn mark_done(
+    db: &Database,
+    table: &str,
+    id: &Arc<str>,
+    ret: Value,
+    log_steps: &[StepNumber],
+) -> BeldiResult<()> {
+    let mut update = Update::new().set(A_DONE, Value::Bool(true)).set(A_RET, ret);
+    if !log_steps.is_empty() {
+        let steps = log_steps.iter().map(|&s| Value::Int(s as i64)).collect();
+        update = update.set(A_LOG_STEPS, Value::List(steps));
+    }
     db.update(table, &PrimaryKey::hash(id), &Cond::exists(A_ID), &update)?;
     Ok(())
+}
+
+/// Decodes an intent's [`A_LOG_STEPS`]: empty when absent, `None` when
+/// present but not a list of non-negative ints (corruption).
+pub(crate) fn log_steps(row: &Value) -> Option<Vec<StepNumber>> {
+    let Some(steps) = row.get_attr(A_LOG_STEPS) else {
+        return Some(Vec::new());
+    };
+    steps
+        .as_list()?
+        .iter()
+        .map(|s| s.as_int().and_then(|n| StepNumber::try_from(n).ok()))
+        .collect()
 }
 
 /// Compare-and-swap of the last-launch timestamp (the IC's duplicate-
@@ -202,10 +228,29 @@ mod tests {
     fn done_round_trips_return_value() {
         let db = db();
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        mark_done(&db, "i", &x(), Value::Int(42)).unwrap();
+        mark_done(&db, "i", &x(), Value::Int(42), &[0, 2]).unwrap();
         let rec = load(&db, "i", &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, Some(Value::Int(42)));
+        let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
+        assert_eq!(log_steps(&row), Some(vec![0, 2]));
+    }
+
+    #[test]
+    fn log_steps_decode_absent_as_empty_and_malformed_as_none() {
+        use beldi_value::vmap;
+        assert_eq!(log_steps(&vmap! { A_ID => "x" }), Some(vec![]));
+        for bad in [
+            Value::Int(3),
+            Value::List(vec![Value::Int(1), Value::from("2")]),
+            Value::List(vec![Value::Int(-1)]),
+        ] {
+            assert_eq!(
+                log_steps(&vmap! { A_LOG_STEPS => bad.clone() }),
+                None,
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -216,7 +261,7 @@ mod tests {
         // Second claimer saw the stale timestamp and loses.
         assert!(!claim_launch(&db, "i", &x(), 0, 11).unwrap());
         // Done intents are never claimed.
-        mark_done(&db, "i", &x(), Value::Null).unwrap();
+        mark_done(&db, "i", &x(), Value::Null, &[]).unwrap();
         assert!(!claim_launch(&db, "i", &x(), 10, 20).unwrap());
     }
 
@@ -231,7 +276,7 @@ mod tests {
         // Not done yet: no stamp.
         stamp_finish(&db, "i", &x(), 7).unwrap();
         assert_eq!(finish(), None);
-        mark_done(&db, "i", &x(), Value::Null).unwrap();
+        mark_done(&db, "i", &x(), Value::Null, &[]).unwrap();
         stamp_finish(&db, "i", &x(), 7).unwrap();
         stamp_finish(&db, "i", &x(), 99).unwrap();
         assert_eq!(finish(), Some(7));

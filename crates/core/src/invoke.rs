@@ -29,9 +29,7 @@ use beldi_value::{Cond, Map, Update, Value};
 use crate::context::SsfContext;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
-use crate::schema::{
-    A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_OWNER, A_REGISTERED, A_RESULT, A_TXN_ID,
-};
+use crate::schema::{A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_REGISTERED, A_RESULT, A_TXN_ID};
 use crate::txn::{TxnContext, TxnMode};
 use crate::Label;
 
@@ -278,16 +276,16 @@ impl SsfContext {
     /// Creates (or replays) the invoke-log entry for the next step:
     /// exactly-once assignment of a callee instance id (Fig. 8).
     fn invoke_entry(&mut self, callee_fn: &str) -> BeldiResult<InvokeEntry> {
+        let step = self.step;
         let log_key = self.next_log_key();
         let log = &self.ssf.log_table;
         // A callee id derived from the (replay-stable) log key, not a
         // platform UUID, makes the execution tree's instance ids a pure
         // function of the root id (bit-identical chaos crash schedules per
         // seed) and lets the callback address this entry. The fresh row is
-        // seeded with its key; its `Owner` and `CalleeId` share their strings.
+        // seeded with its key.
         let fresh_id = crate::ids::callee_id(&log_key);
         let mut update = Update::new()
-            .set(A_OWNER, &self.instance)
             .set(A_CALLEE_ID, &fresh_id)
             .set(A_CALLEE_FN, callee_fn);
         if let Some(t) = &self.txn {
@@ -303,12 +301,17 @@ impl SsfContext {
             // append; invoke.pre_call / invoke.pre_asyncreg fire after it in the callers)
             .update(log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
         {
-            Ok(()) => Ok(InvokeEntry {
-                callee_id: fresh_id,
-                result: None,
-                registered: false,
-            }),
+            Ok(()) => {
+                self.log_steps.push(step);
+                Ok(InvokeEntry {
+                    callee_id: fresh_id,
+                    result: None,
+                    registered: false,
+                })
+            }
             Err(DbError::ConditionFailed) => {
+                // A previous execution created the entry.
+                self.log_steps.push(step);
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;

@@ -20,7 +20,7 @@ use beldi_value::{Cond, Update, Value};
 
 use crate::daal::WriteOutcome;
 use crate::error::{BeldiError, BeldiResult};
-use crate::schema::{A_FLAG, A_KEY, A_LOCK, A_LOG_KEY, A_OWNER, A_VALUE};
+use crate::schema::{A_FLAG, A_KEY, A_LOCK, A_LOG_KEY, A_VALUE};
 
 // ---- Baseline ----
 
@@ -74,18 +74,10 @@ pub(crate) fn baseline_cond_write(
 /// cancellation blaming this op means "this step already executed".
 const LOG_OP: usize = 1;
 
-fn write_entry(log_key: &str, owner: &str, flag: bool) -> Value {
-    beldi_value::vmap! {
-        A_LOG_KEY => log_key,
-        A_OWNER => owner,
-        A_FLAG => flag,
-    }
-}
-
-fn write_entry_put(log: &str, log_key: &str, owner: &str, flag: bool) -> TransactOp {
+fn write_entry_put(log: &str, log_key: &str, flag: bool) -> TransactOp {
     TransactOp::Put {
         table: log.to_owned(),
-        item: write_entry(log_key, owner, flag),
+        item: beldi_value::vmap! { A_LOG_KEY => log_key, A_FLAG => flag },
         cond: Cond::not_exists(A_LOG_KEY),
     }
 }
@@ -110,17 +102,12 @@ fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutc
 /// `payload` is applied to the data row on success (e.g. `SET Value = v`
 /// or `SET LockOwner = o`); `user_cond` gates it, with the false outcome
 /// logged exactly as in the DAAL protocol (Fig. 17).
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the argument list mirrors the DAAL write-protocol inputs one-to-one; bundling them into a struct would just rename the call sites"
-)]
 pub(crate) fn cross_table_write(
     db: &Database,
     table: &str,
     log: &str,
     key: &str,
     log_key: &str,
-    owner: &str,
     payload: Update,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
@@ -133,7 +120,7 @@ pub(crate) fn cross_table_write(
             cond: data_cond,
             update: payload,
         },
-        write_entry_put(log, log_key, owner, true),
+        write_entry_put(log, log_key, true),
     ];
     match db.transact_write(&ops) {
         Ok(()) => Ok(WriteOutcome::Applied),
@@ -145,7 +132,7 @@ pub(crate) fn cross_table_write(
             // The user condition failed at the serialization point; log
             // the false outcome (unless a racing re-execution logged
             // first, in which case replay it).
-            match db.transact_write(&[write_entry_put(log, log_key, owner, false)]) {
+            match db.transact_write(&[write_entry_put(log, log_key, false)]) {
                 Ok(()) => Ok(WriteOutcome::ConditionFalse),
                 Err(DbError::TransactionCanceled { .. }) => logged_flag(db, log, log_key),
                 Err(e) => Err(e.into()),
@@ -220,12 +207,12 @@ mod tests {
     fn cross_table_write_is_exactly_once() {
         let db = db();
         let payload = Update::new().set(A_VALUE, Value::Int(5));
-        let out = cross_table_write(&db, "d", "w", "k", "i#0", "i", payload.clone(), None).unwrap();
+        let out = cross_table_write(&db, "d", "w", "k", "i#0", payload.clone(), None).unwrap();
         assert_eq!(out, WriteOutcome::Applied);
         assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(5));
         // Replay of the same step: logged, so the data row is untouched.
         let other = Update::new().set(A_VALUE, Value::Int(99));
-        let out = cross_table_write(&db, "d", "w", "k", "i#0", "i", other, None).unwrap();
+        let out = cross_table_write(&db, "d", "w", "k", "i#0", other, None).unwrap();
         assert_eq!(out, WriteOutcome::Applied);
         assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(5));
     }
@@ -239,15 +226,14 @@ mod tests {
             "w",
             "k",
             "i#0",
-            "i",
             Update::new().set(A_VALUE, Value::Int(1)),
             None,
         )
         .unwrap();
         let cond = Cond::ge(A_VALUE, 100i64);
         let payload = Update::new().set(A_VALUE, Value::Int(2));
-        let out = cross_table_write(&db, "d", "w", "k", "i#1", "i", payload.clone(), Some(&cond))
-            .unwrap();
+        let out =
+            cross_table_write(&db, "d", "w", "k", "i#1", payload.clone(), Some(&cond)).unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
         // Make the condition true, then replay the step: the *logged*
         // false outcome answers, not a re-evaluation.
@@ -257,12 +243,11 @@ mod tests {
             "w",
             "k",
             "i#2",
-            "i",
             Update::new().set(A_VALUE, Value::Int(200)),
             None,
         )
         .unwrap();
-        let out = cross_table_write(&db, "d", "w", "k", "i#1", "i", payload, Some(&cond)).unwrap();
+        let out = cross_table_write(&db, "d", "w", "k", "i#1", payload, Some(&cond)).unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
         assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(200));
     }
@@ -278,7 +263,6 @@ mod tests {
             "w",
             "k",
             "i#0",
-            "i",
             Update::new().set(A_LOCK, owner.clone()),
             Some(&free),
         )

@@ -28,7 +28,7 @@ use crate::context::SsfContext;
 use crate::daal::{self, WriteOutcome, WritePayload};
 use crate::error::{BeldiError, BeldiResult};
 use crate::modes;
-use crate::schema::{A_LOCK, A_LOG_KEY, A_OWNER, A_VALUE};
+use crate::schema::{A_LOCK, A_LOG_KEY, A_VALUE};
 use crate::Label;
 
 /// Maximum spins while waiting for a contended lock before concluding the
@@ -83,25 +83,26 @@ impl SsfContext {
     /// This is the paper's read-logging tail (Fig. 5) and is reused for
     /// every logged source of nondeterminism.
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
+        let step = self.step;
         let log_key = self.next_log_key();
         let log = &self.ssf.log_table;
         self.crash(Label::ReadPreLog);
         // First writer wins: a re-execution must find the value its
         // predecessor logged, never overwrite it with a fresh read. The
-        // fresh entry is seeded with its key; `Owner` is the instance id.
+        // fresh entry is seeded with its key.
         let entry_cond = Cond::not_exists(A_LOG_KEY);
-        let update = Update::new()
-            .set(A_OWNER, &self.instance)
-            .set(A_VALUE, val.clone());
+        let update = Update::new().set(A_VALUE, val.clone());
         let pk = PrimaryKey::hash(&log_key);
         match self.db().update(log, &pk, &entry_cond, &update) {
             Ok(()) => {
+                self.log_steps.push(step);
                 self.crash(Label::ReadPostLog);
                 Ok(val)
             }
             Err(DbError::ConditionFailed) => {
                 // A previous execution of this step logged first; its
                 // value is authoritative.
+                self.log_steps.push(step);
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("read-log entry {log_key} vanished"))
                 })?;
@@ -176,6 +177,7 @@ impl SsfContext {
         payload: Update,
         user_cond: Option<&Cond>,
     ) -> BeldiResult<WriteOutcome> {
+        let step = self.step;
         let log_key = self.next_log_key();
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
@@ -183,16 +185,20 @@ impl SsfContext {
                 let payload = WritePayload { apply: payload };
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
-            Mode::CrossTable => modes::cross_table_write(
-                self.db(),
-                physical,
-                &self.ssf.log_table,
-                key,
-                &log_key,
-                &self.instance,
-                payload,
-                user_cond,
-            )?,
+            Mode::CrossTable => {
+                // Either outcome leaves the step's entry in the log.
+                let out = modes::cross_table_write(
+                    self.db(),
+                    physical,
+                    &self.ssf.log_table,
+                    key,
+                    &log_key,
+                    payload,
+                    user_cond,
+                )?;
+                self.log_steps.push(step);
+                out
+            }
             Mode::Baseline => {
                 // Unlogged; used only via lock/flush paths that are no-ops
                 // in baseline mode, but kept total for robustness.

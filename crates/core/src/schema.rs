@@ -10,8 +10,9 @@
 //! draws its key from the one step counter
 //! ([`crate::SsfContext`]'s `next_log_key`), so entries of different kinds
 //! never share a `LogKey`, and the transaction-id index is sparse, so only
-//! invoke entries appear in it. The collector finds everything an intent
-//! logged with one owner-index query.
+//! invoke entries appear in it. An entry does not name its owner: the
+//! intent's done-mark lists the steps it logged at ([`A_LOG_STEPS`]), and
+//! the collector deletes those keys without asking the store.
 
 use beldi_simdb::TableSchema;
 
@@ -65,13 +66,16 @@ pub const A_CREATED: &str = "Created";
 pub const A_CLAIMANT: &str = "Claimant";
 /// Last (re-)launch timestamp (ms), maintained by the IC.
 pub const A_LAST_LAUNCH: &str = "LastLaunch";
+/// The step numbers at which the instance has an entry in its SSF's log,
+/// a list of ints set by the done-mark. GC step 3 deletes
+/// `log_key(Id, step)` for each; absent means the intent logged nothing
+/// (a finalize marker, a quarantined intent, a body with no logged step).
+pub const A_LOG_STEPS: &str = "LogSteps";
 
 // ---- Attribute names: log entries (Fig. 3) ----
 
 /// Log key `instance#step` (hash key of the log table).
 pub const A_LOG_KEY: &str = "LogKey";
-/// Owning instance id (indexed; lets the GC delete by instance).
-pub const A_OWNER: &str = "Owner";
 /// Callee instance id; a callback's condition checks it.
 pub const A_CALLEE_ID: &str = "CalleeId";
 /// Callee function name (lets commit/abort propagation find callees).
@@ -160,13 +164,12 @@ pub fn intent_schema() -> TableSchema {
     TableSchema::hash_only(A_ID).with_index(A_DONE)
 }
 
-/// Schema of a log table: indexed by owner for GC deletion and — invoke
-/// entries only, the index being sparse — by transaction id for
-/// commit/abort propagation. A callback writes its entry by key.
+/// Schema of a log table: indexed — invoke entries only, the index being
+/// sparse — by transaction id for commit/abort propagation. A callback
+/// writes its entry by key, and the collector deletes the keys the
+/// intent's [`A_LOG_STEPS`] names.
 pub fn log_schema() -> TableSchema {
-    TableSchema::hash_only(A_LOG_KEY)
-        .with_index(A_OWNER)
-        .with_index(A_TXN_ID)
+    TableSchema::hash_only(A_LOG_KEY).with_index(A_TXN_ID)
 }
 
 /// Schema of a plain one-row-per-key data table (baseline and cross-table
@@ -209,7 +212,7 @@ mod tests {
     #[test]
     fn schemas_have_expected_indexes() {
         assert_eq!(intent_schema().index_attrs, [A_DONE]);
-        assert_eq!(log_schema().index_attrs, [A_OWNER, A_TXN_ID]);
+        assert_eq!(log_schema().index_attrs, [A_TXN_ID]);
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
         assert_eq!(shadow_schema().index_attrs, [A_TXN_ID]);

@@ -15,7 +15,8 @@
 //! 4. performs the result **callback** to the caller *before* marking the
 //!    intent done (Fig. 9 — the ordering that keeps federated garbage
 //!    collectors from outrunning the caller);
-//! 5. marks the intent done with the recorded outcome.
+//! 5. marks the intent done with the recorded outcome and the steps at
+//!    which it has a log entry (the list GC step 3 deletes by key).
 //!
 //! Panics inside any step model crashes: the platform catches them and the
 //! intent collector later re-executes the instance from its logs.
@@ -255,7 +256,8 @@ fn finish(
     }
     ctx.crash(Label::WrapperPreDone);
     let intent_table = &ctx.ssf.intent_table;
-    if let Err(e) = intent::mark_done(&core.db, intent_table, &instance, outcome_value.clone()) {
+    let ret = outcome_value.clone();
+    if let Err(e) = intent::mark_done(&core.db, intent_table, &instance, ret, &ctx.log_steps) {
         if let crate::error::BeldiError::Db(beldi_simdb::DbError::ConditionFailed) = e {
             // The intent row is gone: every instance registers before its
             // first effect, so absence means the GC already recycled this

@@ -9,9 +9,10 @@ use beldi::Label;
 use std::sync::Arc;
 use std::time::Duration;
 
+use beldi::schema::A_LOG_STEPS;
 use beldi::value::Value;
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan};
-use beldi_simdb::ScanRequest;
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode};
+use beldi_simdb::{PrimaryKey, ScanRequest};
 
 fn gc_config() -> BeldiConfig {
     BeldiConfig::beldi()
@@ -461,7 +462,14 @@ fn every_kind_of_log_entry_shares_one_table_and_is_collected() {
         keys.sort_unstable();
         let steps: Vec<String> = (0..logged).map(|step| format!("m-1#{step}")).collect();
         assert_eq!(keys, steps, "one row per logged step, read first");
-        assert!(rows.iter().all(|r| r.get_str("Owner") == Some("m-1")));
+        // The done-mark lists those steps.
+        let intent = env
+            .db()
+            .get("mix.intent", &PrimaryKey::hash("m-1"), None)
+            .unwrap()
+            .expect("the intent");
+        let listed: Vec<Value> = (0..logged as i64).map(Value::Int).collect();
+        assert_eq!(intent.get_list(A_LOG_STEPS), Some(&listed));
 
         env.run_gc_once("mix").unwrap();
         wait_t(&env);
@@ -625,4 +633,109 @@ fn the_orphan_of_a_crashed_append_is_found_stamped_and_deleted() {
     assert_eq!((deleted.disconnected_rows, deleted.deleted_rows), (0, 1));
     assert_eq!(table_len(&env, "ctr.data.t"), 2);
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(4));
+}
+
+/// A workflow that logs every kind of entry: a read, a logged timestamp,
+/// a sync and an async invoke, a write (a log entry in cross-table mode)
+/// and, in Beldi mode, a transaction with a callee, so that commit
+/// signals run and log their invokes too.
+fn every_entry_env(cfg: BeldiConfig) -> BeldiEnv {
+    let env = BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_millis(100)));
+    for (leaf, table) in [("leaf", "lt"), ("tleaf", "tt")] {
+        env.register_ssf(
+            leaf,
+            &[table],
+            Arc::new(move |ctx, _| {
+                let n = ctx.read(table, "runs")?.as_int().unwrap_or(0);
+                ctx.write(table, "runs", Value::Int(n + 1))?;
+                Ok(Value::Null)
+            }),
+        );
+    }
+    env.register_ssf(
+        "root",
+        &["t"],
+        Arc::new(|ctx, _| {
+            let c = ctx.read("t", "k")?.as_int().unwrap_or(0);
+            ctx.logged_now_ms()?;
+            ctx.sync_invoke("leaf", Value::Null)?;
+            ctx.async_invoke("leaf", Value::Null)?;
+            ctx.write("t", "k", Value::Int(c + 1))?;
+            if ctx.mode() == Mode::Beldi {
+                ctx.begin_tx()?;
+                ctx.write("t", "x", Value::Int(c))?;
+                ctx.sync_invoke("tleaf", Value::Null)?;
+                ctx.end_tx()?;
+            }
+            Ok(Value::Null)
+        }),
+    );
+    env
+}
+
+/// Runs the workflow, re-drives whatever a crash left unfinished, then
+/// collects past `2·T_max` until a pass recycles nothing.
+fn run_and_collect(env: &BeldiEnv) {
+    let _ = env.invoke_as("root", "r", Value::Null);
+    let drain = env.drain_recovery(50).unwrap();
+    assert_eq!(drain.unfinished, 0, "{drain:?}");
+    let collect = || -> (usize, usize) {
+        let mut stamped_recycled = (0, 0);
+        for ssf in env.ssf_names() {
+            let r = env.run_gc_once(&ssf).unwrap();
+            stamped_recycled.0 += r.finish_stamped;
+            stamped_recycled.1 += r.recycled_intents;
+        }
+        stamped_recycled
+    };
+    assert_eq!(collect().1, 0, "nothing is past the horizon yet");
+    for _ in 0..5 {
+        env.clock().sleep(Duration::from_millis(250));
+        if collect() == (0, 0) {
+            return;
+        }
+    }
+    panic!("collection never settled");
+}
+
+/// The steps a done-mark lists are complete: killed once at any crash
+/// point the workflow passes, then recovered and collected, the workflow
+/// leaves no row in any SSF's log or intent table. An entry whose step a
+/// list missed would stay behind.
+#[test]
+fn a_crash_anywhere_leaves_no_log_row_behind() {
+    for cfg in [BeldiConfig::beldi(), BeldiConfig::cross_table()] {
+        let mode = cfg.mode;
+        // The labels a crash-free run passes.
+        let env = every_entry_env(cfg.clone());
+        env.platform().faults().start_trace();
+        run_and_collect(&env);
+        let trace = env.platform().faults().take_trace();
+        let labels: Vec<Label> = Label::ALL
+            .into_iter()
+            .filter(|l| trace.iter().any(|e| e.label == *l))
+            .collect();
+        assert!(
+            labels.contains(&Label::InvokePreAsyncCall),
+            "{mode:?}: {labels:?}"
+        );
+        if mode == Mode::Beldi {
+            assert!(labels.contains(&Label::TxnPreSignal), "{labels:?}");
+        }
+
+        for label in labels {
+            let env = every_entry_env(cfg.clone());
+            let faults = env.platform().faults();
+            faults.set_global_plan(Some(CrashPlan::AtLabel(label)));
+            run_and_collect(&env);
+            assert_eq!(faults.injected_count(), 1, "{mode:?} at {label}");
+            for ssf in env.ssf_names() {
+                for table in [format!("{ssf}.log"), format!("{ssf}.intent")] {
+                    let left = table_len(&env, &table);
+                    assert_eq!(left, 0, "{mode:?} killed at {label}: {table}");
+                }
+            }
+            assert_eq!(env.read_current("root", "t", "k").unwrap(), Value::Int(1));
+        }
+    }
 }

@@ -10,14 +10,14 @@
 //! shared and does not show here: CI's `allocs_per_req` guard counts it.)
 //!
 //! Ids are stored several times too, and each is one string: a callee id
-//! is its caller's `CalleeId`, the callee's intent key and the `Owner` of
-//! every entry the callee logs; a log key is its entry's row key and its
-//! `LogKey`.
+//! is its caller's `CalleeId` and the callee's intent key; a log key is its
+//! entry's row key and its `LogKey`. The callee's entries are named by that
+//! id and the steps its intent's `LogSteps` lists.
 
 use std::sync::Arc;
 
 use beldi::schema::{
-    intent_table, log_table, A_ARGS, A_CALLEE_ID, A_ID, A_LOG_KEY, A_OWNER, A_RESULT, A_RET,
+    intent_table, log_table, A_ARGS, A_CALLEE_ID, A_ID, A_LOG_KEY, A_LOG_STEPS, A_RESULT, A_RET,
 };
 use beldi::value::{vmap, Map, Value};
 use beldi::Label;
@@ -168,14 +168,14 @@ fn an_id_the_protocol_stores_several_times_is_one_string() {
     let (env, _, _) = env();
     env.invoke_as("caller", "root", Value::Null).unwrap();
 
-    // The callee id: the caller's invoke-log entry names it, the callee's
-    // intent is keyed by it, and the callee's read-log entry is owned by it.
+    // The callee id: the caller's invoke-log entry names it, and the
+    // callee's intent is keyed by it and lists the step of its read.
     let callee_id = stored(&env, &log_table("caller"), A_CALLEE_ID);
     let intent = stored(&env, &intent_table("callee"), A_ID);
-    let owner = stored(&env, &log_table("callee"), A_OWNER);
     assert_eq!(callee_id, intent);
     assert_eq!(text(&callee_id), text(&intent));
-    assert_eq!(text(&callee_id), text(&owner));
+    let steps = stored(&env, &intent_table("callee"), A_LOG_STEPS);
+    assert_eq!(steps, Value::List(vec![Value::Int(0)]));
 
     // A log key: the read-log entry's `LogKey` is its row key.
     let snapshot = env.db().snapshot();
@@ -188,4 +188,7 @@ fn an_id_the_protocol_stores_several_times_is_one_string() {
     let log_key = row.get_attr(A_LOG_KEY).expect("a log key");
     assert_eq!(&key.hash, log_key);
     assert_eq!(text(&key.hash), text(log_key));
+    // ...and the key the collector computes from the intent and its step.
+    let callee_id = callee_id.as_str().expect("a string");
+    assert_eq!(log_key.as_str(), Some(&*beldi::log_key(callee_id, 0)));
 }

@@ -450,7 +450,7 @@ mod tests {
     /// some only after an intermediate map was created.
     const PATHS: [&str; 16] = [
         "Done",
-        "Owner",
+        "Group",
         "N",
         "S",
         "M.a",
@@ -506,7 +506,7 @@ mod tests {
         m.insert("RowId", Value::Int(0));
         let optional = [
             ("Done", value(1 + pick % 2)),
-            ("Owner", value(5)),
+            ("Group", value(5)),
             ("N", value(3 + pick % 2)),
             ("S", Value::from("s")),
             ("M", vmap! { "a" => 1i64, "b" => vmap! { "c" => 2i64 } }),
@@ -537,12 +537,12 @@ mod tests {
         ) {
             let s = TableSchema::hash_and_sort("Key", "RowId")
                 .with_index("Done")
-                .with_index("Owner")
+                .with_index("Group")
                 .with_max_row_bytes(400);
             let update = actions.into_iter().fold(Update::new(), Update::push);
             let row = random_row(mask, pick);
             let key = s.key_of(&row).unwrap();
-            let neighbour = vmap! { "Key" => "k", "RowId" => 1i64, "Done" => true, "Owner" => "o1" };
+            let neighbour = vmap! { "Key" => "k", "RowId" => 1i64, "Done" => true, "Group" => "o1" };
             let mut p = PartitionData::new(&s);
             put(&mut p, &s, neighbour).unwrap();
             put(&mut p, &s, row.clone()).unwrap();
