@@ -8,8 +8,10 @@
 //! points join the sweep, so schedules also kill GC passes between the
 //! paper's six steps while SSF traffic is live.
 //!
-//! `--smoke` is the CI configuration: fewer requests and a strided sweep
-//! so all apps finish in seconds. `--canary` sweeps the sabotaged
+//! `--smoke` is the CI configuration (`ExploreOptions::smoke`): fewer
+//! requests and a strided sweep so all apps finish in seconds, with
+//! enough requests that the travel sweep commits a reservation and so
+//! crashes commits. `--canary` sweeps the sabotaged
 //! `pipeline` workload (`PipelineApp::sabotaged`: its root re-reads
 //! fresh state on re-execution, a deliberate exactly-once bug) and
 //! *expects* the sweep to report violations (exit 0 when it does — the
@@ -31,14 +33,14 @@ pub(crate) fn flags(cli: Cli) -> Cli {
             "--requests",
             "N",
             "4",
-            "frontend requests per sweep (2 under --smoke)",
+            "frontend requests per sweep (3 under --smoke)",
         )
         .seed_flag()
         .flag(
             "--stride",
             "N",
             "1",
-            "sweep every Nth crash point (7 under --smoke)",
+            "sweep every Nth crash point (5 under --smoke)",
         )
         .flag("--max-schedules", "N", "", "cap on depth-1 schedules")
         .flag(
@@ -60,12 +62,13 @@ pub(crate) fn main(args: &Args) {
     beldi::silence_crash_backtraces();
     let canary = args.flag("--canary");
 
+    let smoke = ExploreOptions::smoke();
     let opts = ExploreOptions {
-        requests: args.or_smoke("--requests", 2),
+        requests: args.or_smoke("--requests", smoke.requests),
         seed: args.u64("--seed"),
-        stride: args.or_smoke("--stride", 7),
+        stride: args.or_smoke("--stride", smoke.stride),
         max_depth1: args.value("--max-schedules").and_then(|v| v.parse().ok()),
-        depth2_samples: args.or_smoke("--depth2-samples", 2),
+        depth2_samples: args.or_smoke("--depth2-samples", smoke.depth2_samples),
         gc_check: args.flag("--gc-check"),
         gc_interleave: args.flag("--gc-interleave"),
     };

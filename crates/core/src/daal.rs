@@ -46,7 +46,9 @@ use crate::Label;
 /// Attributes carried over from a full tail to a freshly appended row.
 ///
 /// `Value` and `LockOwner` are the paper's columns (Fig. 4); the remainder
-/// are shadow-table metadata (§6.2) that must follow the tail as well.
+/// are shadow-table metadata (§6.2) that must follow the tail as well —
+/// `TxnId` puts every row of a shadow chain in the index whose answer
+/// finalize walks to the tail.
 const CARRY_ATTRS: [&str; 6] = [
     A_VALUE,
     A_LOCK,
@@ -143,31 +145,47 @@ pub(crate) fn traverse(
             logged,
         });
     }
+    let order = chain_order(&mut skel, |r| &r.row_id, |r| r.next.as_deref(), table, key)?;
+    let chain = order.into_iter().map(|i| skel[i].clone()).collect();
+    Ok(Skeleton { chain })
+}
+
+/// Orders one key's DAAL rows, as a query or index query returned them,
+/// into the chain reachable from `HEAD`: the positions in `rows` of the
+/// chain's rows, head first. Rows off the chain — orphans of lost or
+/// crashed appends — are left out. `rows` is sorted by row id on the way.
+pub(crate) fn chain_order<R>(
+    rows: &mut [R],
+    row_id: impl Fn(&R) -> &str,
+    next: impl Fn(&R) -> Option<&str>,
+    table: &str,
+    key: &str,
+) -> BeldiResult<Vec<usize>> {
     // A query answers in sort-key order, which is row-id order, so a
     // pointer is resolved by binary search (the sort is a no-op pass
     // unless a row's `RowId` attribute disagrees with its key).
-    skel.sort_unstable_by(|a, b| a.row_id.cmp(&b.row_id));
-    let find = |id: &str| skel.binary_search_by(|r| (*r.row_id).cmp(id)).ok();
+    rows.sort_unstable_by(|a, b| row_id(a).cmp(row_id(b)));
+    let rows = &*rows;
+    let find = |id: &str| rows.binary_search_by(|r| row_id(r).cmp(id)).ok();
 
     // Walk the pointers from HEAD.
-    let mut order = Vec::with_capacity(skel.len());
+    let mut order = Vec::with_capacity(rows.len());
     let mut cursor = find(ROW_HEAD);
     while let Some(i) = cursor {
-        // Defensive bound: the chain cannot be longer than the scan result.
-        if order.len() == skel.len() {
+        // Defensive bound: the chain cannot be longer than the answer.
+        if order.len() == rows.len() {
             return Err(BeldiError::Protocol(format!(
                 "linked DAAL for {table}/{key} contains a cycle"
             )));
         }
         order.push(i);
-        // A pointer to a row the scan did not return: the append that
-        // created it had not completed when the scan started. Its
+        // A pointer to a row the answer does not hold: the append that
+        // created it had not completed when the read started. Its
         // predecessor still holds the current value, so it is the tail
         // of our consistent snapshot.
-        cursor = skel[i].next.as_deref().and_then(find);
+        cursor = next(&rows[i]).and_then(find);
     }
-    let chain = order.into_iter().map(|i| skel[i].clone()).collect();
-    Ok(Skeleton { chain })
+    Ok(order)
 }
 
 /// Reads the tail row of `key`'s DAAL through `proj`, or `None` when the

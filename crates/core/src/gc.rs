@@ -768,9 +768,9 @@ mod tests {
 
     /// Step 3 reads nothing: it deletes the keys the done-marks list, one
     /// delete per logged entry, whatever kinds of entries an intent logged
-    /// and in either logged mode. A transaction's finalize marker is a done
-    /// intent that never ran and lists nothing; the instance that claimed
-    /// it still has its entries deleted.
+    /// and in either logged mode. A transaction owner's finalize marker is
+    /// a done intent that never ran and lists nothing; the instance that
+    /// claimed it still has its entries deleted.
     #[test]
     fn log_prune_reads_nothing() {
         let read_write_invoke: SsfBody = Arc::new(|ctx, input| {

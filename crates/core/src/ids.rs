@@ -61,9 +61,15 @@ pub fn callee_log_key(callee_id: &str) -> Option<&str> {
         .filter(|k| parse_log_key(k).is_some())
 }
 
-/// The intent-table id of transaction `txn_id`'s finalize marker (§6.2).
-pub fn finalize_marker(txn_id: &str) -> Arc<str> {
-    shared(format_args!("txnfinal#{txn_id}"))
+/// The id under which SSF `ssf` finalizes transaction `txn_id` (§6.2): the
+/// instance id of the commit/abort signal sent to `ssf`, and so the key of
+/// that signal's intent, which is the SSF's finalize claim; the owner's
+/// SSF, which gets no signal, claims the same id in its intent table. The
+/// SSF qualifies it because instance ids are global to the platform. It
+/// is short on purpose: a flush's log key, `{id}#{step}`, stays in the
+/// data row's write log, which every later write to the row bills.
+pub fn finalize_marker(ssf: &str, txn_id: &str) -> Arc<str> {
+    shared(format_args!("{txn_id}@{ssf}"))
 }
 
 #[cfg(test)]
@@ -113,10 +119,16 @@ mod tests {
 
     #[test]
     fn finalize_marker_is_recognised() {
-        let m = finalize_marker("t-1");
-        assert_eq!(&*m, "txnfinal#t-1");
-        assert_ne!(finalize_marker("t-2"), m);
-        // A marker's id names no log entry a callback could address.
+        let m = finalize_marker("hotel", "t-1");
+        assert_eq!(&*m, "t-1@hotel");
+        // One per transaction and SSF: a diamond's two signals to one SSF
+        // share it, signals to two SSFs do not.
+        assert_eq!(finalize_marker("hotel", "t-1"), m);
+        assert_ne!(finalize_marker("flight", "t-1"), m);
+        assert_ne!(finalize_marker("hotel", "t-2"), m);
+        // A marker's id names no log entry a callback could address, and
+        // its own log keys split back into it.
         assert_eq!(callee_log_key(&m), None);
+        assert_eq!(parse_log_key(&log_key(&m, 4)), Some((&*m, 4)));
     }
 }

@@ -24,6 +24,7 @@
 use std::sync::Arc;
 
 use beldi_simdb::{DbError, PrimaryKey};
+use beldi_simfaas::Platform;
 use beldi_value::{Cond, Map, Update, Value};
 
 use crate::context::SsfContext;
@@ -84,7 +85,8 @@ pub(crate) enum Envelope {
     },
     /// Commit/abort propagation along workflow edges (§6.2).
     TxnSignal {
-        /// Instance id for the signal execution (exactly-once).
+        /// Instance id for the signal execution (exactly-once): the
+        /// receiving SSF's [`crate::ids::finalize_marker`].
         id: Arc<str>,
         /// The transaction context in `Commit` or `Abort` mode.
         txn: TxnContext,
@@ -361,18 +363,7 @@ impl SsfContext {
                 .map_err(BeldiError::Invoke)?;
             return Outcome::from_value(v).into_result();
         }
-        let txn = self
-            .txn
-            .as_ref()
-            .and_then(|t| (t.ctx.mode == TxnMode::Execute && !t.ended).then(|| t.ctx.clone()));
-        let caller = self.ssf.name.clone();
-        let outcome = self.invoke_with_entry(callee, |callee_id| Envelope::Call {
-            id: Some(callee_id.clone()),
-            input,
-            caller: Some(caller),
-            txn,
-            is_async: false,
-        })?;
+        let outcome = self.invoke_with_entry(callee, input)?;
         if matches!(outcome, Outcome::Abort) {
             if let Some(t) = &mut self.txn {
                 t.aborted = true;
@@ -381,21 +372,28 @@ impl SsfContext {
         outcome.into_result()
     }
 
-    /// The shared exactly-once call loop: create/replay the invoke-log
-    /// entry, then call until a result is obtained (directly or via the
-    /// callback landing in the log).
-    pub(crate) fn invoke_with_entry(
-        &mut self,
-        callee: &str,
-        make_envelope: impl FnOnce(&Arc<str>) -> Envelope,
-    ) -> BeldiResult<Outcome> {
+    /// The exactly-once call loop: create/replay the invoke-log entry, then
+    /// call until a result is obtained (directly or via the callback
+    /// landing in the log).
+    fn invoke_with_entry(&mut self, callee: &str, input: Value) -> BeldiResult<Outcome> {
         let step = self.step;
         let entry = self.invoke_entry(callee)?;
         if let Some(r) = entry.result {
             // A previous execution already has the callee's result.
             return Ok(Outcome::from_value(r));
         }
-        let envelope = make_envelope(&entry.callee_id).into_value();
+        let txn = self
+            .txn
+            .as_ref()
+            .and_then(|t| (t.ctx.mode == TxnMode::Execute && !t.ended).then(|| t.ctx.clone()));
+        let envelope = Envelope::Call {
+            id: Some(entry.callee_id.clone()),
+            input,
+            caller: Some(self.ssf.name.clone()),
+            txn,
+            is_async: false,
+        }
+        .into_value();
         self.crash(Label::InvokePreCall);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
             match self.platform().invoke_sync(callee, envelope.clone()) {
@@ -477,20 +475,7 @@ impl SsfContext {
             }
             .into_value();
             self.crash(Label::InvokePreAsyncReg);
-            let mut ok = false;
-            for attempt in 0..MAX_INVOKE_ATTEMPTS {
-                match self.platform().invoke_sync(callee, reg.clone()) {
-                    Ok(_) => {
-                        ok = true;
-                        break;
-                    }
-                    Err(_) if attempt + 1 < MAX_INVOKE_ATTEMPTS => {
-                        self.clock().sleep(RETRY_BACKOFF)
-                    }
-                    Err(_) => {}
-                }
-            }
-            if !ok {
+            if !deliver(self.platform(), callee, &reg) {
                 panic!("beldi: async registration at `{callee}` unreachable");
             }
         }
@@ -532,13 +517,20 @@ pub(crate) fn send_callback(
         result: result.cloned(),
     }
     .into_value();
+    deliver(&core.platform, caller_fn, &envelope)
+}
+
+/// Invokes `callee` with `payload` until the platform returns a reply, at
+/// most [`MAX_INVOKE_ATTEMPTS`] times with [`RETRY_BACKOFF`] between
+/// attempts; whether it did. For a message whose reply carries nothing the
+/// sender needs: a callback, an async registration, a commit signal.
+pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> bool {
     for attempt in 0..MAX_INVOKE_ATTEMPTS {
-        match core.platform.invoke_sync(caller_fn, envelope.clone()) {
-            Ok(_) => return true,
-            Err(_) if attempt + 1 < MAX_INVOKE_ATTEMPTS => {
-                core.platform.clock().sleep(RETRY_BACKOFF);
-            }
-            Err(_) => {}
+        if attempt > 0 {
+            platform.clock().sleep(RETRY_BACKOFF);
+        }
+        if platform.invoke_sync(callee, payload.clone()).is_ok() {
+            return true;
         }
     }
     false

@@ -62,7 +62,8 @@ pub const A_CALLER: &str = "Caller";
 pub const A_FINISH: &str = "FinishTime";
 /// Creation timestamp (ms).
 pub const A_CREATED: &str = "Created";
-/// Instance id that claimed a transaction-finalize marker (§6.2).
+/// Instance id of the transaction owner that claimed its SSF's finalize
+/// marker (§6.2).
 pub const A_CLAIMANT: &str = "Claimant";
 /// Last (re-)launch timestamp (ms), maintained by the IC.
 pub const A_LAST_LAUNCH: &str = "LastLaunch";
@@ -186,6 +187,12 @@ pub fn plain_data_schema() -> TableSchema {
 /// durable list of what the transaction's instances of an SSF touched or
 /// invoked, which its finalizing instance — for a callee, the decision's
 /// signal instance, which ran none of them — must release and signal.
+/// This one's answer also carries the entries: every row of an entry's
+/// chain carries `TxnId`, and the query projects the rows' chain pointers,
+/// `Written` and `Value`, so finalize walks each chain to its tail and
+/// reads nothing else. That is sound because simdb's index answers from
+/// the stored rows under their partition locks (DESIGN §1: a strongly
+/// consistent store), not from a copy that could lag them.
 pub fn shadow_schema() -> TableSchema {
     TableSchema::hash_and_sort(A_KEY, A_ROW_ID).with_index(A_TXN_ID)
 }

@@ -15,10 +15,19 @@
 //!   reads check the shadow first so transactions read their own writes.
 //! - `end_tx` flips the mode to `Commit` (flush each written item and
 //!   release its lock in one write; release the rest) or `Abort` (release
-//!   locks only) and invokes every callee recorded in the invoke log under
-//!   this transaction with the new mode; those SSFs do the same for their
-//!   data and callees, which mimics the second phase of 2PC over the
-//!   workflow graph.
+//!   locks only) and signals every SSF this one invoked under the
+//!   transaction with the new mode; those SSFs do the same for their data
+//!   and callees, which mimics the second phase of 2PC over the workflow
+//!   graph. A signal is addressed by its transaction: its instance id is
+//!   [`crate::ids::finalize_marker`]`(callee SSF, txn)`, so its intent is
+//!   that SSF's one finalize claim, and a second signal to the same SSF
+//!   replays or joins it.
+//!
+//! Commit pays only for what it changes: it finds an SSF's entries with
+//! one index query per shadow table, whose answer already holds each
+//! entry's tail; a signal writes no log entry at its sender, since no
+//! result ever comes back to fill one; and a transaction's read of a
+//! committed value uses the tail cache like every other data read.
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -195,16 +204,19 @@ pub(crate) fn parse_lock_owner(v: &Value) -> Option<(&str, u64)> {
 
 // ---- The transaction protocol on SsfContext ----
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use beldi_simdb::{DbError, PrimaryKey, Projection, ScanRequest};
 use beldi_value::{Cond, Path, Update};
 
 use crate::config::Mode;
 use crate::context::SsfContext;
 use crate::daal;
-use crate::invoke::Envelope;
+use crate::ids::finalize_marker;
+use crate::invoke::{self, Envelope};
 use crate::schema::{
-    shadow_key, A_CALLEE_FN, A_CLAIMANT, A_DONE, A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE,
-    A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
+    shadow_key, A_CALLEE_FN, A_CLAIMANT, A_DONE, A_ID, A_KEY, A_LOCK, A_NEXT_ROW, A_ORIG_KEY,
+    A_ORIG_TABLE, A_ROW_ID, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
 };
 use crate::Label;
 
@@ -454,9 +466,10 @@ impl SsfContext {
     }
 
     /// The value this transaction observes for `key`: its own shadow write
-    /// if present, else the committed value. A `fresh` shadow entry (see
-    /// [`SsfContext::txn_lock`]) is not probed; on replay the read log
-    /// returns the logged value either way.
+    /// if present, else the committed value, read through the tail cache
+    /// like any data read (shadow tables are not cached). A `fresh` shadow
+    /// entry (see [`SsfContext::txn_lock`]) is not probed; on replay the
+    /// read log returns the logged value either way.
     fn txn_effective_value(
         &mut self,
         logical: &str,
@@ -475,7 +488,7 @@ impl SsfContext {
             }
         }
         let physical = self.data_table(logical)?;
-        daal::read_value(self.db(), &physical, key)
+        daal::read_value_cached(self.db(), self.core.tail_cache.as_ref(), &physical, key)
     }
 
     /// Creates the shadow-table entry for a locked item if absent
@@ -535,11 +548,17 @@ impl SsfContext {
     /// Runs the commit or abort protocol for this SSF's share of the
     /// transaction, then signals this SSF's callees.
     ///
-    /// Exactly-once overall: the *finalize marker* (a claimed row in the
-    /// intent table) guarantees each SSF finalizes a transaction once even
-    /// when workflow cycles or diamond topologies deliver multiple
-    /// signals, and every write and signal below is a logged step of the
-    /// finalizing instance, so crash-restart resumes rather than repeats.
+    /// Exactly-once overall: each SSF finalizes a transaction under one
+    /// intent, its *finalize marker* ([`finalize_marker`]). A signal's
+    /// instance id is that marker, so the registration the signal's
+    /// wrapper makes is the claim; only the owner, in its own `end_tx`,
+    /// claims the marker here. A second signal to the same SSF — a
+    /// diamond, a replayed sender, a cycle back to the owner's SSF — finds
+    /// that intent and replays its outcome or re-executes it, and every
+    /// write below is a logged step of the marker's instance, so
+    /// crash-restart resumes rather than repeats. A signal sends no
+    /// callback, so the sender keeps no log entry for it and retries it
+    /// until the platform replies.
     ///
     /// Each item costs one write under the held lock: on commit a written
     /// item's flush and release, else its release. A flush whose lock is
@@ -548,7 +567,8 @@ impl SsfContext {
         debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
         let ctx = self.txn_ctx_cloned()?;
         self.crash(Label::TxnPreFinalize);
-        if !self.claim_finalize_marker(&ctx.id)? {
+        let marker = finalize_marker(&self.ssf.name, &ctx.id);
+        if marker != self.instance && !self.claim_finalize_marker(&marker)? {
             return Ok(());
         }
 
@@ -573,27 +593,34 @@ impl SsfContext {
         }
 
         // 2. Signal the callees this SSF invoked inside the transaction.
+        let signal_ctx = ctx.with_mode(decision);
         for callee in self.txn_callees(&ctx.id)? {
-            let signal_ctx = ctx.with_mode(decision);
-            self.crash(Label::TxnPreSignal);
-            let _ = self.invoke_with_entry(&callee, |id| Envelope::TxnSignal {
-                id: id.to_owned(),
+            let signal = Envelope::TxnSignal {
+                id: finalize_marker(&callee, &ctx.id),
                 txn: signal_ctx.clone(),
-            })?;
+            }
+            .into_value();
+            self.crash(Label::TxnPreSignal);
+            if !invoke::deliver(self.platform(), &callee, &signal) {
+                // Crash; the retried sender signals again.
+                panic!("beldi: signal to `{callee}` unreachable");
+            }
         }
         self.crash(Label::TxnPostFinalize);
         Ok(())
     }
 
-    /// Claims the per-SSF finalize marker for `txn_id`.
+    /// Claims the owner's finalize marker, `marker`, in its SSF's intent
+    /// table.
     ///
     /// Returns true when this *intent* owns the claim (first claim or
     /// re-execution of the claimant); false when another instance already
     /// finalizes this transaction here.
-    fn claim_finalize_marker(&mut self, txn_id: &str) -> BeldiResult<bool> {
+    fn claim_finalize_marker(&self, marker: &Arc<str>) -> BeldiResult<bool> {
         let table = &self.ssf.intent_table;
-        let pk = PrimaryKey::hash(crate::ids::finalize_marker(txn_id));
-        // `Done = true` keeps the intent collector away; the GC recycles
+        let pk = PrimaryKey::hash(marker);
+        // `Done = true` keeps the intent collector away and makes a signal
+        // that cycles back to this SSF replay the claim; the GC recycles
         // the marker like any completed intent. Its fresh row is seeded
         // with its `Id`.
         let update = Update::new()
@@ -624,23 +651,43 @@ impl SsfContext {
 
     /// Reconstructs, from the shadow tables, the deterministic sorted list
     /// of items this transaction locked/wrote in this SSF, with the values
-    /// it wrote: one read of each shadow tail.
-    fn shadow_entries(&mut self, txn_id: &Arc<str>) -> BeldiResult<Vec<ShadowEntry>> {
-        let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
-        let proj = Projection::attrs([A_ORIG_KEY, A_ORIG_TABLE, A_WRITTEN, A_VALUE]);
-        let mut out = std::collections::BTreeSet::new();
-        let ssf = self.ssf.clone();
-        for table in &ssf.tables {
-            let shadow = &table.shadow;
-            let rows = self
-                .db()
-                .index_query(shadow, A_TXN_ID, &Value::from(txn_id), &keys_only)?;
-            let skeys: std::collections::BTreeSet<&Arc<str>> = rows
-                .iter()
-                .filter_map(|row| row.get_shared_str(A_KEY))
-                .collect();
-            for skey in skeys {
-                let Some(mut tail) = daal::read_tail_row(self.db(), shadow, skey, &proj)? else {
+    /// it wrote: one `TxnId` index query per shadow table, and no other
+    /// read.
+    ///
+    /// Every row of an entry's chain carries `TxnId` (an append carries it
+    /// over), so the answer holds each key's whole chain; it is walked from
+    /// `HEAD` as [`daal::traverse`] walks a query's, which leaves out the
+    /// orphans of lost appends, and the tail gives the entry.
+    fn shadow_entries(&self, txn_id: &Arc<str>) -> BeldiResult<Vec<ShadowEntry>> {
+        let req = ScanRequest::all().with_projection(Projection::attrs([
+            A_KEY,
+            A_ROW_ID,
+            A_NEXT_ROW,
+            A_ORIG_KEY,
+            A_ORIG_TABLE,
+            A_WRITTEN,
+            A_VALUE,
+        ]));
+        let mut out = BTreeSet::new();
+        for table in &self.ssf.tables {
+            let rows =
+                self.db()
+                    .index_query(&table.shadow, A_TXN_ID, &Value::from(txn_id), &req)?;
+            let mut chains: BTreeMap<Arc<str>, Vec<Value>> = BTreeMap::new();
+            for mut row in rows {
+                if let Some(skey) = row.take_str(A_KEY) {
+                    chains.entry(skey).or_default().push(row);
+                }
+            }
+            for (skey, mut rows) in chains {
+                let order = daal::chain_order(
+                    &mut rows,
+                    |row| row.get_str(A_ROW_ID).unwrap_or_default(),
+                    |row| row.get_str(A_NEXT_ROW),
+                    &table.shadow,
+                    &skey,
+                )?;
+                let Some(tail) = order.last().map(|&i| &mut rows[i]) else {
                     continue;
                 };
                 let Some(key) = tail.take_str(A_ORIG_KEY) else {
@@ -668,7 +715,7 @@ impl SsfContext {
             &Value::from(txn_id),
             &ScanRequest::all(),
         )?;
-        let mut set = std::collections::BTreeSet::new();
+        let mut set = BTreeSet::new();
         for row in rows {
             if let Some(f) = row.get_str(A_CALLEE_FN) {
                 set.insert(f.to_owned());

@@ -314,6 +314,13 @@ fn run_async_reg(
 /// Handles a commit/abort signal (§6.2): an exactly-once instance that
 /// skips the SSF's logic and runs only the decision protocol for its
 /// share of the transaction, then signals its own callees.
+///
+/// Its instance id is this SSF's finalize marker for the transaction
+/// ([`crate::ids::finalize_marker`]), so the registration below is the
+/// SSF's finalize claim: every later signal for the transaction — a
+/// diamond's second edge, a replayed sender, a cycle back to the owner's
+/// SSF, whose claim row is done — replays the done intent's outcome or
+/// re-executes it from its logs.
 fn run_txn_signal(
     core: &Arc<EnvCore>,
     ssf: &Arc<Ssf>,

@@ -217,12 +217,12 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
         let id = entry.get_str("CalleeId").unwrap();
         assert_eq!(callee_log_key(id), entry.get_str("LogKey"), "{entry:?}");
     }
-    // The callback found the call's entry and left the result on it (the
-    // commit signal's entry beside it carries none).
-    let call = invokes
-        .iter()
-        .find(|r| r.get_attr("Result").is_some())
-        .expect("the call's entry holds its result");
+    // The callback found the call's entry and left the result on it; the
+    // commit signal, addressed by the transaction, has no entry.
+    let [call] = invokes[..] else {
+        panic!("one invoke entry: {invokes:?}");
+    };
+    assert!(call.get_attr("Result").is_some(), "{call:?}");
     let txn = call.get_attr("TxnId").expect("invoked inside the txn");
     let by_txn = env
         .db()

@@ -637,8 +637,8 @@ fn the_orphan_of_a_crashed_append_is_found_stamped_and_deleted() {
 
 /// A workflow that logs every kind of entry: a read, a logged timestamp,
 /// a sync and an async invoke, a write (a log entry in cross-table mode)
-/// and, in Beldi mode, a transaction with a callee, so that commit
-/// signals run and log their invokes too.
+/// and, in Beldi mode, a transaction with a callee, so that a commit
+/// signal runs too.
 fn every_entry_env(cfg: BeldiConfig) -> BeldiEnv {
     let env = BeldiEnv::for_tests_with(cfg.with_t_max(Duration::from_millis(100)));
     for (leaf, table) in [("leaf", "lt"), ("tleaf", "tt")] {

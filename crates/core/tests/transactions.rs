@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use beldi::value::{vmap, Cond, Path, Value};
 use beldi::{BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome};
+use beldi_simdb::ScanRequest;
 
 mod common;
 use common::{contended_env, join_all, spawn};
@@ -690,11 +691,12 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // pays for the item once:
     // - begin: 2 writes (the logged id and start time);
     // - read: lock (query + write), shadow-entry create (write), the
-    //   committed value (query + get), read log (write);
+    //   committed value through the tail cache (query + get: the seeded
+    //   key is not cached yet), read log (write);
     // - write: the shadow write (query + write), under the held lock;
-    // - commit: finalize marker (write), shadow index (query) and tail
-    //   (query + get), flush-and-release (query + write), callee index
-    //   (query).
+    // - commit: finalize marker (write), shadow index (query: its answer
+    //   holds the entry's tail), flush-and-release (query + write), callee
+    //   index (query).
     let env = BeldiEnv::for_tests();
     register_incrementer(&env);
     env.seed("incr", "t", "k", Value::Int(0)).unwrap();
@@ -714,9 +716,248 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (2, 8, 7, 0, 0, 0)
+        (1, 8, 6, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
+}
+
+/// The rows of `ssf`'s intent table that a commit/abort signal registered.
+fn signal_intents(env: &BeldiEnv, ssf: &str) -> usize {
+    let rows = env
+        .db()
+        .scan_all(&format!("{ssf}.intent"), &ScanRequest::all())
+        .unwrap();
+    rows.iter()
+        .filter(|r| r.get_attr("Args").and_then(|a| a.get_str("Op")) == Some("txnsignal"))
+        .count()
+}
+
+/// The travel app's shape with one leg: an owner with no table invokes a
+/// leg that reads and writes its item. A signal costs its platform
+/// invocation and the leg's share of the commit: the intent registration
+/// (which is the leg's finalize claim), shadow index (query), flush and
+/// release (query + write), callee index (query) and done-mark (write).
+/// The owner adds its own claim (write) and callee index (query). The
+/// sender writes no log entry for the signal, and the leg no marker row.
+#[test]
+fn a_signal_costs_its_invocation_its_intent_its_finalize_and_its_done_mark() {
+    let env = BeldiEnv::for_tests();
+    env.register_ssf(
+        "hotel",
+        &["rooms"],
+        Arc::new(|ctx, _| {
+            let avail = ctx.read("rooms", "h")?.as_int().unwrap_or(0);
+            ctx.write("rooms", "h", Value::Int(avail - 1))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf("reserve", &[], Arc::new(|_, _| Ok(Value::Null)));
+    env.seed("hotel", "rooms", "h", Value::Int(5)).unwrap();
+    let mut owner = env.test_context("reserve", "pinned");
+    owner.begin_tx().unwrap();
+    owner.sync_invoke("hotel", Value::Null).unwrap();
+    let log_rows = || env.db().row_count("reserve.log").unwrap();
+    let owner_log = log_rows();
+    let (db, platform) = (env.db_metrics(), env.platform_metrics());
+    assert_eq!(owner.end_tx().unwrap(), TxnOutcome::Committed);
+    let d = env.db_metrics().delta(&db);
+    assert_eq!(
+        (
+            d.gets,
+            d.writes,
+            d.queries,
+            d.scans,
+            d.deletes,
+            d.cond_failures
+        ),
+        (0, 4, 4, 0, 0, 0)
+    );
+    let invocations = env.platform_metrics().invocations - platform.invocations;
+    assert_eq!(invocations, 1, "the signal, and no callback");
+    assert_eq!(log_rows(), owner_log, "no log entry for the signal");
+    // The leg's call and the signal: no marker row beside them.
+    assert_eq!(env.db().row_count("hotel.intent").unwrap(), 2);
+    assert_eq!(signal_intents(&env, "hotel"), 1);
+    assert_eq!(
+        env.read_current("hotel", "rooms", "h").unwrap(),
+        Value::Int(4)
+    );
+}
+
+/// A shadow entry whose chain outgrew its head row: finalize walks the
+/// index answer's rows from `HEAD` and flushes the tail's value.
+#[test]
+fn a_shadow_chain_longer_than_a_row_commits_its_tail() {
+    let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_row_capacity(3));
+    env.register_ssf(
+        "w",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            for v in 1..=7 {
+                ctx.write("t", "k", Value::Int(v))?;
+            }
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    env.invoke("w", Value::Null).unwrap();
+    assert_eq!(env.db().row_count("w.data.t.shadow").unwrap(), 3);
+    assert_eq!(env.read_current("w", "t", "k").unwrap(), Value::Int(7));
+}
+
+/// Registers SSFs that each increment `t/k`, then call, in the transaction
+/// they inherit, each SSF their input lists.
+fn register_hops(env: &BeldiEnv, names: &[&str]) {
+    for name in names {
+        env.register_ssf(
+            name,
+            &["t"],
+            Arc::new(|ctx, input| {
+                let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                ctx.write("t", "k", Value::Int(v + 1))?;
+                for next in input.as_list().into_iter().flatten() {
+                    ctx.sync_invoke(next.as_str().unwrap(), Value::Null)?;
+                }
+                Ok(Value::Null)
+            }),
+        );
+    }
+}
+
+/// Runs one transaction whose owner, an instance of `a`, increments `t/k`
+/// and calls each `(callee, input)` hop; returns the fault trace of its
+/// commit and the platform invocations the commit made.
+fn commit_hops(
+    env: &BeldiEnv,
+    owner: &str,
+    hops: &[(&str, &[&str])],
+) -> (Vec<beldi_simfaas::TraceEntry>, u64) {
+    let mut ctx = env.test_context("a", owner);
+    ctx.begin_tx().unwrap();
+    let v = ctx.read("t", "k").unwrap().as_int().unwrap_or(0);
+    ctx.write("t", "k", Value::Int(v + 1)).unwrap();
+    for (callee, next) in hops {
+        let next = next.iter().map(|&n| Value::from(n)).collect();
+        ctx.sync_invoke(callee, Value::List(next)).unwrap();
+    }
+    let faults = env.platform().faults();
+    let before = env.platform_metrics().invocations;
+    faults.start_trace();
+    assert_eq!(ctx.end_tx().unwrap(), TxnOutcome::Committed);
+    let trace = faults.take_trace();
+    (trace, env.platform_metrics().invocations - before)
+}
+
+fn values(env: &BeldiEnv, ssfs: &[&str]) -> Vec<i64> {
+    ssfs.iter()
+        .map(|s| env.read_current(s, "t", "k").unwrap().as_int().unwrap())
+        .collect()
+}
+
+/// A→B, A→C, B→D, C→D: D is signalled twice, by B and by C. The second
+/// signal lands on the intent the first registered and replays it, so D
+/// finalizes once: every item is flushed once and every lock released.
+#[test]
+fn a_diamond_finalizes_its_shared_callee_once() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "b", "c", "d"]);
+    for round in 1..=2 {
+        let hops: &[(&str, &[&str])] = &[("b", &["d"]), ("c", &["d"])];
+        let (trace, invocations) = commit_hops(&env, &format!("owner-{round}"), hops);
+        // D ran twice in each transaction: its second run read the first's
+        // shadow write.
+        assert_eq!(
+            values(&env, &["a", "b", "c", "d"]),
+            [round, round, round, 2 * round]
+        );
+        assert_eq!(visits(&trace, Label::TxnPreFlushItem), 4, "one per item");
+        assert_eq!(visits(&trace, Label::TxnPreFinalize), 4, "a, b, c, d");
+        assert_eq!(invocations, 4, "one per edge");
+        assert_eq!(signal_intents(&env, "d"), round as usize, "one per txn");
+    }
+}
+
+/// A→B→A′: B signals A's SSF, whose finalize the owner already claimed.
+/// That signal replays the owner's claim instead of finalizing A's items
+/// a second time, and registers no intent of its own.
+#[test]
+fn a_cycle_back_to_the_owner_replays_its_claim() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "b"]);
+    for round in 1..=2 {
+        let (trace, invocations) = commit_hops(&env, &format!("owner-{round}"), &[("b", &["a"])]);
+        // The owner and A′ each incremented A's item.
+        assert_eq!(values(&env, &["a", "b"]), [2 * round, round]);
+        assert_eq!(visits(&trace, Label::TxnPreFlushItem), 2, "one per item");
+        assert_eq!(visits(&trace, Label::TxnPreFinalize), 2, "the owner and b");
+        assert_eq!(invocations, 2, "a→b and b→a");
+        assert_eq!(signal_intents(&env, "a"), 0);
+    }
+}
+
+/// The owner dies after B's signal landed and before C's: the retried
+/// owner signals B again, and B's done signal intent replays it.
+#[test]
+fn a_crash_between_signals_resends_and_the_done_intent_replays() {
+    let owner_points = || {
+        let env = reservation_env();
+        env.seed("hotel", "rooms", "k", Value::Int(4)).unwrap();
+        env.seed("flight", "seats", "k", Value::Int(4)).unwrap();
+        env
+    };
+    // Where the owner passes its second signal, in a crash-free run.
+    let dry = owner_points();
+    dry.platform().faults().start_trace();
+    dry.invoke_as("reserve", "dry", vmap! { "key" => "k" })
+        .unwrap();
+    let own: Vec<Label> = dry
+        .platform()
+        .faults()
+        .take_trace()
+        .into_iter()
+        .filter(|e| e.instance == "dry")
+        .map(|e| e.label)
+        .collect();
+    let ordinal = own
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| **l == Label::TxnPreSignal)
+        .nth(1)
+        .map(|(i, _)| i)
+        .expect("a signal to each leg");
+
+    let env = owner_points();
+    let faults = env.platform().faults();
+    faults.plan("owner", CrashPlan::AtOrdinal(ordinal));
+    faults.start_trace();
+    let out = env
+        .invoke_as("reserve", "owner", vmap! { "key" => "k" })
+        .unwrap();
+    let trace = faults.take_trace();
+    assert_eq!(out, Value::from("reserved"));
+    assert_eq!(
+        faults.crash_sites().get(Label::TxnPreSignal.as_str()),
+        Some(&1)
+    );
+    let owner_signals = trace
+        .iter()
+        .filter(|e| e.instance == "owner" && e.label == Label::TxnPreSignal)
+        .count();
+    assert_eq!(owner_signals, 4, "two signals, both sent again");
+    // The owner twice, each leg once: the hotel's second signal replayed.
+    assert_eq!(visits(&trace, Label::TxnPreFinalize), 4);
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 2);
+    assert_eq!(signal_intents(&env, "hotel"), 1);
+    for (ssf, table) in [("hotel", "rooms"), ("flight", "seats")] {
+        assert_eq!(env.read_current(ssf, table, "k").unwrap(), Value::Int(3));
+    }
+    // Both legs' locks were released: a second reservation takes them.
+    invoke_retrying(&env, "reserve", vmap! { "key" => "k" });
+    assert_eq!(
+        env.read_current("hotel", "rooms", "k").unwrap(),
+        Value::Int(2)
+    );
 }
 
 #[test]

@@ -36,7 +36,7 @@
 use std::time::Duration;
 
 use beldi::value::Value;
-use beldi::{schema, BeldiConfig, BeldiEnv, CrashPlan, Mode};
+use beldi::{schema, BeldiConfig, BeldiEnv, CrashPlan, Label, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
 use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
@@ -81,6 +81,23 @@ impl Default for ExploreOptions {
             depth2_samples: 0,
             gc_check: false,
             gc_interleave: false,
+        }
+    }
+}
+
+impl ExploreOptions {
+    /// CI's preset (`explore --smoke`): every fifth crash point and two
+    /// depth-2 pairs over three requests. It is sized to kill commits: at
+    /// seed 42 three is the fewest requests with which the travel app
+    /// commits a reservation (with two, nothing reserves), and every fifth
+    /// point of that run includes a crash before a commit signal and one
+    /// before a flush (every seventh includes neither).
+    pub fn smoke() -> Self {
+        ExploreOptions {
+            requests: 3,
+            stride: 5,
+            depth2_samples: 2,
+            ..ExploreOptions::default()
         }
     }
 }
@@ -163,6 +180,9 @@ pub struct ExploreReport {
     pub crashes_injected: u64,
     /// The oracle's effect count.
     pub oracle_effects: i64,
+    /// The labels at which the schedules made their first crash, each
+    /// once, in [`Label::ALL`] order: what the sweep covered.
+    pub crashed_labels: Vec<Label>,
     /// Everything that failed verification.
     pub violations: Vec<Violation>,
 }
@@ -530,6 +550,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         schedules: 0,
         crashes_injected: 0,
         oracle_effects: oracle.effects,
+        crashed_labels: Vec::new(),
         violations: Vec::new(),
     };
     if !oracle.errors.is_empty() || oracle.unfinished != 0 {
@@ -576,14 +597,17 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         schedules.push(vec![i, i + gap]);
     }
 
+    let mut crashed = Vec::new();
     for schedule in schedules {
         report.schedules += 1;
         let (out, run_env) = run_schedule(app, mode, opts, &schedule, false);
         report.crashes_injected += out.injected;
-        let label = schedule
+        let first = schedule
             .first()
             .and_then(|&k| oracle.trace.get(k as usize))
-            .map_or("", |t| t.label.as_str());
+            .map(|t| t.label);
+        crashed.extend(first);
+        let label = first.map_or("", Label::as_str);
         let mut fail = |kind, detail| {
             report.violations.push(Violation {
                 kind,
@@ -638,6 +662,10 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
             fail(ViolationKind::GcResidue, residue);
         }
     }
+    report.crashed_labels = Label::ALL
+        .into_iter()
+        .filter(|l| crashed.contains(l))
+        .collect();
     report
 }
 

@@ -3,8 +3,8 @@
 //! canary self-test (a planted exactly-once bug must be *caught*),
 //! seed-stability, and the GC-quiescence property.
 
-use beldi::{BeldiEnv, Mode, RandomCrashPolicy};
-use beldi_apps::{MediaApp, WorkflowApp};
+use beldi::{BeldiEnv, Label, Mode, RandomCrashPolicy};
+use beldi_apps::{small_app, MediaApp, WorkflowApp};
 use beldi_workload::{explore, ExploreOptions, PipelineApp, ViolationKind};
 
 #[test]
@@ -224,6 +224,24 @@ fn gc_interleaved_cross_table_sweep_with_quiescence_is_clean() {
     };
     let report = explore(&PipelineApp, Mode::CrossTable, &opts);
     assert!(report.ok(), "{:#?}", report.violations);
+}
+
+/// CI's smoke sweep kills commits: its travel run commits a reservation
+/// (room and seat), and among its schedules are crashes before a commit
+/// signal and before a flush.
+#[test]
+fn smoke_travel_sweep_crashes_a_commit() {
+    let app = small_app("travel", Mode::Beldi).unwrap();
+    let report = explore(app.as_ref(), Mode::Beldi, &ExploreOptions::smoke());
+    assert!(report.ok(), "{:#?}", report.violations);
+    assert!(report.oracle_effects > 0, "nothing reserved");
+    for label in [Label::TxnPreSignal, Label::TxnPreFlushItem] {
+        assert!(
+            report.crashed_labels.contains(&label),
+            "{label} not swept: {:?}",
+            report.crashed_labels
+        );
+    }
 }
 
 /// A strided sweep over a real application (the movie review service)
