@@ -5,8 +5,8 @@
 //!
 //! `--gc-interleave` runs one garbage-collector pass per SSF after every
 //! frontend request (the online-GC regime): the collectors' own crash
-//! points join the sweep, so schedules also kill GC passes between the
-//! paper's six steps while SSF traffic is live.
+//! points join the sweep, so schedules also kill GC passes between any
+//! two of a pass's steps while SSF traffic is live.
 //!
 //! `--smoke` is the CI configuration (`ExploreOptions::smoke`): fewer
 //! requests and a strided sweep so all apps finish in seconds, with

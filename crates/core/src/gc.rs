@@ -6,11 +6,13 @@
 //! instances*, relying on one synchrony assumption: an SSF instance lives
 //! at most `T` (derivable from the platform's execution timeout).
 //!
-//! A pass performs the paper's six steps:
+//! Fig. 10's step 1, stamping a finish time on intents that completed, is
+//! the done-mark's: the write that sets `Done` sets `FinishTime` too
+//! ([`intent::mark_done`], the owner's finalize-marker claim), so a pass
+//! writes nothing to an intent before it deletes it. A pass does 2–6:
 //!
-//! 1. stamp a finish time on intents that completed since the last pass;
-//! 2. classify intents whose finish time is older than `T` as
-//!    *recyclable* — no live instance can still need their logs;
+//! 2. classify done intents finished longer ago than the horizon (`T`, or
+//!    `2·T` under `enforce_t_max`) as *recyclable*;
 //! 3. delete the recyclable intents' log entries — by key, with no read:
 //!    an intent's done-mark lists the steps at which it has an entry in
 //!    its SSF's one log table (`LogSteps`), so the entries are
@@ -23,6 +25,13 @@
 //! 6. delete the recyclable intent rows themselves — last, so that a log
 //!    entry whose owner is *absent* from the intent table is provably
 //!    recyclable (its intent was removed by an earlier completed pass).
+//!
+//! That is as safe as a pass's stamp: an execution that can still log
+//! under an intent found it not done when it registered, so it launched
+//! before the done-mark committed and its lease ends it `T` later; the
+//! done-mark reads its clock just before that commit, and a pass read its
+//! clock before the scan that found the intent done (DESIGN §10). A done
+//! intent without a non-negative int `FinishTime` is corrupt and stays.
 //!
 //! The list in step 3 is complete. Every execution of an intent replays
 //! the others step for step, because each nondeterministic input it acts
@@ -68,8 +77,6 @@ use crate::Label;
 /// Summary of one garbage-collector pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Intents whose finish time was stamped this pass.
-    pub finish_stamped: usize,
     /// Intents classified recyclable and removed.
     pub recycled_intents: usize,
     /// Log entries deleted.
@@ -83,10 +90,11 @@ pub struct GcReport {
     /// protocol; a non-zero count means the store is damaged and the key
     /// was left untouched rather than part-collected.
     pub corrupt_chains: usize,
-    /// Done intents past the horizon whose `LogSteps` is not a list of
-    /// step numbers, left in place with their log entries: which entries
-    /// such an intent owns is unknown. A non-zero count means the store
-    /// is damaged.
+    /// Done intents left in place with their log entries because their
+    /// `FinishTime` is not a non-negative int (when they may go is
+    /// unknown), or because they are past the horizon and their
+    /// `LogSteps` is not a list of step numbers (which entries they own is
+    /// unknown). A non-zero count means the store is damaged.
     pub corrupt_intents: usize,
 }
 
@@ -94,7 +102,6 @@ impl GcReport {
     /// Accumulates another pass's counters into this report (the
     /// aggregation behind [`crate::GcTotals`]).
     pub fn absorb(&mut self, other: &GcReport) {
-        self.finish_stamped += other.finish_stamped;
         self.recycled_intents += other.recycled_intents;
         self.deleted_log_entries += other.deleted_log_entries;
         self.disconnected_rows += other.disconnected_rows;
@@ -111,7 +118,7 @@ impl GcReport {
 /// `gc.post_log_prune`, `gc.post_daal`, `gc.exit` — exactly five per
 /// pass, independent of how much work the pass found), so the
 /// crash-schedule explorer's global stream stays deterministic while
-/// still killing collectors between any two of the paper's six steps.
+/// still killing collectors between any two of a pass's steps.
 /// `probe` fires at fine-grained, work-dependent points (per unlink, per
 /// delete) and exists for tests that need to interleave mutations inside
 /// a pass; production passes a no-op.
@@ -200,9 +207,10 @@ pub(crate) fn run_gc_with(
     let mut report = GcReport::default();
     (hooks.crash)(Label::GcEnter);
 
-    // Steps 1–2: stamp finish times; classify recyclable intents. A pass
-    // may be bounded (Appendix A): collectors are SSFs with execution
-    // timeouts, so the remainder waits for later passes.
+    // Step 2: classify recyclable intents: done, and finished longer than
+    // the horizon ago. A pass may be bounded (Appendix A): collectors are
+    // SSFs with execution timeouts, so the remainder waits for later
+    // passes.
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
     // Each recyclable intent with the steps its done-mark lists.
     let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
@@ -221,23 +229,24 @@ pub(crate) fn run_gc_with(
         if !row.get_bool(A_DONE).unwrap_or(false) {
             continue;
         }
-        match row.get_int(A_FINISH).map(|f| f as u64) {
-            None if report.finish_stamped < batch_limit => {
-                intent::stamp_finish(db, intent_table, id, now_ms)?;
-                report.finish_stamped += 1;
-            }
-            None => {}
-            Some(f) if now_ms.saturating_sub(f) > t_ms && recyclable.len() < batch_limit => {
-                // Without its list, what the intent owns in the log is
-                // unknown: it and its entries stay.
-                match intent::log_steps(&row) {
-                    Some(steps) => recyclable.push((id.clone(), steps)),
-                    None => report_corruption(&mut report.corrupt_intents, || {
-                        format!("GC found intent {id} in {intent_table} with a malformed LogSteps")
-                    })?,
-                }
-            }
-            Some(_) => {}
+        // Every done-mark sets the finish time: without one, when the
+        // intent may go is unknown, and it stays.
+        let Some(finished) = row.get_int(A_FINISH).and_then(|f| u64::try_from(f).ok()) else {
+            report_corruption(&mut report.corrupt_intents, || {
+                format!("GC found done intent {id} in {intent_table} without a valid FinishTime")
+            })?;
+            continue;
+        };
+        if now_ms.saturating_sub(finished) <= t_ms || recyclable.len() >= batch_limit {
+            continue;
+        }
+        // Without its list, what the intent owns in the log is unknown: it
+        // and its entries stay.
+        match intent::log_steps(&row) {
+            Some(steps) => recyclable.push((id.clone(), steps)),
+            None => report_corruption(&mut report.corrupt_intents, || {
+                format!("GC found intent {id} in {intent_table} with a malformed LogSteps")
+            })?,
         }
     }
     (hooks.crash)(Label::GcPostClassify);
@@ -380,8 +389,8 @@ fn reconstruct_chain(rows: &[Value]) -> Option<(Vec<&Value>, HashSet<&str>)> {
 }
 
 /// Records corruption a pass found — a cyclic chain, a malformed
-/// `LogSteps`: counter bump, hard error in debug builds, `Ok` in release
-/// so the pass skips the item. Corruption is never a transient race, and
+/// `FinishTime` or `LogSteps`: counter bump, hard error in debug builds,
+/// `Ok` in release so the pass skips the item. Corruption is never a transient race, and
 /// the item is left untouched either way, since part-collecting damaged
 /// state could destroy evidence or live data.
 fn report_corruption(count: &mut usize, what: impl FnOnce() -> String) -> BeldiResult<()> {
@@ -592,7 +601,8 @@ mod tests {
     use super::*;
     use crate::config::BeldiConfig;
     use crate::env::{BeldiEnv, SsfBody};
-    use crate::schema::A_VALUE;
+    use crate::schema::{A_CLAIMANT, A_VALUE};
+    use beldi_simclock::SimInstant;
     use beldi_simdb::MetricsSnapshot;
     use beldi_value::vmap;
     use std::cell::{Cell, RefCell};
@@ -698,13 +708,13 @@ mod tests {
         assert_eq!(report.deleted_rows, 1, "expired unreachable row reclaimed");
     }
 
-    /// Steps 1–2 look at `Id`, `Done` and `FinishTime`: what they read
-    /// must not depend on how large the intents' envelopes are.
+    /// Step 2 looks at `Id`, `Done`, `FinishTime` and `LogSteps`: what it
+    /// reads must not depend on how large the intents' envelopes are.
     #[test]
     fn classify_scan_reads_the_same_bytes_whatever_the_envelopes_hold() {
-        // `(bytes read by steps 1–2, report)` of the stamping pass and of
-        // the recycling pass, over five intents with `input`-sized `Args`
-        // and `Ret`.
+        // `(bytes read by step 2, report)` of a pass before the horizon
+        // and of the recycling pass, over five intents with `input`-sized
+        // `Args` and `Ret`.
         let passes = |input: usize| {
             let e = BeldiEnv::for_tests_with(
                 BeldiConfig::beldi().with_t_max(Duration::from_millis(50)),
@@ -736,8 +746,8 @@ mod tests {
         };
         let small = passes(16);
         assert_eq!(
-            (small[0].1.finish_stamped, small[1].1.recycled_intents),
-            (5, 5)
+            (small[0].1.recycled_intents, small[1].1.recycled_intents),
+            (0, 5)
         );
         assert!(
             small[0].0 > 0 && small[0].0 < 5 * 40,
@@ -797,7 +807,6 @@ mod tests {
             for i in 0..4 {
                 e.invoke_as("f", &format!("i-{i}"), Value::Int(i)).unwrap();
             }
-            run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
             e.clock().sleep(Duration::from_millis(120));
 
             let logged = e.db().row_count("f.log").unwrap();
@@ -831,7 +840,6 @@ mod tests {
         for i in 0..3 {
             e.invoke_as("f", &format!("i-{i}"), Value::Null).unwrap();
         }
-        run_gc(e.test_core(), &e.test_ssf("f")).unwrap(); // Stamps the finish times.
         e.clock().sleep(Duration::from_millis(120));
         assert_eq!(e.db().row_count("f.log").unwrap(), 6);
 
@@ -863,6 +871,38 @@ mod tests {
         assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
     }
 
+    /// Plants the done intent `bad` as `attrs` describe it, with a log entry
+    /// at step 0, past any horizon; then two passes each fail in debug
+    /// builds naming `what`, or count one corrupt intent in release, and
+    /// the intent and its entry stay.
+    fn assert_reported_not_collected(attrs: Value, what: &str) {
+        let e = env();
+        e.db().put("f.intent", attrs.clone()).unwrap();
+        e.db()
+            .put("f.log", vmap! { A_LOG_KEY => "bad#0", A_VALUE => 1i64 })
+            .unwrap();
+        e.clock().sleep(Duration::from_millis(120));
+
+        for _ in 0..2 {
+            match e.run_gc_once("f") {
+                Err(err) if cfg!(debug_assertions) => {
+                    assert!(err.to_string().contains(what), "{err}")
+                }
+                Ok(report) if !cfg!(debug_assertions) => {
+                    assert_eq!(report.corrupt_intents, 1, "{report:?}");
+                    assert_eq!(report.recycled_intents, 0, "{report:?}");
+                }
+                other => panic!("debug builds fail the pass, release counts: {other:?}"),
+            }
+        }
+        let totals = e.gc_totals();
+        assert_eq!(totals.passes, 2);
+        let corrupt = totals.errors + totals.report.corrupt_intents as u64;
+        assert_eq!(corrupt, 2, "{totals:?}");
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 1, "{attrs}");
+        assert_eq!(e.db().row_count("f.log").unwrap(), 1, "{attrs}");
+    }
+
     /// A done intent whose `LogSteps` is not a list of step numbers is
     /// corruption: an error in debug builds, a `corrupt_intents` count in
     /// release, and the intent and its entries stay.
@@ -873,35 +913,139 @@ mod tests {
             Value::List(vec![Value::Int(0), Value::Bool(true)]),
             Value::List(vec![Value::Int(-1)]),
         ] {
-            let e = env();
             let intent = vmap! {
-                A_ID => "bad", A_DONE => true, A_FINISH => 0i64, A_LOG_STEPS => bad.clone()
+                A_ID => "bad", A_DONE => true, A_FINISH => 0i64, A_LOG_STEPS => bad
             };
-            e.db().put("f.intent", intent).unwrap();
-            e.db()
-                .put("f.log", vmap! { A_LOG_KEY => "bad#0", A_VALUE => 1i64 })
-                .unwrap();
-            e.clock().sleep(Duration::from_millis(120));
-
-            for _ in 0..2 {
-                match e.run_gc_once("f") {
-                    Err(err) if cfg!(debug_assertions) => {
-                        assert!(err.to_string().contains("LogSteps"), "{err}")
-                    }
-                    Ok(report) if !cfg!(debug_assertions) => {
-                        assert_eq!(report.corrupt_intents, 1, "{report:?}");
-                        assert_eq!(report.recycled_intents, 0, "{report:?}");
-                    }
-                    other => panic!("debug builds fail the pass, release counts: {other:?}"),
-                }
-            }
-            let totals = e.gc_totals();
-            assert_eq!(totals.passes, 2);
-            let corrupt = totals.errors + totals.report.corrupt_intents as u64;
-            assert_eq!(corrupt, 2, "{totals:?}");
-            assert_eq!(e.db().row_count("f.intent").unwrap(), 1, "{bad}");
-            assert_eq!(e.db().row_count("f.log").unwrap(), 1, "{bad}");
+            assert_reported_not_collected(intent, "LogSteps");
         }
+    }
+
+    /// A done intent whose `FinishTime` is absent, not an int or negative
+    /// is corruption, whatever its age: the same report as a malformed
+    /// `LogSteps`.
+    #[test]
+    fn a_malformed_finish_time_is_reported_not_collected() {
+        for bad in [None, Some(Value::from("0")), Some(Value::Int(-1))] {
+            let mut intent = vmap! {
+                A_ID => "bad", A_DONE => true, A_LOG_STEPS => Value::List(vec![Value::Int(0)])
+            };
+            if let Some(finish) = bad {
+                intent.as_map_mut().unwrap().insert(A_FINISH, finish);
+            }
+            assert_reported_not_collected(intent, "FinishTime");
+        }
+    }
+
+    /// No pass writes: the done-mark set the finish time. Before the
+    /// horizon a pass costs its classify scan and nothing else; past it,
+    /// over `N` done intents with `K` listed steps each, it costs the same
+    /// scan pages, `N·K` log deletes and `N` intent deletes.
+    #[test]
+    fn a_pass_writes_nothing() {
+        const N: usize = 40; // Over one scan page.
+        const K: usize = 3;
+        let e = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(Duration::from_secs(60)));
+        e.register_ssf(
+            "f",
+            &[],
+            Arc::new(|ctx, _| {
+                for _ in 0..K {
+                    ctx.logged_now_ms()?;
+                }
+                Ok(Value::Null)
+            }),
+        );
+        for i in 0..N {
+            e.invoke_as("f", &format!("i-{i}"), Value::Null).unwrap();
+        }
+        let pass = || {
+            let before = e.db_metrics();
+            let report = run_gc(e.test_core(), &e.test_ssf("f")).unwrap();
+            (report, e.db_metrics().delta(&before))
+        };
+
+        let (young, scan) = pass();
+        assert_eq!(young, GcReport::default());
+        assert!(scan.scans >= 2, "{scan:?}");
+        assert_eq!(
+            (scan.gets, scan.queries, scan.writes, scan.deletes),
+            (0, 0, 0, 0)
+        );
+
+        e.clock().sleep(Duration::from_secs(150));
+        let (old, cost) = pass();
+        assert_eq!((old.recycled_intents, old.deleted_log_entries), (N, N * K));
+        assert_eq!((cost.writes, cost.bytes_written), (0, 0), "{cost:?}");
+        assert_eq!(cost.deletes, (N + N * K) as u64);
+        assert_eq!(
+            (cost.scans, cost.gets, cost.queries, cost.cond_failures),
+            (scan.scans, 0, 0, 0)
+        );
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
+    }
+
+    /// The horizon is exact: an intent whose done-mark ran at `t` survives
+    /// a pass at `t + T` and is recycled by a pass at `t + T + 1 ms`, and
+    /// under `enforce_t_max` the same holds at `t + 2·T`.
+    #[test]
+    fn the_horizon_is_exact() {
+        let t_max = Duration::from_millis(50);
+        for (cfg, horizon) in [
+            (BeldiConfig::beldi(), 50),
+            (BeldiConfig::beldi().with_enforce_t_max(true), 100),
+        ] {
+            let e = BeldiEnv::for_tests_with(cfg.with_t_max(t_max));
+            e.register_ssf(
+                "f",
+                &[],
+                Arc::new(|ctx, _| Ok(Value::Int(ctx.logged_now_ms()? as i64))),
+            );
+            e.invoke_as("f", "i", Value::Null).unwrap();
+            let row = e.db().get("f.intent", &PrimaryKey::hash("i"), None);
+            let done_at = row.unwrap().unwrap().get_int(A_FINISH).unwrap() as u64;
+            let pass_at = |ms: u64| {
+                e.clock().sleep_until(SimInstant::from_millis(ms));
+                assert_eq!(e.clock().now().as_millis(), ms);
+                run_gc(e.test_core(), &e.test_ssf("f")).unwrap()
+            };
+            assert_eq!(pass_at(done_at + horizon).recycled_intents, 0);
+            assert_eq!(pass_at(done_at + horizon + 1).recycled_intents, 1);
+            assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
+        }
+    }
+
+    /// A transaction owner's finalize marker is a done intent like any
+    /// other: the claim sets its finish time, and it is recycled with its
+    /// claimant.
+    #[test]
+    fn a_finalize_marker_carries_its_finish_time_and_goes_with_its_claimant() {
+        let e =
+            BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(Duration::from_millis(50)));
+        e.register_ssf(
+            "f",
+            &["t"],
+            Arc::new(|ctx, input| {
+                ctx.begin_tx()?;
+                ctx.write("t", "k", input)?;
+                ctx.end_tx()?;
+                Ok(Value::Null)
+            }),
+        );
+        e.invoke_as("f", "owner", Value::Int(1)).unwrap();
+        let rows = e.db().scan_all("f.intent", &ScanRequest::all()).unwrap();
+        assert_eq!(rows.len(), 2);
+        let finish_of = |pick: &dyn Fn(&Value) -> bool| {
+            let row = rows.iter().find(|r| pick(r)).expect("the row");
+            row.get_int(A_FINISH).expect("a finish time") as u64
+        };
+        let claimed_at = finish_of(&|r| r.get_str(A_CLAIMANT) == Some("owner"));
+        let done_at = finish_of(&|r| r.get_str(A_ID) == Some("owner"));
+        assert!(claimed_at <= done_at, "{claimed_at} > {done_at}");
+
+        e.clock().sleep_until(SimInstant::from_millis(done_at + 51));
+        let report = run_gc(e.test_core(), &e.test_ssf("f")).unwrap();
+        assert_eq!((report.recycled_intents, report.corrupt_intents), (2, 0));
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
     }
 
     /// The cycle guard: a fabricated cyclic chain must surface loudly —
@@ -956,7 +1100,6 @@ mod tests {
     #[test]
     fn gc_report_absorb_sums_every_counter() {
         let a = GcReport {
-            finish_stamped: 1,
             recycled_intents: 2,
             deleted_log_entries: 3,
             disconnected_rows: 4,
@@ -969,7 +1112,6 @@ mod tests {
         assert_eq!(
             total,
             GcReport {
-                finish_stamped: 2,
                 recycled_intents: 4,
                 deleted_log_entries: 6,
                 disconnected_rows: 8,

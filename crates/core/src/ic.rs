@@ -139,7 +139,8 @@ fn report_corrupt_intent(
 ) -> BeldiResult<()> {
     report.corrupt += 1;
     core.record_ic_corrupt();
-    intent::mark_done(&core.db, table, id, Value::Null, &[])?;
+    let now_ms = core.platform.clock().now().as_millis();
+    intent::mark_done(&core.db, table, id, Value::Null, &[], now_ms)?;
     if cfg!(debug_assertions) {
         return Err(BeldiError::Protocol(format!(
             "intent {id} in {table} has no stored call envelope (quarantined)"

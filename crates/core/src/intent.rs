@@ -4,7 +4,7 @@
 //! original invocation envelope (so the intent collector can re-execute it
 //! verbatim), the completion flag, the return value, and GC bookkeeping.
 //! Registration is the first external action of every instance; completion
-//! (`Done = true` + return value) is the last.
+//! (`Done = true`, return value, finish time) is the last.
 
 // beldi-lint: allow-file(crash-points/coverage, intent rows are written inside
 // the wrapper protocol; wrapper.enter/post_intent/pre_done/post_done bracket
@@ -105,20 +105,26 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
     Ok(row.and_then(IntentRecord::from_row))
 }
 
-/// Marks an intent as done, recording its outcome envelope and the steps
-/// at which it has a log entry ([`A_LOG_STEPS`], omitted when there are
-/// none) in the same write.
+/// Marks an intent as done, recording in the same write its outcome
+/// envelope, the steps at which it has a log entry ([`A_LOG_STEPS`],
+/// omitted when there are none) and its finish time ([`A_FINISH`], the
+/// clock `now_ms` read just before this write), from which the GC counts
+/// the recycle horizon.
 ///
 /// Idempotent: re-executions overwrite with the identical (deterministic)
-/// outcome and steps.
+/// outcome and steps; the first done-mark's finish time stays.
 pub(crate) fn mark_done(
     db: &Database,
     table: &str,
     id: &Arc<str>,
     ret: Value,
     log_steps: &[StepNumber],
+    now_ms: u64,
 ) -> BeldiResult<()> {
-    let mut update = Update::new().set(A_DONE, Value::Bool(true)).set(A_RET, ret);
+    let mut update = Update::new()
+        .set(A_DONE, Value::Bool(true))
+        .set(A_RET, ret)
+        .set_if_absent(A_FINISH, Value::Int(now_ms as i64));
     if !log_steps.is_empty() {
         let steps = log_steps.iter().map(|&s| Value::Int(s as i64)).collect();
         update = update.set(A_LOG_STEPS, Value::List(steps));
@@ -156,21 +162,6 @@ pub(crate) fn claim_launch(
     match db.update(table, &PrimaryKey::hash(id), &cond, &update) {
         Ok(()) => Ok(true),
         Err(DbError::ConditionFailed) => Ok(false),
-        Err(e) => Err(e.into()),
-    }
-}
-
-/// Stamps the GC finish time on a completed intent, if not already set.
-pub(crate) fn stamp_finish(
-    db: &Database,
-    table: &str,
-    id: &Arc<str>,
-    now_ms: u64,
-) -> BeldiResult<()> {
-    let cond = Cond::eq(A_DONE, Value::Bool(true)).and(Cond::not_exists(A_FINISH));
-    let update = Update::new().set(A_FINISH, Value::Int(now_ms as i64));
-    match db.update(table, &PrimaryKey::hash(id), &cond, &update) {
-        Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),
     }
 }
@@ -228,7 +219,7 @@ mod tests {
     fn done_round_trips_return_value() {
         let db = db();
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        mark_done(&db, "i", &x(), Value::Int(42), &[0, 2]).unwrap();
+        mark_done(&db, "i", &x(), Value::Int(42), &[0, 2], 3).unwrap();
         let rec = load(&db, "i", &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, Some(Value::Int(42)));
@@ -261,24 +252,24 @@ mod tests {
         // Second claimer saw the stale timestamp and loses.
         assert!(!claim_launch(&db, "i", &x(), 0, 11).unwrap());
         // Done intents are never claimed.
-        mark_done(&db, "i", &x(), Value::Null, &[]).unwrap();
+        mark_done(&db, "i", &x(), Value::Null, &[], 15).unwrap();
         assert!(!claim_launch(&db, "i", &x(), 10, 20).unwrap());
     }
 
     #[test]
-    fn finish_stamp_is_sticky() {
+    fn the_first_done_mark_sets_the_finish_time() {
         let db = db();
         let finish = || {
             let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
             row.get_int(A_FINISH)
         };
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        // Not done yet: no stamp.
-        stamp_finish(&db, "i", &x(), 7).unwrap();
+        // Not done yet: no finish time.
         assert_eq!(finish(), None);
-        mark_done(&db, "i", &x(), Value::Null, &[]).unwrap();
-        stamp_finish(&db, "i", &x(), 7).unwrap();
-        stamp_finish(&db, "i", &x(), 99).unwrap();
+        mark_done(&db, "i", &x(), Value::Int(1), &[0], 7).unwrap();
+        assert_eq!(finish(), Some(7));
+        // A re-execution's done-mark rewrites the outcome, not the time.
+        mark_done(&db, "i", &x(), Value::Int(1), &[0], 99).unwrap();
         assert_eq!(finish(), Some(7));
     }
 

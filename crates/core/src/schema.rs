@@ -58,7 +58,8 @@ pub const A_ARGS: &str = "Args";
 pub const A_RET: &str = "Ret";
 /// Name of the calling SSF (for callbacks on re-execution), or absent.
 pub const A_CALLER: &str = "Caller";
-/// GC finish timestamp (ms), stamped by the first GC pass after `Done`.
+/// Finish timestamp (ms), set with `Done` by the first done-mark (or the
+/// finalize-marker claim); the GC's recycle horizon counts from it.
 pub const A_FINISH: &str = "FinishTime";
 /// Creation timestamp (ms).
 pub const A_CREATED: &str = "Created";

@@ -215,8 +215,8 @@ use crate::daal;
 use crate::ids::finalize_marker;
 use crate::invoke::{self, Envelope};
 use crate::schema::{
-    shadow_key, A_CALLEE_FN, A_CLAIMANT, A_DONE, A_ID, A_KEY, A_LOCK, A_NEXT_ROW, A_ORIG_KEY,
-    A_ORIG_TABLE, A_ROW_ID, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
+    shadow_key, A_CALLEE_FN, A_CLAIMANT, A_CREATED, A_DONE, A_FINISH, A_ID, A_KEY, A_LOCK,
+    A_NEXT_ROW, A_ORIG_KEY, A_ORIG_TABLE, A_ROW_ID, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
 };
 use crate::Label;
 
@@ -504,10 +504,7 @@ impl SsfContext {
             .set(A_ORIG_TABLE, logical)
             .set(A_WRITTEN, Value::Bool(false))
             .set(crate::schema::A_LOG_SIZE, Value::Int(0))
-            .set(
-                crate::schema::A_CREATED,
-                Value::Int(self.raw_now_ms() as i64),
-            );
+            .set(A_CREATED, Value::Int(self.raw_now_ms() as i64));
         match self
             .db()
             // beldi-lint: allow(crash-points/coverage, idempotent not_exists create
@@ -621,15 +618,14 @@ impl SsfContext {
         let pk = PrimaryKey::hash(marker);
         // `Done = true` keeps the intent collector away and makes a signal
         // that cycles back to this SSF replay the claim; the GC recycles
-        // the marker like any completed intent. Its fresh row is seeded
-        // with its `Id`.
+        // the marker like any completed intent, `T` after its finish time.
+        // Its fresh row is seeded with its `Id`.
+        let now_ms = Value::Int(self.raw_now_ms() as i64);
         let update = Update::new()
             .set(A_DONE, Value::Bool(true))
             .set(A_CLAIMANT, &self.instance)
-            .set(
-                crate::schema::A_CREATED,
-                Value::Int(self.raw_now_ms() as i64),
-            );
+            .set(A_CREATED, now_ms.clone())
+            .set(A_FINISH, now_ms);
         match self
             .db()
             // beldi-lint: allow(crash-points/coverage, txn.pre_finalize fires before the

@@ -15,8 +15,9 @@
 //! 4. performs the result **callback** to the caller *before* marking the
 //!    intent done (Fig. 9 — the ordering that keeps federated garbage
 //!    collectors from outrunning the caller);
-//! 5. marks the intent done with the recorded outcome and the steps at
-//!    which it has a log entry (the list GC step 3 deletes by key).
+//! 5. marks the intent done with the recorded outcome, the steps at which
+//!    it has a log entry (the list GC step 3 deletes by key) and the finish
+//!    time the GC's recycle horizon counts from.
 //!
 //! Panics inside any step model crashes: the platform catches them and the
 //! intent collector later re-executes the instance from its logs.
@@ -255,9 +256,9 @@ fn finish(
         }
     }
     ctx.crash(Label::WrapperPreDone);
-    let intent_table = &ctx.ssf.intent_table;
     let ret = outcome_value.clone();
-    if let Err(e) = intent::mark_done(&core.db, intent_table, &instance, ret, &ctx.log_steps) {
+    let (table, now_ms) = (&ctx.ssf.intent_table, ctx.raw_now_ms());
+    if let Err(e) = intent::mark_done(&core.db, table, &instance, ret, &ctx.log_steps, now_ms) {
         if let crate::error::BeldiError::Db(beldi_simdb::DbError::ConditionFailed) = e {
             // The intent row is gone: every instance registers before its
             // first effect, so absence means the GC already recycled this

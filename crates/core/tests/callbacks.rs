@@ -58,8 +58,8 @@ fn callback_lands_before_done_so_gc_cannot_outrun_caller() {
         "callee completed before the caller crashed"
     );
 
-    // The callee's GC recycles its intent and logs (finish stamp, then a
-    // T-wait, then recycling) while the caller is still unfinished.
+    // The callee's GC recycles its intent and logs (`T` after its
+    // done-mark) while the caller is still unfinished.
     for _ in 0..3 {
         env.run_gc_once("callee").unwrap();
         env.clock().sleep(Duration::from_millis(80));

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use beldi::schema::A_LOG_STEPS;
 use beldi::value::Value;
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode};
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan, GcReport, Mode};
 use beldi_simdb::{PrimaryKey, ScanRequest};
 
 fn gc_config() -> BeldiConfig {
@@ -53,8 +53,7 @@ fn completed_intents_and_logs_are_recycled() {
     assert!(table_len(&env, "ctr.intent") >= 5);
     assert!(table_len(&env, "ctr.log") >= 5);
 
-    // Pass 1 stamps finish times; after T, pass 2 recycles.
-    env.run_gc_once("ctr").unwrap();
+    // Each done-mark set its finish time; after T, one pass recycles.
     wait_t(&env);
     let report = env.run_gc_once("ctr").unwrap();
     assert_eq!(report.recycled_intents, 5);
@@ -304,8 +303,8 @@ fn timer_triggered_online_gc_bounds_tables_under_live_traffic() {
     for _ in 0..30 {
         env.invoke("ctr", Value::Null).unwrap();
     }
-    // Drain: let finish-stamping and the two `T` waits elapse while the
-    // timers keep firing.
+    // Drain: let the two `T` waits (intent, then dangling rows) elapse
+    // while the timers keep firing.
     env.clock().sleep(Duration::from_secs(40));
     env.stop_collectors();
     let totals = env.gc_totals();
@@ -484,13 +483,14 @@ fn every_kind_of_log_entry_shares_one_table_and_is_collected() {
 fn gc_report_counts_are_coherent() {
     let env = counter_env(gc_config());
     env.invoke("ctr", Value::Null).unwrap();
-    let r1 = env.run_gc_once("ctr").unwrap();
-    assert_eq!(r1.finish_stamped, 1);
-    assert_eq!(r1.recycled_intents, 0);
+    // Before `T` a pass finds nothing to do; past it, one pass recycles
+    // the intent and its one log entry (the read), and the next finds
+    // nothing again.
+    assert_eq!(env.run_gc_once("ctr").unwrap(), GcReport::default());
     wait_t(&env);
     let r2 = env.run_gc_once("ctr").unwrap();
-    assert_eq!(r2.finish_stamped, 0);
-    assert_eq!(r2.recycled_intents, 1);
+    assert_eq!((r2.recycled_intents, r2.deleted_log_entries), (1, 1));
+    assert_eq!(env.run_gc_once("ctr").unwrap(), GcReport::default());
 }
 
 /// Storm-surfaced fix: with the execution lease enforced, a cooperatively
@@ -503,7 +503,6 @@ fn lease_enforcement_doubles_the_recycle_horizon() {
     let t = Duration::from_secs(60);
     let env = counter_env(gc_config().with_t_max(t).with_enforce_t_max(true));
     env.invoke("ctr", Value::Null).unwrap();
-    env.run_gc_once("ctr").unwrap(); // pass 1 stamps the finish time
 
     // 1.2·T past finish: inside the straggler window — nothing recycles.
     env.clock().sleep(t + t / 5);
@@ -531,26 +530,13 @@ fn collector_batch_limit_pages_work_across_passes() {
     for _ in 0..5 {
         env.invoke("ctr", Value::Null).unwrap();
     }
-    // Every pass stamps/recycles at most 2 intents; repeated passes (with
-    // T-waits in between) must eventually drain all 5.
-    let mut stamped = 0;
-    let mut recycled = 0;
-    for _ in 0..10 {
-        let r = env.run_gc_once("ctr").unwrap();
-        assert!(r.finish_stamped <= 2, "stamping exceeded the batch limit");
-        assert!(
-            r.recycled_intents <= 2,
-            "recycling exceeded the batch limit"
-        );
-        stamped += r.finish_stamped;
-        recycled += r.recycled_intents;
-        if recycled == 5 {
-            break;
-        }
-        wait_t(&env);
-    }
-    assert_eq!(stamped, 5);
-    assert_eq!(recycled, 5, "paged passes eventually drain the backlog");
+    // Past `T` all 5 are recyclable, but every pass recycles at most 2:
+    // three passes drain them.
+    wait_t(&env);
+    let recycled: Vec<usize> = (0..3)
+        .map(|_| env.run_gc_once("ctr").unwrap().recycled_intents)
+        .collect();
+    assert_eq!(recycled, [2, 2, 1], "paged passes drain the backlog");
     assert_eq!(table_len(&env, "ctr.intent"), 0);
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(5));
 }
@@ -582,8 +568,8 @@ fn a_pass_costs_the_same_beside_100_and_5000_idle_keys() {
                 env.invoke("w", Value::from(format!("hot-{k}"))).unwrap();
             }
         }
-        // Stamp finish times; recycle and disconnect; delete — each pass
-        // with what the store charged for it.
+        // Nothing past the horizon yet; recycle and disconnect; delete —
+        // each pass with what the store charged for it.
         let mut passes = Vec::new();
         for _ in 0..3 {
             let before = env.db_metrics();
@@ -594,7 +580,8 @@ fn a_pass_costs_the_same_beside_100_and_5000_idle_keys() {
         passes
     };
     let small = passes_beside(100);
-    assert_eq!(small[0].0.finish_stamped, 56);
+    assert_eq!(small[0].0, GcReport::default());
+    assert_eq!(small[1].0.recycled_intents, 56);
     assert_eq!(small[1].0.disconnected_rows, 8);
     assert_eq!(small[2].0.deleted_rows, 8);
     assert_eq!(small, passes_beside(5_000));
@@ -679,20 +666,20 @@ fn run_and_collect(env: &BeldiEnv) {
     let _ = env.invoke_as("root", "r", Value::Null);
     let drain = env.drain_recovery(50).unwrap();
     assert_eq!(drain.unfinished, 0, "{drain:?}");
-    let collect = || -> (usize, usize) {
-        let mut stamped_recycled = (0, 0);
-        for ssf in env.ssf_names() {
-            let r = env.run_gc_once(&ssf).unwrap();
-            stamped_recycled.0 += r.finish_stamped;
-            stamped_recycled.1 += r.recycled_intents;
-        }
-        stamped_recycled
+    let collect = || -> usize {
+        env.ssf_names()
+            .into_iter()
+            .map(|ssf| env.run_gc_once(&ssf).unwrap().recycled_intents)
+            .sum()
     };
-    assert_eq!(collect().1, 0, "nothing is past the horizon yet");
+    // The drain's waits ran the clock past `T`, so some intents may go at
+    // once; the rest go `T` after their done-marks.
+    let mut recycled = collect();
     for _ in 0..5 {
         env.clock().sleep(Duration::from_millis(250));
-        if collect() == (0, 0) {
-            return;
+        match collect() {
+            0 if recycled > 0 => return,
+            n => recycled += n,
         }
     }
     panic!("collection never settled");

@@ -27,7 +27,8 @@
 //! seed and schedule needed to replay it (see `DESIGN.md` §8).
 //!
 //! With [`ExploreOptions::gc_check`] the explorer additionally verifies
-//! GC quiescence per schedule: after `T` elapses, repeated GC passes must
+//! GC quiescence per schedule: every done intent carries the finish time
+//! its done-mark sets, and after `T` elapses, repeated GC passes must
 //! empty the log and intent tables and shrink every DAAL to head +
 //! tail — found by walking every key, which also checks
 //! that the collector's sparse appended-row index lists exactly the keys
@@ -65,7 +66,7 @@ pub struct ExploreOptions {
     /// `{ssf}.gc`, exactly as the timer trigger would) after every
     /// frontend request. The collectors' fixed `gc.*` crash points join
     /// the global crash stream, so the depth-1 sweep also kills GC
-    /// passes *between any two of the paper's six steps* while SSF
+    /// passes *between any two of a pass's steps* while SSF
     /// traffic is live — the online-GC regime — and verifies the final
     /// state against the (equally GC-interleaved) crash-free oracle.
     pub gc_interleave: bool,
@@ -439,17 +440,39 @@ fn run_schedule(
 
 /// Drives the GC to quiescence and reports anything left behind.
 ///
-/// Four passes with `T` elapsing in between cover the full pipeline:
-/// stamp finish times → recycle intents + delete logs + disconnect DAAL
-/// rows → delete dangled rows (orphans from failed appends need one extra
+/// First, before any pass can recycle them, every done intent must carry
+/// the finish time its done-mark sets, a non-negative int: the collector
+/// counts the recycle horizon from it and would leave an intent without
+/// one in place. Then four passes with `T` elapsing in between cover the
+/// full pipeline: recycle intents + delete logs + disconnect DAAL rows →
+/// delete dangled rows (orphans from failed appends need one extra
 /// stamp-then-delete round).
 fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
     let ssfs = env.ssf_names();
+    let mut residue = Vec::new();
+    for ssf in &ssfs {
+        let table = schema::intent_table(ssf);
+        let rows = env
+            .db()
+            .scan_all(&table, &ScanRequest::all())
+            .unwrap_or_default();
+        let n = rows
+            .iter()
+            .filter(|row| {
+                row.get_bool(schema::A_DONE) == Some(true)
+                    && !matches!(row.get_int(schema::A_FINISH), Some(f) if f >= 0)
+            })
+            .count();
+        if n > 0 {
+            residue.push(format!("{table}: {n} done intent(s) without a FinishTime"));
+        }
+    }
     for _ in 0..4 {
         env.clock().sleep(EXPLORE_T_MAX + Duration::from_millis(20));
         for ssf in &ssfs {
             if let Err(e) = env.run_gc_once(ssf) {
-                return Some(format!("gc pass failed for {ssf}: {e}"));
+                residue.push(format!("gc pass failed for {ssf}: {e}"));
+                return Some(residue.join("; "));
             }
         }
     }
@@ -459,7 +482,6 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
             .map(|r| r.len())
             .unwrap_or(0)
     };
-    let mut residue = Vec::new();
     for ssf in &ssfs {
         for table in [schema::intent_table(ssf), schema::log_table(ssf)] {
             let n = count(&table);
@@ -711,5 +733,28 @@ mod tests {
             "{residue}"
         );
         assert!(residue.contains(r#"lists [Str("grown")],"#), "{residue}");
+    }
+
+    /// The quiescence check reads the finish time itself, before any pass:
+    /// a done intent whose done-mark left none is reported.
+    #[test]
+    fn quiescence_check_requires_a_finish_time_on_every_done_intent() {
+        let env = build_env(Mode::Beldi, &ExploreOptions::default());
+        env.register_ssf("w", &[], Arc::new(|_, _| Ok(Value::Null)));
+        env.invoke("w", Value::Null).unwrap();
+        assert_eq!(gc_quiescence_residue(&env, Mode::Beldi), None);
+
+        for finish in [None, Some(Value::from("7")), Some(Value::Int(-7))] {
+            let mut intent = vmap! { schema::A_ID => "planted", schema::A_DONE => true };
+            if let Some(f) = finish {
+                intent.as_map_mut().unwrap().insert(schema::A_FINISH, f);
+            }
+            env.db().put("w.intent", intent).unwrap();
+            let residue = gc_quiescence_residue(&env, Mode::Beldi).expect("planted intent");
+            assert!(
+                residue.starts_with("w.intent: 1 done intent(s) without a FinishTime"),
+                "{residue}"
+            );
+        }
     }
 }
