@@ -251,17 +251,27 @@ mod clippy_canaries {
     }
 
     /// Clippy reads the nearest `clippy.toml` and does not merge, so this
-    /// crate's file must carry every entry of the root's.
+    /// crate's file and `beldi`'s must each carry every entry of the
+    /// root's, plus the store's write surface.
     #[test]
     fn clippy_toml_repeats_the_root() {
         let root = paths(include_str!("../../../clippy.toml"));
-        let mine = paths(include_str!("../clippy.toml"));
-        assert!(root.len() >= 15);
-        for entry in &root {
-            assert!(mine.contains(entry), "missing here: {entry}");
+        assert!(root.len() >= 25);
+        for (crate_name, file) in [
+            ("beldi-apps", include_str!("../clippy.toml")),
+            ("beldi", include_str!("../../core/clippy.toml")),
+        ] {
+            let mine = paths(file);
+            for entry in &root {
+                assert!(mine.contains(entry), "missing in {crate_name}: {entry}");
+            }
+            let own: Vec<_> = mine.iter().filter(|e| !root.contains(e)).collect();
+            assert_eq!(
+                own.len(),
+                4,
+                "{crate_name}: put, update, delete, transact_write: {own:?}"
+            );
+            assert!(own.iter().all(|e| e.contains("beldi_simdb::Database::")));
         }
-        let own: Vec<_> = mine.iter().filter(|e| !root.contains(e)).collect();
-        assert_eq!(own.len(), 4, "put, update, delete, transact_write: {own:?}");
-        assert!(own.iter().all(|e| e.contains("beldi_simdb::Database::")));
     }
 }

@@ -29,6 +29,7 @@
 //! row key, path and cache entry below holds.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -263,10 +264,15 @@ pub(crate) struct TailCache {
 /// the shared strings the read already held.
 #[derive(Default)]
 struct TailShard {
-    tables: BTreeMap<String, HashMap<Arc<str>, Arc<str>>>,
+    tables: BTreeMap<String, TailKeys>,
     /// Entries across all tables.
     len: usize,
 }
+
+/// A table's cached tails. FNV-hashed, so the order the map keeps — and
+/// so which entry a full shard evicts — is a function of the `put`s, the
+/// same in every process.
+type TailKeys = HashMap<Arc<str>, Arc<str>, BuildHasherDefault<beldi_value::Fnv1a>>;
 
 /// Total capacity of the DAAL tail cache (entries across all shards).
 /// An entry is a `(table, key) → row id` triple of short strings, so
@@ -319,6 +325,10 @@ impl TailCache {
             // recency bookkeeping on the hit path.
             let fullest = shard.tables.values_mut().max_by_key(|keys| keys.len());
             if let Some(keys) = fullest {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "an FNV-hashed map: its first key is a function of the puts"
+                )]
                 if let Some(victim) = keys.keys().next().cloned() {
                     keys.remove(&victim);
                     shard.len -= 1;
@@ -326,7 +336,7 @@ impl TailCache {
             }
         }
         if !shard.tables.contains_key(table) {
-            shard.tables.insert(table.to_owned(), HashMap::new());
+            shard.tables.insert(table.to_owned(), TailKeys::default());
         }
         let keys = shard.tables.get_mut(table).expect("just ensured");
         keys.insert(key.clone(), row_id.clone());
@@ -585,6 +595,10 @@ fn write_at(
             cond = cond.and(uc.clone());
         }
         (p.crash)(Label::DaalWritePreApply);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
+        )]
         match p.db.update(table, &pk, &cond, apply) {
             Ok(()) => {
                 (p.crash)(Label::DaalWritePostApply);
@@ -596,6 +610,10 @@ fn write_at(
 
         // Case B2 (conditional writes only): the user condition was false
         // at the serialization point; log the failed outcome.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "between Label::DaalWritePreLogFalse and Label::DaalWritePostLogFalse"
+        )]
         if user_cond.is_some() {
             let cond = case_b_cond(p, log_key).and(existence);
             let update = log_actions(p, log_key, false, Update::new());
@@ -626,13 +644,15 @@ fn write_at(
             // reached); deleted row ids are never recreated, so
             // CAS-clearing the pointer is a safe repair that restores
             // liveness. Then re-scan from scratch either way.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "between Label::DaalWritePreApply and the re-scan's: an idempotent \
+                          repair that only a violated `T` makes necessary"
+            )]
             if let Some(prev) = &chased_from {
                 let prev_pk = PrimaryKey::hash_sort(key, prev);
                 let cond = Cond::eq(A_NEXT_ROW, &row_id);
                 let update = Update::new().remove(A_NEXT_ROW);
-                // beldi-lint: allow(crash-points/coverage, dangling-pointer CAS repair on a
-                // violated T assumption; idempotent remove bracketed by daal.write.enter and
-                // the re-scan that follows - no schedule explores past a synchrony violation)
                 match p.db.update(table, &prev_pk, &cond, &update) {
                     Ok(()) | Err(DbError::ConditionFailed) => {}
                     Err(e) => return Err(e.into()),
@@ -708,11 +728,19 @@ fn append_row(
     }
     let new_pk = PrimaryKey::hash_sort(key, &new_id);
     (p.crash)(Label::DaalAppendPreCreate);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::DaalAppendPreCreate and Label::DaalAppendPostCreate"
+    )]
     p.db.update(table, &new_pk, &Cond::not_exists(A_KEY), &update)?;
     (p.crash)(Label::DaalAppendPostCreate);
 
     // 2. Link it, only if no one else appended in the meantime.
     let prev_pk = PrimaryKey::hash_sort(key, prev_id);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::DaalAppendPostCreate and Label::DaalAppendPostLink"
+    )]
     let link = p.db.update(
         table,
         &prev_pk,
@@ -747,8 +775,10 @@ pub(crate) fn seed(
     now_ms: u64,
 ) -> BeldiResult<()> {
     let pk = PrimaryKey::hash_sort(key, ROW_HEAD);
-    // beldi-lint: allow(crash-points/coverage, seed bypasses logging by design -
-    // a data-loading convenience outside the exactly-once API and the explorer)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "no probe: seeding loads data before any instance runs, outside the exactly-once API"
+    )]
     db.update(
         table,
         &pk,
@@ -1016,6 +1046,7 @@ mod tests {
         let f = Fixture::new();
         f.write("k", "a#0", 1);
         // Plant an orphan (as a failed append would leave behind).
+        #[expect(clippy::disallowed_methods, reason = "the test plants a row")]
         f.db.put(
             "t",
             beldi_value::vmap! {
@@ -1072,6 +1103,7 @@ mod tests {
         // has neither comes back empty, not absent.
         let f = Fixture::new();
         let cache = TailCache::new();
+        #[expect(clippy::disallowed_methods, reason = "the test plants a row")]
         f.db.put(
             "t",
             beldi_value::vmap! { A_KEY => "k", A_ROW_ID => ROW_HEAD, A_LOG_SIZE => 0i64 },
@@ -1136,6 +1168,26 @@ mod tests {
             );
         }
         assert!(cache.len() <= 32);
+    }
+
+    /// Which tails a full cache keeps decides which reads pay a traversal,
+    /// so it must be a function of the run: two caches given the same
+    /// `put`s keep the same survivors (with a per-map random hash seed
+    /// they disagree).
+    #[test]
+    fn eviction_is_the_same_in_every_cache() {
+        let survivors = || {
+            let cache = TailCache::with_capacity(32);
+            for i in 0..500 {
+                cache.put("t", &format!("k{i}").into(), &format!("R{i}").into());
+            }
+            (0..500)
+                .filter(|i| cache.get("t", &format!("k{i}")).is_some())
+                .collect::<Vec<_>>()
+        };
+        let first = survivors();
+        assert_eq!(first.len(), 32);
+        assert_eq!(first, survivors());
     }
 
     #[test]

@@ -905,6 +905,7 @@ impl BeldiEnv {
 
     /// Names of all registered SSFs, sorted.
     pub fn ssf_names(&self) -> Vec<String> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut v: Vec<String> = self.core.registry.read().keys().cloned().collect();
         v.sort();
         v

@@ -255,6 +255,10 @@ pub(crate) fn run_gc_with(
     // list. The condition keeps a pass re-run after a crash here from
     // counting an entry twice.
     let present = Cond::exists(A_LOG_KEY);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::GcPostClassify and Label::GcPostLogPrune"
+    )]
     for (id, steps) in &recyclable {
         for &step in steps {
             let pk = PrimaryKey::hash(log_key(id, step));
@@ -483,6 +487,10 @@ fn collect_daal_key(
             let prev_pk = PrimaryKey::hash_sort(key, prev_id);
             let cond = Cond::eq(A_NEXT_ROW, row_id);
             let update = Update::new().set(A_NEXT_ROW, next);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "between Label::GcStep4PreUnlink and Label::GcPostDaal"
+            )]
             match db.update(table, &prev_pk, &cond, &update) {
                 Ok(()) => {}
                 Err(DbError::ConditionFailed) => continue,
@@ -539,6 +547,10 @@ fn collect_daal_key(
         };
         Some(fresh)
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::GcStep5PreDelete and Label::GcPostDaal"
+    )]
     for row_id in candidates {
         if let Some(fresh) = &fresh_reachable {
             if fresh.contains(&**row_id) {
@@ -547,8 +559,6 @@ fn collect_daal_key(
         }
         (hooks.probe)(Label::GcStep5PreDelete);
         let pk = PrimaryKey::hash_sort(key, row_id);
-        // beldi-lint: allow(crash-points/coverage, gc.step5.pre_delete fires before
-        // each delete; gc.post_daal fires after the sweep in run_gc_with)
         match db.delete(table, &pk, &Cond::True) {
             Ok(()) => report.deleted_rows += 1,
             Err(DbError::ConditionFailed) => {}
@@ -575,6 +585,10 @@ fn row_fully_recyclable(row: &Value, status: &mut OwnerStatus<'_>) -> BeldiResul
 }
 
 /// Stamps `DangleTime = now` on a row (idempotent-if-absent).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "steps 4–5 stamp between Label::GcPostLogPrune and Label::GcPostDaal"
+)]
 fn stamp_dangle(
     db: &Database,
     table: &str,
@@ -588,8 +602,6 @@ fn stamp_dangle(
     let pk = PrimaryKey::hash_sort(key, row_id);
     let cond = Cond::not_exists(A_DANGLE).and(Cond::exists(A_KEY));
     let update = Update::new().set(A_DANGLE, Value::Int(now_ms as i64));
-    // beldi-lint: allow(crash-points/coverage, dangle stamping sits between the
-    // gc.post_classify and gc.post_daal step-boundary probes in run_gc_with)
     match db.update(table, &pk, &cond, &update) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),
@@ -639,6 +651,7 @@ mod tests {
         if let Some(d) = dangle {
             attrs.insert(A_DANGLE, Value::Int(d));
         }
+        #[expect(clippy::disallowed_methods, reason = "the test plants a row")]
         env.db().put("f.data.t", row).unwrap();
     }
 
@@ -668,6 +681,10 @@ mod tests {
             if label == Label::GcStep5PreRescan {
                 // The stale-view collector's guarded unlink of A lands
                 // now: HEAD.NextRow = B. B is reachable again.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the test plays a second collector"
+                )]
                 db.update(
                     "f.data.t",
                     &PrimaryKey::hash_sort("k", ROW_HEAD),
@@ -877,7 +894,9 @@ mod tests {
     /// the intent and its entry stay.
     fn assert_reported_not_collected(attrs: Value, what: &str) {
         let e = env();
+        #[expect(clippy::disallowed_methods, reason = "the test plants an intent")]
         e.db().put("f.intent", attrs.clone()).unwrap();
+        #[expect(clippy::disallowed_methods, reason = "the test plants its log entry")]
         e.db()
             .put("f.log", vmap! { A_LOG_KEY => "bad#0", A_VALUE => 1i64 })
             .unwrap();

@@ -6,9 +6,15 @@
 //! Registration is the first external action of every instance; completion
 //! (`Done = true`, return value, finish time) is the last.
 
-// beldi-lint: allow-file(crash-points/coverage, intent rows are written inside
-// the wrapper protocol; wrapper.enter/post_intent/pre_done/post_done bracket
-// every register/mark_done/claim/delete call site)
+#![expect(
+    clippy::disallowed_methods,
+    reason = "each write runs between its caller's probes: `register` between \
+              Label::WrapperEnter and Label::WrapperPostIntent (Label::AsyncRegPostIntent \
+              for an async callee), `mark_done` between Label::WrapperPreDone and \
+              Label::WrapperPostDone, `claim_launch` between Label::IcPostScan and \
+              Label::IcPreRestart, `delete` between Label::GcPostDaal and Label::GcExit"
+)]
+
 use std::sync::Arc;
 
 use beldi_simdb::{Database, DbError, PrimaryKey};

@@ -277,6 +277,11 @@ impl InvokeEntry {
 impl SsfContext {
     /// Creates (or replays) the invoke-log entry for the next step:
     /// exactly-once assignment of a callee instance id (Fig. 8).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::InvokePreEntry and the caller's Label::InvokePreCall \
+                  (Label::InvokePreAsyncReg for an async call)"
+    )]
     fn invoke_entry(&mut self, callee_fn: &str) -> BeldiResult<InvokeEntry> {
         let step = self.step;
         let log_key = self.next_log_key();
@@ -299,8 +304,6 @@ impl SsfContext {
         self.crash(Label::InvokePreEntry);
         match self
             .db()
-            // beldi-lint: allow(crash-points/coverage, invoke.pre_entry fires before this
-            // append; invoke.pre_call / invoke.pre_asyncreg fire after it in the callers)
             .update(log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
         {
             Ok(()) => {
@@ -540,6 +543,10 @@ pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -
 /// (or registration) on the invoke-log entry the callee id names. A
 /// spurious callback (§4.5) — a collected entry, a forged id, a read
 /// entry's key — fails the condition, creates no row, and is ignored.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "between the callee's Label::WrapperPreCallback and Label::WrapperPreDone"
+)]
 pub(crate) fn handle_callback(
     core: &EnvCore,
     ssf: &Ssf,
@@ -554,8 +561,6 @@ pub(crate) fn handle_callback(
         update = update.set_if_absent(A_RESULT, r);
     }
     let cond = Cond::eq(A_CALLEE_ID, callee_id);
-    // beldi-lint: allow(crash-points/coverage, the callback result write is
-    // bracketed by wrapper.pre_callback and wrapper.pre_done in the callee)
     match core.db.update(&ssf.log_table, &pk, &cond, &update) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),

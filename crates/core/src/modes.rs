@@ -12,9 +12,12 @@
 //! This module implements the cross-table and baseline primitives; the
 //! logged wrappers in `ops.rs` dispatch between them and the DAAL.
 
-// beldi-lint: allow-file(crash-points/coverage, cross-table and baseline writes
-// are bracketed by write.enter/write.exit in ops.rs::write_step; the baseline
-// mode deliberately runs outside the exactly-once protocol)
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a cross-table write runs between Label::WriteEnter and Label::WriteExit \
+              (`ops.rs::write_step`); baseline mode has no exactly-once claim, so no probe"
+)]
+
 use beldi_simdb::{Database, DbError, PrimaryKey, TransactOp};
 use beldi_value::{Cond, Update, Value};
 

@@ -82,6 +82,10 @@ impl SsfContext {
     ///
     /// This is the paper's read-logging tail (Fig. 5) and is reused for
     /// every logged source of nondeterminism.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::ReadPreLog and Label::ReadPostLog"
+    )]
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
         let step = self.step;
         let log_key = self.next_log_key();
@@ -199,6 +203,10 @@ impl SsfContext {
                 self.log_steps.push(step);
                 out
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "between Label::WriteEnter and Label::WriteExit"
+            )]
             Mode::Baseline => {
                 // Unlogged; used only via lock/flush paths that are no-ops
                 // in baseline mode, but kept total for robustness.

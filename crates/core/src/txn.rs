@@ -493,6 +493,11 @@ impl SsfContext {
 
     /// Creates the shadow-table entry for a locked item if absent
     /// (idempotent, unlogged — `set_if_absent` semantics); true if created.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between the lock step's Label::WriteExit and the next step's entry \
+                  (Label::ReadPreLog for a read, Label::WriteEnter for a write)"
+    )]
     fn ensure_shadow_entry(&mut self, logical: &str, key: &Arc<str>) -> BeldiResult<bool> {
         let ctx = self.txn_ctx_cloned()?;
         let shadow = self.shadow_table(logical)?;
@@ -507,8 +512,6 @@ impl SsfContext {
             .set(A_CREATED, Value::Int(self.raw_now_ms() as i64));
         match self
             .db()
-            // beldi-lint: allow(crash-points/coverage, idempotent not_exists create
-            // bracketed by write.enter/write.exit around the shadow write in ops.rs)
             .update(&shadow, &pk, &Cond::not_exists(A_KEY), &update)
         {
             Ok(()) => Ok(true),
@@ -613,6 +616,11 @@ impl SsfContext {
     /// Returns true when this *intent* owns the claim (first claim or
     /// re-execution of the claimant); false when another instance already
     /// finalizes this transaction here.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::TxnPreFinalize and the first item's or signal's probe \
+                  (Label::TxnPostFinalize when there is none)"
+    )]
     fn claim_finalize_marker(&self, marker: &Arc<str>) -> BeldiResult<bool> {
         let table = &self.ssf.intent_table;
         let pk = PrimaryKey::hash(marker);
@@ -628,8 +636,6 @@ impl SsfContext {
             .set(A_FINISH, now_ms);
         match self
             .db()
-            // beldi-lint: allow(crash-points/coverage, txn.pre_finalize fires before the
-            // marker claim and txn.post_finalize after it in finalize)
             .update(table, &pk, &Cond::not_exists(A_ID), &update)
         {
             Ok(()) => Ok(true),

@@ -168,6 +168,7 @@ fn concurrent_transact_writes_through_env_are_atomic() {
     let db = env.db();
     db.create_table("x", TableSchema::hash_only("Id")).unwrap();
     db.create_table("y", TableSchema::hash_only("Id")).unwrap();
+    #[expect(clippy::disallowed_methods, reason = "the test seeds two plain tables")]
     for k in 0..8 {
         db.put("x", vmap! { "Id" => format!("k{k}"), "N" => 0i64 })
             .unwrap();
@@ -181,6 +182,10 @@ fn concurrent_transact_writes_through_env_are_atomic() {
                     let k = (t + i) % 8;
                     // Paired increment across two tables (and usually two
                     // partitions), gated on the pair being in sync.
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the store's own transaction is under test"
+                    )]
                     env.db()
                         .transact_write(&[
                             TransactOp::Update {

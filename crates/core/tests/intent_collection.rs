@@ -40,6 +40,7 @@ fn plant_intent(env: &BeldiEnv, ssf: &str, id: &str, args: Value, now_ms: u64) {
         .set(beldi::schema::A_ARGS, args)
         .set(beldi::schema::A_CREATED, Value::Int(now_ms as i64))
         .set(beldi::schema::A_LAST_LAUNCH, Value::Int(now_ms as i64));
+    #[expect(clippy::disallowed_methods, reason = "the test plants an intent")]
     env.db()
         .update(&table, &PrimaryKey::hash(id), &Cond::True, &update)
         .unwrap();

@@ -1,16 +1,16 @@
 //! A comment/string-aware Rust lexer.
 //!
-//! Deliberately *not* a parser: `beldi-lint` needs token streams with
-//! accurate line numbers, comments separated out (for waivers), and
-//! string literals distinguished from code (so a label in a comment or a
-//! doc example never trips a rule). Everything heavier — item structure,
-//! function spans, conditional depth — is reconstructed from this stream
-//! by [`crate::source`] with brace matching.
+//! Deliberately *not* a parser: the rule needs token streams with
+//! accurate line numbers, comments dropped, and string literals
+//! distinguished from code (so a label in a comment or a doc example
+//! never trips it). Everything heavier — function bodies, conditional
+//! depth — is reconstructed from this stream by [`crate::source`] with
+//! brace matching.
 //!
 //! Handled: line + nested block comments, string/raw-string/byte-string
 //! literals with escapes, char literals vs. lifetimes, numbers (enough to
-//! skip them), and multi-char operators that matter downstream (`::`,
-//! `=>`, `->`).
+//! skip them), and the two multi-char operators that matter downstream
+//! (`::`, `=>`).
 
 /// A lexical token with its 1-indexed source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,32 +35,16 @@ pub enum TokKind {
     PathSep,
     /// `=>`
     FatArrow,
-    /// `->`
-    ThinArrow,
     /// Any other single punctuation character.
     Punct(char),
 }
 
-/// A comment (line or block) with the line it starts on. Block comments
-/// are recorded once, with their full text.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    pub text: String,
-    pub line: u32,
-}
-
-/// Lexer output: the code token stream plus the comments.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    pub toks: Vec<Tok>,
-    pub comments: Vec<Comment>,
-}
-
-pub fn lex(src: &str) -> Lexed {
+/// The code tokens of `src`; comments are skipped.
+pub fn lex(src: &str) -> Vec<Tok> {
     let b: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     let mut line = 1u32;
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
 
     macro_rules! bump {
         () => {{
@@ -80,46 +64,30 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Line comment (also doc comments `///`, `//!`).
         if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
-            let start_line = line;
-            let mut text = String::new();
             while i < b.len() && b[i] != '\n' {
-                text.push(b[i]);
                 i += 1;
             }
-            out.comments.push(Comment {
-                text,
-                line: start_line,
-            });
             continue;
         }
         // Block comment, nested per Rust.
         if c == '/' && i + 1 < b.len() && b[i + 1] == '*' {
-            let start_line = line;
             let mut depth = 0usize;
-            let mut text = String::new();
             while i < b.len() {
                 if b[i] == '/' && i + 1 < b.len() && b[i + 1] == '*' {
                     depth += 1;
-                    text.push_str("/*");
                     bump!();
                     bump!();
                 } else if b[i] == '*' && i + 1 < b.len() && b[i + 1] == '/' {
                     depth -= 1;
-                    text.push_str("*/");
                     bump!();
                     bump!();
                     if depth == 0 {
                         break;
                     }
                 } else {
-                    text.push(b[i]);
                     bump!();
                 }
             }
-            out.comments.push(Comment {
-                text,
-                line: start_line,
-            });
             continue;
         }
         // Raw strings: r"...", r#"..."#, br##"..."## etc.
@@ -160,7 +128,7 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 bump!();
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Str(text),
                 line: start_line,
             });
@@ -178,7 +146,7 @@ pub fn lex(src: &str) -> Lexed {
                 text.push(b[i]);
                 i += 1;
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Ident(text),
                 line: start_line,
             });
@@ -194,7 +162,7 @@ pub fn lex(src: &str) -> Lexed {
             {
                 i += 1;
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Num,
                 line: start_line,
             });
@@ -224,7 +192,7 @@ pub fn lex(src: &str) -> Lexed {
             if i < b.len() {
                 bump!(); // closing quote
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Str(text),
                 line: start_line,
             });
@@ -241,7 +209,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 if j >= b.len() || b[j] != '\'' {
                     i = j;
-                    out.toks.push(Tok {
+                    out.push(Tok {
                         kind: TokKind::Lifetime,
                         line: start_line,
                     });
@@ -259,7 +227,7 @@ pub fn lex(src: &str) -> Lexed {
             if i < b.len() && b[i] == '\'' {
                 bump!();
             }
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::Char,
                 line: start_line,
             });
@@ -267,7 +235,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Multi-char operators the analyses care about.
         if c == ':' && i + 1 < b.len() && b[i + 1] == ':' {
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::PathSep,
                 line,
             });
@@ -275,22 +243,14 @@ pub fn lex(src: &str) -> Lexed {
             continue;
         }
         if c == '=' && i + 1 < b.len() && b[i + 1] == '>' {
-            out.toks.push(Tok {
+            out.push(Tok {
                 kind: TokKind::FatArrow,
                 line,
             });
             i += 2;
             continue;
         }
-        if c == '-' && i + 1 < b.len() && b[i + 1] == '>' {
-            out.toks.push(Tok {
-                kind: TokKind::ThinArrow,
-                line,
-            });
-            i += 2;
-            continue;
-        }
-        out.toks.push(Tok {
+        out.push(Tok {
             kind: TokKind::Punct(c),
             line,
         });
@@ -346,43 +306,40 @@ mod tests {
     #[test]
     fn strings_and_comments_are_separated() {
         let l = lex("let x = \"a.b\"; // trailing \"quoted\"\n/* block\n */ foo");
-        let strs: Vec<_> = l.toks.iter().filter_map(Tok::str_lit).collect();
+        let strs: Vec<_> = l.iter().filter_map(Tok::str_lit).collect();
         assert_eq!(strs, vec!["a.b"]);
-        assert_eq!(l.comments.len(), 2);
-        assert!(l.comments[0].text.contains("trailing"));
-        assert!(l.toks.iter().any(|t| t.is_ident("foo")));
+        assert!(!l
+            .iter()
+            .any(|t| t.is_ident("trailing") || t.is_ident("block")));
+        assert!(l.iter().any(|t| t.is_ident("foo")));
     }
 
     #[test]
     fn raw_strings_and_escapes() {
         let l = lex(r####"let a = r#"x "y" z"#; let b = "p\"q";"####);
-        let strs: Vec<_> = l.toks.iter().filter_map(Tok::str_lit).collect();
+        let strs: Vec<_> = l.iter().filter_map(Tok::str_lit).collect();
         assert_eq!(strs, vec![r#"x "y" z"#, "p\"q"]);
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; }");
-        let lifetimes = l
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .count();
-        let chars = l.toks.iter().filter(|t| t.kind == TokKind::Char).count();
+        let lifetimes = l.iter().filter(|t| t.kind == TokKind::Lifetime).count();
+        let chars = l.iter().filter(|t| t.kind == TokKind::Char).count();
         assert_eq!((lifetimes, chars), (2, 1));
     }
 
     #[test]
     fn nested_block_comments() {
         let l = lex("/* a /* b */ c */ ident");
-        assert_eq!(l.comments.len(), 1);
-        assert!(l.toks.iter().any(|t| t.is_ident("ident")));
+        let idents: Vec<_> = l.iter().filter_map(Tok::ident).collect();
+        assert_eq!(idents, ["ident"]);
     }
 
     #[test]
     fn line_numbers_track_newlines() {
         let l = lex("a\nb\n\"s\"\n");
-        let lines: Vec<u32> = l.toks.iter().map(|t| t.line).collect();
+        let lines: Vec<u32> = l.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 3]);
     }
 }

@@ -1,58 +1,77 @@
-//! `beldi-lint`: a protocol-invariant static analyzer for the Beldi
-//! workspace.
+//! `beldi-lint`: the one static check of the Beldi workspace that needs a
+//! lexer.
 //!
-//! Beldi's exactly-once guarantee rests on invariants of the code, not
-//! only of its runs. Each is checked by the most exact tool that can
-//! state it — privacy, rustc, `clippy.toml` — and this crate checks the
-//! ones that need knowledge of the protocol: the crash-schedule explorer
-//! only proves what the hand-placed `FaultInjector::crash_point` probes
-//! let it see, iteration order must not leak into logged state, and the
-//! simulated database's deadlock freedom rests on an ascending lock
-//! order. Six rules over a hand-rolled, comment/string-aware lexer (no
-//! `syn`; the build environment is offline). That a probe fires a
-//! declared label is not among them: a crash label is a `Label`, so a
-//! misspelled one does not compile.
+//! The crash-schedule explorer numbers every crash probe a run reaches
+//! and replays a schedule by those numbers, so the numbering must be the
+//! same in every run of one schedule. A probe under an `if`, a `match` or
+//! a loop fires as often as the work a run finds, which shifts every later
+//! number; such a probe must fire a label of the label table's
+//! `work_dependent` group (`crates/simfaas/src/labels.rs`), which the
+//! storm never kills at. This crate checks that rule,
+//! `crash-points/conditional`, over a hand-rolled, comment/string-aware
+//! lexer (no `syn`; the build environment is offline). Its test
+//! `repository_lints_clean` runs it over the workspace.
 //!
-//! See `DESIGN.md` §11 for the table of every static check and its
-//! home, the waiver syntax (`// beldi-lint: allow(<rule>, <reason>)`),
-//! and the procedure for adding a check or a crash point.
+//! Every other static check lives in a type, rustc, clippy or a run-time
+//! test: DESIGN.md §11 has the table.
 
-pub mod findings;
 pub mod lexer;
-pub mod rules;
 pub mod source;
 
+use std::collections::BTreeSet;
+use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use findings::{Finding, Report};
+use lexer::TokKind;
 use source::SourceFile;
 
 /// Workspace-relative path of the crash-label table.
-pub const LABELS_PATH: &str = "crates/simfaas/src/labels.rs";
+const LABELS_PATH: &str = "crates/simfaas/src/labels.rs";
 
-/// Directories never scanned: build output, the offline dependency shims
-/// (external API surface, not protocol code), and linter test fixtures
-/// (which *contain* planted violations).
-fn skip_dir(name: &str) -> bool {
-    matches!(name, "target" | "shims" | "fixtures" | ".git" | ".github")
+/// A probe under a conditional that fires a fixed label.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    pub path: String,
+    /// 1-indexed source line of the probe.
+    pub line: u32,
+    /// The `Label` variant it fires.
+    pub label: String,
 }
 
-/// Collects every `.rs` file under `root`, workspace-relative with `/`
-/// separators, sorted for deterministic output.
-pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [crash-points/conditional] probe `Label::{}` sits under a conditional \
+             but is not in the label table's `work_dependent` group; a probe whose firing \
+             depends on the work found changes the global crash stream between runs and \
+             breaks fixed-schedule exploration",
+            self.path, self.line, self.label
+        )
+    }
+}
+
+/// The code that fires probes: the protocol core, the platform, the
+/// executor and the front door.
+fn in_scope(p: &str) -> bool {
+    p.starts_with("crates/core/src/")
+        || p.starts_with("crates/simfaas/src/")
+        || p.starts_with("crates/runtime/src/")
+        || p == "crates/bench/src/front.rs"
+}
+
+/// Collects every `.rs` file under `root/crates`, workspace-relative with
+/// `/` separators, sorted.
+fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
+    let mut stack = vec![root.join("crates")];
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
+            let path = entry?.path();
             if path.is_dir() {
-                if !skip_dir(&name) {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel = path
                     .strip_prefix(root)
                     .unwrap_or(&path)
@@ -68,81 +87,96 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// Runs every rule over the workspace at `root` and dispositions the
-/// findings against the inline waivers.
-pub fn run(root: &Path) -> std::io::Result<Report> {
-    let sources = collect_sources(root)?;
-    let mut files: Vec<SourceFile> = Vec::with_capacity(sources.len());
-    for (rel, path) in &sources {
-        let text = fs::read_to_string(path)?;
-        files.push(SourceFile::parse(rel, &text));
+/// Runs the rule over the workspace at `root`.
+pub fn lint(root: &Path) -> std::io::Result<Vec<Finding>> {
+    let mut files = Vec::new();
+    for (rel, path) in collect_sources(root)? {
+        files.push(SourceFile::parse(&rel, &fs::read_to_string(path)?));
     }
-    Ok(run_parsed(&files))
+    Ok(lint_files(&files))
 }
 
-/// Rule pass over already-parsed sources (tests use this on fixtures).
-pub fn run_parsed(files: &[SourceFile]) -> Report {
-    let mut raw: Vec<Finding> = Vec::new();
-
-    // Without the label table no label is work-dependent, so every
-    // conditional probe is a finding.
+/// Runs the rule over already-parsed sources, one of which should be the
+/// label table: without it every conditional probe is a finding.
+pub fn lint_files(files: &[SourceFile]) -> Vec<Finding> {
     let work_dependent = files
         .iter()
         .find(|f| f.path == LABELS_PATH)
-        .map(rules::work_dependent_labels)
+        .map(work_dependent_labels)
         .unwrap_or_default();
-
-    for sf in files {
-        rules::hashmap_iteration(sf, &mut raw);
-        rules::crash_points(sf, &work_dependent, &mut raw);
-        rules::lock_order(sf, &mut raw);
-        for bad in &sf.bad_waivers {
-            raw.push(Finding::new(
-                "waiver/malformed",
-                &sf.path,
-                bad.line,
-                bad.detail.clone(),
-                sf.line_text(bad.line),
-            ));
-        }
-    }
-
-    // Disposition: `waiver/malformed` is itself unwaivable (a waiver you
-    // cannot parse must not self-excuse).
-    let mut report = Report {
-        files: files.len(),
-        ..Report::default()
-    };
-    for f in raw {
-        let sf = files.iter().find(|s| s.path == f.path);
-        let waiver = (f.rule != "waiver/malformed")
-            .then(|| sf.and_then(|s| s.waived(&f.rule, f.line)))
-            .flatten();
-        if let Some(w) = waiver {
-            report.waived.push((f, w.reason.clone()));
-        } else {
-            report.active.push(f);
-        }
-    }
-
-    // Unused waivers are findings too: a stale waiver hides nothing but
-    // suggests the violation it excused was fixed — drop it.
-    for sf in files {
-        for w in &sf.waivers {
-            if !w.used.get() {
-                report.active.push(Finding::new(
-                    "waiver/unused",
-                    &sf.path,
-                    w.line,
-                    format!("waiver for `{}` matches no finding; remove it", w.rule),
-                    sf.line_text(w.line),
-                ));
+    let mut findings = Vec::new();
+    for sf in files.iter().filter(|f| in_scope(&f.path)) {
+        for i in 0..sf.toks.len() {
+            if sf.in_test[i] {
+                continue;
+            }
+            let Some(label) = probe_label(sf, i) else {
+                continue;
+            };
+            if !work_dependent.contains(label) && sf.conditional_depth(i) > 0 {
+                findings.push(Finding {
+                    path: sf.path.clone(),
+                    line: sf.toks[i].line,
+                    label: label.to_owned(),
+                });
             }
         }
     }
+    findings
+}
 
-    report
-        .active
-        .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
-    report
+/// The variants in the `work_dependent { .. }` group of the `labels!`
+/// table in `sf`.
+fn work_dependent_labels(sf: &SourceFile) -> BTreeSet<String> {
+    let toks = &sf.toks;
+    // The end of the bracketed group opening at `open` (tolerating an
+    // unbalanced file: we lint, we don't compile).
+    let close = |open: usize| sf.match_of[open].min(toks.len() - 1);
+    // The invocation `labels! { .. }`, not the `macro_rules! labels` that
+    // declares it.
+    let Some(table) = (0..toks.len().saturating_sub(2)).find(|&i| {
+        toks[i].is_ident("labels") && toks[i + 1].is_punct('!') && toks[i + 2].is_punct('{')
+    }) else {
+        return BTreeSet::new();
+    };
+    let Some(group) = (table + 3..close(table + 2))
+        .find(|&i| toks[i].is_ident("work_dependent") && toks[i + 1].is_punct('{'))
+    else {
+        return BTreeSet::new();
+    };
+    (group + 2..close(group + 1))
+        .filter(|&i| toks[i + 1].kind == TokKind::FatArrow)
+        .filter_map(|i| toks[i].ident().map(str::to_owned))
+        .collect()
+}
+
+/// Idents that fire a crash probe when called.
+const PROBE_IDENTS: &[&str] = &["crash_point", "crash", "probe"];
+
+/// If token `i` calls a probe (`x.crash_point(..)`, `ctx.crash(..)`,
+/// `(p.crash)(..)`, `self.probe(..)`) with a `Label::Variant` argument,
+/// the variant. A pass-through site (the label arrives as a parameter)
+/// has none.
+fn probe_label(sf: &SourceFile, i: usize) -> Option<&str> {
+    if !sf.toks[i]
+        .ident()
+        .is_some_and(|id| PROBE_IDENTS.contains(&id))
+    {
+        return None;
+    }
+    // `ident(`, or `ident)(` for the closure-field form.
+    let next = |k: usize| sf.toks.get(i + k).map(|t| &t.kind);
+    let open = match (next(1), next(2)) {
+        (Some(TokKind::Punct('(')), _) => i + 1,
+        (Some(TokKind::Punct(')')), Some(TokKind::Punct('('))) => i + 2,
+        _ => return None,
+    };
+    let close = sf.match_of[open];
+    if close == usize::MAX {
+        return None;
+    }
+    (open + 1..close.saturating_sub(2)).find_map(|j| {
+        let path = sf.toks[j].is_ident("Label") && sf.toks[j + 1].kind == TokKind::PathSep;
+        path.then(|| sf.toks[j + 2].ident()).flatten()
+    })
 }

@@ -1,170 +1,120 @@
-//! Fixture-based end-to-end tests for `beldi-lint`.
+//! `crash-points/conditional` over a miniature workspace and over this
+//! one.
 //!
-//! `tests/fixtures/clean` is a miniature workspace that satisfies every
-//! rule; `tests/fixtures/violations` plants one violation per rule. The
-//! canary test mutates a copy of the clean tree — deleting
-//! the probe after a core DB mutation — and proves the coverage rule
-//! turns that into a build failure.
+//! The miniature trees are built inline: a label table with one
+//! work-dependent label, and a core file whose probes sit where the rule
+//! allows them (`clean`) or where it does not (`violations`).
 
-use std::collections::BTreeSet;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use beldi_lint::{findings::Report, run, run_parsed, source::SourceFile};
+use beldi_lint::{lint, lint_files, source::SourceFile, Finding};
 
-fn fixture_root(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
+const LABELS: &str = r#"
+labels! {
+    fixed {
+        OpEnter => "op.enter",
+        OpExit => "op.exit",
+    }
+    work_dependent {
+        OpPerItem => "op.per_item",
+    }
+}
+"#;
+
+/// Unconditional fixed probes, a work-dependent probe in a loop, a
+/// pass-through probe under a branch, a conditional probe in test code,
+/// and one in a crate the rule does not cover.
+const CLEAN_CORE: &str = r#"
+pub fn sweep(ctx: &Ctx, items: &[Item]) -> Result<()> {
+    ctx.crash(Label::OpEnter);
+    for it in items {
+        ctx.crash(Label::OpPerItem);
+        ctx.db.delete("table", &it.key)?;
+    }
+    if items.is_empty() {
+        (hooks.probe)(label);
+    }
+    ctx.crash(Label::OpExit);
+    Ok(())
 }
 
-fn lint_dir(root: &Path) -> Report {
-    run(root).expect("fixture scan")
+#[cfg(test)]
+mod tests {
+    fn t(found: bool) {
+        if found {
+            ctx.crash(Label::OpExit);
+        }
+    }
 }
+"#;
 
-fn rules_of(r: &Report) -> BTreeSet<&str> {
-    r.active.iter().map(|f| f.rule.as_str()).collect()
+const CONDITIONAL_APP: &str = r#"
+pub fn handler(ctx: &Ctx, found: bool) {
+    if found {
+        ctx.crash(Label::OpExit);
+    }
+}
+"#;
+
+/// A fixed label under an `if` (line 4), next to the clean file.
+const BAD_CORE: &str = r#"
+pub fn conditional_probe(ctx: &Ctx, found: bool) {
+    if found {
+        ctx.crash(Label::OpExit);
+    }
+}
+"#;
+
+fn tree(core: &[(&str, &str)]) -> Vec<Finding> {
+    let mut files = vec![
+        SourceFile::parse("crates/simfaas/src/labels.rs", LABELS),
+        SourceFile::parse("crates/apps/src/app.rs", CONDITIONAL_APP),
+    ];
+    files.extend(
+        core.iter()
+            .map(|(path, text)| SourceFile::parse(path, text)),
+    );
+    lint_files(&files)
 }
 
 #[test]
 fn clean_fixture_tree_lints_clean() {
-    let report = lint_dir(&fixture_root("clean"));
-    assert!(
-        report.active.is_empty(),
-        "clean tree must have no findings, got: {:#?}",
-        report.active
-    );
-    assert!(report.files >= 4);
+    let findings = tree(&[("crates/core/src/proto.rs", CLEAN_CORE)]);
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
-/// One planted finding per rule, and nothing else: a rule that stops
-/// firing, or starts firing twice, moves this list.
+/// The one rule fires once on the one planted violation.
 #[test]
 fn violations_tree_trips_every_rule_family() {
-    let report = lint_dir(&fixture_root("violations"));
-    let mut rules: Vec<&str> = report.active.iter().map(|f| f.rule.as_str()).collect();
-    rules.sort_unstable();
-    assert_eq!(
-        rules,
-        [
-            "crash-points/conditional",
-            "crash-points/coverage",
-            "determinism/hashmap-iter",
-            "lock-order/nested",
-            "waiver/malformed",
-            "waiver/unused",
-        ],
-        "{:#?}",
-        report.active
-    );
+    let findings = tree(&[
+        ("crates/core/src/proto.rs", CLEAN_CORE),
+        ("crates/core/src/bad_core.rs", BAD_CORE),
+    ]);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert!(findings[0]
+        .to_string()
+        .contains("[crash-points/conditional] probe `Label::OpExit`"));
 }
 
 #[test]
 fn violations_land_in_the_right_files() {
-    let report = lint_dir(&fixture_root("violations"));
-    let at = |rule: &str| -> Vec<&str> {
-        report
-            .active
-            .iter()
-            .filter(|f| f.rule == rule)
-            .map(|f| f.path.as_str())
-            .collect()
+    let findings = tree(&[
+        ("crates/core/src/proto.rs", CLEAN_CORE),
+        ("crates/core/src/bad_core.rs", BAD_CORE),
+    ]);
+    let expected = Finding {
+        path: "crates/core/src/bad_core.rs".to_owned(),
+        line: 4,
+        label: "OpExit".to_owned(),
     };
-    assert_eq!(
-        at("crash-points/conditional"),
-        ["crates/core/src/bad_core.rs"]
-    );
-    assert!(at("lock-order/nested")
-        .iter()
-        .all(|p| *p == "crates/simdb/src/bad_locks.rs"));
+    assert_eq!(findings, [expected]);
 }
 
-/// The headline acceptance test: deleting one `crash_point` from a core
-/// mutation path makes the lint (and therefore CI) fail.
-#[test]
-fn canary_removing_a_probe_fails_the_coverage_rule() {
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-canary");
-    let _ = fs::remove_dir_all(&tmp);
-    copy_tree(&fixture_root("clean"), &tmp);
-
-    let proto = tmp.join("crates/core/src/proto.rs");
-    let text = fs::read_to_string(&proto).unwrap();
-    assert!(
-        lint_dir(&tmp).active.is_empty(),
-        "copied tree must start clean"
-    );
-
-    let without_probe: String = text
-        .lines()
-        .filter(|l| !l.contains("canary: coverage probe after the mutation"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert_ne!(text, without_probe, "canary line must exist in the fixture");
-    fs::write(&proto, without_probe).unwrap();
-
-    let report = lint_dir(&tmp);
-    let hit = report
-        .active
-        .iter()
-        .find(|f| f.rule == "crash-points/coverage" && f.path == "crates/core/src/proto.rs");
-    assert!(
-        hit.is_some(),
-        "deleting the post-mutation probe must trip crash-points/coverage; got {:#?}",
-        report.active
-    );
-    assert!(hit.unwrap().message.contains("after"));
-}
-
-#[test]
-fn waiver_suppresses_and_is_reported_as_used() {
-    let bad = "pub fn seed(env: &Env, v: Value) -> Result<Value> {\n    // beldi-lint: allow(crash-points/coverage, seeding helper used by the loader)\n    env.db.update(\"state\", \"k\", v)\n}\n";
-    let files = vec![SourceFile::parse("crates/core/src/a.rs", bad), labels_sf()];
-    let report = run_parsed(&files);
-    assert!(report.active.is_empty(), "{:#?}", report.active);
-    assert_eq!(report.waived.len(), 1);
-    assert!(report.waived[0].1.contains("seeding helper"));
-}
-
-#[test]
-fn unused_and_malformed_waivers_are_findings() {
-    let src = "// beldi-lint: allow(lock-order/nested, nothing here locks)\npub fn noop() {}\n// beldi-lint: allow(no reason given)\n";
-    let files = vec![SourceFile::parse("crates/apps/src/a.rs", src), labels_sf()];
-    let report = run_parsed(&files);
-    let rules = rules_of(&report);
-    assert!(rules.contains("waiver/unused"), "{rules:?}");
-    assert!(rules.contains("waiver/malformed"), "{rules:?}");
-}
-
-/// Dogfood: the actual repository lints clean (same invariant CI holds).
+/// The workspace itself holds no fixed-label probe under a conditional.
 #[test]
 fn repository_lints_clean() {
     let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = lint_dir(&repo);
-    assert!(
-        report.active.is_empty(),
-        "the repository must lint clean; fix or waive: {:#?}",
-        report.active
-    );
-    // The tree relies on documented waivers, not silence.
-    assert!(report.waived.len() >= 10);
-}
-
-fn labels_sf() -> SourceFile {
-    let text =
-        fs::read_to_string(fixture_root("clean").join("crates/simfaas/src/labels.rs")).unwrap();
-    SourceFile::parse("crates/simfaas/src/labels.rs", &text)
-}
-
-fn copy_tree(from: &Path, to: &Path) {
-    fs::create_dir_all(to).unwrap();
-    for entry in fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let src = entry.path();
-        let dst = to.join(entry.file_name());
-        if src.is_dir() {
-            copy_tree(&src, &dst);
-        } else {
-            fs::copy(&src, &dst).unwrap();
-        }
-    }
+    let findings = lint(&repo).expect("workspace scan");
+    let report: Vec<String> = findings.iter().map(Finding::to_string).collect();
+    assert!(findings.is_empty(), "{report:#?}");
 }

@@ -8,6 +8,7 @@
 //! clippy reports one that resolves to nothing. The store's write
 //! surface has its canary in `beldi-apps`, where it is configured.)
 
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -27,6 +28,26 @@ fn host_time_and_host_waits_are_disallowed_methods() {
     let (_tx, rx) = std::sync::mpsc::channel::<()>();
     #[expect(clippy::disallowed_methods, reason = "canary: Receiver::recv_timeout")]
     let _empty = rx.recv_timeout(Duration::ZERO);
+}
+
+#[test]
+fn hash_order_is_a_disallowed_method() {
+    let mut map = HashMap::from([(1u8, 1u8)]);
+    #[expect(clippy::disallowed_methods, reason = "canary: HashMap::values")]
+    let _sum: u32 = map.values().map(|&v| u32::from(v)).sum();
+    #[expect(clippy::disallowed_methods, reason = "canary: HashMap::values_mut")]
+    map.values_mut().for_each(|v| *v += 1);
+    #[expect(clippy::disallowed_methods, reason = "canary: HashMap::into_keys")]
+    let _keys: Vec<u8> = map.clone().into_keys().collect();
+    #[expect(clippy::disallowed_methods, reason = "canary: HashMap::into_values")]
+    let _values: Vec<u8> = map.clone().into_values().collect();
+    #[expect(clippy::disallowed_methods, reason = "canary: HashMap::drain")]
+    map.drain().for_each(drop);
+    let mut set = HashSet::from([1u8]);
+    #[expect(clippy::disallowed_methods, reason = "canary: HashSet::iter")]
+    let _first = set.iter().next().copied();
+    #[expect(clippy::disallowed_methods, reason = "canary: HashSet::drain")]
+    set.drain().for_each(drop);
 }
 
 #[test]

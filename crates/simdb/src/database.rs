@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use beldi_simclock::{ScaledClock, SharedClock, SimInstant};
 use beldi_value::{Cond, SizeOf, Update, Value};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
@@ -13,7 +13,7 @@ use crate::latency::{LatencyModel, LatencySampler, OpKind};
 use crate::metrics::{DbMetrics, MetricsSnapshot};
 use crate::partition::{PartitionData, DEFAULT_PARTITIONS};
 use crate::scan::{ScanCursor, ScanPage, ScanRequest};
-use crate::table::Table;
+use crate::table::{PartitionGuard, Table};
 
 /// Rows examined per internal lock acquisition during queries and scans.
 ///
@@ -204,7 +204,8 @@ impl Database {
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
-        tables.insert(name, Arc::new(Table::new(schema, self.partitions)));
+        let table = Table::new(&name, schema, self.partitions);
+        tables.insert(name, Arc::new(table));
         Ok(())
     }
 
@@ -219,6 +220,7 @@ impl Database {
 
     /// Returns the names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
         let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
         names.sort();
         names
@@ -234,10 +236,26 @@ impl Database {
 
     /// Locks one partition, recording the access (and any lock wait) in
     /// the metrics.
-    fn lock_partition<'a>(&self, table: &'a Table, p: usize) -> MutexGuard<'a, PartitionData> {
+    fn lock_partition<'a>(&self, table: &'a Table, p: usize) -> PartitionGuard<'a> {
         let (guard, waited) = table.lock_partition(p);
         self.metrics.record_partition_access(p, waited);
         guard
+    }
+
+    /// Locks every partition in `set`, in its ascending `(table,
+    /// partition)` order: a total order every transaction shares, so no
+    /// two can deadlock. The one place a thread holds more than one
+    /// partition (debug builds check the order, see `Table::lock_partition`).
+    fn lock_sorted<'k, 't>(
+        &self,
+        handles: &'t HashMap<String, Arc<Table>>,
+        set: &BTreeSet<(&'k str, usize)>,
+    ) -> BTreeMap<(&'k str, usize), PartitionGuard<'t>> {
+        let mut guards = BTreeMap::new();
+        for &(table, part) in set {
+            guards.insert((table, part), self.lock_partition(&handles[table], part));
+        }
+        guards
     }
 
     /// Sleeps one write's modelled latency `d`, serialized per item:
@@ -257,6 +275,11 @@ impl Database {
         let deadline = {
             let mut queue = self.item_writes.lock();
             let now = self.clock.now();
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::iter_over_hash_type,
+                reason = "each table is pruned on its own and the count is a sum: no order leaks"
+            )]
             if queue.entries >= ITEM_QUEUE_PRUNE_LEN {
                 for table in queue.busy.values_mut() {
                     table.retain(|_, busy| *busy > now);
@@ -704,6 +727,7 @@ impl Database {
     pub fn snapshot(&self) -> crate::DbSnapshot {
         let handles: Vec<(String, Arc<Table>)> = {
             let tables = self.tables.read();
+            #[expect(clippy::disallowed_methods, reason = "sorted by name below")]
             let mut v: Vec<(String, Arc<Table>)> = tables
                 .iter()
                 .map(|(name, t)| (name.clone(), t.clone()))
@@ -778,13 +802,7 @@ impl Database {
             op_keys.push((key, part));
         }
 
-        // Acquire the partition locks in ascending (table, partition)
-        // order — the deadlock-freedom invariant.
-        let mut guards: BTreeMap<(&str, usize), MutexGuard<'_, PartitionData>> = BTreeMap::new();
-        for &(table, part) in &lock_set {
-            let guard = self.lock_partition(&handles[table], part);
-            guards.insert((table, part), guard);
-        }
+        let mut guards = self.lock_sorted(&handles, &lock_set);
 
         // Validate every condition against the pre-state. All touched
         // partitions are locked, so this is one atomic validation point —

@@ -118,6 +118,11 @@ impl PartitionData {
         // The indexed attributes the update can change (an empty path
         // replaces the row, so names them all), with their values now.
         let mut named = Vec::new();
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "each named index is moved on its own below: their order does not matter"
+        )]
         for (attr, index) in self.indexes.iter_mut() {
             let names =
                 |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr.as_str());
@@ -162,6 +167,11 @@ impl PartitionData {
     }
 
     fn index_row(&mut self, key: &PrimaryKey, row: &Value) {
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "each index shard is written on its own: their order does not matter"
+        )]
         for (attr, index) in self.indexes.iter_mut() {
             if let Some(v) = row.get_attr(attr) {
                 index.entry(v.clone()).or_default().insert(key.clone());
@@ -170,6 +180,11 @@ impl PartitionData {
     }
 
     fn unindex_row(&mut self, key: &PrimaryKey, row: &Value) {
+        #[expect(
+            clippy::disallowed_methods,
+            clippy::iter_over_hash_type,
+            reason = "each index shard is written on its own: their order does not matter"
+        )]
         for (attr, index) in self.indexes.iter_mut() {
             if let Some(v) = row.get_attr(attr) {
                 unindex(index, v, key);

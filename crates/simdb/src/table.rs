@@ -7,6 +7,15 @@
 //! are **not** atomic across rows, matching real DynamoDB scans; and
 //! cross-table transactions lock exactly the partitions their ops touch,
 //! in a deterministic global order (see [`crate::Database::transact_write`]).
+//!
+//! That order is ascending `(table name, partition)`, and a thread that
+//! holds a partition may only take one above it. Debug builds check this
+//! at every acquisition ([`Table::lock_partition`]): an out-of-order lock
+//! panics at once instead of deadlocking some later schedule.
+
+use std::cell::RefCell;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use beldi_value::Value;
 use parking_lot::{Mutex, MutexGuard};
@@ -14,22 +23,68 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::key::TableSchema;
 use crate::partition::{route, PartitionData};
 
-/// One table: schema (immutable, readable without any lock) and its
-/// hash partitions.
+/// One table: its name (its place in the lock order), schema (immutable,
+/// readable without any lock) and its hash partitions.
 #[derive(Debug)]
 pub(crate) struct Table {
+    name: Arc<str>,
     pub(crate) schema: TableSchema,
     partitions: Vec<Mutex<PartitionData>>,
 }
 
+thread_local! {
+    /// The `(table, partition)` locks this thread holds (debug builds).
+    static HELD: RefCell<Vec<(Arc<str>, usize)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A held partition lock. In debug builds it is also an entry in this
+/// thread's held set until it drops.
+pub(crate) struct PartitionGuard<'a> {
+    guard: MutexGuard<'a, PartitionData>,
+    table: &'a Arc<str>,
+    partition: usize,
+}
+
+impl Deref for PartitionGuard<'_> {
+    type Target = PartitionData;
+    fn deref(&self) -> &PartitionData {
+        &self.guard
+    }
+}
+
+impl DerefMut for PartitionGuard<'_> {
+    fn deref_mut(&mut self) -> &mut PartitionData {
+        &mut self.guard
+    }
+}
+
+impl Drop for PartitionGuard<'_> {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            // A drop must not panic: `try_with` for a thread being torn
+            // down, `try_borrow_mut` for one unwinding out of the check.
+            let _ = HELD.try_with(|held| {
+                let Ok(mut held) = held.try_borrow_mut() else {
+                    return;
+                };
+                let mine = |(t, p): &(Arc<str>, usize)| t == self.table && *p == self.partition;
+                if let Some(i) = held.iter().rposition(mine) {
+                    held.remove(i);
+                }
+            });
+        }
+    }
+}
+
 impl Table {
-    /// Creates a table with `partitions` empty partitions.
-    pub(crate) fn new(schema: TableSchema, partitions: usize) -> Self {
+    /// Creates a table named `name` with `partitions` empty partitions.
+    pub(crate) fn new(name: &str, schema: TableSchema, partitions: usize) -> Self {
         assert!(partitions >= 1, "a table needs at least one partition");
         let parts = (0..partitions)
             .map(|_| Mutex::new(PartitionData::new(&schema)))
             .collect();
         Table {
+            name: name.into(),
             schema,
             partitions: parts,
         }
@@ -48,12 +103,37 @@ impl Table {
     /// Locks partition `p`, reporting whether the acquisition had to wait
     /// for another holder (the per-partition contention signal surfaced in
     /// [`crate::MetricsSnapshot::lock_waits`]).
-    pub(crate) fn lock_partition(&self, p: usize) -> (MutexGuard<'_, PartitionData>, bool) {
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if this thread already holds a partition at or
+    /// above `(self, p)` in `(table name, partition)` order: only
+    /// `Database::lock_sorted` holds more than one, in that order.
+    pub(crate) fn lock_partition(&self, p: usize) -> (PartitionGuard<'_>, bool) {
+        if cfg!(debug_assertions) {
+            HELD.with(|held| {
+                let mut held = held.borrow_mut();
+                let me = (&*self.name, p);
+                if let Some((t, q)) = held.iter().find(|(t, q)| (&**t, *q) >= me) {
+                    panic!(
+                        "partition lock order: this thread holds {t}/{q} and asks for {}/{p}",
+                        self.name
+                    );
+                }
+                held.push((self.name.clone(), p));
+            });
+        }
         let slot = &self.partitions[p];
-        match slot.try_lock() {
+        let (guard, waited) = match slot.try_lock() {
             Some(guard) => (guard, false),
             None => (slot.lock(), true),
-        }
+        };
+        let guard = PartitionGuard {
+            guard,
+            table: &self.name,
+            partition: p,
+        };
+        (guard, waited)
     }
 }
 
@@ -64,7 +144,7 @@ mod tests {
     use beldi_value::vmap;
 
     fn table(partitions: usize) -> Table {
-        Table::new(TableSchema::hash_and_sort("Key", "RowId"), partitions)
+        Table::new("t", TableSchema::hash_and_sort("Key", "RowId"), partitions)
     }
 
     #[test]
@@ -105,6 +185,27 @@ mod tests {
             total += data.rows.len();
         }
         assert_eq!(total, 32, "rows lost or duplicated across partitions");
+    }
+
+    /// The lock-order canary: partition 1, then partition 0 of the same
+    /// table, is the order two crossing transactions would deadlock on.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "this thread holds t/1 and asks for t/0")
+    )]
+    fn a_lower_partition_after_a_higher_one_panics() {
+        let t = table(2);
+        let (_high, _) = t.lock_partition(1);
+        let (_low, _) = t.lock_partition(0);
+    }
+
+    #[test]
+    fn a_released_partition_may_be_taken_again() {
+        let t = table(2);
+        drop(t.lock_partition(1));
+        let (_low, _) = t.lock_partition(0);
+        let (_high, _) = t.lock_partition(1);
     }
 
     #[test]

@@ -13,18 +13,21 @@
 //! path, so the explorer's global crash stream is identical across runs
 //! of the same schedule. A `work_dependent` label fires under a
 //! conditional (a loop over found work, a success-only branch); the
-//! crash storm never kills there, and `beldi-lint`'s
-//! `crash-points/conditional` rule reads this group to allow the
-//! conditional.
+//! crash storm never kills there, and `beldi-lint` (`crates/lint`, run by
+//! `cargo test`) reads this group to allow the conditional.
 //!
 //! # Adding a new crash point
 //!
-//! 1. Add a row to the table and fire `Label::Variant` at the probe.
+//! 1. Add a row to the table and fire `Label::Variant` at the probe. A
+//!    store write in `core` that the point brackets names it in its
+//!    `#[expect(clippy::disallowed_methods, reason = "between ..")]`.
 //! 2. If the probe sits under a conditional, put the row in the
-//!    `work_dependent` group — otherwise `crash-points/conditional`
-//!    fires, because a probe whose firing depends on the work found
-//!    changes the global crash stream between runs and breaks the
-//!    explorer's fixed-schedule determinism.
+//!    `work_dependent` group — otherwise `beldi-lint`'s test fails,
+//!    because a probe whose firing depends on the work found changes the
+//!    global crash stream between runs and breaks the explorer's
+//!    fixed-schedule determinism.
+//! 3. Make some run of `workload/tests/explore.rs::every_crash_label_is_reached_or_listed`
+//!    pass the probe, or list the label there with the reason none can.
 
 /// Declares [`Label`] from its table (see the module docs).
 macro_rules! labels {

@@ -375,6 +375,7 @@ impl Platform {
         let functions = self.functions.read();
         // By name, not hash order: on a `SimClock` the order workers are
         // woken in is part of the schedule.
+        #[expect(clippy::disallowed_methods, reason = "sorted by name on the next line")]
         let mut entries: Vec<_> = functions.iter().collect();
         entries.sort_unstable_by_key(|(name, _)| *name);
         entries

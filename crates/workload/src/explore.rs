@@ -184,6 +184,9 @@ pub struct ExploreReport {
     /// The labels at which the schedules made their first crash, each
     /// once, in [`Label::ALL`] order: what the sweep covered.
     pub crashed_labels: Vec<Label>,
+    /// The labels any run passed — the oracle, or a schedule before or
+    /// after its crash — each once, in [`Label::ALL`] order.
+    pub reached_labels: Vec<Label>,
     /// Everything that failed verification.
     pub violations: Vec<Violation>,
 }
@@ -362,20 +365,17 @@ fn build_env(mode: Mode, opts: &ExploreOptions) -> BeldiEnv {
 
 /// Runs the seeded request sequence once under the given global crash
 /// schedule (empty = crash-free), drains recovery, and captures the
-/// verification state.
+/// crash points it passed and the verification state.
 fn run_schedule(
     app: &dyn WorkflowApp,
     mode: Mode,
     opts: &ExploreOptions,
     schedule: &[u64],
-    with_trace: bool,
 ) -> (RunOutcome, BeldiEnv) {
     let env = build_env(mode, opts);
     app.setup(&env);
     let faults = env.platform().faults();
-    if with_trace {
-        faults.start_trace();
-    }
+    faults.start_trace();
     if !schedule.is_empty() {
         let steps: Vec<usize> = schedule.iter().map(|&s| s as usize).collect();
         faults.set_global_plan(Some(CrashPlan::Script(steps)));
@@ -414,11 +414,7 @@ fn run_schedule(
             usize::MAX
         }
     };
-    let trace = if with_trace {
-        faults.take_trace()
-    } else {
-        Vec::new()
-    };
+    let trace = faults.take_trace();
     let state = app.canonical_state(&env);
     let effects = app.effect_count(&env);
     let gc_residue = if opts.gc_check && mode != Mode::Baseline {
@@ -559,7 +555,7 @@ fn daal_table_residue(env: &BeldiEnv, data: &str, residue: &mut Vec<String>) {
 
 /// Explores one app in one mode. See the module docs for the procedure.
 pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> ExploreReport {
-    let (oracle, oracle_env) = run_schedule(app, mode, opts, &[], true);
+    let (oracle, oracle_env) = run_schedule(app, mode, opts, &[]);
     // Raw-forensics snapshot of the oracle, taken only once a schedule
     // actually diverges (clean sweeps never pay for it).
     let mut oracle_snapshot: Option<DbSnapshot> = None;
@@ -573,8 +569,10 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         crashes_injected: 0,
         oracle_effects: oracle.effects,
         crashed_labels: Vec::new(),
+        reached_labels: Vec::new(),
         violations: Vec::new(),
     };
+    let mut reached: Vec<Label> = oracle.trace.iter().map(|t| t.label).collect();
     if !oracle.errors.is_empty() || oracle.unfinished != 0 {
         report.violations.push(Violation {
             kind: ViolationKind::RequestError,
@@ -593,6 +591,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
     // anomaly `fault_tolerance.rs` documents). There is no guarantee to
     // verify, so the sweep stops at the oracle.
     if mode == Mode::Baseline {
+        report.reached_labels = in_table_order(&reached);
         return report;
     }
 
@@ -622,8 +621,9 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
     let mut crashed = Vec::new();
     for schedule in schedules {
         report.schedules += 1;
-        let (out, run_env) = run_schedule(app, mode, opts, &schedule, false);
+        let (out, run_env) = run_schedule(app, mode, opts, &schedule);
         report.crashes_injected += out.injected;
+        reached.extend(out.trace.iter().map(|t| t.label));
         let first = schedule
             .first()
             .and_then(|&k| oracle.trace.get(k as usize))
@@ -684,11 +684,17 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
             fail(ViolationKind::GcResidue, residue);
         }
     }
-    report.crashed_labels = Label::ALL
-        .into_iter()
-        .filter(|l| crashed.contains(l))
-        .collect();
+    report.crashed_labels = in_table_order(&crashed);
+    report.reached_labels = in_table_order(&reached);
     report
+}
+
+/// `labels` without repeats, in [`Label::ALL`] order.
+fn in_table_order(labels: &[Label]) -> Vec<Label> {
+    Label::ALL
+        .into_iter()
+        .filter(|l| labels.contains(l))
+        .collect()
 }
 
 #[cfg(test)]

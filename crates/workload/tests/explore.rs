@@ -3,7 +3,11 @@
 //! canary self-test (a planted exactly-once bug must be *caught*),
 //! seed-stability, and the GC-quiescence property.
 
-use beldi::{BeldiEnv, Label, Mode, RandomCrashPolicy};
+use std::sync::Arc;
+use std::time::Duration;
+
+use beldi::value::{Cond, Value};
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Label, Mode, RandomCrashPolicy};
 use beldi_apps::{small_app, MediaApp, WorkflowApp};
 use beldi_workload::{explore, ExploreOptions, PipelineApp, ViolationKind};
 
@@ -242,6 +246,122 @@ fn smoke_travel_sweep_crashes_a_commit() {
             report.crashed_labels
         );
     }
+}
+
+/// Labels no run of a CI explorer configuration passes, each with the
+/// reason none can.
+const NOT_REACHED: &[(Label, &str)] = &[
+    (Label::FrontEnter, "fired by the HTTP front door, which the explorer does not drive"),
+    (Label::FrontPostSpawn, "fired by the HTTP front door, which the explorer does not drive"),
+    (Label::FrontPreReply, "fired by the HTTP front door, which the explorer does not drive"),
+    (
+        Label::GcStep4PreUnlink,
+        "an observation probe: `GcHooks::probe` fires it, and only core's GC tests set one",
+    ),
+    (
+        Label::GcStep5PreRescan,
+        "an observation probe: `GcHooks::probe` fires it, and only core's GC tests set one",
+    ),
+    (
+        Label::GcStep5PreDelete,
+        "an observation probe: `GcHooks::probe` fires it, and only core's GC tests set one",
+    ),
+    (
+        Label::PlatformTMax,
+        "not a probe: `timeout_kill` tallies a lease expiry, and the explorer runs without `enforce_t_max`",
+    ),
+];
+
+/// One traced run of what the explorer's apps and its oracle never do: a
+/// DAAL row fills and appends, a conditional write comes out false, an
+/// async call, an aborted transaction releasing its item, and an intent
+/// collector pass that restarts a crashed instance. The labels it passes.
+fn labels_of_the_rarer_paths() -> Vec<Label> {
+    let cfg = BeldiConfig::beldi()
+        .with_row_capacity(2)
+        .with_ic_restart_delay(Duration::from_millis(40));
+    let env = BeldiEnv::builder(cfg).build();
+    env.register_ssf(
+        "leaf",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.write("t", "leaf", Value::Int(1))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "root",
+        &["t"],
+        Arc::new(|ctx, _| {
+            for i in 0..3 {
+                ctx.write("t", "k", Value::Int(i))?;
+            }
+            let never = Cond::eq(beldi::schema::A_VALUE, Value::Int(-1));
+            ctx.cond_write("t", "k", Value::Int(0), never)?;
+            ctx.async_invoke("leaf", Value::Null)?;
+            ctx.begin_tx()?;
+            ctx.read("t", "k")?;
+            ctx.abort_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    let faults = env.platform().faults();
+    faults.start_trace();
+    faults.set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreDone)));
+    env.invoke_async("root", Value::Null).unwrap();
+    env.clock().sleep(Duration::from_millis(100));
+    for ssf in ["root", "leaf"] {
+        env.platform()
+            .invoke_sync(&format!("{ssf}.ic"), Value::Null)
+            .unwrap();
+    }
+    env.drain_recovery(10).unwrap();
+    faults.take_trace().iter().map(|t| t.label).collect()
+}
+
+/// The run-time half of crash-point coverage. Every label is passed by
+/// some run — the oracles of the CI explorer configurations (`explore
+/// --smoke` with `--gc-check` and with `--gc-interleave`), the pipeline
+/// sweep behind `--canary --stride 3`, whose schedules reach recovery,
+/// and [`labels_of_the_rarer_paths`] — or is listed in [`NOT_REACHED`]
+/// with the reason none can. So deleting a probe call fails here, and so
+/// does a listed label that is reached: the list cannot go stale.
+#[test]
+fn every_crash_label_is_reached_or_listed() {
+    let oracles = ExploreOptions {
+        max_depth1: Some(0),
+        depth2_samples: 0,
+        ..ExploreOptions::smoke()
+    };
+    let mut reached = labels_of_the_rarer_paths();
+    for gc_interleave in [false, true] {
+        let opts = ExploreOptions {
+            gc_check: !gc_interleave,
+            gc_interleave,
+            ..oracles.clone()
+        };
+        for kind in ["media", "social", "travel"] {
+            for mode in [Mode::Beldi, Mode::CrossTable, Mode::Baseline] {
+                let app = small_app(kind, mode).unwrap();
+                reached.extend(explore(app.as_ref(), mode, &opts).reached_labels);
+            }
+        }
+    }
+    let sweep = ExploreOptions {
+        stride: 3,
+        ..ExploreOptions::default()
+    };
+    reached.extend(explore(&PipelineApp, Mode::Beldi, &sweep).reached_labels);
+
+    let wrong: Vec<String> = Label::ALL
+        .into_iter()
+        .filter(|l| reached.contains(l) == NOT_REACHED.iter().any(|(n, _)| n == l))
+        .map(|l| match reached.contains(&l) {
+            true => format!("{l}: reached, so it leaves the list"),
+            false => format!("{l}: no run passes it (a deleted probe?)"),
+        })
+        .collect();
+    assert!(wrong.is_empty(), "{wrong:#?}");
 }
 
 /// A strided sweep over a real application (the movie review service)
