@@ -29,13 +29,26 @@ use crate::{ms, print_table};
 /// the `T` (in seconds) GC runs with — `None` for no GC at all.
 type GcConfig = (&'static str, Mode, Option<u64>);
 
+/// One minute of one configuration: the write latency's median and 99th
+/// percentile, and the hot key's DAAL depth at the minute's end (`None`
+/// outside Beldi mode).
+struct Minute {
+    p50: Duration,
+    p99: Duration,
+    daal_rows: Option<usize>,
+}
+
+/// Builds a configuration's environment. The tail cache is off: a cached
+/// write skips the traversal whose cost grows with the chain, and the
+/// figure shows the paper's write protocol, which scans it.
 fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
     let mut config = BeldiConfig::for_mode(mode)
         // Small rows so DAAL growth is visible within a short run.
         .with_row_capacity(10)
         // The paper's 1-minute collector trigger (§7.2).
         .with_collector_period(Duration::from_secs(60))
-        .with_partitions(partitions);
+        .with_partitions(partitions)
+        .with_tail_cache(false);
     if let Some(t) = t_max {
         config = config.with_t_max(Duration::from_secs(t));
     }
@@ -44,6 +57,46 @@ fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
         .platform(crate::microbench_platform())
         .seed(7)
         .build()
+}
+
+/// Drives one configuration for `minutes` virtual minutes at `rate`
+/// requests per second.
+fn run(
+    mode: Mode,
+    t_max: Option<u64>,
+    minutes: usize,
+    rate: f64,
+    partitions: usize,
+) -> Vec<Minute> {
+    let env = Arc::new(build_env(mode, t_max, partitions));
+    env.register_ssf(
+        "hot-writer",
+        &["t"],
+        Arc::new(|ctx, input| {
+            ctx.write("t", "k", input)?;
+            Ok(Value::Null)
+        }),
+    );
+    if t_max.is_some() {
+        env.start_collectors();
+    }
+    let mut out = Vec::with_capacity(minutes);
+    for _ in 0..minutes {
+        let runner = RateRunner::new(env.clock().clone(), rate, Duration::from_secs(60), 4);
+        let env2 = Arc::clone(&env);
+        let report = runner.run(Arc::new(move |i| {
+            env2.invoke("hot-writer", Value::Int(i as i64)).is_ok()
+        }));
+        let daal_rows =
+            (mode == Mode::Beldi).then(|| env.daal_chain_len("hot-writer", "t", "k").unwrap_or(0));
+        out.push(Minute {
+            p50: report.latency.p50,
+            p99: report.latency.p99,
+            daal_rows,
+        });
+    }
+    env.stop_collectors();
+    out
 }
 
 pub(crate) fn flags(cli: Cli) -> Cli {
@@ -72,44 +125,50 @@ pub(crate) fn main(args: &Args) {
 
     let mut rows = Vec::new();
     for (name, mode, t_max) in configs {
-        let env = Arc::new(build_env(mode, t_max, partitions));
-        env.register_ssf(
-            "hot-writer",
-            &["t"],
-            Arc::new(|ctx, input| {
-                ctx.write("t", "k", input)?;
-                Ok(Value::Null)
-            }),
-        );
-        if t_max.is_some() {
-            env.start_collectors();
-        }
-        for minute in 0..minutes {
-            let runner = RateRunner::new(env.clock().clone(), rate, Duration::from_secs(60), 4);
-            let env2 = Arc::clone(&env);
-            let report = runner.run(Arc::new(move |i| {
-                env2.invoke("hot-writer", Value::Int(i as i64)).is_ok()
-            }));
-            let depth = if mode == Mode::Beldi {
-                env.daal_chain_len("hot-writer", "t", "k")
-                    .unwrap_or(0)
-                    .to_string()
-            } else {
-                "-".to_owned()
-            };
+        for (minute, m) in run(mode, t_max, minutes, rate, partitions)
+            .into_iter()
+            .enumerate()
+        {
             rows.push(vec![
                 name.to_owned(),
                 minute.to_string(),
-                ms(report.latency.p50),
-                ms(report.latency.p99),
-                depth,
+                ms(m.p50),
+                ms(m.p99),
+                m.daal_rows
+                    .map_or_else(|| "-".to_owned(), |d| d.to_string()),
             ]);
         }
-        env.stop_collectors();
     }
     print_table(
         "Figure 16: single-write SSF latency over time under GC configurations (ms, virtual)",
         &["config", "minute", "p50_ms", "p99_ms", "daal_rows"],
         &rows,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// §7.5's shape: without GC the hot key's chain grows and so does the
+    /// write latency; with GC every minute it grows less. Thresholds, set
+    /// before running: over 8 virtual minutes, `no-gc`'s last-minute p50
+    /// is at least 1.5× its minute-0 p50, and above `gc-T=1min`'s
+    /// last-minute p50.
+    #[test]
+    fn an_uncollected_chain_slows_writes() {
+        let (minutes, rate, partitions) = (8, 2.0, 8);
+        let no_gc = run(Mode::Beldi, None, minutes, rate, partitions);
+        let gc = run(Mode::Beldi, Some(60), minutes, rate, partitions);
+        let (first, last) = (no_gc[0].p50, no_gc[minutes - 1].p50);
+        assert!(
+            last.as_secs_f64() >= 1.5 * first.as_secs_f64(),
+            "no-gc p50 went {first:?} -> {last:?}: less than 1.5x"
+        );
+        let gc_last = gc[minutes - 1].p50;
+        assert!(
+            last > gc_last,
+            "no-gc's last-minute p50 {last:?} is not above gc-T=1min's {gc_last:?}"
+        );
+    }
 }

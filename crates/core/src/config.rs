@@ -83,14 +83,18 @@ pub struct BeldiConfig {
     /// in partition-major order, as DynamoDB's physical-partition scans
     /// do).
     pub partitions: usize,
-    /// Cache the DAAL tail row id per `(table, key)` so reads can skip
-    /// the traversal scan (Beldi mode only; see `daal::TailCache`).
+    /// Cache the DAAL tail row id per `(table, key)` so reads and logged
+    /// writes of data tables can skip the traversal scan (Beldi mode only;
+    /// see `daal::TailCache`).
     ///
     /// A read of a cached key costs one point get instead of a projected
-    /// scan plus a get — the workload driver's measured hot path. The
-    /// cache is validated at use (a hit must still be the tail: row
-    /// present and `NextRow` absent), so it is never authoritative and
-    /// can be disabled for A/B measurement without changing semantics.
+    /// scan plus a get, and a write one conditional update instead of a
+    /// scan plus the update — the workload driver's measured hot path.
+    /// The cache is validated at use: a read's hit must still be the tail
+    /// (row present, `NextRow` absent), and a write's update carries the
+    /// same check plus, off `HEAD`, a row older than the writing intent.
+    /// It is never authoritative and can be disabled for A/B measurement
+    /// without changing semantics.
     pub daal_tail_cache: bool,
 }
 
@@ -247,8 +251,10 @@ impl BeldiConfig {
     }
 
     /// Enables or disables the DAAL tail-row cache (on by default).
-    /// Disabling it restores the always-scan read path — §7.3's "one
-    /// extra scan per read", which `fig13` and `costs` reproduce.
+    /// Disabling it restores the always-scan read and write paths:
+    /// §7.3's "one extra scan per read", which `fig13` and `costs`
+    /// reproduce, and the paper's write protocol, whose scan `fig16`
+    /// shows growing with an uncollected chain.
     pub fn with_tail_cache(mut self, on: bool) -> Self {
         self.daal_tail_cache = on;
         self

@@ -39,6 +39,10 @@ pub struct SsfContext {
     pub(crate) caller: Option<Arc<str>>,
     pub(crate) is_async: bool,
     pub(crate) txn: Option<TxnState>,
+    /// When this intent was created (registered), in virtual
+    /// milliseconds: no execution of it writes earlier. 0 when unknown,
+    /// which leaves only `HEAD` rows to cached writes.
+    created_ms: u64,
     /// Virtual deadline of this *launch*'s execution lease
     /// ([`crate::BeldiConfig::enforce_t_max`]); `None` when enforcement
     /// is off. Checked at every crash probe — the platform-timeout
@@ -47,11 +51,13 @@ pub struct SsfContext {
 }
 
 impl SsfContext {
-    /// Builds a context for a fresh (or re-executed) instance.
+    /// Builds a context for a fresh (or re-executed) instance of an
+    /// intent created at `created_ms`.
     pub(crate) fn new(
         core: Arc<EnvCore>,
         ssf: Arc<Ssf>,
         instance: InstanceId,
+        created_ms: u64,
         caller: Option<Arc<str>>,
         is_async: bool,
         txn: Option<TxnState>,
@@ -68,6 +74,7 @@ impl SsfContext {
             caller,
             is_async,
             txn,
+            created_ms,
             deadline_ms,
         }
     }
@@ -192,18 +199,25 @@ impl SsfContext {
         })
     }
 
-    /// Runs `f` with DAAL parameters bound to this context: its store,
-    /// row capacity, clock, crash probes and row-id source.
+    /// Runs `f` with DAAL parameters bound to this context for a write
+    /// to `physical`: its store, row capacity, clock, the tail cache (for
+    /// this SSF's data tables; shadow tables are not cached), the
+    /// intent's creation time, crash probes and row-id source.
     pub(crate) fn with_daal<R>(
         &self,
+        physical: &str,
         f: impl FnOnce(&DaalParams<'_>) -> BeldiResult<R>,
     ) -> BeldiResult<R> {
+        let now_ms = || self.raw_now_ms();
         let crash = |label: Label| self.crash(label);
         let new_row_id = || crate::ids::shared(format_args!("R-{}", self.fresh_uuid()));
+        let data = self.ssf.tables.iter().any(|t| *t.data == *physical);
         f(&DaalParams {
             db: self.db(),
             capacity: self.core.config.daal_row_capacity,
-            now_ms: self.raw_now_ms(),
+            now_ms: &now_ms,
+            tail_cache: self.core.tail_cache.as_ref().filter(|_| data),
+            intent_created_ms: self.created_ms,
             crash: &crash,
             new_row_id: &new_row_id,
         })

@@ -20,7 +20,11 @@
 //!   lock-owner column instead of the value;
 //! - **row appending** (case D), which copies the current value and lock
 //!   owner into a fresh row before linking it, so concurrent readers never
-//!   observe a tail without a value.
+//!   observe a tail without a value;
+//! - the **tail cache**, which lets a read or a write of a data table skip
+//!   the traversal: a read validates the cached row with its point read,
+//!   a write with its own case-B update, guarded by the row's creation
+//!   time ([`TailCache`] has both soundness arguments).
 //!
 //! Functions here take a [`DaalParams`] handle instead of a full
 //! [`crate::SsfContext`] so they can be unit-tested against a bare
@@ -65,9 +69,17 @@ pub(crate) struct DaalParams<'a> {
     pub db: &'a Database,
     /// Maximum write-log entries per row (the paper's `N`).
     pub capacity: usize,
-    /// Current virtual time in milliseconds (stamped on created rows so
-    /// the GC can age orphans).
-    pub now_ms: u64,
+    /// Reads virtual time in milliseconds. A write stamps the time it
+    /// began on a `HEAD` it creates, and a fresh read on a row it appends
+    /// (see [`append_row`]); the GC ages orphans by these stamps.
+    pub now_ms: &'a dyn Fn() -> u64,
+    /// The tail cache a data-table write tries before it traverses;
+    /// `None` for shadow tables, or with the cache off.
+    pub tail_cache: Option<&'a TailCache>,
+    /// When the writing intent was created: no execution of it writes
+    /// earlier. A cached tail row created before this holds every entry
+    /// the intent can have logged in the key's chain (see [`TailCache`]).
+    pub intent_created_ms: u64,
     /// Crash-point hook; called with a label before/after every externally
     /// visible effect. Panics (with a `CrashSignal`) to model a crash.
     pub crash: &'a dyn Fn(Label),
@@ -215,20 +227,22 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// A shared cache of the last known tail row id per `(table, key)` — the
 /// hot-path optimization behind [`crate::BeldiConfig::daal_tail_cache`].
 ///
-/// Every Beldi read traverses the key's DAAL (a projected scan) just to
-/// locate the tail before point-reading it. Under steady load the tail
-/// moves only when a row fills up (every `N` writes), so the scan almost
-/// always rediscovers the row it found last time. The cache remembers
-/// that row id; a read validates a hit with the point read it had to issue
-/// anyway:
+/// Every Beldi read and logged write traverses the key's DAAL (a projected
+/// scan) just to locate the tail. Under steady load the tail moves only
+/// when a row fills up (every `N` writes), so the scan almost always
+/// rediscovers the row it found last time. The cache remembers that row
+/// id, and each use validates a hit with the one operation it had to
+/// issue anyway:
 ///
-/// - the row is **present** and has **no `NextRow`** ⇒ it is the current
-///   tail (see the safety argument below) and its `Value` is returned —
-///   the traversal scan is skipped entirely;
-/// - otherwise the entry is dropped and the read falls back to the full
-///   traversal, which refreshes the entry.
+/// - a **read** point-reads the row: present and **no `NextRow`** ⇒ it is
+///   the current tail (see below) and its `Value` is returned;
+/// - a **write** runs case B — one conditional update — on the row, under
+///   [`try_write`]'s condition plus, for a non-`HEAD` row, `exists(Key)`
+///   and `Created <` the writing intent's creation time;
+/// - otherwise the entry is dropped and the operation falls back to the
+///   full traversal, which refreshes the entry.
 ///
-/// # Why a validated hit is sound
+/// # Why a validated read is sound
 ///
 /// Chain rows move through a one-way lifecycle: created unlinked → linked
 /// as tail → `NextRow` set (now interior, immutable) → possibly
@@ -237,11 +251,28 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// reachable tail: appends only set `NextRow` on the old tail, the GC
 /// unlinks only interior rows (which have `NextRow`) and never deletes
 /// the head or a reachable row, so no step can make a tail unreachable
-/// without first giving it a successor. Entries only enter the cache from
-/// a completed traversal (reachable tails by construction), hence a
-/// validated hit reads exactly the row a fresh traversal would have
-/// found. Shadow tables are *not* cached: finished shadow chains are
-/// deleted wholesale, tail included, and their reads happen on the cold
+/// without first giving it a successor. Entries enter the cache only as
+/// reachable tails — a completed traversal's, or the row case B resolved
+/// a write on after one — hence a validated hit reads exactly the row a
+/// fresh traversal would have found.
+///
+/// # Why a validated write is sound
+///
+/// Case B on the tail is what a traversal would run next; what the scan
+/// adds is case A, a record of this step in *any* chain row. The guard
+/// stands in for it. A row gets a successor only once it is full, and an
+/// appended row's `Created` is a clock read taken after its predecessor
+/// was read full ([`append_row`]), so every entry of every row before a
+/// non-`HEAD` tail was written no later than the tail's `Created`. Every
+/// execution of an intent writes at or after the intent's creation time.
+/// So if the tail is older than the intent, no execution of it can have
+/// logged this step in an earlier row, and the tail's
+/// `not_exists(RecentWrites.{log_key})` checks the whole chain. `HEAD`
+/// has no predecessor. A failed attempt writes nothing, so its fallback
+/// is the traversal path unchanged.
+///
+/// Shadow tables are *not* cached: finished shadow chains are deleted
+/// wholesale, tail included, and their reads happen on the cold
 /// transaction-recovery path anyway.
 ///
 /// The cache is deliberately never authoritative — dropping any entry at
@@ -249,7 +280,7 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// That same property makes the **capacity bound** trivial to enforce:
 /// each shard holds at most `capacity_per_shard` entries, and an insert
 /// into a full shard evicts one arbitrary resident entry first (O(1);
-/// an evicted key simply pays one traversal on its next read). Without
+/// an evicted key simply pays one traversal on its next use). Without
 /// the bound, production key cardinality — millions of users — would
 /// grow the map monotonically for the life of the process.
 pub(crate) struct TailCache {
@@ -470,11 +501,16 @@ impl WriteOutcome {
 
 /// Executes one exactly-once DAAL write step (Figs. 6/7 and 17/18).
 ///
-/// Scans the DAAL for a prior record of `log_key` (case A anywhere in the
+/// With a [`TailCache`] entry for the key, case B first runs directly on
+/// the cached row, under a condition that makes the row's own log a check
+/// over the whole chain (see [`TailCache`]); a hit is one conditional
+/// update. Without an entry, or when that condition fails, the step scans
+/// the DAAL for a prior record of `log_key` (case A anywhere in the
 /// chain), then runs the lock-free tail protocol: attempt the conditional
 /// update at the tail candidate (case B, split into B1/B2 when `user_cond`
 /// is present), re-read on failure and dispatch to case A (already done),
-/// C (follow `NextRow`), or D (append a fresh row and advance).
+/// C (follow `NextRow`), or D (append a fresh row and advance). A step
+/// that case B resolves on that path leaves its row in the cache.
 ///
 /// `user_cond` is evaluated *inside the database's atomicity scope* against
 /// the tail row, so callers may gate on `Value` or `LockOwner` paths.
@@ -491,9 +527,11 @@ pub(crate) fn try_write(
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
     (p.crash)(Label::DaalWriteEnter);
-    // What case B applies: the payload, then the log entry. Built once,
-    // around the payload itself, however often the loop retries.
-    let apply = log_actions(p, log_key, true, payload.apply);
+    // What case B writes, built once however often the loop retries.
+    let step = StepWrite::new(p, log_key, payload, user_cond);
+    if let Some(outcome) = write_cached(p, table, key, &step)? {
+        return Ok(outcome);
+    }
     // Bound the retry loop defensively; every iteration either makes
     // progress along the chain or observes a concurrent writer's progress,
     // so this bound is never hit in practice.
@@ -509,7 +547,7 @@ pub(crate) fn try_write(
             .tail_row_id()
             .cloned()
             .unwrap_or_else(|| ROW_HEAD.into());
-        match write_at(p, table, key, start, log_key, &apply, user_cond)? {
+        match write_at(p, table, key, start, &step)? {
             Some(outcome) => return Ok(outcome),
             // The local view went stale (e.g. the GC deleted the candidate
             // row under us); rebuild it and retry.
@@ -527,6 +565,34 @@ const MAX_WRITE_ROUNDS: usize = 64;
 /// chase simply re-scans.
 const MAX_CHASE: usize = 128;
 
+/// What one write step writes in case B: the payload with a `true` log
+/// entry (B1, or plain B), and for a conditional step the user condition,
+/// under which B2 logs `false` instead.
+struct StepWrite<'a> {
+    log_key: &'a Arc<str>,
+    /// The time the step began, stamped on a `HEAD` it creates.
+    now_ms: u64,
+    apply: Update,
+    user_cond: Option<&'a Cond>,
+}
+
+impl<'a> StepWrite<'a> {
+    fn new(
+        p: &DaalParams<'_>,
+        log_key: &'a Arc<str>,
+        payload: WritePayload,
+        user_cond: Option<&'a Cond>,
+    ) -> Self {
+        let now_ms = (p.now_ms)();
+        StepWrite {
+            log_key,
+            now_ms,
+            apply: log_actions(log_key, true, now_ms, payload.apply),
+            user_cond,
+        }
+    }
+}
+
 /// The condition of case B / B1: this step is not yet logged in the row,
 /// the log has room, and the row is still the tail.
 fn case_b_cond(p: &DaalParams<'_>, log_key: &Arc<str>) -> Cond {
@@ -536,29 +602,119 @@ fn case_b_cond(p: &DaalParams<'_>, log_key: &Arc<str>) -> Cond {
 }
 
 /// Appends to `update` the bookkeeping every successful log append
-/// performs.
-fn log_actions(p: &DaalParams<'_>, log_key: &Arc<str>, flag: bool, update: Update) -> Update {
+/// performs; `now_ms` stamps a `HEAD` the append creates.
+fn log_actions(log_key: &Arc<str>, flag: bool, now_ms: u64, update: Update) -> Update {
     update
         .inc(A_LOG_SIZE, 1)
         .set(
             Path::attr(A_WRITES).then_attr(log_key.clone()),
             Value::Bool(flag),
         )
-        .set_if_absent(A_CREATED, Value::Int(p.now_ms as i64))
+        .set_if_absent(A_CREATED, Value::Int(now_ms as i64))
+}
+
+/// Case B at row `pk`, under [`case_b_cond`] and `guard`: B1 (or plain
+/// B) applies the payload and logs `true`; when its condition fails, a
+/// conditional step tries B2, which logs `false`. `None` when neither
+/// condition held.
+fn case_b(
+    p: &DaalParams<'_>,
+    table: &str,
+    pk: &PrimaryKey,
+    step: &StepWrite<'_>,
+    guard: Cond,
+) -> BeldiResult<Option<WriteOutcome>> {
+    let mut cond = case_b_cond(p, step.log_key).and(guard.clone());
+    if let Some(uc) = step.user_cond {
+        cond = cond.and(uc.clone());
+    }
+    (p.crash)(Label::DaalWritePreApply);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
+    )]
+    match p.db.update(table, pk, &cond, &step.apply) {
+        Ok(()) => {
+            (p.crash)(Label::DaalWritePostApply);
+            return Ok(Some(WriteOutcome::Applied));
+        }
+        Err(DbError::ConditionFailed) => {}
+        Err(e) => return Err(e.into()),
+    }
+
+    // Case B2 (conditional writes only): the user condition was false
+    // at the serialization point; log the failed outcome.
+    if step.user_cond.is_none() {
+        return Ok(None);
+    }
+    let cond = case_b_cond(p, step.log_key).and(guard);
+    let log_false = log_actions(step.log_key, false, step.now_ms, Update::new());
+    (p.crash)(Label::DaalWritePreLogFalse);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "between Label::DaalWritePreLogFalse and Label::DaalWritePostLogFalse"
+    )]
+    match p.db.update(table, pk, &cond, &log_false) {
+        Ok(()) => {
+            (p.crash)(Label::DaalWritePostLogFalse);
+            Ok(Some(WriteOutcome::ConditionFalse))
+        }
+        Err(DbError::ConditionFailed) => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Case B on the key's cached tail row, without a traversal. `None` when
+/// there is no entry, or when case B's condition failed there; the entry
+/// is then dropped and the caller traverses.
+///
+/// A non-`HEAD` row must still exist (an update must not resurrect a row
+/// the GC deleted) and must be older than the writing intent, which makes
+/// `not_exists(RecentWrites.{log_key})` in this one row a check over the
+/// whole chain (see [`TailCache`]). `HEAD` has no predecessor, so it needs
+/// neither clause.
+fn write_cached(
+    p: &DaalParams<'_>,
+    table: &str,
+    key: &Arc<str>,
+    step: &StepWrite<'_>,
+) -> BeldiResult<Option<WriteOutcome>> {
+    let Some(cache) = p.tail_cache else {
+        return Ok(None);
+    };
+    let Some(row_id) = cache.get(table, key) else {
+        return Ok(None);
+    };
+    let guard = if &*row_id == ROW_HEAD {
+        Cond::True
+    } else {
+        let created = Value::Int(p.intent_created_ms as i64);
+        Cond::exists(A_KEY).and(Cond::lt(A_CREATED, created))
+    };
+    let pk = PrimaryKey::hash_sort(key, &row_id);
+    let resolved = case_b(p, table, &pk, step, guard)?;
+    let telemetry = p.db.telemetry();
+    match resolved {
+        Some(_) => telemetry.add(Metric::TailCacheWriteHits, 1),
+        None => {
+            cache.invalidate(table, key);
+            telemetry.add(Metric::TailCacheWriteFallbacks, 1);
+        }
+    }
+    Ok(resolved)
 }
 
 /// Runs the tail protocol starting from row `row_id`.
 ///
 /// Returns `Ok(Some(outcome))` when the step resolved, and `Ok(None)` when
-/// the local view proved stale and the caller should re-scan.
+/// the local view proved stale and the caller should re-scan. A step case
+/// B resolves leaves its row, then the tail, in the cache.
 fn write_at(
     p: &DaalParams<'_>,
     table: &str,
     key: &Arc<str>,
     mut row_id: Arc<str>,
-    log_key: &Arc<str>,
-    apply: &Update,
-    user_cond: Option<&Cond>,
+    step: &StepWrite<'_>,
 ) -> BeldiResult<Option<WriteOutcome>> {
     // The row whose `NextRow` pointer we last chased, for pointer repair
     // (see below).
@@ -574,45 +730,11 @@ fn write_at(
         } else {
             Cond::exists(A_KEY)
         };
-
-        // Case B1 (or plain B): apply payload + log, gated on the user
-        // condition when present.
-        let mut cond = case_b_cond(p, log_key).and(existence.clone());
-        if let Some(uc) = user_cond {
-            cond = cond.and(uc.clone());
-        }
-        (p.crash)(Label::DaalWritePreApply);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
-        )]
-        match p.db.update(table, &pk, &cond, apply) {
-            Ok(()) => {
-                (p.crash)(Label::DaalWritePostApply);
-                return Ok(Some(WriteOutcome::Applied));
+        if let Some(outcome) = case_b(p, table, &pk, step, existence)? {
+            if let Some(cache) = p.tail_cache {
+                cache.put(table, key, &row_id);
             }
-            Err(DbError::ConditionFailed) => {}
-            Err(e) => return Err(e.into()),
-        }
-
-        // Case B2 (conditional writes only): the user condition was false
-        // at the serialization point; log the failed outcome.
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "between Label::DaalWritePreLogFalse and Label::DaalWritePostLogFalse"
-        )]
-        if user_cond.is_some() {
-            let cond = case_b_cond(p, log_key).and(existence);
-            let update = log_actions(p, log_key, false, Update::new());
-            (p.crash)(Label::DaalWritePreLogFalse);
-            match p.db.update(table, &pk, &cond, &update) {
-                Ok(()) => {
-                    (p.crash)(Label::DaalWritePostLogFalse);
-                    return Ok(Some(WriteOutcome::ConditionFalse));
-                }
-                Err(DbError::ConditionFailed) => {}
-                Err(e) => return Err(e.into()),
-            }
+            return Ok(Some(outcome));
         }
 
         // The conditional writes failed: re-read the row and dispatch on
@@ -647,7 +769,10 @@ fn write_at(
             }
             return Ok(None);
         };
-        if let Some(flag) = row.get_attr(A_WRITES).and_then(|w| w.get_attr(log_key)) {
+        if let Some(flag) = row
+            .get_attr(A_WRITES)
+            .and_then(|w| w.get_attr(step.log_key))
+        {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
             return Ok(Some(WriteOutcome::from_flag(flag)));
@@ -687,6 +812,11 @@ fn write_at(
 /// appended first, the fresh row is abandoned as an orphan (the GC ages it
 /// out) and the winner's row is followed instead.
 ///
+/// The new row's `Created` is a fresh clock read, taken after `prev` was
+/// read full: no entry of `prev`, or of any row before it, was written
+/// later than that stamp. The cached write's guard rests on it (see
+/// [`TailCache`]).
+///
 /// Returns the row id the caller should advance to.
 fn append_row(
     p: &DaalParams<'_>,
@@ -706,7 +836,7 @@ fn append_row(
     // a crash before step 2.
     let mut update = Update::new()
         .set(A_LOG_SIZE, Value::Int(0))
-        .set(A_CREATED, Value::Int(p.now_ms as i64))
+        .set(A_CREATED, Value::Int((p.now_ms)() as i64))
         .set(A_APPENDED, Value::Bool(true));
     for attr in CARRY_ATTRS {
         if let Some(v) = prev.get_attr(attr) {
@@ -825,7 +955,9 @@ mod tests {
             DaalParams {
                 db: &self.db,
                 capacity: 3,
-                now_ms: 0,
+                now_ms: &|| 0,
+                tail_cache: None,
+                intent_created_ms: 0,
                 crash: &no_crash,
                 new_row_id: &|| unreachable!("row-id generator not wired"),
             }
@@ -1012,6 +1144,52 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
+    }
+
+    /// An appended row's `Created` is a clock read taken after its
+    /// predecessor was read full, not the time the write began: a cached
+    /// write's guard needs every entry of an earlier row to be no younger
+    /// than the tail's stamp.
+    #[test]
+    fn an_appended_row_is_stamped_after_its_predecessor_was_seen_full() {
+        let f = Fixture::new();
+        for step in 0..3 {
+            f.write("k", &format!("i#{step}"), step);
+        }
+        // The write begins at 10; each case-B attempt moves the clock on
+        // by 40, so the failed attempt on the full `HEAD`, and the re-read
+        // that finds it full, happen at 50.
+        let now = AtomicU64::new(10);
+        let clock = || now.load(Ordering::Relaxed);
+        let crash = |label: Label| {
+            if label == Label::DaalWritePreApply {
+                now.fetch_add(40, Ordering::Relaxed);
+            }
+        };
+        let gen = || Arc::from("R-new");
+        let p = DaalParams {
+            now_ms: &clock,
+            crash: &crash,
+            new_row_id: &gen,
+            ..f.params()
+        };
+        let out = try_write(
+            &p,
+            "t",
+            &"k".into(),
+            &"i#3".into(),
+            WritePayload::set_value(Value::Int(3)),
+            None,
+        )
+        .unwrap();
+        assert_eq!(out, WriteOutcome::Applied);
+        assert_eq!(f.chain_len("k"), 2);
+        let row = f.db.get("t", &PrimaryKey::hash_sort("k", "R-new"), None);
+        let created = row.unwrap().unwrap().get_int(A_CREATED);
+        assert!(
+            created >= Some(50),
+            "stamped {created:?}, before its predecessor was seen full at 50"
+        );
     }
 
     /// A projected tail read leaves the row's write log in the store.

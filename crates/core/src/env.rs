@@ -831,11 +831,21 @@ impl BeldiEnv {
     }
 
     /// Builds a bare context bound to this environment (crate-internal
-    /// test helper: drives the ops layer without the wrapper).
+    /// test helper: drives the ops layer without the wrapper). It has no
+    /// registered intent, so its creation time is 0: of its writes, only
+    /// those to a `HEAD` row go through the tail cache.
     #[doc(hidden)]
     pub fn test_context(&self, ssf: &str, instance: &str) -> SsfContext {
         let ssf = self.core.ssf(ssf).expect("test_context: a registered SSF");
-        SsfContext::new(self.core.clone(), ssf, instance.into(), None, false, None)
+        SsfContext::new(
+            self.core.clone(),
+            ssf,
+            instance.into(),
+            0,
+            None,
+            false,
+            None,
+        )
     }
 
     /// The shared interior (crate-internal test helper: lets unit tests

@@ -185,7 +185,7 @@ impl SsfContext {
         let log_key = self.next_log_key();
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
-            Mode::Beldi => self.with_daal(|p| {
+            Mode::Beldi => self.with_daal(physical, |p| {
                 let payload = WritePayload { apply: payload };
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
@@ -335,6 +335,7 @@ mod tests {
     use super::*;
     use crate::env::BeldiEnv;
     use crate::BeldiConfig;
+    use beldi_simclock::Metric;
     use std::sync::Arc;
 
     fn test_ctx(mode: crate::Mode) -> (BeldiEnv, SsfContext) {
@@ -424,7 +425,72 @@ mod tests {
         let (plain_vals, plain_queries) = reads_and_queries(false);
         assert_eq!(cached_vals, plain_vals, "cache must not change values");
         assert_eq!(plain_queries, 5, "uncached: one traversal scan per read");
-        assert_eq!(cached_queries, 1, "cached: only the first read scans");
+        assert_eq!(
+            cached_queries, 0,
+            "cached: the setup write left the tail cached, so no read scans"
+        );
+    }
+
+    /// Writes that never fill a row resolve on the cached tail: after the
+    /// first write's traversal, every write is a hit and none falls back.
+    #[test]
+    fn a_fill_free_write_loop_hits_the_cached_tail() {
+        let env = BeldiEnv::for_tests();
+        env.register_ssf("f", &["state"], Arc::new(|_, _| Ok(Value::Null)));
+        let mut ctx = env.test_context("f", "w");
+        let before = env.db_metrics();
+        for v in 0..10 {
+            ctx.write("state", "k", Value::Int(v)).unwrap();
+        }
+        let t = env.telemetry();
+        let counts = (
+            t.get(Metric::TailCacheWriteHits),
+            t.get(Metric::TailCacheWriteFallbacks),
+        );
+        assert_eq!(counts, (9, 0), "(write hits, write fallbacks)");
+        let d = env.db_metrics().delta(&before);
+        assert_eq!((d.queries, d.writes), (1, 10), "only the first write scans");
+    }
+
+    /// An intent created after the key's tail was appended writes that
+    /// row without a traversal; one created before it falls back.
+    #[test]
+    fn a_tail_older_than_the_intent_takes_the_write() {
+        let cfg = BeldiConfig::beldi().with_row_capacity(2);
+        let env = BeldiEnv::for_tests_with(cfg);
+        env.register_ssf("f", &["state"], Arc::new(|_, _| Ok(Value::Null)));
+        let core = env.test_core();
+        let ssf = core.ssf("f").unwrap();
+        let intent = |id: &str| {
+            let now = env.clock().now().as_millis();
+            SsfContext::new(core.clone(), ssf.clone(), id.into(), now, None, false, None)
+        };
+        let mut early = intent("early");
+        for v in 0..3 {
+            env.clock().sleep(std::time::Duration::from_millis(1));
+            intent(&format!("w-{v}"))
+                .write("state", "k", Value::Int(v))
+                .unwrap();
+        }
+        assert_eq!(env.daal_chain_len("f", "state", "k").unwrap(), 2);
+        let t = env.telemetry();
+        let counts = || {
+            (
+                t.get(Metric::TailCacheWriteHits),
+                t.get(Metric::TailCacheWriteFallbacks),
+            )
+        };
+        let before = counts();
+        env.clock().sleep(std::time::Duration::from_millis(1));
+        intent("late").write("state", "k", Value::Int(10)).unwrap();
+        assert_eq!(
+            counts(),
+            (before.0 + 1, before.1),
+            "a hit on the appended row"
+        );
+        early.write("state", "k", Value::Int(11)).unwrap();
+        assert_eq!(counts(), (before.0 + 1, before.1 + 1), "a fallback");
+        assert_eq!(env.read_current("f", "state", "k").unwrap(), Value::Int(11));
     }
 
     #[test]
@@ -503,5 +569,195 @@ mod tests {
         env.clock().sleep(std::time::Duration::from_millis(50));
         let mut replay = env.test_context("f", "inst-1");
         assert_eq!(replay.logged_now_ms().unwrap(), a);
+    }
+
+    /// The differential test of cached writes: random write histories
+    /// run with the tail cache on and off.
+    mod cached_against_uncached {
+        use super::*;
+        use crate::ids::StepNumber;
+        use crate::schema::{A_KEY, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID, A_WRITES};
+        use proptest::prelude::*;
+        use std::time::Duration;
+
+        const KEYS: [&str; 3] = ["ka", "kb", "kc"];
+
+        /// One logged write step over [`KEYS`].
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Write(usize, i64),
+            /// Writes the value if the current one is at least the bound.
+            CondWrite(usize, i64, i64),
+            Lock(usize),
+            Unlock(usize),
+        }
+
+        impl Op {
+            /// The key, payload and condition `write_step` takes when
+            /// intent `id` runs this op.
+            fn args(self, id: &Arc<str>) -> (Arc<str>, Update, Option<Cond>) {
+                let (k, update, cond) = match self {
+                    Op::Write(k, v) => (k, Update::new().set(A_VALUE, v), None),
+                    Op::CondWrite(k, t, v) => {
+                        (k, Update::new().set(A_VALUE, v), Some(Cond::ge(A_VALUE, t)))
+                    }
+                    Op::Lock(k) => (
+                        k,
+                        Update::new().set(A_LOCK, crate::txn::lock_owner_value(id, 0)),
+                        Some(SsfContext::lock_free_cond(id)),
+                    ),
+                    Op::Unlock(k) => (
+                        k,
+                        Update::new().set(A_LOCK, Value::Null),
+                        Some(Cond::eq(Path::attr(A_LOCK).then_attr("Id"), id)),
+                    ),
+                };
+                (KEYS[k].into(), update, cond)
+            }
+        }
+
+        /// One event of a generated history.
+        #[derive(Debug, Clone, Copy)]
+        enum Event {
+            /// A new intent is created now.
+            Begin,
+            /// Virtual time passes, in milliseconds.
+            Sleep(u64),
+            /// An intent (picked modulo those begun) runs its next step.
+            Run(usize, Op),
+            /// An intent re-executes one of the steps it ran (picked
+            /// modulo their number), as a replaying instance does.
+            Replay(usize, usize),
+        }
+
+        fn event() -> impl Strategy<Value = Event> {
+            prop_oneof![
+                (0..1usize).prop_map(|_| Event::Begin),
+                (1..4u64).prop_map(Event::Sleep),
+                (0..4usize, 0..3usize, -5i64..5)
+                    .prop_map(|(i, k, v)| Event::Run(i, Op::Write(k, v))),
+                (0..4usize, 0..3usize, -5i64..5, -5i64..5)
+                    .prop_map(|(i, k, t, v)| Event::Run(i, Op::CondWrite(k, t, v))),
+                (0..4usize, 0..3usize).prop_map(|(i, k)| Event::Run(i, Op::Lock(k))),
+                (0..4usize, 0..3usize).prop_map(|(i, k)| Event::Run(i, Op::Unlock(k))),
+                (0..4usize, 0..64usize).prop_map(|(i, j)| Event::Replay(i, j)),
+            ]
+        }
+
+        /// One intent of a history: its id, creation time, and each step
+        /// it ran with the outcome the step first had.
+        struct Intent {
+            id: Arc<str>,
+            created_ms: u64,
+            ran: Vec<(Op, WriteOutcome)>,
+        }
+
+        /// A data row as the comparison sees it: `Key`, `RowId`, `Value`,
+        /// `RecentWrites`, `NextRow` and `LogSize`.
+        type Row = Vec<Option<Value>>;
+
+        /// Runs `events` at row capacity 2: each step's outcome, the data
+        /// table's rows, and the queries the history cost. A replayed step
+        /// must return its first outcome.
+        fn run(events: &[Event], tail_cache: bool) -> (Vec<WriteOutcome>, Vec<Row>, u64) {
+            let cfg = BeldiConfig::beldi()
+                .with_row_capacity(2)
+                .with_tail_cache(tail_cache);
+            let env = BeldiEnv::for_tests_with(cfg);
+            env.register_ssf("f", &["t"], Arc::new(|_, _| Ok(Value::Null)));
+            let core = env.test_core();
+            let ssf = core.ssf("f").unwrap();
+            let physical = ssf.tables[0].data.clone();
+            let now = || env.clock().now().as_millis();
+            let begin = |n: usize| Intent {
+                id: format!("i{n}").into(),
+                created_ms: now(),
+                ran: Vec::new(),
+            };
+            let mut intents = vec![begin(0)];
+            let mut outcomes = Vec::new();
+            let before = env.db_metrics();
+            for &event in events {
+                let (i, op, step) = match event {
+                    Event::Begin => {
+                        intents.push(begin(intents.len()));
+                        continue;
+                    }
+                    Event::Sleep(ms) => {
+                        env.clock().sleep(Duration::from_millis(ms));
+                        continue;
+                    }
+                    Event::Run(i, op) => {
+                        let i = i % intents.len();
+                        (i, op, intents[i].ran.len())
+                    }
+                    Event::Replay(i, j) => {
+                        let i = i % intents.len();
+                        let ran = &intents[i].ran;
+                        if ran.is_empty() {
+                            continue;
+                        }
+                        (i, ran[j % ran.len()].0, j % ran.len())
+                    }
+                };
+                let intent = &mut intents[i];
+                let (id, created_ms) = (intent.id.clone(), intent.created_ms);
+                let mut ctx = SsfContext::new(
+                    core.clone(),
+                    ssf.clone(),
+                    id.clone(),
+                    created_ms,
+                    None,
+                    false,
+                    None,
+                );
+                ctx.step = step as StepNumber;
+                let (key, update, cond) = op.args(&id);
+                let out = ctx
+                    .write_step(&physical, &key, update, cond.as_ref())
+                    .unwrap();
+                match intent.ran.get(step) {
+                    Some(&(_, first)) => assert_eq!(out, first, "{id} replayed step {step}"),
+                    None => intent.ran.push((op, out)),
+                }
+                outcomes.push(out);
+            }
+            let queries = env.db_metrics().delta(&before).queries;
+            let attrs = [A_KEY, A_ROW_ID, A_VALUE, A_WRITES, A_NEXT_ROW, A_LOG_SIZE];
+            let mut rows: Vec<Row> = env
+                .db()
+                .scan_all(&physical, &beldi_simdb::ScanRequest::all())
+                .unwrap()
+                .iter()
+                .map(|row| attrs.iter().map(|a| row.get_attr(a).cloned()).collect())
+                .collect();
+            rows.sort();
+            (outcomes, rows, queries)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig {
+                cases: 64,
+                ..ProptestConfig::default()
+            })]
+
+            /// Cached writes change what a history costs, never what it
+            /// does: the same outcomes and the same rows — values, write
+            /// logs, links and log sizes — with the cache on as off, for
+            /// no more queries.
+            #[test]
+            fn cached_writes_match_uncached_writes(
+                events in prop::collection::vec(event(), 1..40),
+            ) {
+                let (cached, cached_rows, cached_queries) = run(&events, true);
+                let (plain, plain_rows, plain_queries) = run(&events, false);
+                prop_assert_eq!(cached, plain);
+                prop_assert_eq!(cached_rows, plain_rows);
+                prop_assert!(
+                    cached_queries <= plain_queries,
+                    "cached {cached_queries} queries, uncached {plain_queries}"
+                );
+            }
+        }
     }
 }

@@ -84,7 +84,7 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
 /// Baseline mode: run the body with raw semantics — no intent, no logs, no
 /// guarantees. This is the paper's comparison system.
 fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, instance: Arc<str>, input: Value) -> Value {
-    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, None, false, None);
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, 0, None, false, None);
     match (ssf.body)(&mut ctx, input) {
         Ok(v) => Outcome::Ok(v).into_value(),
         Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
@@ -172,6 +172,7 @@ fn run_call(
         core.clone(),
         ssf.clone(),
         instance,
+        created_ms,
         caller.clone(),
         is_async,
         txn_state,
@@ -347,6 +348,7 @@ fn run_txn_signal(
         Ok(r) => r,
         Err(e) => return Outcome::Error(e.to_string()).into_value(),
     };
+    let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
     if let Some(record) = earlier.filter(|r| r.done) {
         return record.ret.unwrap_or(Value::Null);
     }
@@ -356,6 +358,7 @@ fn run_txn_signal(
         core.clone(),
         ssf.clone(),
         instance,
+        created_ms,
         None,
         false,
         Some(TxnState::inherited(txn)),

@@ -14,7 +14,8 @@ use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, RandomCrashPolicy};
-use beldi_simclock::{Gauge, Hist};
+use beldi_simclock::{Gauge, Hist, Metric};
+use beldi_simdb::ScanRequest;
 
 mod common;
 
@@ -534,4 +535,59 @@ fn recovery_is_sampled_once_and_forgotten_with_the_instance() {
     env.clock().sleep(Duration::from_millis(120));
     assert_eq!(env.run_gc_once("f").unwrap().recycled_intents, 1);
     assert_eq!(t.gauge(Gauge::FaultsInstances).0, 0);
+}
+
+/// The tail cache's write guard at work, at row capacity 2. A crashed
+/// intent's logged write sits in `HEAD`; two other instances fill `HEAD`
+/// and append a successor, which the cache then holds. The replay's
+/// cached attempt on that row must fall back (the row is younger than the
+/// intent, so the intent may have logged before it) and find the write in
+/// `HEAD`: the same value and the same logged effects as a crash-free run.
+#[test]
+fn a_replay_finds_its_write_behind_a_cached_tail() {
+    let run = |crash: bool| {
+        let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_row_capacity(2));
+        env.register_ssf(
+            "inc",
+            &["t"],
+            Arc::new(|ctx, _| {
+                let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                ctx.write("t", "k", Value::Int(v + 1))?;
+                Ok(Value::Null)
+            }),
+        );
+        env.seed("inc", "t", "k", Value::Int(0)).unwrap();
+        if crash {
+            env.platform()
+                .faults()
+                .plan("x", CrashPlan::AtLabel(Label::WriteExit));
+            assert!(env.invoke_attempts("inc", "x", Value::Null, 1).is_err());
+        } else {
+            env.invoke_as("inc", "x", Value::Null).unwrap();
+        }
+        env.invoke_as("inc", "y", Value::Null).unwrap();
+        env.invoke_as("inc", "z", Value::Null).unwrap();
+        assert_eq!(env.daal_chain_len("inc", "t", "k").unwrap(), 2);
+        let fallbacks = || env.telemetry().get(Metric::TailCacheWriteFallbacks);
+        let before = fallbacks();
+        if crash {
+            env.invoke_as("inc", "x", Value::Null).unwrap();
+        }
+        let replay_fallbacks = fallbacks() - before;
+        let rows = env
+            .db()
+            .scan_all("inc.data.t", &ScanRequest::all())
+            .unwrap();
+        let effects: usize = rows
+            .iter()
+            .filter_map(|r| r.get_attr("RecentWrites").and_then(Value::as_map))
+            .map(|m| m.len())
+            .sum();
+        let state = (env.read_current("inc", "t", "k").unwrap(), effects);
+        (state, replay_fallbacks)
+    };
+    let (crash_free, crashed) = (run(false), run(true));
+    assert_eq!(crash_free.0, (Value::Int(3), 3));
+    assert_eq!(crashed.0, crash_free.0, "(value, logged effects)");
+    assert_eq!(crashed.1, 1, "the replay tried the cached tail first");
 }

@@ -690,13 +690,15 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // One SSF's transaction reads, writes and commits one key. Each stage
     // pays for the item once:
     // - begin: 2 writes (the logged id and start time);
-    // - read: lock (query + write), shadow-entry create (write), the
-    //   committed value through the tail cache (query + get: the seeded
-    //   key is not cached yet), read log (write);
-    // - write: the shadow write (query + write), under the held lock;
+    // - read: lock (query + write: the seeded key is not cached yet, and
+    //   the traversal leaves its tail cached), shadow-entry create
+    //   (write), the committed value through the tail cache (get), read
+    //   log (write);
+    // - write: the shadow write (query + write: shadow tables are not
+    //   cached), under the held lock;
     // - commit: finalize marker (write), shadow index (query: its answer
-    //   holds the entry's tail), flush-and-release (query + write), callee
-    //   index (query).
+    //   holds the entry's tail), flush-and-release (write, on the cached
+    //   tail), callee index (query).
     let env = BeldiEnv::for_tests();
     register_incrementer(&env);
     env.seed("incr", "t", "k", Value::Int(0)).unwrap();
@@ -716,7 +718,7 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (1, 8, 6, 0, 0, 0)
+        (1, 8, 4, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
@@ -736,7 +738,8 @@ fn signal_intents(env: &BeldiEnv, ssf: &str) -> usize {
 /// leg that reads and writes its item. A signal costs its platform
 /// invocation and the leg's share of the commit: the intent registration
 /// (which is the leg's finalize claim), shadow index (query), flush and
-/// release (query + write), callee index (query) and done-mark (write).
+/// release (write, on the tail the leg's lock left cached), callee index
+/// (query) and done-mark (write).
 /// The owner adds its own claim (write) and callee index (query). The
 /// sender writes no log entry for the signal, and the leg no marker row.
 #[test]
@@ -770,7 +773,7 @@ fn a_signal_costs_its_invocation_its_intent_its_finalize_and_its_done_mark() {
             d.deletes,
             d.cond_failures
         ),
-        (0, 4, 4, 0, 0, 0)
+        (0, 4, 3, 0, 0, 0)
     );
     let invocations = env.platform_metrics().invocations - platform.invocations;
     assert_eq!(invocations, 1, "the signal, and no callback");

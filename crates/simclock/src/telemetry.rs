@@ -424,6 +424,12 @@ telemetry! {
         TailCacheHits => "core.tail_cache.hits",
         /// Reads that traversed: no entry, or a stale one.
         TailCacheMisses => "core.tail_cache.misses",
+        /// Logged writes that case B resolved on the cached tail row,
+        /// without a traversal.
+        TailCacheWriteHits => "core.tail_cache.write_hits",
+        /// Cached write attempts whose condition failed, so the write
+        /// traversed (a write with no entry traverses uncounted).
+        TailCacheWriteFallbacks => "core.tail_cache.write_fallbacks",
     }
 
     gauges {
