@@ -101,19 +101,17 @@ pub struct GcReport {
 
 /// Observation hooks threaded through a GC pass.
 ///
-/// `crash` is the fault-injection surface: it fires at a **fixed set of
-/// step-boundary labels** (`gc.enter`, `gc.post_classify`,
-/// `gc.post_log_prune`, `gc.post_daal`, `gc.exit` — exactly five per
-/// pass, independent of how much work the pass found), so the
-/// crash-schedule explorer's global stream stays deterministic while
-/// still killing collectors between any two of a pass's steps.
-/// `probe` fires at fine-grained, work-dependent points (per unlink, per
-/// delete) and exists for tests that need to interleave mutations inside
-/// a pass; production passes a no-op.
+/// `crash` is the fault-injection surface: it fires at the five
+/// step-boundary labels (`gc.enter`, `gc.post_classify`,
+/// `gc.post_log_prune`, `gc.post_daal`, `gc.exit`), so the crash-schedule
+/// explorer and the storm kill collectors between any two of a pass's
+/// steps. `probe` fires at fine-grained points (per unlink, per delete)
+/// and exists for tests that need to interleave mutations inside a pass;
+/// production passes a no-op.
 pub(crate) struct GcHooks<'a> {
-    /// Fault-injection crash points (fixed count per pass).
+    /// Fault-injection crash points (one per step boundary).
     pub crash: &'a dyn Fn(Label),
-    /// Test-only interleaving probe (work-dependent points).
+    /// Test-only interleaving probe (per unlink, per delete).
     pub probe: &'a dyn Fn(Label),
 }
 

@@ -10,9 +10,9 @@
 //! re-launch delay enforced with a compare-and-swap on the last-launch
 //! timestamp (so concurrent IC instances do not double-restart).
 //!
-//! Like the GC, a pass fires fixed step-boundary crash points
-//! (`ic.enter` / `ic.post_scan` / `ic.exit`) plus a work-dependent probe
-//! before each re-launch, so the chaos driver and the explorer can kill
+//! Like the GC, a pass fires step-boundary crash points (`ic.enter` /
+//! `ic.post_scan` / `ic.exit`) plus one probe before each re-launch
+//! (`ic.pre_restart`), so the chaos driver and the explorer can kill
 //! collector passes mid-flight exactly like SSF instances.
 
 use std::sync::Arc;

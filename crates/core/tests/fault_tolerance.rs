@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, RandomCrashPolicy};
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, StormPolicy};
 use beldi_simclock::{Gauge, Hist, Metric};
 use beldi_simdb::ScanRequest;
 
@@ -166,18 +166,17 @@ fn cross_table_mode_crash_sweep_is_exactly_once() {
 #[test]
 fn random_crash_storm_preserves_exactly_once() {
     let env = pipeline_env(BeldiConfig::beldi());
-    env.platform()
-        .faults()
-        .set_random_policy(Some(RandomCrashPolicy {
-            prob: 0.03,
-            max_crashes: 150,
-            seed: 0xBE1D1,
-        }));
+    env.platform().faults().set_storm_policy(Some(StormPolicy {
+        ssf_prob: 0.03,
+        collector_prob: 0.03,
+        max_crashes: 150,
+        seed: 0xBE1D1,
+    }));
     const N: i64 = 25;
     for i in 0..N {
         env.invoke("root", Value::Int(i)).unwrap();
     }
-    env.platform().faults().set_random_policy(None);
+    env.platform().faults().set_storm_policy(None);
     assert!(
         env.platform().faults().injected_count() > 0,
         "storm injected nothing"
@@ -256,19 +255,17 @@ fn intent_collector_completes_crashed_async_instance() {
 #[test]
 fn callee_crash_between_callback_and_done() {
     let env = pipeline_env(BeldiConfig::beldi());
-    // The callee id is caller-generated, so use a random policy scoped by
-    // label: every instance that passes wrapper.pre_done crashes once.
-    // (Planned per-instance crashes need the id; instead crash the first
-    // instance that reaches the label using the ordinal-free API.)
-    env.platform()
-        .faults()
-        .set_random_policy(Some(RandomCrashPolicy {
-            prob: 1.0,
-            max_crashes: 1,
-            seed: 3,
-        }));
+    // The callee id is caller-generated, so use a storm that kills at
+    // every probe, capped at one crash. (Planned per-instance crashes
+    // need the id; the storm needs none.)
+    env.platform().faults().set_storm_policy(Some(StormPolicy {
+        ssf_prob: 1.0,
+        collector_prob: 1.0,
+        max_crashes: 1,
+        seed: 3,
+    }));
     let out = env.invoke("root", Value::Int(2)).unwrap();
-    env.platform().faults().set_random_policy(None);
+    env.platform().faults().set_storm_policy(None);
     assert_eq!(out.get_int("count"), Some(1));
     assert_pipeline_state(&env, 1);
 }

@@ -516,13 +516,14 @@ fn commit_signal_crash_recovers_via_caller_retry() {
     env.seed("flight", "seats", "k", Value::Int(4)).unwrap();
     env.platform()
         .faults()
-        .set_random_policy(Some(beldi::RandomCrashPolicy {
-            prob: 0.15,
+        .set_storm_policy(Some(beldi::StormPolicy {
+            ssf_prob: 0.15,
+            collector_prob: 0.15,
             max_crashes: 20,
             seed: 99,
         }));
     let out = invoke_retrying(&env, "reserve", vmap! { "key" => "k" });
-    env.platform().faults().set_random_policy(None);
+    env.platform().faults().set_storm_policy(None);
     assert_eq!(out, Value::from("reserved"));
     assert_eq!(
         env.read_current("hotel", "rooms", "k").unwrap(),

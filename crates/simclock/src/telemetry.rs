@@ -367,7 +367,7 @@ telemetry! {
     counters {
         // ---- Fault injector (simfaas) ----
 
-        /// Crashes a plan, the random policy or the storm injected.
+        /// Crashes a plan or the storm injected.
         FaultsInjected => "faults.injected",
         /// Executions of an instance id the injector already knew.
         FaultsRestarts => "faults.restarts",

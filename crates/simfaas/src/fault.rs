@@ -6,7 +6,7 @@
 //! [`FaultInjector::crash_point`] at every labelled point around its
 //! externally visible effects (before/after each database write, log
 //! append, invocation, callback, and intent completion). The injector
-//! decides — per scripted plan or seeded random policy — whether the
+//! decides — per scripted plan or seeded [`StormPolicy`] — whether the
 //! instance dies *right there*, by unwinding with a [`CrashSignal`] panic
 //! that the platform catches and reports as [`crate::InvokeError::Crashed`].
 //!
@@ -27,8 +27,6 @@ use std::sync::Arc;
 
 use beldi_simclock::{Gauge, Metric, Telemetry};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::Label;
 
@@ -92,68 +90,40 @@ pub enum CrashPlan {
     Script(Vec<usize>),
 }
 
-/// A random crash policy applied to every instance without a scripted plan.
-#[derive(Debug, Clone)]
-pub struct RandomCrashPolicy {
-    /// Probability of dying at each crash point.
-    pub prob: f64,
-    /// Hard cap on total injected crashes (guarantees workloads finish).
-    pub max_crashes: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// A deterministic, rate-configurable crash storm — the chaos driver's
-/// policy for killing live traffic and collector passes at once.
+/// A deterministic, rate-configurable crash storm: the policy that kills
+/// live traffic and collector passes at random, for the chaos driver and
+/// for tests.
 ///
-/// Unlike [`RandomCrashPolicy`], whose single shared RNG stream makes
-/// every decision depend on the global interleaving of crash points, the
-/// storm decides each kill by hashing `(seed, instance id, execution
-/// generation, label, per-execution label occurrence)` — all quantities
-/// local to one execution. With deterministic instance ids and
-/// deterministic bodies, the realized crash schedule is a pure function
-/// of the workload, not of thread timing, which is what lets the chaos
-/// driver assert bit-identical schedules across same-seed runs.
-///
-/// Two restrictions keep that invariant honest:
-///
-/// - work-dependent labels ([`Label::is_work_dependent`]) are never
-///   killed (their occurrence counts vary with the interleaving);
-/// - the execution *generation* (how many times the instance started)
-///   feeds the hash, so a killed execution's restart draws fresh
-///   decisions instead of dying at the same point forever.
+/// The storm decides each kill by hashing `(seed, instance id, execution
+/// generation, label, per-execution label occurrence)`, all quantities
+/// local to one execution, so a decision draws on no shared random
+/// stream. On the seeded `SimClock` instance ids and execution order are
+/// functions of the seed, so the realized crash schedule is too, which
+/// is what lets the chaos driver assert bit-identical schedules across
+/// same-seed runs. The execution *generation* (how many times the
+/// instance started) feeds the hash, so a killed execution's restart
+/// draws fresh decisions instead of dying at the same point forever.
 #[derive(Debug, Clone)]
 pub struct StormPolicy {
-    /// Kill probability at each eligible SSF crash point.
+    /// Kill probability at each SSF crash point.
     pub ssf_prob: f64,
-    /// Kill probability at each eligible collector (`ic.*` / `gc.*`,
+    /// Kill probability at each collector (`ic.*` / `gc.*`,
     /// [`Label::is_collector`]) crash point.
     pub collector_prob: f64,
-    /// Hard cap on total injected crashes (shared with every other
-    /// policy; guarantees workloads finish).
+    /// Hard cap on total injected crashes, plan-fired ones included
+    /// (guarantees workloads finish).
     pub max_crashes: u64,
     /// Hash seed.
     pub seed: u64,
 }
 
 impl StormPolicy {
-    /// The storm's kill probability for `label`, or `None` when the
-    /// label is ineligible (work-dependent).
-    fn prob_for(&self, label: Label) -> Option<f64> {
-        if label.is_work_dependent() {
-            return None;
-        }
-        Some(if label.is_collector() {
+    /// The execution-local kill decision (see type docs).
+    fn kills(&self, instance: &str, generation: u64, label: Label, label_count: u32) -> bool {
+        let prob = if label.is_collector() {
             self.collector_prob
         } else {
             self.ssf_prob
-        })
-    }
-
-    /// The interleaving-invariant kill decision (see type docs).
-    fn kills(&self, instance: &str, generation: u64, label: Label, label_count: u32) -> bool {
-        let Some(prob) = self.prob_for(label) else {
-            return false;
         };
         if prob <= 0.0 {
             return false;
@@ -250,10 +220,10 @@ impl PlanState {
             CrashPlan::AtOrdinal(n) => (ordinal == *n, true),
             CrashPlan::AtLabel(l) => (*l == label, true),
             // `<=` so an entry whose exact step was passed while another
-            // plan (or the random policy) fired there still triggers at
-            // the next point instead of silently stalling the rest of the
-            // script; it also makes a non-ascending entry fire immediately
-            // rather than never.
+            // plan (or the storm) fired there still triggers at the next
+            // point instead of silently stalling the rest of the script;
+            // it also makes a non-ascending entry fire immediately rather
+            // than never.
             CrashPlan::Script(steps) => match steps.get(self.script_pos) {
                 Some(&next) if next <= lifetime => {
                     self.script_pos += 1;
@@ -266,7 +236,7 @@ impl PlanState {
 }
 
 /// Everything a crash-point decision reads or writes. One lock, so a
-/// decision — counters, plans, random draw, storm hash, trace entry — is
+/// decision — counters, plans, storm hash, trace entry — is
 /// a single ordered event in the global crash stream.
 #[derive(Default)]
 struct InjectorState {
@@ -282,7 +252,6 @@ struct InjectorState {
     trace: Option<Vec<TraceEntry>>,
     /// Injected crashes per label ("crash counts by site"), by name.
     crash_sites: BTreeMap<&'static str, u64>,
-    random: Option<(RandomCrashPolicy, SmallRng)>,
     storm: Option<StormPolicy>,
 }
 
@@ -366,14 +335,6 @@ impl FaultInjector {
     /// extending it to multi-crash schedules across recoveries.
     pub fn set_global_plan(&self, plan: Option<CrashPlan>) {
         self.state.lock().global_plan = plan.map(PlanState::new);
-    }
-
-    /// Installs (or clears) the random crash policy.
-    pub fn set_random_policy(&self, policy: Option<RandomCrashPolicy>) {
-        self.state.lock().random = policy.map(|p| {
-            let rng = SmallRng::seed_from_u64(p.seed);
-            (p, rng)
-        });
     }
 
     /// Installs (or clears) the deterministic crash storm.
@@ -495,7 +456,7 @@ impl FaultInjector {
     /// # Panics
     ///
     /// Panics with a [`CrashSignal`] payload when the instance is scripted
-    /// (per-instance plan, global plan, or random policy) to die here. The
+    /// (per-instance plan, global plan, or storm) to die here. The
     /// platform catches it.
     pub fn crash_point(&self, instance_id: &str, label: Label) {
         let mut guard = self.state.lock();
@@ -514,8 +475,8 @@ impl FaultInjector {
         let label_count = *count;
         *count += 1;
 
-        // Decision order: per-instance plan, global plan, random policy,
-        // storm. This point's position in the global stream is `step`.
+        // Decision order: per-instance plan, global plan, storm. This
+        // point's position in the global stream is `step`.
         let step = s.step;
         s.step += 1;
         let mut should_crash = false;
@@ -535,19 +496,9 @@ impl FaultInjector {
                 should_crash = fire;
             }
         }
-        let injected = self.injected_count();
         if !should_crash {
-            should_crash = match s.random.as_mut() {
-                Some((policy, rng)) if injected < policy.max_crashes => rng.gen_bool(policy.prob),
-                _ => false,
-            };
-        }
-        if !should_crash {
-            // The storm's hash decision is interleaving-invariant; only
-            // the cap check reads shared state (and storms are configured
-            // with caps they never reach).
             should_crash = match s.storm.as_ref() {
-                Some(storm) if injected < storm.max_crashes => {
+                Some(storm) if self.injected_count() < storm.max_crashes => {
                     storm.kills(instance_id, generation, label, label_count)
                 }
                 _ => false,
@@ -637,30 +588,6 @@ mod tests {
             inj.crash_point("victim", D);
         }))
         .is_some());
-    }
-
-    #[test]
-    fn random_policy_respects_cap() {
-        let inj = FaultInjector::new();
-        inj.set_random_policy(Some(RandomCrashPolicy {
-            prob: 1.0,
-            max_crashes: 3,
-            seed: 1,
-        }));
-        let mut crashes = 0;
-        for i in 0..10 {
-            let id = format!("i{i}");
-            inj.instance_started(&id);
-            if catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point(&id, A);
-            }))
-            .is_some()
-            {
-                crashes += 1;
-            }
-        }
-        assert_eq!(crashes, 3);
-        assert_eq!(inj.injected_count(), 3);
     }
 
     #[test]
@@ -840,7 +767,7 @@ mod tests {
             })
             .count();
         assert!(flips > 0, "generation must vary the decision");
-        // Work-dependent labels are never killed, even at prob 1.
+        // At probability 1 every label is killed.
         let eager = StormPolicy {
             ssf_prob: 1.0,
             collector_prob: 1.0,
@@ -848,11 +775,7 @@ mod tests {
             seed: 7,
         };
         for label in Label::ALL {
-            assert_eq!(
-                eager.kills("i1", 0, label, 0),
-                !label.is_work_dependent(),
-                "{label}"
-            );
+            assert!(eager.kills("i1", 0, label, 0), "{label}");
         }
         // Collector labels draw from collector_prob, SSF labels from
         // ssf_prob.
@@ -885,6 +808,7 @@ mod tests {
             (5, "t", 0, Label::DaalAppendPostLink, 1, true),
             (13, "i1", 0, Label::AsyncRegPostIntent, 0, true),
             (21, "front-8", 4, Label::FrontEnter, 0, false),
+            (42, "storm-w0-op3", 0, Label::ReadPostLog, 0, true),
         ];
         for (seed, instance, generation, label, count, kills) in pins {
             let storm = StormPolicy {

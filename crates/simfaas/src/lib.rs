@@ -20,7 +20,7 @@
 //!   no kill switch — the fact Beldi's GC synchrony assumption leans on).
 //! - **Crash-restart failure injection** ([`FaultInjector`]): instances can
 //!   be crashed at any labelled crash point, deterministically (scripted
-//!   plans) or randomly (seeded policy). The paper's exactly-once guarantee
+//!   plans) or randomly (a seeded storm). The paper's exactly-once guarantee
 //!   is validated against these crashes; automatic platform retry is *off*,
 //!   matching §7.2 ("We turn off automatic Lambda restarts and let Beldi's
 //!   intent collectors take care of restarting failed Lambdas").
@@ -37,8 +37,7 @@ mod platform;
 pub use beldi_simclock::PlatformSnapshot;
 pub use error::{InvokeError, InvokeResult};
 pub use fault::{
-    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, RandomCrashPolicy,
-    StormPolicy, TraceEntry,
+    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, StormPolicy, TraceEntry,
 };
 pub use labels::Label;
 pub use platform::{

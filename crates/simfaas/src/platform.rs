@@ -757,7 +757,7 @@ mod tests {
             Value::from("survived")
         );
         // We don't know the next request id in advance, so install a
-        // global label-targeted plan (a blanket random policy would fire
+        // global label-targeted plan (a storm at probability 1 would fire
         // at `worker.pre_handler` before the handler's own probe).
         p.faults()
             .set_global_plan(Some(crate::CrashPlan::AtLabel(Label::WrapperEnter)));
@@ -779,8 +779,9 @@ mod tests {
                 Value::from("ran")
             }),
         );
-        p.faults().set_random_policy(Some(crate::RandomCrashPolicy {
-            prob: 1.0,
+        p.faults().set_storm_policy(Some(crate::StormPolicy {
+            ssf_prob: 1.0,
+            collector_prob: 1.0,
             max_crashes: 1,
             seed: 7,
         }));

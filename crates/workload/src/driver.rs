@@ -120,14 +120,13 @@ pub struct DriveOptions {
 /// Crash-storm knobs for a chaos drive (see [`DriveOptions::chaos`]).
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// Kill probability at each eligible SSF crash point.
+    /// Kill probability at each SSF crash point.
     pub ssf_kill_prob: f64,
-    /// Kill probability at each eligible collector (`ic.*`/`gc.*`)
-    /// crash point.
+    /// Kill probability at each collector (`ic.*`/`gc.*`) crash point.
     pub collector_kill_prob: f64,
     /// Hard cap on injected crashes. Determinism tests set this far
-    /// above the expected crash count so the (interleaving-ordered) cap
-    /// check never shapes the schedule.
+    /// above the expected crash count so the cap check never shapes the
+    /// schedule.
     pub max_crashes: u64,
     /// IC restart delay for the run — short, so recovery latencies are
     /// dominated by detection + re-execution rather than the paper's

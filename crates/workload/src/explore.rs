@@ -64,9 +64,9 @@ pub struct ExploreOptions {
     pub gc_check: bool,
     /// Interleave one GC pass per SSF (invoked as the platform function
     /// `{ssf}.gc`, exactly as the timer trigger would) after every
-    /// frontend request. The collectors' fixed `gc.*` crash points join
-    /// the global crash stream, so the depth-1 sweep also kills GC
-    /// passes *between any two of a pass's steps* while SSF
+    /// frontend request. The collectors' step-boundary `gc.*` crash
+    /// points join the global crash stream, so the depth-1 sweep also
+    /// kills GC passes *between any two of a pass's steps* while SSF
     /// traffic is live — the online-GC regime — and verifies the final
     /// state against the (equally GC-interleaved) crash-free oracle.
     pub gc_interleave: bool,

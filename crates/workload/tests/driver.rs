@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use beldi::value::{Map, Value};
-use beldi::Mode;
+use beldi::{Label, Mode};
 use beldi_apps::{bench_app, MixProfile, WorkflowApp};
 use beldi_workload::driver::{
     drive, ops_for_worker, value_digest, worker_rng, BenchReport, BenchRun, ChaosOptions,
@@ -260,6 +260,13 @@ fn chaos_storm_with_relaunch_recovers_to_the_oracle_state() {
     assert!(rec.digest_match, "conservation violated: {rec:?}");
     assert_eq!(rec.duplicate_effects, 0, "{rec:?}");
     assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
+    // The storm draws at every probe, those under a loop too: this seed
+    // kills an IC pass between two re-launches.
+    assert!(
+        rec.crash_sites.contains_key(Label::IcPreRestart.as_str()),
+        "{:?}",
+        rec.crash_sites
+    );
 
     let failures = recovery_gate(&report_of(run, &opts), u64::MAX, 0);
     assert!(failures.is_empty(), "{failures:?}");

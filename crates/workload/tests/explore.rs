@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{Cond, Value};
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Label, Mode, RandomCrashPolicy};
+use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Label, Mode, StormPolicy};
 use beldi_apps::{small_app, MediaApp, WorkflowApp};
 use beldi_workload::{explore, ExploreOptions, PipelineApp, ViolationKind};
 
@@ -122,21 +122,21 @@ fn explorer_verdict_is_seed_stable() {
     assert!(a.ok(), "{:#?}", a.violations);
 }
 
-/// Satellite: identical `RandomCrashPolicy` seed ⇒ identical crash
-/// schedule (the fired crash points match position for position).
+/// Identical `StormPolicy` seed ⇒ identical crash schedule (the fired
+/// crash points match position for position) through the blocking root,
+/// `env.invoke`, which no chaos run drives.
 #[test]
-fn random_crash_policy_is_seed_stable() {
+fn storm_policy_is_seed_stable() {
     let run = || {
         let env = BeldiEnv::for_tests();
         PipelineApp.setup(&env);
         env.platform().faults().start_trace();
-        env.platform()
-            .faults()
-            .set_random_policy(Some(RandomCrashPolicy {
-                prob: 0.05,
-                max_crashes: 10,
-                seed: 7,
-            }));
+        env.platform().faults().set_storm_policy(Some(StormPolicy {
+            ssf_prob: 0.05,
+            collector_prob: 0.05,
+            max_crashes: 10,
+            seed: 7,
+        }));
         for i in 0..6 {
             env.invoke("root", beldi::value::Value::Int(i)).unwrap();
         }

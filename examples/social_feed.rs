@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use beldi_repro::apps::SocialApp;
-use beldi_repro::beldi::{BeldiConfig, BeldiEnv, RandomCrashPolicy};
+use beldi_repro::beldi::{BeldiConfig, BeldiEnv, StormPolicy};
 use beldi_repro::simclock::Metric;
 use beldi_repro::value::vmap;
 
@@ -33,13 +33,12 @@ fn main() {
     env.start_collectors();
 
     println!("== Composing posts (with a 2% crash storm running) ==");
-    env.platform()
-        .faults()
-        .set_random_policy(Some(RandomCrashPolicy {
-            prob: 0.02,
-            max_crashes: 50,
-            seed: 0x50C1A1,
-        }));
+    env.platform().faults().set_storm_policy(Some(StormPolicy {
+        ssf_prob: 0.02,
+        collector_prob: 0.02,
+        max_crashes: 50,
+        seed: 0x50C1A1,
+    }));
     for i in 0..6 {
         let post_id = env
             .invoke(
@@ -54,7 +53,7 @@ fn main() {
             .expect("compose");
         println!("   composed post {i}: {post_id}");
     }
-    env.platform().faults().set_random_policy(None);
+    env.platform().faults().set_storm_policy(None);
     println!(
         "   crashes injected along the way: {}\n",
         env.platform().faults().injected_count()

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi_repro::apps::{MediaApp, SocialApp, TravelApp};
-use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, RandomCrashPolicy};
+use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, StormPolicy};
 use beldi_repro::simclock::Metric;
 use beldi_repro::value::{vmap, Value};
 use beldi_repro::workload::RateRunner;
@@ -87,13 +87,12 @@ fn travel_inventory_consistent_under_crash_storm() {
     app.install(&env);
     app.seed(&env);
     env.start_collectors();
-    env.platform()
-        .faults()
-        .set_random_policy(Some(RandomCrashPolicy {
-            prob: 0.01,
-            max_crashes: 60,
-            seed: 0xABCD,
-        }));
+    env.platform().faults().set_storm_policy(Some(StormPolicy {
+        ssf_prob: 0.01,
+        collector_prob: 0.01,
+        max_crashes: 60,
+        seed: 0xABCD,
+    }));
 
     let env = Arc::new(env);
     let reserved = Arc::new(AtomicI64::new(0));
@@ -117,7 +116,7 @@ fn travel_inventory_consistent_under_crash_storm() {
         c.join().unwrap();
     }
     let total_reserved = reserved.load(Ordering::Relaxed);
-    env.platform().faults().set_random_policy(None);
+    env.platform().faults().set_storm_policy(None);
     env.stop_collectors();
 
     assert!(
