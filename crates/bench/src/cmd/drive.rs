@@ -47,7 +47,7 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         .switch("--no-tail-cache", "disable the DAAL tail-row cache (A/B)")
         .switch("--gc", "run online collectors concurrently with traffic")
         .flag("--gc-period-ms", "MS", "500", "collector pass period")
-        .flag("--gc-tmax-ms", "MS", "2000", "collector lease T_max")
+        .flag("--gc-tmax-ms", "MS", "4000", "collector lease T_max")
         .switch("--chaos", "seeded crash storm on top of live traffic")
         .flag(
             "--chaos-ssf-prob",

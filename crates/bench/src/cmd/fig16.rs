@@ -151,10 +151,12 @@ mod tests {
     use super::*;
 
     /// §7.5's shape: without GC the hot key's chain grows and so does the
-    /// write latency; with GC every minute it grows less. Thresholds, set
-    /// before running: over 8 virtual minutes, `no-gc`'s last-minute p50
-    /// is at least 1.5× its minute-0 p50, and above `gc-T=1min`'s
-    /// last-minute p50.
+    /// write latency; with GC every minute the chain plateaus. Thresholds,
+    /// set before running: over 8 virtual minutes, `no-gc`'s last-minute
+    /// p50 is at least 1.5× its minute-0 p50, and above `gc-T=1min`'s
+    /// last-minute p50; and `gc-T=1min`'s last-minute chain is at most
+    /// 1.5× its minute-3 chain (a chain that leaks rows on every pass
+    /// keeps growing: 36 → 60 rows).
     #[test]
     fn an_uncollected_chain_slows_writes() {
         let (minutes, rate, partitions) = (8, 2.0, 8);
@@ -169,6 +171,11 @@ mod tests {
         assert!(
             last > gc_last,
             "no-gc's last-minute p50 {last:?} is not above gc-T=1min's {gc_last:?}"
+        );
+        let (settled, end) = (gc[3].daal_rows.unwrap(), gc[minutes - 1].daal_rows.unwrap());
+        assert!(
+            end as f64 <= 1.5 * settled as f64,
+            "gc-T=1min's chain went {settled} -> {end} rows from minute 3: no plateau"
         );
     }
 }

@@ -47,24 +47,17 @@ pub struct BeldiConfig {
     /// On DynamoDB this is derived from the 400 KB row cap and the entry
     /// sizes; it is configurable here to drive the row-capacity ablation.
     pub daal_row_capacity: usize,
-    /// `T`: the maximum lifetime of an SSF instance (§5). The GC waits
-    /// `T` after an intent finishes before recycling its logs, and another
-    /// `T` after disconnecting a DAAL row before deleting it.
-    pub t_max: Duration,
-    /// Enforce the platform's execution-timeout contract: kill any
-    /// instance still running `t_max` after its launch (checked at every
-    /// crash probe, delivered as a `platform.t_max` crash).
+    /// `T`: the maximum lifetime of an SSF instance (§5), the platform's
+    /// execution lease. Every instance still running `T` after its launch
+    /// is killed at its next crash probe (a `platform.t_max` crash), a
+    /// root retry is refused once `T` has passed since the first attempt,
+    /// and the GC recycles an intent `T` after it finished and deletes a
+    /// disconnected DAAL row `T` after disconnecting it.
     ///
-    /// Beldi's GC safety argument (§5) *assumes* this bound — "wait `T`
-    /// after finish" only excludes in-flight duplicates because the
-    /// platform would have timed them out. The simulator historically
-    /// let instances run forever, which is fine while nothing relaunches
-    /// concurrently, but under a crash storm a long-lived duplicate can
-    /// outlive its intent's recycling and re-execute effects. Off by
-    /// default (plain runs have no concurrent duplicates and some tests
-    /// drive tiny `t_max` values purely to exercise the GC); the chaos
-    /// driver turns it on.
-    pub enforce_t_max: bool,
+    /// The lease always binds, so `T` must exceed the run's latency tail:
+    /// a healthy instance slower than `T` is killed and its request
+    /// fails once its retries run out.
+    pub t_max: Duration,
     /// Minimum age of an unfinished intent before the intent collector
     /// re-launches it (the IC's first optimization, §3.3).
     pub ic_restart_delay: Duration,
@@ -117,10 +110,10 @@ pub enum ConfigError {
     /// continuously, starving the workload it is meant to clean up
     /// after.
     ZeroCollectorPeriod,
-    /// `enforce_t_max` with a zero `t_max`: the platform would kill
-    /// every instance at launch, and the GC's "wait `T` after finish"
-    /// horizon would collapse to recycling logs immediately.
-    EnforcedZeroLease,
+    /// `t_max` was zero: the platform would kill every instance at
+    /// launch, and the GC's "wait `T` after finish" horizon would
+    /// collapse to recycling logs immediately.
+    ZeroLease,
 }
 
 impl fmt::Display for ConfigError {
@@ -132,7 +125,7 @@ impl fmt::Display for ConfigError {
                 "collector batch limit of 0 would make no pass progress"
             }
             ConfigError::ZeroCollectorPeriod => "collector period must be nonzero",
-            ConfigError::EnforcedZeroLease => "enforce_t_max requires a nonzero t_max lease",
+            ConfigError::ZeroLease => "t_max lease must be nonzero",
         })
     }
 }
@@ -146,7 +139,6 @@ impl BeldiConfig {
             mode: Mode::Beldi,
             daal_row_capacity: 100,
             t_max: Duration::from_secs(60),
-            enforce_t_max: false,
             ic_restart_delay: Duration::from_secs(30),
             collector_period: Duration::from_secs(60),
             collector_batch_limit: None,
@@ -200,8 +192,8 @@ impl BeldiConfig {
         if self.collector_period.is_zero() {
             return Err(ConfigError::ZeroCollectorPeriod);
         }
-        if self.enforce_t_max && self.t_max.is_zero() {
-            return Err(ConfigError::EnforcedZeroLease);
+        if self.t_max.is_zero() {
+            return Err(ConfigError::ZeroLease);
         }
         Ok(())
     }
@@ -215,13 +207,6 @@ impl BeldiConfig {
     /// Sets `T`, the maximum instance lifetime.
     pub fn with_t_max(mut self, t: Duration) -> Self {
         self.t_max = t;
-        self
-    }
-
-    /// Turns wrapper-side enforcement of the `t_max` execution timeout
-    /// on or off.
-    pub fn with_enforce_t_max(mut self, on: bool) -> Self {
-        self.enforce_t_max = on;
         self
     }
 
@@ -277,7 +262,6 @@ mod tests {
         let c = BeldiConfig::beldi()
             .with_row_capacity(7)
             .with_t_max(Duration::from_secs(5))
-            .with_enforce_t_max(true)
             .with_ic_restart_delay(Duration::from_secs(1))
             .with_collector_period(Duration::from_secs(2))
             .with_collector_batch_limit(64)
@@ -285,7 +269,6 @@ mod tests {
             .with_tail_cache(false);
         assert_eq!(c.daal_row_capacity, 7);
         assert_eq!(c.t_max, Duration::from_secs(5));
-        assert!(c.enforce_t_max);
         assert_eq!(c.ic_restart_delay, Duration::from_secs(1));
         assert_eq!(c.collector_period, Duration::from_secs(2));
         assert_eq!(c.collector_batch_limit, Some(64));
@@ -333,12 +316,7 @@ mod tests {
                 BeldiConfig::beldi().with_collector_period(Duration::ZERO),
                 ZeroCollectorPeriod,
             ),
-            (
-                BeldiConfig::beldi()
-                    .with_enforce_t_max(true)
-                    .with_t_max(Duration::ZERO),
-                EnforcedZeroLease,
-            ),
+            (BeldiConfig::beldi().with_t_max(Duration::ZERO), ZeroLease),
         ];
         for (cfg, want) in cases {
             let got = cfg.validate().expect_err("incoherent combo");

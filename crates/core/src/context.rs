@@ -43,37 +43,37 @@ pub struct SsfContext {
     /// milliseconds: no execution of it writes earlier. 0 when unknown,
     /// which leaves only `HEAD` rows to cached writes.
     created_ms: u64,
-    /// Virtual deadline of this *launch*'s execution lease
-    /// ([`crate::BeldiConfig::enforce_t_max`]); `None` when enforcement
-    /// is off. Checked at every crash probe — the platform-timeout
-    /// contract the GC's `finish + T_max` recycling rule relies on.
-    deadline_ms: Option<u64>,
+    /// Virtual deadline of this *launch*'s execution lease: launch +
+    /// [`crate::BeldiConfig::t_max`]. Checked at every crash probe — the
+    /// platform-timeout contract the GC's `finish + T_max` recycling rule
+    /// relies on.
+    deadline_ms: u64,
 }
 
 impl SsfContext {
     /// Builds a context for a fresh (or re-executed) instance of an
-    /// intent created at `created_ms`.
+    /// intent created at `created_ms`, launched at `launch_ms`: the clock
+    /// read before the launch's first intent store op, so that the lease
+    /// ends no later than `T` after any finish that op's record predates.
+    /// A root's synchronous call outside a transaction; the wrapper sets
+    /// the caller, `is_async` and an inherited transaction.
     pub(crate) fn new(
         core: Arc<EnvCore>,
         ssf: Arc<Ssf>,
         instance: InstanceId,
         created_ms: u64,
-        caller: Option<Arc<str>>,
-        is_async: bool,
-        txn: Option<TxnState>,
+        launch_ms: u64,
     ) -> Self {
-        let deadline_ms = core.config.enforce_t_max.then(|| {
-            core.platform.clock().now().as_millis() + core.config.t_max.as_millis() as u64
-        });
+        let deadline_ms = launch_ms + core.config.t_max.as_millis() as u64;
         SsfContext {
             core,
             ssf,
             instance,
             step: 0,
             log_steps: Vec::new(),
-            caller,
-            is_async,
-            txn,
+            caller: None,
+            is_async: false,
+            txn: None,
             created_ms,
             deadline_ms,
         }
@@ -169,10 +169,8 @@ impl SsfContext {
     /// recycling (`finish + T_max`) safe against in-flight duplicates.
     pub(crate) fn crash(&self, label: Label) {
         let faults = self.core.platform.faults();
-        if let Some(deadline) = self.deadline_ms {
-            if self.raw_now_ms() > deadline {
-                faults.timeout_kill(&self.instance);
-            }
+        if self.raw_now_ms() > self.deadline_ms {
+            faults.timeout_kill(&self.instance);
         }
         faults.crash_point(&self.instance, label);
     }

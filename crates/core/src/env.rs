@@ -324,41 +324,37 @@ impl<'a> RootCall<'a> {
     }
 
     /// The payload of the next attempt, or `None` once the budget is
-    /// spent or the retry window has closed.
-    ///
-    /// Client retry contract under lease enforcement: retries of one
-    /// request are issued only within `T_max` of the first attempt.
-    /// The GC recycles a done intent no earlier than `finish + 2·T_max`
-    /// (and `finish` can't precede registration), so no retry inside
-    /// this window can find its intent recycled and silently
-    /// re-register it — the full-workflow re-execution path that shows
-    /// up as duplicate effects when a storm outlasts the recycle
-    /// horizon. Past the window the request fails back to the caller
-    /// instead of risking a second execution.
+    /// spent. A retry carries the first attempt's time, and the wrapper
+    /// refuses it once `T` has passed since then (`Outcome::Expired`):
+    /// the retry window is checked where the retry lands, so one check
+    /// decides it, exactly.
     fn next_attempt(&mut self) -> Option<Value> {
-        let config = &self.core.config;
-        let window_closed = self.last_err.is_some()
-            && config.enforce_t_max
-            && self.core.platform.clock().now().as_millis()
-                > self.first_attempt_ms + config.t_max.as_millis() as u64;
-        if self.attempts_left == 0 || window_closed {
+        if self.attempts_left == 0 {
             return None;
         }
         self.attempts_left -= 1;
-        Some(self.envelope.clone())
+        Some(match self.last_err {
+            None => self.envelope.clone(),
+            Some(_) => Envelope::root_retry(&self.envelope, self.first_attempt_ms),
+        })
     }
 
     /// Folds one attempt's reply in: `Break` carries the call's result,
     /// `Continue` means back off and try [`RootCall::next_attempt`].
     fn settle(&mut self, reply: Result<Value, InvokeError>) -> ControlFlow<BeldiResult<Value>> {
-        let err = match reply {
-            Ok(v) => return ControlFlow::Break(Outcome::from_value(v).into_result()),
+        let expired = match reply {
+            Ok(v) => match Outcome::from_value(v) {
+                Outcome::Expired => true,
+                outcome => return ControlFlow::Break(outcome.into_result()),
+            },
             Err(e) if self.core.config.mode == Mode::Baseline => {
                 return ControlFlow::Break(Err(BeldiError::Invoke(e)))
             }
-            Err(e) => e,
+            Err(e) => {
+                self.last_err = Some(e);
+                false
+            }
         };
-        self.last_err = Some(err);
         // The instance may have completed before dying (e.g. crashed
         // after marking done): then the intent holds the return value.
         let loaded = self
@@ -371,14 +367,16 @@ impl<'a> RootCall<'a> {
                 let ret = rec.ret.unwrap_or(Value::Null);
                 ControlFlow::Break(Outcome::from_value(ret).into_result())
             }
+            // Refused past its window: the last attempt's failure stands.
+            Ok(_) if expired => ControlFlow::Break(Err(self.give_up())),
             Ok(_) => ControlFlow::Continue(()),
             Err(e) => ControlFlow::Break(Err(e)),
         }
     }
 
-    /// The call's error once [`RootCall::next_attempt`] returned `None`.
-    fn give_up(self) -> BeldiError {
-        BeldiError::Invoke(self.last_err.expect("at least one attempt"))
+    /// The call's error once it stops retrying.
+    fn give_up(&self) -> BeldiError {
+        BeldiError::Invoke(self.last_err.clone().expect("at least one attempt"))
     }
 }
 
@@ -837,15 +835,8 @@ impl BeldiEnv {
     #[doc(hidden)]
     pub fn test_context(&self, ssf: &str, instance: &str) -> SsfContext {
         let ssf = self.core.ssf(ssf).expect("test_context: a registered SSF");
-        SsfContext::new(
-            self.core.clone(),
-            ssf,
-            instance.into(),
-            0,
-            None,
-            false,
-            None,
-        )
+        let now_ms = self.clock().now().as_millis();
+        SsfContext::new(self.core.clone(), ssf, instance.into(), 0, now_ms)
     }
 
     /// The shared interior (crate-internal test helper: lets unit tests
@@ -953,6 +944,53 @@ mod tests {
         assert_eq!(
             env.read_current("counter", "state", "hits").unwrap(),
             Value::Int(2)
+        );
+    }
+
+    /// A root retry is checked where it lands: one that reaches the
+    /// wrapper at its first attempt's time plus `T` is admitted, and one
+    /// later than that is refused and registers nothing — here after the
+    /// GC recycled the completed intent, so admitting it would run the
+    /// workflow a second time.
+    #[test]
+    fn a_root_retry_past_its_window_is_refused_and_registers_nothing() {
+        let t = Duration::from_millis(50);
+        let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(t));
+        env.register_ssf(
+            "counter",
+            &["state"],
+            Arc::new(|ctx, _| {
+                let cur = ctx.read("state", "hits")?.as_int().unwrap_or(0);
+                ctx.write("state", "hits", Value::Int(cur + 1))?;
+                Ok(Value::Int(cur + 1))
+            }),
+        );
+        let first_ms = env.clock().now().as_millis();
+        let first = Envelope::root_call(&"r".into(), Value::Null, false).into_value();
+        assert_eq!(
+            env.invoke_as("counter", "r", Value::Null),
+            Ok(Value::Int(1))
+        );
+        let retry_at = |ms: u64| {
+            env.clock()
+                .sleep_until(beldi_simclock::SimInstant::from_millis(ms));
+            let retry = Envelope::root_retry(&first, first_ms);
+            Outcome::from_value(env.platform().invoke_sync("counter", retry).unwrap())
+        };
+        let intents = || env.db().row_count("counter.intent").unwrap();
+
+        // The window's last instant: the intent is there, and replays.
+        assert_eq!(retry_at(first_ms + 50), Outcome::Ok(Value::Int(1)));
+        // Past `T` after it finished, the intent is recycled.
+        env.clock().sleep(t + Duration::from_millis(1));
+        assert_eq!(env.run_gc_once("counter").unwrap().recycled_intents, 1);
+        assert_eq!(intents(), 0);
+        let now = env.clock().now().as_millis();
+        assert_eq!(retry_at(now), Outcome::Expired);
+        assert_eq!(intents(), 0, "a refused retry registers nothing");
+        assert_eq!(
+            env.read_current("counter", "state", "hits").unwrap(),
+            Value::Int(1)
         );
     }
 

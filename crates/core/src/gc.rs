@@ -11,8 +11,8 @@
 //! ([`intent::mark_done`], the owner's finalize-marker claim), so a pass
 //! writes nothing to an intent before it deletes it. A pass does 2–6:
 //!
-//! 2. classify done intents finished longer ago than the horizon (`T`, or
-//!    `2·T` under `enforce_t_max`) as *recyclable*;
+//! 2. classify done intents finished longer ago than the horizon `T` as
+//!    *recyclable*;
 //! 3. delete the recyclable intents' log entries — by key, with no read:
 //!    an intent's done-mark lists the steps at which it has an entry in
 //!    its SSF's one log table (`LogSteps`), so the entries are
@@ -192,22 +192,13 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     let db = &core.db;
     let t = core.telemetry();
     let now_ms = core.platform.clock().now().as_millis();
-    // Recycle horizon. Under cooperative `T_max` enforcement the lease is
-    // checked at crash probes, so a zombie is killed at its first probe
-    // *past* the deadline — one last logged write can land just after
-    // `launch + T_max`, i.e. just after `finish + T_max`, which is exactly
-    // where a single-`T_max` horizon would already have pruned the log
-    // entry that makes the straggler's re-apply a no-op. Doubling the
-    // horizon puts pruning strictly after the last possible zombie write
-    // (and after the last client retry, which stops `T_max` past the first
-    // attempt — see `BeldiEnv::invoke_attempts`), closing the
-    // duplicate-effect window a long crash storm surfaced.
+    // Recycle horizon: `T` after finish. The lease kills an execution at
+    // its first probe past `launch + T`, with the launch read before its
+    // wrapper's first intent store op, and a store write applies when it
+    // is issued, with no virtual time between a probe and the next store
+    // call: so a zombie's last write lands at or before `launch + T ≤
+    // finish + T`, and a pass recycles strictly later (DESIGN §13).
     let t_ms = core.config.t_max.as_millis() as u64;
-    let t_ms = if core.config.enforce_t_max {
-        t_ms.saturating_mul(2)
-    } else {
-        t_ms
-    };
     let intent_table = &*ssf.intent_table;
     let mut report = GcReport::default();
     (hooks.crash)(Label::GcEnter);
@@ -237,16 +228,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
         // Every done-mark sets the finish time: without one, when the
         // intent may go is unknown, and it stays.
         let Some(finished) = row.get_int(A_FINISH).and_then(|f| u64::try_from(f).ok()) else {
-            report_corruption(
-                t,
-                Metric::GcCorruptIntents,
-                &mut report.corrupt_intents,
-                || {
-                    format!(
-                        "GC found done intent {id} in {intent_table} without a valid FinishTime"
-                    )
-                },
-            )?;
+            report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents);
             continue;
         };
         if now_ms.saturating_sub(finished) <= t_ms || recyclable.len() >= batch_limit {
@@ -256,12 +238,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
         // and its entries stay.
         match intent::log_steps(&row) {
             Some(steps) => recyclable.push((id.clone(), steps)),
-            None => report_corruption(
-                t,
-                Metric::GcCorruptIntents,
-                &mut report.corrupt_intents,
-                || format!("GC found intent {id} in {intent_table} with a malformed LogSteps"),
-            )?,
+            None => report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents),
         }
     }
     (hooks.crash)(Label::GcPostClassify);
@@ -412,40 +389,13 @@ fn reconstruct_chain(rows: &[Value]) -> Option<(Vec<&Value>, HashSet<&str>)> {
 
 /// Records corruption a pass found — a cyclic chain, a malformed
 /// `FinishTime` or `LogSteps`: a bump of the pass's `count` and of the
-/// registry's `metric` (here, since the pass may not succeed), a hard
-/// error in debug builds, `Ok` in release so the pass skips the item.
-/// Corruption is never a transient race, and the item is left untouched
-/// either way, since part-collecting damaged state could destroy evidence
-/// or live data.
-fn report_corruption(
-    t: &Telemetry,
-    metric: Metric,
-    count: &mut usize,
-    what: impl FnOnce() -> String,
-) -> BeldiResult<()> {
+/// registry's `metric`, and the pass skips the item. Corruption is never a
+/// transient race, and the item is left untouched, since part-collecting
+/// damaged state could destroy evidence or live data; every gate fails on
+/// a nonzero `core.gc.corrupt_*` count.
+fn report_corruption(t: &Telemetry, metric: Metric, count: &mut usize) {
     *count += 1;
     t.add(metric, 1);
-    if cfg!(debug_assertions) {
-        return Err(crate::error::BeldiError::Protocol(what()));
-    }
-    Ok(())
-}
-
-/// Records a cyclic (corrupt) chain at `table`/`key` (see
-/// [`report_corruption`]).
-fn report_corrupt_chain(
-    t: &Telemetry,
-    report: &mut GcReport,
-    table: &str,
-    key: &str,
-    context: &str,
-) -> BeldiResult<()> {
-    report_corruption(
-        t,
-        Metric::GcCorruptChains,
-        &mut report.corrupt_chains,
-        || format!("GC {context} found a cyclic DAAL chain at {table}/{key}"),
-    )
 }
 
 #[allow(
@@ -467,7 +417,8 @@ fn collect_daal_key(
     // Full (unprojected) rows: the GC inspects every log entry.
     let rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
     let Some((chain, reachable)) = reconstruct_chain(&rows) else {
-        return report_corrupt_chain(t, report, table, key, "pass scan");
+        report_corruption(t, Metric::GcCorruptChains, &mut report.corrupt_chains);
+        return Ok(());
     };
 
     // Shadow chains: once *every* row (tail included) is recyclable the
@@ -494,22 +445,23 @@ fn collect_daal_key(
     }
 
     // Step 4: disconnect fully recyclable interior rows (never the head,
-    // never the tail).
+    // never the tail). A row is unlinked through `prev`, the last row
+    // this pass left on the chain: after unlinking a row, its successor's
+    // predecessor is the unlinked row's, not the unlinked row itself.
     if chain.len() > 2 {
-        for i in 1..chain.len() - 1 {
-            let row = chain[i];
-            if row.get_int(A_DANGLE).is_some() {
-                continue; // Already disconnected, awaiting deletion.
-            }
-            if !row_fully_recyclable(row, status)? {
+        let mut prev = chain[0];
+        for &row in &chain[1..chain.len() - 1] {
+            // Already disconnected and awaiting deletion, or still live.
+            if row.get_int(A_DANGLE).is_some() || !row_fully_recyclable(row, status)? {
+                prev = row;
                 continue;
             }
-            let (Some(row_id), Some(next)) =
-                (row.get_shared_str(A_ROW_ID), row.get_shared_str(A_NEXT_ROW))
-            else {
-                continue;
-            };
-            let Some(prev_id) = chain[i - 1].get_shared_str(A_ROW_ID) else {
+            let (Some(row_id), Some(next), Some(prev_id)) = (
+                row.get_shared_str(A_ROW_ID),
+                row.get_shared_str(A_NEXT_ROW),
+                prev.get_shared_str(A_ROW_ID),
+            ) else {
+                prev = row;
                 continue;
             };
             // Unlink: prev.NextRow = row.NextRow, guarded so a concurrent
@@ -524,6 +476,8 @@ fn collect_daal_key(
             )]
             match db.update(table, &prev_pk, &cond, &update) {
                 Ok(()) => {}
+                // A concurrent collector unlinked the row first: `prev`
+                // still precedes what follows it.
                 Err(DbError::ConditionFailed) => continue,
                 Err(e) => return Err(e.into()),
             }
@@ -574,7 +528,8 @@ fn collect_daal_key(
         (hooks.probe)(Label::GcStep5PreRescan);
         fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
         let Some((_, fresh)) = reconstruct_chain(&fresh_rows) else {
-            return report_corrupt_chain(t, report, table, key, "step-5 re-scan");
+            report_corruption(t, Metric::GcCorruptChains, &mut report.corrupt_chains);
+            return Ok(());
         };
         Some(fresh)
     };
@@ -920,10 +875,9 @@ mod tests {
     }
 
     /// Plants the done intent `bad` as `attrs` describe it, with a log entry
-    /// at step 0, past any horizon; then two passes each fail in debug
-    /// builds naming `what`, or count one corrupt intent in release, and
-    /// the intent and its entry stay.
-    fn assert_reported_not_collected(attrs: Value, what: &str) {
+    /// at step 0, past any horizon; then two passes each count one corrupt
+    /// intent, and the intent and its entry stay.
+    fn assert_reported_not_collected(attrs: Value) {
         let e = env();
         #[expect(clippy::disallowed_methods, reason = "the test plants an intent")]
         e.db().put("f.intent", attrs.clone()).unwrap();
@@ -934,18 +888,11 @@ mod tests {
         e.clock().sleep(Duration::from_millis(120));
 
         for _ in 0..2 {
-            match e.run_gc_once("f") {
-                Err(err) if cfg!(debug_assertions) => {
-                    assert!(err.to_string().contains(what), "{err}")
-                }
-                Ok(report) if !cfg!(debug_assertions) => {
-                    assert_eq!(report.corrupt_intents, 1, "{report:?}");
-                    assert_eq!(report.recycled_intents, 0, "{report:?}");
-                }
-                other => panic!("debug builds fail the pass, release counts: {other:?}"),
-            }
+            let report = e.run_gc_once("f").unwrap();
+            assert_eq!(report.corrupt_intents, 1, "{report:?}");
+            assert_eq!(report.recycled_intents, 0, "{report:?}");
         }
-        // Each pass counted the intent where it found it, in either build.
+        // Each pass counted the intent where it found it.
         let t = e.telemetry();
         assert_eq!(t.get(Metric::GcPasses), 2);
         assert_eq!(t.get(Metric::GcCorruptIntents), 2, "{t:?}");
@@ -954,8 +901,8 @@ mod tests {
     }
 
     /// A done intent whose `LogSteps` is not a list of step numbers is
-    /// corruption: an error in debug builds, a `corrupt_intents` count in
-    /// release, and the intent and its entries stay.
+    /// corruption: a `corrupt_intents` count, and the intent and its
+    /// entries stay.
     #[test]
     fn a_malformed_log_step_list_is_reported_not_collected() {
         for bad in [
@@ -966,7 +913,7 @@ mod tests {
             let intent = vmap! {
                 A_ID => "bad", A_DONE => true, A_FINISH => 0i64, A_LOG_STEPS => bad
             };
-            assert_reported_not_collected(intent, "LogSteps");
+            assert_reported_not_collected(intent);
         }
     }
 
@@ -982,7 +929,7 @@ mod tests {
             if let Some(finish) = bad {
                 intent.as_map_mut().unwrap().insert(A_FINISH, finish);
             }
-            assert_reported_not_collected(intent, "FinishTime");
+            assert_reported_not_collected(intent);
         }
     }
 
@@ -1035,33 +982,27 @@ mod tests {
     }
 
     /// The horizon is exact: an intent whose done-mark ran at `t` survives
-    /// a pass at `t + T` and is recycled by a pass at `t + T + 1 ms`, and
-    /// under `enforce_t_max` the same holds at `t + 2·T`.
+    /// a pass at `t + T` and is recycled by a pass at `t + T + 1 ms`.
     #[test]
     fn the_horizon_is_exact() {
-        let t_max = Duration::from_millis(50);
-        for (cfg, horizon) in [
-            (BeldiConfig::beldi(), 50),
-            (BeldiConfig::beldi().with_enforce_t_max(true), 100),
-        ] {
-            let e = BeldiEnv::for_tests_with(cfg.with_t_max(t_max));
-            e.register_ssf(
-                "f",
-                &[],
-                Arc::new(|ctx, _| Ok(Value::Int(ctx.logged_now_ms()? as i64))),
-            );
-            e.invoke_as("f", "i", Value::Null).unwrap();
-            let row = e.db().get("f.intent", &PrimaryKey::hash("i"), None);
-            let done_at = row.unwrap().unwrap().get_int(A_FINISH).unwrap() as u64;
-            let pass_at = |ms: u64| {
-                e.clock().sleep_until(SimInstant::from_millis(ms));
-                assert_eq!(e.clock().now().as_millis(), ms);
-                run_gc(e.test_core(), &e.test_ssf("f")).unwrap()
-            };
-            assert_eq!(pass_at(done_at + horizon).recycled_intents, 0);
-            assert_eq!(pass_at(done_at + horizon + 1).recycled_intents, 1);
-            assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
-        }
+        let e =
+            BeldiEnv::for_tests_with(BeldiConfig::beldi().with_t_max(Duration::from_millis(50)));
+        e.register_ssf(
+            "f",
+            &[],
+            Arc::new(|ctx, _| Ok(Value::Int(ctx.logged_now_ms()? as i64))),
+        );
+        e.invoke_as("f", "i", Value::Null).unwrap();
+        let row = e.db().get("f.intent", &PrimaryKey::hash("i"), None);
+        let done_at = row.unwrap().unwrap().get_int(A_FINISH).unwrap() as u64;
+        let pass_at = |ms: u64| {
+            e.clock().sleep_until(SimInstant::from_millis(ms));
+            assert_eq!(e.clock().now().as_millis(), ms);
+            run_gc(e.test_core(), &e.test_ssf("f")).unwrap()
+        };
+        assert_eq!(pass_at(done_at + 50).recycled_intents, 0);
+        assert_eq!(pass_at(done_at + 51).recycled_intents, 1);
+        assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
     }
 
     /// A transaction owner's finalize marker is a done intent like any
@@ -1098,26 +1039,24 @@ mod tests {
         assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
     }
 
-    /// The cycle guard: a fabricated cyclic chain must surface loudly —
-    /// an error in debug builds (this test), a `corrupt_chains` count in
-    /// release — and never be part-collected.
+    /// The cycle guard: a fabricated cyclic chain is counted, in every
+    /// build, and never part-collected.
     #[test]
     fn cyclic_chain_is_reported_not_collected() {
         let e = env();
         plant_row(&e, ROW_HEAD, 1, Some("R1"), None);
         plant_row(&e, "R1", 2, Some("R1"), None); // Self-loop.
-        let result = run_gc_with(e.test_core(), &e.test_ssf("f"), &GcHooks::none());
-        // Tests compile with debug assertions: corruption is a hard error.
-        let err = result.expect_err("debug builds fail loudly on corruption");
-        assert!(err.to_string().contains("cycl"), "{err}");
-        // Every entry point counts the failed pass and the chain it found.
+        let report = run_gc_with(e.test_core(), &e.test_ssf("f"), &GcHooks::none()).unwrap();
+        assert_eq!(report.corrupt_chains, 1, "{report:?}");
+        // Every entry point counts the pass and the chain it found; the
+        // pass itself succeeds.
         let t = e.telemetry();
         let counts =
             || [Metric::GcPasses, Metric::GcErrors, Metric::GcCorruptChains].map(|m| t.get(m));
-        assert_eq!(counts(), [1, 1, 1]);
-        let env_err = e.run_gc_once("f").expect_err("same corruption via env");
-        assert!(env_err.to_string().contains("cycl"));
-        assert_eq!(counts(), [2, 2, 2]);
+        assert_eq!(counts(), [1, 0, 1]);
+        let again = e.run_gc_once("f").unwrap();
+        assert_eq!(again.corrupt_chains, 1, "{again:?}");
+        assert_eq!(counts(), [2, 0, 2]);
         // Both rows still present: nothing was part-collected.
         let rows = e
             .db()
@@ -1127,8 +1066,8 @@ mod tests {
     }
 
     /// `reconstruct_chain` itself: well-formed chains walk head→tail;
-    /// cyclic pointer graphs return `None` (the release-mode counter
-    /// path) instead of a truncated chain.
+    /// cyclic pointer graphs return `None` (the counted path) instead of
+    /// a truncated chain.
     #[test]
     fn reconstruct_chain_detects_cycles() {
         let rows = vec![

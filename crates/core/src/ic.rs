@@ -22,7 +22,7 @@ use beldi_simdb::ScanRequest;
 use beldi_value::Value;
 
 use crate::env::{EnvCore, Ssf};
-use crate::error::{BeldiError, BeldiResult};
+use crate::error::BeldiResult;
 use crate::intent::{self, IntentRecord};
 use crate::invoke::Envelope;
 use crate::schema::A_DONE;
@@ -137,9 +137,9 @@ fn relaunchable(args: &Value) -> bool {
 
 /// Counts and quarantines a corrupt intent (nothing to re-send): marked done
 /// with a null outcome so it leaves the unfinished index and the GC can
-/// recycle it. Debug builds fail the pass loudly — a corrupt intent is a
-/// protocol bug, not an operational condition — so the registry counts it
-/// here, where it is found.
+/// recycle it. The pass goes on: a corrupt intent is a protocol bug, not
+/// an operational condition, so the registry counts it here, where it is
+/// found, and every gate fails on a nonzero `core.ic.corrupt`.
 fn report_corrupt_intent(
     core: &Arc<EnvCore>,
     table: &str,
@@ -149,11 +149,5 @@ fn report_corrupt_intent(
     report.corrupt += 1;
     core.telemetry().add(Metric::IcCorrupt, 1);
     let now_ms = core.platform.clock().now().as_millis();
-    intent::mark_done(&core.db, table, id, Value::Null, &[], now_ms)?;
-    if cfg!(debug_assertions) {
-        return Err(BeldiError::Protocol(format!(
-            "intent {id} in {table} has no stored call envelope (quarantined)"
-        )));
-    }
-    Ok(())
+    intent::mark_done(&core.db, table, id, Value::Null, &[], now_ms)
 }

@@ -64,6 +64,9 @@ pub(crate) enum Envelope {
         txn: Option<TxnContext>,
         /// True when this call was issued asynchronously.
         is_async: bool,
+        /// A root retry's first-attempt time (virtual ms), checked by the
+        /// wrapper against `T`; `None` on every other call.
+        first_attempt_ms: Option<u64>,
     },
     /// Record a callee's result (or registration) in this SSF's invoke
     /// log. At-least-once; never logged itself.
@@ -99,6 +102,7 @@ const K_INPUT: &str = "Input";
 const K_CALLER: &str = "Caller";
 const K_TXN: &str = "TxnCtx";
 const K_ASYNC: &str = "Async";
+const K_FIRST_ATTEMPT: &str = "FirstAttempt";
 const K_CALLEE_ID: &str = "CalleeId";
 const K_RESULT: &str = "Result";
 
@@ -116,7 +120,22 @@ impl Envelope {
             caller: None,
             txn: None,
             is_async,
+            first_attempt_ms: None,
         }
+    }
+
+    /// A root call's retry payload: the first attempt's payload `call`,
+    /// decoded, with that attempt's time set. Only a retry pays for the
+    /// copy; a first attempt sends the payload built once.
+    pub(crate) fn root_retry(call: &Value, first_ms: u64) -> Value {
+        let mut retry = Envelope::from_value(call.clone()).expect("a root call envelope");
+        if let Envelope::Call {
+            first_attempt_ms, ..
+        } = &mut retry
+        {
+            *first_attempt_ms = Some(first_ms);
+        }
+        retry.into_value()
     }
 
     /// Serializes the envelope for the platform payload. The envelope's
@@ -130,6 +149,7 @@ impl Envelope {
                 caller,
                 txn,
                 is_async,
+                first_attempt_ms,
             } => {
                 m.insert(K_OP, "call".into());
                 if let Some(id) = id {
@@ -143,6 +163,9 @@ impl Envelope {
                     m.insert(K_TXN, t.to_value());
                 }
                 m.insert(K_ASYNC, Value::Bool(is_async));
+                if let Some(ms) = first_attempt_ms {
+                    m.insert(K_FIRST_ATTEMPT, Value::Int(ms as i64));
+                }
             }
             Envelope::Callback { callee_id, result } => {
                 m.insert(K_OP, "callback".into());
@@ -181,6 +204,9 @@ impl Envelope {
                 input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
                 txn: v.get_attr(K_TXN).map(TxnContext::from_value).transpose()?,
                 is_async: v.get_bool(K_ASYNC).unwrap_or(false),
+                first_attempt_ms: v
+                    .get_int(K_FIRST_ATTEMPT)
+                    .and_then(|ms| u64::try_from(ms).ok()),
             }),
             "callback" => Ok(Envelope::Callback {
                 callee_id: string(K_CALLEE_ID).ok_or_else(|| missing("CalleeId"))?,
@@ -214,6 +240,9 @@ pub(crate) enum Outcome {
     Abort,
     /// The body returned an application error.
     Error(String),
+    /// A root retry landed past its first attempt plus `T`: the wrapper
+    /// refused it and registered nothing.
+    Expired,
 }
 
 impl Outcome {
@@ -223,6 +252,7 @@ impl Outcome {
             Outcome::Ok(v) => beldi_value::vmap! { "Outcome" => "ok", "Ret" => v },
             Outcome::Abort => beldi_value::vmap! { "Outcome" => "abort" },
             Outcome::Error(m) => beldi_value::vmap! { "Outcome" => "error", "Msg" => m },
+            Outcome::Expired => beldi_value::vmap! { "Outcome" => "expired" },
         }
     }
 
@@ -235,6 +265,7 @@ impl Outcome {
             Some("ok") => Outcome::Ok(v.get_attr("Ret").cloned().unwrap_or(Value::Null)),
             Some("abort") => Outcome::Abort,
             Some("error") => Outcome::Error(v.get_str("Msg").unwrap_or("unknown error").to_owned()),
+            Some("expired") => Outcome::Expired,
             _ => Outcome::Error(format!("malformed outcome envelope: {v}")),
         }
     }
@@ -245,6 +276,7 @@ impl Outcome {
             Outcome::Ok(v) => Ok(v),
             Outcome::Abort => Err(BeldiError::TxnAborted),
             Outcome::Error(m) => Err(BeldiError::Protocol(m)),
+            Outcome::Expired => Err(BeldiError::Protocol("retry past its T_max window".into())),
         }
     }
 }
@@ -359,6 +391,7 @@ impl SsfContext {
                 caller: None,
                 txn: None,
                 is_async: false,
+                first_attempt_ms: None,
             };
             let v = self
                 .platform()
@@ -395,6 +428,7 @@ impl SsfContext {
             caller: Some(self.ssf.name.clone()),
             txn,
             is_async: false,
+            first_attempt_ms: None,
         }
         .into_value();
         self.crash(Label::InvokePreCall);
@@ -459,6 +493,7 @@ impl SsfContext {
                 caller: None,
                 txn: None,
                 is_async: true,
+                first_attempt_ms: None,
             };
             self.platform()
                 .invoke_async(callee, env.into_value())
@@ -492,6 +527,7 @@ impl SsfContext {
             caller: Some(self.ssf.name.clone()),
             txn: None,
             is_async: true,
+            first_attempt_ms: None,
         }
         .into_value();
         self.crash(Label::InvokePreAsyncCall);
@@ -584,6 +620,15 @@ mod tests {
                     mode: TxnMode::Execute,
                 }),
                 is_async: false,
+                first_attempt_ms: None,
+            },
+            Envelope::Call {
+                id: Some("r".into()),
+                input: Value::Int(1),
+                caller: None,
+                txn: None,
+                is_async: false,
+                first_attempt_ms: Some(12),
             },
             Envelope::Call {
                 id: None,
@@ -591,6 +636,7 @@ mod tests {
                 caller: None,
                 txn: None,
                 is_async: true,
+                first_attempt_ms: None,
             },
             Envelope::Callback {
                 callee_id: "c".into(),
@@ -614,9 +660,15 @@ mod tests {
                 },
             },
         ];
-        for e in cases {
-            assert_eq!(Envelope::from_value(e.clone().into_value()).unwrap(), e);
+        for e in &cases {
+            assert_eq!(&Envelope::from_value(e.clone().into_value()).unwrap(), e);
         }
+        // A root retry is its first attempt's call plus that attempt's time.
+        let first = Envelope::root_call(&"r".into(), Value::Int(1), false).into_value();
+        assert_eq!(
+            Envelope::from_value(Envelope::root_retry(&first, 12)).unwrap(),
+            cases[1]
+        );
     }
 
     #[test]
@@ -660,6 +712,7 @@ mod tests {
             Outcome::Ok(beldi_value::vmap! { "Outcome" => "nested", "Ret" => 2i64 }),
             Outcome::Abort,
             Outcome::Error("boom".into()),
+            Outcome::Expired,
         ] {
             assert_eq!(Outcome::from_value(o.clone().into_value()), o);
         }

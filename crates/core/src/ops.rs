@@ -463,7 +463,7 @@ mod tests {
         let ssf = core.ssf("f").unwrap();
         let intent = |id: &str| {
             let now = env.clock().now().as_millis();
-            SsfContext::new(core.clone(), ssf.clone(), id.into(), now, None, false, None)
+            SsfContext::new(core.clone(), ssf.clone(), id.into(), now, now)
         };
         let mut early = intent("early");
         for v in 0..3 {
@@ -702,15 +702,9 @@ mod tests {
                 };
                 let intent = &mut intents[i];
                 let (id, created_ms) = (intent.id.clone(), intent.created_ms);
-                let mut ctx = SsfContext::new(
-                    core.clone(),
-                    ssf.clone(),
-                    id.clone(),
-                    created_ms,
-                    None,
-                    false,
-                    None,
-                );
+                let launch_ms = core.platform.clock().now().as_millis();
+                let mut ctx =
+                    SsfContext::new(core.clone(), ssf.clone(), id.clone(), created_ms, launch_ms);
                 ctx.step = step as StepNumber;
                 let (key, update, cond) = op.args(&id);
                 let out = ctx

@@ -62,10 +62,13 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             caller,
             txn,
             is_async,
+            first_attempt_ms,
         } => {
             let instance = id.unwrap_or_else(|| ictx.request_id.as_str().into());
             if core.config.mode == Mode::Baseline {
                 run_baseline(core, ssf, instance, input)
+            } else if first_attempt_ms.is_some_and(|first| retry_window_closed(core, first)) {
+                Outcome::Expired.into_value()
             } else {
                 run_call(core, ssf, instance, input, caller, txn, is_async)
             }
@@ -81,10 +84,19 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
     }
 }
 
+/// True when a root retry first tried at `first_ms` lands past
+/// `first_ms + T`. Its intent finished after `first_ms` and is recycled
+/// only `T` after that, so an admitted retry finds it (DESIGN §13).
+fn retry_window_closed(core: &EnvCore, first_ms: u64) -> bool {
+    let t_ms = core.config.t_max.as_millis() as u64;
+    core.platform.clock().now().as_millis() > first_ms.saturating_add(t_ms)
+}
+
 /// Baseline mode: run the body with raw semantics — no intent, no logs, no
 /// guarantees. This is the paper's comparison system.
 fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, instance: Arc<str>, input: Value) -> Value {
-    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, 0, None, false, None);
+    let now = core.platform.clock().now().as_millis();
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, 0, now);
     match (ssf.body)(&mut ctx, input) {
         Ok(v) => Outcome::Ok(v).into_value(),
         Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
@@ -110,6 +122,9 @@ fn run_call(
 
     let db = &core.db;
     let intent_table = &ssf.intent_table;
+    // The launch: the lease counts from this read, taken before the first
+    // intent store op, so it ends no later than `T` after a done-mark that
+    // op's record predates (DESIGN §13).
     let now_ms = core.platform.clock().now().as_millis();
 
     // The record of an earlier execution of this intent, if there was one.
@@ -132,6 +147,7 @@ fn run_call(
             caller: caller.clone(),
             txn: txn.clone(),
             is_async,
+            first_attempt_ms: None,
         }
         .into_value();
         match intent::register(
@@ -167,16 +183,10 @@ fn run_call(
     }
 
     // Fresh (or resumed) execution.
-    let txn_state = txn.map(TxnState::inherited);
-    let mut ctx = SsfContext::new(
-        core.clone(),
-        ssf.clone(),
-        instance,
-        created_ms,
-        caller.clone(),
-        is_async,
-        txn_state,
-    );
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, created_ms, now_ms);
+    ctx.caller = caller.clone();
+    ctx.is_async = is_async;
+    ctx.txn = txn.map(TxnState::inherited);
     let outcome = run_body(&mut ctx, &ssf.body, input);
     let ret = finish(core, &mut ctx, caller.as_deref(), is_async, outcome);
     // The intent is durably done: if this instance was ever killed by the
@@ -292,6 +302,7 @@ fn run_async_reg(
         caller: Some(caller.clone()),
         txn: None,
         is_async: true,
+        first_attempt_ms: None,
     };
     if let Err(e) = intent::register(
         &core.db,
@@ -354,15 +365,8 @@ fn run_txn_signal(
     }
     let decision = txn.mode;
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
-    let mut ctx = SsfContext::new(
-        core.clone(),
-        ssf.clone(),
-        instance,
-        created_ms,
-        None,
-        false,
-        Some(TxnState::inherited(txn)),
-    );
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, created_ms, now_ms);
+    ctx.txn = Some(TxnState::inherited(txn));
     let outcome = match ctx.finalize(decision) {
         Ok(()) => Outcome::Ok(Value::Null),
         Err(e) => Outcome::Error(e.to_string()),

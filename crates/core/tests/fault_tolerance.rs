@@ -15,7 +15,7 @@ use std::time::Duration;
 use beldi::value::{vmap, Value};
 use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, StormPolicy};
 use beldi_simclock::{Gauge, Hist, Metric};
-use beldi_simdb::ScanRequest;
+use beldi_simdb::{LatencyModel, ScanRequest};
 
 mod common;
 
@@ -419,9 +419,8 @@ fn drain_recovery_completes_crashed_async_work() {
 /// GC's `finish + T_max` recycling rule (§5) is only safe if the platform
 /// kills any execution `T_max` after its launch — otherwise a long-lived
 /// duplicate can outlive the recycling of its own intent row and re-apply
-/// effects. The simulator enforces that lease at crash probes when
-/// `enforce_t_max` is on: an expired instance dies at its next probe,
-/// *before* its next effect. With a lease shorter than any storage
+/// effects. The simulator enforces that lease at every crash probe: an
+/// expired instance dies at its next probe, *before* its next effect. With a lease shorter than any storage
 /// operation every launch has expired by its second probe, so the
 /// invocation fails without ever writing state.
 #[test]
@@ -430,9 +429,7 @@ fn expired_execution_lease_kills_instances_before_their_next_effect() {
     // The shortest lease `validate()` admits, against a latency model
     // whose fastest operation takes over 2 ms: the body's first read
     // outlasts the lease, and the probe before its log write kills it.
-    let cfg = BeldiConfig::beldi()
-        .with_t_max(Duration::from_millis(1))
-        .with_enforce_t_max(true);
+    let cfg = BeldiConfig::beldi().with_t_max(Duration::from_millis(1));
     let env = slow_pipeline_env(cfg);
     env.invoke("root", Value::Int(0)).unwrap_err();
     assert!(
@@ -447,13 +444,125 @@ fn expired_execution_lease_kills_instances_before_their_next_effect() {
     );
 }
 
+/// The lease is checked at the probe just before a write applies, and a
+/// write applies when it is issued: so a deadline that falls inside a
+/// DAAL write's traversal kills the instance at
+/// `Label::DaalWritePreApply`, and the row never gets the step's entry.
+/// Only scans cost time here (10 ms each); the lease is 5 ms, so the
+/// write's traversal scan carries the instance across its deadline after
+/// `Label::DaalWriteEnter` passed.
+#[test]
+fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
+    beldi::silence_crash_backtraces();
+    let scans_only = LatencyModel {
+        scan_base: Duration::from_millis(10),
+        ..LatencyModel::zero()
+    };
+    let cfg = BeldiConfig::beldi().with_t_max(Duration::from_millis(5));
+    let env = BeldiEnv::builder(cfg).latency(scans_only).build();
+    env.register_ssf(
+        "w",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.write("t", "k", Value::Int(1))?;
+            Ok(Value::Null)
+        }),
+    );
+    let faults = env.platform().faults();
+    faults.start_trace();
+    env.invoke_attempts("w", "i", Value::Null, 1).unwrap_err();
+    assert_eq!(faults.timeout_count(), 1);
+    let rows = env
+        .db()
+        .query("w.data.t", &Value::from("k"), &ScanRequest::all())
+        .unwrap();
+    assert!(rows.is_empty(), "the killed step's entry landed: {rows:?}");
+    let passed: Vec<Label> = faults
+        .take_trace()
+        .into_iter()
+        .filter(|e| e.instance == "i")
+        .map(|e| e.label)
+        .collect();
+    assert_eq!(passed.last(), Some(&Label::DaalWriteEnter), "{passed:?}");
+    assert!(!passed.contains(&Label::DaalWritePreApply), "{passed:?}");
+}
+
+/// A relaunch's lease runs from its launch, not from the end of its
+/// registration: the intent's done-mark can land while the relaunch's
+/// registration load is in flight, a load that still saw the intent
+/// unfinished. Here only a get costs time (100 ms) and `T` is 10 s. The
+/// first execution marks done at `F`; a relaunch arrives at `F − 10 ms`
+/// and its load returns at `F + 90 ms`. At `F + T + 1 ms` the GC recycles
+/// both intents and their logs, and at `F + T + 50 ms` the relaunch
+/// reaches its call. Leased from its launch, it dies at the call's first
+/// probe. Leased from the load's return, it would re-run the callee,
+/// whose cross-table logs are gone, and count twice.
+#[test]
+fn a_relaunch_is_leased_from_its_launch_not_its_registration() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const F: u64 = 5_000;
+    const T: u64 = 10_000;
+    beldi::silence_crash_backtraces();
+    let gets_only = LatencyModel {
+        get_base: Duration::from_millis(100),
+        ..LatencyModel::zero()
+    };
+    let cfg = BeldiConfig::cross_table().with_t_max(Duration::from_millis(T));
+    let env = Arc::new(BeldiEnv::builder(cfg).latency(gets_only).build());
+    let at = beldi_simclock::SimInstant::from_millis;
+    env.register_ssf(
+        "counter",
+        &["s"],
+        Arc::new(|ctx, _| {
+            let c = ctx.read("s", "n")?.as_int().unwrap_or(0);
+            ctx.write("s", "n", Value::Int(c + 1))?;
+            Ok(Value::Int(c + 1))
+        }),
+    );
+    let started = AtomicBool::new(false);
+    let clock = env.clock().clone();
+    env.register_ssf(
+        "root",
+        &[],
+        Arc::new(move |ctx, _| {
+            let relaunch = started.swap(true, Ordering::SeqCst);
+            if relaunch {
+                clock.sleep_until(at(F + T + 50));
+            }
+            let out = ctx.sync_invoke("counter", Value::Null)?;
+            if !relaunch {
+                clock.sleep_until(at(F));
+            }
+            Ok(out)
+        }),
+    );
+    let first = common::spawn(&env, "first", |env| {
+        assert_eq!(env.invoke_as("root", "r", Value::Null), Ok(Value::Int(1)));
+    });
+    let relaunch = common::spawn(&env, "relaunch", move |env| {
+        env.clock().sleep_until(at(F - 10));
+        env.invoke_attempts("root", "r", Value::Null, 1)
+            .unwrap_err();
+    });
+    env.clock().sleep_until(at(F + T + 1));
+    for ssf in ["root", "counter"] {
+        assert_eq!(env.run_gc_once(ssf).unwrap().recycled_intents, 1, "{ssf}");
+    }
+    assert_eq!(env.clock().now(), at(F + T + 1), "the passes took time");
+    common::join_all(vec![first, relaunch]);
+    assert_eq!(env.platform().faults().timeout_count(), 1);
+    assert_eq!(
+        env.read_current("counter", "s", "n").unwrap(),
+        Value::Int(1),
+        "the relaunch ran its call past the recycle"
+    );
+}
+
 /// The flip side: a lease that comfortably exceeds execution time is
-/// never binding, and enforcement alone changes nothing.
+/// never binding.
 #[test]
 fn generous_execution_lease_is_never_binding() {
-    let cfg = BeldiConfig::beldi()
-        .with_t_max(Duration::from_secs(3_600))
-        .with_enforce_t_max(true);
+    let cfg = BeldiConfig::beldi().with_t_max(Duration::from_secs(3_600));
     let env = pipeline_env(cfg);
     env.invoke("root", Value::Int(0)).unwrap();
     assert_pipeline_state(&env, 1);
@@ -463,15 +572,14 @@ fn generous_execution_lease_is_never_binding() {
 /// Storm-surfaced fix: root retries stop `T_max` after the first attempt
 /// instead of burning the whole attempt budget. Every extra attempt is a
 /// fresh wrapper registration — past GC's recycle horizon that would
-/// silently re-execute a completed workflow as duplicate effects — so the
-/// client contract is: retry only inside the lease window, then fail the
-/// request back to the caller.
+/// silently re-execute a completed workflow as duplicate effects — so a
+/// retry carries its first attempt's time, the wrapper refuses one that
+/// lands past the lease window, and the client fails the request back to
+/// the caller.
 #[test]
 fn root_retries_stop_at_the_lease_window() {
     beldi::silence_crash_backtraces();
-    let cfg = BeldiConfig::beldi()
-        .with_t_max(Duration::from_millis(10))
-        .with_enforce_t_max(true);
+    let cfg = BeldiConfig::beldi().with_t_max(Duration::from_millis(10));
     let env = slow_pipeline_env(cfg);
     // Every attempt dies on the lease: the pipeline's storage operations
     // add up to several times 10 ms of modelled time. A 1000-attempt

@@ -6,6 +6,7 @@
 //! preserving every ordering.
 
 use beldi::Label;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -494,33 +495,98 @@ fn gc_report_counts_are_coherent() {
     assert_eq!(env.run_gc_once("ctr").unwrap(), GcReport::default());
 }
 
-/// Storm-surfaced fix: with the execution lease enforced, a cooperatively
-/// killed zombie can land one last logged write just past `finish + T`,
-/// and client retries run until `first attempt + T` — so the recycle
-/// horizon doubles to `finish + 2T`. One `T` past finish nothing may be
-/// pruned; past `2T` collection proceeds as usual.
+/// The row ids of `table` under hash key `key`, and how many of them the
+/// walk from `HEAD` along `NextRow` reaches.
+fn chain_rows(env: &BeldiEnv, table: &str, key: &str) -> (usize, usize) {
+    use beldi::schema::{A_NEXT_ROW, A_ROW_ID, ROW_HEAD};
+    let rows = env
+        .db()
+        .query(table, &Value::from(key), &ScanRequest::all())
+        .unwrap();
+    let next: BTreeMap<&str, Option<&str>> = rows
+        .iter()
+        .filter_map(|r| Some((r.get_str(A_ROW_ID)?, r.get_str(A_NEXT_ROW))))
+        .collect();
+    let mut reached = 0;
+    let mut cursor = Some(ROW_HEAD);
+    while let Some(&row_next) = cursor.and_then(|id| next.get(id)) {
+        reached += 1;
+        if reached > rows.len() {
+            break; // A cycle.
+        }
+        cursor = row_next;
+    }
+    (rows.len(), reached)
+}
+
+/// Step 4 unlinks a run of recyclable rows through the last row still on
+/// the chain. Fourteen writes at row capacity 2 give a chain of head, six
+/// interior rows and a tail; past `T` every interior row is recyclable,
+/// and past the dangle wait all six are gone. Unlinking a row through its
+/// already-unlinked predecessor would leave every second one stamped but
+/// reachable, and kept for good.
 #[test]
-fn lease_enforcement_doubles_the_recycle_horizon() {
-    let t = Duration::from_secs(60);
-    let env = counter_env(gc_config().with_t_max(t).with_enforce_t_max(true));
-    env.invoke("ctr", Value::Null).unwrap();
+fn a_run_of_recyclable_rows_is_collected_to_head_and_tail() {
+    let env = counter_env(gc_config().with_row_capacity(2));
+    for _ in 0..14 {
+        env.invoke("ctr", Value::Null).unwrap();
+    }
+    let built = env.daal_chain_len("ctr", "t", "k").unwrap();
+    assert!(built >= 6, "{built} rows: too few interior rows");
+    for _ in 0..3 {
+        wait_t(&env);
+        env.run_gc_once("ctr").unwrap();
+    }
+    assert_eq!(env.daal_chain_len("ctr", "t", "k").unwrap(), 2);
+    assert_eq!(table_len(&env, "ctr.data.t"), 2, "{built} rows built");
+    assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(14));
+}
 
-    // 1.2·T past finish: inside the straggler window — nothing recycles.
-    env.clock().sleep(t + t / 5);
-    let mid = env.run_gc_once("ctr").unwrap();
-    assert_eq!(mid.recycled_intents, 0, "recycled inside the zombie window");
-    assert_eq!(table_len(&env, "ctr.intent"), 1);
-    assert!(
-        table_len(&env, "ctr.log") >= 1,
-        "logs pruned inside the zombie window"
+/// The same for a shadow chain that is not yet whole garbage: a
+/// transaction's callee writes one item ten times and finishes, then its
+/// caller writes the item once more and dies before the commit. Past `T`
+/// every row but the tail holds only the callee's entries; the rows
+/// between head and tail go, and the unfinished caller's tail stays on
+/// the chain. (A shadow row is deleted once its dangle wait is over,
+/// reachable or not, so a leaked row would cut the tail off the head.)
+#[test]
+fn a_run_of_recyclable_shadow_rows_is_collected_to_head_and_tail() {
+    beldi::silence_crash_backtraces();
+    let env = BeldiEnv::for_tests_with(gc_config().with_row_capacity(2));
+    env.register_ssf(
+        "txn",
+        &["t"],
+        Arc::new(|ctx, input| {
+            if input.as_str() == Some("callee") {
+                for i in 0..10 {
+                    ctx.write("t", "k", Value::Int(i))?;
+                }
+                return Ok(Value::Null);
+            }
+            ctx.begin_tx()?;
+            ctx.sync_invoke("txn", Value::from("callee"))?;
+            ctx.write("t", "k", Value::Int(10))?;
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
     );
-
-    // Past 2·T the horizon closes and collection proceeds as usual.
-    env.clock().sleep(t + t / 5);
-    let late = env.run_gc_once("ctr").unwrap();
-    assert_eq!(late.recycled_intents, 1);
-    assert_eq!(table_len(&env, "ctr.intent"), 0);
-    assert_eq!(table_len(&env, "ctr.log"), 0);
+    let faults = env.platform().faults();
+    faults.plan("root".to_owned(), CrashPlan::AtLabel(Label::TxnPreFinalize));
+    env.invoke_attempts("txn", "root", Value::Null, 1)
+        .unwrap_err();
+    let shadow = "txn.data.t.shadow";
+    let keys = env.db().distinct_hash_keys(shadow).unwrap();
+    assert_eq!(keys.len(), 1, "{keys:?}");
+    let key = keys[0].as_str().unwrap().to_owned();
+    let (built, reached) = chain_rows(&env, shadow, &key);
+    assert!(built >= 6, "{built} rows: too few interior rows");
+    assert_eq!(reached, built);
+    for _ in 0..3 {
+        wait_t(&env);
+        env.run_gc_once("txn").unwrap();
+    }
+    // Head and tail, and the tail is still reached from the head.
+    assert_eq!(chain_rows(&env, shadow, &key), (2, 2), "{built} rows built");
 }
 
 #[test]
@@ -662,7 +728,7 @@ fn every_entry_env(cfg: BeldiConfig) -> BeldiEnv {
 }
 
 /// Runs the workflow, re-drives whatever a crash left unfinished, then
-/// collects past `2·T_max` until a pass recycles nothing.
+/// collects past `T_max` until a pass recycles nothing.
 fn run_and_collect(env: &BeldiEnv) {
     let _ = env.invoke_as("root", "r", Value::Null);
     let drain = env.drain_recovery(50).unwrap();

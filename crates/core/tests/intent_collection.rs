@@ -113,9 +113,9 @@ fn bounded_ic_pass_rotates_past_an_ineligible_head() {
 /// An intent row with no stored call envelope cannot be re-fired. The IC
 /// must count it as corrupt and quarantine it (mark it done with a null
 /// outcome) so the unfinished index stops returning it — before the fix
-/// it was rescanned by every pass and the system never quiesced. Debug
-/// builds additionally fail the pass loudly, because a corrupt intent is
-/// a protocol bug, not an operational condition.
+/// it was rescanned by every pass and the system never quiesced. The
+/// pass itself succeeds in every build: the registry carries the count
+/// the gates fail on.
 #[test]
 fn null_args_intent_is_quarantined_not_rescanned_forever() {
     let cfg = BeldiConfig::beldi().with_ic_restart_delay(Duration::from_millis(1));
@@ -123,13 +123,8 @@ fn null_args_intent_is_quarantined_not_rescanned_forever() {
     let now = env.clock().now().as_millis();
     plant_intent(&env, "sink", "broken", Value::Null, now);
 
-    let first = env.run_ic_once("sink");
-    if cfg!(debug_assertions) {
-        let err = first.unwrap_err().to_string();
-        assert!(err.contains("no stored call envelope"), "{err}");
-    } else {
-        assert_eq!(first.unwrap().corrupt, 1);
-    }
+    let first = env.run_ic_once("sink").unwrap();
+    assert_eq!(first.corrupt, 1, "{first:?}");
     assert_eq!(
         env.telemetry().get(Metric::IcCorrupt),
         1,
@@ -161,16 +156,8 @@ fn undecodable_intent_is_quarantined_not_relaunched_forever() {
     plant_intent(&env, "sink", "callback", callback, now);
     env.clock().sleep(Duration::from_millis(10));
 
-    // Debug builds fail each pass that quarantines, one row per pass.
-    if cfg!(debug_assertions) {
-        for _ in 0..2 {
-            let err = env.run_ic_once("sink").unwrap_err().to_string();
-            assert!(err.contains("no stored call envelope"), "{err}");
-        }
-    } else {
-        let pass = env.run_ic_once("sink").unwrap();
-        assert_eq!((pass.corrupt, pass.restarted), (2, 0), "{pass:?}");
-    }
+    let pass = env.run_ic_once("sink").unwrap();
+    assert_eq!((pass.corrupt, pass.restarted), (2, 0), "{pass:?}");
     assert_eq!(env.telemetry().get(Metric::IcCorrupt), 2);
 
     // Quarantined: nothing is unfinished and nothing restarts.

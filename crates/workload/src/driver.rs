@@ -98,9 +98,11 @@ pub struct DriveOptions {
     /// Virtual-time period of the GC timers (and half the storage
     /// sampling period).
     pub gc_period: Duration,
-    /// `T` (max SSF lifetime) for GC-enabled runs — small relative to
-    /// the run's virtual duration, so recycling reaches steady state
-    /// within the measured window.
+    /// `T` (the execution lease and recycle horizon) for GC-enabled
+    /// runs — small relative to the run's virtual duration, so recycling
+    /// reaches steady state within the measured window, but above the
+    /// run's latency tail: the lease kills any instance still running `T`
+    /// after its launch.
     pub gc_t_max: Duration,
     /// Platform concurrency cap override (`None` = the driver default of
     /// 1000). The in-flight stress tests pin this *low* to prove the
@@ -132,18 +134,14 @@ pub struct ChaosOptions {
     /// dominated by detection + re-execution rather than the paper's
     /// production 30 s back-off.
     pub ic_restart_delay: Duration,
-    /// `T_max` for the run (virtual). Chaos runs enforce the platform's
-    /// execution-timeout contract in the wrapper
-    /// ([`beldi::BeldiConfig::enforce_t_max`]) — the bound Beldi's GC
-    /// safety argument requires once crashes make concurrent duplicate
-    /// executions routine — so this must comfortably exceed the slowest
-    /// instance's execution time or retry storms livelock on the lease.
-    /// It also bounds the client side: root retries stop `T_max` after
-    /// the first attempt, and GC recycles a done intent no earlier than
-    /// `finish + 2·T_max`, so no retry (nor any zombie's final in-flight
-    /// write) can land after its logs were pruned. At long-run scale
-    /// (heavy queueing, modelled latency) size this against the observed
-    /// request-latency tail, not the smoke defaults.
+    /// `T_max` for the run (virtual, [`beldi::BeldiConfig::t_max`]): the
+    /// lease that kills an instance `T` after its launch, the window in
+    /// which a root retry is admitted, and the GC's recycle horizon. It
+    /// must exceed the run's latency tail, chaos-inflated execution times
+    /// included, or healthy instances die on the lease and retry storms
+    /// livelock on it. At long-run scale (heavy queueing, modelled
+    /// latency) size it against the observed request-latency tail, not
+    /// the smoke defaults.
     pub t_max: Duration,
     /// Re-launch killed intents (root retries + IC timers + post-run
     /// recovery drain). `false` is the sabotage configuration the
@@ -179,7 +177,7 @@ impl Default for DriveOptions {
             tail_cache: true,
             gc: false,
             gc_period: Duration::from_millis(500),
-            gc_t_max: Duration::from_secs(2),
+            gc_t_max: Duration::from_secs(4),
             platform_concurrency: None,
             chaos: None,
         }
@@ -335,6 +333,9 @@ pub struct RecoverySection {
     /// Corrupt (envelope-less) intents the IC quarantined — zero in a
     /// healthy system.
     pub ic_corrupt: u64,
+    /// Corrupt chains plus intents the GC counted and skipped — zero in
+    /// a healthy system.
+    pub gc_corrupt: u64,
     /// Killed instances that reached `Done` (the recovery-latency
     /// sample count).
     pub recovered_intents: u64,
@@ -356,7 +357,7 @@ pub struct RecoverySection {
 
 wire_fields!(RecoverySection:
     injected_crashes, restarts, crash_sites, ic_passes, ic_restarted, ic_crashes, gc_crashes,
-    ic_corrupt, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
+    ic_corrupt, gc_corrupt, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
     duplicate_effects, oracle_digest, digest_match
 );
 
@@ -625,15 +626,11 @@ fn build_bench_env(
             .with_collector_period(opts.gc_period);
     }
     if let Some(c) = chaos {
-        // The storm makes concurrent duplicate executions routine, so the
-        // platform-timeout bound the GC's recycling rule assumes must
-        // actually be enforced (`enforce_t_max`), with a `t_max` sized
-        // for chaos-inflated execution times rather than the GC-test
-        // default.
+        // A `t_max` sized for chaos-inflated execution times rather than
+        // the GC-test default.
         cfg = cfg
             .with_ic_restart_delay(c.ic_restart_delay)
-            .with_t_max(c.t_max)
-            .with_enforce_t_max(true);
+            .with_t_max(c.t_max);
     }
     let mut builder = BeldiEnv::builder(cfg)
         .seed(opts.seed)
@@ -763,6 +760,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
             ic_crashes: t.get(Metric::IcCrashes),
             gc_crashes: t.get(Metric::GcCrashes),
             ic_corrupt: t.get(Metric::IcCorrupt),
+            gc_corrupt: t.get(Metric::GcCorruptChains) + t.get(Metric::GcCorruptIntents),
             recovered_intents: latencies.len(),
             recovery_p50_ms: pct(0.50),
             recovery_p90_ms: pct(0.90),
@@ -1052,6 +1050,7 @@ mod tests {
                 ic_crashes: 2,
                 gc_crashes: 1,
                 ic_corrupt: 0,
+                gc_corrupt: 0,
                 recovered_intents: 14,
                 recovery_p50_ms: 120,
                 recovery_p90_ms: 450,
@@ -1186,6 +1185,7 @@ mod tests {
                 "crash_sites",
                 "digest_match",
                 "duplicate_effects",
+                "gc_corrupt",
                 "gc_crashes",
                 "ic_corrupt",
                 "ic_crashes",

@@ -40,6 +40,7 @@ use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, CrashPlan, Label, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
+use beldi_simclock::Metric;
 use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
 use beldi_simfaas::TraceEntry;
 use rand::rngs::SmallRng;
@@ -118,6 +119,8 @@ pub enum ViolationKind {
     EffectDivergence,
     /// Logs/intents/DAAL rows survived the GC quiescence check.
     GcResidue,
+    /// A collector counted (and skipped) a corrupt chain or intent.
+    Corruption,
 }
 
 impl std::fmt::Display for ViolationKind {
@@ -129,6 +132,7 @@ impl std::fmt::Display for ViolationKind {
             ViolationKind::StateDivergence => "state-divergence",
             ViolationKind::EffectDivergence => "effect-divergence",
             ViolationKind::GcResidue => "gc-residue",
+            ViolationKind::Corruption => "corruption",
         };
         f.write_str(s)
     }
@@ -344,6 +348,7 @@ struct RunOutcome {
     state: Value,
     effects: i64,
     gc_residue: Option<String>,
+    corruption: Option<String>,
 }
 
 /// `T` used for explorer environments (virtual, like every wait here: the
@@ -430,8 +435,26 @@ fn run_schedule(
         state,
         effects,
         gc_residue,
+        corruption: counted_corruption(&env),
     };
     (outcome, env)
+}
+
+/// The corruption the run's collectors counted and skipped, if any: a
+/// pass goes on past it, so it is read from the registry.
+fn counted_corruption(env: &BeldiEnv) -> Option<String> {
+    let t = env.telemetry();
+    let metrics = [
+        Metric::GcCorruptChains,
+        Metric::GcCorruptIntents,
+        Metric::IcCorrupt,
+    ];
+    let counted: Vec<String> = metrics
+        .into_iter()
+        .filter(|&m| t.get(m) > 0)
+        .map(|m| format!("{} = {}", m.as_str(), t.get(m)))
+        .collect();
+    (!counted.is_empty()).then(|| counted.join(", "))
 }
 
 /// Drives the GC to quiescence and reports anything left behind.
@@ -573,14 +596,14 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         violations: Vec::new(),
     };
     let mut reached: Vec<Label> = oracle.trace.iter().map(|t| t.label).collect();
-    if !oracle.errors.is_empty() || oracle.unfinished != 0 {
+    if !oracle.errors.is_empty() || oracle.unfinished != 0 || oracle.corruption.is_some() {
         report.violations.push(Violation {
             kind: ViolationKind::RequestError,
             schedule: Vec::new(),
             label: "<oracle>",
             detail: format!(
-                "crash-free oracle run failed: errors={:?} unfinished={}",
-                oracle.errors, oracle.unfinished
+                "crash-free oracle run failed: errors={:?} unfinished={} corruption={:?}",
+                oracle.errors, oracle.unfinished, oracle.corruption
             ),
         });
         return report;
@@ -682,6 +705,9 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         }
         if let Some(residue) = out.gc_residue {
             fail(ViolationKind::GcResidue, residue);
+        }
+        if let Some(counted) = out.corruption {
+            fail(ViolationKind::Corruption, counted);
         }
     }
     report.crashed_labels = in_table_order(&crashed);

@@ -193,7 +193,8 @@ pub fn growth_gate(report: &BenchReport, max_growth: f64) -> Vec<String> {
 /// - the conservation digest equals the crash-free oracle's;
 /// - duplicate effects beyond the oracle are within
 ///   `max_duplicate_effects` (CI pins this to zero);
-/// - the IC quarantined no corrupt intents;
+/// - the collectors counted no corruption: the IC quarantined no
+///   intent, and the GC skipped no corrupt chain or intent;
 /// - recovery p99 (virtual ms) is within the `max_recovery_p99_ms` SLO.
 ///
 /// Vacuous passes are rejected: a report with no chaos run at all fails,
@@ -258,10 +259,10 @@ pub fn recovery_gate(
                 rec.duplicate_effects, max_duplicate_effects
             ));
         }
-        if rec.ic_corrupt > 0 {
+        if rec.ic_corrupt + rec.gc_corrupt > 0 {
             failures.push(format!(
-                "{key}: IC quarantined {} corrupt intent(s)",
-                rec.ic_corrupt
+                "{key}: IC quarantined {} corrupt intent(s), GC skipped {} corrupt item(s)",
+                rec.ic_corrupt, rec.gc_corrupt
             ));
         }
         if rec.recovery_p99_ms > max_recovery_p99_ms {
@@ -316,6 +317,7 @@ mod tests {
                 ic_crashes: 1,
                 gc_crashes: 1,
                 ic_corrupt: 0,
+                gc_corrupt: 0,
                 recovered_intents: 15,
                 recovery_p50_ms: 100,
                 recovery_p90_ms: 300,
@@ -567,6 +569,17 @@ mod tests {
         let failures = recovery_gate(&report(vec![r]), 2_000, 0);
         assert!(
             failures.iter().any(|f| f.contains("corrupt intent")),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn recovery_gate_rejects_gc_counted_corruption() {
+        let mut r = chaos_run("travel");
+        r.recovery.as_mut().unwrap().gc_corrupt = 1;
+        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        assert!(
+            failures.iter().any(|f| f.contains("GC skipped 1 corrupt")),
             "{failures:?}"
         );
     }

@@ -268,7 +268,7 @@ const NOT_REACHED: &[(Label, &str)] = &[
     ),
     (
         Label::PlatformTMax,
-        "not a probe: `timeout_kill` tallies a lease expiry, and the explorer runs without `enforce_t_max`",
+        "not a probe: `timeout_kill` tallies a lease expiry, and the explorer's instances run in zero virtual time, so no lease expires",
     ),
 ];
 
