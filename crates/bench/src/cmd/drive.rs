@@ -2,8 +2,10 @@
 //! `BENCH_results.json` and the CI perf gate (`DESIGN.md` §9).
 //!
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
-//! workers {1, 4}, 120 requests per run. Every number in the report but
-//! `wall_ms` repeats exactly for the same flags.
+//! workers {1, 4}, 120 requests per run, plus the front door's row —
+//! `front --smoke`'s media/beldi run of 64 requests over 4 connections.
+//! Every number in the report but `wall_ms` repeats exactly for the same
+//! flags.
 //! `--gc` runs the per-SSF collectors beside the client workers and
 //! records the storage-growth series `gate --gc-results` checks (§10);
 //! `--chaos` adds a seeded crash storm over traffic and collectors and
@@ -14,10 +16,12 @@
 
 use std::time::Duration;
 
+use beldi::Mode;
 use beldi_apps::{bench_app, MixProfile};
 use beldi_workload::driver::{drive, BenchReport, ChaosOptions, DriveOptions};
 
 use crate::cli::{usage_error, Args, Cli};
+use crate::front::front_smoke;
 use crate::print_table;
 
 pub(crate) fn flags(cli: Cli) -> Cli {
@@ -108,6 +112,7 @@ pub(crate) fn main(args: &Args) {
         mix: mix.name().to_owned(),
         tail_cache: opts_template.tail_cache,
         runs: Vec::new(),
+        front: None,
     };
     let mut rows = Vec::new();
     for kind in &apps {
@@ -233,6 +238,16 @@ pub(crate) fn main(args: &Args) {
         );
     }
 
+    if args.flag("--smoke") {
+        // The front door's row: `front --smoke` with its defaults.
+        let (partitions, seed) = (opts_template.partitions, opts_template.seed);
+        let front = front_smoke("media", Mode::Beldi, 64, 4, partitions, seed)
+            .expect("media is a bench app");
+        println!();
+        front.print_summary();
+        report.front = Some(front.run);
+    }
+
     if let Some(path) = args.value("--json") {
         if let Err(e) = std::fs::write(&path, report.to_json()) {
             eprintln!("writing {path}: {e}");
@@ -241,7 +256,8 @@ pub(crate) fn main(args: &Args) {
         println!("\nwrote {path} ({} runs)", report.runs.len());
     }
 
-    let errors: u64 = report.runs.iter().map(|r| r.errors).sum();
+    let front_errors = report.front.as_ref().map_or(0, |f| f.errors);
+    let errors: u64 = report.runs.iter().map(|r| r.errors).sum::<u64>() + front_errors;
     if errors > 0 {
         eprintln!("{errors} request error(s) across runs");
         std::process::exit(1);

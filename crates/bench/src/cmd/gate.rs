@@ -3,7 +3,8 @@
 //!
 //! - `--baseline B --results R`: a fresh `drive --smoke` against the
 //!   checked-in baseline — every baseline run must reappear equal in
-//!   every field but `wall_ms` (DESIGN.md §9 says how to re-baseline).
+//!   every field but `wall_ms`, and the front door's row equal in every
+//!   field (DESIGN.md §9 says how to re-baseline).
 //! - `--gc-results R [--max-growth 0.25]`: a `drive --smoke --gc` report
 //!   must show bounded steady-state DAAL/log growth under online GC.
 //! - `--chaos-results R [--max-recovery-p99 2000] [--max-duplicate-effects 0]`:

@@ -2,7 +2,9 @@
 //! (`POST /invoke/{ssf}` with a JSON body, until killed), or, with
 //! `--smoke`, run the CI gate — drive a seeded stream through real
 //! sockets, replay it in-process, and fail unless the state digests match
-//! and the door sustained a nonzero request rate (DESIGN.md §14).
+//! and the door sustained a nonzero request rate (DESIGN.md §14). The
+//! served environment runs on its seeded `SimClock`, so a smoke report is
+//! the same on every run but `wall_ms` and `rps`.
 
 use std::sync::Arc;
 
@@ -54,12 +56,7 @@ pub(crate) fn main(args: &Args) {
         let clients = args.usize("--clients");
         let report = front_smoke(&kind, mode, requests, clients, partitions, seed)
             .unwrap_or_else(|| unknown_app());
-        println!(
-            "front smoke: {} requests via {} client(s) in {} ms ({:.1} rps, {} errors)",
-            report.requests, report.clients, report.wall_ms, report.rps, report.errors
-        );
-        println!("  front digest:      {}", report.front_digest);
-        println!("  in-process digest: {}", report.inproc_digest);
+        report.print_summary();
         if let Some(path) = args.value("--json") {
             std::fs::write(&path, report.to_json()).expect("write smoke report");
             println!("  report written to {path}");
@@ -68,7 +65,7 @@ pub(crate) fn main(args: &Args) {
             println!("\nFAIL: networked state diverged from the in-process run");
             std::process::exit(1);
         }
-        if report.errors > 0 || report.rps <= 0.0 {
+        if report.run.errors > 0 || report.rps <= 0.0 {
             println!("\nFAIL: the door dropped requests or served at zero rps");
             std::process::exit(1);
         }
@@ -87,12 +84,7 @@ pub(crate) fn main(args: &Args) {
     for ssf in env.ssf_names() {
         println!("  ssf: {ssf}");
     }
-    // Serve until the process is killed.
-    loop {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the door's threads do the serving; this one only keeps the process alive"
-        )]
-        std::thread::park();
-    }
+    // Serve until the process is killed: this thread, the clock's first
+    // participant, waits for the door on the clock.
+    door.wait();
 }

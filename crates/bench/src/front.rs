@@ -1,21 +1,21 @@
-//! The network front door: an HTTP/1.1 gateway over the cooperative
-//! executor (DESIGN.md §14).
+//! The network front door: an HTTP/1.1 gateway onto the environment's
+//! clock (DESIGN.md §14).
 //!
-//! A [`FrontDoor`] binds a [`std::net::TcpListener`], accepts
-//! keep-alive connections on plain threads, and routes every
-//! `POST /invoke/{ssf}` body onto one [`beldi_runtime::Executor`] as a
-//! root workflow task ([`beldi::BeldiEnv::invoke_task`]). The workflow
-//! is a cheap executor task, but each in-flight request also holds its
-//! connection's thread, parked on a channel until the reply: the door
-//! carries as many requests at once as it has connections, one OS thread
-//! each. The wire format is deliberately
-//! minimal — JSON bodies, `content-length` framing, no chunked
-//! encoding — because the client is the workspace's own harness, not a
-//! browser.
+//! A [`FrontDoor`] binds a [`std::net::TcpListener`] and accepts
+//! keep-alive connections on plain threads. Those *socket threads* only
+//! parse requests and write responses. Everything that touches the
+//! environment — the SSF listing, the `front.*` crash probes, the
+//! door-assigned `front-{n}` instance id and every workflow
+//! ([`beldi::BeldiEnv::invoke_task`]) — happens on one *admission
+//! participant*: a thread of the environment's clock that runs the
+//! door's [`beldi_runtime::Executor`], each workflow a task on it. The
+//! wire format is deliberately minimal — JSON bodies, `content-length`
+//! framing, no chunked encoding — because the client is the workspace's
+//! own harness, not a browser.
 //!
 //! | request                | response                                  |
 //! |------------------------|-------------------------------------------|
-//! | `GET /healthz`         | `200` `ok`                                |
+//! | `GET /healthz`         | `200` `ok` (from the socket thread)       |
 //! | `GET /ssfs`            | `200` JSON array of registered SSF names  |
 //! | `POST /invoke/{ssf}`   | `200` `{"ok": result}` / `500` `{"error"}`|
 //!
@@ -23,16 +23,28 @@
 //! answered `413` before it is allocated, a request or header line over
 //! 8 KiB or a 65th header `431`; either closes the connection.
 //!
+//! **Admission order is fixed.** Requests are admitted by connection
+//! index (accept order), then by sequence within the connection, never
+//! by arrival. While an open connection has been answered and has sent
+//! neither its next request nor its close, the admission participant
+//! *holds*: it waits for those bytes and keeps the clock's baton, so no
+//! other participant runs and virtual time stands still. That models
+//! closed-loop clients with zero think time, one per connection: a
+//! client that keeps an answered connection open while it waits on
+//! another connection stalls the door. A door with no open connection
+//! holds too. So a run whose clients all connect before any of them
+//! sends is a function of the seed (DESIGN.md §14 states the trade-off).
+//!
 //! A caller may pin the workflow instance id with an
 //! `x-beldi-instance` header; retrying a request under the same id
 //! replays the recorded result instead of re-executing (the root
 //! protocol's exactly-once contract). Without the header the door
-//! assigns `front-{n}`.
+//! assigns `front-{n}`, in admission order.
 //!
-//! The handler fires the `front.*` crash points around the executor
-//! handoff and catches its own [`CrashSignal`], dropping the connection
-//! the way a crashed gateway would — so chaos storms extend across the
-//! network boundary.
+//! The admission participant fires the `front.*` crash points around
+//! the executor handoff and catches its own [`CrashSignal`]; the socket
+//! thread then drops the connection the way a crashed gateway would — so
+//! chaos storms extend across the network boundary.
 //!
 //! [`front_smoke`] is the CI gate behind `front --smoke`: it drives a
 //! seeded request stream through real sockets, replays the identical
@@ -42,141 +54,160 @@
 #![expect(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the real-socket exception: the acceptor, the per-connection threads and the smoke \
-              clients wait on TCP peers no simulated clock can see, so the door runs on plain \
-              threads over a ScaledClock; a handler parks its own connection thread on a channel \
-              while its task runs on the executor thread, which never blocks here"
+    reason = "the real-socket exception: the acceptor, the socket threads and the smoke clients \
+              wait on TCP peers no simulated clock can see, so they run outside the schedule and \
+              never touch the environment; the admission participant's one host wait is the hold \
+              (DESIGN.md §14)"
 )]
 
+use std::collections::BTreeMap;
+use std::future::Future;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
+use std::task::Poll;
 
+use beldi::simclock::{Hist, JoinHandle, SimInstant};
 use beldi::value::{json, Value};
-use beldi::{BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
+use beldi::{BeldiEnv, BeldiResult, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::bench_app;
-use beldi_runtime::{Executor, Handle, Semaphore};
+use beldi_runtime::{Executor, Handle};
 use beldi_simfaas::{CrashSignal, Label};
-use beldi_workload::driver::state_digest;
-use beldi_workload::wire::with_key;
+use beldi_workload::driver::{state_digest, FrontRun, LatencySummary};
+use beldi_workload::wire::Wire;
 
-struct DoorState {
-    env: Arc<BeldiEnv>,
-    handle: Handle,
-    seq: AtomicU64,
-    served: AtomicU64,
-    errors: AtomicU64,
+/// What the acceptor and the socket threads tell the admission
+/// participant, over one channel.
+enum Event {
+    /// Connection `index` was accepted; its replies go to the sender
+    /// (`None`: the door crashed, drop the connection).
+    Open(usize, mpsc::Sender<Option<Response>>),
+    /// Connection `index`'s next request. A socket thread sends one and
+    /// waits for its reply before it reads on.
+    Request(usize, Request),
+    /// Connection `index` is gone; its socket thread has exited.
+    Closed(usize),
+    /// The door accepts nothing more.
+    Stop,
+}
+
+/// Stops the acceptor: it accepts nothing more and passes the stop on
+/// to the admission participant.
+#[derive(Clone)]
+struct Stopper {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl Stopper {
+    fn stop(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        // Unblock the acceptor's `incoming()` with a throwaway connect.
+        TcpStream::connect(self.addr).ok();
+    }
 }
 
 /// A running HTTP front door (see the module docs).
 pub struct FrontDoor {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    state: Arc<DoorState>,
-    keepalive: Option<beldi_runtime::sync::Permit>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    executor: Option<std::thread::JoinHandle<()>>,
+    stopper: Stopper,
+    admission: Option<JoinHandle>,
 }
 
 impl FrontDoor {
     /// Binds `bind` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts serving `env`'s registered SSFs on a fresh executor
-    /// seeded with `seed`.
+    /// starts serving `env`'s registered SSFs: an admission participant
+    /// on `env`'s clock, its executor seeded with `seed`.
     pub fn start(env: Arc<BeldiEnv>, bind: &str, seed: u64) -> io::Result<FrontDoor> {
         let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-
-        let rt = Executor::new(env.clock().clone(), seed);
-        let handle = rt.handle();
-        // `Executor::run` returns when the task set drains; the door
-        // holds this permit and parks one task on the semaphore so the
-        // executor outlives idle periods between requests. Dropping the
-        // permit at shutdown lets that task (and `run`) finish.
-        let gate = Semaphore::new(1);
-        let keepalive = gate.try_acquire().expect("fresh semaphore has a permit");
-        {
-            let gate = gate.clone();
-            rt.spawn(async move {
-                let _permit = gate.acquire().await;
-            });
-        }
-        let executor = std::thread::spawn(move || rt.run());
-
-        let state = Arc::new(DoorState {
-            env,
-            handle,
-            seq: AtomicU64::new(0),
-            served: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let acceptor = {
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let state = Arc::clone(&state);
-                    std::thread::spawn(move || {
-                        serve_connection(stream, &state).ok();
-                    });
-                }
-            })
+        let stopper = Stopper {
+            flag: Arc::new(AtomicBool::new(false)),
+            addr: listener.local_addr()?,
         };
-
+        let (events, inbox) = mpsc::channel();
+        {
+            let flag = Arc::clone(&stopper.flag);
+            std::thread::spawn(move || accept(&listener, &flag, &events));
+        }
+        let clock = env.clock().clone();
+        let admission = clock.spawn(
+            "front-admission".into(),
+            Box::new(move || {
+                let rt = Executor::new(env.clock().clone(), seed);
+                let door = Admission {
+                    handle: rt.handle(),
+                    env,
+                    inbox,
+                    conns: BTreeMap::new(),
+                    in_flight: Vec::new(),
+                    assigned: 0,
+                    stopping: false,
+                };
+                rt.block_on(door.run());
+            }),
+        );
         Ok(FrontDoor {
-            addr,
-            stop,
-            state,
-            keepalive: Some(keepalive),
-            acceptor: Some(acceptor),
-            executor: Some(executor),
+            stopper,
+            admission: Some(admission),
         })
     }
 
     /// The bound address (resolves `:0` to the ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.stopper.addr
     }
 
-    /// Requests answered so far (any status).
-    pub fn requests_served(&self) -> u64 {
-        self.state.served.load(Ordering::SeqCst)
-    }
-
-    /// Requests answered with a non-2xx status so far.
-    pub fn request_errors(&self) -> u64 {
-        self.state.errors.load(Ordering::SeqCst)
-    }
-
-    /// Stops accepting, releases the executor keepalive, and joins both
-    /// service threads. In-flight connections are abandoned.
+    /// Stops accepting, then waits until every open connection has
+    /// closed and every admitted workflow has finished. The wait is a
+    /// join of the admission participant, which the clock sees; close
+    /// every client first, or this waits for it.
     pub fn shutdown(mut self) {
-        self.stop_threads();
+        self.stopper.stop();
+        self.join();
     }
 
-    fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's `incoming()` with a throwaway connect.
-        TcpStream::connect(self.addr).ok();
-        if let Some(t) = self.acceptor.take() {
-            t.join().ok();
-        }
-        drop(self.keepalive.take());
-        if let Some(t) = self.executor.take() {
-            t.join().ok();
+    /// Waits for the door without stopping it: forever, unless another
+    /// thread stops it.
+    pub(crate) fn wait(mut self) {
+        self.join();
+    }
+
+    fn join(&mut self) {
+        if let Some(admission) = self.admission.take() {
+            admission.join().ok();
         }
     }
 }
 
 impl Drop for FrontDoor {
     fn drop(&mut self) {
-        self.stop_threads();
+        if self.admission.is_some() {
+            self.stopper.stop();
+            self.join();
+        }
+    }
+}
+
+/// The acceptor: numbers connections in accept order and announces each
+/// before its socket thread can send anything.
+fn accept(listener: &TcpListener, stop: &AtomicBool, events: &mpsc::Sender<Event>) {
+    for (index, conn) in listener.incoming().enumerate() {
+        if stop.load(Ordering::SeqCst) {
+            events.send(Event::Stop).ok();
+            return;
+        }
+        let Ok(stream) = conn else { continue };
+        let (replies, inbox) = mpsc::channel();
+        if events.send(Event::Open(index, replies)).is_err() {
+            return;
+        }
+        let events = events.clone();
+        std::thread::spawn(move || {
+            serve_connection(index, stream, &events, &inbox).ok();
+            events.send(Event::Closed(index)).ok();
+        });
     }
 }
 
@@ -207,10 +238,7 @@ fn headers_too_large() -> Response {
 
 /// Reads one line of at most [`MAX_LINE_BYTES`] into `line`; returns the
 /// byte count (`0` at EOF), or `None` once the line runs past the bound.
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut String,
-) -> io::Result<Option<usize>> {
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<Option<usize>> {
     let n = reader
         .by_ref()
         .take(MAX_LINE_BYTES as u64 + 1)
@@ -222,9 +250,7 @@ fn read_bounded_line(
 /// A request over one of the size limits comes back as the `Err`
 /// response to send; nothing is allocated for it and the rest of its
 /// bytes are left unread, so the connection cannot be reused.
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-) -> io::Result<Option<Result<Request, Response>>> {
+fn read_request(reader: &mut impl BufRead) -> io::Result<Option<Result<Request, Response>>> {
     let mut line = String::new();
     match read_bounded_line(reader, &mut line)? {
         None => return Ok(Some(Err(headers_too_large()))),
@@ -311,6 +337,10 @@ impl Response {
         }
     }
 
+    fn not_found(body: String) -> Response {
+        Response::json(404, "Not Found", body)
+    }
+
     fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         write!(
             w,
@@ -325,31 +355,43 @@ impl Response {
     }
 }
 
-fn serve_connection(stream: TcpStream, state: &DoorState) -> io::Result<()> {
+/// A socket thread: parses requests off `stream`, answers `GET /healthz`
+/// itself, hands every other request to the admission participant and
+/// writes its reply. Returns when the peer closes, a request is
+/// rejected, or the door crashed the connection.
+fn serve_connection(
+    index: usize,
+    stream: TcpStream,
+    events: &mpsc::Sender<Event>,
+    replies: &mpsc::Receiver<Option<Response>>,
+) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     while let Some(framed) = read_request(&mut reader)? {
         let (response, close) = match framed {
+            Ok(req) if (req.method.as_str(), req.path.as_str()) == ("GET", "/healthz") => {
+                let ok = Response {
+                    status: 200,
+                    reason: "OK",
+                    content_type: "text/plain",
+                    body: "ok\n".into(),
+                };
+                (ok, req.close)
+            }
             Ok(req) => {
-                // A scripted front-door crash (`front.*` label) unwinds
-                // here; drop the connection abruptly, as a crashed
-                // gateway would.
-                match std::panic::catch_unwind(AssertUnwindSafe(|| route(&req, state))) {
-                    Ok(r) => (r, req.close),
-                    Err(payload) => {
-                        if payload.downcast_ref::<CrashSignal>().is_some() {
-                            return Ok(());
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
+                let close = req.close;
+                if events.send(Event::Request(index, req)).is_err() {
+                    return Ok(());
+                }
+                match replies.recv() {
+                    Ok(Some(response)) => (response, close),
+                    // A scripted front-door crash (`front.*` label): drop
+                    // the connection abruptly, as a crashed gateway would.
+                    Ok(None) | Err(_) => return Ok(()),
                 }
             }
             Err(reject) => (reject, true),
         };
-        state.served.fetch_add(1, Ordering::SeqCst);
-        if response.status >= 300 {
-            state.errors.fetch_add(1, Ordering::SeqCst);
-        }
         response.write_to(&mut writer)?;
         if close {
             break;
@@ -358,89 +400,230 @@ fn serve_connection(stream: TcpStream, state: &DoorState) -> io::Result<()> {
     Ok(())
 }
 
-fn route(req: &Request, state: &DoorState) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Response {
-            status: 200,
-            reason: "OK",
-            content_type: "text/plain",
-            body: "ok\n".into(),
-        },
-        ("GET", "/ssfs") => {
-            let names: Vec<String> = state
-                .env
-                .ssf_names()
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect();
-            Response::json(200, "OK", format!("[{}]", names.join(",")))
-        }
-        ("POST", path) => match path.strip_prefix("/invoke/") {
-            Some(ssf) if !ssf.is_empty() => invoke(req, ssf, state),
-            _ => Response::json(404, "Not Found", "{\"error\":\"no such route\"}".into()),
-        },
-        _ => Response::json(404, "Not Found", "{\"error\":\"no such route\"}".into()),
-    }
+// ---- Admission -------------------------------------------------------------
+
+/// Where an open connection stands, as the admission participant sees
+/// it. A socket thread has at most one request outstanding.
+enum Turn {
+    /// New or answered: it owes its next request or its close.
+    Owed,
+    /// A request received and not yet admitted.
+    Sent(Request),
+    /// A request admitted and not yet answered.
+    Served,
 }
 
-fn invoke(req: &Request, ssf: &str, state: &DoorState) -> Response {
-    if !state.env.ssf_names().iter().any(|n| n == ssf) {
-        return Response::json(
-            404,
-            "Not Found",
-            format!("{{\"error\":\"unknown ssf {ssf}\"}}"),
-        );
+struct Conn {
+    replies: mpsc::Sender<Option<Response>>,
+    turn: Turn,
+}
+
+/// An admitted workflow. `conn` is `None` once the door crashed before
+/// replying: the workflow runs on, and nobody hears its result.
+struct Flight {
+    conn: Option<usize>,
+    instance: String,
+    admitted: SimInstant,
+    task: beldi_runtime::JoinHandle<BeldiResult<Value>>,
+}
+
+/// The admission participant's state; [`Admission::run`] is its loop.
+struct Admission {
+    env: Arc<BeldiEnv>,
+    handle: Handle,
+    inbox: mpsc::Receiver<Event>,
+    /// Open connections, by index: admission order.
+    conns: BTreeMap<usize, Conn>,
+    in_flight: Vec<Flight>,
+    /// Door-assigned instance ids handed out.
+    assigned: u64,
+    stopping: bool,
+}
+
+impl Admission {
+    async fn run(mut self) {
+        loop {
+            // The hold: nobody else runs until every open connection has
+            // spoken; an idle door waits for a connection or a stop.
+            while self.must_hold() {
+                let Ok(event) = self.inbox.recv() else { return };
+                self.apply(event);
+            }
+            if self.stopping && self.conns.is_empty() && self.in_flight.is_empty() {
+                return;
+            }
+            let sent: Vec<usize> = self
+                .conns
+                .iter()
+                .filter(|(_, c)| matches!(c.turn, Turn::Sent(_)))
+                .map(|(&index, _)| index)
+                .collect();
+            for index in sent {
+                self.admit(index);
+            }
+            if !self.in_flight.is_empty() {
+                for (flight, result) in finished(&mut self.in_flight).await {
+                    self.answer(flight, result);
+                }
+            }
+        }
     }
-    let payload = match std::str::from_utf8(&req.body)
-        .ok()
-        .and_then(|t| json::from_json(t).ok())
-    {
-        Some(v) => v,
-        None => {
-            return Response::json(
+
+    fn must_hold(&self) -> bool {
+        let owed = self.conns.values().any(|c| matches!(c.turn, Turn::Owed));
+        let idle = self.conns.is_empty() && self.in_flight.is_empty() && !self.stopping;
+        owed || idle
+    }
+
+    fn apply(&mut self, event: Event) {
+        match event {
+            Event::Open(index, replies) => {
+                let turn = Turn::Owed;
+                self.conns.insert(index, Conn { replies, turn });
+            }
+            Event::Request(index, req) => {
+                if let Some(conn) = self.conns.get_mut(&index) {
+                    conn.turn = Turn::Sent(req);
+                }
+            }
+            Event::Closed(index) => {
+                self.conns.remove(&index);
+            }
+            Event::Stop => self.stopping = true,
+        }
+    }
+
+    /// Admits connection `index`'s request: answers it here, or starts
+    /// its workflow on the executor.
+    fn admit(&mut self, index: usize) {
+        let Some(conn) = self.conns.get_mut(&index) else {
+            return;
+        };
+        let Turn::Sent(req) = std::mem::replace(&mut conn.turn, Turn::Served) else {
+            return;
+        };
+        let ssf = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/ssfs") => {
+                let names: Vec<String> = self
+                    .env
+                    .ssf_names()
+                    .iter()
+                    .map(|n| format!("\"{n}\""))
+                    .collect();
+                let listing = Response::json(200, "OK", format!("[{}]", names.join(",")));
+                return self.reply(index, Some(listing));
+            }
+            ("POST", path) => match path.strip_prefix("/invoke/") {
+                Some(ssf) if !ssf.is_empty() => ssf,
+                _ => return self.reply(index, Some(no_route())),
+            },
+            _ => return self.reply(index, Some(no_route())),
+        };
+        if !self.env.ssf_names().iter().any(|n| n == ssf) {
+            let unknown = Response::not_found(format!("{{\"error\":\"unknown ssf {ssf}\"}}"));
+            return self.reply(index, Some(unknown));
+        }
+        let Some(payload) = std::str::from_utf8(&req.body)
+            .ok()
+            .and_then(|t| json::from_json(t).ok())
+        else {
+            let bad = Response::json(
                 400,
                 "Bad Request",
                 "{\"error\":\"body is not JSON\"}".into(),
-            )
+            );
+            return self.reply(index, Some(bad));
+        };
+        let instance = req.instance.unwrap_or_else(|| {
+            self.assigned += 1;
+            format!("front-{}", self.assigned - 1)
+        });
+
+        if !survives(&self.env, &instance, Label::FrontEnter) {
+            return self.reply(index, None);
         }
-    };
-    let instance = req
-        .instance
-        .clone()
-        .unwrap_or_else(|| format!("front-{}", state.seq.fetch_add(1, Ordering::SeqCst)));
-
-    let faults = state.env.platform().faults();
-    faults.crash_point(&instance, Label::FrontEnter);
-
-    // Hand the workflow to the executor; this thread parks on the
-    // channel while the task runs the root-invocation protocol.
-    let fut = state
-        .env
-        .invoke_task(ssf, &instance, payload, MAX_ROOT_ATTEMPTS);
-    let (tx, rx) = mpsc::channel();
-    state.handle.spawn(async move {
-        tx.send(fut.await).ok();
-    });
-    faults.crash_point(&instance, Label::FrontPostSpawn);
-    let result = rx.recv();
-    faults.crash_point(&instance, Label::FrontPreReply);
-
-    match result {
-        Ok(Ok(value)) => Response::json(200, "OK", format!("{{\"ok\":{}}}", json::to_json(&value))),
-        Ok(Err(e)) => Response::json(
-            500,
-            "Internal Server Error",
-            format!(
-                "{{\"error\":{}}}",
-                json::to_json(&Value::from(e.to_string()))
-            ),
-        ),
-        Err(_) => Response::json(
-            500,
-            "Internal Server Error",
-            "{\"error\":\"executor shut down\"}".into(),
-        ),
+        let workflow = self
+            .env
+            .invoke_task(ssf, &instance, payload, MAX_ROOT_ATTEMPTS);
+        let task = self.handle.spawn(workflow);
+        let conn = survives(&self.env, &instance, Label::FrontPostSpawn).then_some(index);
+        if conn.is_none() {
+            self.reply(index, None);
+        }
+        self.in_flight.push(Flight {
+            conn,
+            instance,
+            admitted: self.env.clock().now(),
+            task,
+        });
     }
+
+    /// Answers a finished workflow's connection, if the door still has it.
+    fn answer(&mut self, flight: Flight, result: BeldiResult<Value>) {
+        let Some(index) = flight.conn else { return };
+        if !survives(&self.env, &flight.instance, Label::FrontPreReply) {
+            return self.reply(index, None);
+        }
+        let latency = self.env.clock().now().since(flight.admitted);
+        self.env.telemetry().record(Hist::FrontRequest, latency);
+        let response = match result {
+            Ok(value) => Response::json(200, "OK", format!("{{\"ok\":{}}}", json::to_json(&value))),
+            Err(e) => Response::json(
+                500,
+                "Internal Server Error",
+                format!(
+                    "{{\"error\":{}}}",
+                    json::to_json(&Value::from(e.to_string()))
+                ),
+            ),
+        };
+        self.reply(index, Some(response));
+    }
+
+    /// Hands connection `index` its reply (`None`: drop the connection);
+    /// it then owes its next request or its close.
+    fn reply(&mut self, index: usize, response: Option<Response>) {
+        if let Some(conn) = self.conns.get_mut(&index) {
+            conn.turn = Turn::Owed;
+            conn.replies.send(response).ok();
+        }
+    }
+}
+
+fn no_route() -> Response {
+    Response::not_found("{\"error\":\"no such route\"}".into())
+}
+
+/// Fires a `front.*` crash probe; `false` when it crashed the door.
+fn survives(env: &BeldiEnv, instance: &str, label: Label) -> bool {
+    let probe = || env.platform().faults().crash_point(instance, label);
+    match std::panic::catch_unwind(AssertUnwindSafe(probe)) {
+        Ok(()) => true,
+        Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => false,
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// Waits until at least one admitted workflow has finished; removes and
+/// returns every finished one, in admission order.
+fn finished(
+    in_flight: &mut Vec<Flight>,
+) -> impl Future<Output = Vec<(Flight, BeldiResult<Value>)>> + '_ {
+    std::future::poll_fn(move |cx| {
+        let mut done = Vec::new();
+        let mut i = 0;
+        while i < in_flight.len() {
+            match Pin::new(&mut in_flight[i].task).poll(cx) {
+                Poll::Ready(result) => done.push((in_flight.remove(i), result)),
+                Poll::Pending => i += 1,
+            }
+        }
+        if done.is_empty() {
+            Poll::Pending
+        } else {
+            Poll::Ready(done)
+        }
+    })
 }
 
 // ---- HTTP client (harness side) --------------------------------------------
@@ -549,52 +732,63 @@ impl FrontClient {
 
 // ---- Smoke harness ---------------------------------------------------------
 
-/// The outcome of [`front_smoke`]: one seeded request stream driven
-/// through real sockets versus the identical stream replayed in-process.
+/// The outcome of [`front_smoke`]: the run's modelled record plus the
+/// two host-timed numbers, which alone differ between equal runs.
 #[derive(Debug, Clone)]
 pub struct FrontSmokeReport {
-    /// App driven ("media" / "social" / "travel").
-    pub app: String,
-    /// The mode's spelling ([`Mode::name`]).
-    pub mode: String,
-    /// Requests sent over the wire (== requests replayed in-process).
-    pub requests: u64,
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Non-200 responses plus transport failures on the HTTP side.
-    pub errors: u64,
+    /// Everything a function of the seed and the flags.
+    pub run: FrontRun,
     /// Wall-clock duration of the HTTP run.
     pub wall_ms: u64,
     /// HTTP requests per wall-clock second.
     pub rps: f64,
-    /// Fingerprint digest of the served environment's final state.
-    pub front_digest: String,
-    /// Fingerprint digest after the in-process replay.
-    pub inproc_digest: String,
 }
 
 impl FrontSmokeReport {
     /// The gate: did the networked run converge to the in-process state?
     pub fn digest_match(&self) -> bool {
-        self.front_digest == self.inproc_digest
+        self.run.front_digest == self.run.inproc_digest
     }
 
-    /// Serializes the report for `BENCH_async_results.json`-style
-    /// artifacts: its fields plus the derived `digest_match` verdict.
+    /// Prints the run's outcome: host rate, modelled cost and digests.
+    pub fn print_summary(&self) {
+        let run = &self.run;
+        println!(
+            "front smoke: {} requests via {} client(s) in {} ms ({:.1} rps, {} errors)",
+            run.requests, run.clients, self.wall_ms, self.rps, run.errors
+        );
+        println!(
+            "  virtual: {:.1} ms elapsed, p50 {:.2} ms, p99 {:.2} ms, {} db ops",
+            run.elapsed_virtual_us as f64 / 1e3,
+            run.latency.p50_us as f64 / 1e3,
+            run.latency.p99_us as f64 / 1e3,
+            run.db.total_ops()
+        );
+        println!("  front digest:      {}", run.front_digest);
+        println!("  in-process digest: {}", run.inproc_digest);
+    }
+
+    /// Serializes the report: the run's fields, `wall_ms`, `rps` and the
+    /// derived `digest_match` verdict.
     pub fn to_json(&self) -> String {
-        let verdict = Value::Bool(self.digest_match());
-        json::to_json_pretty(&with_key(self, "digest_match", verdict))
+        let mut doc = self.run.encode().expect("a record always encodes");
+        if let Some(map) = doc.as_map_mut() {
+            map.insert("wall_ms", Value::Int(self.wall_ms as i64));
+            map.insert("rps", Value::Float(self.rps));
+            map.insert("digest_match", Value::Bool(self.digest_match()));
+        }
+        json::to_json_pretty(&doc)
     }
 }
 
-beldi_workload::wire_fields!(FrontSmokeReport:
-    app, mode, requests, clients, errors, wall_ms, rps, front_digest, inproc_digest
-);
-
 /// Drives `requests` seeded frontend requests for `kind`/`mode` through
 /// a real [`FrontDoor`] with `clients` concurrent connections, replays
-/// the identical stream in-process, and reports both state digests.
-/// Returns `None` for an unknown app kind.
+/// the identical stream in-process, and reports both state digests and
+/// the HTTP run's modelled cost. Returns `None` for an unknown app kind.
+///
+/// The calling thread becomes the first participant of the served
+/// environment's clock; it waits for the door in [`FrontDoor::shutdown`]
+/// while the clients run on threads outside the schedule.
 pub fn front_smoke(
     kind: &str,
     mode: Mode,
@@ -619,36 +813,45 @@ pub fn front_smoke(
     // HTTP side: a served environment behind a real socket.
     let served_env = Arc::new(crate::front_env(mode, partitions));
     app.setup(&served_env);
+    let clock = served_env.clock().clone();
+    let (t0, db0) = (clock.now(), served_env.db_metrics());
     let door = FrontDoor::start(Arc::clone(&served_env), "127.0.0.1:0", seed)
         .expect("bind an ephemeral front door");
     let started = std::time::Instant::now();
-    let errors = {
-        let n_slots = clients.max(1);
-        let mut slots: Vec<Vec<Value>> = vec![Vec::new(); n_slots];
-        for (i, r) in reqs.iter().enumerate() {
-            slots[i % n_slots].push(r.clone());
-        }
-        let workers: Vec<_> = slots
-            .into_iter()
-            .map(|slot| {
-                let addr = door.addr();
-                std::thread::spawn(move || {
-                    let mut client = FrontClient::new(addr);
-                    let mut errors = 0u64;
-                    for payload in &slot {
-                        match client.invoke(entry, payload) {
-                            Ok((200, _)) => {}
-                            _ => errors += 1,
-                        }
-                    }
-                    errors
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap_or(1)).sum()
-    };
-    let wall = started.elapsed();
+    let n_slots = clients.max(1);
+    // Every client connects, and the door accepts it (its socket thread
+    // answers `/healthz`), before any of them sends a request: admission
+    // order is then connection order, whatever the host does.
+    let mut slots: Vec<(FrontClient, Vec<Value>)> = (0..n_slots)
+        .map(|_| {
+            let mut client = FrontClient::new(door.addr());
+            client
+                .request("GET", "/healthz", &[], "")
+                .expect("the door accepts a connection");
+            (client, Vec::new())
+        })
+        .collect();
+    for (i, r) in reqs.iter().enumerate() {
+        slots[i % n_slots].1.push(r.clone());
+    }
+    let answered = Arc::new(AtomicU64::new(0));
+    for (mut client, slot) in slots {
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            for payload in &slot {
+                if let Ok((200, _)) = client.invoke(entry, payload) {
+                    answered.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            // Counted before the close the door waits for.
+            drop(client);
+        });
+    }
     door.shutdown();
+    let wall = started.elapsed();
+    let elapsed = clock.now().since(t0);
+    let db = served_env.db_metrics().delta(&db0);
+    let latency = served_env.telemetry().histogram(Hist::FrontRequest);
     let front_digest = state_digest(app.as_ref(), &served_env);
 
     // In-process side: the same stream, no sockets, no executor.
@@ -659,59 +862,111 @@ pub fn front_smoke(
     }
     let inproc_digest = state_digest(app.as_ref(), &inproc_env);
 
-    let wall_ms = wall.as_millis() as u64;
     Some(FrontSmokeReport {
-        app: kind.to_owned(),
-        mode: mode.name().to_owned(),
-        requests: requests as u64,
-        clients: clients.max(1),
-        errors,
-        wall_ms,
+        run: FrontRun {
+            app: kind.to_owned(),
+            mode: mode.name().to_owned(),
+            requests: requests as u64,
+            clients: n_slots,
+            errors: requests as u64 - answered.load(Ordering::SeqCst),
+            elapsed_virtual_us: elapsed.as_micros() as u64,
+            latency: LatencySummary::from_histogram(&latency),
+            db,
+            front_digest,
+            inproc_digest,
+        },
+        wall_ms: wall.as_millis() as u64,
         rps: requests as f64 / wall.as_secs_f64().max(1e-9),
-        front_digest,
-        inproc_digest,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
 
-    fn door_for_media() -> (Arc<BeldiEnv>, FrontDoor, Box<dyn beldi_apps::WorkflowApp>) {
+    /// Records the largest single allocation each thread asks for, so a
+    /// test can check what the parser allocated.
+    struct LargestAlloc;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to the system allocator;
+    // the only addition is a thread-local `Cell` store, which allocates
+    // nothing.
+    unsafe impl GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            LARGEST.try_with(|l| l.set(l.get().max(layout.size()))).ok();
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestAlloc = LargestAlloc;
+
+    fn media_env() -> (Arc<BeldiEnv>, Box<dyn beldi_apps::WorkflowApp>) {
         let app =
             bench_app("media", Mode::Beldi, beldi_apps::MixProfile::Default).expect("media exists");
         let env = Arc::new(crate::front_env(Mode::Beldi, 4));
         app.setup(&env);
-        let door = FrontDoor::start(Arc::clone(&env), "127.0.0.1:0", 7).expect("bind");
-        (env, door, app)
+        (env, app)
+    }
+
+    /// Serves `env` while `client` runs on a thread outside the clock;
+    /// this thread, the clock's first participant, waits for the door on
+    /// the clock meanwhile. The client stops the door when it is done,
+    /// or when it panics, whose panic this then resumes.
+    fn serve<T: Send + 'static>(
+        env: &Arc<BeldiEnv>,
+        client: impl FnOnce(SocketAddr) -> T + Send + 'static,
+    ) -> T {
+        let door = FrontDoor::start(Arc::clone(env), "127.0.0.1:0", 7).expect("bind");
+        let stopper = door.stopper.clone();
+        let out = Arc::new(std::sync::Mutex::new(None));
+        let slot = Arc::clone(&out);
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| client(stopper.addr)));
+            *slot.lock().unwrap() = Some(result);
+            stopper.stop();
+        });
+        door.wait();
+        let result = out.lock().unwrap().take().expect("the client thread ran");
+        result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     #[test]
     fn healthz_ssfs_and_errors_route() {
-        let (_env, door, _app) = door_for_media();
-        let mut client = FrontClient::new(door.addr());
-        let (status, body) = client.request("GET", "/healthz", &[], "").unwrap();
-        assert_eq!((status, body.as_str()), (200, "ok\n"));
-        let (status, body) = client.request("GET", "/ssfs", &[], "").unwrap();
-        assert_eq!(status, 200);
-        assert!(body.contains("compose"), "ssf listing: {body}");
-        let (status, _) = client
-            .request("POST", "/invoke/no-such-ssf", &[], "null")
-            .unwrap();
-        assert_eq!(status, 404);
-        let (status, _) = client
-            .request("POST", "/invoke/media-compose-review", &[], "{not json")
-            .unwrap();
-        assert_eq!(status, 400);
-        let (status, _) = client.request("GET", "/nowhere", &[], "").unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(door.request_errors(), 3);
-        door.shutdown();
+        let (env, _app) = media_env();
+        let replies = serve(&env, |addr| {
+            let mut client = FrontClient::new(addr);
+            [
+                ("GET", "/healthz", ""),
+                ("GET", "/ssfs", ""),
+                ("POST", "/invoke/no-such-ssf", "null"),
+                ("POST", "/invoke/media-compose-review", "{not json"),
+                ("GET", "/nowhere", ""),
+            ]
+            .map(|(method, path, body)| client.request(method, path, &[], body).unwrap())
+        });
+        let statuses = replies.each_ref().map(|(status, _)| *status);
+        assert_eq!(statuses, [200, 200, 404, 400, 404]);
+        assert_eq!(replies[0].1, "ok\n");
+        assert!(replies[1].1.contains("compose"), "ssf listing: {replies:?}");
     }
 
     #[test]
     fn oversized_requests_are_rejected_and_the_door_survives() {
-        let (_env, door, _app) = door_for_media();
+        let (env, _app) = media_env();
         // Each hostile request ends where the door stops reading it, so
         // the door's close is a clean FIN and the reply always arrives.
         let with_headers =
@@ -732,69 +987,174 @@ mod tests {
             (with_headers(MAX_HEADERS + 1), 431),
             (with_headers(MAX_HEADERS) + "\r\n", 200),
         ];
-        for (request, want) in cases {
-            let mut stream = TcpStream::connect(door.addr()).unwrap();
-            stream.write_all(request.as_bytes()).unwrap();
-            let mut reply = String::new();
-            BufReader::new(stream).read_line(&mut reply).unwrap();
-            let status: u16 = reply.split_whitespace().nth(1).unwrap().parse().unwrap();
-            assert_eq!(status, want, "{:.60}", request);
-            // The door outlives whatever it just rejected.
-            let (ok, _) = FrontClient::new(door.addr())
-                .request("GET", "/healthz", &[], "")
-                .unwrap();
-            assert_eq!(ok, 200);
+        let outcomes = serve(&env, move |addr| {
+            cases.map(|(request, want)| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.write_all(request.as_bytes()).unwrap();
+                let mut reply = String::new();
+                BufReader::new(stream).read_line(&mut reply).unwrap();
+                let status: u16 = reply.split_whitespace().nth(1).unwrap().parse().unwrap();
+                // The door outlives whatever it just rejected.
+                let (ok, _) = FrontClient::new(addr)
+                    .request("GET", "/ssfs", &[], "")
+                    .unwrap();
+                (status, want, ok)
+            })
+        });
+        for (status, want, ok) in outcomes {
+            assert_eq!((status, ok), (want, 200));
         }
-        door.shutdown();
     }
 
     #[test]
     fn invokes_execute_workflows_over_the_wire() {
-        let (env, door, app) = door_for_media();
+        let (env, app) = media_env();
         let mut rng = beldi_apps::rng::request_rng(42);
-        let mut client = FrontClient::new(door.addr());
-        for _ in 0..5 {
-            let (status, body) = client
-                .invoke(app.entry_point(), &app.gen_load_request(&mut rng))
-                .unwrap();
+        let payloads: Vec<Value> = (0..5).map(|_| app.gen_load_request(&mut rng)).collect();
+        let entry = app.entry_point();
+        let replies = serve(&env, move |addr| {
+            let mut client = FrontClient::new(addr);
+            let invoke = |p: &Value| client.invoke(entry, p).unwrap();
+            payloads.iter().map(invoke).collect::<Vec<_>>()
+        });
+        for (status, body) in replies {
             assert_eq!(status, 200, "body: {body}");
             assert!(body.starts_with("{\"ok\":"), "body: {body}");
         }
-        assert_eq!(door.requests_served(), 5);
-        door.shutdown();
-        // The workflows really ran: the app has observable state.
-        let state = app.canonical_state(&env);
-        assert_ne!(state, Value::Null);
+        // The workflows really ran, timed on the environment's clock.
+        assert_ne!(app.canonical_state(&env), Value::Null);
+        let latency = env.telemetry().histogram(Hist::FrontRequest);
+        assert_eq!(latency.len(), 5);
+        assert!(latency.min() > std::time::Duration::ZERO);
     }
 
     #[test]
     fn pinned_instance_id_replays_instead_of_reexecuting() {
-        let (env, door, app) = door_for_media();
-        let mut rng = beldi_apps::rng::request_rng(9);
-        let payload = json::to_json(&app.gen_load_request(&mut rng));
-        let mut client = FrontClient::new(door.addr());
-        let path = format!("/invoke/{}", app.entry_point());
-        let headers = [("x-beldi-instance", "pinned-1")];
-        let (s1, b1) = client.request("POST", &path, &headers, &payload).unwrap();
-        let digest_after_first = state_digest(app.as_ref(), &env);
-        let (s2, b2) = client.request("POST", &path, &headers, &payload).unwrap();
-        assert_eq!((s1, s2), (200, 200));
-        assert_eq!(b1, b2, "a retry under the same id must replay the result");
-        assert_eq!(
-            digest_after_first,
-            state_digest(app.as_ref(), &env),
-            "the retry must not re-execute effects"
-        );
-        door.shutdown();
+        // The same pinned request once, and twice, against equal
+        // environments: the retry replays the result and changes nothing.
+        let pinned = |times: usize| {
+            let (env, app) = media_env();
+            let mut rng = beldi_apps::rng::request_rng(9);
+            let payload = json::to_json(&app.gen_load_request(&mut rng));
+            let path = format!("/invoke/{}", app.entry_point());
+            let replies = serve(&env, move |addr| {
+                let mut client = FrontClient::new(addr);
+                let headers = [("x-beldi-instance", "pinned-1")];
+                (0..times)
+                    .map(|_| client.request("POST", &path, &headers, &payload).unwrap())
+                    .collect::<Vec<_>>()
+            });
+            (replies, state_digest(app.as_ref(), &env))
+        };
+        let (once, digest_once) = pinned(1);
+        let (twice, digest_twice) = pinned(2);
+        assert_eq!(once[0].0, 200);
+        assert_eq!(twice[0], once[0]);
+        assert_eq!(twice[1], twice[0], "a retry under the same id must replay");
+        assert_eq!(digest_twice, digest_once, "the retry must not re-execute");
+    }
+
+    #[test]
+    fn admission_follows_connection_order_not_arrival() {
+        let env = Arc::new(crate::front_env(Mode::Beldi, 4));
+        let whoami = |ctx: &mut beldi::SsfContext, _| Ok(Value::from(ctx.instance_id()));
+        env.register_ssf("whoami", &[], Arc::new(whoami));
+        let (early, late) = serve(&env, |addr| {
+            let [mut first, mut second] = [FrontClient::new(addr), FrontClient::new(addr)];
+            for client in [&mut first, &mut second] {
+                client.request("GET", "/healthz", &[], "").unwrap();
+            }
+            // Two closed-loop clients, each closing its connection once
+            // answered. The second connection's request arrives first, by
+            // 50 ms of host time; the door still admits the first's first.
+            let late = std::thread::spawn(move || second.invoke("whoami", &Value::Null));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let early = first.invoke("whoami", &Value::Null);
+            drop(first);
+            (early.unwrap(), late.join().unwrap().unwrap())
+        });
+        assert_eq!(early, (200, "{\"ok\":\"front-0\"}".to_owned()));
+        assert_eq!(late, (200, "{\"ok\":\"front-1\"}".to_owned()));
     }
 
     #[test]
     fn smoke_digest_matches_in_process_run() {
         let report = front_smoke("media", Mode::Beldi, 16, 4, 4, 42).expect("known app");
-        assert_eq!(report.errors, 0, "all HTTP invokes should succeed");
+        assert_eq!(report.run.errors, 0, "all HTTP invokes should succeed");
         assert!(report.digest_match(), "{report:?}");
         assert!(report.rps > 0.0);
+        assert!(report.run.latency.p50_us > 0 && report.run.db.total_ops() > 0);
         let json = report.to_json();
         assert!(json.contains("\"digest_match\": true"), "{json}");
+        // The two host-timed fields sit beside the run's own.
+        let doc = json::from_json(&json).unwrap();
+        for key in ["wall_ms", "rps", "latency", "db", "elapsed_virtual_us"] {
+            assert!(doc.get_attr(key).is_some(), "{key} missing from {json}");
+        }
+    }
+
+    #[test]
+    fn a_smoke_run_is_a_function_of_its_seed() {
+        let run = || {
+            let report = front_smoke("social", Mode::Beldi, 12, 3, 4, 7).expect("known app");
+            assert_eq!(report.run.errors, 0);
+            report.run
+        };
+        assert_eq!(run(), run());
+    }
+
+    /// One hostile fragment of a request: protocol text, an edge the
+    /// parser bounds, or arbitrary bytes (invalid UTF-8 included).
+    fn fragment() -> impl Strategy<Value = Vec<u8>> {
+        const TEXT: [&str; 10] = [
+            "GET /healthz HTTP/1.1\r\n",
+            "POST /invoke/x HTTP/1.1\r\n",
+            "GET",
+            "\r\n",
+            "\r",
+            ":",
+            "x-beldi-instance: i\r\n",
+            "connection: close\r\n",
+            "content-length: 12x\r\n",
+            "content-length: -1\r\n",
+        ];
+        prop_oneof![
+            (0..TEXT.len()).prop_map(|i| TEXT[i].as_bytes().to_vec()),
+            (0..u64::MAX).prop_map(|n| format!("content-length: {n}\r\n").into_bytes()),
+            (0..2 * MAX_BODY_BYTES)
+                .prop_map(|n| format!("content-length: {n}\r\n\r\n").into_bytes()),
+            (MAX_LINE_BYTES - 2..MAX_LINE_BYTES + 3).prop_map(|n| vec![b'h'; n]),
+            (MAX_HEADERS - 1..MAX_HEADERS + 3).prop_map(|n| "h: v\r\n".repeat(n).into_bytes()),
+            prop::collection::vec((0..256u16).prop_map(|b| b as u8), 0..48),
+        ]
+    }
+
+    fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(fragment(), 0..10).prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Whatever arrives, the parser returns a request, a 4xx reply
+        /// or an I/O error — it never panics — and allocates nothing
+        /// larger than a body the door accepts.
+        #[test]
+        fn hostile_bytes_parse_to_a_request_a_4xx_or_an_error(input in hostile_bytes()) {
+            let mut reader = &input[..];
+            LARGEST.with(|l| l.set(0));
+            loop {
+                match read_request(&mut reader) {
+                    Ok(Some(Ok(req))) => prop_assert!(req.body.len() <= MAX_BODY_BYTES),
+                    Ok(Some(Err(reply))) => {
+                        prop_assert!((400..500).contains(&reply.status));
+                        break;
+                    }
+                    Ok(None) | Err(_) => break,
+                }
+            }
+            let largest = LARGEST.with(Cell::get);
+            prop_assert!(largest <= MAX_BODY_BYTES, "{largest}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The experiment harness: one executable, `beldi-bench <subcommand>`,
-//! plus the library code its subcommands and the `contention` Criterion
-//! bench share.
+//! plus the library code its subcommands share and the HTTP front door
+//! ([`front`]).
 //!
 //! | Subcommand | Reproduces / does |
 //! |------------|-------------------|
@@ -34,7 +34,6 @@ pub mod front;
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::simclock::ScaledClock;
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_apps::WorkflowApp;
@@ -69,10 +68,6 @@ pub fn microbench_platform() -> PlatformConfig {
 /// The seed of every harness environment and its clock's schedule.
 const HARNESS_SEED: u64 = 42;
 
-/// How fast the front door's clock runs against the host's: its peers
-/// are real sockets, so its time must flow on its own.
-const FRONT_CLOCK_RATE: f64 = 500.0;
-
 /// The builder every harness environment here starts from: DynamoDB-shaped
 /// latencies, seed 42 (the substrate's and, on the default clock, the
 /// schedule's), and the given configuration and platform.
@@ -93,8 +88,8 @@ fn harness(cfg: BeldiConfig, platform: PlatformConfig) -> beldi::EnvBuilder {
 /// with the cache warm. The app-level harnesses and the workload driver
 /// keep the runtime default (cache on).
 ///
-/// Like every environment here but [`front_env`], it runs on the
-/// builder's default clock, a fresh
+/// Like every environment here, it runs on the builder's default clock,
+/// a fresh
 /// [`SimClock`](beldi::simclock::SimClock): the calling thread is the
 /// clock's first participant, and any other thread that touches the
 /// environment must be started with `env.clock().spawn`.
@@ -110,13 +105,11 @@ pub fn experiment_env(
 
 /// The HTTP front door's environment — like [`app_env`] but on the
 /// workload driver's platform (an effectively unbounded invocation
-/// timeout), and the one environment on a [`ScaledClock`], because
-/// connection threads wait on real sockets no simulated clock can see.
+/// timeout). The door reaches it only through its admission
+/// participant, a thread of this clock (`front`'s module docs).
 pub fn front_env(mode: Mode, partitions: usize) -> BeldiEnv {
     let cfg = config_for(mode, 100, partitions);
-    harness(cfg, driver_platform(None))
-        .clock(ScaledClock::shared(FRONT_CLOCK_RATE))
-        .build()
+    harness(cfg, driver_platform(None)).build()
 }
 
 /// Builds an environment for the app-level load experiments (Figs.

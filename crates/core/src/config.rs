@@ -68,9 +68,9 @@ pub struct BeldiConfig {
     /// timeouts, so work is paged across passes). `None` = unbounded.
     pub collector_batch_limit: Option<usize>,
     /// Hash partitions per simulated-database table. Each partition is an
-    /// independently locked shard; more partitions mean more storage
-    /// parallelism under multi-threaded load (the `contention` bench
-    /// sweeps this). A substrate knob: row contents, single-row results,
+    /// independently locked shard; more partitions let more host threads
+    /// hold a store lock at once, which no modelled number depends on.
+    /// A substrate knob: row contents, single-row results,
     /// and per-hash-key query order are identical for any value — only
     /// contention and *full-table scan order* change (scans return items
     /// in partition-major order, as DynamoDB's physical-partition scans

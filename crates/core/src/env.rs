@@ -189,9 +189,9 @@ impl EnvBuilder {
     /// environment must be started with `env.clock().spawn(..)` and wait
     /// through the clock (`env.clock().sleep(..)`, joining a clock
     /// thread); a raw `std::thread` that waits on it panics with "spawn
-    /// it through the clock". For free-threaded real time (a socket
-    /// peer, a parallelism benchmark) pass
-    /// `.clock(ScaledClock::shared(rate))`.
+    /// it through the clock". A thread that waits on a socket peer
+    /// reaches the environment through a participant instead (the HTTP
+    /// front door's admission participant, DESIGN.md §14).
     pub fn new(config: BeldiConfig) -> Self {
         EnvBuilder {
             config,

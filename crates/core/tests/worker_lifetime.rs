@@ -5,11 +5,29 @@
 //! thread while the count is read.
 #![cfg(target_os = "linux")]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv};
-use beldi_simclock::{ScaledClock, SharedClock};
+use beldi_simclock::{Clock, SharedClock, SimInstant};
+
+/// A clock that implements only `now` and `sleep`: a counter that
+/// `sleep` adds to. Its parks, unparks and threads are the trait's host
+/// defaults — the shape of a clock that schedules nothing.
+#[derive(Default)]
+struct CounterClock(AtomicU64);
+
+impl Clock for CounterClock {
+    fn now(&self) -> SimInstant {
+        SimInstant::from_nanos(self.0.load(Ordering::SeqCst))
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.0.fetch_add(d.as_nanos() as u64, Ordering::SeqCst);
+    }
+}
 
 /// A default (`SimClock`) environment, or one on `clock`, with a two-SSF
 /// chain whose workers are warm: `outer` has invoked `inner` once (and
@@ -48,10 +66,10 @@ fn threads_settled_at(expected: usize) -> usize {
 
 #[test]
 fn no_thread_outlives_its_environment() {
-    let scaled = || Some(ScaledClock::shared(1_000.0));
+    let counter = || Some(Arc::new(CounterClock::default()) as SharedClock);
     let at_start = threads_now();
 
-    for clock in [|| None, scaled] {
+    for clock in [|| None, counter] {
         for _ in 0..20 {
             let env = warmed_env(clock());
             let workers = env.platform_metrics().cold_starts as usize;
@@ -64,7 +82,7 @@ fn no_thread_outlives_its_environment() {
 
     // Dropped by a thread of the clock other than the one that built it:
     // neither hangs nor panics, and still leaves nothing behind.
-    for clock in [|| None, scaled] {
+    for clock in [|| None, counter] {
         let env = warmed_env(clock());
         let env_clock = env.clock().clone();
         let dropper = env_clock.spawn("dropper".into(), Box::new(move || drop(env)));

@@ -17,10 +17,9 @@
 //! on virtual time. The executor only consults the heap when the ready
 //! queue is empty, and then fires exactly one *equal-deadline batch* (all
 //! entries sharing the earliest deadline) per drain. Firing is therefore
-//! a pure function of the heap contents — how far the wall clock
-//! overshot the deadline while the executor was busy never changes which
-//! tasks wake together, preserving determinism on continuously flowing
-//! clocks ([`beldi_simclock::ScaledClock`]).
+//! a pure function of the heap contents — how far the clock overshot the
+//! deadline while the executor was busy never changes which tasks wake
+//! together, on a clock whose time other threads move too.
 //!
 //! # Idle
 //!
@@ -28,7 +27,8 @@
 //! ([`beldi_simclock::Clock::park_until`]) until the earliest timer
 //! deadline, or with no deadline when the heap is empty. That is its only wait: a
 //! [`beldi_simclock::SimClock`] sees it and moves virtual time straight
-//! to the deadline, a real-time clock re-checks on its own cadence.
+//! to the deadline; a clock with the host-default park re-reads its time
+//! on the park's own cadence.
 //!
 //! # Cross-thread wakes
 //!

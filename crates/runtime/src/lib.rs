@@ -65,23 +65,18 @@ pub fn yield_now() -> YieldNow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beldi_simclock::{ScaledClock, SharedClock};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn fast_clock() -> SharedClock {
-        ScaledClock::shared(10_000.0)
-    }
-
     #[test]
     fn block_on_returns_value() {
-        let rt = Executor::new(fast_clock(), 1);
+        let rt = Executor::simulated(1);
         assert_eq!(rt.block_on(async { 41 + 1 }), 42);
     }
 
     #[test]
     fn spawned_tasks_all_run() {
-        let rt = Executor::new(fast_clock(), 7);
+        let rt = Executor::simulated(7);
         let n = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..100)
             .map(|_| {
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn join_handle_returns_result_across_await() {
-        let rt = Executor::new(fast_clock(), 3);
+        let rt = Executor::simulated(3);
         let out = rt.block_on(async {
             let h = spawn(async {
                 sleep(Duration::from_millis(2)).await;
@@ -112,17 +107,14 @@ mod tests {
 
     #[test]
     fn sleep_respects_virtual_deadlines() {
-        let rt = Executor::new(ScaledClock::shared(5_000.0), 9);
+        let rt = Executor::simulated(9);
         let h = rt.handle();
         let woke_at = rt.block_on(async move {
             let t0 = h.now();
             sleep(Duration::from_millis(50)).await;
             h.now().since(t0)
         });
-        assert!(
-            woke_at >= Duration::from_millis(50),
-            "woke after {woke_at:?}, wanted >= 50ms virtual"
-        );
+        assert_eq!(woke_at, Duration::from_millis(50));
     }
 
     #[test]
@@ -166,25 +158,29 @@ mod tests {
     }
 
     #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the wake under test comes from a thread foreign to the executor, on a real-time clock"
-    )]
     fn cross_thread_wake_unparks_executor() {
-        let rt = Executor::new(fast_clock(), 5);
+        let rt = Executor::simulated(5);
         let h = rt.handle();
-        // A task blocked on a JoinHandle whose producer completes from a
-        // foreign thread via Handle::spawn.
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let producer = std::thread::spawn(move || {
-            rx.recv().unwrap();
-            // Runs on the executor thread eventually; the spawn itself
-            // crosses threads and must unpark the parked executor.
-            h.spawn(async { 99 })
+        let clock = h.clock();
+        // The one task waits on a gate, so the executor parks with no
+        // timer to wake it; only a task handed in from another thread of
+        // the clock can.
+        let gate = Semaphore::new(1);
+        let held = gate.try_acquire().expect("a fresh semaphore has a permit");
+        rt.spawn(async move {
+            let _permit = gate.acquire().await;
         });
-        tx.send(()).unwrap();
-        let handle = producer.join().unwrap();
-        assert_eq!(rt.block_on(handle), 99);
+        let c = clock.clone();
+        let producer = clock.spawn(
+            "producer".into(),
+            Box::new(move || {
+                c.sleep(Duration::from_millis(1));
+                h.spawn(async move { drop(held) });
+            }),
+        );
+        rt.run();
+        producer.join().unwrap();
+        assert_eq!(clock.now().as_millis(), 1);
     }
 
     #[test]

@@ -25,9 +25,16 @@ fn host_time_and_host_waits_are_disallowed_methods() {
     std::thread::current().unpark();
     #[expect(clippy::disallowed_methods, reason = "canary: thread::park_timeout")]
     std::thread::park_timeout(Duration::ZERO);
-    let (_tx, rx) = std::sync::mpsc::channel::<()>();
+    std::thread::current().unpark();
+    #[expect(clippy::disallowed_methods, reason = "canary: thread::park")]
+    std::thread::park();
+    let (tx, rx) = std::sync::mpsc::channel::<()>();
     #[expect(clippy::disallowed_methods, reason = "canary: Receiver::recv_timeout")]
     let _empty = rx.recv_timeout(Duration::ZERO);
+    // A message already sent makes the receive return at once.
+    tx.send(()).ok();
+    #[expect(clippy::disallowed_methods, reason = "canary: Receiver::recv")]
+    let _sent = rx.recv();
 }
 
 #[test]

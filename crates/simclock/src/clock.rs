@@ -1,16 +1,16 @@
-//! The [`Clock`] trait and its host-scaled implementation.
+//! The [`Clock`] trait and its host defaults.
 
 #![expect(
     clippy::disallowed_methods,
-    reason = "this module *implements* the clock's waits and threads on the host's: its parks, \
-              sleeps and thread starts are what every clock-visible wait compiles down to on a \
-              ScaledClock"
+    reason = "this module *implements* the trait's default waits and threads on the host's: its \
+              parks and thread starts are what every clock-visible wait compiles down to on a \
+              clock that implements only `now` and `sleep`"
 )]
 
 use std::fmt;
 use std::sync::Arc;
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A point in virtual time: nanoseconds since the clock's epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -156,61 +156,6 @@ impl JoinHandle {
 /// A shareable, dynamically dispatched clock handle.
 pub type SharedClock = Arc<dyn Clock>;
 
-/// A clock whose virtual time advances at `rate` × real time.
-///
-/// With `rate = 600.0`, one virtual minute costs 100 ms of wall time, so the
-/// paper's 60-minute GC experiment (Fig. 16) completes in 6 s while every
-/// timeout and timer relationship is preserved.
-pub struct ScaledClock {
-    start: Instant,
-    rate: f64,
-}
-
-impl ScaledClock {
-    /// Creates a clock running at `rate` × real time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not finite and positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "clock rate must be finite and positive, got {rate}"
-        );
-        ScaledClock {
-            start: Instant::now(),
-            rate,
-        }
-    }
-
-    /// Returns the configured rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Wraps the clock in a [`SharedClock`].
-    pub fn shared(rate: f64) -> SharedClock {
-        Arc::new(ScaledClock::new(rate))
-    }
-}
-
-impl Clock for ScaledClock {
-    fn now(&self) -> SimInstant {
-        let real = self.start.elapsed().as_nanos() as f64;
-        SimInstant::from_nanos((real * self.rate) as u64)
-    }
-
-    fn sleep(&self, d: Duration) {
-        let real = d.as_nanos() as f64 / self.rate;
-        // Sub-microsecond real sleeps would round to busy noise; skip them.
-        if real >= 1_000.0 {
-            std::thread::sleep(Duration::from_nanos(real as u64));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,30 +168,6 @@ mod tests {
         assert_eq!(b.since(a), Duration::from_millis(50));
         assert_eq!(a.since(b), Duration::ZERO); // Saturates.
         assert_eq!(format!("{b}"), "t+0.150s");
-    }
-
-    #[test]
-    fn scaled_clock_advances() {
-        let c = ScaledClock::new(1000.0);
-        let t0 = c.now();
-        std::thread::sleep(Duration::from_millis(2));
-        let t1 = c.now();
-        // 2 ms real at 1000x is 2 virtual seconds.
-        assert!(t1.since(t0) >= Duration::from_secs(1));
-    }
-
-    #[test]
-    fn scaled_clock_sleep_scales_down() {
-        let c = ScaledClock::new(1000.0);
-        let start = Instant::now();
-        c.sleep(Duration::from_secs(1)); // 1 ms real.
-        assert!(start.elapsed() < Duration::from_millis(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "clock rate")]
-    fn scaled_clock_rejects_bad_rate() {
-        let _ = ScaledClock::new(0.0);
     }
 
     #[test]

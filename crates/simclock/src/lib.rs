@@ -7,21 +7,12 @@
 //! therefore read time exclusively through the [`Clock`] trait, whose
 //! required surface is two methods, `now` and `sleep`.
 //!
-//! Two clocks, by who moves time:
-//!
-//! - [`SimClock`] — *the schedule does.* Every experiment and every
-//!   default `BeldiEnv` runs on it. Time jumps to the earliest deadline
-//!   when every participant thread is waiting, one participant runs at a
-//!   time, and the order is seeded: virtual time is the sum of the
-//!   modelled waits and nothing of the host's. Use it whenever every
-//!   thread that touches the system can be started through the clock.
-//! - [`ScaledClock`] — *the host does.* Virtual time is real time ×
-//!   `rate`; `sleep(d)` costs `d / rate` of wall time. For code whose
-//!   time base really is the host: a real-world peer (the HTTP front
-//!   door's sockets) or a measurement of real parallelism.
-//!
-//! Both hand out [`SimInstant`]s: virtual nanoseconds since the clock's
-//! epoch.
+//! One clock moves time: [`SimClock`]. Every experiment, every default
+//! `BeldiEnv` and the HTTP front door run on it. Time jumps to the
+//! earliest deadline when every participant thread is waiting, one
+//! participant runs at a time, and the order is seeded: virtual time is
+//! the sum of the modelled waits and nothing of the host's. It hands
+//! out [`SimInstant`]s: virtual nanoseconds since the clock's epoch.
 //!
 //! # The participant contract
 //!
@@ -30,9 +21,9 @@
 //! by [`Clock::unpark`] (what [`park_on`] — and so the platform's blocking
 //! invokes and a thread's `Semaphore` acquire — and the executor's idle
 //! wait are built on); and [`JoinHandle::join`] of a thread started with
-//! [`Clock::spawn`]. On `ScaledClock` and any clock that implements only
-//! `now` + `sleep`, the last three default to the host's
-//! `std::thread` equivalents. On a `SimClock` they are how the schedule
+//! [`Clock::spawn`]. On a clock that implements only `now` + `sleep` (a
+//! counter that `sleep` adds to, say), the last three default to the
+//! host's `std::thread` equivalents. On a `SimClock` they are how the schedule
 //! learns that a thread has stopped running: a participant must wait in no
 //! other way on anything another participant has to run to provide, and a
 //! thread the clock did not start must not wait on it at all (it panics,
@@ -54,7 +45,7 @@ pub mod sync;
 pub mod telemetry;
 mod ticker;
 
-pub use clock::{Clock, JoinHandle, ScaledClock, SharedClock, SimInstant};
+pub use clock::{Clock, JoinHandle, SharedClock, SimInstant};
 pub use histogram::{Histogram, Percentiles};
 pub use sim::SimClock;
 pub use sync::{park_on, Permit, Semaphore};

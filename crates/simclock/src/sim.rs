@@ -18,6 +18,14 @@
 //! participant would have to run to release (a channel, a condition
 //! variable, a raw `std::thread` join): no one else can run. Short
 //! mutex sections are fine — nobody is switched out inside one.
+//!
+//! The one exception is the *hold*: a participant may block on a host
+//! event that no participant has to run to provide — bytes from a thread
+//! outside the schedule — while it keeps the baton. Nobody else runs and
+//! virtual time stands still until the event arrives. The HTTP front
+//! door's admission participant holds while a connection it answered
+//! owes its next request or its close (DESIGN.md §14); a schedule around
+//! a hold is a function of the seed as long as what the host sends is.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;

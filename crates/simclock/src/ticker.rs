@@ -71,8 +71,7 @@ impl Ticker {
 
 impl TickerHandle {
     /// Stops the timer and waits for its thread to exit, which it does
-    /// at the end of the period it is sleeping through: within one
-    /// period on a [`crate::ScaledClock`], at once on a
+    /// at the end of the period it is sleeping through: at once on a
     /// [`crate::SimClock`] (the join is a wait the clock sees, so time
     /// moves to the timer's deadline).
     pub fn stop(mut self) {
@@ -99,7 +98,7 @@ impl Drop for TickerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ScaledClock};
+    use crate::clock::Clock;
     use std::sync::atomic::AtomicUsize;
 
     fn counting_ticker() -> (SharedClock, TickerHandle, Arc<AtomicUsize>) {
@@ -151,7 +150,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_period_rejected() {
-        let clock = ScaledClock::shared(1.0);
+        let clock: SharedClock = crate::SimClock::shared(1);
         let _ = Ticker::spawn(clock, Duration::ZERO, || {});
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use beldi_simclock::{Metric, MetricsSnapshot, ScaledClock, SharedClock, SimInstant, Telemetry};
+use beldi_simclock::{Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant, Telemetry};
 use beldi_value::{Cond, SizeOf, Update, Value};
 use parking_lot::{Mutex, RwLock};
 
@@ -163,15 +163,16 @@ impl Database {
         })
     }
 
-    /// Creates a zero-latency database on a real-time clock, for tests.
+    /// Creates a zero-latency database on a [`SimClock`], for tests. No
+    /// operation waits on the clock, so any thread may use it.
     pub fn for_tests() -> Arc<Self> {
-        Database::new(ScaledClock::shared(1.0), LatencyModel::zero(), 0)
+        Database::new(SimClock::shared(0), LatencyModel::zero(), 0)
     }
 
     /// [`Database::for_tests`] with an explicit partition count.
     pub fn for_tests_with_partitions(partitions: usize) -> Arc<Self> {
         Database::with_partitions(
-            ScaledClock::shared(1.0),
+            SimClock::shared(0),
             LatencyModel::zero(),
             0,
             partitions,

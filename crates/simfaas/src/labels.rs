@@ -198,7 +198,7 @@ labels! {
 
     // ---- Network front door (DESIGN.md §14) ----
     //
-    // The HTTP front door fires these on the connection thread and
+    // The HTTP front door fires these on its admission participant and
     // catches its own `CrashSignal`, dropping the connection the way a
     // crashed gateway process would. They bracket the handoff into the
     // executor, so storms can lose a request before any intent exists,

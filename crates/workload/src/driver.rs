@@ -202,7 +202,8 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    fn from_histogram(h: &Histogram) -> Self {
+    /// The summary of a virtual-time latency histogram.
+    pub fn from_histogram(h: &Histogram) -> Self {
         let us = |d: Duration| d.as_micros() as u64;
         LatencySummary {
             p50_us: us(h.quantile(0.50)),
@@ -431,6 +432,39 @@ impl BenchRun {
     }
 }
 
+/// The HTTP front door's smoke run (`beldi-bench front --smoke`): one
+/// seeded request stream through real sockets, then the same stream
+/// in-process. The door admits requests on the environment's `SimClock`,
+/// so every field is a function of the seed and the flags.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FrontRun {
+    /// App driven ("media" / "social" / "travel").
+    pub app: String,
+    /// Table/logging mode (CLI spelling, e.g. "beldi").
+    pub mode: String,
+    /// Requests sent over the wire (== requests replayed in-process).
+    pub requests: u64,
+    /// Client connections, all open before the first request.
+    pub clients: usize,
+    /// Non-200 responses plus transport failures on the HTTP side.
+    pub errors: u64,
+    /// Virtual time the HTTP run took, in microseconds.
+    pub elapsed_virtual_us: u64,
+    /// Per-request latency at the door, admission to reply (virtual).
+    pub latency: LatencySummary,
+    /// Database operations over the HTTP run.
+    pub db: MetricsSnapshot,
+    /// Fingerprint digest of the served environment's final state.
+    pub front_digest: String,
+    /// Fingerprint digest after the in-process replay.
+    pub inproc_digest: String,
+}
+
+wire_fields!(FrontRun:
+    app, mode, requests, clients, errors, elapsed_virtual_us, latency, db, front_digest,
+    inproc_digest
+);
+
 /// A full driver session: configuration plus one [`BenchRun`] per
 /// `app × mode × workers` point.
 #[derive(Debug, Clone, PartialEq)]
@@ -445,10 +479,12 @@ pub struct BenchReport {
     pub tail_cache: bool,
     /// The measured runs.
     pub runs: Vec<BenchRun>,
+    /// The front door's run (`drive --smoke` only), gated like a run.
+    pub front: Option<FrontRun>,
 }
 
 wire_fields!(BenchReport:
-    seed, total_ops, mix = "default".to_owned(), tail_cache = true, runs
+    seed, total_ops, mix = "default".to_owned(), tail_cache = true, runs, front
 );
 
 impl BenchReport {
@@ -1072,6 +1108,7 @@ mod tests {
             mix: "default".into(),
             tail_cache: true,
             runs: vec![plain, run],
+            front: Some(Wire::decode(None)),
         };
         let parsed = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);

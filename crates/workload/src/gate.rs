@@ -60,7 +60,8 @@ fn without(mut v: Value, k: &str) -> Value {
 }
 
 /// The exact gate: the two reports must have been driven with the same
-/// seed, op count, mix and cache setting, and every baseline run must be
+/// seed, op count, mix and cache setting and carry the same front-door
+/// row (`report.front`, every field), and every baseline run must be
 /// present in `current`, sound, and equal to it in every field but
 /// `wall_ms`. Extra runs in `current` (new apps/worker counts) are never
 /// compared. Returns human-readable failures, each naming the run and
@@ -360,6 +361,7 @@ mod tests {
             mix: "default".into(),
             tail_cache: true,
             runs,
+            front: None,
         }
     }
 
@@ -378,6 +380,7 @@ mod tests {
         let text = include_str!("../../../BENCH_baseline.json");
         let base = BenchReport::from_json(text).unwrap();
         assert!(base.runs.len() >= 12, "the smoke preset's runs");
+        assert!(base.front.is_some(), "the smoke preset's front-door row");
         assert_eq!(gate(&base, &base), Vec::<String>::new());
     }
 
@@ -414,6 +417,26 @@ mod tests {
         };
         let failures = gate(&base, &reseeded);
         assert_eq!(failures[0], "report.seed: baseline 42, current 43");
+    }
+
+    #[test]
+    fn the_front_door_row_is_compared_field_by_field() {
+        let mut base = report(vec![run("media", 1, 100.0, 0)]);
+        base.front = Some(crate::driver::FrontRun {
+            requests: 64,
+            ..crate::wire::Wire::decode(None)
+        });
+        assert_eq!(gate(&base, &base), Vec::<String>::new());
+        let mut off = base.clone();
+        if let Some(front) = off.front.as_mut() {
+            front.db.gets += 1;
+        }
+        assert_eq!(
+            gate(&base, &off)[0],
+            "report.front.db.gets: baseline 0, current 1"
+        );
+        let missing = report(vec![run("media", 1, 100.0, 0)]);
+        assert!(gate(&base, &missing)[0].starts_with("report.front: baseline {"));
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub mod wire;
 
 pub use beldi_simclock::{Histogram, Percentiles};
 pub use driver::{
-    drive, BenchReport, BenchRun, ChaosOptions, DriveOptions, InFlightSample, InFlightSeries,
-    RecoverySection, StorageSample, StorageSeries,
+    drive, BenchReport, BenchRun, ChaosOptions, DriveOptions, FrontRun, InFlightSample,
+    InFlightSeries, RecoverySection, StorageSample, StorageSeries,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
 pub use gate::{gate, growth_gate, recovery_gate};

@@ -240,6 +240,7 @@ fn report_of(run: BenchRun, opts: &DriveOptions) -> BenchReport {
         mix: "default".into(),
         tail_cache: opts.tail_cache,
         runs: vec![run],
+        front: None,
     }
 }
 
