@@ -964,6 +964,28 @@ mod tests {
         assert!(replies[1].1.contains("compose"), "ssf listing: {replies:?}");
     }
 
+    /// A body nested far past what `from_json` accepts, or holding a
+    /// number no `f64` holds, is a 400 like any other body that is not
+    /// JSON; ten thousand `[`s once overflowed the parsing thread's stack
+    /// and aborted the process.
+    #[test]
+    fn a_deeply_nested_body_is_a_400_and_the_door_keeps_serving() {
+        let (env, _app) = media_env();
+        let replies = serve(&env, |addr| {
+            let mut client = FrontClient::new(addr);
+            let deep = "[".repeat(10_000);
+            [
+                ("POST", "/invoke/media-compose-review", deep.as_str()),
+                ("POST", "/invoke/media-compose-review", "[1e999999]"),
+                ("GET", "/ssfs", ""),
+            ]
+            .map(|(method, path, body)| client.request(method, path, &[], body).unwrap())
+        });
+        let statuses = replies.each_ref().map(|(status, _)| *status);
+        assert_eq!(statuses, [400, 400, 200]);
+        assert!(replies[2].1.contains("compose"), "ssf listing: {replies:?}");
+    }
+
     #[test]
     fn oversized_requests_are_rejected_and_the_door_survives() {
         let (env, _app) = media_env();

@@ -533,19 +533,19 @@ impl BeldiEnv {
     /// finish the execution even if this initial dispatch is lost.
     pub fn invoke_async(&self, name: &str, input: Value) -> BeldiResult<String> {
         let instance: Arc<str> = self.core.platform.new_uuid().into();
-        let envelope = Envelope::root_call(&instance, input, true).into_value();
         if self.core.config.mode != Mode::Baseline {
             let now_ms = self.clock().now().as_millis();
             intent::register(
                 &self.core.db,
                 &self.core.ssf(name)?.intent_table,
                 &instance,
-                envelope.clone(),
+                Envelope::root_call(&instance, input.clone(), true).into_args(),
                 true,
                 None,
                 now_ms,
             )?;
         }
+        let envelope = Envelope::root_call(&instance, input, true).into_value();
         self.core
             .platform
             .invoke_async(name, envelope)

@@ -38,12 +38,12 @@
 //! on is logged; so the execution that marks the intent done passes every
 //! step at which any execution of it logged, and records each whether it
 //! wrote the entry or found it. A callback only updates an entry that
-//! already exists — its condition needs the entry's `CalleeId` — so
-//! nothing else creates a row under an intent's keys. A done intent
-//! without the list — a transaction's finalize marker, a body that logged
-//! nothing, an intent the IC quarantined — is taken to have logged
-//! nothing; one whose list is malformed is counted corrupt and left in
-//! place with its entries.
+//! already exists — its condition, `exists(CalleeFn)`, needs an invoke
+//! entry at the key the callee id names — so nothing else creates a row
+//! under an intent's keys. A done intent without the list — a
+//! transaction's finalize marker, a body that logged nothing, an intent
+//! the IC quarantined — is taken to have logged nothing; one whose list
+//! is malformed is counted corrupt and left in place with its entries.
 //!
 //! Steps 4–5 do not walk the store: in a data table they visit only the
 //! keys a sparse index over appended rows lists (`collect_daal_table`
@@ -210,8 +210,9 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
     // Each recyclable intent with the steps its done-mark lists.
     let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
-    // Classifying needs four small attributes; the envelopes (`Args`,
-    // `Ret`) that make up most of an intent row stay in the store.
+    // Classifying needs four small attributes; the envelopes (`Ret`, and
+    // `Args` until the done-mark) that make up most of an intent row stay
+    // in the store.
     let classify = ScanRequest::all().with_projection(Projection::attrs([
         A_ID,
         A_DONE,

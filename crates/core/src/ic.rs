@@ -4,11 +4,13 @@
 //! supplies the *at-least-once* half. A timer-triggered serverless
 //! function per SSF, it scans the intent table for instances that have
 //! not completed and re-executes them with their original instance id and
-//! arguments. Re-executing a still-running instance is safe — every step
-//! replays from the logs — but wasteful, so the IC implements the paper's
-//! two optimizations: a secondary index on the `Done` flag, and a minimum
-//! re-launch delay enforced with a compare-and-swap on the last-launch
-//! timestamp (so concurrent IC instances do not double-restart).
+//! arguments: the intent's `Args` with the row's own `Id`, `Caller` and
+//! `Async` put back ([`Envelope::resend`]). Re-executing a still-running
+//! instance is safe — every step replays from the logs — but wasteful, so
+//! the IC implements the paper's two optimizations: a secondary index on
+//! the `Done` flag, and a minimum re-launch delay enforced with a
+//! compare-and-swap on the last-launch timestamp (so concurrent IC
+//! instances do not double-restart).
 //!
 //! Like the GC, a pass fires step-boundary crash points (`ic.enter` /
 //! `ic.post_scan` / `ic.exit`) plus one probe before each re-launch
@@ -97,7 +99,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
         let Some(rec) = IntentRecord::from_row(row) else {
             continue;
         };
-        if !relaunchable(&rec.args) {
+        let Some(envelope) = Envelope::resend(&rec).filter(relaunchable) else {
             // Nothing to re-fire: the row is corrupt (registration always
             // stores the call, or the decision signal, to re-send). A
             // relaunch would only earn a "bad envelope" reply and leave the
@@ -105,7 +107,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
             // stops returning it, and quiescence is reached.
             report_corrupt_intent(core, table, &rec.id, &mut report)?;
             continue;
-        }
+        };
         report.unfinished += 1;
         if now_ms.saturating_sub(rec.last_launch_ms) < delay_ms {
             report.too_recent += 1;
@@ -118,7 +120,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
         crash(Label::IcPreRestart);
         // Re-fire the original envelope. Failures here are fine: the next
         // pass tries again.
-        if core.platform.invoke_async(&ssf.name, rec.args).is_ok() {
+        if core.platform.invoke_async(&ssf.name, envelope).is_ok() {
             report.restarted += 1;
         }
     }
@@ -126,11 +128,11 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
     Ok(report)
 }
 
-/// Whether `args` is an envelope the collector can re-send: the call an
+/// Whether `envelope` is one the collector can re-send: the call an
 /// execution intent stores, or the signal a decision intent stores.
-fn relaunchable(args: &Value) -> bool {
+fn relaunchable(envelope: &Value) -> bool {
     matches!(
-        Envelope::from_value(args.clone()),
+        Envelope::from_value(envelope.clone()),
         Ok(Envelope::Call { .. } | Envelope::TxnSignal { .. })
     )
 }

@@ -4,7 +4,11 @@
 //! original invocation envelope (so the intent collector can re-execute it
 //! verbatim), the completion flag, the return value, and GC bookkeeping.
 //! Registration is the first external action of every instance; completion
-//! (`Done = true`, return value, finish time) is the last.
+//! (`Done = true`, return value, finish time) is the last. Each fact is
+//! stored once: `Args` leaves out the envelope fields the row holds as
+//! attributes (`Id`, `Caller`, `Async`), and the done-mark removes what
+//! only the collector reads (`Args`, `LastLaunch`), since it reads only
+//! intents that are not done.
 
 #![expect(
     clippy::disallowed_methods,
@@ -35,7 +39,8 @@ pub(crate) struct IntentRecord {
     pub done: bool,
     /// Whether the instance was invoked asynchronously.
     pub is_async: bool,
-    /// The original invocation envelope, re-sent verbatim by the IC.
+    /// The original invocation envelope without the fields the row holds
+    /// itself ([`crate::invoke::Envelope::into_args`]); `Null` once done.
     pub args: Value,
     /// The outcome envelope recorded at completion.
     pub ret: Option<Value>,
@@ -44,7 +49,8 @@ pub(crate) struct IntentRecord {
     /// Creation timestamp (virtual ms); the start of the recovery-latency
     /// window for crashed instances.
     pub created_ms: u64,
-    /// Last (re-)launch timestamp (virtual ms), advanced by the IC.
+    /// Last (re-)launch timestamp (virtual ms), advanced by the IC; 0
+    /// once done.
     pub last_launch_ms: u64,
 }
 
@@ -115,7 +121,9 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
 /// envelope, the steps at which it has a log entry ([`A_LOG_STEPS`],
 /// omitted when there are none) and its finish time ([`A_FINISH`], the
 /// clock `now_ms` read just before this write), from which the GC counts
-/// the recycle horizon.
+/// the recycle horizon. The same write removes [`A_ARGS`] and
+/// [`A_LAST_LAUNCH`]: their one reader, the intent collector, reads only
+/// intents that are not done.
 ///
 /// Idempotent: re-executions overwrite with the identical (deterministic)
 /// outcome and steps; the first done-mark's finish time stays.
@@ -130,7 +138,9 @@ pub(crate) fn mark_done(
     let mut update = Update::new()
         .set(A_DONE, Value::Bool(true))
         .set(A_RET, ret)
-        .set_if_absent(A_FINISH, Value::Int(now_ms as i64));
+        .set_if_absent(A_FINISH, Value::Int(now_ms as i64))
+        .remove(A_ARGS)
+        .remove(A_LAST_LAUNCH);
     if !log_steps.is_empty() {
         let steps = log_steps.iter().map(|&s| Value::Int(s as i64)).collect();
         update = update.set(A_LOG_STEPS, Value::List(steps));
@@ -231,6 +241,10 @@ mod tests {
         assert_eq!(rec.ret, Some(Value::Int(42)));
         let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
         assert_eq!(log_steps(&row), Some(vec![0, 2]));
+        // Only the collector reads the envelope and the launch time, and
+        // it reads only intents that are not done.
+        assert_eq!(row.get_attr(A_ARGS), None);
+        assert_eq!(row.get_attr(A_LAST_LAUNCH), None);
     }
 
     #[test]

@@ -30,7 +30,8 @@ use beldi_value::{Cond, Map, Update, Value};
 use crate::context::SsfContext;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
-use crate::schema::{A_CALLEE_FN, A_CALLEE_ID, A_LOG_KEY, A_REGISTERED, A_RESULT, A_TXN_ID};
+use crate::intent::IntentRecord;
+use crate::schema::{A_CALLEE_FN, A_LOG_KEY, A_REGISTERED, A_RESULT, A_TXN_ID};
 use crate::txn::{TxnContext, TxnMode};
 use crate::Label;
 
@@ -136,6 +137,36 @@ impl Envelope {
             *first_attempt_ms = Some(first_ms);
         }
         retry.into_value()
+    }
+
+    /// The envelope as an intent's `Args` stores it: without `Id`,
+    /// `Caller` and `Async`, which the row holds as attributes of its own.
+    /// [`Envelope::resend`] puts them back.
+    pub(crate) fn into_args(self) -> Value {
+        let mut args = self.into_value();
+        if let Some(m) = args.as_map_mut() {
+            for key in [K_ID, K_CALLER, K_ASYNC] {
+                m.remove(key);
+            }
+        }
+        args
+    }
+
+    /// The envelope the intent collector re-sends for the unfinished
+    /// intent `rec`: its `Args` with the row's `Id` and, for a call, the
+    /// row's `Caller` and `Async` put back, field for field the envelope
+    /// the intent was registered for. `None` when `Args` is not a map.
+    pub(crate) fn resend(rec: &IntentRecord) -> Option<Value> {
+        let mut envelope = rec.args.clone();
+        let m = envelope.as_map_mut()?;
+        m.insert(K_ID, Value::from(&rec.id));
+        if m.get(K_OP).and_then(Value::as_str) == Some("call") {
+            m.insert(K_ASYNC, Value::Bool(rec.is_async));
+            if let Some(c) = &rec.caller {
+                m.insert(K_CALLER, Value::from(c));
+            }
+        }
+        Some(envelope)
     }
 
     /// Serializes the envelope for the platform payload. The envelope's
@@ -295,11 +326,14 @@ pub(crate) struct InvokeEntry {
 }
 
 impl InvokeEntry {
-    /// Decodes a row read from the invoke log. The row shares its map with
-    /// the stored one, so fields are read, not taken.
+    /// Decodes a row read from the invoke log; `None` unless it is an
+    /// invoke entry (it names its callee's function). The callee id is not
+    /// stored: it is derived from the entry's key. The row shares its map
+    /// with the stored one, so fields are read, not taken.
     fn from_row(row: Value) -> Option<Self> {
+        row.get_attr(A_CALLEE_FN)?;
         Some(InvokeEntry {
-            callee_id: row.get_shared_str(A_CALLEE_ID)?.clone(),
+            callee_id: crate::ids::callee_id(row.get_str(A_LOG_KEY)?),
             result: row.get_attr(A_RESULT).filter(|v| !v.is_null()).cloned(),
             registered: row.get_bool(A_REGISTERED).unwrap_or(false),
         })
@@ -321,12 +355,9 @@ impl SsfContext {
         // A callee id derived from the (replay-stable) log key, not a
         // platform UUID, makes the execution tree's instance ids a pure
         // function of the root id (bit-identical chaos crash schedules per
-        // seed) and lets the callback address this entry. The fresh row is
-        // seeded with its key.
-        let fresh_id = crate::ids::callee_id(&log_key);
-        let mut update = Update::new()
-            .set(A_CALLEE_ID, &fresh_id)
-            .set(A_CALLEE_FN, callee_fn);
+        // seed) and lets the callback address this entry; the entry stores
+        // no copy of it. The fresh row is seeded with its key.
+        let mut update = Update::new().set(A_CALLEE_FN, callee_fn);
         if let Some(t) = &self.txn {
             if t.ctx.mode == TxnMode::Execute && !t.ended {
                 update = update.set(A_TXN_ID, &t.ctx.id);
@@ -341,7 +372,7 @@ impl SsfContext {
             Ok(()) => {
                 self.log_steps.push(step);
                 Ok(InvokeEntry {
-                    callee_id: fresh_id,
+                    callee_id: crate::ids::callee_id(&log_key),
                     result: None,
                     registered: false,
                 })
@@ -576,9 +607,12 @@ pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -
 }
 
 /// Handles an incoming callback at the caller's side: records the result
-/// (or registration) on the invoke-log entry the callee id names. A
-/// spurious callback (§4.5) — a collected entry, a forged id, a read
-/// entry's key — fails the condition, creates no row, and is ignored.
+/// (or, for an async callee, the registration) on the invoke-log entry
+/// the callee id names. The key is the id, so the entry is this callee's
+/// if it is an invoke entry at all: only invoke entries carry `CalleeFn`.
+/// A spurious callback (§4.5) — a collected entry, a forged id, a read or
+/// write entry's key — fails the condition, creates no row, and is
+/// ignored.
 #[expect(
     clippy::disallowed_methods,
     reason = "between the callee's Label::WrapperPreCallback and Label::WrapperPreDone"
@@ -592,11 +626,11 @@ pub(crate) fn handle_callback(
     let Some(pk) = crate::ids::callee_log_key(callee_id).map(PrimaryKey::hash) else {
         return Ok(());
     };
-    let mut update = Update::new().set(A_REGISTERED, Value::Bool(true));
-    if let Some(r) = result {
-        update = update.set_if_absent(A_RESULT, r);
-    }
-    let cond = Cond::eq(A_CALLEE_ID, callee_id);
+    let update = match result {
+        Some(r) => Update::new().set_if_absent(A_RESULT, r),
+        None => Update::new().set(A_REGISTERED, Value::Bool(true)),
+    };
+    let cond = Cond::exists(A_CALLEE_FN);
     match core.db.update(&ssf.log_table, &pk, &cond, &update) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),

@@ -78,7 +78,9 @@ pub use env::{BeldiEnv, DrainReport, EnvBuilder, SsfBody, MAX_ROOT_ATTEMPTS};
 pub use error::{BeldiError, BeldiResult};
 pub use gc::GcReport;
 pub use ic::IcReport;
-pub use ids::{callee_id, callee_log_key, log_key, parse_log_key, InstanceId, StepNumber};
+pub use ids::{
+    callee_id, callee_log_key, finalize_marker, log_key, parse_log_key, InstanceId, StepNumber,
+};
 pub use txn::{TxnContext, TxnMode, TxnOutcome};
 
 /// Schema constants and table-name helpers (exposed for benchmarks,

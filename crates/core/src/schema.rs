@@ -52,7 +52,12 @@ pub const A_ID: &str = "Id";
 pub const A_DONE: &str = "Done";
 /// Whether the instance was launched asynchronously.
 pub const A_ASYNC: &str = "Async";
-/// Original arguments (for IC re-execution).
+/// The call (or commit signal) to re-send, without the `Id`, `Caller` and
+/// `Async` the row holds itself. Every intent carries it from
+/// registration until its done-mark removes it; its one reader is the
+/// intent collector, which reads only intents that are not done and puts
+/// the row's fields back before it re-sends. A finalize marker an owner
+/// claimed never carries it.
 pub const A_ARGS: &str = "Args";
 /// Return value (recorded at completion).
 pub const A_RET: &str = "Ret";
@@ -66,7 +71,9 @@ pub const A_CREATED: &str = "Created";
 /// Instance id of the transaction owner that claimed its SSF's finalize
 /// marker (§6.2).
 pub const A_CLAIMANT: &str = "Claimant";
-/// Last (re-)launch timestamp (ms), maintained by the IC.
+/// Last (re-)launch timestamp (ms): set at registration, advanced by the
+/// IC's compare-and-swap, removed by the done-mark. The IC is its one
+/// reader, and reads it only on intents that are not done.
 pub const A_LAST_LAUNCH: &str = "LastLaunch";
 /// The step numbers at which the instance has an entry in its SSF's log,
 /// a list of ints set by the done-mark. GC step 3 deletes
@@ -78,13 +85,17 @@ pub const A_LOG_STEPS: &str = "LogSteps";
 
 /// Log key `instance#step` (hash key of the log table).
 pub const A_LOG_KEY: &str = "LogKey";
-/// Callee instance id; a callback's condition checks it.
-pub const A_CALLEE_ID: &str = "CalleeId";
-/// Callee function name (lets commit/abort propagation find callees).
+/// Callee function name, on invoke entries only: commit/abort propagation
+/// reads it to find callees, and a callback's condition is that it exists.
+/// The callee's instance id is not stored: it is the entry's `LogKey` plus
+/// `.c` ([`crate::callee_id`]).
 pub const A_CALLEE_FN: &str = "CalleeFn";
 /// Result recorded by the callee's callback.
 pub const A_RESULT: &str = "Result";
-/// Set once an async callee confirmed intent registration.
+/// `true` on an async call's invoke entry once the callee confirmed its
+/// intent's registration; no other entry carries it, and it stays until
+/// the entry is collected. Only `async_invoke`, replaying the entry, reads
+/// it (to skip registering again).
 pub const A_REGISTERED: &str = "Registered";
 /// Transaction id the invocation happened under (indexed), or absent.
 pub const A_TXN_ID: &str = "TxnId";

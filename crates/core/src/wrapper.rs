@@ -140,7 +140,8 @@ fn run_call(
     } else {
         // Synchronous path: register the intent (idempotent; the first
         // registration wins and re-executions adopt it). Its `Args` are
-        // the call as the collector must re-send it.
+        // the call as the collector must re-send it, less what the row
+        // holds itself.
         let args = Envelope::Call {
             id: Some(instance.clone()),
             input: input.clone(),
@@ -149,7 +150,7 @@ fn run_call(
             is_async,
             first_attempt_ms: None,
         }
-        .into_value();
+        .into_args();
         match intent::register(
             db,
             intent_table,
@@ -295,7 +296,8 @@ fn run_async_reg(
     caller: &Arc<str>,
 ) -> Value {
     let now_ms = core.platform.clock().now().as_millis();
-    // Args = the call envelope the IC should re-fire.
+    // Args = the call envelope the IC should re-fire, less what the row
+    // holds itself.
     let call = Envelope::Call {
         id: Some(instance.clone()),
         input,
@@ -308,7 +310,7 @@ fn run_async_reg(
         &core.db,
         &ssf.intent_table,
         instance,
-        call.into_value(),
+        call.into_args(),
         true,
         Some(caller),
         now_ms,
@@ -319,7 +321,7 @@ fn run_async_reg(
         .faults()
         .crash_point(instance, Label::AsyncRegPostIntent);
     // Registration confirmation: sets `Registered` on the caller's
-    // invoke-log entry. At-least-once.
+    // invoke-log entry, the one kind of callback that does. At-least-once.
     invoke::send_callback(core, caller, instance, None);
     Outcome::Ok(Value::Null).into_value()
 }
@@ -351,7 +353,7 @@ fn run_txn_signal(
         &core.db,
         &ssf.intent_table,
         &instance,
-        envelope.into_value(),
+        envelope.into_args(),
         false,
         None,
         now_ms,

@@ -117,10 +117,10 @@ fn duplicate_callbacks_keep_first_result() {
         .scan_all("caller.log", &ScanRequest::all())
         .unwrap();
     assert_eq!(rows.len(), 1);
-    let callee_id = rows[0].get_str("CalleeId").unwrap().to_owned();
+    let callee_id = callee_id(rows[0].get_str("LogKey").unwrap());
     let forged = vmap! {
         "Op" => "callback",
-        "CalleeId" => callee_id.as_str(),
+        "CalleeId" => callee_id,
         "Result" => vmap! { "Outcome" => "ok", "Ret" => "forged" },
     };
     env.platform().invoke_sync("caller", forged).unwrap();
@@ -141,14 +141,22 @@ fn completed_callee_replays_and_recallbacks() {
     let out = env.invoke("caller", Value::Int(3)).unwrap();
     assert_eq!(out.get_int("run"), Some(1));
     // Find the callee's instance id from its intent table and re-dispatch
-    // the original envelope, as a duplicated async delivery would.
+    // the original call, as a duplicated async delivery would. The done
+    // intent no longer holds it: its done-mark removed `Args`.
     let intents = env
         .db()
         .scan_all("callee.intent", &ScanRequest::all())
         .unwrap();
     assert_eq!(intents.len(), 1);
-    let args = intents[0].get_attr("Args").unwrap().clone();
-    let replay = env.platform().invoke_sync("callee", args).unwrap();
+    assert_eq!(intents[0].get_attr("Args"), None);
+    let call = vmap! {
+        "Op" => "call",
+        "Id" => intents[0].get_str("Id").unwrap(),
+        "Input" => 3i64,
+        "Caller" => intents[0].get_str("Caller").unwrap(),
+        "Async" => false,
+    };
+    let replay = env.platform().invoke_sync("callee", call).unwrap();
     assert_eq!(
         beldi::value::Value::from(replay.get_int("Ret").is_some()),
         Value::Bool(false),
@@ -178,8 +186,9 @@ fn caller_crash_after_callback_reuses_logged_result() {
     );
 }
 
-/// Read entries and invoke entries share `{ssf}.log`. An invoke entry's
-/// callee id names the entry's own key, which is how the callback finds
+/// Read entries and invoke entries share `{ssf}.log`. Only an invoke
+/// entry names a callee function, and its callee id is derived from its
+/// own key (stored nowhere in the entry), which is how the callback finds
 /// it; the transaction-id index is sparse, so commit propagation sees
 /// invoke entries only, however many reads the instance logged beside
 /// them.
@@ -210,12 +219,23 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
     let log = "front.log";
     let rows = env.db().scan_all(log, &ScanRequest::all()).unwrap();
     let (invokes, reads): (Vec<_>, Vec<_>) =
-        rows.iter().partition(|r| r.get_str("CalleeId").is_some());
+        rows.iter().partition(|r| r.get_str("CalleeFn").is_some());
     assert!(reads.len() >= 4, "{} read entries", reads.len());
     assert!(reads.iter().all(|r| r.get_attr("TxnId").is_none()));
+    assert!(rows.iter().all(|r| r.get_attr("CalleeId").is_none()));
+    let callee_intents = env
+        .db()
+        .scan_all("callee.intent", &ScanRequest::all())
+        .unwrap();
     for entry in &invokes {
-        let id = entry.get_str("CalleeId").unwrap();
-        assert_eq!(callee_log_key(id), entry.get_str("LogKey"), "{entry:?}");
+        let key = entry.get_str("LogKey").unwrap();
+        let id = callee_id(key);
+        assert_eq!(callee_log_key(&id), Some(key), "{entry:?}");
+        // The derived id is the one the callee registered under.
+        assert!(
+            callee_intents.iter().any(|i| i.get_str("Id") == Some(&*id)),
+            "{id} has an intent"
+        );
     }
     // The callback found the call's entry and left the result on it; the
     // commit signal, addressed by the transaction, has no entry.
@@ -235,8 +255,9 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
 }
 
 /// A callback addresses its entry by the key its callee id names, and the
-/// write is conditional on the entry carrying that callee id. A forged id
-/// that names a *read* entry's key writes nothing on it.
+/// write is conditional on the entry being an invoke entry (it names a
+/// callee function). A forged id that names a *read* entry's key writes
+/// nothing on it.
 #[test]
 fn forged_callback_naming_a_read_entry_writes_nothing() {
     let env = caller_callee_env(BeldiConfig::beldi());
@@ -247,7 +268,8 @@ fn forged_callback_naming_a_read_entry_writes_nothing() {
         .scan_all("reader.log", &ScanRequest::all())
         .unwrap();
     assert_eq!(before.len(), 1);
-    assert!(before[0].get_attr("CalleeId").is_none(), "a read entry");
+    assert!(before[0].get_attr("Value").is_some(), "a read entry");
+    assert!(before[0].get_attr("CalleeFn").is_none(), "{:?}", before[0]);
     let forged = vmap! {
         "Op" => "callback",
         "CalleeId" => callee_id(before[0].get_str("LogKey").unwrap()),
@@ -262,6 +284,42 @@ fn forged_callback_naming_a_read_entry_writes_nothing() {
     assert_eq!(after, before, "the read entry is untouched");
 }
 
+/// The same for a cross-table-mode write entry, which shares `{ssf}.log`
+/// with the invoke entries too: a callback whose id names its key writes
+/// nothing on it.
+#[test]
+fn forged_callback_naming_a_cross_table_write_entry_writes_nothing() {
+    let env = caller_callee_env(BeldiConfig::cross_table());
+    env.register_ssf(
+        "writer",
+        &["wt"],
+        Arc::new(|ctx, input| {
+            ctx.write("wt", "k", input)?;
+            Ok(Value::Null)
+        }),
+    );
+    env.invoke_as("writer", "w-1", Value::Int(1)).unwrap();
+    let before = env
+        .db()
+        .scan_all("writer.log", &ScanRequest::all())
+        .unwrap();
+    assert_eq!(before.len(), 1);
+    assert!(before[0].get_attr("Flag").is_some(), "a write entry");
+    assert!(before[0].get_attr("CalleeFn").is_none(), "{:?}", before[0]);
+    let forged = vmap! {
+        "Op" => "callback",
+        "CalleeId" => callee_id(before[0].get_str("LogKey").unwrap()),
+        "Result" => vmap! { "Outcome" => "ok", "Ret" => "forged" },
+    };
+    let out = env.platform().invoke_sync("writer", forged).unwrap();
+    assert_eq!(out.get_str("Outcome"), Some("ok"), "acknowledged");
+    let after = env
+        .db()
+        .scan_all("writer.log", &ScanRequest::all())
+        .unwrap();
+    assert_eq!(after, before, "the write entry is untouched");
+}
+
 /// A callback that arrives after the caller's entry was collected (§4.5's
 /// spurious callback) is ignored: its keyed write creates no row.
 #[test]
@@ -272,7 +330,7 @@ fn callback_for_a_collected_entry_creates_no_row() {
         .db()
         .scan_all("caller.log", &ScanRequest::all())
         .unwrap();
-    let id = rows[0].get_str("CalleeId").unwrap().to_owned();
+    let id = callee_id(rows[0].get_str("LogKey").unwrap());
     for _ in 0..3 {
         env.run_gc_once("caller").unwrap();
         env.clock().sleep(Duration::from_millis(80));
@@ -280,7 +338,7 @@ fn callback_for_a_collected_entry_creates_no_row() {
     assert_eq!(env.db().row_count("caller.log").unwrap(), 0, "collected");
     let late = vmap! {
         "Op" => "callback",
-        "CalleeId" => id.as_str(),
+        "CalleeId" => id,
         "Result" => vmap! { "Outcome" => "ok", "Ret" => 1i64 },
     };
     let out = env.platform().invoke_sync("caller", late).unwrap();

@@ -10,18 +10,25 @@
 //! shared and does not show here: CI's `allocs_per_req` guard counts it.)
 //!
 //! Ids are stored several times too, and each is one string: a callee id
-//! is its caller's `CalleeId` and the callee's intent key; a log key is its
-//! entry's row key and its `LogKey`. The callee's entries are named by that
-//! id and the steps its intent's `LogSteps` lists.
+//! is the callee's intent key and its `Id`; a log key is its entry's row
+//! key and its `LogKey`. A fact the row already holds is not stored again:
+//! the caller's invoke entry keeps no copy of the callee id, which is its
+//! `LogKey` plus `.c`, and an intent's `Args` leaves out its `Id`,
+//! `Caller` and `Async`. The callee's entries are named by its id and the
+//! steps its intent's `LogSteps` lists.
+//!
+//! An intent keeps its `Args` only until its done-mark (the collector, the
+//! one reader, reads only intents that are not done), so the input is
+//! checked on intents stopped just before it.
 
 use std::sync::Arc;
 
 use beldi::schema::{
-    intent_table, log_table, A_ARGS, A_CALLEE_ID, A_ID, A_LOG_KEY, A_LOG_STEPS, A_RESULT, A_RET,
+    intent_table, log_table, A_ARGS, A_CALLEE_FN, A_ID, A_LOG_KEY, A_LOG_STEPS, A_RESULT, A_RET,
 };
 use beldi::value::{vmap, Map, Value};
 use beldi::Label;
-use beldi::{BeldiEnv, CrashPlan, A_VALUE};
+use beldi::{callee_id, log_key, BeldiEnv, CrashPlan, A_VALUE};
 use beldi_simdb::ScanRequest;
 use parking_lot::Mutex;
 
@@ -37,7 +44,7 @@ type Log = Arc<Mutex<Vec<Seen>>>;
 
 /// `caller` passes its input to `callee`, which reads a map-valued item
 /// and returns a map. Every execution of either body is recorded.
-fn env() -> (BeldiEnv, Log, Log) {
+fn caller_callee() -> (BeldiEnv, Log, Log) {
     let env = BeldiEnv::for_tests();
     let (callee_log, caller_log) = (Log::default(), Log::default());
     let log = callee_log.clone();
@@ -109,11 +116,6 @@ fn assert_stored_once(env: &BeldiEnv, callee: &Seen, caller: &Seen) {
     ] {
         assert!(same(held, &callee.ret), "{held} is a copy of the outcome");
     }
-    // The input: received by the body, recorded in the intent's `Args`.
-    for (ssf, seen) in [("callee", callee), ("caller", caller)] {
-        let args = stored(env, &intent_table(ssf), A_ARGS);
-        assert!(same(args.get_attr("Input").unwrap(), &seen.input));
-    }
     assert!(same(&callee.input, &caller.input));
     // The read: returned to the body, recorded in the read log.
     assert!(same(
@@ -122,9 +124,33 @@ fn assert_stored_once(env: &BeldiEnv, callee: &Seen, caller: &Seen) {
     ));
 }
 
+/// The callee's instance id: the caller's first logged step names it.
+fn callee() -> String {
+    callee_id(&log_key("root", 0)).to_string()
+}
+
+/// Dispatches the caller once, with no retry, and stops the caller and the
+/// callee just before their done-marks, so both intents keep their `Args`.
+fn stop_before_done(env: &BeldiEnv, input: Value) {
+    let faults = env.platform().faults();
+    faults.plan("root", CrashPlan::AtLabel(Label::WrapperPreDone));
+    faults.plan(callee(), CrashPlan::AtLabel(Label::WrapperPreDone));
+    assert!(env.invoke_attempts("caller", "root", input, 1).is_err());
+}
+
+/// The input: received by the body, recorded in the `Args` of its intent,
+/// stopped before its done-mark.
+fn assert_args_share_input(env: &BeldiEnv, callee: &Seen, caller: &Seen) {
+    for (ssf, seen) in [("callee", callee), ("caller", caller)] {
+        let args = stored(env, &intent_table(ssf), A_ARGS);
+        assert!(same(args.get_attr("Input").unwrap(), &seen.input));
+    }
+    assert!(same(&callee.input, &caller.input));
+}
+
 #[test]
 fn a_value_the_protocol_stores_twice_is_one_allocation() {
-    let (env, callee_log, caller_log) = env();
+    let (env, callee_log, caller_log) = caller_callee();
     let input = vmap! { "order" => vmap! { "qty" => 2i64 } };
     let ret = env.invoke_as("caller", "root", input.clone()).unwrap();
 
@@ -134,11 +160,23 @@ fn a_value_the_protocol_stores_twice_is_one_allocation() {
     // The client's own handles are the same trees again.
     assert!(same(&ret, &callee[0].ret));
     assert!(same(&input, &callee[0].input));
+    // The done-marks removed both intents' `Args`.
+    for ssf in ["callee", "caller"] {
+        let rows = env.db().scan_all(&intent_table(ssf), &ScanRequest::all());
+        assert!(rows.unwrap().iter().all(|r| r.get_attr(A_ARGS).is_none()));
+    }
+
+    let (stopped, callee_log, caller_log) = caller_callee();
+    stop_before_done(&stopped, input.clone());
+    let (callee, caller) = (callee_log.lock().clone(), caller_log.lock().clone());
+    assert_eq!((callee.len(), caller.len()), (1, 1));
+    assert_args_share_input(&stopped, &callee[0], &caller[0]);
+    assert!(same(&input, &callee[0].input));
 }
 
 #[test]
 fn a_re_executed_instance_gets_equal_values_and_shares_them_still() {
-    let (env, callee_log, caller_log) = env();
+    let (env, callee_log, caller_log) = caller_callee();
     // The callee dies after its body ran, before its callback: the caller's
     // retry re-executes it, and the body replays its read from the log.
     env.platform()
@@ -156,6 +194,20 @@ fn a_re_executed_instance_gets_equal_values_and_shares_them_still() {
     );
     assert_eq!(ret, callee[1].ret);
     assert_stored_once(&env, &callee[1], &caller[0]);
+
+    // The same run stopped before the done-marks: the re-executed callee
+    // got the input the first execution's registration recorded.
+    let (stopped, callee_log, caller_log) = caller_callee();
+    stopped
+        .platform()
+        .faults()
+        .set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreCallback)));
+    stop_before_done(&stopped, vmap! { "order" => vmap! { "qty" => 2i64 } });
+    assert_eq!(stopped.platform().faults().injected_count(), 3);
+    let (callee, caller) = (callee_log.lock().clone(), caller_log.lock().clone());
+    assert_eq!((callee.len(), caller.len()), (2, 1));
+    assert!(same(&callee[0].input, &callee[1].input));
+    assert_args_share_input(&stopped, &callee[1], &caller[0]);
 }
 
 /// The string a stored attribute holds, by address.
@@ -165,15 +217,34 @@ fn text(v: &Value) -> *const u8 {
 
 #[test]
 fn an_id_the_protocol_stores_several_times_is_one_string() {
-    let (env, _, _) = env();
+    let (env, _, _) = caller_callee();
     env.invoke_as("caller", "root", Value::Null).unwrap();
 
-    // The callee id: the caller's invoke-log entry names it, and the
-    // callee's intent is keyed by it and lists the step of its read.
-    let callee_id = stored(&env, &log_table("caller"), A_CALLEE_ID);
-    let intent = stored(&env, &intent_table("callee"), A_ID);
-    assert_eq!(callee_id, intent);
-    assert_eq!(text(&callee_id), text(&intent));
+    // The callee id: the caller's invoke-log entry names it by its key and
+    // stores no copy, and the callee's intent is keyed by it, holds it as
+    // its `Id`, and lists the step of its read.
+    let snapshot = env.db().snapshot();
+    let (entry_key, entry) = snapshot
+        .rows(&log_table("caller"))
+        .expect("the caller's log")
+        .iter()
+        .next()
+        .expect("its invoke entry");
+    assert!(entry.get_attr(A_CALLEE_FN).is_some(), "{entry:?}");
+    assert_eq!(entry.as_map().unwrap().get("CalleeId"), None);
+    let (intent_key, intent) = snapshot
+        .rows(&intent_table("callee"))
+        .expect("the callee's intents")
+        .iter()
+        .next()
+        .expect("its intent");
+    let id = intent.get_attr(A_ID).expect("an id");
+    assert_eq!(
+        id.as_str(),
+        Some(&*callee_id(entry_key.hash.as_str().unwrap()))
+    );
+    assert_eq!(&intent_key.hash, id);
+    assert_eq!(text(&intent_key.hash), text(id));
     let steps = stored(&env, &intent_table("callee"), A_LOG_STEPS);
     assert_eq!(steps, Value::List(vec![Value::Int(0)]));
 
@@ -189,6 +260,6 @@ fn an_id_the_protocol_stores_several_times_is_one_string() {
     assert_eq!(&key.hash, log_key);
     assert_eq!(text(&key.hash), text(log_key));
     // ...and the key the collector computes from the intent and its step.
-    let callee_id = callee_id.as_str().expect("a string");
+    let callee_id = id.as_str().expect("a string");
     assert_eq!(log_key.as_str(), Some(&*beldi::log_key(callee_id, 0)));
 }

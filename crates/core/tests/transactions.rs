@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Cond, Path, Value};
-use beldi::{BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome};
+use beldi::{finalize_marker, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome};
 use beldi_simdb::ScanRequest;
 
 mod common;
@@ -724,14 +724,23 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
 
-/// The rows of `ssf`'s intent table that a commit/abort signal registered.
+/// The rows of `ssf`'s intent table that a commit/abort signal registered:
+/// those keyed by the SSF's finalize marker for some transaction
+/// (`{txn}@{ssf}`) that no owner claimed. (A done intent keeps no `Args`
+/// to tell its envelope by.)
 fn signal_intents(env: &BeldiEnv, ssf: &str) -> usize {
     let rows = env
         .db()
         .scan_all(&format!("{ssf}.intent"), &ScanRequest::all())
         .unwrap();
     rows.iter()
-        .filter(|r| r.get_attr("Args").and_then(|a| a.get_str("Op")) == Some("txnsignal"))
+        .filter(|r| {
+            let id = r.get_str("Id").unwrap();
+            let marker = id
+                .rsplit_once('@')
+                .is_some_and(|(txn, _)| *finalize_marker(ssf, txn) == *id);
+            marker && r.get_attr("Claimant").is_none()
+        })
         .count()
 }
 

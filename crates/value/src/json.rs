@@ -10,7 +10,10 @@
 //!   trailing `.0` so integers and floats survive a round trip;
 //! - [`from_json`] — a strict recursive-descent parser covering the full
 //!   JSON grammar (nested containers, string escapes including `\uXXXX`
-//!   with surrogate pairs, scientific notation).
+//!   with surrogate pairs, scientific notation). It parses untrusted text
+//!   (the front door hands it every request body), so it bounds what the
+//!   grammar leaves open: containers nest at most [`MAX_DEPTH`] deep, and
+//!   a number must be finite as an `f64`.
 //!
 //! Lossiness: [`Value::Bytes`] has no JSON representation and is written
 //! as a hex string (it does not occur in benchmark reports); non-finite
@@ -136,15 +139,24 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How deep [`from_json`] lets containers nest: DynamoDB's limit on a
+/// document's nesting, so whatever parses can also be stored. The bound
+/// keeps the recursive descent's stack small: without it a 10 KB body of
+/// `[`s overflowed a 2 MiB thread stack and aborted the process.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// [`ValueError::Parse`] on any syntax error, with a byte offset.
+/// [`ValueError::Parse`] on any syntax error, on containers nested deeper
+/// than [`MAX_DEPTH`], and on a number too large for an `f64` (`1e999`),
+/// with a byte offset.
 pub fn from_json(text: &str) -> ValueResult<Value> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
         buf: String::new(),
     };
     p.skip_ws();
@@ -159,6 +171,8 @@ pub fn from_json(text: &str) -> ValueResult<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// How many containers enclose the current position.
+    depth: usize,
     /// Reused to decode each string before it becomes one `Arc<str>`.
     buf: String,
 }
@@ -202,11 +216,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.list(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::list),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses a container with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> ValueResult<Value>) -> ValueResult<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("containers nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn list(&mut self) -> ValueResult<Value> {
@@ -389,9 +414,11 @@ impl Parser<'_> {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Value::Float(x)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 
@@ -513,6 +540,39 @@ mod tests {
             "parse took {:?} — string scanning has gone super-linear",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = from_json(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(from_json(&to_json(&deepest)).unwrap(), deepest);
+        let maps = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_json(&maps).is_ok());
+        // One level past the bound, or ten thousand: an error, not a crash.
+        for depth in [MAX_DEPTH + 1, 10_000] {
+            let err = from_json(&nested(depth)).unwrap_err();
+            assert!(err.to_string().contains("nested deeper than 32"), "{err}");
+        }
+        let mixed = r#"{"a":[{"b":"#.repeat(20);
+        assert!(from_json(&mixed)
+            .unwrap_err()
+            .to_string()
+            .contains("nested"));
+    }
+
+    #[test]
+    fn numbers_out_of_range_are_rejected() {
+        for bad in ["1e999999", "-1e400", "[1e309]"] {
+            let err = from_json(bad).unwrap_err();
+            assert!(err.to_string().contains("out of range"), "{bad}: {err}");
+        }
+        // An integer past i64 that a float holds is still a number.
+        assert_eq!(
+            from_json("99999999999999999999").unwrap(),
+            Value::Float(1e20)
+        );
+        assert_eq!(from_json("1e-999").unwrap(), Value::Float(0.0));
     }
 
     #[test]
