@@ -138,7 +138,7 @@ fn relaunchable(envelope: &Value) -> bool {
 }
 
 /// Counts and quarantines a corrupt intent (nothing to re-send): marked done
-/// with a null outcome so it leaves the unfinished index and the GC can
+/// with no outcome (which decodes as a null one) so it leaves the unfinished index and the GC can
 /// recycle it. The pass goes on: a corrupt intent is a protocol bug, not
 /// an operational condition, so the registry counts it here, where it is
 /// found, and every gate fails on a nonzero `core.ic.corrupt`.
@@ -151,5 +151,5 @@ fn report_corrupt_intent(
     report.corrupt += 1;
     core.telemetry().add(Metric::IcCorrupt, 1);
     let now_ms = core.platform.clock().now().as_millis();
-    intent::mark_done(&core.db, table, id, Value::Null, &[], now_ms)
+    intent::mark_done(&core.db, table, id, None, &[], now_ms)
 }

@@ -2,13 +2,14 @@
 //!
 //! Every SSF execution intent is a row keyed by instance id, recording the
 //! original invocation envelope (so the intent collector can re-execute it
-//! verbatim), the completion flag, the return value, and GC bookkeeping.
-//! Registration is the first external action of every instance; completion
-//! (`Done = true`, return value, finish time) is the last. Each fact is
-//! stored once: `Args` leaves out the envelope fields the row holds as
-//! attributes (`Id`, `Caller`, `Async`), and the done-mark removes what
-//! only the collector reads (`Args`, `LastLaunch`), since it reads only
-//! intents that are not done.
+//! verbatim), the completion flag, the outcome of an intent no caller waits
+//! on, and GC bookkeeping. Registration is the first external action of
+//! every instance; completion (`Done = true`, finish time, and for a root
+//! or a commit signal its outcome) is the last. Each fact is stored once:
+//! `Args` leaves out the envelope fields the row holds as attributes (`Id`,
+//! `Caller`, `Async`), the done-mark removes what only the collector reads
+//! (`Args`, `LastLaunch`), since it reads only intents that are not done,
+//! and a callee's outcome lives in its caller's invoke log, not in `Ret`.
 
 #![expect(
     clippy::disallowed_methods,
@@ -42,7 +43,8 @@ pub(crate) struct IntentRecord {
     /// The original invocation envelope without the fields the row holds
     /// itself ([`crate::invoke::Envelope::into_args`]); `Null` once done.
     pub args: Value,
-    /// The outcome envelope recorded at completion.
+    /// The outcome envelope recorded at completion; only an intent with
+    /// no caller records one.
     pub ret: Option<Value>,
     /// Calling SSF name, if any.
     pub caller: Option<Arc<str>>,
@@ -118,12 +120,17 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
 }
 
 /// Marks an intent as done, recording in the same write its outcome
-/// envelope, the steps at which it has a log entry ([`A_LOG_STEPS`],
-/// omitted when there are none) and its finish time ([`A_FINISH`], the
-/// clock `now_ms` read just before this write), from which the GC counts
-/// the recycle horizon. The same write removes [`A_ARGS`] and
-/// [`A_LAST_LAUNCH`]: their one reader, the intent collector, reads only
-/// intents that are not done.
+/// envelope `ret` ([`A_RET`], when given), the steps at which it has a log
+/// entry ([`A_LOG_STEPS`], omitted when there are none) and its finish
+/// time ([`A_FINISH`], the clock `now_ms` read just before this write),
+/// from which the GC counts the recycle horizon. The same write removes
+/// [`A_ARGS`] and [`A_LAST_LAUNCH`]: their one reader, the intent
+/// collector, reads only intents that are not done.
+///
+/// The wrapper passes `ret` only for an intent with no caller, a root or a
+/// commit signal, whose row is the outcome's one durable home; a callee's
+/// outcome is in its caller's invoke-log entry, which its callback wrote
+/// before this (Fig. 9).
 ///
 /// Idempotent: re-executions overwrite with the identical (deterministic)
 /// outcome and steps; the first done-mark's finish time stays.
@@ -131,16 +138,18 @@ pub(crate) fn mark_done(
     db: &Database,
     table: &str,
     id: &Arc<str>,
-    ret: Value,
+    ret: Option<Value>,
     log_steps: &[StepNumber],
     now_ms: u64,
 ) -> BeldiResult<()> {
     let mut update = Update::new()
         .set(A_DONE, Value::Bool(true))
-        .set(A_RET, ret)
         .set_if_absent(A_FINISH, Value::Int(now_ms as i64))
         .remove(A_ARGS)
         .remove(A_LAST_LAUNCH);
+    if let Some(ret) = ret {
+        update = update.set(A_RET, ret);
+    }
     if !log_steps.is_empty() {
         let steps = log_steps.iter().map(|&s| Value::Int(s as i64)).collect();
         update = update.set(A_LOG_STEPS, Value::List(steps));
@@ -235,7 +244,7 @@ mod tests {
     fn done_round_trips_return_value() {
         let db = db();
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        mark_done(&db, "i", &x(), Value::Int(42), &[0, 2], 3).unwrap();
+        mark_done(&db, "i", &x(), Some(Value::Int(42)), &[0, 2], 3).unwrap();
         let rec = load(&db, "i", &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, Some(Value::Int(42)));
@@ -245,6 +254,27 @@ mod tests {
         // it reads only intents that are not done.
         assert_eq!(row.get_attr(A_ARGS), None);
         assert_eq!(row.get_attr(A_LAST_LAUNCH), None);
+    }
+
+    #[test]
+    fn a_done_mark_without_an_outcome_stores_no_ret() {
+        let db = db();
+        register(
+            &db,
+            "i",
+            &x(),
+            Value::Null,
+            false,
+            Some(&"caller".into()),
+            0,
+        )
+        .unwrap();
+        mark_done(&db, "i", &x(), None, &[0], 3).unwrap();
+        let rec = load(&db, "i", &x()).unwrap().unwrap();
+        assert!(rec.done);
+        assert_eq!(rec.ret, None);
+        let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
+        assert_eq!(row.get_attr(A_RET), None);
     }
 
     #[test]
@@ -272,7 +302,7 @@ mod tests {
         // Second claimer saw the stale timestamp and loses.
         assert!(!claim_launch(&db, "i", &x(), 0, 11).unwrap());
         // Done intents are never claimed.
-        mark_done(&db, "i", &x(), Value::Null, &[], 15).unwrap();
+        mark_done(&db, "i", &x(), None, &[], 15).unwrap();
         assert!(!claim_launch(&db, "i", &x(), 10, 20).unwrap());
     }
 
@@ -286,10 +316,10 @@ mod tests {
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
         // Not done yet: no finish time.
         assert_eq!(finish(), None);
-        mark_done(&db, "i", &x(), Value::Int(1), &[0], 7).unwrap();
+        mark_done(&db, "i", &x(), Some(Value::Int(1)), &[0], 7).unwrap();
         assert_eq!(finish(), Some(7));
         // A re-execution's done-mark rewrites the outcome, not the time.
-        mark_done(&db, "i", &x(), Value::Int(1), &[0], 99).unwrap();
+        mark_done(&db, "i", &x(), Some(Value::Int(1)), &[0], 99).unwrap();
         assert_eq!(finish(), Some(7));
     }
 

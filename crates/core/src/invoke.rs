@@ -15,6 +15,16 @@
 //! the caller function, not the blocked original, and writes the
 //! invoke-log entry by the key its callee id names ([`crate::ids`]).
 //!
+//! That entry's `Result` is the one place a callee's outcome is stored:
+//! the callee's done-mark records none. So a done callee, called again,
+//! answers [`Outcome::Logged`] and sends no callback, and the caller reads
+//! the `Result` from its own entry; "done" implies the callback was
+//! delivered. A callback counts as delivered only when the caller
+//! recorded it or found no entry. An outcome too large for the entry's
+//! row is replaced there by an error naming the size and the limit, and
+//! the callee answers `Logged` for it too, so the error is what the caller
+//! returns and every re-execution replays.
+//!
 //! Asynchronous invocations (Fig. 20) flip the order: the caller first
 //! synchronously asks the callee to *register* the intent (confirmed by a
 //! callback that sets the `Registered` flag), then fires the actual
@@ -274,6 +284,10 @@ pub(crate) enum Outcome {
     /// A root retry landed past its first attempt plus `T`: the wrapper
     /// refused it and registered nothing.
     Expired,
+    /// The outcome is in the caller's invoke-log entry, not in this reply:
+    /// the callee was done already, or the caller recorded a replacement
+    /// for it. A callee's answer only.
+    Logged,
 }
 
 impl Outcome {
@@ -284,11 +298,22 @@ impl Outcome {
             Outcome::Abort => beldi_value::vmap! { "Outcome" => "abort" },
             Outcome::Error(m) => beldi_value::vmap! { "Outcome" => "error", "Msg" => m },
             Outcome::Expired => beldi_value::vmap! { "Outcome" => "expired" },
+            Outcome::Logged => beldi_value::vmap! { "Outcome" => "logged" },
         }
     }
 
-    /// Parses an outcome. The reply shares its map with the intent's `Ret`
-    /// and the callback's `Result`, so the return value is read, not taken.
+    /// What an outcome becomes when the row that must store it would be
+    /// `size` bytes, over the store's `limit`: an error naming both, which
+    /// is recorded, returned and replayed in its place.
+    pub fn too_large(size: usize, limit: usize) -> Self {
+        Outcome::Error(format!(
+            "outcome too large to store: its row would be {size} B, over the {limit} B limit"
+        ))
+    }
+
+    /// Parses an outcome. The reply shares its map with the caller's
+    /// logged `Result` (a root's `Ret`), so the return value is read, not
+    /// taken.
     /// Malformed payloads decode as errors so a caller never mistakes
     /// infrastructure failures for success.
     pub fn from_value(v: Value) -> Self {
@@ -297,6 +322,7 @@ impl Outcome {
             Some("abort") => Outcome::Abort,
             Some("error") => Outcome::Error(v.get_str("Msg").unwrap_or("unknown error").to_owned()),
             Some("expired") => Outcome::Expired,
+            Some("logged") => Outcome::Logged,
             _ => Outcome::Error(format!("malformed outcome envelope: {v}")),
         }
     }
@@ -308,6 +334,9 @@ impl Outcome {
             Outcome::Abort => Err(BeldiError::TxnAborted),
             Outcome::Error(m) => Err(BeldiError::Protocol(m)),
             Outcome::Expired => Err(BeldiError::Protocol("retry past its T_max window".into())),
+            Outcome::Logged => Err(BeldiError::Protocol(
+                "the outcome is in the caller's invoke log".into(),
+            )),
         }
     }
 }
@@ -399,6 +428,20 @@ impl SsfContext {
         Ok(row.and_then(InvokeEntry::from_row))
     }
 
+    /// The outcome a callee that answered [`Outcome::Logged`] left in this
+    /// instance's entry at `step`. Its callback precedes its done-mark, so
+    /// the entry holds it; one that does not is a protocol error, never a
+    /// `Null` result.
+    fn logged_outcome(&self, step: crate::ids::StepNumber) -> BeldiResult<Outcome> {
+        let log_key = crate::ids::log_key(&self.instance, step);
+        match self.reload_entry(&log_key)?.and_then(|e| e.result) {
+            Some(r) => Ok(Outcome::from_value(r)),
+            None => Err(BeldiError::Protocol(format!(
+                "callee answered `logged`, but invoke-log entry {log_key} holds no result"
+            ))),
+        }
+    }
+
     // ---- Synchronous invocation (Figs. 8, 9, 19) ----
 
     /// Invokes SSF `callee` with `input` and waits for its result.
@@ -465,7 +508,12 @@ impl SsfContext {
         self.crash(Label::InvokePreCall);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
             match self.platform().invoke_sync(callee, envelope.clone()) {
-                Ok(v) => return Ok(Outcome::from_value(v)),
+                Ok(v) => {
+                    return match Outcome::from_value(v) {
+                        Outcome::Logged => self.logged_outcome(step),
+                        outcome => Ok(outcome),
+                    }
+                }
                 Err(_) => {
                     // The callee (or the response channel) died. Its
                     // callback may still have recorded the result.
@@ -574,45 +622,75 @@ impl SsfContext {
 /// Sends a callback to `caller_fn` recording `result` (or, when `None`, an
 /// async-registration confirmation) for `callee_id`.
 ///
-/// At-least-once: retried a bounded number of times; returns whether some
-/// caller instance acknowledged it.
+/// At-least-once: retried a bounded number of times until a caller
+/// instance acknowledges it ([`handle_callback`]'s reply). The
+/// acknowledgement is `Ok` when the entry holds `result` or there is no
+/// entry, `Logged` when the caller recorded a replacement for an outcome
+/// too large to store; `None` when no instance acknowledged it.
 pub(crate) fn send_callback(
     core: &EnvCore,
     caller_fn: &str,
     callee_id: &Arc<str>,
     result: Option<&Value>,
-) -> bool {
+) -> Option<Outcome> {
     let envelope = Envelope::Callback {
         callee_id: callee_id.clone(),
         result: result.cloned(),
     }
     .into_value();
-    deliver(&core.platform, caller_fn, &envelope)
+    deliver_until(
+        &core.platform,
+        caller_fn,
+        &envelope,
+        |reply| match Outcome::from_value(reply) {
+            ack @ (Outcome::Ok(_) | Outcome::Logged) => Some(ack),
+            _ => None,
+        },
+    )
 }
 
 /// Invokes `callee` with `payload` until the platform returns a reply, at
 /// most [`MAX_INVOKE_ATTEMPTS`] times with [`RETRY_BACKOFF`] between
 /// attempts; whether it did. For a message whose reply carries nothing the
-/// sender needs: a callback, an async registration, a commit signal.
+/// sender needs: an async registration, a commit signal.
 pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> bool {
+    deliver_until(platform, callee, payload, Some).is_some()
+}
+
+/// [`deliver`], retrying also a reply `accept` refuses; what `accept` made
+/// of the first reply it took.
+fn deliver_until<T>(
+    platform: &Arc<Platform>,
+    callee: &str,
+    payload: &Value,
+    accept: impl Fn(Value) -> Option<T>,
+) -> Option<T> {
     for attempt in 0..MAX_INVOKE_ATTEMPTS {
         if attempt > 0 {
             platform.clock().sleep(RETRY_BACKOFF);
         }
-        if platform.invoke_sync(callee, payload.clone()).is_ok() {
-            return true;
+        if let Some(ack) = platform
+            .invoke_sync(callee, payload.clone())
+            .ok()
+            .and_then(&accept)
+        {
+            return Some(ack);
         }
     }
-    false
+    None
 }
 
 /// Handles an incoming callback at the caller's side: records the result
 /// (or, for an async callee, the registration) on the invoke-log entry
-/// the callee id names. The key is the id, so the entry is this callee's
+/// the callee id names, and answers the callee's acknowledgement
+/// ([`send_callback`]). The key is the id, so the entry is this callee's
 /// if it is an invoke entry at all: only invoke entries carry `CalleeFn`.
 /// A spurious callback (§4.5) — a collected entry, a forged id, a read or
 /// write entry's key — fails the condition, creates no row, and is
-/// ignored.
+/// acknowledged. A result the entry's row cannot hold is recorded as
+/// [`Outcome::too_large`] instead, answered with `Logged`; a store error
+/// is answered with an `Error`, which the callee does not count as
+/// delivered.
 #[expect(
     clippy::disallowed_methods,
     reason = "between the callee's Label::WrapperPreCallback and Label::WrapperPreDone"
@@ -622,24 +700,127 @@ pub(crate) fn handle_callback(
     ssf: &Ssf,
     callee_id: &Arc<str>,
     result: Option<Value>,
-) -> BeldiResult<()> {
+) -> Outcome {
     let Some(pk) = crate::ids::callee_log_key(callee_id).map(PrimaryKey::hash) else {
-        return Ok(());
-    };
-    let update = match result {
-        Some(r) => Update::new().set_if_absent(A_RESULT, r),
-        None => Update::new().set(A_REGISTERED, Value::Bool(true)),
+        return Outcome::Ok(Value::Null);
     };
     let cond = Cond::exists(A_CALLEE_FN);
-    match core.db.update(&ssf.log_table, &pk, &cond, &update) {
+    let record = |update: Update| match core.db.update(&ssf.log_table, &pk, &cond, &update) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
-        Err(e) => Err(e.into()),
-    }
+        Err(e) => Err(e),
+    };
+    let recorded = match result {
+        Some(r) => match record(Update::new().set_if_absent(A_RESULT, r)) {
+            Err(DbError::RowTooLarge { size, limit }) => {
+                let error = Outcome::too_large(size, limit).into_value();
+                record(Update::new().set_if_absent(A_RESULT, error)).map(|()| Outcome::Logged)
+            }
+            other => other.map(|()| Outcome::Ok(Value::Null)),
+        },
+        None => record(Update::new().set(A_REGISTERED, Value::Bool(true)))
+            .map(|()| Outcome::Ok(Value::Null)),
+    };
+    recorded.unwrap_or_else(|e| Outcome::Error(format!("callback failed: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BeldiEnv;
+    use beldi_simfaas::InvocationCtx;
+    use parking_lot::Mutex;
+
+    /// `caller` calls `stub`, a bare platform handler that answers
+    /// `logged`, first calling `caller` back with `result` when there is
+    /// one; what `caller`'s body got from the call.
+    fn call_a_stub_answering_logged(result: Option<Value>) -> BeldiResult<Value> {
+        let env = BeldiEnv::for_tests();
+        let platform = Arc::downgrade(env.platform());
+        let stub = move |_: &InvocationCtx, payload: Value| {
+            let Ok(Envelope::Call {
+                id: Some(callee_id),
+                caller: Some(caller),
+                ..
+            }) = Envelope::from_value(payload)
+            else {
+                panic!("a call with a caller");
+            };
+            if let Some(result) = result.clone() {
+                let callback = Envelope::Callback {
+                    callee_id,
+                    result: Some(result),
+                };
+                let platform = platform.upgrade().expect("the platform");
+                platform
+                    .invoke_sync(&caller, callback.into_value())
+                    .unwrap();
+            }
+            Outcome::Logged.into_value()
+        };
+        env.platform().register("stub", Arc::new(stub));
+        let got = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&got);
+        env.register_ssf(
+            "caller",
+            &[],
+            Arc::new(move |ctx, input| {
+                *slot.lock() = Some(ctx.sync_invoke("stub", input));
+                Ok(Value::Null)
+            }),
+        );
+        env.invoke("caller", Value::Null).unwrap();
+        let got = got.lock().take();
+        got.expect("the body ran")
+    }
+
+    #[test]
+    fn a_logged_answer_returns_the_result_the_callback_recorded() {
+        let result = Outcome::Ok(Value::Int(7)).into_value();
+        assert_eq!(
+            call_a_stub_answering_logged(Some(result)),
+            Ok(Value::Int(7))
+        );
+    }
+
+    #[test]
+    fn a_logged_answer_without_a_callback_is_a_protocol_error() {
+        match call_a_stub_answering_logged(None) {
+            Err(BeldiError::Protocol(msg)) => {
+                assert!(msg.contains("holds no result"), "{msg}");
+            }
+            other => panic!("a protocol error, not {other:?}"),
+        }
+    }
+
+    /// A callback the caller answers with an error (its store write
+    /// failed) is not delivered: the callee retries it, then crashes
+    /// before its done-mark, leaving its intent to the collector.
+    #[test]
+    fn a_callback_answered_with_an_error_is_not_delivered() {
+        let env = BeldiEnv::for_tests();
+        let failing = |_: &InvocationCtx, _: Value| Outcome::Error("failed".into()).into_value();
+        env.platform().register("failing", Arc::new(failing));
+        env.register_ssf("callee", &[], Arc::new(|_, input| Ok(input)));
+        let id: Arc<str> = crate::ids::callee_id(&crate::ids::log_key("f-1", 0));
+        let call = Envelope::Call {
+            id: Some(id.clone()),
+            input: Value::Int(1),
+            caller: Some("failing".into()),
+            txn: None,
+            is_async: false,
+            first_attempt_ms: None,
+        };
+        let before = env.platform_metrics().invocations;
+        assert!(env
+            .platform()
+            .invoke_sync("callee", call.into_value())
+            .is_err());
+        let invocations = env.platform_metrics().invocations - before;
+        assert_eq!(invocations, 1 + MAX_INVOKE_ATTEMPTS as u64);
+        let table = crate::schema::intent_table("callee");
+        let rec = crate::intent::load(env.db(), &table, &id).unwrap();
+        assert!(!rec.expect("registered").done);
+    }
 
     #[test]
     fn envelope_round_trips() {
@@ -747,6 +928,7 @@ mod tests {
             Outcome::Abort,
             Outcome::Error("boom".into()),
             Outcome::Expired,
+            Outcome::Logged,
         ] {
             assert_eq!(Outcome::from_value(o.clone().into_value()), o);
         }
@@ -779,9 +961,8 @@ mod tests {
             Outcome::Abort.into_result(),
             Err(BeldiError::TxnAborted)
         ));
-        assert!(matches!(
-            Outcome::Error("x".into()).into_result(),
-            Err(BeldiError::Protocol(_))
-        ));
+        for o in [Outcome::Error("x".into()), Outcome::Logged] {
+            assert!(matches!(o.into_result(), Err(BeldiError::Protocol(_))));
+        }
     }
 }

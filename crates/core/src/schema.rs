@@ -59,9 +59,17 @@ pub const A_ASYNC: &str = "Async";
 /// the row's fields back before it re-sends. A finalize marker an owner
 /// claimed never carries it.
 pub const A_ARGS: &str = "Args";
-/// Return value (recorded at completion).
+/// The outcome envelope, set by the done-mark only on an intent no caller
+/// waits on: a workflow root (read back by `RootCall::settle` when a reply
+/// was lost, and replayed to a retry) or a commit signal (replayed to a
+/// duplicate signal). A callee's outcome is its caller's [`A_RESULT`], so
+/// an intent with an [`A_CALLER`] never carries it.
 pub const A_RET: &str = "Ret";
-/// Name of the calling SSF (for callbacks on re-execution), or absent.
+/// Name of the calling SSF, on a callee's intent only. The intent
+/// collector puts it back into the call it re-sends, so the re-execution
+/// calls the caller back; a done intent that has it answers a duplicate
+/// call `logged` instead of replaying an outcome, and the done-mark stores
+/// no [`A_RET`] beside it.
 pub const A_CALLER: &str = "Caller";
 /// Finish timestamp (ms), set with `Done` by the first done-mark (or the
 /// finalize-marker claim); the GC's recycle horizon counts from it.
@@ -90,7 +98,12 @@ pub const A_LOG_KEY: &str = "LogKey";
 /// The callee's instance id is not stored: it is the entry's `LogKey` plus
 /// `.c` ([`crate::callee_id`]).
 pub const A_CALLEE_FN: &str = "CalleeFn";
-/// Result recorded by the callee's callback.
+/// The callee's outcome envelope, set on a synchronous call's invoke entry
+/// by the callee's callback (first writer wins) before the callee's
+/// done-mark: the one place that outcome is stored. The caller reads it
+/// when it replays the entry, when its dispatch failed after the callback
+/// landed, and when the callee answered `logged`. An outcome too large for
+/// the row is replaced here by an error naming the size and the limit.
 pub const A_RESULT: &str = "Result";
 /// `true` on an async call's invoke entry once the callee confirmed its
 /// intent's registration; no other entry carries it, and it stays until

@@ -8,22 +8,27 @@
 //!    async-registration request, or a commit/abort signal;
 //! 2. for calls, registers the execution intent (first external action),
 //!    determines the instance id (caller-assigned, or the platform
-//!    request id for workflow roots), and replays the recorded return
-//!    value if the intent already completed;
+//!    request id for workflow roots), and, if the intent already
+//!    completed, replays a root's recorded outcome or answers a callee's
+//!    caller that the outcome is in its invoke log;
 //! 3. runs the body with a [`SsfContext`], converting its result (or a
 //!    dangling transaction) into an outcome envelope;
 //! 4. performs the result **callback** to the caller *before* marking the
 //!    intent done (Fig. 9 — the ordering that keeps federated garbage
 //!    collectors from outrunning the caller);
-//! 5. marks the intent done with the recorded outcome, the steps at which
-//!    it has a log entry (the list GC step 3 deletes by key) and the finish
-//!    time the GC's recycle horizon counts from.
+//! 5. marks the intent done with the steps at which it has a log entry
+//!    (the list GC step 3 deletes by key) and the finish time the GC's
+//!    recycle horizon counts from. An intent with no caller — a workflow
+//!    root or a commit signal — records its outcome too (`Ret`); a
+//!    callee's outcome is stored once, in its caller's invoke log, where
+//!    the callback put it.
 //!
 //! Panics inside any step model crashes: the platform catches them and the
 //! intent collector later re-executes the instance from its logs.
 
 use std::sync::{Arc, Weak};
 
+use beldi_simdb::DbError;
 use beldi_simfaas::{FunctionHandler, InvocationCtx};
 use beldi_value::Value;
 
@@ -74,10 +79,7 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             }
         }
         Envelope::Callback { callee_id, result } => {
-            match invoke::handle_callback(core, ssf, &callee_id, result) {
-                Ok(()) => Outcome::Ok(Value::Null).into_value(),
-                Err(e) => Outcome::Error(format!("callback failed: {e}")).into_value(),
-            }
+            invoke::handle_callback(core, ssf, &callee_id, result).into_value()
         }
         Envelope::AsyncReg { id, input, caller } => run_async_reg(core, ssf, &id, input, &caller),
         Envelope::TxnSignal { id, txn } => run_txn_signal(core, ssf, id, txn),
@@ -168,19 +170,16 @@ fn run_call(
     let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
 
     if let Some(record) = earlier.filter(|r| r.done) {
-        // Completed by a previous execution: replay the recorded outcome.
-        // The callback is re-issued (at-least-once) in case the original
-        // completion died between callback and response delivery; the
-        // *recorded* caller is authoritative (the envelope of a duplicate
-        // dispatch might be stale).
+        // Completed by a previous execution. A callee (the *recorded*
+        // caller is authoritative: a duplicate dispatch's envelope might be
+        // stale) called its caller back before its done-mark (Fig. 9), so
+        // the caller's entry holds the outcome, or was collected with the
+        // caller: answer `Logged` and send nothing. A root replays its `Ret`.
         core.record_recovery(&instance, created_ms);
-        let outcome = record.ret.unwrap_or(Value::Null);
-        if let Some(c) = &record.caller {
-            if !record.is_async {
-                invoke::send_callback(core, c, &instance, Some(&outcome));
-            }
-        }
-        return outcome;
+        return match record.caller {
+            Some(_) => Outcome::Logged.into_value(),
+            None => record.ret.unwrap_or(Value::Null),
+        };
     }
 
     // Fresh (or resumed) execution.
@@ -248,8 +247,11 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 
 /// The completion sequence shared by calls and signals: callback to the
 /// caller, then mark the intent done (in that order — Fig. 9). The
-/// callback's payload, the intent's `Ret` and the value returned share one
-/// outcome.
+/// callback's payload (or, with no caller, the intent's `Ret`) and the
+/// value returned share one outcome. An outcome too large for the row that
+/// stores it is replaced by [`Outcome::too_large`]: the caller records the
+/// replacement in its entry and this callee answers `Logged`, or a root
+/// stores and returns it.
 fn finish(
     core: &Arc<EnvCore>,
     ctx: &mut SsfContext,
@@ -258,20 +260,29 @@ fn finish(
     outcome: Outcome,
 ) -> Value {
     let instance = ctx.instance.clone();
-    let outcome_value = outcome.into_value();
+    let mut outcome_value = outcome.into_value();
     ctx.crash(Label::WrapperPreCallback);
     if let (Some(c), false) = (caller, is_async) {
-        if !invoke::send_callback(core, c, &instance, Some(&outcome_value)) {
+        match invoke::send_callback(core, c, &instance, Some(&outcome_value)) {
             // Without the callback the caller may never learn the result;
             // crash and let the intent collector retry the whole tail.
-            panic!("beldi: result callback to `{c}` undeliverable");
+            None => panic!("beldi: result callback to `{c}` undeliverable"),
+            // The caller recorded a replacement: it reads it from its entry.
+            Some(Outcome::Logged) => outcome_value = Outcome::Logged.into_value(),
+            Some(_) => {}
         }
     }
     ctx.crash(Label::WrapperPreDone);
-    let ret = outcome_value.clone();
     let (table, now_ms) = (&ctx.ssf.intent_table, ctx.raw_now_ms());
-    if let Err(e) = intent::mark_done(&core.db, table, &instance, ret, &ctx.log_steps, now_ms) {
-        if let crate::error::BeldiError::Db(beldi_simdb::DbError::ConditionFailed) = e {
+    let mark_done =
+        |ret| intent::mark_done(&core.db, table, &instance, ret, &ctx.log_steps, now_ms);
+    let mut done = mark_done(caller.is_none().then(|| outcome_value.clone()));
+    if let Err(BeldiError::Db(DbError::RowTooLarge { size, limit })) = done {
+        outcome_value = Outcome::too_large(size, limit).into_value();
+        done = mark_done(Some(outcome_value.clone()));
+    }
+    if let Err(e) = done {
+        if let BeldiError::Db(DbError::ConditionFailed) = e {
             // The intent row is gone: every instance registers before its
             // first effect, so absence means the GC already recycled this
             // intent — a duplicate finished it long ago and `finish +

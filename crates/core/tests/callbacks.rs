@@ -3,11 +3,12 @@
 //! GC race the protocol exists to prevent.
 
 use beldi::Label;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
-use beldi::{callee_id, callee_log_key, BeldiConfig, BeldiEnv, CrashPlan};
+use beldi::{callee_id, callee_log_key, BeldiConfig, BeldiEnv, BeldiError, CrashPlan};
 use beldi_simdb::{MetricsSnapshot, ScanRequest};
 
 fn caller_callee_env(cfg: BeldiConfig) -> BeldiEnv {
@@ -132,23 +133,38 @@ fn duplicate_callbacks_keep_first_result() {
     assert_ne!(result.get_str("Ret"), Some("forged"));
 }
 
-/// A callee re-invoked after completion (a duplicate dispatch or racing
-/// IC) re-issues its callback and returns the recorded outcome without
-/// running its body.
+/// A callee dispatched again after completion (a duplicate dispatch or a
+/// racing IC) runs nothing and sends nothing: its callback preceded its
+/// done-mark, so it answers `logged`, and the caller's entry keeps the
+/// `Result` it holds.
 #[test]
-fn completed_callee_replays_and_recallbacks() {
+fn a_done_callee_answers_logged_and_sends_no_callback() {
     let env = caller_callee_env(BeldiConfig::beldi());
     let out = env.invoke("caller", Value::Int(3)).unwrap();
     assert_eq!(out.get_int("run"), Some(1));
+    let entry = || {
+        let rows = env
+            .db()
+            .scan_all("caller.log", &ScanRequest::all())
+            .unwrap();
+        assert_eq!(rows.len(), 1);
+        rows[0]
+            .get_attr("Result")
+            .cloned()
+            .expect("the callback landed")
+    };
+    let result = entry();
     // Find the callee's instance id from its intent table and re-dispatch
     // the original call, as a duplicated async delivery would. The done
-    // intent no longer holds it: its done-mark removed `Args`.
+    // intent no longer holds it: its done-mark removed `Args`, and it
+    // keeps no `Ret` either.
     let intents = env
         .db()
         .scan_all("callee.intent", &ScanRequest::all())
         .unwrap();
     assert_eq!(intents.len(), 1);
     assert_eq!(intents[0].get_attr("Args"), None);
+    assert_eq!(intents[0].get_attr("Ret"), None);
     let call = vmap! {
         "Op" => "call",
         "Id" => intents[0].get_str("Id").unwrap(),
@@ -156,12 +172,12 @@ fn completed_callee_replays_and_recallbacks() {
         "Caller" => intents[0].get_str("Caller").unwrap(),
         "Async" => false,
     };
+    let before = env.platform_metrics().invocations;
     let replay = env.platform().invoke_sync("callee", call).unwrap();
-    assert_eq!(
-        beldi::value::Value::from(replay.get_int("Ret").is_some()),
-        Value::Bool(false),
-        "outcome envelope shape"
-    );
+    assert_eq!(replay, vmap! { "Outcome" => "logged" });
+    // One invocation, the dispatch itself: no callback reached `caller`.
+    assert_eq!(env.platform_metrics().invocations - before, 1);
+    assert_eq!(entry(), result, "the caller's entry is unchanged");
     // Body did not rerun.
     assert_eq!(
         env.read_current("callee", "ct", "runs").unwrap(),
@@ -354,7 +370,7 @@ fn callback_for_a_collected_entry_creates_no_row() {
 fn sync_invoke_is_four_writes_and_no_query() {
     let env = BeldiEnv::for_tests_with(BeldiConfig::beldi());
     env.register_ssf("noop", &[], Arc::new(|_, input| Ok(input)));
-    let delta = Arc::new(std::sync::Mutex::new(None::<MetricsSnapshot>));
+    let delta = Arc::new(Mutex::new(None::<MetricsSnapshot>));
     let (db, slot) = (Arc::clone(env.db()), Arc::clone(&delta));
     env.register_ssf(
         "caller",
@@ -369,4 +385,94 @@ fn sync_invoke_is_four_writes_and_no_query() {
     assert_eq!(env.invoke("caller", Value::Int(5)).unwrap(), Value::Int(5));
     let d = delta.lock().unwrap().take().expect("the body ran");
     assert_eq!((d.writes, d.queries), (4, 0), "{d:?}");
+}
+
+/// A 500 KiB outcome: more than a row may hold (400 KiB).
+fn too_large() -> Value {
+    Value::from("x".repeat(500 * 1024))
+}
+
+/// The error an outcome too large to store becomes: it names the limit.
+fn assert_too_large(err: &BeldiError) {
+    let BeldiError::Protocol(msg) = err else {
+        panic!("a typed protocol error, got {err:?}");
+    };
+    assert!(msg.contains("too large to store"), "{msg}");
+    assert!(msg.contains("over the 409600 B limit"), "{msg}");
+}
+
+/// A callee whose outcome its caller's entry cannot hold: the caller
+/// records a typed error in its place, and that error is what the caller
+/// gets, what its re-execution replays, and all anyone ever stores. The
+/// callee runs once, nobody panics after the planned crash, and no intent
+/// is left for the collector.
+#[test]
+fn an_outcome_too_large_to_store_is_a_typed_error_a_re_execution_replays() {
+    let env = BeldiEnv::for_tests();
+    let runs = Arc::new(AtomicUsize::new(0));
+    let count = Arc::clone(&runs);
+    env.register_ssf(
+        "big",
+        &[],
+        Arc::new(move |_, _| {
+            count.fetch_add(1, Ordering::SeqCst);
+            Ok(too_large())
+        }),
+    );
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
+    env.register_ssf(
+        "caller",
+        &[],
+        Arc::new(move |ctx, input| {
+            let got = ctx.sync_invoke("big", input);
+            log.lock().unwrap().push(got.clone());
+            got
+        }),
+    );
+    // The caller dies after its body ran: its retry re-executes it.
+    let id = "caller-big";
+    env.platform()
+        .faults()
+        .plan(id.to_owned(), CrashPlan::AtLabel(Label::WrapperPreDone));
+    let out = env.invoke_as("caller", id, Value::Null);
+
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), 2, "the first execution and the re-execution");
+    assert_eq!(seen[0], seen[1], "the re-execution replays the error");
+    assert_too_large(seen[0].as_ref().unwrap_err());
+    let Err(BeldiError::Protocol(msg)) = out else {
+        panic!("the root returns the caller's error: {out:?}");
+    };
+    assert!(msg.contains("too large to store"), "{msg}");
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "the callee ran once");
+    // The caller's entry holds the error, not the outcome.
+    let rows = env
+        .db()
+        .scan_all("caller.log", &ScanRequest::all())
+        .unwrap();
+    let result = rows[0].get_attr("Result").expect("a recorded result");
+    assert_eq!(result.get_str("Outcome"), Some("error"), "{result}");
+    // The one crash is the planned one, and the collectors find nothing
+    // unfinished to relaunch.
+    assert_eq!(env.platform_metrics().crashes, 1);
+    env.clock().sleep(Duration::from_secs(5));
+    for ssf in ["big", "caller"] {
+        assert_eq!(env.run_ic_once(ssf).unwrap().unfinished, 0, "{ssf}");
+    }
+}
+
+/// A root whose outcome its own intent cannot hold stores, returns and
+/// replays the same typed error.
+#[test]
+fn a_root_outcome_too_large_to_store_is_a_typed_error() {
+    let env = BeldiEnv::for_tests();
+    env.register_ssf("big", &[], Arc::new(|_, _| Ok(too_large())));
+    let first = env.invoke_as("big", "r-big", Value::Null).unwrap_err();
+    assert_too_large(&first);
+    let again = env.invoke_as("big", "r-big", Value::Null).unwrap_err();
+    assert_eq!(again, first, "a re-dispatch replays the stored error");
+    assert_eq!(env.platform_metrics().crashes, 0);
+    env.clock().sleep(Duration::from_secs(5));
+    assert_eq!(env.run_ic_once("big").unwrap().unfinished, 0);
 }

@@ -1,21 +1,23 @@
 //! Where the protocol stores a value twice, it stores one allocation twice.
 //!
 //! Exactly-once is bought by keeping every value in several places: a
-//! call's input in the callee's intent, its outcome in the intent and in
-//! the caller's invoke log (§4.5, Fig. 9), every read in the read log
-//! (Fig. 5). A [`Map`] clone is a reference-count bump, so those places
-//! hold one tree. These tests fail if a deep copy comes back on that path,
-//! or a write through a shared handle that re-homes the map below it. (A
-//! write that copies only the level it writes leaves the levels below
-//! shared and does not show here: CI's `allocs_per_req` guard counts it.)
+//! call's input in the callee's intent, its outcome in the caller's invoke
+//! log (§4.5, Fig. 9) and, returned on, in the root's intent, every read
+//! in the read log (Fig. 5). A [`Map`] clone is a reference-count bump, so
+//! those places hold one tree. These tests fail if a deep copy comes back
+//! on that path, or a write through a shared handle that re-homes the map
+//! below it. (A write that copies only the level it writes leaves the
+//! levels below shared and does not show here: CI's `allocs_per_req` guard
+//! counts it.)
 //!
 //! Ids are stored several times too, and each is one string: a callee id
 //! is the callee's intent key and its `Id`; a log key is its entry's row
 //! key and its `LogKey`. A fact the row already holds is not stored again:
 //! the caller's invoke entry keeps no copy of the callee id, which is its
 //! `LogKey` plus `.c`, and an intent's `Args` leaves out its `Id`,
-//! `Caller` and `Async`. The callee's entries are named by its id and the
-//! steps its intent's `LogSteps` lists.
+//! `Caller` and `Async`, and a callee's intent keeps no `Ret`: its outcome
+//! is its caller's logged `Result`. The callee's entries are named by its
+//! id and the steps its intent's `LogSteps` lists.
 //!
 //! An intent keeps its `Args` only until its done-mark (the collector, the
 //! one reader, reads only intents that are not done), so the input is
@@ -104,18 +106,25 @@ fn stored(env: &BeldiEnv, table: &str, attr: &str) -> Value {
 /// The sharing every completed caller → callee request leaves behind,
 /// given what the last execution of each body saw.
 fn assert_stored_once(env: &BeldiEnv, callee: &Seen, caller: &Seen) {
-    // The outcome: returned by the callee's body, recorded in its intent,
-    // delivered to the caller's invoke log, returned to the caller's body.
-    let intent_ret = stored(env, &intent_table("callee"), A_RET);
+    // The outcome: returned by the callee's body, delivered to the caller's
+    // invoke log, its one stored copy, returned to the caller's body and by
+    // it, recorded in the root's intent. The callee's intent keeps none.
     let logged_result = stored(env, &log_table("caller"), A_RESULT);
-    assert!(same(&intent_ret, &logged_result));
+    let root_ret = stored(env, &intent_table("caller"), A_RET);
     for held in [
-        intent_ret.get_attr("Ret").unwrap(),
         logged_result.get_attr("Ret").unwrap(),
         &caller.ret,
+        root_ret.get_attr("Ret").unwrap(),
     ] {
         assert!(same(held, &callee.ret), "{held} is a copy of the outcome");
     }
+    let callee_intents = env
+        .db()
+        .scan_all(&intent_table("callee"), &ScanRequest::all());
+    let [intent] = &callee_intents.unwrap()[..] else {
+        panic!("one callee intent");
+    };
+    assert_eq!(intent.get_attr(A_RET), None, "{intent:?}");
     assert!(same(&callee.input, &caller.input));
     // The read: returned to the body, recorded in the read log.
     assert!(same(

@@ -3,7 +3,9 @@
 //! An intent's `Args` leaves out the envelope fields its row holds itself
 //! (`Id`, `Caller`, `Async`), and its done-mark removes `Args` and
 //! `LastLaunch`, whose one reader — the intent collector — reads only
-//! intents that are not done. An invoke entry stores no `CalleeId` (it is
+//! intents that are not done. A callee's outcome is its caller's logged
+//! `Result`, so only an intent no caller waits on — a root, a commit
+//! signal — keeps a `Ret`. An invoke entry stores no `CalleeId` (it is
 //! the entry's `LogKey` plus `.c`), and only an async registration sets
 //! `Registered`, the flag only `async_invoke` reads. The collector puts
 //! the row's fields back before it re-sends, so the envelope it fires is
@@ -12,7 +14,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi::schema::{is_meta_table, A_ARGS, A_ASYNC, A_CALLER, A_DONE, A_ID, A_LAST_LAUNCH};
+use beldi::schema::{
+    is_meta_table, A_ARGS, A_ASYNC, A_CALLER, A_CLAIMANT, A_DONE, A_ID, A_LAST_LAUNCH, A_RET,
+};
 use beldi::value::{vmap, Value};
 use beldi::{callee_id, finalize_marker, log_key, BeldiConfig, BeldiEnv, CrashPlan, Label};
 use beldi_apps::{MediaApp, TravelApp};
@@ -122,6 +126,31 @@ fn a_quiesced_run_stores_each_fact_once() {
         assert_eq!(row.get_attr(A_ARGS), None, "{table}: {row:?}");
         assert_eq!(row.get_attr(A_LAST_LAUNCH), None, "{table}: {row:?}");
     }
+    // A `Ret` on exactly the intents no caller waits on: the three roots
+    // and the reservation's commit signals. A finalize marker its owner
+    // claimed ran nothing and records no outcome.
+    let (mut callees, mut claimed, mut kept) = (0, 0, 0);
+    for (table, row) in &intents {
+        let ret = row.get_attr(A_RET).is_some();
+        if row.get_attr(A_CALLER).is_some() {
+            callees += 1;
+            assert!(
+                !ret,
+                "a callee's outcome is in its caller's log: {table}: {row:?}"
+            );
+        } else if row.get_attr(A_CLAIMANT).is_some() {
+            claimed += 1;
+            assert!(!ret, "{table}: {row:?}");
+        } else {
+            kept += 1;
+            assert!(ret, "a root or signal keeps its outcome: {table}: {row:?}");
+        }
+    }
+    assert_eq!(
+        (callees, claimed, kept),
+        (14, 1, 5),
+        "3 roots and 2 signals kept"
+    );
     // No log entry repeats its callee id, and only the async call's entry
     // is marked registered.
     let entries = meta_rows(&snapshot, ".log");

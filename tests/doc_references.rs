@@ -1,12 +1,23 @@
 //! Every `DESIGN §n` reference in the code, the README and the CI files
 //! names a section DESIGN.md has: a `## §n` heading. Renumbering or
 //! removing a section without moving its references fails here.
+//!
+//! The other way round, every `file.rs::name` reference in DESIGN.md
+//! names a function (or a type) declared in a file of that name under
+//! `crates/`, `tests/` or `benchmark/`. Renaming a test or a function
+//! without moving its references fails here too.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Where references are looked for, relative to the repository root.
 const SCANNED: [&str; 3] = ["crates", "README.md", ".github"];
+
+/// Where the files DESIGN.md's `file.rs::name` references name are.
+const SOURCES: [&str; 3] = ["crates", "tests", "benchmark"];
+
+/// The keywords that declare a name a reference may give.
+const DECLARATIONS: [&str; 5] = ["fn", "struct", "enum", "trait", "type"];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -93,4 +104,106 @@ fn every_design_reference_names_a_section() {
         "only {found} references found: is the scan broken?"
     );
     assert!(dangling.is_empty(), "no such section: {dangling:#?}");
+}
+
+/// Whether `c` may appear in an identifier.
+fn ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The `file.rs::name` references in `text`, as `(path, name)`: the path
+/// as written (`driver.rs`, `workload/tests/driver.rs`), and one pair per
+/// name of a `{a, b}` or `a/b/c` list. A line may break after the `::`.
+fn item_references(text: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (at, sep) in text.match_indices(".rs::") {
+        let before = &text[..at];
+        let stem = before
+            .bytes()
+            .rev()
+            .take_while(|&b| ident(b as char) || b"/.-".contains(&b))
+            .count();
+        let path = format!("{}.rs", &before[before.len() - stem..]);
+        let rest = text[at + sep.len()..].trim_start();
+        let names = match rest.strip_prefix('{') {
+            Some(list) => &list[..list.find('}').unwrap_or(0)],
+            None => {
+                let end = rest.find(|c| !(ident(c) || c == '/'));
+                &rest[..end.unwrap_or(rest.len())]
+            }
+        };
+        for name in names.split([',', '/']).map(str::trim) {
+            out.push((path.clone(), name.to_owned()));
+        }
+    }
+    out
+}
+
+/// Whether `source` declares `name` with one of [`DECLARATIONS`].
+fn declares(source: &str, name: &str) -> bool {
+    DECLARATIONS.iter().any(|kw| {
+        let decl = format!("{kw} {name}");
+        source.match_indices(&decl).any(|(at, _)| {
+            let after = source[at + decl.len()..].chars().next();
+            let before = source[..at].chars().next_back();
+            !after.is_some_and(ident) && !before.is_some_and(ident)
+        })
+    })
+}
+
+#[test]
+fn item_references_are_read_in_every_spelling() {
+    let text = "`gc.rs::a_pass` and (`driver.rs::\n  run_load`), \
+                `workload/tests/explore.rs::{one, two_2}`, `database.rs::update/put`; \
+                not gc.rs alone";
+    let refs: Vec<_> = item_references(text)
+        .into_iter()
+        .map(|(path, name)| format!("{path} {name}"))
+        .collect();
+    assert_eq!(
+        refs,
+        [
+            "gc.rs a_pass",
+            "driver.rs run_load",
+            "workload/tests/explore.rs one",
+            "workload/tests/explore.rs two_2",
+            "database.rs update",
+            "database.rs put",
+        ]
+    );
+    assert!(declares("pub(crate) fn run_load(", "run_load"));
+    assert!(declares("struct RootCall<'a> {", "RootCall"));
+    assert!(!declares("fn run_load_all()", "run_load"));
+    assert!(!declares("let fn_a_pass = 1;", "a_pass"));
+}
+
+#[test]
+fn every_design_item_reference_names_a_declaration() {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).unwrap();
+    let mut paths = Vec::new();
+    for source in SOURCES {
+        files(&root().join(source), &mut paths);
+    }
+    let sources: Vec<_> = paths
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .map(|p| (p, std::fs::read_to_string(p).unwrap()))
+        .collect();
+    let references = item_references(&design);
+    let dangling: Vec<_> = references
+        .iter()
+        .filter(|(path, name)| {
+            let suffix = format!("/{path}");
+            !sources
+                .iter()
+                .any(|(p, text)| p.to_string_lossy().ends_with(&suffix) && declares(text, name))
+        })
+        .map(|(path, name)| format!("{path}::{name}"))
+        .collect();
+    assert!(
+        references.len() >= 20,
+        "only {} references found: is the scan broken?",
+        references.len()
+    );
+    assert!(dangling.is_empty(), "no such declaration: {dangling:#?}");
 }
