@@ -157,7 +157,8 @@ impl MixProfile {
 /// Differences from [`small_app`]:
 ///
 /// - **catalog sizes** target concurrent load: enough distinct keys that
-///   partitioning matters, small enough that seeding stays cheap;
+///   concurrent requests spread over many items, small enough that seeding
+///   stays cheap;
 /// - **travel inventory is effectively unbounded** (no sell-outs), so
 ///   every reservation decrements exactly one room and one seat — the
 ///   invariant behind the driver's conservation checks and the reason

@@ -124,16 +124,6 @@ impl Cli {
         )
     }
 
-    /// `--partitions`: simulated-database shard count.
-    pub fn partitions_flag(self) -> Self {
-        self.flag(
-            "--partitions",
-            "N",
-            PARTITIONS_DEFAULT,
-            "hash partitions per database table",
-        )
-    }
-
     /// `--json`: where to also write the report.
     pub fn json_flag(self) -> Self {
         self.flag(
@@ -418,11 +408,6 @@ pub fn dispatch(argv: Vec<String>) -> i32 {
     }
 }
 
-/// The default partition count as the flag table renders it, kept in
-/// lockstep with the compile-time constant.
-const PARTITIONS_DEFAULT: &str = "8";
-const _: () = assert!(beldi_simdb::DEFAULT_PARTITIONS == 8, "update cli default");
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +422,6 @@ mod tests {
         .mode_flag("both")
         .flag("--workers", "N", "4", "concurrent request workers")
         .seed_flag()
-        .partitions_flag()
         .switch("--smoke", "tiny preset")
     }
 
@@ -448,7 +432,6 @@ mod tests {
             .unwrap();
         assert_eq!(args.usize("--workers"), 8);
         assert_eq!(args.u64("--seed"), 7);
-        assert_eq!(args.usize("--partitions"), beldi_simdb::DEFAULT_PARTITIONS);
         assert_eq!(args.str("--app"), "all");
         assert_eq!(args.str("--mode"), "both");
         assert!(args.flag("--smoke"));
@@ -470,14 +453,7 @@ mod tests {
     fn help_renders_every_declared_flag_once() {
         let cli = demo(&[]);
         let help = cli.help();
-        for name in [
-            "--app",
-            "--mode",
-            "--workers",
-            "--seed",
-            "--partitions",
-            "--smoke",
-        ] {
+        for name in ["--app", "--mode", "--workers", "--seed", "--smoke"] {
             assert_eq!(
                 help.matches(name).count(),
                 1,

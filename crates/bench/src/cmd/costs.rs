@@ -13,10 +13,6 @@
 //! bytes read, bytes written, and write amplification, for baseline vs
 //! Beldi vs cross-table.
 //!
-//! It also reports the partition-load fingerprint of each run: lock
-//! acquisitions per partition and the number that had to wait, so key
-//! skew (everything here hammers one hot key) is visible directly.
-//!
 //! By default the DAAL tail-row cache is disabled so the per-op numbers
 //! reproduce the paper's read protocol (§7.3 counts one extra scan per
 //! read); `--tail-cache` measures the optimized read path instead.
@@ -38,22 +34,19 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "pre-populated DAAL depth of the hot key",
     )
     .flag("--iters", "N", "100", "invocations per measured operation")
-    .partitions_flag()
     .switch("--tail-cache", "measure the cached read path instead")
 }
 
 pub(crate) fn main(args: &Args) {
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
-    let partitions = args.usize("--partitions");
     let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
     let mut storage = Vec::new();
-    let mut partition_load = Vec::new();
     for mode in SYSTEMS {
         let system = mode.name();
-        let env = experiment_env(mode, 100, partitions, tail_cache);
+        let env = experiment_env(mode, 100, tail_cache);
         register_micro_ops(&env);
         env.seed("micro", "t", "k", Value::from(VALUE_16B))
             .expect("seed");
@@ -93,17 +86,6 @@ pub(crate) fn main(args: &Args) {
                 env.db_metrics().bytes_written.to_string(),
             ]);
         }
-        // Partition-load fingerprint of the whole run for this system.
-        let m = env.db_metrics();
-        let ops = &m.partition_ops;
-        partition_load.push(vec![
-            system.to_owned(),
-            ops.len().to_string(),
-            m.lock_waits.to_string(),
-            ops.iter().min().copied().unwrap_or(0).to_string(),
-            ops.iter().max().copied().unwrap_or(0).to_string(),
-            ops.iter().map(u64::to_string).collect::<Vec<_>>().join(","),
-        ]);
     }
     print_table(
         "Per-operation database costs (averages per op)",
@@ -121,17 +103,5 @@ pub(crate) fn main(args: &Args) {
         "Beldi storage footprint of the hot key",
         &["system", "daal_rows", "total_bytes_written"],
         &storage,
-    );
-    print_table(
-        "Partition load (lock acquisitions per partition; skew fingerprint)",
-        &[
-            "system",
-            "partitions",
-            "lock_waits",
-            "min_ops",
-            "max_ops",
-            "ops_by_partition",
-        ],
-        &partition_load,
     );
 }

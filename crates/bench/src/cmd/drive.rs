@@ -46,7 +46,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
             "requests per run (120 under --smoke)",
         )
         .seed_flag()
-        .partitions_flag()
         .switch("--smoke", "CI preset: tiny runs")
         .switch("--no-tail-cache", "disable the DAAL tail-row cache (A/B)")
         .switch("--gc", "run online collectors concurrently with traffic")
@@ -86,7 +85,6 @@ pub(crate) fn main(args: &Args) {
     let opts_template = DriveOptions {
         total_ops: args.or_smoke("--duration-ops", 120),
         seed: args.u64("--seed"),
-        partitions: args.usize("--partitions"),
         model_latency: true,
         tail_cache: !args.flag("--no-tail-cache"),
         gc: args.flag("--gc"),
@@ -240,8 +238,7 @@ pub(crate) fn main(args: &Args) {
 
     if args.flag("--smoke") {
         // The front door's row: `front --smoke` with its defaults.
-        let (partitions, seed) = (opts_template.partitions, opts_template.seed);
-        let front = front_smoke("media", Mode::Beldi, 64, 4, partitions, seed)
+        let front = front_smoke("media", Mode::Beldi, 64, 4, opts_template.seed)
             .expect("media is a bench app");
         println!();
         front.print_summary();

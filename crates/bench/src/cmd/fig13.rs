@@ -34,20 +34,18 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "pre-populated DAAL depth of the hot key",
     )
     .flag("--iters", "N", "300", "invocations per measured operation")
-    .partitions_flag()
     .switch("--tail-cache", "measure the cached read path instead")
 }
 
 pub(crate) fn main(args: &Args) {
     let rows = args.usize("--rows");
     let iters = args.usize("--iters");
-    let partitions = args.usize("--partitions");
     let tail_cache = args.flag("--tail-cache");
 
     let mut table = Vec::new();
     for mode in SYSTEMS {
         let system = mode.name();
-        let env = experiment_env(mode, CAPACITY, partitions, tail_cache);
+        let env = experiment_env(mode, CAPACITY, tail_cache);
         register_micro_ops(&env);
         if mode == Mode::Beldi {
             // Pre-populate the hot key's DAAL to the target depth; reads,

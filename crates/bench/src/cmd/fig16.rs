@@ -41,13 +41,12 @@ struct Minute {
 /// Builds a configuration's environment. The tail cache is off: a cached
 /// write skips the traversal whose cost grows with the chain, and the
 /// figure shows the paper's write protocol, which scans it.
-fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
+fn build_env(mode: Mode, t_max: Option<u64>) -> BeldiEnv {
     let mut config = BeldiConfig::for_mode(mode)
         // Small rows so DAAL growth is visible within a short run.
         .with_row_capacity(10)
         // The paper's 1-minute collector trigger (§7.2).
         .with_collector_period(Duration::from_secs(60))
-        .with_partitions(partitions)
         .with_tail_cache(false);
     if let Some(t) = t_max {
         config = config.with_t_max(Duration::from_secs(t));
@@ -61,14 +60,8 @@ fn build_env(mode: Mode, t_max: Option<u64>, partitions: usize) -> BeldiEnv {
 
 /// Drives one configuration for `minutes` virtual minutes at `rate`
 /// requests per second.
-fn run(
-    mode: Mode,
-    t_max: Option<u64>,
-    minutes: usize,
-    rate: f64,
-    partitions: usize,
-) -> Vec<Minute> {
-    let env = Arc::new(build_env(mode, t_max, partitions));
+fn run(mode: Mode, t_max: Option<u64>, minutes: usize, rate: f64) -> Vec<Minute> {
+    let env = Arc::new(build_env(mode, t_max));
     env.register_ssf(
         "hot-writer",
         &["t"],
@@ -107,13 +100,11 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "virtual minutes driven per configuration",
     )
     .flag("--rate", "RPS", "2", "constant offered request rate")
-    .partitions_flag()
 }
 
 pub(crate) fn main(args: &Args) {
     let minutes = args.usize("--minutes");
     let rate = args.f64("--rate");
-    let partitions = args.usize("--partitions");
 
     let configs: [GcConfig; 5] = [
         ("no-gc", Mode::Beldi, None),
@@ -125,10 +116,7 @@ pub(crate) fn main(args: &Args) {
 
     let mut rows = Vec::new();
     for (name, mode, t_max) in configs {
-        for (minute, m) in run(mode, t_max, minutes, rate, partitions)
-            .into_iter()
-            .enumerate()
-        {
+        for (minute, m) in run(mode, t_max, minutes, rate).into_iter().enumerate() {
             rows.push(vec![
                 name.to_owned(),
                 minute.to_string(),
@@ -159,9 +147,9 @@ mod tests {
     /// keeps growing: 36 → 60 rows).
     #[test]
     fn an_uncollected_chain_slows_writes() {
-        let (minutes, rate, partitions) = (8, 2.0, 8);
-        let no_gc = run(Mode::Beldi, None, minutes, rate, partitions);
-        let gc = run(Mode::Beldi, Some(60), minutes, rate, partitions);
+        let (minutes, rate) = (8, 2.0);
+        let no_gc = run(Mode::Beldi, None, minutes, rate);
+        let gc = run(Mode::Beldi, Some(60), minutes, rate);
         let (first, last) = (no_gc[0].p50, no_gc[minutes - 1].p50);
         assert!(
             last.as_secs_f64() >= 1.5 * first.as_secs_f64(),

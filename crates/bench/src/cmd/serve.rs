@@ -21,7 +21,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
             "bind address (0 = ephemeral port)",
         )
         .seed_flag()
-        .partitions_flag()
         .switch("--smoke", "run the digest-equivalence smoke gate and exit")
         .flag(
             "--requests",
@@ -49,13 +48,12 @@ pub(crate) fn main(args: &Args) {
         ))
     };
     let seed = args.u64("--seed");
-    let partitions = args.usize("--partitions");
 
     if args.flag("--smoke") {
         let requests = args.usize("--requests");
         let clients = args.usize("--clients");
-        let report = front_smoke(&kind, mode, requests, clients, partitions, seed)
-            .unwrap_or_else(|| unknown_app());
+        let report =
+            front_smoke(&kind, mode, requests, clients, seed).unwrap_or_else(|| unknown_app());
         report.print_summary();
         if let Some(path) = args.value("--json") {
             std::fs::write(&path, report.to_json()).expect("write smoke report");
@@ -75,7 +73,7 @@ pub(crate) fn main(args: &Args) {
 
     let app = beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default)
         .unwrap_or_else(|| unknown_app());
-    let env = Arc::new(crate::front_env(mode, partitions));
+    let env = Arc::new(crate::front_env(mode));
     app.setup(&env);
     let door =
         FrontDoor::start(Arc::clone(&env), &args.str("--addr"), seed).expect("bind the front door");

@@ -96,7 +96,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         "800",
         "highest offered rate in the sweep",
     )
-    .partitions_flag()
 }
 
 pub(crate) fn main(args: &Args) {
@@ -107,12 +106,11 @@ pub(crate) fn main(args: &Args) {
     let duration = Duration::from_millis(args.u64("--duration-ms"));
     let issuers = args.usize("--issuers");
     let max_rate = args.f64("--max-rate");
-    let partitions = args.usize("--partitions");
     let rates: Vec<f64> = (1..=8).map(|i| max_rate * i as f64 / 8.0).collect();
 
     let mut rows = Vec::new();
     for &(system, mode, transactional) in figure.series {
-        let make_env = || app_env(mode, partitions);
+        let make_env = || app_env(mode);
         let app = (figure.app)(transactional);
         let points = sweep_app(&make_env, &app, figure.seed, &rates, duration, issuers);
         rows.extend(sweep_rows(system, &points));
@@ -120,17 +118,17 @@ pub(crate) fn main(args: &Args) {
     print_table(figure.title, &SWEEP_HEADERS, &rows);
 
     if figure.name == "fig15" {
-        travel_consistency(figure.series, partitions);
+        travel_consistency(figure.series);
     }
 }
 
 /// Figure 15's companion: run a burst of contended reservations on each
 /// system and report leg drift (rooms vs seats must move in lockstep iff
 /// the reservation is transactional).
-fn travel_consistency(series: &[Series], partitions: usize) {
+fn travel_consistency(series: &[Series]) {
     let mut consistency = Vec::new();
     for &(system, mode, transactional) in series {
-        let env = Arc::new(app_env(mode, partitions));
+        let env = Arc::new(app_env(mode));
         let app = Arc::new(TravelApp {
             rooms_per_hotel: 2,
             seats_per_flight: 2,

@@ -794,7 +794,6 @@ pub fn front_smoke(
     mode: Mode,
     requests: usize,
     clients: usize,
-    partitions: usize,
     seed: u64,
 ) -> Option<FrontSmokeReport> {
     let mix = beldi_apps::MixProfile::Default;
@@ -811,7 +810,7 @@ pub fn front_smoke(
     let entry = app.entry_point();
 
     // HTTP side: a served environment behind a real socket.
-    let served_env = Arc::new(crate::front_env(mode, partitions));
+    let served_env = Arc::new(crate::front_env(mode));
     app.setup(&served_env);
     let clock = served_env.clock().clone();
     let (t0, db0) = (clock.now(), served_env.db_metrics());
@@ -855,7 +854,7 @@ pub fn front_smoke(
     let front_digest = state_digest(app.as_ref(), &served_env);
 
     // In-process side: the same stream, no sockets, no executor.
-    let inproc_env = crate::front_env(mode, partitions);
+    let inproc_env = crate::front_env(mode);
     app.setup(&inproc_env);
     for payload in &reqs {
         inproc_env.invoke(entry, payload.clone()).ok();
@@ -917,7 +916,7 @@ mod tests {
     fn media_env() -> (Arc<BeldiEnv>, Box<dyn beldi_apps::WorkflowApp>) {
         let app =
             bench_app("media", Mode::Beldi, beldi_apps::MixProfile::Default).expect("media exists");
-        let env = Arc::new(crate::front_env(Mode::Beldi, 4));
+        let env = Arc::new(crate::front_env(Mode::Beldi));
         app.setup(&env);
         (env, app)
     }
@@ -1078,7 +1077,7 @@ mod tests {
 
     #[test]
     fn admission_follows_connection_order_not_arrival() {
-        let env = Arc::new(crate::front_env(Mode::Beldi, 4));
+        let env = Arc::new(crate::front_env(Mode::Beldi));
         let whoami = |ctx: &mut beldi::SsfContext, _| Ok(Value::from(ctx.instance_id()));
         env.register_ssf("whoami", &[], Arc::new(whoami));
         let (early, late) = serve(&env, |addr| {
@@ -1101,7 +1100,7 @@ mod tests {
 
     #[test]
     fn smoke_digest_matches_in_process_run() {
-        let report = front_smoke("media", Mode::Beldi, 16, 4, 4, 42).expect("known app");
+        let report = front_smoke("media", Mode::Beldi, 16, 4, 42).expect("known app");
         assert_eq!(report.run.errors, 0, "all HTTP invokes should succeed");
         assert!(report.digest_match(), "{report:?}");
         assert!(report.rps > 0.0);
@@ -1118,7 +1117,7 @@ mod tests {
     #[test]
     fn a_smoke_run_is_a_function_of_its_seed() {
         let run = || {
-            let report = front_smoke("social", Mode::Beldi, 12, 3, 4, 7).expect("known app");
+            let report = front_smoke("social", Mode::Beldi, 12, 3, 7).expect("known app");
             assert_eq!(report.run.errors, 0);
             report.run
         };

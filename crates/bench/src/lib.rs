@@ -45,10 +45,8 @@ use beldi_workload::{Histogram, RunReport};
 pub const SYSTEMS: [Mode; 3] = [Mode::Baseline, Mode::Beldi, Mode::CrossTable];
 
 /// Beldi configuration for a mode with experiment-friendly knobs.
-pub fn config_for(mode: Mode, row_capacity: usize, partitions: usize) -> BeldiConfig {
-    BeldiConfig::for_mode(mode)
-        .with_row_capacity(row_capacity)
-        .with_partitions(partitions)
+pub fn config_for(mode: Mode, row_capacity: usize) -> BeldiConfig {
+    BeldiConfig::for_mode(mode).with_row_capacity(row_capacity)
 }
 
 /// A low-overhead platform for micro-benchmarks (per-operation costs,
@@ -93,13 +91,8 @@ fn harness(cfg: BeldiConfig, platform: PlatformConfig) -> beldi::EnvBuilder {
 /// [`SimClock`](beldi::simclock::SimClock): the calling thread is the
 /// clock's first participant, and any other thread that touches the
 /// environment must be started with `env.clock().spawn`.
-pub fn experiment_env(
-    mode: Mode,
-    row_capacity: usize,
-    partitions: usize,
-    tail_cache: bool,
-) -> BeldiEnv {
-    let cfg = config_for(mode, row_capacity, partitions).with_tail_cache(tail_cache);
+pub fn experiment_env(mode: Mode, row_capacity: usize, tail_cache: bool) -> BeldiEnv {
+    let cfg = config_for(mode, row_capacity).with_tail_cache(tail_cache);
     harness(cfg, microbench_platform()).build()
 }
 
@@ -107,15 +100,15 @@ pub fn experiment_env(
 /// workload driver's platform (an effectively unbounded invocation
 /// timeout). The door reaches it only through its admission
 /// participant, a thread of this clock (`front`'s module docs).
-pub fn front_env(mode: Mode, partitions: usize) -> BeldiEnv {
-    let cfg = config_for(mode, 100, partitions);
+pub fn front_env(mode: Mode) -> BeldiEnv {
+    let cfg = config_for(mode, 100);
     harness(cfg, driver_platform(None)).build()
 }
 
 /// Builds an environment for the app-level load experiments (Figs.
 /// 14/15/26): DynamoDB latencies plus the Lambda-like platform.
-pub fn app_env(mode: Mode, partitions: usize) -> BeldiEnv {
-    let cfg = config_for(mode, 100, partitions);
+pub fn app_env(mode: Mode) -> BeldiEnv {
+    let cfg = config_for(mode, 100);
     harness(cfg, lambda_like_platform()).build()
 }
 
@@ -289,7 +282,7 @@ mod tests {
 
     #[test]
     fn micro_env_runs_every_op() {
-        let env = experiment_env(Mode::Beldi, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
+        let env = experiment_env(Mode::Beldi, 5, false);
         register_micro_ops(&env);
         for op in ["read", "write", "condwrite"] {
             let h = measure_op(&env, "micro", &micro_payload(op), 3, 1);
@@ -302,7 +295,7 @@ mod tests {
 
     #[test]
     fn prepopulate_grows_the_chain() {
-        let env = experiment_env(Mode::Beldi, 5, beldi_simdb::DEFAULT_PARTITIONS, false);
+        let env = experiment_env(Mode::Beldi, 5, false);
         register_micro_ops(&env);
         prepopulate_daal(&env, 4, 5);
         let len = env.daal_chain_len("micro", "t", "k").unwrap();
@@ -312,7 +305,7 @@ mod tests {
     #[test]
     fn all_three_systems_run_the_micro_ops() {
         for mode in SYSTEMS {
-            let env = experiment_env(mode, 5, 4, false);
+            let env = experiment_env(mode, 5, false);
             register_micro_ops(&env);
             let h = measure_op(&env, "micro", &micro_payload("write"), 2, 1);
             assert_eq!(h.len(), 2, "{}", mode.name());

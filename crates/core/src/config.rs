@@ -67,15 +67,6 @@ pub struct BeldiConfig {
     /// collectors are SSFs themselves and must fit inside execution
     /// timeouts, so work is paged across passes). `None` = unbounded.
     pub collector_batch_limit: Option<usize>,
-    /// Hash partitions per simulated-database table. Each partition is an
-    /// independently locked shard; more partitions let more host threads
-    /// hold a store lock at once, which no modelled number depends on.
-    /// A substrate knob: row contents, single-row results,
-    /// and per-hash-key query order are identical for any value — only
-    /// contention and *full-table scan order* change (scans return items
-    /// in partition-major order, as DynamoDB's physical-partition scans
-    /// do).
-    pub partitions: usize,
     /// Cache the DAAL tail row id per `(table, key)` so reads and logged
     /// writes of data tables can skip the traversal scan (Beldi mode only;
     /// see `daal::TailCache`).
@@ -100,9 +91,6 @@ pub struct BeldiConfig {
 pub enum ConfigError {
     /// `daal_row_capacity` was zero: no DAAL row could hold any entry.
     ZeroRowCapacity,
-    /// `partitions` was zero: the simulated database needs at least one
-    /// shard to place rows in.
-    ZeroPartitions,
     /// `collector_batch_limit` was `Some(0)`: every IC/GC pass would
     /// process nothing, so Appendix A's paging never makes progress.
     ZeroCollectorBatch,
@@ -120,7 +108,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ConfigError::ZeroRowCapacity => "DAAL row capacity must be at least 1",
-            ConfigError::ZeroPartitions => "partition count must be at least 1",
             ConfigError::ZeroCollectorBatch => {
                 "collector batch limit of 0 would make no pass progress"
             }
@@ -142,7 +129,6 @@ impl BeldiConfig {
             ic_restart_delay: Duration::from_secs(30),
             collector_period: Duration::from_secs(60),
             collector_batch_limit: None,
-            partitions: beldi_simdb::DEFAULT_PARTITIONS,
             daal_tail_cache: true,
         }
     }
@@ -182,9 +168,6 @@ impl BeldiConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.daal_row_capacity == 0 {
             return Err(ConfigError::ZeroRowCapacity);
-        }
-        if self.partitions == 0 {
-            return Err(ConfigError::ZeroPartitions);
         }
         if self.collector_batch_limit == Some(0) {
             return Err(ConfigError::ZeroCollectorBatch);
@@ -229,12 +212,6 @@ impl BeldiConfig {
         self
     }
 
-    /// Sets the database partition count.
-    pub fn with_partitions(mut self, n: usize) -> Self {
-        self.partitions = n;
-        self
-    }
-
     /// Enables or disables the DAAL tail-row cache (on by default).
     /// Disabling it restores the always-scan read and write paths:
     /// §7.3's "one extra scan per read", which `fig13` and `costs`
@@ -265,14 +242,12 @@ mod tests {
             .with_ic_restart_delay(Duration::from_secs(1))
             .with_collector_period(Duration::from_secs(2))
             .with_collector_batch_limit(64)
-            .with_partitions(4)
             .with_tail_cache(false);
         assert_eq!(c.daal_row_capacity, 7);
         assert_eq!(c.t_max, Duration::from_secs(5));
         assert_eq!(c.ic_restart_delay, Duration::from_secs(1));
         assert_eq!(c.collector_period, Duration::from_secs(2));
         assert_eq!(c.collector_batch_limit, Some(64));
-        assert_eq!(c.partitions, 4);
         assert!(!c.daal_tail_cache);
     }
 
@@ -283,14 +258,6 @@ mod tests {
         }
         assert_eq!(Mode::parse("cross"), Some(Mode::CrossTable));
         assert_eq!(Mode::parse("both"), None);
-    }
-
-    #[test]
-    fn default_partition_count_matches_simdb() {
-        assert_eq!(
-            BeldiConfig::beldi().partitions,
-            beldi_simdb::DEFAULT_PARTITIONS
-        );
     }
 
     #[test]
@@ -307,7 +274,6 @@ mod tests {
         use ConfigError::*;
         let cases = [
             (BeldiConfig::beldi().with_row_capacity(0), ZeroRowCapacity),
-            (BeldiConfig::beldi().with_partitions(0), ZeroPartitions),
             (
                 BeldiConfig::beldi().with_collector_batch_limit(0),
                 ZeroCollectorBatch,
@@ -326,8 +292,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "partition count must be at least 1")]
+    #[should_panic(expected = "DAAL row capacity must be at least 1")]
     fn env_build_panics_with_the_config_error_text() {
-        let _ = crate::BeldiEnv::builder(BeldiConfig::beldi().with_partitions(0)).build();
+        let _ = crate::BeldiEnv::builder(BeldiConfig::beldi().with_row_capacity(0)).build();
     }
 }

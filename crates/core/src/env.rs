@@ -240,13 +240,8 @@ impl EnvBuilder {
         }
         let clock = self.clock.unwrap_or_else(|| SimClock::shared(self.seed));
         let platform = Platform::new(clock.clone(), self.platform, self.seed.wrapping_add(1));
-        let db = Database::with_partitions(
-            clock,
-            self.latency,
-            self.seed,
-            self.config.partitions,
-            platform.telemetry().clone(),
-        );
+        let db =
+            Database::with_telemetry(clock, self.latency, self.seed, platform.telemetry().clone());
         let tail_cache = (self.config.mode == Mode::Beldi && self.config.daal_tail_cache)
             .then(daal::TailCache::new);
         BeldiEnv {
@@ -1001,13 +996,6 @@ mod tests {
         let body: SsfBody = Arc::new(|_, _| Ok(Value::Null));
         env.register_ssf("f", &[], body.clone());
         env.register_ssf("f", &[], body);
-    }
-
-    #[test]
-    fn partitions_knob_reaches_the_database() {
-        let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_partitions(3));
-        assert_eq!(env.db().partitions(), 3);
-        assert_eq!(env.db_metrics().partition_ops.len(), 3);
     }
 
     #[test]

@@ -216,7 +216,7 @@ pub fn plain_data_schema() -> TableSchema {
 /// chain carries `TxnId`, and the query projects the rows' chain pointers,
 /// `Written` and `Value`, so finalize walks each chain to its tail and
 /// reads nothing else. That is sound because simdb's index answers from
-/// the stored rows under their partition locks (DESIGN §1: a strongly
+/// the stored rows under their table lock (DESIGN §1: a strongly
 /// consistent store), not from a copy that could lag them.
 pub fn shadow_schema() -> TableSchema {
     TableSchema::hash_and_sort(A_KEY, A_ROW_ID).with_index(A_TXN_ID)

@@ -15,15 +15,7 @@ mod common;
 use common::{contended_env, join_all, spawn};
 
 fn env_with_writer(capacity: usize) -> BeldiEnv {
-    env_with_writer_partitioned(capacity, beldi_simdb::DEFAULT_PARTITIONS)
-}
-
-fn env_with_writer_partitioned(capacity: usize, partitions: usize) -> BeldiEnv {
-    let env = contended_env(
-        BeldiConfig::beldi()
-            .with_row_capacity(capacity)
-            .with_partitions(partitions),
-    );
+    let env = contended_env(BeldiConfig::beldi().with_row_capacity(capacity));
     env.register_ssf(
         "w",
         &["t"],
@@ -91,6 +83,37 @@ fn hot_key_append_storm_logs_each_write_once() {
     }
 }
 
+/// The store keeps no partitions now, so every key of a table shares
+/// that table's row map and lock. The name is kept from when this test
+/// ran the storm at 1 and 8 partitions: it still runs the storm alone
+/// and then with writers to other keys of the same table contending for
+/// the same lock, which was what a single partition exercised.
+#[test]
+fn hot_key_append_storm_across_partition_counts() {
+    for neighbours in [false, true] {
+        let env = Arc::new(env_with_writer(2));
+        let mut handles = hot_key_writers(&env);
+        if neighbours {
+            handles.extend(own_key_writers(&env));
+        }
+        join_all(handles);
+        assert_eq!(
+            logged_entries(&env, "hot"),
+            96,
+            "neighbours={neighbours}: lost or duplicated log entries"
+        );
+        let v = env.read_current("w", "t", "hot").unwrap();
+        assert!(matches!(v, Value::Int(_)), "neighbours={neighbours}");
+        if neighbours {
+            for t in 0..6 {
+                let key = format!("k{t}");
+                assert_eq!(logged_entries(&env, &key), 10, "{key}: log entries");
+                assert_eq!(env.read_current("w", "t", &key).unwrap(), Value::Int(9));
+            }
+        }
+    }
+}
+
 /// Concurrent traversals during an append storm never error and never
 /// observe a shorter chain than a previously observed one minus GC (no GC
 /// here): monotone prefix growth — the §4.1 snapshot property.
@@ -137,25 +160,7 @@ fn traversal_is_consistent_during_appends() {
     );
 }
 
-/// The DAAL protocol is partition-count invariant: the hot-key storm
-/// holds at `P = 1` (maximal partition contention) and `P = 8` (each
-/// key's chain confined to its own shard).
-#[test]
-fn hot_key_append_storm_across_partition_counts() {
-    for partitions in [1usize, 8] {
-        let env = Arc::new(env_with_writer_partitioned(2, partitions));
-        join_all(hot_key_writers(&env));
-        assert_eq!(
-            logged_entries(&env, "hot"),
-            96,
-            "P={partitions}: lost or duplicated log entries"
-        );
-        let v = env.read_current("w", "t", "hot").unwrap();
-        assert!(matches!(v, Value::Int(_)), "P={partitions}");
-    }
-}
-
-/// Concurrent multi-partition transactions driven through the core
+/// Concurrent two-table transactions driven through the core
 /// stack's database handle: ordered commits are atomic (per-key write
 /// counts match exactly), deadlock-free (the run terminates), and failed
 /// conditions apply nothing.
@@ -164,7 +169,7 @@ fn concurrent_transact_writes_through_env_are_atomic() {
     use beldi::value::{Cond, Update};
     use beldi_simdb::{PrimaryKey, TableSchema, TransactOp};
 
-    let env = Arc::new(contended_env(BeldiConfig::beldi().with_partitions(4)));
+    let env = Arc::new(contended_env(BeldiConfig::beldi()));
     let db = env.db();
     db.create_table("x", TableSchema::hash_only("Id")).unwrap();
     db.create_table("y", TableSchema::hash_only("Id")).unwrap();
@@ -180,8 +185,8 @@ fn concurrent_transact_writes_through_env_are_atomic() {
             spawn(&env, format!("txn-{t}"), move |env| {
                 for i in 0..40usize {
                     let k = (t + i) % 8;
-                    // Paired increment across two tables (and usually two
-                    // partitions), gated on the pair being in sync.
+                    // Paired increment across two tables, gated on the
+                    // pair being in sync.
                     #[expect(
                         clippy::disallowed_methods,
                         reason = "the store's own transaction is under test"
@@ -240,11 +245,11 @@ fn own_key_writers(env: &Arc<BeldiEnv>) -> Vec<JoinHandle> {
 }
 
 /// CrossTable mode routes every logical write through `transact_write`
-/// (value row + write-log row); concurrent writers across partitions must
-/// neither lose writes nor deadlock.
+/// (value row + write-log row); concurrent writers must neither lose
+/// writes nor deadlock.
 #[test]
-fn cross_table_mode_concurrent_writes_survive_partitioning() {
-    let env = Arc::new(contended_env(BeldiConfig::cross_table().with_partitions(4)));
+fn cross_table_mode_concurrent_writes_lose_nothing() {
+    let env = Arc::new(contended_env(BeldiConfig::cross_table()));
     env.register_ssf(
         "w",
         &["t"],

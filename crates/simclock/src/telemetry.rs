@@ -19,8 +19,7 @@
 //! rows sit in a `snapshot` block, which makes each row a field of the
 //! record and names its counter `{prefix}.{field}`. The fields `beside`
 //! the counters are filled by the layer that owns them: the store's
-//! per-partition lock counts (their number is the run's partition count)
-//! and the platform's active-instance gauge.
+//! table-lock count and the platform's active-instance gauge.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
@@ -161,7 +160,7 @@ trait Window {
     fn since(&self, earlier: &Self) -> Self;
 }
 
-/// Per-partition counts subtract index by index.
+/// A list of counts subtracts index by index.
 impl Window for Vec<u64> {
     fn since(&self, earlier: &Self) -> Self {
         self.iter()
@@ -247,14 +246,10 @@ impl Telemetry {
         self.histograms[h as usize].lock().clone()
     }
 
-    /// The store's counters, with its per-partition lock counts beside
-    /// them.
-    pub fn db(&self, partition_ops: &[AtomicU64]) -> MetricsSnapshot {
+    /// The store's counters, with its table-lock count beside them.
+    pub fn db(&self, lock_ops: &AtomicU64) -> MetricsSnapshot {
         stable(|| MetricsSnapshot {
-            partition_ops: partition_ops
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
+            partition_ops: vec![lock_ops.load(Ordering::Relaxed)],
             ..MetricsSnapshot::counters(self)
         })
     }
@@ -277,8 +272,8 @@ impl Telemetry {
 ///
 /// The counters are independent relaxed atomics, so one pass over them
 /// can interleave with a concurrent recorder and return a set that never
-/// existed at any one instant (a partition count from *after* an
-/// operation whose kind counter was read *before* it). A stable double
+/// existed at any one instant (a lock count from *after* an operation
+/// whose kind counter was read *before* it). A stable double
 /// read is a consistent cut. Under sustained concurrent load the retry
 /// budget can run out; the last pass is then returned as a best effort
 /// (windows bracketed by quiescent points, as the harnesses use, always
@@ -308,8 +303,7 @@ telemetry! {
     /// the paper reports "other costs": extra bytes stored per operation,
     /// bytes fetched by DAAL scans, and requests per operation. These
     /// counters make that table reproducible: the database counts every
-    /// operation and every byte it returns or stores, and where the load
-    /// lands across partitions.
+    /// operation and every byte it returns or stores.
     snapshot MetricsSnapshot "simdb" {
         /// Point reads.
         gets: DbGets,
@@ -332,12 +326,12 @@ telemetry! {
         bytes_written: DbBytesWritten,
         /// Rows examined by queries and scans.
         rows_scanned: DbRowsScanned,
-        /// Partition-lock acquisitions that had to wait for another
-        /// holder.
+        /// Writes that started later than issued, queued behind an
+        /// earlier write to the same item.
         lock_waits: DbLockWaits,
     } beside {
-        /// Partition-lock acquisitions per partition index (across
-        /// tables): the skew fingerprint of the workload.
+        /// Table-lock acquisitions (across tables), as a one-element
+        /// list.
         partition_ops: Vec<u64>,
     }
 
@@ -513,10 +507,10 @@ mod tests {
         t.move_gauge(Gauge::FaasActive, 1);
         t.move_gauge(Gauge::FaasActive, -2);
         t.record(Hist::Recovery, Duration::from_millis(5));
-        let s = t.db(&[AtomicU64::new(2), AtomicU64::new(0)]);
+        let s = t.db(&AtomicU64::new(2));
         assert_eq!((s.gets, s.writes, s.bytes_read), (2, 1, 100));
         assert_eq!(s.total_ops(), 3);
-        assert_eq!(s.partition_ops, vec![2, 0]);
+        assert_eq!(s.partition_ops, vec![2]);
         assert_eq!(t.get(Metric::GcPasses), 3);
         let p = t.platform();
         assert_eq!((p.active, p.peak_active), (0, 2));
@@ -526,15 +520,15 @@ mod tests {
     #[test]
     fn delta_subtracts() {
         let t = Telemetry::new();
-        let parts = [AtomicU64::new(1), AtomicU64::new(0)];
+        let locks = AtomicU64::new(1);
         t.add(Metric::DbQueries, 1);
-        let before = t.db(&parts);
+        let before = t.db(&locks);
         t.add(Metric::DbQueries, 1);
         t.add(Metric::DbScans, 1);
-        parts[1].fetch_add(1, Ordering::Relaxed);
-        let d = t.db(&parts).delta(&before);
+        locks.fetch_add(1, Ordering::Relaxed);
+        let d = t.db(&locks).delta(&before);
         assert_eq!((d.queries, d.scans, d.gets), (1, 1, 0));
-        assert_eq!(d.partition_ops, vec![0, 1]);
+        assert_eq!(d.partition_ops, vec![1]);
     }
 
     #[test]
@@ -546,23 +540,23 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         let t = Arc::new(Telemetry::new());
-        let parts: Arc<[AtomicU64; 4]> = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+        let locks = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
-            let (t, parts, stop) = (Arc::clone(&t), Arc::clone(&parts), Arc::clone(&stop));
+            let (t, locks, stop) = (Arc::clone(&t), Arc::clone(&locks), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let mut i = 0usize;
+                let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     t.add(Metric::DbGets, 1);
-                    parts[i % 4].fetch_add(1, Ordering::Relaxed);
+                    locks.fetch_add(1, Ordering::Relaxed);
                     i += 1;
                 }
-                i as u64
+                i
             })
         };
         let mut last = 0u64;
         for _ in 0..200 {
-            let s = t.db(&*parts);
+            let s = t.db(&locks);
             assert!(s.gets >= last, "snapshot went backwards");
             last = s.gets;
         }
@@ -570,9 +564,9 @@ mod tests {
         let total = writer.join().unwrap();
         // Quiescent point: the stabilized snapshot is exact and mutually
         // consistent across counters.
-        let s = t.db(&*parts);
+        let s = t.db(&locks);
         assert_eq!(s.gets, total);
-        assert_eq!(s.partition_ops.iter().sum::<u64>(), total);
-        assert_eq!(s, t.db(&*parts));
+        assert_eq!(s.partition_ops, vec![total]);
+        assert_eq!(s, t.db(&locks));
     }
 }

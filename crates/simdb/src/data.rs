@@ -1,74 +1,47 @@
-//! Hash partitions: the unit of locking and atomicity inside a table.
+//! The rows and secondary indexes of one table, always accessed under
+//! the table's lock.
 //!
 //! Beldi's correctness argument needs only *row-scope* atomic conditional
-//! updates (§2.2), so the simulated store does not have to serialize a
-//! whole table behind one mutex. Each table is split into `P` partitions;
-//! a row lives in the partition selected by hashing its hash-key value, so
-//! every row of one item's DAAL (same hash key) shares a partition and the
-//! per-partition mutex remains a strict superset of the row-scope
-//! atomicity DynamoDB guarantees. Secondary indexes and the distinct-key
-//! listing are maintained per partition and merged on read.
-//!
-//! Routing must be deterministic (benchmarks replay fixed op sequences
-//! across partition counts) and consistent with [`Value`]'s equality — two
-//! keys that compare equal must route identically — so it feeds
-//! [`Value::hash`] (which already matches `Eq`, e.g. `Int(1)` vs
-//! `Float(1.0)`) into a fixed FNV-1a hasher rather than a randomly keyed
-//! std hasher.
+//! updates (§2.2); one mutex per table is a strict superset of that scope.
+//! Rows are kept in one ordered map, so a query reads one hash key's rows
+//! in sort order and a scan reads the whole table in key order.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use beldi_value::{Fnv1a, Name, SizeOf, Update, Value};
+use beldi_value::{Name, SizeOf, Update, Value};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
 
-/// Default number of partitions per table.
-///
-/// Eight is small enough that single-threaded workloads pay no visible
-/// cost and large enough that the multi-threaded experiment harnesses stop
-/// serializing on storage before they saturate the simulated platform.
-pub const DEFAULT_PARTITIONS: usize = 8;
-
-/// Routes a hash-key value to a partition index in `0..partitions`
-/// (FNV-1a over the value's content hash — see `beldi_value::Fnv1a`).
-pub(crate) fn route(hash_key: &Value, partitions: usize) -> usize {
-    if partitions <= 1 {
-        return 0;
-    }
-    (Fnv1a::digest(hash_key) % partitions as u64) as usize
-}
-
-/// The mutable state of one partition (rows + index shards), always
-/// accessed under the owning partition's lock.
+/// The mutable state of one table (rows + indexes), always accessed
+/// under the table's lock.
 #[derive(Debug)]
-pub(crate) struct PartitionData {
-    /// Rows of this partition, ordered by `(hash, sort)`.
+pub(crate) struct TableData {
+    /// The table's rows, ordered by `(hash, sort)`.
     pub(crate) rows: BTreeMap<PrimaryKey, Value>,
-    /// index attribute name -> indexed value -> set of row keys
-    /// (restricted to rows of this partition; readers merge shards).
+    /// index attribute name -> indexed value -> set of row keys.
     indexes: HashMap<Name, BTreeMap<Value, BTreeSet<PrimaryKey>>>,
 }
 
-impl PartitionData {
-    /// Creates an empty partition with one index shard per indexed
-    /// attribute of the schema.
+impl TableData {
+    /// Creates an empty table with one index per indexed attribute of
+    /// the schema.
     pub(crate) fn new(schema: &TableSchema) -> Self {
         let mut indexes = HashMap::new();
         for attr in &schema.index_attrs {
             indexes.insert(attr.clone(), BTreeMap::new());
         }
-        PartitionData {
+        TableData {
             rows: BTreeMap::new(),
             indexes,
         }
     }
 
     /// Inserts or replaces a full row, enforcing the size limit and
-    /// maintaining index shards. Returns the stored size in bytes.
+    /// maintaining the indexes. Returns the stored size in bytes.
     ///
-    /// The caller routes and extracts `key` (the schema lives outside the
-    /// partition locks).
+    /// The caller extracts `key` (the schema lives outside the table
+    /// lock).
     pub(crate) fn put_row(
         &mut self,
         key: PrimaryKey,
@@ -101,8 +74,8 @@ impl PartitionData {
     /// schema's `max_row_bytes`, or it would re-file the row (its key
     /// attributes no longer `key`: [`DbError::BadKey`], as DynamoDB
     /// refuses), the update is taken back ([`beldi_value::UndoLog`]) and
-    /// the row and the index shards are exactly as before. Index shards
-    /// move only for attributes the update names.
+    /// the row and the indexes are exactly as before. Indexes move only
+    /// for attributes the update names.
     ///
     /// # Panics
     ///
@@ -159,7 +132,7 @@ impl PartitionData {
         Ok(size)
     }
 
-    /// Removes a row, maintaining index shards. Returns the removed row.
+    /// Removes a row, maintaining the indexes. Returns the removed row.
     pub(crate) fn remove_row(&mut self, key: &PrimaryKey) -> Option<Value> {
         let row = self.rows.remove(key)?;
         self.unindex_row(key, &row);
@@ -170,7 +143,7 @@ impl PartitionData {
         #[expect(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
-            reason = "each index shard is written on its own: their order does not matter"
+            reason = "each index is written on its own: their order does not matter"
         )]
         for (attr, index) in self.indexes.iter_mut() {
             if let Some(v) = row.get_attr(attr) {
@@ -183,7 +156,7 @@ impl PartitionData {
         #[expect(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
-            reason = "each index shard is written on its own: their order does not matter"
+            reason = "each index is written on its own: their order does not matter"
         )]
         for (attr, index) in self.indexes.iter_mut() {
             if let Some(v) = row.get_attr(attr) {
@@ -192,8 +165,7 @@ impl PartitionData {
         }
     }
 
-    /// Looks up this partition's row keys via a secondary-index shard, in
-    /// key order. Readers merge the shards of all partitions.
+    /// Looks up row keys via a secondary index, in key order.
     pub(crate) fn index_lookup(&self, attr: &str, value: &Value) -> DbResult<Vec<PrimaryKey>> {
         let index = self
             .indexes
@@ -205,8 +177,7 @@ impl PartitionData {
             .unwrap_or_default())
     }
 
-    /// Returns the distinct hash-key values present in this partition, in
-    /// sorted order. Readers merge (and re-sort) across partitions.
+    /// Returns the distinct hash-key values of the table, in sorted order.
     ///
     /// The literal `getAllDataKeys` of the paper's Fig. 10; the garbage
     /// collector uses it on shadow tables only (data tables go through
@@ -222,7 +193,7 @@ impl PartitionData {
     }
 }
 
-/// Drops `key` from the entry of `value` in one index shard.
+/// Drops `key` from the entry of `value` in one index.
 fn unindex(index: &mut BTreeMap<Value, BTreeSet<PrimaryKey>>, value: &Value, key: &PrimaryKey) {
     if let Some(set) = index.get_mut(value) {
         set.remove(key);
@@ -247,48 +218,15 @@ mod tests {
         vmap! { "Key" => k, "RowId" => r, "Done" => done }
     }
 
-    fn put(p: &mut PartitionData, s: &TableSchema, item: Value) -> DbResult<usize> {
+    fn put(p: &mut TableData, s: &TableSchema, item: Value) -> DbResult<usize> {
         let key = s.key_of(&item)?;
         p.put_row(key, item, s.max_row_bytes)
     }
 
     #[test]
-    fn routing_is_deterministic_and_in_range() {
-        for parts in [1usize, 2, 8, 31] {
-            for i in 0..100i64 {
-                let v = Value::from(format!("k{i}"));
-                let a = route(&v, parts);
-                assert_eq!(a, route(&v, parts));
-                assert!(a < parts);
-            }
-        }
-    }
-
-    #[test]
-    fn routing_agrees_with_value_equality() {
-        // Int(1) == Float(1.0) under Value's total order; routing must not
-        // split them across partitions.
-        assert_eq!(
-            route(&Value::Int(1), 8),
-            route(&Value::Float(1.0), 8),
-            "equal keys must route identically"
-        );
-    }
-
-    #[test]
-    fn routing_spreads_keys() {
-        let parts = 8;
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..64i64 {
-            seen.insert(route(&Value::from(format!("k{i}")), parts));
-        }
-        assert!(seen.len() > 1, "all keys landed in one partition");
-    }
-
-    #[test]
     fn put_get_remove() {
         let s = schema();
-        let mut p = PartitionData::new(&s);
+        let mut p = TableData::new(&s);
         put(&mut p, &s, row("a", 0, false)).unwrap();
         let k = PrimaryKey::hash_sort("a", 0i64);
         assert!(p.rows.contains_key(&k));
@@ -300,7 +238,7 @@ mod tests {
     #[test]
     fn size_limit_enforced_without_mutation() {
         let s = schema();
-        let mut p = PartitionData::new(&s);
+        let mut p = TableData::new(&s);
         put(&mut p, &s, row("a", 0, false)).unwrap();
         let big = vmap! { "Key" => "a", "RowId" => 0i64, "V" => "x".repeat(500) };
         assert!(matches!(
@@ -317,7 +255,7 @@ mod tests {
     #[test]
     fn index_tracks_puts_updates_and_removes() {
         let s = schema();
-        let mut p = PartitionData::new(&s);
+        let mut p = TableData::new(&s);
         put(&mut p, &s, row("a", 0, false)).unwrap();
         put(&mut p, &s, row("b", 0, false)).unwrap();
         assert_eq!(
@@ -346,7 +284,7 @@ mod tests {
 
     #[test]
     fn index_lookup_unknown_index_is_error() {
-        let p = PartitionData::new(&schema());
+        let p = TableData::new(&schema());
         assert!(matches!(
             p.index_lookup("Nope", &Value::Bool(true)),
             Err(DbError::IndexNotFound(_))
@@ -356,7 +294,7 @@ mod tests {
     #[test]
     fn distinct_hash_keys_deduplicates() {
         let s = schema();
-        let mut p = PartitionData::new(&s);
+        let mut p = TableData::new(&s);
         put(&mut p, &s, row("a", 0, false)).unwrap();
         put(&mut p, &s, row("a", 1, false)).unwrap();
         put(&mut p, &s, row("b", 0, false)).unwrap();
@@ -540,9 +478,9 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
 
         /// Updating the stored row in place is indistinguishable from the
-        /// copy–apply–`put_row` it replaced: the same row, size and index
-        /// shards when the update goes through, and nothing moved at all —
-        /// row, neighbours, shards — when it does not. And a copy a reader
+        /// copy–apply–`put_row` it replaced: the same row, size and
+        /// indexes when the update goes through, and nothing moved at all —
+        /// row, neighbours, indexes — when it does not. And a copy a reader
         /// took before never changes, whichever of the two happened.
         #[test]
         fn update_in_place_matches_copy_apply_put(
@@ -558,10 +496,10 @@ mod tests {
             let row = random_row(mask, pick);
             let key = s.key_of(&row).unwrap();
             let neighbour = vmap! { "Key" => "k", "RowId" => 1i64, "Done" => true, "Group" => "o1" };
-            let mut p = PartitionData::new(&s);
+            let mut p = TableData::new(&s);
             put(&mut p, &s, neighbour).unwrap();
             put(&mut p, &s, row.clone()).unwrap();
-            let mut reference = PartitionData::new(&s);
+            let mut reference = TableData::new(&s);
             reference.rows = p.rows.clone();
             reference.indexes = p.indexes.clone();
 

@@ -9,12 +9,12 @@ use beldi_simclock::{Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant,
 use beldi_value::{Cond, SizeOf, Update, Value};
 use parking_lot::{Mutex, RwLock};
 
+use crate::data::TableData;
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
 use crate::latency::{LatencyModel, LatencySampler, OpKind};
-use crate::partition::{PartitionData, DEFAULT_PARTITIONS};
-use crate::scan::{ScanCursor, ScanPage, ScanRequest};
-use crate::table::{PartitionGuard, Table};
+use crate::scan::{ScanPage, ScanRequest};
+use crate::table::{Table, TableGuard};
 
 /// Rows examined per internal lock acquisition during queries and scans.
 ///
@@ -109,12 +109,11 @@ struct ItemWriteQueue {
 
 /// A simulated strongly consistent NoSQL database.
 ///
-/// Tables are hash-partitioned: each row lives in the partition selected by
-/// hashing its hash-key value, and each partition has its own lock. All
-/// methods are safe to call from many threads; single-row conditional
-/// updates are atomic and linearizable, and [`Database::transact_write`]
-/// commits across partitions by acquiring exactly the partition locks its
-/// ops touch, in a deterministic global order (no global transaction lock).
+/// Each table has one lock over its rows and indexes. All methods are
+/// safe to call from many threads; single-row conditional updates are
+/// atomic and linearizable, and [`Database::transact_write`] commits
+/// across tables by locking the tables its ops touch, in name order (no
+/// global transaction lock).
 ///
 /// Modelled latency is charged *per operation* and overlaps freely across
 /// threads, with one exception: writes to the same item serialize their
@@ -126,40 +125,34 @@ pub struct Database {
     sampler: LatencySampler,
     /// The registry the store's counters live in.
     telemetry: Arc<Telemetry>,
-    /// Lock acquisitions per partition index, aggregated across tables.
-    partition_ops: Vec<AtomicU64>,
+    /// Table-lock acquisitions, across tables.
+    lock_ops: AtomicU64,
     item_writes: Mutex<ItemWriteQueue>,
     page_rows: usize,
-    partitions: usize,
 }
 
 impl Database {
-    /// Creates a database with the given clock and latency model, the
-    /// default partition count ([`DEFAULT_PARTITIONS`]) and a registry of
-    /// its own.
+    /// Creates a database with the given clock and latency model and a
+    /// registry of its own.
     pub fn new(clock: SharedClock, latency: LatencyModel, seed: u64) -> Arc<Self> {
-        Database::with_partitions(clock, latency, seed, DEFAULT_PARTITIONS, Arc::default())
+        Database::with_telemetry(clock, latency, seed, Arc::default())
     }
 
-    /// Creates a database whose tables are split into `partitions`
-    /// independently locked hash partitions, counting into `telemetry`.
-    pub fn with_partitions(
+    /// [`Database::new`], counting into `telemetry`.
+    pub fn with_telemetry(
         clock: SharedClock,
         latency: LatencyModel,
         seed: u64,
-        partitions: usize,
         telemetry: Arc<Telemetry>,
     ) -> Arc<Self> {
-        assert!(partitions >= 1, "a database needs at least one partition");
         Arc::new(Database {
             tables: RwLock::new(HashMap::new()),
             clock,
             sampler: LatencySampler::new(latency, seed),
             telemetry,
-            partition_ops: (0..partitions).map(|_| AtomicU64::new(0)).collect(),
+            lock_ops: AtomicU64::new(0),
             item_writes: Mutex::new(ItemWriteQueue::default()),
             page_rows: DEFAULT_PAGE_ROWS,
-            partitions,
         })
     }
 
@@ -169,31 +162,15 @@ impl Database {
         Database::new(SimClock::shared(0), LatencyModel::zero(), 0)
     }
 
-    /// [`Database::for_tests`] with an explicit partition count.
-    pub fn for_tests_with_partitions(partitions: usize) -> Arc<Self> {
-        Database::with_partitions(
-            SimClock::shared(0),
-            LatencyModel::zero(),
-            0,
-            partitions,
-            Arc::default(),
-        )
-    }
-
     /// Returns the database clock.
     pub fn clock(&self) -> &SharedClock {
         &self.clock
     }
 
-    /// Returns the number of partitions per table.
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
     /// The store's counters so far. A measurement window is the
     /// [`MetricsSnapshot::delta`] of two of these.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.telemetry.db(&self.partition_ops)
+        self.telemetry.db(&self.lock_ops)
     }
 
     /// The registry the store counts into.
@@ -216,7 +193,7 @@ impl Database {
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
-        let table = Table::new(&name, schema, self.partitions);
+        let table = Table::new(&name, schema);
         tables.insert(name, Arc::new(table));
         Ok(())
     }
@@ -246,30 +223,10 @@ impl Database {
             .ok_or_else(|| DbError::TableNotFound(table.to_owned()))
     }
 
-    /// Locks one partition, counting the access (and any lock wait).
-    fn lock_partition<'a>(&self, table: &'a Table, p: usize) -> PartitionGuard<'a> {
-        let (guard, waited) = table.lock_partition(p);
-        if waited {
-            self.count(Metric::DbLockWaits, 1);
-        }
-        self.partition_ops[p].fetch_add(1, Ordering::Relaxed);
-        guard
-    }
-
-    /// Locks every partition in `set`, in its ascending `(table,
-    /// partition)` order: a total order every transaction shares, so no
-    /// two can deadlock. The one place a thread holds more than one
-    /// partition (debug builds check the order, see `Table::lock_partition`).
-    fn lock_sorted<'k, 't>(
-        &self,
-        handles: &'t HashMap<String, Arc<Table>>,
-        set: &BTreeSet<(&'k str, usize)>,
-    ) -> BTreeMap<(&'k str, usize), PartitionGuard<'t>> {
-        let mut guards = BTreeMap::new();
-        for &(table, part) in set {
-            guards.insert((table, part), self.lock_partition(&handles[table], part));
-        }
-        guards
+    /// Locks a table, counting the acquisition.
+    fn lock<'a>(&self, table: &'a Table) -> TableGuard<'a> {
+        self.lock_ops.fetch_add(1, Ordering::Relaxed);
+        table.lock()
     }
 
     /// Sleeps one write's modelled latency `d`, serialized per item:
@@ -277,6 +234,10 @@ impl Database {
     /// other (see [`ItemWriteQueue`]), writes to distinct items overlap.
     /// A multi-item write (transaction) starts after *every* involved
     /// item is free and occupies all of them until it completes.
+    ///
+    /// A write that must start later than now, because an earlier write
+    /// still occupies one of its items, counts one
+    /// [`MetricsSnapshot::lock_waits`].
     ///
     /// Zero-cost samples return immediately, so zero-latency test
     /// databases never touch (or populate) the queue. Sequential callers
@@ -306,6 +267,9 @@ impl Database {
                 .filter_map(|(t, k)| queue.busy.get(*t).and_then(|m| m.get(*k)))
                 .max()
                 .map_or(now, |&busy| busy.max(now));
+            if start > now {
+                self.count(Metric::DbLockWaits, 1);
+            }
             let deadline = start.plus(d);
             for (t, k) in items {
                 // Looked up before inserted: the table name and the key
@@ -338,7 +302,7 @@ impl Database {
         // Projected under the lock, off the stored row: what the
         // projection drops is never copied.
         let item = {
-            let data = self.lock_partition(&t, t.route(&key.hash));
+            let data = self.lock(&t);
             data.rows.get(key).map(|row| match projection {
                 Some(p) => p.apply(row),
                 None => row.clone(),
@@ -356,7 +320,7 @@ impl Database {
         let t = self.handle(table)?;
         let key = t.schema.key_of(&item)?;
         let size = {
-            let mut data = self.lock_partition(&t, t.route(&key.hash));
+            let mut data = self.lock(&t);
             data.put_row(key.clone(), item, t.schema.max_row_bytes)?
         };
         self.count(Metric::DbWrites, 1);
@@ -389,7 +353,7 @@ impl Database {
     ) -> DbResult<()> {
         let t = self.handle(table)?;
         let result = {
-            let mut data = self.lock_partition(&t, t.route(&key.hash));
+            let mut data = self.lock(&t);
             Self::apply_update(&mut data, &t.schema, key, cond, update)
         };
         match result {
@@ -414,14 +378,14 @@ impl Database {
         }
     }
 
-    /// Applies a conditional update under a partition lock; returns the
+    /// Applies a conditional update under the table lock; returns the
     /// new row size. An existing row is updated where it is stored
-    /// ([`PartitionData::update_row`]), never through a copy.
+    /// ([`TableData::update_row`]), never through a copy.
     ///
     /// An update that changes a key attribute, of the stored row or a fresh
-    /// one, is refused ([`DbError::BadKey`]) and leaves the partition as it was.
+    /// one, is refused ([`DbError::BadKey`]) and leaves the table as it was.
     fn apply_update(
-        data: &mut PartitionData,
+        data: &mut TableData,
         schema: &TableSchema,
         key: &PrimaryKey,
         cond: &Cond,
@@ -454,7 +418,7 @@ impl Database {
     pub fn delete(&self, table: &str, key: &PrimaryKey, cond: &Cond) -> DbResult<()> {
         let t = self.handle(table)?;
         let result = {
-            let mut data = self.lock_partition(&t, t.route(&key.hash));
+            let mut data = self.lock(&t);
             if !cond_holds(cond, data.rows.get(key))? {
                 Err(DbError::ConditionFailed)
             } else {
@@ -472,14 +436,12 @@ impl Database {
 
     /// Queries every row sharing a hash key, in sort-key order.
     ///
-    /// All rows of one hash key live in a single partition, so the query
-    /// locks exactly that partition — and only page by page
-    /// (`DEFAULT_PAGE_ROWS` rows each), with the lock released between
-    /// pages, so the result is **not** an atomic snapshot — exactly the
-    /// behaviour Beldi's DAAL traversal must (and does) tolerate (§4.1).
+    /// The query locks the table page by page (`DEFAULT_PAGE_ROWS` rows
+    /// each), with the lock released between pages, so the result is
+    /// **not** an atomic snapshot — exactly the behaviour Beldi's DAAL
+    /// traversal must (and does) tolerate (§4.1).
     pub fn query(&self, table: &str, hash: &Value, req: &ScanRequest) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
-        let part = t.route(hash);
         let mut out = Vec::new();
         let mut resume: Option<PrimaryKey> = req.start_after.clone();
         loop {
@@ -487,7 +449,7 @@ impl Database {
             let mut page_bytes = 0usize;
             let mut last: Option<PrimaryKey> = None;
             {
-                let data = self.lock_partition(&t, part);
+                let data = self.lock(&t);
                 let lo = match &resume {
                     Some(k) => std::ops::Bound::Excluded(k.clone()),
                     None => std::ops::Bound::Included(PrimaryKey {
@@ -541,38 +503,31 @@ impl Database {
         Ok(out)
     }
 
-    /// Serves one page of a full-table scan.
-    ///
-    /// Partitions are visited in index order, each in key order; one page
-    /// may span a partition boundary but never holds more than one
-    /// partition lock at a time. Resume via [`ScanPage::cursor`].
+    /// Serves one page of a full-table scan, in key order, resuming
+    /// after [`ScanRequest::start_after`]. The next page resumes after
+    /// [`ScanPage::last_key`].
     pub fn scan_page(&self, table: &str, req: &ScanRequest) -> DbResult<ScanPage> {
         let t = self.handle(table)?;
         let limit = req.limit.unwrap_or(self.page_rows).min(self.page_rows);
-        let (mut part, mut after) = match &req.cursor {
-            Some(c) => (c.partition, Some(c.key.clone())),
-            None => (0, None),
+        let lo = match &req.start_after {
+            Some(k) => std::ops::Bound::Excluded(k),
+            None => std::ops::Bound::Unbounded,
         };
         let mut items = Vec::new();
-        let mut cursor: Option<ScanCursor> = None;
+        let mut last_key: Option<PrimaryKey> = None;
         let mut rows_examined = 0usize;
         let mut bytes = 0usize;
-        'partitions: while part < t.partition_count() {
-            let data = self.lock_partition(&t, part);
-            let lo = match after.take() {
-                Some(k) => std::ops::Bound::Excluded(k),
-                None => std::ops::Bound::Unbounded,
-            };
+        let mut more = false;
+        {
+            let data = self.lock(&t);
             for (k, row) in data.rows.range((lo, std::ops::Bound::Unbounded)) {
                 if items.len() >= limit || rows_examined >= self.page_rows {
-                    // Page full with this row still unexamined: resume here.
-                    break 'partitions;
+                    // Page full with this row still unexamined.
+                    more = true;
+                    break;
                 }
                 rows_examined += 1;
-                cursor = Some(ScanCursor {
-                    partition: part,
-                    key: k.clone(),
-                });
+                last_key = Some(k.clone());
                 let keep = match &req.filter {
                     Some(f) => f.eval(row)?,
                     None => true,
@@ -586,19 +541,16 @@ impl Database {
                     items.push(item);
                 }
             }
-            drop(data);
-            part += 1;
-            if part >= t.partition_count() {
-                // Walked every partition to its end: the scan is complete.
-                cursor = None;
-            }
         }
         self.count(Metric::DbScans, 1);
         self.count(Metric::DbRowsScanned, rows_examined);
         self.count(Metric::DbBytesRead, bytes);
         self.clock
             .sleep(self.sampler.sample(OpKind::Scan, rows_examined, bytes));
-        Ok(ScanPage { items, cursor })
+        Ok(ScanPage {
+            items,
+            last_key: last_key.filter(|_| more),
+        })
     }
 
     /// Scans the whole table, following pages to completion.
@@ -609,20 +561,19 @@ impl Database {
         loop {
             let page = self.scan_page(table, &page_req)?;
             out.extend(page.items);
-            match page.cursor {
-                Some(c) => page_req.cursor = Some(c),
+            match page.last_key {
+                Some(k) => page_req.start_after = Some(k),
                 None => break,
             }
         }
         Ok(out)
     }
 
-    /// Exact-match lookup through a secondary index, in key order (the
-    /// per-partition index shards are merged on read).
+    /// Exact-match lookup through a secondary index, in key order.
     ///
     /// `req.filter` and `req.projection` apply as in [`Database::query`]
     /// — a `Key`-only projection is DynamoDB's `KEYS_ONLY` index read;
-    /// the paging fields (`limit`, `start_after`, `cursor`) do not: an
+    /// the paging fields (`limit`, `start_after`) do not: an
     /// index read always runs to the end of its match list. It is billed
     /// the way `query` is, one `Query` op per `page_rows` index entries
     /// examined, and a page that comes back full is followed by one more
@@ -638,9 +589,9 @@ impl Database {
         let t = self.handle(table)?;
         // Every index entry examined, with the item it yields (`None`
         // when the filter rejects the row).
-        let mut entries: Vec<(PrimaryKey, Option<Value>)> = Vec::new();
-        for part in 0..t.partition_count() {
-            let data = self.lock_partition(&t, part);
+        let mut entries: Vec<Option<Value>> = Vec::new();
+        {
+            let data = self.lock(&t);
             for k in data.index_lookup(attr, value)? {
                 let Some(row) = data.rows.get(&k) else {
                     continue;
@@ -649,20 +600,18 @@ impl Database {
                     Some(f) => f.eval(row)?,
                     None => true,
                 };
-                let item = keep.then(|| match &req.projection {
+                entries.push(keep.then(|| match &req.projection {
                     Some(p) => p.apply(row),
                     None => row.clone(),
-                });
-                entries.push((k, item));
+                }));
             }
         }
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
         let mut items = Vec::with_capacity(entries.len());
         let mut entries = entries.into_iter();
         loop {
             let mut page_rows = 0usize;
             let mut page_bytes = 0usize;
-            for (_, item) in entries.by_ref().take(self.page_rows) {
+            for item in entries.by_ref().take(self.page_rows) {
                 page_rows += 1;
                 if let Some(item) = item {
                     page_bytes += item.size_bytes();
@@ -682,17 +631,10 @@ impl Database {
     }
 
     /// Returns the distinct hash-key values of a table, sorted (the GC's
-    /// shadow-table walk and verification walks; per-partition listings
-    /// are merged on read).
+    /// shadow-table walk and verification walks).
     pub fn distinct_hash_keys(&self, table: &str) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
-        let mut keys: Vec<Value> = Vec::new();
-        for part in 0..t.partition_count() {
-            let data = self.lock_partition(&t, part);
-            keys.extend(data.distinct_hash_keys());
-        }
-        keys.sort();
-        keys.dedup();
+        let keys = self.lock(&t).distinct_hash_keys();
         self.count(Metric::DbScans, 1);
         self.count(Metric::DbRowsScanned, keys.len());
         self.clock
@@ -703,22 +645,15 @@ impl Database {
     /// The number of rows currently stored in a table.
     ///
     /// Out-of-band observability (storage-growth tracking for the
-    /// workload driver and GC experiments): it sums the partition map
-    /// sizes directly, bypassing the latency model and the operation
-    /// metrics, and is not atomic across partitions — a concurrent
-    /// writer may be counted in one partition and not yet in another.
+    /// workload driver and GC experiments): it reads the table's size
+    /// under its lock, atomically, bypassing the latency model and the
+    /// operation metrics.
     pub fn row_count(&self, table: &str) -> DbResult<usize> {
-        let t = self.handle(table)?;
-        let mut rows = 0;
-        for p in 0..t.partition_count() {
-            let (data, _) = t.lock_partition(p);
-            rows += data.rows.len();
-        }
-        Ok(rows)
+        Ok(self.handle(table)?.lock().rows.len())
     }
 
-    /// Per-table row counts for every table, sorted by name (see
-    /// [`Database::row_count`] for the consistency caveats).
+    /// Per-table row counts for every table, sorted by name (each count
+    /// atomic, the set not: see [`Database::row_count`]).
     pub fn table_row_counts(&self) -> Vec<(String, usize)> {
         self.table_names()
             .into_iter()
@@ -732,12 +667,12 @@ impl Database {
     /// Takes a deterministic logical snapshot of every table
     /// ([`crate::DbSnapshot`]).
     ///
-    /// Rows are collected per table in primary-key order, so the result is
-    /// independent of the partition count and of partition visit order —
-    /// two databases holding the same logical rows snapshot identically.
+    /// Rows are collected per table in primary-key order, so two
+    /// databases holding the same logical rows snapshot identically.
     /// This is out-of-band verification tooling: it bypasses the latency
-    /// model and the operation metrics, and it is not atomic across
-    /// partitions (snapshot a quiescent database).
+    /// model and the operation metrics, and each table is copied
+    /// atomically but the set of tables is not (snapshot a quiescent
+    /// database).
     pub fn snapshot(&self) -> crate::DbSnapshot {
         let handles: Vec<(String, Arc<Table>)> = {
             let tables = self.tables.read();
@@ -751,13 +686,7 @@ impl Database {
         };
         let mut out: BTreeMap<String, BTreeMap<PrimaryKey, Value>> = BTreeMap::new();
         for (name, t) in handles {
-            let mut rows = BTreeMap::new();
-            for p in 0..t.partition_count() {
-                let (data, _) = t.lock_partition(p);
-                for (k, v) in &data.rows {
-                    rows.insert(k.clone(), v.clone());
-                }
-            }
+            let rows = t.lock().rows.clone();
             out.insert(name, rows);
         }
         crate::DbSnapshot::new(out)
@@ -770,13 +699,10 @@ impl Database {
     /// is applied. This is the DynamoDB `TransactWriteItems` the paper's
     /// cross-table-transaction comparator uses (Figs. 13, 16, 25).
     ///
-    /// There is no global transaction lock: the transaction determines the
-    /// `(table, partition)` pairs its ops touch, acquires exactly those
-    /// partition locks in ascending `(table, partition)` order — a total
-    /// order shared by every transaction, so lock acquisition cannot
-    /// deadlock — validates every condition, and applies all ops while
-    /// still holding the locks. Transactions touching disjoint partitions
-    /// proceed fully in parallel.
+    /// There is no global transaction lock: the transaction locks the
+    /// tables its ops touch in name order — a total order shared by every
+    /// transaction, so lock acquisition cannot deadlock — validates every
+    /// condition, and applies all ops while still holding the locks.
     ///
     /// # Errors
     ///
@@ -786,15 +712,14 @@ impl Database {
     pub fn transact_write(&self, ops: &[TransactOp]) -> DbResult<()> {
         // Resolve handles first so TableNotFound beats TransactionCanceled,
         // then extract per-op keys (Puts derive theirs from the schema,
-        // which lives outside the partition locks) and the lock set.
+        // which lives outside the table locks).
         let mut handles: HashMap<String, Arc<Table>> = HashMap::new();
         for op in ops {
             if !handles.contains_key(op.table()) {
                 handles.insert(op.table().to_owned(), self.handle(op.table())?);
             }
         }
-        let mut op_keys: Vec<(PrimaryKey, usize)> = Vec::with_capacity(ops.len());
-        let mut lock_set: BTreeSet<(&str, usize)> = BTreeSet::new();
+        let mut op_keys: Vec<PrimaryKey> = Vec::with_capacity(ops.len());
         let mut seen_rows: BTreeSet<(&str, PrimaryKey)> = BTreeSet::new();
         for op in ops {
             let t = &handles[op.table()];
@@ -811,28 +736,26 @@ impl Database {
                     item: format!("{}/{}", op.table(), key),
                 });
             }
-            let part = t.route(&key.hash);
-            lock_set.insert((op.table(), part));
-            op_keys.push((key, part));
+            op_keys.push(key);
         }
 
-        let mut guards = self.lock_sorted(&handles, &lock_set);
+        // The one place a thread holds more than one table lock: in name
+        // order (debug builds check it, see `Table::lock`).
+        let mut guards: BTreeMap<&str, TableGuard<'_>> = BTreeMap::new();
+        for name in ops.iter().map(TransactOp::table).collect::<BTreeSet<_>>() {
+            guards.insert(name, self.lock(&handles[name]));
+        }
 
         // Validate every condition against the pre-state. All touched
-        // partitions are locked, so this is one atomic validation point —
-        // no re-check or rollback dance against racing single-row writers.
-        for (i, op) in ops.iter().enumerate() {
-            let (key, part) = &op_keys[i];
-            let data = &guards[&(op.table(), *part)];
-            if !cond_holds(op.cond(), data.rows.get(key))? {
+        // tables are locked, so this is one atomic validation point — no
+        // re-check or rollback dance against racing single-row writers.
+        for (i, (op, key)) in ops.iter().zip(&op_keys).enumerate() {
+            if !cond_holds(op.cond(), guards[op.table()].rows.get(key))? {
                 drop(guards);
                 self.count(Metric::DbTransactWrites, 1);
                 self.count(Metric::DbCondFailures, 1);
-                let items: Vec<(&str, &PrimaryKey)> = ops
-                    .iter()
-                    .zip(&op_keys)
-                    .map(|(op, (key, _))| (op.table(), key))
-                    .collect();
+                let items: Vec<(&str, &PrimaryKey)> =
+                    ops.iter().map(TransactOp::table).zip(&op_keys).collect();
                 self.serial_write_sleep(
                     &items,
                     self.sampler.sample(OpKind::TransactWrite, ops.len(), 0),
@@ -844,14 +767,11 @@ impl Database {
         // Apply. Structural failures (e.g. a row outgrowing the size cap)
         // roll the already-applied ops back under the still-held locks, so
         // even the failure path is atomic.
-        let mut applied: Vec<(usize, PrimaryKey, usize, Option<Value>)> = Vec::new();
+        let mut applied: Vec<(usize, Option<Value>)> = Vec::new();
         let mut bytes = 0usize;
-        for (i, op) in ops.iter().enumerate() {
-            let (key, part) = &op_keys[i];
+        for (i, (op, key)) in ops.iter().zip(&op_keys).enumerate() {
             let t = &handles[op.table()];
-            let data = guards
-                .get_mut(&(op.table(), *part))
-                .expect("partition locked above");
+            let data = guards.get_mut(op.table()).expect("table locked above");
             let prior = data.rows.get(key).cloned();
             let result = match op {
                 TransactOp::Update { update, .. } => {
@@ -868,14 +788,12 @@ impl Database {
             match result {
                 Ok(n) => {
                     bytes += n;
-                    applied.push((i, key.clone(), *part, prior));
+                    applied.push((i, prior));
                 }
                 Err(e) => {
-                    for (j, key, part, prior) in applied.iter().rev() {
-                        let t = &handles[ops[*j].table()];
-                        let data = guards
-                            .get_mut(&(ops[*j].table(), *part))
-                            .expect("partition locked above");
+                    for (j, prior) in applied.iter().rev() {
+                        let (t, key) = (&handles[ops[*j].table()], &op_keys[*j]);
+                        let data = guards.get_mut(ops[*j].table()).expect("table locked above");
                         match prior {
                             // Restoring a row that previously fit cannot
                             // overflow.
@@ -895,11 +813,8 @@ impl Database {
         drop(guards);
         self.count(Metric::DbTransactWrites, 1);
         self.count(Metric::DbBytesWritten, bytes);
-        let items: Vec<(&str, &PrimaryKey)> = ops
-            .iter()
-            .zip(&op_keys)
-            .map(|(op, (key, _))| (op.table(), key))
-            .collect();
+        let items: Vec<(&str, &PrimaryKey)> =
+            ops.iter().map(TransactOp::table).zip(&op_keys).collect();
         self.serial_write_sleep(
             &items,
             self.sampler.sample(OpKind::TransactWrite, ops.len(), bytes),
@@ -930,7 +845,7 @@ mod tests {
             ..LatencyModel::zero()
         };
         let clock: SharedClock = beldi_simclock::SimClock::shared(1);
-        let db = Database::with_partitions(clock.clone(), model, 0, 8, Arc::default());
+        let db = Database::new(clock.clone(), model, 0);
         db.create_table("t", TableSchema::hash_only("Id")).unwrap();
         // Four writers, four writes each.
         let run = |pick: fn(usize) -> PrimaryKey| {
@@ -1216,10 +1131,11 @@ mod tests {
                 "t",
                 &ScanRequest::all()
                     .with_limit(100)
-                    .with_cursor(page1.cursor.unwrap()),
+                    .with_start_after(page1.last_key.unwrap()),
             )
             .unwrap();
         assert_eq!(page2.items.len(), 6);
+        assert_eq!(page2.last_key, None, "the scan is complete");
     }
 
     #[test]
@@ -1409,7 +1325,7 @@ mod tests {
             .unwrap();
         db.put("a", vmap! { "Id" => "x", "N" => 1i64 }).unwrap();
         // Op 0 applies, op 1 overflows the row cap: op 0 must be rolled
-        // back under the still-held partition locks.
+        // back under the still-held table lock.
         let err = db
             .transact_write(&[
                 TransactOp::Update {
@@ -1441,10 +1357,10 @@ mod tests {
     }
 
     #[test]
-    fn transact_write_with_multiple_ops_in_one_partition() {
-        // P = 1 forces every op into the same partition: the lock set must
-        // deduplicate rather than self-deadlock.
-        let db = Database::for_tests_with_partitions(1);
+    fn transact_write_with_multiple_ops_in_one_table() {
+        // Two ops on one table: it is locked once, not twice
+        // (a self-deadlock).
+        let db = Database::for_tests();
         db.create_table("a", TableSchema::hash_only("Id")).unwrap();
         db.transact_write(&[
             TransactOp::Put {
@@ -1597,23 +1513,78 @@ mod tests {
     }
 
     #[test]
-    fn metrics_track_partition_accesses() {
+    fn metrics_count_lock_acquisitions() {
         let db = db_with_table();
-        assert_eq!(db.metrics().partition_ops.len(), db.partitions());
+        db.create_table("u", TableSchema::hash_only("Id")).unwrap();
+        assert_eq!(db.metrics().partition_ops, [0]);
         for i in 0..20i64 {
             db.put("t", vmap! { "Key" => format!("k{i}"), "RowId" => 0i64 })
                 .unwrap();
         }
-        let s = db.metrics();
         assert_eq!(
-            s.partition_ops.iter().sum::<u64>(),
-            20,
-            "each put locks exactly one partition"
+            db.metrics().partition_ops,
+            [20],
+            "a put locks its table once"
         );
-        assert!(
-            s.partition_ops.iter().filter(|&&n| n > 0).count() > 1,
-            "uniform keys should spread over partitions: {:?}",
-            s.partition_ops
+        db.transact_write(&[
+            TransactOp::Put {
+                table: "t".into(),
+                item: vmap! { "Key" => "x", "RowId" => 0i64 },
+                cond: Cond::True,
+            },
+            TransactOp::Put {
+                table: "t".into(),
+                item: vmap! { "Key" => "y", "RowId" => 0i64 },
+                cond: Cond::True,
+            },
+            TransactOp::Put {
+                table: "u".into(),
+                item: vmap! { "Id" => "x" },
+                cond: Cond::True,
+            },
+        ])
+        .unwrap();
+        assert_eq!(
+            db.metrics().partition_ops,
+            [22],
+            "a transaction locks each table it touches once"
         );
+    }
+
+    /// A lock wait is a write that must start later than now because an
+    /// earlier write to the same item still occupies it.
+    #[test]
+    fn lock_waits_count_writes_queued_behind_their_item() {
+        use std::time::Duration;
+        // Two clock participants, one write each, to the keys `pick` gives.
+        let waits = |model: LatencyModel, pick: fn(usize) -> PrimaryKey| {
+            let clock: SharedClock = beldi_simclock::SimClock::shared(1);
+            let db = Database::new(clock.clone(), model, 0);
+            db.create_table("t", TableSchema::hash_only("Id")).unwrap();
+            let writers: Vec<_> = (0..2)
+                .map(|w| {
+                    let db = Arc::clone(&db);
+                    let body = move || {
+                        db.update("t", &pick(w), &Cond::True, &Update::new().inc("N", 1))
+                            .unwrap();
+                    };
+                    clock.spawn(format!("writer-{w}"), Box::new(body))
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("a writer panicked");
+            }
+            db.metrics().lock_waits
+        };
+        let model = LatencyModel {
+            write_base: Duration::from_millis(20),
+            ..LatencyModel::zero()
+        };
+        let hot = |_| PrimaryKey::hash("hot");
+        assert_eq!(waits(model.clone(), hot), 1, "one item");
+        let distinct = |w| PrimaryKey::hash(format!("k{w}"));
+        assert_eq!(waits(model, distinct), 0, "distinct items");
+        // With zero latency no write occupies its item.
+        assert_eq!(waits(LatencyModel::zero(), hot), 0, "zero latency");
     }
 }

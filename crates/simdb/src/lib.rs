@@ -28,22 +28,21 @@
 //! - **A pluggable latency model** ([`LatencyModel`]) in virtual time, so
 //!   benchmarks reproduce the paper's latency *shapes*.
 //!
-//! The store itself is an in-process map, **hash-partitioned**: every table
-//! is split into `P` independently locked partitions (rows routed by their
-//! hash-key value, so a row — the DynamoDB atomicity scope — never spans
-//! partitions). Single-row operations lock exactly one partition;
-//! cross-table transactions lock exactly the partitions their ops touch, in
-//! a deterministic global order (no global transaction lock), so disjoint
-//! work scales with the partition count. "Fault tolerance" of the storage
+//! The store itself is an in-process ordered map per table, behind one
+//! lock per table — a strict superset of the row, DynamoDB's atomicity
+//! scope. Single-row operations lock their table once; queries and scans
+//! read in key order, a page per lock, and resume after a key;
+//! cross-table transactions lock the tables their ops touch in name
+//! order (no global transaction lock). "Fault tolerance" of the storage
 //! layer is by construction (the process does not model storage-node
 //! failures — neither does the paper, which treats DynamoDB as reliable;
 //! *client* (SSF) crashes are injected by `beldi-simfaas`).
 
+mod data;
 mod database;
 mod error;
 mod key;
 mod latency;
-mod partition;
 mod scan;
 mod snapshot;
 mod table;
@@ -53,6 +52,5 @@ pub use database::{Database, TransactOp};
 pub use error::{DbError, DbResult};
 pub use key::{PrimaryKey, TableSchema};
 pub use latency::{LatencyModel, OpKind};
-pub use partition::DEFAULT_PARTITIONS;
-pub use scan::{Projection, ScanCursor, ScanPage, ScanRequest};
+pub use scan::{Projection, ScanPage, ScanRequest};
 pub use snapshot::{DbSnapshot, RowDiff, SnapshotDiff};

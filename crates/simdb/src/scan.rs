@@ -62,23 +62,6 @@ impl Projection {
     }
 }
 
-/// Position of a paused full-table scan: the partition being walked and
-/// the last key examined inside it.
-///
-/// Tables are hash-partitioned, so a full scan visits partitions in index
-/// order and each partition in key order — the overall item order is
-/// *partition-major*, not globally key-sorted (matching DynamoDB, where
-/// scan order follows physical partitions). A cursor therefore must name
-/// the partition as well as the key; resuming with a plain key would be
-/// ambiguous across partitions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanCursor {
-    /// Index of the partition the scan stopped in.
-    pub partition: usize,
-    /// Last key examined in that partition (resume is exclusive).
-    pub key: PrimaryKey,
-}
-
 /// Parameters of a scan or query.
 #[derive(Debug, Clone, Default)]
 pub struct ScanRequest {
@@ -88,13 +71,10 @@ pub struct ScanRequest {
     pub projection: Option<Projection>,
     /// Maximum number of *matching* items to return in this page.
     pub limit: Option<usize>,
-    /// Queries only: resume after this key (exclusive) within the hash
-    /// key's partition. Ignored by full-table scans, which resume via
-    /// [`ScanRequest::cursor`].
+    /// Resume after this key (exclusive): DynamoDB's
+    /// `ExclusiveStartKey`. A scan resumes from a previous page's
+    /// [`ScanPage::last_key`].
     pub start_after: Option<PrimaryKey>,
-    /// Full-table scans only: resume from a previous page's
-    /// [`ScanPage::cursor`].
-    pub cursor: Option<ScanCursor>,
 }
 
 impl ScanRequest {
@@ -121,9 +101,9 @@ impl ScanRequest {
         self
     }
 
-    /// Sets the scan resume cursor (builder style).
-    pub fn with_cursor(mut self, cursor: ScanCursor) -> Self {
-        self.cursor = Some(cursor);
+    /// Sets the key to resume after (builder style).
+    pub fn with_start_after(mut self, key: PrimaryKey) -> Self {
+        self.start_after = Some(key);
         self
     }
 }
@@ -131,11 +111,12 @@ impl ScanRequest {
 /// One page of scan/query results.
 #[derive(Debug, Clone, Default)]
 pub struct ScanPage {
-    /// The matching (possibly projected) items, in partition-major key
-    /// order (see [`ScanCursor`]).
+    /// The matching (possibly projected) items, in key order.
     pub items: Vec<Value>,
-    /// Cursor to resume from; `None` when the scan is complete.
-    pub cursor: Option<ScanCursor>,
+    /// The last key the page examined, to resume after
+    /// ([`ScanRequest::start_after`]); `None` when the scan is complete.
+    /// DynamoDB's `LastEvaluatedKey`.
+    pub last_key: Option<PrimaryKey>,
 }
 
 #[cfg(test)]
@@ -182,18 +163,14 @@ mod tests {
 
     #[test]
     fn scan_request_builder() {
-        let cursor = ScanCursor {
-            partition: 3,
-            key: PrimaryKey::hash("k"),
-        };
         let r = ScanRequest::all()
             .with_filter(Cond::eq("Key", "k"))
             .with_projection(Projection::attrs(["Key"]))
             .with_limit(5)
-            .with_cursor(cursor.clone());
+            .with_start_after(PrimaryKey::hash("k"));
         assert!(r.filter.is_some());
         assert!(r.projection.is_some());
         assert_eq!(r.limit, Some(5));
-        assert_eq!(r.cursor, Some(cursor));
+        assert_eq!(r.start_after, Some(PrimaryKey::hash("k")));
     }
 }

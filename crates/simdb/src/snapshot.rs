@@ -1,9 +1,8 @@
 //! Logical database snapshots and snapshot diffs.
 //!
 //! A [`DbSnapshot`] is a deterministic dump of every table's rows, keyed
-//! and ordered by primary key — **independent of the partition count and
-//! of partition visit order**, so two databases holding the same logical
-//! rows produce equal snapshots even when sharded differently. The crash-
+//! and ordered by primary key, so two databases holding the same logical
+//! rows produce equal snapshots. The crash-
 //! schedule explorer uses snapshots two ways:
 //!
 //! - *determinism checks*: two runs of the same seed and crash schedule
@@ -21,11 +20,11 @@ use beldi_value::Value;
 
 use crate::key::PrimaryKey;
 
-/// A deterministic, partition-order-independent dump of a database.
+/// A deterministic dump of a database.
 ///
-/// Snapshots are taken row by row under the per-partition locks but are
-/// not atomic across partitions or tables; take them while the database
-/// is quiescent (as verification harnesses do).
+/// Each table is copied atomically under its lock, but the set of tables
+/// is not; take snapshots while the database is quiescent (as
+/// verification harnesses do).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DbSnapshot {
     tables: BTreeMap<String, BTreeMap<PrimaryKey, Value>>,
@@ -167,8 +166,8 @@ mod tests {
     use crate::Database;
     use beldi_value::vmap;
 
-    fn seeded_db(partitions: usize) -> std::sync::Arc<Database> {
-        let db = Database::for_tests_with_partitions(partitions);
+    fn seeded_db() -> std::sync::Arc<Database> {
+        let db = Database::for_tests();
         db.create_table("app.data", crate::TableSchema::hash_only("Key"))
             .unwrap();
         db.create_table("app.intent", crate::TableSchema::hash_only("Id"))
@@ -183,26 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_partition_order_independent() {
-        let a = seeded_db(1).snapshot();
-        let b = seeded_db(8).snapshot();
-        assert_eq!(a, b, "same logical rows must snapshot identically");
-        assert_eq!(a.row_count(), 11);
-        assert_eq!(a.table_names(), vec!["app.data", "app.intent"]);
-    }
-
-    #[test]
     fn identical_snapshots_diff_empty() {
-        let db = seeded_db(4);
-        let diff = db.snapshot().diff(&db.snapshot());
+        let db = seeded_db();
+        let snapshot = db.snapshot();
+        assert_eq!(snapshot.row_count(), 11);
+        assert_eq!(snapshot.table_names(), vec!["app.data", "app.intent"]);
+        assert_eq!(snapshot, seeded_db().snapshot(), "same rows, same snapshot");
+        let diff = snapshot.diff(&db.snapshot());
         assert!(diff.is_empty());
         assert_eq!(diff.len(), 0);
     }
 
     #[test]
     fn diff_reports_changed_missing_and_extra_rows() {
-        let left = seeded_db(4);
-        let right = seeded_db(4);
+        let left = seeded_db();
+        let right = seeded_db();
         // Changed row.
         right
             .put("app.data", vmap! { "Key" => "k0", "V" => 99i64 })
@@ -234,8 +228,8 @@ mod tests {
 
     #[test]
     fn split_separates_metadata_tables() {
-        let left = seeded_db(2);
-        let right = seeded_db(2);
+        let left = seeded_db();
+        let right = seeded_db();
         right
             .put("app.data", vmap! { "Key" => "k1", "V" => -1i64 })
             .unwrap();

@@ -1,64 +1,61 @@
-//! A table: an immutable schema plus `P` independently locked partitions.
+//! A table: an immutable schema plus its rows behind one lock.
 //!
-//! The partition mutex is the simulated atomicity scope — a strict
-//! superset of DynamoDB's per-row guarantee, since a row never spans
-//! partitions. Single-row operations lock exactly one partition; scans
-//! release the lock between pages (driven by [`crate::Database`]) so they
-//! are **not** atomic across rows, matching real DynamoDB scans; and
-//! cross-table transactions lock exactly the partitions their ops touch,
-//! in a deterministic global order (see [`crate::Database::transact_write`]).
+//! The table mutex is the simulated atomicity scope — a strict superset of
+//! DynamoDB's per-row guarantee. Single-row operations lock the table
+//! once; queries and scans release the lock between pages (driven by
+//! [`crate::Database`]) so they are **not** atomic across rows, matching
+//! real DynamoDB scans; and cross-table transactions lock the tables
+//! their ops touch in name order (see [`crate::Database::transact_write`]).
 //!
-//! That order is ascending `(table name, partition)`, and a thread that
-//! holds a partition may only take one above it. Debug builds check this
-//! at every acquisition ([`Table::lock_partition`]): an out-of-order lock
-//! panics at once instead of deadlocking some later schedule.
+//! A thread that holds a table lock may only take the lock of a table
+//! whose name sorts above it. Debug builds check this at every
+//! acquisition ([`Table::lock`]): an out-of-order lock panics at once
+//! instead of deadlocking some later schedule.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use beldi_value::Value;
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::data::TableData;
 use crate::key::TableSchema;
-use crate::partition::{route, PartitionData};
 
 /// One table: its name (its place in the lock order), schema (immutable,
-/// readable without any lock) and its hash partitions.
+/// readable without any lock) and its rows.
 #[derive(Debug)]
 pub(crate) struct Table {
     name: Arc<str>,
     pub(crate) schema: TableSchema,
-    partitions: Vec<Mutex<PartitionData>>,
+    data: Mutex<TableData>,
 }
 
 thread_local! {
-    /// The `(table, partition)` locks this thread holds (debug builds).
-    static HELD: RefCell<Vec<(Arc<str>, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The table locks this thread holds (debug builds).
+    static HELD: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A held partition lock. In debug builds it is also an entry in this
+/// A held table lock. In debug builds it is also an entry in this
 /// thread's held set until it drops.
-pub(crate) struct PartitionGuard<'a> {
-    guard: MutexGuard<'a, PartitionData>,
+pub(crate) struct TableGuard<'a> {
+    guard: MutexGuard<'a, TableData>,
     table: &'a Arc<str>,
-    partition: usize,
 }
 
-impl Deref for PartitionGuard<'_> {
-    type Target = PartitionData;
-    fn deref(&self) -> &PartitionData {
+impl Deref for TableGuard<'_> {
+    type Target = TableData;
+    fn deref(&self) -> &TableData {
         &self.guard
     }
 }
 
-impl DerefMut for PartitionGuard<'_> {
-    fn deref_mut(&mut self) -> &mut PartitionData {
+impl DerefMut for TableGuard<'_> {
+    fn deref_mut(&mut self) -> &mut TableData {
         &mut self.guard
     }
 }
 
-impl Drop for PartitionGuard<'_> {
+impl Drop for TableGuard<'_> {
     fn drop(&mut self) {
         if cfg!(debug_assertions) {
             // A drop must not panic: `try_with` for a thread being torn
@@ -67,8 +64,7 @@ impl Drop for PartitionGuard<'_> {
                 let Ok(mut held) = held.try_borrow_mut() else {
                     return;
                 };
-                let mine = |(t, p): &(Arc<str>, usize)| t == self.table && *p == self.partition;
-                if let Some(i) = held.iter().rposition(mine) {
+                if let Some(i) = held.iter().rposition(|t| t == self.table) {
                     held.remove(i);
                 }
             });
@@ -77,140 +73,69 @@ impl Drop for PartitionGuard<'_> {
 }
 
 impl Table {
-    /// Creates a table named `name` with `partitions` empty partitions.
-    pub(crate) fn new(name: &str, schema: TableSchema, partitions: usize) -> Self {
-        assert!(partitions >= 1, "a table needs at least one partition");
-        let parts = (0..partitions)
-            .map(|_| Mutex::new(PartitionData::new(&schema)))
-            .collect();
+    /// Creates an empty table named `name`.
+    pub(crate) fn new(name: &str, schema: TableSchema) -> Self {
+        let data = Mutex::new(TableData::new(&schema));
         Table {
             name: name.into(),
             schema,
-            partitions: parts,
+            data,
         }
     }
 
-    /// Number of partitions.
-    pub(crate) fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The partition index a hash-key value routes to.
-    pub(crate) fn route(&self, hash_key: &Value) -> usize {
-        route(hash_key, self.partitions.len())
-    }
-
-    /// Locks partition `p`, reporting whether the acquisition had to wait
-    /// for another holder (the per-partition contention signal surfaced in
-    /// [`crate::MetricsSnapshot::lock_waits`]).
+    /// Locks the table's rows.
     ///
     /// # Panics
     ///
-    /// In debug builds, if this thread already holds a partition at or
-    /// above `(self, p)` in `(table name, partition)` order: only
-    /// `Database::lock_sorted` holds more than one, in that order.
-    pub(crate) fn lock_partition(&self, p: usize) -> (PartitionGuard<'_>, bool) {
+    /// In debug builds, if this thread already holds this table or one
+    /// whose name sorts above it: only `Database::transact_write` holds
+    /// more than one, in name order.
+    pub(crate) fn lock(&self) -> TableGuard<'_> {
         if cfg!(debug_assertions) {
             HELD.with(|held| {
                 let mut held = held.borrow_mut();
-                let me = (&*self.name, p);
-                if let Some((t, q)) = held.iter().find(|(t, q)| (&**t, *q) >= me) {
+                if let Some(t) = held.iter().find(|t| ***t >= *self.name) {
                     panic!(
-                        "partition lock order: this thread holds {t}/{q} and asks for {}/{p}",
+                        "table lock order: this thread holds {t} and asks for {}",
                         self.name
                     );
                 }
-                held.push((self.name.clone(), p));
+                held.push(self.name.clone());
             });
         }
-        let slot = &self.partitions[p];
-        let (guard, waited) = match slot.try_lock() {
-            Some(guard) => (guard, false),
-            None => (slot.lock(), true),
-        };
-        let guard = PartitionGuard {
-            guard,
+        TableGuard {
+            guard: self.data.lock(),
             table: &self.name,
-            partition: p,
-        };
-        (guard, waited)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::PrimaryKey;
-    use beldi_value::vmap;
 
-    fn table(partitions: usize) -> Table {
-        Table::new("t", TableSchema::hash_and_sort("Key", "RowId"), partitions)
+    fn table(name: &str) -> Table {
+        Table::new(name, TableSchema::hash_and_sort("Key", "RowId"))
     }
 
-    #[test]
-    fn rows_of_one_hash_key_share_a_partition() {
-        let t = table(8);
-        let p = t.route(&Value::from("a"));
-        for sort in 0..20i64 {
-            let key = PrimaryKey::hash_sort("a", sort);
-            assert_eq!(t.route(&key.hash), p, "sort {sort} rerouted");
-        }
-    }
-
-    #[test]
-    fn lock_partition_reports_contention() {
-        let t = table(2);
-        let (guard, contended) = t.lock_partition(0);
-        assert!(!contended, "uncontended lock must not report a wait");
-        // The other partition stays free while 0 is held.
-        let (other, contended) = t.lock_partition(1);
-        assert!(!contended);
-        drop(other);
-        drop(guard);
-    }
-
-    #[test]
-    fn partitions_hold_disjoint_rows() {
-        let t = table(4);
-        let mut total = 0;
-        for i in 0..32i64 {
-            let item = vmap! { "Key" => format!("k{i}"), "RowId" => 0i64 };
-            let key = t.schema.key_of(&item).unwrap();
-            let p = t.route(&key.hash);
-            let (mut data, _) = t.lock_partition(p);
-            data.put_row(key, item, t.schema.max_row_bytes).unwrap();
-        }
-        for p in 0..t.partition_count() {
-            let (data, _) = t.lock_partition(p);
-            total += data.rows.len();
-        }
-        assert_eq!(total, 32, "rows lost or duplicated across partitions");
-    }
-
-    /// The lock-order canary: partition 1, then partition 0 of the same
-    /// table, is the order two crossing transactions would deadlock on.
+    /// The lock-order canary: table `b`, then table `a`, is the order two
+    /// crossing transactions would deadlock on.
     #[test]
     #[cfg_attr(
         debug_assertions,
-        should_panic(expected = "this thread holds t/1 and asks for t/0")
+        should_panic(expected = "this thread holds b and asks for a")
     )]
-    fn a_lower_partition_after_a_higher_one_panics() {
-        let t = table(2);
-        let (_high, _) = t.lock_partition(1);
-        let (_low, _) = t.lock_partition(0);
+    fn a_lower_table_after_a_higher_one_panics() {
+        let (a, b) = (table("a"), table("b"));
+        let _high = b.lock();
+        let _low = a.lock();
     }
 
     #[test]
-    fn a_released_partition_may_be_taken_again() {
-        let t = table(2);
-        drop(t.lock_partition(1));
-        let (_low, _) = t.lock_partition(0);
-        let (_high, _) = t.lock_partition(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one partition")]
-    fn zero_partitions_rejected() {
-        let _ = table(0);
+    fn a_released_table_may_be_taken_again() {
+        let (a, b) = (table("a"), table("b"));
+        drop(b.lock());
+        let _low = a.lock();
+        let _high = b.lock();
     }
 }

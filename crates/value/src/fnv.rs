@@ -2,9 +2,9 @@
 //!
 //! `std::collections::hash_map::DefaultHasher` is randomly keyed per
 //! process, so anything that must hash identically across runs, threads,
-//! or machines — partition routing, cache sharding, benchmark state
-//! digests — uses this fixed-basis hasher instead. One shared
-//! implementation keeps the magic constants in one place.
+//! or machines — cache sharding, benchmark state digests — uses this
+//! fixed-basis hasher instead. One shared implementation keeps the magic
+//! constants in one place.
 
 use std::hash::{Hash, Hasher};
 

@@ -79,8 +79,6 @@ pub struct DriveOptions {
     pub total_ops: u64,
     /// Seed for the substrate RNGs and every worker's request stream.
     pub seed: u64,
-    /// Database partitions (the sharding knob under test).
-    pub partitions: usize,
     /// Apply the DynamoDB-shaped latency model (off = zero-latency
     /// storage, for functional tests).
     pub model_latency: bool,
@@ -172,7 +170,6 @@ impl Default for DriveOptions {
             workers: 4,
             total_ops: 1_000,
             seed: 42,
-            partitions: beldi_simdb::DEFAULT_PARTITIONS,
             model_latency: true,
             tail_cache: true,
             gc: false,
@@ -220,8 +217,8 @@ wire_fields!(LatencySummary: p50_us, p90_us, p95_us, p99_us, mean_us, max_us);
 
 /// One storage-growth observation, taken on virtual time during a run.
 ///
-/// Sampling is observational: it reads partition map sizes without
-/// touching the latency model or metrics.
+/// Sampling is observational: it reads table sizes without touching the
+/// latency model or metrics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StorageSample {
     /// Virtual microseconds since the measurement window opened.
@@ -371,8 +368,6 @@ pub struct BenchRun {
     pub mode: String,
     /// Concurrent client workers.
     pub workers: usize,
-    /// Database partitions.
-    pub partitions: usize,
     /// Requests issued (all of them complete — closed loop).
     pub ops: u64,
     /// Requests that returned an error.
@@ -406,7 +401,7 @@ pub struct BenchRun {
 }
 
 wire_fields!(BenchRun:
-    app, mode, workers, partitions, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
+    app, mode, workers, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
     latency, db, state_digest, effects, gc, storage, in_flight, recovery
 );
 wire_fields!(MetricsSnapshot:
@@ -653,9 +648,7 @@ fn build_bench_env(
     chaos: Option<&ChaosOptions>,
     gc: bool,
 ) -> BeldiEnv {
-    let mut cfg = BeldiConfig::for_mode(mode)
-        .with_partitions(opts.partitions)
-        .with_tail_cache(opts.tail_cache);
+    let mut cfg = BeldiConfig::for_mode(mode).with_tail_cache(opts.tail_cache);
     if gc {
         cfg = cfg
             .with_t_max(opts.gc_t_max)
@@ -811,7 +804,6 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         app: app.kind().to_owned(),
         mode: mode.name().to_owned(),
         workers: opts.workers,
-        partitions: opts.partitions,
         ops: opts.total_ops,
         errors: load.errors,
         elapsed_virtual_us: load.elapsed.as_micros() as u64,
@@ -1019,7 +1011,6 @@ mod tests {
             app: "media".into(),
             mode: "beldi".into(),
             workers: 4,
-            partitions: 8,
             ops: 100,
             errors: 0,
             elapsed_virtual_us: 1_234_567,
@@ -1036,7 +1027,7 @@ mod tests {
             db: MetricsSnapshot {
                 gets: 5,
                 writes: 4,
-                partition_ops: vec![1, 2, 3],
+                partition_ops: vec![3],
                 ..MetricsSnapshot::default()
             },
             state_digest: "00000000deadbeef".into(),
@@ -1161,7 +1152,6 @@ mod tests {
                 "latency",
                 "mode",
                 "ops",
-                "partitions",
                 "recovery",
                 "state_digest",
                 "storage",

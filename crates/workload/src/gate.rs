@@ -287,7 +287,6 @@ mod tests {
             app: app.into(),
             mode: "beldi".into(),
             workers,
-            partitions: 8,
             ops: 100,
             errors,
             elapsed_virtual_us: 1,

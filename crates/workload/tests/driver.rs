@@ -20,7 +20,6 @@ fn test_opts(workers: usize, total_ops: u64, seed: u64) -> DriveOptions {
         workers,
         total_ops,
         seed,
-        partitions: 8,
         model_latency: false,
         tail_cache: true,
         ..DriveOptions::default()
@@ -491,7 +490,7 @@ fn run_report_fields_are_sound() {
     assert!(run.elapsed_virtual_us > 0);
     assert!(run.throughput_rps > 0.0);
     assert!(run.db.total_ops() > 0);
-    assert_eq!(run.db.partition_ops.len(), 8);
+    assert_eq!(run.db.partition_ops.len(), 1);
     assert!(run.latency.p50_us <= run.latency.p99_us);
     assert!(run.latency.p99_us <= run.latency.max_us);
     assert_eq!(run.key(), "media/beldi/w2");
@@ -509,7 +508,6 @@ fn online_gc_conserves_state_and_bounds_storage() {
         workers: 4,
         total_ops: 200,
         seed: 13,
-        partitions: 8,
         model_latency: true,
         gc: true,
         gc_t_max: Duration::from_secs(4),
