@@ -182,8 +182,7 @@ impl Envelope {
     /// Serializes the envelope for the platform payload. The envelope's
     /// fields move into it.
     pub fn into_value(self) -> Value {
-        let mut m = Map::new();
-        match self {
+        let m = match self {
             Envelope::Call {
                 id,
                 input,
@@ -192,6 +191,13 @@ impl Envelope {
                 is_async,
                 first_attempt_ms,
             } => {
+                let optional = [
+                    id.is_some(),
+                    caller.is_some(),
+                    txn.is_some(),
+                    first_attempt_ms.is_some(),
+                ];
+                let mut m = Map::with_capacity(3 + optional.iter().filter(|&&f| f).count());
                 m.insert(K_OP, "call".into());
                 if let Some(id) = id {
                     m.insert(K_ID, id.into());
@@ -207,26 +213,33 @@ impl Envelope {
                 if let Some(ms) = first_attempt_ms {
                     m.insert(K_FIRST_ATTEMPT, Value::Int(ms as i64));
                 }
+                m
             }
             Envelope::Callback { callee_id, result } => {
+                let mut m = Map::with_capacity(2 + usize::from(result.is_some()));
                 m.insert(K_OP, "callback".into());
                 m.insert(K_CALLEE_ID, callee_id.into());
                 if let Some(r) = result {
                     m.insert(K_RESULT, r);
                 }
+                m
             }
             Envelope::AsyncReg { id, input, caller } => {
+                let mut m = Map::with_capacity(4);
                 m.insert(K_OP, "asyncreg".into());
                 m.insert(K_ID, id.into());
                 m.insert(K_INPUT, input);
                 m.insert(K_CALLER, caller.into());
+                m
             }
             Envelope::TxnSignal { id, txn } => {
+                let mut m = Map::with_capacity(3);
                 m.insert(K_OP, "txnsignal".into());
                 m.insert(K_ID, id.into());
                 m.insert(K_TXN, txn.to_value());
+                m
             }
-        }
+        };
         Value::Map(m)
     }
 

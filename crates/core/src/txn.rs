@@ -99,7 +99,7 @@ pub struct TxnContext {
 impl TxnContext {
     /// Serializes the context for an invocation envelope or intent record.
     pub(crate) fn to_value(&self) -> Value {
-        let mut m = Map::new();
+        let mut m = Map::with_capacity(3);
         m.insert("Id", Value::from(&self.id));
         m.insert("StartMs", Value::Int(self.start_ms as i64));
         m.insert("Mode", Value::from(self.mode.as_str()));
@@ -189,7 +189,7 @@ impl TxnState {
 /// Builds the `LockOwner` column value for a transaction or instance
 /// (Fig. 11 stores `[TXNID, START_TIME]`).
 pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
-    let mut m = Map::new();
+    let mut m = Map::with_capacity(2);
     m.insert("Id", Value::from(owner_id));
     m.insert("Ts", Value::Int(start_ms as i64));
     Value::Map(m)

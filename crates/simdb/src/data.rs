@@ -341,8 +341,10 @@ mod tests {
                     Ok(())
                 }
                 (PathSegment::Attr(a), Value::Map(m)) => {
-                    let inner = m.entry(a.clone()).or_insert(Value::Map(Map::new()));
-                    set(inner, rest, new)
+                    if !m.contains_key(a) {
+                        m.insert(a.clone(), Value::Map(Map::new()));
+                    }
+                    set(m.get_mut(a).expect("just ensured"), rest, new)
                 }
                 (PathSegment::Index(i), Value::List(l)) if rest.is_empty() && *i == l.len() => {
                     l.push(new);

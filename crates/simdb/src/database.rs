@@ -399,8 +399,9 @@ impl Database {
             return data.update_row(key, update, schema);
         }
         // Fresh row: seed it with the key attributes (the schema's names
-        // and the key's values are shared handles, so this copies nothing).
-        let mut m = beldi_value::Map::new();
+        // and the key's values are shared handles, so this copies nothing),
+        // with room for what the update adds.
+        let mut m = beldi_value::Map::with_capacity(2 + update.actions().len());
         m.insert(schema.hash_attr.clone(), key.hash.clone());
         if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
             m.insert(attr.clone(), sort.clone());

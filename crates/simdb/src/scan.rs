@@ -49,7 +49,7 @@ impl Projection {
     /// indexing through a scalar) also omit the path, matching DynamoDB's
     /// lenient projection behaviour.
     pub fn apply(&self, item: &Value) -> Value {
-        let mut out = Value::Map(beldi_value::Map::new());
+        let mut out = Value::Map(beldi_value::Map::with_capacity(self.paths.len()));
         for p in &self.paths {
             if let Ok(Some(v)) = item.get_path(p) {
                 // set_path only fails on structural mismatch, which cannot

@@ -19,13 +19,13 @@
 //! as a hex string (it does not occur in benchmark reports); non-finite
 //! floats are written as `null`, as `JSON.stringify` does.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::error::{ValueError, ValueResult};
+use crate::map::Map;
 use crate::name::Name;
-use crate::value::{Map, Value};
+use crate::value::Value;
 
 /// Serializes a value as compact JSON with deterministic key order.
 pub fn to_json(v: &Value) -> String {
@@ -158,6 +158,7 @@ pub fn from_json(text: &str) -> ValueResult<Value> {
         pos: 0,
         depth: 0,
         buf: String::new(),
+        entries: Vec::new(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -175,6 +176,9 @@ struct Parser<'a> {
     depth: usize,
     /// Reused to decode each string before it becomes one `Arc<str>`.
     buf: String,
+    /// Reused to collect the entries of the objects being parsed: each
+    /// one's are the top of the stack until its `}` moves them out.
+    entries: Vec<(Name, Value)>,
 }
 
 impl Parser<'_> {
@@ -259,9 +263,10 @@ impl Parser<'_> {
 
     fn map(&mut self) -> ValueResult<Value> {
         self.expect(b'{')?;
-        // Filled as a plain tree: an insert through the handle would check
-        // each time that the handle is the only one.
-        let mut m = BTreeMap::new();
+        // Collected, then sorted once into a map of exactly their number:
+        // an insert per key would shift the keys after it, quadratic in a
+        // hostile object's width.
+        let start = self.entries.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -274,13 +279,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value()?;
-            m.insert(key, val);
+            self.entries.push((key, val));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Map(m.into()));
+                    return Ok(Value::Map(self.entries.drain(start..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }

@@ -21,6 +21,7 @@ mod cond;
 mod error;
 pub mod fnv;
 pub mod json;
+mod map;
 mod name;
 mod path;
 mod size;
@@ -31,11 +32,12 @@ mod value;
 pub use cond::Cond;
 pub use error::{ValueError, ValueResult};
 pub use fnv::Fnv1a;
+pub use map::{Entries, Iter, IterMut, Map};
 pub use name::Name;
 pub use path::{Path, PathSegment};
 pub use size::SizeOf;
 pub use update::{UndoLog, Update, UpdateAction};
-pub use value::{Kind, Map, Value};
+pub use value::{Kind, Value};
 
 /// Builds a [`Value::Map`] from `key => value` pairs. A key is anything
 /// that converts into a [`Name`]: a constant is borrowed, not copied.
@@ -52,7 +54,7 @@ pub use value::{Kind, Map, Value};
 macro_rules! vmap {
     () => { $crate::Value::Map($crate::Map::new()) };
     ( $( $k:expr => $v:expr ),+ $(,)? ) => {{
-        let mut m = $crate::Map::new();
+        let mut m = $crate::Map::with_capacity([$( ::std::stringify!($k) ),+].len());
         $( m.insert($k, $crate::Value::from($v)); )+
         $crate::Value::Map(m)
     }};

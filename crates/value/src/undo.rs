@@ -11,8 +11,9 @@ use std::cmp::Ordering;
 use std::mem;
 
 use crate::error::{ValueError, ValueResult};
+use crate::map::Map;
 use crate::path::{Path, PathSegment};
-use crate::value::{Map, Value};
+use crate::value::Value;
 
 /// What a mutation found at the place it wrote to.
 #[derive(Debug)]
@@ -134,12 +135,10 @@ impl Value {
             };
         }
         match (last, cur) {
-            (PathSegment::Attr(a), Value::Map(m)) => Ok(match m.get_mut(a.as_str()) {
-                Some(slot) => Prior::Replaced(mem::replace(slot, value)),
-                None => {
-                    m.insert(a.clone(), value);
-                    Prior::Absent
-                }
+            // One insert: a shared map is copied once, at its new size.
+            (PathSegment::Attr(a), Value::Map(m)) => Ok(match m.insert(a.clone(), value) {
+                Some(old) => Prior::Replaced(old),
+                None => Prior::Absent,
             }),
             (PathSegment::Index(i), Value::List(l)) => match i.cmp(&l.len()) {
                 Ordering::Less => Ok(Prior::Replaced(mem::replace(&mut l[*i], value))),

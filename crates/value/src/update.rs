@@ -11,7 +11,8 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
-use crate::path::Path;
+use crate::map::Map;
+use crate::path::{Path, PathSegment};
 use crate::undo::{Prior, Undo};
 use crate::value::Value;
 
@@ -128,6 +129,15 @@ impl Update {
     /// for a caller that can only judge the result (the database's
     /// row-size cap) once it is there.
     pub fn apply_undoable<'u>(&'u self, row: &mut Value) -> ValueResult<UndoLog<'u>> {
+        // Room for the new top-level attributes is made once, before the
+        // first write: a full row grows, or a shared one is copied, one
+        // time rather than once per attribute.
+        if let Value::Map(m) = row {
+            let growth = self.growth(m);
+            if growth > 0 {
+                m.reserve(growth);
+            }
+        }
         // An action leaves at most one record.
         let mut log = UndoLog {
             records: Vec::with_capacity(self.actions.len()),
@@ -142,6 +152,40 @@ impl Update {
             }
         }
         Ok(log)
+    }
+
+    /// How many entries `row` needs room for beyond those it has while the
+    /// actions run: the most top-level attributes they have added, net of
+    /// the ones they removed, at any point.
+    fn growth(&self, row: &Map) -> usize {
+        let (mut size, mut peak) = (0isize, 0isize);
+        for (i, action) in self.actions.iter().enumerate() {
+            let segments = action.path().segments();
+            let Some(PathSegment::Attr(name)) = segments.first() else {
+                continue;
+            };
+            // The last earlier action that adds or removes `name` says
+            // whether it is there; without one, the row does.
+            let present = self.actions[..i]
+                .iter()
+                .rev()
+                .find_map(|earlier| match (earlier, earlier.path().segments()) {
+                    (UpdateAction::Remove(_), [PathSegment::Attr(n)]) if n == name => Some(false),
+                    (UpdateAction::Remove(_), _) => None,
+                    (_, [PathSegment::Attr(n), ..]) if n == name => Some(true),
+                    (_, _) => None,
+                })
+                .unwrap_or_else(|| row.contains_key(name));
+            match (action, present) {
+                (UpdateAction::Remove(_), true) if segments.len() == 1 => size -= 1,
+                (UpdateAction::Remove(_), _) | (_, true) => {}
+                (_, false) => {
+                    size += 1;
+                    peak = peak.max(size);
+                }
+            }
+        }
+        peak.unsigned_abs()
     }
 }
 
@@ -384,6 +428,39 @@ mod tests {
         assert_eq!(target.get_list("l").unwrap().len(), 3);
         undo.rollback(&mut target);
         assert_eq!(format!("{target:?}"), format!("{row:?}"));
+    }
+
+    #[test]
+    fn growth_is_the_peak_of_new_top_level_attributes() {
+        let row = vmap! { "Done" => false, "Args" => 1i64, "Last" => 2i64, "m" => vmap! {} };
+        let growth = |u: Update| u.growth(row.as_map().unwrap());
+        // A done-mark: one name added before the two removals make room
+        // for the two after them.
+        let done = Update::new()
+            .set("Done", true)
+            .set_if_absent("Finish", 1i64)
+            .remove("Args")
+            .remove("Last")
+            .set("Ret", 2i64)
+            .set("Steps", 3i64);
+        assert_eq!(growth(done), 1);
+        // A name counts once; nested writes, absent removals and
+        // present names count nothing.
+        let update = Update::new()
+            .set("a.b", 1i64)
+            .inc("a.c", 1)
+            .set("m.x", 1i64)
+            .remove("zzz")
+            .remove("Done.x")
+            .set_if_absent("Args", 1i64);
+        assert_eq!(growth(update), 1);
+        // A removed name that comes back is added again.
+        let update = Update::new()
+            .remove("Args")
+            .set("Args", 1i64)
+            .set("n", 1i64)
+            .set("o", 1i64);
+        assert_eq!(growth(update), 2);
     }
 
     #[test]

@@ -1,148 +1,14 @@
 //! The dynamic [`Value`] type.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ValueError, ValueResult};
-use crate::name::Name;
+use crate::map::Map;
 use crate::path::{Path, PathSegment};
-
-/// A [`Name`]-keyed attribute map: a copy-on-write handle to an ordered
-/// tree (ordered keys keep scans and dumps deterministic).
-///
-/// `clone` bumps a reference count, so a value the protocol stores several
-/// times — a call's input, its outcome, a logged read — is one tree with
-/// several handles. Reading goes through `Deref` (`get` takes a `&str`).
-/// Writing goes through [`Map::insert`] or `DerefMut`, which is
-/// [`Arc::make_mut`]: a uniquely held map is updated in place; the first
-/// write through a *shared* handle copies one level of the tree (its
-/// entries, themselves handles) and leaves every other handle as it was. A
-/// copy therefore never observes a later write to the original. Code that
-/// only decodes a map it may share should borrow from it rather than take
-/// fields out of it.
-///
-/// Equality, order, hash and `Debug` go by content, as for a
-/// `BTreeMap<String, Value>`. An empty map holds no allocation. `Value`
-/// stays `Send + Sync`.
-#[derive(Clone, Default)]
-pub struct Map(Option<Arc<BTreeMap<Name, Value>>>);
-
-static EMPTY: BTreeMap<Name, Value> = BTreeMap::new();
-
-impl Map {
-    /// An empty map; allocates nothing.
-    pub const fn new() -> Self {
-        Map(None)
-    }
-
-    /// True when both handles share one allocation (two empty maps that hold
-    /// none do not).
-    pub fn ptr_eq(a: &Map, b: &Map) -> bool {
-        matches!((&a.0, &b.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
-    }
-
-    /// Inserts `value` under `name`, returning what was there. A constant
-    /// is passed as it stands (`m.insert(K_OP, ..)`) and borrowed.
-    pub fn insert(&mut self, name: impl Into<Name>, value: Value) -> Option<Value> {
-        (**self).insert(name.into(), value)
-    }
-}
-
-impl Deref for Map {
-    type Target = BTreeMap<Name, Value>;
-
-    fn deref(&self) -> &Self::Target {
-        self.0.as_deref().unwrap_or(&EMPTY)
-    }
-}
-
-impl DerefMut for Map {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        Arc::make_mut(self.0.get_or_insert_with(Arc::default))
-    }
-}
-
-impl From<BTreeMap<Name, Value>> for Map {
-    fn from(tree: BTreeMap<Name, Value>) -> Self {
-        Map((!tree.is_empty()).then(|| Arc::new(tree)))
-    }
-}
-
-impl<K: Into<Name>> FromIterator<(K, Value)> for Map {
-    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
-        BTreeMap::from_iter(iter.into_iter().map(|(k, v)| (k.into(), v))).into()
-    }
-}
-
-impl IntoIterator for Map {
-    type Item = (Name, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<Name, Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0
-            .map(Arc::unwrap_or_clone)
-            .unwrap_or_default()
-            .into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Map {
-    type Item = (&'a Name, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, Name, Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a mut Map {
-    type Item = (&'a Name, &'a mut Value);
-    type IntoIter = std::collections::btree_map::IterMut<'a, Name, Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter_mut()
-    }
-}
-
-impl PartialEq for Map {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Map {}
-
-impl PartialOrd for Map {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Map {
-    fn cmp(&self, other: &Self) -> Ordering {
-        if Map::ptr_eq(self, other) {
-            return Ordering::Equal;
-        }
-        (**self).cmp(&**other)
-    }
-}
-
-impl std::hash::Hash for Map {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
-    }
-}
-
-impl fmt::Debug for Map {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
 
 /// A schema-less dynamic value, comparable to a DynamoDB attribute value.
 ///
@@ -648,10 +514,10 @@ mod tests {
         assert_eq!(a.get_int("n"), Some(1));
         // A uniquely held map is written in place.
         drop(a);
-        let tree = |v: &Value| std::ptr::from_ref(&**map(v));
-        let before = tree(&b);
+        let entries = |v: &Value| std::ptr::from_ref(&**map(v));
+        let before = entries(&b);
         b.set_path(&Path::attr("n"), Value::Int(3)).unwrap();
-        assert_eq!(before, tree(&b));
+        assert_eq!(before, entries(&b));
 
         fn send_sync<T: Send + Sync>() {}
         send_sync::<Value>();
@@ -662,7 +528,14 @@ mod tests {
         let mut emptied = Map::new();
         emptied.insert("k", Value::Null);
         emptied.remove("k");
-        let empties = [Map::new(), Map::default(), BTreeMap::new().into(), emptied];
+        let none: [(&str, Value); 0] = [];
+        let empties = [
+            Map::new(),
+            Map::default(),
+            Map::from_iter(none),
+            emptied,
+            Map::with_capacity(4),
+        ];
         let digest = crate::Fnv1a::digest::<Map>;
         for a in &empties {
             for b in &empties {

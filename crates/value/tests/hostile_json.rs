@@ -1,8 +1,12 @@
 //! `from_json` parses untrusted text — the front door hands it every
 //! request body — so no input may crash it: whatever arrives, it returns
-//! a value or a typed error. A value it returns is one it can write back.
+//! a value or a typed error. A value it returns is one it can write back,
+//! and a wide one costs no more than sorting its keys.
+
+use std::collections::BTreeMap;
 
 use beldi_value::json::{from_json, to_json, MAX_DEPTH};
+use beldi_value::{Map, Value};
 use proptest::prelude::*;
 
 /// One hostile fragment: nesting far past the bound, numbers no `f64`
@@ -62,5 +66,51 @@ proptest! {
                 prop_assert_eq!(from_json(&to_json(&value)).unwrap(), value);
             }
         }
+    }
+}
+
+/// `n` distinct names in a scrambled order, then every tenth again with
+/// another value.
+fn wide_entries(n: usize) -> Vec<(String, i64)> {
+    let distinct = (0..n).map(|i| (format!("k{}", i * 7919 % n), i as i64));
+    let repeated = (0..n / 10).map(|i| (format!("k{}", i * 10), -(i as i64)));
+    distinct.chain(repeated).collect()
+}
+
+/// What a `BTreeMap` makes of the entries: of a repeated name, the last.
+fn reference(entries: &[(String, i64)]) -> BTreeMap<String, Value> {
+    entries
+        .iter()
+        .map(|(k, v)| (k.clone(), Value::Int(*v)))
+        .collect()
+}
+
+fn assert_is(map: &Map, expected: &BTreeMap<String, Value>) {
+    assert_eq!(map.len(), expected.len());
+    assert!(map
+        .iter()
+        .zip(expected)
+        .all(|((k, v), (ek, ev))| k.as_str() == ek && v == ev));
+}
+
+/// A hostile object may be wide: its keys are collected and sorted once,
+/// not inserted one by one into a sorted run.
+#[test]
+fn a_wide_object_parses_as_the_reference() {
+    const N: usize = 100_000;
+    for entries in [wide_entries(N)[..N].to_vec(), wide_entries(N)] {
+        let body: Vec<String> = entries
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":{v}"))
+            .collect();
+        let parsed = from_json(&format!("{{{}}}", body.join(","))).unwrap();
+        let expected = reference(&entries);
+        assert_is(parsed.as_map().unwrap(), &expected);
+        let collected: Map = entries
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::Int(*v)))
+            .collect();
+        assert_is(&collected, &expected);
+        assert_eq!(Value::Map(collected), parsed);
     }
 }

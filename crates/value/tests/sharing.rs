@@ -1,4 +1,4 @@
-//! A [`Map`] clone shares its tree with the original. This file checks, by
+//! A [`Map`] clone shares its entries with the original. This file checks, by
 //! property, that sharing never shows: whatever is written through one
 //! handle, every other handle reads what it read before.
 

@@ -137,7 +137,7 @@ fn assert_travel_conserved(app: &dyn WorkflowApp, opts: &DriveOptions, run: &Ben
     // travel fingerprint is its canonical state, one sorted map of
     // hotel/flight → remaining.
     let mut expected = rooms;
-    expected.append(&mut seats);
+    expected.extend(seats);
     assert_eq!(
         run.state_digest,
         format!("{:016x}", value_digest(&Value::Map(expected))),
