@@ -68,17 +68,9 @@ pub struct BeldiConfig {
     /// timeouts, so work is paged across passes). `None` = unbounded.
     pub collector_batch_limit: Option<usize>,
     /// Cache the DAAL tail row id per `(table, key)` so reads and logged
-    /// writes of data tables can skip the traversal scan (Beldi mode only;
-    /// see `daal::TailCache`).
-    ///
-    /// A read of a cached key costs one point get instead of a projected
-    /// scan plus a get, and a write one conditional update instead of a
-    /// scan plus the update — the workload driver's measured hot path.
-    /// The cache is validated at use: a read's hit must still be the tail
-    /// (row present, `NextRow` absent), and a write's update carries the
-    /// same check plus, off `HEAD`, a row older than the writing intent.
-    /// It is never authoritative and can be disabled for A/B measurement
-    /// without changing semantics.
+    /// writes of data tables skip the traversal scan (Beldi mode only;
+    /// `daal::TailCache` has why a validated hit is sound). It is never
+    /// authoritative, and disabling it changes costs, not semantics.
     pub daal_tail_cache: bool,
 }
 
@@ -91,16 +83,11 @@ pub struct BeldiConfig {
 pub enum ConfigError {
     /// `daal_row_capacity` was zero: no DAAL row could hold any entry.
     ZeroRowCapacity,
-    /// `collector_batch_limit` was `Some(0)`: every IC/GC pass would
-    /// process nothing, so Appendix A's paging never makes progress.
+    /// `collector_batch_limit` was `Some(0)`: no pass would progress.
     ZeroCollectorBatch,
-    /// `collector_period` was zero: the IC/GC timer would fire
-    /// continuously, starving the workload it is meant to clean up
-    /// after.
+    /// `collector_period` was zero: the timers would fire continuously.
     ZeroCollectorPeriod,
-    /// `t_max` was zero: the platform would kill every instance at
-    /// launch, and the GC's "wait `T` after finish" horizon would
-    /// collapse to recycling logs immediately.
+    /// `t_max` was zero: every instance would be killed at launch.
     ZeroLease,
 }
 

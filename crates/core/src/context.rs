@@ -51,12 +51,10 @@ pub struct SsfContext {
 }
 
 impl SsfContext {
-    /// Builds a context for a fresh (or re-executed) instance of an
-    /// intent created at `created_ms`, launched at `launch_ms`: the clock
-    /// read before the launch's first intent store op, so that the lease
-    /// ends no later than `T` after any finish that op's record predates.
-    /// A root's synchronous call outside a transaction; the wrapper sets
-    /// the caller, `is_async` and an inherited transaction.
+    /// Builds a context for an execution of an intent created at
+    /// `created_ms`, launched at `launch_ms` (the clock read before the
+    /// launch's first intent store op, from which its lease counts). The
+    /// wrapper sets the caller, `is_async` and an inherited transaction.
     pub(crate) fn new(
         core: Arc<EnvCore>,
         ssf: Arc<Ssf>,
@@ -103,10 +101,8 @@ impl SsfContext {
 
     /// True while inside a transaction in `Execute` mode.
     pub fn in_txn(&self) -> bool {
-        self.txn
-            .as_ref()
-            .map(|t| matches!(t.ctx.mode, crate::txn::TxnMode::Execute) && !t.ended)
-            .unwrap_or(false)
+        let execute = |t: &TxnState| t.ctx.mode == crate::txn::TxnMode::Execute && !t.ended;
+        self.txn.as_ref().is_some_and(execute)
     }
 
     /// The current transaction id, if inside a transaction.

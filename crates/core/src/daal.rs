@@ -10,17 +10,13 @@
 //!
 //! This module implements:
 //!
-//! - **traversal** by a single scan + projection (the paper's optimization
-//!   that downloads only row ids, pointers, and the one interesting log
-//!   entry instead of whole rows);
+//! - **traversal** by a single scan + projection (row ids, pointers and
+//!   the one interesting log entry, not whole rows);
 //! - the **write protocol** of Figs. 6–7 (cases A–D) and its conditional
-//!   variant of Figs. 17–18 (cases A, B1, B2, C, D), generalized so the
-//!   same lock-free loop also serves lock acquisition and release (§6.1),
-//!   which the paper describes as "writes to the item" that update the
-//!   lock-owner column instead of the value;
+//!   variant of Figs. 17–18, which also serves lock acquisition and
+//!   release (§6.1: "writes to the item" that set the lock owner);
 //! - **row appending** (case D), which copies the current value and lock
-//!   owner into a fresh row before linking it, so concurrent readers never
-//!   observe a tail without a value;
+//!   owner into a fresh row before linking it;
 //! - the **tail cache**, which lets a read or a write of a data table skip
 //!   the traversal: a read validates the cached row with its point read,
 //!   a write with its own case-B update, guarded by the row's creation
@@ -43,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::error::{BeldiError, BeldiResult};
 use crate::schema::{
-    A_APPENDED, A_CREATED, A_DANGLE, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID, A_VALUE,
+    self, DaalRow, SkelRow, A_APPENDED, A_CREATED, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_VALUE,
     A_WRITES, ROW_HEAD,
 };
 use crate::Label;
@@ -87,41 +83,10 @@ pub(crate) struct DaalParams<'a> {
     pub new_row_id: &'a dyn Fn() -> Arc<str>,
 }
 
-/// One row of the locally reconstructed DAAL skeleton.
-#[derive(Debug, Clone)]
-pub(crate) struct SkelRow {
-    /// The row id.
-    pub row_id: Arc<str>,
-    /// `NextRow` pointer, if any.
-    pub next: Option<Arc<str>>,
-    /// The projected `RecentWrites.{log_key}` flag, if the scan requested
-    /// one and this row has it.
-    pub logged: Option<Value>,
-}
-
-/// A locally reconstructed DAAL for one key: the chain of rows reachable
-/// from `HEAD`, in order. Orphaned rows returned by the scan are dropped
-/// during reconstruction, exactly as §4.1 prescribes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Skeleton {
-    /// Chain rows, head first. Empty when the DAAL does not exist yet.
-    pub chain: Vec<SkelRow>,
-}
-
-impl Skeleton {
-    /// Row id of the tail (the last reachable row).
-    pub fn tail_row_id(&self) -> Option<&Arc<str>> {
-        self.chain.last().map(|r| &r.row_id)
-    }
-
-    /// The logged flag for the scanned log key, searching every chain row
-    /// (a write may have landed in a row that filled up afterwards).
-    pub fn logged_flag(&self) -> Option<&Value> {
-        self.chain.iter().find_map(|r| r.logged.as_ref())
-    }
-}
-
-/// Scans every row of `key`'s DAAL and reconstructs the chain locally.
+/// Scans every row of `key`'s DAAL and reconstructs the chain locally:
+/// the rows reachable from `HEAD`, head first (empty when the DAAL does
+/// not exist yet). Orphaned rows returned by the scan are dropped, exactly
+/// as §4.1 prescribes.
 ///
 /// Issues one projected query per the paper's traversal optimization: only
 /// `RowId`, `NextRow` (256 bits per row), and — when `log_key` is given —
@@ -136,31 +101,18 @@ pub(crate) fn traverse(
     table: &str,
     key: &Arc<str>,
     log_key: Option<&Arc<str>>,
-) -> BeldiResult<Skeleton> {
-    let mut proj = Projection::attrs([A_ROW_ID, A_NEXT_ROW]);
-    if let Some(lk) = log_key {
-        proj = proj.with_path(Path::attr(A_WRITES).then_attr(lk.clone()));
-    }
-    let req = ScanRequest::all().with_projection(proj);
+) -> BeldiResult<Vec<SkelRow>> {
+    let req = ScanRequest::all().with_projection(SkelRow::projection(log_key));
     let rows = db.query(table, &Value::from(key), &req)?;
 
     // The projected rows are ours: their row ids move into the skeleton,
     // still the strings the store holds.
     let mut skel: Vec<SkelRow> = Vec::with_capacity(rows.len());
-    for mut row in rows {
-        let Some(row_id) = row.take_str(A_ROW_ID) else {
-            continue;
-        };
-        let logged = log_key.and_then(|lk| row.take_attr(A_WRITES)?.take_attr(lk));
-        skel.push(SkelRow {
-            row_id,
-            next: row.take_str(A_NEXT_ROW),
-            logged,
-        });
+    for row in rows {
+        skel.push(SkelRow::decode(table, key, row, log_key.map(|lk| &**lk))?);
     }
     let order = chain_order(&mut skel, |r| &r.row_id, |r| r.next.as_deref(), table, key)?;
-    let chain = order.into_iter().map(|i| skel[i].clone()).collect();
-    Ok(Skeleton { chain })
+    Ok(order.into_iter().map(|i| skel[i].clone()).collect())
 }
 
 /// Orders one key's DAAL rows, as a query or index query returned them,
@@ -213,8 +165,8 @@ pub(crate) fn read_tail_row(
     key: &Arc<str>,
     proj: &Projection,
 ) -> BeldiResult<Option<Value>> {
-    let skel = traverse(db, table, key, None)?;
-    let Some(tail) = skel.tail_row_id() else {
+    let chain = traverse(db, table, key, None)?;
+    let Some(tail) = chain.last().map(|r| &r.row_id) else {
         return Ok(None);
     };
     let pk = PrimaryKey::hash_sort(key, tail);
@@ -362,11 +314,15 @@ impl TailCache {
                 }
             }
         }
-        if !shard.tables.contains_key(table) {
-            shard.tables.insert(table.to_owned(), TailKeys::default());
+        match shard.tables.get_mut(table) {
+            Some(keys) => {
+                keys.insert(key.clone(), row_id.clone());
+            }
+            None => {
+                let keys = TailKeys::from_iter([(key.clone(), row_id.clone())]);
+                shard.tables.insert(table.to_owned(), keys);
+            }
         }
-        let keys = shard.tables.get_mut(table).expect("just ensured");
-        keys.insert(key.clone(), row_id.clone());
         shard.len += 1;
     }
 
@@ -404,22 +360,23 @@ pub(crate) fn read_value_cached(
     if let Some(cache) = cache {
         if let Some(row_id) = cache.get(table, key) {
             let pk = PrimaryKey::hash_sort(key, row_id);
-            let tail_probe = Projection::attrs([A_VALUE, A_NEXT_ROW]);
-            match db.get(table, &pk, Some(&tail_probe))? {
-                // Present (with or without a value) and no successor.
-                Some(mut row) if row.get_str(A_NEXT_ROW).is_none() => {
+            let tail_probe = Projection::attrs(schema::TAIL_PROBE);
+            let probed = db.get(table, &pk, Some(&tail_probe))?;
+            // Present (with or without a value) and no successor.
+            if let Some(value) = probed.map(|row| schema::tail_probe(table, key, row)) {
+                if let Some(value) = value? {
                     db.telemetry().add(Metric::TailCacheHits, 1);
-                    return Ok(row.take_attr(A_VALUE).unwrap_or(Value::Null));
+                    return Ok(value);
                 }
-                // The cached row filled up (has a successor) or was
-                // GC-deleted: stale entry, take the slow path.
-                _ => cache.invalidate(table, key),
             }
+            // The cached row filled up (has a successor) or was GC-deleted:
+            // stale entry, take the slow path.
+            cache.invalidate(table, key);
         }
         db.telemetry().add(Metric::TailCacheMisses, 1);
     }
-    let skel = traverse(db, table, key, None)?;
-    let Some(tail) = skel.tail_row_id() else {
+    let chain = traverse(db, table, key, None)?;
+    let Some(tail) = chain.last().map(|r| &r.row_id) else {
         return Ok(Value::Null);
     };
     if let Some(cache) = cache {
@@ -428,9 +385,7 @@ pub(crate) fn read_value_cached(
     let pk = PrimaryKey::hash_sort(key, tail);
     // A whole row shares its map with the stored one: read, don't take.
     let row = db.get(table, &pk, None)?;
-    Ok(row
-        .and_then(|row| row.get_attr(A_VALUE).cloned())
-        .unwrap_or(Value::Null))
+    Ok(schema::data_value(row.as_ref()))
 }
 
 /// The current value of `key`, i.e. the `Value` column of its tail row.
@@ -488,13 +443,12 @@ impl WriteOutcome {
         matches!(self, WriteOutcome::Applied)
     }
 
-    /// Decodes a `RecentWrites` flag back into an outcome.
-    fn from_flag(flag: &Value) -> Self {
+    /// Decodes a `RecentWrites` flag back into an outcome: plain writes
+    /// log `true` (Fig. 3), conditional writes the condition's outcome.
+    fn from_flag(flag: bool) -> Self {
         match flag {
-            // Plain writes log `true` (Fig. 3); conditional writes log the
-            // condition outcome.
-            Value::Bool(false) => WriteOutcome::ConditionFalse,
-            _ => WriteOutcome::Applied,
+            true => WriteOutcome::Applied,
+            false => WriteOutcome::ConditionFalse,
         }
     }
 }
@@ -536,17 +490,18 @@ pub(crate) fn try_write(
     // progress along the chain or observes a concurrent writer's progress,
     // so this bound is never hit in practice.
     for _ in 0..MAX_WRITE_ROUNDS {
-        let skel = traverse(p.db, table, key, Some(log_key))?;
-        if let Some(flag) = skel.logged_flag() {
+        let chain = traverse(p.db, table, key, Some(log_key))?;
+        // The step's flag in any chain row: a write may have landed in a
+        // row that filled up afterwards.
+        if let Some(flag) = chain.iter().find_map(|r| r.logged) {
             // Case A (found during the scan): the operation already
             // executed in some chain row; replay its outcome.
             return Ok(WriteOutcome::from_flag(flag));
         }
         // Fresh DAALs start at HEAD (the conditional update creates it).
-        let start = skel
-            .tail_row_id()
-            .cloned()
-            .unwrap_or_else(|| ROW_HEAD.into());
+        let start = chain
+            .last()
+            .map_or_else(|| ROW_HEAD.into(), |r| r.row_id.clone());
         match write_at(p, table, key, start, &step)? {
             Some(outcome) => return Ok(outcome),
             // The local view went stale (e.g. the GC deleted the candidate
@@ -639,7 +594,7 @@ fn case_b(
             return Ok(Some(WriteOutcome::Applied));
         }
         Err(DbError::ConditionFailed) => {}
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(refused(p, table, pk, e)),
     }
 
     // Case B2 (conditional writes only): the user condition was false
@@ -660,7 +615,18 @@ fn case_b(
             Ok(Some(WriteOutcome::ConditionFalse))
         }
         Err(DbError::ConditionFailed) => Ok(None),
-        Err(e) => Err(e.into()),
+        Err(e) => Err(refused(p, table, pk, e)),
+    }
+}
+
+/// The error for a case-B update the store refused (a `RecentWrites` or
+/// `LogSize` its bookkeeping cannot update): the row's decode error, when
+/// it breaks a rule, else the store's.
+fn refused(p: &DaalParams<'_>, table: &str, pk: &PrimaryKey, e: DbError) -> BeldiError {
+    let key = pk.hash.as_str().unwrap_or_default();
+    match p.db.get(table, pk, None) {
+        Ok(Some(row)) => DaalRow::decode(table, key, &row).err().unwrap_or(e.into()),
+        _ => e.into(),
     }
 }
 
@@ -740,7 +706,7 @@ fn write_at(
         // The conditional writes failed: re-read the row and dispatch on
         // the remaining cases (their order is safe because B has no
         // incoming transitions, Fig. 7b).
-        let Some(row) = p.db.get(table, &pk, None)? else {
+        let Some(whole) = p.db.get(table, &pk, None)? else {
             // Stale view: the candidate row is gone (GC) or was never
             // created (we are past the end). If we *chased a pointer*
             // here, the chain itself is damaged: rows are created before
@@ -769,34 +735,28 @@ fn write_at(
             }
             return Ok(None);
         };
-        if let Some(flag) = row
-            .get_attr(A_WRITES)
-            .and_then(|w| w.get_attr(step.log_key))
-        {
+        let row = DaalRow::decode(table, key, &whole)?;
+        if let Some(flag) = row.logged(table, key, step.log_key)? {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
             return Ok(Some(WriteOutcome::from_flag(flag)));
         }
-        match row.get_shared_str(A_NEXT_ROW) {
+        match row.next {
             // Case C: the row filled up and points onward; chase the tail.
             Some(next) => {
+                let next = next.clone();
                 chased_from = Some(row_id);
-                row_id = next.clone();
+                row_id = next;
             }
             // Case D: full tail. Append a fresh row and advance to it.
             // (The row may instead still have space if only the user
             // condition raced; looping retries case B1 on it.)
-            None => {
-                let full = row
-                    .get_int(A_LOG_SIZE)
-                    .map(|s| s >= p.capacity as i64)
-                    .unwrap_or(false);
-                if full {
-                    let appended = append_row(p, table, key, &row)?;
-                    chased_from = Some(row_id);
-                    row_id = appended;
-                }
+            None if row.log_size >= p.capacity as u64 => {
+                let appended = append_row(p, table, key, &whole, row.row_id)?;
+                chased_from = Some(row_id);
+                row_id = appended;
             }
+            None => {}
         }
     }
     // Too much concurrent churn for one local view; rebuild it.
@@ -823,10 +783,8 @@ fn append_row(
     table: &str,
     key: &Arc<str>,
     prev: &Value,
+    prev_id: &Arc<str>,
 ) -> BeldiResult<Arc<str>> {
-    let prev_id = prev
-        .get_shared_str(A_ROW_ID)
-        .ok_or_else(|| BeldiError::Protocol("DAAL row without RowId".into()))?;
     let new_id = (p.new_row_id)();
     debug_assert_ne!(&*new_id, ROW_HEAD);
 
@@ -872,9 +830,8 @@ fn append_row(
             let row =
                 p.db.get(table, &prev_pk, None)?
                     .ok_or_else(|| BeldiError::Protocol("DAAL row vanished mid-append".into()))?;
-            row.get_shared_str(A_NEXT_ROW)
-                .cloned()
-                .ok_or_else(|| BeldiError::Protocol("link lost but NextRow absent".into()))
+            let next = DaalRow::decode(table, key, &row)?.next.cloned();
+            next.ok_or_else(|| BeldiError::Protocol("link lost but NextRow absent".into()))
         }
         Err(e) => Err(e.into()),
     }
@@ -915,17 +872,10 @@ pub(crate) fn lock_owner(db: &Database, table: &str, key: &Arc<str>) -> BeldiRes
         .filter(|v| !v.is_null()))
 }
 
-/// True when `row`'s `DangleTime` is older than `t_ms` (GC helper).
-pub(crate) fn dangling_expired(row: &Value, now_ms: u64, t_ms: u64) -> bool {
-    row.get_int(A_DANGLE)
-        .map(|d| now_ms.saturating_sub(d as u64) > t_ms)
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::daal_schema;
+    use crate::schema::{daal_schema, A_ROW_ID};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn no_crash(_: Label) {}
@@ -1004,10 +954,30 @@ mod tests {
         }
 
         fn chain_len(&self, key: &str) -> usize {
-            traverse(&self.db, "t", &key.into(), None)
-                .unwrap()
-                .chain
-                .len()
+            traverse(&self.db, "t", &key.into(), None).unwrap().len()
+        }
+    }
+
+    /// A write the store refuses on a damaged row — a `RecentWrites` that
+    /// is not a map — is that row's `Corrupt`, not a store error; a
+    /// damaged pointer is found by the traversal.
+    #[test]
+    fn a_write_to_a_damaged_row_is_corrupt() {
+        let f = Fixture::new();
+        f.write("k", "i#0", 1);
+        let pk = PrimaryKey::hash_sort("k", ROW_HEAD);
+        for (attr, bad) in [(A_WRITES, Value::Int(7)), (A_NEXT_ROW, Value::Int(7))] {
+            let mut row = f.db.get("t", &pk, None).unwrap().unwrap();
+            row.as_map_mut().unwrap().insert(attr, bad);
+            #[expect(clippy::disallowed_methods, reason = "plants corruption")]
+            f.db.put("t", row.clone()).unwrap();
+            let p = f.params();
+            let payload = WritePayload::set_value(Value::Int(2));
+            let out = try_write(&p, "t", &"k".into(), &"i#1".into(), payload, None);
+            assert_eq!(out, Err(schema::corrupt("t", "k", attr)));
+            row.as_map_mut().unwrap().remove(attr);
+            #[expect(clippy::disallowed_methods, reason = "repairs the row")]
+            f.db.put("t", row).unwrap();
         }
     }
 

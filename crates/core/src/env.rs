@@ -187,11 +187,9 @@ impl EnvBuilder {
     ///
     /// On that default clock every other thread that touches the
     /// environment must be started with `env.clock().spawn(..)` and wait
-    /// through the clock (`env.clock().sleep(..)`, joining a clock
-    /// thread); a raw `std::thread` that waits on it panics with "spawn
-    /// it through the clock". A thread that waits on a socket peer
-    /// reaches the environment through a participant instead (the HTTP
-    /// front door's admission participant, DESIGN.md §14).
+    /// through the clock; a raw `std::thread` that waits on it panics.
+    /// A thread that waits on a socket reaches the environment through a
+    /// participant instead (DESIGN.md §14).
     pub fn new(config: BeldiConfig) -> Self {
         EnvBuilder {
             config,
@@ -307,7 +305,7 @@ impl<'a> RootCall<'a> {
         RootCall {
             core,
             name,
-            envelope: Envelope::root_call(&instance, input, false).into_value(),
+            envelope: Envelope::call(Some(instance.clone()), input, None, false).into_value(),
             instance,
             attempts_left: match core.config.mode {
                 Mode::Baseline => 1,
@@ -320,9 +318,7 @@ impl<'a> RootCall<'a> {
 
     /// The payload of the next attempt, or `None` once the budget is
     /// spent. A retry carries the first attempt's time, and the wrapper
-    /// refuses it once `T` has passed since then (`Outcome::Expired`):
-    /// the retry window is checked where the retry lands, so one check
-    /// decides it, exactly.
+    /// refuses it once `T` has passed since then (`Outcome::Expired`).
     fn next_attempt(&mut self) -> Option<Value> {
         if self.attempts_left == 0 {
             return None;
@@ -338,7 +334,7 @@ impl<'a> RootCall<'a> {
     /// `Continue` means back off and try [`RootCall::next_attempt`].
     fn settle(&mut self, reply: Result<Value, InvokeError>) -> ControlFlow<BeldiResult<Value>> {
         let expired = match reply {
-            Ok(v) => match Outcome::from_value(v) {
+            Ok(v) => match Outcome::from_reply(v) {
                 Outcome::Expired => true,
                 outcome => return ControlFlow::Break(outcome.into_result()),
             },
@@ -352,15 +348,17 @@ impl<'a> RootCall<'a> {
         };
         // The instance may have completed before dying (e.g. crashed
         // after marking done): then the intent holds the return value.
-        let loaded = self
-            .core
-            .ssf(self.name)
-            .and_then(|ssf| intent::load(&self.core.db, &ssf.intent_table, &self.instance));
-        match loaded {
+        let ssf = match self.core.ssf(self.name) {
+            Ok(ssf) => ssf,
+            Err(e) => return ControlFlow::Break(Err(e)),
+        };
+        let table = &*ssf.intent_table;
+        match intent::load(&self.core.db, table, &self.instance) {
             Ok(Some(rec)) if rec.done => {
                 self.core.record_recovery(&self.instance, rec.created_ms);
-                let ret = rec.ret.unwrap_or(Value::Null);
-                ControlFlow::Break(Outcome::from_value(ret).into_result())
+                // The replay a retry would get.
+                let ret = rec.root_outcome(table).map(Outcome::from_reply);
+                ControlFlow::Break(ret.and_then(Outcome::into_result))
             }
             // Refused past its window: the last attempt's failure stands.
             Ok(_) if expired => ControlFlow::Break(Err(self.give_up())),
@@ -370,6 +368,11 @@ impl<'a> RootCall<'a> {
     }
 
     /// The call's error once it stops retrying.
+    #[expect(
+        clippy::expect_used,
+        reason = "called once an attempt failed: the budget is at least one, a first \
+                  attempt is never refused as expired, and every failure sets `last_err`"
+    )]
     fn give_up(&self) -> BeldiError {
         BeldiError::Invoke(self.last_err.clone().expect("at least one attempt"))
     }
@@ -534,13 +537,13 @@ impl BeldiEnv {
                 &self.core.db,
                 &self.core.ssf(name)?.intent_table,
                 &instance,
-                Envelope::root_call(&instance, input.clone(), true).into_args(),
+                Envelope::call(Some(instance.clone()), input.clone(), None, true).into_args(),
                 true,
                 None,
                 now_ms,
             )?;
         }
-        let envelope = Envelope::root_call(&instance, input, true).into_value();
+        let envelope = Envelope::call(Some(instance.clone()), input, None, true).into_value();
         self.core
             .platform
             .invoke_async(name, envelope)
@@ -549,16 +552,11 @@ impl BeldiEnv {
     }
 
     /// The executor-task counterpart of [`BeldiEnv::invoke_attempts`]:
-    /// returns a future that drives the same root-invocation protocol —
-    /// one `RootCall` policy: the same payload, retry-with-the-same-id
-    /// discipline and `T_max` retry window — but parks on a waker while
-    /// the instance runs instead of blocking a client thread. Spawned on
-    /// a [`beldi_runtime::Executor`], ten thousand of these are ten
-    /// thousand in-flight workflows in one process (the workload
-    /// driver's client workers; with `max_attempts = 1` its no-relaunch
-    /// runs prove the conservation gates detect lost executions); the
-    /// SSF bodies themselves still execute on platform worker threads,
-    /// bounded by the concurrency cap.
+    /// a future that drives the same `RootCall` policy but parks on a
+    /// waker while the instance runs instead of blocking a client thread,
+    /// so ten thousand of them on a [`beldi_runtime::Executor`] are ten
+    /// thousand in-flight workflows in one process. The SSF bodies still
+    /// run on platform worker threads, bounded by the concurrency cap.
     ///
     /// The future must be awaited *inside* an executor (its retry
     /// backoff uses [`beldi_runtime::sleep`], which resolves the
@@ -659,18 +657,12 @@ impl BeldiEnv {
     /// workload so every interrupted execution is re-driven to completion
     /// on virtual time.
     ///
-    /// Each pass advances the virtual clock past the IC restart delay
-    /// (so `too_recent` intents become eligible), runs one IC pass per
-    /// SSF, and — when a pass restarted anything — waits for that SSF's
-    /// re-executions to settle before the next SSF's pass fires, so
-    /// recoveries are serialized across SSFs and their crash points
-    /// interleave deterministically in the fault injector's global stream
-    /// (re-executions of *one* SSF restarted in the same pass may still
-    /// run concurrently). The caller checks [`DrainReport::unfinished`] —
-    /// zero means the system is quiescent. At least one pass always runs
-    /// (`max_passes` is clamped to 1), so a zero report is a real
-    /// observation, never a skipped scan. Baseline mode has no intents to
-    /// drain and returns immediately.
+    /// Each pass advances the virtual clock past the IC restart delay,
+    /// runs one IC pass per SSF, and waits for an SSF's re-executions to
+    /// settle before the next SSF's pass fires, so recoveries interleave
+    /// deterministically in the fault injector's global stream. Zero
+    /// [`DrainReport::unfinished`] means quiescent; at least one pass
+    /// always runs. Baseline mode has no intents and returns at once.
     pub fn drain_recovery(&self, max_passes: usize) -> BeldiResult<DrainReport> {
         let mut report = DrainReport::default();
         if self.core.config.mode == Mode::Baseline {
@@ -752,17 +744,16 @@ impl BeldiEnv {
         let physical = schema::data_table(ssf, table);
         match self.core.config.mode {
             Mode::Beldi => daal::read_value(&self.core.db, &physical, &key.into()),
-            Mode::CrossTable => modes::cross_table_read(&self.core.db, &physical, key),
-            Mode::Baseline => modes::baseline_read(&self.core.db, &physical, key),
+            Mode::CrossTable | Mode::Baseline => {
+                modes::baseline_read(&self.core.db, &physical, key)
+            }
         }
     }
 
     /// The length of `key`'s DAAL chain (Beldi mode), for GC experiments.
     pub fn daal_chain_len(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<usize> {
         let physical = schema::data_table(ssf, table);
-        Ok(daal::traverse(&self.core.db, &physical, &key.into(), None)?
-            .chain
-            .len())
+        Ok(daal::traverse(&self.core.db, &physical, &key.into(), None)?.len())
     }
 
     // ---- Accessors ----
@@ -828,6 +819,10 @@ impl BeldiEnv {
     /// registered intent, so its creation time is 0: of its writes, only
     /// those to a `HEAD` row go through the tail cache.
     #[doc(hidden)]
+    #[expect(
+        clippy::expect_used,
+        reason = "a test helper: an unregistered SSF is the calling test's bug"
+    )]
     pub fn test_context(&self, ssf: &str, instance: &str) -> SsfContext {
         let ssf = self.core.ssf(ssf).expect("test_context: a registered SSF");
         let now_ms = self.clock().now().as_millis();
@@ -961,7 +956,7 @@ mod tests {
             }),
         );
         let first_ms = env.clock().now().as_millis();
-        let first = Envelope::root_call(&"r".into(), Value::Null, false).into_value();
+        let first = Envelope::call(Some("r".into()), Value::Null, None, false).into_value();
         assert_eq!(
             env.invoke_as("counter", "r", Value::Null),
             Ok(Value::Int(1))
@@ -970,7 +965,7 @@ mod tests {
             env.clock()
                 .sleep_until(beldi_simclock::SimInstant::from_millis(ms));
             let retry = Envelope::root_retry(&first, first_ms);
-            Outcome::from_value(env.platform().invoke_sync("counter", retry).unwrap())
+            Outcome::from_reply(env.platform().invoke_sync("counter", retry).unwrap())
         };
         let intents = || env.db().row_count("counter.intent").unwrap();
 

@@ -37,6 +37,17 @@ pub enum BeldiError {
     /// The SSF body returned malformed data (application bug surfaced
     /// through the API, e.g. a non-map envelope).
     Protocol(String),
+    /// A stored row breaks its decode rule (`crate::schema`): attribute
+    /// `attr` of row `key` in `table` is of the wrong kind, a required one
+    /// is missing, or a stored time or step is negative. Never a default.
+    Corrupt {
+        /// The table holding the row.
+        table: String,
+        /// The row's hash key.
+        key: String,
+        /// The attribute that breaks its rule.
+        attr: &'static str,
+    },
 }
 
 impl fmt::Display for BeldiError {
@@ -49,6 +60,9 @@ impl fmt::Display for BeldiError {
             BeldiError::Db(e) => write!(f, "database: {e}"),
             BeldiError::Invoke(e) => write!(f, "invoke: {e}"),
             BeldiError::Protocol(m) => write!(f, "protocol: {m}"),
+            BeldiError::Corrupt { table, key, attr } => {
+                write!(f, "corrupt: {table}/{key} breaks the rule of {attr}")
+            }
         }
     }
 }

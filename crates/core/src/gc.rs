@@ -26,28 +26,13 @@
 //!    entry whose owner is *absent* from the intent table is provably
 //!    recyclable (its intent was removed by an earlier completed pass).
 //!
-//! That is as safe as a pass's stamp: an execution that can still log
-//! under an intent found it not done when it registered, so it launched
-//! before the done-mark committed and its lease ends it `T` later; the
-//! done-mark reads its clock just before that commit, and a pass read its
-//! clock before the scan that found the intent done (DESIGN §10). A done
-//! intent without a non-negative int `FinishTime` is corrupt and stays.
-//!
-//! The list in step 3 is complete. Every execution of an intent replays
-//! the others step for step, because each nondeterministic input it acts
-//! on is logged; so the execution that marks the intent done passes every
-//! step at which any execution of it logged, and records each whether it
-//! wrote the entry or found it. A callback only updates an entry that
-//! already exists — its condition, `exists(CalleeFn)`, needs an invoke
-//! entry at the key the callee id names — so nothing else creates a row
-//! under an intent's keys. A done intent without the list — a
-//! transaction's finalize marker, a body that logged nothing, an intent
-//! the IC quarantined — is taken to have logged nothing; one whose list
-//! is malformed is counted corrupt and left in place with its entries.
+//! DESIGN §10 has why the done-mark's clock is as safe as a pass's stamp
+//! and why the list in step 3 is complete. An intent whose done-mark
+//! breaks its decode rule (`schema::DoneMark`) is counted and stays.
 //!
 //! Steps 4–5 do not walk the store: in a data table they visit only the
-//! keys a sparse index over appended rows lists (`collect_daal_table`
-//! has the exactness argument), so a pass costs what its garbage costs.
+//! keys a sparse index over appended rows lists (`Sweep::table` has the
+//! exactness argument), so a pass costs what its garbage costs.
 //!
 //! Shadow tables (§6.2) are collected the same way, except whole chains —
 //! including head and tail — are deleted once every entry is recyclable,
@@ -69,10 +54,7 @@ use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiResult;
 use crate::ids::{log_key, parse_log_key, StepNumber};
 use crate::intent;
-use crate::schema::{
-    A_APPENDED, A_CREATED, A_DANGLE, A_DONE, A_FINISH, A_ID, A_KEY, A_LOG_KEY, A_LOG_STEPS,
-    A_NEXT_ROW, A_ROW_ID, A_WRITES, ROW_HEAD,
-};
+use crate::schema::{DaalRow, DoneMark, A_APPENDED, A_DANGLE, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW};
 use crate::Label;
 
 /// Summary of one garbage-collector pass.
@@ -86,16 +68,15 @@ pub struct GcReport {
     pub disconnected_rows: usize,
     /// DAAL / shadow rows physically deleted.
     pub deleted_rows: usize,
-    /// Cyclic (corrupt) DAAL chains encountered and skipped. A chain whose
-    /// `NextRow` pointers loop can never arise from the append/unlink
-    /// protocol; a non-zero count means the store is damaged and the key
-    /// was left untouched rather than part-collected.
+    /// Corrupt DAAL chains — a row that breaks its decode rule, or
+    /// `NextRow` pointers that loop — encountered and skipped. A non-zero
+    /// count means the store is damaged and the key was left untouched
+    /// rather than part-collected.
     pub corrupt_chains: usize,
-    /// Done intents left in place with their log entries because their
-    /// `FinishTime` is not a non-negative int (when they may go is
-    /// unknown), or because they are past the horizon and their
-    /// `LogSteps` is not a list of step numbers (which entries they own is
-    /// unknown). A non-zero count means the store is damaged.
+    /// Intents left in place, with their log entries, because their
+    /// done-mark breaks its decode rule (`schema::DoneMark`; `LogSteps`
+    /// is read only past the horizon). A non-zero count means the store is
+    /// damaged.
     pub corrupt_intents: usize,
 }
 
@@ -125,38 +106,6 @@ impl GcHooks<'static> {
             crash: &noop,
             probe: &noop,
         }
-    }
-}
-
-/// Tracks which log owners are recyclable during one pass.
-struct OwnerStatus<'a> {
-    db: &'a Database,
-    intent_table: &'a str,
-    recyclable: HashSet<Arc<str>>,
-    cache: HashMap<String, bool>,
-}
-
-impl OwnerStatus<'_> {
-    /// True when the owner's logs may be pruned: either classified
-    /// recyclable this pass, or already absent from the intent table
-    /// (recycled by an earlier pass — every instance registers its intent
-    /// before any logged operation, so absence is conclusive).
-    fn is_recyclable(&mut self, owner: &str) -> BeldiResult<bool> {
-        if self.recyclable.contains(owner) {
-            return Ok(true);
-        }
-        if let Some(&hit) = self.cache.get(owner) {
-            return Ok(hit);
-        }
-        // An existence probe: the envelopes stay in the store.
-        let id_only = Projection::attrs([A_ID]);
-        let pk = PrimaryKey::hash(owner);
-        let absent = self
-            .db
-            .get(self.intent_table, &pk, Some(&id_only))?
-            .is_none();
-        self.cache.insert(owner.to_owned(), absent);
-        Ok(absent)
     }
 }
 
@@ -210,36 +159,26 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
     // Each recyclable intent with the steps its done-mark lists.
     let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
-    // Classifying needs four small attributes; the envelopes (`Ret`, and
-    // `Args` until the done-mark) that make up most of an intent row stay
-    // in the store.
-    let classify = ScanRequest::all().with_projection(Projection::attrs([
-        A_ID,
-        A_DONE,
-        A_FINISH,
-        A_LOG_STEPS,
-    ]));
+    // Classifying needs the done-mark's four small attributes; the
+    // envelopes (`Ret`, and `Args` until the done-mark) that make up most
+    // of an intent row stay in the store.
+    let classify = ScanRequest::all().with_projection(Projection::attrs(DoneMark::ATTRS));
     for row in db.scan_all(intent_table, &classify)? {
-        let Some(id) = row.get_shared_str(A_ID) else {
+        // A corrupt done-mark leaves when the intent may go, or what it
+        // owns in the log, unknown: it and its entries stay.
+        let Ok(mark) = DoneMark::decode(intent_table, &row) else {
+            report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents);
             continue;
         };
-        if !row.get_bool(A_DONE).unwrap_or(false) {
-            continue;
-        }
-        // Every done-mark sets the finish time: without one, when the
-        // intent may go is unknown, and it stays.
-        let Some(finished) = row.get_int(A_FINISH).and_then(|f| u64::try_from(f).ok()) else {
-            report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents);
+        let Some(finished) = mark.finished_ms else {
             continue;
         };
         if now_ms.saturating_sub(finished) <= t_ms || recyclable.len() >= batch_limit {
             continue;
         }
-        // Without its list, what the intent owns in the log is unknown: it
-        // and its entries stay.
-        match intent::log_steps(&row) {
-            Some(steps) => recyclable.push((id.clone(), steps)),
-            None => report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents),
+        match mark.log_steps() {
+            Ok(steps) => recyclable.push((mark.id.clone(), steps)),
+            Err(_) => report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents),
         }
     }
     (hooks.crash)(Label::GcPostClassify);
@@ -267,35 +206,20 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // Steps 4–5: DAAL maintenance (Beldi mode only; cross-table and
     // baseline data tables are single rows with no log to prune).
     if core.config.mode == Mode::Beldi {
-        let mut status = OwnerStatus {
+        let mut sweep = Sweep {
             db,
+            t,
+            now_ms,
+            t_ms,
+            hooks,
+            report: &mut report,
             intent_table,
             recyclable: recyclable.iter().map(|(id, _)| id.clone()).collect(),
-            cache: HashMap::new(),
+            absent: HashMap::new(),
         };
         for table in &ssf.tables {
-            collect_daal_table(
-                db,
-                t,
-                &table.data,
-                &mut status,
-                now_ms,
-                t_ms,
-                false,
-                &mut report,
-                hooks,
-            )?;
-            collect_daal_table(
-                db,
-                t,
-                &table.shadow,
-                &mut status,
-                now_ms,
-                t_ms,
-                true,
-                &mut report,
-                hooks,
-            )?;
+            sweep.table(&table.data, false)?;
+            sweep.table(&table.shadow, true)?;
         }
     }
     (hooks.crash)(Label::GcPostDaal);
@@ -313,286 +237,277 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     Ok(report)
 }
 
-/// Collects one DAAL (or shadow) table: disconnect fully recyclable
-/// non-tail rows, then delete rows that have dangled for more than `T`.
-///
-/// Fig. 10 fixes what may be deleted, not how candidates are found. In a
-/// data table everything steps 4–5 can touch — an interior row, a
-/// dangle-stamped row, the orphan of a lost append, a cyclic chain — is
-/// or requires a non-head row, and every non-head row carries
-/// [`A_APPENDED`] from the update that created it. So the keys the
-/// sparse index on that marker lists are exactly the keys with anything
-/// to collect, and a pass costs what its garbage costs, not what the
-/// store holds. Shadow tables are walked key by key: every shadow chain
-/// is garbage-to-be and is collected whole, head included.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "internal helper mirroring Fig. 10's loop"
-)]
-fn collect_daal_table(
-    db: &Database,
-    t: &Telemetry,
-    table: &str,
-    status: &mut OwnerStatus<'_>,
+/// Steps 4–5 of one pass, table by table: what they share.
+struct Sweep<'a> {
+    db: &'a Database,
+    t: &'a Telemetry,
     now_ms: u64,
     t_ms: u64,
-    is_shadow: bool,
-    report: &mut GcReport,
-    hooks: &GcHooks<'_>,
-) -> BeldiResult<()> {
-    let keys = if is_shadow {
-        db.distinct_hash_keys(table)?
-    } else {
-        // One index entry per non-head row, in key order: a key's rows
-        // are adjacent, so `dedup` leaves each key once.
-        let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
-        let mut keys: Vec<Value> = db
-            .index_query(table, A_APPENDED, &Value::Bool(true), &keys_only)?
-            .iter()
-            .filter_map(|row| row.get_attr(A_KEY).cloned())
-            .collect();
-        keys.dedup();
-        keys
-    };
-    for key in &keys {
-        let Some(key) = key.as_shared_str() else {
-            continue;
+    hooks: &'a GcHooks<'a>,
+    report: &'a mut GcReport,
+    intent_table: &'a str,
+    /// The intents this pass recycles.
+    recyclable: HashSet<Arc<str>>,
+    /// Owners probed so far: whether each is absent from the intent table.
+    absent: HashMap<String, bool>,
+}
+
+impl Sweep<'_> {
+    /// Collects one DAAL (or shadow) table: disconnect fully recyclable
+    /// non-tail rows, then delete rows that have dangled for more than
+    /// `T`.
+    ///
+    /// In a data table everything steps 4–5 can touch — an interior row, a
+    /// dangle-stamped row, the orphan of a lost append, a cyclic chain — is
+    /// or requires a non-head row, and every non-head row carries
+    /// [`A_APPENDED`]. So the sparse index on it lists exactly the keys
+    /// with anything to collect, and a pass costs what its garbage costs.
+    /// Shadow tables are walked key by key: every shadow chain is
+    /// garbage-to-be and is collected whole, head included.
+    fn table(&mut self, table: &str, is_shadow: bool) -> BeldiResult<()> {
+        let keys = if is_shadow {
+            self.db.distinct_hash_keys(table)?
+        } else {
+            // One index entry per non-head row, in key order: a key's rows
+            // are adjacent, so `dedup` leaves each key once.
+            let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
+            let mut keys: Vec<Value> = self
+                .db
+                .index_query(table, A_APPENDED, &Value::Bool(true), &keys_only)?
+                .iter()
+                .filter_map(|row| row.get_attr(A_KEY).cloned())
+                .collect();
+            keys.dedup();
+            keys
         };
-        collect_daal_key(
-            db, t, table, key, status, now_ms, t_ms, is_shadow, report, hooks,
-        )?;
+        for key in &keys {
+            if let Some(key) = key.as_shared_str() {
+                self.key(table, key, is_shadow)?;
+            }
+        }
+        Ok(())
     }
-    Ok(())
+
+    fn key(&mut self, table: &str, key: &Arc<str>, is_shadow: bool) -> BeldiResult<()> {
+        let (db, now_ms, t_ms) = (self.db, self.now_ms, self.t_ms);
+        // Full (unprojected) rows: the GC inspects every log entry.
+        let rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
+        let Some((rows, chain, reachable)) = reconstruct_chain(table, key, &rows) else {
+            return self.corrupt_chain();
+        };
+
+        // Shadow chains: once *every* row (tail included) is recyclable the
+        // whole chain — head and tail too, per §6.2 — is stamped and later
+        // deleted wholesale, with reachability ignored.
+        if is_shadow && !chain.is_empty() {
+            let mut all_recyclable = true;
+            for &i in &chain {
+                if !self.recyclable(&rows[i])? {
+                    all_recyclable = false;
+                    break;
+                }
+            }
+            if all_recyclable {
+                for &i in &chain {
+                    if rows[i].dangle_ms.is_none() {
+                        self.stamp(table, key, rows[i].row_id)?;
+                    }
+                }
+            }
+        }
+
+        // Step 4: disconnect fully recyclable interior rows (never the
+        // head, never the tail). A row is unlinked through `prev`, the last
+        // row this pass left on the chain: after unlinking a row, its
+        // successor's predecessor is the unlinked row's.
+        if chain.len() > 2 {
+            let mut prev = &rows[chain[0]];
+            for &i in &chain[1..chain.len() - 1] {
+                let row = &rows[i];
+                // Already disconnected and awaiting deletion, or still live.
+                let Some(next) = row.next.filter(|_| row.dangle_ms.is_none()) else {
+                    prev = row;
+                    continue;
+                };
+                if !self.recyclable(row)? {
+                    prev = row;
+                    continue;
+                }
+                // Unlink: prev.NextRow = row.NextRow, guarded so a
+                // concurrent GC's earlier unlink is not clobbered.
+                (self.hooks.probe)(Label::GcStep4PreUnlink);
+                let prev_pk = PrimaryKey::hash_sort(key, prev.row_id);
+                let cond = Cond::eq(A_NEXT_ROW, row.row_id);
+                let update = Update::new().set(A_NEXT_ROW, next);
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "between Label::GcStep4PreUnlink and Label::GcPostDaal"
+                )]
+                match db.update(table, &prev_pk, &cond, &update) {
+                    Ok(()) => self.stamp(table, key, row.row_id)?,
+                    // A concurrent collector unlinked the row first: `prev`
+                    // still precedes what follows it.
+                    Err(DbError::ConditionFailed) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+        }
+
+        // Orphans from failed appends: unreachable, never linked, older
+        // than `T` (their creator has died). Stamp them dangling; deletion
+        // below waits out another `T`.
+        for row in &rows {
+            let live = reachable.contains(&**row.row_id) || row.dangle_ms.is_some();
+            if !live && now_ms.saturating_sub(row.created_ms) > t_ms {
+                self.stamp(table, key, row.row_id)?;
+            }
+        }
+
+        // Step 5: delete rows that dangled for more than `T`; shadow chains
+        // are deleted wholesale once stamped. Interior rows must
+        // additionally be unreachable *at deletion time*: the pass-start
+        // snapshot is stale by now — a concurrent collector working from
+        // its own pre-disconnect view can re-link a dangling row while
+        // unlinking that row's neighbour (its guarded `prev.NextRow` update
+        // still succeeds), so a row this pass saw as unreachable may be back
+        // on the chain. The dangle wait makes a *fresh* scan decisive: any
+        // view from before the disconnect is now older than `T`, so its
+        // holder has died and no further re-link of this row can occur.
+        let candidates: Vec<&Arc<str>> = rows
+            .iter()
+            .filter(|row| row.dangling_expired(now_ms, t_ms))
+            .map(|row| row.row_id)
+            .collect();
+        if candidates.is_empty() {
+            return Ok(());
+        }
+        let fresh_rows;
+        let fresh_reachable = if is_shadow {
+            None
+        } else {
+            (self.hooks.probe)(Label::GcStep5PreRescan);
+            fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
+            let Some((_, _, fresh)) = reconstruct_chain(table, key, &fresh_rows) else {
+                return self.corrupt_chain();
+            };
+            Some(fresh)
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "between Label::GcStep5PreDelete and Label::GcPostDaal"
+        )]
+        for row_id in candidates {
+            if fresh_reachable
+                .as_ref()
+                .is_some_and(|f| f.contains(&**row_id))
+            {
+                continue; // Re-linked since the pass snapshot: still live.
+            }
+            (self.hooks.probe)(Label::GcStep5PreDelete);
+            let pk = PrimaryKey::hash_sort(key, row_id);
+            match db.delete(table, &pk, &Cond::True) {
+                Ok(()) => self.report.deleted_rows += 1,
+                Err(DbError::ConditionFailed) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
+    }
+
+    /// True when every write-log entry in `row` belongs to a recyclable
+    /// owner.
+    fn recyclable(&mut self, row: &DaalRow<'_>) -> BeldiResult<bool> {
+        for log_key in row.writes.into_iter().flat_map(|w| w.keys()) {
+            let Some((owner, _)) = parse_log_key(log_key) else {
+                return Ok(false); // Unparseable: be conservative.
+            };
+            if !self.owner_recyclable(owner)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// True when `owner`'s logs may be pruned: either classified
+    /// recyclable this pass, or already absent from the intent table
+    /// (recycled by an earlier pass — every instance registers its intent
+    /// before any logged operation, so absence is conclusive).
+    fn owner_recyclable(&mut self, owner: &str) -> BeldiResult<bool> {
+        if self.recyclable.contains(owner) {
+            return Ok(true);
+        }
+        if let Some(&hit) = self.absent.get(owner) {
+            return Ok(hit);
+        }
+        // An existence probe: the envelopes stay in the store.
+        let (id_only, pk) = (Projection::attrs([A_ID]), PrimaryKey::hash(owner));
+        let absent = self
+            .db
+            .get(self.intent_table, &pk, Some(&id_only))?
+            .is_none();
+        self.absent.insert(owner.to_owned(), absent);
+        Ok(absent)
+    }
+
+    /// Stamps `DangleTime = now` on a row (idempotent-if-absent) and
+    /// counts it disconnected.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "steps 4–5 stamp between Label::GcPostLogPrune and Label::GcPostDaal"
+    )]
+    fn stamp(&mut self, table: &str, key: &Arc<str>, row_id: &Arc<str>) -> BeldiResult<()> {
+        let pk = PrimaryKey::hash_sort(key, row_id);
+        let cond = Cond::not_exists(A_DANGLE).and(Cond::exists(A_KEY));
+        let update = Update::new().set(A_DANGLE, Value::Int(self.now_ms as i64));
+        match self.db.update(table, &pk, &cond, &update) {
+            Ok(()) | Err(DbError::ConditionFailed) => {}
+            Err(e) => return Err(e.into()),
+        }
+        self.report.disconnected_rows += 1;
+        Ok(())
+    }
+
+    /// Counts a corrupt chain; the key is left untouched.
+    fn corrupt_chain(&mut self) -> BeldiResult<()> {
+        let count = &mut self.report.corrupt_chains;
+        report_corruption(self.t, Metric::GcCorruptChains, count);
+        Ok(())
+    }
 }
 
-/// The chain of rows reachable from `HEAD`, reconstructed from a scan
-/// result, plus the reachable row-id set. `None` when the pointers form a
-/// cycle — corruption no well-formed append/unlink history can produce.
-fn reconstruct_chain(rows: &[Value]) -> Option<(Vec<&Value>, HashSet<&str>)> {
-    let mut by_id: HashMap<&str, &Value> = HashMap::new();
+/// `key`'s rows decoded, the positions of the chain reachable from
+/// `HEAD` in chain order, and the reachable row ids. `None` when a row
+/// breaks its decode rule or the pointers form a cycle — corruption no
+/// well-formed append/unlink history can produce.
+fn reconstruct_chain<'r>(table: &str, key: &str, rows: &'r [Value]) -> Option<Chain<'r>> {
+    let mut decoded = Vec::with_capacity(rows.len());
     for row in rows {
-        if let Some(id) = row.get_str(A_ROW_ID) {
-            by_id.insert(id, row);
-        }
+        decoded.push(DaalRow::decode(table, key, row).ok()?);
     }
-    let mut chain: Vec<&Value> = Vec::new();
-    let mut cursor = by_id.get(ROW_HEAD).copied();
-    while let Some(row) = cursor {
-        chain.push(row);
-        cursor = row.get_str(A_NEXT_ROW).and_then(|n| by_id.get(n)).copied();
-        if chain.len() > rows.len() {
-            return None; // Cycle: the walk outran the scan result.
-        }
-    }
-    let reachable: HashSet<&str> = chain.iter().filter_map(|r| r.get_str(A_ROW_ID)).collect();
-    Some((chain, reachable))
+    let chain = daal::chain_order(
+        &mut decoded,
+        |r| r.row_id,
+        |r| r.next.map(|n| &**n),
+        table,
+        key,
+    );
+    let chain = chain.ok()?;
+    let reachable = chain.iter().map(|&i| &**decoded[i].row_id).collect();
+    Some((decoded, chain, reachable))
 }
 
-/// Records corruption a pass found — a cyclic chain, a malformed
-/// `FinishTime` or `LogSteps`: a bump of the pass's `count` and of the
-/// registry's `metric`, and the pass skips the item. Corruption is never a
-/// transient race, and the item is left untouched, since part-collecting
-/// damaged state could destroy evidence or live data; every gate fails on
-/// a nonzero `core.gc.corrupt_*` count.
+/// [`reconstruct_chain`]'s answer.
+type Chain<'r> = (Vec<DaalRow<'r>>, Vec<usize>, HashSet<&'r str>);
+
+/// Records corruption a pass found — a corrupt chain or done-mark: a bump
+/// of the pass's `count` and of the registry's `metric`, and the pass
+/// skips the item. Corruption is never a transient race, and the item is
+/// left untouched, since part-collecting damaged state could destroy
+/// evidence or live data; every gate fails on a nonzero
+/// `core.gc.corrupt_*` count.
 fn report_corruption(t: &Telemetry, metric: Metric, count: &mut usize) {
     *count += 1;
     t.add(metric, 1);
-}
-
-#[allow(
-    clippy::too_many_arguments,
-    reason = "internal helper mirroring Fig. 10's loop"
-)]
-fn collect_daal_key(
-    db: &Database,
-    t: &Telemetry,
-    table: &str,
-    key: &Arc<str>,
-    status: &mut OwnerStatus<'_>,
-    now_ms: u64,
-    t_ms: u64,
-    is_shadow: bool,
-    report: &mut GcReport,
-    hooks: &GcHooks<'_>,
-) -> BeldiResult<()> {
-    // Full (unprojected) rows: the GC inspects every log entry.
-    let rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
-    let Some((chain, reachable)) = reconstruct_chain(&rows) else {
-        report_corruption(t, Metric::GcCorruptChains, &mut report.corrupt_chains);
-        return Ok(());
-    };
-
-    // Shadow chains: once *every* row (tail included) is recyclable the
-    // whole chain — head and tail too, per §6.2 — is stamped and later
-    // deleted wholesale.
-    if is_shadow && !chain.is_empty() {
-        let mut all_recyclable = true;
-        for row in &chain {
-            if !row_fully_recyclable(row, status)? {
-                all_recyclable = false;
-                break;
-            }
-        }
-        if all_recyclable {
-            for row in &chain {
-                if row.get_int(A_DANGLE).is_none() {
-                    stamp_dangle(db, table, key, row, now_ms)?;
-                    report.disconnected_rows += 1;
-                }
-            }
-            // Deletion still waits out the dangle period below, with
-            // reachability ignored for shadow chains.
-        }
-    }
-
-    // Step 4: disconnect fully recyclable interior rows (never the head,
-    // never the tail). A row is unlinked through `prev`, the last row
-    // this pass left on the chain: after unlinking a row, its successor's
-    // predecessor is the unlinked row's, not the unlinked row itself.
-    if chain.len() > 2 {
-        let mut prev = chain[0];
-        for &row in &chain[1..chain.len() - 1] {
-            // Already disconnected and awaiting deletion, or still live.
-            if row.get_int(A_DANGLE).is_some() || !row_fully_recyclable(row, status)? {
-                prev = row;
-                continue;
-            }
-            let (Some(row_id), Some(next), Some(prev_id)) = (
-                row.get_shared_str(A_ROW_ID),
-                row.get_shared_str(A_NEXT_ROW),
-                prev.get_shared_str(A_ROW_ID),
-            ) else {
-                prev = row;
-                continue;
-            };
-            // Unlink: prev.NextRow = row.NextRow, guarded so a concurrent
-            // GC's earlier unlink is not clobbered.
-            (hooks.probe)(Label::GcStep4PreUnlink);
-            let prev_pk = PrimaryKey::hash_sort(key, prev_id);
-            let cond = Cond::eq(A_NEXT_ROW, row_id);
-            let update = Update::new().set(A_NEXT_ROW, next);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "between Label::GcStep4PreUnlink and Label::GcPostDaal"
-            )]
-            match db.update(table, &prev_pk, &cond, &update) {
-                Ok(()) => {}
-                // A concurrent collector unlinked the row first: `prev`
-                // still precedes what follows it.
-                Err(DbError::ConditionFailed) => continue,
-                Err(e) => return Err(e.into()),
-            }
-            stamp_dangle(db, table, key, row, now_ms)?;
-            report.disconnected_rows += 1;
-        }
-    }
-
-    // Orphans from failed appends: unreachable, never linked, older than
-    // `T` (their creator has died). Stamp them dangling; deletion below
-    // waits out another `T`.
-    for row in &rows {
-        let Some(row_id) = row.get_str(A_ROW_ID) else {
-            continue;
-        };
-        if reachable.contains(row_id) || row.get_int(A_DANGLE).is_some() {
-            continue;
-        }
-        let created = row.get_int(A_CREATED).unwrap_or(0) as u64;
-        if now_ms.saturating_sub(created) > t_ms {
-            stamp_dangle(db, table, key, row, now_ms)?;
-            report.disconnected_rows += 1;
-        }
-    }
-
-    // Step 5: delete rows that dangled for more than `T`; shadow chains
-    // are deleted wholesale once stamped. Interior rows must additionally
-    // be unreachable *at deletion time*: the pass-start snapshot is stale
-    // by now — a concurrent collector working from its own pre-disconnect
-    // view can re-link a dangling row while unlinking that row's
-    // neighbour (its guarded `prev.NextRow` update still succeeds), so a
-    // row this pass saw as unreachable may be back on the chain. The
-    // dangle wait makes a *fresh* scan decisive: any view from before the
-    // disconnect is now older than `T`, so its holder has died and no
-    // further re-link of this row can occur.
-    let candidates: Vec<&Arc<str>> = rows
-        .iter()
-        .filter(|row| daal::dangling_expired(row, now_ms, t_ms))
-        .filter_map(|row| row.get_shared_str(A_ROW_ID))
-        .collect();
-    if candidates.is_empty() {
-        return Ok(());
-    }
-    let fresh_rows;
-    let fresh_reachable = if is_shadow {
-        None // Shadow chains are stamped whole; reachability is moot.
-    } else {
-        (hooks.probe)(Label::GcStep5PreRescan);
-        fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
-        let Some((_, fresh)) = reconstruct_chain(&fresh_rows) else {
-            report_corruption(t, Metric::GcCorruptChains, &mut report.corrupt_chains);
-            return Ok(());
-        };
-        Some(fresh)
-    };
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "between Label::GcStep5PreDelete and Label::GcPostDaal"
-    )]
-    for row_id in candidates {
-        if let Some(fresh) = &fresh_reachable {
-            if fresh.contains(&**row_id) {
-                continue; // Re-linked since the pass snapshot: still live.
-            }
-        }
-        (hooks.probe)(Label::GcStep5PreDelete);
-        let pk = PrimaryKey::hash_sort(key, row_id);
-        match db.delete(table, &pk, &Cond::True) {
-            Ok(()) => report.deleted_rows += 1,
-            Err(DbError::ConditionFailed) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
-}
-
-/// True when every write-log entry in `row` belongs to a recyclable owner.
-fn row_fully_recyclable(row: &Value, status: &mut OwnerStatus<'_>) -> BeldiResult<bool> {
-    let Some(writes) = row.get_attr(A_WRITES).and_then(Value::as_map) else {
-        return Ok(true); // Empty log.
-    };
-    for log_key in writes.keys() {
-        let Some((owner, _)) = parse_log_key(log_key) else {
-            return Ok(false); // Unparseable: be conservative.
-        };
-        if !status.is_recyclable(owner)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// Stamps `DangleTime = now` on a row (idempotent-if-absent).
-#[expect(
-    clippy::disallowed_methods,
-    reason = "steps 4–5 stamp between Label::GcPostLogPrune and Label::GcPostDaal"
-)]
-fn stamp_dangle(
-    db: &Database,
-    table: &str,
-    key: &Arc<str>,
-    row: &Value,
-    now_ms: u64,
-) -> BeldiResult<()> {
-    let Some(row_id) = row.get_shared_str(A_ROW_ID) else {
-        return Ok(());
-    };
-    let pk = PrimaryKey::hash_sort(key, row_id);
-    let cond = Cond::not_exists(A_DANGLE).and(Cond::exists(A_KEY));
-    let update = Update::new().set(A_DANGLE, Value::Int(now_ms as i64));
-    match db.update(table, &pk, &cond, &update) {
-        Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
-        Err(e) => Err(e.into()),
-    }
 }
 
 #[cfg(test)]
@@ -600,7 +515,9 @@ mod tests {
     use super::*;
     use crate::config::BeldiConfig;
     use crate::env::{BeldiEnv, SsfBody};
-    use crate::schema::{A_CLAIMANT, A_VALUE};
+    use crate::schema::{
+        A_CLAIMANT, A_CREATED, A_DONE, A_FINISH, A_LOG_STEPS, A_ROW_ID, A_VALUE, ROW_HEAD,
+    };
     use beldi_simclock::SimInstant;
     use beldi_simdb::MetricsSnapshot;
     use beldi_value::vmap;
@@ -1066,25 +983,60 @@ mod tests {
         assert_eq!(rows.len(), 2);
     }
 
+    /// An orphan without a `Created` is not one created at 0: its chain is
+    /// counted corrupt, and the sweep neither stamps nor deletes it.
+    #[test]
+    fn an_orphan_without_a_creation_time_is_counted_not_swept() {
+        let e = env();
+        plant_row(&e, ROW_HEAD, 1, None, None);
+        plant_row(&e, "R-orphan", 2, None, None);
+        let mut orphan = e
+            .db()
+            .get("f.data.t", &PrimaryKey::hash_sort("k", "R-orphan"), None)
+            .unwrap()
+            .unwrap();
+        orphan.as_map_mut().unwrap().remove(A_CREATED);
+        #[expect(clippy::disallowed_methods, reason = "plants corruption")]
+        e.db().put("f.data.t", orphan).unwrap();
+        for _ in 0..3 {
+            e.clock().sleep(Duration::from_millis(120));
+            let report = e.run_gc_once("f").unwrap();
+            assert_eq!(report.corrupt_chains, 1, "{report:?}");
+            assert_eq!((report.disconnected_rows, report.deleted_rows), (0, 0));
+        }
+        let rows = e
+            .db()
+            .query("f.data.t", &Value::from("k"), &ScanRequest::all())
+            .unwrap();
+        assert_eq!(rows.len(), 2, "the orphan stays, unstamped");
+        assert!(rows.iter().all(|r| r.get_attr(A_DANGLE).is_none()));
+    }
+
     /// `reconstruct_chain` itself: well-formed chains walk head→tail;
-    /// cyclic pointer graphs return `None` (the counted path) instead of
-    /// a truncated chain.
+    /// cyclic pointer graphs, and a row that breaks its decode rule,
+    /// return `None` (the counted path) instead of a truncated chain.
     #[test]
     fn reconstruct_chain_detects_cycles() {
+        let row = |id: &str, next: Option<&str>| {
+            let mut row = vmap! { A_ROW_ID => id, A_CREATED => 0i64 };
+            if let Some(n) = next {
+                row.as_map_mut().unwrap().insert(A_NEXT_ROW, Value::from(n));
+            }
+            row
+        };
         let rows = vec![
-            vmap! { A_ROW_ID => ROW_HEAD, A_NEXT_ROW => "A" },
-            vmap! { A_ROW_ID => "A", A_NEXT_ROW => "B" },
-            vmap! { A_ROW_ID => "B" },
-            vmap! { A_ROW_ID => "orphan" },
+            row("A", Some("B")),
+            row("B", None),
+            row(ROW_HEAD, Some("A")),
+            row("orphan", None),
         ];
-        let (chain, reachable) = reconstruct_chain(&rows).expect("acyclic");
+        let (_, chain, reachable) = reconstruct_chain("t", "k", &rows).expect("acyclic");
         assert_eq!(chain.len(), 3);
         assert!(reachable.contains("B") && !reachable.contains("orphan"));
 
-        let cyclic = vec![
-            vmap! { A_ROW_ID => ROW_HEAD, A_NEXT_ROW => "A" },
-            vmap! { A_ROW_ID => "A", A_NEXT_ROW => ROW_HEAD },
-        ];
-        assert!(reconstruct_chain(&cyclic).is_none());
+        let cyclic = vec![row(ROW_HEAD, Some("A")), row("A", Some(ROW_HEAD))];
+        assert!(reconstruct_chain("t", "k", &cyclic).is_none());
+        let uncreated = vec![vmap! { A_ROW_ID => ROW_HEAD }];
+        assert!(reconstruct_chain("t", "k", &uncreated).is_none());
     }
 }

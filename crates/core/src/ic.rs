@@ -4,18 +4,12 @@
 //! supplies the *at-least-once* half. A timer-triggered serverless
 //! function per SSF, it scans the intent table for instances that have
 //! not completed and re-executes them with their original instance id and
-//! arguments: the intent's `Args` with the row's own `Id`, `Caller` and
-//! `Async` put back ([`Envelope::resend`]). Re-executing a still-running
-//! instance is safe — every step replays from the logs — but wasteful, so
-//! the IC implements the paper's two optimizations: a secondary index on
-//! the `Done` flag, and a minimum re-launch delay enforced with a
-//! compare-and-swap on the last-launch timestamp (so concurrent IC
-//! instances do not double-restart).
-//!
-//! Like the GC, a pass fires step-boundary crash points (`ic.enter` /
-//! `ic.post_scan` / `ic.exit`) plus one probe before each re-launch
-//! (`ic.pre_restart`), so the chaos driver and the explorer can kill
-//! collector passes mid-flight exactly like SSF instances.
+//! arguments ([`Envelope::resend`]). Re-executing a still-running instance
+//! is safe — every step replays from the logs — but wasteful, so the IC
+//! has the paper's two optimizations: a secondary index on `Done`, and a
+//! minimum re-launch delay enforced with a compare-and-swap on the
+//! last-launch timestamp. Like the GC, a pass fires crash points at its
+//! step boundaries and before each re-launch.
 
 use std::sync::Arc;
 
@@ -24,10 +18,10 @@ use beldi_simdb::ScanRequest;
 use beldi_value::Value;
 
 use crate::env::{EnvCore, Ssf};
-use crate::error::BeldiResult;
-use crate::intent::{self, IntentRecord};
+use crate::error::{BeldiError, BeldiResult};
+use crate::intent;
 use crate::invoke::Envelope;
-use crate::schema::A_DONE;
+use crate::schema::{IntentRecord, A_DONE, A_ID};
 use crate::Label;
 
 /// Summary of one intent-collector pass.
@@ -39,8 +33,9 @@ pub struct IcReport {
     pub restarted: usize,
     /// Intents skipped because they were launched too recently.
     pub too_recent: usize,
-    /// Corrupt intents found (no call or signal envelope to re-send) and
-    /// quarantined. A healthy system never increments this.
+    /// Corrupt intents found — a row that breaks its decode rule, or one
+    /// with no call or signal envelope to re-send — and quarantined. A
+    /// healthy system never increments this.
     pub corrupt: usize,
 }
 
@@ -96,16 +91,20 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
 
     let mut report = IcReport::default();
     for row in rows {
-        let Some(rec) = IntentRecord::from_row(row) else {
-            continue;
+        let rec = match IntentRecord::decode(table, &row) {
+            Ok(rec) => rec,
+            Err(BeldiError::Corrupt { key, attr, .. }) => {
+                let id = (attr != A_ID).then(|| key.as_str().into());
+                report_corrupt_intent(core, table, id.as_ref(), &mut report)?;
+                continue;
+            }
+            Err(e) => return Err(e),
         };
         let Some(envelope) = Envelope::resend(&rec).filter(relaunchable) else {
-            // Nothing to re-fire: the row is corrupt (registration always
-            // stores the call, or the decision signal, to re-send). A
-            // relaunch would only earn a "bad envelope" reply and leave the
-            // intent unfinished, so quarantine it: the Done=false index
-            // stops returning it, and quiescence is reached.
-            report_corrupt_intent(core, table, &rec.id, &mut report)?;
+            // Nothing to re-fire: registration always stores the call, or
+            // the decision signal, to re-send. A relaunch would only earn a
+            // "bad envelope" reply and leave the intent unfinished.
+            report_corrupt_intent(core, table, Some(&rec.id), &mut report)?;
             continue;
         };
         report.unfinished += 1;
@@ -137,19 +136,58 @@ fn relaunchable(envelope: &Value) -> bool {
     )
 }
 
-/// Counts and quarantines a corrupt intent (nothing to re-send): marked done
-/// with no outcome (which decodes as a null one) so it leaves the unfinished index and the GC can
-/// recycle it. The pass goes on: a corrupt intent is a protocol bug, not
-/// an operational condition, so the registry counts it here, where it is
-/// found, and every gate fails on a nonzero `core.ic.corrupt`.
+/// Counts a corrupt intent and quarantines it, when its id is readable:
+/// marked done with no outcome, it leaves the unfinished index, quiescence
+/// is reached, and the GC can recycle it. The pass goes on: a corrupt
+/// intent is a protocol bug, not an operational condition, so the
+/// registry counts it here, where it is found, and every gate fails on a
+/// nonzero `core.ic.corrupt`.
 fn report_corrupt_intent(
     core: &Arc<EnvCore>,
     table: &str,
-    id: &Arc<str>,
+    id: Option<&Arc<str>>,
     report: &mut IcReport,
 ) -> BeldiResult<()> {
     report.corrupt += 1;
     core.telemetry().add(Metric::IcCorrupt, 1);
+    let Some(id) = id else {
+        return Ok(());
+    };
     let now_ms = core.platform.clock().now().as_millis();
     intent::mark_done(&core.db, table, id, None, &[], now_ms)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use beldi_simclock::Metric;
+    use beldi_simdb::PrimaryKey;
+    use beldi_value::{vmap, Value};
+
+    use crate::schema::{A_ARGS, A_CREATED, A_DONE, A_ID, A_LAST_LAUNCH};
+    use crate::BeldiEnv;
+
+    /// An unfinished intent whose launch time is not a time is not one
+    /// launched at 0: the collector counts and quarantines it, and
+    /// relaunches nothing.
+    #[test]
+    fn an_intent_breaking_its_rule_is_counted_and_quarantined() {
+        let env = BeldiEnv::for_tests();
+        env.register_ssf("f", &[], Arc::new(|_, _| Ok(Value::Null)));
+        let call = vmap! { "Op" => "call", "Input" => 1i64 };
+        let intent = vmap! {
+            A_ID => "bad", A_DONE => false, A_ARGS => call, A_CREATED => 0i64,
+            A_LAST_LAUNCH => "0"
+        };
+        #[expect(clippy::disallowed_methods, reason = "plants corruption")]
+        env.db().put("f.intent", intent).unwrap();
+        env.clock().sleep(std::time::Duration::from_secs(60));
+        let report = env.run_ic_once("f").unwrap();
+        assert_eq!((report.corrupt, report.restarted), (1, 0), "{report:?}");
+        assert_eq!(env.telemetry().get(Metric::IcCorrupt), 1);
+        let row = env.db().get("f.intent", &PrimaryKey::hash("bad"), None);
+        assert_eq!(row.unwrap().unwrap().get_bool(A_DONE), Some(true));
+        assert_eq!(env.run_ic_once("f").unwrap().corrupt, 0, "quarantined");
+    }
 }

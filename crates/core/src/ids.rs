@@ -3,12 +3,10 @@
 //! Every SSF execution is identified by an *instance id* (§3.3): the
 //! platform request id for workflow roots, and for a callee the id
 //! [`callee_id`] derives from its caller's invoke-log key, which a callback
-//! inverts to write that entry by key (if callee ids stopped naming a log
-//! key, `callbacks.rs::callback_lands_before_done_so_gc_cannot_outrun_caller`
-//! fails). Every external operation inside an instance gets a monotonically
-//! increasing *step number*. The pair `(instance id, step)` keys all of
-//! Beldi's logs (Fig. 3). Each id and log key is built once, as one shared
-//! string that every row key, attribute and path naming it holds.
+//! inverts to write that entry by key. Every external operation inside an
+//! instance gets a monotonically increasing *step number*; the pair keys
+//! all of Beldi's logs (Fig. 3). Each id and log key is built once, as one
+//! shared string that every row key, attribute and path naming it holds.
 
 use std::cell::RefCell;
 use std::fmt::{self, Write as _};

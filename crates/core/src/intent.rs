@@ -1,15 +1,8 @@
-//! The intent table (§3.3, Fig. 3).
-//!
-//! Every SSF execution intent is a row keyed by instance id, recording the
-//! original invocation envelope (so the intent collector can re-execute it
-//! verbatim), the completion flag, the outcome of an intent no caller waits
-//! on, and GC bookkeeping. Registration is the first external action of
-//! every instance; completion (`Done = true`, finish time, and for a root
-//! or a commit signal its outcome) is the last. Each fact is stored once:
-//! `Args` leaves out the envelope fields the row holds as attributes (`Id`,
-//! `Caller`, `Async`), the done-mark removes what only the collector reads
-//! (`Args`, `LastLaunch`), since it reads only intents that are not done,
-//! and a callee's outcome lives in its caller's invoke log, not in `Ret`.
+//! The intent table's writes (§3.3, Fig. 3). Every SSF execution intent
+//! is a row keyed by instance id; its attributes, and how each decodes,
+//! are `crate::schema`'s. Registration is the first external action of
+//! every instance; completion (`Done`, the finish time, and for a root or
+//! a commit signal its outcome) is the last.
 
 #![expect(
     clippy::disallowed_methods,
@@ -25,63 +18,19 @@ use std::sync::Arc;
 use beldi_simdb::{Database, DbError, PrimaryKey};
 use beldi_value::{Cond, Update, Value};
 
-use crate::error::BeldiResult;
+use crate::error::{BeldiError, BeldiResult};
 use crate::ids::StepNumber;
 use crate::schema::{
-    A_ARGS, A_ASYNC, A_CALLER, A_CREATED, A_DONE, A_FINISH, A_ID, A_LAST_LAUNCH, A_LOG_STEPS, A_RET,
+    IntentRecord, A_ARGS, A_ASYNC, A_CALLER, A_CREATED, A_DONE, A_FINISH, A_ID, A_LAST_LAUNCH,
+    A_LOG_STEPS, A_RET,
 };
-
-/// A decoded intent-table row.
-#[derive(Debug, Clone)]
-pub(crate) struct IntentRecord {
-    /// Instance id.
-    pub id: Arc<str>,
-    /// Completion flag.
-    pub done: bool,
-    /// Whether the instance was invoked asynchronously.
-    pub is_async: bool,
-    /// The original invocation envelope without the fields the row holds
-    /// itself ([`crate::invoke::Envelope::into_args`]); `Null` once done.
-    pub args: Value,
-    /// The outcome envelope recorded at completion; only an intent with
-    /// no caller records one.
-    pub ret: Option<Value>,
-    /// Calling SSF name, if any.
-    pub caller: Option<Arc<str>>,
-    /// Creation timestamp (virtual ms); the start of the recovery-latency
-    /// window for crashed instances.
-    pub created_ms: u64,
-    /// Last (re-)launch timestamp (virtual ms), advanced by the IC; 0
-    /// once done.
-    pub last_launch_ms: u64,
-}
-
-impl IntentRecord {
-    /// Decodes an intent row. The row shares its map with the stored one,
-    /// so `Args` and `Ret` are read, not taken. Rows with unknown shape
-    /// decode defensively (the collectors must tolerate anything they
-    /// scan).
-    pub fn from_row(row: Value) -> Option<Self> {
-        Some(IntentRecord {
-            id: row.get_shared_str(A_ID)?.clone(),
-            done: row.get_bool(A_DONE).unwrap_or(false),
-            is_async: row.get_bool(A_ASYNC).unwrap_or(false),
-            args: row.get_attr(A_ARGS).cloned().unwrap_or(Value::Null),
-            ret: row.get_attr(A_RET).filter(|v| !v.is_null()).cloned(),
-            caller: row.get_shared_str(A_CALLER).cloned(),
-            created_ms: row.get_int(A_CREATED).unwrap_or(0) as u64,
-            last_launch_ms: row.get_int(A_LAST_LAUNCH).unwrap_or(0) as u64,
-        })
-    }
-}
 
 /// Registers an intent if it is not already present.
 ///
-/// `None` means this registration won: the record is exactly what was
-/// passed in, created at `now_ms`, not done (no read-back, and no copy of
-/// `args` kept to describe it). `Some` is the record a previous execution
-/// registered — the *authoritative* one: the caller must honor an
-/// already-set `Done` flag by replaying the recorded return value.
+/// `None` means this registration won: the record is what was passed in,
+/// created at `now_ms`, not done (no read-back). `Some` is the record a
+/// previous execution registered — the *authoritative* one: the caller
+/// must honor an already-set `Done` flag by replaying its outcome.
 pub(crate) fn register(
     db: &Database,
     table: &str,
@@ -107,16 +56,15 @@ pub(crate) fn register(
         Err(e) => return Err(e.into()),
     }
     // A previous execution registered first; its record is authoritative.
-    let earlier = load(db, table, id)?.ok_or_else(|| {
-        crate::error::BeldiError::Protocol(format!("intent {id} vanished after registration"))
-    })?;
+    let earlier = load(db, table, id)?
+        .ok_or_else(|| BeldiError::Protocol(format!("intent {id} vanished after registration")))?;
     Ok(Some(earlier))
 }
 
 /// Loads an intent record, if present.
 pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Option<IntentRecord>> {
     let row = db.get(table, &PrimaryKey::hash(id), None)?;
-    Ok(row.and_then(IntentRecord::from_row))
+    row.map(|row| IntentRecord::decode(table, &row)).transpose()
 }
 
 /// Marks an intent as done, recording in the same write its outcome
@@ -127,11 +75,7 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
 /// [`A_ARGS`] and [`A_LAST_LAUNCH`]: their one reader, the intent
 /// collector, reads only intents that are not done.
 ///
-/// The wrapper passes `ret` only for an intent with no caller, a root or a
-/// commit signal, whose row is the outcome's one durable home; a callee's
-/// outcome is in its caller's invoke-log entry, which its callback wrote
-/// before this (Fig. 9).
-///
+/// The wrapper passes `ret` only for an intent with no caller ([`A_RET`]).
 /// Idempotent: re-executions overwrite with the identical (deterministic)
 /// outcome and steps; the first done-mark's finish time stays.
 pub(crate) fn mark_done(
@@ -156,19 +100,6 @@ pub(crate) fn mark_done(
     }
     db.update(table, &PrimaryKey::hash(id), &Cond::exists(A_ID), &update)?;
     Ok(())
-}
-
-/// Decodes an intent's [`A_LOG_STEPS`]: empty when absent, `None` when
-/// present but not a list of non-negative ints (corruption).
-pub(crate) fn log_steps(row: &Value) -> Option<Vec<StepNumber>> {
-    let Some(steps) = row.get_attr(A_LOG_STEPS) else {
-        return Some(Vec::new());
-    };
-    steps
-        .as_list()?
-        .iter()
-        .map(|s| s.as_int().and_then(|n| StepNumber::try_from(n).ok()))
-        .collect()
 }
 
 /// Compare-and-swap of the last-launch timestamp (the IC's duplicate-
@@ -202,8 +133,9 @@ pub(crate) fn delete(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::intent_schema;
+    use crate::schema::{intent_schema, DoneMark};
     use beldi_simdb::Database;
+    use beldi_value::vmap;
 
     fn db() -> std::sync::Arc<Database> {
         let db = Database::for_tests();
@@ -222,7 +154,7 @@ mod tests {
             &db,
             "i",
             &x(),
-            Value::Int(1),
+            vmap! { "Input" => 1i64 },
             false,
             Some(&"caller".into()),
             5,
@@ -231,10 +163,10 @@ mod tests {
         assert!(a.is_none(), "the first registration wins");
         // A re-execution re-registers with different args; the original
         // registration is what it gets back.
-        let b = register(&db, "i", &x(), Value::Int(2), false, None, 9)
+        let b = register(&db, "i", &x(), vmap! { "Input" => 2i64 }, false, None, 9)
             .unwrap()
             .expect("the earlier record");
-        assert_eq!(b.args, Value::Int(1));
+        assert_eq!(b.args, Some(vmap! { "Input" => 1i64 }));
         assert_eq!(b.caller.as_deref(), Some("caller"));
         assert!(!b.done);
         assert_eq!(b.created_ms, 5);
@@ -244,12 +176,14 @@ mod tests {
     fn done_round_trips_return_value() {
         let db = db();
         register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        mark_done(&db, "i", &x(), Some(Value::Int(42)), &[0, 2], 3).unwrap();
+        let ret = vmap! { "Outcome" => "ok", "Ret" => 42i64 };
+        mark_done(&db, "i", &x(), Some(ret.clone()), &[0, 2], 3).unwrap();
         let rec = load(&db, "i", &x()).unwrap().unwrap();
         assert!(rec.done);
-        assert_eq!(rec.ret, Some(Value::Int(42)));
+        assert_eq!(rec.ret, Some(ret));
         let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
-        assert_eq!(log_steps(&row), Some(vec![0, 2]));
+        let mark = DoneMark::decode("i", &row).unwrap();
+        assert_eq!(mark.log_steps(), Ok(vec![0, 2]));
         // Only the collector reads the envelope and the launch time, and
         // it reads only intents that are not done.
         assert_eq!(row.get_attr(A_ARGS), None);
@@ -279,16 +213,20 @@ mod tests {
 
     #[test]
     fn log_steps_decode_absent_as_empty_and_malformed_as_none() {
-        use beldi_value::vmap;
-        assert_eq!(log_steps(&vmap! { A_ID => "x" }), Some(vec![]));
+        let done = vmap! { A_ID => "x", A_DONE => true, A_FINISH => 3i64 };
+        let mark = DoneMark::decode("i", &done).unwrap();
+        assert_eq!(mark.log_steps(), Ok(vec![]));
         for bad in [
             Value::Int(3),
             Value::List(vec![Value::Int(1), Value::from("2")]),
             Value::List(vec![Value::Int(-1)]),
         ] {
+            let mut row = done.clone();
+            row.as_map_mut().unwrap().insert(A_LOG_STEPS, bad.clone());
+            let steps = DoneMark::decode("i", &row).unwrap().log_steps();
             assert_eq!(
-                log_steps(&vmap! { A_LOG_STEPS => bad.clone() }),
-                None,
+                steps,
+                Err(crate::schema::corrupt("i", "x", A_LOG_STEPS)),
                 "{bad}"
             );
         }

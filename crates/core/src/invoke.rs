@@ -13,17 +13,11 @@
 //!
 //! Request routing is stateless: the callback reaches *some* instance of
 //! the caller function, not the blocked original, and writes the
-//! invoke-log entry by the key its callee id names ([`crate::ids`]).
-//!
-//! That entry's `Result` is the one place a callee's outcome is stored:
-//! the callee's done-mark records none. So a done callee, called again,
-//! answers [`Outcome::Logged`] and sends no callback, and the caller reads
-//! the `Result` from its own entry; "done" implies the callback was
-//! delivered. A callback counts as delivered only when the caller
-//! recorded it or found no entry. An outcome too large for the entry's
-//! row is replaced there by an error naming the size and the limit, and
-//! the callee answers `Logged` for it too, so the error is what the caller
-//! returns and every re-execution replays.
+//! invoke-log entry by the key its callee id names ([`crate::ids`]). That
+//! entry's `Result` is the one place a callee's outcome is stored
+//! ([`crate::schema::A_RESULT`]), so a done callee, called again, answers
+//! [`Outcome::Logged`] and sends no callback: "done" implies the callback
+//! was delivered, i.e. the caller recorded it or found no entry.
 //!
 //! Asynchronous invocations (Fig. 20) flip the order: the caller first
 //! synchronously asks the callee to *register* the intent (confirmed by a
@@ -40,8 +34,10 @@ use beldi_value::{Cond, Map, Update, Value};
 use crate::context::SsfContext;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
-use crate::intent::IntentRecord;
-use crate::schema::{A_CALLEE_FN, A_LOG_KEY, A_REGISTERED, A_RESULT, A_TXN_ID};
+use crate::schema::{
+    opt, req, time, IntentRecord, InvokeEntry, Rule, A_CALLEE_FN, A_LOG_KEY, A_REGISTERED,
+    A_RESULT, A_TXN_ID,
+};
 use crate::txn::{TxnContext, TxnMode};
 use crate::Label;
 
@@ -118,35 +114,35 @@ const K_CALLEE_ID: &str = "CalleeId";
 const K_RESULT: &str = "Result";
 
 impl Envelope {
-    /// The workflow-root call envelope every environment entry point
-    /// builds — [`crate::BeldiEnv::invoke_as`] (blocking),
-    /// [`crate::BeldiEnv::invoke_async`] (fire-and-forget), and
-    /// [`crate::BeldiEnv::invoke_task`] (executor task) differ only in
-    /// how the caller waits; the wire payload, and therefore the whole
-    /// wrapper/replay path behind it, is identical.
-    pub(crate) fn root_call(instance: &Arc<str>, input: Value, is_async: bool) -> Envelope {
+    /// A call outside a transaction and not a root's retry: every call
+    /// but a transactional callee's. The environment's entry points differ
+    /// only in how the caller waits, not in this payload.
+    pub(crate) fn call(
+        id: Option<Arc<str>>,
+        input: Value,
+        caller: Option<Arc<str>>,
+        is_async: bool,
+    ) -> Envelope {
+        let (txn, first_attempt_ms) = (None, None);
         Envelope::Call {
-            id: Some(instance.clone()),
+            id,
             input,
-            caller: None,
-            txn: None,
+            caller,
+            txn,
             is_async,
-            first_attempt_ms: None,
+            first_attempt_ms,
         }
     }
 
-    /// A root call's retry payload: the first attempt's payload `call`,
-    /// decoded, with that attempt's time set. Only a retry pays for the
-    /// copy; a first attempt sends the payload built once.
+    /// A root call's retry payload: the first attempt's payload `call`
+    /// with that attempt's time set. Only a retry pays for the copy; a
+    /// first attempt sends the payload built once.
     pub(crate) fn root_retry(call: &Value, first_ms: u64) -> Value {
-        let mut retry = Envelope::from_value(call.clone()).expect("a root call envelope");
-        if let Envelope::Call {
-            first_attempt_ms, ..
-        } = &mut retry
-        {
-            *first_attempt_ms = Some(first_ms);
+        let mut retry = call.clone();
+        if let Some(m) = retry.as_map_mut() {
+            m.insert(K_FIRST_ATTEMPT, Value::Int(first_ms as i64));
         }
-        retry.into_value()
+        retry
     }
 
     /// The envelope as an intent's `Args` stores it: without `Id`,
@@ -165,9 +161,9 @@ impl Envelope {
     /// The envelope the intent collector re-sends for the unfinished
     /// intent `rec`: its `Args` with the row's `Id` and, for a call, the
     /// row's `Caller` and `Async` put back, field for field the envelope
-    /// the intent was registered for. `None` when `Args` is not a map.
+    /// the intent was registered for. `None` when there are no `Args`.
     pub(crate) fn resend(rec: &IntentRecord) -> Option<Value> {
-        let mut envelope = rec.args.clone();
+        let mut envelope = rec.args.clone()?;
         let m = envelope.as_map_mut()?;
         m.insert(K_ID, Value::from(&rec.id));
         if m.get(K_OP).and_then(Value::as_str) == Some("call") {
@@ -243,42 +239,40 @@ impl Envelope {
         Value::Map(m)
     }
 
-    /// Parses a platform payload back into an envelope. The payload shares
-    /// its map with the sender's retry copy, so fields are read, not taken.
+    /// Parses a platform payload (or an intent's `Args`, with the row's
+    /// fields put back) into an envelope. Absent `Input` means `Null`,
+    /// absent `Async` not async. The payload shares its map with the
+    /// sender's retry copy, so fields are read, not taken.
     pub fn from_value(v: Value) -> BeldiResult<Self> {
-        let op = v
-            .get_str(K_OP)
-            .ok_or_else(|| BeldiError::Protocol("payload is not a Beldi envelope".into()))?;
-        let missing = |what: &str| BeldiError::Protocol(format!("{op} missing {what}"));
-        let string = |key: &str| v.get_shared_str(key).cloned();
-        match op {
-            "call" => Ok(Envelope::Call {
-                id: string(K_ID),
-                caller: string(K_CALLER),
-                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
-                txn: v.get_attr(K_TXN).map(TxnContext::from_value).transpose()?,
-                is_async: v.get_bool(K_ASYNC).unwrap_or(false),
-                first_attempt_ms: v
-                    .get_int(K_FIRST_ATTEMPT)
-                    .and_then(|ms| u64::try_from(ms).ok()),
-            }),
-            "callback" => Ok(Envelope::Callback {
-                callee_id: string(K_CALLEE_ID).ok_or_else(|| missing("CalleeId"))?,
-                result: v.get_attr(K_RESULT).cloned(),
-            }),
-            "asyncreg" => Ok(Envelope::AsyncReg {
-                id: string(K_ID).ok_or_else(|| missing("Id"))?,
-                caller: string(K_CALLER).ok_or_else(|| missing("Caller"))?,
-                input: v.get_attr(K_INPUT).cloned().unwrap_or(Value::Null),
-            }),
-            "txnsignal" => Ok(Envelope::TxnSignal {
-                id: string(K_ID).ok_or_else(|| missing("Id"))?,
-                txn: TxnContext::from_value(v.get_attr(K_TXN).ok_or_else(|| missing("TxnCtx"))?)?,
-            }),
-            other => Err(BeldiError::Protocol(format!(
-                "unknown envelope op `{other}`"
-            ))),
-        }
+        let string = |key| opt(&v, key, Value::as_shared_str).map(|s| s.cloned());
+        let input = || opt(&v, K_INPUT, Some).map(|i| i.cloned().unwrap_or_default());
+        let envelope = || -> Rule<Self> {
+            Ok(match req(&v, K_OP, Value::as_str)? {
+                "call" => Envelope::Call {
+                    id: string(K_ID)?,
+                    caller: string(K_CALLER)?,
+                    input: input()?,
+                    txn: opt(&v, K_TXN, TxnContext::decode)?,
+                    is_async: opt(&v, K_ASYNC, Value::as_bool)?.unwrap_or(false),
+                    first_attempt_ms: opt(&v, K_FIRST_ATTEMPT, time)?,
+                },
+                "callback" => Envelope::Callback {
+                    callee_id: string(K_CALLEE_ID)?.ok_or(K_CALLEE_ID)?,
+                    result: opt(&v, K_RESULT, Some)?.cloned(),
+                },
+                "asyncreg" => Envelope::AsyncReg {
+                    id: string(K_ID)?.ok_or(K_ID)?,
+                    caller: string(K_CALLER)?.ok_or(K_CALLER)?,
+                    input: input()?,
+                },
+                "txnsignal" => Envelope::TxnSignal {
+                    id: string(K_ID)?.ok_or(K_ID)?,
+                    txn: req(&v, K_TXN, TxnContext::decode)?,
+                },
+                _ => return Err(K_OP),
+            })
+        };
+        envelope().map_err(|attr| BeldiError::Protocol(format!("malformed envelope: bad {attr}")))
     }
 }
 
@@ -324,20 +318,12 @@ impl Outcome {
         ))
     }
 
-    /// Parses an outcome. The reply shares its map with the caller's
-    /// logged `Result` (a root's `Ret`), so the return value is read, not
-    /// taken.
-    /// Malformed payloads decode as errors so a caller never mistakes
-    /// infrastructure failures for success.
-    pub fn from_value(v: Value) -> Self {
-        match v.get_str("Outcome") {
-            Some("ok") => Outcome::Ok(v.get_attr("Ret").cloned().unwrap_or(Value::Null)),
-            Some("abort") => Outcome::Abort,
-            Some("error") => Outcome::Error(v.get_str("Msg").unwrap_or("unknown error").to_owned()),
-            Some("expired") => Outcome::Expired,
-            Some("logged") => Outcome::Logged,
-            _ => Outcome::Error(format!("malformed outcome envelope: {v}")),
-        }
+    /// Decodes a reply ([`Outcome::decode`]). One that is not an outcome
+    /// decodes as an error, so a caller never mistakes an infrastructure
+    /// failure for success.
+    pub fn from_reply(v: Value) -> Self {
+        Outcome::decode(&v)
+            .unwrap_or_else(|| Outcome::Error(format!("malformed outcome envelope: {v}")))
     }
 
     /// Converts the outcome into the caller-facing API result.
@@ -351,34 +337,6 @@ impl Outcome {
                 "the outcome is in the caller's invoke log".into(),
             )),
         }
-    }
-}
-
-// ---- Invoke-log entries ----
-
-/// A decoded invoke-log row.
-#[derive(Debug, Clone)]
-pub(crate) struct InvokeEntry {
-    /// The callee instance id chosen at first execution.
-    pub callee_id: Arc<str>,
-    /// The recorded outcome envelope, if the callback has landed.
-    pub result: Option<Value>,
-    /// Set once an async callee confirmed registration.
-    pub registered: bool,
-}
-
-impl InvokeEntry {
-    /// Decodes a row read from the invoke log; `None` unless it is an
-    /// invoke entry (it names its callee's function). The callee id is not
-    /// stored: it is derived from the entry's key. The row shares its map
-    /// with the stored one, so fields are read, not taken.
-    fn from_row(row: Value) -> Option<Self> {
-        row.get_attr(A_CALLEE_FN)?;
-        Some(InvokeEntry {
-            callee_id: crate::ids::callee_id(row.get_str(A_LOG_KEY)?),
-            result: row.get_attr(A_RESULT).filter(|v| !v.is_null()).cloned(),
-            registered: row.get_bool(A_REGISTERED).unwrap_or(false),
-        })
     }
 }
 
@@ -425,9 +383,7 @@ impl SsfContext {
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;
-                InvokeEntry::from_row(row).ok_or_else(|| {
-                    BeldiError::Protocol(format!("invoke-log entry {log_key} malformed"))
-                })
+                InvokeEntry::decode(log, &log_key, &row)
             }
             Err(e) => Err(e.into()),
         }
@@ -435,10 +391,10 @@ impl SsfContext {
 
     /// Re-reads an invoke-log entry (to poll for a callback-delivered result).
     fn reload_entry(&self, log_key: &Arc<str>) -> BeldiResult<Option<InvokeEntry>> {
-        let row = self
-            .db()
-            .get(&self.ssf.log_table, &PrimaryKey::hash(log_key), None)?;
-        Ok(row.and_then(InvokeEntry::from_row))
+        let log = &self.ssf.log_table;
+        let row = self.db().get(log, &PrimaryKey::hash(log_key), None)?;
+        row.map(|row| InvokeEntry::decode(log, log_key, &row))
+            .transpose()
     }
 
     /// The outcome a callee that answered [`Outcome::Logged`] left in this
@@ -448,7 +404,7 @@ impl SsfContext {
     fn logged_outcome(&self, step: crate::ids::StepNumber) -> BeldiResult<Outcome> {
         let log_key = crate::ids::log_key(&self.instance, step);
         match self.reload_entry(&log_key)?.and_then(|e| e.result) {
-            Some(r) => Ok(Outcome::from_value(r)),
+            Some(outcome) => Ok(outcome),
             None => Err(BeldiError::Protocol(format!(
                 "callee answered `logged`, but invoke-log entry {log_key} holds no result"
             ))),
@@ -472,19 +428,12 @@ impl SsfContext {
     /// own `end_tx`.
     pub fn sync_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<Value> {
         if self.mode() == crate::Mode::Baseline {
-            let env = Envelope::Call {
-                id: None,
-                input,
-                caller: None,
-                txn: None,
-                is_async: false,
-                first_attempt_ms: None,
-            };
+            let env = Envelope::call(None, input, None, false);
             let v = self
                 .platform()
                 .invoke_sync(callee, env.into_value())
                 .map_err(BeldiError::Invoke)?;
-            return Outcome::from_value(v).into_result();
+            return Outcome::from_reply(v).into_result();
         }
         let outcome = self.invoke_with_entry(callee, input)?;
         if matches!(outcome, Outcome::Abort) {
@@ -501,9 +450,9 @@ impl SsfContext {
     fn invoke_with_entry(&mut self, callee: &str, input: Value) -> BeldiResult<Outcome> {
         let step = self.step;
         let entry = self.invoke_entry(callee)?;
-        if let Some(r) = entry.result {
+        if let Some(outcome) = entry.result {
             // A previous execution already has the callee's result.
-            return Ok(Outcome::from_value(r));
+            return Ok(outcome);
         }
         let txn = self
             .txn
@@ -522,7 +471,7 @@ impl SsfContext {
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
             match self.platform().invoke_sync(callee, envelope.clone()) {
                 Ok(v) => {
-                    return match Outcome::from_value(v) {
+                    return match Outcome::from_reply(v) {
                         Outcome::Logged => self.logged_outcome(step),
                         outcome => Ok(outcome),
                     }
@@ -532,7 +481,7 @@ impl SsfContext {
                     // callback may still have recorded the result.
                     let log_key = crate::ids::log_key(&self.instance, step);
                     if let Some(e) = self.reload_entry(&log_key)? {
-                        if let Some(r) = e.result {
+                        if let Some(outcome) = e.result {
                             // A killed callee whose callback landed is a
                             // completed recovery nobody else will observe:
                             // the callback precedes the done-mark, so a
@@ -547,7 +496,7 @@ impl SsfContext {
                                     self.core.record_recovery(&entry.callee_id, rec.created_ms);
                                 }
                             }
-                            return Ok(Outcome::from_value(r));
+                            return Ok(outcome);
                         }
                     }
                     if attempt + 1 < MAX_INVOKE_ATTEMPTS {
@@ -579,14 +528,7 @@ impl SsfContext {
             return Err(BeldiError::Unsupported("async_invoke inside a transaction"));
         }
         if self.mode() == crate::Mode::Baseline {
-            let env = Envelope::Call {
-                id: None,
-                input,
-                caller: None,
-                txn: None,
-                is_async: true,
-                first_attempt_ms: None,
-            };
+            let env = Envelope::call(None, input, None, true);
             self.platform()
                 .invoke_async(callee, env.into_value())
                 .map_err(BeldiError::Invoke)?;
@@ -605,7 +547,7 @@ impl SsfContext {
             }
             .into_value();
             self.crash(Label::InvokePreAsyncReg);
-            if !deliver(self.platform(), callee, &reg) {
+            if deliver(self.platform(), callee, &reg).is_none() {
                 panic!("beldi: async registration at `{callee}` unreachable");
             }
         }
@@ -613,15 +555,8 @@ impl SsfContext {
         // Step 2: fire the actual asynchronous invocation. Safe to repeat:
         // the callee stub refuses unregistered or completed intents, and
         // every step of a duplicate execution replays from its logs.
-        let call = Envelope::Call {
-            id: Some(entry.callee_id.clone()),
-            input,
-            caller: Some(self.ssf.name.clone()),
-            txn: None,
-            is_async: true,
-            first_attempt_ms: None,
-        }
-        .into_value();
+        let (id, caller) = (Some(entry.callee_id.clone()), Some(self.ssf.name.clone()));
+        let call = Envelope::call(id, input, caller, true).into_value();
         self.crash(Label::InvokePreAsyncCall);
         self.platform()
             .invoke_async(callee, call)
@@ -655,7 +590,7 @@ pub(crate) fn send_callback(
         &core.platform,
         caller_fn,
         &envelope,
-        |reply| match Outcome::from_value(reply) {
+        |reply| match Outcome::from_reply(reply) {
             ack @ (Outcome::Ok(_) | Outcome::Logged) => Some(ack),
             _ => None,
         },
@@ -664,10 +599,10 @@ pub(crate) fn send_callback(
 
 /// Invokes `callee` with `payload` until the platform returns a reply, at
 /// most [`MAX_INVOKE_ATTEMPTS`] times with [`RETRY_BACKOFF`] between
-/// attempts; whether it did. For a message whose reply carries nothing the
-/// sender needs: an async registration, a commit signal.
-pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> bool {
-    deliver_until(platform, callee, payload, Some).is_some()
+/// attempts; the reply, if one came. For a message whose reply carries no
+/// result: an async registration, a commit signal.
+pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> Option<Value> {
+    deliver_until(platform, callee, payload, Some)
 }
 
 /// [`deliver`], retrying also a reply `accept` refuses; what `accept` made
@@ -694,16 +629,13 @@ fn deliver_until<T>(
 }
 
 /// Handles an incoming callback at the caller's side: records the result
-/// (or, for an async callee, the registration) on the invoke-log entry
-/// the callee id names, and answers the callee's acknowledgement
-/// ([`send_callback`]). The key is the id, so the entry is this callee's
-/// if it is an invoke entry at all: only invoke entries carry `CalleeFn`.
+/// (or an async callee's registration) on the invoke entry the callee id
+/// names, and answers the callee's acknowledgement ([`send_callback`]).
 /// A spurious callback (§4.5) — a collected entry, a forged id, a read or
-/// write entry's key — fails the condition, creates no row, and is
-/// acknowledged. A result the entry's row cannot hold is recorded as
-/// [`Outcome::too_large`] instead, answered with `Logged`; a store error
-/// is answered with an `Error`, which the callee does not count as
-/// delivered.
+/// write entry's key — fails `exists(CalleeFn)`, creates no row, and is
+/// acknowledged. A result the row cannot hold is recorded as
+/// [`Outcome::too_large`], answered `Logged`; a store error is answered
+/// with an `Error`, which the callee does not count as delivered.
 #[expect(
     clippy::disallowed_methods,
     reason = "between the callee's Label::WrapperPreCallback and Label::WrapperPreDone"
@@ -892,7 +824,7 @@ mod tests {
             assert_eq!(&Envelope::from_value(e.clone().into_value()).unwrap(), e);
         }
         // A root retry is its first attempt's call plus that attempt's time.
-        let first = Envelope::root_call(&"r".into(), Value::Int(1), false).into_value();
+        let first = Envelope::call(Some("r".into()), Value::Int(1), None, false).into_value();
         assert_eq!(
             Envelope::from_value(Envelope::root_retry(&first, 12)).unwrap(),
             cases[1]
@@ -912,24 +844,28 @@ mod tests {
             beldi_value::vmap! { "Id" => "i-1" },
             beldi_value::vmap! { "Op" => 7i64 },
         ] {
-            assert_eq!(protocol_error(payload), "payload is not a Beldi envelope");
+            assert_eq!(protocol_error(payload), "malformed envelope: bad Op");
         }
         assert_eq!(
             protocol_error(beldi_value::vmap! { "Op" => "bogus" }),
-            "unknown envelope op `bogus`"
+            "malformed envelope: bad Op"
         );
-        // A string where a field's map is expected.
+        // A string where a field's map is expected; a negative time.
         assert_eq!(
             protocol_error(beldi_value::vmap! { "Op" => "call", "TxnCtx" => "t" }),
-            "txn ctx missing Id"
+            "malformed envelope: bad TxnCtx"
+        );
+        assert_eq!(
+            protocol_error(beldi_value::vmap! { "Op" => "call", "FirstAttempt" => -1i64 }),
+            "malformed envelope: bad FirstAttempt"
         );
         assert_eq!(
             protocol_error(beldi_value::vmap! { "Op" => "txnsignal", "Id" => "s" }),
-            "txnsignal missing TxnCtx"
+            "malformed envelope: bad TxnCtx"
         );
         assert_eq!(
             protocol_error(beldi_value::vmap! { "Op" => "callback", "CalleeId" => 1i64 }),
-            "callback missing CalleeId"
+            "malformed envelope: bad CalleeId"
         );
     }
 
@@ -943,25 +879,24 @@ mod tests {
             Outcome::Expired,
             Outcome::Logged,
         ] {
-            assert_eq!(Outcome::from_value(o.clone().into_value()), o);
+            assert_eq!(Outcome::from_reply(o.clone().into_value()), o);
         }
-        // Malformed outcomes decode as errors, never as success.
+        // Malformed outcomes decode as errors, never as success: an `ok`
+        // without its return value and an `error` without a message too.
         for v in [
             Value::Null,
             Value::from("ok"),
             beldi_value::vmap! { "Outcome" => 1i64, "Ret" => 2i64 },
+            beldi_value::vmap! { "Outcome" => "ok" },
+            beldi_value::vmap! { "Outcome" => "error" },
+            beldi_value::vmap! { "Outcome" => "error", "Msg" => 5i64 },
         ] {
-            assert!(matches!(Outcome::from_value(v), Outcome::Error(_)));
+            assert_eq!(Outcome::decode(&v), None, "{v}");
+            let Outcome::Error(msg) = Outcome::from_reply(v) else {
+                panic!("a malformed reply decodes as an error");
+            };
+            assert!(msg.starts_with("malformed outcome envelope"), "{msg}");
         }
-        // A return value is optional, a message too.
-        assert_eq!(
-            Outcome::from_value(beldi_value::vmap! { "Outcome" => "ok" }),
-            Outcome::Ok(Value::Null)
-        );
-        assert_eq!(
-            Outcome::from_value(beldi_value::vmap! { "Outcome" => "error", "Msg" => 5i64 }),
-            Outcome::Error("unknown error".into())
-        );
     }
 
     #[test]

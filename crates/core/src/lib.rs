@@ -55,6 +55,8 @@
 //! - [`Mode::Baseline`] — raw database and invocation calls with no
 //!   guarantees (the paper's baseline).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod config;
 mod context;
 mod daal;

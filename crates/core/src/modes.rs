@@ -23,16 +23,15 @@ use beldi_value::{Cond, Update, Value};
 
 use crate::daal::WriteOutcome;
 use crate::error::{BeldiError, BeldiResult};
-use crate::schema::{A_FLAG, A_KEY, A_LOCK, A_LOG_KEY, A_VALUE};
+use crate::schema::{self, A_FLAG, A_KEY, A_LOG_KEY, A_VALUE};
 
 // ---- Baseline ----
 
-/// Raw read: the `Value` attribute of the key's single row.
+/// Raw read, baseline and cross-table: the `Value` attribute of the
+/// key's single row.
 pub(crate) fn baseline_read(db: &Database, table: &str, key: &str) -> BeldiResult<Value> {
     let row = db.get(table, &PrimaryKey::hash(key), None)?;
-    Ok(row
-        .and_then(|r| r.get_attr(A_VALUE).cloned())
-        .unwrap_or(Value::Null))
+    Ok(schema::data_value(row.as_ref()))
 }
 
 /// Raw unconditional write.
@@ -92,10 +91,9 @@ fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutc
         .ok_or_else(|| {
             BeldiError::Protocol(format!("write-log entry {log_key} vanished after conflict"))
         })?;
-    Ok(if row.get_bool(A_FLAG).unwrap_or(true) {
-        WriteOutcome::Applied
-    } else {
-        WriteOutcome::ConditionFalse
+    Ok(match schema::write_entry(log, log_key, &row)? {
+        true => WriteOutcome::Applied,
+        false => WriteOutcome::ConditionFalse,
     })
 }
 
@@ -145,24 +143,6 @@ pub(crate) fn cross_table_write(
     }
 }
 
-/// Raw read of the cross-table data row (same shape as baseline).
-pub(crate) fn cross_table_read(db: &Database, table: &str, key: &str) -> BeldiResult<Value> {
-    baseline_read(db, table, key)
-}
-
-/// The lock owner recorded on a cross-table data row, if any.
-#[cfg_attr(not(test), allow(dead_code, reason = "exercised by unit tests"))]
-pub(crate) fn cross_table_lock_owner(
-    db: &Database,
-    table: &str,
-    key: &str,
-) -> BeldiResult<Option<Value>> {
-    let row = db.get(table, &PrimaryKey::hash(key), None)?;
-    Ok(row
-        .and_then(|r| r.get_attr(A_LOCK).cloned())
-        .filter(|v| !v.is_null()))
-}
-
 /// Seeds a cross-table or baseline data row (data loading, not logged).
 pub(crate) fn seed_plain(db: &Database, table: &str, key: &str, value: Value) -> BeldiResult<()> {
     db.put(table, beldi_value::vmap! { A_KEY => key, A_VALUE => value })?;
@@ -172,7 +152,7 @@ pub(crate) fn seed_plain(db: &Database, table: &str, key: &str, value: Value) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{log_schema, plain_data_schema};
+    use crate::schema::{log_schema, plain_data_schema, A_LOCK};
 
     fn db() -> std::sync::Arc<Database> {
         let db = Database::for_tests();
@@ -204,6 +184,19 @@ mod tests {
             !baseline_cond_write(&db, "d", "k", Value::Int(9), &Cond::eq(A_VALUE, 1i64)).unwrap()
         );
         assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(2));
+    }
+
+    /// A write entry a replay finds without its `Flag` is `Corrupt`, not
+    /// an applied write.
+    #[test]
+    fn a_replayed_write_entry_without_a_flag_is_corrupt() {
+        let db = db();
+        db.put("w", beldi_value::vmap! { A_LOG_KEY => "i#0" })
+            .unwrap();
+        let payload = Update::new().set(A_VALUE, Value::Int(5));
+        let out = cross_table_write(&db, "d", "w", "k", "i#0", payload, None);
+        assert_eq!(out, Err(schema::corrupt("w", "i#0", A_FLAG)));
+        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Null);
     }
 
     #[test]
@@ -271,6 +264,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::Applied);
-        assert_eq!(cross_table_lock_owner(&db, "d", "k").unwrap(), Some(owner));
+        let row = db.get("d", &PrimaryKey::hash("k"), None).unwrap().unwrap();
+        assert_eq!(row.get_attr(A_LOCK), Some(&owner));
     }
 }

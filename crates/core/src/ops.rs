@@ -5,9 +5,8 @@
 //! instance deterministically replays recorded results instead of
 //! re-performing effects:
 //!
-//! - [`SsfContext::read`] logs the value it returned as a read entry of
-//!   the SSF's log (Fig. 5) — reads have no external effect, but their results feed
-//!   later effects, so replay must reproduce them;
+//! - [`SsfContext::read`] logs the value it returned (Fig. 5): its result
+//!   feeds later effects, so replay must reproduce it;
 //! - [`SsfContext::write`] / [`SsfContext::cond_write`] execute and log
 //!   atomically inside the storage atomicity scope (Figs. 6/17 via the
 //!   linked DAAL, or a cross-table transaction in that mode);
@@ -15,8 +14,7 @@
 //!   against the item's lock-owner column (§6.1): lock ownership belongs
 //!   to the *intent*, so a re-executed instance still holds its locks;
 //! - [`SsfContext::logged_now_ms`] and [`SsfContext::logged_uuid`] make
-//!   the two common sources of nondeterminism replayable, as Olive
-//!   prescribes for nondeterministic intent code.
+//!   the two common sources of nondeterminism replayable.
 
 use std::sync::Arc;
 
@@ -28,7 +26,7 @@ use crate::context::SsfContext;
 use crate::daal::{self, WriteOutcome, WritePayload};
 use crate::error::{BeldiError, BeldiResult};
 use crate::modes;
-use crate::schema::{A_LOCK, A_LOG_KEY, A_VALUE};
+use crate::schema::{self, A_LOCK, A_LOG_KEY, A_VALUE};
 use crate::Label;
 
 /// Maximum spins while waiting for a contended lock before concluding the
@@ -72,8 +70,7 @@ impl SsfContext {
                 physical,
                 &key.into(),
             ),
-            Mode::CrossTable => modes::cross_table_read(self.db(), physical, key),
-            Mode::Baseline => modes::baseline_read(self.db(), physical, key),
+            Mode::CrossTable | Mode::Baseline => modes::baseline_read(self.db(), physical, key),
         }
     }
 
@@ -110,7 +107,7 @@ impl SsfContext {
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("read-log entry {log_key} vanished"))
                 })?;
-                Ok(row.get_attr(A_VALUE).cloned().unwrap_or(Value::Null))
+                schema::read_entry(log, &log_key, &row).cloned()
             }
             Err(e) => Err(e.into()),
         }
@@ -235,12 +232,9 @@ impl SsfContext {
     /// Acquires the lock on `key`, blocking (in virtual time) until it is
     /// free.
     ///
-    /// Locks are owned by the *intent* — the transaction id inside a
-    /// transaction, the instance id otherwise — so a crash does not strand
-    /// the lock: the re-executed instance re-acquires it idempotently.
-    ///
-    /// Standalone locks have no deadlock prevention (the paper defers
-    /// liveness to higher-level mechanisms); inside transactions,
+    /// Locks are owned by the *intent*, so a crash does not strand the
+    /// lock: the re-executed instance re-acquires it idempotently.
+    /// Standalone locks have no deadlock prevention; inside transactions,
     /// [`SsfContext::begin_tx`] switches locking to wait-die.
     pub fn lock(&mut self, table: &str, key: &str) -> BeldiResult<()> {
         if self.in_txn() {
@@ -314,9 +308,9 @@ impl SsfContext {
         if self.mode() == Mode::Baseline {
             return Ok(self.raw_now_ms());
         }
-        let now = Value::Int(self.raw_now_ms() as i64);
+        let (step, now) = (self.step, Value::Int(self.raw_now_ms() as i64));
         let v = self.log_value(now)?;
-        Ok(v.as_int().unwrap_or(0) as u64)
+        schema::time(&v).ok_or_else(|| self.corrupt_entry(step))
     }
 
     /// A fresh UUID, logged so re-executions see the same id.
@@ -324,9 +318,18 @@ impl SsfContext {
         if self.mode() == Mode::Baseline {
             return Ok(self.fresh_uuid());
         }
-        let fresh = Value::from(self.fresh_uuid());
+        let (step, fresh) = (self.step, Value::from(self.fresh_uuid()));
         let v = self.log_value(fresh)?;
-        Ok(v.as_str().unwrap_or_default().to_owned())
+        v.as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| self.corrupt_entry(step))
+    }
+
+    /// The error naming the logged value of this instance's entry at
+    /// `step` as not of the kind its reader logged.
+    fn corrupt_entry(&self, step: crate::ids::StepNumber) -> BeldiError {
+        let log_key = crate::ids::log_key(&self.instance, step);
+        schema::corrupt(&self.ssf.log_table, &log_key, A_VALUE)
     }
 }
 
@@ -358,6 +361,32 @@ mod tests {
             ctx.write("state", "k", Value::Int(4)).unwrap();
             assert_eq!(ctx.read("state", "k").unwrap(), Value::Int(4));
         }
+    }
+
+    /// A read entry a replay finds damaged is `Corrupt`, never a default:
+    /// one without a `Value` is not a logged `Null`, a clock read that is
+    /// not a non-negative int is not 0, a uuid that is not a string is
+    /// not `""`.
+    #[test]
+    fn a_replayed_read_entry_breaking_its_rule_is_corrupt() {
+        use crate::schema::corrupt;
+        let (env, _) = test_ctx(crate::Mode::Beldi);
+        let plant = |entry: Value| {
+            #[expect(clippy::disallowed_methods, reason = "plants corruption")]
+            env.db().put("f.log", entry).unwrap();
+        };
+        let damaged = || corrupt("f.log", "inst-1#0", A_VALUE);
+        plant(beldi_value::vmap! { A_LOG_KEY => "inst-1#0" });
+        let mut replay = env.test_context("f", "inst-1");
+        assert_eq!(replay.read("state", "k"), Err(damaged()));
+        for bad in [Value::from("7"), Value::Int(-7)] {
+            plant(beldi_value::vmap! { A_LOG_KEY => "inst-1#0", A_VALUE => bad });
+            let mut replay = env.test_context("f", "inst-1");
+            assert_eq!(replay.logged_now_ms(), Err(damaged()));
+        }
+        plant(beldi_value::vmap! { A_LOG_KEY => "inst-1#0", A_VALUE => 7i64 });
+        let mut replay = env.test_context("f", "inst-1");
+        assert_eq!(replay.logged_uuid(), Err(damaged()));
     }
 
     #[test]

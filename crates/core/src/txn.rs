@@ -23,11 +23,9 @@
 //!   that SSF's one finalize claim, and a second signal to the same SSF
 //!   replays or joins it.
 //!
-//! Commit pays only for what it changes: it finds an SSF's entries with
-//! one index query per shadow table, whose answer already holds each
-//! entry's tail; a signal writes no log entry at its sender, since no
-//! result ever comes back to fill one; and a transaction's read of a
-//! committed value uses the tail cache like every other data read.
+//! Commit pays only for what it changes: one index query per shadow
+//! table finds an SSF's entries, a signal logs nothing at its sender, and
+//! a read of a committed value uses the tail cache.
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -63,7 +61,7 @@ impl TxnMode {
         }
     }
 
-    fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "execute" => Some(TxnMode::Execute),
             "commit" => Some(TxnMode::Commit),
@@ -104,26 +102,6 @@ impl TxnContext {
         m.insert("StartMs", Value::Int(self.start_ms as i64));
         m.insert("Mode", Value::from(self.mode.as_str()));
         Value::Map(m)
-    }
-
-    /// Parses a context from an envelope value.
-    pub(crate) fn from_value(v: &Value) -> BeldiResult<Self> {
-        let id = v
-            .get_shared_str("Id")
-            .ok_or_else(|| BeldiError::Protocol("txn ctx missing Id".into()))?;
-        let start_ms = v
-            .get_int("StartMs")
-            .ok_or_else(|| BeldiError::Protocol("txn ctx missing StartMs".into()))?
-            as u64;
-        let mode = v
-            .get_str("Mode")
-            .and_then(TxnMode::parse)
-            .ok_or_else(|| BeldiError::Protocol("txn ctx missing Mode".into()))?;
-        Ok(TxnContext {
-            id: id.clone(),
-            start_ms,
-            mode,
-        })
     }
 
     /// A copy of this context in a different mode.
@@ -195,13 +173,6 @@ pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
     Value::Map(m)
 }
 
-/// Decodes a `LockOwner` column back into `(owner id, start ms)`.
-pub(crate) fn parse_lock_owner(v: &Value) -> Option<(&str, u64)> {
-    let id = v.get_str("Id")?;
-    let ts = v.get_int("Ts")? as u64;
-    Some((id, ts))
-}
-
 // ---- The transaction protocol on SsfContext ----
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -213,10 +184,11 @@ use crate::config::Mode;
 use crate::context::SsfContext;
 use crate::daal;
 use crate::ids::finalize_marker;
-use crate::invoke::{self, Envelope};
+use crate::invoke::{self, Envelope, Outcome};
 use crate::schema::{
-    shadow_key, A_CALLEE_FN, A_CLAIMANT, A_CREATED, A_DONE, A_FINISH, A_ID, A_KEY, A_LOCK,
-    A_NEXT_ROW, A_ORIG_KEY, A_ORIG_TABLE, A_ROW_ID, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
+    self, shadow_key, IntentRecord, InvokeEntry, ShadowRow, A_CLAIMANT, A_CREATED, A_DONE,
+    A_FINISH, A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN,
+    ROW_HEAD,
 };
 use crate::Label;
 
@@ -226,19 +198,6 @@ const MAX_WAIT_SPINS: usize = 20_000;
 
 /// Virtual-time pause between wait-die lock retries.
 const WAIT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// One item a transaction touched in this SSF, reconstructed from the
-/// shadow table at commit/abort time.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct ShadowEntry {
-    /// Logical data-table name.
-    logical: Arc<str>,
-    /// Original item key.
-    key: Arc<str>,
-    /// The buffered value when the transaction wrote the item; `None`
-    /// when it only locked it.
-    written: Option<Value>,
-}
 
 impl SsfContext {
     // ---- Public API (Fig. 2) ----
@@ -311,38 +270,25 @@ impl SsfContext {
         let Some(t) = &mut self.txn else {
             return Err(BeldiError::NotInTransaction);
         };
+        let (outcome, decision) = match t.aborted {
+            true => (TxnOutcome::Aborted, TxnMode::Abort),
+            false => (TxnOutcome::Committed, TxnMode::Commit),
+        };
         if t.nested > 0 {
             t.nested -= 1;
-            return Ok(if t.aborted {
-                TxnOutcome::Aborted
-            } else {
-                TxnOutcome::Committed
-            });
+            return Ok(outcome);
         }
         if t.ended {
             return Err(BeldiError::NotInTransaction);
         }
-        if !t.owned {
-            // Inherited context: the top-level owner decides.
-            return Ok(if t.aborted {
-                TxnOutcome::Aborted
-            } else {
-                TxnOutcome::Committed
-            });
+        // An inherited context's top-level owner decides.
+        if t.owned {
+            self.finalize(decision)?;
+            if let Some(t) = &mut self.txn {
+                t.ended = true;
+            }
         }
-        let decision = if t.aborted {
-            TxnMode::Abort
-        } else {
-            TxnMode::Commit
-        };
-        self.finalize(decision)?;
-        if let Some(t) = &mut self.txn {
-            t.ended = true;
-        }
-        Ok(match decision {
-            TxnMode::Abort => TxnOutcome::Aborted,
-            _ => TxnOutcome::Committed,
-        })
+        Ok(outcome)
     }
 
     /// Marks the enclosing transaction aborted and ends it.
@@ -396,7 +342,7 @@ impl SsfContext {
             // Who holds it? Logged so replay takes the same branch.
             let holder = daal::lock_owner(self.db(), &physical, key)?.unwrap_or(Value::Null);
             let holder = self.log_value(holder)?;
-            match parse_lock_owner(&holder) {
+            match schema::lock_owner(&physical, key, &holder)? {
                 None => continue, // Freed in between; retry immediately.
                 Some((owner_id, owner_ts)) => {
                     if owner_id == &*ctx.id {
@@ -480,10 +426,10 @@ impl SsfContext {
             let ctx = self.txn_ctx_cloned()?;
             let shadow = self.shadow_table(logical)?;
             let skey = shadow_key(&ctx.id, key);
-            let probe = Projection::attrs([A_WRITTEN, A_VALUE]);
-            if let Some(mut tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
-                if tail.get_bool(A_WRITTEN).unwrap_or(false) {
-                    return Ok(tail.take_attr(A_VALUE).unwrap_or(Value::Null));
+            let probe = Projection::attrs(schema::SHADOW_PROBE);
+            if let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
+                if let Some(written) = schema::shadow_probe(&shadow, &skey, tail)? {
+                    return Ok(written);
                 }
             }
         }
@@ -549,20 +495,17 @@ impl SsfContext {
     /// transaction, then signals this SSF's callees.
     ///
     /// Exactly-once overall: each SSF finalizes a transaction under one
-    /// intent, its *finalize marker* ([`finalize_marker`]). A signal's
-    /// instance id is that marker, so the registration the signal's
-    /// wrapper makes is the claim; only the owner, in its own `end_tx`,
-    /// claims the marker here. A second signal to the same SSF — a
-    /// diamond, a replayed sender, a cycle back to the owner's SSF — finds
-    /// that intent and replays its outcome or re-executes it, and every
-    /// write below is a logged step of the marker's instance, so
-    /// crash-restart resumes rather than repeats. A signal sends no
-    /// callback, so the sender keeps no log entry for it and retries it
-    /// until the platform replies.
+    /// intent, its *finalize marker* ([`finalize_marker`]), which a
+    /// signal's registration claims (the owner claims its own here). A
+    /// second signal to the same SSF replays or re-executes that intent,
+    /// and every write below is a logged step of it. A signal keeps no log
+    /// entry at its sender, which retries it until the platform replies;
+    /// a callee's error reply is this share's error.
     ///
-    /// Each item costs one write under the held lock: on commit a written
-    /// item's flush and release, else its release. A flush whose lock is
-    /// not held is a [`BeldiError::Protocol`], never a lost write.
+    /// Each item costs one write under the held lock: a written item's
+    /// flush and release on commit, else its release. A flush whose lock
+    /// is not held is an error (`Corrupt` if the lock is damaged), never a
+    /// lost write.
     pub(crate) fn finalize(&mut self, decision: TxnMode) -> BeldiResult<()> {
         debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
         let ctx = self.txn_ctx_cloned()?;
@@ -583,8 +526,11 @@ impl SsfContext {
             };
             self.crash(label);
             let out = self.write_step(&physical, &e.key, update, Some(&held))?;
-            // A release may find the lock gone (a replayed release).
+            // A release may find the lock gone (a replayed release). A
+            // flush that does reads the lock: a damaged one is corruption.
             if flush && !out.as_bool() {
+                let holder = daal::lock_owner(self.db(), &physical, &e.key)?;
+                schema::lock_owner(&physical, &e.key, &holder.unwrap_or_default())?;
                 return Err(BeldiError::Protocol(format!(
                     "commit of {}/{} found its lock not held",
                     e.logical, e.key
@@ -601,9 +547,12 @@ impl SsfContext {
             }
             .into_value();
             self.crash(Label::TxnPreSignal);
-            if !invoke::deliver(self.platform(), &callee, &signal) {
-                // Crash; the retried sender signals again.
-                panic!("beldi: signal to `{callee}` unreachable");
+            // Unreachable: crash; the retried sender signals again. A
+            // callee whose share failed answers its error: this share's.
+            match invoke::deliver(self.platform(), &callee, &signal).map(|r| Outcome::decode(&r)) {
+                None => panic!("beldi: signal to `{callee}` unreachable"),
+                Some(Some(Outcome::Error(m))) => return Err(BeldiError::Protocol(m)),
+                Some(_) => {}
             }
         }
         self.crash(Label::TxnPostFinalize);
@@ -639,70 +588,45 @@ impl SsfContext {
             .update(table, &pk, &Cond::not_exists(A_ID), &update)
         {
             Ok(()) => Ok(true),
-            Err(DbError::ConditionFailed) => {
-                let row = self.db().get(table, &pk, None)?;
-                Ok(row
-                    .as_ref()
-                    .and_then(|r| r.get_str(A_CLAIMANT))
-                    .map(|c| c == self.instance_id())
-                    .unwrap_or(false))
-            }
+            Err(DbError::ConditionFailed) => match self.db().get(table, &pk, None)? {
+                Some(row) => {
+                    let claimant = IntentRecord::claimant(table, marker, &row)?;
+                    Ok(claimant == Some(self.instance_id()))
+                }
+                None => Ok(false),
+            },
             Err(e) => Err(e.into()),
         }
     }
 
-    /// Reconstructs, from the shadow tables, the deterministic sorted list
-    /// of items this transaction locked/wrote in this SSF, with the values
-    /// it wrote: one `TxnId` index query per shadow table, and no other
-    /// read.
-    ///
-    /// Every row of an entry's chain carries `TxnId` (an append carries it
-    /// over), so the answer holds each key's whole chain; it is walked from
-    /// `HEAD` as [`daal::traverse`] walks a query's, which leaves out the
-    /// orphans of lost appends, and the tail gives the entry.
-    fn shadow_entries(&self, txn_id: &Arc<str>) -> BeldiResult<Vec<ShadowEntry>> {
-        let req = ScanRequest::all().with_projection(Projection::attrs([
-            A_KEY,
-            A_ROW_ID,
-            A_NEXT_ROW,
-            A_ORIG_KEY,
-            A_ORIG_TABLE,
-            A_WRITTEN,
-            A_VALUE,
-        ]));
+    /// The sorted items this transaction locked or wrote in this SSF, with
+    /// the values it wrote: one `TxnId` index query per shadow table, and
+    /// no other read. The answer holds each key's whole chain (an append
+    /// carries `TxnId`), walked from `HEAD` as [`daal::traverse`] walks
+    /// one; the tail gives the item.
+    fn shadow_entries(&self, txn_id: &Arc<str>) -> BeldiResult<Vec<ShadowRow>> {
+        let req = ScanRequest::all().with_projection(Projection::attrs(ShadowRow::ATTRS));
         let mut out = BTreeSet::new();
         for table in &self.ssf.tables {
             let rows =
                 self.db()
                     .index_query(&table.shadow, A_TXN_ID, &Value::from(txn_id), &req)?;
-            let mut chains: BTreeMap<Arc<str>, Vec<Value>> = BTreeMap::new();
-            for mut row in rows {
-                if let Some(skey) = row.take_str(A_KEY) {
-                    chains.entry(skey).or_default().push(row);
-                }
+            let mut chains: BTreeMap<Arc<str>, Vec<ShadowRow>> = BTreeMap::new();
+            for row in rows {
+                let (skey, row) = ShadowRow::decode(&table.shadow, row)?;
+                chains.entry(skey).or_default().push(row);
             }
             for (skey, mut rows) in chains {
                 let order = daal::chain_order(
                     &mut rows,
-                    |row| row.get_str(A_ROW_ID).unwrap_or_default(),
-                    |row| row.get_str(A_NEXT_ROW),
+                    |row| &row.row_id,
+                    |row| row.next.as_deref(),
                     &table.shadow,
                     &skey,
                 )?;
-                let Some(tail) = order.last().map(|&i| &mut rows[i]) else {
-                    continue;
-                };
-                let Some(key) = tail.take_str(A_ORIG_KEY) else {
-                    continue;
-                };
-                out.insert(ShadowEntry {
-                    logical: tail
-                        .take_str(A_ORIG_TABLE)
-                        .unwrap_or_else(|| table.logical.as_str().into()),
-                    key,
-                    written: (tail.get_bool(A_WRITTEN) == Some(true))
-                        .then(|| tail.take_attr(A_VALUE).unwrap_or(Value::Null)),
-                });
+                if let Some(&tail) = order.last() {
+                    out.insert(rows.swap_remove(tail));
+                }
             }
         }
         Ok(out.into_iter().collect())
@@ -718,10 +642,8 @@ impl SsfContext {
             &ScanRequest::all(),
         )?;
         let mut set = BTreeSet::new();
-        for row in rows {
-            if let Some(f) = row.get_str(A_CALLEE_FN) {
-                set.insert(f.to_owned());
-            }
+        for row in &rows {
+            set.insert(InvokeEntry::callee_fn(&self.ssf.log_table, row)?.to_owned());
         }
         Ok(set.into_iter().collect())
     }
@@ -739,7 +661,7 @@ mod tests {
             mode: TxnMode::Execute,
         };
         let v = ctx.to_value();
-        assert_eq!(TxnContext::from_value(&v).unwrap(), ctx);
+        assert_eq!(TxnContext::decode(&v).unwrap(), ctx);
         let c2 = ctx.with_mode(TxnMode::Commit);
         assert_eq!(c2.mode, TxnMode::Commit);
         assert_eq!(c2.id, ctx.id);
@@ -747,9 +669,12 @@ mod tests {
 
     #[test]
     fn malformed_context_rejected() {
-        assert!(TxnContext::from_value(&Value::Null).is_err());
+        assert_eq!(TxnContext::decode(&Value::Null), None);
         let partial = beldi_value::vmap! { "Id" => "x" };
-        assert!(TxnContext::from_value(&partial).is_err());
+        assert_eq!(TxnContext::decode(&partial), None);
+        // A negative start time is not one.
+        let negative = beldi_value::vmap! { "Id" => "x", "StartMs" => -1i64, "Mode" => "commit" };
+        assert_eq!(TxnContext::decode(&negative), None);
     }
 
     #[test]
@@ -784,7 +709,10 @@ mod tests {
     #[test]
     fn lock_owner_round_trips() {
         let v = lock_owner_value(&"txn-9".into(), 123);
-        assert_eq!(parse_lock_owner(&v), Some(("txn-9", 123)));
-        assert_eq!(parse_lock_owner(&Value::Null), None);
+        assert_eq!(schema::lock_owner("t", "k", &v), Ok(Some(("txn-9", 123))));
+        assert_eq!(schema::lock_owner("t", "k", &Value::Null), Ok(None));
+        let bad = beldi_value::vmap! { "Id" => "txn-9", "Ts" => -1i64 };
+        let corrupt = schema::corrupt("t", "k", A_LOCK);
+        assert_eq!(schema::lock_owner("t", "k", &bad), Err(corrupt));
     }
 }

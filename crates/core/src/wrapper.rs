@@ -16,12 +16,8 @@
 //! 4. performs the result **callback** to the caller *before* marking the
 //!    intent done (Fig. 9 — the ordering that keeps federated garbage
 //!    collectors from outrunning the caller);
-//! 5. marks the intent done with the steps at which it has a log entry
-//!    (the list GC step 3 deletes by key) and the finish time the GC's
-//!    recycle horizon counts from. An intent with no caller — a workflow
-//!    root or a commit signal — records its outcome too (`Ret`); a
-//!    callee's outcome is stored once, in its caller's invoke log, where
-//!    the callback put it.
+//! 5. marks the intent done ([`intent::mark_done`]): its log steps, its
+//!    finish time and, with no caller, its outcome.
 //!
 //! Panics inside any step model crashes: the platform catches them and the
 //! intent collector later re-executes the instance from its logs.
@@ -178,7 +174,9 @@ fn run_call(
         core.record_recovery(&instance, created_ms);
         return match record.caller {
             Some(_) => Outcome::Logged.into_value(),
-            None => record.ret.unwrap_or(Value::Null),
+            None => record
+                .root_outcome(intent_table)
+                .unwrap_or_else(|e| Outcome::Error(e.to_string()).into_value()),
         };
     }
 
@@ -205,43 +203,19 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
     // abort on error. This mirrors the paper's end_tx, which "waits for
     // the result and runs either a commit or abort protocol depending on
     // the outcome of the contained operations".
-    let dangling_owned_txn = ctx
-        .txn
-        .as_ref()
-        .map(|t| t.owned && !t.ended)
-        .unwrap_or(false);
-    match result {
-        Ok(v) => {
-            if dangling_owned_txn {
-                match ctx.end_tx() {
-                    Ok(crate::TxnOutcome::Committed) => Outcome::Ok(v),
-                    Ok(crate::TxnOutcome::Aborted) => Outcome::Abort,
-                    Err(e) => Outcome::Error(e.to_string()),
-                }
-            } else {
-                Outcome::Ok(v)
-            }
-        }
-        Err(BeldiError::TxnAborted) => {
-            if dangling_owned_txn {
-                if let Some(t) = &mut ctx.txn {
-                    t.aborted = true;
-                }
-                if let Err(e) = ctx.end_tx() {
-                    return Outcome::Error(e.to_string());
-                }
-            }
-            Outcome::Abort
-        }
-        Err(e) => {
-            if dangling_owned_txn {
-                if let Some(t) = &mut ctx.txn {
-                    t.aborted = true;
-                }
-                let _ = ctx.end_tx();
-            }
-            Outcome::Error(e.to_string())
-        }
+    let outcome = match result {
+        Ok(v) => Outcome::Ok(v),
+        Err(BeldiError::TxnAborted) => Outcome::Abort,
+        Err(e) => Outcome::Error(e.to_string()),
+    };
+    let Some(t) = ctx.txn.as_mut().filter(|t| t.owned && !t.ended) else {
+        return outcome;
+    };
+    t.aborted |= !matches!(outcome, Outcome::Ok(_));
+    match (ctx.end_tx(), outcome) {
+        (Ok(crate::TxnOutcome::Aborted), Outcome::Ok(_)) => Outcome::Abort,
+        (Err(e), Outcome::Ok(_) | Outcome::Abort) => Outcome::Error(e.to_string()),
+        (_, outcome) => outcome,
     }
 }
 
@@ -309,14 +283,7 @@ fn run_async_reg(
     let now_ms = core.platform.clock().now().as_millis();
     // Args = the call envelope the IC should re-fire, less what the row
     // holds itself.
-    let call = Envelope::Call {
-        id: Some(instance.clone()),
-        input,
-        caller: Some(caller.clone()),
-        txn: None,
-        is_async: true,
-        first_attempt_ms: None,
-    };
+    let call = Envelope::call(Some(instance.clone()), input, Some(caller.clone()), true);
     if let Err(e) = intent::register(
         &core.db,
         &ssf.intent_table,
@@ -343,10 +310,7 @@ fn run_async_reg(
 ///
 /// Its instance id is this SSF's finalize marker for the transaction
 /// ([`crate::ids::finalize_marker`]), so the registration below is the
-/// SSF's finalize claim: every later signal for the transaction — a
-/// diamond's second edge, a replayed sender, a cycle back to the owner's
-/// SSF, whose claim row is done — replays the done intent's outcome or
-/// re-executes it from its logs.
+/// SSF's finalize claim, which every later signal replays or resumes.
 fn run_txn_signal(
     core: &Arc<EnvCore>,
     ssf: &Arc<Ssf>,

@@ -52,8 +52,10 @@ fn threads_now() -> usize {
 }
 
 /// The thread count once it is back at `expected`. A joined thread can
-/// stay listed for a moment while the kernel reaps it, so a higher
-/// reading is re-taken a bounded number of times; a leak stays higher.
+/// stay listed for a moment while the kernel reaps it (a join returns
+/// when the thread has cleared its id, before it is unlisted), so a
+/// higher reading is re-taken a bounded number of times; a leak stays
+/// higher.
 fn threads_settled_at(expected: usize) -> usize {
     for _ in 0..10_000 {
         if threads_now() <= expected {
@@ -74,7 +76,10 @@ fn no_thread_outlives_its_environment() {
             let env = warmed_env(clock());
             let workers = env.platform_metrics().cold_starts as usize;
             assert!(workers >= 2, "one per SSF at least");
-            assert_eq!(threads_now(), at_start + workers, "each one parked");
+            // Read settled: the previous environment's workers are joined,
+            // but a joined thread stays listed until the kernel reaps it.
+            let parked = threads_settled_at(at_start + workers);
+            assert_eq!(parked, at_start + workers, "each one parked");
             drop(env);
         }
         assert_eq!(threads_settled_at(at_start), at_start);

@@ -37,7 +37,7 @@
 use std::time::Duration;
 
 use beldi::value::Value;
-use beldi::{schema, BeldiConfig, BeldiEnv, CrashPlan, Label, Mode};
+use beldi::{schema, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, Label, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
 use beldi_simclock::Metric;
@@ -478,8 +478,14 @@ fn gc_quiescence_residue(env: &BeldiEnv, mode: Mode) -> Option<String> {
         let n = rows
             .iter()
             .filter(|row| {
-                row.get_bool(schema::A_DONE) == Some(true)
-                    && !matches!(row.get_int(schema::A_FINISH), Some(f) if f >= 0)
+                let mark = schema::DoneMark::decode(&table, row);
+                matches!(
+                    mark,
+                    Err(BeldiError::Corrupt {
+                        attr: schema::A_FINISH,
+                        ..
+                    })
+                )
             })
             .count();
         if n > 0 {
