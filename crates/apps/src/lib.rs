@@ -245,19 +245,24 @@ mod clippy_canaries {
         helper_that_writes_around_the_log(&BeldiEnv::for_tests());
     }
 
+    /// The entries and settings of a `clippy.toml`: its non-comment
+    /// lines but the list brackets.
     fn paths(toml: &str) -> Vec<&str> {
         toml.lines()
-            .filter(|l| l.trim_start().starts_with("{ path = "))
+            .map(str::trim)
+            .filter(|l| !l.is_empty() && !l.starts_with('#') && !l.ends_with('[') && *l != "]")
             .collect()
     }
 
     /// Clippy reads the nearest `clippy.toml` and does not merge, so this
-    /// crate's file and `beldi`'s must each carry every entry of the
-    /// root's, plus the store's write surface.
+    /// crate's file and `beldi`'s must each carry every entry and setting
+    /// of the root's, plus the store's write surface.
     #[test]
     fn clippy_toml_repeats_the_root() {
         let root = paths(include_str!("../../../clippy.toml"));
         assert!(root.len() >= 25);
+        assert!(root.contains(&"allow-unwrap-in-tests = true"));
+        assert!(root.contains(&"allow-expect-in-tests = true"));
         for (crate_name, file) in [
             ("beldi-apps", include_str!("../clippy.toml")),
             ("beldi", include_str!("../../core/clippy.toml")),

@@ -395,37 +395,6 @@ pub(crate) fn read_value(db: &Database, table: &str, key: &Arc<str>) -> BeldiRes
     read_value_cached(db, None, table, key)
 }
 
-/// What a successful DAAL write applies to the target row, beyond logging.
-///
-/// The same lock-free loop serves plain writes (set `Value`), lock
-/// operations (set `LockOwner`), and shadow-table writes (set `Value` plus
-/// shadow metadata), so the payload is an arbitrary update fragment.
-#[derive(Debug, Clone)]
-pub(crate) struct WritePayload {
-    /// Update actions applied on success (e.g. `SET Value = v`).
-    pub apply: Update,
-}
-
-#[cfg_attr(
-    not(test),
-    allow(dead_code, reason = "constructors exercised by unit tests")
-)]
-impl WritePayload {
-    /// Payload of a plain value write.
-    pub fn set_value(value: Value) -> Self {
-        WritePayload {
-            apply: Update::new().set(A_VALUE, value),
-        }
-    }
-
-    /// Payload that sets the lock owner (see [`crate::SsfContext::lock`]).
-    pub fn set_lock(owner: Value) -> Self {
-        WritePayload {
-            apply: Update::new().set(A_LOCK, owner),
-        }
-    }
-}
-
 /// Outcome of [`try_write`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteOutcome {
@@ -469,6 +438,11 @@ impl WriteOutcome {
 /// `user_cond` is evaluated *inside the database's atomicity scope* against
 /// the tail row, so callers may gate on `Value` or `LockOwner` paths.
 ///
+/// `payload` is what a successful write applies to the row beyond
+/// logging: the same lock-free loop serves plain writes (set `Value`),
+/// lock operations (set `LockOwner`), and shadow-table writes (set `Value`
+/// plus shadow metadata).
+///
 /// Returns whether the payload was applied. Exactly-once: re-executions
 /// find the logged flag and return the original outcome without touching
 /// the row again.
@@ -477,7 +451,7 @@ pub(crate) fn try_write(
     table: &str,
     key: &Arc<str>,
     log_key: &Arc<str>,
-    payload: WritePayload,
+    payload: Update,
     user_cond: Option<&Cond>,
 ) -> BeldiResult<WriteOutcome> {
     (p.crash)(Label::DaalWriteEnter);
@@ -535,14 +509,14 @@ impl<'a> StepWrite<'a> {
     fn new(
         p: &DaalParams<'_>,
         log_key: &'a Arc<str>,
-        payload: WritePayload,
+        payload: Update,
         user_cond: Option<&'a Cond>,
     ) -> Self {
         let now_ms = (p.now_ms)();
         StepWrite {
             log_key,
             now_ms,
-            apply: log_actions(log_key, true, now_ms, payload.apply),
+            apply: log_actions(log_key, true, now_ms, payload),
             user_cond,
         }
     }
@@ -925,7 +899,7 @@ mod tests {
                 "t",
                 &key.into(),
                 &log_key.into(),
-                WritePayload::set_value(Value::Int(v)),
+                Update::new().set(A_VALUE, Value::Int(v)),
                 None,
             )
             .unwrap()
@@ -943,7 +917,7 @@ mod tests {
                 "t",
                 &key.into(),
                 &log_key.into(),
-                WritePayload::set_value(Value::Int(v)),
+                Update::new().set(A_VALUE, Value::Int(v)),
                 Some(&cond),
             )
             .unwrap()
@@ -972,7 +946,7 @@ mod tests {
             #[expect(clippy::disallowed_methods, reason = "plants corruption")]
             f.db.put("t", row.clone()).unwrap();
             let p = f.params();
-            let payload = WritePayload::set_value(Value::Int(2));
+            let payload = Update::new().set(A_VALUE, Value::Int(2));
             let out = try_write(&p, "t", &"k".into(), &"i#1".into(), payload, None);
             assert_eq!(out, Err(schema::corrupt("t", "k", attr)));
             row.as_map_mut().unwrap().remove(attr);
@@ -1097,7 +1071,7 @@ mod tests {
             "t",
             &"k".into(),
             &"a#1".into(),
-            WritePayload::set_lock(owner.clone()),
+            Update::new().set(A_LOCK, owner.clone()),
             Some(&free),
         )
         .unwrap();
@@ -1109,7 +1083,7 @@ mod tests {
             "t",
             &"k".into(),
             &"b#0".into(),
-            WritePayload::set_lock(crate::txn::lock_owner_value(&"txn-2".into(), 30)),
+            Update::new().set(A_LOCK, crate::txn::lock_owner_value(&"txn-2".into(), 30)),
             Some(&free),
         )
         .unwrap();
@@ -1148,7 +1122,7 @@ mod tests {
             "t",
             &"k".into(),
             &"i#3".into(),
-            WritePayload::set_value(Value::Int(3)),
+            Update::new().set(A_VALUE, Value::Int(3)),
             None,
         )
         .unwrap();

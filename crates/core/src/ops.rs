@@ -23,7 +23,7 @@ use beldi_value::{Cond, Path, Update, Value};
 
 use crate::config::Mode;
 use crate::context::SsfContext;
-use crate::daal::{self, WriteOutcome, WritePayload};
+use crate::daal::{self, WriteOutcome};
 use crate::error::{BeldiError, BeldiResult};
 use crate::modes;
 use crate::schema::{self, A_LOCK, A_LOG_KEY, A_VALUE};
@@ -183,7 +183,6 @@ impl SsfContext {
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
             Mode::Beldi => self.with_daal(physical, |p| {
-                let payload = WritePayload { apply: payload };
                 daal::try_write(p, physical, key, &log_key, payload, user_cond)
             })?,
             Mode::CrossTable => {

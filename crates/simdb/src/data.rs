@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use beldi_value::{Name, SizeOf, Update, Value};
+use beldi_value::{Map, Name, SizeOf, Update, Value};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
@@ -48,13 +48,7 @@ impl TableData {
         item: Value,
         max_row_bytes: usize,
     ) -> DbResult<usize> {
-        let size = item.size_bytes();
-        if size > max_row_bytes {
-            return Err(DbError::RowTooLarge {
-                size,
-                limit: max_row_bytes,
-            });
-        }
+        let size = fits(item.size_bytes(), max_row_bytes)?;
         // Remove the old row outright instead of cloning it just to
         // unindex: the map entry is about to be replaced anyway.
         if let Some(old) = self.rows.remove(&key) {
@@ -68,26 +62,38 @@ impl TableData {
     /// Applies `update` to the stored row at `key`, in place: no copy of
     /// the row is made, unless a reader still holds a handle to its map
     /// (then the levels written are copied first and the reader keeps what
-    /// it read). Returns the new size in bytes.
+    /// it read). With no row at `key`, the update is applied to a fresh row
+    /// holding only the key attributes. Returns the new size in bytes.
     ///
-    /// All or nothing: if an action fails, the result is over the
-    /// schema's `max_row_bytes`, or it would re-file the row (its key
-    /// attributes no longer `key`: [`DbError::BadKey`], as DynamoDB
-    /// refuses), the update is taken back ([`beldi_value::UndoLog`]) and
+    /// All or nothing: if an action fails, the result would re-file the
+    /// row (its key attributes no longer `key`: [`DbError::BadKey`], as
+    /// DynamoDB refuses) or is over the schema's `max_row_bytes`, checked
+    /// in that order, the update is taken back ([`beldi_value::UndoLog`]) and
     /// the row and the indexes are exactly as before. Indexes move only
     /// for attributes the update names.
-    ///
-    /// # Panics
-    ///
-    /// If there is no row at `key` (the caller evaluated its condition
-    /// against it, under the same lock).
     pub(crate) fn update_row(
         &mut self,
         key: &PrimaryKey,
         update: &Update,
         schema: &TableSchema,
     ) -> DbResult<usize> {
-        let row = self.rows.get_mut(key).expect("update_row: no such row");
+        let Some(row) = self.rows.get_mut(key) else {
+            // Seeded with the key attributes (the schema's names and the
+            // key's values are shared handles, so this copies nothing),
+            // with room for what the update adds.
+            let mut m = Map::with_capacity(2 + update.actions().len());
+            m.insert(schema.hash_attr.clone(), key.hash.clone());
+            if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
+                m.insert(attr.clone(), sort.clone());
+            }
+            let mut row = Value::Map(m);
+            update.apply(&mut row)?;
+            schema.check_key(&row, key)?;
+            let size = fits(row.size_bytes(), schema.max_row_bytes)?;
+            self.index_row(key, &row);
+            self.rows.insert(key.clone(), row);
+            return Ok(size);
+        };
         // The indexed attributes the update can change (an empty path
         // replaces the row, so names them all), with their values now.
         let mut named = Vec::new();
@@ -104,19 +110,14 @@ impl TableData {
             }
         }
         let undo = update.apply_undoable(row)?;
-        let size = row.size_bytes();
-        let checked = if size > schema.max_row_bytes {
-            Err(DbError::RowTooLarge {
-                size,
-                limit: schema.max_row_bytes,
-            })
-        } else {
-            schema.check_key(row, key)
+        let checked = schema.check_key(row, key);
+        let size = match checked.and_then(|()| fits(row.size_bytes(), schema.max_row_bytes)) {
+            Ok(size) => size,
+            Err(e) => {
+                undo.rollback(row);
+                return Err(e);
+            }
         };
-        if let Err(e) = checked {
-            undo.rollback(row);
-            return Err(e);
-        }
         for (attr, index, old) in named {
             let new = row.get_attr(attr);
             if old.as_ref() == new {
@@ -190,6 +191,14 @@ impl TableData {
             }
         }
         out
+    }
+}
+
+/// `size`, when a row of that size fits under `limit`.
+fn fits(size: usize, limit: usize) -> DbResult<usize> {
+    match size > limit {
+        true => Err(DbError::RowTooLarge { size, limit }),
+        false => Ok(size),
     }
 }
 
@@ -307,7 +316,7 @@ mod tests {
     // ---- In-place update against its specification ----
 
     use crate::scan::Projection;
-    use beldi_value::{Map, Path, PathSegment, UpdateAction};
+    use beldi_value::{Path, PathSegment, UpdateAction};
     use proptest::prelude::*;
 
     /// The specification of an update, written the obvious way: by

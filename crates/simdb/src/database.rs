@@ -1,19 +1,18 @@
 //! The public [`Database`] API.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
-
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use beldi_simclock::{Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant, Telemetry};
 use beldi_value::{Cond, SizeOf, Update, Value};
 use parking_lot::{Mutex, RwLock};
 
-use crate::data::TableData;
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
 use crate::latency::{LatencyModel, LatencySampler, OpKind};
-use crate::scan::{ScanPage, ScanRequest};
+use crate::scan::{Projection, ScanRequest};
 use crate::table::{Table, TableGuard};
 
 /// Rows examined per internal lock acquisition during queries and scans.
@@ -47,31 +46,18 @@ pub enum TransactOp {
         /// Condition that must hold for the whole transaction to commit.
         cond: Cond,
     },
-    /// Conditionally delete the row at `key`.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Target row.
-        key: PrimaryKey,
-        /// Condition that must hold for the whole transaction to commit.
-        cond: Cond,
-    },
 }
 
 impl TransactOp {
     fn table(&self) -> &str {
         match self {
-            TransactOp::Update { table, .. }
-            | TransactOp::Put { table, .. }
-            | TransactOp::Delete { table, .. } => table,
+            TransactOp::Update { table, .. } | TransactOp::Put { table, .. } => table,
         }
     }
 
     fn cond(&self) -> &Cond {
         match self {
-            TransactOp::Update { cond, .. }
-            | TransactOp::Put { cond, .. }
-            | TransactOp::Delete { cond, .. } => cond,
+            TransactOp::Update { cond, .. } | TransactOp::Put { cond, .. } => cond,
         }
     }
 }
@@ -84,6 +70,15 @@ fn cond_holds(cond: &Cond, row: Option<&Value>) -> DbResult<bool> {
         Some(row) => cond.eval(row)?,
         None => cond.eval(&Value::Map(beldi_value::Map::new()))?,
     })
+}
+
+/// A stored row as a read returns it, projected off the borrowed row
+/// under the table lock: what the projection drops is never copied.
+fn read(row: &Value, projection: Option<&Projection>) -> Value {
+    match projection {
+        Some(p) => p.apply(row),
+        None => row.clone(),
+    }
 }
 
 /// Entry-count threshold above which [`ItemWriteQueue`] drops entries
@@ -198,15 +193,6 @@ impl Database {
         Ok(())
     }
 
-    /// Drops a table and all its rows.
-    pub fn delete_table(&self, name: &str) -> DbResult<()> {
-        self.tables
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::TableNotFound(name.to_owned()))
-    }
-
     /// Returns the names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
         #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
@@ -274,10 +260,12 @@ impl Database {
             for (t, k) in items {
                 // Looked up before inserted: the table name and the key
                 // are copied only the first time they are seen.
-                if !queue.busy.contains_key(*t) {
-                    queue.busy.insert((*t).to_owned(), HashMap::new());
-                }
-                let table = queue.busy.get_mut(*t).expect("just ensured");
+                let Some(table) = queue.busy.get_mut(*t) else {
+                    let first = HashMap::from([((*k).clone(), deadline)]);
+                    queue.busy.insert((*t).to_owned(), first);
+                    queue.entries += 1;
+                    continue;
+                };
                 match table.get_mut(*k) {
                     Some(busy) => *busy = deadline,
                     None => {
@@ -296,18 +284,10 @@ impl Database {
         &self,
         table: &str,
         key: &PrimaryKey,
-        projection: Option<&crate::scan::Projection>,
+        projection: Option<&Projection>,
     ) -> DbResult<Option<Value>> {
         let t = self.handle(table)?;
-        // Projected under the lock, off the stored row: what the
-        // projection drops is never copied.
-        let item = {
-            let data = self.lock(&t);
-            data.rows.get(key).map(|row| match projection {
-                Some(p) => p.apply(row),
-                None => row.clone(),
-            })
-        };
+        let item = self.lock(&t).rows.get(key).map(|row| read(row, projection));
         let bytes = item.as_ref().map(SizeOf::size_bytes).unwrap_or(0);
         self.count(Metric::DbGets, 1);
         self.count(Metric::DbBytesRead, bytes);
@@ -354,7 +334,11 @@ impl Database {
         let t = self.handle(table)?;
         let result = {
             let mut data = self.lock(&t);
-            Self::apply_update(&mut data, &t.schema, key, cond, update)
+            if cond_holds(cond, data.rows.get(key))? {
+                data.update_row(key, update, &t.schema)
+            } else {
+                Err(DbError::ConditionFailed)
+            }
         };
         match result {
             Ok(size) => {
@@ -376,40 +360,6 @@ impl Database {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Applies a conditional update under the table lock; returns the
-    /// new row size. An existing row is updated where it is stored
-    /// ([`TableData::update_row`]), never through a copy.
-    ///
-    /// An update that changes a key attribute, of the stored row or a fresh
-    /// one, is refused ([`DbError::BadKey`]) and leaves the table as it was.
-    fn apply_update(
-        data: &mut TableData,
-        schema: &TableSchema,
-        key: &PrimaryKey,
-        cond: &Cond,
-        update: &Update,
-    ) -> DbResult<usize> {
-        let existing = data.rows.get(key);
-        if !cond_holds(cond, existing)? {
-            return Err(DbError::ConditionFailed);
-        }
-        if existing.is_some() {
-            return data.update_row(key, update, schema);
-        }
-        // Fresh row: seed it with the key attributes (the schema's names
-        // and the key's values are shared handles, so this copies nothing),
-        // with room for what the update adds.
-        let mut m = beldi_value::Map::with_capacity(2 + update.actions().len());
-        m.insert(schema.hash_attr.clone(), key.hash.clone());
-        if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
-            m.insert(attr.clone(), sort.clone());
-        }
-        let mut new_row = Value::Map(m);
-        update.apply(&mut new_row)?;
-        schema.check_key(&new_row, key)?;
-        data.put_row(key.clone(), new_row, schema.max_row_bytes)
     }
 
     /// Conditionally deletes a row.
@@ -444,142 +394,97 @@ impl Database {
     pub fn query(&self, table: &str, hash: &Value, req: &ScanRequest) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
         let mut out = Vec::new();
-        let mut resume: Option<PrimaryKey> = req.start_after.clone();
-        loop {
-            let mut page_rows = 0usize;
-            let mut page_bytes = 0usize;
-            let mut last: Option<PrimaryKey> = None;
-            {
-                let data = self.lock(&t);
-                let lo = match &resume {
-                    Some(k) => std::ops::Bound::Excluded(k.clone()),
-                    None => std::ops::Bound::Included(PrimaryKey {
-                        hash: hash.clone(),
-                        sort: None,
-                    }),
-                };
-                for (k, row) in data.rows.range((lo, std::ops::Bound::Unbounded)) {
-                    if &k.hash != hash {
-                        break;
-                    }
-                    page_rows += 1;
-                    last = Some(k.clone());
-                    let keep = match &req.filter {
-                        Some(f) => f.eval(row)?,
-                        None => true,
-                    };
-                    if keep {
-                        let item = match &req.projection {
-                            Some(p) => p.apply(row),
-                            None => row.clone(),
-                        };
-                        page_bytes += item.size_bytes();
-                        out.push(item);
-                        if let Some(limit) = req.limit {
-                            if out.len() >= limit {
-                                break;
-                            }
-                        }
-                    }
-                    if page_rows >= self.page_rows {
-                        break;
-                    }
-                }
-            }
-            self.count(Metric::DbQueries, 1);
-            self.count(Metric::DbRowsScanned, page_rows);
-            self.count(Metric::DbBytesRead, page_bytes);
-            self.clock
-                .sleep(self.sampler.sample(OpKind::Query, page_rows, page_bytes));
-            if page_rows < self.page_rows {
+        let mut after = self.page(&t, Some(hash), None, req, &mut out);
+        while let Some(key) = after {
+            after = self.page(&t, Some(hash), Some(&key), req, &mut out);
+        }
+        Ok(out)
+    }
+
+    /// Scans the whole table in key order, page by page as
+    /// [`Database::query`] reads, so a scan is not atomic either.
+    pub fn scan_all(&self, table: &str, req: &ScanRequest) -> DbResult<Vec<Value>> {
+        let t = self.handle(table)?;
+        let mut out = Vec::new();
+        let mut after = self.page(&t, None, None, req, &mut out);
+        while let Some(key) = after {
+            after = self.page(&t, None, Some(&key), req, &mut out);
+        }
+        Ok(out)
+    }
+
+    /// Reads one page under one table lock and bills it: up to
+    /// `page_rows` rows after `after` — of hash key `hash` for a query
+    /// page, of the whole table for a scan page (`hash` is `None`) —
+    /// appended to `out` in key order, projected. Returns the key to
+    /// resume after, by each op's stop rule: a query page that came back
+    /// full is followed by one more (the reader cannot know the hash key
+    /// ended there); a scan page ends when it meets a row it has not
+    /// examined.
+    fn page(
+        &self,
+        t: &Table,
+        hash: Option<&Value>,
+        after: Option<&PrimaryKey>,
+        req: &ScanRequest,
+        out: &mut Vec<Value>,
+    ) -> Option<PrimaryKey> {
+        let first = hash.map(|hash| PrimaryKey {
+            hash: hash.clone(),
+            sort: None,
+        });
+        let lo = match (after, &first) {
+            (Some(key), _) => Bound::Excluded(key),
+            (None, Some(first)) => Bound::Included(first),
+            (None, None) => Bound::Unbounded,
+        };
+        let (mut rows, mut bytes, mut last, mut unexamined) = (0, 0, None, false);
+        let data = self.lock(t);
+        for (key, row) in data.rows.range((lo, Bound::Unbounded)) {
+            if hash.is_some_and(|hash| *hash != key.hash) {
                 break;
             }
-            if let Some(limit) = req.limit {
-                if out.len() >= limit {
-                    break;
-                }
+            if rows == self.page_rows {
+                unexamined = true;
+                break;
             }
-            resume = last;
+            rows += 1;
+            last = Some(key);
+            let item = read(row, req.projection.as_ref());
+            bytes += item.size_bytes();
+            out.push(item);
         }
-        Ok(out)
-    }
-
-    /// Serves one page of a full-table scan, in key order, resuming
-    /// after [`ScanRequest::start_after`]. The next page resumes after
-    /// [`ScanPage::last_key`].
-    pub fn scan_page(&self, table: &str, req: &ScanRequest) -> DbResult<ScanPage> {
-        let t = self.handle(table)?;
-        let limit = req.limit.unwrap_or(self.page_rows).min(self.page_rows);
-        let lo = match &req.start_after {
-            Some(k) => std::ops::Bound::Excluded(k),
-            None => std::ops::Bound::Unbounded,
+        let (kind, again) = match hash {
+            Some(_) => (OpKind::Query, rows == self.page_rows),
+            None => (OpKind::Scan, unexamined),
         };
-        let mut items = Vec::new();
-        let mut last_key: Option<PrimaryKey> = None;
-        let mut rows_examined = 0usize;
-        let mut bytes = 0usize;
-        let mut more = false;
-        {
-            let data = self.lock(&t);
-            for (k, row) in data.rows.range((lo, std::ops::Bound::Unbounded)) {
-                if items.len() >= limit || rows_examined >= self.page_rows {
-                    // Page full with this row still unexamined.
-                    more = true;
-                    break;
-                }
-                rows_examined += 1;
-                last_key = Some(k.clone());
-                let keep = match &req.filter {
-                    Some(f) => f.eval(row)?,
-                    None => true,
-                };
-                if keep {
-                    let item = match &req.projection {
-                        Some(p) => p.apply(row),
-                        None => row.clone(),
-                    };
-                    bytes += item.size_bytes();
-                    items.push(item);
-                }
-            }
-        }
-        self.count(Metric::DbScans, 1);
-        self.count(Metric::DbRowsScanned, rows_examined);
-        self.count(Metric::DbBytesRead, bytes);
-        self.clock
-            .sleep(self.sampler.sample(OpKind::Scan, rows_examined, bytes));
-        Ok(ScanPage {
-            items,
-            last_key: last_key.filter(|_| more),
-        })
+        let resume = last.filter(|_| again).cloned();
+        drop(data);
+        self.bill_read(kind, rows, bytes);
+        resume
     }
 
-    /// Scans the whole table, following pages to completion.
-    pub fn scan_all(&self, table: &str, req: &ScanRequest) -> DbResult<Vec<Value>> {
-        let mut out = Vec::new();
-        let mut page_req = req.clone();
-        page_req.limit = None;
-        loop {
-            let page = self.scan_page(table, &page_req)?;
-            out.extend(page.items);
-            match page.last_key {
-                Some(k) => page_req.start_after = Some(k),
-                None => break,
-            }
-        }
-        Ok(out)
+    /// Counts one `Query` or `Scan` op over `rows` rows that returned
+    /// `bytes`, and sleeps its modelled latency.
+    fn bill_read(&self, kind: OpKind, rows: usize, bytes: usize) {
+        let op = match kind {
+            OpKind::Query => Metric::DbQueries,
+            _ => Metric::DbScans,
+        };
+        self.count(op, 1);
+        self.count(Metric::DbRowsScanned, rows);
+        self.count(Metric::DbBytesRead, bytes);
+        self.clock.sleep(self.sampler.sample(kind, rows, bytes));
     }
 
     /// Exact-match lookup through a secondary index, in key order.
     ///
-    /// `req.filter` and `req.projection` apply as in [`Database::query`]
-    /// — a `Key`-only projection is DynamoDB's `KEYS_ONLY` index read;
-    /// the paging fields (`limit`, `start_after`) do not: an
-    /// index read always runs to the end of its match list. It is billed
-    /// the way `query` is, one `Query` op per `page_rows` index entries
-    /// examined, and a page that comes back full is followed by one more
-    /// (the reader cannot know the list ended there), so a read of fewer
-    /// than `page_rows` entries is one op whatever it returns.
+    /// `req.projection` applies as in [`Database::query`] — a `Key`-only
+    /// projection is DynamoDB's `KEYS_ONLY` index read. The read takes
+    /// the table lock once and is billed the way `query` is, one `Query`
+    /// op per `page_rows` index entries, and a page that comes back full
+    /// is followed by one more (the reader cannot know the list ended
+    /// there), so a read of fewer than `page_rows` entries is one op.
     pub fn index_query(
         &self,
         table: &str,
@@ -588,47 +493,23 @@ impl Database {
         req: &ScanRequest,
     ) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
-        // Every index entry examined, with the item it yields (`None`
-        // when the filter rejects the row).
-        let mut entries: Vec<Option<Value>> = Vec::new();
-        {
+        let items: Vec<Value> = {
             let data = self.lock(&t);
-            for k in data.index_lookup(attr, value)? {
-                let Some(row) = data.rows.get(&k) else {
-                    continue;
-                };
-                let keep = match &req.filter {
-                    Some(f) => f.eval(row)?,
-                    None => true,
-                };
-                entries.push(keep.then(|| match &req.projection {
-                    Some(p) => p.apply(row),
-                    None => row.clone(),
-                }));
-            }
-        }
-        let mut items = Vec::with_capacity(entries.len());
-        let mut entries = entries.into_iter();
+            data.index_lookup(attr, value)?
+                .iter()
+                .filter_map(|key| data.rows.get(key))
+                .map(|row| read(row, req.projection.as_ref()))
+                .collect()
+        };
+        let mut pages = items.chunks(self.page_rows);
         loop {
-            let mut page_rows = 0usize;
-            let mut page_bytes = 0usize;
-            for item in entries.by_ref().take(self.page_rows) {
-                page_rows += 1;
-                if let Some(item) = item {
-                    page_bytes += item.size_bytes();
-                    items.push(item);
-                }
-            }
-            self.count(Metric::DbQueries, 1);
-            self.count(Metric::DbRowsScanned, page_rows);
-            self.count(Metric::DbBytesRead, page_bytes);
-            self.clock
-                .sleep(self.sampler.sample(OpKind::Query, page_rows, page_bytes));
-            if page_rows < self.page_rows {
-                break;
+            let page = pages.next().unwrap_or_default();
+            let bytes = page.iter().map(SizeOf::size_bytes).sum();
+            self.bill_read(OpKind::Query, page.len(), bytes);
+            if page.len() < self.page_rows {
+                return Ok(items);
             }
         }
-        Ok(items)
     }
 
     /// Returns the distinct hash-key values of a table, sorted (the GC's
@@ -636,10 +517,7 @@ impl Database {
     pub fn distinct_hash_keys(&self, table: &str) -> DbResult<Vec<Value>> {
         let t = self.handle(table)?;
         let keys = self.lock(&t).distinct_hash_keys();
-        self.count(Metric::DbScans, 1);
-        self.count(Metric::DbRowsScanned, keys.len());
-        self.clock
-            .sleep(self.sampler.sample(OpKind::Scan, keys.len(), 0));
+        self.bill_read(OpKind::Scan, keys.len(), 0);
         Ok(keys)
     }
 
@@ -711,22 +589,22 @@ impl Database {
     ///   same row (DynamoDB's restriction — and a semantic necessity here,
     ///   since conditions are validated against the pre-state only).
     pub fn transact_write(&self, ops: &[TransactOp]) -> DbResult<()> {
-        // Resolve handles first so TableNotFound beats TransactionCanceled,
-        // then extract per-op keys (Puts derive theirs from the schema,
-        // which lives outside the table locks).
-        let mut handles: HashMap<String, Arc<Table>> = HashMap::new();
+        // Resolve the tables in op order, so `TableNotFound` names the
+        // first missing one and beats `TransactionCanceled`, then each
+        // op's key (a Put derives its own from the schema, which lives
+        // outside the table locks).
+        let mut tables: BTreeMap<&str, Arc<Table>> = BTreeMap::new();
         for op in ops {
-            if !handles.contains_key(op.table()) {
-                handles.insert(op.table().to_owned(), self.handle(op.table())?);
+            if !tables.contains_key(op.table()) {
+                tables.insert(op.table(), self.handle(op.table())?);
             }
         }
-        let mut op_keys: Vec<PrimaryKey> = Vec::with_capacity(ops.len());
+        let mut keys: Vec<PrimaryKey> = Vec::with_capacity(ops.len());
         let mut seen_rows: BTreeSet<(&str, PrimaryKey)> = BTreeSet::new();
         for op in ops {
-            let t = &handles[op.table()];
             let key = match op {
-                TransactOp::Update { key, .. } | TransactOp::Delete { key, .. } => key.clone(),
-                TransactOp::Put { item, .. } => t.schema.key_of(item)?,
+                TransactOp::Update { key, .. } => key.clone(),
+                TransactOp::Put { item, .. } => tables[op.table()].schema.key_of(item)?,
             };
             // DynamoDB rejects transactions with multiple operations on
             // one item; conditions here are validated against the
@@ -737,26 +615,26 @@ impl Database {
                     item: format!("{}/{}", op.table(), key),
                 });
             }
-            op_keys.push(key);
+            keys.push(key);
         }
+        let items: Vec<(&str, &PrimaryKey)> =
+            ops.iter().map(TransactOp::table).zip(&keys).collect();
 
         // The one place a thread holds more than one table lock: in name
-        // order (debug builds check it, see `Table::lock`).
-        let mut guards: BTreeMap<&str, TableGuard<'_>> = BTreeMap::new();
-        for name in ops.iter().map(TransactOp::table).collect::<BTreeSet<_>>() {
-            guards.insert(name, self.lock(&handles[name]));
-        }
+        // order (debug builds check it, see `Table::lock`). An op's guard
+        // is its table's place in that order.
+        let names: Vec<&str> = tables.keys().copied().collect();
+        let slot = |op: &TransactOp| names.partition_point(|name| *name < op.table());
+        let mut guards: Vec<TableGuard<'_>> = tables.values().map(|t| self.lock(t)).collect();
 
         // Validate every condition against the pre-state. All touched
         // tables are locked, so this is one atomic validation point — no
         // re-check or rollback dance against racing single-row writers.
-        for (i, (op, key)) in ops.iter().zip(&op_keys).enumerate() {
-            if !cond_holds(op.cond(), guards[op.table()].rows.get(key))? {
+        for (i, (op, key)) in ops.iter().zip(&keys).enumerate() {
+            if !cond_holds(op.cond(), guards[slot(op)].rows.get(key))? {
                 drop(guards);
                 self.count(Metric::DbTransactWrites, 1);
                 self.count(Metric::DbCondFailures, 1);
-                let items: Vec<(&str, &PrimaryKey)> =
-                    ops.iter().map(TransactOp::table).zip(&op_keys).collect();
                 self.serial_write_sleep(
                     &items,
                     self.sampler.sample(OpKind::TransactWrite, ops.len(), 0),
@@ -765,42 +643,36 @@ impl Database {
             }
         }
 
-        // Apply. Structural failures (e.g. a row outgrowing the size cap)
-        // roll the already-applied ops back under the still-held locks, so
-        // even the failure path is atomic.
-        let mut applied: Vec<(usize, Option<Value>)> = Vec::new();
+        // Apply. A structural failure (e.g. a row outgrowing the size cap)
+        // restores the rows the earlier ops replaced under the still-held
+        // locks, so even the failure path is atomic.
+        let mut priors: Vec<Option<Value>> = Vec::with_capacity(ops.len());
         let mut bytes = 0usize;
-        for (i, (op, key)) in ops.iter().zip(&op_keys).enumerate() {
-            let t = &handles[op.table()];
-            let data = guards.get_mut(op.table()).expect("table locked above");
+        for (op, key) in ops.iter().zip(&keys) {
+            let schema = &tables[op.table()].schema;
+            let data = &mut guards[slot(op)];
             let prior = data.rows.get(key).cloned();
             let result = match op {
-                TransactOp::Update { update, .. } => {
-                    Self::apply_update(data, &t.schema, key, &Cond::True, update)
-                }
+                TransactOp::Update { update, .. } => data.update_row(key, update, schema),
                 TransactOp::Put { item, .. } => {
-                    data.put_row(key.clone(), item.clone(), t.schema.max_row_bytes)
-                }
-                TransactOp::Delete { .. } => {
-                    data.remove_row(key);
-                    Ok(0)
+                    data.put_row(key.clone(), item.clone(), schema.max_row_bytes)
                 }
             };
             match result {
                 Ok(n) => {
                     bytes += n;
-                    applied.push((i, prior));
+                    priors.push(prior);
                 }
                 Err(e) => {
-                    for (j, prior) in applied.iter().rev() {
-                        let (t, key) = (&handles[ops[*j].table()], &op_keys[*j]);
-                        let data = guards.get_mut(ops[*j].table()).expect("table locked above");
+                    for (j, prior) in priors.into_iter().enumerate().rev() {
+                        let (op, key) = (&ops[j], &keys[j]);
+                        let data = &mut guards[slot(op)];
                         match prior {
                             // Restoring a row that previously fit cannot
                             // overflow.
                             Some(row) => {
-                                let _ =
-                                    data.put_row(key.clone(), row.clone(), t.schema.max_row_bytes);
+                                let max = tables[op.table()].schema.max_row_bytes;
+                                let _ = data.put_row(key.clone(), row, max);
                             }
                             None => {
                                 data.remove_row(key);
@@ -814,8 +686,6 @@ impl Database {
         drop(guards);
         self.count(Metric::DbTransactWrites, 1);
         self.count(Metric::DbBytesWritten, bytes);
-        let items: Vec<(&str, &PrimaryKey)> =
-            ops.iter().map(TransactOp::table).zip(&op_keys).collect();
         self.serial_write_sleep(
             &items,
             self.sampler.sample(OpKind::TransactWrite, ops.len(), bytes),
@@ -827,7 +697,6 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::Projection;
     use beldi_value::vmap;
 
     fn db_with_table() -> Arc<Database> {
@@ -1087,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn query_with_filter_and_projection() {
+    fn query_with_projection() {
         let db = db_with_table();
         for i in 0..10i64 {
             db.put(
@@ -1096,12 +965,11 @@ mod tests {
             )
             .unwrap();
         }
-        let req = ScanRequest::all()
-            .with_filter(Cond::ge("V", 7i64))
-            .with_projection(Projection::attrs(["RowId"]));
+        let req = ScanRequest::all().with_projection(Projection::attrs(["RowId"]));
         let rows = db.query("t", &Value::from("a"), &req).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.get_attr("Junk").is_none()));
+        let ids: Vec<i64> = rows.iter().map(|r| r.get_int("RowId").unwrap()).collect();
+        assert_eq!(ids, (0..10).collect::<Vec<_>>());
+        assert!(rows.iter().all(|r| r.as_map().unwrap().len() == 1));
     }
 
     #[test]
@@ -1116,27 +984,128 @@ mod tests {
         assert_eq!(rows.len(), n);
     }
 
+    /// A table of `keys` hash keys × `rows` sort keys, put in an order
+    /// that is not key order; `Id/Row` of each row, in key order.
+    fn grid(keys: i64, rows: i64) -> (Arc<Database>, Vec<String>) {
+        let db = Database::for_tests();
+        db.create_table("g", TableSchema::hash_and_sort("Id", "Row"))
+            .unwrap();
+        for row in 0..rows {
+            for k in (0..keys).rev() {
+                db.put("g", vmap! { "Id" => format!("k{k:03}"), "Row" => row })
+                    .unwrap();
+            }
+        }
+        let in_key_order = (0..keys)
+            .flat_map(|k| (0..rows).map(move |row| format!("k{k:03}/{row}")))
+            .collect();
+        (db, in_key_order)
+    }
+
+    fn ids(items: &[Value]) -> Vec<String> {
+        let id = |v: &Value| format!("{}/{}", v.get_str("Id").unwrap(), v.get_int("Row").unwrap());
+        items.iter().map(id).collect()
+    }
+
+    /// Pages through `hash`'s rows (the table's, when `None`), calling
+    /// `between` with each resume key before the next page is read.
+    fn paged(
+        db: &Database,
+        hash: Option<&Value>,
+        mut between: impl FnMut(&PrimaryKey),
+    ) -> (Vec<Value>, usize) {
+        let t = db.handle("g").unwrap();
+        let (mut out, mut pages) = (Vec::new(), 1);
+        let mut after = db.page(&t, hash, None, &ScanRequest::all(), &mut out);
+        while let Some(key) = after {
+            between(&key);
+            pages += 1;
+            after = db.page(&t, hash, Some(&key), &ScanRequest::all(), &mut out);
+        }
+        (out, pages)
+    }
+
+    /// A query and a scan that span several pages return every row once,
+    /// in key order, each page resuming after the last key the one
+    /// before examined.
+    #[test]
+    fn pages_cover_each_row_exactly_once() {
+        let (db, in_key_order) = grid(3, 70);
+        let (scanned, pages) = paged(&db, None, |_| {});
+        assert_eq!(ids(&scanned), in_key_order);
+        assert_eq!(pages, 7, "210 rows");
+        assert_eq!(db.scan_all("g", &ScanRequest::all()).unwrap(), scanned);
+        let hash = Value::from("k001");
+        let (queried, pages) = paged(&db, Some(&hash), |_| {});
+        assert_eq!(ids(&queried), in_key_order[70..140]);
+        assert_eq!(pages, 3, "70 rows of one hash key");
+        assert_eq!(db.query("g", &hash, &ScanRequest::all()).unwrap(), queried);
+    }
+
+    /// A scan resumes after its resume key even when that row was
+    /// deleted between pages: it neither skips a row nor repeats one.
     #[test]
     fn scan_page_resumption() {
-        let db = db_with_table();
-        for i in 0..10i64 {
-            db.put("t", vmap! { "Key" => format!("k{i}"), "RowId" => 0i64 })
-                .unwrap();
-        }
-        let page1 = db
-            .scan_page("t", &ScanRequest::all().with_limit(4))
-            .unwrap();
-        assert_eq!(page1.items.len(), 4);
-        let page2 = db
-            .scan_page(
+        let (db, in_key_order) = grid(20, 5);
+        let mut deleted = Vec::new();
+        let (seen, _) = paged(&db, None, |last| {
+            db.delete("g", last, &Cond::True).unwrap();
+            deleted.push(last.clone());
+        });
+        assert_eq!(ids(&seen), in_key_order, "each row once, in key order");
+        assert_eq!(deleted.len(), in_key_order.len() / DEFAULT_PAGE_ROWS);
+        assert_eq!(
+            db.row_count("g").unwrap(),
+            in_key_order.len() - deleted.len()
+        );
+        // A query resumes after a deleted sort key the same way.
+        let t = db.handle("g").unwrap();
+        let after = PrimaryKey::hash_sort("k000", 2i64);
+        db.delete("g", &after, &Cond::True).unwrap();
+        let mut out = Vec::new();
+        let hash = Value::from("k000");
+        let again = db.page(&t, Some(&hash), Some(&after), &ScanRequest::all(), &mut out);
+        assert_eq!(ids(&out), ["k000/3", "k000/4"]);
+        assert_eq!(again, None, "a page short of full ends the query");
+    }
+
+    /// The pages each read op bills at the page boundaries: a query or
+    /// an index read ⌊n/32⌋ + 1 (a full page is followed by one more), a
+    /// scan max(1, ⌈n/32⌉) (a page ends at a row it has not examined).
+    #[test]
+    fn pages_billed_at_the_page_boundaries() {
+        assert_eq!(DEFAULT_PAGE_ROWS, 32);
+        for (n, query_pages, scan_pages) in
+            [(0, 1, 1), (31, 1, 1), (32, 2, 1), (33, 2, 2), (64, 3, 2)]
+        {
+            let db = Database::for_tests();
+            db.create_table(
                 "t",
-                &ScanRequest::all()
-                    .with_limit(100)
-                    .with_start_after(page1.last_key.unwrap()),
+                TableSchema::hash_and_sort("Key", "RowId").with_index("Tag"),
             )
             .unwrap();
-        assert_eq!(page2.items.len(), 6);
-        assert_eq!(page2.last_key, None, "the scan is complete");
+            for i in 0..n {
+                db.put(
+                    "t",
+                    vmap! { "Key" => "a", "RowId" => i as i64, "Tag" => "x" },
+                )
+                .unwrap();
+            }
+            let all = ScanRequest::all();
+            let billed = |read: &dyn Fn() -> Vec<Value>| {
+                let before = db.metrics();
+                assert_eq!(read().len(), n);
+                let d = db.metrics().delta(&before);
+                assert_eq!(d.rows_scanned, n as u64);
+                (d.queries, d.scans)
+            };
+            let query = billed(&|| db.query("t", &Value::from("a"), &all).unwrap());
+            assert_eq!(query, (query_pages, 0), "query of {n} rows");
+            let index = billed(&|| db.index_query("t", "Tag", &Value::from("x"), &all).unwrap());
+            assert_eq!(index, (query_pages, 0), "index read of {n} entries");
+            let scan = billed(&|| db.scan_all("t", &all).unwrap());
+            assert_eq!(scan, (0, scan_pages), "scan of {n} rows");
+        }
     }
 
     #[test]
@@ -1228,26 +1197,22 @@ mod tests {
     }
 
     #[test]
-    fn index_query_filters_then_projects_like_query() {
+    fn index_query_projects_like_query() {
         let db = tagged_db(10);
-        let req = ScanRequest::all()
-            .with_filter(Cond::ge("V", 7i64))
-            .with_projection(Projection::attrs(["Id"]));
+        let req = ScanRequest::all().with_projection(Projection::attrs(["Id", "V"]));
         let before = db.metrics();
         let rows = db
             .index_query("ix", "Tag", &Value::from("hit"), &req)
             .unwrap();
         let d = db.metrics().delta(&before);
-        // The filter sees the whole row (`V` is not projected); rejected
-        // entries are examined but not returned or charged bytes.
-        let ids: Vec<&str> = rows.iter().map(|r| r.get_str("Id").unwrap()).collect();
-        assert_eq!(ids, ["m007", "m008", "m009"]);
-        assert!(rows.iter().all(|r| r.get_attr("V").is_none()));
+        // Whole rows examined, projected rows returned and billed.
+        let expected: Vec<Value> = (0..10i64)
+            .map(|i| vmap! { "Id" => format!("m{i:03}"), "V" => i })
+            .collect();
+        assert_eq!(rows, expected);
         assert_eq!(d.rows_scanned, 10);
-        assert_eq!(
-            d.bytes_read,
-            3 * vmap! { "Id" => "m007" }.size_bytes() as u64
-        );
+        let bytes: usize = expected.iter().map(SizeOf::size_bytes).sum();
+        assert_eq!(d.bytes_read, bytes as u64);
     }
 
     #[test]
@@ -1443,16 +1408,11 @@ mod tests {
     }
 
     #[test]
-    fn create_table_twice_fails_and_delete_works() {
+    fn create_table_twice_fails() {
         let db = db_with_table();
         assert!(matches!(
             db.create_table("t", TableSchema::hash_only("Id")),
             Err(DbError::TableExists(_))
-        ));
-        db.delete_table("t").unwrap();
-        assert!(matches!(
-            db.delete_table("t"),
-            Err(DbError::TableNotFound(_))
         ));
     }
 

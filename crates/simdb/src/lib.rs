@@ -4,20 +4,23 @@
 //! consistency, tolerates faults, supports atomic updates on some atomicity
 //! scope (e.g., row, partition), and has a scan operation with the ability
 //! to filter results and create projections" (§2.2). This crate provides
-//! exactly that contract, modelled after DynamoDB:
+//! that contract, modelled after DynamoDB, narrowed to what Beldi calls:
+//! the reproduction filters in the caller, after a projected read (the
+//! collectors in `beldi`, the explorer in `beldi-workload`), so a read
+//! takes a projection and no filter.
 //!
 //! - **Row-scope atomic conditional updates** ([`Database::update`]): a
 //!   condition expression ([`beldi_value::Cond`]) is evaluated and an update
 //!   expression ([`beldi_value::Update`]) applied atomically on one row.
-//! - **Query and scan with filter + projection** ([`Database::query`],
-//!   [`Database::scan_page`]): scans are *paged* and therefore not atomic across
-//!   rows — matching DynamoDB, and matching the consistency reasoning Beldi
-//!   performs for linked-DAAL traversal (§4.1).
+//! - **Query and scan with a projection** ([`Database::query`],
+//!   [`Database::scan_all`]): both are *paged* and therefore not atomic
+//!   across rows — matching DynamoDB, and matching the consistency
+//!   reasoning Beldi performs for linked-DAAL traversal (§4.1).
 //! - **Row size limits**: the default 400 KB cap is the very constraint the
 //!   linked DAAL exists to work around (§4.1).
 //! - **Secondary indexes** ([`Database::index_query`]), sparse (a row
 //!   without the indexed attribute has no entry) and read with the same
-//!   filter + projection and the same per-page billing as a query: used
+//!   projection and the same per-page billing as a query: used
 //!   by the intent collector to find unfinished intents, by the
 //!   invocation callback handler to locate invoke-log entries by callee
 //!   id, and by the garbage collector to list the keys whose DAAL has
@@ -31,12 +34,15 @@
 //! The store itself is an in-process ordered map per table, behind one
 //! lock per table — a strict superset of the row, DynamoDB's atomicity
 //! scope. Single-row operations lock their table once; queries and scans
-//! read in key order, a page per lock, and resume after a key;
+//! read in key order, a page per lock, each page resuming after the last
+//! key the one before examined;
 //! cross-table transactions lock the tables their ops touch in name
 //! order (no global transaction lock). "Fault tolerance" of the storage
 //! layer is by construction (the process does not model storage-node
 //! failures — neither does the paper, which treats DynamoDB as reliable;
 //! *client* (SSF) crashes are injected by `beldi-simfaas`).
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod data;
 mod database;
@@ -52,5 +58,5 @@ pub use database::{Database, TransactOp};
 pub use error::{DbError, DbResult};
 pub use key::{PrimaryKey, TableSchema};
 pub use latency::{LatencyModel, OpKind};
-pub use scan::{Projection, ScanPage, ScanRequest};
+pub use scan::{Projection, ScanRequest};
 pub use snapshot::{DbSnapshot, RowDiff, SnapshotDiff};

@@ -1,8 +1,6 @@
-//! Scan/query requests, projections, and result pages.
+//! Scan/query requests and projections.
 
-use beldi_value::{Cond, Name, Path, Value};
-
-use crate::key::PrimaryKey;
+use beldi_value::{Name, Path, Value};
 
 /// A projection: the set of attribute paths to retain in returned items.
 ///
@@ -62,31 +60,18 @@ impl Projection {
     }
 }
 
-/// Parameters of a scan or query.
+/// Parameters of a query, scan or index read: the projection applied to
+/// each row it returns. Paging is the store's own (`Database::query`).
 #[derive(Debug, Clone, Default)]
 pub struct ScanRequest {
-    /// Server-side filter applied to each row before returning it.
-    pub filter: Option<Cond>,
-    /// Attribute projection applied to matching rows.
+    /// Attribute projection applied to each returned row.
     pub projection: Option<Projection>,
-    /// Maximum number of *matching* items to return in this page.
-    pub limit: Option<usize>,
-    /// Resume after this key (exclusive): DynamoDB's
-    /// `ExclusiveStartKey`. A scan resumes from a previous page's
-    /// [`ScanPage::last_key`].
-    pub start_after: Option<PrimaryKey>,
 }
 
 impl ScanRequest {
-    /// Creates an unfiltered, unprojected scan of everything.
+    /// Creates an unprojected read of every row.
     pub fn all() -> Self {
         ScanRequest::default()
-    }
-
-    /// Sets the filter (builder style).
-    pub fn with_filter(mut self, filter: Cond) -> Self {
-        self.filter = Some(filter);
-        self
     }
 
     /// Sets the projection (builder style).
@@ -94,29 +79,6 @@ impl ScanRequest {
         self.projection = Some(projection);
         self
     }
-
-    /// Sets the page limit (builder style).
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = Some(limit);
-        self
-    }
-
-    /// Sets the key to resume after (builder style).
-    pub fn with_start_after(mut self, key: PrimaryKey) -> Self {
-        self.start_after = Some(key);
-        self
-    }
-}
-
-/// One page of scan/query results.
-#[derive(Debug, Clone, Default)]
-pub struct ScanPage {
-    /// The matching (possibly projected) items, in key order.
-    pub items: Vec<Value>,
-    /// The last key the page examined, to resume after
-    /// ([`ScanRequest::start_after`]); `None` when the scan is complete.
-    /// DynamoDB's `LastEvaluatedKey`.
-    pub last_key: Option<PrimaryKey>,
 }
 
 #[cfg(test)]
@@ -163,14 +125,8 @@ mod tests {
 
     #[test]
     fn scan_request_builder() {
-        let r = ScanRequest::all()
-            .with_filter(Cond::eq("Key", "k"))
-            .with_projection(Projection::attrs(["Key"]))
-            .with_limit(5)
-            .with_start_after(PrimaryKey::hash("k"));
-        assert!(r.filter.is_some());
-        assert!(r.projection.is_some());
-        assert_eq!(r.limit, Some(5));
-        assert_eq!(r.start_after, Some(PrimaryKey::hash("k")));
+        assert!(ScanRequest::all().projection.is_none());
+        let r = ScanRequest::all().with_projection(Projection::attrs(["Key"]));
+        assert_eq!(r.projection, Some(Projection::attrs(["Key"])));
     }
 }

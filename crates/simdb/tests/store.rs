@@ -1,10 +1,10 @@
 //! Store integration tests: transactions under concurrency, committed in
-//! table-name lock order, and scans resumed by key.
+//! table-name lock order.
 
 use std::sync::Arc;
 
-use beldi_simdb::{Database, DbError, PrimaryKey, ScanRequest, TableSchema, TransactOp};
-use beldi_value::{vmap, Cond, Update, Value};
+use beldi_simdb::{Database, DbError, PrimaryKey, TableSchema, TransactOp};
+use beldi_value::{vmap, Cond, Update};
 
 /// A tiny deterministic PRNG (xorshift64*), so the stress tests need no
 /// external randomness source.
@@ -177,71 +177,6 @@ fn failed_transactions_are_isolated_across_tables() {
         .get("audit", &PrimaryKey::hash("marker"), None)
         .unwrap()
         .is_none());
-}
-
-/// Pages through `table` with `limit` items a page, resuming each page
-/// after the last key the previous one examined, which `between` is
-/// given before the next page is read. Returns `Id/Row` of each item, in
-/// the order the pages held them.
-fn scan_ids(db: &Database, limit: usize, mut between: impl FnMut(&PrimaryKey)) -> Vec<String> {
-    let mut seen = Vec::new();
-    let mut req = ScanRequest::all().with_limit(limit);
-    loop {
-        let page = db.scan_page("t", &req).unwrap();
-        for item in &page.items {
-            let (id, row) = (item.get_str("Id").unwrap(), item.get_int("Row").unwrap());
-            seen.push(format!("{id}/{row}"));
-        }
-        let Some(last) = page.last_key else {
-            return seen;
-        };
-        between(&last);
-        req = req.with_start_after(last);
-    }
-}
-
-/// Paging with the one resume key visits every row exactly once, in key
-/// order, for page sizes that do and do not divide the row count, with
-/// rows spread over several hash keys; a query resumes where a scan does;
-/// and a scan resumes after its resume row even when that row is gone.
-#[test]
-fn scan_cursor_covers_each_row_exactly_once() {
-    const KEYS: i64 = 20;
-    const ROWS_PER_KEY: i64 = 5;
-    let db = Database::for_tests();
-    db.create_table("t", TableSchema::hash_and_sort("Id", "Row"))
-        .unwrap();
-    for row in 0..ROWS_PER_KEY {
-        for k in 0..KEYS {
-            db.put("t", vmap! { "Id" => format!("k{k:03}"), "Row" => row })
-                .unwrap();
-        }
-    }
-    let in_key_order: Vec<String> = (0..KEYS)
-        .flat_map(|k| (0..ROWS_PER_KEY).map(move |row| format!("k{k:03}/{row}")))
-        .collect();
-    for limit in [1usize, 7, 32, 100, 1000] {
-        assert_eq!(scan_ids(&db, limit, |_| {}), in_key_order, "limit {limit}");
-    }
-
-    // A query and a scan given the same resume key resume at the same row.
-    let req = ScanRequest::all()
-        .with_limit(2)
-        .with_start_after(PrimaryKey::hash_sort("k004", 2i64));
-    let queried = db.query("t", &Value::from("k004"), &req).unwrap();
-    let scanned = db.scan_page("t", &req).unwrap().items;
-    assert_eq!(queried, scanned);
-    assert_eq!(queried[0].get_int("Row"), Some(3));
-
-    // Each page's resume row is deleted before the next page is read.
-    let mut deleted = 0;
-    let seen = scan_ids(&db, 7, |last| {
-        db.delete("t", last, &Cond::True).unwrap();
-        deleted += 1;
-    });
-    assert_eq!(seen, in_key_order, "each row once, in key order");
-    assert_eq!(deleted, in_key_order.len() / 7);
-    assert_eq!(db.row_count("t").unwrap(), in_key_order.len() - deleted);
 }
 
 /// Single-row readers racing a two-row transaction never see it torn: the
