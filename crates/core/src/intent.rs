@@ -41,7 +41,7 @@ pub(crate) fn register(
     now_ms: u64,
 ) -> BeldiResult<Option<IntentRecord>> {
     let pk = PrimaryKey::hash(id);
-    let mut update = Update::new()
+    let mut update = Update::with_capacity(5 + usize::from(caller.is_some()))
         .set(A_DONE, Value::Bool(false))
         .set(A_ASYNC, Value::Bool(is_async))
         .set(A_ARGS, args)
@@ -86,7 +86,8 @@ pub(crate) fn mark_done(
     log_steps: &[StepNumber],
     now_ms: u64,
 ) -> BeldiResult<()> {
-    let mut update = Update::new()
+    let actions = 4 + usize::from(ret.is_some()) + usize::from(!log_steps.is_empty());
+    let mut update = Update::with_capacity(actions)
         .set(A_DONE, Value::Bool(true))
         .set_if_absent(A_FINISH, Value::Int(now_ms as i64))
         .remove(A_ARGS)

@@ -357,11 +357,15 @@ impl SsfContext {
         // function of the root id (bit-identical chaos crash schedules per
         // seed) and lets the callback address this entry; the entry stores
         // no copy of it. The fresh row is seeded with its key.
-        let mut update = Update::new().set(A_CALLEE_FN, callee_fn);
-        if let Some(t) = &self.txn {
-            if t.ctx.mode == TxnMode::Execute && !t.ended {
-                update = update.set(A_TXN_ID, &t.ctx.id);
-            }
+        let txn_id = self
+            .txn
+            .as_ref()
+            .filter(|t| t.ctx.mode == TxnMode::Execute && !t.ended)
+            .map(|t| &t.ctx.id);
+        let mut update =
+            Update::with_capacity(1 + usize::from(txn_id.is_some())).set(A_CALLEE_FN, callee_fn);
+        if let Some(id) = txn_id {
+            update = update.set(A_TXN_ID, id);
         }
         let pk = PrimaryKey::hash(&log_key);
         self.crash(Label::InvokePreEntry);
@@ -655,14 +659,15 @@ pub(crate) fn handle_callback(
         Err(e) => Err(e),
     };
     let recorded = match result {
-        Some(r) => match record(Update::new().set_if_absent(A_RESULT, r)) {
+        Some(r) => match record(Update::with_capacity(1).set_if_absent(A_RESULT, r)) {
             Err(DbError::RowTooLarge { size, limit }) => {
                 let error = Outcome::too_large(size, limit).into_value();
-                record(Update::new().set_if_absent(A_RESULT, error)).map(|()| Outcome::Logged)
+                record(Update::with_capacity(1).set_if_absent(A_RESULT, error))
+                    .map(|()| Outcome::Logged)
             }
             other => other.map(|()| Outcome::Ok(Value::Null)),
         },
-        None => record(Update::new().set(A_REGISTERED, Value::Bool(true)))
+        None => record(Update::with_capacity(1).set(A_REGISTERED, Value::Bool(true)))
             .map(|()| Outcome::Ok(Value::Null)),
     };
     recorded.unwrap_or_else(|e| Outcome::Error(format!("callback failed: {e}")))

@@ -92,7 +92,7 @@ impl SsfContext {
         // predecessor logged, never overwrite it with a fresh read. The
         // fresh entry is seeded with its key.
         let entry_cond = Cond::not_exists(A_LOG_KEY);
-        let update = Update::new().set(A_VALUE, val.clone());
+        let update = Update::with_capacity(1).set(A_VALUE, val.clone());
         let pk = PrimaryKey::hash(&log_key);
         match self.db().update(log, &pk, &entry_cond, &update) {
             Ok(()) => {

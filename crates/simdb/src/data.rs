@@ -6,7 +6,7 @@
 //! Rows are kept in one ordered map, so a query reads one hash key's rows
 //! in sort order and a scan reads the whole table in key order.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use beldi_value::{Map, Name, SizeOf, Update, Value};
 
@@ -19,8 +19,10 @@ use crate::key::{PrimaryKey, TableSchema};
 pub(crate) struct TableData {
     /// The table's rows, ordered by `(hash, sort)`.
     pub(crate) rows: BTreeMap<PrimaryKey, Value>,
-    /// index attribute name -> indexed value -> set of row keys.
-    indexes: HashMap<Name, BTreeMap<Value, BTreeSet<PrimaryKey>>>,
+    /// index attribute name -> indexed value -> set of row keys. A set
+    /// grows in place; [`TableData::index_lookup`] reads it back in key
+    /// order.
+    indexes: HashMap<Name, HashMap<Value, HashSet<PrimaryKey>>>,
 }
 
 impl TableData {
@@ -29,7 +31,7 @@ impl TableData {
     pub(crate) fn new(schema: &TableSchema) -> Self {
         let mut indexes = HashMap::new();
         for attr in &schema.index_attrs {
-            indexes.insert(attr.clone(), BTreeMap::new());
+            indexes.insert(attr.clone(), HashMap::new());
         }
         TableData {
             rows: BTreeMap::new(),
@@ -95,8 +97,9 @@ impl TableData {
             return Ok(size);
         };
         // The indexed attributes the update can change (an empty path
-        // replaces the row, so names them all), with their values now.
-        let mut named = Vec::new();
+        // replaces the row, so names them all), with their values now;
+        // sized to the table's indexes at the first one named.
+        let (mut named, indexes) = (Vec::new(), self.indexes.len());
         #[expect(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
@@ -106,6 +109,9 @@ impl TableData {
             let names =
                 |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr.as_str());
             if update.actions().iter().any(|a| names(a.path())) {
+                if named.is_empty() {
+                    named.reserve_exact(indexes);
+                }
                 named.push((attr.as_str(), index, row.get_attr(attr).cloned()));
             }
         }
@@ -172,10 +178,13 @@ impl TableData {
             .indexes
             .get(attr)
             .ok_or_else(|| DbError::IndexNotFound(attr.to_owned()))?;
-        Ok(index
-            .get(value)
-            .map(|set| set.iter().cloned().collect())
-            .unwrap_or_default())
+        let Some(set) = index.get(value) else {
+            return Ok(Vec::new());
+        };
+        #[expect(clippy::disallowed_methods, reason = "sorted on the next line")]
+        let mut keys: Vec<PrimaryKey> = set.iter().cloned().collect();
+        keys.sort_unstable();
+        Ok(keys)
     }
 
     /// Returns the distinct hash-key values of the table, in sorted order.
@@ -203,7 +212,7 @@ fn fits(size: usize, limit: usize) -> DbResult<usize> {
 }
 
 /// Drops `key` from the entry of `value` in one index.
-fn unindex(index: &mut BTreeMap<Value, BTreeSet<PrimaryKey>>, value: &Value, key: &PrimaryKey) {
+fn unindex(index: &mut HashMap<Value, HashSet<PrimaryKey>>, value: &Value, key: &PrimaryKey) {
     if let Some(set) = index.get_mut(value) {
         set.remove(key);
         if set.is_empty() {

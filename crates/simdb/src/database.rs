@@ -81,12 +81,8 @@ fn read(row: &Value, projection: Option<&Projection>) -> Value {
     }
 }
 
-/// Entry-count threshold above which [`ItemWriteQueue`] drops entries
-/// whose busy deadline has already passed.
-const ITEM_QUEUE_PRUNE_LEN: usize = 4096;
-
-/// Per-item write admission state: for each recently written item, the
-/// virtual instant until which its write capacity is occupied.
+/// The writes in flight, per item: for each item a write occupies, the
+/// virtual instant until which it is busy.
 ///
 /// Real DynamoDB serializes writes to a single item (the per-item
 /// write-capacity limit that makes hot keys a throughput cliff — the
@@ -94,12 +90,39 @@ const ITEM_QUEUE_PRUNE_LEN: usize = 4096;
 /// write latencies against the *same* `(table, key)` must queue behind
 /// each other rather than overlap. Writes to distinct items, and all
 /// reads, still proceed fully in parallel.
+///
+/// An entry lives while its write does: the writer that set an item's
+/// deadline removes it when its sleep returns, or unwinds
+/// ([`InFlight`]). A writer that queued behind it set a later deadline,
+/// so the entry is then its to remove.
 #[derive(Default)]
 struct ItemWriteQueue {
-    /// table name → key → busy-until instant.
-    busy: HashMap<String, HashMap<PrimaryKey, SimInstant>>,
-    /// Total entries across all tables (prune trigger).
-    entries: usize,
+    /// Per table, by [`Table::id`]: key → busy-until instant. A map
+    /// keeps its capacity when it empties, so a steady state of writes
+    /// allocates nothing here.
+    busy: Vec<HashMap<PrimaryKey, SimInstant>>,
+}
+
+/// One write's hold on its items until `deadline`. Dropping it — when
+/// the write's sleep returns or unwinds — frees each item whose deadline
+/// is still this write's.
+struct InFlight<'a> {
+    queue: &'a Mutex<ItemWriteQueue>,
+    items: &'a [(&'a Table, &'a PrimaryKey)],
+    deadline: SimInstant,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut queue = self.queue.lock();
+        for (t, k) in self.items {
+            if let Some(table) = queue.busy.get_mut(t.id) {
+                if table.get(*k) == Some(&self.deadline) {
+                    table.remove(*k);
+                }
+            }
+        }
+    }
 }
 
 /// A simulated strongly consistent NoSQL database.
@@ -188,7 +211,7 @@ impl Database {
         if tables.contains_key(&name) {
             return Err(DbError::TableExists(name));
         }
-        let table = Table::new(&name, schema);
+        let table = Table::new(tables.len(), &name, schema);
         tables.insert(name, Arc::new(table));
         Ok(())
     }
@@ -226,31 +249,17 @@ impl Database {
     /// [`MetricsSnapshot::lock_waits`].
     ///
     /// Zero-cost samples return immediately, so zero-latency test
-    /// databases never touch (or populate) the queue. Sequential callers
-    /// are also unaffected: a writer that slept through its own deadline
-    /// always finds the item idle on its next write.
-    fn serial_write_sleep(&self, items: &[(&str, &PrimaryKey)], d: std::time::Duration) {
+    /// databases never touch the queue.
+    fn serial_write_sleep(&self, items: &[(&Table, &PrimaryKey)], d: std::time::Duration) {
         if d.is_zero() {
             return;
         }
         let deadline = {
             let mut queue = self.item_writes.lock();
             let now = self.clock.now();
-            #[expect(
-                clippy::disallowed_methods,
-                clippy::iter_over_hash_type,
-                reason = "each table is pruned on its own and the count is a sum: no order leaks"
-            )]
-            if queue.entries >= ITEM_QUEUE_PRUNE_LEN {
-                for table in queue.busy.values_mut() {
-                    table.retain(|_, busy| *busy > now);
-                }
-                queue.busy.retain(|_, table| !table.is_empty());
-                queue.entries = queue.busy.values().map(HashMap::len).sum();
-            }
             let start = items
                 .iter()
-                .filter_map(|(t, k)| queue.busy.get(*t).and_then(|m| m.get(*k)))
+                .filter_map(|(t, k)| queue.busy.get(t.id).and_then(|m| m.get(*k)))
                 .max()
                 .map_or(now, |&busy| busy.max(now));
             if start > now {
@@ -258,25 +267,25 @@ impl Database {
             }
             let deadline = start.plus(d);
             for (t, k) in items {
-                // Looked up before inserted: the table name and the key
-                // are copied only the first time they are seen.
-                let Some(table) = queue.busy.get_mut(*t) else {
-                    let first = HashMap::from([((*k).clone(), deadline)]);
-                    queue.busy.insert((*t).to_owned(), first);
-                    queue.entries += 1;
-                    continue;
-                };
-                match table.get_mut(*k) {
-                    Some(busy) => *busy = deadline,
-                    None => {
-                        table.insert((*k).clone(), deadline);
-                        queue.entries += 1;
-                    }
+                if queue.busy.len() <= t.id {
+                    queue.busy.resize_with(t.id + 1, HashMap::new);
                 }
+                queue.busy[t.id].insert((*k).clone(), deadline);
             }
             deadline
         };
+        let _held = InFlight {
+            queue: &self.item_writes,
+            items,
+            deadline,
+        };
         self.clock.sleep_until(deadline);
+    }
+
+    /// The items writes occupy now, across tables.
+    #[cfg(test)]
+    fn writes_in_flight(&self) -> usize {
+        self.item_writes.lock().busy.iter().map(HashMap::len).sum()
     }
 
     /// Point read of a row, optionally projected.
@@ -305,10 +314,7 @@ impl Database {
         };
         self.count(Metric::DbWrites, 1);
         self.count(Metric::DbBytesWritten, size);
-        self.serial_write_sleep(
-            &[(table, &key)],
-            self.sampler.sample(OpKind::Write, 1, size),
-        );
+        self.serial_write_sleep(&[(&*t, &key)], self.sampler.sample(OpKind::Write, 1, size));
         Ok(())
     }
 
@@ -344,10 +350,7 @@ impl Database {
             Ok(size) => {
                 self.count(Metric::DbWrites, 1);
                 self.count(Metric::DbBytesWritten, size);
-                self.serial_write_sleep(
-                    &[(table, key)],
-                    self.sampler.sample(OpKind::Write, 1, size),
-                );
+                self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Write, 1, size));
                 Ok(())
             }
             Err(DbError::ConditionFailed) => {
@@ -355,7 +358,7 @@ impl Database {
                 self.count(Metric::DbCondFailures, 1);
                 // A failed conditional write still costs a round trip —
                 // and still occupies the item's write capacity.
-                self.serial_write_sleep(&[(table, key)], self.sampler.sample(OpKind::Write, 1, 0));
+                self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Write, 1, 0));
                 Err(DbError::ConditionFailed)
             }
             Err(e) => Err(e),
@@ -381,7 +384,7 @@ impl Database {
         if matches!(result, Err(DbError::ConditionFailed)) {
             self.count(Metric::DbCondFailures, 1);
         }
-        self.serial_write_sleep(&[(table, key)], self.sampler.sample(OpKind::Delete, 1, 0));
+        self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Delete, 1, 0));
         result
     }
 
@@ -617,8 +620,11 @@ impl Database {
             }
             keys.push(key);
         }
-        let items: Vec<(&str, &PrimaryKey)> =
-            ops.iter().map(TransactOp::table).zip(&keys).collect();
+        let items: Vec<(&Table, &PrimaryKey)> = ops
+            .iter()
+            .map(|op| &*tables[op.table()])
+            .zip(&keys)
+            .collect();
 
         // The one place a thread holds more than one table lock: in name
         // order (debug builds check it, see `Table::lock`). An op's guard
@@ -744,6 +750,153 @@ mod tests {
         assert_eq!(hot, Duration::from_millis(16 * 20));
         let distinct = run(|w| PrimaryKey::hash(format!("k{w}")));
         assert_eq!(distinct, Duration::from_millis(4 * 20));
+    }
+
+    /// Every write, transactions too, occupies its items for a while.
+    fn slow_model() -> LatencyModel {
+        LatencyModel {
+            write_base: std::time::Duration::from_millis(20),
+            transact_base: std::time::Duration::from_millis(20),
+            ..LatencyModel::zero()
+        }
+    }
+
+    /// A database of [`slow_model`] on a fresh `SimClock`, with tables `t`
+    /// (hash and sort key) and `u` (hash key).
+    fn slow_db() -> (SharedClock, Arc<Database>) {
+        let clock: SharedClock = beldi_simclock::SimClock::shared(1);
+        let db = Database::new(clock.clone(), slow_model(), 0);
+        db.create_table("t", TableSchema::hash_and_sort("Key", "RowId"))
+            .unwrap();
+        db.create_table("u", TableSchema::hash_only("Id")).unwrap();
+        (clock, db)
+    }
+
+    /// Each kind of write leaves the queue empty once it returns: the
+    /// writer that set an item's deadline took its entry out.
+    #[test]
+    fn the_write_queue_is_empty_at_quiescence() {
+        let (_clock, db) = slow_db();
+        let k = PrimaryKey::hash_sort("a", 0i64);
+        let inc = Update::new().inc("N", 1);
+        db.put("t", vmap! { "Key" => "a", "RowId" => 0i64 })
+            .unwrap();
+        assert_eq!(db.writes_in_flight(), 0, "put");
+        db.update("t", &k, &Cond::True, &inc).unwrap();
+        assert_eq!(db.writes_in_flight(), 0, "update");
+        let refused = db.update("t", &k, &Cond::not_exists("Key"), &inc);
+        assert!(matches!(refused, Err(DbError::ConditionFailed)));
+        assert_eq!(db.writes_in_flight(), 0, "failed update");
+        db.delete("t", &k, &Cond::True).unwrap();
+        assert_eq!(db.writes_in_flight(), 0, "delete");
+        let both = |cond: Cond| {
+            db.transact_write(&[
+                TransactOp::Put {
+                    table: "t".into(),
+                    item: vmap! { "Key" => "b", "RowId" => 0i64 },
+                    cond,
+                },
+                TransactOp::Update {
+                    table: "u".into(),
+                    key: PrimaryKey::hash("b"),
+                    cond: Cond::True,
+                    update: Update::new().inc("N", 1),
+                },
+            ])
+        };
+        both(Cond::True).unwrap();
+        assert_eq!(db.writes_in_flight(), 0, "two-table transaction");
+        let canceled = both(Cond::not_exists("Key"));
+        assert!(matches!(
+            canceled,
+            Err(DbError::TransactionCanceled { failed_op: 0 })
+        ));
+        assert_eq!(db.writes_in_flight(), 0, "canceled transaction");
+        assert_eq!(db.metrics().lock_waits, 0, "no write waited");
+    }
+
+    /// While writers queue on a hot item the queue holds their entries;
+    /// once the last of them returns it holds none.
+    #[test]
+    fn queued_writes_leave_no_entry_behind() {
+        let (clock, db) = slow_db();
+        let writers: Vec<_> = (0..3)
+            .map(|w| {
+                let db = Arc::clone(&db);
+                let body = move || {
+                    let hot = PrimaryKey::hash("hot");
+                    db.update("u", &hot, &Cond::True, &Update::new().inc("N", 1))
+                        .unwrap();
+                    db.transact_write(&[
+                        TransactOp::Update {
+                            table: "t".into(),
+                            key: PrimaryKey::hash_sort("w", w),
+                            cond: Cond::True,
+                            update: Update::new().inc("N", 1),
+                        },
+                        TransactOp::Update {
+                            table: "u".into(),
+                            key: hot,
+                            cond: Cond::True,
+                            update: Update::new().inc("N", 1),
+                        },
+                    ])
+                    .unwrap();
+                };
+                clock.spawn(format!("writer-{w}"), Box::new(body))
+            })
+            .collect();
+        clock.sleep(std::time::Duration::from_millis(10));
+        assert!(db.writes_in_flight() > 0, "the writers are queued");
+        for writer in writers {
+            writer.join().expect("a writer panicked");
+        }
+        assert_eq!(db.writes_in_flight(), 0);
+        assert_eq!(db.metrics().lock_waits, 5, "all but the first queued");
+    }
+
+    /// A clock whose every wait panics: a writer dies inside its sleep.
+    struct DiesInSleep;
+
+    impl beldi_simclock::Clock for DiesInSleep {
+        fn now(&self) -> SimInstant {
+            SimInstant::EPOCH
+        }
+        fn sleep(&self, _: std::time::Duration) {
+            panic!("the writer dies in its sleep");
+        }
+        fn sleep_until(&self, _: SimInstant) {
+            panic!("the writer dies in its sleep");
+        }
+    }
+
+    #[test]
+    fn a_writer_unwound_in_its_sleep_leaves_no_entry() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let db = Database::new(Arc::new(DiesInSleep), slow_model(), 0);
+        db.create_table("t", TableSchema::hash_only("Id")).unwrap();
+        db.create_table("u", TableSchema::hash_only("Id")).unwrap();
+        let write = catch_unwind(AssertUnwindSafe(|| {
+            db.update("t", &PrimaryKey::hash("a"), &Cond::True, &Update::new())
+        }));
+        assert!(write.is_err(), "the clock panicked");
+        assert_eq!(db.writes_in_flight(), 0, "update");
+        let txn = catch_unwind(AssertUnwindSafe(|| {
+            db.transact_write(&[
+                TransactOp::Put {
+                    table: "t".into(),
+                    item: vmap! { "Id" => "a" },
+                    cond: Cond::True,
+                },
+                TransactOp::Put {
+                    table: "u".into(),
+                    item: vmap! { "Id" => "a" },
+                    cond: Cond::True,
+                },
+            ])
+        }));
+        assert!(txn.is_err(), "the clock panicked");
+        assert_eq!(db.writes_in_flight(), 0, "transaction");
     }
 
     #[test]

@@ -21,10 +21,13 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::data::TableData;
 use crate::key::TableSchema;
 
-/// One table: its name (its place in the lock order), schema (immutable,
-/// readable without any lock) and its rows.
+/// One table: its id, its name (its place in the lock order), schema
+/// (immutable, readable without any lock) and its rows.
 #[derive(Debug)]
 pub(crate) struct Table {
+    /// The table's place in creation order: what per-table state outside
+    /// the table (the item write queue) is indexed by.
+    pub(crate) id: usize,
     name: Arc<str>,
     pub(crate) schema: TableSchema,
     data: Mutex<TableData>,
@@ -73,10 +76,11 @@ impl Drop for TableGuard<'_> {
 }
 
 impl Table {
-    /// Creates an empty table named `name`.
-    pub(crate) fn new(name: &str, schema: TableSchema) -> Self {
+    /// Creates an empty table named `name`, the `id`-th created.
+    pub(crate) fn new(id: usize, name: &str, schema: TableSchema) -> Self {
         let data = Mutex::new(TableData::new(&schema));
         Table {
+            id,
             name: name.into(),
             schema,
             data,
@@ -115,7 +119,7 @@ mod tests {
     use super::*;
 
     fn table(name: &str) -> Table {
-        Table::new(name, TableSchema::hash_and_sort("Key", "RowId"))
+        Table::new(0, name, TableSchema::hash_and_sort("Key", "RowId"))
     }
 
     /// The lock-order canary: table `b`, then table `a`, is the order two

@@ -17,6 +17,8 @@
 //! under a per-row atomicity scope; the Beldi library builds its wrappers
 //! (read/write/condWrite of Figs. 5, 6, 17 in the paper) on top of them.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod cond;
 mod error;
 pub mod fnv;

@@ -75,6 +75,23 @@ impl Map {
         }
     }
 
+    /// The value under `name`, to write to, inserted from `value()` if
+    /// absent; `true` when it was.
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        name: &Name,
+        value: impl FnOnce() -> Value,
+    ) -> (&mut Value, bool) {
+        match self.find(name) {
+            Ok(i) => (&mut self.unique(0).0[i].1, false),
+            Err(i) => {
+                let entries = &mut self.unique(1).0;
+                entries.insert(i, (name.clone(), value()));
+                (&mut entries[i].1, true)
+            }
+        }
+    }
+
     /// Makes room for `additional` more entries, in one allocation at
     /// most: a shared map is copied at its final size, a full one grows by
     /// exactly that much.
@@ -93,7 +110,8 @@ impl Map {
             copy.extend_from_slice(&shared.0);
             *shared = Arc::new(Entries(copy));
         }
-        let entries = Arc::get_mut(shared).expect("held by this handle alone");
+        // Held by this handle alone by now, so this copies nothing.
+        let entries = Arc::make_mut(shared);
         entries.0.reserve_exact(additional);
         entries
     }

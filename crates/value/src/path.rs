@@ -39,10 +39,10 @@ enum Repr {
 
 impl Path {
     /// Creates a path from pre-built segments.
-    pub fn new(mut segments: Vec<PathSegment>) -> Self {
-        let repr = match segments.len() {
-            1 => Repr::One(segments.pop().expect("length checked")),
-            _ => Repr::Many(segments),
+    pub fn new(segments: Vec<PathSegment>) -> Self {
+        let repr = match <[PathSegment; 1]>::try_from(segments) {
+            Ok([one]) => Repr::One(one),
+            Err(segments) => Repr::Many(segments),
         };
         Path { repr }
     }
@@ -193,6 +193,11 @@ impl From<&'static str> for Path {
         if !s.is_empty() && !s.contains(['.', '[']) {
             return Path::attr(s);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a literal is program text, so a malformed one is a bug at its \
+                      site; computed input goes through the fallible `Path::parse`"
+        )]
         Path::parse(s).expect("malformed path literal")
     }
 }

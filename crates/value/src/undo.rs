@@ -40,6 +40,11 @@ pub(crate) struct Undo<'p> {
 impl Undo<'_> {
     /// Takes the mutation back. `row` must be in the state the mutation
     /// left it in (undo records are replayed newest first).
+    #[expect(
+        clippy::expect_used,
+        reason = "replayed newest first on the row it was taken on, a record finds \
+                  its parents as its write left them"
+    )]
     pub fn revert(self, row: &mut Value) {
         let Some((last, parents)) = self.at.split_last() else {
             if let Prior::Replaced(old) = self.prior {
@@ -122,11 +127,11 @@ impl Value {
                 (PathSegment::Attr(a), Value::Map(m)) => {
                     // A new attribute's key is a clone of the path's name:
                     // a borrowed constant or a shared string, never a copy.
-                    if !m.contains_key(a.as_str()) {
-                        m.insert(a.clone(), Value::Map(Map::new()));
+                    let (child, added) = m.get_or_insert_with(a, || Value::Map(Map::new()));
+                    if added {
                         created.get_or_insert(depth);
                     }
-                    m.get_mut(a.as_str()).expect("just ensured")
+                    child
                 }
                 (PathSegment::Index(i), Value::List(l)) => {
                     l.get_mut(*i).ok_or(ValueError::IndexOutOfBounds(*i))?

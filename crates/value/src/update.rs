@@ -74,6 +74,14 @@ impl Update {
         Update::default()
     }
 
+    /// Creates an empty update with room for `n` actions: a builder that
+    /// knows how many it appends allocates once, at that size.
+    pub fn with_capacity(n: usize) -> Self {
+        Update {
+            actions: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends `SET path = value` (builder style).
     pub fn set(mut self, path: impl Into<Path>, value: impl Into<Value>) -> Self {
         self.actions
@@ -253,6 +261,33 @@ mod tests {
             .unwrap();
         assert_eq!(row.get_str("Value"), Some("v2"));
         assert_eq!(row.get_int("LogSize"), Some(2));
+    }
+
+    /// A sized update is the same update: equal, and applied the same way.
+    #[test]
+    fn with_capacity_builds_the_update_new_builds() {
+        let build = |u: Update| {
+            u.set("Done", true)
+                .set_if_absent("Finish", 7i64)
+                .remove("Args")
+                .inc("LogSize", 1)
+                .set("Log.s1", "v")
+        };
+        let (sized, grown) = (build(Update::with_capacity(5)), build(Update::new()));
+        assert_eq!(sized, grown);
+        assert!(
+            sized.actions.capacity() == 5,
+            "sized once, at its action count"
+        );
+        let row = vmap! { "Args" => "a", "Finish" => 3i64, "Log" => vmap! {} };
+        let (mut a, mut b) = (row.clone(), row);
+        sized.apply(&mut a).unwrap();
+        grown.apply(&mut b).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            a,
+            vmap! { "Done" => true, "Finish" => 3i64, "Log" => vmap! { "s1" => "v" }, "LogSize" => 1i64 }
+        );
     }
 
     #[test]

@@ -258,12 +258,11 @@ impl Value {
 
     /// Removes the value at `path`, returning it if present.
     pub fn remove_path(&mut self, path: &Path) -> ValueResult<Option<Value>> {
-        if path.is_empty() {
+        let Some((last, parents)) = path.segments().split_last() else {
             return Err(ValueError::BadPath(String::new()));
-        }
+        };
         let mut cur = self;
-        let segs = path.segments();
-        for seg in &segs[..segs.len() - 1] {
+        for seg in parents {
             cur = match (seg, cur) {
                 (PathSegment::Attr(a), Value::Map(m)) => match m.get_mut(a.as_str()) {
                     Some(v) => v,
@@ -276,7 +275,7 @@ impl Value {
                 _ => return Ok(None),
             };
         }
-        match (segs.last().expect("non-empty path"), cur) {
+        match (last, cur) {
             (PathSegment::Attr(a), Value::Map(m)) => Ok(m.remove(a.as_str())),
             (PathSegment::Index(i), Value::List(l)) => {
                 if *i < l.len() {
