@@ -1,5 +1,6 @@
-//! A warm worker is a parked thread, so an environment owns threads: it
-//! must take them with it when it drops.
+//! A warm container that has run an asynchronous or pending invocation
+//! keeps a parked thread, so an environment owns threads: it must take
+//! them with it when it drops.
 //!
 //! One test, so that nothing else in this process starts or ends a
 //! thread while the count is read.
@@ -11,6 +12,7 @@ use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{BeldiConfig, BeldiEnv};
+use beldi_runtime::Executor;
 use beldi_simclock::{Clock, SharedClock, SimInstant};
 
 /// A clock that implements only `now` and `sleep`: a counter that
@@ -30,8 +32,10 @@ impl Clock for CounterClock {
 }
 
 /// A default (`SimClock`) environment, or one on `clock`, with a two-SSF
-/// chain whose workers are warm: `outer` has invoked `inner` once (and
-/// `inner` has called back into `outer` while that worker was occupied).
+/// chain whose containers are warm and have threads: reached through the
+/// pending front, `outer` has invoked `inner` once on its own thread (and
+/// `inner` has called back into `outer` while that container was
+/// occupied), and `inner`, reached the same way, has a thread of its own.
 fn warmed_env(clock: Option<SharedClock>) -> BeldiEnv {
     let env = match clock {
         None => BeldiEnv::for_tests(),
@@ -43,7 +47,11 @@ fn warmed_env(clock: Option<SharedClock>) -> BeldiEnv {
         &[],
         Arc::new(|ctx, input| ctx.sync_invoke("inner", input)),
     );
-    assert_eq!(env.invoke("outer", Value::Int(7)).unwrap(), Value::Int(7));
+    let rt = Executor::new(env.clock().clone(), 1);
+    for ssf in ["outer", "inner"] {
+        let call = env.invoke_task(ssf, &format!("{ssf}-root"), Value::Int(7), 1);
+        assert_eq!(rt.block_on(call).unwrap(), Value::Int(7));
+    }
     env
 }
 
@@ -74,10 +82,9 @@ fn no_thread_outlives_its_environment() {
     for clock in [|| None, counter] {
         for _ in 0..20 {
             let env = warmed_env(clock());
-            let workers = env.platform_metrics().cold_starts as usize;
-            assert!(workers >= 2, "one per SSF at least");
-            // Read settled: the previous environment's workers are joined,
-            // but a joined thread stays listed until the kernel reaps it.
+            let workers = 2; // One per SSF.
+                             // Read settled: the previous environment's workers are joined,
+                             // but a joined thread stays listed until the kernel reaps it.
             let parked = threads_settled_at(at_start + workers);
             assert_eq!(parked, at_start + workers, "each one parked");
             drop(env);

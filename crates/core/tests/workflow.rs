@@ -134,6 +134,41 @@ fn recursive_ssf_terminates_with_distinct_instances() {
     assert_eq!(env.invoke("fact", Value::Int(6)).unwrap(), Value::Int(720));
 }
 
+/// A synchronous call runs on its caller's thread, so a chain of them
+/// shares one stack: 32 links deep, on a thread started through the
+/// clock (a spawned thread's stack, not the test's main thread's), it
+/// completes.
+#[test]
+fn a_32_deep_sync_chain_completes_on_one_spawned_thread() {
+    const DEPTH: i64 = 32;
+    let env = Arc::new(BeldiEnv::for_tests());
+    let threads = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let seen = threads.clone();
+    env.register_ssf(
+        "link",
+        &[],
+        Arc::new(move |ctx, input| {
+            seen.lock().push(std::thread::current().id());
+            let n = input.as_int().unwrap_or(0);
+            if n == DEPTH {
+                return Ok(Value::Int(n));
+            }
+            ctx.sync_invoke("link", Value::Int(n + 1))
+        }),
+    );
+    let root = spawn(&env, "root", |env| {
+        assert_eq!(
+            env.invoke("link", Value::Int(1)).unwrap(),
+            Value::Int(DEPTH)
+        );
+    });
+    join_all(vec![root]);
+    let threads = threads.lock().clone();
+    assert_eq!(threads.len(), DEPTH as usize);
+    assert_ne!(threads[0], std::thread::current().id());
+    assert!(threads.iter().all(|t| *t == threads[0]), "{threads:?}");
+}
+
 #[test]
 fn async_invoke_runs_exactly_once() {
     let env = BeldiEnv::for_tests();

@@ -107,6 +107,11 @@ pub trait Clock: Send + Sync {
         thread.unpark();
     }
 
+    /// Ends the calling thread's turn without waiting for anything: it
+    /// stays ready to run. A clock that schedules nothing has no turn to
+    /// end, so the default returns at once.
+    fn yield_now(&self) {}
+
     /// Runs `body` on a new thread named `name`.
     ///
     /// # Panics

@@ -21,13 +21,16 @@
 //! by [`Clock::unpark`] (what [`park_on`] — and so the platform's blocking
 //! invokes and a thread's `Semaphore` acquire — and the executor's idle
 //! wait are built on); and [`JoinHandle::join`] of a thread started with
-//! [`Clock::spawn`]. On a clock that implements only `now` + `sleep` (a
+//! [`Clock::spawn`]. [`Clock::yield_now`] ends a turn without waiting
+//! (what a synchronous invoke does where a hand-off to a worker thread
+//! would be). On a clock that implements only `now` + `sleep` (a
 //! counter that `sleep` adds to, say), the last three default to the
-//! host's `std::thread` equivalents. On a `SimClock` they are how the schedule
-//! learns that a thread has stopped running: a participant must wait in no
-//! other way on anything another participant has to run to provide, and a
-//! thread the clock did not start must not wait on it at all (it panics,
-//! naming the thread). [`SimClock`]'s docs give the details.
+//! host's `std::thread` equivalents and the yield to nothing. On a
+//! `SimClock` they are how the schedule learns that a thread has stopped
+//! running: a participant must wait in no other way on anything another
+//! participant has to run to provide, and a thread the clock did not
+//! start must not wait on it at all (it panics, naming the thread).
+//! [`SimClock`]'s docs give the details.
 //!
 //! The crate also holds the two waiting primitives every layer above
 //! shares: the periodic [`Ticker`] and the waker-based [`Semaphore`]

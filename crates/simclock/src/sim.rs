@@ -4,10 +4,11 @@
 //! *participants* — and lets exactly one of them run at a time (the
 //! *baton*). A participant gives the baton up only at a clock-visible
 //! wait: [`Clock::sleep`], [`Clock::park_until`], joining a thread it
-//! started with [`Clock::spawn`], or exiting. The clock then hands the
-//! baton to one runnable participant, drawn with a seeded generator;
-//! when none is runnable it moves virtual time to the earliest pending
-//! deadline and wakes every participant waiting for that instant.
+//! started with [`Clock::spawn`], [`Clock::yield_now`], or exiting. The
+//! clock then hands the baton to one runnable participant, drawn with a
+//! seeded generator; when none is runnable it moves virtual time to the
+//! earliest pending deadline and wakes every participant waiting for
+//! that instant.
 //! Virtual time therefore moves only by what is slept, and which thread
 //! runs next depends on the seed alone: host speed and host scheduling
 //! cannot enter.
@@ -409,6 +410,17 @@ impl Clock for SimClock {
         }
     }
 
+    /// The caller joins the runnable set and the seeded draw picks who
+    /// runs next, itself included: the draw a hand-off to a parked thread
+    /// makes, with the caller in the woken thread's place.
+    fn yield_now(&self) {
+        let mut s = self.inner.state.lock();
+        let id = self.inner.current(&s);
+        let now = self.inner.now.load(Ordering::Relaxed);
+        s.make_runnable(now, id);
+        self.inner.block(s, id, Wait::Runnable);
+    }
+
     fn spawn(&self, name: String, body: Box<dyn FnOnce() + Send>) -> JoinHandle {
         let id = {
             let mut s = self.inner.state.lock();
@@ -603,6 +615,108 @@ mod tests {
         assert!(doomed.join().is_err());
         survivor.join().unwrap();
         assert_eq!(clock.now().as_millis(), 2);
+    }
+
+    /// A caller making six calls beside two bystanders, each call either
+    /// handed to a worker thread — started by the first call, parked and
+    /// woken after — or run on the caller's own thread between two
+    /// yields. Returns who held the baton when, the worker's turns read
+    /// as the caller's.
+    fn call_schedule(seed: u64, hand_off: bool) -> Vec<String> {
+        const CALLS: usize = 6;
+        let tick = Duration::from_millis(1);
+        let clock = SimClock::shared(seed);
+        clock.enable_trace();
+        let bystanders: Vec<_> = (0..2)
+            .map(|i| {
+                let c = Arc::clone(&clock);
+                spawn(&clock, &format!("b{i}"), move || {
+                    for _ in 0..CALLS {
+                        c.sleep(tick);
+                    }
+                })
+            })
+            .collect();
+        // The call, the reply, and the worker's retirement.
+        let flags = Arc::new(Mutex::new((false, false, false)));
+        let worker_thread = Arc::new(Mutex::new(None::<Thread>));
+        let worker_join = Arc::new(Mutex::new(None));
+        let (c, f, wt, wj) = (
+            Arc::clone(&clock),
+            Arc::clone(&flags),
+            Arc::clone(&worker_thread),
+            Arc::clone(&worker_join),
+        );
+        let caller = spawn(&clock, "caller", move || {
+            let work = move |c: &SimClock| c.sleep(tick / 2);
+            for _ in 0..CALLS {
+                c.sleep(tick);
+                if !hand_off {
+                    c.yield_now();
+                    work(&c);
+                    c.yield_now();
+                    continue;
+                }
+                f.lock().0 = true;
+                let parked = wt.lock().clone();
+                if let Some(worker) = parked {
+                    c.unpark(&worker);
+                } else {
+                    let (wc, wf, caller) = (Arc::clone(&c), Arc::clone(&f), std::thread::current());
+                    let wt = Arc::clone(&wt);
+                    *wj.lock() = Some(spawn(&c, "worker", move || {
+                        *wt.lock() = Some(std::thread::current());
+                        loop {
+                            if std::mem::take(&mut wf.lock().0) {
+                                work(&wc);
+                                wf.lock().1 = true;
+                                wc.unpark(&caller);
+                            } else if wf.lock().2 {
+                                return;
+                            }
+                            wc.park_until(None);
+                        }
+                    }));
+                }
+                while !std::mem::take(&mut f.lock().1) {
+                    c.park_until(None);
+                }
+            }
+        });
+        caller.join().unwrap();
+        for t in bystanders {
+            t.join().unwrap();
+        }
+        let schedule = clock
+            .take_trace()
+            .into_iter()
+            .filter(|line| line.contains(" run "))
+            .map(|line| line.replace(" run worker", " run caller"))
+            .collect();
+        if hand_off {
+            flags.lock().2 = true;
+            clock.unpark(worker_thread.lock().as_ref().expect("the worker started"));
+            let worker = worker_join.lock().take().expect("the worker started");
+            worker.join().unwrap();
+        }
+        schedule
+    }
+
+    #[test]
+    fn a_yield_draws_as_the_hand_off_to_a_parked_thread_it_replaces() {
+        let reference = call_schedule(0, false);
+        assert!(reference.len() > 20, "{reference:?}");
+        for seed in 0..8 {
+            assert_eq!(
+                call_schedule(seed, true),
+                call_schedule(seed, false),
+                "seed {seed}"
+            );
+        }
+        assert!(
+            (1..8).any(|seed| call_schedule(seed, false) != reference),
+            "eight seeds all drew the same schedule: no draw had a choice"
+        );
     }
 
     #[test]

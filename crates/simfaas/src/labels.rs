@@ -181,7 +181,7 @@ labels! {
 
     // ---- Platform ----
 
-    /// A platform worker thread has booted (startup delay paid) but
+    /// A platform container has booted (startup delay paid) but
     /// dies before entering the handler. The concurrency permit is
     /// still freed and the caller observes `Crashed` with no intent
     /// row written by this attempt — recovery must re-run the

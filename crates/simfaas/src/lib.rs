@@ -7,17 +7,20 @@
 //!   function writes to its database.
 //! - **Synchronous and asynchronous invocation** ([`Platform::invoke_sync`],
 //!   [`Platform::invoke_async`]); callers of a synchronous chain each occupy
-//!   a worker, as on Lambda. Both park the calling thread on the one
-//!   admission-then-completion path that [`Platform::invoke_pending`]
-//!   hands to executor tasks as a future.
-//! - **Cold/warm starts**: a per-function pool of warm workers, each a
-//!   thread parked between invocations; an invocation that finds none
-//!   idle starts one and pays the cold-start penalty.
+//!   a container, as on Lambda. Both park the calling thread on the one
+//!   admission step that [`Platform::invoke_pending`] hands to executor
+//!   tasks as a future. A synchronous invocation then runs on its caller's
+//!   thread; the other two run on their container's thread.
+//! - **Cold/warm starts**: a per-function pool of warm containers, shared
+//!   by every entry point; an invocation that finds none idle makes one and
+//!   pays the cold-start penalty. A container keeps a parked thread once an
+//!   asynchronous or pending invocation has run in it.
 //! - **A platform-wide concurrency cap** (AWS: 1,000 concurrent Lambdas per
 //!   account) — the saturation bottleneck in the paper's Figs. 14, 15, 26.
-//! - **Execution timeouts**: a synchronous caller gives up after the
-//!   configured timeout; the stuck worker keeps running (providers expose
-//!   no kill switch — the fact Beldi's GC synchrony assumption leans on).
+//! - **Execution timeouts**: a synchronous caller hears `Timeout` when the
+//!   reply lands past the configured timeout; the callee is not cut short
+//!   (providers expose no kill switch — the fact Beldi's GC synchrony
+//!   assumption leans on).
 //! - **Crash-restart failure injection** ([`FaultInjector`]): instances can
 //!   be crashed at any labelled crash point, deterministically (scripted
 //!   plans) or randomly (a seeded storm). The paper's exactly-once guarantee

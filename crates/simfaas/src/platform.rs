@@ -1,6 +1,5 @@
 //! The simulated FaaS [`Platform`].
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
@@ -29,8 +28,6 @@ pub struct InvocationCtx {
     /// The fresh id the platform assigned to this execution (AWS "request
     /// id"). Beldi uses it as the instance id of workflow-root SSFs.
     pub request_id: String,
-    /// Name the function was invoked under.
-    pub function: String,
     /// Handle back to the platform (for nested invocations).
     pub platform: Arc<Platform>,
 }
@@ -104,21 +101,30 @@ impl PlatformConfig {
 #[derive(Clone)]
 struct FunctionEntry {
     handler: FunctionHandler,
-    /// The function's idle warm workers.
-    warm_idle: Arc<Mutex<WarmPool>>,
+    /// The function's idle warm containers.
+    pool: Arc<Mutex<WarmPool>>,
 }
 
 #[derive(Default)]
 struct WarmPool {
-    /// Parked workers, most recently used last.
-    idle: Vec<Arc<Worker>>,
+    /// Idle containers, most recently used last.
+    idle: Vec<Container>,
     /// Set when the function is replaced or its platform torn down: a
-    /// worker still running exits instead of coming back.
+    /// container still running is not pooled again.
     retired: bool,
 }
 
-/// A warm worker: a thread a cold start began, parked on the clock
+/// A warm container: the modelled slot a cold start creates and a warm
+/// start reuses. A synchronous invocation runs in it on its caller's
+/// thread. An asynchronous or pending one runs on the container's own
+/// thread, started the first time one needs it and parked on the clock
 /// between invocations.
+#[derive(Default)]
+struct Container {
+    worker: Option<Arc<Worker>>,
+}
+
+/// A container's thread.
 #[derive(Default)]
 struct Worker {
     /// Published by the worker's thread before it first enters the pool.
@@ -134,38 +140,45 @@ enum Next {
     /// Nothing yet: park.
     #[default]
     Wait,
-    Run(Job),
+    Run(Job, ReplySink),
     Retire,
 }
 
-/// One admitted invocation, as a worker receives it.
+/// One admitted invocation, ready to run in its container.
 struct Job {
     ctx: InvocationCtx,
     payload: Value,
     /// Dispatch overhead plus the cold- or warm-start delay.
     startup: Duration,
     permit: Permit,
-    sink: ReplySink,
 }
 
 /// Where a worker delivers its one reply.
 type ReplySink = Box<dyn FnOnce(InvokeResult<Value>) + Send>;
 
 impl FunctionEntry {
-    /// Closes the pool and tells its idle workers to exit. Returns their
-    /// handles: join them to wait, drop them not to.
+    /// Closes the pool and tells the idle containers' threads to exit.
+    /// Returns their handles: join them to wait, drop them not to.
     fn retire(&self, clock: &SharedClock) -> Vec<JoinHandle> {
         let idle = {
-            let mut pool = self.warm_idle.lock();
+            let mut pool = self.pool.lock();
             pool.retired = true;
             std::mem::take(&mut pool.idle)
         };
-        idle.iter()
-            .filter_map(|worker| {
-                worker.wake(clock, Next::Retire);
-                worker.join.lock().take()
-            })
+        idle.into_iter()
+            .filter_map(|container| container.retire(clock))
             .collect()
+    }
+}
+
+impl Container {
+    /// Tells the container's thread, if it has one, to exit. Returns its
+    /// handle.
+    fn retire(self, clock: &SharedClock) -> Option<JoinHandle> {
+        let worker = self.worker?;
+        worker.wake(clock, Next::Retire);
+        let join = worker.join.lock().take();
+        join
     }
 }
 
@@ -178,48 +191,64 @@ impl Worker {
     }
 
     /// The worker thread's body: runs `job`, then whatever the pool hands
-    /// it, until it is retired or the pool has no room for it. Between
-    /// invocations it holds no reference to the platform.
+    /// it, until it is retired or the pool has no room for its container.
+    /// Between invocations it holds no reference to the platform.
     fn serve(
         self: Arc<Self>,
         mut job: Job,
+        mut sink: ReplySink,
         handler: FunctionHandler,
         pool: Arc<Mutex<WarmPool>>,
         clock: SharedClock,
     ) {
         let thread = self.thread.set(std::thread::current());
         thread.expect("a worker serves on one thread");
-        while self.run(job, &handler, &pool) {
-            job = loop {
+        loop {
+            let container = Container {
+                worker: Some(Arc::clone(&self)),
+            };
+            let (reply, turned_away) = job.run(container, &handler, &pool);
+            sink(reply);
+            if turned_away.is_some() {
+                return;
+            }
+            (job, sink) = loop {
                 // Taken in its own statement: the lock must not be held
                 // while parked.
                 let next = std::mem::take(&mut *self.next.lock());
                 match next {
-                    Next::Run(job) => break job,
+                    Next::Run(job, sink) => break (job, sink),
                     Next::Retire => return,
                     Next::Wait => clock.park_until(None),
                 }
             };
         }
     }
+}
 
-    /// Runs one invocation: the handler, back into the warm pool, the
-    /// permit freed, then exactly one reply through the job's sink.
-    /// Returns whether the worker is pooled again.
-    fn run(self: &Arc<Self>, job: Job, handler: &FunctionHandler, pool: &Mutex<WarmPool>) -> bool {
+impl Job {
+    /// Runs the invocation in `container` on the calling thread — its
+    /// worker's, or a synchronous caller's: the start-up delay, the
+    /// handler, the container back into the warm pool, the permit freed.
+    /// Returns the reply, and the container if the pool turned it away.
+    fn run(
+        self,
+        container: Container,
+        handler: &FunctionHandler,
+        pool: &Mutex<WarmPool>,
+    ) -> (InvokeResult<Value>, Option<Container>) {
         let Job {
             ctx,
             payload,
             startup,
             permit,
-            sink,
-        } = job;
+        } = self;
         let platform = &ctx.platform;
-        let mut pooled = false;
+        let mut container = Some(container);
         let run = || {
             platform.clock.sleep(startup);
             let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                // The worker booted (startup delay paid) but may
+                // The container booted (startup delay paid) but may
                 // die before the handler runs: the permit is
                 // still freed below and the caller sees
                 // `Crashed`, so recovery must re-run the intent
@@ -243,29 +272,27 @@ impl Worker {
                 }
             };
             // A crashed handler took its container's state with it, not
-            // the container: the worker is warm either way.
+            // the container: it is warm either way.
             let mut pool = pool.lock();
             if !pool.retired && pool.idle.len() < platform.config.warm_pool_per_fn {
-                pool.idle.push(Arc::clone(self));
-                pooled = true;
+                pool.idle.extend(container.take());
             }
             reply
         };
-        // A worker that dies outside its handler (while booting,
+        // A container that dies outside its handler (while booting,
         // say) still owes its caller a reply: without one a task
         // in `invoke_pending`, which has no timeout, waits forever.
-        // It is not pooled: its thread exits.
+        // It is not pooled.
         let reply = std::panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
             platform.finish(Metric::FaasCrashes);
             Err(InvokeError::Crashed("worker-lost".into()))
         });
-        // Free the permit (the worker is already back in the warm
+        // Free the permit (the container is already back in the warm
         // pool) *before* replying: a closed-loop caller re-invokes
-        // the moment the reply lands, and must find this worker
+        // the moment the reply lands, and must find this container
         // warm and its permit free rather than race them.
         drop(permit);
-        sink(reply);
-        pooled
+        (reply, container)
     }
 }
 
@@ -363,11 +390,12 @@ impl Platform {
     }
 
     /// Registers (or replaces) a function under `name`. A replaced
-    /// function's warm workers are retired, not waited for.
+    /// function's warm containers are retired, their threads not waited
+    /// for.
     pub fn register(&self, name: impl Into<String>, handler: FunctionHandler) {
         let entry = FunctionEntry {
             handler,
-            warm_idle: Arc::default(),
+            pool: Arc::default(),
         };
         let replaced = self.functions.write().insert(name.into(), entry);
         if let Some(replaced) = replaced {
@@ -375,8 +403,9 @@ impl Platform {
         }
     }
 
-    /// Retires every function's warm pool and waits for the idle workers'
-    /// threads to exit; a worker still running exits when it is done.
+    /// Retires every function's warm pool and waits for the idle
+    /// containers' threads to exit; a container still running is not
+    /// pooled again, and its thread exits when it is done.
     /// The wait is one the clock sees, so call it from a thread of the
     /// clock. Later invocations all start cold.
     pub fn retire_workers(&self) {
@@ -387,7 +416,7 @@ impl Platform {
 
     fn retire_all(&self) -> Vec<JoinHandle> {
         let functions = self.functions.read();
-        // By name, not hash order: on a `SimClock` the order workers are
+        // By name, not hash order: on a `SimClock` the order threads are
         // woken in is part of the schedule.
         #[expect(clippy::disallowed_methods, reason = "sorted by name on the next line")]
         let mut entries: Vec<_> = functions.iter().collect();
@@ -427,9 +456,10 @@ impl Platform {
         InvokeError::Throttled
     }
 
-    /// The one completion step: launches the admitted invocation and
-    /// resolves to the worker's reply. The worker fills a cell and wakes
-    /// whoever awaits it — an executor task, or a thread in [`park_on`].
+    /// The one completion step of the two fronts that run on a worker
+    /// thread: launches the admitted invocation and resolves to the
+    /// worker's reply. The worker fills a cell and wakes whoever awaits
+    /// it — an executor task, or a thread in [`park_on`].
     async fn complete(
         self: &Arc<Self>,
         name: &str,
@@ -464,30 +494,38 @@ impl Platform {
 
     /// Invokes a function synchronously, returning its result.
     ///
-    /// The calling thread parks on the same admission and completion
-    /// steps [`Platform::invoke_pending`] awaits, up to the configured
-    /// timeout in virtual time: [`InvokeError::Throttled`] if that
-    /// passes while the invocation is still queued for a permit,
-    /// [`InvokeError::Timeout`] once it is running (the abandoned worker
-    /// runs on and frees its own permit). The instance runs on a warm
-    /// worker's thread; a panic inside the handler — including injected
-    /// [`CrashSignal`]s — yields [`InvokeError::Crashed`].
+    /// The calling thread parks on the admission step
+    /// [`Platform::invoke_pending`] awaits, up to the configured timeout
+    /// in virtual time: [`InvokeError::Throttled`] if that passes while
+    /// the invocation is still queued for a permit. Once admitted, the
+    /// instance runs in a warm container on the calling thread; a panic
+    /// inside the handler — including injected [`CrashSignal`]s — yields
+    /// [`InvokeError::Crashed`]. A reply that lands past the timeout is
+    /// dropped for [`InvokeError::Timeout`]; the permit is free by then.
     pub fn invoke_sync(self: &Arc<Self>, name: &str, payload: Value) -> InvokeResult<Value> {
         let deadline = self.clock.now().plus(self.config.invoke_timeout);
-        let queued = Cell::new(true);
-        let invocation = async {
-            let admitted = self.admit(name).await?;
-            queued.set(false);
-            self.complete(name, admitted, payload).await
-        };
-        match park_on(&self.clock, deadline, invocation) {
-            Some(result) => result,
-            None if queued.get() => Err(self.throttled()),
-            None => {
-                self.telemetry.add(Metric::FaasTimeouts, 1);
-                Err(InvokeError::Timeout)
-            }
+        let admitted =
+            park_on(&self.clock, deadline, self.admit(name)).ok_or_else(|| self.throttled())??;
+        let (FunctionEntry { handler, pool }, permit) = admitted;
+        let (container, job) = self.start(&pool, permit, payload);
+        // On a `SimClock` the turn ends at the two points where a worker
+        // thread would take over — woken here while the caller parks, and
+        // waking the caller before it parks itself — so the schedule
+        // draws as if it had.
+        self.clock.yield_now();
+        let (reply, turned_away) = job.run(container, &handler, &pool);
+        // A container the pool turned away takes its thread, if it has
+        // one, with it: the thread exits unjoined, as a turned-away
+        // worker's does.
+        if let Some(container) = turned_away {
+            container.retire(&self.clock);
         }
+        self.clock.yield_now();
+        if self.clock.now() > deadline {
+            self.telemetry.add(Metric::FaasTimeouts, 1);
+            return Err(InvokeError::Timeout);
+        }
+        reply
     }
 
     /// Invokes a function asynchronously (fire and forget): blocks only
@@ -524,27 +562,19 @@ impl Platform {
         }
     }
 
-    /// Hands an admitted invocation to a worker and returns its request
-    /// id: to the function's most recently idle warm worker if there is
-    /// one, else to a thread started here — a cold start, the only thing
-    /// that starts one. The worker runs the handler, returns itself to
-    /// the warm pool and frees the permit, then delivers exactly one
-    /// reply through `sink`.
-    fn launch_worker(
+    /// Takes a container for an admitted invocation — the function's most
+    /// recently idle one, else a new one: a cold start — and counts the
+    /// start. Returns the container and the job to run in it.
+    fn start(
         self: &Arc<Self>,
-        name: &str,
-        admitted: (FunctionEntry, Permit),
+        pool: &Mutex<WarmPool>,
+        permit: Permit,
         payload: Value,
-        sink: ReplySink,
-    ) -> String {
-        let (FunctionEntry { handler, warm_idle }, permit) = admitted;
-        let warm = warm_idle.lock().idle.pop();
+    ) -> (Container, Job) {
+        let warm = pool.lock().idle.pop();
         let cold = warm.is_none();
-
-        let request_id = self.new_uuid();
         let ctx = InvocationCtx {
-            request_id: request_id.clone(),
-            function: name.to_owned(),
+            request_id: self.new_uuid(),
             platform: self.clone(),
         };
         let startup = self.config.invoke_overhead
@@ -566,14 +596,31 @@ impl Platform {
             payload,
             startup,
             permit,
-            sink,
         };
-        match warm {
-            Some(worker) => worker.wake(&self.clock, Next::Run(job)),
+        (warm.unwrap_or_default(), job)
+    }
+
+    /// Hands an admitted invocation to its container's thread and returns
+    /// its request id: a parked thread is woken, a container without one
+    /// gets one started here. The worker runs the handler, returns its
+    /// container to the warm pool and frees the permit, then delivers
+    /// exactly one reply through `sink`.
+    fn launch_worker(
+        self: &Arc<Self>,
+        name: &str,
+        admitted: (FunctionEntry, Permit),
+        payload: Value,
+        sink: ReplySink,
+    ) -> String {
+        let (FunctionEntry { handler, pool }, permit) = admitted;
+        let (container, job) = self.start(&pool, permit, payload);
+        let request_id = job.ctx.request_id.clone();
+        match container.worker {
+            Some(worker) => worker.wake(&self.clock, Next::Run(job, sink)),
             None => {
                 let worker = Arc::new(Worker::default());
                 let (served, clock) = (worker.clone(), self.clock.clone());
-                let body = move || served.serve(job, handler, warm_idle, clock);
+                let body = move || served.serve(job, sink, handler, pool, clock);
                 let thread = self.clock.spawn(format!("ssf-{name}"), Box::new(body));
                 *worker.join.lock() = Some(thread);
             }
@@ -662,14 +709,34 @@ mod tests {
         (seen, handler)
     }
 
-    /// Worker threads alive for a registered `handler`: each holds one
-    /// reference, beside the test's and the function table's.
+    /// A handler that holds its container, and its permit, for as many
+    /// milliseconds of virtual time as its payload says.
+    fn payload_holding_handler() -> FunctionHandler {
+        Arc::new(|ctx, payload| {
+            let ms = payload.as_int().expect("a hold in milliseconds");
+            ctx.platform.clock().sleep(Duration::from_millis(ms as u64));
+            payload
+        })
+    }
+
+    /// Worker threads alive for a registered `handler` while no
+    /// synchronous call of it runs: each holds one reference, beside the
+    /// test's and the function table's.
     fn live_workers(handler: &FunctionHandler) -> usize {
         Arc::strong_count(handler) - 2
     }
 
-    fn idle_workers(p: &Platform, name: &str) -> usize {
-        p.lookup(name).unwrap().warm_idle.lock().idle.len()
+    fn idle_containers(p: &Platform, name: &str) -> usize {
+        p.lookup(name).unwrap().pool.lock().idle.len()
+    }
+
+    /// Runs `fut` to completion on an executor of `p`'s clock, on the
+    /// calling thread.
+    fn pending<T: Send + 'static>(
+        p: &Platform,
+        fut: impl Future<Output = T> + Send + 'static,
+    ) -> T {
+        beldi_runtime::Executor::new(p.clock().clone(), 1).block_on(fut)
     }
 
     /// A one-permit `Queue` platform on `clock`.
@@ -869,54 +936,104 @@ mod tests {
     }
 
     /// The warm pool is the mechanism, not a count beside it: a cold
-    /// start begins a thread and every warm start reuses one.
+    /// start begins a container and every warm start reuses one. A
+    /// pending invocation runs on the container's thread, started once;
+    /// a synchronous one borrows the container on its caller's thread
+    /// and leaves that thread parked.
     #[test]
     fn a_warm_worker_is_one_thread_reused() {
         const CALLS: usize = 50;
         let p = Platform::for_tests();
         let (seen, handler) = thread_noting_handler();
-        p.register("echo", handler);
-        for _ in 0..CALLS {
-            p.invoke_sync("echo", Value::Null).unwrap();
+        p.register("echo", handler.clone());
+        for i in 0..CALLS {
+            if i == CALLS / 2 {
+                p.invoke_sync("echo", Value::Null).unwrap();
+            }
+            pending(&p, p.invoke_pending("echo", Value::Null)).unwrap();
         }
-        let seen = seen.lock().clone();
-        assert_eq!(seen.len(), CALLS);
-        assert_ne!(seen[0], std::thread::current().id());
+        let mut seen = seen.lock().clone();
+        assert_eq!(seen.len(), CALLS + 1);
+        let on_caller = seen.remove(CALLS / 2);
+        assert_eq!(on_caller, std::thread::current().id());
+        assert_ne!(seen[0], on_caller);
         assert!(seen.iter().all(|thread| *thread == seen[0]), "{seen:?}");
+        assert_eq!(live_workers(&handler), 1);
         let m = p.metrics();
-        assert_eq!((m.cold_starts, m.warm_starts), (1, CALLS as u64 - 1));
+        assert_eq!((m.cold_starts, m.warm_starts), (1, CALLS as u64));
     }
 
-    /// A synchronous chain occupies one worker per link, as on Lambda;
-    /// repeating it starts no further thread.
+    /// A synchronous chain occupies one container per link, as on
+    /// Lambda, and runs on the thread of its root: reached by a pending
+    /// invocation, the chain's one thread is the root container's.
+    /// Repeating it starts no further thread.
     #[test]
     fn a_nested_chain_reuses_one_thread_per_function() {
         let p = Platform::for_tests();
         let (seen, inner) = thread_noting_handler();
-        p.register("inner", inner);
+        p.register("inner", inner.clone());
         let seen2 = seen.clone();
-        p.register(
-            "outer",
-            Arc::new(move |ctx: &InvocationCtx, payload: Value| {
-                seen2.lock().push(std::thread::current().id());
-                ctx.platform.invoke_sync("inner", payload).unwrap()
-            }),
-        );
+        let outer: FunctionHandler = Arc::new(move |ctx: &InvocationCtx, payload: Value| {
+            seen2.lock().push(std::thread::current().id());
+            ctx.platform.invoke_sync("inner", payload).unwrap()
+        });
+        p.register("outer", outer.clone());
         for _ in 0..10 {
-            p.invoke_sync("outer", Value::Null).unwrap();
+            pending(&p, p.invoke_pending("outer", Value::Null)).unwrap();
         }
         let seen = seen.lock().clone();
         assert_eq!(seen.len(), 20);
-        assert_ne!(seen[0], seen[1], "the caller's worker is occupied");
-        let distinct: HashSet<ThreadId> = seen.iter().copied().collect();
-        assert_eq!(distinct.len(), 2);
+        assert_ne!(seen[0], std::thread::current().id());
+        assert!(seen.iter().all(|thread| *thread == seen[0]), "{seen:?}");
+        assert_eq!((live_workers(&outer), live_workers(&inner)), (1, 0));
         let m = p.metrics();
-        assert_eq!((m.cold_starts, m.warm_starts), (2, 18));
+        assert_eq!(
+            (m.cold_starts, m.warm_starts),
+            (2, 18),
+            "the caller's container is occupied"
+        );
+    }
+
+    /// Both fronts take containers from one pool. A root warmed up by
+    /// synchronous calls, then reached by pending invocations that call
+    /// back into it synchronously (a Beldi call's root-plus-callback
+    /// shape), starts nothing cold: each start takes the container the
+    /// last one left, whichever front left it.
+    #[test]
+    fn sync_and_pending_invocations_share_one_pool() {
+        let p = Platform::for_tests();
+        let callback = || Value::from("callback");
+        p.register(
+            "root",
+            Arc::new(move |ctx: &InvocationCtx, payload: Value| {
+                if payload == callback() {
+                    return payload;
+                }
+                ctx.platform.invoke_sync("callee", payload).unwrap()
+            }),
+        );
+        p.register(
+            "callee",
+            Arc::new(move |ctx: &InvocationCtx, payload: Value| {
+                ctx.platform.invoke_sync("root", callback()).unwrap();
+                payload
+            }),
+        );
+        for _ in 0..3 {
+            p.invoke_sync("root", Value::Null).unwrap();
+        }
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (3, 6));
+        for _ in 0..3 {
+            pending(&p, p.invoke_pending("root", Value::Null)).unwrap();
+        }
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (3, 15));
     }
 
     /// A crash inside the handler — a plain panic or an injected
-    /// `CrashSignal` — loses the instance, not the container: the worker
-    /// goes back to the pool and the next start is warm, on its thread.
+    /// `CrashSignal` — loses the instance, not the container: it goes
+    /// back to the pool and the next start is warm, on its thread.
     #[test]
     fn a_crashed_handler_leaves_its_worker_warm() {
         let p = Platform::for_tests();
@@ -934,52 +1051,72 @@ mod tests {
                 payload
             }),
         );
-        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
-        let err = p.invoke_sync("flaky", Value::from("panic")).unwrap_err();
+        let call = |payload| pending(&p, p.invoke_pending("flaky", payload));
+        assert!(call(Value::Null).is_ok());
+        let err = call(Value::from("panic")).unwrap_err();
         assert!(matches!(err, InvokeError::Crashed(ref m) if m.contains("kaboom")));
-        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+        assert!(call(Value::Null).is_ok());
         p.faults()
             .set_global_plan(Some(crate::CrashPlan::AtLabel(Label::WrapperEnter)));
-        let err = p.invoke_sync("flaky", Value::Null).unwrap_err();
+        let err = call(Value::Null).unwrap_err();
         assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains("wrapper.enter")));
-        assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+        assert!(call(Value::Null).is_ok());
 
         let seen = seen.lock().clone();
         assert_eq!(seen.len(), 5);
+        assert_ne!(seen[0], std::thread::current().id());
         assert!(seen.iter().all(|thread| *thread == seen[0]), "{seen:?}");
         let m = p.metrics();
         assert_eq!((m.cold_starts, m.warm_starts, m.crashes), (1, 4, 2));
     }
 
-    /// A worker that finishes when the pool already holds
-    /// `warm_pool_per_fn` idle workers is not kept: its thread exits.
+    /// A container that finishes when the pool already holds
+    /// `warm_pool_per_fn` idle ones is not kept, on either front: a
+    /// worker's thread exits, and a synchronous caller turned away with
+    /// a container that has a thread takes the thread with it.
     #[test]
     fn a_full_pool_turns_a_finishing_worker_away() {
         let mut cfg = PlatformConfig::for_tests();
         cfg.warm_pool_per_fn = 1;
         let p = Platform::new(SimClock::shared(0), cfg, 0);
-        let hold = holding_handler(Duration::from_secs(1));
+        let hold = payload_holding_handler();
         p.register("hold", hold.clone());
-        let two_at_once = |p: &Arc<Platform>| {
+        let two_pending_at_once = |p: &Arc<Platform>| {
+            let rt = beldi_runtime::Executor::new(p.clock().clone(), 1);
             let calls: Vec<_> = (0..2)
-                .map(|_| {
-                    let p2 = p.clone();
-                    on_clock(p, move || p2.invoke_sync("hold", Value::Null))
-                })
+                .map(|_| rt.spawn(p.invoke_pending("hold", Value::Int(1_000))))
                 .collect();
+            rt.run();
             for call in calls {
-                call().unwrap();
+                call.take_result().unwrap().unwrap();
             }
         };
-        two_at_once(&p);
+        two_pending_at_once(&p);
         assert_eq!(p.metrics().cold_starts, 2);
-        assert_eq!(idle_workers(&p, "hold"), 1);
+        assert_eq!(idle_containers(&p, "hold"), 1);
         assert_eq!(live_workers(&hold), 1);
-        // One warm worker for two callers: the second start is cold again.
-        two_at_once(&p);
+        // One warm container for two callers: the second start is cold again.
+        two_pending_at_once(&p);
         let m = p.metrics();
         assert_eq!((m.cold_starts, m.warm_starts), (3, 1));
         assert_eq!(live_workers(&hold), 1);
+
+        // Two synchronous callers: the first borrows the warm container,
+        // thread and all, and holds it past the second, which starts
+        // cold and takes the pool's one place.
+        let p2 = p.clone();
+        let first = on_clock(&p, move || p2.invoke_sync("hold", Value::Int(2_000)));
+        p.clock().sleep(Duration::from_millis(1));
+        let p2 = p.clone();
+        let second = on_clock(&p, move || p2.invoke_sync("hold", Value::Int(1_000)));
+        second().unwrap();
+        first().unwrap();
+        let m = p.metrics();
+        assert_eq!((m.cold_starts, m.warm_starts), (4, 2));
+        assert_eq!(idle_containers(&p, "hold"), 1);
+        // The turned-away container's thread needs a turn to exit.
+        p.clock().sleep(Duration::from_millis(1));
+        assert_eq!(live_workers(&hold), 0);
     }
 
     /// A worker still running when its pool is retired exits when it is
@@ -989,30 +1126,32 @@ mod tests {
         let p = Platform::for_tests();
         let hold = holding_handler(Duration::from_secs(1));
         p.register("hold", hold.clone());
-        let p2 = p.clone();
-        let call = on_clock(&p, move || p2.invoke_sync("hold", Value::Null));
+        p.invoke_async("hold", Value::Null).unwrap();
         p.clock().sleep(Duration::from_millis(1));
         assert_eq!(p.metrics().active, 1);
         p.retire_workers();
         assert_eq!(live_workers(&hold), 1, "nobody idle to retire");
-        call().unwrap();
-        assert_eq!(idle_workers(&p, "hold"), 0);
+        p.clock().sleep(Duration::from_secs(1));
+        assert_eq!(p.metrics().completions, 1);
+        assert_eq!(idle_containers(&p, "hold"), 0);
         assert_eq!(live_workers(&hold), 0);
         // The platform still serves; every start is cold now.
         p.invoke_sync("hold", Value::Null).unwrap();
         assert_eq!(p.metrics().cold_starts, 2);
-        assert_eq!(live_workers(&hold), 0);
+        assert_eq!(idle_containers(&p, "hold"), 0);
     }
 
-    /// `retire_workers` returns once the idle workers' threads are gone.
+    /// `retire_workers` returns once the idle containers' threads are
+    /// gone.
     #[test]
     fn retire_workers_waits_for_the_idle_threads() {
         let p = Platform::for_tests();
         let (inner, outer) = (echo_handler(), echo_handler());
         p.register("inner", inner.clone());
         p.register("outer", outer.clone());
-        p.invoke_sync("inner", Value::Null).unwrap();
-        p.invoke_sync("outer", Value::Null).unwrap();
+        pending(&p, p.invoke_pending("inner", Value::Null)).unwrap();
+        p.invoke_async("outer", Value::Null).unwrap();
+        p.clock().sleep(Duration::from_millis(1));
         assert_eq!((live_workers(&inner), live_workers(&outer)), (1, 1));
         p.retire_workers();
         assert_eq!((live_workers(&inner), live_workers(&outer)), (0, 0));
@@ -1023,7 +1162,7 @@ mod tests {
         let p = Platform::for_tests();
         let old = echo_handler();
         p.register("f", old.clone());
-        p.invoke_sync("f", Value::Int(1)).unwrap();
+        pending(&p, p.invoke_pending("f", Value::Int(1))).unwrap();
         assert_eq!(live_workers(&old), 1);
         p.register("f", Arc::new(|_ctx, _payload| Value::from("new")));
         // Retired, not waited for: the worker needs a turn to exit.
@@ -1079,6 +1218,70 @@ mod tests {
         assert_eq!(m.warm_starts, REINVOKES as u64);
     }
 
+    /// A `SimClock` that counts the turns its participants yield.
+    struct YieldCounting {
+        clock: Arc<SimClock>,
+        yields: AtomicUsize,
+    }
+
+    impl Clock for YieldCounting {
+        fn now(&self) -> SimInstant {
+            self.clock.now()
+        }
+
+        fn sleep(&self, d: Duration) {
+            self.clock.sleep(d);
+        }
+
+        fn park_until(&self, deadline: Option<SimInstant>) {
+            self.clock.park_until(deadline);
+        }
+
+        fn unpark(&self, thread: &Thread) {
+            self.clock.unpark(thread);
+        }
+
+        fn yield_now(&self) {
+            self.yields.fetch_add(1, Ordering::SeqCst);
+            self.clock.yield_now();
+        }
+
+        fn spawn(&self, name: String, body: Box<dyn FnOnce() + Send>) -> JoinHandle {
+            self.clock.spawn(name, body)
+        }
+    }
+
+    /// A synchronous call yields its turn at the two points where a
+    /// hand-off to a worker thread would switch threads, nested calls
+    /// included; an invocation that runs on a thread of its container
+    /// yields nowhere.
+    #[test]
+    fn a_sync_call_yields_where_a_hand_off_would_switch() {
+        let clock = Arc::new(YieldCounting {
+            clock: SimClock::shared(0),
+            yields: AtomicUsize::new(0),
+        });
+        let p = Platform::new(clock.clone(), PlatformConfig::for_tests(), 0);
+        p.register("inner", echo_handler());
+        p.register(
+            "outer",
+            Arc::new(|ctx: &InvocationCtx, payload: Value| {
+                ctx.platform.invoke_sync("inner", payload).unwrap()
+            }),
+        );
+        let yields = || clock.yields.load(Ordering::SeqCst);
+        p.invoke_sync("inner", Value::Null).unwrap();
+        assert_eq!(yields(), 2);
+        p.invoke_sync("outer", Value::Null).unwrap();
+        assert_eq!(yields(), 6);
+        pending(&p, p.invoke_pending("inner", Value::Null)).unwrap();
+        assert_eq!(yields(), 6);
+        // Run on its container's thread, `outer` still calls `inner`
+        // synchronously.
+        pending(&p, p.invoke_pending("outer", Value::Null)).unwrap();
+        assert_eq!(yields(), 8);
+    }
+
     /// A clock on which no worker survives its start-up delay: `sleep`
     /// runs outside the handler's `catch_unwind`.
     struct BootKillingClock;
@@ -1116,7 +1319,7 @@ mod tests {
 
         let m = p.metrics();
         assert_eq!((m.cold_starts, m.warm_starts), (2, 0));
-        assert_eq!(idle_workers(&p, "echo"), 0);
+        assert_eq!(idle_containers(&p, "echo"), 0);
         // Host threads (this clock schedules nothing): each exits right
         // after its reply, which is all there is to wait for.
         while live_workers(&echo) > 0 {
@@ -1155,42 +1358,50 @@ mod tests {
     }
 
     /// The sync front's timeout is virtual and names where the
-    /// invocation was when it passed: `Timeout` if running, `Throttled`
-    /// if still queued. Neither abandoned invocation leaks a permit.
+    /// invocation was when it passed: `Throttled` if still queued at the
+    /// deadline; `Timeout` if its reply lands past the deadline. A
+    /// running callee is not abandoned: it runs to its end on the
+    /// caller's thread, and its permit is free when the caller hears.
+    /// Neither case leaks a permit.
     #[test]
     fn sync_deadline_distinguishes_queued_from_running() {
         let timeout = Duration::from_secs(10);
         let clock = SimClock::shared(0);
         let p = one_permit(clock.clone(), timeout);
-        // Holds the only permit for 25 s: past the first caller's
-        // deadline (10 s) and the second's (20 s).
-        p.register("hold", holding_handler(Duration::from_secs(25)));
-        p.register("echo", echo_handler());
+        p.register("hold", payload_holding_handler());
 
-        // Running: the handler is in when the deadline passes.
+        // A reply that lands on the deadline is in time.
         assert_eq!(
-            p.invoke_sync("hold", Value::Null),
-            Err(InvokeError::Timeout)
+            p.invoke_sync("hold", Value::Int(10_000)),
+            Ok(Value::Int(10_000))
         );
         assert_eq!(clock.now(), SimInstant::from_millis(10_000));
-        assert_eq!(p.metrics().timeouts, 1);
-        assert_eq!(p.permits.available(), 0, "the abandoned worker runs on");
 
-        // Queued behind that worker until its own deadline.
+        // Holds the only permit for 25 s: past its own deadline (20 s)
+        // and the queued caller's (20.001 s).
+        let p2 = p.clone();
+        let holder = on_clock(&p, move || p2.invoke_sync("hold", Value::Int(25_000)));
+        clock.sleep(Duration::from_millis(1));
+        assert_eq!(p.metrics().active, 1);
+
+        // Queued behind the holder until its own deadline.
         assert_eq!(
-            p.invoke_sync("echo", Value::Null),
+            p.invoke_sync("hold", Value::Int(0)),
             Err(InvokeError::Throttled)
         );
-        assert_eq!(clock.now(), SimInstant::from_millis(20_000));
+        assert_eq!(clock.now(), SimInstant::from_millis(20_001));
         let m = p.metrics();
-        assert_eq!((m.throttles, m.timeouts, m.invocations), (1, 1, 1));
+        assert_eq!((m.throttles, m.timeouts, m.invocations), (1, 0, 2));
 
-        // Let the abandoned worker finish: its permit comes back, and the
-        // withdrawn waiter took none with it.
-        clock.sleep(Duration::from_secs(6));
+        // Running: the callee finished, past the deadline.
+        assert_eq!(holder(), Err(InvokeError::Timeout));
+        assert_eq!(clock.now(), SimInstant::from_millis(35_000));
+        let m = p.metrics();
+        assert_eq!((m.timeouts, m.completions, m.active), (1, 2, 0));
+        // The holder's permit came back, and the withdrawn waiter took
+        // none with it.
         assert_eq!(p.permits.available(), 1);
-        assert_eq!(p.metrics().active, 0);
-        assert_eq!(p.invoke_sync("echo", Value::Int(1)), Ok(Value::Int(1)));
+        assert_eq!(p.invoke_sync("hold", Value::Int(1)), Ok(Value::Int(1)));
     }
 
     /// `invoke_async` is fire-and-forget only once admitted: against a
