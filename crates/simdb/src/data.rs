@@ -6,12 +6,16 @@
 //! Rows are kept in one ordered map, so a query reads one hash key's rows
 //! in sort order and a scan reads the whole table in key order.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use beldi_value::{Map, Name, SizeOf, Update, Value};
+use beldi_value::{Cond, Map, Name, SizeOf, Update, Value};
 
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
+
+/// index attribute name -> indexed value -> set of row keys.
+type Indexes = HashMap<Name, HashMap<Value, HashSet<PrimaryKey>>>;
 
 /// The mutable state of one table (rows + indexes), always accessed
 /// under the table's lock.
@@ -19,10 +23,27 @@ use crate::key::{PrimaryKey, TableSchema};
 pub(crate) struct TableData {
     /// The table's rows, ordered by `(hash, sort)`.
     pub(crate) rows: BTreeMap<PrimaryKey, Value>,
-    /// index attribute name -> indexed value -> set of row keys. A set
-    /// grows in place; [`TableData::index_lookup`] reads it back in key
-    /// order.
-    indexes: HashMap<Name, HashMap<Value, HashSet<PrimaryKey>>>,
+    /// Per indexed attribute, each value's set of row keys. A set grows in
+    /// place; [`TableData::index_lookup`] reads it back in key order.
+    indexes: Indexes,
+}
+
+/// Evaluates a write condition against the stored row, or against an
+/// empty item when the row is absent (so `not_exists(attr)` holds for
+/// absent rows, matching DynamoDB).
+pub(crate) fn cond_holds(cond: &Cond, row: Option<&Value>) -> DbResult<bool> {
+    Ok(match row {
+        Some(row) => cond.eval(row)?,
+        None => cond.eval(&Value::Map(Map::new()))?,
+    })
+}
+
+/// [`DbError::ConditionFailed`] unless `cond` holds on `row`.
+fn check(cond: &Cond, row: Option<&Value>) -> DbResult<()> {
+    match cond_holds(cond, row)? {
+        true => Ok(()),
+        false => Err(DbError::ConditionFailed),
+    }
 }
 
 impl TableData {
@@ -51,66 +72,82 @@ impl TableData {
         max_row_bytes: usize,
     ) -> DbResult<usize> {
         let size = fits(item.size_bytes(), max_row_bytes)?;
-        // Remove the old row outright instead of cloning it just to
-        // unindex: the map entry is about to be replaced anyway.
-        if let Some(old) = self.rows.remove(&key) {
-            self.unindex_row(&key, &old);
+        let TableData { rows, indexes } = self;
+        match rows.entry(key) {
+            Entry::Occupied(mut e) => {
+                // The old row is moved out, not cloned, to be unindexed.
+                let old = std::mem::replace(e.get_mut(), item);
+                unindex_row(indexes, e.key(), &old);
+                index_row(indexes, e.key(), e.get());
+            }
+            Entry::Vacant(e) => {
+                index_row(indexes, e.key(), &item);
+                e.insert(item);
+            }
         }
-        self.index_row(&key, &item);
-        self.rows.insert(key, item);
         Ok(size)
     }
 
-    /// Applies `update` to the stored row at `key`, in place: no copy of
-    /// the row is made, unless a reader still holds a handle to its map
-    /// (then the levels written are copied first and the reader keeps what
-    /// it read). With no row at `key`, the update is applied to a fresh row
+    /// Applies `update` to the stored row at `key` if `cond` holds on it,
+    /// in place: no copy of the row is made, unless a reader still holds a
+    /// handle to its map (then the levels written are copied first and the
+    /// reader keeps what it read). With no row at `key`, `cond` is
+    /// evaluated on the empty item and the update applied to a fresh row
     /// holding only the key attributes. Returns the new size in bytes.
     ///
-    /// All or nothing: if an action fails, the result would re-file the
-    /// row (its key attributes no longer `key`: [`DbError::BadKey`], as
-    /// DynamoDB refuses) or is over the schema's `max_row_bytes`, checked
-    /// in that order, the update is taken back ([`beldi_value::UndoLog`]) and
-    /// the row and the indexes are exactly as before. Indexes move only
-    /// for attributes the update names.
+    /// All or nothing: if `cond` is false ([`DbError::ConditionFailed`]),
+    /// an action fails, the result would re-file the row (its key
+    /// attributes no longer `key`: [`DbError::BadKey`], as DynamoDB
+    /// refuses) or is over the schema's `max_row_bytes`, checked in that
+    /// order, the update is not applied or is taken back
+    /// ([`beldi_value::UndoLog`]) and the row and the indexes are exactly
+    /// as before. Indexes move only for attributes the update names.
     pub(crate) fn update_row(
         &mut self,
         key: &PrimaryKey,
+        cond: &Cond,
         update: &Update,
         schema: &TableSchema,
     ) -> DbResult<usize> {
-        let Some(row) = self.rows.get_mut(key) else {
-            // Seeded with the key attributes (the schema's names and the
-            // key's values are shared handles, so this copies nothing),
-            // with room for what the update adds.
-            let mut m = Map::with_capacity(2 + update.actions().len());
-            m.insert(schema.hash_attr.clone(), key.hash.clone());
-            if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
-                m.insert(attr.clone(), sort.clone());
+        let TableData { rows, indexes } = self;
+        // One search: the condition is evaluated on the entry it guards.
+        let row = match rows.entry(key.clone()) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                check(cond, None)?;
+                // Seeded with the key attributes (the schema's names and
+                // the key's values are shared handles, so this copies
+                // nothing), with room for what the update adds.
+                let mut m = Map::with_capacity(2 + update.actions().len());
+                m.insert(schema.hash_attr.clone(), key.hash.clone());
+                if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
+                    m.insert(attr.clone(), sort.clone());
+                }
+                let mut row = Value::Map(m);
+                update.apply(&mut row)?;
+                schema.check_key(&row, key)?;
+                let size = fits(row.size_bytes(), schema.max_row_bytes)?;
+                index_row(indexes, key, &row);
+                e.insert(row);
+                return Ok(size);
             }
-            let mut row = Value::Map(m);
-            update.apply(&mut row)?;
-            schema.check_key(&row, key)?;
-            let size = fits(row.size_bytes(), schema.max_row_bytes)?;
-            self.index_row(key, &row);
-            self.rows.insert(key.clone(), row);
-            return Ok(size);
         };
+        check(cond, Some(row))?;
         // The indexed attributes the update can change (an empty path
         // replaces the row, so names them all), with their values now;
         // sized to the table's indexes at the first one named.
-        let (mut named, indexes) = (Vec::new(), self.indexes.len());
+        let (mut named, count) = (Vec::new(), indexes.len());
         #[expect(
             clippy::disallowed_methods,
             clippy::iter_over_hash_type,
             reason = "each named index is moved on its own below: their order does not matter"
         )]
-        for (attr, index) in self.indexes.iter_mut() {
+        for (attr, index) in indexes.iter_mut() {
             let names =
                 |p: &beldi_value::Path| p.root_attr().is_none_or(|root| root == attr.as_str());
             if update.actions().iter().any(|a| names(a.path())) {
                 if named.is_empty() {
-                    named.reserve_exact(indexes);
+                    named.reserve_exact(count);
                 }
                 named.push((attr.as_str(), index, row.get_attr(attr).cloned()));
             }
@@ -139,36 +176,20 @@ impl TableData {
         Ok(size)
     }
 
-    /// Removes a row, maintaining the indexes. Returns the removed row.
-    pub(crate) fn remove_row(&mut self, key: &PrimaryKey) -> Option<Value> {
-        let row = self.rows.remove(key)?;
-        self.unindex_row(key, &row);
-        Some(row)
-    }
-
-    fn index_row(&mut self, key: &PrimaryKey, row: &Value) {
-        #[expect(
-            clippy::disallowed_methods,
-            clippy::iter_over_hash_type,
-            reason = "each index is written on its own: their order does not matter"
-        )]
-        for (attr, index) in self.indexes.iter_mut() {
-            if let Some(v) = row.get_attr(attr) {
-                index.entry(v.clone()).or_default().insert(key.clone());
+    /// Removes the row at `key` if `cond` holds on it (on the empty item
+    /// when there is none), maintaining the indexes. Returns the removed
+    /// row.
+    pub(crate) fn delete_row(&mut self, key: &PrimaryKey, cond: &Cond) -> DbResult<Option<Value>> {
+        let TableData { rows, indexes } = self;
+        // One search: the condition is evaluated on the entry it guards.
+        match rows.entry(key.clone()) {
+            Entry::Occupied(e) => {
+                check(cond, Some(e.get()))?;
+                let (key, row) = e.remove_entry();
+                unindex_row(indexes, &key, &row);
+                Ok(Some(row))
             }
-        }
-    }
-
-    fn unindex_row(&mut self, key: &PrimaryKey, row: &Value) {
-        #[expect(
-            clippy::disallowed_methods,
-            clippy::iter_over_hash_type,
-            reason = "each index is written on its own: their order does not matter"
-        )]
-        for (attr, index) in self.indexes.iter_mut() {
-            if let Some(v) = row.get_attr(attr) {
-                unindex(index, v, key);
-            }
+            Entry::Vacant(_) => check(cond, None).map(|()| None),
         }
     }
 
@@ -200,6 +221,32 @@ impl TableData {
             }
         }
         out
+    }
+}
+
+fn index_row(indexes: &mut Indexes, key: &PrimaryKey, row: &Value) {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "each index is written on its own: their order does not matter"
+    )]
+    for (attr, index) in indexes.iter_mut() {
+        if let Some(v) = row.get_attr(attr) {
+            index.entry(v.clone()).or_default().insert(key.clone());
+        }
+    }
+}
+
+fn unindex_row(indexes: &mut Indexes, key: &PrimaryKey, row: &Value) {
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "each index is written on its own: their order does not matter"
+    )]
+    for (attr, index) in indexes.iter_mut() {
+        if let Some(v) = row.get_attr(attr) {
+            unindex(index, v, key);
+        }
     }
 }
 
@@ -248,7 +295,7 @@ mod tests {
         put(&mut p, &s, row("a", 0, false)).unwrap();
         let k = PrimaryKey::hash_sort("a", 0i64);
         assert!(p.rows.contains_key(&k));
-        let removed = p.remove_row(&k).unwrap();
+        let removed = p.delete_row(&k, &Cond::True).unwrap().unwrap();
         assert_eq!(removed.get_str("Key"), Some("a"));
         assert!(p.rows.is_empty());
     }
@@ -293,7 +340,7 @@ mod tests {
             vec![k.clone()]
         );
 
-        p.remove_row(&k);
+        p.delete_row(&k, &Cond::True).unwrap();
         assert!(p
             .index_lookup("Done", &Value::Bool(true))
             .unwrap()
@@ -494,18 +541,35 @@ mod tests {
         Value::Map(m)
     }
 
+    /// Conditions on the attributes [`random_row`] varies, each true on
+    /// some of its rows and false on the others (but the first and last).
+    fn condition(i: usize) -> Cond {
+        match i {
+            0 => Cond::True,
+            1 => Cond::exists("Done"),
+            2 => Cond::not_exists("Done"),
+            3 => Cond::eq("Done", true),
+            4 => Cond::eq("N", 1i64),
+            5 => Cond::exists("M.b.c"),
+            6 => Cond::not_exists("L").or(Cond::eq("N", i64::MAX)),
+            _ => Cond::False,
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
 
         /// Updating the stored row in place is indistinguishable from the
         /// copy–apply–`put_row` it replaced: the same row, size and
         /// indexes when the update goes through, and nothing moved at all —
-        /// row, neighbours, indexes — when it does not. And a copy a reader
-        /// took before never changes, whichever of the two happened.
+        /// row, neighbours, indexes — when it does not. A condition false on
+        /// the row is one more way not to: `ConditionFailed`. And a copy a
+        /// reader took before never changes, whichever of the two happened.
         #[test]
         fn update_in_place_matches_copy_apply_put(
             mask in 0..128usize,
             pick in 0..4usize,
+            cond in 0..8usize,
             actions in prop::collection::vec(action(), 1..6),
         ) {
             let s = TableSchema::hash_and_sort("Key", "RowId")
@@ -514,6 +578,8 @@ mod tests {
                 .with_max_row_bytes(400);
             let update = actions.into_iter().fold(Update::new(), Update::push);
             let row = random_row(mask, pick);
+            let cond = condition(cond);
+            let holds = cond.eval(&row).unwrap();
             let key = s.key_of(&row).unwrap();
             let neighbour = vmap! { "Key" => "k", "RowId" => 1i64, "Done" => true, "Group" => "o1" };
             let mut p = TableData::new(&s);
@@ -531,13 +597,15 @@ mod tests {
             let projected = Projection::attrs(["M", "L", "New", "S"]).apply(stored);
             let printed = (format!("{row:?}"), format!("{projected:?}"));
 
-            // The specification refuses an update that re-files the row.
-            let spec = spec_apply(&update, &row).filter(|new| s.key_of(new).ok().as_ref() == Some(&key));
+            // The specification refuses an update that re-files the row, or
+            // that its condition does not let through.
+            let spec = spec_apply(&update, &row)
+                .filter(|new| holds && s.key_of(new).ok().as_ref() == Some(&key));
             let expected = spec
                 .clone()
                 .ok_or(())
                 .and_then(|new| reference.put_row(key.clone(), new, s.max_row_bytes).map_err(drop));
-            let got = p.update_row(&key, &update, &s);
+            let got = p.update_row(&key, &cond, &update, &s);
             // Gone through, failed or rolled back: the reader saw none of it.
             prop_assert_eq!(
                 (format!("{whole:?}"), format!("{projected:?}")), printed, "{} on {}", update, row
@@ -545,6 +613,9 @@ mod tests {
             prop_assert_eq!(got.as_ref().ok(), expected.as_ref().ok(), "{} on {}", update, row);
             if let (Err(e), Some(new)) = (&got, spec) {
                 prop_assert!(matches!(e, DbError::RowTooLarge { size, .. } if *size == new.size_bytes()));
+            }
+            if !holds {
+                prop_assert_eq!(got, Err(DbError::ConditionFailed), "{} on {}", cond, row);
             }
             // On failure `reference` is the untouched copy of the input.
             prop_assert_eq!(

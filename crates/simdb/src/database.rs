@@ -9,6 +9,7 @@ use beldi_simclock::{Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant,
 use beldi_value::{Cond, SizeOf, Update, Value};
 use parking_lot::{Mutex, RwLock};
 
+use crate::data::cond_holds;
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
 use crate::latency::{LatencyModel, LatencySampler, OpKind};
@@ -62,16 +63,6 @@ impl TransactOp {
     }
 }
 
-/// Evaluates a write condition against the stored row, or against an
-/// empty item when the row is absent (so `not_exists(attr)` holds for
-/// absent rows, matching DynamoDB).
-fn cond_holds(cond: &Cond, row: Option<&Value>) -> DbResult<bool> {
-    Ok(match row {
-        Some(row) => cond.eval(row)?,
-        None => cond.eval(&Value::Map(beldi_value::Map::new()))?,
-    })
-}
-
 /// A stored row as a read returns it, projected off the borrowed row
 /// under the table lock: what the projection drops is never copied.
 fn read(row: &Value, projection: Option<&Projection>) -> Value {
@@ -97,10 +88,21 @@ fn read(row: &Value, projection: Option<&Projection>) -> Value {
 /// so the entry is then its to remove.
 #[derive(Default)]
 struct ItemWriteQueue {
-    /// Per table, by [`Table::id`]: key → busy-until instant. A map
-    /// keeps its capacity when it empties, so a steady state of writes
-    /// allocates nothing here.
-    busy: Vec<HashMap<PrimaryKey, SimInstant>>,
+    /// One entry per busy item, in no order: its table's [`Table::id`],
+    /// its key and its busy-until instant. It holds no more entries than
+    /// sleeping writers occupy items, so a scan of it is cheaper than
+    /// hashing the key; and it keeps its capacity when it empties, so a
+    /// steady state of writes allocates nothing here.
+    busy: Vec<(usize, PrimaryKey, SimInstant)>,
+}
+
+impl ItemWriteQueue {
+    /// The position of the entry of `table`'s item `key`, if it is busy.
+    fn find(&self, table: usize, key: &PrimaryKey) -> Option<usize> {
+        self.busy
+            .iter()
+            .position(|(t, k, _)| *t == table && k == key)
+    }
 }
 
 /// One write's hold on its items until `deadline`. Dropping it — when
@@ -116,9 +118,9 @@ impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         let mut queue = self.queue.lock();
         for (t, k) in self.items {
-            if let Some(table) = queue.busy.get_mut(t.id) {
-                if table.get(*k) == Some(&self.deadline) {
-                    table.remove(*k);
+            if let Some(i) = queue.find(t.id, k) {
+                if queue.busy[i].2 == self.deadline {
+                    queue.busy.swap_remove(i);
                 }
             }
         }
@@ -259,18 +261,18 @@ impl Database {
             let now = self.clock.now();
             let start = items
                 .iter()
-                .filter_map(|(t, k)| queue.busy.get(t.id).and_then(|m| m.get(*k)))
+                .filter_map(|(t, k)| queue.find(t.id, k).map(|i| queue.busy[i].2))
                 .max()
-                .map_or(now, |&busy| busy.max(now));
+                .map_or(now, |busy| busy.max(now));
             if start > now {
                 self.count(Metric::DbLockWaits, 1);
             }
             let deadline = start.plus(d);
             for (t, k) in items {
-                if queue.busy.len() <= t.id {
-                    queue.busy.resize_with(t.id + 1, HashMap::new);
+                match queue.find(t.id, k) {
+                    Some(i) => queue.busy[i].2 = deadline,
+                    None => queue.busy.push((t.id, (*k).clone(), deadline)),
                 }
-                queue.busy[t.id].insert((*k).clone(), deadline);
             }
             deadline
         };
@@ -285,7 +287,7 @@ impl Database {
     /// The items writes occupy now, across tables.
     #[cfg(test)]
     fn writes_in_flight(&self) -> usize {
-        self.item_writes.lock().busy.iter().map(HashMap::len).sum()
+        self.item_writes.lock().busy.len()
     }
 
     /// Point read of a row, optionally projected.
@@ -308,10 +310,9 @@ impl Database {
     pub fn put(&self, table: &str, item: Value) -> DbResult<()> {
         let t = self.handle(table)?;
         let key = t.schema.key_of(&item)?;
-        let size = {
-            let mut data = self.lock(&t);
-            data.put_row(key.clone(), item, t.schema.max_row_bytes)?
-        };
+        let size = self
+            .lock(&t)
+            .put_row(key.clone(), item, t.schema.max_row_bytes)?;
         self.count(Metric::DbWrites, 1);
         self.count(Metric::DbBytesWritten, size);
         self.serial_write_sleep(&[(&*t, &key)], self.sampler.sample(OpKind::Write, 1, size));
@@ -338,14 +339,7 @@ impl Database {
         update: &Update,
     ) -> DbResult<()> {
         let t = self.handle(table)?;
-        let result = {
-            let mut data = self.lock(&t);
-            if cond_holds(cond, data.rows.get(key))? {
-                data.update_row(key, update, &t.schema)
-            } else {
-                Err(DbError::ConditionFailed)
-            }
-        };
+        let result = self.lock(&t).update_row(key, cond, update, &t.schema);
         match result {
             Ok(size) => {
                 self.count(Metric::DbWrites, 1);
@@ -371,19 +365,16 @@ impl Database {
     /// empty item (DynamoDB semantics).
     pub fn delete(&self, table: &str, key: &PrimaryKey, cond: &Cond) -> DbResult<()> {
         let t = self.handle(table)?;
-        let result = {
-            let mut data = self.lock(&t);
-            if !cond_holds(cond, data.rows.get(key))? {
+        let deleted = self.lock(&t).delete_row(key, cond);
+        let result = match deleted {
+            Ok(_) => Ok(()),
+            Err(DbError::ConditionFailed) => {
+                self.count(Metric::DbCondFailures, 1);
                 Err(DbError::ConditionFailed)
-            } else {
-                data.remove_row(key);
-                Ok(())
             }
+            Err(e) => return Err(e),
         };
         self.count(Metric::DbDeletes, 1);
-        if matches!(result, Err(DbError::ConditionFailed)) {
-            self.count(Metric::DbCondFailures, 1);
-        }
         self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Delete, 1, 0));
         result
     }
@@ -659,7 +650,9 @@ impl Database {
             let data = &mut guards[slot(op)];
             let prior = data.rows.get(key).cloned();
             let result = match op {
-                TransactOp::Update { update, .. } => data.update_row(key, update, schema),
+                TransactOp::Update { update, .. } => {
+                    data.update_row(key, &Cond::True, update, schema)
+                }
                 TransactOp::Put { item, .. } => {
                     data.put_row(key.clone(), item.clone(), schema.max_row_bytes)
                 }
@@ -681,7 +674,7 @@ impl Database {
                                 let _ = data.put_row(key.clone(), row, max);
                             }
                             None => {
-                                data.remove_row(key);
+                                let _ = data.delete_row(key, &Cond::True);
                             }
                         }
                     }
@@ -853,6 +846,38 @@ mod tests {
         }
         assert_eq!(db.writes_in_flight(), 0);
         assert_eq!(db.metrics().lock_waits, 5, "all but the first queued");
+    }
+
+    /// An item is its table's and its key's: one key written in two
+    /// tables at once is two items, so the writes overlap and neither
+    /// waits. A queue that matched by key alone would serialize them.
+    #[test]
+    fn one_key_in_two_tables_is_two_items() {
+        let clock: SharedClock = beldi_simclock::SimClock::shared(1);
+        let db = Database::new(clock.clone(), slow_model(), 0);
+        db.create_table("a", TableSchema::hash_only("Id")).unwrap();
+        db.create_table("b", TableSchema::hash_only("Id")).unwrap();
+        let t0 = clock.now();
+        let writers: Vec<_> = ["a", "b"]
+            .into_iter()
+            .map(|table| {
+                let db = Arc::clone(&db);
+                let body = move || {
+                    let key = PrimaryKey::hash("k");
+                    db.update(table, &key, &Cond::True, &Update::new().inc("N", 1))
+                        .unwrap();
+                };
+                clock.spawn(format!("writer-{table}"), Box::new(body))
+            })
+            .collect();
+        clock.sleep(std::time::Duration::from_millis(10));
+        assert_eq!(db.writes_in_flight(), 2, "both writes are in flight");
+        for writer in writers {
+            writer.join().expect("a writer panicked");
+        }
+        assert_eq!(clock.now().since(t0), std::time::Duration::from_millis(20));
+        assert_eq!(db.metrics().lock_waits, 0, "no write waited");
+        assert_eq!(db.writes_in_flight(), 0);
     }
 
     /// A clock whose every wait panics: a writer dies inside its sleep.

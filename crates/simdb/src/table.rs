@@ -25,8 +25,8 @@ use crate::key::TableSchema;
 /// (immutable, readable without any lock) and its rows.
 #[derive(Debug)]
 pub(crate) struct Table {
-    /// The table's place in creation order: what per-table state outside
-    /// the table (the item write queue) is indexed by.
+    /// The table's place in creation order: what the item write queue
+    /// tells one table's items from another's by.
     pub(crate) id: usize,
     name: Arc<str>,
     pub(crate) schema: TableSchema,
