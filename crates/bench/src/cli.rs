@@ -1,15 +1,16 @@
 //! The `beldi-bench` command line: the subcommand table and the flag
 //! parser behind every subcommand.
 //!
-//! `beldi-bench <subcommand> [flags]` — [`SUBCOMMANDS`] lists the
-//! subcommands, [`dispatch`] runs one. Each subcommand declares its
-//! flags in one table ([`Cli::flag`] / [`Cli::switch`], plus the
-//! [`Cli::app_flag`]-style helpers for the flags several subcommands
-//! share), and everything derives from that single declaration: value
-//! lookup with typed accessors, a generated `--help` page, and
-//! unknown-flag rejection (a typo such as `--worker 8` is an error, not
-//! a silent run with the default). Subcommand bodies receive the parsed
-//! [`Args`]; nothing else in the library reads the process's argv.
+//! `beldi-bench <subcommand> [flags]` — [`subcommands`] lists the
+//! subcommands, [`dispatch`] runs one. An experiment takes no flags.
+//! Each harness declares its flags in one table ([`Cli::flag`] /
+//! [`Cli::switch`], plus the [`Cli::app_flag`]-style helpers for the
+//! flags several harnesses share), and everything derives from that
+//! single declaration: typed lookup ([`Args::get`]), a generated
+//! `--help` page, and unknown-flag rejection (a typo such as `--worker
+//! 8` is an error, not a silent run with the default). Harness bodies
+//! receive the parsed [`Args`]; nothing else in the library reads the
+//! process's argv.
 //!
 //! ```
 //! use beldi_bench::cli::Cli;
@@ -21,15 +22,16 @@
 //! )
 //! .app_flag("all")
 //! .flag("--workers", "N", "4", "worker threads")
-//! .try_parse()
-//! .unwrap();
-//! assert_eq!(args.usize("--workers"), 8);
+//! .try_parse()?;
+//! assert_eq!(args.get::<usize>("--workers"), 8);
 //! assert_eq!(args.str("--app"), "all");
+//! # Ok::<(), String>(())
 //! ```
 
 use beldi::Mode;
 
 use crate::cmd;
+use crate::cmd::figures::{Figure, FIGURES};
 
 /// One declared flag: its spelling, value placeholder (empty for
 /// boolean switches), rendered default, and help line.
@@ -164,7 +166,8 @@ impl Cli {
 
     /// The generated help page: about line, then the flag table.
     pub fn help(&self) -> String {
-        let mut out = format!("{} — {}\n\nflags:\n", self.bin, self.about);
+        let none = if self.flags.is_empty() { " none" } else { "" };
+        let mut out = format!("{} — {}\n\nflags:{none}\n", self.bin, self.about);
         let width = self
             .flags
             .iter()
@@ -227,21 +230,6 @@ impl Args {
             .unwrap_or_else(|| self.spec(name).default.to_owned())
     }
 
-    /// Parses `name` as `usize` (declared default when absent).
-    pub fn usize(&self, name: &str) -> usize {
-        self.parsed(name)
-    }
-
-    /// Parses `name` as `u64` (declared default when absent).
-    pub fn u64(&self, name: &str) -> u64 {
-        self.parsed(name)
-    }
-
-    /// Parses `name` as `f64` (declared default when absent).
-    pub fn f64(&self, name: &str) -> f64 {
-        self.parsed(name)
-    }
-
     /// True when the declared switch `name` is present.
     pub fn flag(&self, name: &str) -> bool {
         assert!(
@@ -286,18 +274,17 @@ impl Args {
         if self.flag("--smoke") && !self.present(name) {
             preset
         } else {
-            self.parsed(name)
+            self.get(name)
         }
     }
 
-    fn parsed<T: std::str::FromStr>(&self, name: &str) -> T {
+    /// Parses `name` (its declared default when absent); a value that
+    /// does not parse is a usage error, exit status 2.
+    pub fn get<T: std::str::FromStr>(&self, name: &str) -> T {
         let raw = self.str(name);
-        raw.parse().unwrap_or_else(|_| {
-            panic!(
-                "flag {name}: cannot parse {raw:?} as {}",
-                std::any::type_name::<T>()
-            )
-        })
+        let kind = std::any::type_name::<T>();
+        raw.parse()
+            .unwrap_or_else(|_| usage_error(format!("{name}: cannot parse {raw:?} as {kind}")))
     }
 }
 
@@ -308,6 +295,12 @@ pub fn usage_error(message: impl std::fmt::Display) -> ! {
     std::process::exit(2)
 }
 
+/// Reports a run that failed: `message` to stderr, exit status 1.
+pub fn run_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1)
+}
+
 /// One subcommand of the `beldi-bench` executable.
 pub struct Subcommand {
     /// Its name on the command line.
@@ -315,37 +308,51 @@ pub struct Subcommand {
     /// One line for the subcommand listing and the top of its `--help`.
     pub about: &'static str,
     flags: fn(Cli) -> Cli,
-    body: fn(&Args),
+    body: Body,
 }
 
-macro_rules! subcommands {
+/// What a subcommand runs.
+enum Body {
+    /// A harness: its `main` on the parsed arguments.
+    Main(fn(&Args)),
+    /// A row of the experiment table, which takes no flags.
+    Figure(&'static Figure),
+}
+
+macro_rules! harnesses {
     ($($name:literal => $module:ident, $about:literal;)*) => {
-        /// Every subcommand, in listing order (`DESIGN.md` §4).
-        pub const SUBCOMMANDS: &[Subcommand] = &[$(Subcommand {
+        /// The harnesses, in listing order.
+        const HARNESSES: [Subcommand; 4] = [$(Subcommand {
             name: $name,
             about: $about,
             flags: cmd::$module::flags,
-            body: cmd::$module::main,
+            body: Body::Main(cmd::$module::main),
         },)*];
     };
 }
-subcommands! {
-    "fig13" => fig13, "per-operation latency of Beldi primitives (§7.3; --rows 5 = Fig. 25)";
-    "fig14" => sweeps, "movie review service: latency vs throughput (§7.4)";
-    "fig15" => sweeps, "travel reservation service: latency vs throughput (§7.4)";
-    "fig16" => fig16, "write latency over time under GC configurations (§7.5)";
-    "fig26" => sweeps, "social media site: latency vs throughput (App. C.1)";
-    "costs" => costs, "per-operation storage and network overhead (§7.3)";
+harnesses! {
     "drive" => drive, "closed-loop concurrent workload driver";
     "gate" => gate, "CI perf, storage-growth, and recovery gates over drive reports";
     "explore" => explore, "systematic crash-schedule exploration";
     "front" => serve, "HTTP front door over the cooperative executor";
 }
 
+/// Every subcommand, in listing order (`DESIGN.md` §4): a row of the
+/// experiment table each, then the harnesses.
+pub fn subcommands() -> impl Iterator<Item = Subcommand> {
+    let figures = FIGURES.iter().map(|figure| Subcommand {
+        name: figure.name,
+        about: figure.tables[0].0,
+        flags: |cli| cli,
+        body: Body::Figure(figure),
+    });
+    figures.chain(HARNESSES)
+}
+
 /// What a command line resolves to before anything runs.
 pub enum Invocation {
     /// Run this subcommand's body on these arguments.
-    Run(&'static Subcommand, Args),
+    Run(Subcommand, Args),
     /// Print the text (to stdout for status 0, else stderr) and exit.
     Exit(i32, String),
 }
@@ -356,13 +363,13 @@ fn is_help(arg: &String) -> bool {
 
 fn usage() -> String {
     let mut out = "usage: beldi-bench <subcommand> [flags]\n\nsubcommands:\n".to_owned();
-    for c in SUBCOMMANDS {
+    for c in subcommands() {
         out.push_str(&format!("  {:8}  {}\n", c.name, c.about));
     }
     out + "\n`beldi-bench <subcommand> --help` prints that subcommand's flag table"
 }
 
-/// Resolves `argv` (without the program name) against [`SUBCOMMANDS`]:
+/// Resolves `argv` (without the program name) against [`subcommands`]:
 /// `--help` alone lists the subcommands, `<subcommand> --help` prints
 /// its generated flag table, an unknown subcommand or flag is status 2.
 pub fn resolve(argv: Vec<String>) -> Invocation {
@@ -372,7 +379,7 @@ pub fn resolve(argv: Vec<String>) -> Invocation {
         Some(arg) if is_help(&arg) => return Invocation::Exit(0, usage()),
         Some(name) => name,
     };
-    let Some(cmd) = SUBCOMMANDS.iter().find(|c| c.name == name) else {
+    let Some(cmd) = subcommands().find(|c| c.name == name) else {
         let text = format!("beldi-bench: unknown subcommand {name:?}\n{}", usage());
         return Invocation::Exit(2, text);
     };
@@ -390,13 +397,17 @@ pub fn resolve(argv: Vec<String>) -> Invocation {
 }
 
 /// Runs the subcommand `argv` names and returns the process exit status
-/// (bodies that fail their own checks exit directly).
+/// (a harness that fails its own checks exits directly; an experiment
+/// returns 1 when its claim fails).
 pub fn dispatch(argv: Vec<String>) -> i32 {
     match resolve(argv) {
-        Invocation::Run(cmd, args) => {
-            (cmd.body)(&args);
-            0
-        }
+        Invocation::Run(cmd, args) => match cmd.body {
+            Body::Main(main) => {
+                main(&args);
+                0
+            }
+            Body::Figure(figure) => figure.run(),
+        },
         Invocation::Exit(0, text) => {
             println!("{text}");
             0
@@ -430,8 +441,8 @@ mod tests {
         let args = demo(&["--workers", "8", "--seed", "7", "--smoke"])
             .try_parse()
             .unwrap();
-        assert_eq!(args.usize("--workers"), 8);
-        assert_eq!(args.u64("--seed"), 7);
+        assert_eq!(args.get::<usize>("--workers"), 8);
+        assert_eq!(args.get::<u64>("--seed"), 7);
         assert_eq!(args.str("--app"), "all");
         assert_eq!(args.str("--mode"), "both");
         assert!(args.flag("--smoke"));
@@ -469,13 +480,15 @@ mod tests {
 
     #[test]
     fn every_subcommand_help_lists_each_of_its_flags_once() {
-        assert_eq!(SUBCOMMANDS.len(), 10);
-        for cmd in SUBCOMMANDS {
+        assert_eq!(subcommands().count(), 11);
+        for cmd in subcommands() {
             let Invocation::Exit(0, help) = resolve(argv(&[cmd.name, "--help"])) else {
                 panic!("{} --help must print its table and exit 0", cmd.name);
             };
             let declared = (cmd.flags)(Cli::from_args(cmd.name, cmd.about, Vec::new())).flags;
-            assert!(!declared.is_empty(), "{}", cmd.name);
+            // An experiment is the constants of its row; a harness has flags.
+            let figure = matches!(cmd.body, Body::Figure(_));
+            assert_eq!(declared.is_empty(), figure, "{}", cmd.name);
             for flag in &declared {
                 let rows = help
                     .lines()
@@ -491,7 +504,11 @@ mod tests {
         let cases: [(&[&str], i32, &[&str]); 5] = [
             // `--help` alone lists every subcommand; no arguments at all
             // is the same text as an error.
-            (&["--help"], 0, &["fig13", "fig26", "gate", "front"]),
+            (
+                &["--help"],
+                0,
+                &["fig13", "fig25", "fig26", "gate", "front"],
+            ),
             (&[], 2, &["usage:", "explore"]),
             (&["bench_gate"], 2, &["unknown subcommand", "gate", "drive"]),
             (
@@ -499,7 +516,11 @@ mod tests {
                 2,
                 &["unknown flag --worker", "drive --help"],
             ),
-            (&["fig13", "--rows"], 2, &["needs a value"]),
+            (
+                &["fig13", "--rows", "5"],
+                2,
+                &["unknown flag --rows", "fig13 --help"],
+            ),
         ];
         for (args, want_status, want_text) in cases {
             let Invocation::Exit(status, text) = resolve(argv(args)) else {

@@ -20,7 +20,7 @@ use beldi::Mode;
 use beldi_apps::{bench_app, MixProfile};
 use beldi_workload::driver::{drive, BenchReport, ChaosOptions, DriveOptions};
 
-use crate::cli::{usage_error, Args, Cli};
+use crate::cli::{run_error, usage_error, Args, Cli};
 use crate::front::front_smoke;
 use crate::print_table;
 
@@ -84,18 +84,18 @@ pub(crate) fn main(args: &Args) {
 
     let opts_template = DriveOptions {
         total_ops: args.or_smoke("--duration-ops", 120),
-        seed: args.u64("--seed"),
+        seed: args.get("--seed"),
         model_latency: true,
         tail_cache: !args.flag("--no-tail-cache"),
         gc: args.flag("--gc"),
-        gc_period: Duration::from_millis(args.u64("--gc-period-ms")),
-        gc_t_max: Duration::from_millis(args.u64("--gc-tmax-ms")),
+        gc_period: Duration::from_millis(args.get("--gc-period-ms")),
+        gc_t_max: Duration::from_millis(args.get("--gc-tmax-ms")),
         chaos: args.flag("--chaos").then(|| ChaosOptions {
-            ssf_kill_prob: args.f64("--chaos-ssf-prob"),
-            collector_kill_prob: args.f64("--chaos-collector-prob"),
-            max_crashes: args.u64("--chaos-max-crashes"),
-            ic_restart_delay: Duration::from_millis(args.u64("--chaos-ic-restart-ms")),
-            t_max: Duration::from_millis(args.u64("--chaos-tmax-ms")),
+            ssf_kill_prob: args.get("--chaos-ssf-prob"),
+            collector_kill_prob: args.get("--chaos-collector-prob"),
+            max_crashes: args.get("--chaos-max-crashes"),
+            ic_restart_delay: Duration::from_millis(args.get("--chaos-ic-restart-ms")),
+            t_max: Duration::from_millis(args.get("--chaos-tmax-ms")),
             ..ChaosOptions::default()
         }),
         ..DriveOptions::default()
@@ -166,11 +166,12 @@ pub(crate) fn main(args: &Args) {
         let gc_rows: Vec<Vec<String>> = report
             .runs
             .iter()
-            .map(|run| {
+            .filter_map(|run| {
+                // Every run takes a final sample, so none is skipped.
                 let samples = &run.storage.samples;
+                let last = samples.last()?;
                 let mid = &samples[samples.len() / 2];
-                let last = samples.last().expect("every run takes a final sample");
-                vec![
+                Some(vec![
                     run.key(),
                     mid.meta_rows.to_string(),
                     last.meta_rows.to_string(),
@@ -180,7 +181,7 @@ pub(crate) fn main(args: &Args) {
                     last.gc_recycled.to_string(),
                     last.gc_deleted_log_entries.to_string(),
                     last.gc_deleted_rows.to_string(),
-                ]
+                ])
             })
             .collect();
         print_table(
@@ -239,25 +240,22 @@ pub(crate) fn main(args: &Args) {
     if args.flag("--smoke") {
         // The front door's row: `front --smoke` with its defaults.
         let front = front_smoke("media", Mode::Beldi, 64, 4, opts_template.seed)
-            .expect("media is a bench app");
+            .unwrap_or_else(|e| run_error(format!("the front door's row: {e}")));
         println!();
         front.print_summary();
         report.front = Some(front.run);
     }
 
     if let Some(path) = args.value("--json") {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        }
+        let written = std::fs::write(&path, report.to_json());
+        written.unwrap_or_else(|e| run_error(format!("writing {path}: {e}")));
         println!("\nwrote {path} ({} runs)", report.runs.len());
     }
 
     let front_errors = report.front.as_ref().map_or(0, |f| f.errors);
     let errors: u64 = report.runs.iter().map(|r| r.errors).sum::<u64>() + front_errors;
     if errors > 0 {
-        eprintln!("{errors} request error(s) across runs");
-        std::process::exit(1);
+        run_error(format!("{errors} request error(s) across runs"));
     }
 }
 

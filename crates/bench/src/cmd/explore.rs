@@ -65,7 +65,7 @@ pub(crate) fn main(args: &Args) {
     let smoke = ExploreOptions::smoke();
     let opts = ExploreOptions {
         requests: args.or_smoke("--requests", smoke.requests),
-        seed: args.u64("--seed"),
+        seed: args.get("--seed"),
         stride: args.or_smoke("--stride", smoke.stride),
         max_depth1: args.value("--max-schedules").and_then(|v| v.parse().ok()),
         depth2_samples: args.or_smoke("--depth2-samples", smoke.depth2_samples),

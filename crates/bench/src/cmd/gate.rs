@@ -108,7 +108,7 @@ pub(crate) fn main(args: &Args) {
 
     if growth_mode {
         let gc_results = load(args, "--gc-results");
-        let failures = growth_gate(&gc_results, args.f64("--max-growth"));
+        let failures = growth_gate(&gc_results, args.get("--max-growth"));
         let gc_runs = gc_results.runs.iter().filter(|r| r.gc).count();
         let passed = format!("{gc_runs} run(s) hold a bounded storage plateau under online GC");
         failed |= verdict("Growth", &failures, passed);
@@ -116,8 +116,8 @@ pub(crate) fn main(args: &Args) {
 
     if chaos_mode {
         let chaos_results = load(args, "--chaos-results");
-        let max_p99 = args.u64("--max-recovery-p99");
-        let max_dup = args.usize("--max-duplicate-effects") as i64;
+        let max_p99: u64 = args.get("--max-recovery-p99");
+        let max_dup = args.get::<usize>("--max-duplicate-effects") as i64;
         let failures = recovery_gate(&chaos_results, max_p99, max_dup);
         let chaos_runs = chaos_results.runs.iter().filter(|r| r.recovery.is_some());
         let passed = format!(

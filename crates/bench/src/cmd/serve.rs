@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::cli::{usage_error, Args, Cli};
+use crate::cli::{run_error, usage_error, Args, Cli};
 use crate::front::{front_smoke, FrontDoor};
 
 pub(crate) fn flags(cli: Cli) -> Cli {
@@ -42,21 +42,22 @@ pub(crate) fn main(args: &Args) {
     let &[mode] = args.modes().as_slice() else {
         usage_error("front: --mode takes one system");
     };
-    let unknown_app = || -> ! {
+    let Some(app) = beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default) else {
         usage_error(format!(
             "unknown app {kind:?} (expected media, social, or travel)"
         ))
     };
-    let seed = args.u64("--seed");
+    let seed: u64 = args.get("--seed");
 
     if args.flag("--smoke") {
-        let requests = args.usize("--requests");
-        let clients = args.usize("--clients");
-        let report =
-            front_smoke(&kind, mode, requests, clients, seed).unwrap_or_else(|| unknown_app());
+        let requests = args.get("--requests");
+        let clients = args.get("--clients");
+        let report = front_smoke(&kind, mode, requests, clients, seed)
+            .unwrap_or_else(|e| run_error(format!("front: smoke run: {e}")));
         report.print_summary();
         if let Some(path) = args.value("--json") {
-            std::fs::write(&path, report.to_json()).expect("write smoke report");
+            let written = std::fs::write(&path, report.to_json());
+            written.unwrap_or_else(|e| run_error(format!("writing {path}: {e}")));
             println!("  report written to {path}");
         }
         if !report.digest_match() {
@@ -71,12 +72,10 @@ pub(crate) fn main(args: &Args) {
         return;
     }
 
-    let app = beldi_apps::bench_app(&kind, mode, beldi_apps::MixProfile::Default)
-        .unwrap_or_else(|| unknown_app());
     let env = Arc::new(crate::front_env(mode));
     app.setup(&env);
-    let door =
-        FrontDoor::start(Arc::clone(&env), &args.str("--addr"), seed).expect("bind the front door");
+    let door = FrontDoor::start(Arc::clone(&env), &args.str("--addr"), seed)
+        .unwrap_or_else(|e| run_error(format!("front: bind the front door: {e}")));
     println!("front door listening on http://{}", door.addr());
     println!("  entry point: POST /invoke/{}", app.entry_point());
     for ssf in env.ssf_names() {

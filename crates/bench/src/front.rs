@@ -641,11 +641,11 @@ impl FrontClient {
     }
 
     fn conn(&mut self) -> io::Result<&mut BufReader<TcpStream>> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            self.conn = Some(BufReader::new(stream));
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => BufReader::new(TcpStream::connect(self.addr)?),
+        };
+        Ok(self.conn.insert(conn))
     }
 
     /// Sends one request; returns `(status, body)`. Drops the cached
@@ -770,6 +770,10 @@ impl FrontSmokeReport {
 
     /// Serializes the report: the run's fields, `wall_ms`, `rps` and the
     /// derived `digest_match` verdict.
+    #[expect(
+        clippy::expect_used,
+        reason = "`wire_fields!` encodes a struct, never `None`"
+    )]
     pub fn to_json(&self) -> String {
         let mut doc = self.run.encode().expect("a record always encodes");
         if let Some(map) = doc.as_map_mut() {
@@ -784,7 +788,8 @@ impl FrontSmokeReport {
 /// Drives `requests` seeded frontend requests for `kind`/`mode` through
 /// a real [`FrontDoor`] with `clients` concurrent connections, replays
 /// the identical stream in-process, and reports both state digests and
-/// the HTTP run's modelled cost. Returns `None` for an unknown app kind.
+/// the HTTP run's modelled cost. Errors: `NotFound` for an unknown app
+/// kind, or the error of binding the door or of a client's first request.
 ///
 /// The calling thread becomes the first participant of the served
 /// environment's clock; it waits for the door in [`FrontDoor::shutdown`]
@@ -795,9 +800,10 @@ pub fn front_smoke(
     requests: usize,
     clients: usize,
     seed: u64,
-) -> Option<FrontSmokeReport> {
+) -> io::Result<FrontSmokeReport> {
     let mix = beldi_apps::MixProfile::Default;
-    let app = bench_app(kind, mode, mix)?;
+    let unknown = || io::Error::new(io::ErrorKind::NotFound, format!("unknown app {kind:?}"));
+    let app = bench_app(kind, mode, mix).ok_or_else(unknown)?;
 
     // One request stream, drawn up front so both paths see the same
     // multiset (the apps' bench fingerprints are interleaving-invariant).
@@ -814,8 +820,7 @@ pub fn front_smoke(
     app.setup(&served_env);
     let clock = served_env.clock().clone();
     let (t0, db0) = (clock.now(), served_env.db_metrics());
-    let door = FrontDoor::start(Arc::clone(&served_env), "127.0.0.1:0", seed)
-        .expect("bind an ephemeral front door");
+    let door = FrontDoor::start(Arc::clone(&served_env), "127.0.0.1:0", seed)?;
     let started = std::time::Instant::now();
     let n_slots = clients.max(1);
     // Every client connects, and the door accepts it (its socket thread
@@ -824,12 +829,10 @@ pub fn front_smoke(
     let mut slots: Vec<(FrontClient, Vec<Value>)> = (0..n_slots)
         .map(|_| {
             let mut client = FrontClient::new(door.addr());
-            client
-                .request("GET", "/healthz", &[], "")
-                .expect("the door accepts a connection");
-            (client, Vec::new())
+            client.request("GET", "/healthz", &[], "")?;
+            Ok((client, Vec::new()))
         })
-        .collect();
+        .collect::<io::Result<_>>()?;
     for (i, r) in reqs.iter().enumerate() {
         slots[i % n_slots].1.push(r.clone());
     }
@@ -861,7 +864,7 @@ pub fn front_smoke(
     }
     let inproc_digest = state_digest(app.as_ref(), &inproc_env);
 
-    Some(FrontSmokeReport {
+    Ok(FrontSmokeReport {
         run: FrontRun {
             app: kind.to_owned(),
             mode: mode.name().to_owned(),

@@ -38,8 +38,6 @@ pub struct RunReport {
     pub errors: u64,
     /// Latency percentile summary.
     pub latency: Percentiles,
-    /// The full histogram (for custom quantiles).
-    pub histogram: Histogram,
 }
 
 impl RateRunner {
@@ -105,13 +103,12 @@ impl RateRunner {
         }
 
         let elapsed = self.clock.now().since(start).as_secs_f64().max(1e-9);
-        let histogram = hist.lock().clone();
+        let latency = hist.lock().percentiles();
         RunReport {
             offered_rate: self.rate_per_sec,
             achieved_rate: done.load(Ordering::Relaxed) as f64 / elapsed,
             errors: errors.load(Ordering::Relaxed),
-            latency: histogram.percentiles(),
-            histogram,
+            latency,
         }
     }
 }
