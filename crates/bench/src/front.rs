@@ -75,7 +75,7 @@ use beldi::value::{json, Value};
 use beldi::{BeldiEnv, BeldiResult, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::bench_app;
 use beldi_runtime::{Executor, Handle};
-use beldi_simfaas::{CrashSignal, Label};
+use beldi_simfaas::{CrashSignal, Label, Probe};
 use beldi_workload::driver::{state_digest, FrontRun, LatencySummary};
 use beldi_workload::wire::Wire;
 
@@ -422,7 +422,8 @@ struct Conn {
 /// replying: the workflow runs on, and nobody hears its result.
 struct Flight {
     conn: Option<usize>,
-    instance: String,
+    /// The workflow's crash-probe handle, which holds its instance id.
+    probe: Probe,
     admitted: SimInstant,
     task: beldi_runtime::JoinHandle<BeldiResult<Value>>,
 }
@@ -539,20 +540,22 @@ impl Admission {
             format!("front-{}", self.assigned - 1)
         });
 
-        if !survives(&self.env, &instance, Label::FrontEnter) {
+        // The door probes on the workflow's behalf, outside its executions.
+        let probe = self.env.platform().faults().probe(&instance.into());
+        if !survives(&self.env, &probe, Label::FrontEnter) {
             return self.reply(index, None);
         }
         let workflow = self
             .env
-            .invoke_task(ssf, &instance, payload, MAX_ROOT_ATTEMPTS);
+            .invoke_task(ssf, probe.id(), payload, MAX_ROOT_ATTEMPTS);
         let task = self.handle.spawn(workflow);
-        let conn = survives(&self.env, &instance, Label::FrontPostSpawn).then_some(index);
+        let conn = survives(&self.env, &probe, Label::FrontPostSpawn).then_some(index);
         if conn.is_none() {
             self.reply(index, None);
         }
         self.in_flight.push(Flight {
             conn,
-            instance,
+            probe,
             admitted: self.env.clock().now(),
             task,
         });
@@ -561,7 +564,7 @@ impl Admission {
     /// Answers a finished workflow's connection, if the door still has it.
     fn answer(&mut self, flight: Flight, result: BeldiResult<Value>) {
         let Some(index) = flight.conn else { return };
-        if !survives(&self.env, &flight.instance, Label::FrontPreReply) {
+        if !survives(&self.env, &flight.probe, Label::FrontPreReply) {
             return self.reply(index, None);
         }
         let latency = self.env.clock().now().since(flight.admitted);
@@ -595,8 +598,8 @@ fn no_route() -> Response {
 }
 
 /// Fires a `front.*` crash probe; `false` when it crashed the door.
-fn survives(env: &BeldiEnv, instance: &str, label: Label) -> bool {
-    let probe = || env.platform().faults().crash_point(instance, label);
+fn survives(env: &BeldiEnv, probe: &Probe, label: Label) -> bool {
+    let probe = || env.platform().faults().crash_point(probe, label);
     match std::panic::catch_unwind(AssertUnwindSafe(probe)) {
         Ok(()) => true,
         Err(payload) if payload.downcast_ref::<CrashSignal>().is_some() => false,

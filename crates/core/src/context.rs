@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use beldi_simclock::SharedClock;
-use beldi_simdb::Database;
-use beldi_simfaas::{Label, Platform};
+use beldi_simdb::{Database, TableRef};
+use beldi_simfaas::{Label, Platform, Probe};
 
 use crate::config::Mode;
 use crate::daal::DaalParams;
@@ -30,7 +30,8 @@ pub struct SsfContext {
     pub(crate) core: Arc<EnvCore>,
     /// The running SSF, with its table names.
     pub(crate) ssf: Arc<Ssf>,
-    pub(crate) instance: InstanceId,
+    /// This execution's crash-probe handle, which holds the instance id.
+    pub(crate) probe: Probe,
     pub(crate) step: StepNumber,
     /// The steps at which this instance has an entry in its SSF's log,
     /// whichever execution wrote it; the done-mark records them for the
@@ -51,14 +52,15 @@ pub struct SsfContext {
 }
 
 impl SsfContext {
-    /// Builds a context for an execution of an intent created at
-    /// `created_ms`, launched at `launch_ms` (the clock read before the
-    /// launch's first intent store op, from which its lease counts). The
-    /// wrapper sets the caller, `is_async` and an inherited transaction.
+    /// Builds a context for an execution, probing through `probe`, of an
+    /// intent created at `created_ms`, launched at `launch_ms` (the clock
+    /// read before the launch's first intent store op, from which its
+    /// lease counts). The wrapper sets the caller, `is_async` and an
+    /// inherited transaction.
     pub(crate) fn new(
         core: Arc<EnvCore>,
         ssf: Arc<Ssf>,
-        instance: InstanceId,
+        probe: Probe,
         created_ms: u64,
         launch_ms: u64,
     ) -> Self {
@@ -66,7 +68,7 @@ impl SsfContext {
         SsfContext {
             core,
             ssf,
-            instance,
+            probe,
             step: 0,
             log_steps: Vec::new(),
             caller: None,
@@ -86,7 +88,12 @@ impl SsfContext {
 
     /// This execution intent's instance id (stable across re-executions).
     pub fn instance_id(&self) -> &str {
-        &self.instance
+        self.instance()
+    }
+
+    /// The instance id, shared.
+    pub(crate) fn instance(&self) -> &InstanceId {
+        self.probe.id()
     }
 
     /// The next step number to be consumed.
@@ -150,7 +157,7 @@ impl SsfContext {
 
     /// Consumes and returns the next log key (`instance#step`).
     pub(crate) fn next_log_key(&mut self) -> Arc<str> {
-        let k = log_key(&self.instance, self.step);
+        let k = log_key(self.instance(), self.step);
         self.step += 1;
         k
     }
@@ -166,20 +173,20 @@ impl SsfContext {
     pub(crate) fn crash(&self, label: Label) {
         let faults = self.core.platform.faults();
         if self.raw_now_ms() > self.deadline_ms {
-            faults.timeout_kill(&self.instance);
+            faults.timeout_kill(&self.probe);
         }
-        faults.crash_point(&self.instance, label);
+        faults.crash_point(&self.probe, label);
     }
 
     /// Resolves a logical table name to the SSF's physical data table,
     /// enforcing data sovereignty (§2.2): an SSF can only name tables it
     /// registered.
-    pub(crate) fn data_table(&self, logical: &str) -> BeldiResult<Arc<str>> {
+    pub(crate) fn data_table(&self, logical: &str) -> BeldiResult<TableRef> {
         self.table(logical).map(|t| t.data.clone())
     }
 
     /// The shadow table backing a logical table (§6.2).
-    pub(crate) fn shadow_table(&self, logical: &str) -> BeldiResult<Arc<str>> {
+    pub(crate) fn shadow_table(&self, logical: &str) -> BeldiResult<TableRef> {
         self.table(logical).map(|t| t.shadow.clone())
     }
 
@@ -199,13 +206,17 @@ impl SsfContext {
     /// intent's creation time, crash probes and row-id source.
     pub(crate) fn with_daal<R>(
         &self,
-        physical: &str,
+        physical: &TableRef,
         f: impl FnOnce(&DaalParams<'_>) -> BeldiResult<R>,
     ) -> BeldiResult<R> {
         let now_ms = || self.raw_now_ms();
         let crash = |label: Label| self.crash(label);
         let new_row_id = || crate::ids::shared(format_args!("R-{}", self.fresh_uuid()));
-        let data = self.ssf.tables.iter().any(|t| *t.data == *physical);
+        let data = self
+            .ssf
+            .tables
+            .iter()
+            .any(|t| t.data.name() == physical.name());
         f(&DaalParams {
             db: self.db(),
             capacity: self.core.config.daal_row_capacity,

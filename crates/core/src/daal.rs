@@ -33,7 +33,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use beldi_simclock::Metric;
-use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest};
+use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest, TableRef};
 use beldi_value::{Cond, Path, Update, Value};
 use parking_lot::Mutex;
 
@@ -98,7 +98,7 @@ pub(crate) struct DaalParams<'a> {
 /// `NextRow` is a consistent snapshot (§4.1).
 pub(crate) fn traverse(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     log_key: Option<&Arc<str>>,
 ) -> BeldiResult<Vec<SkelRow>> {
@@ -109,9 +109,20 @@ pub(crate) fn traverse(
     // still the strings the store holds.
     let mut skel: Vec<SkelRow> = Vec::with_capacity(rows.len());
     for row in rows {
-        skel.push(SkelRow::decode(table, key, row, log_key.map(|lk| &**lk))?);
+        skel.push(SkelRow::decode(
+            table.name(),
+            key,
+            row,
+            log_key.map(|lk| &**lk),
+        )?);
     }
-    let order = chain_order(&mut skel, |r| &r.row_id, |r| r.next.as_deref(), table, key)?;
+    let order = chain_order(
+        &mut skel,
+        |r| &r.row_id,
+        |r| r.next.as_deref(),
+        table.name(),
+        key,
+    )?;
     Ok(order.into_iter().map(|i| skel[i].clone()).collect())
 }
 
@@ -161,7 +172,7 @@ pub(crate) fn chain_order<R>(
 /// to the tail via scan + projection, then point-read the tail row.
 pub(crate) fn read_tail_row(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     proj: &Projection,
 ) -> BeldiResult<Option<Value>> {
@@ -354,16 +365,16 @@ impl TailCache {
 pub(crate) fn read_value_cached(
     db: &Database,
     cache: Option<&TailCache>,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
 ) -> BeldiResult<Value> {
     if let Some(cache) = cache {
-        if let Some(row_id) = cache.get(table, key) {
+        if let Some(row_id) = cache.get(table.name(), key) {
             let pk = PrimaryKey::hash_sort(key, row_id);
             let tail_probe = Projection::attrs(schema::TAIL_PROBE);
             let probed = db.get(table, &pk, Some(&tail_probe))?;
             // Present (with or without a value) and no successor.
-            if let Some(value) = probed.map(|row| schema::tail_probe(table, key, row)) {
+            if let Some(value) = probed.map(|row| schema::tail_probe(table.name(), key, row)) {
                 if let Some(value) = value? {
                     db.telemetry().add(Metric::TailCacheHits, 1);
                     return Ok(value);
@@ -371,7 +382,7 @@ pub(crate) fn read_value_cached(
             }
             // The cached row filled up (has a successor) or was GC-deleted:
             // stale entry, take the slow path.
-            cache.invalidate(table, key);
+            cache.invalidate(table.name(), key);
         }
         db.telemetry().add(Metric::TailCacheMisses, 1);
     }
@@ -380,7 +391,7 @@ pub(crate) fn read_value_cached(
         return Ok(Value::Null);
     };
     if let Some(cache) = cache {
-        cache.put(table, key, tail);
+        cache.put(table.name(), key, tail);
     }
     let pk = PrimaryKey::hash_sort(key, tail);
     // A whole row shares its map with the stored one: read, don't take.
@@ -391,7 +402,7 @@ pub(crate) fn read_value_cached(
 /// The current value of `key`, i.e. the `Value` column of its tail row.
 ///
 /// Absent keys and keys whose tail carries no value read as `Null`.
-pub(crate) fn read_value(db: &Database, table: &str, key: &Arc<str>) -> BeldiResult<Value> {
+pub(crate) fn read_value(db: &Database, table: &TableRef, key: &Arc<str>) -> BeldiResult<Value> {
     read_value_cached(db, None, table, key)
 }
 
@@ -448,7 +459,7 @@ impl WriteOutcome {
 /// the row again.
 pub(crate) fn try_write(
     p: &DaalParams<'_>,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     log_key: &Arc<str>,
     payload: Update,
@@ -484,7 +495,8 @@ pub(crate) fn try_write(
         }
     }
     Err(BeldiError::Protocol(format!(
-        "DAAL write on {table}/{key} did not converge"
+        "DAAL write on {}/{key} did not converge",
+        table.name()
     )))
 }
 
@@ -548,7 +560,7 @@ fn log_actions(log_key: &Arc<str>, flag: bool, now_ms: u64, update: Update) -> U
 /// condition held.
 fn case_b(
     p: &DaalParams<'_>,
-    table: &str,
+    table: &TableRef,
     pk: &PrimaryKey,
     step: &StepWrite<'_>,
     guard: Cond,
@@ -596,10 +608,12 @@ fn case_b(
 /// The error for a case-B update the store refused (a `RecentWrites` or
 /// `LogSize` its bookkeeping cannot update): the row's decode error, when
 /// it breaks a rule, else the store's.
-fn refused(p: &DaalParams<'_>, table: &str, pk: &PrimaryKey, e: DbError) -> BeldiError {
+fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) -> BeldiError {
     let key = pk.hash.as_str().unwrap_or_default();
     match p.db.get(table, pk, None) {
-        Ok(Some(row)) => DaalRow::decode(table, key, &row).err().unwrap_or(e.into()),
+        Ok(Some(row)) => DaalRow::decode(table.name(), key, &row)
+            .err()
+            .unwrap_or(e.into()),
         _ => e.into(),
     }
 }
@@ -615,14 +629,14 @@ fn refused(p: &DaalParams<'_>, table: &str, pk: &PrimaryKey, e: DbError) -> Beld
 /// neither clause.
 fn write_cached(
     p: &DaalParams<'_>,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     step: &StepWrite<'_>,
 ) -> BeldiResult<Option<WriteOutcome>> {
     let Some(cache) = p.tail_cache else {
         return Ok(None);
     };
-    let Some(row_id) = cache.get(table, key) else {
+    let Some(row_id) = cache.get(table.name(), key) else {
         return Ok(None);
     };
     let guard = if &*row_id == ROW_HEAD {
@@ -637,7 +651,7 @@ fn write_cached(
     match resolved {
         Some(_) => telemetry.add(Metric::TailCacheWriteHits, 1),
         None => {
-            cache.invalidate(table, key);
+            cache.invalidate(table.name(), key);
             telemetry.add(Metric::TailCacheWriteFallbacks, 1);
         }
     }
@@ -651,7 +665,7 @@ fn write_cached(
 /// B resolves leaves its row, then the tail, in the cache.
 fn write_at(
     p: &DaalParams<'_>,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     mut row_id: Arc<str>,
     step: &StepWrite<'_>,
@@ -672,7 +686,7 @@ fn write_at(
         };
         if let Some(outcome) = case_b(p, table, &pk, step, existence)? {
             if let Some(cache) = p.tail_cache {
-                cache.put(table, key, &row_id);
+                cache.put(table.name(), key, &row_id);
             }
             return Ok(Some(outcome));
         }
@@ -709,8 +723,8 @@ fn write_at(
             }
             return Ok(None);
         };
-        let row = DaalRow::decode(table, key, &whole)?;
-        if let Some(flag) = row.logged(table, key, step.log_key)? {
+        let row = DaalRow::decode(table.name(), key, &whole)?;
+        if let Some(flag) = row.logged(table.name(), key, step.log_key)? {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
             return Ok(Some(WriteOutcome::from_flag(flag)));
@@ -754,7 +768,7 @@ fn write_at(
 /// Returns the row id the caller should advance to.
 fn append_row(
     p: &DaalParams<'_>,
-    table: &str,
+    table: &TableRef,
     key: &Arc<str>,
     prev: &Value,
     prev_id: &Arc<str>,
@@ -804,7 +818,7 @@ fn append_row(
             let row =
                 p.db.get(table, &prev_pk, None)?
                     .ok_or_else(|| BeldiError::Protocol("DAAL row vanished mid-append".into()))?;
-            let next = DaalRow::decode(table, key, &row)?.next.cloned();
+            let next = DaalRow::decode(table.name(), key, &row)?.next.cloned();
             next.ok_or_else(|| BeldiError::Protocol("link lost but NextRow absent".into()))
         }
         Err(e) => Err(e.into()),
@@ -817,7 +831,7 @@ fn append_row(
 /// part of the exactly-once API.
 pub(crate) fn seed(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     key: &str,
     value: Value,
     now_ms: u64,
@@ -840,7 +854,11 @@ pub(crate) fn seed(
 }
 
 /// The lock owner recorded on `key`'s tail row, if any.
-pub(crate) fn lock_owner(db: &Database, table: &str, key: &Arc<str>) -> BeldiResult<Option<Value>> {
+pub(crate) fn lock_owner(
+    db: &Database,
+    table: &TableRef,
+    key: &Arc<str>,
+) -> BeldiResult<Option<Value>> {
     Ok(read_tail_row(db, table, key, &Projection::attrs([A_LOCK]))?
         .and_then(|mut row| row.take_attr(A_LOCK))
         .filter(|v| !v.is_null()))
@@ -896,7 +914,7 @@ mod tests {
             };
             try_write(
                 &p,
-                "t",
+                &p.db.table("t"),
                 &key.into(),
                 &log_key.into(),
                 Update::new().set(A_VALUE, Value::Int(v)),
@@ -914,7 +932,7 @@ mod tests {
             };
             try_write(
                 &p,
-                "t",
+                &p.db.table("t"),
                 &key.into(),
                 &log_key.into(),
                 Update::new().set(A_VALUE, Value::Int(v)),
@@ -924,11 +942,13 @@ mod tests {
         }
 
         fn value(&self, key: &str) -> Value {
-            read_value(&self.db, "t", &key.into()).unwrap()
+            read_value(&self.db, &self.db.table("t"), &key.into()).unwrap()
         }
 
         fn chain_len(&self, key: &str) -> usize {
-            traverse(&self.db, "t", &key.into(), None).unwrap().len()
+            traverse(&self.db, &self.db.table("t"), &key.into(), None)
+                .unwrap()
+                .len()
         }
     }
 
@@ -947,7 +967,14 @@ mod tests {
             f.db.put("t", row.clone()).unwrap();
             let p = f.params();
             let payload = Update::new().set(A_VALUE, Value::Int(2));
-            let out = try_write(&p, "t", &"k".into(), &"i#1".into(), payload, None);
+            let out = try_write(
+                &p,
+                &p.db.table("t"),
+                &"k".into(),
+                &"i#1".into(),
+                payload,
+                None,
+            );
             assert_eq!(out, Err(schema::corrupt("t", "k", attr)));
             row.as_map_mut().unwrap().remove(attr);
             #[expect(clippy::disallowed_methods, reason = "repairs the row")]
@@ -1068,7 +1095,7 @@ mod tests {
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let out = try_write(
             &p,
-            "t",
+            &p.db.table("t"),
             &"k".into(),
             &"a#1".into(),
             Update::new().set(A_LOCK, owner.clone()),
@@ -1076,11 +1103,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::Applied);
-        assert_eq!(lock_owner(&f.db, "t", &"k".into()).unwrap(), Some(owner));
+        assert_eq!(
+            lock_owner(&f.db, &f.db.table("t"), &"k".into()).unwrap(),
+            Some(owner)
+        );
         // A second transaction fails to acquire.
         let out = try_write(
             &p,
-            "t",
+            &p.db.table("t"),
             &"k".into(),
             &"b#0".into(),
             Update::new().set(A_LOCK, crate::txn::lock_owner_value(&"txn-2".into(), 30)),
@@ -1119,7 +1149,7 @@ mod tests {
         };
         let out = try_write(
             &p,
-            "t",
+            &p.db.table("t"),
             &"k".into(),
             &"i#3".into(),
             Update::new().set(A_VALUE, Value::Int(3)),
@@ -1143,8 +1173,13 @@ mod tests {
         f.write("k", "a#0", 1);
         let probe = || {
             let before = f.db.metrics().bytes_read;
-            let row =
-                read_tail_row(&f.db, "t", &"k".into(), &Projection::attrs([A_VALUE])).unwrap();
+            let row = read_tail_row(
+                &f.db,
+                &f.db.table("t"),
+                &"k".into(),
+                &Projection::attrs([A_VALUE]),
+            )
+            .unwrap();
             (row, f.db.metrics().bytes_read - before)
         };
         let lean = probe();
@@ -1177,7 +1212,7 @@ mod tests {
     #[test]
     fn seed_then_read() {
         let f = Fixture::new();
-        seed(&f.db, "t", "k", Value::Int(10), 0).unwrap();
+        seed(&f.db, &f.db.table("t"), "k", Value::Int(10), 0).unwrap();
         assert_eq!(f.value("k"), Value::Int(10));
         f.write("k", "a#0", 11);
         assert_eq!(f.value("k"), Value::Int(11));
@@ -1191,12 +1226,13 @@ mod tests {
         // cached read must agree with the scan-based read.
         for step in 0..10 {
             f.write("k", &format!("i#{step}"), step);
-            let cached = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
+            let cached =
+                read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap();
             assert_eq!(cached, f.value("k"), "after step {step}");
         }
         // A second cached read is a pure hit and still agrees.
         let q_before = f.db.metrics().queries;
-        let hit = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
+        let hit = read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap();
         assert_eq!(hit, Value::Int(9));
         assert_eq!(f.db.metrics().queries, q_before, "hit must not scan");
     }
@@ -1206,7 +1242,7 @@ mod tests {
         let f = Fixture::new();
         let cache = TailCache::new();
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", &"nope".into()).unwrap(),
+            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"nope".into()).unwrap(),
             Value::Null
         );
         assert!(cache.get("t", "nope").is_none(), "no negative caching");
@@ -1227,7 +1263,7 @@ mod tests {
         cache.put("t", &"k".into(), &ROW_HEAD.into());
         let before = f.db.metrics();
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap(),
+            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap(),
             Value::Null
         );
         let d = f.db.metrics().delta(&before);
@@ -1241,20 +1277,20 @@ mod tests {
         let f = Fixture::new();
         let cache = TailCache::new();
         f.write("k", "a#0", 1);
-        read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
+        read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap();
         let cached_row = cache.get("t", "k").unwrap();
         // Fill the row so the chain extends past the cached tail.
         for step in 1..5 {
             f.write("k", &format!("a#{step}"), step);
         }
         assert!(f.chain_len("k") > 1);
-        let v = read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap();
+        let v = read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap();
         assert_eq!(v, Value::Int(4));
         assert_ne!(cache.get("t", "k").unwrap(), cached_row, "entry refreshed");
         // A deleted cached row (GC) also falls back cleanly.
         cache.put("t", &"k".into(), &"R-gone".into());
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", &"k".into()).unwrap(),
+            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap(),
             Value::Int(4)
         );
     }
@@ -1267,7 +1303,7 @@ mod tests {
         for i in 0..500 {
             let key = format!("k{i}");
             f.write(&key, "a#0", i);
-            read_value_cached(&f.db, Some(&cache), "t", &key.as_str().into()).unwrap();
+            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &key.as_str().into()).unwrap();
         }
         assert!(
             cache.len() <= 32,
@@ -1278,7 +1314,8 @@ mod tests {
         for i in 0..500 {
             let key = format!("k{i}");
             assert_eq!(
-                read_value_cached(&f.db, Some(&cache), "t", &key.as_str().into()).unwrap(),
+                read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &key.as_str().into())
+                    .unwrap(),
                 Value::Int(i),
             );
         }
@@ -1319,8 +1356,13 @@ mod tests {
             }
             for round in 0..5 {
                 for i in 0..40 {
-                    let v = read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}").into())
-                        .unwrap();
+                    let v = read_value_cached(
+                        &f.db,
+                        Some(&cache),
+                        &f.db.table("t"),
+                        &format!("k{i}").into(),
+                    )
+                    .unwrap();
                     assert_eq!(v, Value::Int(i), "round {round}");
                 }
             }
@@ -1348,7 +1390,13 @@ mod tests {
         }
         for i in 0..60 {
             assert_eq!(
-                read_value_cached(&f.db, Some(&cache), "t", &format!("k{i}").into()).unwrap(),
+                read_value_cached(
+                    &f.db,
+                    Some(&cache),
+                    &f.db.table("t"),
+                    &format!("k{i}").into()
+                )
+                .unwrap(),
                 Value::Int(i),
             );
         }
@@ -1380,7 +1428,7 @@ mod tests {
             readers.push(std::thread::spawn(move || {
                 let mut last = -1i64;
                 for _ in 0..200 {
-                    let v = read_value_cached(&f.db, Some(&cache), "t", &"hot".into())
+                    let v = read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"hot".into())
                         .unwrap()
                         .as_int()
                         .expect("value is always an int");
@@ -1397,7 +1445,7 @@ mod tests {
             r.join().unwrap();
         }
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), "t", &"hot".into()).unwrap(),
+            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"hot".into()).unwrap(),
             Value::Int(60)
         );
     }

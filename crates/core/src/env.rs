@@ -18,8 +18,8 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use beldi_simclock::{Hist, Metric, SharedClock, SimClock, Telemetry};
-use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest};
-use beldi_simfaas::{InvokeError, Label, Platform, PlatformConfig, PlatformSnapshot};
+use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest, TableRef};
+use beldi_simfaas::{InvokeError, Label, Platform, PlatformConfig, PlatformSnapshot, Probe};
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
 
@@ -43,13 +43,13 @@ use crate::wrapper;
 /// [`SsfContext::logged_now_ms`]) or logged reads.
 pub type SsfBody = Arc<dyn Fn(&mut SsfContext, Value) -> BeldiResult<Value> + Send + Sync>;
 
-/// A registered SSF: its name, body and table names. The names are built
-/// here once (`schema.rs` spells them) and read from then on by the
-/// wrapper, every [`SsfContext`] and the collectors.
+/// A registered SSF: its name, body and tables. The tables are resolved
+/// here once, by the names `schema.rs` spells, and every store call of
+/// the wrapper, every [`SsfContext`] and the collectors goes through them.
 pub(crate) struct Ssf {
     pub name: Arc<str>,
-    pub intent_table: Arc<str>,
-    pub log_table: Arc<str>,
+    pub intent_table: TableRef,
+    pub log_table: TableRef,
     /// Its data tables, in declaration order.
     pub tables: Vec<SsfTable>,
     pub body: SsfBody,
@@ -59,22 +59,24 @@ pub(crate) struct Ssf {
 /// table and the shadow table backing it (§6.2).
 pub(crate) struct SsfTable {
     pub logical: String,
-    pub data: Arc<str>,
-    pub shadow: Arc<str>,
+    pub data: TableRef,
+    pub shadow: TableRef,
 }
 
 impl Ssf {
-    fn new(name: &str, tables: &[&str], body: SsfBody) -> Self {
+    /// SSF `name` with its tables resolved in `db`. A table its mode does
+    /// not create fails each call through it with `TableNotFound`.
+    fn new(db: &Database, name: &str, tables: &[&str], body: SsfBody) -> Self {
         Ssf {
             name: name.into(),
-            intent_table: schema::intent_table(name).into(),
-            log_table: schema::log_table(name).into(),
+            intent_table: db.table(&schema::intent_table(name)),
+            log_table: db.table(&schema::log_table(name)),
             tables: tables
                 .iter()
                 .map(|&logical| SsfTable {
                     logical: logical.to_owned(),
-                    data: schema::data_table(name, logical).into(),
-                    shadow: schema::shadow_table(name, logical).into(),
+                    data: db.table(&schema::data_table(name, logical)),
+                    shadow: db.table(&schema::shadow_table(name, logical)),
                 })
                 .collect(),
             body,
@@ -352,12 +354,12 @@ impl<'a> RootCall<'a> {
             Ok(ssf) => ssf,
             Err(e) => return ControlFlow::Break(Err(e)),
         };
-        let table = &*ssf.intent_table;
+        let table = &ssf.intent_table;
         match intent::load(&self.core.db, table, &self.instance) {
             Ok(Some(rec)) if rec.done => {
                 self.core.record_recovery(&self.instance, rec.created_ms);
                 // The replay a retry would get.
-                let ret = rec.root_outcome(table).map(Outcome::from_reply);
+                let ret = rec.root_outcome(table.name()).map(Outcome::from_reply);
                 ControlFlow::Break(ret.and_then(Outcome::into_result))
             }
             // Refused past its window: the last attempt's failure stands.
@@ -427,35 +429,33 @@ impl BeldiEnv {
     /// are deployment bugs.
     pub fn register_ssf(&self, name: &str, tables: &[&str], body: SsfBody) {
         let mode = self.core.config.mode;
-        let ssf = Arc::new(Ssf::new(name, tables, body));
-        {
-            let mut registry = self.core.registry.write();
-            assert!(
-                !registry.contains_key(name),
-                "SSF `{name}` registered twice"
-            );
-            registry.insert(name.to_owned(), ssf.clone());
-        }
+        let mut registry = self.core.registry.write();
+        assert!(
+            !registry.contains_key(name),
+            "SSF `{name}` registered twice"
+        );
         let db = &self.core.db;
-        let create = |table: &str, schema: beldi_simdb::TableSchema| {
-            db.create_table(table, schema)
+        let create = |table: String, schema: beldi_simdb::TableSchema| {
+            db.create_table(table.as_str(), schema)
                 .unwrap_or_else(|e| panic!("creating table {table}: {e}"));
         };
         if mode != Mode::Baseline {
-            create(&ssf.intent_table, schema::intent_schema());
-            create(&ssf.log_table, schema::log_schema());
+            create(schema::intent_table(name), schema::intent_schema());
+            create(schema::log_table(name), schema::log_schema());
         }
-        for table in &ssf.tables {
+        for &logical in tables {
+            let data = schema::data_table(name, logical);
             match mode {
                 Mode::Beldi => {
-                    create(&table.data, schema::daal_schema());
-                    create(&table.shadow, schema::shadow_schema());
+                    create(data, schema::daal_schema());
+                    create(schema::shadow_table(name, logical), schema::shadow_schema());
                 }
-                Mode::CrossTable | Mode::Baseline => {
-                    create(&table.data, schema::plain_data_schema());
-                }
+                Mode::CrossTable | Mode::Baseline => create(data, schema::plain_data_schema()),
             }
         }
+        let ssf = Arc::new(Ssf::new(db, name, tables, body));
+        registry.insert(name.to_owned(), ssf.clone());
+        drop(registry);
 
         // Platform functions: the SSF itself, its IC, and its GC.
         let weak = Arc::downgrade(&self.core);
@@ -723,7 +723,7 @@ impl BeldiEnv {
     /// Seeds `key = value` in an SSF's data table, bypassing logging
     /// (data loading, not part of the exactly-once API).
     pub fn seed(&self, ssf: &str, table: &str, key: &str, value: Value) -> BeldiResult<()> {
-        let physical = schema::data_table(ssf, table);
+        let physical = self.core.db.table(&schema::data_table(ssf, table));
         match self.core.config.mode {
             Mode::Beldi => daal::seed(
                 &self.core.db,
@@ -741,7 +741,7 @@ impl BeldiEnv {
     /// Reads the current committed value of `key` in an SSF's data table
     /// (verification helper for tests and benchmarks; unlogged).
     pub fn read_current(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<Value> {
-        let physical = schema::data_table(ssf, table);
+        let physical = self.core.db.table(&schema::data_table(ssf, table));
         match self.core.config.mode {
             Mode::Beldi => daal::read_value(&self.core.db, &physical, &key.into()),
             Mode::CrossTable | Mode::Baseline => {
@@ -752,7 +752,7 @@ impl BeldiEnv {
 
     /// The length of `key`'s DAAL chain (Beldi mode), for GC experiments.
     pub fn daal_chain_len(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<usize> {
-        let physical = schema::data_table(ssf, table);
+        let physical = self.core.db.table(&schema::data_table(ssf, table));
         Ok(daal::traverse(&self.core.db, &physical, &key.into(), None)?.len())
     }
 
@@ -826,7 +826,8 @@ impl BeldiEnv {
     pub fn test_context(&self, ssf: &str, instance: &str) -> SsfContext {
         let ssf = self.core.ssf(ssf).expect("test_context: a registered SSF");
         let now_ms = self.clock().now().as_millis();
-        SsfContext::new(self.core.clone(), ssf, instance.into(), 0, now_ms)
+        let probe = self.core.platform.faults().probe(&instance.into());
+        SsfContext::new(self.core.clone(), ssf, probe, 0, now_ms)
     }
 
     /// The shared interior (crate-internal test helper: lets unit tests
@@ -894,16 +895,14 @@ fn collector_handler(
             return Value::Null;
         }
         let pass = passes.fetch_add(1, Ordering::Relaxed);
-        let instance = format!("{}.{}#p{pass}", ssf.name, collector.kind);
-        let faults = core.platform.faults();
-        faults.instance_started(&instance);
-        let crash = |label: Label| faults.crash_point(&instance, label);
+        // A pass id is used once, so the injector keeps no entry for it.
+        let instance = crate::ids::shared(format_args!("{}.{}#p{pass}", ssf.name, collector.kind));
+        let (faults, probe) = (core.platform.faults(), Probe::untracked(instance));
+        let crash = |label: Label| faults.crash_point(&probe, label);
         // A failed pass is non-fatal: the next timer tick retries.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (collector.run)(&core, &ssf, &crash)
         }));
-        // A pass id is used once: done or killed, the injector can let go.
-        faults.forget(&instance);
         busy.store(false, Ordering::Release);
         if let Err(panic) = result {
             core.telemetry().add(collector.crashes, 1);
@@ -1022,7 +1021,7 @@ mod tests {
         // Wait for the async instance to finish.
         let table = schema::intent_table("writer");
         for _ in 0..500 {
-            if let Some(rec) = intent::load(env.db(), &table, &id).unwrap() {
+            if let Some(rec) = intent::load(env.db(), &env.db().table(&table), &id).unwrap() {
                 if rec.done {
                     break;
                 }

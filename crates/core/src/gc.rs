@@ -45,7 +45,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use beldi_simclock::{Metric, Telemetry};
-use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest};
+use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest, TableRef};
 use beldi_value::{Cond, Update, Value};
 
 use crate::config::Mode;
@@ -148,7 +148,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // call: so a zombie's last write lands at or before `launch + T ≤
     // finish + T`, and a pass recycles strictly later (DESIGN §13).
     let t_ms = core.config.t_max.as_millis() as u64;
-    let intent_table = &*ssf.intent_table;
+    let intent_table = &ssf.intent_table;
     let mut report = GcReport::default();
     (hooks.crash)(Label::GcEnter);
 
@@ -166,7 +166,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     for row in db.scan_all(intent_table, &classify)? {
         // A corrupt done-mark leaves when the intent may go, or what it
         // owns in the log, unknown: it and its entries stay.
-        let Ok(mark) = DoneMark::decode(intent_table, &row) else {
+        let Ok(mark) = DoneMark::decode(intent_table.name(), &row) else {
             report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents);
             continue;
         };
@@ -245,7 +245,7 @@ struct Sweep<'a> {
     t_ms: u64,
     hooks: &'a GcHooks<'a>,
     report: &'a mut GcReport,
-    intent_table: &'a str,
+    intent_table: &'a TableRef,
     /// The intents this pass recycles.
     recyclable: HashSet<Arc<str>>,
     /// Owners probed so far: whether each is absent from the intent table.
@@ -264,7 +264,7 @@ impl Sweep<'_> {
     /// with anything to collect, and a pass costs what its garbage costs.
     /// Shadow tables are walked key by key: every shadow chain is
     /// garbage-to-be and is collected whole, head included.
-    fn table(&mut self, table: &str, is_shadow: bool) -> BeldiResult<()> {
+    fn table(&mut self, table: &TableRef, is_shadow: bool) -> BeldiResult<()> {
         let keys = if is_shadow {
             self.db.distinct_hash_keys(table)?
         } else {
@@ -288,11 +288,11 @@ impl Sweep<'_> {
         Ok(())
     }
 
-    fn key(&mut self, table: &str, key: &Arc<str>, is_shadow: bool) -> BeldiResult<()> {
+    fn key(&mut self, table: &TableRef, key: &Arc<str>, is_shadow: bool) -> BeldiResult<()> {
         let (db, now_ms, t_ms) = (self.db, self.now_ms, self.t_ms);
         // Full (unprojected) rows: the GC inspects every log entry.
         let rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
-        let Some((rows, chain, reachable)) = reconstruct_chain(table, key, &rows) else {
+        let Some((rows, chain, reachable)) = reconstruct_chain(table.name(), key, &rows) else {
             return self.corrupt_chain();
         };
 
@@ -387,7 +387,7 @@ impl Sweep<'_> {
         } else {
             (self.hooks.probe)(Label::GcStep5PreRescan);
             fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
-            let Some((_, _, fresh)) = reconstruct_chain(table, key, &fresh_rows) else {
+            let Some((_, _, fresh)) = reconstruct_chain(table.name(), key, &fresh_rows) else {
                 return self.corrupt_chain();
             };
             Some(fresh)
@@ -455,7 +455,7 @@ impl Sweep<'_> {
         clippy::disallowed_methods,
         reason = "steps 4–5 stamp between Label::GcPostLogPrune and Label::GcPostDaal"
     )]
-    fn stamp(&mut self, table: &str, key: &Arc<str>, row_id: &Arc<str>) -> BeldiResult<()> {
+    fn stamp(&mut self, table: &TableRef, key: &Arc<str>, row_id: &Arc<str>) -> BeldiResult<()> {
         let pk = PrimaryKey::hash_sort(key, row_id);
         let cond = Cond::not_exists(A_DANGLE).and(Cond::exists(A_KEY));
         let update = Update::new().set(A_DANGLE, Value::Int(self.now_ms as i64));
@@ -615,7 +615,7 @@ mod tests {
             "re-linked row must not be deleted"
         );
         assert_eq!(
-            daal::read_value(e.db(), "f.data.t", &"k".into()).unwrap(),
+            daal::read_value(e.db(), &e.db().table("f.data.t"), &"k".into()).unwrap(),
             Value::Int(3),
             "tail value lost — the chain was severed"
         );

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use beldi_simclock::Metric;
-use beldi_simdb::ScanRequest;
+use beldi_simdb::{ScanRequest, TableRef};
 use beldi_value::Value;
 
 use crate::env::{EnvCore, Ssf};
@@ -69,7 +69,7 @@ pub(crate) fn run_ic_with(
 
 fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<IcReport> {
     crash(Label::IcEnter);
-    let table = &*ssf.intent_table;
+    let table = &ssf.intent_table;
     let mut rows = core
         .db
         .index_query(table, A_DONE, &Value::Bool(false), &ScanRequest::all())?;
@@ -91,7 +91,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
 
     let mut report = IcReport::default();
     for row in rows {
-        let rec = match IntentRecord::decode(table, &row) {
+        let rec = match IntentRecord::decode(table.name(), &row) {
             Ok(rec) => rec,
             Err(BeldiError::Corrupt { key, attr, .. }) => {
                 let id = (attr != A_ID).then(|| key.as_str().into());
@@ -144,7 +144,7 @@ fn relaunchable(envelope: &Value) -> bool {
 /// nonzero `core.ic.corrupt`.
 fn report_corrupt_intent(
     core: &Arc<EnvCore>,
-    table: &str,
+    table: &TableRef,
     id: Option<&Arc<str>>,
     report: &mut IcReport,
 ) -> BeldiResult<()> {

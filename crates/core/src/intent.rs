@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use beldi_simdb::{Database, DbError, PrimaryKey};
+use beldi_simdb::{Database, DbError, PrimaryKey, TableRef};
 use beldi_value::{Cond, Update, Value};
 
 use crate::error::{BeldiError, BeldiResult};
@@ -33,7 +33,7 @@ use crate::schema::{
 /// must honor an already-set `Done` flag by replaying its outcome.
 pub(crate) fn register(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     id: &Arc<str>,
     args: Value,
     is_async: bool,
@@ -62,9 +62,14 @@ pub(crate) fn register(
 }
 
 /// Loads an intent record, if present.
-pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Option<IntentRecord>> {
+pub(crate) fn load(
+    db: &Database,
+    table: &TableRef,
+    id: &Arc<str>,
+) -> BeldiResult<Option<IntentRecord>> {
     let row = db.get(table, &PrimaryKey::hash(id), None)?;
-    row.map(|row| IntentRecord::decode(table, &row)).transpose()
+    row.map(|row| IntentRecord::decode(table.name(), &row))
+        .transpose()
 }
 
 /// Marks an intent as done, recording in the same write its outcome
@@ -80,7 +85,7 @@ pub(crate) fn load(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<Opt
 /// outcome and steps; the first done-mark's finish time stays.
 pub(crate) fn mark_done(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     id: &Arc<str>,
     ret: Option<Value>,
     log_steps: &[StepNumber],
@@ -108,7 +113,7 @@ pub(crate) fn mark_done(
 /// advanced it first.
 pub(crate) fn claim_launch(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     id: &Arc<str>,
     seen_last_launch_ms: u64,
     now_ms: u64,
@@ -124,7 +129,7 @@ pub(crate) fn claim_launch(
 }
 
 /// Deletes an intent row (the GC's final step for a recycled intent).
-pub(crate) fn delete(db: &Database, table: &str, id: &Arc<str>) -> BeldiResult<()> {
+pub(crate) fn delete(db: &Database, table: &TableRef, id: &Arc<str>) -> BeldiResult<()> {
     match db.delete(table, &PrimaryKey::hash(id), &Cond::True) {
         Ok(()) | Err(DbError::ConditionFailed) => Ok(()),
         Err(e) => Err(e.into()),
@@ -153,7 +158,7 @@ mod tests {
         let db = db();
         let a = register(
             &db,
-            "i",
+            &db.table("i"),
             &x(),
             vmap! { "Input" => 1i64 },
             false,
@@ -164,9 +169,17 @@ mod tests {
         assert!(a.is_none(), "the first registration wins");
         // A re-execution re-registers with different args; the original
         // registration is what it gets back.
-        let b = register(&db, "i", &x(), vmap! { "Input" => 2i64 }, false, None, 9)
-            .unwrap()
-            .expect("the earlier record");
+        let b = register(
+            &db,
+            &db.table("i"),
+            &x(),
+            vmap! { "Input" => 2i64 },
+            false,
+            None,
+            9,
+        )
+        .unwrap()
+        .expect("the earlier record");
         assert_eq!(b.args, Some(vmap! { "Input" => 1i64 }));
         assert_eq!(b.caller.as_deref(), Some("caller"));
         assert!(!b.done);
@@ -176,10 +189,10 @@ mod tests {
     #[test]
     fn done_round_trips_return_value() {
         let db = db();
-        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
+        register(&db, &db.table("i"), &x(), Value::Null, false, None, 0).unwrap();
         let ret = vmap! { "Outcome" => "ok", "Ret" => 42i64 };
-        mark_done(&db, "i", &x(), Some(ret.clone()), &[0, 2], 3).unwrap();
-        let rec = load(&db, "i", &x()).unwrap().unwrap();
+        mark_done(&db, &db.table("i"), &x(), Some(ret.clone()), &[0, 2], 3).unwrap();
+        let rec = load(&db, &db.table("i"), &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, Some(ret));
         let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
@@ -196,7 +209,7 @@ mod tests {
         let db = db();
         register(
             &db,
-            "i",
+            &db.table("i"),
             &x(),
             Value::Null,
             false,
@@ -204,8 +217,8 @@ mod tests {
             0,
         )
         .unwrap();
-        mark_done(&db, "i", &x(), None, &[0], 3).unwrap();
-        let rec = load(&db, "i", &x()).unwrap().unwrap();
+        mark_done(&db, &db.table("i"), &x(), None, &[0], 3).unwrap();
+        let rec = load(&db, &db.table("i"), &x()).unwrap().unwrap();
         assert!(rec.done);
         assert_eq!(rec.ret, None);
         let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
@@ -236,13 +249,13 @@ mod tests {
     #[test]
     fn claim_launch_is_a_cas() {
         let db = db();
-        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        assert!(claim_launch(&db, "i", &x(), 0, 10).unwrap());
+        register(&db, &db.table("i"), &x(), Value::Null, false, None, 0).unwrap();
+        assert!(claim_launch(&db, &db.table("i"), &x(), 0, 10).unwrap());
         // Second claimer saw the stale timestamp and loses.
-        assert!(!claim_launch(&db, "i", &x(), 0, 11).unwrap());
+        assert!(!claim_launch(&db, &db.table("i"), &x(), 0, 11).unwrap());
         // Done intents are never claimed.
-        mark_done(&db, "i", &x(), None, &[], 15).unwrap();
-        assert!(!claim_launch(&db, "i", &x(), 10, 20).unwrap());
+        mark_done(&db, &db.table("i"), &x(), None, &[], 15).unwrap();
+        assert!(!claim_launch(&db, &db.table("i"), &x(), 10, 20).unwrap());
     }
 
     #[test]
@@ -252,22 +265,22 @@ mod tests {
             let row = db.get("i", &PrimaryKey::hash("x"), None).unwrap().unwrap();
             row.get_int(A_FINISH)
         };
-        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
+        register(&db, &db.table("i"), &x(), Value::Null, false, None, 0).unwrap();
         // Not done yet: no finish time.
         assert_eq!(finish(), None);
-        mark_done(&db, "i", &x(), Some(Value::Int(1)), &[0], 7).unwrap();
+        mark_done(&db, &db.table("i"), &x(), Some(Value::Int(1)), &[0], 7).unwrap();
         assert_eq!(finish(), Some(7));
         // A re-execution's done-mark rewrites the outcome, not the time.
-        mark_done(&db, "i", &x(), Some(Value::Int(1)), &[0], 99).unwrap();
+        mark_done(&db, &db.table("i"), &x(), Some(Value::Int(1)), &[0], 99).unwrap();
         assert_eq!(finish(), Some(7));
     }
 
     #[test]
     fn delete_is_idempotent() {
         let db = db();
-        register(&db, "i", &x(), Value::Null, false, None, 0).unwrap();
-        delete(&db, "i", &x()).unwrap();
-        delete(&db, "i", &x()).unwrap();
-        assert!(load(&db, "i", &x()).unwrap().is_none());
+        register(&db, &db.table("i"), &x(), Value::Null, false, None, 0).unwrap();
+        delete(&db, &db.table("i"), &x()).unwrap();
+        delete(&db, &db.table("i"), &x()).unwrap();
+        assert!(load(&db, &db.table("i"), &x()).unwrap().is_none());
     }
 }

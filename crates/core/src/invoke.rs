@@ -387,7 +387,7 @@ impl SsfContext {
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("invoke-log entry {log_key} vanished"))
                 })?;
-                InvokeEntry::decode(log, &log_key, &row)
+                InvokeEntry::decode(log.name(), &log_key, &row)
             }
             Err(e) => Err(e.into()),
         }
@@ -397,7 +397,7 @@ impl SsfContext {
     fn reload_entry(&self, log_key: &Arc<str>) -> BeldiResult<Option<InvokeEntry>> {
         let log = &self.ssf.log_table;
         let row = self.db().get(log, &PrimaryKey::hash(log_key), None)?;
-        row.map(|row| InvokeEntry::decode(log, log_key, &row))
+        row.map(|row| InvokeEntry::decode(log.name(), log_key, &row))
             .transpose()
     }
 
@@ -406,7 +406,7 @@ impl SsfContext {
     /// the entry holds it; one that does not is a protocol error, never a
     /// `Null` result.
     fn logged_outcome(&self, step: crate::ids::StepNumber) -> BeldiResult<Outcome> {
-        let log_key = crate::ids::log_key(&self.instance, step);
+        let log_key = crate::ids::log_key(self.instance(), step);
         match self.reload_entry(&log_key)?.and_then(|e| e.result) {
             Some(outcome) => Ok(outcome),
             None => Err(BeldiError::Protocol(format!(
@@ -483,7 +483,7 @@ impl SsfContext {
                 Err(_) => {
                     // The callee (or the response channel) died. Its
                     // callback may still have recorded the result.
-                    let log_key = crate::ids::log_key(&self.instance, step);
+                    let log_key = crate::ids::log_key(self.instance(), step);
                     if let Some(e) = self.reload_entry(&log_key)? {
                         if let Some(outcome) = e.result {
                             // A killed callee whose callback landed is a
@@ -768,7 +768,7 @@ mod tests {
         let invocations = env.platform_metrics().invocations - before;
         assert_eq!(invocations, 1 + MAX_INVOKE_ATTEMPTS as u64);
         let table = crate::schema::intent_table("callee");
-        let rec = crate::intent::load(env.db(), &table, &id).unwrap();
+        let rec = crate::intent::load(env.db(), &env.db().table(&table), &id).unwrap();
         assert!(!rec.expect("registered").done);
     }
 

@@ -18,7 +18,7 @@
               (`ops.rs::write_step`); baseline mode has no exactly-once claim, so no probe"
 )]
 
-use beldi_simdb::{Database, DbError, PrimaryKey, TransactOp};
+use beldi_simdb::{Database, DbError, PrimaryKey, TableRef, TransactOp};
 use beldi_value::{Cond, Update, Value};
 
 use crate::daal::WriteOutcome;
@@ -29,7 +29,7 @@ use crate::schema::{self, A_FLAG, A_KEY, A_LOG_KEY, A_VALUE};
 
 /// Raw read, baseline and cross-table: the `Value` attribute of the
 /// key's single row.
-pub(crate) fn baseline_read(db: &Database, table: &str, key: &str) -> BeldiResult<Value> {
+pub(crate) fn baseline_read(db: &Database, table: &TableRef, key: &str) -> BeldiResult<Value> {
     let row = db.get(table, &PrimaryKey::hash(key), None)?;
     Ok(schema::data_value(row.as_ref()))
 }
@@ -37,7 +37,7 @@ pub(crate) fn baseline_read(db: &Database, table: &str, key: &str) -> BeldiResul
 /// Raw unconditional write.
 pub(crate) fn baseline_write(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     key: &str,
     value: Value,
 ) -> BeldiResult<()> {
@@ -53,7 +53,7 @@ pub(crate) fn baseline_write(
 /// Raw conditional write; returns whether the condition held.
 pub(crate) fn baseline_cond_write(
     db: &Database,
-    table: &str,
+    table: &TableRef,
     key: &str,
     value: Value,
     cond: &Cond,
@@ -85,13 +85,13 @@ fn write_entry_put(log: &str, log_key: &str, flag: bool) -> TransactOp {
 }
 
 /// Reads the logged outcome of write step `log_key` from the log table.
-fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutcome> {
+fn logged_flag(db: &Database, log: &TableRef, log_key: &str) -> BeldiResult<WriteOutcome> {
     let row = db
         .get(log, &PrimaryKey::hash(log_key), None)?
         .ok_or_else(|| {
             BeldiError::Protocol(format!("write-log entry {log_key} vanished after conflict"))
         })?;
-    Ok(match schema::write_entry(log, log_key, &row)? {
+    Ok(match schema::write_entry(log.name(), log_key, &row)? {
         true => WriteOutcome::Applied,
         false => WriteOutcome::ConditionFalse,
     })
@@ -105,8 +105,8 @@ fn logged_flag(db: &Database, log: &str, log_key: &str) -> BeldiResult<WriteOutc
 /// logged exactly as in the DAAL protocol (Fig. 17).
 pub(crate) fn cross_table_write(
     db: &Database,
-    table: &str,
-    log: &str,
+    table: &TableRef,
+    log: &TableRef,
     key: &str,
     log_key: &str,
     payload: Update,
@@ -116,12 +116,12 @@ pub(crate) fn cross_table_write(
     let data_cond = user_cond.cloned().unwrap_or(Cond::True);
     let ops = [
         TransactOp::Update {
-            table: table.to_owned(),
+            table: table.name().to_string(),
             key: pk,
             cond: data_cond,
             update: payload,
         },
-        write_entry_put(log, log_key, true),
+        write_entry_put(log.name(), log_key, true),
     ];
     match db.transact_write(&ops) {
         Ok(()) => Ok(WriteOutcome::Applied),
@@ -133,7 +133,7 @@ pub(crate) fn cross_table_write(
             // The user condition failed at the serialization point; log
             // the false outcome (unless a racing re-execution logged
             // first, in which case replay it).
-            match db.transact_write(&[write_entry_put(log, log_key, false)]) {
+            match db.transact_write(&[write_entry_put(log.name(), log_key, false)]) {
                 Ok(()) => Ok(WriteOutcome::ConditionFalse),
                 Err(DbError::TransactionCanceled { .. }) => logged_flag(db, log, log_key),
                 Err(e) => Err(e.into()),
@@ -144,7 +144,12 @@ pub(crate) fn cross_table_write(
 }
 
 /// Seeds a cross-table or baseline data row (data loading, not logged).
-pub(crate) fn seed_plain(db: &Database, table: &str, key: &str, value: Value) -> BeldiResult<()> {
+pub(crate) fn seed_plain(
+    db: &Database,
+    table: &TableRef,
+    key: &str,
+    value: Value,
+) -> BeldiResult<()> {
     db.put(table, beldi_value::vmap! { A_KEY => key, A_VALUE => value })?;
     Ok(())
 }
@@ -164,26 +169,48 @@ mod tests {
     #[test]
     fn baseline_round_trip() {
         let db = db();
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Null);
-        baseline_write(&db, "d", "k", Value::Int(3)).unwrap();
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(3));
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Null
+        );
+        baseline_write(&db, &db.table("d"), "k", Value::Int(3)).unwrap();
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(3)
+        );
         // Baseline writes are *not* idempotent per step — that is the
         // point of the comparison.
-        baseline_write(&db, "d", "k", Value::Int(4)).unwrap();
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(4));
+        baseline_write(&db, &db.table("d"), "k", Value::Int(4)).unwrap();
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(4)
+        );
     }
 
     #[test]
     fn baseline_cond_write_dispatches() {
         let db = db();
-        baseline_write(&db, "d", "k", Value::Int(1)).unwrap();
-        assert!(
-            baseline_cond_write(&db, "d", "k", Value::Int(2), &Cond::eq(A_VALUE, 1i64)).unwrap()
+        baseline_write(&db, &db.table("d"), "k", Value::Int(1)).unwrap();
+        assert!(baseline_cond_write(
+            &db,
+            &db.table("d"),
+            "k",
+            Value::Int(2),
+            &Cond::eq(A_VALUE, 1i64)
+        )
+        .unwrap());
+        assert!(!baseline_cond_write(
+            &db,
+            &db.table("d"),
+            "k",
+            Value::Int(9),
+            &Cond::eq(A_VALUE, 1i64)
+        )
+        .unwrap());
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(2)
         );
-        assert!(
-            !baseline_cond_write(&db, "d", "k", Value::Int(9), &Cond::eq(A_VALUE, 1i64)).unwrap()
-        );
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(2));
     }
 
     /// A write entry a replay finds without its `Flag` is `Corrupt`, not
@@ -194,23 +221,50 @@ mod tests {
         db.put("w", beldi_value::vmap! { A_LOG_KEY => "i#0" })
             .unwrap();
         let payload = Update::new().set(A_VALUE, Value::Int(5));
-        let out = cross_table_write(&db, "d", "w", "k", "i#0", payload, None);
+        let out = cross_table_write(
+            &db,
+            &db.table("d"),
+            &db.table("w"),
+            "k",
+            "i#0",
+            payload,
+            None,
+        );
         assert_eq!(out, Err(schema::corrupt("w", "i#0", A_FLAG)));
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Null);
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Null
+        );
     }
 
     #[test]
     fn cross_table_write_is_exactly_once() {
         let db = db();
         let payload = Update::new().set(A_VALUE, Value::Int(5));
-        let out = cross_table_write(&db, "d", "w", "k", "i#0", payload.clone(), None).unwrap();
+        let out = cross_table_write(
+            &db,
+            &db.table("d"),
+            &db.table("w"),
+            "k",
+            "i#0",
+            payload.clone(),
+            None,
+        )
+        .unwrap();
         assert_eq!(out, WriteOutcome::Applied);
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(5));
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(5)
+        );
         // Replay of the same step: logged, so the data row is untouched.
         let other = Update::new().set(A_VALUE, Value::Int(99));
-        let out = cross_table_write(&db, "d", "w", "k", "i#0", other, None).unwrap();
+        let out = cross_table_write(&db, &db.table("d"), &db.table("w"), "k", "i#0", other, None)
+            .unwrap();
         assert_eq!(out, WriteOutcome::Applied);
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(5));
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(5)
+        );
     }
 
     #[test]
@@ -218,8 +272,8 @@ mod tests {
         let db = db();
         cross_table_write(
             &db,
-            "d",
-            "w",
+            &db.table("d"),
+            &db.table("w"),
             "k",
             "i#0",
             Update::new().set(A_VALUE, Value::Int(1)),
@@ -228,24 +282,44 @@ mod tests {
         .unwrap();
         let cond = Cond::ge(A_VALUE, 100i64);
         let payload = Update::new().set(A_VALUE, Value::Int(2));
-        let out =
-            cross_table_write(&db, "d", "w", "k", "i#1", payload.clone(), Some(&cond)).unwrap();
+        let out = cross_table_write(
+            &db,
+            &db.table("d"),
+            &db.table("w"),
+            "k",
+            "i#1",
+            payload.clone(),
+            Some(&cond),
+        )
+        .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
         // Make the condition true, then replay the step: the *logged*
         // false outcome answers, not a re-evaluation.
         cross_table_write(
             &db,
-            "d",
-            "w",
+            &db.table("d"),
+            &db.table("w"),
             "k",
             "i#2",
             Update::new().set(A_VALUE, Value::Int(200)),
             None,
         )
         .unwrap();
-        let out = cross_table_write(&db, "d", "w", "k", "i#1", payload, Some(&cond)).unwrap();
+        let out = cross_table_write(
+            &db,
+            &db.table("d"),
+            &db.table("w"),
+            "k",
+            "i#1",
+            payload,
+            Some(&cond),
+        )
+        .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
-        assert_eq!(baseline_read(&db, "d", "k").unwrap(), Value::Int(200));
+        assert_eq!(
+            baseline_read(&db, &db.table("d"), "k").unwrap(),
+            Value::Int(200)
+        );
     }
 
     #[test]
@@ -255,8 +329,8 @@ mod tests {
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let out = cross_table_write(
             &db,
-            "d",
-            "w",
+            &db.table("d"),
+            &db.table("w"),
             "k",
             "i#0",
             Update::new().set(A_LOCK, owner.clone()),

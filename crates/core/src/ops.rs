@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use beldi_simdb::{DbError, PrimaryKey};
+use beldi_simdb::{DbError, PrimaryKey, TableRef};
 use beldi_value::{Cond, Path, Update, Value};
 
 use crate::config::Mode;
@@ -62,7 +62,7 @@ impl SsfContext {
     /// enabled, turning the common case from a traversal scan plus a point
     /// get into a single validated point get (the driver's measured hot
     /// path; see `daal::TailCache`).
-    pub(crate) fn raw_read_value(&self, physical: &str, key: &str) -> BeldiResult<Value> {
+    pub(crate) fn raw_read_value(&self, physical: &TableRef, key: &str) -> BeldiResult<Value> {
         match self.mode() {
             Mode::Beldi => daal::read_value_cached(
                 self.db(),
@@ -107,7 +107,7 @@ impl SsfContext {
                 let row = self.db().get(log, &pk, None)?.ok_or_else(|| {
                     BeldiError::Protocol(format!("read-log entry {log_key} vanished"))
                 })?;
-                schema::read_entry(log, &log_key, &row).cloned()
+                schema::read_entry(log.name(), &log_key, &row).cloned()
             }
             Err(e) => Err(e.into()),
         }
@@ -173,7 +173,7 @@ impl SsfContext {
     /// lock transitions and transaction flushes.
     pub(crate) fn write_step(
         &mut self,
-        physical: &str,
+        physical: &TableRef,
         key: &Arc<str>,
         payload: Update,
         user_cond: Option<&Cond>,
@@ -243,7 +243,7 @@ impl SsfContext {
             return Ok(());
         }
         let physical = self.data_table(table)?;
-        let (owner_id, key) = (self.instance.clone(), key.into());
+        let (owner_id, key) = (self.instance().clone(), key.into());
         let owner = crate::txn::lock_owner_value(&owner_id, 0);
         for _ in 0..MAX_LOCK_SPINS {
             let out = self.write_step(
@@ -283,7 +283,7 @@ impl SsfContext {
             return Ok(());
         }
         let physical = self.data_table(table)?;
-        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), &self.instance);
+        let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), self.instance());
         let out = self.write_step(
             &physical,
             &key.into(),
@@ -327,8 +327,8 @@ impl SsfContext {
     /// The error naming the logged value of this instance's entry at
     /// `step` as not of the kind its reader logged.
     fn corrupt_entry(&self, step: crate::ids::StepNumber) -> BeldiError {
-        let log_key = crate::ids::log_key(&self.instance, step);
-        schema::corrupt(&self.ssf.log_table, &log_key, A_VALUE)
+        let log_key = crate::ids::log_key(self.instance(), step);
+        schema::corrupt(self.ssf.log_table.name(), &log_key, A_VALUE)
     }
 }
 
@@ -491,7 +491,8 @@ mod tests {
         let ssf = core.ssf("f").unwrap();
         let intent = |id: &str| {
             let now = env.clock().now().as_millis();
-            SsfContext::new(core.clone(), ssf.clone(), id.into(), now, now)
+            let probe = core.platform.faults().probe(&id.into());
+            SsfContext::new(core.clone(), ssf.clone(), probe, now, now)
         };
         let mut early = intent("early");
         for v in 0..3 {
@@ -731,8 +732,9 @@ mod tests {
                 let intent = &mut intents[i];
                 let (id, created_ms) = (intent.id.clone(), intent.created_ms);
                 let launch_ms = core.platform.clock().now().as_millis();
+                let probe = core.platform.faults().probe(&id);
                 let mut ctx =
-                    SsfContext::new(core.clone(), ssf.clone(), id.clone(), created_ms, launch_ms);
+                    SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, launch_ms);
                 ctx.step = step as StepNumber;
                 let (key, update, cond) = op.args(&id);
                 let out = ctx

@@ -342,7 +342,7 @@ impl SsfContext {
             // Who holds it? Logged so replay takes the same branch.
             let holder = daal::lock_owner(self.db(), &physical, key)?.unwrap_or(Value::Null);
             let holder = self.log_value(holder)?;
-            match schema::lock_owner(&physical, key, &holder)? {
+            match schema::lock_owner(physical.name(), key, &holder)? {
                 None => continue, // Freed in between; retry immediately.
                 Some((owner_id, owner_ts)) => {
                     if owner_id == &*ctx.id {
@@ -428,7 +428,7 @@ impl SsfContext {
             let skey = shadow_key(&ctx.id, key);
             let probe = Projection::attrs(schema::SHADOW_PROBE);
             if let Some(tail) = daal::read_tail_row(self.db(), &shadow, &skey, &probe)? {
-                if let Some(written) = schema::shadow_probe(&shadow, &skey, tail)? {
+                if let Some(written) = schema::shadow_probe(shadow.name(), &skey, tail)? {
                     return Ok(written);
                 }
             }
@@ -511,7 +511,7 @@ impl SsfContext {
         let ctx = self.txn_ctx_cloned()?;
         self.crash(Label::TxnPreFinalize);
         let marker = finalize_marker(&self.ssf.name, &ctx.id);
-        if marker != self.instance && !self.claim_finalize_marker(&marker)? {
+        if marker != *self.instance() && !self.claim_finalize_marker(&marker)? {
             return Ok(());
         }
 
@@ -530,7 +530,7 @@ impl SsfContext {
             // flush that does reads the lock: a damaged one is corruption.
             if flush && !out.as_bool() {
                 let holder = daal::lock_owner(self.db(), &physical, &e.key)?;
-                schema::lock_owner(&physical, &e.key, &holder.unwrap_or_default())?;
+                schema::lock_owner(physical.name(), &e.key, &holder.unwrap_or_default())?;
                 return Err(BeldiError::Protocol(format!(
                     "commit of {}/{} found its lock not held",
                     e.logical, e.key
@@ -580,7 +580,7 @@ impl SsfContext {
         let now_ms = Value::Int(self.raw_now_ms() as i64);
         let update = Update::new()
             .set(A_DONE, Value::Bool(true))
-            .set(A_CLAIMANT, &self.instance)
+            .set(A_CLAIMANT, self.instance())
             .set(A_CREATED, now_ms.clone())
             .set(A_FINISH, now_ms);
         match self
@@ -590,7 +590,7 @@ impl SsfContext {
             Ok(()) => Ok(true),
             Err(DbError::ConditionFailed) => match self.db().get(table, &pk, None)? {
                 Some(row) => {
-                    let claimant = IntentRecord::claimant(table, marker, &row)?;
+                    let claimant = IntentRecord::claimant(table.name(), marker, &row)?;
                     Ok(claimant == Some(self.instance_id()))
                 }
                 None => Ok(false),
@@ -613,7 +613,7 @@ impl SsfContext {
                     .index_query(&table.shadow, A_TXN_ID, &Value::from(txn_id), &req)?;
             let mut chains: BTreeMap<Arc<str>, Vec<ShadowRow>> = BTreeMap::new();
             for row in rows {
-                let (skey, row) = ShadowRow::decode(&table.shadow, row)?;
+                let (skey, row) = ShadowRow::decode(table.shadow.name(), row)?;
                 chains.entry(skey).or_default().push(row);
             }
             for (skey, mut rows) in chains {
@@ -621,7 +621,7 @@ impl SsfContext {
                     &mut rows,
                     |row| &row.row_id,
                     |row| row.next.as_deref(),
-                    &table.shadow,
+                    table.shadow.name(),
                     &skey,
                 )?;
                 if let Some(&tail) = order.last() {
@@ -643,7 +643,7 @@ impl SsfContext {
         )?;
         let mut set = BTreeSet::new();
         for row in &rows {
-            set.insert(InvokeEntry::callee_fn(&self.ssf.log_table, row)?.to_owned());
+            set.insert(InvokeEntry::callee_fn(self.ssf.log_table.name(), row)?.to_owned());
         }
         Ok(set.into_iter().collect())
     }

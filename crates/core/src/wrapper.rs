@@ -25,7 +25,7 @@
 use std::sync::{Arc, Weak};
 
 use beldi_simdb::DbError;
-use beldi_simfaas::{FunctionHandler, InvocationCtx};
+use beldi_simfaas::{FunctionHandler, InvocationCtx, Probe};
 use beldi_value::Value;
 
 use crate::config::Mode;
@@ -65,10 +65,15 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             is_async,
             first_attempt_ms,
         } => {
-            let instance = id.unwrap_or_else(|| ictx.request_id.as_str().into());
             if core.config.mode == Mode::Baseline {
-                run_baseline(core, ssf, instance, input)
-            } else if first_attempt_ms.is_some_and(|first| retry_window_closed(core, first)) {
+                // Nothing restarts a baseline instance, so the injector
+                // keeps no entry for it: a caller-named one probes on a
+                // handle of its own, an unnamed one on its request id's.
+                let probe = id.map_or_else(|| ictx.probe().clone(), Probe::untracked);
+                return run_baseline(core, ssf, probe, input);
+            }
+            let instance = id.unwrap_or_else(|| ictx.request_id().clone());
+            if first_attempt_ms.is_some_and(|first| retry_window_closed(core, first)) {
                 Outcome::Expired.into_value()
             } else {
                 run_call(core, ssf, instance, input, caller, txn, is_async)
@@ -92,9 +97,9 @@ fn retry_window_closed(core: &EnvCore, first_ms: u64) -> bool {
 
 /// Baseline mode: run the body with raw semantics — no intent, no logs, no
 /// guarantees. This is the paper's comparison system.
-fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, instance: Arc<str>, input: Value) -> Value {
+fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, probe: Probe, input: Value) -> Value {
     let now = core.platform.clock().now().as_millis();
-    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, 0, now);
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, 0, now);
     match (ssf.body)(&mut ctx, input) {
         Ok(v) => Outcome::Ok(v).into_value(),
         Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
@@ -115,8 +120,8 @@ fn run_call(
     is_async: bool,
 ) -> Value {
     let faults = core.platform.faults();
-    faults.instance_started(&instance);
-    faults.crash_point(&instance, Label::WrapperEnter);
+    let probe = faults.instance_started(&instance);
+    faults.crash_point(&probe, Label::WrapperEnter);
 
     let db = &core.db;
     let intent_table = &ssf.intent_table;
@@ -162,7 +167,7 @@ fn run_call(
             Err(e) => return Outcome::Error(e.to_string()).into_value(),
         }
     };
-    faults.crash_point(&instance, Label::WrapperPostIntent);
+    faults.crash_point(&probe, Label::WrapperPostIntent);
     let created_ms = earlier.as_ref().map_or(now_ms, |r| r.created_ms);
 
     if let Some(record) = earlier.filter(|r| r.done) {
@@ -175,13 +180,13 @@ fn run_call(
         return match record.caller {
             Some(_) => Outcome::Logged.into_value(),
             None => record
-                .root_outcome(intent_table)
+                .root_outcome(intent_table.name())
                 .unwrap_or_else(|e| Outcome::Error(e.to_string()).into_value()),
         };
     }
 
     // Fresh (or resumed) execution.
-    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, created_ms, now_ms);
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, now_ms);
     ctx.caller = caller.clone();
     ctx.is_async = is_async;
     ctx.txn = txn.map(TxnState::inherited);
@@ -233,7 +238,7 @@ fn finish(
     is_async: bool,
     outcome: Outcome,
 ) -> Value {
-    let instance = ctx.instance.clone();
+    let instance = ctx.instance().clone();
     let mut outcome_value = outcome.into_value();
     ctx.crash(Label::WrapperPreCallback);
     if let (Some(c), false) = (caller, is_async) {
@@ -263,7 +268,7 @@ fn finish(
             // T_max` elapsed. We are a zombie past our execution lease;
             // die like a timed-out instance instead of aborting the
             // process (the winner's outcome was already delivered).
-            core.platform.faults().timeout_kill(&instance);
+            core.platform.faults().timeout_kill(&ctx.probe);
         }
         panic!("beldi: marking intent done failed: {e}");
     }
@@ -295,9 +300,9 @@ fn run_async_reg(
     ) {
         return Outcome::Error(e.to_string()).into_value();
     }
-    core.platform
-        .faults()
-        .crash_point(instance, Label::AsyncRegPostIntent);
+    // A probe on the callee's behalf, before any execution of it.
+    let faults = core.platform.faults();
+    faults.crash_point(&faults.probe(instance), Label::AsyncRegPostIntent);
     // Registration confirmation: sets `Registered` on the caller's
     // invoke-log entry, the one kind of callback that does. At-least-once.
     invoke::send_callback(core, caller, instance, None);
@@ -317,8 +322,7 @@ fn run_txn_signal(
     instance: Arc<str>,
     txn: crate::TxnContext,
 ) -> Value {
-    let faults = core.platform.faults();
-    faults.instance_started(&instance);
+    let probe = core.platform.faults().instance_started(&instance);
     let now_ms = core.platform.clock().now().as_millis();
     let envelope = Envelope::TxnSignal {
         id: instance.clone(),
@@ -342,7 +346,7 @@ fn run_txn_signal(
     }
     let decision = txn.mode;
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
-    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), instance, created_ms, now_ms);
+    let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, now_ms);
     ctx.txn = Some(TxnState::inherited(txn));
     let outcome = match ctx.finalize(decision) {
         Ok(()) => Outcome::Ok(Value::Null),

@@ -1,5 +1,6 @@
 //! The public [`Database`] API.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,6 +61,66 @@ impl TransactOp {
         match self {
             TransactOp::Update { cond, .. } | TransactOp::Put { cond, .. } => cond,
         }
+    }
+}
+
+/// A table resolved once. [`Database::table`] finds it in the catalogue;
+/// a store call through it goes straight to the table, with no catalogue
+/// lock and no hash of its name. A name with no table resolves to a ref
+/// whose every call fails with [`DbError::TableNotFound`], as a call by
+/// that name would.
+#[derive(Clone)]
+pub struct TableRef(Result<Arc<Table>, Arc<str>>);
+
+impl TableRef {
+    /// The table's name.
+    pub fn name(&self) -> &Arc<str> {
+        match &self.0 {
+            Ok(table) => table.name(),
+            Err(name) => name,
+        }
+    }
+
+    fn resolve(&self) -> DbResult<&Arc<Table>> {
+        let missing = |name: &Arc<str>| DbError::TableNotFound(name.to_string());
+        self.0.as_ref().map_err(missing)
+    }
+}
+
+/// The table a store call names: a [`TableRef`], or a table name that
+/// the call looks up in the catalogue first.
+pub trait AsTable {
+    /// The table, as a ref.
+    fn as_table(&self, db: &Database) -> Cow<'_, TableRef>;
+}
+
+impl AsTable for TableRef {
+    fn as_table(&self, _: &Database) -> Cow<'_, TableRef> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl AsTable for str {
+    fn as_table(&self, db: &Database) -> Cow<'_, TableRef> {
+        Cow::Owned(db.table(self))
+    }
+}
+
+impl AsTable for String {
+    fn as_table(&self, db: &Database) -> Cow<'_, TableRef> {
+        self.as_str().as_table(db)
+    }
+}
+
+impl<T: AsTable + ?Sized> AsTable for &T {
+    fn as_table(&self, db: &Database) -> Cow<'_, TableRef> {
+        (**self).as_table(db)
+    }
+}
+
+impl std::fmt::Debug for TableRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("TableRef").field(self.name()).finish()
     }
 }
 
@@ -226,12 +287,11 @@ impl Database {
         names
     }
 
-    fn handle(&self, table: &str) -> DbResult<Arc<Table>> {
-        self.tables
-            .read()
-            .get(table)
-            .cloned()
-            .ok_or_else(|| DbError::TableNotFound(table.to_owned()))
+    /// Resolves table `name` once. A store call by name resolves it here
+    /// on each call.
+    pub fn table(&self, name: &str) -> TableRef {
+        let found = self.tables.read().get(name).cloned();
+        TableRef(found.ok_or_else(|| name.into()))
     }
 
     /// Locks a table, counting the acquisition.
@@ -293,12 +353,13 @@ impl Database {
     /// Point read of a row, optionally projected.
     pub fn get(
         &self,
-        table: &str,
+        table: &(impl AsTable + ?Sized),
         key: &PrimaryKey,
         projection: Option<&Projection>,
     ) -> DbResult<Option<Value>> {
-        let t = self.handle(table)?;
-        let item = self.lock(&t).rows.get(key).map(|row| read(row, projection));
+        let table = table.as_table(self);
+        let t = table.resolve()?;
+        let item = self.lock(t).rows.get(key).map(|row| read(row, projection));
         let bytes = item.as_ref().map(SizeOf::size_bytes).unwrap_or(0);
         self.count(Metric::DbGets, 1);
         self.count(Metric::DbBytesRead, bytes);
@@ -307,15 +368,16 @@ impl Database {
     }
 
     /// Unconditional insert/replace of a full item.
-    pub fn put(&self, table: &str, item: Value) -> DbResult<()> {
-        let t = self.handle(table)?;
+    pub fn put(&self, table: &(impl AsTable + ?Sized), item: Value) -> DbResult<()> {
+        let table = table.as_table(self);
+        let t = table.resolve()?;
         let key = t.schema.key_of(&item)?;
         let size = self
-            .lock(&t)
+            .lock(t)
             .put_row(key.clone(), item, t.schema.max_row_bytes)?;
         self.count(Metric::DbWrites, 1);
         self.count(Metric::DbBytesWritten, size);
-        self.serial_write_sleep(&[(&*t, &key)], self.sampler.sample(OpKind::Write, 1, size));
+        self.serial_write_sleep(&[(&**t, &key)], self.sampler.sample(OpKind::Write, 1, size));
         Ok(())
     }
 
@@ -333,18 +395,22 @@ impl Database {
     /// signal Beldi's write protocol dispatches on.
     pub fn update(
         &self,
-        table: &str,
+        table: &(impl AsTable + ?Sized),
         key: &PrimaryKey,
         cond: &Cond,
         update: &Update,
     ) -> DbResult<()> {
-        let t = self.handle(table)?;
-        let result = self.lock(&t).update_row(key, cond, update, &t.schema);
+        let table = table.as_table(self);
+        let t = table.resolve()?;
+        let result = self.lock(t).update_row(key, cond, update, &t.schema);
         match result {
             Ok(size) => {
                 self.count(Metric::DbWrites, 1);
                 self.count(Metric::DbBytesWritten, size);
-                self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Write, 1, size));
+                self.serial_write_sleep(
+                    &[(&**t, key)],
+                    self.sampler.sample(OpKind::Write, 1, size),
+                );
                 Ok(())
             }
             Err(DbError::ConditionFailed) => {
@@ -352,7 +418,7 @@ impl Database {
                 self.count(Metric::DbCondFailures, 1);
                 // A failed conditional write still costs a round trip —
                 // and still occupies the item's write capacity.
-                self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Write, 1, 0));
+                self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(OpKind::Write, 1, 0));
                 Err(DbError::ConditionFailed)
             }
             Err(e) => Err(e),
@@ -363,9 +429,15 @@ impl Database {
     ///
     /// Deleting an absent row succeeds if the condition holds against the
     /// empty item (DynamoDB semantics).
-    pub fn delete(&self, table: &str, key: &PrimaryKey, cond: &Cond) -> DbResult<()> {
-        let t = self.handle(table)?;
-        let deleted = self.lock(&t).delete_row(key, cond);
+    pub fn delete(
+        &self,
+        table: &(impl AsTable + ?Sized),
+        key: &PrimaryKey,
+        cond: &Cond,
+    ) -> DbResult<()> {
+        let table = table.as_table(self);
+        let t = table.resolve()?;
+        let deleted = self.lock(t).delete_row(key, cond);
         let result = match deleted {
             Ok(_) => Ok(()),
             Err(DbError::ConditionFailed) => {
@@ -375,7 +447,7 @@ impl Database {
             Err(e) => return Err(e),
         };
         self.count(Metric::DbDeletes, 1);
-        self.serial_write_sleep(&[(&*t, key)], self.sampler.sample(OpKind::Delete, 1, 0));
+        self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(OpKind::Delete, 1, 0));
         result
     }
 
@@ -385,24 +457,35 @@ impl Database {
     /// each), with the lock released between pages, so the result is
     /// **not** an atomic snapshot — exactly the behaviour Beldi's DAAL
     /// traversal must (and does) tolerate (§4.1).
-    pub fn query(&self, table: &str, hash: &Value, req: &ScanRequest) -> DbResult<Vec<Value>> {
-        let t = self.handle(table)?;
+    pub fn query(
+        &self,
+        table: &(impl AsTable + ?Sized),
+        hash: &Value,
+        req: &ScanRequest,
+    ) -> DbResult<Vec<Value>> {
+        let table = table.as_table(self);
+        let t = table.resolve()?;
         let mut out = Vec::new();
-        let mut after = self.page(&t, Some(hash), None, req, &mut out);
+        let mut after = self.page(t, Some(hash), None, req, &mut out);
         while let Some(key) = after {
-            after = self.page(&t, Some(hash), Some(&key), req, &mut out);
+            after = self.page(t, Some(hash), Some(&key), req, &mut out);
         }
         Ok(out)
     }
 
     /// Scans the whole table in key order, page by page as
     /// [`Database::query`] reads, so a scan is not atomic either.
-    pub fn scan_all(&self, table: &str, req: &ScanRequest) -> DbResult<Vec<Value>> {
-        let t = self.handle(table)?;
+    pub fn scan_all(
+        &self,
+        table: &(impl AsTable + ?Sized),
+        req: &ScanRequest,
+    ) -> DbResult<Vec<Value>> {
+        let table = table.as_table(self);
+        let t = table.resolve()?;
         let mut out = Vec::new();
-        let mut after = self.page(&t, None, None, req, &mut out);
+        let mut after = self.page(t, None, None, req, &mut out);
         while let Some(key) = after {
-            after = self.page(&t, None, Some(&key), req, &mut out);
+            after = self.page(t, None, Some(&key), req, &mut out);
         }
         Ok(out)
     }
@@ -481,14 +564,15 @@ impl Database {
     /// there), so a read of fewer than `page_rows` entries is one op.
     pub fn index_query(
         &self,
-        table: &str,
+        table: &(impl AsTable + ?Sized),
         attr: &str,
         value: &Value,
         req: &ScanRequest,
     ) -> DbResult<Vec<Value>> {
-        let t = self.handle(table)?;
+        let table = table.as_table(self);
+        let t = table.resolve()?;
         let items: Vec<Value> = {
-            let data = self.lock(&t);
+            let data = self.lock(t);
             data.index_lookup(attr, value)?
                 .iter()
                 .filter_map(|key| data.rows.get(key))
@@ -508,9 +592,10 @@ impl Database {
 
     /// Returns the distinct hash-key values of a table, sorted (the GC's
     /// shadow-table walk and verification walks).
-    pub fn distinct_hash_keys(&self, table: &str) -> DbResult<Vec<Value>> {
-        let t = self.handle(table)?;
-        let keys = self.lock(&t).distinct_hash_keys();
+    pub fn distinct_hash_keys(&self, table: &(impl AsTable + ?Sized)) -> DbResult<Vec<Value>> {
+        let table = table.as_table(self);
+        let t = table.resolve()?;
+        let keys = self.lock(t).distinct_hash_keys();
         self.bill_read(OpKind::Scan, keys.len(), 0);
         Ok(keys)
     }
@@ -522,7 +607,7 @@ impl Database {
     /// under its lock, atomically, bypassing the latency model and the
     /// operation metrics.
     pub fn row_count(&self, table: &str) -> DbResult<usize> {
-        Ok(self.handle(table)?.lock().rows.len())
+        Ok(self.table(table).resolve()?.lock().rows.len())
     }
 
     /// Per-table row counts for every table, sorted by name (each count
@@ -590,7 +675,8 @@ impl Database {
         let mut tables: BTreeMap<&str, Arc<Table>> = BTreeMap::new();
         for op in ops {
             if !tables.contains_key(op.table()) {
-                tables.insert(op.table(), self.handle(op.table())?);
+                let table = self.table(op.table());
+                tables.insert(op.table(), table.resolve()?.clone());
             }
         }
         let mut keys: Vec<PrimaryKey> = Vec::with_capacity(ops.len());
@@ -1192,13 +1278,14 @@ mod tests {
         hash: Option<&Value>,
         mut between: impl FnMut(&PrimaryKey),
     ) -> (Vec<Value>, usize) {
-        let t = db.handle("g").unwrap();
+        let g = db.table("g");
+        let t = g.resolve().unwrap();
         let (mut out, mut pages) = (Vec::new(), 1);
-        let mut after = db.page(&t, hash, None, &ScanRequest::all(), &mut out);
+        let mut after = db.page(t, hash, None, &ScanRequest::all(), &mut out);
         while let Some(key) = after {
             between(&key);
             pages += 1;
-            after = db.page(&t, hash, Some(&key), &ScanRequest::all(), &mut out);
+            after = db.page(t, hash, Some(&key), &ScanRequest::all(), &mut out);
         }
         (out, pages)
     }
@@ -1237,12 +1324,13 @@ mod tests {
             in_key_order.len() - deleted.len()
         );
         // A query resumes after a deleted sort key the same way.
-        let t = db.handle("g").unwrap();
+        let g = db.table("g");
+        let t = g.resolve().unwrap();
         let after = PrimaryKey::hash_sort("k000", 2i64);
         db.delete("g", &after, &Cond::True).unwrap();
         let mut out = Vec::new();
         let hash = Value::from("k000");
-        let again = db.page(&t, Some(&hash), Some(&after), &ScanRequest::all(), &mut out);
+        let again = db.page(t, Some(&hash), Some(&after), &ScanRequest::all(), &mut out);
         assert_eq!(ids(&out), ["k000/3", "k000/4"]);
         assert_eq!(again, None, "a page short of full ends the query");
     }

@@ -54,7 +54,7 @@ mod snapshot;
 mod table;
 
 pub use beldi_simclock::MetricsSnapshot;
-pub use database::{Database, TransactOp};
+pub use database::{AsTable, Database, TableRef, TransactOp};
 pub use error::{DbError, DbResult};
 pub use key::{PrimaryKey, TableSchema};
 pub use latency::{LatencyModel, OpKind};

@@ -87,6 +87,11 @@ impl Table {
         }
     }
 
+    /// The table's name.
+    pub(crate) fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+
     /// Locks the table's rows.
     ///
     /// # Panics

@@ -8,16 +8,19 @@
 //! checks is the store's bookkeeping. Each op must give the same result or
 //! the same error, and its delta in the registry's `simdb.*` counters must
 //! equal its bill: the formula DESIGN §7 states, written once per op in the
-//! model. At the end the two snapshots must be equal.
+//! model. At the end the two snapshots must be equal. Each sequence runs
+//! twice, on two stores: by table name, and through [`TableRef`]s resolved
+//! once before the first op (the missing table's included).
 #![expect(
     clippy::result_large_err,
     reason = "the reference returns a failed op's bill with its error; a test pays nothing for the size"
 )]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use beldi_simdb::{
-    Database, DbError, MetricsSnapshot, PrimaryKey, Projection, ScanRequest, TableSchema,
+    Database, DbError, MetricsSnapshot, PrimaryKey, Projection, ScanRequest, TableRef, TableSchema,
     TransactOp,
 };
 use beldi_value::{vmap, Cond, Map, Path, SizeOf, Update, UpdateAction, Value};
@@ -310,41 +313,71 @@ enum Op {
     Bulk(&'static str, Vec<Value>),
 }
 
-/// Runs `op` on the store and on the model and requires the same result
-/// and the same bill.
-fn step(db: &Database, model: &mut Model, op: &Op) {
-    if let Op::Bulk(t, items) = op {
-        for item in items {
-            step(db, model, &Op::Put(t, item.clone()));
-        }
-        return;
-    }
+/// A store and how its ops reach their tables: by name (`None`), or
+/// through the handles resolved once, by name.
+type Store = (Arc<Database>, Option<BTreeMap<&'static str, TableRef>>);
+
+/// Runs `op` on one store and returns its answer and its bill.
+fn run(store: &Store, op: &Op) -> (Result<Vec<Value>, DbError>, Bill) {
     let req = |p: &Option<Projection>| match p {
         Some(p) => ScanRequest::all().with_projection(p.clone()),
         None => ScanRequest::all(),
     };
     let none = |r: Result<(), DbError>| r.map(|()| Vec::new());
+    let (db, handles) = store;
     let before = db.metrics();
-    let got = match op {
-        Op::Put(t, item) => none(db.put(t, item.clone())),
-        Op::Get(t, key, p) => db.get(t, key, p.as_ref()).map(|v| v.into_iter().collect()),
-        Op::Update(t, key, cond, update) => none(db.update(t, key, cond, update)),
-        Op::Delete(t, key, cond) => none(db.delete(t, key, cond)),
-        Op::Query(t, hash, p) => db.query(t, hash, &req(p)),
-        Op::Scan(t, p) => db.scan_all(t, &req(p)),
-        Op::Index(t, attr, value, p) => db.index_query(t, attr, value, &req(p)),
-        Op::DistinctHashKeys(t) => db.distinct_hash_keys(t),
-        Op::Transact(ops) => none(db.transact_write(ops)),
-        Op::Bulk(..) => unreachable!("run as its puts above"),
+    let got = match (op, handles) {
+        (Op::Put(t, item), None) => none(db.put(t, item.clone())),
+        (Op::Put(t, item), Some(h)) => none(db.put(&h[t], item.clone())),
+        (Op::Get(t, key, p), None) => db.get(t, key, p.as_ref()).map(|v| v.into_iter().collect()),
+        (Op::Get(t, key, p), Some(h)) => db
+            .get(&h[t], key, p.as_ref())
+            .map(|v| v.into_iter().collect()),
+        (Op::Update(t, key, cond, update), None) => none(db.update(t, key, cond, update)),
+        (Op::Update(t, key, cond, update), Some(h)) => none(db.update(&h[t], key, cond, update)),
+        (Op::Delete(t, key, cond), None) => none(db.delete(t, key, cond)),
+        (Op::Delete(t, key, cond), Some(h)) => none(db.delete(&h[t], key, cond)),
+        (Op::Query(t, hash, p), None) => db.query(t, hash, &req(p)),
+        (Op::Query(t, hash, p), Some(h)) => db.query(&h[t], hash, &req(p)),
+        (Op::Scan(t, p), None) => db.scan_all(t, &req(p)),
+        (Op::Scan(t, p), Some(h)) => db.scan_all(&h[t], &req(p)),
+        (Op::Index(t, attr, value, p), None) => db.index_query(t, attr, value, &req(p)),
+        (Op::Index(t, attr, value, p), Some(h)) => db.index_query(&h[t], attr, value, &req(p)),
+        (Op::DistinctHashKeys(t), None) => db.distinct_hash_keys(t),
+        (Op::DistinctHashKeys(t), Some(h)) => db.distinct_hash_keys(&h[t]),
+        // A transaction names its tables.
+        (Op::Transact(ops), _) => none(db.transact_write(ops)),
+        (Op::Bulk(..), _) => unreachable!("run as its puts"),
     };
     let mut billed = db.metrics().delta(&before);
     billed.partition_ops.clear();
+    (got, billed)
+}
+
+/// Runs `op` on every store and on the model and requires of each store
+/// the model's result and bill.
+fn step(stores: &[Store], model: &mut Model, op: &Op) {
+    if let Op::Bulk(t, items) = op {
+        for item in items {
+            step(stores, model, &Op::Put(t, item.clone()));
+        }
+        return;
+    }
+    let got: Vec<_> = stores.iter().map(|store| run(store, op)).collect();
     let (want, bill) = match model.apply(op) {
         Ok((items, bill)) => (Ok(items), bill),
         Err(Failed(e, bill)) => (Err(e), bill),
     };
-    assert_eq!(got.map_err(kind), want.map_err(kind), "{op:?}");
-    assert_eq!(billed, bill, "bill of {op:?}");
+    let want = want.map_err(kind);
+    for ((got, billed), (_, handles)) in got.into_iter().zip(stores) {
+        let via = if handles.is_some() {
+            "handles"
+        } else {
+            "names"
+        };
+        assert_eq!(got.map_err(kind), want, "{op:?} by {via}");
+        assert_eq!(billed, bill, "bill of {op:?} by {via}");
+    }
 }
 
 /// An error as compared: its variant and fields, but for the free text a
@@ -536,23 +569,31 @@ proptest! {
     /// holding the model's rows.
     #[test]
     fn the_store_matches_its_model(ops in prop::collection::vec(op(), 1..80)) {
-        let db = Database::for_tests();
-        for t in [DAAL, KV] {
-            db.create_table(t, schema(t)).unwrap();
-        }
+        let store = || {
+            let db = Database::for_tests();
+            for t in [DAAL, KV] {
+                db.create_table(t, schema(t)).unwrap();
+            }
+            db
+        };
+        let by_handle = store();
+        let handles = [DAAL, KV, MISSING].map(|t| (t, by_handle.table(t))).into();
+        let stores = [(store(), None), (by_handle, Some(handles))];
         let mut model = Model::new();
         for op in &ops {
-            step(&db, &mut model, op);
+            step(&stores, &mut model, op);
         }
         // The index answers for every value the tag can take, as the
         // snapshot leaves out the index.
         for v in 0..9 {
-            step(&db, &mut model, &Op::Index(DAAL, "Tag", value(v), None));
+            step(&stores, &mut model, &Op::Index(DAAL, "Tag", value(v), None));
         }
-        let snapshot = db.snapshot();
-        prop_assert_eq!(snapshot.table_names(), [DAAL, KV]);
-        for (t, (_, rows)) in &model.tables {
-            prop_assert_eq!(snapshot.rows(t), Some(rows), "{}", t);
+        for (db, _) in &stores {
+            let snapshot = db.snapshot();
+            prop_assert_eq!(snapshot.table_names(), [DAAL, KV]);
+            for (t, (_, rows)) in &model.tables {
+                prop_assert_eq!(snapshot.rows(t), Some(rows), "{}", t);
+            }
         }
     }
 }

@@ -22,7 +22,7 @@
 //! schedules worth exploring.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use beldi_simclock::{Gauge, Metric, Telemetry};
@@ -162,37 +162,120 @@ pub struct TraceEntry {
     pub crashed: bool,
 }
 
-struct InstanceState {
-    /// Crash points passed during the *current* execution (reset on
-    /// re-execution via [`FaultInjector::instance_started`]).
-    ordinal: usize,
+/// One instance's crash-point counters: what a probe reads and bumps
+/// without the injector's lock.
+struct Counters {
+    /// Crash points passed during the *current* execution (reset when an
+    /// execution starts, [`FaultInjector::instance_started`]).
+    ordinal: AtomicUsize,
     /// Crash points passed across the instance's whole lifetime (never
     /// reset).
-    lifetime: usize,
-    /// Occurrences per label, indexed by [`Label::index`] (reset on
-    /// re-execution).
-    label_counts: [u32; Label::COUNT],
-    /// Which execution of this instance is running (0-based; bumped by
-    /// [`FaultInjector::instance_started`], never reset). Feeds the
-    /// [`StormPolicy`] hash so restarts draw fresh decisions.
-    generation: u64,
-    /// Injected crashes at this instance across its lifetime.
-    crashes: u64,
+    lifetime: AtomicUsize,
+    /// Occurrences per label, indexed by [`Label::index`] (reset when an
+    /// execution starts).
+    label_counts: [AtomicU32; Label::COUNT],
+    /// Which execution of this instance is running (0-based; bumped when
+    /// an execution starts, never reset). Feeds the [`StormPolicy`] hash
+    /// so restarts draw fresh decisions.
+    generation: AtomicU64,
+    /// Injected crashes and lease kills at this instance across its
+    /// lifetime.
+    crashes: AtomicU64,
     /// Whether the instance's recovery latency was sampled
     /// ([`FaultInjector::first_recovery`]).
-    recovery_sampled: bool,
+    recovery_sampled: AtomicBool,
 }
 
-impl InstanceState {
-    /// An instance before its first execution.
-    const FRESH: InstanceState = InstanceState {
-        ordinal: 0,
-        lifetime: 0,
-        label_counts: [0; Label::COUNT],
-        generation: 0,
-        crashes: 0,
-        recovery_sampled: false,
-    };
+impl Counters {
+    /// An instance before its first probe.
+    fn new() -> Self {
+        Counters {
+            ordinal: AtomicUsize::new(0),
+            lifetime: AtomicUsize::new(0),
+            label_counts: std::array::from_fn(|_| AtomicU32::new(0)),
+            generation: AtomicU64::new(0),
+            crashes: AtomicU64::new(0),
+            recovery_sampled: AtomicBool::new(false),
+        }
+    }
+
+    /// A known instance's next execution starts: its per-execution
+    /// counters reset in place, so a restart allocates nothing.
+    fn restart(&self) {
+        self.ordinal.store(0, Ordering::Relaxed);
+        for count in &self.label_counts {
+            count.store(0, Ordering::Relaxed);
+        }
+        self.generation.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Clone for Counters {
+    fn clone(&self) -> Self {
+        let load = |a: &AtomicU32| AtomicU32::new(a.load(Ordering::Relaxed));
+        Counters {
+            ordinal: AtomicUsize::new(self.ordinal.load(Ordering::Relaxed)),
+            lifetime: AtomicUsize::new(self.lifetime.load(Ordering::Relaxed)),
+            label_counts: std::array::from_fn(|i| load(&self.label_counts[i])),
+            generation: AtomicU64::new(self.generation.load(Ordering::Relaxed)),
+            crashes: AtomicU64::new(self.crashes.load(Ordering::Relaxed)),
+            recovery_sampled: AtomicBool::new(self.recovery_sampled.load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// Where a [`Probe`]'s counters live.
+#[derive(Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a handle of an id used once keeps its counters inline: boxing them is the \
+              allocation per invocation the variant exists to avoid"
+)]
+enum Slot {
+    /// In the handle: an instance the injector keeps no entry for.
+    Own(Counters),
+    /// Shared with the injector's entry for the instance, and so with
+    /// every handle of it: a restart resets them for all.
+    Shared(Arc<Counters>),
+}
+
+/// One instance's crash-probe handle: its id and its crash-point
+/// counters. [`FaultInjector::crash_point`] bumps the counters through it
+/// and, while nothing is armed, touches nothing else but the global step.
+///
+/// An execution gets its handle once, from
+/// [`FaultInjector::instance_started`], and probes through it; a handle
+/// from [`Probe::untracked`] is for an id that is used once. A clone of a
+/// tracked handle shares its counters; a clone of an untracked one
+/// copies them and counts on alone.
+#[derive(Clone)]
+pub struct Probe {
+    id: Arc<str>,
+    slot: Slot,
+}
+
+impl Probe {
+    /// A handle the injector keeps no entry for: an id used by one
+    /// execution only (a platform request id, a collector pass), which no
+    /// restart can see again. It counts from zero.
+    pub fn untracked(id: Arc<str>) -> Probe {
+        Probe {
+            id,
+            slot: Slot::Own(Counters::new()),
+        }
+    }
+
+    /// The instance id.
+    pub fn id(&self) -> &Arc<str> {
+        &self.id
+    }
+
+    fn counters(&self) -> &Counters {
+        match &self.slot {
+            Slot::Own(c) => c,
+            Slot::Shared(c) => c,
+        }
+    }
 }
 
 /// A plan plus its progress (for [`CrashPlan::Script`]).
@@ -235,17 +318,16 @@ impl PlanState {
     }
 }
 
-/// Everything a crash-point decision reads or writes. One lock, so a
-/// decision — counters, plans, storm hash, trace entry — is
-/// a single ordered event in the global crash stream.
+/// Everything a crash-point decision reads or writes while something is
+/// armed. One lock, so a decision — plans, storm hash, trace entry — is a
+/// single ordered event in the global crash stream.
 #[derive(Default)]
 struct InjectorState {
     /// Per-instance scripted plans.
     plans: HashMap<String, PlanState>,
-    /// Per-instance crash-point counters.
-    instances: HashMap<String, InstanceState>,
-    /// Next global step number.
-    step: u64,
+    /// The instances an execution started for, by id: their counters,
+    /// shared with the handles.
+    instances: HashMap<Arc<str>, Arc<Counters>>,
     /// The global plan, if any.
     global_plan: Option<PlanState>,
     /// Recorded entries while trace mode is on.
@@ -255,10 +337,26 @@ struct InjectorState {
     storm: Option<StormPolicy>,
 }
 
+impl InjectorState {
+    /// Whether a probe can crash or is recorded: a plan, a global plan, a
+    /// storm or a trace is on.
+    fn armed(&self) -> bool {
+        !self.plans.is_empty()
+            || self.global_plan.is_some()
+            || self.storm.is_some()
+            || self.trace.is_some()
+    }
+}
+
 /// Decides, at every crash point, whether the current instance dies.
 #[derive(Default)]
 pub struct FaultInjector {
     state: Mutex<InjectorState>,
+    /// Mirrors [`InjectorState::armed`], written under the lock: an
+    /// unarmed probe reads it and takes no lock.
+    armed: AtomicBool,
+    /// Next global step number: every probe takes one, armed or not.
+    step: AtomicU64,
     /// Where the `faults.*` counters and gauge live.
     telemetry: Arc<Telemetry>,
 }
@@ -273,16 +371,17 @@ impl FaultInjector {
     /// An injector counting into `telemetry` (its platform's).
     pub(crate) fn recording_into(telemetry: Arc<Telemetry>) -> Self {
         FaultInjector {
-            state: Mutex::default(),
             telemetry,
+            ..FaultInjector::default()
         }
     }
 
-    /// Registers an instance the injector has not seen, in the
-    /// `faults.instances` gauge too.
-    fn track(&self, states: &mut HashMap<String, InstanceState>, instance_id: &str) {
-        states.insert(instance_id.to_owned(), InstanceState::FRESH);
-        self.telemetry.move_gauge(Gauge::FaultsInstances, 1);
+    /// Runs `f` on the locked state, then republishes whether it is armed.
+    fn arm<R>(&self, f: impl FnOnce(&mut InjectorState) -> R) -> R {
+        let mut s = self.state.lock();
+        let r = f(&mut s);
+        self.armed.store(s.armed(), Ordering::Relaxed);
+        r
     }
 
     /// Kills the calling instance because its execution lease expired
@@ -294,18 +393,18 @@ impl FaultInjector {
     /// the victim like any other casualty — but the `injected` counter is
     /// untouched: a timeout is the platform enforcing its contract, not
     /// the fault policy firing. The site is [`Label::PlatformTMax`].
-    pub fn timeout_kill(&self, instance_id: &str) -> ! {
+    pub fn timeout_kill(&self, probe: &Probe) -> ! {
         let label = Label::PlatformTMax;
         self.telemetry.add(Metric::FaultsLeaseKills, 1);
-        {
-            let mut s = self.state.lock();
-            if let Some(st) = s.instances.get_mut(instance_id) {
-                st.crashes += 1;
-            }
-            *s.crash_sites.entry(label.as_str()).or_insert(0) += 1;
-        }
+        probe.counters().crashes.fetch_add(1, Ordering::Relaxed);
+        *self
+            .state
+            .lock()
+            .crash_sites
+            .entry(label.as_str())
+            .or_insert(0) += 1;
         std::panic::panic_any(CrashSignal {
-            point: format!("{label}@{instance_id}"),
+            point: format!("{label}@{}", probe.id),
         });
     }
 
@@ -320,10 +419,8 @@ impl FaultInjector {
     /// Applies to the instance's *next* execution that reaches the point;
     /// plans are one-shot so the intent-collector re-execution proceeds.
     pub fn plan(&self, instance_id: impl Into<String>, plan: CrashPlan) {
-        self.state
-            .lock()
-            .plans
-            .insert(instance_id.into(), PlanState::new(plan));
+        let id = instance_id.into();
+        self.arm(|s| s.plans.insert(id, PlanState::new(plan)));
     }
 
     /// Installs (or clears) the global crash plan, evaluated against the
@@ -334,12 +431,12 @@ impl FaultInjector {
     /// reaches step `n` of this workload", with [`CrashPlan::Script`]
     /// extending it to multi-crash schedules across recoveries.
     pub fn set_global_plan(&self, plan: Option<CrashPlan>) {
-        self.state.lock().global_plan = plan.map(PlanState::new);
+        self.arm(|s| s.global_plan = plan.map(PlanState::new));
     }
 
     /// Installs (or clears) the deterministic crash storm.
     pub fn set_storm_policy(&self, policy: Option<StormPolicy>) {
-        self.state.lock().storm = policy;
+        self.arm(|s| s.storm = policy);
     }
 
     /// Number of crashes injected so far.
@@ -354,25 +451,26 @@ impl FaultInjector {
     }
 
     /// Injected crashes at one instance across its lifetime (zero for
-    /// instances never seen or never killed).
+    /// instances never seen, never killed, or not tracked).
     pub fn instance_crashes(&self, instance_id: &str) -> u64 {
         let s = self.state.lock();
-        s.instances.get(instance_id).map_or(0, |st| st.crashes)
+        let crashes = |c: &Arc<Counters>| c.crashes.load(Ordering::Relaxed);
+        s.instances.get(instance_id).map_or(0, crashes)
     }
 
     /// Whether `instance_id` was killed at least once and its recovery is
     /// not sampled yet; marks it sampled. The mark is part of what
     /// [`FaultInjector::forget`] drops, so it costs nothing once the
-    /// instance is retired.
+    /// instance is retired. Until something is killed it takes no lock.
     pub fn first_recovery(&self, instance_id: &str) -> bool {
-        let mut s = self.state.lock();
-        match s.instances.get_mut(instance_id) {
-            Some(st) if st.crashes > 0 && !st.recovery_sampled => {
-                st.recovery_sampled = true;
-                true
-            }
-            _ => false,
+        if self.injected_count() == 0 && self.timeout_count() == 0 {
+            return false;
         }
+        let s = self.state.lock();
+        s.instances.get(instance_id).is_some_and(|c| {
+            c.crashes.load(Ordering::Relaxed) > 0
+                && !c.recovery_sampled.swap(true, Ordering::Relaxed)
+        })
     }
 
     /// Injected crashes per crash-point label, sorted by label name.
@@ -391,58 +489,88 @@ impl FaultInjector {
     /// retired (the garbage collector, when it deletes the intent) —
     /// without it the injector grows by one entry per instance for the
     /// life of the process. An id seen again afterwards starts over as a
-    /// new instance.
+    /// new instance, with counters of its own. A handle held past `forget`
+    /// (an execution outliving its lease) keeps counting on the forgotten
+    /// counters, which nothing reads any more and no restart resets.
     pub fn forget(&self, instance_id: &str) {
-        let mut s = self.state.lock();
-        if s.instances.remove(instance_id).is_some() {
-            self.telemetry.move_gauge(Gauge::FaultsInstances, -1);
-        }
-        s.plans.remove(instance_id);
+        self.arm(|s| {
+            if s.instances.remove(instance_id).is_some() {
+                self.telemetry.move_gauge(Gauge::FaultsInstances, -1);
+            }
+            s.plans.remove(instance_id);
+        });
     }
 
     /// Starts (or restarts) trace mode: subsequent crash points are
     /// recorded until [`FaultInjector::take_trace`].
     pub fn start_trace(&self) {
-        self.state.lock().trace = Some(Vec::new());
+        self.arm(|s| s.trace = Some(Vec::new()));
     }
 
     /// Stops trace mode and returns the recorded entries (empty if trace
     /// mode was never started).
     pub fn take_trace(&self) -> Vec<TraceEntry> {
-        self.state.lock().trace.take().unwrap_or_default()
+        self.arm(|s| s.trace.take()).unwrap_or_default()
     }
 
-    /// Resets per-execution crash-point counters for an instance.
+    /// The handle of `instance_id`, whose entry the injector keeps: the
+    /// known instance's, or a new one's. Starts no execution, so it counts
+    /// no restart: it is for probes on an instance's behalf outside its
+    /// executions (an async registration, the front door's).
+    pub fn probe(&self, instance_id: &Arc<str>) -> Probe {
+        self.entry(instance_id).0
+    }
+
+    /// Starts an execution of an instance and returns its handle.
     ///
-    /// The platform calls this when an execution (including a re-execution)
-    /// begins, so `AtOrdinal` plans count points within a single
-    /// execution. The lifetime counter (for [`CrashPlan::Script`]) is
-    /// preserved across restarts. A known instance is reset in place, so
-    /// a restart allocates nothing.
-    pub fn instance_started(&self, instance_id: &str) {
-        let mut guard = self.state.lock();
-        let states = &mut guard.instances;
-        match states.get_mut(instance_id) {
-            Some(st) => {
-                self.telemetry.add(Metric::FaultsRestarts, 1);
-                st.ordinal = 0;
-                st.label_counts = [0; Label::COUNT];
-                st.generation += 1;
-            }
-            None => self.track(states, instance_id),
+    /// The platform's handlers call this when an execution (including a
+    /// re-execution) begins, so `AtOrdinal` plans count points within a
+    /// single execution. A known instance counts a restart and has its
+    /// per-execution counters reset in place; the lifetime counter (for
+    /// [`CrashPlan::Script`]) is preserved.
+    pub fn instance_started(&self, instance_id: &Arc<str>) -> Probe {
+        let (probe, known) = self.entry(instance_id);
+        if known {
+            self.telemetry.add(Metric::FaultsRestarts, 1);
+            probe.counters().restart();
         }
+        probe
     }
 
-    /// Called by the Beldi library at each labelled crash point. After an
-    /// instance's first probe, a probe that does not crash allocates
-    /// nothing (unless trace mode records it).
+    /// The tracked handle of `instance_id`, and whether it was known.
+    fn entry(&self, instance_id: &Arc<str>) -> (Probe, bool) {
+        let mut s = self.state.lock();
+        let s = &mut *s;
+        let (counters, known) = match s.instances.get(instance_id) {
+            Some(counters) => (counters.clone(), true),
+            None => {
+                let counters = Arc::new(Counters::new());
+                s.instances.insert(instance_id.clone(), counters.clone());
+                self.telemetry.move_gauge(Gauge::FaultsInstances, 1);
+                (counters, false)
+            }
+        };
+        let probe = Probe {
+            id: instance_id.clone(),
+            slot: Slot::Shared(counters),
+        };
+        (probe, known)
+    }
+
+    /// Called by the Beldi library at each labelled crash point, with the
+    /// handle of the instance passing it. It bumps the handle's counters
+    /// and takes the next global step; only while a plan, a global plan, a
+    /// storm or a trace is on does it take the injector's lock and decide.
+    /// A probe that does not crash allocates nothing (unless trace mode
+    /// records it).
     ///
     /// A label is a [`Label`]:
     ///
     /// ```
-    /// use beldi_simfaas::{FaultInjector, Label};
+    /// use beldi_simfaas::{FaultInjector, Label, Probe};
     /// let faults = FaultInjector::new();
-    /// faults.crash_point("i1", Label::WrapperEnter);
+    /// let probe = faults.instance_started(&"i1".into());
+    /// faults.crash_point(&probe, Label::WrapperEnter);
     /// ```
     ///
     /// never a string:
@@ -450,7 +578,8 @@ impl FaultInjector {
     /// ```compile_fail
     /// use beldi_simfaas::FaultInjector;
     /// let faults = FaultInjector::new();
-    /// faults.crash_point("i1", "wrapper.enter");
+    /// let probe = faults.instance_started(&"i1".into());
+    /// faults.crash_point(&probe, "wrapper.enter");
     /// ```
     ///
     /// # Panics
@@ -458,27 +587,22 @@ impl FaultInjector {
     /// Panics with a [`CrashSignal`] payload when the instance is scripted
     /// (per-instance plan, global plan, or storm) to die here. The
     /// platform catches it.
-    pub fn crash_point(&self, instance_id: &str, label: Label) {
+    pub fn crash_point(&self, probe: &Probe, label: Label) {
+        let c = probe.counters();
+        let ordinal = c.ordinal.fetch_add(1, Ordering::Relaxed);
+        let lifetime = c.lifetime.fetch_add(1, Ordering::Relaxed);
+        let label_count = c.label_counts[label.index()].fetch_add(1, Ordering::Relaxed);
+        if !self.armed.load(Ordering::Relaxed) {
+            self.step.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let instance_id = &*probe.id;
         let mut guard = self.state.lock();
         let s = &mut *guard;
 
-        // Lookup before insert: the id is allocated as a map key only the
-        // first time this instance passes a probe.
-        if !s.instances.contains_key(instance_id) {
-            self.track(&mut s.instances, instance_id);
-        }
-        let st = s.instances.get_mut(instance_id).expect("just ensured");
-        let (ordinal, lifetime, generation) = (st.ordinal, st.lifetime, st.generation);
-        st.ordinal += 1;
-        st.lifetime += 1;
-        let count = &mut st.label_counts[label.index()];
-        let label_count = *count;
-        *count += 1;
-
         // Decision order: per-instance plan, global plan, storm. This
         // point's position in the global stream is `step`.
-        let step = s.step;
-        s.step += 1;
+        let step = self.step.fetch_add(1, Ordering::Relaxed);
         let mut should_crash = false;
         if let Some(ps) = s.plans.get_mut(instance_id) {
             let (fire, consumed) = ps.check(ordinal, lifetime, label);
@@ -499,6 +623,7 @@ impl FaultInjector {
         if !should_crash {
             should_crash = match s.storm.as_ref() {
                 Some(storm) if self.injected_count() < storm.max_crashes => {
+                    let generation = c.generation.load(Ordering::Relaxed);
                     storm.kills(instance_id, generation, label, label_count)
                 }
                 _ => false,
@@ -512,13 +637,11 @@ impl FaultInjector {
                 crashed: should_crash,
             });
         }
+        self.armed.store(s.armed(), Ordering::Relaxed);
         if should_crash {
             self.telemetry.add(Metric::FaultsInjected, 1);
             *s.crash_sites.entry(label.as_str()).or_insert(0) += 1;
-            s.instances
-                .get_mut(instance_id)
-                .expect("just ensured")
-                .crashes += 1;
+            c.crashes.fetch_add(1, Ordering::Relaxed);
             drop(guard);
             std::panic::panic_any(CrashSignal {
                 point: format!("{label}#{label_count}@{ordinal}/g{step}"),
@@ -548,12 +671,24 @@ mod tests {
         }
     }
 
+    /// Starts an execution of instance `id`.
+    fn start(inj: &FaultInjector, id: &str) -> Probe {
+        inj.instance_started(&id.into())
+    }
+
+    /// The crash a probe at `label` causes, if any.
+    fn probe_crash(inj: &FaultInjector, probe: &Probe, label: Label) -> Option<CrashSignal> {
+        catches_crash(std::panic::AssertUnwindSafe(|| {
+            inj.crash_point(probe, label)
+        }))
+    }
+
     #[test]
     fn no_plan_no_crash() {
         let inj = FaultInjector::new();
-        inj.instance_started("i1");
-        inj.crash_point("i1", C);
-        inj.crash_point("i1", D);
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, C);
+        inj.crash_point(&i1, D);
         assert_eq!(inj.injected_count(), 0);
     }
 
@@ -561,19 +696,16 @@ mod tests {
     fn at_ordinal_fires_once() {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::AtOrdinal(2));
-        inj.instance_started("i1");
-        inj.crash_point("i1", A);
-        inj.crash_point("i1", B);
-        let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", C);
-        }))
-        .expect("third point must crash");
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A);
+        inj.crash_point(&i1, B);
+        let sig = probe_crash(&inj, &i1, C).expect("third point must crash");
         assert!(sig.point.starts_with("write.enter#0@2"), "{}", sig.point);
         // Re-execution: plan consumed, no further crash.
-        inj.instance_started("i1");
-        inj.crash_point("i1", A);
-        inj.crash_point("i1", B);
-        inj.crash_point("i1", C);
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A);
+        inj.crash_point(&i1, B);
+        inj.crash_point(&i1, C);
         assert_eq!(inj.injected_count(), 1);
     }
 
@@ -581,42 +713,48 @@ mod tests {
     fn plans_are_per_instance() {
         let inj = FaultInjector::new();
         inj.plan("victim", CrashPlan::AtLabel(D));
-        inj.instance_started("victim");
-        inj.instance_started("bystander");
-        inj.crash_point("bystander", D); // Unaffected.
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("victim", D);
-        }))
-        .is_some());
+        let victim = start(&inj, "victim");
+        let bystander = start(&inj, "bystander");
+        inj.crash_point(&bystander, D); // Unaffected.
+        assert!(probe_crash(&inj, &victim, D).is_some());
     }
 
     #[test]
     fn restart_resets_ordinals() {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::AtOrdinal(1));
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // ordinal 0.
-        inj.instance_started("i1"); // Restart before reaching ordinal 1.
-        inj.crash_point("i1", A); // ordinal 0 again — survives...
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", B); // ...ordinal 1 — dies.
-        }))
-        .is_some());
+        let first = start(&inj, "i1");
+        inj.crash_point(&first, A); // ordinal 0.
+        let i1 = start(&inj, "i1"); // Restart before reaching ordinal 1.
+        inj.crash_point(&i1, A); // ordinal 0 again — survives...
+        assert!(probe_crash(&inj, &i1, B).is_some()); // ...ordinal 1 — dies.
+    }
+
+    /// A restart resets the counters of every handle of the instance: a
+    /// duplicate execution still running counts on from the restart.
+    #[test]
+    fn a_restart_resets_the_counters_every_handle_shares() {
+        let inj = FaultInjector::new();
+        let first = start(&inj, "i1");
+        inj.crash_point(&first, A);
+        inj.crash_point(&first, A);
+        let _second = start(&inj, "i1");
+        inj.plan("i1", CrashPlan::AtOrdinal(0));
+        let sig = probe_crash(&inj, &first, A).expect("ordinal 0 again");
+        assert!(sig.point.starts_with("wrapper.enter#0@0"), "{}", sig.point);
     }
 
     #[test]
     fn lifetime_ordinal_survives_restarts() {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::Script(vec![3]));
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // lifetime 0
-        inj.crash_point("i1", B); // lifetime 1
-        inj.instance_started("i1"); // restart resets ordinal, not lifetime
-        inj.crash_point("i1", A); // lifetime 2
-        let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", B); // lifetime 3 — dies (ordinal is 1).
-        }))
-        .unwrap();
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // lifetime 0
+        inj.crash_point(&i1, B); // lifetime 1
+        let i1 = start(&inj, "i1"); // restart resets ordinal, not lifetime
+        inj.crash_point(&i1, A); // lifetime 2
+        let sig = probe_crash(&inj, &i1, B).unwrap(); // lifetime 3 — dies (ordinal is 1).
+
         // Per-execution counters reset on restart: this is execution 2's
         // first `B` (occurrence 0, ordinal 1) — only the lifetime count
         // made the plan fire.
@@ -627,24 +765,20 @@ mod tests {
     fn script_fires_across_restarts_in_order() {
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::Script(vec![1, 4]));
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // lifetime 0
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", B); // lifetime 1 — first crash.
-        }))
-        .is_some());
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // lifetime 0
+        assert!(probe_crash(&inj, &i1, B).is_some()); // lifetime 1 — first crash.
+
         // Restart: re-runs the same points.
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // lifetime 2
-        inj.crash_point("i1", B); // lifetime 3
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", C); // lifetime 4 — second crash.
-        }))
-        .is_some());
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // lifetime 2
+        inj.crash_point(&i1, B); // lifetime 3
+        assert!(probe_crash(&inj, &i1, C).is_some()); // lifetime 4 — second crash.
+
         // Script exhausted: a third restart runs clean.
-        inj.instance_started("i1");
+        let i1 = start(&inj, "i1");
         for l in [A, B, C, D] {
-            inj.crash_point("i1", l);
+            inj.crash_point(&i1, l);
         }
         assert_eq!(inj.injected_count(), 2);
     }
@@ -657,25 +791,16 @@ mod tests {
         // step 2 instead of stalling forever.
         inj.plan("i1", CrashPlan::AtOrdinal(1));
         inj.set_global_plan(Some(CrashPlan::Script(vec![1, 3])));
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // step 0
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", B); // step 1 — per-instance plan wins.
-        }))
-        .is_some());
-        inj.instance_started("i1");
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // step 0
+        assert!(probe_crash(&inj, &i1, B).is_some()); // step 1 — per-instance plan wins.
+        let i1 = start(&inj, "i1");
         assert!(
-            catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point("i1", A); // step 2 — script catches up.
-            }))
-            .is_some(),
+            probe_crash(&inj, &i1, A).is_some(), // step 2 — script catches up.
             "missed script entry must fire at the next point"
         );
-        inj.instance_started("i1");
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", A); // step 3 — second entry on time.
-        }))
-        .is_some());
+        let i1 = start(&inj, "i1");
+        assert!(probe_crash(&inj, &i1, A).is_some()); // step 3 — second entry on time.
         assert_eq!(inj.injected_count(), 3);
     }
 
@@ -683,37 +808,88 @@ mod tests {
     fn global_plan_crashes_across_instances() {
         let inj = FaultInjector::new();
         inj.set_global_plan(Some(CrashPlan::AtOrdinal(2)));
-        inj.instance_started("i1");
-        inj.instance_started("i2");
-        inj.crash_point("i1", A); // global step 0
-        inj.crash_point("i2", A); // global step 1
-        let sig = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i2", B); // global step 2 — dies.
-        }))
-        .unwrap();
+        let i1 = start(&inj, "i1");
+        let i2 = start(&inj, "i2");
+        inj.crash_point(&i1, A); // global step 0
+        inj.crash_point(&i2, A); // global step 1
+        let sig = probe_crash(&inj, &i2, B).unwrap(); // global step 2 — dies.
         assert!(sig.point.ends_with("/g2"), "{}", sig.point);
         // One-shot: the stream continues crash-free.
-        inj.crash_point("i1", B);
+        inj.crash_point(&i1, B);
         assert_eq!(inj.injected_count(), 1);
+    }
+
+    /// The points of two executions, `i1` then `i2`, each `[A, B, C, A]`,
+    /// with `arm` run on the injector before probe number `armed_after`
+    /// (0-based across both). Returns the crash signal, if one fired.
+    fn run_arming_after(armed_after: usize, arm: impl Fn(&FaultInjector)) -> Option<String> {
+        let inj = FaultInjector::new();
+        let mut probes = 0;
+        for id in ["i1", "i2"] {
+            let probe = start(&inj, id);
+            for label in [A, B, C, A] {
+                if probes == armed_after {
+                    arm(&inj);
+                }
+                probes += 1;
+                if let Some(sig) = probe_crash(&inj, &probe, label) {
+                    return Some(sig.point);
+                }
+            }
+        }
+        None
+    }
+
+    /// A global plan installed after `k` unarmed probes fires where it
+    /// would have fired armed from the start: the global step counts
+    /// every probe, armed or not.
+    #[test]
+    fn a_global_plan_installed_mid_run_fires_at_its_global_step() {
+        let arm = |inj: &FaultInjector| inj.set_global_plan(Some(CrashPlan::AtOrdinal(7)));
+        let from_start = run_arming_after(0, arm);
+        assert_eq!(from_start.as_deref(), Some("wrapper.enter#1@3/g7"));
+        for k in 1..=7 {
+            assert_eq!(
+                run_arming_after(k, arm),
+                from_start,
+                "armed after {k} probes"
+            );
+        }
+    }
+
+    /// A per-instance plan installed mid-execution fires at the ordinal
+    /// it names, with the label occurrence it would have seen from the
+    /// start: the handle counted the unarmed probes.
+    #[test]
+    fn an_instance_plan_installed_mid_execution_fires_at_its_ordinal() {
+        let arm = |inj: &FaultInjector| inj.plan("i2", CrashPlan::AtOrdinal(3));
+        let from_start = run_arming_after(0, arm);
+        assert_eq!(from_start.as_deref(), Some("wrapper.enter#1@3/g7"));
+        for k in 1..=7 {
+            assert_eq!(
+                run_arming_after(k, arm),
+                from_start,
+                "armed after {k} probes"
+            );
+        }
+        // A script counts lifetimes the same way.
+        let script = |inj: &FaultInjector| inj.plan("i1", CrashPlan::Script(vec![2]));
+        let from_start = run_arming_after(0, script);
+        assert_eq!(from_start.as_deref(), Some("write.enter#0@2/g2"));
+        assert_eq!(run_arming_after(2, script), from_start);
     }
 
     #[test]
     fn global_script_schedules_multiple_crashes() {
         let inj = FaultInjector::new();
         inj.set_global_plan(Some(CrashPlan::Script(vec![0, 2])));
-        inj.instance_started("i1");
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", A); // step 0 — dies.
-        }))
-        .is_some());
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // step 1
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", B); // step 2 — dies.
-        }))
-        .is_some());
-        inj.instance_started("i1");
-        inj.crash_point("i1", A); // step 3 — script exhausted.
+        let i1 = start(&inj, "i1");
+        assert!(probe_crash(&inj, &i1, A).is_some()); // step 0 — dies.
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // step 1
+        assert!(probe_crash(&inj, &i1, B).is_some()); // step 2 — dies.
+        let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, A); // step 3 — script exhausted.
         assert_eq!(inj.injected_count(), 2);
     }
 
@@ -721,14 +897,12 @@ mod tests {
     fn trace_records_the_global_stream() {
         let inj = FaultInjector::new();
         inj.start_trace();
-        inj.instance_started("i1");
-        inj.instance_started("i2");
-        inj.crash_point("i1", A);
-        inj.crash_point("i2", B);
+        let i1 = start(&inj, "i1");
+        let i2 = start(&inj, "i2");
+        inj.crash_point(&i1, A);
+        inj.crash_point(&i2, B);
         inj.plan("i1", CrashPlan::AtLabel(C));
-        let _ = catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", C);
-        }));
+        let _ = probe_crash(&inj, &i1, C);
         let trace = inj.take_trace();
         assert_eq!(trace.len(), 3);
         assert_eq!(trace[0].step, 0);
@@ -738,7 +912,7 @@ mod tests {
         assert_eq!(trace[2].label, C);
         assert!(trace[2].crashed);
         // Trace mode is off after take_trace.
-        inj.crash_point("i2", D);
+        inj.crash_point(&i2, D);
         assert!(inj.take_trace().is_empty());
     }
 
@@ -836,13 +1010,8 @@ mod tests {
         }));
         let mut crashes = 0;
         for i in 0..10 {
-            let id = format!("i{i}");
-            inj.instance_started(&id);
-            if catches_crash(std::panic::AssertUnwindSafe(|| {
-                inj.crash_point(&id, Label::WrapperEnter);
-            }))
-            .is_some()
-            {
+            let probe = start(&inj, &format!("i{i}"));
+            if probe_crash(&inj, &probe, Label::WrapperEnter).is_some() {
                 crashes += 1;
             }
         }
@@ -857,12 +1026,78 @@ mod tests {
     #[test]
     fn restart_count_tracks_repeat_starts() {
         let inj = FaultInjector::new();
-        inj.instance_started("a");
-        inj.instance_started("b");
+        start(&inj, "a");
+        start(&inj, "b");
         assert_eq!(inj.restart_count(), 0);
-        inj.instance_started("a");
-        inj.instance_started("a");
+        start(&inj, "a");
+        start(&inj, "a");
         assert_eq!(inj.restart_count(), 2);
+        // A probe on an instance's behalf is no execution of it; a
+        // forgotten id starts over.
+        inj.probe(&"a".into());
+        inj.forget("b");
+        start(&inj, "b");
+        assert_eq!(inj.restart_count(), 2);
+    }
+
+    /// A handle held past `forget` counts on the forgotten counters; the
+    /// id started again is a new instance, with counters of its own, that
+    /// the old handle neither sees nor resets.
+    #[test]
+    fn a_handle_held_past_forget_counts_alone() {
+        let inj = FaultInjector::new();
+        let old = start(&inj, "i1");
+        inj.crash_point(&old, A);
+        inj.crash_point(&old, A);
+        inj.forget("i1");
+        let new = start(&inj, "i1");
+        assert_eq!(inj.restart_count(), 0, "a forgotten id starts over");
+        inj.plan("i1", CrashPlan::AtLabel(B));
+        let sig = probe_crash(&inj, &old, B).expect("the plan is by id");
+        assert!(sig.point.starts_with("read.enter#0@2"), "{}", sig.point);
+        assert_eq!(inj.instance_crashes("i1"), 0, "counted on the old handle");
+        assert!(!inj.first_recovery("i1"));
+        inj.plan("i1", CrashPlan::AtLabel(B));
+        let sig = probe_crash(&inj, &new, B).expect("the new instance's");
+        assert!(sig.point.starts_with("read.enter#0@0"), "{}", sig.point);
+        assert_eq!(inj.instance_crashes("i1"), 1);
+        // A restart resets the new instance's counters, not the old
+        // handle's.
+        let _again = start(&inj, "i1");
+        assert_eq!(inj.restart_count(), 1);
+        inj.plan("i1", CrashPlan::AtOrdinal(0));
+        inj.crash_point(&old, A); // Ordinal 4: no crash.
+        assert!(probe_crash(&inj, &new, A).is_some());
+    }
+
+    /// An untracked handle and the probe of a known instance leave the
+    /// injector's entries alone; `forget` gives an entry back.
+    #[test]
+    fn only_a_started_or_probed_instance_has_an_entry() {
+        let inj = FaultInjector::new();
+        let entries = || inj.telemetry.gauge(Gauge::FaultsInstances).0;
+        let once = Probe::untracked("req-1".into());
+        inj.crash_point(&once, A);
+        assert_eq!(entries(), 0);
+        let i1 = start(&inj, "i1");
+        inj.probe(&"i1".into());
+        assert_eq!(entries(), 1);
+        drop(i1);
+        inj.forget("i1");
+        assert_eq!(entries(), 0);
+    }
+
+    /// The recovery of a killed instance is sampled once.
+    #[test]
+    fn a_recovery_is_sampled_once() {
+        let inj = FaultInjector::new();
+        inj.plan("i1", CrashPlan::AtOrdinal(0));
+        let i1 = start(&inj, "i1");
+        assert!(!inj.first_recovery("i1"));
+        assert!(probe_crash(&inj, &i1, A).is_some());
+        start(&inj, "i1");
+        assert!(inj.first_recovery("i1"));
+        assert!(!inj.first_recovery("i1"));
     }
 
     #[test]
@@ -874,10 +1109,7 @@ mod tests {
         silence_crash_backtraces();
         let inj = FaultInjector::new();
         inj.plan("i1", CrashPlan::AtOrdinal(0));
-        inj.instance_started("i1");
-        assert!(catches_crash(std::panic::AssertUnwindSafe(|| {
-            inj.crash_point("i1", A);
-        }))
-        .is_some());
+        let i1 = start(&inj, "i1");
+        assert!(probe_crash(&inj, &i1, A).is_some());
     }
 }

@@ -31,6 +31,7 @@
 //!   garbage collectors (1-minute resolution on AWS).
 
 #![warn(clippy::let_underscore_must_use)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod error;
 mod fault;
@@ -40,7 +41,7 @@ mod platform;
 pub use beldi_simclock::PlatformSnapshot;
 pub use error::{InvokeError, InvokeResult};
 pub use fault::{
-    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, StormPolicy, TraceEntry,
+    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, Probe, StormPolicy, TraceEntry,
 };
 pub use labels::Label;
 pub use platform::{

@@ -1,6 +1,7 @@
 //! The simulated FaaS [`Platform`].
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -19,17 +20,33 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{InvokeError, InvokeResult};
-use crate::fault::{CrashSignal, FaultInjector};
+use crate::fault::{CrashSignal, FaultInjector, Probe};
 use crate::Label;
 
 /// Context handed to a running function instance.
 #[derive(Clone)]
 pub struct InvocationCtx {
-    /// The fresh id the platform assigned to this execution (AWS "request
-    /// id"). Beldi uses it as the instance id of workflow-root SSFs.
-    pub request_id: String,
+    /// The crash-probe handle of the fresh id the platform assigned to
+    /// this execution (AWS "request id"). The id is this run's alone (a
+    /// re-execution is a new request), so the injector keeps no entry
+    /// for it.
+    probe: Probe,
     /// Handle back to the platform (for nested invocations).
     pub platform: Arc<Platform>,
+}
+
+impl InvocationCtx {
+    /// The request id: Beldi uses it as the instance id of an SSF called
+    /// without one.
+    pub fn request_id(&self) -> &Arc<str> {
+        self.probe.id()
+    }
+
+    /// The request id's crash-probe handle, which the platform's own
+    /// `worker.pre_handler` probe has counted in.
+    pub fn probe(&self) -> &Probe {
+        &self.probe
+    }
 }
 
 /// A registered function body.
@@ -136,6 +153,11 @@ struct Worker {
 }
 
 #[derive(Default)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a job passes through here once per invocation a worker runs; boxing it would \
+              allocate once per invocation"
+)]
 enum Next {
     /// Nothing yet: park.
     #[default]
@@ -152,6 +174,10 @@ struct Job {
     startup: Duration,
     permit: Permit,
 }
+
+/// Length of a [`Platform::new_uuid`] id: 16 hex digits, a dash, 8 hex
+/// digits (more once the counter passes `u32::MAX`).
+const UUID_LEN: usize = 25;
 
 /// Where a worker delivers its one reply.
 type ReplySink = Box<dyn FnOnce(InvokeResult<Value>) + Send>;
@@ -186,6 +212,10 @@ impl Worker {
     /// Hands a parked worker its next step.
     fn wake(&self, clock: &SharedClock, next: Next) {
         *self.next.lock() = next;
+        #[expect(
+            clippy::expect_used,
+            reason = "a container has a worker only once `serve` runs, and `serve` publishes the thread first"
+        )]
         let thread = self.thread.get().expect("a pooled worker has run");
         clock.unpark(thread);
     }
@@ -202,6 +232,10 @@ impl Worker {
         clock: SharedClock,
     ) {
         let thread = self.thread.set(std::thread::current());
+        #[expect(
+            clippy::expect_used,
+            reason = "`launch_worker` starts one thread per worker, and only that thread serves it"
+        )]
         thread.expect("a worker serves on one thread");
         loop {
             let container = Container {
@@ -255,12 +289,9 @@ impl Job {
                 // from scratch.
                 platform
                     .faults
-                    .crash_point(&ctx.request_id, Label::WorkerPreHandler);
+                    .crash_point(&ctx.probe, Label::WorkerPreHandler);
                 (handler)(&ctx, payload)
             }));
-            // The request id is this run's alone (a re-execution is a
-            // new request): the injector need not remember it.
-            platform.faults.forget(&ctx.request_id);
             let reply = match result {
                 Ok(value) => {
                     platform.finish(Metric::FaasCompletions);
@@ -386,7 +417,10 @@ impl Platform {
     pub fn new_uuid(&self) -> String {
         let n = self.uuid_ctr.fetch_add(1, Ordering::Relaxed);
         let r: u64 = self.uuid_rng.lock().gen();
-        format!("{r:016x}-{n:08x}")
+        // Sized up front: `format!` would grow the string twice.
+        let mut id = String::with_capacity(UUID_LEN);
+        write!(id, "{r:016x}-{n:08x}").ok(); // Writing to a `String` cannot fail.
+        id
     }
 
     /// Registers (or replaces) a function under `name`. A replaced
@@ -574,7 +608,7 @@ impl Platform {
         let warm = pool.lock().idle.pop();
         let cold = warm.is_none();
         let ctx = InvocationCtx {
-            request_id: self.new_uuid(),
+            probe: Probe::untracked(self.new_uuid().into()),
             platform: self.clone(),
         };
         let startup = self.config.invoke_overhead
@@ -614,7 +648,7 @@ impl Platform {
     ) -> String {
         let (FunctionEntry { handler, pool }, permit) = admitted;
         let (container, job) = self.start(&pool, permit, payload);
-        let request_id = job.ctx.request_id.clone();
+        let request_id = job.ctx.request_id().to_string();
         match container.worker {
             Some(worker) => worker.wake(&self.clock, Next::Run(job, sink)),
             None => {
@@ -812,9 +846,8 @@ mod tests {
         p.register(
             "flaky",
             Arc::new(move |ctx: &InvocationCtx, _| -> Value {
-                p2.faults().instance_started(&ctx.request_id);
-                p2.faults()
-                    .crash_point(&ctx.request_id, Label::WrapperEnter);
+                let probe = p2.faults().instance_started(ctx.request_id());
+                p2.faults().crash_point(&probe, Label::WrapperEnter);
                 Value::from("survived")
             }),
         );
@@ -832,6 +865,30 @@ mod tests {
         assert!(matches!(err, InvokeError::Crashed(ref pt) if pt.contains("wrapper.enter")));
         // One-shot plan consumed: next call survives.
         assert!(p.invoke_sync("flaky", Value::Null).is_ok());
+    }
+
+    /// An invocation probes under its request id, which no restart can
+    /// see again: with nothing armed, the injector gains no entry for it,
+    /// and a handler that probes through the request id's handle gains
+    /// none either.
+    #[test]
+    fn an_unarmed_invocation_leaves_the_injector_entries_alone() {
+        let p = Platform::for_tests();
+        let p2 = p.clone();
+        p.register(
+            "probing",
+            Arc::new(move |ctx: &InvocationCtx, _| -> Value {
+                p2.faults().crash_point(ctx.probe(), Label::WrapperEnter);
+                Value::Null
+            }),
+        );
+        let entries = || p.telemetry().gauge(Gauge::FaultsInstances);
+        let before = entries();
+        for _ in 0..3 {
+            p.invoke_sync("probing", Value::Null).unwrap();
+        }
+        assert_eq!(entries(), before);
+        assert_eq!(p.faults().restart_count(), 0);
     }
 
     #[test]
@@ -1046,8 +1103,8 @@ mod tests {
                     panic!("kaboom");
                 }
                 let faults = ctx.platform.faults();
-                faults.instance_started(&ctx.request_id);
-                faults.crash_point(&ctx.request_id, Label::WrapperEnter);
+                let probe = faults.instance_started(ctx.request_id());
+                faults.crash_point(&probe, Label::WrapperEnter);
                 payload
             }),
         );

@@ -1,18 +1,19 @@
 //! What a crash probe costs: nothing. Every platform invocation probes
 //! under its request id and every Beldi execution under its instance id,
 //! so this test binary counts the heap allocations of the calling thread
-//! and pins at zero the probes of an instance the injector already knows
-//! and a restart of it. Every layer counts into the registry on its hot
+//! and pins at zero the probes through a handle, a restart, and the
+//! handle of an id used once. Every layer counts into the registry on its hot
 //! path, so a counter, a gauge move and a histogram sample are pinned at
 //! zero too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 use beldi_simclock::{Gauge, Hist, Metric, Telemetry};
-use beldi_simfaas::{FaultInjector, Label};
+use beldi_simfaas::{FaultInjector, Label, Probe};
 
 /// The system allocator, counting the allocations each thread makes.
 struct Counting;
@@ -69,20 +70,31 @@ fn the_counter_counts() {
 #[test]
 fn a_probe_and_a_restart_allocate_nothing() {
     let faults = FaultInjector::new();
-    // The first probe of an instance keeps its id: one allocation or more.
-    assert!(allocations(|| faults.crash_point("i1", Label::WrapperEnter)) > 0);
-    let every_label_three_times = || {
+    let id: Arc<str> = "i1".into();
+    // The first execution of an instance gets its counters: one
+    // allocation or more.
+    assert!(allocations(|| faults.instance_started(&id)) > 0);
+    let probe = faults.instance_started(&id);
+    let every_label_three_times = |probe: &Probe| {
         for _ in 0..3 {
             for label in Label::ALL {
-                faults.crash_point("i1", label);
+                faults.crash_point(probe, label);
             }
         }
     };
-    assert_eq!(allocations(every_label_three_times), 0);
-    assert_eq!(allocations(|| faults.instance_started("i1")), 0);
-    assert_eq!(allocations(every_label_three_times), 0);
-    assert_eq!(faults.restart_count(), 1);
+    assert_eq!(allocations(|| every_label_three_times(&probe)), 0);
+    drop(probe);
+    let restarted = allocations(|| faults.instance_started(&id));
+    assert_eq!(restarted, 0);
+    let probe = faults.instance_started(&id);
+    assert_eq!(allocations(|| every_label_three_times(&probe)), 0);
+    assert_eq!(faults.restart_count(), 3);
     assert_eq!(faults.injected_count(), 0);
+    // An id used once gets a handle with no entry, for nothing.
+    let once: Arc<str> = "request-1".into();
+    assert_eq!(allocations(|| Probe::untracked(once.clone())), 0);
+    let untracked = Probe::untracked(once);
+    assert_eq!(allocations(|| every_label_three_times(&untracked)), 0);
 }
 
 #[test]
