@@ -126,16 +126,6 @@ impl Cli {
         )
     }
 
-    /// `--json`: where to also write the report.
-    pub fn json_flag(self) -> Self {
-        self.flag(
-            "--json",
-            "PATH",
-            "",
-            "also write the report as JSON to PATH",
-        )
-    }
-
     /// Parses the arguments against the table, rejecting undeclared
     /// flags.
     pub fn try_parse(self) -> Result<Args, String> {
@@ -332,7 +322,7 @@ macro_rules! harnesses {
 }
 harnesses! {
     "drive" => drive, "closed-loop concurrent workload driver";
-    "gate" => gate, "CI perf, storage-growth, and recovery gates over drive reports";
+    "gate" => gate, "CI baseline-equality gate over a drive report";
     "explore" => explore, "systematic crash-schedule exploration";
     "front" => serve, "HTTP front door over the cooperative executor";
 }
@@ -495,6 +485,99 @@ mod tests {
                     .filter(|l| l.split_whitespace().next() == Some(flag.name))
                     .count();
                 assert_eq!(rows, 1, "{} {} in:\n{help}", cmd.name, flag.name);
+            }
+        }
+    }
+
+    /// Each harness's flags, by name and in `--help` order: 27 in all.
+    #[test]
+    fn each_harness_declares_exactly_its_flags() {
+        let pinned: [(&str, &[&str]); 4] = [
+            (
+                "drive",
+                &[
+                    "--app",
+                    "--mode",
+                    "--workers",
+                    "--mix",
+                    "--duration-ops",
+                    "--seed",
+                    "--smoke",
+                    "--gc",
+                    "--chaos",
+                    "--chaos-tmax-ms",
+                    "--json",
+                ],
+            ),
+            ("gate", &["--baseline", "--results"]),
+            (
+                "explore",
+                &[
+                    "--app",
+                    "--mode",
+                    "--requests",
+                    "--seed",
+                    "--stride",
+                    "--depth2-samples",
+                    "--gc-check",
+                    "--gc-interleave",
+                    "--smoke",
+                    "--canary",
+                ],
+            ),
+            ("front", &["--app", "--mode", "--addr", "--seed"]),
+        ];
+        let harnesses = subcommands().filter(|c| matches!(c.body, Body::Main(_)));
+        let names: Vec<&str> = harnesses.map(|c| c.name).collect();
+        assert_eq!(names, pinned.map(|(name, _)| name));
+        for (name, flags) in pinned {
+            let Some(cmd) = subcommands().find(|c| c.name == name) else {
+                panic!("no subcommand {name}");
+            };
+            let declared = (cmd.flags)(Cli::from_args(cmd.name, cmd.about, Vec::new())).flags;
+            let declared: Vec<&str> = declared.iter().map(|f| f.name).collect();
+            assert_eq!(declared, flags, "{name}");
+        }
+    }
+
+    /// A flag a harness no longer takes is a usage error naming it, never
+    /// a run that ignores it.
+    #[test]
+    fn removed_harness_flags_are_unknown() {
+        let removed: [(&str, &[&str]); 4] = [
+            (
+                "drive",
+                &[
+                    "--no-tail-cache",
+                    "--gc-period-ms",
+                    "--gc-tmax-ms",
+                    "--chaos-ssf-prob",
+                    "--chaos-collector-prob",
+                    "--chaos-max-crashes",
+                    "--chaos-ic-restart-ms",
+                ],
+            ),
+            (
+                "gate",
+                &[
+                    "--gc-results",
+                    "--max-growth",
+                    "--chaos-results",
+                    "--max-recovery-p99",
+                    "--max-duplicate-effects",
+                ],
+            ),
+            ("explore", &["--max-schedules"]),
+            ("front", &["--smoke", "--requests", "--clients", "--json"]),
+        ];
+        for (name, flags) in removed {
+            for flag in flags {
+                let Invocation::Exit(status, text) = resolve(argv(&[name, flag, "1"])) else {
+                    panic!("{name} {flag} must not run anything");
+                };
+                assert_eq!(status, 2, "{name} {flag}");
+                let unknown = format!("{name}: unknown flag {flag}");
+                assert!(text.contains(&unknown), "{name} {flag}: {text}");
             }
         }
     }

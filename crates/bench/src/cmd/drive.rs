@@ -3,26 +3,31 @@
 //!
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
 //! workers {1, 4}, 120 requests per run, plus the front door's row —
-//! `front --smoke`'s media/beldi run of 64 requests over 4 connections.
-//! Every number in the report but `wall_ms` repeats exactly for the same
-//! flags.
+//! the media/beldi stream of 64 requests over 4 connections through real
+//! sockets, checked against its in-process replay. Every number in the
+//! report but `wall_ms` repeats exactly for the same flags.
 //! `--gc` runs the per-SSF collectors beside the client workers and
-//! records the storage-growth series `gate --gc-results` checks (§10);
-//! `--chaos` adds a seeded crash storm over traffic and collectors and
-//! records the `recovery` section `gate --chaos-results` checks (§13).
-//! Workers are tasks on one executor (§14): `--workers N --duration-ops N`
-//! puts every request in flight at once. Exit status: 0 when every run
-//! completed without request errors, 1 otherwise.
+//! checks every run's storage growth (§10); `--chaos` adds a seeded
+//! crash storm over traffic and collectors and checks that every run
+//! recovered (§13). Workers are tasks on one executor (§14): `--workers
+//! N --duration-ops N` puts every request in flight at once.
+//!
+//! Each check prints `check: … holds` or `check failed: …: why` after
+//! the tables. Exit status: 0 when every run completed without request
+//! errors and every check held, 1 otherwise.
 
 use std::time::Duration;
 
 use beldi::Mode;
 use beldi_apps::{bench_app, MixProfile};
 use beldi_workload::driver::{drive, BenchReport, ChaosOptions, DriveOptions};
+use beldi_workload::gate::{
+    front_gate, growth_gate, max_recovery_p99_ms, recovery_gate, GROWTH_SLACK_ROWS, MAX_GROWTH,
+};
 
 use crate::cli::{run_error, usage_error, Args, Cli};
 use crate::front::front_smoke;
-use crate::print_table;
+use crate::{print_table, print_verdict};
 
 pub(crate) fn flags(cli: Cli) -> Cli {
     cli.app_flag("all")
@@ -47,32 +52,26 @@ pub(crate) fn flags(cli: Cli) -> Cli {
         )
         .seed_flag()
         .switch("--smoke", "CI preset: tiny runs")
-        .switch("--no-tail-cache", "disable the DAAL tail-row cache (A/B)")
-        .switch("--gc", "run online collectors concurrently with traffic")
-        .flag("--gc-period-ms", "MS", "500", "collector pass period")
-        .flag("--gc-tmax-ms", "MS", "4000", "collector lease T_max")
-        .switch("--chaos", "seeded crash storm on top of live traffic")
-        .flag(
-            "--chaos-ssf-prob",
-            "P",
-            "0.0005",
-            "per-crash-point SSF kill probability",
+        .switch(
+            "--gc",
+            "run online collectors concurrently with traffic; check storage growth",
+        )
+        .switch(
+            "--chaos",
+            "seeded crash storm on top of live traffic; check recovery",
         )
         .flag(
-            "--chaos-collector-prob",
-            "P",
-            "0.004",
-            "per-crash-point collector kill probability",
-        )
-        .flag("--chaos-max-crashes", "N", "10000", "storm crash budget")
-        .flag(
-            "--chaos-ic-restart-ms",
+            "--chaos-tmax-ms",
             "MS",
-            "100",
-            "IC relaunch delay after a kill",
+            "60000",
+            "storm lease T_max (recovery p99 must be <= T/3)",
         )
-        .flag("--chaos-tmax-ms", "MS", "60000", "storm lease T_max")
-        .json_flag()
+        .flag(
+            "--json",
+            "PATH",
+            "",
+            "also write the report as JSON to PATH",
+        )
 }
 
 pub(crate) fn main(args: &Args) {
@@ -85,16 +84,8 @@ pub(crate) fn main(args: &Args) {
     let opts_template = DriveOptions {
         total_ops: args.or_smoke("--duration-ops", 120),
         seed: args.get("--seed"),
-        model_latency: true,
-        tail_cache: !args.flag("--no-tail-cache"),
         gc: args.flag("--gc"),
-        gc_period: Duration::from_millis(args.get("--gc-period-ms")),
-        gc_t_max: Duration::from_millis(args.get("--gc-tmax-ms")),
         chaos: args.flag("--chaos").then(|| ChaosOptions {
-            ssf_kill_prob: args.get("--chaos-ssf-prob"),
-            collector_kill_prob: args.get("--chaos-collector-prob"),
-            max_crashes: args.get("--chaos-max-crashes"),
-            ic_restart_delay: Duration::from_millis(args.get("--chaos-ic-restart-ms")),
             t_max: Duration::from_millis(args.get("--chaos-tmax-ms")),
             ..ChaosOptions::default()
         }),
@@ -238,7 +229,7 @@ pub(crate) fn main(args: &Args) {
     }
 
     if args.flag("--smoke") {
-        // The front door's row: `front --smoke` with its defaults.
+        // The front door's row: the media/beldi stream over 4 connections.
         let front = front_smoke("media", Mode::Beldi, 64, 4, opts_template.seed)
             .unwrap_or_else(|e| run_error(format!("the front door's row: {e}")));
         println!();
@@ -252,11 +243,42 @@ pub(crate) fn main(args: &Args) {
         println!("\nwrote {path} ({} runs)", report.runs.len());
     }
 
+    let failed = print_checks(&report, &opts_template);
     let front_errors = report.front.as_ref().map_or(0, |f| f.errors);
     let errors: u64 = report.runs.iter().map(|r| r.errors).sum::<u64>() + front_errors;
     if errors > 0 {
         run_error(format!("{errors} request error(s) across runs"));
     }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// Prints the verdict of each check the drive's settings call for — the
+/// growth check under `--gc`, the recovery check under `--chaos`, the
+/// front door's under `--smoke` — and returns whether any failed.
+fn print_checks(report: &BenchReport, opts: &DriveOptions) -> bool {
+    let mut failed = false;
+    if opts.gc {
+        let what = format!(
+            "every GC run ends with at most {}x its mid-run metadata and data rows + {GROWTH_SLACK_ROWS}",
+            1.0 + MAX_GROWTH
+        );
+        failed |= print_verdict("check", &what, &growth_gate(report));
+    }
+    if let Some(chaos) = &opts.chaos {
+        let what = format!(
+            "every chaos run ends in its crash-free oracle's state with 0 duplicate effects and \
+             no counted corruption, after a storm that crashed, at recovery p99 <= T/3 = {} ms",
+            max_recovery_p99_ms(chaos.t_max)
+        );
+        failed |= print_verdict("check", &what, &recovery_gate(report, chaos.t_max));
+    }
+    if let Some(front) = &report.front {
+        let what = "the front door's state equals its in-process replay's, with 0 errors";
+        failed |= print_verdict("check", what, &front_gate(front));
+    }
+    failed
 }
 
 /// Parses `--workers`: a comma-separated list of positive counts.

@@ -42,7 +42,6 @@ pub(crate) fn flags(cli: Cli) -> Cli {
             "1",
             "sweep every Nth crash point (5 under --smoke)",
         )
-        .flag("--max-schedules", "N", "", "cap on depth-1 schedules")
         .flag(
             "--depth2-samples",
             "N",
@@ -67,7 +66,7 @@ pub(crate) fn main(args: &Args) {
         requests: args.or_smoke("--requests", smoke.requests),
         seed: args.get("--seed"),
         stride: args.or_smoke("--stride", smoke.stride),
-        max_depth1: args.value("--max-schedules").and_then(|v| v.parse().ok()),
+        max_depth1: None,
         depth2_samples: args.or_smoke("--depth2-samples", smoke.depth2_samples),
         gc_check: args.flag("--gc-check"),
         gc_interleave: args.flag("--gc-interleave"),
@@ -86,7 +85,7 @@ pub(crate) fn main(args: &Args) {
         for &mode in &modes {
             let app: Box<dyn WorkflowApp> = match kind.as_str() {
                 "pipeline" if canary => PipelineApp::sabotaged(),
-                "pipeline" => Box::new(PipelineApp),
+                "pipeline" => Box::new(PipelineApp::default()),
                 _ => small_app(kind, mode)
                     .unwrap_or_else(|| usage_error(format!("unknown --app {kind}"))),
             };

@@ -21,7 +21,7 @@ use beldi_workload::driver::lambda_like_platform;
 use beldi_workload::{Histogram, RateRunner};
 
 use crate::cli::run_error;
-use crate::{harness, print_table};
+use crate::{harness, print_table, print_verdict};
 
 /// One experiment: a row of [`FIGURES`].
 pub(crate) struct Figure {
@@ -128,12 +128,8 @@ impl Figure {
             print_table(t.title, t.head, &t.rows);
         }
         let (claim, check) = self.claim;
-        let verdict = check(&tables);
-        match &verdict {
-            Ok(()) => println!("claim: {claim} holds"),
-            Err(why) => println!("claim failed: {claim}: {why}"),
-        }
-        i32::from(verdict.is_err())
+        let failure = check(&tables).err();
+        i32::from(print_verdict("claim", claim, failure.as_slice()))
     }
 
     fn measure(&self) -> Result<Vec<Table>, Box<dyn Error>> {

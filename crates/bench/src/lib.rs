@@ -55,6 +55,19 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Prints a verdict on what a run printed, in the format every claim and
+/// check shares: `{kind}: {what} holds`, or one `{kind} failed: {what}:
+/// {why}` line per failure. Returns whether anything failed.
+pub(crate) fn print_verdict(kind: &str, what: &str, failures: &[String]) -> bool {
+    if failures.is_empty() {
+        println!("{kind}: {what} holds");
+    }
+    for why in failures {
+        println!("{kind} failed: {what}: {why}");
+    }
+    !failures.is_empty()
+}
+
 #[cfg(test)]
 mod tests {
     use std::time::Duration;

@@ -122,16 +122,6 @@ pub struct DriveOptions {
 pub struct ChaosOptions {
     /// Kill probability at each SSF crash point.
     pub ssf_kill_prob: f64,
-    /// Kill probability at each collector (`ic.*`/`gc.*`) crash point.
-    pub collector_kill_prob: f64,
-    /// Hard cap on injected crashes. Determinism tests set this far
-    /// above the expected crash count so the cap check never shapes the
-    /// schedule.
-    pub max_crashes: u64,
-    /// IC restart delay for the run — short, so recovery latencies are
-    /// dominated by detection + re-execution rather than the paper's
-    /// production 30 s back-off.
-    pub ic_restart_delay: Duration,
     /// `T_max` for the run (virtual, [`beldi::BeldiConfig::t_max`]): the
     /// lease that kills an instance `T` after its launch, the window in
     /// which a root retry is admitted, and the GC's recycle horizon. It
@@ -139,22 +129,33 @@ pub struct ChaosOptions {
     /// included, or healthy instances die on the lease and retry storms
     /// livelock on it. At long-run scale (heavy queueing, modelled
     /// latency) size it against the observed request-latency tail, not
-    /// the smoke defaults.
+    /// the smoke defaults. The recovery check's ceiling is a third of it
+    /// ([`crate::gate::max_recovery_p99_ms`]).
     pub t_max: Duration,
     /// Re-launch killed intents (root retries + IC timers + post-run
     /// recovery drain). `false` is the sabotage configuration the
-    /// gates' own tests use: killed workflows stay dead, so the
-    /// conservation gates must fail.
+    /// recovery check's own tests use: killed workflows stay dead, so
+    /// its conservation check must fail.
     pub relaunch: bool,
 }
+
+/// Kill probability at each collector (`ic.*`/`gc.*`) crash point of a
+/// chaos drive.
+const COLLECTOR_KILL_PROB: f64 = 4e-3;
+
+/// Hard cap on a chaos drive's injected crashes, far above any run's
+/// count, so the cap check never shapes the schedule.
+const MAX_CRASHES: u64 = 10_000;
+
+/// IC restart delay of a chaos drive — short, so recovery latencies are
+/// dominated by detection + re-execution rather than the paper's
+/// production 30 s back-off.
+const CHAOS_IC_RESTART_DELAY: Duration = Duration::from_millis(100);
 
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
             ssf_kill_prob: 5e-4,
-            collector_kill_prob: 4e-3,
-            max_crashes: 10_000,
-            ic_restart_delay: Duration::from_millis(100),
             // Comfortably above the smoke-scale latency tail (~30 s
             // virtual): the lease should catch genuine zombies, not
             // routinely kill slow-but-healthy instances.
@@ -258,12 +259,12 @@ wire_fields!(StorageSample:
 );
 
 /// The storage-growth record of one run: periodic [`StorageSample`]s
-/// plus end-of-run DAAL statistics. See `DESIGN.md` §10 for how the CI
-/// growth gate consumes this.
+/// plus end-of-run DAAL statistics. See `DESIGN.md` §10 for how
+/// `drive --gc`'s growth check reads this.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StorageSeries {
     /// Samples in time order; the last one is taken after the workers
-    /// finish (the steady-state endpoint the growth gate checks).
+    /// finish (the steady-state endpoint the growth check reads).
     pub samples: Vec<StorageSample>,
     /// Longest DAAL chain (rows reachable from `HEAD`) across every
     /// Beldi data-table key at the end of the run; zero in non-Beldi
@@ -416,6 +417,10 @@ impl BenchRun {
     }
 
     /// Serializes the run for the JSON report.
+    #[expect(
+        clippy::expect_used,
+        reason = "`wire_fields!` encodes a struct, never `None`"
+    )]
     pub fn to_value(&self) -> Value {
         self.encode().expect("a record always encodes")
     }
@@ -427,10 +432,10 @@ impl BenchRun {
     }
 }
 
-/// The HTTP front door's smoke run (`beldi-bench front --smoke`): one
+/// The HTTP front door's run (`drive --smoke`'s front door row): one
 /// seeded request stream through real sockets, then the same stream
 /// in-process. The door admits requests on the environment's `SimClock`,
-/// so every field is a function of the seed and the flags.
+/// so every field is a function of the seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontRun {
     /// App driven ("media" / "social" / "travel").
@@ -658,7 +663,7 @@ fn build_bench_env(
         // A `t_max` sized for chaos-inflated execution times rather than
         // the GC-test default.
         cfg = cfg
-            .with_ic_restart_delay(c.ic_restart_delay)
+            .with_ic_restart_delay(CHAOS_IC_RESTART_DELAY)
             .with_t_max(c.t_max);
     }
     let mut builder = BeldiEnv::builder(cfg)
@@ -681,7 +686,7 @@ struct RunShape<'a> {
     gc: bool,
     /// Whether the intent collector runs beside the load (chaos runs,
     /// except with `relaunch: false`, which keeps the IC off so killed
-    /// workflows stay dead and the conservation gates have something to
+    /// workflows stay dead and the conservation check has something to
     /// catch).
     ic: bool,
     /// Chaos runs pin every workflow root to a deterministic instance id
@@ -720,8 +725,8 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         beldi_simfaas::silence_crash_backtraces();
         faults.set_storm_policy(Some(StormPolicy {
             ssf_prob: c.ssf_kill_prob,
-            collector_prob: c.collector_kill_prob,
-            max_crashes: c.max_crashes,
+            collector_prob: COLLECTOR_KILL_PROB,
+            max_crashes: MAX_CRASHES,
             seed: opts.seed,
         }));
     }
@@ -748,6 +753,10 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         // to stay dead.
         faults.set_storm_policy(None);
         if c.relaunch {
+            #[expect(
+                clippy::expect_used,
+                reason = "with the storm off no probe kills a drain pass, and the in-memory store fails no call the IC makes"
+            )]
             env.drain_recovery(50)
                 .expect("recovery drain must not fail");
         }

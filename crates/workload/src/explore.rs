@@ -216,11 +216,13 @@ impl ExploreReport {
 /// self-test asserts. Workloads whose writes don't depend on earlier
 /// reads (pure stores, self-correcting list appends) cannot expose a
 /// read-replay bug, which is exactly why the canary runs here.
-pub struct PipelineApp;
-
-/// [`PipelineApp`] with a planted exactly-once bug (see
-/// [`PipelineApp::sabotaged`]).
-struct SabotagedPipeline;
+/// `PipelineApp::default()` runs the correct protocol.
+#[derive(Default)]
+pub struct PipelineApp {
+    /// Whether `root` reads its counter straight from the store (the
+    /// planted bug) instead of through the read log.
+    unlogged_count: bool,
+}
 
 impl PipelineApp {
     /// The explorer's canary: the same pipeline, except that `root` takes
@@ -229,18 +231,27 @@ impl PipelineApp {
     /// sweep over it must report violations; one that does not has lost
     /// its teeth.
     pub fn sabotaged() -> Box<dyn WorkflowApp> {
-        Box::new(SabotagedPipeline)
+        Box::new(PipelineApp {
+            unlogged_count: true,
+        })
+    }
+}
+
+impl WorkflowApp for PipelineApp {
+    fn kind(&self) -> &'static str {
+        "pipeline"
     }
 
-    /// Registers the two SSFs; `logged_count` is whether `root` reads its
-    /// counter through the read log (the correct protocol) or straight
-    /// from the store (the planted bug).
-    fn register(env: &BeldiEnv, logged_count: bool) {
+    fn entry_point(&self) -> &'static str {
+        "root"
+    }
+
+    fn setup(&self, env: &BeldiEnv) {
         use std::sync::Arc;
         // The unlogged read goes through a captured handle, which makes
         // the environment own a reference to itself: sabotaged
         // environments are leaked, a price only the self-test pays.
-        let store = (!logged_count).then(|| env.clone());
+        let store = self.unlogged_count.then(|| env.clone());
         env.register_ssf(
             "worker",
             &["wt"],
@@ -272,20 +283,6 @@ impl PipelineApp {
             }),
         );
     }
-}
-
-impl WorkflowApp for PipelineApp {
-    fn kind(&self) -> &'static str {
-        "pipeline"
-    }
-
-    fn entry_point(&self) -> &'static str {
-        "root"
-    }
-
-    fn setup(&self, env: &BeldiEnv) {
-        PipelineApp::register(env, true);
-    }
 
     fn gen_request(&self, rng: &mut SmallRng) -> Value {
         Value::Int(rng.gen_range(0..100i64))
@@ -307,32 +304,6 @@ impl WorkflowApp for PipelineApp {
                 .unwrap_or(0)
         };
         get("root", "rt", "count") + get("root", "rt", "gate") + get("worker", "wt", "count")
-    }
-}
-
-impl WorkflowApp for SabotagedPipeline {
-    fn kind(&self) -> &'static str {
-        PipelineApp.kind()
-    }
-
-    fn entry_point(&self) -> &'static str {
-        PipelineApp.entry_point()
-    }
-
-    fn setup(&self, env: &BeldiEnv) {
-        PipelineApp::register(env, false);
-    }
-
-    fn gen_request(&self, rng: &mut SmallRng) -> Value {
-        PipelineApp.gen_request(rng)
-    }
-
-    fn canonical_state(&self, env: &BeldiEnv) -> Value {
-        PipelineApp.canonical_state(env)
-    }
-
-    fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        PipelineApp.effect_count(env)
     }
 }
 

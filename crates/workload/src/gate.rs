@@ -9,12 +9,16 @@
 //! from the baseline in any field but `wall_ms`. A change that moves a
 //! number on purpose commits the regenerated baseline beside it.
 //!
-//! [`growth_gate`] and [`recovery_gate`] check correctness bounds of GC
-//! and chaos drives; those are properties of one report, not diffs.
+//! [`growth_gate`], [`recovery_gate`] and [`front_gate`] are the checks
+//! `drive --gc`, `drive --chaos` and `drive --smoke` run over the report
+//! they make: properties of one report, not diffs, each with a bound
+//! that is a constant or comes from the run's own settings.
+
+use std::time::Duration;
 
 use beldi::value::{json, Value};
 
-use crate::driver::{runs_by_key, BenchReport, BenchRun, REBASELINE};
+use crate::driver::{runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, REBASELINE};
 
 /// Most differing fields listed per run before the rest are counted.
 const MAX_LISTED_DIFFS: usize = 8;
@@ -114,21 +118,26 @@ pub fn gate(baseline: &BenchReport, current: &BenchReport) -> Vec<String> {
     failures
 }
 
+/// The allowed growth of a GC run's metadata and data rows from its
+/// midpoint to its end, as a fraction of the midpoint count.
+pub const MAX_GROWTH: f64 = 0.25;
+
 /// Slack added to the plateau bound so tiny absolute counts (a handful
 /// of intents in flight at sample time) never trip the ratio check.
-const GROWTH_SLACK_ROWS: u64 = 64;
+pub const GROWTH_SLACK_ROWS: u64 = 64;
 
 /// Checks one GC-enabled run's storage series for *bounded* steady-state
 /// growth, appending human-readable failures.
 ///
-/// The property gated: once online GC reaches steady state, Beldi's
+/// The property checked: once online GC reaches steady state, Beldi's
 /// metadata tables (intents, logs, shadows, disconnected DAAL rows) stop
-/// growing — the row count at the end of the run must not materially
-/// exceed the count at the midpoint. Without GC both grow linearly with
-/// requests, so a broken (or never-firing) collector fails loudly. Also
-/// rejected: zero completed GC passes, too few samples to judge, and any
+/// growing — the row count at the end of the run must not exceed the
+/// count at the midpoint by more than [`MAX_GROWTH`] plus
+/// [`GROWTH_SLACK_ROWS`]. Without GC both grow linearly with requests,
+/// so a broken (or never-firing) collector fails loudly. Also rejected:
+/// zero completed GC passes, too few samples to judge, and any
 /// corrupt-chain report.
-fn check_growth(run: &BenchRun, max_growth: f64, failures: &mut Vec<String>) {
+fn check_growth(run: &BenchRun, failures: &mut Vec<String>) {
     let key = run.key();
     let samples = &run.storage.samples;
     if samples.len() < 4 {
@@ -153,7 +162,7 @@ fn check_growth(run: &BenchRun, max_growth: f64, failures: &mut Vec<String>) {
         ("metadata", mid.meta_rows, last.meta_rows),
         ("data", mid.data_rows, last.data_rows),
     ] {
-        let bound = (mid_rows as f64 * (1.0 + max_growth)) as u64 + GROWTH_SLACK_ROWS;
+        let bound = (mid_rows as f64 * (1.0 + MAX_GROWTH)) as u64 + GROWTH_SLACK_ROWS;
         if end_rows > bound {
             failures.push(format!(
                 "{key}: {label} rows grew {mid_rows} → {end_rows} between the run midpoint \
@@ -163,68 +172,72 @@ fn check_growth(run: &BenchRun, max_growth: f64, failures: &mut Vec<String>) {
     }
 }
 
-/// The storage-growth gate over a GC-enabled driver report: every
-/// GC-enabled run must show bounded steady-state metadata/data growth
-/// (see [`check_growth`]). `max_growth` is the allowed fractional
-/// increase between the run midpoint and the end (e.g. `0.25`).
+/// The storage-growth check of a `drive --gc` report: every GC-enabled
+/// run must show bounded steady-state metadata/data growth (see
+/// [`check_growth`]).
 ///
 /// Runs recorded with `gc: false` are skipped — Baseline mode has no
 /// collectors, so a `drive --gc --mode all` report legitimately mixes
 /// both — but a report with *no* GC-enabled run at all fails rather
-/// than passing vacuously (it means the gate was pointed at the wrong
-/// file or the drive was misconfigured).
-pub fn growth_gate(report: &BenchReport, max_growth: f64) -> Vec<String> {
+/// than passing vacuously.
+pub fn growth_gate(report: &BenchReport) -> Vec<String> {
     let mut failures = Vec::new();
     let gc_runs: Vec<&BenchRun> = report.runs.iter().filter(|r| r.gc).collect();
     if gc_runs.is_empty() {
         failures.push("growth gate: report contains no GC-enabled runs".to_owned());
     }
     for run in gc_runs {
-        check_growth(run, max_growth, &mut failures);
+        check_growth(run, &mut failures);
     }
     failures
 }
 
-/// The chaos-recovery gate over a chaos driver report.
+/// The recovery-latency ceiling of a chaos run whose lease is `t_max`:
+/// `T/3`, in virtual milliseconds. A casualty comes back after one IC
+/// restart delay plus its re-execution, far inside the lease; a third of
+/// the lease leaves room for a long run's queueing and, at the smoke
+/// lease of 60 s, still catches a relaunch stuck behind the production
+/// 30 s back-off.
+pub fn max_recovery_p99_ms(t_max: Duration) -> u64 {
+    (t_max.as_millis() / 3) as u64
+}
+
+/// The recovery check of a `drive --chaos` report whose storm ran under
+/// the lease `t_max`.
 ///
 /// Every chaos run (one carrying a [`crate::driver::RecoverySection`])
 /// must have survived its crash storm with exactly-once semantics
 /// intact:
 ///
 /// - the conservation digest equals the crash-free oracle's;
-/// - duplicate effects beyond the oracle are within
-///   `max_duplicate_effects` (CI pins this to zero);
+/// - no effect beyond the oracle's (exactly-once is not tunable);
 /// - the collectors counted no corruption: the IC quarantined no
 ///   intent, and the GC skipped no corrupt chain or intent;
-/// - recovery p99 (virtual ms) is within the `max_recovery_p99_ms` SLO.
+/// - recovery p99 (virtual ms) is at most [`max_recovery_p99_ms`].
 ///
 /// Vacuous passes are rejected: a report with no chaos run at all fails,
 /// as does a chaos run whose storm never actually injected a crash or
 /// whose recovery series is empty despite injected *workflow* crashes —
-/// both mean the gate is checking nothing. Crashes that landed only on
+/// both mean the check is checking nothing. Crashes that landed only on
 /// collector passes (`ic.*`/`gc.*` sites) are exempt from the
 /// recovery-series requirement: a killed collector pass has no intent to
 /// recover, so such a storm is still a meaningful digest check.
-pub fn recovery_gate(
-    report: &BenchReport,
-    max_recovery_p99_ms: u64,
-    max_duplicate_effects: i64,
-) -> Vec<String> {
+pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
+    let max_p99 = max_recovery_p99_ms(t_max);
     let mut failures = Vec::new();
-    let chaos_runs: Vec<&BenchRun> = report
+    let chaos_runs: Vec<(&BenchRun, &RecoverySection)> = report
         .runs
         .iter()
-        .filter(|r| r.recovery.is_some())
+        .filter_map(|r| Some((r, r.recovery.as_ref()?)))
         .collect();
     if chaos_runs.is_empty() {
         failures.push("recovery gate: report contains no chaos runs".to_owned());
     }
-    for run in chaos_runs {
+    for (run, rec) in chaos_runs {
         let key = run.key();
-        let rec = run.recovery.as_ref().expect("filtered on recovery");
         if rec.injected_crashes == 0 {
             failures.push(format!(
-                "{key}: the storm injected no crashes — the chaos gate is vacuous \
+                "{key}: the storm injected no crashes — the chaos check is vacuous \
                  (raise the kill rates or the op count)"
             ));
         } else {
@@ -253,11 +266,11 @@ pub fn recovery_gate(
                 run.state_digest, rec.oracle_digest
             ));
         }
-        if rec.duplicate_effects > max_duplicate_effects {
+        if rec.duplicate_effects > 0 {
             failures.push(format!(
-                "{key}: {} duplicate effect(s) beyond the crash-free oracle (max {}) — \
+                "{key}: {} duplicate effect(s) beyond the crash-free oracle — \
                  exactly-once is violated",
-                rec.duplicate_effects, max_duplicate_effects
+                rec.duplicate_effects
             ));
         }
         if rec.ic_corrupt + rec.gc_corrupt > 0 {
@@ -266,12 +279,32 @@ pub fn recovery_gate(
                 rec.ic_corrupt, rec.gc_corrupt
             ));
         }
-        if rec.recovery_p99_ms > max_recovery_p99_ms {
+        if rec.recovery_p99_ms > max_p99 {
             failures.push(format!(
-                "{key}: recovery p99 {} ms exceeds the SLO ceiling {} ms",
-                rec.recovery_p99_ms, max_recovery_p99_ms
+                "{key}: recovery p99 {} ms exceeds T/3 = {max_p99} ms",
+                rec.recovery_p99_ms
             ));
         }
+    }
+    failures
+}
+
+/// The check of the front door's row (`drive --smoke`): the state the
+/// door served must equal the in-process replay's, and every request
+/// over the wire must have been answered.
+pub fn front_gate(front: &FrontRun) -> Vec<String> {
+    let mut failures = Vec::new();
+    if front.front_digest != front.inproc_digest {
+        failures.push(format!(
+            "front door digest {} != in-process digest {} — the networked state diverged",
+            front.front_digest, front.inproc_digest
+        ));
+    }
+    if front.errors > 0 {
+        failures.push(format!(
+            "{} of {} request(s) through the door failed",
+            front.errors, front.requests
+        ));
     }
     failures
 }
@@ -352,6 +385,9 @@ mod tests {
             ..run("media", 4, 10.0, 0)
         }
     }
+
+    /// The smoke storm's lease.
+    const T_MAX: Duration = Duration::from_secs(60);
 
     fn report(runs: Vec<BenchRun>) -> BenchReport {
         BenchReport {
@@ -479,15 +515,26 @@ mod tests {
     fn growth_gate_accepts_a_plateau() {
         // Metadata grows during warm-up, then plateaus: bounded.
         let r = gc_run(&[400, 700, 820, 800, 790, 810], 30);
-        let failures = growth_gate(&report(vec![r]), 0.25);
+        let failures = growth_gate(&report(vec![r]));
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    /// The bound is the midpoint count × 1.25 + 64 rows: 800 → 1,064.
+    #[test]
+    fn growth_gate_holds_at_the_bound_and_fails_one_row_past() {
+        let at_bound = gc_run(&[400, 700, 800, 800, 900, 1_064], 30);
+        assert_eq!(growth_gate(&report(vec![at_bound])), Vec::<String>::new());
+        let past = gc_run(&[400, 700, 800, 800, 900, 1_065], 30);
+        let failures = growth_gate(&report(vec![past]));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("800 → 1065") && failures[0].contains("bound 1064"));
     }
 
     #[test]
     fn growth_gate_rejects_linear_growth() {
         // Metadata keeps climbing past the midpoint: GC is not keeping up.
         let r = gc_run(&[500, 1000, 1500, 2000, 2500, 3000], 30);
-        let failures = growth_gate(&report(vec![r]), 0.25);
+        let failures = growth_gate(&report(vec![r]));
         assert!(
             failures.iter().any(|f| f.contains("not reaching")),
             "{failures:?}"
@@ -498,14 +545,14 @@ mod tests {
     fn growth_gate_rejects_degenerate_runs() {
         // GC never fired.
         let r = gc_run(&[100, 100, 100, 100], 0);
-        let failures = growth_gate(&report(vec![r]), 0.25);
+        let failures = growth_gate(&report(vec![r]));
         assert!(
             failures.iter().any(|f| f.contains("never completed")),
             "{failures:?}"
         );
 
         // No GC-enabled run in the whole report: never pass vacuously.
-        let failures = growth_gate(&report(vec![run("media", 1, 10.0, 0)]), 0.25);
+        let failures = growth_gate(&report(vec![run("media", 1, 10.0, 0)]));
         assert!(
             failures.iter().any(|f| f.contains("no GC-enabled runs")),
             "{failures:?}"
@@ -516,11 +563,11 @@ mod tests {
             gc_run(&[400, 700, 800, 790], 10),
             run("media", 1, 10.0, 0),
         ]);
-        assert!(growth_gate(&mixed, 0.25).is_empty());
+        assert!(growth_gate(&mixed).is_empty());
 
         // Too few samples to judge.
         let r = gc_run(&[100, 100], 5);
-        let failures = growth_gate(&report(vec![r]), 0.25);
+        let failures = growth_gate(&report(vec![r]));
         assert!(
             failures.iter().any(|f| f.contains("too short")),
             "{failures:?}"
@@ -529,20 +576,20 @@ mod tests {
         // Corruption is always fatal.
         let mut r = gc_run(&[100, 100, 100, 100], 5);
         r.storage.samples.last_mut().unwrap().gc_corrupt_chains = 1;
-        let failures = growth_gate(&report(vec![r]), 0.25);
+        let failures = growth_gate(&report(vec![r]));
         assert!(
             failures.iter().any(|f| f.contains("corrupt")),
             "{failures:?}"
         );
 
         // An empty report never passes vacuously.
-        let failures = growth_gate(&report(vec![]), 0.25);
+        let failures = growth_gate(&report(vec![]));
         assert!(!failures.is_empty());
     }
 
     #[test]
     fn recovery_gate_passes_healthy_chaos_run() {
-        let failures = recovery_gate(&report(vec![chaos_run("travel")]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![chaos_run("travel")]), T_MAX);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -551,7 +598,7 @@ mod tests {
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().digest_match = false;
         r.recovery.as_mut().unwrap().oracle_digest = "ffff".into();
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("digest mismatch")),
             "{failures:?}"
@@ -562,25 +609,52 @@ mod tests {
     fn recovery_gate_rejects_duplicate_effects() {
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().duplicate_effects = 2;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("duplicate effect")),
             "{failures:?}"
         );
-        // A looser ceiling admits the same run.
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().duplicate_effects = 2;
-        assert!(recovery_gate(&report(vec![r]), 2_000, 2).is_empty());
+    }
+
+    /// The ceiling is a third of the run's lease: 20,000 ms at 60 s.
+    #[test]
+    fn recovery_gate_rejects_slow_recovery() {
+        let at = |p99_ms| {
+            let mut r = chaos_run("travel");
+            r.recovery.as_mut().unwrap().recovery_p99_ms = p99_ms;
+            recovery_gate(&report(vec![r]), T_MAX)
+        };
+        assert_eq!(at(20_000), Vec::<String>::new());
+        let failures = at(20_001);
+        assert_eq!(
+            failures,
+            ["travel/beldi/w4: recovery p99 20001 ms exceeds T/3 = 20000 ms"]
+        );
+        assert_eq!(max_recovery_p99_ms(Duration::from_secs(3_600)), 1_200_000);
     }
 
     #[test]
-    fn recovery_gate_rejects_slow_recovery() {
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().recovery_p99_ms = 5_000;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+    fn front_gate_rejects_a_diverged_or_erroring_door() {
+        let sound = crate::driver::FrontRun {
+            requests: 64,
+            front_digest: "abcd".into(),
+            inproc_digest: "abcd".into(),
+            ..crate::wire::Wire::decode(None)
+        };
+        assert_eq!(front_gate(&sound), Vec::<String>::new());
+        let diverged = crate::driver::FrontRun {
+            inproc_digest: "ffff".into(),
+            ..sound.clone()
+        };
+        let failures = front_gate(&diverged);
         assert!(
-            failures.iter().any(|f| f.contains("SLO ceiling")),
+            failures[0].contains("digest abcd != in-process digest ffff"),
             "{failures:?}"
+        );
+        let erroring = crate::driver::FrontRun { errors: 1, ..sound };
+        assert_eq!(
+            front_gate(&erroring),
+            ["1 of 64 request(s) through the door failed"]
         );
     }
 
@@ -588,7 +662,7 @@ mod tests {
     fn recovery_gate_rejects_corrupt_intents() {
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().ic_corrupt = 1;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("corrupt intent")),
             "{failures:?}"
@@ -599,7 +673,7 @@ mod tests {
     fn recovery_gate_rejects_gc_counted_corruption() {
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().gc_corrupt = 1;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("GC skipped 1 corrupt")),
             "{failures:?}"
@@ -611,7 +685,7 @@ mod tests {
         // A storm that never fired proves nothing.
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().injected_crashes = 0;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("vacuous")),
             "{failures:?}"
@@ -620,7 +694,7 @@ mod tests {
         // Crashes without a single observed recovery are just as vacuous.
         let mut r = chaos_run("travel");
         r.recovery.as_mut().unwrap().recovered_intents = 0;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures
                 .iter()
@@ -629,7 +703,7 @@ mod tests {
         );
 
         // A report with no chaos run at all fails too.
-        let failures = recovery_gate(&report(vec![run("travel", 4, 10.0, 0)]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![run("travel", 4, 10.0, 0)]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("no chaos runs")),
             "{failures:?}"
@@ -650,7 +724,7 @@ mod tests {
         .into_iter()
         .collect();
         rec.recovered_intents = 0;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(failures.is_empty(), "{failures:?}");
 
         // One workflow kill among the collector kills re-arms the
@@ -664,7 +738,7 @@ mod tests {
         .into_iter()
         .collect();
         rec.recovered_intents = 0;
-        let failures = recovery_gate(&report(vec![r]), 2_000, 0);
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures
                 .iter()

@@ -22,9 +22,12 @@
 //! The [`driver`] module adds the closed-loop counterpart: `N` client
 //! workers saturate one shared environment and emit a machine-readable
 //! [`BenchReport`] (`BENCH_results.json`), which the [`gate`] module
-//! compares against a checked-in baseline in CI (DESIGN.md §9).
+//! compares against a checked-in baseline in CI and checks for bounded
+//! storage growth, crash recovery and the front door's agreement
+//! (DESIGN.md §9).
 
 #![warn(clippy::let_underscore_must_use)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod driver;
 pub mod explore;
@@ -38,5 +41,5 @@ pub use driver::{
     InFlightSeries, RecoverySection, StorageSample, StorageSeries,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
-pub use gate::{gate, growth_gate, recovery_gate};
+pub use gate::{front_gate, gate, growth_gate, recovery_gate};
 pub use runner::{RateRunner, RunReport};

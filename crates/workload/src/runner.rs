@@ -99,7 +99,9 @@ impl RateRunner {
             handles.push(self.clock.spawn(name, Box::new(body)));
         }
         for h in handles {
-            h.join().expect("issuer thread panicked");
+            if let Err(panic) = h.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
 
         let elapsed = self.clock.now().since(start).as_secs_f64().max(1e-9);

@@ -243,6 +243,11 @@ fn report_of(run: BenchRun, opts: &DriveOptions) -> BenchReport {
     }
 }
 
+/// The storm lease of a chaos drive, which sets its recovery ceiling.
+fn lease(opts: &DriveOptions) -> Duration {
+    opts.chaos.as_ref().expect("a chaos drive").t_max
+}
+
 /// A crash storm over live traffic with online IC + GC must end in the
 /// crash-free oracle's state: every killed workflow is finished exactly
 /// once by a root retry or an intent-collector re-launch, and nothing is
@@ -268,7 +273,7 @@ fn chaos_storm_with_relaunch_recovers_to_the_oracle_state() {
         rec.crash_sites
     );
 
-    let failures = recovery_gate(&report_of(run, &opts), u64::MAX, 0);
+    let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
     assert!(failures.is_empty(), "{failures:?}");
 }
 
@@ -342,7 +347,7 @@ fn disabling_relaunch_fails_the_conservation_gate() {
         "dead workflows left no trace? {:?}",
         run.recovery
     );
-    let failures = recovery_gate(&report_of(run, &opts), u64::MAX, 0);
+    let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
     assert!(
         failures.iter().any(|f| f.contains("digest mismatch")),
         "{failures:?}"
@@ -453,7 +458,7 @@ fn async_chaos_storm_recovers_to_the_oracle_state() {
     assert!(rec.digest_match, "conservation violated: {rec:?}");
     assert_eq!(rec.duplicate_effects, 0, "{rec:?}");
     assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
-    let failures = recovery_gate(&report_of(run, &opts), u64::MAX, 0);
+    let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
     assert!(failures.is_empty(), "{failures:?}");
 }
 
@@ -545,7 +550,7 @@ fn online_gc_conserves_state_and_bounds_storage() {
             nogc_meta
         );
         // And the growth gate accepts the run.
-        let failures = beldi_workload::growth_gate(&report_of(with_gc, &opts), 0.25);
+        let failures = beldi_workload::growth_gate(&report_of(with_gc, &opts));
         assert!(failures.is_empty(), "{kind}: {failures:?}");
     }
 }

@@ -17,7 +17,7 @@ fn depth1_sweep_of_pipeline_is_clean() {
         requests: 3,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
+    let report = explore(&PipelineApp::default(), Mode::Beldi, &opts);
     assert!(
         report.ok(),
         "clean pipeline must pass every schedule:\n{:#?}",
@@ -40,7 +40,7 @@ fn depth1_sweep_in_cross_table_mode_is_clean() {
         requests: 2,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::CrossTable, &opts);
+    let report = explore(&PipelineApp::default(), Mode::CrossTable, &opts);
     assert!(report.ok(), "{:#?}", report.violations);
     assert!(report.crash_points > 20);
 }
@@ -50,7 +50,11 @@ fn baseline_mode_runs_oracle_only() {
     // Baseline mode makes no exactly-once claim — a crashed instance is
     // simply lost — so the explorer verifies the crash-free oracle and
     // schedules nothing.
-    let report = explore(&PipelineApp, Mode::Baseline, &ExploreOptions::default());
+    let report = explore(
+        &PipelineApp::default(),
+        Mode::Baseline,
+        &ExploreOptions::default(),
+    );
     assert!(report.ok(), "{:#?}", report.violations);
     assert_eq!(report.schedules, 0);
     assert_eq!(report.crashes_injected, 0);
@@ -65,7 +69,7 @@ fn depth2_scripted_pairs_are_clean() {
         depth2_samples: 6,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
+    let report = explore(&PipelineApp::default(), Mode::Beldi, &opts);
     assert!(report.ok(), "{:#?}", report.violations);
     // The depth-2 pairs each landed at least their first crash; most land
     // both, so the total must exceed the depth-1 count.
@@ -102,7 +106,7 @@ fn canary_bug_is_caught_by_the_sweep() {
     );
     // And the identical sweep without the canary is clean — the detection
     // is the bug, not the harness.
-    let clean = explore(&PipelineApp, Mode::Beldi, &opts);
+    let clean = explore(&PipelineApp::default(), Mode::Beldi, &opts);
     assert!(clean.ok(), "{:#?}", clean.violations);
 }
 
@@ -116,8 +120,8 @@ fn explorer_verdict_is_seed_stable() {
         seed: 0xBE1D1,
         ..ExploreOptions::default()
     };
-    let a = explore(&PipelineApp, Mode::Beldi, &opts);
-    let b = explore(&PipelineApp, Mode::Beldi, &opts);
+    let a = explore(&PipelineApp::default(), Mode::Beldi, &opts);
+    let b = explore(&PipelineApp::default(), Mode::Beldi, &opts);
     assert_eq!(a, b, "same seed must reproduce the same report");
     assert!(a.ok(), "{:#?}", a.violations);
 }
@@ -129,7 +133,7 @@ fn explorer_verdict_is_seed_stable() {
 fn storm_policy_is_seed_stable() {
     let run = || {
         let env = BeldiEnv::for_tests();
-        PipelineApp.setup(&env);
+        PipelineApp::default().setup(&env);
         env.platform().faults().start_trace();
         env.platform().faults().set_storm_policy(Some(StormPolicy {
             ssf_prob: 0.05,
@@ -141,7 +145,7 @@ fn storm_policy_is_seed_stable() {
             env.invoke("root", beldi::value::Value::Int(i)).unwrap();
         }
         let trace = env.platform().faults().take_trace();
-        let state = PipelineApp.canonical_state(&env);
+        let state = PipelineApp::default().canonical_state(&env);
         let fired: Vec<(u64, beldi::Label)> = trace
             .iter()
             .filter(|t| t.crashed)
@@ -169,10 +173,10 @@ fn gc_quiesces_after_every_explored_schedule() {
         gc_check: true,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::Beldi, &opts);
+    let report = explore(&PipelineApp::default(), Mode::Beldi, &opts);
     assert!(report.ok(), "{:#?}", report.violations);
 
-    let xt = explore(&PipelineApp, Mode::CrossTable, &opts);
+    let xt = explore(&PipelineApp::default(), Mode::CrossTable, &opts);
     assert!(xt.ok(), "{:#?}", xt.violations);
 }
 
@@ -192,8 +196,8 @@ fn gc_interleaved_sweep_is_clean_and_covers_gc_crash_points() {
         gc_interleave: true,
         ..plain.clone()
     };
-    let base = explore(&PipelineApp, Mode::Beldi, &plain);
-    let report = explore(&PipelineApp, Mode::Beldi, &interleaved);
+    let base = explore(&PipelineApp::default(), Mode::Beldi, &plain);
+    let report = explore(&PipelineApp::default(), Mode::Beldi, &interleaved);
     assert!(
         report.ok(),
         "GC-interleaved sweep must pass every schedule:\n{:#?}",
@@ -211,7 +215,7 @@ fn gc_interleaved_sweep_is_clean_and_covers_gc_crash_points() {
     // Every schedule — including those that killed a GC pass — fired.
     assert_eq!(report.crashes_injected, report.schedules as u64);
     // And the interleaved sweep is reproducible.
-    let again = explore(&PipelineApp, Mode::Beldi, &interleaved);
+    let again = explore(&PipelineApp::default(), Mode::Beldi, &interleaved);
     assert_eq!(report, again, "interleaved exploration must be seed-stable");
 }
 
@@ -226,7 +230,7 @@ fn gc_interleaved_cross_table_sweep_with_quiescence_is_clean() {
         gc_check: true,
         ..ExploreOptions::default()
     };
-    let report = explore(&PipelineApp, Mode::CrossTable, &opts);
+    let report = explore(&PipelineApp::default(), Mode::CrossTable, &opts);
     assert!(report.ok(), "{:#?}", report.violations);
 }
 
@@ -351,7 +355,7 @@ fn every_crash_label_is_reached_or_listed() {
         stride: 3,
         ..ExploreOptions::default()
     };
-    reached.extend(explore(&PipelineApp, Mode::Beldi, &sweep).reached_labels);
+    reached.extend(explore(&PipelineApp::default(), Mode::Beldi, &sweep).reached_labels);
 
     let wrong: Vec<String> = Label::ALL
         .into_iter()
