@@ -609,7 +609,7 @@ fn case_b(
 /// `LogSize` its bookkeeping cannot update): the row's decode error, when
 /// it breaks a rule, else the store's.
 fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) -> BeldiError {
-    let key = pk.hash.as_str().unwrap_or_default();
+    let key = pk.hash_value().as_str().unwrap_or_default();
     match p.db.get(table, pk, None) {
         Ok(Some(row)) => DaalRow::decode(table.name(), key, &row)
             .err()

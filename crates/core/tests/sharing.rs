@@ -250,10 +250,10 @@ fn an_id_the_protocol_stores_several_times_is_one_string() {
     let id = intent.get_attr(A_ID).expect("an id");
     assert_eq!(
         id.as_str(),
-        Some(&*callee_id(entry_key.hash.as_str().unwrap()))
+        Some(&*callee_id(entry_key.hash_value().as_str().unwrap()))
     );
-    assert_eq!(&intent_key.hash, id);
-    assert_eq!(text(&intent_key.hash), text(id));
+    assert_eq!(intent_key.hash_value(), id);
+    assert_eq!(text(intent_key.hash_value()), text(id));
     let steps = stored(&env, &intent_table("callee"), A_LOG_STEPS);
     assert_eq!(steps, Value::List(vec![Value::Int(0)]));
 
@@ -266,8 +266,8 @@ fn an_id_the_protocol_stores_several_times_is_one_string() {
         .next()
         .expect("its read-log entry");
     let log_key = row.get_attr(A_LOG_KEY).expect("a log key");
-    assert_eq!(&key.hash, log_key);
-    assert_eq!(text(&key.hash), text(log_key));
+    assert_eq!(key.hash_value(), log_key);
+    assert_eq!(text(key.hash_value()), text(log_key));
     // ...and the key the collector computes from the intent and its step.
     let callee_id = id.as_str().expect("a string");
     assert_eq!(log_key.as_str(), Some(&*beldi::log_key(callee_id, 0)));

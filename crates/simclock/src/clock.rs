@@ -122,6 +122,10 @@ pub trait Clock: Send + Sync {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "`Clock::spawn` documents the panic: a body the host gives no thread cannot run"
+)]
 pub(crate) fn spawn_named(
     name: String,
     body: impl FnOnce() + Send + 'static,

@@ -38,6 +38,7 @@
 //! [`Telemetry`] ([`telemetry`]), with its virtual-time [`Histogram`].
 
 #![warn(clippy::let_underscore_must_use)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 #[cfg(test)]
 mod clippy_canaries;

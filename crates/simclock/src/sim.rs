@@ -124,14 +124,23 @@ impl State {
         }
     }
 
-    fn make_runnable(&mut self, now: u64, id: usize) {
-        let p = self.participants.get_mut(&id).expect("a live participant");
-        if let Wait::Sleep(at) | Wait::Park(Some(at)) = p.wait {
+    /// Participant `id`, or the report of a schedule that lost it (every
+    /// id the clock holds — a timer's, a joiner's, a thread's — names a
+    /// registered participant until its exit removes them all).
+    fn participant(&mut self, id: usize) -> Result<&mut Participant, String> {
+        self.participants
+            .get_mut(&id)
+            .ok_or_else(|| format!("SimClock lost participant {id}"))
+    }
+
+    fn make_runnable(&mut self, now: u64, id: usize) -> Result<(), String> {
+        let was = std::mem::replace(&mut self.participant(id)?.wait, Wait::Runnable);
+        if let Wait::Sleep(at) | Wait::Park(Some(at)) = was {
             self.timers.remove(&(at, id));
         }
-        p.wait = Wait::Runnable;
         self.runnable.push(id);
         self.log(now, "wake", id);
+        Ok(())
     }
 
     fn describe_waits(&self) -> String {
@@ -169,7 +178,7 @@ impl Inner {
                 let id = s.runnable.swap_remove(pick);
                 s.running = Some(id);
                 s.log(self.now.load(Ordering::Relaxed), "run", id);
-                let p = s.participants.get_mut(&id).expect("a live participant");
+                let p = s.participant(id)?;
                 p.wait = Wait::Running;
                 p.granted.notify_one();
                 return Ok(());
@@ -192,7 +201,7 @@ impl Inner {
                 if due != at {
                     break;
                 }
-                s.make_runnable(now, id);
+                s.make_runnable(now, id)?;
             }
         }
     }
@@ -204,6 +213,13 @@ impl Inner {
             p.granted.notify_one();
         }
         s.poisoned = Some(report);
+    }
+
+    /// Stops the schedule and panics with `report`, for a participant
+    /// that cannot go on (the others panic with it when they block).
+    fn fail(&self, s: &mut State, report: String) -> ! {
+        self.poison(s, report.clone());
+        panic!("{report}");
     }
 
     fn current(&self, s: &State) -> usize {
@@ -224,19 +240,18 @@ impl Inner {
             panic!("{report}");
         }
         debug_assert_eq!(s.running, Some(id), "only the baton holder can block");
-        match wait {
+        let queued = match wait {
             Wait::Sleep(at) | Wait::Park(Some(at)) => {
                 s.timers.insert((at, id));
+                Ok(())
             }
-            Wait::Join(target) => {
-                let target = s.participants.get_mut(&target).expect("a live target");
-                target.joiners.push(id);
-            }
-            _ => {}
-        }
-        s.participants.get_mut(&id).expect("the caller").wait = wait;
+            Wait::Join(target) => s.participant(target).map(|t| t.joiners.push(id)),
+            _ => Ok(()),
+        };
+        let waiting = queued.and_then(|()| s.participant(id).map(|p| p.wait = wait));
         s.running = None;
-        if let Err(report) = self.dispatch(&mut s) {
+        // A report poisons the clock, and `await_baton` panics with it.
+        if let Err(report) = waiting.and_then(|()| self.dispatch(&mut s)) {
             self.poison(&mut s, report);
         }
         self.await_baton(s, id);
@@ -277,13 +292,14 @@ impl Inner {
             return;
         };
         let now = self.now.load(Ordering::Relaxed);
-        for joiner in gone.joiners {
-            s.make_runnable(now, joiner);
-        }
+        let woken = gone
+            .joiners
+            .into_iter()
+            .try_for_each(|joiner| s.make_runnable(now, joiner));
         s.running = None;
         // A drop guard must not panic: the threads left behind report
-        // the deadlock.
-        if let Err(report) = self.dispatch(&mut s) {
+        // the deadlock, or the lost participant.
+        if let Err(report) = woken.and_then(|()| self.dispatch(&mut s)) {
             self.poison(&mut s, report);
         }
     }
@@ -385,7 +401,11 @@ impl Clock for SimClock {
     fn park_until(&self, deadline: Option<SimInstant>) {
         let mut s = self.inner.state.lock();
         let id = self.inner.current(&s);
-        if std::mem::take(&mut s.participants.get_mut(&id).expect("the caller").token) {
+        let token = match s.participant(id) {
+            Ok(p) => std::mem::take(&mut p.token),
+            Err(report) => self.inner.fail(&mut s, report),
+        };
+        if token {
             return;
         }
         if deadline.is_some_and(|d| d <= self.now()) {
@@ -400,13 +420,19 @@ impl Clock for SimClock {
         let Some(&id) = s.by_thread.get(&thread.id()) else {
             return;
         };
-        let p = s.participants.get_mut(&id).expect("a live participant");
-        match p.wait {
-            Wait::Park(_) => {
+        let woken = match s.participant(id) {
+            Ok(p) if matches!(p.wait, Wait::Park(_)) => {
                 let now = self.inner.now.load(Ordering::Relaxed);
-                s.make_runnable(now, id);
+                s.make_runnable(now, id)
             }
-            _ => p.token = true,
+            Ok(p) => {
+                p.token = true;
+                Ok(())
+            }
+            Err(report) => Err(report),
+        };
+        if let Err(report) = woken {
+            self.inner.fail(&mut s, report);
         }
     }
 
@@ -417,7 +443,9 @@ impl Clock for SimClock {
         let mut s = self.inner.state.lock();
         let id = self.inner.current(&s);
         let now = self.inner.now.load(Ordering::Relaxed);
-        s.make_runnable(now, id);
+        if let Err(report) = s.make_runnable(now, id) {
+            self.inner.fail(&mut s, report);
+        }
         self.inner.block(s, id, Wait::Runnable);
     }
 
@@ -427,9 +455,11 @@ impl Clock for SimClock {
             let id = s.register(name.clone(), Wait::Runnable);
             s.runnable.push(id);
             if s.running.is_none() && s.poisoned.is_none() {
-                self.inner
-                    .dispatch(&mut s)
-                    .expect("a runnable participant was just added");
+                // A participant was just added, so this finds one to run
+                // unless the schedule lost track of its own.
+                if let Err(report) = self.inner.dispatch(&mut s) {
+                    self.inner.fail(&mut s, report);
+                }
             }
             id
         };

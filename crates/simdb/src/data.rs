@@ -119,8 +119,8 @@ impl TableData {
                 // the key's values are shared handles, so this copies
                 // nothing), with room for what the update adds.
                 let mut m = Map::with_capacity(2 + update.actions().len());
-                m.insert(schema.hash_attr.clone(), key.hash.clone());
-                if let (Some(attr), Some(sort)) = (&schema.sort_attr, &key.sort) {
+                m.insert(schema.hash_attr.clone(), key.hash_value().clone());
+                if let (Some(attr), Some(sort)) = (&schema.sort_attr, key.sort_value()) {
                     m.insert(attr.clone(), sort.clone());
                 }
                 let mut row = Value::Map(m);
@@ -216,8 +216,8 @@ impl TableData {
     pub(crate) fn distinct_hash_keys(&self) -> Vec<Value> {
         let mut out: Vec<Value> = Vec::new();
         for key in self.rows.keys() {
-            if out.last() != Some(&key.hash) {
-                out.push(key.hash.clone());
+            if out.last() != Some(key.hash_value()) {
+                out.push(key.hash_value().clone());
             }
         }
         out

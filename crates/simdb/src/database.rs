@@ -506,10 +506,8 @@ impl Database {
         req: &ScanRequest,
         out: &mut Vec<Value>,
     ) -> Option<PrimaryKey> {
-        let first = hash.map(|hash| PrimaryKey {
-            hash: hash.clone(),
-            sort: None,
-        });
+        // The first key of `hash`: no sort value orders before every one.
+        let first = hash.map(|hash| PrimaryKey::new(hash.clone(), None));
         let lo = match (after, &first) {
             (Some(key), _) => Bound::Excluded(key),
             (None, Some(first)) => Bound::Included(first),
@@ -518,7 +516,7 @@ impl Database {
         let (mut rows, mut bytes, mut last, mut unexamined) = (0, 0, None, false);
         let data = self.lock(t);
         for (key, row) in data.rows.range((lo, Bound::Unbounded)) {
-            if hash.is_some_and(|hash| *hash != key.hash) {
+            if hash.is_some_and(|hash| hash != key.hash_value()) {
                 break;
             }
             if rows == self.page_rows {

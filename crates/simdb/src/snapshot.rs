@@ -217,9 +217,15 @@ mod tests {
         assert_eq!(diff.len(), 3);
         let tables: Vec<&str> = diff.rows.iter().map(|r| r.table.as_str()).collect();
         assert_eq!(tables, vec!["app.data", "app.data", "app.data"]);
-        let extra = diff.rows.iter().find(|r| r.key.hash == "extra".into());
+        let extra = diff
+            .rows
+            .iter()
+            .find(|r| *r.key.hash_value() == "extra".into());
         assert!(extra.unwrap().left.is_none());
-        let missing = diff.rows.iter().find(|r| r.key.hash == "k5".into());
+        let missing = diff
+            .rows
+            .iter()
+            .find(|r| *r.key.hash_value() == "k5".into());
         assert!(missing.unwrap().right.is_none());
         // Display is stable and readable.
         assert!(diff.summarize(1).contains("3 differing row(s)"));

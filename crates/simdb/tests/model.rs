@@ -94,10 +94,7 @@ fn key_of(schema: &TableSchema, item: &Value) -> Result<PrimaryKey, DbError> {
         item.get_attr(name).cloned().ok_or_else(missing)
     };
     let sort = schema.sort_attr.as_deref().map(attr).transpose()?;
-    Ok(PrimaryKey {
-        hash: attr(&schema.hash_attr)?,
-        sort,
-    })
+    Ok(PrimaryKey::new(attr(&schema.hash_attr)?, sort))
 }
 
 fn fits(schema: &TableSchema, row: Value) -> Result<Value, DbError> {
@@ -119,8 +116,8 @@ fn updated(
 ) -> Result<Value, DbError> {
     let mut row = row.cloned().unwrap_or_else(|| {
         let mut m = Map::new();
-        m.insert(s.hash_attr.clone(), key.hash.clone());
-        if let (Some(attr), Some(sort)) = (&s.sort_attr, &key.sort) {
+        m.insert(s.hash_attr.clone(), key.hash_value().clone());
+        if let (Some(attr), Some(sort)) = (&s.sort_attr, key.sort_value()) {
             m.insert(attr.clone(), sort.clone());
         }
         Value::Map(m)
@@ -197,7 +194,11 @@ impl Model {
                 (Vec::new(), bill!(deletes: 1))
             }
             Op::Query(t, hash, p) => {
-                let rows = self.table(t)?.1.iter().filter(|(key, _)| key.hash == *hash);
+                let rows = self
+                    .table(t)?
+                    .1
+                    .iter()
+                    .filter(|(key, _)| key.hash_value() == hash);
                 let items: Vec<Value> = rows.map(|(_, row)| read(row, p)).collect();
                 let (n, b) = (items.len(), bytes(&items));
                 (
@@ -233,7 +234,7 @@ impl Model {
                     .table(t)?
                     .1
                     .keys()
-                    .map(|key| key.hash.clone())
+                    .map(|key| key.hash_value().clone())
                     .collect();
                 keys.dedup();
                 let bill = bill!(scans: 1, rows_scanned: keys.len());
@@ -449,9 +450,9 @@ fn item(table: &str, k: usize, attrs: &[(usize, usize)], drop_key: bool) -> Valu
     for &(a, v) in attrs {
         m.insert(["Tag", "N", "S", "M", "L"][a % 5], value(v));
     }
-    m.insert(s.hash_attr.clone(), key.hash);
-    if let (Some(attr), Some(sort)) = (s.sort_attr, key.sort) {
-        m.insert(attr, sort);
+    m.insert(s.hash_attr.clone(), key.hash_value().clone());
+    if let (Some(attr), Some(sort)) = (s.sort_attr, key.sort_value()) {
+        m.insert(attr, sort.clone());
     }
     if drop_key {
         m.remove(s.hash_attr.as_str());
@@ -542,7 +543,7 @@ fn op() -> impl Strategy<Value = Op> {
         (0..20usize, 0..64usize, cond())
             .prop_map(|(t, k, c)| Op::Delete(table(t), key(table(t), k), c)),
         (0..20usize, 0..64usize, projection())
-            .prop_map(|(t, k, p)| Op::Query(table(t), key(table(t), k).hash, p)),
+            .prop_map(|(t, k, p)| Op::Query(table(t), key(table(t), k).hash_value().clone(), p)),
         (0..20usize, projection()).prop_map(|(t, p)| Op::Scan(table(t), p)),
         (0..13usize, 0..8usize, 0..4usize, projection()).prop_map(|(t, a, v, p)| {
             let attr = if a == 0 { "N" } else { "Tag" };

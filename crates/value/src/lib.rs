@@ -34,7 +34,7 @@ mod value;
 pub use cond::Cond;
 pub use error::{ValueError, ValueResult};
 pub use fnv::Fnv1a;
-pub use map::{Entries, Iter, IterMut, Map};
+pub use map::{IntoIter, Iter, IterMut, Map};
 pub use name::Name;
 pub use path::{Path, PathSegment};
 pub use size::SizeOf;

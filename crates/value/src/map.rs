@@ -3,63 +3,172 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::mem;
-use std::ops::{Deref, DerefMut};
 use std::slice;
 use std::sync::Arc;
-use std::vec;
 
 use crate::name::Name;
 use crate::value::Value;
 
-/// A [`Name`]-keyed attribute map: a copy-on-write handle to a vector of
+/// A [`Name`]-keyed attribute map: a copy-on-write handle to one block of
 /// entries kept sorted by name (ordered keys keep scans and dumps
 /// deterministic). A lookup is a binary search.
 ///
+/// The handle is the block and the number of entries in use; the block
+/// holds the entries inline, after its reference counts, so reading a
+/// map is one dependent load and building one is one allocation. Its
+/// spare slots hold a blank entry (an empty constant name, `Null`) that no
+/// method shows.
+///
 /// `clone` bumps a reference count, so a value the protocol stores several
-/// times — a call's input, its outcome, a logged read — is one vector with
-/// several handles. Reading goes through `Deref` (`get` takes a `&str`).
-/// Writing goes through [`Map::insert`] or `DerefMut`: a uniquely held map
-/// is updated in place; the first write through a *shared* handle copies
-/// the entries (themselves handles) and leaves every other handle as it
-/// was. A copy therefore never observes a later write to the original.
-/// Code that only decodes a map it may share should borrow from it rather
-/// than take fields out of it.
+/// times — a call's input, its outcome, a logged read — is one block with
+/// several handles. Writing goes through [`Map::insert`] and the other
+/// `&mut self` methods: a uniquely held map is updated in place; the first
+/// write through a *shared* handle copies the entries (themselves handles)
+/// and leaves every other handle as it was. A copy therefore never
+/// observes a later write to the original. Code that only decodes a map it
+/// may share should borrow from it rather than take fields out of it.
 ///
 /// Entries are sized, not padded. An entry is 56 B (a 24 B name, a 32 B
-/// value) and the protocol's maps hold 2 to 8 of them, so the vector holds
+/// value) and the protocol's maps hold 2 to 8 of them, so a block holds
 /// what it was given room for: a builder that knows its size says so
-/// ([`Map::with_capacity`]), an insert into a full map
-/// grows it by one entry, and a write that copies a shared map allocates
-/// the copy at the size the write needs.
+/// ([`Map::with_capacity`]), and a write that copies a shared map
+/// allocates the copy at the size the write needs. A uniquely held map
+/// that is full grows to exactly the size it needs up to 8 entries, and
+/// beyond that to at least twice its room, so a map grown one entry at a
+/// time allocates once per entry up to 8 and once per doubling after.
 ///
 /// Equality, order, hash and `Debug` go by content, as for a
 /// `BTreeMap<String, Value>`. An empty map holds no allocation. `Value`
 /// stays `Send + Sync`.
 #[derive(Clone, Default)]
-pub struct Map(Option<Arc<Entries>>);
+pub struct Map {
+    /// The entries (the first `len`) and the spare slots after them.
+    block: Option<Arc<[(Name, Value)]>>,
+    len: usize,
+}
 
-/// The entries of a [`Map`], sorted by name, each name once: what a map
-/// reads and writes through.
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Entries(Vec<(Name, Value)>);
+/// The largest block a full map grows to exactly; beyond it a block at
+/// least doubles.
+const EXACT_GROWTH: usize = 8;
 
-static EMPTY: Entries = Entries(Vec::new());
+/// What a spare slot holds: nothing that owns memory.
+fn spare() -> (Name, Value) {
+    (Name::from(""), Value::Null)
+}
+
+/// The room a full block of `room` slots grows to when `need` entries
+/// must fit.
+fn grown(room: usize, need: usize) -> usize {
+    match need <= EXACT_GROWTH {
+        true => need,
+        false => need.max(2 * room),
+    }
+}
+
+/// A block of `capacity` slots, the first filled by `entry`, the rest
+/// spare: one allocation (the iterator knows its length).
+fn block_of(
+    capacity: usize,
+    mut entry: impl FnMut(usize) -> Option<(Name, Value)>,
+) -> Arc<[(Name, Value)]> {
+    (0..capacity)
+        .map(|i| entry(i).unwrap_or_else(spare))
+        .collect()
+}
+
+/// The whole of `block`, whose first `len` slots are entries, held by
+/// its handle alone, with room for `additional` more entries.
+fn unique(
+    block: &mut Option<Arc<[(Name, Value)]>>,
+    len: usize,
+    additional: usize,
+) -> &mut [(Name, Value)] {
+    let need = len + additional;
+    let fresh = match block {
+        None if need == 0 => None,
+        None => Some(block_of(need, |_| None)),
+        Some(shared) => match Arc::get_mut(shared) {
+            Some(owned) if need <= owned.len() => None,
+            // Full and held alone: moved into a block grown by the rule.
+            Some(owned) => Some(block_of(grown(owned.len(), need), |i| {
+                (i < len).then(|| mem::replace(&mut owned[i], spare()))
+            })),
+            // Shared: copied at exactly the size the write needs.
+            None => Some(block_of(need, |i| shared[..len].get(i).cloned())),
+        },
+    };
+    if fresh.is_some() {
+        *block = fresh;
+    }
+    match block {
+        // Held by this handle alone by now, so this copies nothing.
+        Some(block) => Arc::make_mut(block),
+        None => &mut [],
+    }
+}
 
 impl Map {
     /// An empty map; allocates nothing.
     pub const fn new() -> Self {
-        Map(None)
+        Map {
+            block: None,
+            len: 0,
+        }
     }
 
-    /// An empty map with room for `capacity` entries.
+    /// An empty map with room for `capacity` entries, in one allocation.
     pub fn with_capacity(capacity: usize) -> Self {
-        Map((capacity > 0).then(|| Arc::new(Entries(Vec::with_capacity(capacity)))))
+        Map {
+            block: (capacity > 0).then(|| block_of(capacity, |_| None)),
+            len: 0,
+        }
     }
 
     /// True when both handles share one allocation (two empty maps that hold
     /// none do not).
     pub fn ptr_eq(a: &Map, b: &Map) -> bool {
-        matches!((&a.0, &b.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+        matches!((&a.block, &b.block), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// The entries in name order.
+    fn entries(&self) -> &[(Name, Value)] {
+        match &self.block {
+            Some(block) => &block[..self.len],
+            None => &[],
+        }
+    }
+
+    /// Where `name` is, or where it would go.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries()
+            .binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
+    /// The number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The value under `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.find(name).ok().map(|i| &self.entries()[i].1)
+    }
+
+    /// True when there is a value under `name`.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.find(name).is_ok()
+    }
+
+    /// The value under `name`, to write to. A shared map is copied only
+    /// when it has one.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        let i = self.find(name).ok()?;
+        Some(&mut self.unique(0)[i].1)
     }
 
     /// Inserts `value` under `name`, returning what was there. A constant
@@ -67,9 +176,9 @@ impl Map {
     pub fn insert(&mut self, name: impl Into<Name>, value: Value) -> Option<Value> {
         let name = name.into();
         match self.find(&name) {
-            Ok(i) => Some(mem::replace(&mut self.unique(0).0[i].1, value)),
+            Ok(i) => Some(mem::replace(&mut self.unique(0)[i].1, value)),
             Err(i) => {
-                self.unique(1).0.insert(i, (name, value));
+                self.insert_at(i, (name, value));
                 None
             }
         }
@@ -83,119 +192,109 @@ impl Map {
         value: impl FnOnce() -> Value,
     ) -> (&mut Value, bool) {
         match self.find(name) {
-            Ok(i) => (&mut self.unique(0).0[i].1, false),
-            Err(i) => {
-                let entries = &mut self.unique(1).0;
-                entries.insert(i, (name.clone(), value()));
-                (&mut entries[i].1, true)
+            Ok(i) => (&mut self.unique(0)[i].1, false),
+            Err(i) => (self.insert_at(i, (name.clone(), value())), true),
+        }
+    }
+
+    /// Puts `entry` at `i`, shifting the entries from `i` on; returns its
+    /// value, to write to.
+    fn insert_at(&mut self, i: usize, entry: (Name, Value)) -> &mut Value {
+        let len = self.len;
+        let block = unique(&mut self.block, len, 1);
+        self.len += 1;
+        block[len] = entry;
+        block[i..=len].rotate_right(1);
+        &mut block[i].1
+    }
+
+    /// Removes the value under `name`, returning it.
+    pub fn remove(&mut self, name: &str) -> Option<Value> {
+        let i = self.find(name).ok()?;
+        let len = self.len;
+        let block = unique(&mut self.block, len, 0);
+        self.len -= 1;
+        block[i..len].rotate_left(1);
+        Some(mem::replace(&mut block[len - 1], spare()).1)
+    }
+
+    /// Keeps the entries `keep` says to keep, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Name, &mut Value) -> bool) {
+        let len = self.len;
+        let entries = &mut self.unique(0)[..len];
+        let mut kept = 0;
+        for i in 0..len {
+            let (k, v) = &mut entries[i];
+            if keep(k, v) {
+                entries.swap(kept, i);
+                kept += 1;
             }
         }
+        entries[kept..].fill_with(spare);
+        self.len = kept;
     }
 
     /// Makes room for `additional` more entries, in one allocation at
     /// most: a shared map is copied at its final size, a full one grows by
-    /// exactly that much.
+    /// the growth rule.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.unique(additional);
     }
 
-    /// The entries, held by this handle alone, with room for `additional`
-    /// more.
-    fn unique(&mut self, additional: usize) -> &mut Entries {
-        let shared = self
-            .0
-            .get_or_insert_with(|| Arc::new(Entries(Vec::with_capacity(additional))));
-        if Arc::get_mut(shared).is_none() {
-            let mut copy = Vec::with_capacity(shared.len() + additional);
-            copy.extend_from_slice(&shared.0);
-            *shared = Arc::new(Entries(copy));
-        }
-        // Held by this handle alone by now, so this copies nothing.
-        let entries = Arc::make_mut(shared);
-        entries.0.reserve_exact(additional);
-        entries
+    /// The whole block, entries and spare slots, held by this handle alone,
+    /// with room for `additional` more entries.
+    fn unique(&mut self, additional: usize) -> &mut [(Name, Value)] {
+        unique(&mut self.block, self.len, additional)
     }
-}
 
-impl Entries {
-    /// Where `name` is, or where it would go.
-    fn find(&self, name: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    /// Appends an entry out of order (sorted later by
+    /// [`Map::sort_last_wins`]).
+    fn push(&mut self, entry: (Name, Value)) {
+        let len = self.len;
+        self.unique(1)[len] = entry;
+        self.len += 1;
     }
 
     /// Sorts entries put in any order; of equal names the last one put in
     /// wins.
     fn sort_last_wins(&mut self) {
+        let len = self.len;
+        if self.entries().is_sorted_by(|a, b| a.0 < b.0) {
+            return;
+        }
+        let entries = &mut self.unique(0)[..len];
         // A stable sort keeps equal names in the order they were put in.
-        self.0.sort_by(|a, b| a.0.cmp(&b.0));
-        self.0.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                mem::swap(&mut later.1, &mut kept.1);
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut kept = 0;
+        for i in 1..len {
+            if entries[i].0 != entries[kept].0 {
+                kept += 1;
             }
-            same
-        });
-    }
-
-    /// The number of entries.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The value under `name`.
-    pub fn get(&self, name: &str) -> Option<&Value> {
-        self.find(name).ok().map(|i| &self.0[i].1)
-    }
-
-    /// True when there is a value under `name`.
-    pub fn contains_key(&self, name: &str) -> bool {
-        self.find(name).is_ok()
-    }
-
-    /// The value under `name`, to write to.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.find(name).ok().map(|i| &mut self.0[i].1)
-    }
-
-    /// Removes the value under `name`, returning it.
-    pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.find(name).ok().map(|i| self.0.remove(i).1)
-    }
-
-    /// Keeps the entries `keep` says to keep, in order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Name, &mut Value) -> bool) {
-        self.0.retain_mut(|(k, v)| keep(k, v));
+            entries.swap(kept, i);
+        }
+        entries[kept + 1..].fill_with(spare);
+        self.len = kept + 1;
     }
 
     /// The entries in name order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter(self.0.iter())
+        Iter(self.entries().iter())
     }
 
     /// The entries in name order, their values to write to.
     pub fn iter_mut(&mut self) -> IterMut<'_> {
-        IterMut(self.0.iter_mut())
+        let len = self.len;
+        IterMut(self.unique(0)[..len].iter_mut())
     }
 
     /// The names in order.
     pub fn keys(&self) -> impl DoubleEndedIterator<Item = &Name> + ExactSizeIterator {
-        self.0.iter().map(|(k, _)| k)
+        self.entries().iter().map(|(k, _)| k)
     }
 
     /// The values in name order.
     pub fn values(&self) -> impl DoubleEndedIterator<Item = &Value> + ExactSizeIterator {
-        self.0.iter().map(|(_, v)| v)
-    }
-}
-
-impl fmt::Debug for Entries {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        self.entries().iter().map(|(_, v)| v)
     }
 }
 
@@ -246,27 +345,55 @@ impl DoubleEndedIterator for IterMut<'_> {
 
 impl ExactSizeIterator for IterMut<'_> {}
 
-impl Deref for Map {
-    type Target = Entries;
+/// The entries of an owned map in name order, moved out of its block: a
+/// uniquely held map is taken apart in place, a shared one copied once.
+pub struct IntoIter {
+    map: Map,
+    next: usize,
+}
 
-    fn deref(&self) -> &Entries {
-        self.0.as_deref().unwrap_or(&EMPTY)
+impl IntoIter {
+    /// The entry at `i`, moved out of the block (held alone since
+    /// [`Map::into_iter`], so this copies nothing).
+    fn take(&mut self, i: usize) -> (Name, Value) {
+        mem::replace(&mut self.map.unique(0)[i], spare())
     }
 }
 
-impl DerefMut for Map {
-    fn deref_mut(&mut self) -> &mut Entries {
-        self.unique(0)
+impl Iterator for IntoIter {
+    type Item = (Name, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (self.next < self.map.len).then(|| {
+            self.next += 1;
+            self.take(self.next - 1)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.map.len - self.next;
+        (left, Some(left))
     }
 }
+
+impl DoubleEndedIterator for IntoIter {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        (self.next < self.map.len).then(|| {
+            self.map.len -= 1;
+            self.take(self.map.len)
+        })
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
 
 /// Sorts once: of equal names the last wins, as [`Map::insert`] in turn
-/// would have it.
+/// would have it. One allocation for an iterator that knows its length.
 impl<K: Into<Name>> FromIterator<(K, Value)> for Map {
     fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
-        let mut entries = Entries(iter.into_iter().map(|(k, v)| (k.into(), v)).collect());
-        entries.sort_last_wins();
-        Map((!entries.is_empty()).then(|| Arc::new(entries)))
+        let mut map = Map::new();
+        map.extend(iter);
+        map
     }
 }
 
@@ -278,21 +405,21 @@ impl<K: Into<Name>> Extend<(K, Value)> for Map {
         if iter.peek().is_none() {
             return;
         }
-        let entries = self.unique(iter.size_hint().0);
-        entries.0.extend(iter.map(|(k, v)| (k.into(), v)));
-        entries.sort_last_wins();
+        self.reserve(iter.size_hint().0);
+        for (k, v) in iter {
+            self.push((k.into(), v));
+        }
+        self.sort_last_wins();
     }
 }
 
 impl IntoIterator for Map {
     type Item = (Name, Value);
-    type IntoIter = vec::IntoIter<(Name, Value)>;
+    type IntoIter = IntoIter;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.0
-            .map(|entries| Arc::unwrap_or_clone(entries).0)
-            .unwrap_or_default()
-            .into_iter()
+    fn into_iter(mut self) -> Self::IntoIter {
+        self.unique(0);
+        IntoIter { map: self, next: 0 }
     }
 }
 
@@ -333,18 +460,18 @@ impl Ord for Map {
         if Map::ptr_eq(self, other) {
             return Ordering::Equal;
         }
-        (**self).cmp(&**other)
+        self.entries().cmp(other.entries())
     }
 }
 
 impl std::hash::Hash for Map {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
+        self.entries().hash(state);
     }
 }
 
 impl fmt::Debug for Map {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
+        f.debug_map().entries(self.iter()).finish()
     }
 }

@@ -513,7 +513,7 @@ mod tests {
         assert_eq!(a.get_int("n"), Some(1));
         // A uniquely held map is written in place.
         drop(a);
-        let entries = |v: &Value| std::ptr::from_ref(&**map(v));
+        let entries = |v: &Value| std::ptr::from_ref(map(v).get("m").unwrap());
         let before = entries(&b);
         b.set_path(&Path::attr("n"), Value::Int(3)).unwrap();
         assert_eq!(before, entries(&b));

@@ -3,9 +3,10 @@
 //! the operations the protocol repeats for every row it touches — a copy
 //! of a string or a name, naming a constant attribute, re-setting an
 //! attribute a row has, taking a string out of a row it owns. It also
-//! pins how a map is sized: a builder that knows its size allocates it
-//! once, and a write that adds attributes grows a map, or copies a shared
-//! one, one time.
+//! pins how a map is sized: a map is one allocation, a builder that knows
+//! its size allocates it once, a write that adds attributes grows a map,
+//! or copies a shared one, one time, and a map grown one entry at a time
+//! follows the growth rule.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,30 +21,34 @@ struct Counting;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static REALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count() {
+/// Counts an allocation that asks the heap for `bytes` more.
+fn count(bytes: usize) {
     // Without a destructor the slot outlives every allocation of its thread.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; counting touches
 // only a thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        // A grow asks the heap for the difference; a shrink asks for nothing.
+        count(new_size.saturating_sub(layout.size()));
         let _ = REALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -80,6 +85,14 @@ const ATTR: &str = "RecentWrites";
 fn the_counter_counts() {
     assert_eq!(allocations(|| String::from("x")), 1);
     assert_eq!(allocations(|| Value::from("x")), 1);
+    assert_eq!(bytes(|| String::from("xyz")), 3);
+}
+
+/// Bytes `f` asks the heap for on this thread.
+fn bytes<R>(f: impl FnOnce() -> R) -> u64 {
+    let before = BYTES.with(Cell::get);
+    black_box(f());
+    BYTES.with(Cell::get) - before
 }
 
 #[test]
@@ -128,13 +141,14 @@ fn taking_a_string_from_an_owned_row_is_free() {
 const NAMES: [&str; 8] = ["a", "Value", "Log", "z", "Done", "b#1", "Ts", "m"];
 
 #[test]
-fn a_vmap_allocates_its_handle_and_its_entries_once() {
-    // Of 1, 2, 4 and 8 entries, none of whose values allocates.
-    assert_eq!(allocations(|| vmap! { "a" => 1i64 }), 2);
-    assert_eq!(allocations(|| vmap! { "a" => 1i64, "Value" => true }), 2);
+fn a_vmap_allocates_its_map_once() {
+    // Of 1, 2, 4 and 8 entries, none of whose values allocates: the
+    // entries sit in the block that holds the reference counts.
+    assert_eq!(allocations(|| vmap! { "a" => 1i64 }), 1);
+    assert_eq!(allocations(|| vmap! { "a" => 1i64, "Value" => true }), 1);
     assert_eq!(
         allocations(|| vmap! { "a" => 1i64, "Value" => true, "Log" => 3i64, "z" => Value::Null }),
-        2
+        1
     );
     let eight = || {
         vmap! {
@@ -142,8 +156,63 @@ fn a_vmap_allocates_its_handle_and_its_entries_once() {
             "Done" => false, "b#1" => 6i64, "Ts" => 7i64, "m" => 8i64,
         }
     };
-    assert_eq!(allocations(eight), 2);
+    assert_eq!(allocations(eight), 1);
     assert_eq!(eight().as_map().map(|m| m.len()), Some(8));
+}
+
+#[test]
+fn a_map_grown_one_entry_at_a_time_follows_the_growth_rule() {
+    // The bound, from the rule: blocks of exactly 1, 2, .., 8 entries,
+    // then 16, 32, 64 and 128; each block is 16 B of reference counts
+    // and 56 B an entry, and a fresh block asks for its whole size.
+    const BLOCKS: [u64; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 16, 32, 64, 128];
+    const MAX_ALLOCATIONS: u64 = BLOCKS.len() as u64;
+    let max_bytes: u64 = BLOCKS.iter().map(|slots| 16 + 56 * slots).sum();
+    assert_eq!(max_bytes, 15_648);
+
+    let names: Vec<Name> = (0..100).map(|i| Name::from(format!("w{i:03}"))).collect();
+    let mut map = Map::new();
+    let grow = |map: &mut Map| {
+        for name in &names {
+            map.insert(name.clone(), Value::Int(1));
+        }
+    };
+    let before = BYTES.with(Cell::get);
+    let (allocated, reallocated) = counts(|| grow(&mut map));
+    let asked = BYTES.with(Cell::get) - before;
+    assert!(
+        allocated <= MAX_ALLOCATIONS && reallocated == 0,
+        "{allocated} allocations, {reallocated} reallocations"
+    );
+    assert!(asked <= max_bytes, "{asked} B");
+    assert_eq!(map.len(), 100);
+    assert!(map.keys().eq(names.iter()));
+}
+
+#[test]
+fn collecting_a_map_allocates_once() {
+    // Eight names out of order, two of them twice: sorted and
+    // deduplicated in the block they were collected into.
+    let entries = || {
+        NAMES
+            .iter()
+            .chain(&NAMES[..2])
+            .map(|name| (*name, Value::Int(1)))
+    };
+    assert_eq!(allocations(|| entries().collect::<Map>()), 1);
+    let map: Map = entries().collect();
+    assert_eq!(map.len(), NAMES.len());
+    assert!(map.keys().is_sorted());
+}
+
+#[test]
+fn iterating_an_owned_map_moves_its_entries_out_in_place() {
+    let map: Map = NAMES.iter().map(|name| (*name, Value::Int(1))).collect();
+    let shared = map.clone();
+    // Shared: copied once, to take apart.
+    assert_eq!(allocations(|| shared.into_iter().count()), 1);
+    // Held alone: taken apart in its own block.
+    assert_eq!(allocations(|| map.into_iter().count()), 0);
 }
 
 #[test]
@@ -153,10 +222,11 @@ fn an_update_grows_a_row_it_holds_at_most_once() {
             .iter()
             .fold(Update::new(), |u, name| u.set(*name, Value::Int(1)));
         let mut row = vmap! { "Key" => 1i64 };
-        let (_, reallocations) = counts(|| update.apply(&mut row).unwrap());
+        // One block at the new size, and the undo log.
+        let (allocations, reallocations) = counts(|| update.apply(&mut row).unwrap());
         assert!(
-            reallocations <= 1,
-            "{k} attributes: {reallocations} reallocations"
+            allocations <= 2 && reallocations == 0,
+            "{k} attributes: {allocations} allocations, {reallocations} reallocations"
         );
         assert_eq!(row.as_map().map(|m| m.len()), Some(k + 1));
     }
@@ -165,16 +235,16 @@ fn an_update_grows_a_row_it_holds_at_most_once() {
 #[test]
 fn a_write_that_grows_a_shared_map_copies_it_once() {
     let original = vmap! { "Key" => 1i64, "Id" => 2i64 };
-    // One new attribute through `set_path`: the handle and the entries.
+    // One new attribute through `set_path`: one block, at the new size.
     let mut row = original.clone();
     let path = Path::attr("Log");
-    assert_eq!(counts(|| row.set_path(&path, Value::Int(3))), (2, 0));
-    // Several through one update: the same two, plus its undo log.
+    assert_eq!(counts(|| row.set_path(&path, Value::Int(3))), (1, 0));
+    // Several through one update: the same block, plus its undo log.
     let update = NAMES[..4]
         .iter()
         .fold(Update::new(), |u, name| u.set(*name, Value::Int(1)));
     let mut row = original.clone();
-    assert_eq!(counts(|| update.apply(&mut row).unwrap()), (3, 0));
+    assert_eq!(counts(|| update.apply(&mut row).unwrap()), (2, 0));
     assert_eq!(row.as_map().map(|m| m.len()), Some(6));
     assert_eq!(original.as_map().map(|m| m.len()), Some(2));
 }

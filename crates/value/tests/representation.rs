@@ -56,7 +56,7 @@ proptest! {
             .collect();
         let value = Value::Map(map.clone());
         prop_assert_eq!(json::to_json(&value), format!("{{{}}}", text.join(",")));
-        prop_assert_eq!(Fnv1a::digest(&*map), Fnv1a::digest(&strings));
+        prop_assert_eq!(Fnv1a::digest(&map), Fnv1a::digest(&strings));
         prop_assert_eq!(format!("{:?}", map), format!("{:?}", strings));
         // And it reads back as the same map.
         prop_assert_eq!(json::from_json(&json::to_json(&value)).unwrap(), value);
