@@ -14,15 +14,18 @@
 //! crashes commits. `--canary` sweeps the sabotaged
 //! `pipeline` workload (`PipelineApp::sabotaged`: its root re-reads
 //! fresh state on re-execution, a deliberate exactly-once bug) and
-//! *expects* the sweep to report violations (exit 0 when it does — the
-//! self-test).
+//! *expects* a beldi or cross-table sweep to report violations (exit 0
+//! when one does — the self-test).
 //!
-//! Exit status: 0 when every sweep is clean (or, under `--canary`, when
-//! the bug was caught); 1 otherwise. Every violation line carries the
-//! seed and schedule needed to replay it.
+//! Exit status: 0 when the `check:` line holds (`gate::crash_verdict`:
+//! beldi and cross-table are clean, and each app's baseline sweep has a
+//! run with more effects than its oracle, §2.1) or, under `--canary`,
+//! when a logged mode caught the bug; 1 otherwise.
+//! Every violation line carries the seed and schedule needed to replay it.
 
+use beldi::Mode;
 use beldi_apps::{small_app, WorkflowApp};
-use beldi_workload::{explore, ExploreOptions, PipelineApp};
+use beldi_workload::{crash_verdict, explore, CrashCheck, ExploreOptions, PipelineApp};
 
 use crate::cli::{usage_error, Args, Cli};
 
@@ -81,6 +84,7 @@ pub(crate) fn main(args: &Args) {
 
     let mut rows = Vec::new();
     let mut all_violations = Vec::new();
+    let mut reports = Vec::new();
     for kind in &apps {
         for &mode in &modes {
             let app: Box<dyn WorkflowApp> = match kind.as_str() {
@@ -100,17 +104,13 @@ pub(crate) fn main(args: &Args) {
                 report.violations.len().to_string(),
             ]);
             for v in &report.violations {
+                let (a, m) = (&report.app, report.mode.name());
                 all_violations.push(format!(
-                    "{} {} {} — replay: explore --app {} --mode {} --seed {} --requests {}",
-                    report.app,
-                    report.mode.name(),
-                    v,
-                    report.app,
-                    report.mode.name(),
-                    report.seed,
-                    report.requests,
+                    "{a} {m} {v} — replay: explore --app {a} --mode {m} --seed {} --requests {}",
+                    report.seed, report.requests,
                 ));
             }
+            reports.push(report);
         }
     }
 
@@ -136,14 +136,19 @@ pub(crate) fn main(args: &Args) {
     }
 
     if canary {
-        if all_violations.is_empty() {
+        // Baseline violates without the bug, so only a logged mode's count.
+        if !reports.iter().any(|r| r.mode != Mode::Baseline && !r.ok()) {
             eprintln!("canary mode: the planted bug was NOT detected — the checker is broken");
             std::process::exit(1);
         }
         println!("\ncanary mode: planted bug detected as expected");
         return;
     }
-    if !all_violations.is_empty() {
+    println!();
+    let what = "every beldi and cross-table sweep is clean, and every app's baseline sweep \
+                has a run with more effects than its crash-free oracle";
+    let failures = crash_verdict(reports.iter().map(CrashCheck::of_sweep));
+    if crate::print_verdict("check", what, &failures) {
         std::process::exit(1);
     }
 }

@@ -12,9 +12,9 @@ pub enum Mode {
     /// table (the SSF's log) updated via cross-table transactions instead
     /// of a linked DAAL (the comparator in Figs. 13, 16, 25).
     CrossTable,
-    /// Raw database/invocation calls with no fault-tolerance or
-    /// transactions (the paper's baseline; under crashes it corrupts
-    /// state, and the travel app returns inconsistent results).
+    /// Raw database/invocation calls, retried as in the logged modes but
+    /// never logged (the paper's baseline): a retry re-applies effects
+    /// (§2.1), so the crash checks expect violations here.
     Baseline,
 }
 

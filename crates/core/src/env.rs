@@ -294,8 +294,6 @@ struct RootCall<'a> {
 }
 
 impl<'a> RootCall<'a> {
-    /// Baseline mode makes one attempt whatever the budget: it has no
-    /// intent to re-drive.
     fn new(
         core: &'a EnvCore,
         name: &'a str,
@@ -309,10 +307,7 @@ impl<'a> RootCall<'a> {
             name,
             envelope: Envelope::call(Some(instance.clone()), input, None, false).into_value(),
             instance,
-            attempts_left: match core.config.mode {
-                Mode::Baseline => 1,
-                _ => max_attempts.max(1),
-            },
+            attempts_left: max_attempts.max(1),
             first_attempt_ms: core.platform.clock().now().as_millis(),
             last_err: None,
         }
@@ -328,7 +323,7 @@ impl<'a> RootCall<'a> {
         self.attempts_left -= 1;
         Some(match self.last_err {
             None => self.envelope.clone(),
-            Some(_) => Envelope::root_retry(&self.envelope, self.first_attempt_ms),
+            Some(_) => Envelope::retry(&self.envelope, self.first_attempt_ms),
         })
     }
 
@@ -340,9 +335,6 @@ impl<'a> RootCall<'a> {
                 Outcome::Expired => true,
                 outcome => return ControlFlow::Break(outcome.into_result()),
             },
-            Err(e) if self.core.config.mode == Mode::Baseline => {
-                return ControlFlow::Break(Err(BeldiError::Invoke(e)))
-            }
             Err(e) => {
                 self.last_err = Some(e);
                 false
@@ -350,12 +342,17 @@ impl<'a> RootCall<'a> {
         };
         // The instance may have completed before dying (e.g. crashed
         // after marking done): then the intent holds the return value.
+        // Baseline registers none, so it retries (§2.1).
         let ssf = match self.core.ssf(self.name) {
             Ok(ssf) => ssf,
             Err(e) => return ControlFlow::Break(Err(e)),
         };
         let table = &ssf.intent_table;
-        match intent::load(&self.core.db, table, &self.instance) {
+        let record = match self.core.config.mode {
+            Mode::Baseline => Ok(None),
+            _ => intent::load(&self.core.db, table, &self.instance),
+        };
+        match record {
             Ok(Some(rec)) if rec.done => {
                 self.core.record_recovery(&self.instance, rec.created_ms);
                 // The replay a retry would get.
@@ -480,8 +477,8 @@ impl BeldiEnv {
     /// once, and platform-level failures (crashes, timeouts) are retried
     /// with the *same* id until the intent completes — so the workflow
     /// executes exactly once no matter how many times its instances crash
-    /// mid-flight. In baseline mode there are no retries (and no
-    /// guarantees), matching the paper's comparison system.
+    /// mid-flight. Baseline retries the same way but logs nothing, so a
+    /// retry re-applies its killed attempt's effects (§2.1).
     ///
     /// # Errors
     ///
@@ -503,8 +500,6 @@ impl BeldiEnv {
     /// [`BeldiEnv::invoke_as`] with an explicit retry budget.
     ///
     /// `max_attempts = 1` disables the root's built-in re-launch.
-    /// Attempt budgets don't apply to baseline mode (which never
-    /// retries).
     pub fn invoke_attempts(
         &self,
         name: &str,
@@ -963,7 +958,7 @@ mod tests {
         let retry_at = |ms: u64| {
             env.clock()
                 .sleep_until(beldi_simclock::SimInstant::from_millis(ms));
-            let retry = Envelope::root_retry(&first, first_ms);
+            let retry = Envelope::retry(&first, first_ms);
             Outcome::from_reply(env.platform().invoke_sync("counter", retry).unwrap())
         };
         let intents = || env.db().row_count("counter.intent").unwrap();

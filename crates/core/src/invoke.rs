@@ -71,7 +71,7 @@ pub(crate) enum Envelope {
         txn: Option<TxnContext>,
         /// True when this call was issued asynchronously.
         is_async: bool,
-        /// A root retry's first-attempt time (virtual ms), checked by the
+        /// A retry's first-attempt time (virtual ms), checked by the
         /// wrapper against `T`; `None` on every other call.
         first_attempt_ms: Option<u64>,
     },
@@ -114,7 +114,7 @@ const K_CALLEE_ID: &str = "CalleeId";
 const K_RESULT: &str = "Result";
 
 impl Envelope {
-    /// A call outside a transaction and not a root's retry: every call
+    /// A call outside a transaction and not a retry: every call
     /// but a transactional callee's. The environment's entry points differ
     /// only in how the caller waits, not in this payload.
     pub(crate) fn call(
@@ -134,10 +134,10 @@ impl Envelope {
         }
     }
 
-    /// A root call's retry payload: the first attempt's payload `call`
-    /// with that attempt's time set. Only a retry pays for the copy; a
-    /// first attempt sends the payload built once.
-    pub(crate) fn root_retry(call: &Value, first_ms: u64) -> Value {
+    /// A retried call's payload: the first attempt's payload `call` with
+    /// that attempt's time set. Only a retry pays for the copy; a first
+    /// attempt sends the payload built once.
+    pub(crate) fn retry(call: &Value, first_ms: u64) -> Value {
         let mut retry = call.clone();
         if let Some(m) = retry.as_map_mut() {
             m.insert(K_FIRST_ATTEMPT, Value::Int(first_ms as i64));
@@ -431,14 +431,6 @@ impl SsfContext {
     /// (wait-die or user abort) — the caller should propagate it to its
     /// own `end_tx`.
     pub fn sync_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<Value> {
-        if self.mode() == crate::Mode::Baseline {
-            let env = Envelope::call(None, input, None, false);
-            let v = self
-                .platform()
-                .invoke_sync(callee, env.into_value())
-                .map_err(BeldiError::Invoke)?;
-            return Outcome::from_reply(v).into_result();
-        }
         let outcome = self.invoke_with_entry(callee, input)?;
         if matches!(outcome, Outcome::Abort) {
             if let Some(t) = &mut self.txn {
@@ -448,32 +440,44 @@ impl SsfContext {
         outcome.into_result()
     }
 
-    /// The exactly-once call loop: create/replay the invoke-log entry, then
-    /// call until a result is obtained (directly or via the callback
-    /// landing in the log).
+    /// The call loop: create/replay the invoke-log entry (none in baseline),
+    /// then call until a result is obtained (directly or via the callback
+    /// landing in the log, which baseline's callee, named by no caller, skips).
     fn invoke_with_entry(&mut self, callee: &str, input: Value) -> BeldiResult<Outcome> {
         let step = self.step;
-        let entry = self.invoke_entry(callee)?;
-        if let Some(outcome) = entry.result {
-            // A previous execution already has the callee's result.
-            return Ok(outcome);
-        }
+        let (callee_id, caller) = if self.mode() == crate::Mode::Baseline {
+            (crate::ids::callee_id(&self.next_log_key()), None)
+        } else {
+            let entry = self.invoke_entry(callee)?;
+            if let Some(outcome) = entry.result {
+                // A previous execution already has the callee's result.
+                return Ok(outcome);
+            }
+            (entry.callee_id, Some(self.ssf.name.clone()))
+        };
+        let logged = caller.is_some();
         let txn = self
             .txn
             .as_ref()
             .and_then(|t| (t.ctx.mode == TxnMode::Execute && !t.ended).then(|| t.ctx.clone()));
         let envelope = Envelope::Call {
-            id: Some(entry.callee_id.clone()),
+            id: Some(callee_id.clone()),
             input,
-            caller: Some(self.ssf.name.clone()),
+            caller,
             txn,
             is_async: false,
             first_attempt_ms: None,
         }
         .into_value();
+        // A baseline retry carries its first call's time: its recovery's start.
+        let first_call_ms = (!logged).then(|| self.clock().now().as_millis());
         self.crash(Label::InvokePreCall);
         for attempt in 0..MAX_INVOKE_ATTEMPTS {
-            match self.platform().invoke_sync(callee, envelope.clone()) {
+            let payload = match first_call_ms {
+                Some(first_ms) if attempt > 0 => Envelope::retry(&envelope, first_ms),
+                _ => envelope.clone(),
+            };
+            match self.platform().invoke_sync(callee, payload) {
                 Ok(v) => {
                     return match Outcome::from_reply(v) {
                         Outcome::Logged => self.logged_outcome(step),
@@ -481,10 +485,11 @@ impl SsfContext {
                     }
                 }
                 Err(_) => {
-                    // The callee (or the response channel) died. Its
-                    // callback may still have recorded the result.
+                    // The callee (or the response channel) died. A logged
+                    // callee's callback may still have recorded the result.
                     let log_key = crate::ids::log_key(self.instance(), step);
-                    if let Some(e) = self.reload_entry(&log_key)? {
+                    let entry = logged.then(|| self.reload_entry(&log_key)).transpose()?;
+                    if let Some(e) = entry.flatten() {
                         if let Some(outcome) = e.result {
                             // A killed callee whose callback landed is a
                             // completed recovery nobody else will observe:
@@ -494,10 +499,10 @@ impl SsfContext {
                             // Record it here, off the happy path.
                             let table = self.core.ssf(callee)?.intent_table.clone();
                             if let Some(rec) =
-                                crate::intent::load(&self.core.db, &table, &entry.callee_id)?
+                                crate::intent::load(&self.core.db, &table, &callee_id)?
                             {
                                 if rec.done {
-                                    self.core.record_recovery(&entry.callee_id, rec.created_ms);
+                                    self.core.record_recovery(&callee_id, rec.created_ms);
                                 }
                             }
                             return Ok(outcome);
@@ -831,7 +836,7 @@ mod tests {
         // A root retry is its first attempt's call plus that attempt's time.
         let first = Envelope::call(Some("r".into()), Value::Int(1), None, false).into_value();
         assert_eq!(
-            Envelope::from_value(Envelope::root_retry(&first, 12)).unwrap(),
+            Envelope::from_value(Envelope::retry(&first, 12)).unwrap(),
             cases[1]
         );
     }

@@ -52,8 +52,8 @@
 //! - [`Mode::CrossTable`] — exactly-once semantics using a separate log
 //!   table updated with cross-table transactions (the comparator in
 //!   Figs. 13/16/25);
-//! - [`Mode::Baseline`] — raw database and invocation calls with no
-//!   guarantees (the paper's baseline).
+//! - [`Mode::Baseline`] — raw database and invocation calls, retried
+//!   but never logged, with no guarantees (the paper's baseline).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

@@ -9,13 +9,14 @@
 //!   with DynamoDB-style `TransactWriteItems`;
 //! - **baseline** — raw reads/writes with no logging and no guarantees.
 //!
-//! This module implements the cross-table and baseline primitives; the
-//! logged wrappers in `ops.rs` dispatch between them and the DAAL.
+//! This module implements the cross-table primitives and the plain-table
+//! read both it and baseline use; `ops.rs::write_step` dispatches a write
+//! between them, the DAAL and a baseline's raw update.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "a cross-table write runs between Label::WriteEnter and Label::WriteExit \
-              (`ops.rs::write_step`); baseline mode has no exactly-once claim, so no probe"
+              (`ops.rs::write_step`); `seed_plain` loads data before any instance runs"
 )]
 
 use beldi_simdb::{Database, DbError, PrimaryKey, TableRef, TransactOp};
@@ -25,49 +26,13 @@ use crate::daal::WriteOutcome;
 use crate::error::{BeldiError, BeldiResult};
 use crate::schema::{self, A_FLAG, A_KEY, A_LOG_KEY, A_VALUE};
 
-// ---- Baseline ----
+// ---- Plain tables ----
 
 /// Raw read, baseline and cross-table: the `Value` attribute of the
 /// key's single row.
 pub(crate) fn baseline_read(db: &Database, table: &TableRef, key: &str) -> BeldiResult<Value> {
     let row = db.get(table, &PrimaryKey::hash(key), None)?;
     Ok(schema::data_value(row.as_ref()))
-}
-
-/// Raw unconditional write.
-pub(crate) fn baseline_write(
-    db: &Database,
-    table: &TableRef,
-    key: &str,
-    value: Value,
-) -> BeldiResult<()> {
-    db.update(
-        table,
-        &PrimaryKey::hash(key),
-        &Cond::True,
-        &Update::new().set(A_VALUE, value),
-    )?;
-    Ok(())
-}
-
-/// Raw conditional write; returns whether the condition held.
-pub(crate) fn baseline_cond_write(
-    db: &Database,
-    table: &TableRef,
-    key: &str,
-    value: Value,
-    cond: &Cond,
-) -> BeldiResult<bool> {
-    match db.update(
-        table,
-        &PrimaryKey::hash(key),
-        cond,
-        &Update::new().set(A_VALUE, value),
-    ) {
-        Ok(()) => Ok(true),
-        Err(DbError::ConditionFailed) => Ok(false),
-        Err(e) => Err(e.into()),
-    }
 }
 
 // ---- Cross-table transactional logging ----
@@ -173,43 +138,10 @@ mod tests {
             baseline_read(&db, &db.table("d"), "k").unwrap(),
             Value::Null
         );
-        baseline_write(&db, &db.table("d"), "k", Value::Int(3)).unwrap();
+        seed_plain(&db, &db.table("d"), "k", Value::Int(3)).unwrap();
         assert_eq!(
             baseline_read(&db, &db.table("d"), "k").unwrap(),
             Value::Int(3)
-        );
-        // Baseline writes are *not* idempotent per step — that is the
-        // point of the comparison.
-        baseline_write(&db, &db.table("d"), "k", Value::Int(4)).unwrap();
-        assert_eq!(
-            baseline_read(&db, &db.table("d"), "k").unwrap(),
-            Value::Int(4)
-        );
-    }
-
-    #[test]
-    fn baseline_cond_write_dispatches() {
-        let db = db();
-        baseline_write(&db, &db.table("d"), "k", Value::Int(1)).unwrap();
-        assert!(baseline_cond_write(
-            &db,
-            &db.table("d"),
-            "k",
-            Value::Int(2),
-            &Cond::eq(A_VALUE, 1i64)
-        )
-        .unwrap());
-        assert!(!baseline_cond_write(
-            &db,
-            &db.table("d"),
-            "k",
-            Value::Int(9),
-            &Cond::eq(A_VALUE, 1i64)
-        )
-        .unwrap());
-        assert_eq!(
-            baseline_read(&db, &db.table("d"), "k").unwrap(),
-            Value::Int(2)
         );
     }
 

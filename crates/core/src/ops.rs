@@ -50,9 +50,6 @@ impl SsfContext {
         let physical = self.data_table(table)?;
         self.crash(Label::ReadEnter);
         let val = self.raw_read_value(&physical, key)?;
-        if self.mode() == Mode::Baseline {
-            return Ok(val);
-        }
         self.log_value(val)
     }
 
@@ -78,12 +75,15 @@ impl SsfContext {
     /// authoritative value (the recorded one, on replay).
     ///
     /// This is the paper's read-logging tail (Fig. 5) and is reused for
-    /// every logged source of nondeterminism.
+    /// every logged source of nondeterminism. Baseline logs nothing.
     #[expect(
         clippy::disallowed_methods,
         reason = "between Label::ReadPreLog and Label::ReadPostLog"
     )]
     pub(crate) fn log_value(&mut self, val: Value) -> BeldiResult<Value> {
+        if self.mode() == Mode::Baseline {
+            return Ok(val);
+        }
         let step = self.step;
         let log_key = self.next_log_key();
         let log = &self.ssf.log_table;
@@ -126,9 +126,6 @@ impl SsfContext {
             return self.txn_write(table, key, value);
         }
         let physical = self.data_table(table)?;
-        if self.mode() == Mode::Baseline {
-            return modes::baseline_write(self.db(), &physical, key, value);
-        }
         let key = key.into();
         self.write_step(&physical, &key, Update::new().set(A_VALUE, value), None)?;
         Ok(())
@@ -153,9 +150,6 @@ impl SsfContext {
             return self.txn_cond_write(table, key, value, cond);
         }
         let physical = self.data_table(table)?;
-        if self.mode() == Mode::Baseline {
-            return modes::baseline_cond_write(self.db(), &physical, key, value, &cond);
-        }
         let out = self.write_step(
             &physical,
             &key.into(),
@@ -165,9 +159,9 @@ impl SsfContext {
         Ok(out.as_bool())
     }
 
-    /// One exactly-once write step against a physical table, dispatched by
-    /// mode. `payload` is the update applied on success; `user_cond`
-    /// optionally gates it (with the false outcome logged).
+    /// One write step against a physical table, dispatched by mode (in
+    /// baseline, unlogged). `payload` is the update applied on success;
+    /// `user_cond` optionally gates it (with the false outcome logged).
     ///
     /// Consumes one step number. Callers outside this module use it for
     /// lock transitions and transaction flushes.
@@ -179,11 +173,12 @@ impl SsfContext {
         user_cond: Option<&Cond>,
     ) -> BeldiResult<WriteOutcome> {
         let step = self.step;
-        let log_key = self.next_log_key();
+        self.step += 1;
+        let log_key = || crate::ids::log_key(self.instance(), step);
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
             Mode::Beldi => self.with_daal(physical, |p| {
-                daal::try_write(p, physical, key, &log_key, payload, user_cond)
+                daal::try_write(p, physical, key, &log_key(), payload, user_cond)
             })?,
             Mode::CrossTable => {
                 // Either outcome leaves the step's entry in the log.
@@ -192,7 +187,7 @@ impl SsfContext {
                     physical,
                     &self.ssf.log_table,
                     key,
-                    &log_key,
+                    &log_key(),
                     payload,
                     user_cond,
                 )?;
@@ -204,8 +199,7 @@ impl SsfContext {
                 reason = "between Label::WriteEnter and Label::WriteExit"
             )]
             Mode::Baseline => {
-                // Unlogged; used only via lock/flush paths that are no-ops
-                // in baseline mode, but kept total for robustness.
+                // Unlogged: a retry applies it again.
                 let pk = PrimaryKey::hash(key);
                 let cond = user_cond.cloned().unwrap_or(Cond::True);
                 match self.db().update(physical, &pk, &cond, &payload) {
@@ -304,9 +298,6 @@ impl SsfContext {
     /// Current virtual time in milliseconds, logged so re-executions see
     /// the same timestamp.
     pub fn logged_now_ms(&mut self) -> BeldiResult<u64> {
-        if self.mode() == Mode::Baseline {
-            return Ok(self.raw_now_ms());
-        }
         let (step, now) = (self.step, Value::Int(self.raw_now_ms() as i64));
         let v = self.log_value(now)?;
         schema::time(&v).ok_or_else(|| self.corrupt_entry(step))
@@ -314,9 +305,6 @@ impl SsfContext {
 
     /// A fresh UUID, logged so re-executions see the same id.
     pub fn logged_uuid(&mut self) -> BeldiResult<String> {
-        if self.mode() == Mode::Baseline {
-            return Ok(self.fresh_uuid());
-        }
         let (step, fresh) = (self.step, Value::from(self.fresh_uuid()));
         let v = self.log_value(fresh)?;
         v.as_str()

@@ -25,7 +25,7 @@
 use std::sync::{Arc, Weak};
 
 use beldi_simdb::DbError;
-use beldi_simfaas::{FunctionHandler, InvocationCtx, Probe};
+use beldi_simfaas::{FunctionHandler, InvocationCtx};
 use beldi_value::Value;
 
 use crate::config::Mode;
@@ -65,16 +65,11 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             is_async,
             first_attempt_ms,
         } => {
-            if core.config.mode == Mode::Baseline {
-                // Nothing restarts a baseline instance, so the injector
-                // keeps no entry for it: a caller-named one probes on a
-                // handle of its own, an unnamed one on its request id's.
-                let probe = id.map_or_else(|| ictx.probe().clone(), Probe::untracked);
-                return run_baseline(core, ssf, probe, input);
-            }
             let instance = id.unwrap_or_else(|| ictx.request_id().clone());
             if first_attempt_ms.is_some_and(|first| retry_window_closed(core, first)) {
                 Outcome::Expired.into_value()
+            } else if core.config.mode == Mode::Baseline {
+                run_baseline(core, ssf, instance, input, first_attempt_ms)
             } else {
                 run_call(core, ssf, instance, input, caller, txn, is_async)
             }
@@ -87,24 +82,35 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
     }
 }
 
-/// True when a root retry first tried at `first_ms` lands past
-/// `first_ms + T`. Its intent finished after `first_ms` and is recycled
-/// only `T` after that, so an admitted retry finds it (DESIGN §13).
+/// True when a retry first tried at `first_ms` lands past `first_ms + T`.
+/// A root's intent finished after `first_ms` and is recycled only `T`
+/// after that, so an admitted root retry finds it (DESIGN §13).
 fn retry_window_closed(core: &EnvCore, first_ms: u64) -> bool {
     let t_ms = core.config.t_max.as_millis() as u64;
     core.platform.clock().now().as_millis() > first_ms.saturating_add(t_ms)
 }
 
-/// Baseline mode: run the body with raw semantics — no intent, no logs, no
-/// guarantees. This is the paper's comparison system.
-fn run_baseline(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, probe: Probe, input: Value) -> Value {
+/// Baseline, the paper's comparison system: the body with no intent, no
+/// logs, no guarantees, so a retry re-applies its killed attempt's effects.
+fn run_baseline(
+    core: &Arc<EnvCore>,
+    ssf: &Arc<Ssf>,
+    instance: Arc<str>,
+    input: Value,
+    first_attempt_ms: Option<u64>,
+) -> Value {
+    let faults = core.platform.faults();
     let now = core.platform.clock().now().as_millis();
+    let probe = faults.instance_started(&instance);
     let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, 0, now);
-    match (ssf.body)(&mut ctx, input) {
-        Ok(v) => Outcome::Ok(v).into_value(),
-        Err(BeldiError::TxnAborted) => Outcome::Abort.into_value(),
-        Err(e) => Outcome::Error(e.to_string()).into_value(),
+    let outcome = run_body(&mut ctx, &ssf.body, input);
+    // A retry recovers from its first attempt. Nothing retries a finished
+    // execution, so the injector forgets it, as the GC would.
+    if let Some(first_ms) = first_attempt_ms {
+        core.record_recovery(&instance, first_ms);
     }
+    faults.forget(&instance);
+    outcome.into_value()
 }
 
 /// The full Beldi call path (Fig. 19 for synchronous callees; the async

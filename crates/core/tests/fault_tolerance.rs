@@ -185,22 +185,34 @@ fn random_crash_storm_preserves_exactly_once() {
 }
 
 /// The baseline (no Beldi) double-executes under the same fault: this is
-/// the anomaly the paper's §2.1 motivates. The test documents the contrast.
+/// the anomaly the paper's §2.1 motivates. The callee dies just after its
+/// write; the caller's retry runs it again from the start, and with no log
+/// to replay from, the write lands twice.
 #[test]
 fn baseline_mode_duplicates_effects_under_retry() {
     let env = pipeline_env(BeldiConfig::baseline());
-    // Baseline instances have no crash points inside ops (no Beldi
-    // wrappers), so simulate the provider's retry-after-crash directly:
-    // run the same request twice, as a restarted worker would.
-    env.invoke("root", Value::Int(1)).unwrap();
-    env.invoke("root", Value::Int(1)).unwrap();
-    // The counter counted the duplicate — state corruption the paper's
+    // The root's write, conditional write and call take steps 0-2 (a
+    // baseline read takes none); the callee is named by the call's step.
+    let callee = beldi::callee_id(&beldi::log_key("r", 2));
+    env.platform()
+        .faults()
+        .plan(callee.to_string(), CrashPlan::AtLabel(Label::WriteExit));
+    let out = env.invoke_as("root", "r", Value::Int(1)).unwrap();
+    assert_eq!(env.platform().faults().injected_count(), 1);
+    // The worker counted the duplicate — state corruption the paper's
     // recommendation ("make your functions idempotent") leaves to the
-    // developer.
+    // developer — and the root, which did not crash, did not.
+    assert_eq!(out.get_int("sub"), Some(3));
     assert_eq!(
-        env.read_current("root", "rt", "count").unwrap(),
+        env.read_current("worker", "wt", "count").unwrap(),
         Value::Int(2)
     );
+    assert_eq!(
+        env.read_current("root", "rt", "count").unwrap(),
+        Value::Int(1)
+    );
+    // The callee's retry recovered it, and its recovery is sampled.
+    assert_eq!(env.telemetry().histogram(Hist::Recovery).len(), 1);
 }
 
 /// A crashed *asynchronous* instance is finished by the intent collector.
@@ -595,7 +607,7 @@ fn root_retries_stop_at_the_lease_window() {
     );
 }
 
-/// Mode sanity: the fault machinery itself only exists outside baseline.
+/// Mode sanity: with no crash, every mode runs the pipeline once.
 #[test]
 fn modes_report_expected_guarantees() {
     for (cfg, mode) in [
@@ -607,6 +619,35 @@ fn modes_report_expected_guarantees() {
         assert_eq!(env.config().mode, mode);
         env.invoke("root", Value::Int(0)).unwrap();
         assert_pipeline_state(&env, 1);
+    }
+}
+
+/// A conditional write whose condition fails returns `false` and leaves
+/// the value as it was, in every mode.
+#[test]
+fn a_failed_conditional_write_changes_nothing() {
+    for cfg in [
+        BeldiConfig::beldi(),
+        BeldiConfig::cross_table(),
+        BeldiConfig::baseline(),
+    ] {
+        let env = BeldiEnv::for_tests_with(cfg);
+        env.register_ssf(
+            "f",
+            &["t"],
+            Arc::new(|ctx, _| {
+                let cond = beldi::value::Cond::eq(beldi::A_VALUE, 2i64);
+                Ok(Value::Bool(ctx.cond_write(
+                    "t",
+                    "k",
+                    Value::Int(9),
+                    cond,
+                )?))
+            }),
+        );
+        env.seed("f", "t", "k", Value::Int(1)).unwrap();
+        assert_eq!(env.invoke("f", Value::Null).unwrap(), Value::Bool(false));
+        assert_eq!(env.read_current("f", "t", "k").unwrap(), Value::Int(1));
     }
 }
 

@@ -41,12 +41,6 @@ impl InvocationCtx {
     pub fn request_id(&self) -> &Arc<str> {
         self.probe.id()
     }
-
-    /// The request id's crash-probe handle, which the platform's own
-    /// `worker.pre_handler` probe has counted in.
-    pub fn probe(&self) -> &Probe {
-        &self.probe
-    }
 }
 
 /// A registered function body.
@@ -868,20 +862,11 @@ mod tests {
     }
 
     /// An invocation probes under its request id, which no restart can
-    /// see again: with nothing armed, the injector gains no entry for it,
-    /// and a handler that probes through the request id's handle gains
-    /// none either.
+    /// see again: with nothing armed, the injector gains no entry for it.
     #[test]
     fn an_unarmed_invocation_leaves_the_injector_entries_alone() {
         let p = Platform::for_tests();
-        let p2 = p.clone();
-        p.register(
-            "probing",
-            Arc::new(move |ctx: &InvocationCtx, _| -> Value {
-                p2.faults().crash_point(ctx.probe(), Label::WrapperEnter);
-                Value::Null
-            }),
-        );
+        p.register("probing", Arc::new(|_: &InvocationCtx, _| Value::Null));
         let entries = || p.telemetry().gauge(Gauge::FaultsInstances);
         let before = entries();
         for _ in 0..3 {

@@ -112,8 +112,8 @@ pub struct DriveOptions {
     /// mid-flight while the client workers push the normal request mix,
     /// with both collectors running on timers. The run then verifies the
     /// end state against a crash-free oracle drive of the same request
-    /// stream and records a [`RecoverySection`]. Ignored in baseline
-    /// mode, which has no recovery machinery to exercise.
+    /// stream and records a [`RecoverySection`]. Baseline, which retries
+    /// but logs nothing, is the recovery check's negative control.
     pub chaos: Option<ChaosOptions>,
 }
 
@@ -132,11 +132,6 @@ pub struct ChaosOptions {
     /// the smoke defaults. The recovery check's ceiling is a third of it
     /// ([`crate::gate::max_recovery_p99_ms`]).
     pub t_max: Duration,
-    /// Re-launch killed intents (root retries + IC timers + post-run
-    /// recovery drain). `false` is the sabotage configuration the
-    /// recovery check's own tests use: killed workflows stay dead, so
-    /// its conservation check must fail.
-    pub relaunch: bool,
 }
 
 /// Kill probability at each collector (`ic.*`/`gc.*`) crash point of a
@@ -152,6 +147,17 @@ const MAX_CRASHES: u64 = 10_000;
 /// production 30 s back-off.
 const CHAOS_IC_RESTART_DELAY: Duration = Duration::from_millis(100);
 
+impl ChaosOptions {
+    /// The `drive --smoke` storm, 100x the default rate: the lowest tried
+    /// at which every app's one-worker baseline storm duplicates (seed 42).
+    pub fn smoke() -> Self {
+        ChaosOptions {
+            ssf_kill_prob: 5e-2,
+            ..ChaosOptions::default()
+        }
+    }
+}
+
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
@@ -160,7 +166,6 @@ impl Default for ChaosOptions {
             // virtual): the lease should catch genuine zombies, not
             // routinely kill slow-but-healthy instances.
             t_max: Duration::from_secs(60),
-            relaunch: true,
         }
     }
 }
@@ -627,22 +632,6 @@ fn max_chain_len(env: &BeldiEnv, mode: Mode) -> u64 {
     max
 }
 
-/// Resolves the chaos/GC implications of `opts` for `mode`.
-///
-/// Baseline mode has no collectors to run (start_gc is a no-op there)
-/// and no recovery machinery for a storm to exercise; treat the whole
-/// run as GC- and chaos-free so its report never claims collectors it
-/// cannot have.
-fn resolve_run_shape(mode: Mode, opts: &DriveOptions) -> (Option<&ChaosOptions>, bool) {
-    let chaos = if mode == Mode::Baseline {
-        None
-    } else {
-        opts.chaos.as_ref()
-    };
-    let gc = (opts.gc || chaos.is_some()) && mode != Mode::Baseline;
-    (chaos, gc)
-}
-
 /// Builds the environment for one drive — config resolution and app
 /// setup — on the builder's default clock: a fresh `SimClock` seeded like
 /// the substrate, whose first participant is the calling thread.
@@ -684,19 +673,10 @@ struct RunShape<'a> {
     env: &'a Arc<BeldiEnv>,
     /// Whether garbage collectors run beside the load.
     gc: bool,
-    /// Whether the intent collector runs beside the load (chaos runs,
-    /// except with `relaunch: false`, which keeps the IC off so killed
-    /// workflows stay dead and the conservation check has something to
-    /// catch).
-    ic: bool,
-    /// Chaos runs pin every workflow root to a deterministic instance id
-    /// (`storm-w{w}-op{i}`): combined with log-key-derived callee ids this
-    /// makes the whole execution tree's ids — and therefore the storm's
-    /// kill schedule — a pure function of the seed. The budget re-drives
-    /// a killed root with the *same* id (exactly-once), or is 1 with
-    /// `relaunch: false`. `None` outside chaos runs: fresh ids, the full
-    /// [`MAX_ROOT_ATTEMPTS`] budget.
-    root_attempts: Option<usize>,
+    /// A chaos run: the IC runs beside the GC, and each root gets a fixed
+    /// id (`storm-w{w}-op{i}`), so with log-key-derived callee ids the
+    /// storm's kill schedule is a pure function of the seed.
+    chaos: bool,
 }
 
 /// What the load loop hands back to the finish.
@@ -714,7 +694,10 @@ struct Load {
 /// (`run_load`), the finish. See the module docs.
 pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun {
     assert!(opts.workers > 0, "need at least one worker");
-    let (chaos, gc) = resolve_run_shape(mode, opts);
+    // Collectors run in GC and chaos runs, but baseline has none to run,
+    // so its report never claims them.
+    let chaos = opts.chaos.as_ref();
+    let gc = (opts.gc || chaos.is_some()) && mode != Mode::Baseline;
     let env = Arc::new(build_bench_env(app, mode, opts, chaos, gc));
     // Open the measurement window: everything from here is the run.
     let window = env.db_metrics();
@@ -735,8 +718,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         opts,
         env: &env,
         gc,
-        ic: chaos.is_some_and(|c| c.relaunch),
-        root_attempts: chaos.map(|c| if c.relaunch { MAX_ROOT_ATTEMPTS } else { 1 }),
+        chaos: chaos.is_some(),
     };
 
     #[expect(
@@ -746,20 +728,17 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
     let wall_start = std::time::Instant::now();
     let load = run_load(&shape);
 
-    if let Some(c) = chaos {
+    if chaos.is_some() {
         // Storm over. Drain: re-drive every interrupted intent to
         // completion on virtual time so the end state is quiescent and
-        // comparable to the oracle's — unless killed workflows are meant
-        // to stay dead.
+        // comparable to the oracle's.
         faults.set_storm_policy(None);
-        if c.relaunch {
-            #[expect(
-                clippy::expect_used,
-                reason = "with the storm off no probe kills a drain pass, and the in-memory store fails no call the IC makes"
-            )]
-            env.drain_recovery(50)
-                .expect("recovery drain must not fail");
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "with the storm off no probe kills a drain pass, and the in-memory store fails no call the IC makes"
+        )]
+        env.drain_recovery(50)
+            .expect("recovery drain must not fail");
     }
     let db = env.db_metrics().delta(&window);
     // The steady-state endpoint: one final sample after the last request
@@ -850,7 +829,7 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     let handle = rt.handle();
     // The collector timers are threads of the environment's clock.
     if gc {
-        match shape.ic {
+        match shape.chaos {
             true => env.start_collectors(),
             false => env.start_gc(),
         }
@@ -860,7 +839,7 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     let errors = Arc::new(AtomicU64::new(0));
     let hist = Arc::new(Mutex::new(Histogram::new()));
     let entry = app.entry_point();
-    let root_attempts = shape.root_attempts;
+    let chaos = shape.chaos;
     // Admission gate: roots must never saturate the platform's worker
     // pool, because every admitted root issues *nested* SSF calls that
     // need permits of their own — hand all the permits to parked roots
@@ -881,12 +860,14 @@ fn run_load(shape: &RunShape<'_>) -> Load {
             let mut local = Histogram::new();
             for (i, request) in requests.into_iter().enumerate() {
                 let t0 = clock.now();
-                let (instance, attempts) = match root_attempts {
-                    Some(n) => (format!("storm-w{w}-op{i}"), n),
-                    None => (env.platform().new_uuid(), MAX_ROOT_ATTEMPTS),
+                let instance = match chaos {
+                    true => format!("storm-w{w}-op{i}"),
+                    false => env.platform().new_uuid(),
                 };
                 let permit = admission.acquire().await;
-                let result = env.invoke_task(entry, &instance, request, attempts).await;
+                let result = env
+                    .invoke_task(entry, &instance, request, MAX_ROOT_ATTEMPTS)
+                    .await;
                 drop(permit);
                 if result.is_err() {
                     errors.fetch_add(1, Ordering::Relaxed);

@@ -26,6 +26,9 @@
 //! the oracle's. Any failure becomes a [`Violation`] carrying the exact
 //! seed and schedule needed to replay it (see `DESIGN.md` §8).
 //!
+//! Baseline, which retries but logs nothing, is the negative control: a
+//! retry re-applies effects (§2.1), [`crate::gate::crash_verdict`].
+//!
 //! With [`ExploreOptions::gc_check`] the explorer additionally verifies
 //! GC quiescence per schedule: every done intent carries the finish time
 //! its done-mark sets, and after `T` elapses, repeated GC passes must
@@ -185,6 +188,8 @@ pub struct ExploreReport {
     pub crashes_injected: u64,
     /// The oracle's effect count.
     pub oracle_effects: i64,
+    /// Schedules whose run made more effects than the oracle (§2.1).
+    pub duplicating: usize,
     /// The labels at which the schedules made their first crash, each
     /// once, in [`Label::ALL`] order: what the sweep covered.
     pub crashed_labels: Vec<Label>,
@@ -568,6 +573,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         schedules: 0,
         crashes_injected: 0,
         oracle_effects: oracle.effects,
+        duplicating: 0,
         crashed_labels: Vec::new(),
         reached_labels: Vec::new(),
         violations: Vec::new(),
@@ -583,15 +589,6 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
                 oracle.errors, oracle.unfinished, oracle.corruption
             ),
         });
-        return report;
-    }
-
-    // Baseline mode makes no exactly-once claim: a crashed instance is
-    // simply lost (or, if the provider retried it, duplicated — the §2.1
-    // anomaly `fault_tolerance.rs` documents). There is no guarantee to
-    // verify, so the sweep stops at the oracle.
-    if mode == Mode::Baseline {
-        report.reached_labels = in_table_order(&reached);
         return report;
     }
 
@@ -675,6 +672,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
             );
         }
         if out.effects != oracle.effects {
+            report.duplicating += usize::from(out.effects > oracle.effects);
             fail(
                 ViolationKind::EffectDivergence,
                 format!("effects {} != oracle {}", out.effects, oracle.effects),

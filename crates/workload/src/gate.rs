@@ -14,11 +14,15 @@
 //! they make: properties of one report, not diffs, each with a bound
 //! that is a constant or comes from the run's own settings.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use beldi::value::{json, Value};
+use beldi::Mode;
 
 use crate::driver::{runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, REBASELINE};
+use crate::explore::ViolationKind::{EffectDivergence, StateDivergence};
+use crate::explore::{ExploreReport, Violation};
 
 /// Most differing fields listed per run before the rest are counted.
 const MAX_LISTED_DIFFS: usize = 8;
@@ -202,18 +206,80 @@ pub fn max_recovery_p99_ms(t_max: Duration) -> u64 {
     (t_max.as_millis() / 3) as u64
 }
 
+/// What one crash check — an explorer sweep or a chaos run — of an app
+/// in a mode found, in runs, as [`crash_verdict`] weighs it.
+pub struct CrashCheck<'a> {
+    /// The app checked.
+    pub app: &'a str,
+    /// The mode it ran in.
+    pub mode: Mode,
+    /// Divergences from the crash-free oracle's state or effect count.
+    pub diverged: usize,
+    /// Runs with more effects than the oracle: a retry re-applied one.
+    pub duplicated: usize,
+    /// Every other violation: a failed oracle run, a crash that never
+    /// fired, an error, unfinished recovery, GC residue, corruption.
+    pub broken: usize,
+}
+
+impl<'a> CrashCheck<'a> {
+    /// What an explorer sweep found.
+    pub fn of_sweep(report: &'a ExploreReport) -> Self {
+        let divergence = |v: &&Violation| matches!(v.kind, StateDivergence | EffectDivergence);
+        let diverged = report.violations.iter().filter(divergence).count();
+        CrashCheck {
+            app: &report.app,
+            mode: report.mode,
+            diverged,
+            duplicated: report.duplicating,
+            broken: report.violations.len() - diverged,
+        }
+    }
+}
+
+/// The verdict of `explore` and `drive --chaos`: a logged mode's check
+/// fails on any violation, any on a broken one. Baseline, whose retries
+/// re-apply effects (§2.1), is the negative control: each app it checked
+/// must have a run with more effects than the oracle.
+pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut controls: BTreeMap<&str, usize> = BTreeMap::new();
+    for c in checks {
+        let at = format!("{}/{}", c.app, c.mode.name());
+        if c.broken > 0 {
+            failures.push(format!("{at}: {} violation(s) no mode may show", c.broken));
+        }
+        if c.mode == Mode::Baseline {
+            *controls.entry(c.app).or_default() += c.duplicated;
+        } else if c.diverged > 0 {
+            failures.push(format!(
+                "{at}: exactly-once is violated — {} divergence(s) from the crash-free \
+                 oracle's state (digest mismatch) or effect count, {} run(s) with duplicate \
+                 effects",
+                c.diverged, c.duplicated
+            ));
+        }
+    }
+    for (app, _) in controls.into_iter().filter(|&(_, n)| n == 0) {
+        failures.push(format!(
+            "{app}/baseline: no run made more effects than its crash-free oracle — \
+             the negative control did not bite"
+        ));
+    }
+    failures
+}
+
 /// The recovery check of a `drive --chaos` report whose storm ran under
 /// the lease `t_max`.
 ///
 /// Every chaos run (one carrying a [`crate::driver::RecoverySection`])
-/// must have survived its crash storm with exactly-once semantics
-/// intact:
+/// must have survived its crash storm:
 ///
-/// - the conservation digest equals the crash-free oracle's;
-/// - no effect beyond the oracle's (exactly-once is not tunable);
 /// - the collectors counted no corruption: the IC quarantined no
 ///   intent, and the GC skipped no corrupt chain or intent;
-/// - recovery p99 (virtual ms) is at most [`max_recovery_p99_ms`].
+/// - recovery p99 (virtual ms) is at most [`max_recovery_p99_ms`];
+/// - by [`crash_verdict`], a logged run matches its crash-free oracle,
+///   and some baseline run of each app makes a duplicate effect.
 ///
 /// Vacuous passes are rejected: a report with no chaos run at all fails,
 /// as does a chaos run whose storm never actually injected a crash or
@@ -233,6 +299,7 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
     if chaos_runs.is_empty() {
         failures.push("recovery gate: report contains no chaos runs".to_owned());
     }
+    let mut checks = Vec::new();
     for (run, rec) in chaos_runs {
         let key = run.key();
         if rec.injected_crashes == 0 {
@@ -241,11 +308,6 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
                  (raise the kill rates or the op count)"
             ));
         } else {
-            // Only workflow kills can produce recovery samples: a killed
-            // IC/GC pass has no intent of its own to recover (its crash
-            // shows up in `ic_crashes`/`gc_crashes` and is covered by the
-            // digest check). A storm whose whole crash budget landed on
-            // collectors legitimately has an empty recovery series.
             let workflow_crashes: u64 = rec
                 .crash_sites
                 .iter()
@@ -259,20 +321,14 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
                 ));
             }
         }
-        if !rec.digest_match {
-            failures.push(format!(
-                "{key}: conservation digest mismatch (chaos {}, oracle {}) — \
-                 the storm lost or corrupted state",
-                run.state_digest, rec.oracle_digest
-            ));
-        }
-        if rec.duplicate_effects > 0 {
-            failures.push(format!(
-                "{key}: {} duplicate effect(s) beyond the crash-free oracle — \
-                 exactly-once is violated",
-                rec.duplicate_effects
-            ));
-        }
+        checks.push(CrashCheck {
+            app: &run.app,
+            // A mode no name parses to is held to the logged modes' bar.
+            mode: Mode::parse(&run.mode).unwrap_or(Mode::Beldi),
+            diverged: usize::from(!rec.digest_match) + usize::from(rec.duplicate_effects > 0),
+            duplicated: usize::from(rec.duplicate_effects > 0),
+            broken: 0,
+        });
         if rec.ic_corrupt + rec.gc_corrupt > 0 {
             failures.push(format!(
                 "{key}: IC quarantined {} corrupt intent(s), GC skipped {} corrupt item(s)",
@@ -286,6 +342,7 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
             ));
         }
     }
+    failures.extend(crash_verdict(checks));
     failures
 }
 
@@ -591,6 +648,87 @@ mod tests {
     fn recovery_gate_passes_healthy_chaos_run() {
         let failures = recovery_gate(&report(vec![chaos_run("travel")]), T_MAX);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    fn check(app: &str, mode: Mode) -> CrashCheck<'_> {
+        CrashCheck {
+            app,
+            mode,
+            diverged: 0,
+            duplicated: 0,
+            broken: 0,
+        }
+    }
+
+    /// Baseline is the crash checks' negative control: it may diverge
+    /// from the oracle, and each app must duplicate an effect somewhere,
+    /// while any violation of a logged mode fails.
+    #[test]
+    fn crash_verdict_expects_duplicates_of_baseline_only() {
+        let diverged = || CrashCheck {
+            diverged: 3,
+            ..check("media", Mode::Baseline)
+        };
+        let duplicated = CrashCheck {
+            duplicated: 2,
+            ..check("media", Mode::Baseline)
+        };
+        let clean = crash_verdict([check("media", Mode::Beldi), diverged(), duplicated]);
+        assert_eq!(clean, Vec::<String>::new());
+        let lost = CrashCheck {
+            diverged: 1,
+            ..check("media", Mode::CrossTable)
+        };
+        let failures = crash_verdict([lost]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("media/cross-table: exactly-once is violated"),
+            "{failures:?}"
+        );
+        // Divergence without a duplicate does not make the control bite.
+        let blind = crash_verdict([diverged()]);
+        assert_eq!(blind.len(), 1, "{blind:?}");
+        assert!(
+            blind[0].starts_with("media/baseline: no run made more effects"),
+            "{blind:?}"
+        );
+    }
+
+    /// A baseline sweep whose crash-free oracle failed, or whose scheduled
+    /// crash never fired, fails like a logged one: its check is broken,
+    /// however many duplicates it also counts.
+    #[test]
+    fn crash_verdict_fails_a_broken_baseline_check() {
+        let broken = CrashCheck {
+            broken: 1,
+            duplicated: 1,
+            ..check("travel", Mode::Baseline)
+        };
+        let failures = crash_verdict([broken]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].starts_with("travel/baseline: 1 violation(s) no mode may show"),
+            "{failures:?}"
+        );
+    }
+
+    /// A baseline storm that conserved everything is a negative control
+    /// that did not bite, and so is one that only lost state; one that
+    /// duplicated an effect passes.
+    #[test]
+    fn recovery_gate_expects_a_baseline_storm_to_duplicate() {
+        let mut r = chaos_run("travel");
+        r.mode = Mode::Baseline.name().into();
+        r.recovery.as_mut().unwrap().digest_match = false;
+        let failures = recovery_gate(&report(vec![r.clone()]), T_MAX);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.starts_with("travel/baseline: no run made more effects")),
+            "{failures:?}"
+        );
+        r.recovery.as_mut().unwrap().duplicate_effects = 3;
+        assert_eq!(recovery_gate(&report(vec![r]), T_MAX), Vec::<String>::new());
     }
 
     #[test]

@@ -41,5 +41,5 @@ pub use driver::{
     InFlightSeries, RecoverySection, StorageSample, StorageSeries,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
-pub use gate::{front_gate, gate, growth_gate, recovery_gate};
+pub use gate::{crash_verdict, front_gate, gate, growth_gate, recovery_gate, CrashCheck};
 pub use runner::{RateRunner, RunReport};

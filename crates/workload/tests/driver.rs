@@ -253,7 +253,7 @@ fn lease(opts: &DriveOptions) -> Duration {
 /// once by a root retry or an intent-collector re-launch, and nothing is
 /// executed twice.
 #[test]
-fn chaos_storm_with_relaunch_recovers_to_the_oracle_state() {
+fn chaos_storm_recovers_to_the_oracle_state() {
     let opts = DriveOptions {
         chaos: Some(ChaosOptions::default()),
         ..test_opts(8, 80, 7)
@@ -324,34 +324,33 @@ fn async_same_seed_runs_are_bit_identical_at_8_workers() {
     assert_eq!(modelled(a), modelled(b));
 }
 
-/// Canary for the gate itself: with intent re-launch disabled, killed
-/// workflows stay dead, so the chaos digest cannot match the oracle and
-/// the recovery gate must fail. If this test ever breaks, the gate has
-/// gone blind.
+/// Canary for the gate itself, with nothing sabotaged: baseline retries
+/// killed workflows as the logged modes do but logs nothing, so a storm
+/// over it re-applies effects, and the recovery gate must flag that. Judged
+/// as baseline, the run is the gate's negative control and passes; the
+/// same run judged as beldi fails the conservation check. If this test
+/// ever breaks, the gate has gone blind.
 #[test]
-fn disabling_relaunch_fails_the_conservation_gate() {
+fn recovery_gate_flags_a_baseline_storm() {
     let opts = DriveOptions {
-        chaos: Some(ChaosOptions {
-            // Total blackout: every execution dies at its first probe, so
-            // with one attempt per root and no collectors nothing ever
-            // commits — deterministically, whatever the interleaving.
-            ssf_kill_prob: 1.0,
-            relaunch: false,
-            ..ChaosOptions::default()
-        }),
-        ..test_opts(8, 80, 21)
+        chaos: Some(ChaosOptions::smoke()),
+        ..test_opts(1, 120, 21)
     };
-    let run = drive_app("social", Mode::Beldi, MixProfile::Default, &opts);
-    assert!(
-        !run.recovery.as_ref().unwrap().digest_match,
-        "dead workflows left no trace? {:?}",
-        run.recovery
-    );
-    let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
-    assert!(
-        failures.iter().any(|f| f.contains("digest mismatch")),
-        "{failures:?}"
-    );
+    let run = drive_app("social", Mode::Baseline, MixProfile::Default, &opts);
+    assert_eq!(run.errors, 0, "{run:?}");
+    let rec = run.recovery.as_ref().expect("chaos runs record recovery");
+    assert!(rec.duplicate_effects > 0 && !rec.digest_match, "{rec:?}");
+    let failures = recovery_gate(&report_of(run.clone(), &opts), lease(&opts));
+    assert_eq!(failures, Vec::<String>::new());
+
+    let judged_as_beldi = BenchRun {
+        mode: Mode::Beldi.name().into(),
+        ..run
+    };
+    let failures = recovery_gate(&report_of(judged_as_beldi, &opts), lease(&opts));
+    for clause in ["digest mismatch", "duplicate effect"] {
+        assert!(failures.iter().any(|f| f.contains(clause)), "{failures:?}");
+    }
 }
 
 /// With `workers = total_ops` every request is in flight at once, parked

@@ -45,20 +45,37 @@ fn depth1_sweep_in_cross_table_mode_is_clean() {
     assert!(report.crash_points > 20);
 }
 
+/// Baseline is the sweep's negative control: it retries a killed
+/// execution as the logged modes do but logs nothing, so the retry
+/// applies again what the killed one applied (§2.1). At schedule `[10]`
+/// the first request's worker dies just after its write, the root's call
+/// re-runs it, and the sweep counts one effect beyond the oracle. Every
+/// divergence a retry causes is a duplicate, never a loss.
 #[test]
-fn baseline_mode_runs_oracle_only() {
-    // Baseline mode makes no exactly-once claim — a crashed instance is
-    // simply lost — so the explorer verifies the crash-free oracle and
-    // schedules nothing.
+fn baseline_sweep_counts_a_duplicated_effect() {
     let report = explore(
         &PipelineApp::default(),
         Mode::Baseline,
         &ExploreOptions::default(),
     );
-    assert!(report.ok(), "{:#?}", report.violations);
-    assert_eq!(report.schedules, 0);
-    assert_eq!(report.crashes_injected, 0);
-    assert!(report.oracle_effects > 0);
+    let effects: Vec<_> = report
+        .violations
+        .iter()
+        .filter(|v| v.kind == ViolationKind::EffectDivergence)
+        .collect();
+    let pinned = effects.iter().find(|v| v.schedule == [10]);
+    let pinned = pinned.unwrap_or_else(|| panic!("{:#?}", report.violations));
+    assert_eq!(pinned.label, "write.exit");
+    assert_eq!(pinned.detail, "effects 13 != oracle 12");
+    for v in effects {
+        let (found, oracle) = v.detail["effects ".len()..]
+            .split_once(" != oracle ")
+            .unwrap();
+        assert!(
+            found.parse::<i64>().unwrap() > oracle.parse().unwrap(),
+            "{v}"
+        );
+    }
 }
 
 #[test]

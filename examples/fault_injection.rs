@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use beldi_repro::beldi::{BeldiConfig, BeldiEnv, CrashPlan, SsfBody};
+use beldi_repro::beldi::{BeldiConfig, BeldiEnv, CrashPlan, Label, SsfBody};
 use beldi_repro::value::Value;
 
 /// A payment-ish workflow: bump a balance, then invoke a ledger SSF that
@@ -76,13 +76,16 @@ fn main() {
     println!("== Baseline: the provider's retry duplicates effects ==");
     let env = BeldiEnv::for_tests_with(BeldiConfig::baseline());
     register_workflow(&env);
-    // A crash-then-retry on the baseline is just running the request
-    // twice (nothing deduplicates).
-    env.invoke("pay", Value::Int(100)).unwrap();
-    env.invoke("pay", Value::Int(100)).unwrap();
+    // The same crash Beldi survived above: `pay` dies after its balance
+    // write, before it calls the ledger. The baseline retries it too, but
+    // with no log to replay from, the retry writes the balance again.
+    env.platform()
+        .faults()
+        .plan("pay-1", CrashPlan::AtLabel(Label::InvokePreCall));
+    env.invoke_as("pay", "pay-1", Value::Int(100)).unwrap();
     let (balance, entries) = state(&env);
-    println!("   after one logical payment retried once:");
+    println!("   after one logical payment, killed once and retried:");
     println!("   balance = {balance} (should be 100), audit entries = {entries} (should be 1)");
-    assert_eq!((balance, entries), (200, 2));
+    assert_eq!((balance, entries), (200, 1));
     println!("   the baseline double-charged — the anomaly Beldi eliminates.");
 }
