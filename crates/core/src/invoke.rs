@@ -19,11 +19,11 @@
 //! [`Outcome::Logged`] and sends no callback: "done" implies the callback
 //! was delivered, i.e. the caller recorded it or found no entry.
 //!
-//! Asynchronous invocations (Fig. 20) flip the order: the caller first
-//! synchronously asks the callee to *register* the intent (confirmed by a
-//! callback that sets the `Registered` flag), then fires the actual
-//! asynchronous call. The callee stub refuses to run unregistered or
-//! completed intents so the GC can prune them without interference.
+//! Asynchronous invocations (Fig. 20) first register the callee's intent,
+//! then fire the call; the callee stub refuses unregistered or completed
+//! intents. Done implies delivered here too: the callee's callback, with
+//! no result, sets `Registered` before its done-mark, and only then may a
+//! re-executed caller skip registering (an idempotent step before it).
 
 use std::sync::Arc;
 
@@ -536,36 +536,33 @@ impl SsfContext {
         if self.in_txn() {
             return Err(BeldiError::Unsupported("async_invoke inside a transaction"));
         }
-        if self.mode() == crate::Mode::Baseline {
-            let env = Envelope::call(None, input, None, true);
-            self.platform()
-                .invoke_async(callee, env.into_value())
-                .map_err(BeldiError::Invoke)?;
-            return Ok(());
-        }
-        let entry = self.invoke_entry(callee)?;
-
-        // Step 1: ensure the callee's intent is registered (skippable when
-        // a previous execution got the registration confirmed).
-        if !entry.registered {
-            // The input is needed again for the call itself (step 2).
-            let reg = Envelope::AsyncReg {
-                id: entry.callee_id.clone(),
-                input: input.clone(),
-                caller: self.ssf.name.clone(),
+        // Baseline names its callee by the step and registers nothing.
+        let (callee_id, caller) = if self.mode() == crate::Mode::Baseline {
+            (crate::ids::callee_id(&self.next_log_key()), None)
+        } else {
+            let entry = self.invoke_entry(callee)?;
+            // Step 1: ensure the callee's intent is registered, unless the
+            // callee confirmed it: it did so only on finishing.
+            if !entry.registered {
+                // The input is needed again for the call itself (step 2).
+                let reg = Envelope::AsyncReg {
+                    id: entry.callee_id.clone(),
+                    input: input.clone(),
+                    caller: self.ssf.name.clone(),
+                }
+                .into_value();
+                self.crash(Label::InvokePreAsyncReg);
+                if deliver(self.platform(), callee, &reg).is_none() {
+                    panic!("beldi: async registration at `{callee}` unreachable");
+                }
             }
-            .into_value();
-            self.crash(Label::InvokePreAsyncReg);
-            if deliver(self.platform(), callee, &reg).is_none() {
-                panic!("beldi: async registration at `{callee}` unreachable");
-            }
-        }
+            (entry.callee_id, Some(self.ssf.name.clone()))
+        };
 
         // Step 2: fire the actual asynchronous invocation. Safe to repeat:
         // the callee stub refuses unregistered or completed intents, and
         // every step of a duplicate execution replays from its logs.
-        let (id, caller) = (Some(entry.callee_id.clone()), Some(self.ssf.name.clone()));
-        let call = Envelope::call(id, input, caller, true).into_value();
+        let call = Envelope::call(Some(callee_id), input, caller, true).into_value();
         self.crash(Label::InvokePreAsyncCall);
         self.platform()
             .invoke_async(callee, call)
@@ -577,7 +574,7 @@ impl SsfContext {
 // ---- Callbacks (callee → caller) ----
 
 /// Sends a callback to `caller_fn` recording `result` (or, when `None`, an
-/// async-registration confirmation) for `callee_id`.
+/// async callee's registration confirmation) for `callee_id`.
 ///
 /// At-least-once: retried a bounded number of times until a caller
 /// instance acknowledges it ([`handle_callback`]'s reply). The

@@ -116,8 +116,8 @@ pub const A_CALLEE_FN: &str = "CalleeFn";
 /// Absent means the callback has not landed.
 pub const A_RESULT: &str = "Result";
 /// `true` on an async call's invoke entry once the callee confirmed its
-/// registration; absent means not confirmed. A replay of `async_invoke`
-/// reads it to skip registering again.
+/// registration, before its done-mark; absent means not confirmed. A
+/// replay of `async_invoke` reads it to skip registering again.
 pub const A_REGISTERED: &str = "Registered";
 /// Transaction id the invocation happened under (indexed), or absent.
 /// Never decoded: its index answers a query by value.
@@ -300,7 +300,7 @@ pub(crate) struct InvokeEntry {
     pub callee_id: Arc<str>,
     /// The callee's outcome, once its callback landed.
     pub result: Option<Outcome>,
-    /// Whether an async callee confirmed registration.
+    /// Whether an async callee confirmed registration (on finishing).
     pub registered: bool,
 }
 

@@ -13,9 +13,9 @@
 //!    caller that the outcome is in its invoke log;
 //! 3. runs the body with a [`SsfContext`], converting its result (or a
 //!    dangling transaction) into an outcome envelope;
-//! 4. performs the result **callback** to the caller *before* marking the
-//!    intent done (Fig. 9 — the ordering that keeps federated garbage
-//!    collectors from outrunning the caller);
+//! 4. calls the caller back (a result, or an async callee's confirmation)
+//!    *before* marking the intent done (Fig. 9 — the ordering that keeps
+//!    federated garbage collectors from outrunning the caller);
 //! 5. marks the intent done ([`intent::mark_done`]): its log steps, its
 //!    finish time and, with no caller, its outcome.
 //!
@@ -115,7 +115,7 @@ fn run_baseline(
 
 /// The full Beldi call path (Fig. 19 for synchronous callees; the async
 /// stub of Fig. 20 differs only in refusing unregistered intents and in
-/// skipping the result callback).
+/// calling back a confirmation instead of a result).
 fn run_call(
     core: &Arc<EnvCore>,
     ssf: &Arc<Ssf>,
@@ -197,7 +197,7 @@ fn run_call(
     ctx.is_async = is_async;
     ctx.txn = txn.map(TxnState::inherited);
     let outcome = run_body(&mut ctx, &ssf.body, input);
-    let ret = finish(core, &mut ctx, caller.as_deref(), is_async, outcome);
+    let ret = finish(core, &mut ctx, caller.as_deref(), outcome);
     // The intent is durably done: if this instance was ever killed by the
     // injector, its recovery completes here (crashes *after* this point
     // land in the replay path above instead).
@@ -231,7 +231,8 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 }
 
 /// The completion sequence shared by calls and signals: callback to the
-/// caller, then mark the intent done (in that order — Fig. 9). The
+/// caller — a sync callee's outcome, an async one's registration
+/// confirmation — then mark the intent done (in that order — Fig. 9). The
 /// callback's payload (or, with no caller, the intent's `Ret`) and the
 /// value returned share one outcome. An outcome too large for the row that
 /// stores it is replaced by [`Outcome::too_large`]: the caller records the
@@ -241,17 +242,17 @@ fn finish(
     core: &Arc<EnvCore>,
     ctx: &mut SsfContext,
     caller: Option<&str>,
-    is_async: bool,
     outcome: Outcome,
 ) -> Value {
     let instance = ctx.instance().clone();
     let mut outcome_value = outcome.into_value();
     ctx.crash(Label::WrapperPreCallback);
-    if let (Some(c), false) = (caller, is_async) {
-        match invoke::send_callback(core, c, &instance, Some(&outcome_value)) {
-            // Without the callback the caller may never learn the result;
+    if let Some(c) = caller {
+        let result = (!ctx.is_async).then_some(&outcome_value);
+        match invoke::send_callback(core, c, &instance, result) {
+            // Without the callback the caller may never learn the outcome;
             // crash and let the intent collector retry the whole tail.
-            None => panic!("beldi: result callback to `{c}` undeliverable"),
+            None => panic!("beldi: callback to `{c}` undeliverable"),
             // The caller recorded a replacement: it reads it from its entry.
             Some(Outcome::Logged) => outcome_value = Outcome::Logged.into_value(),
             Some(_) => {}
@@ -283,7 +284,7 @@ fn finish(
 }
 
 /// Handles an async-registration request (Fig. 20, `asyncCalleeRegistration`):
-/// log the intent, confirm to the caller via callback, return.
+/// log the intent and return; the callee confirms on finishing ([`finish`]).
 fn run_async_reg(
     core: &Arc<EnvCore>,
     ssf: &Ssf,
@@ -309,9 +310,6 @@ fn run_async_reg(
     // A probe on the callee's behalf, before any execution of it.
     let faults = core.platform.faults();
     faults.crash_point(&faults.probe(instance), Label::AsyncRegPostIntent);
-    // Registration confirmation: sets `Registered` on the caller's
-    // invoke-log entry, the one kind of callback that does. At-least-once.
-    invoke::send_callback(core, caller, instance, None);
     Outcome::Ok(Value::Null).into_value()
 }
 
@@ -358,5 +356,5 @@ fn run_txn_signal(
         Ok(()) => Outcome::Ok(Value::Null),
         Err(e) => Outcome::Error(e.to_string()),
     };
-    finish(core, &mut ctx, None, false, outcome)
+    finish(core, &mut ctx, None, outcome)
 }

@@ -8,7 +8,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
-use beldi::{callee_id, callee_log_key, BeldiConfig, BeldiEnv, BeldiError, CrashPlan};
+use beldi::{
+    callee_id, callee_log_key, log_key, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, Mode,
+};
 use beldi_simdb::{MetricsSnapshot, ScanRequest};
 
 fn caller_callee_env(cfg: BeldiConfig) -> BeldiEnv {
@@ -82,6 +84,80 @@ fn callback_lands_before_done_so_gc_cannot_outrun_caller() {
         Value::Int(1),
         "callee ran exactly once despite crash + GC + re-execution"
     );
+}
+
+/// The Fig. 9 scenario for an async callee (Fig. 20): `mid` fires `sink`,
+/// and `mid` dies after firing. With trace on, and with the global crash
+/// script `script` if one is given: the steps a run without one gives for
+/// the delivery attempts of `sink`'s registration confirmation, the
+/// `worker.pre_handler` probes right after the `sink` probe that precedes
+/// the callback (`wrapper.pre_callback`, or `asyncreg.post_intent`, had
+/// the registration confirmed itself as it once did). Then `sink` runs,
+/// `T` passes, and `sink`'s GC pass and `mid`'s IC pass run. Returns
+/// those steps and `sink`'s count of its runs.
+fn async_callee_after_undelivered_confirmation(
+    mode: Mode,
+    script: Option<Vec<usize>>,
+) -> (Vec<usize>, Value) {
+    let cfg = BeldiConfig::for_mode(mode)
+        .with_t_max(Duration::from_millis(100))
+        .with_ic_restart_delay(Duration::from_millis(40));
+    let env = BeldiEnv::for_tests_with(cfg);
+    env.register_ssf(
+        "sink",
+        &["st"],
+        Arc::new(|ctx, _| {
+            let n = ctx.read("st", "runs")?.as_int().unwrap_or(0);
+            ctx.write("st", "runs", Value::Int(n + 1))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "mid",
+        &[],
+        Arc::new(|ctx, input| ctx.async_invoke("sink", input).map(|()| Value::Null)),
+    );
+    let faults = env.platform().faults();
+    faults.start_trace();
+    faults.plan("mid-1", CrashPlan::AtLabel(Label::WrapperPreDone));
+    faults.set_global_plan(script.map(CrashPlan::Script));
+    assert!(env.invoke_attempts("mid", "mid-1", Value::Null, 1).is_err());
+    env.clock().sleep(Duration::from_millis(150));
+    for collector in ["sink.gc", "mid.ic"] {
+        env.platform().invoke_sync(collector, Value::Null).unwrap();
+        env.clock().sleep(Duration::from_millis(50));
+    }
+    let trace = faults.take_trace();
+    let sink = callee_id(&log_key("mid-1", 0));
+    let sends = [Label::WrapperPreCallback, Label::AsyncRegPostIntent];
+    let confirmation = trace
+        .windows(2)
+        .find(|w| {
+            *w[0].instance == *sink
+                && sends.contains(&w[0].label)
+                && w[1].label == Label::WorkerPreHandler
+        })
+        .map(|w| w[1].step as usize);
+    let steps = confirmation.map_or(Vec::new(), |s| (s..s + 5).collect());
+    (steps, env.read_current("sink", "st", "runs").unwrap())
+}
+
+/// Done implies delivered for an async callee too: one whose registration
+/// confirmation cannot be delivered crashes before its done-mark, so its
+/// GC cannot recycle the intent that `mid`'s re-execution, finding no
+/// `Registered`, registers and fires again. `sink` counts one run. (Had
+/// `sink` finished, its re-run would count again in cross-table mode,
+/// whose write log goes with the intent; a Beldi-mode DAAL row still
+/// lists the write, so the re-run's write replays.)
+#[test]
+fn async_callee_confirms_before_done_so_gc_cannot_outrun_caller() {
+    for mode in [Mode::CrossTable, Mode::Beldi] {
+        let (steps, runs) = async_callee_after_undelivered_confirmation(mode, None);
+        assert_eq!(runs, Value::Int(1), "{mode:?}: sink ran more than once");
+        assert_eq!(steps.len(), 5, "{mode:?}: the confirmation was sent");
+        let (_, runs) = async_callee_after_undelivered_confirmation(mode, Some(steps));
+        assert_eq!(runs, Value::Int(1), "{mode:?}: sink ran more than once");
+    }
 }
 
 /// A spurious callback — for an invoke-log entry that no longer exists —

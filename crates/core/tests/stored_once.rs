@@ -6,10 +6,11 @@
 //! intents that are not done. A callee's outcome is its caller's logged
 //! `Result`, so only an intent no caller waits on — a root, a commit
 //! signal — keeps a `Ret`. An invoke entry stores no `CalleeId` (it is
-//! the entry's `LogKey` plus `.c`), and only an async registration sets
-//! `Registered`, the flag only `async_invoke` reads. The collector puts
-//! the row's fields back before it re-sends, so the envelope it fires is
-//! the one the intent was registered for, field for field.
+//! the entry's `LogKey` plus `.c`), and only an async callee's callback,
+//! sent before its done-mark, sets `Registered`, the flag only
+//! `async_invoke` reads. The collector puts the row's fields back before
+//! it re-sends, so the envelope it fires is the one the intent was
+//! registered for, field for field.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -79,7 +79,7 @@ labels! {
     /// After the intent is marked done, before the response returns.
     WrapperPostDone => "wrapper.post_done",
     /// Async callee registration (Fig. 20): after the intent logs,
-    /// before the confirmation callback.
+    /// before the registration's reply.
     AsyncRegPostIntent => "asyncreg.post_intent",
 
     // ---- Logged storage operations (Figs. 5–7, 17–18) ----

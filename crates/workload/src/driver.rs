@@ -138,9 +138,10 @@ pub struct ChaosOptions {
 /// chaos drive.
 const COLLECTOR_KILL_PROB: f64 = 4e-3;
 
-/// Hard cap on a chaos drive's injected crashes, far above any run's
-/// count, so the cap check never shapes the schedule.
-const MAX_CRASHES: u64 = 10_000;
+/// Hard cap on a chaos drive's injected crashes: it guarantees a storm
+/// ends. A storm that reaches it injects no more, so the cap shaped its
+/// schedule, and [`crate::gate::recovery_gate`] fails the run.
+pub(crate) const MAX_CRASHES: u64 = 10_000;
 
 /// IC restart delay of a chaos drive — short, so recovery latencies are
 /// dominated by detection + re-execution rather than the paper's

@@ -20,7 +20,8 @@
 //!
 //! After each crashed run the driver lets root-level retries finish, then
 //! [`beldi::BeldiEnv::drain_recovery`] re-drives any still-unfinished
-//! intent through the intent collector on virtual time. The run passes
+//! intent through the intent collector on virtual time, and the state is
+//! read once no invocation is in flight. The run passes
 //! when (a) every request succeeded, (b) recovery quiesced, (c) the
 //! canonical state equals the oracle's, and (d) the effect count equals
 //! the oracle's. Any failure becomes a [`Violation`] carrying the exact
@@ -207,9 +208,10 @@ impl ExploreReport {
     }
 }
 
-/// A two-SSF synthetic pipeline exercising every primitive — read, write,
-/// conditional write, and a synchronous sub-invocation — with tiny
-/// per-run cost.
+/// A three-SSF synthetic pipeline exercising every primitive — read,
+/// write, conditional write, a synchronous and an asynchronous
+/// sub-invocation (`root → worker → async sink`) — with tiny per-run
+/// cost.
 ///
 /// This is the explorer's reference workload and the **canary's**
 /// sensitizer: its conditional write computes from an earlier read
@@ -263,7 +265,20 @@ impl WorkflowApp for PipelineApp {
             Arc::new(|ctx, input: Value| {
                 let c = ctx.read("wt", "count")?.as_int().unwrap_or(0);
                 ctx.write("wt", "count", Value::Int(c + 1))?;
+                ctx.async_invoke("sink", Value::Int(c + 1))?;
                 Ok(Value::Int(input.as_int().unwrap_or(0) + c + 1))
+            }),
+        );
+        // One counter per worker run: async sinks may overlap, and two
+        // that counted on one key would race.
+        env.register_ssf(
+            "sink",
+            &["st"],
+            Arc::new(|ctx, run: Value| {
+                let key = sink_key(run.as_int().unwrap_or(0));
+                let c = ctx.read("st", &key)?.as_int().unwrap_or(0);
+                ctx.write("st", &key, Value::Int(c + 1))?;
+                Ok(Value::Null)
             }),
         );
         env.register_ssf(
@@ -294,22 +309,42 @@ impl WorkflowApp for PipelineApp {
     }
 
     fn canonical_state(&self, env: &BeldiEnv) -> Value {
+        let sinks = sink_counts(env).into_iter().map(Value::Int).collect();
         beldi::value::vmap! {
             "root" => env.read_current("root", "rt", "count").unwrap_or(Value::Null),
             "gate" => env.read_current("root", "rt", "gate").unwrap_or(Value::Null),
             "worker" => env.read_current("worker", "wt", "count").unwrap_or(Value::Null),
+            "sink" => Value::List(sinks),
         }
     }
 
     fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        let get = |ssf: &str, table: &str, key: &str| {
-            env.read_current(ssf, table, key)
-                .ok()
-                .and_then(|v| v.as_int())
-                .unwrap_or(0)
-        };
-        get("root", "rt", "count") + get("root", "rt", "gate") + get("worker", "wt", "count")
+        get_int(env, "root", "rt", "count")
+            + get_int(env, "root", "rt", "gate")
+            + get_int(env, "worker", "wt", "count")
+            + sink_counts(env).iter().sum::<i64>()
     }
+}
+
+/// The pipeline's integer at `ssf`'s `table`/`key`, 0 when absent.
+fn get_int(env: &BeldiEnv, ssf: &str, table: &str, key: &str) -> i64 {
+    env.read_current(ssf, table, key)
+        .ok()
+        .and_then(|v| v.as_int())
+        .unwrap_or(0)
+}
+
+/// The key `sink` counts the worker's run `run` under.
+fn sink_key(run: i64) -> String {
+    format!("run-{run}")
+}
+
+/// How many times `sink` counted each worker run, in run order.
+fn sink_counts(env: &BeldiEnv) -> Vec<i64> {
+    let runs = get_int(env, "worker", "wt", "count");
+    (1..=runs)
+        .map(|run| get_int(env, "sink", "st", &sink_key(run)))
+        .collect()
 }
 
 /// Everything captured from one run. The environment rides along so
@@ -395,6 +430,11 @@ fn run_schedule(
             usize::MAX
         }
     };
+    // An async call may still run: in baseline nothing drains it.
+    let in_flight = await_idle(&env);
+    if in_flight > 0 {
+        errors.push(format!("{in_flight} invocation(s) still in flight"));
+    }
     let trace = faults.take_trace();
     let state = app.canonical_state(&env);
     let effects = app.effect_count(&env);
@@ -414,6 +454,18 @@ fn run_schedule(
         corruption: counted_corruption(&env),
     };
     (outcome, env)
+}
+
+/// Waits, at most `T` of virtual time, until no invocation is in flight;
+/// how many still are.
+fn await_idle(env: &BeldiEnv) -> i64 {
+    for _ in 0..EXPLORE_T_MAX.as_millis() {
+        if env.platform_metrics().active == 0 {
+            break;
+        }
+        env.clock().sleep(Duration::from_millis(1));
+    }
+    env.platform_metrics().active
 }
 
 /// The corruption the run's collectors counted and skipped, if any: a

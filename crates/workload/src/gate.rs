@@ -20,7 +20,9 @@ use std::time::Duration;
 use beldi::value::{json, Value};
 use beldi::Mode;
 
-use crate::driver::{runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, REBASELINE};
+use crate::driver::{
+    runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, MAX_CRASHES, REBASELINE,
+};
 use crate::explore::ViolationKind::{EffectDivergence, StateDivergence};
 use crate::explore::{ExploreReport, Violation};
 
@@ -284,10 +286,12 @@ pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Ve
 /// Vacuous passes are rejected: a report with no chaos run at all fails,
 /// as does a chaos run whose storm never actually injected a crash or
 /// whose recovery series is empty despite injected *workflow* crashes —
-/// both mean the check is checking nothing. Crashes that landed only on
-/// collector passes (`ic.*`/`gc.*` sites) are exempt from the
-/// recovery-series requirement: a killed collector pass has no intent to
-/// recover, so such a storm is still a meaningful digest check.
+/// both mean the check is checking nothing. So does a run whose storm
+/// reached the drive's crash cap: the cap, not the storm, shaped its schedule.
+/// Crashes that landed only on collector passes (`ic.*`/`gc.*` sites) are
+/// exempt from the recovery-series requirement: a killed collector pass
+/// has no intent to recover, so such a storm is still a meaningful digest
+/// check.
 pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
     let max_p99 = max_recovery_p99_ms(t_max);
     let mut failures = Vec::new();
@@ -306,6 +310,11 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
             failures.push(format!(
                 "{key}: the storm injected no crashes — the chaos check is vacuous \
                  (raise the kill rates or the op count)"
+            ));
+        } else if rec.injected_crashes >= MAX_CRASHES {
+            failures.push(format!(
+                "{key}: the storm reached its cap of {MAX_CRASHES} crashes and stopped \
+                 injecting — the cap shaped the schedule (lower the kill rates or the op count)"
             ));
         } else {
             let workflow_crashes: u64 = rec
@@ -844,6 +853,26 @@ mod tests {
         let failures = recovery_gate(&report(vec![run("travel", 4, 10.0, 0)]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("no chaos runs")),
+            "{failures:?}"
+        );
+    }
+
+    /// A storm that reached the crash cap stopped injecting, so the cap
+    /// shaped its schedule: one crash under the cap passes, the cap fails.
+    #[test]
+    fn recovery_gate_rejects_a_storm_at_the_crash_cap() {
+        let mut r = chaos_run("travel");
+        r.recovery.as_mut().unwrap().injected_crashes = MAX_CRASHES - 1;
+        assert_eq!(
+            recovery_gate(&report(vec![r.clone()]), T_MAX),
+            Vec::<String>::new()
+        );
+        r.recovery.as_mut().unwrap().injected_crashes = MAX_CRASHES;
+        let failures = recovery_gate(&report(vec![r]), T_MAX);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.starts_with("travel/beldi/w4: the storm reached its cap of 10000")),
             "{failures:?}"
         );
     }

@@ -31,7 +31,16 @@ fn depth1_sweep_of_pipeline_is_clean() {
     assert_eq!(report.schedules, report.crash_points);
     // Every depth-1 schedule fired exactly its one crash.
     assert_eq!(report.crashes_injected, report.schedules as u64);
-    assert_eq!(report.oracle_effects, 3 * 3); // count + gate + worker per request
+    // count + gate + worker + sink per request
+    assert_eq!(report.oracle_effects, 3 * 4);
+    // The worker's async call is swept at each of its steps.
+    for label in [
+        Label::InvokePreAsyncReg,
+        Label::AsyncRegPostIntent,
+        Label::InvokePreAsyncCall,
+    ] {
+        assert!(report.crashed_labels.contains(&label), "{label} not swept");
+    }
 }
 
 #[test]
@@ -50,7 +59,10 @@ fn depth1_sweep_in_cross_table_mode_is_clean() {
 /// applies again what the killed one applied (§2.1). At schedule `[10]`
 /// the first request's worker dies just after its write, the root's call
 /// re-runs it, and the sweep counts one effect beyond the oracle. Every
-/// divergence a retry causes is a duplicate, never a loss.
+/// divergence a retry causes is a duplicate, never a loss. The one loss
+/// is a fire-and-forget sink killed before its write, which nothing
+/// retries: one effect below the oracle, and a state whose only
+/// differing app row is that sink's missing count.
 #[test]
 fn baseline_sweep_counts_a_duplicated_effect() {
     let report = explore(
@@ -58,22 +70,31 @@ fn baseline_sweep_counts_a_duplicated_effect() {
         Mode::Baseline,
         &ExploreOptions::default(),
     );
-    let effects: Vec<_> = report
-        .violations
-        .iter()
-        .filter(|v| v.kind == ViolationKind::EffectDivergence)
-        .collect();
+    let of_kind = |kind| report.violations.iter().filter(move |v| v.kind == kind);
+    let effects: Vec<_> = of_kind(ViolationKind::EffectDivergence).collect();
     let pinned = effects.iter().find(|v| v.schedule == [10]);
     let pinned = pinned.unwrap_or_else(|| panic!("{:#?}", report.violations));
     assert_eq!(pinned.label, "write.exit");
-    assert_eq!(pinned.detail, "effects 13 != oracle 12");
+    assert_eq!(pinned.detail, "effects 17 != oracle 16");
     for v in effects {
         let (found, oracle) = v.detail["effects ".len()..]
             .split_once(" != oracle ")
             .unwrap();
+        let (found, oracle): (i64, i64) = (found.parse().unwrap(), oracle.parse().unwrap());
+        if found > oracle {
+            continue;
+        }
+        assert_eq!(found, oracle - 1, "{v}");
+        let state = of_kind(ViolationKind::StateDivergence).find(|s| s.schedule == v.schedule);
+        let state = state.unwrap_or_else(|| panic!("a loss without a state divergence: {v}"));
+        let (_, diff) = state.detail.split_once("raw app-table diff: ").unwrap();
+        let rows: Vec<&str> = diff.lines().skip(1).map(str::trim).collect();
         assert!(
-            found.parse::<i64>().unwrap() > oracle.parse().unwrap(),
-            "{v}"
+            diff.starts_with("1 differing row(s)")
+                && rows.len() == 1
+                && rows[0].starts_with("sink.data.st/")
+                && rows[0].ends_with("!= <absent>"),
+            "a loss that is not a lost sink: {v}\n{state}"
         );
     }
 }
@@ -222,11 +243,11 @@ fn gc_interleaved_sweep_is_clean_and_covers_gc_crash_points() {
     );
     // The collectors contribute their six fixed crash points per pass —
     // the `worker.pre_handler` dispatch probe plus the five gc.* step
-    // boundaries: 2 SSFs × 2 requests × 6 labels on top of the plain
+    // boundaries: 3 SSFs × 2 requests × 6 labels on top of the plain
     // stream (whose own requests already carry their dispatch probes).
     assert_eq!(
         report.crash_points,
-        base.crash_points + 2 * 2 * 6,
+        base.crash_points + 3 * 2 * 6,
         "GC passes must add exactly their fixed step-boundary points"
     );
     // Every schedule — including those that killed a GC pass — fired.
@@ -295,21 +316,13 @@ const NOT_REACHED: &[(Label, &str)] = &[
 
 /// One traced run of what the explorer's apps and its oracle never do: a
 /// DAAL row fills and appends, a conditional write comes out false, an
-/// async call, an aborted transaction releasing its item, and an intent
-/// collector pass that restarts a crashed instance. The labels it passes.
+/// aborted transaction releasing its item, and an intent collector pass
+/// that restarts a crashed instance. The labels it passes.
 fn labels_of_the_rarer_paths() -> Vec<Label> {
     let cfg = BeldiConfig::beldi()
         .with_row_capacity(2)
         .with_ic_restart_delay(Duration::from_millis(40));
     let env = BeldiEnv::builder(cfg).build();
-    env.register_ssf(
-        "leaf",
-        &["t"],
-        Arc::new(|ctx, _| {
-            ctx.write("t", "leaf", Value::Int(1))?;
-            Ok(Value::Null)
-        }),
-    );
     env.register_ssf(
         "root",
         &["t"],
@@ -319,7 +332,6 @@ fn labels_of_the_rarer_paths() -> Vec<Label> {
             }
             let never = Cond::eq(beldi::schema::A_VALUE, Value::Int(-1));
             ctx.cond_write("t", "k", Value::Int(0), never)?;
-            ctx.async_invoke("leaf", Value::Null)?;
             ctx.begin_tx()?;
             ctx.read("t", "k")?;
             ctx.abort_tx()?;
@@ -331,11 +343,7 @@ fn labels_of_the_rarer_paths() -> Vec<Label> {
     faults.set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreDone)));
     env.invoke_async("root", Value::Null).unwrap();
     env.clock().sleep(Duration::from_millis(100));
-    for ssf in ["root", "leaf"] {
-        env.platform()
-            .invoke_sync(&format!("{ssf}.ic"), Value::Null)
-            .unwrap();
-    }
+    env.platform().invoke_sync("root.ic", Value::Null).unwrap();
     env.drain_recovery(10).unwrap();
     faults.take_trace().iter().map(|t| t.label).collect()
 }
@@ -343,8 +351,9 @@ fn labels_of_the_rarer_paths() -> Vec<Label> {
 /// The run-time half of crash-point coverage. Every label is passed by
 /// some run — the oracles of the CI explorer configurations (`explore
 /// --smoke` with `--gc-check` and with `--gc-interleave`), the pipeline
-/// sweep behind `--canary --stride 3`, whose schedules reach recovery,
-/// and [`labels_of_the_rarer_paths`] — or is listed in [`NOT_REACHED`]
+/// sweep behind `--canary --stride 3`, whose schedules reach recovery and
+/// whose oracle passes the async call's labels, and
+/// [`labels_of_the_rarer_paths`] — or is listed in [`NOT_REACHED`]
 /// with the reason none can. So deleting a probe call fails here, and so
 /// does a listed label that is reached: the list cannot go stale.
 #[test]

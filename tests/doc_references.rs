@@ -6,6 +6,9 @@
 //! names a function (or a type) declared in a file of that name under
 //! `crates/`, `tests/` or `benchmark/`. Renaming a test or a function
 //! without moving its references fails here too.
+//!
+//! DESIGN.md itself stays within [`DESIGN_MAX_BYTES`]: an edit that adds
+//! to it makes room by taking out as much.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -15,6 +18,10 @@ const SCANNED: [&str; 3] = ["crates", "README.md", ".github"];
 
 /// Where the files DESIGN.md's `file.rs::name` references name are.
 const SOURCES: [&str; 3] = ["crates", "tests", "benchmark"];
+
+/// The most bytes DESIGN.md may hold: its size when the bound was set,
+/// lowered, never raised, as the file shrinks.
+const DESIGN_MAX_BYTES: u64 = 94_993;
 
 /// The keywords that declare a name a reference may give.
 const DECLARATIONS: [&str; 5] = ["fn", "struct", "enum", "trait", "type"];
@@ -76,6 +83,15 @@ fn references_are_read_in_every_spelling() {
     assert_eq!(
         sections("# t\n## §1 Scope\n### §1.5 no\n## §12 Layers"),
         BTreeSet::from([1, 12])
+    );
+}
+
+#[test]
+fn design_stays_within_its_byte_bound() {
+    let bytes = std::fs::metadata(root().join("DESIGN.md")).unwrap().len();
+    assert!(
+        bytes <= DESIGN_MAX_BYTES,
+        "DESIGN.md is {bytes} B, over its {DESIGN_MAX_BYTES} B bound"
     );
 }
 
