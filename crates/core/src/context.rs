@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use beldi_simclock::SharedClock;
+use beldi_simclock::{Op, OpScope, SharedClock};
 use beldi_simdb::{Database, TableRef};
 use beldi_simfaas::{Label, Platform, Probe};
 
@@ -160,6 +160,12 @@ impl SsfContext {
         let k = log_key(self.instance(), self.step);
         self.step += 1;
         k
+    }
+
+    /// Opens the scope of `op` for this instance: it counts the op and
+    /// names it the issuer of the store calls made until it drops.
+    pub(crate) fn op(&self, op: Op) -> OpScope {
+        self.core.telemetry().op(op, self.instance())
     }
 
     /// A labelled crash point: the fault injector may kill the instance

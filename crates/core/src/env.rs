@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use beldi_simclock::{Hist, Metric, SharedClock, SimClock, Telemetry};
+use beldi_simclock::{Hist, Metric, Op, SharedClock, SimClock, Telemetry};
 use beldi_simdb::{Database, LatencyModel, MetricsSnapshot, ScanRequest, TableRef};
 use beldi_simfaas::{InvokeError, Label, Platform, PlatformConfig, PlatformSnapshot, Probe};
 use beldi_value::Value;
@@ -330,6 +330,7 @@ impl<'a> RootCall<'a> {
     /// Folds one attempt's reply in: `Break` carries the call's result,
     /// `Continue` means back off and try [`RootCall::next_attempt`].
     fn settle(&mut self, reply: Result<Value, InvokeError>) -> ControlFlow<BeldiResult<Value>> {
+        let _op = self.core.telemetry().op(Op::RootSettle, &self.instance);
         let expired = match reply {
             Ok(v) => match Outcome::from_reply(v) {
                 Outcome::Expired => true,

@@ -44,7 +44,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use beldi_simclock::{Metric, Telemetry};
+use beldi_simclock::{Metric, Op, Telemetry};
 use beldi_simdb::{Database, DbError, PrimaryKey, Projection, ScanRequest, TableRef};
 use beldi_value::{Cond, Update, Value};
 
@@ -163,6 +163,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // envelopes (`Ret`, and `Args` until the done-mark) that make up most
     // of an intent row stay in the store.
     let classify = ScanRequest::all().with_projection(Projection::attrs(DoneMark::ATTRS));
+    let step = t.op(Op::GcClassify, &ssf.name);
     for row in db.scan_all(intent_table, &classify)? {
         // A corrupt done-mark leaves when the intent may go, or what it
         // owns in the log, unknown: it and its entries stay.
@@ -181,12 +182,14 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
             Err(_) => report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents),
         }
     }
+    drop(step);
     (hooks.crash)(Label::GcPostClassify);
 
     // Step 3: delete the log entries the recyclable intents' done-marks
     // list. The condition keeps a pass re-run after a crash here from
     // counting an entry twice.
     let present = Cond::exists(A_LOG_KEY);
+    let step = t.op(Op::GcLogPrune, &ssf.name);
     #[expect(
         clippy::disallowed_methods,
         reason = "between Label::GcPostClassify and Label::GcPostLogPrune"
@@ -201,11 +204,13 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
             }
         }
     }
+    drop(step);
     (hooks.crash)(Label::GcPostLogPrune);
 
     // Steps 4–5: DAAL maintenance (Beldi mode only; cross-table and
     // baseline data tables are single rows with no log to prune).
     if core.config.mode == Mode::Beldi {
+        let _step = t.op(Op::GcDaal, &ssf.name);
         let mut sweep = Sweep {
             db,
             t,
@@ -228,11 +233,13 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // what the fault injector kept about the instance. From here on the
     // id can only come back as a zombie past its lease, whose counters
     // start over.
+    let step = t.op(Op::GcRecycle, &ssf.name);
     for (id, _) in &recyclable {
         intent::delete(db, intent_table, id)?;
         core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
+    drop(step);
     (hooks.crash)(Label::GcExit);
     Ok(report)
 }

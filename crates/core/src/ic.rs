@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use beldi_simclock::Metric;
+use beldi_simclock::{Metric, Op};
 use beldi_simdb::{ScanRequest, TableRef};
 use beldi_value::Value;
 
@@ -69,6 +69,7 @@ pub(crate) fn run_ic_with(
 
 fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<IcReport> {
     crash(Label::IcEnter);
+    let _scan = core.telemetry().op(Op::IcScan, &ssf.name);
     let table = &ssf.intent_table;
     let mut rows = core
         .db
@@ -113,6 +114,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
             continue;
         }
         // Claim the restart; losers saw a concurrent IC win the CAS.
+        let _restart = core.telemetry().op(Op::IcRestart, &rec.id);
         if !intent::claim_launch(&core.db, table, &rec.id, rec.last_launch_ms, now_ms)? {
             continue;
         }

@@ -15,6 +15,7 @@
 
 use std::sync::Arc;
 
+use beldi_simclock::Op;
 use beldi_simdb::{Database, DbError, PrimaryKey, TableRef};
 use beldi_value::{Cond, Update, Value};
 
@@ -40,6 +41,7 @@ pub(crate) fn register(
     caller: Option<&Arc<str>>,
     now_ms: u64,
 ) -> BeldiResult<Option<IntentRecord>> {
+    let _op = db.telemetry().op(Op::IntentRegister, id);
     let pk = PrimaryKey::hash(id);
     let mut update = Update::with_capacity(5 + usize::from(caller.is_some()))
         .set(A_DONE, Value::Bool(false))
@@ -91,6 +93,7 @@ pub(crate) fn mark_done(
     log_steps: &[StepNumber],
     now_ms: u64,
 ) -> BeldiResult<()> {
+    let _op = db.telemetry().op(Op::MarkDone, id);
     let actions = 4 + usize::from(ret.is_some()) + usize::from(!log_steps.is_empty());
     let mut update = Update::with_capacity(actions)
         .set(A_DONE, Value::Bool(true))

@@ -27,6 +27,7 @@
 
 use std::sync::Arc;
 
+use beldi_simclock::Op;
 use beldi_simdb::{DbError, PrimaryKey};
 use beldi_simfaas::Platform;
 use beldi_value::{Cond, Map, Update, Value};
@@ -431,6 +432,7 @@ impl SsfContext {
     /// (wait-die or user abort) — the caller should propagate it to its
     /// own `end_tx`.
     pub fn sync_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<Value> {
+        let _op = self.op(Op::SyncInvoke);
         let outcome = self.invoke_with_entry(callee, input)?;
         if matches!(outcome, Outcome::Abort) {
             if let Some(t) = &mut self.txn {
@@ -533,6 +535,7 @@ impl SsfContext {
     /// [`BeldiError::Unsupported`] inside a transaction (the paper defers
     /// async calls in transactions to future work).
     pub fn async_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<()> {
+        let _op = self.op(Op::AsyncInvoke);
         if self.in_txn() {
             return Err(BeldiError::Unsupported("async_invoke inside a transaction"));
         }
@@ -652,6 +655,7 @@ pub(crate) fn handle_callback(
     callee_id: &Arc<str>,
     result: Option<Value>,
 ) -> Outcome {
+    let _op = core.telemetry().op(Op::Callback, callee_id);
     let Some(pk) = crate::ids::callee_log_key(callee_id).map(PrimaryKey::hash) else {
         return Outcome::Ok(Value::Null);
     };

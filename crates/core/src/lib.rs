@@ -92,5 +92,5 @@ pub use schema::{A_LOCK, A_VALUE};
 
 // Re-exports so applications depend on `beldi` alone.
 pub use beldi_simclock as simclock;
-pub use beldi_simfaas::{silence_crash_backtraces, CrashPlan, Label, StormPolicy};
+pub use beldi_simfaas::{crash_stream, silence_crash_backtraces, CrashPlan, Label, StormPolicy};
 pub use beldi_value as value;

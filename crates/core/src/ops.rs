@@ -18,6 +18,7 @@
 
 use std::sync::Arc;
 
+use beldi_simclock::Op;
 use beldi_simdb::{DbError, PrimaryKey, TableRef};
 use beldi_value::{Cond, Path, Update, Value};
 
@@ -44,6 +45,7 @@ impl SsfContext {
     /// transaction, the read first acquires the item's lock (2PL) and
     /// observes the transaction's own shadow writes.
     pub fn read(&mut self, table: &str, key: &str) -> BeldiResult<Value> {
+        let _op = self.op(Op::Read);
         if self.in_txn() {
             return self.txn_read(table, key);
         }
@@ -122,6 +124,7 @@ impl SsfContext {
     /// transaction the write is redirected to the transaction's shadow
     /// table and only reaches `table` at commit.
     pub fn write(&mut self, table: &str, key: &str, value: Value) -> BeldiResult<()> {
+        let _op = self.op(Op::Write);
         if self.in_txn() {
             return self.txn_write(table, key, value);
         }
@@ -146,6 +149,7 @@ impl SsfContext {
         value: Value,
         cond: Cond,
     ) -> BeldiResult<bool> {
+        let _op = self.op(Op::CondWrite);
         if self.in_txn() {
             return self.txn_cond_write(table, key, value, cond);
         }
@@ -233,6 +237,7 @@ impl SsfContext {
         if self.in_txn() {
             return self.txn_lock(table, &key.into()).map(|_| ());
         }
+        let _op = self.op(Op::Lock);
         if self.mode() == Mode::Baseline {
             return Ok(());
         }
@@ -264,6 +269,7 @@ impl SsfContext {
     /// (an application bug); re-executions of a successful unlock replay
     /// harmlessly.
     pub fn unlock(&mut self, table: &str, key: &str) -> BeldiResult<()> {
+        let _op = self.op(Op::Lock);
         if let Some(txn) = &self.txn {
             // Transactional locks are released by the commit/abort
             // protocol, never manually.
@@ -298,6 +304,12 @@ impl SsfContext {
     /// Current virtual time in milliseconds, logged so re-executions see
     /// the same timestamp.
     pub fn logged_now_ms(&mut self) -> BeldiResult<u64> {
+        let _op = self.op(Op::Read);
+        self.log_now_ms()
+    }
+
+    /// [`SsfContext::logged_now_ms`] under its caller's scope.
+    pub(crate) fn log_now_ms(&mut self) -> BeldiResult<u64> {
         let (step, now) = (self.step, Value::Int(self.raw_now_ms() as i64));
         let v = self.log_value(now)?;
         schema::time(&v).ok_or_else(|| self.corrupt_entry(step))
@@ -305,6 +317,12 @@ impl SsfContext {
 
     /// A fresh UUID, logged so re-executions see the same id.
     pub fn logged_uuid(&mut self) -> BeldiResult<String> {
+        let _op = self.op(Op::Read);
+        self.log_uuid()
+    }
+
+    /// [`SsfContext::logged_uuid`] under its caller's scope.
+    pub(crate) fn log_uuid(&mut self) -> BeldiResult<String> {
         let (step, fresh) = (self.step, Value::from(self.fresh_uuid()));
         let v = self.log_value(fresh)?;
         v.as_str()

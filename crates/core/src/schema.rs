@@ -616,7 +616,7 @@ pub fn plain_data_schema() -> TableSchema {
 /// Both `TxnId` indexes, this one and the log's, are the only durable
 /// list of what a transaction's instances of an SSF touched or invoked,
 /// which its finalizing instance must release and signal. This one's
-/// answer also carries the entries ([`ShadowRow::ATTRS`]): every row of a
+/// answer also carries the entries (`ShadowRow::ATTRS`): every row of a
 /// chain carries `TxnId`, and simdb's index answers from the stored rows
 /// under their table lock (DESIGN §1), not from a copy that could lag.
 pub fn shadow_schema() -> TableSchema {

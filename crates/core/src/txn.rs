@@ -164,6 +164,14 @@ impl TxnState {
     }
 }
 
+/// The op a decision runs as: a commit or an abort.
+pub(crate) fn decision_op(decision: TxnMode) -> Op {
+    match decision {
+        TxnMode::Abort => Op::TxnAbort,
+        _ => Op::TxnCommit,
+    }
+}
+
 /// Builds the `LockOwner` column value for a transaction or instance
 /// (Fig. 11 stores `[TXNID, START_TIME]`).
 pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
@@ -177,6 +185,7 @@ pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use beldi_simclock::Op;
 use beldi_simdb::{DbError, PrimaryKey, Projection, ScanRequest};
 use beldi_value::{Cond, Path, Update};
 
@@ -230,6 +239,7 @@ impl SsfContext {
             }
             Mode::Beldi => {}
         }
+        let _op = self.op(Op::TxnBegin);
         if let Some(t) = &mut self.txn {
             if t.owned && t.ended {
                 // The previous owned transaction is fully decided (locks
@@ -243,8 +253,8 @@ impl SsfContext {
         // The id and creation time are nondeterministic, so they are
         // logged: a re-executed instance resumes the *same* transaction
         // (and still owns its locks).
-        let id = self.logged_uuid()?.into();
-        let start_ms = self.logged_now_ms()?;
+        let id = self.log_uuid()?.into();
+        let start_ms = self.log_now_ms()?;
         self.txn = Some(TxnState::owned(TxnContext {
             id,
             start_ms,
@@ -274,6 +284,11 @@ impl SsfContext {
             true => (TxnOutcome::Aborted, TxnMode::Abort),
             false => (TxnOutcome::Committed, TxnMode::Commit),
         };
+        // Through the fields, which `t` does not borrow.
+        let _op = self
+            .core
+            .telemetry()
+            .op(decision_op(decision), self.probe.id());
         if t.nested > 0 {
             t.nested -= 1;
             return Ok(outcome);
@@ -322,6 +337,7 @@ impl SsfContext {
         if self.txn.as_ref().is_some_and(holds) {
             return Ok(false);
         }
+        let _op = self.op(Op::Lock);
         let physical = self.data_table(logical)?;
         let ctx = self.txn_ctx_cloned()?;
         let owner = lock_owner_value(&ctx.id, ctx.start_ms);
@@ -340,6 +356,7 @@ impl SsfContext {
                 return Ok(created);
             }
             // Who holds it? Logged so replay takes the same branch.
+            let _retry = self.op(Op::WaitDieRetry);
             let holder = daal::lock_owner(self.db(), &physical, key)?.unwrap_or(Value::Null);
             let holder = self.log_value(holder)?;
             match schema::lock_owner(physical.name(), key, &holder)? {

@@ -24,6 +24,7 @@
 
 use std::sync::{Arc, Weak};
 
+use beldi_simclock::Op;
 use beldi_simdb::DbError;
 use beldi_simfaas::{FunctionHandler, InvocationCtx};
 use beldi_value::Value;
@@ -34,7 +35,7 @@ use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiError;
 use crate::intent;
 use crate::invoke::{self, Envelope, Outcome};
-use crate::txn::{TxnMode, TxnState};
+use crate::txn::{decision_op, TxnMode, TxnState};
 use crate::Label;
 
 /// Builds the platform handler wrapping SSF `ssf`.
@@ -141,6 +142,7 @@ fn run_call(
         // Async stub (Fig. 20): only run intents that were registered by
         // the caller's registration step and are still incomplete, so the
         // GC can prune completed intents without interference.
+        let _op = db.telemetry().op(Op::IntentRegister, &instance);
         match intent::load(db, intent_table, &instance) {
             Ok(Some(r)) if !r.done => Some(r),
             Ok(_) => return Outcome::Ok(Value::Null).into_value(),
@@ -352,9 +354,11 @@ fn run_txn_signal(
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
     let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, now_ms);
     ctx.txn = Some(TxnState::inherited(txn));
+    let op = ctx.op(decision_op(decision));
     let outcome = match ctx.finalize(decision) {
         Ok(()) => Outcome::Ok(Value::Null),
         Err(e) => Outcome::Error(e.to_string()),
     };
+    drop(op);
     finish(core, &mut ctx, None, outcome)
 }

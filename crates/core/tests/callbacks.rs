@@ -9,9 +9,11 @@ use std::time::Duration;
 
 use beldi::value::{vmap, Value};
 use beldi::{
-    callee_id, callee_log_key, log_key, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, Mode,
+    callee_id, callee_log_key, crash_stream, log_key, BeldiConfig, BeldiEnv, BeldiError, CrashPlan,
+    Mode,
 };
 use beldi_simdb::{MetricsSnapshot, ScanRequest};
+use beldi_simfaas::Visit;
 
 fn caller_callee_env(cfg: BeldiConfig) -> BeldiEnv {
     let env = BeldiEnv::for_tests_with(cfg);
@@ -118,7 +120,7 @@ fn async_callee_after_undelivered_confirmation(
         Arc::new(|ctx, input| ctx.async_invoke("sink", input).map(|()| Value::Null)),
     );
     let faults = env.platform().faults();
-    faults.start_trace();
+    env.telemetry().start_record(env.clock().clone());
     faults.plan("mid-1", CrashPlan::AtLabel(Label::WrapperPreDone));
     faults.set_global_plan(script.map(CrashPlan::Script));
     assert!(env.invoke_attempts("mid", "mid-1", Value::Null, 1).is_err());
@@ -127,7 +129,8 @@ fn async_callee_after_undelivered_confirmation(
         env.platform().invoke_sync(collector, Value::Null).unwrap();
         env.clock().sleep(Duration::from_millis(50));
     }
-    let trace = faults.take_trace();
+    let record = env.telemetry().take_record();
+    let trace: Vec<Visit> = crash_stream(&record).collect();
     let sink = callee_id(&log_key("mid-1", 0));
     let sends = [Label::WrapperPreCallback, Label::AsyncRegPostIntent];
     let confirmation = trace

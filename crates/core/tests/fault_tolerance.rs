@@ -13,9 +13,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Value};
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Mode, StormPolicy};
+use beldi::{crash_stream, BeldiConfig, BeldiEnv, CrashPlan, Mode, StormPolicy};
 use beldi_simclock::{Gauge, Hist, Metric};
 use beldi_simdb::{LatencyModel, ScanRequest};
+use beldi_simfaas::Visit;
 
 mod common;
 
@@ -367,12 +368,12 @@ fn lifetime_ordinal_crash_in_reexecution_is_exactly_once() {
 fn global_schedule_crashes_are_exactly_once() {
     // First measure the crash-free stream length.
     let env = pipeline_env(BeldiConfig::beldi());
-    env.platform().faults().start_trace();
+    env.telemetry().start_record(env.clock().clone());
     env.invoke("root", Value::Int(1)).unwrap();
-    let trace = env.platform().faults().take_trace();
+    let record = env.telemetry().take_record();
+    let trace: Vec<Visit> = crash_stream(&record).collect();
     assert!(trace.len() > 20, "stream too short: {}", trace.len());
-    let instances: std::collections::HashSet<&str> =
-        trace.iter().map(|t| t.instance.as_str()).collect();
+    let instances: std::collections::HashSet<&str> = trace.iter().map(|t| t.instance).collect();
     assert!(instances.len() >= 2, "root and callee must both appear");
 
     for step in (0..trace.len() as u64).step_by(7) {
@@ -481,7 +482,7 @@ fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
         }),
     );
     let faults = env.platform().faults();
-    faults.start_trace();
+    env.telemetry().start_record(env.clock().clone());
     env.invoke_attempts("w", "i", Value::Null, 1).unwrap_err();
     assert_eq!(faults.timeout_count(), 1);
     let rows = env
@@ -489,9 +490,8 @@ fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
         .query("w.data.t", &Value::from("k"), &ScanRequest::all())
         .unwrap();
     assert!(rows.is_empty(), "the killed step's entry landed: {rows:?}");
-    let passed: Vec<Label> = faults
-        .take_trace()
-        .into_iter()
+    let record = env.telemetry().take_record();
+    let passed: Vec<Label> = crash_stream(&record)
         .filter(|e| e.instance == "i")
         .map(|e| e.label)
         .collect();

@@ -12,9 +12,10 @@ use std::time::Duration;
 
 use beldi::schema::A_LOG_STEPS;
 use beldi::value::Value;
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, GcReport, Mode};
+use beldi::{crash_stream, BeldiConfig, BeldiEnv, CrashPlan, GcReport, Mode};
 use beldi_simclock::{Gauge, Metric};
 use beldi_simdb::{PrimaryKey, ScanRequest};
+use beldi_simfaas::Visit;
 
 fn gc_config() -> BeldiConfig {
     BeldiConfig::beldi()
@@ -762,9 +763,10 @@ fn a_crash_anywhere_leaves_no_log_row_behind() {
         let mode = cfg.mode;
         // The labels a crash-free run passes.
         let env = every_entry_env(cfg.clone());
-        env.platform().faults().start_trace();
+        env.telemetry().start_record(env.clock().clone());
         run_and_collect(&env);
-        let trace = env.platform().faults().take_trace();
+        let record = env.telemetry().take_record();
+        let trace: Vec<Visit> = crash_stream(&record).collect();
         let labels: Vec<Label> = Label::ALL
             .into_iter()
             .filter(|l| trace.iter().any(|e| e.label == *l))

@@ -7,8 +7,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{vmap, Cond, Path, Value};
-use beldi::{finalize_marker, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome};
+use beldi::{
+    crash_stream, finalize_marker, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome,
+};
+use beldi_simclock::Event;
 use beldi_simdb::ScanRequest;
+use beldi_simfaas::Visit;
 
 mod common;
 use common::{contended_env, join_all, spawn};
@@ -595,9 +599,17 @@ fn transactional_cond_write_sees_shadow_state() {
     );
 }
 
-/// Crash-point visits at `label` in a trace.
-fn visits(trace: &[beldi_simfaas::TraceEntry], label: Label) -> usize {
-    trace.iter().filter(|e| e.label == label).count()
+/// Crash-point visits at `label` in a crash stream.
+fn visits(stream: &[Visit<'_>], label: Label) -> usize {
+    stream.iter().filter(|e| e.label == label).count()
+}
+
+/// Runs `f` with the run record started; what it returned, and the
+/// record.
+fn recorded<R>(env: &BeldiEnv, f: impl FnOnce() -> R) -> (R, Vec<Event>) {
+    env.telemetry().start_record(env.clock().clone());
+    let out = f();
+    (out, env.telemetry().take_record())
 }
 
 /// An SSF that increments `t/k` and returns the new value: a read, then a
@@ -632,9 +644,8 @@ fn second_instance_in_a_txn_reads_the_first_instances_shadow_write() {
         }),
     );
     env.seed("incr", "t", "k", Value::Int(0)).unwrap();
-    env.platform().faults().start_trace();
-    let out = env.invoke("twice", Value::Null).unwrap();
-    let trace = env.platform().faults().take_trace();
+    let (out, record) = recorded(&env, || env.invoke("twice", Value::Null).unwrap());
+    let trace: Vec<Visit> = crash_stream(&record).collect();
     assert_eq!(out, Value::List(vec![Value::Int(1), Value::Int(2)]));
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(2));
     assert_eq!(visits(&trace, Label::TxnPreFlushItem), 1, "one flush");
@@ -667,9 +678,10 @@ fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
         }),
     );
     env.seed("rw", "t", "k", Value::Int(41)).unwrap();
-    env.platform().faults().start_trace();
-    let out = env.invoke_as("rw", "rw-crash", Value::Null).unwrap();
-    let trace = env.platform().faults().take_trace();
+    let (out, record) = recorded(&env, || {
+        env.invoke_as("rw", "rw-crash", Value::Null).unwrap()
+    });
+    let trace: Vec<Visit> = crash_stream(&record).collect();
     assert_eq!(
         env.platform()
             .faults()
@@ -839,13 +851,9 @@ fn register_hops(env: &BeldiEnv, names: &[&str]) {
 }
 
 /// Runs one transaction whose owner, an instance of `a`, increments `t/k`
-/// and calls each `(callee, input)` hop; returns the fault trace of its
+/// and calls each `(callee, input)` hop; returns the run record of its
 /// commit and the platform invocations the commit made.
-fn commit_hops(
-    env: &BeldiEnv,
-    owner: &str,
-    hops: &[(&str, &[&str])],
-) -> (Vec<beldi_simfaas::TraceEntry>, u64) {
+fn commit_hops(env: &BeldiEnv, owner: &str, hops: &[(&str, &[&str])]) -> (Vec<Event>, u64) {
     let mut ctx = env.test_context("a", owner);
     ctx.begin_tx().unwrap();
     let v = ctx.read("t", "k").unwrap().as_int().unwrap_or(0);
@@ -854,12 +862,10 @@ fn commit_hops(
         let next = next.iter().map(|&n| Value::from(n)).collect();
         ctx.sync_invoke(callee, Value::List(next)).unwrap();
     }
-    let faults = env.platform().faults();
     let before = env.platform_metrics().invocations;
-    faults.start_trace();
-    assert_eq!(ctx.end_tx().unwrap(), TxnOutcome::Committed);
-    let trace = faults.take_trace();
-    (trace, env.platform_metrics().invocations - before)
+    let (outcome, record) = recorded(env, || ctx.end_tx().unwrap());
+    assert_eq!(outcome, TxnOutcome::Committed);
+    (record, env.platform_metrics().invocations - before)
 }
 
 fn values(env: &BeldiEnv, ssfs: &[&str]) -> Vec<i64> {
@@ -877,7 +883,8 @@ fn a_diamond_finalizes_its_shared_callee_once() {
     register_hops(&env, &["a", "b", "c", "d"]);
     for round in 1..=2 {
         let hops: &[(&str, &[&str])] = &[("b", &["d"]), ("c", &["d"])];
-        let (trace, invocations) = commit_hops(&env, &format!("owner-{round}"), hops);
+        let (record, invocations) = commit_hops(&env, &format!("owner-{round}"), hops);
+        let trace: Vec<Visit> = crash_stream(&record).collect();
         // D ran twice in each transaction: its second run read the first's
         // shadow write.
         assert_eq!(
@@ -899,7 +906,8 @@ fn a_cycle_back_to_the_owner_replays_its_claim() {
     let env = BeldiEnv::for_tests();
     register_hops(&env, &["a", "b"]);
     for round in 1..=2 {
-        let (trace, invocations) = commit_hops(&env, &format!("owner-{round}"), &[("b", &["a"])]);
+        let (record, invocations) = commit_hops(&env, &format!("owner-{round}"), &[("b", &["a"])]);
+        let trace: Vec<Visit> = crash_stream(&record).collect();
         // The owner and A′ each incremented A's item.
         assert_eq!(values(&env, &["a", "b"]), [2 * round, round]);
         assert_eq!(visits(&trace, Label::TxnPreFlushItem), 2, "one per item");
@@ -921,14 +929,11 @@ fn a_crash_between_signals_resends_and_the_done_intent_replays() {
     };
     // Where the owner passes its second signal, in a crash-free run.
     let dry = owner_points();
-    dry.platform().faults().start_trace();
-    dry.invoke_as("reserve", "dry", vmap! { "key" => "k" })
-        .unwrap();
-    let own: Vec<Label> = dry
-        .platform()
-        .faults()
-        .take_trace()
-        .into_iter()
+    let ((), record) = recorded(&dry, || {
+        dry.invoke_as("reserve", "dry", vmap! { "key" => "k" })
+            .unwrap();
+    });
+    let own: Vec<Label> = crash_stream(&record)
         .filter(|e| e.instance == "dry")
         .map(|e| e.label)
         .collect();
@@ -943,11 +948,11 @@ fn a_crash_between_signals_resends_and_the_done_intent_replays() {
     let env = owner_points();
     let faults = env.platform().faults();
     faults.plan("owner", CrashPlan::AtOrdinal(ordinal));
-    faults.start_trace();
-    let out = env
-        .invoke_as("reserve", "owner", vmap! { "key" => "k" })
-        .unwrap();
-    let trace = faults.take_trace();
+    let (out, record) = recorded(&env, || {
+        env.invoke_as("reserve", "owner", vmap! { "key" => "k" })
+            .unwrap()
+    });
+    let trace: Vec<Visit> = crash_stream(&record).collect();
     assert_eq!(out, Value::from("reserved"));
     assert_eq!(
         faults.crash_sites().get(Label::TxnPreSignal.as_str()),

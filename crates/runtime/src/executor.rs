@@ -98,8 +98,8 @@ struct Sched {
     /// in the ready queue).
     live: usize,
     rng: SmallRng,
-    /// Poll-order trace (task ids), recorded when tracing is on.
-    trace: Option<Vec<u64>>,
+    /// Poll order (task ids), while it is recorded.
+    schedule: Option<Vec<u64>>,
     polls: u64,
     /// The executor thread, while it is parked idle: whoever makes work
     /// for it takes this and unparks it.
@@ -191,7 +191,7 @@ impl Executor {
                     next_id: 0,
                     live: 0,
                     rng: SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-                    trace: None,
+                    schedule: None,
                     polls: 0,
                     idle: None,
                 }),
@@ -215,19 +215,18 @@ impl Executor {
         }
     }
 
-    /// Starts recording the poll-order schedule trace (task ids, in the
-    /// order the executor polled them). For this crate's determinism
-    /// tests; the library's one trace is the fault injector's crash
-    /// stream.
+    /// Starts recording the poll order (task ids, in the order the
+    /// executor polled them). For this crate's determinism tests; what a
+    /// run did is the registry's run record (`Telemetry::start_record`).
     #[cfg(test)]
-    pub(crate) fn enable_trace(&self) {
-        self.inner.sched.lock().trace = Some(Vec::new());
+    pub(crate) fn record_schedule(&self) {
+        self.inner.sched.lock().schedule = Some(Vec::new());
     }
 
-    /// Takes the recorded schedule trace (empty if tracing was off).
+    /// Takes the recorded poll order (empty if recording was off).
     #[cfg(test)]
-    pub(crate) fn take_trace(&self) -> Vec<u64> {
-        self.inner.sched.lock().trace.take().unwrap_or_default()
+    pub(crate) fn take_schedule(&self) -> Vec<u64> {
+        self.inner.sched.lock().schedule.take().unwrap_or_default()
     }
 
     /// Spawns a task; see [`Handle::spawn`].
@@ -306,8 +305,8 @@ impl Executor {
                             match slot.future.take() {
                                 Some(fut) => {
                                     s.polls += 1;
-                                    if let Some(trace) = s.trace.as_mut() {
-                                        trace.push(id);
+                                    if let Some(schedule) = s.schedule.as_mut() {
+                                        schedule.push(id);
                                     }
                                     Next::Poll(id, fut)
                                 }

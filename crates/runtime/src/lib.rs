@@ -136,7 +136,7 @@ mod tests {
     fn same_seed_same_schedule_trace() {
         let trace_for = |seed: u64| {
             let rt = Executor::simulated(seed);
-            rt.enable_trace();
+            rt.record_schedule();
             for i in 0..50u64 {
                 rt.spawn(async move {
                     for _ in 0..(i % 5) {
@@ -146,7 +146,7 @@ mod tests {
                 });
             }
             rt.run();
-            rt.take_trace()
+            rt.take_schedule()
         };
         let a = trace_for(42);
         let b = trace_for(42);

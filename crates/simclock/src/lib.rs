@@ -35,7 +35,8 @@
 //! The crate also holds the two waiting primitives every layer above
 //! shares: the periodic [`Ticker`] and the waker-based [`Semaphore`]
 //! ([`sync`]); and the one counter registry every layer records into,
-//! [`Telemetry`] ([`telemetry`]), with its virtual-time [`Histogram`].
+//! [`Telemetry`] ([`telemetry`]), with its virtual-time [`Histogram`] and
+//! its run record ([`Event`]).
 
 #![warn(clippy::let_underscore_must_use)]
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -44,6 +45,7 @@
 mod clippy_canaries;
 mod clock;
 mod histogram;
+mod record;
 mod sim;
 pub mod sync;
 pub mod telemetry;
@@ -51,7 +53,8 @@ mod ticker;
 
 pub use clock::{Clock, JoinHandle, SharedClock, SimInstant};
 pub use histogram::{Histogram, Percentiles};
+pub use record::{Event, EventKind, OpScope, StoreCall, StoreKind};
 pub use sim::SimClock;
 pub use sync::{park_on, Permit, Semaphore};
-pub use telemetry::{Gauge, Hist, Metric, MetricsSnapshot, PlatformSnapshot, Telemetry};
+pub use telemetry::{Gauge, Hist, Metric, MetricsSnapshot, Op, PlatformSnapshot, Telemetry};
 pub use ticker::{Ticker, TickerHandle};

@@ -78,7 +78,8 @@ struct State {
     /// Set once the schedule cannot continue; every blocked participant
     /// panics with it.
     poisoned: Option<String>,
-    trace: Option<Vec<String>>,
+    /// The schedule, while it is recorded.
+    schedule: Option<Vec<String>>,
 }
 
 struct Inner {
@@ -118,9 +119,9 @@ impl State {
     }
 
     fn log(&mut self, now: u64, what: &str, id: usize) {
-        if let Some(trace) = self.trace.as_mut() {
+        if let Some(schedule) = self.schedule.as_mut() {
             let name = &self.participants[&id].name;
-            trace.push(format!("{} {what} {name}", SimInstant::from_nanos(now)));
+            schedule.push(format!("{} {what} {name}", SimInstant::from_nanos(now)));
         }
     }
 
@@ -346,7 +347,7 @@ impl SimClock {
                 timers: BTreeSet::new(),
                 rng: seed,
                 poisoned: None,
-                trace: None,
+                schedule: None,
             }),
         };
         {
@@ -369,17 +370,17 @@ impl SimClock {
 
     /// Starts recording the schedule: one line per wake-up and per baton
     /// hand-over, `"<time> wake|run <participant>"`. For this crate's
-    /// determinism tests; the library's one trace is the fault injector's
-    /// crash stream.
+    /// determinism tests; what a run did is the registry's run record
+    /// ([`crate::Telemetry::start_record`]).
     #[cfg(test)]
-    fn enable_trace(&self) {
-        self.inner.state.lock().trace = Some(Vec::new());
+    fn record_schedule(&self) {
+        self.inner.state.lock().schedule = Some(Vec::new());
     }
 
-    /// Takes the recorded schedule (empty if tracing was off).
+    /// Takes the recorded schedule (empty if recording was off).
     #[cfg(test)]
-    fn take_trace(&self) -> Vec<String> {
-        self.inner.state.lock().trace.take().unwrap_or_default()
+    fn take_schedule(&self) -> Vec<String> {
+        self.inner.state.lock().schedule.take().unwrap_or_default()
     }
 }
 
@@ -494,7 +495,7 @@ mod tests {
     /// Five sleepers with staggered periods; returns the schedule trace.
     fn schedule_trace(seed: u64) -> Vec<String> {
         let clock = SimClock::shared(seed);
-        clock.enable_trace();
+        clock.record_schedule();
         let threads: Vec<_> = (0..5u64)
             .map(|i| {
                 let c = Arc::clone(&clock);
@@ -508,7 +509,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        clock.take_trace()
+        clock.take_schedule()
     }
 
     #[test]
@@ -552,13 +553,13 @@ mod tests {
                 })
             })
             .collect();
-        clock.enable_trace();
+        clock.record_schedule();
         for t in threads {
             t.join().unwrap();
         }
         // The joining test thread (named `…::tests::…`) wakes too.
         let wakes: Vec<String> = clock
-            .take_trace()
+            .take_schedule()
             .into_iter()
             .filter(|line| line.contains(" wake ") && !line.contains("::"))
             .collect();
@@ -656,7 +657,7 @@ mod tests {
         const CALLS: usize = 6;
         let tick = Duration::from_millis(1);
         let clock = SimClock::shared(seed);
-        clock.enable_trace();
+        clock.record_schedule();
         let bystanders: Vec<_> = (0..2)
             .map(|i| {
                 let c = Arc::clone(&clock);
@@ -718,7 +719,7 @@ mod tests {
             t.join().unwrap();
         }
         let schedule = clock
-            .take_trace()
+            .take_schedule()
             .into_iter()
             .filter(|line| line.contains(" run "))
             .map(|line| line.replace(" run worker", " run caller"))

@@ -12,7 +12,10 @@
 //! gives a variant and the dotted name reports print. The [`Metric`],
 //! [`Gauge`] and [`Hist`] enums are generated from it, so a mistyped name
 //! does not compile, and a read or a write is an array index. Adding a
-//! counter is one row.
+//! counter is one row. A row of the `ops` block is both a counter and an
+//! [`Op`]: a `core` op or collector step, whose scope ([`Telemetry::op`])
+//! names the issuer of the store calls the run record holds
+//! ([`crate::Event`]).
 //!
 //! Two groups of counters are also read as one record: the store's
 //! ([`MetricsSnapshot`]) and the platform's ([`PlatformSnapshot`]). Their
@@ -27,6 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::histogram::Histogram;
+use crate::record::Recorder;
 
 /// Declares the registry's names and records from its table (see the
 /// module docs).
@@ -41,6 +45,7 @@ macro_rules! telemetry {
             }
         )*
         counters { $( $(#[$cdoc:meta])* $Cvar:ident => $cname:literal, )* }
+        ops { $( $(#[$odoc:meta])* $Ovar:ident => $oname:literal, )* }
         gauges { $( $(#[$gdoc:meta])* $Gvar:ident => $gname:literal, )* }
         histograms { $( $(#[$hdoc:meta])* $Hvar:ident => $hname:literal, )* }
     ) => {
@@ -50,21 +55,52 @@ macro_rules! telemetry {
         pub enum Metric {
             $( $( $(#[$doc])* $Var, )* )*
             $( $(#[$cdoc])* $Cvar, )*
+            $( $(#[$odoc])* $Ovar, )*
         }
 
         impl Metric {
             /// How many counters there are.
-            pub const COUNT: usize = [$($(stringify!($Var),)*)* $($cname,)*].len();
+            pub const COUNT: usize =
+                [$($(stringify!($Var),)*)* $($cname,)* $($oname,)*].len();
 
             /// Every counter, in table order: `ALL[m.index()] == m`.
-            pub const ALL: [Metric; Metric::COUNT] = [$($(Metric::$Var,)*)* $(Metric::$Cvar,)*];
+            pub const ALL: [Metric; Metric::COUNT] =
+                [$($(Metric::$Var,)*)* $(Metric::$Cvar,)* $(Metric::$Ovar,)*];
 
             /// The counter's dotted name.
             pub const fn as_str(self) -> &'static str {
                 match self {
                     $($( Metric::$Var => concat!($prefix, ".", stringify!($field)), )*)*
                     $( Metric::$Cvar => $cname, )*
+                    $( Metric::$Ovar => $oname, )*
                 }
+            }
+        }
+
+        /// A `core` op or collector step: an op scope's name
+        /// ([`Telemetry::op`]), and the counter of the scopes opened.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Op {
+            $( $(#[$odoc])* $Ovar, )*
+        }
+
+        impl Op {
+            /// How many ops there are.
+            pub const COUNT: usize = [$($oname,)*].len();
+
+            /// Every op, in table order.
+            pub const ALL: [Op; Op::COUNT] = [$(Op::$Ovar,)*];
+
+            /// The counter of its scopes.
+            pub const fn metric(self) -> Metric {
+                match self {
+                    $( Op::$Ovar => Metric::$Ovar, )*
+                }
+            }
+
+            /// Its counter's dotted name.
+            pub const fn as_str(self) -> &'static str {
+                self.metric().as_str()
             }
         }
 
@@ -135,8 +171,8 @@ macro_rules! telemetry {
                     }
                 }
 
-                /// `self - earlier`, for a measurement window (see
-                /// [`Window`] for the fields beside the counters).
+                /// `self - earlier`, for a measurement window (a field
+                /// beside the counters reads as its `Window` impl says).
                 pub fn delta(&self, earlier: &Self) -> Self {
                     $Snap {
                         $( $field: self.$field - earlier.$field, )*
@@ -186,6 +222,8 @@ pub struct Telemetry {
     /// Each gauge's level and its high-water mark.
     gauges: [[AtomicI64; 2]; Gauge::COUNT],
     histograms: [Mutex<Histogram>; Hist::COUNT],
+    /// The run record, while a reader has it started.
+    pub(crate) recorder: Recorder,
 }
 
 impl Default for Telemetry {
@@ -194,6 +232,7 @@ impl Default for Telemetry {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| [AtomicI64::new(0), AtomicI64::new(0)]),
             histograms: std::array::from_fn(|_| Mutex::new(Histogram::new())),
+            recorder: Recorder::default(),
         }
     }
 }
@@ -426,6 +465,61 @@ telemetry! {
         TailCacheWriteFallbacks => "core.tail_cache.write_fallbacks",
     }
 
+    ops {
+        // ---- Ops of an SSF (core) ----
+
+        /// Logged reads, in or out of a transaction, and the logged
+        /// clock and id reads.
+        Read => "core.op.read",
+        /// Logged writes.
+        Write => "core.op.write",
+        /// Logged conditional writes.
+        CondWrite => "core.op.cond_write",
+        /// Synchronous invocations, with their invoke-log entries.
+        SyncInvoke => "core.op.sync_invoke",
+        /// Asynchronous invocations, with their invoke-log entries and
+        /// the callee's registration request.
+        AsyncInvoke => "core.op.async_invoke",
+        /// Callbacks recorded on a caller's invoke-log entry (a result or
+        /// an async callee's registration).
+        Callback => "core.op.callback",
+        /// Transactions begun.
+        TxnBegin => "core.op.txn_begin",
+        /// Commit decisions run: an owner's `end_tx`, or a commit signal.
+        TxnCommit => "core.op.txn_commit",
+        /// Abort decisions run: an owner's `end_tx` or `abort_tx`, or an
+        /// abort signal.
+        TxnAbort => "core.op.txn_abort",
+        /// Locks taken or released: a standalone lock or unlock, or a
+        /// transaction's lock on an item it had not locked.
+        Lock => "core.op.lock",
+        /// Wait-die retries: a transaction's lock attempt found the item
+        /// held and read who holds it.
+        WaitDieRetry => "core.op.wait_die_retry",
+        /// Intent registrations, an async stub's check included.
+        IntentRegister => "core.op.intent_register",
+        /// Intents marked done.
+        MarkDone => "core.op.mark_done",
+        /// Root replies settled by the driver (a failed attempt reads the
+        /// root's intent).
+        RootSettle => "core.op.root_settle",
+
+        // ---- Collector steps (core) ----
+
+        /// IC passes' scans of their unfinished intents.
+        IcScan => "core.op.ic_scan",
+        /// IC restart claims, with the re-launch a won claim fires.
+        IcRestart => "core.op.ic_restart",
+        /// GC step 2: classifying done intents.
+        GcClassify => "core.op.gc_classify",
+        /// GC step 3: deleting recyclable intents' log entries.
+        GcLogPrune => "core.op.gc_log_prune",
+        /// GC steps 4–5: the DAAL and shadow sweep.
+        GcDaal => "core.op.gc_daal",
+        /// GC step 6: deleting recyclable intents.
+        GcRecycle => "core.op.gc_recycle",
+    }
+
     gauges {
         /// Instances running on the platform.
         FaasActive => "simfaas.active",
@@ -481,6 +575,11 @@ mod tests {
         }
         for (i, h) in Hist::ALL.into_iter().enumerate() {
             assert_eq!(h as usize, i, "{} is not at its index", h.as_str());
+        }
+        // Each op counts in its own counter, named under `core.op`.
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i, "{} is not at its index", op.as_str());
+            assert!(op.as_str().starts_with("core.op."), "{}", op.as_str());
         }
         // Each record reads exactly the counters named under its prefix.
         for (prefix, group) in [

@@ -2,18 +2,21 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use beldi_simclock::{Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant, Telemetry};
+use beldi_simclock::{
+    Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant, StoreCall, StoreKind, Telemetry,
+};
 use beldi_value::{Cond, SizeOf, Update, Value};
 use parking_lot::{Mutex, RwLock};
 
 use crate::data::cond_holds;
 use crate::error::{DbError, DbResult};
 use crate::key::{PrimaryKey, TableSchema};
-use crate::latency::{LatencyModel, LatencySampler, OpKind};
+use crate::latency::{LatencyModel, LatencySampler};
 use crate::scan::{Projection, ScanRequest};
 use crate::table::{Table, TableGuard};
 
@@ -198,8 +201,12 @@ impl Drop for InFlight<'_> {
 ///
 /// Modelled latency is charged *per operation* and overlaps freely across
 /// threads, with one exception: writes to the same item serialize their
-/// modelled latency (see [`ItemWriteQueue`]), reproducing DynamoDB's
+/// modelled latency (the item write queue), reproducing DynamoDB's
 /// hot-item write ceiling.
+///
+/// Every operation it bills is counted in its registry and, while a
+/// reader has the run record started, recorded there as one
+/// [`StoreCall`].
 pub struct Database {
     tables: RwLock<HashMap<String, Arc<Table>>>,
     clock: SharedClock,
@@ -261,6 +268,49 @@ impl Database {
 
     fn count(&self, m: Metric, n: usize) {
         self.telemetry.add(m, n as u64);
+    }
+
+    /// Counts one store call of `kind` on `table` — its op counter, the
+    /// bytes it read or wrote, the rows a query or scan page examined, a
+    /// condition that failed (`cond` is whether it held, `None` for no
+    /// condition) — and records it in the run record if a reader started
+    /// one (`key` is formatted only then).
+    fn bill(
+        &self,
+        kind: StoreKind,
+        table: &str,
+        key: Option<&dyn fmt::Display>,
+        cond: Option<bool>,
+        rows: usize,
+        bytes: usize,
+    ) {
+        let (op, moved) = match kind {
+            StoreKind::Get => (Metric::DbGets, Metric::DbBytesRead),
+            StoreKind::Write => (Metric::DbWrites, Metric::DbBytesWritten),
+            StoreKind::Delete => (Metric::DbDeletes, Metric::DbBytesWritten),
+            StoreKind::Query => (Metric::DbQueries, Metric::DbBytesRead),
+            StoreKind::Scan => (Metric::DbScans, Metric::DbBytesRead),
+            StoreKind::TransactWrite => (Metric::DbTransactWrites, Metric::DbBytesWritten),
+        };
+        self.count(op, 1);
+        if bytes > 0 {
+            self.count(moved, bytes);
+        }
+        if matches!(kind, StoreKind::Query | StoreKind::Scan) {
+            self.count(Metric::DbRowsScanned, rows);
+        }
+        if cond == Some(false) {
+            self.count(Metric::DbCondFailures, 1);
+        }
+        self.telemetry.log_store(|issuer| StoreCall {
+            kind,
+            table: table.into(),
+            key: key.map(ToString::to_string),
+            cond,
+            rows: rows as u64,
+            bytes: bytes as u64,
+            issuer,
+        });
     }
 
     /// Creates a table.
@@ -361,9 +411,10 @@ impl Database {
         let t = table.resolve()?;
         let item = self.lock(t).rows.get(key).map(|row| read(row, projection));
         let bytes = item.as_ref().map(SizeOf::size_bytes).unwrap_or(0);
-        self.count(Metric::DbGets, 1);
-        self.count(Metric::DbBytesRead, bytes);
-        self.clock.sleep(self.sampler.sample(OpKind::Get, 1, bytes));
+        let rows = usize::from(item.is_some());
+        self.bill(StoreKind::Get, t.name(), Some(key), None, rows, bytes);
+        self.clock
+            .sleep(self.sampler.sample(StoreKind::Get, 1, bytes));
         Ok(item)
     }
 
@@ -375,9 +426,11 @@ impl Database {
         let size = self
             .lock(t)
             .put_row(key.clone(), item, t.schema.max_row_bytes)?;
-        self.count(Metric::DbWrites, 1);
-        self.count(Metric::DbBytesWritten, size);
-        self.serial_write_sleep(&[(&**t, &key)], self.sampler.sample(OpKind::Write, 1, size));
+        self.bill(StoreKind::Write, t.name(), Some(&key), None, 1, size);
+        self.serial_write_sleep(
+            &[(&**t, &key)],
+            self.sampler.sample(StoreKind::Write, 1, size),
+        );
         Ok(())
     }
 
@@ -403,22 +456,25 @@ impl Database {
         let table = table.as_table(self);
         let t = table.resolve()?;
         let result = self.lock(t).update_row(key, cond, update, &t.schema);
+        let conditional = !matches!(cond, Cond::True);
         match result {
             Ok(size) => {
-                self.count(Metric::DbWrites, 1);
-                self.count(Metric::DbBytesWritten, size);
+                let held = conditional.then_some(true);
+                self.bill(StoreKind::Write, t.name(), Some(key), held, 1, size);
                 self.serial_write_sleep(
                     &[(&**t, key)],
-                    self.sampler.sample(OpKind::Write, 1, size),
+                    self.sampler.sample(StoreKind::Write, 1, size),
                 );
                 Ok(())
             }
             Err(DbError::ConditionFailed) => {
-                self.count(Metric::DbWrites, 1);
-                self.count(Metric::DbCondFailures, 1);
+                self.bill(StoreKind::Write, t.name(), Some(key), Some(false), 0, 0);
                 // A failed conditional write still costs a round trip —
                 // and still occupies the item's write capacity.
-                self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(OpKind::Write, 1, 0));
+                self.serial_write_sleep(
+                    &[(&**t, key)],
+                    self.sampler.sample(StoreKind::Write, 1, 0),
+                );
                 Err(DbError::ConditionFailed)
             }
             Err(e) => Err(e),
@@ -438,16 +494,14 @@ impl Database {
         let table = table.as_table(self);
         let t = table.resolve()?;
         let deleted = self.lock(t).delete_row(key, cond);
-        let result = match deleted {
-            Ok(_) => Ok(()),
-            Err(DbError::ConditionFailed) => {
-                self.count(Metric::DbCondFailures, 1);
-                Err(DbError::ConditionFailed)
-            }
+        let (result, rows) = match deleted {
+            Ok(row) => (Ok(()), usize::from(row.is_some())),
+            Err(DbError::ConditionFailed) => (Err(DbError::ConditionFailed), 0),
             Err(e) => return Err(e),
         };
-        self.count(Metric::DbDeletes, 1);
-        self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(OpKind::Delete, 1, 0));
+        let held = (!matches!(cond, Cond::True)).then_some(result.is_ok());
+        self.bill(StoreKind::Delete, t.name(), Some(key), held, rows, 0);
+        self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(StoreKind::Delete, 1, 0));
         result
     }
 
@@ -530,25 +584,27 @@ impl Database {
             out.push(item);
         }
         let (kind, again) = match hash {
-            Some(_) => (OpKind::Query, rows == self.page_rows),
-            None => (OpKind::Scan, unexamined),
+            Some(_) => (StoreKind::Query, rows == self.page_rows),
+            None => (StoreKind::Scan, unexamined),
         };
         let resume = last.filter(|_| again).cloned();
         drop(data);
-        self.bill_read(kind, rows, bytes);
+        let key = hash.map(|hash| hash as &dyn fmt::Display);
+        self.bill_read(kind, t.name(), key, rows, bytes);
         resume
     }
 
-    /// Counts one `Query` or `Scan` op over `rows` rows that returned
-    /// `bytes`, and sleeps its modelled latency.
-    fn bill_read(&self, kind: OpKind, rows: usize, bytes: usize) {
-        let op = match kind {
-            OpKind::Query => Metric::DbQueries,
-            _ => Metric::DbScans,
-        };
-        self.count(op, 1);
-        self.count(Metric::DbRowsScanned, rows);
-        self.count(Metric::DbBytesRead, bytes);
+    /// Bills one `Query` or `Scan` page of `table` over `rows` rows that
+    /// returned `bytes`, and sleeps its modelled latency.
+    fn bill_read(
+        &self,
+        kind: StoreKind,
+        table: &str,
+        key: Option<&dyn fmt::Display>,
+        rows: usize,
+        bytes: usize,
+    ) {
+        self.bill(kind, table, key, None, rows, bytes);
         self.clock.sleep(self.sampler.sample(kind, rows, bytes));
     }
 
@@ -581,7 +637,8 @@ impl Database {
         loop {
             let page = pages.next().unwrap_or_default();
             let bytes = page.iter().map(SizeOf::size_bytes).sum();
-            self.bill_read(OpKind::Query, page.len(), bytes);
+            let key = format_args!("{attr}={value}");
+            self.bill_read(StoreKind::Query, t.name(), Some(&key), page.len(), bytes);
             if page.len() < self.page_rows {
                 return Ok(items);
             }
@@ -594,7 +651,7 @@ impl Database {
         let table = table.as_table(self);
         let t = table.resolve()?;
         let keys = self.lock(t).distinct_hash_keys();
-        self.bill_read(OpKind::Scan, keys.len(), 0);
+        self.bill_read(StoreKind::Scan, t.name(), None, keys.len(), 0);
         Ok(keys)
     }
 
@@ -705,6 +762,15 @@ impl Database {
         // order (debug builds check it, see `Table::lock`). An op's guard
         // is its table's place in that order.
         let names: Vec<&str> = tables.keys().copied().collect();
+        let billed = |cond, bytes| {
+            let first = ops.first().map_or("", TransactOp::table);
+            let items = fmt::from_fn(|f| {
+                let mut items = ops.iter().zip(&keys);
+                items.try_for_each(|(op, key)| write!(f, "{}/{key} ", op.table()))
+            });
+            let kind = StoreKind::TransactWrite;
+            self.bill(kind, first, Some(&items), cond, ops.len(), bytes);
+        };
         let slot = |op: &TransactOp| names.partition_point(|name| *name < op.table());
         let mut guards: Vec<TableGuard<'_>> = tables.values().map(|t| self.lock(t)).collect();
 
@@ -714,11 +780,10 @@ impl Database {
         for (i, (op, key)) in ops.iter().zip(&keys).enumerate() {
             if !cond_holds(op.cond(), guards[slot(op)].rows.get(key))? {
                 drop(guards);
-                self.count(Metric::DbTransactWrites, 1);
-                self.count(Metric::DbCondFailures, 1);
+                billed(Some(false), 0);
                 self.serial_write_sleep(
                     &items,
-                    self.sampler.sample(OpKind::TransactWrite, ops.len(), 0),
+                    self.sampler.sample(StoreKind::TransactWrite, ops.len(), 0),
                 );
                 return Err(DbError::TransactionCanceled { failed_op: i });
             }
@@ -767,11 +832,11 @@ impl Database {
             }
         }
         drop(guards);
-        self.count(Metric::DbTransactWrites, 1);
-        self.count(Metric::DbBytesWritten, bytes);
+        billed(Some(true), bytes);
         self.serial_write_sleep(
             &items,
-            self.sampler.sample(OpKind::TransactWrite, ops.len(), bytes),
+            self.sampler
+                .sample(StoreKind::TransactWrite, ops.len(), bytes),
         );
         Ok(())
     }
@@ -1735,6 +1800,56 @@ mod tests {
         let d = db.metrics().delta(&before);
         assert_eq!(d.gets, 1);
         assert!(d.bytes_read > 0);
+    }
+
+    /// A started run record holds one call per op billed, with its key,
+    /// condition outcome, rows and bytes; the calls' bytes are the
+    /// counters'.
+    #[test]
+    fn the_run_record_holds_each_billed_call() {
+        use beldi_simclock::EventKind;
+        let db = db_with_table();
+        let (k0, k1) = (
+            PrimaryKey::hash_sort("a", 0i64),
+            PrimaryKey::hash_sort("a", 1i64),
+        );
+        let before = db.metrics();
+        db.telemetry().start_record(db.clock().clone());
+        db.put("t", vmap! { "Key" => "a", "RowId" => 0i64, "V" => 1i64 })
+            .unwrap();
+        let never = Update::new().set("V", 2i64);
+        assert!(db.update("t", &k1, &Cond::False, &never).is_err());
+        db.delete("t", &k1, &Cond::True).unwrap();
+        db.query("t", &Value::from("a"), &ScanRequest::all())
+            .unwrap();
+        let record = db.telemetry().take_record();
+        let d = db.metrics().delta(&before);
+        let calls: Vec<_> = record
+            .iter()
+            .map(|e| match &e.kind {
+                EventKind::Store(c) => (c.kind, c.key.clone(), c.cond, c.rows),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        let key = |k: &dyn fmt::Display| Some(k.to_string());
+        assert_eq!(
+            calls,
+            [
+                (StoreKind::Write, key(&k0), None, 1),
+                (StoreKind::Write, key(&k1), Some(false), 0),
+                (StoreKind::Delete, key(&k1), None, 0),
+                (StoreKind::Query, key(&Value::from("a")), None, 1),
+            ]
+        );
+        assert_eq!(record.len() as u64, d.total_ops());
+        let bytes: u64 = record
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Store(c) => Some(c.bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(bytes, d.bytes_read + d.bytes_written);
     }
 
     #[test]

@@ -15,27 +15,11 @@
 
 use std::time::Duration;
 
+use beldi_simclock::StoreKind;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use parking_lot::Mutex;
-
-/// The kind of database operation, for latency and metrics accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Point read (`get`).
-    Get,
-    /// Unconditional or conditional single-row write (`put`/`update`).
-    Write,
-    /// Query on a hash key.
-    Query,
-    /// Full-table scan page.
-    Scan,
-    /// Cross-table transactional write.
-    TransactWrite,
-    /// Delete.
-    Delete,
-}
 
 /// Parameters of the latency model.
 #[derive(Debug, Clone)]
@@ -96,12 +80,14 @@ impl LatencyModel {
 
     /// Computes the deterministic part of the cost for an operation that
     /// touched `rows` rows and transferred `bytes` bytes.
-    pub fn base_cost(&self, op: OpKind, rows: usize, bytes: usize) -> Duration {
+    pub fn base_cost(&self, op: StoreKind, rows: usize, bytes: usize) -> Duration {
         let base = match op {
-            OpKind::Get => self.get_base,
-            OpKind::Write | OpKind::Delete => self.write_base,
-            OpKind::Query | OpKind::Scan => self.scan_base + self.scan_per_row * (rows as u32),
-            OpKind::TransactWrite => mul_duration(self.transact_base, rows.max(1) as f64),
+            StoreKind::Get => self.get_base,
+            StoreKind::Write | StoreKind::Delete => self.write_base,
+            StoreKind::Query | StoreKind::Scan => {
+                self.scan_base + self.scan_per_row * (rows as u32)
+            }
+            StoreKind::TransactWrite => mul_duration(self.transact_base, rows.max(1) as f64),
         };
         base + mul_duration(self.per_kib, bytes as f64 / 1024.0)
     }
@@ -126,7 +112,7 @@ impl LatencySampler {
     }
 
     /// Samples the virtual-time cost of one operation.
-    pub(crate) fn sample(&self, op: OpKind, rows: usize, bytes: usize) -> Duration {
+    pub(crate) fn sample(&self, op: StoreKind, rows: usize, bytes: usize) -> Duration {
         let base = self.model.base_cost(op, rows, bytes);
         if base.is_zero() {
             return base;
@@ -153,15 +139,15 @@ mod tests {
     #[test]
     fn zero_model_is_zero() {
         let s = LatencySampler::new(LatencyModel::zero(), 1);
-        assert_eq!(s.sample(OpKind::Get, 1, 100), Duration::ZERO);
-        assert_eq!(s.sample(OpKind::Scan, 50, 10_000), Duration::ZERO);
+        assert_eq!(s.sample(StoreKind::Get, 1, 100), Duration::ZERO);
+        assert_eq!(s.sample(StoreKind::Scan, 50, 10_000), Duration::ZERO);
     }
 
     #[test]
     fn scan_cost_grows_with_rows() {
         let m = LatencyModel::dynamo();
-        let small = m.base_cost(OpKind::Query, 1, 0);
-        let big = m.base_cost(OpKind::Query, 100, 0);
+        let small = m.base_cost(StoreKind::Query, 1, 0);
+        let big = m.base_cost(StoreKind::Query, 100, 0);
         assert!(big > small);
         assert_eq!(
             big - small,
@@ -173,8 +159,8 @@ mod tests {
     #[test]
     fn bytes_add_cost() {
         let m = LatencyModel::dynamo();
-        let a = m.base_cost(OpKind::Get, 1, 0);
-        let b = m.base_cost(OpKind::Get, 1, 100 * 1024);
+        let a = m.base_cost(StoreKind::Get, 1, 0);
+        let b = m.base_cost(StoreKind::Get, 1, 100 * 1024);
         assert!(b > a);
     }
 
@@ -182,7 +168,7 @@ mod tests {
     fn transact_is_pricier_than_write() {
         let m = LatencyModel::dynamo();
         assert!(
-            m.base_cost(OpKind::TransactWrite, 1, 0) > m.base_cost(OpKind::Write, 1, 0),
+            m.base_cost(StoreKind::TransactWrite, 1, 0) > m.base_cost(StoreKind::Write, 1, 0),
             "cross-table txn must cost more than a plain write"
         );
     }
@@ -191,9 +177,9 @@ mod tests {
     fn jitter_stays_in_bounds() {
         let m = LatencyModel::dynamo();
         let s = LatencySampler::new(m.clone(), 42);
-        let base = m.base_cost(OpKind::Get, 1, 16);
+        let base = m.base_cost(StoreKind::Get, 1, 16);
         for _ in 0..1000 {
-            let d = s.sample(OpKind::Get, 1, 16);
+            let d = s.sample(StoreKind::Get, 1, 16);
             let lo = mul_duration(base, 1.0 - m.jitter - 1e-9);
             let hi = mul_duration(base, (1.0 + m.jitter) * m.tail_mult + 1e-9);
             assert!(d >= lo && d <= hi, "sample {d:?} outside [{lo:?}, {hi:?}]");
@@ -206,8 +192,8 @@ mod tests {
         let b = LatencySampler::new(LatencyModel::dynamo(), 7);
         for _ in 0..32 {
             assert_eq!(
-                a.sample(OpKind::Write, 1, 64),
-                b.sample(OpKind::Write, 1, 64)
+                a.sample(StoreKind::Write, 1, 64),
+                b.sample(StoreKind::Write, 1, 64)
             );
         }
     }

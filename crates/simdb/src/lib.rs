@@ -53,10 +53,10 @@ mod scan;
 mod snapshot;
 mod table;
 
-pub use beldi_simclock::MetricsSnapshot;
+pub use beldi_simclock::{MetricsSnapshot, StoreKind};
 pub use database::{AsTable, Database, TableRef, TransactOp};
 pub use error::{DbError, DbResult};
 pub use key::{PrimaryKey, TableSchema};
-pub use latency::{LatencyModel, OpKind};
+pub use latency::LatencyModel;
 pub use scan::{Projection, ScanRequest};
 pub use snapshot::{DbSnapshot, RowDiff, SnapshotDiff};

@@ -16,16 +16,16 @@
 //! [`FaultInjector::set_global_plan`] is evaluated against this stream, so
 //! a test can say "crash whatever instance passes the N-th crash point of
 //! this whole workload" without knowing instance ids in advance — the
-//! primitive the crash-schedule explorer sweeps. [Trace
-//! mode](FaultInjector::start_trace) records the stream (one
-//! [`TraceEntry`] per point) so a crash-free run enumerates exactly the
-//! schedules worth exploring.
+//! primitive the crash-schedule explorer sweeps. While a reader has the
+//! run record started (`Telemetry::start_record`) each point is one
+//! crash event in it, which [`crate::crash_stream`] reads back, so a
+//! crash-free run enumerates exactly the schedules worth exploring.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use beldi_simclock::{Gauge, Metric, Telemetry};
+use beldi_simclock::{EventKind, Gauge, Metric, Telemetry};
 use parking_lot::Mutex;
 
 use crate::Label;
@@ -146,20 +146,6 @@ impl StormPolicy {
         }
         ((h >> 11) as f64 / (1u64 << 53) as f64) < prob
     }
-}
-
-/// One recorded crash-point visit (trace mode).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Position in the global crash stream (0-based, across all
-    /// instances).
-    pub step: u64,
-    /// The instance that passed the point.
-    pub instance: String,
-    /// The crash-point label.
-    pub label: Label,
-    /// Whether an injected crash fired here.
-    pub crashed: bool,
 }
 
 /// One instance's crash-point counters: what a probe reads and bumps
@@ -319,8 +305,8 @@ impl PlanState {
 }
 
 /// Everything a crash-point decision reads or writes while something is
-/// armed. One lock, so a decision — plans, storm hash, trace entry — is a
-/// single ordered event in the global crash stream.
+/// armed. One lock, so a decision — plans, storm hash, record event — is
+/// a single ordered event in the global crash stream.
 #[derive(Default)]
 struct InjectorState {
     /// Per-instance scripted plans.
@@ -330,21 +316,15 @@ struct InjectorState {
     instances: HashMap<Arc<str>, Arc<Counters>>,
     /// The global plan, if any.
     global_plan: Option<PlanState>,
-    /// Recorded entries while trace mode is on.
-    trace: Option<Vec<TraceEntry>>,
     /// Injected crashes per label ("crash counts by site"), by name.
     crash_sites: BTreeMap<&'static str, u64>,
     storm: Option<StormPolicy>,
 }
 
 impl InjectorState {
-    /// Whether a probe can crash or is recorded: a plan, a global plan, a
-    /// storm or a trace is on.
+    /// Whether a probe can crash: a plan, a global plan or a storm is on.
     fn armed(&self) -> bool {
-        !self.plans.is_empty()
-            || self.global_plan.is_some()
-            || self.storm.is_some()
-            || self.trace.is_some()
+        !self.plans.is_empty() || self.global_plan.is_some() || self.storm.is_some()
     }
 }
 
@@ -357,7 +337,7 @@ pub struct FaultInjector {
     armed: AtomicBool,
     /// Next global step number: every probe takes one, armed or not.
     step: AtomicU64,
-    /// Where the `faults.*` counters and gauge live.
+    /// Where the `faults.*` counters and gauge live, and the run record.
     telemetry: Arc<Telemetry>,
 }
 
@@ -501,18 +481,6 @@ impl FaultInjector {
         });
     }
 
-    /// Starts (or restarts) trace mode: subsequent crash points are
-    /// recorded until [`FaultInjector::take_trace`].
-    pub fn start_trace(&self) {
-        self.arm(|s| s.trace = Some(Vec::new()));
-    }
-
-    /// Stops trace mode and returns the recorded entries (empty if trace
-    /// mode was never started).
-    pub fn take_trace(&self) -> Vec<TraceEntry> {
-        self.arm(|s| s.trace.take()).unwrap_or_default()
-    }
-
     /// The handle of `instance_id`, whose entry the injector keeps: the
     /// known instance's, or a new one's. Starts no execution, so it counts
     /// no restart: it is for probes on an instance's behalf outside its
@@ -559,10 +527,10 @@ impl FaultInjector {
 
     /// Called by the Beldi library at each labelled crash point, with the
     /// handle of the instance passing it. It bumps the handle's counters
-    /// and takes the next global step; only while a plan, a global plan, a
-    /// storm or a trace is on does it take the injector's lock and decide.
-    /// A probe that does not crash allocates nothing (unless trace mode
-    /// records it).
+    /// and takes the next global step; only while a plan, a global plan or
+    /// a storm is on, or the run record, does it take the injector's lock
+    /// and decide. A probe that does not crash allocates nothing (unless
+    /// the run record keeps it).
     ///
     /// A label is a [`Label`]:
     ///
@@ -592,7 +560,7 @@ impl FaultInjector {
         let ordinal = c.ordinal.fetch_add(1, Ordering::Relaxed);
         let lifetime = c.lifetime.fetch_add(1, Ordering::Relaxed);
         let label_count = c.label_counts[label.index()].fetch_add(1, Ordering::Relaxed);
-        if !self.armed.load(Ordering::Relaxed) {
+        if !self.armed.load(Ordering::Relaxed) && !self.telemetry.recording() {
             self.step.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -629,14 +597,11 @@ impl FaultInjector {
                 _ => false,
             };
         }
-        if let Some(trace) = s.trace.as_mut() {
-            trace.push(TraceEntry {
-                step,
-                instance: instance_id.to_owned(),
-                label,
-                crashed: should_crash,
-            });
-        }
+        self.telemetry.log(&probe.id, || EventKind::Crash {
+            step,
+            label: label.as_str(),
+            crashed: should_crash,
+        });
         self.armed.store(s.armed(), Ordering::Relaxed);
         if should_crash {
             self.telemetry.add(Metric::FaultsInjected, 1);
@@ -896,24 +861,27 @@ mod tests {
     #[test]
     fn trace_records_the_global_stream() {
         let inj = FaultInjector::new();
-        inj.start_trace();
         let i1 = start(&inj, "i1");
+        inj.crash_point(&i1, D); // Step 0, before the record starts.
+        inj.telemetry
+            .start_record(beldi_simclock::SimClock::shared(0));
         let i2 = start(&inj, "i2");
         inj.crash_point(&i1, A);
         inj.crash_point(&i2, B);
         inj.plan("i1", CrashPlan::AtLabel(C));
         let _ = probe_crash(&inj, &i1, C);
-        let trace = inj.take_trace();
-        assert_eq!(trace.len(), 3);
-        assert_eq!(trace[0].step, 0);
-        assert_eq!(trace[0].instance, "i1");
-        assert_eq!(trace[0].label, A);
-        assert!(!trace[0].crashed);
-        assert_eq!(trace[2].label, C);
-        assert!(trace[2].crashed);
-        // Trace mode is off after take_trace.
+        let record = inj.telemetry.take_record();
+        let stream: Vec<_> = crate::crash_stream(&record).collect();
+        assert_eq!(stream.len(), 3);
+        assert_eq!(stream[0].step, 1);
+        assert_eq!(stream[0].instance, "i1");
+        assert_eq!(stream[0].label, A);
+        assert!(!stream[0].crashed);
+        assert_eq!(stream[2].label, C);
+        assert!(stream[2].crashed);
+        // Nothing is recorded once the record is taken.
         inj.crash_point(&i2, D);
-        assert!(inj.take_trace().is_empty());
+        assert!(inj.telemetry.take_record().is_empty());
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! 2. Make some run of `workload/tests/explore.rs::every_crash_label_is_reached_or_listed`
 //!    pass the probe, or list the label there with the reason none can.
 
+use beldi_simclock::{Event, EventKind};
+
 /// Declares [`Label`] from its table (see the module docs).
 macro_rules! labels {
     ( $( $(#[$doc:meta])* $label:ident => $str:literal, )* ) => {
@@ -57,6 +59,38 @@ impl Label {
     pub const fn is_collector(self) -> bool {
         matches!(self.as_str().as_bytes(), [b'i' | b'g', b'c', b'.', ..])
     }
+}
+
+/// One crash-point visit, read back from the run record
+/// ([`crash_stream`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit<'r> {
+    /// Position in the global crash stream.
+    pub step: u64,
+    /// The instance that passed the point.
+    pub instance: &'r str,
+    /// The crash-point label.
+    pub label: Label,
+    /// Whether an injected crash fired here.
+    pub crashed: bool,
+}
+
+/// The global crash stream a run record holds: its crash events, in
+/// order, each with its label's name mapped back to the [`Label`].
+pub fn crash_stream(record: &[Event]) -> impl Iterator<Item = Visit<'_>> {
+    record.iter().filter_map(|event| match event.kind {
+        EventKind::Crash {
+            step,
+            label,
+            crashed,
+        } => Some(Visit {
+            step,
+            instance: event.instance.as_deref().unwrap_or_default(),
+            label: Label::ALL.into_iter().find(|l| l.as_str() == label)?,
+            crashed,
+        }),
+        _ => None,
+    })
 }
 
 impl std::fmt::Display for Label {

@@ -41,9 +41,9 @@ mod platform;
 pub use beldi_simclock::PlatformSnapshot;
 pub use error::{InvokeError, InvokeResult};
 pub use fault::{
-    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, Probe, StormPolicy, TraceEntry,
+    silence_crash_backtraces, CrashPlan, CrashSignal, FaultInjector, Probe, StormPolicy,
 };
-pub use labels::Label;
+pub use labels::{crash_stream, Label, Visit};
 pub use platform::{
     FunctionHandler, InvocationCtx, Platform, PlatformConfig, SaturationPolicy, TimerHandle,
 };

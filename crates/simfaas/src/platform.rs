@@ -11,8 +11,8 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use beldi_simclock::{
-    park_on, Gauge, JoinHandle, Metric, Permit, PlatformSnapshot, Semaphore, SharedClock, SimClock,
-    Telemetry, Ticker, TickerHandle,
+    park_on, EventKind, Gauge, JoinHandle, Metric, Permit, PlatformSnapshot, Semaphore,
+    SharedClock, SimClock, Telemetry, Ticker, TickerHandle,
 };
 use beldi_value::Value;
 use parking_lot::{Mutex, RwLock};
@@ -535,7 +535,7 @@ impl Platform {
         let admitted =
             park_on(&self.clock, deadline, self.admit(name)).ok_or_else(|| self.throttled())??;
         let (FunctionEntry { handler, pool }, permit) = admitted;
-        let (container, job) = self.start(&pool, permit, payload);
+        let (container, job) = self.start(name, &pool, permit, payload);
         // On a `SimClock` the turn ends at the two points where a worker
         // thread would take over — woken here while the caller parks, and
         // waking the caller before it parks itself — so the schedule
@@ -590,11 +590,13 @@ impl Platform {
         }
     }
 
-    /// Takes a container for an admitted invocation — the function's most
-    /// recently idle one, else a new one: a cold start — and counts the
-    /// start. Returns the container and the job to run in it.
+    /// Takes a container for an admitted invocation of `name` — the
+    /// function's most recently idle one, else a new one: a cold start —
+    /// and counts the start, and records it in the run record. Returns the
+    /// container and the job to run in it.
     fn start(
         self: &Arc<Self>,
+        name: &str,
         pool: &Mutex<WarmPool>,
         permit: Permit,
         payload: Value,
@@ -619,6 +621,10 @@ impl Platform {
         self.telemetry.add(Metric::FaasInvocations, 1);
         self.telemetry.add(start, 1);
         self.telemetry.move_gauge(Gauge::FaasActive, 1);
+        self.telemetry.log(ctx.request_id(), || EventKind::Invoke {
+            function: name.into(),
+            cold,
+        });
         let job = Job {
             ctx,
             payload,
@@ -641,7 +647,7 @@ impl Platform {
         sink: ReplySink,
     ) -> String {
         let (FunctionEntry { handler, pool }, permit) = admitted;
-        let (container, job) = self.start(&pool, permit, payload);
+        let (container, job) = self.start(name, &pool, permit, payload);
         let request_id = job.ctx.request_id().to_string();
         match container.worker {
             Some(worker) => worker.wake(&self.clock, Next::Run(job, sink)),

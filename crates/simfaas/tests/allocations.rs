@@ -4,7 +4,8 @@
 //! and pins at zero the probes through a handle, a restart, and the
 //! handle of an id used once. Every layer counts into the registry on its hot
 //! path, so a counter, a gauge move and a histogram sample are pinned at
-//! zero too.
+//! zero too, and so are an op scope and a store call that no reader of the
+//! run record sees.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,7 +13,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi_simclock::{Gauge, Hist, Metric, Telemetry};
+use beldi_simclock::{Gauge, Hist, Metric, Op, StoreCall, StoreKind, Telemetry};
 use beldi_simfaas::{FaultInjector, Label, Probe};
 
 /// The system allocator, counting the allocations each thread makes.
@@ -100,6 +101,7 @@ fn a_probe_and_a_restart_allocate_nothing() {
 #[test]
 fn recording_into_the_registry_allocates_nothing() {
     let t = Telemetry::new();
+    let instance: Arc<str> = "i1".into();
     let record = || {
         for m in Metric::ALL {
             t.add(m, 1);
@@ -107,7 +109,24 @@ fn recording_into_the_registry_allocates_nothing() {
         t.move_gauge(Gauge::FaasActive, 1);
         t.move_gauge(Gauge::FaasActive, -1);
         t.record(Hist::Recovery, Duration::from_millis(3));
+        // An op scope, a second nested in it, and a store call under
+        // both, with no reader of the run record.
+        let outer = t.op(Op::SyncInvoke, &instance);
+        let inner = t.op(Op::Read, &instance);
+        t.log_store(|issuer| StoreCall {
+            kind: StoreKind::Get,
+            table: "t".into(),
+            key: Some("k".into()),
+            cond: None,
+            rows: 1,
+            bytes: 8,
+            issuer,
+        });
+        drop(inner);
+        drop(outer);
     };
     assert_eq!(allocations(record), 0);
     assert_eq!(t.get(Metric::DbGets), 1);
+    assert_eq!(t.get(Op::Read.metric()), 2);
+    assert!(t.take_record().is_empty());
 }

@@ -46,7 +46,7 @@ use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
 use beldi_simclock::Metric;
 use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
-use beldi_simfaas::TraceEntry;
+use beldi_simfaas::crash_stream;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -352,7 +352,8 @@ fn sink_counts(env: &BeldiEnv) -> Vec<i64> {
 /// schedule actually diverges — instead of cloning every table on every
 /// clean run.
 struct RunOutcome {
-    trace: Vec<TraceEntry>,
+    /// The labels of the crash points passed, in global-stream order.
+    crash_points: Vec<Label>,
     injected: u64,
     errors: Vec<String>,
     unfinished: usize,
@@ -391,7 +392,7 @@ fn run_schedule(
     let env = build_env(mode, opts);
     app.setup(&env);
     let faults = env.platform().faults();
-    faults.start_trace();
+    env.telemetry().start_record(env.clock().clone());
     if !schedule.is_empty() {
         let steps: Vec<usize> = schedule.iter().map(|&s| s as usize).collect();
         faults.set_global_plan(Some(CrashPlan::Script(steps)));
@@ -435,7 +436,8 @@ fn run_schedule(
     if in_flight > 0 {
         errors.push(format!("{in_flight} invocation(s) still in flight"));
     }
-    let trace = faults.take_trace();
+    let record = env.telemetry().take_record();
+    let crash_points = crash_stream(&record).map(|v| v.label).collect();
     let state = app.canonical_state(&env);
     let effects = app.effect_count(&env);
     let gc_residue = if opts.gc_check && mode != Mode::Baseline {
@@ -444,7 +446,7 @@ fn run_schedule(
         None
     };
     let outcome = RunOutcome {
-        trace,
+        crash_points,
         injected: faults.injected_count(),
         errors,
         unfinished,
@@ -621,7 +623,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         mode,
         seed: opts.seed,
         requests: opts.requests,
-        crash_points: oracle.trace.len(),
+        crash_points: oracle.crash_points.len(),
         schedules: 0,
         crashes_injected: 0,
         oracle_effects: oracle.effects,
@@ -630,7 +632,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         reached_labels: Vec::new(),
         violations: Vec::new(),
     };
-    let mut reached: Vec<Label> = oracle.trace.iter().map(|t| t.label).collect();
+    let mut reached: Vec<Label> = oracle.crash_points.clone();
     if !oracle.errors.is_empty() || oracle.unfinished != 0 || oracle.corruption.is_some() {
         report.violations.push(Violation {
             kind: ViolationKind::RequestError,
@@ -646,7 +648,7 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
 
     // Depth 1: one schedule per (strided) crash point.
     let stride = opts.stride.max(1);
-    let mut schedules: Vec<Vec<u64>> = (0..oracle.trace.len() as u64)
+    let mut schedules: Vec<Vec<u64>> = (0..oracle.crash_points.len() as u64)
         .step_by(stride)
         .map(|k| vec![k])
         .collect();
@@ -659,10 +661,10 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
     // re-executions).
     let mut pair_rng = SmallRng::seed_from_u64(opts.seed ^ 0xD2D2_D2D2);
     for _ in 0..opts.depth2_samples {
-        if oracle.trace.is_empty() {
+        if oracle.crash_points.is_empty() {
             break;
         }
-        let i = pair_rng.gen_range(0..oracle.trace.len()) as u64;
+        let i = pair_rng.gen_range(0..oracle.crash_points.len()) as u64;
         let gap = pair_rng.gen_range(1..25usize) as u64;
         schedules.push(vec![i, i + gap]);
     }
@@ -672,11 +674,11 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         report.schedules += 1;
         let (out, run_env) = run_schedule(app, mode, opts, &schedule);
         report.crashes_injected += out.injected;
-        reached.extend(out.trace.iter().map(|t| t.label));
+        reached.extend(out.crash_points);
         let first = schedule
             .first()
-            .and_then(|&k| oracle.trace.get(k as usize))
-            .map(|t| t.label);
+            .and_then(|&k| oracle.crash_points.get(k as usize))
+            .copied();
         crashed.extend(first);
         let label = first.map_or("", Label::as_str);
         let mut fail = |kind, detail| {

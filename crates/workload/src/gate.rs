@@ -180,7 +180,7 @@ fn check_growth(run: &BenchRun, failures: &mut Vec<String>) {
 
 /// The storage-growth check of a `drive --gc` report: every GC-enabled
 /// run must show bounded steady-state metadata/data growth (see
-/// [`check_growth`]).
+/// `check_growth`).
 ///
 /// Runs recorded with `gc: false` are skipped — Baseline mode has no
 /// collectors, so a `drive --gc --mode all` report legitimately mixes

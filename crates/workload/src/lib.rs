@@ -14,14 +14,14 @@
 //! All time is virtual ([`beldi_simclock::Clock`]); experiments compress
 //! minutes into milliseconds without changing any ordering.
 //!
-//! The crate also hosts the [`explore`] module: a seed-reproducible
+//! The crate also hosts the [`explore`](mod@explore) module: a seed-reproducible
 //! crash-schedule model checker that sweeps every labelled crash point of
 //! a workload, recovers via the intent collector, and diffs the final
 //! state against a crash-free oracle (DESIGN.md §8).
 
 //! The [`driver`] module adds the closed-loop counterpart: `N` client
 //! workers saturate one shared environment and emit a machine-readable
-//! [`BenchReport`] (`BENCH_results.json`), which the [`gate`] module
+//! [`BenchReport`] (`BENCH_results.json`), which the [`gate`](mod@gate) module
 //! compares against a checked-in baseline in CI and checks for bounded
 //! storage growth, crash recovery and the front door's agreement
 //! (DESIGN.md §9).

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{Cond, Value};
-use beldi::{BeldiConfig, BeldiEnv, CrashPlan, Label, Mode, StormPolicy};
+use beldi::{crash_stream, BeldiConfig, BeldiEnv, CrashPlan, Label, Mode, StormPolicy};
 use beldi_apps::{small_app, MediaApp, WorkflowApp};
 use beldi_workload::{explore, ExploreOptions, PipelineApp, ViolationKind};
 
@@ -172,7 +172,7 @@ fn storm_policy_is_seed_stable() {
     let run = || {
         let env = BeldiEnv::for_tests();
         PipelineApp::default().setup(&env);
-        env.platform().faults().start_trace();
+        env.telemetry().start_record(env.clock().clone());
         env.platform().faults().set_storm_policy(Some(StormPolicy {
             ssf_prob: 0.05,
             collector_prob: 0.05,
@@ -182,10 +182,9 @@ fn storm_policy_is_seed_stable() {
         for i in 0..6 {
             env.invoke("root", beldi::value::Value::Int(i)).unwrap();
         }
-        let trace = env.platform().faults().take_trace();
+        let record = env.telemetry().take_record();
         let state = PipelineApp::default().canonical_state(&env);
-        let fired: Vec<(u64, beldi::Label)> = trace
-            .iter()
+        let fired: Vec<(u64, beldi::Label)> = crash_stream(&record)
             .filter(|t| t.crashed)
             .map(|t| (t.step, t.label))
             .collect();
@@ -338,14 +337,15 @@ fn labels_of_the_rarer_paths() -> Vec<Label> {
             Ok(Value::Null)
         }),
     );
+    env.telemetry().start_record(env.clock().clone());
     let faults = env.platform().faults();
-    faults.start_trace();
     faults.set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreDone)));
     env.invoke_async("root", Value::Null).unwrap();
     env.clock().sleep(Duration::from_millis(100));
     env.platform().invoke_sync("root.ic", Value::Null).unwrap();
     env.drain_recovery(10).unwrap();
-    faults.take_trace().iter().map(|t| t.label).collect()
+    let record = env.telemetry().take_record();
+    crash_stream(&record).map(|t| t.label).collect()
 }
 
 /// The run-time half of crash-point coverage. Every label is passed by

@@ -3,7 +3,7 @@
 //! Implements the slice of the `parking_lot` API this workspace uses, with
 //! the two semantic properties the callers rely on:
 //!
-//! * **No poisoning.** Injected crashes ([`beldi_simfaas`]'s fault
+//! * **No poisoning.** Injected crashes (`beldi_simfaas`'s fault
 //!   injector) panic across held guards; like the real `parking_lot`, a
 //!   later `lock()` must succeed, so poison errors are unwrapped into
 //!   their inner guards.
