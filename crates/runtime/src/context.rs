@@ -39,6 +39,10 @@ impl Drop for EnterGuard {
 /// Panics when called outside an executor's `run`/`block_on` — async
 /// entry points that may be driven from foreign threads should carry a
 /// `Handle` explicitly instead.
+#[expect(
+    clippy::expect_used,
+    reason = "documented above: outside an executor there is no handle to return"
+)]
 pub fn handle() -> Handle {
     try_handle().expect("no beldi-runtime executor is running on this thread")
 }

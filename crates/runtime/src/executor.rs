@@ -256,6 +256,10 @@ impl Executor {
     /// Spawns `fut` and runs until it completes, driving every other
     /// spawned task meanwhile. Remaining tasks stay parked and resume on
     /// the next `run`/`block_on` call.
+    #[expect(
+        clippy::expect_used,
+        reason = "`run_until` returns once the task is done, and only this handle takes its result"
+    )]
     pub fn block_on<F>(&self, fut: F) -> F::Output
     where
         F: Future + Send + 'static,
@@ -327,6 +331,10 @@ impl Executor {
                             // docs: determinism under clock overshoot).
                             let mut wakers = Vec::new();
                             while s.timers.peek().is_some_and(|t| t.at == due_at) {
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "the loop condition peeked a timer under this lock"
+                                )]
                                 wakers.push(s.timers.pop().expect("peeked").waker);
                             }
                             Next::FireTimers(wakers)

@@ -29,6 +29,7 @@
 //! ```
 
 #![warn(clippy::let_underscore_must_use)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod context;
 mod executor;
