@@ -11,8 +11,9 @@
 //!
 //! Each module exposes an `*App` type with the same shape:
 //!
-//! - `install(&env)` registers every SSF of the workflow;
-//! - `seed(&env)` loads the dataset (hotels, movies, users, follow graph);
+//! - [`WorkflowApp::install`] registers every SSF of the workflow;
+//! - [`WorkflowApp::seed`] loads the dataset (hotels, movies, users,
+//!   follow graph);
 //! - `request(&mut rng)` draws one frontend request from the
 //!   DeathStarBench-derived mix;
 //! - `entry()` names the workflow's frontend SSF.
@@ -21,6 +22,8 @@
 //! cross-table, baseline) because it only speaks the
 //! [`beldi::SsfContext`] API — this is what the paper's latency/throughput
 //! comparisons rely on.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod media;
 pub mod rng;
@@ -32,7 +35,7 @@ pub use social::SocialApp;
 pub use travel::TravelApp;
 
 use beldi::value::Value;
-use beldi::BeldiEnv;
+use beldi::{BeldiEnv, BeldiResult};
 use rand::rngs::SmallRng;
 
 /// A uniform interface over the three case-study applications, used by
@@ -61,8 +64,26 @@ pub trait WorkflowApp: Send + Sync {
     /// The workflow's frontend SSF.
     fn entry_point(&self) -> &'static str;
 
-    /// Installs every SSF and seeds the dataset.
-    fn setup(&self, env: &BeldiEnv);
+    /// Registers every SSF of the workflow.
+    fn install(&self, env: &BeldiEnv);
+
+    /// Loads the dataset into the installed SSFs' tables; the default
+    /// loads none. Errors: the store's, on a seeding write it rejects.
+    fn seed(&self, _env: &BeldiEnv) -> BeldiResult<()> {
+        Ok(())
+    }
+
+    /// Installs every SSF and seeds the dataset: the one place a seeding
+    /// error panics.
+    #[expect(
+        clippy::expect_used,
+        reason = "a fresh environment, and the workloads that set one up have no error path: a \
+                  seeding write the store rejects is a bug in the app's dataset"
+    )]
+    fn setup(&self, env: &BeldiEnv) {
+        self.install(env);
+        self.seed(env).expect("seeding a freshly installed app");
+    }
 
     /// Draws one frontend request from the app's mix.
     fn gen_request(&self, rng: &mut SmallRng) -> Value;

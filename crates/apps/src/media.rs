@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use beldi::value::{vmap, Value};
-use beldi::{BeldiEnv, BeldiError};
+use beldi::{BeldiEnv, BeldiError, BeldiResult};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -113,71 +113,6 @@ impl MediaApp {
         "media-frontend"
     }
 
-    /// Registers all thirteen SSFs.
-    pub fn install(&self, env: &BeldiEnv) {
-        install_unique_id(env);
-        install_user(env);
-        install_movie_id(env);
-        install_text(env);
-        install_review_storage(env);
-        install_list_append(env, "media-user-review", "byuser");
-        install_list_append(env, "media-movie-review", "bymovie");
-        install_info_service(env, "media-movie-info", "info");
-        install_info_service(env, "media-cast-info", "cast");
-        install_info_service(env, "media-plot", "plots");
-        install_compose(env);
-        install_page(env);
-        install_frontend(env);
-    }
-
-    /// Seeds movies (titles, info, cast, plots) and users.
-    pub fn seed(&self, env: &BeldiEnv) {
-        for i in 0..self.movies {
-            let id = movie_key(i);
-            env.seed(
-                "media-movie-id",
-                "titles",
-                &title_of(i),
-                vmap! { "movie_id" => id.as_str() },
-            )
-            .expect("seed titles");
-            env.seed(
-                "media-movie-info",
-                "info",
-                &id,
-                vmap! { "title" => title_of(i), "year" => 1980 + (i % 45) as i64 },
-            )
-            .expect("seed info");
-            env.seed(
-                "media-cast-info",
-                "cast",
-                &id,
-                Value::List(
-                    (0..4)
-                        .map(|c| Value::from(format!("actor-{}", (i * 4 + c) % 50)))
-                        .collect(),
-                ),
-            )
-            .expect("seed cast");
-            env.seed(
-                "media-plot",
-                "plots",
-                &id,
-                Value::from(format!("The plot of {} thickens.", title_of(i))),
-            )
-            .expect("seed plots");
-        }
-        for u in 0..self.users {
-            env.seed(
-                "media-user",
-                "users",
-                &user_key(u),
-                vmap! { "user_id" => format!("uid-{u}") },
-            )
-            .expect("seed users");
-        }
-    }
-
     /// Draws one frontend request from [`MediaApp::mix`] (default: 90%
     /// page views, 10% review composes — the read-heavy DeathStarBench
     /// media mix).
@@ -207,9 +142,65 @@ impl crate::WorkflowApp for MediaApp {
         self.entry()
     }
 
-    fn setup(&self, env: &BeldiEnv) {
-        self.install(env);
-        self.seed(env);
+    /// Registers all thirteen SSFs.
+    fn install(&self, env: &BeldiEnv) {
+        install_unique_id(env);
+        install_user(env);
+        install_movie_id(env);
+        install_text(env);
+        install_review_storage(env);
+        install_list_append(env, "media-user-review", "byuser");
+        install_list_append(env, "media-movie-review", "bymovie");
+        install_info_service(env, "media-movie-info", "info");
+        install_info_service(env, "media-cast-info", "cast");
+        install_info_service(env, "media-plot", "plots");
+        install_compose(env);
+        install_page(env);
+        install_frontend(env);
+    }
+
+    /// Seeds movies (titles, info, cast, plots) and users.
+    fn seed(&self, env: &BeldiEnv) -> BeldiResult<()> {
+        for i in 0..self.movies {
+            let id = movie_key(i);
+            env.seed(
+                "media-movie-id",
+                "titles",
+                &title_of(i),
+                vmap! { "movie_id" => id.as_str() },
+            )?;
+            env.seed(
+                "media-movie-info",
+                "info",
+                &id,
+                vmap! { "title" => title_of(i), "year" => 1980 + (i % 45) as i64 },
+            )?;
+            env.seed(
+                "media-cast-info",
+                "cast",
+                &id,
+                Value::List(
+                    (0..4)
+                        .map(|c| Value::from(format!("actor-{}", (i * 4 + c) % 50)))
+                        .collect(),
+                ),
+            )?;
+            env.seed(
+                "media-plot",
+                "plots",
+                &id,
+                Value::from(format!("The plot of {} thickens.", title_of(i))),
+            )?;
+        }
+        for u in 0..self.users {
+            env.seed(
+                "media-user",
+                "users",
+                &user_key(u),
+                vmap! { "user_id" => format!("uid-{u}") },
+            )?;
+        }
+        Ok(())
     }
 
     /// The explorer over-weights composes (50% instead of the mix's 10%)
@@ -557,6 +548,7 @@ fn install_frontend(env: &BeldiEnv) {
 mod tests {
     use super::*;
     use crate::rng::request_rng;
+    use crate::WorkflowApp;
 
     fn installed_env() -> (BeldiEnv, MediaApp) {
         let env = BeldiEnv::for_tests();
@@ -565,8 +557,7 @@ mod tests {
             users: 4,
             ..MediaApp::default()
         };
-        app.install(&env);
-        app.seed(&env);
+        app.setup(&env);
         (env, app)
     }
 

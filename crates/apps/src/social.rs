@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use beldi::value::{vmap, Value};
-use beldi::{BeldiEnv, BeldiError};
+use beldi::{BeldiEnv, BeldiError, BeldiResult};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -105,47 +105,6 @@ impl SocialApp {
         "social-frontend"
     }
 
-    /// Registers all thirteen SSFs.
-    pub fn install(&self, env: &BeldiEnv) {
-        install_unique_id(env);
-        install_url_shorten(env);
-        install_user_mention(env);
-        install_media(env);
-        install_text(env);
-        install_user(env);
-        install_post_storage(env);
-        install_social_graph(env);
-        install_timeline_storage(env);
-        install_timeline_reader(env, "social-user-timeline", "read-user");
-        install_timeline_reader(env, "social-home-timeline", "read-home");
-        install_compose(env);
-        install_frontend(env);
-    }
-
-    /// Seeds users and the follow graph (each user follows the next
-    /// `follows_per_user` users in a ring — deterministic and connected).
-    pub fn seed(&self, env: &BeldiEnv) {
-        for u in 0..self.users {
-            env.seed(
-                "social-user",
-                "users",
-                &user_key(u),
-                vmap! { "user_id" => user_key(u), "name" => format!("User {u}") },
-            )
-            .expect("seed users");
-            let followers: Vec<Value> = (1..=self.follows_per_user)
-                .map(|d| Value::from(user_key((u + self.users - d) % self.users)))
-                .collect();
-            env.seed(
-                "social-graph",
-                "followers",
-                &user_key(u),
-                Value::List(followers),
-            )
-            .expect("seed follow graph");
-        }
-    }
-
     /// Draws one frontend request from [`SocialApp::mix`] (default: 60%
     /// home-timeline reads, 30% user-timeline reads, 10% composes — the
     /// DeathStarBench social mix).
@@ -176,9 +135,44 @@ impl crate::WorkflowApp for SocialApp {
         self.entry()
     }
 
-    fn setup(&self, env: &BeldiEnv) {
-        self.install(env);
-        self.seed(env);
+    /// Registers all thirteen SSFs.
+    fn install(&self, env: &BeldiEnv) {
+        install_unique_id(env);
+        install_url_shorten(env);
+        install_user_mention(env);
+        install_media(env);
+        install_text(env);
+        install_user(env);
+        install_post_storage(env);
+        install_social_graph(env);
+        install_timeline_storage(env);
+        install_timeline_reader(env, "social-user-timeline", "read-user");
+        install_timeline_reader(env, "social-home-timeline", "read-home");
+        install_compose(env);
+        install_frontend(env);
+    }
+
+    /// Seeds users and the follow graph (each user follows the next
+    /// `follows_per_user` users in a ring — deterministic and connected).
+    fn seed(&self, env: &BeldiEnv) -> BeldiResult<()> {
+        for u in 0..self.users {
+            env.seed(
+                "social-user",
+                "users",
+                &user_key(u),
+                vmap! { "user_id" => user_key(u), "name" => format!("User {u}") },
+            )?;
+            let followers: Vec<Value> = (1..=self.follows_per_user)
+                .map(|d| Value::from(user_key((u + self.users - d) % self.users)))
+                .collect();
+            env.seed(
+                "social-graph",
+                "followers",
+                &user_key(u),
+                Value::List(followers),
+            )?;
+        }
+        Ok(())
     }
 
     /// The explorer over-weights composes (50% instead of the mix's 10%)
@@ -643,6 +637,7 @@ fn install_frontend(env: &BeldiEnv) {
 mod tests {
     use super::*;
     use crate::rng::request_rng;
+    use crate::WorkflowApp;
 
     fn installed_env() -> (BeldiEnv, SocialApp) {
         let env = BeldiEnv::for_tests();
@@ -651,8 +646,7 @@ mod tests {
             follows_per_user: 3,
             ..SocialApp::default()
         };
-        app.install(&env);
-        app.seed(&env);
+        app.setup(&env);
         (env, app)
     }
 

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use beldi::value::{vmap, Map, Value};
-use beldi::{BeldiEnv, BeldiError, TxnOutcome};
+use beldi::{BeldiEnv, BeldiError, BeldiResult, TxnOutcome};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -129,90 +129,6 @@ impl TravelApp {
         "travel-frontend"
     }
 
-    /// Registers all ten SSFs.
-    pub fn install(&self, env: &BeldiEnv) {
-        install_geo(env);
-        install_rate(env);
-        install_profile(env);
-        install_recommend(env);
-        install_user(env);
-        install_search(env);
-        install_reserve_leg(env, "travel-reserve-hotel", "rooms");
-        install_reserve_leg(env, "travel-reserve-flight", "seats");
-        install_reserve(env, self.transactional, self.retry_contention);
-        install_frontend(env);
-    }
-
-    /// Seeds hotels, flights, rates, profiles, recommendations, and users.
-    pub fn seed(&self, env: &BeldiEnv) {
-        // Geo index: one row holding every hotel's coordinates (the
-        // DSB geo service's in-memory index, materialized as data).
-        let mut points = Vec::with_capacity(self.hotels);
-        for i in 0..self.hotels {
-            let lat = (i as f64 * 0.37) % 10.0;
-            let lon = (i as f64 * 0.73) % 10.0;
-            points.push(vmap! { "id" => hotel_key(i), "lat" => lat, "lon" => lon });
-            env.seed(
-                "travel-rate",
-                "rates",
-                &hotel_key(i),
-                vmap! { "price" => 80 + ((i * 13) % 200) as i64 },
-            )
-            .expect("seed rates");
-            env.seed(
-                "travel-profile",
-                "profiles",
-                &hotel_key(i),
-                vmap! {
-                    "name" => format!("Hotel {i}"),
-                    "addr" => format!("{i} Main St"),
-                    "rating" => ((i * 7) % 50) as i64,
-                },
-            )
-            .expect("seed profiles");
-            env.seed(
-                "travel-reserve-hotel",
-                "rooms",
-                &hotel_key(i),
-                vmap! { "available" => self.rooms_per_hotel },
-            )
-            .expect("seed rooms");
-        }
-        env.seed("travel-geo", "points", "all", Value::List(points))
-            .expect("seed geo index");
-
-        let mut recs = Vec::with_capacity(self.hotels);
-        for i in 0..self.hotels {
-            recs.push(vmap! {
-                "id" => hotel_key(i),
-                "price" => 80 + ((i * 13) % 200) as i64,
-                "rating" => ((i * 7) % 50) as i64,
-                "dist" => ((i * 11) % 100) as i64,
-            });
-        }
-        env.seed("travel-recommend", "recs", "all", Value::List(recs))
-            .expect("seed recommendations");
-
-        for i in 0..self.flights {
-            env.seed(
-                "travel-reserve-flight",
-                "seats",
-                &flight_key(i),
-                vmap! { "available" => self.seats_per_flight },
-            )
-            .expect("seed seats");
-        }
-        for i in 0..self.users {
-            env.seed(
-                "travel-user",
-                "users",
-                &user_key(i),
-                vmap! { "password" => format!("pw-{i}") },
-            )
-            .expect("seed users");
-        }
-    }
-
     /// Draws one frontend request from [`TravelApp::mix`] (default: 60%
     /// hotel search, 30% recommendation, 5% login, 5% reservation;
     /// reservations pick hotel and flight normally out of the catalog,
@@ -226,9 +142,7 @@ impl TravelApp {
             },
             1 => vmap! {
                 "op" => "recommend",
-                "require" => *["price", "rating", "dist"]
-                    .get(rng.gen_range(0..3usize))
-                    .unwrap(),
+                "require" => ["price", "rating", "dist"][rng.gen_range(0..3usize)],
             },
             2 => {
                 let u = rng.gen_range(0..self.users);
@@ -250,25 +164,25 @@ impl TravelApp {
 
     /// Total rooms + seats remaining — the invariant checked by the
     /// consistency experiments (every successful reservation removes
-    /// exactly one of each).
-    pub fn remaining_inventory(&self, env: &BeldiEnv) -> (i64, i64) {
-        let mut rooms = 0;
-        for i in 0..self.hotels {
-            rooms += env
-                .read_current("travel-reserve-hotel", "rooms", &hotel_key(i))
-                .unwrap()
+    /// exactly one of each). Errors: a failed read, or a stock row
+    /// without its `available` count (`Corrupt`); neither is zero stock.
+    pub fn remaining_inventory(&self, env: &BeldiEnv) -> BeldiResult<(i64, i64)> {
+        let left = |ssf, table, key: String| {
+            env.read_current(ssf, table, &key)?
                 .get_int("available")
-                .unwrap_or(0);
-        }
-        let mut seats = 0;
-        for i in 0..self.flights {
-            seats += env
-                .read_current("travel-reserve-flight", "seats", &flight_key(i))
-                .unwrap()
-                .get_int("available")
-                .unwrap_or(0);
-        }
-        (rooms, seats)
+                .ok_or_else(|| BeldiError::Corrupt {
+                    table: beldi::schema::data_table(ssf, table),
+                    key,
+                    attr: "available",
+                })
+        };
+        let rooms = (0..self.hotels)
+            .map(|i| left("travel-reserve-hotel", "rooms", hotel_key(i)))
+            .sum::<BeldiResult<i64>>()?;
+        let seats = (0..self.flights)
+            .map(|i| left("travel-reserve-flight", "seats", flight_key(i)))
+            .sum::<BeldiResult<i64>>()?;
+        Ok((rooms, seats))
     }
 }
 
@@ -281,9 +195,82 @@ impl crate::WorkflowApp for TravelApp {
         self.entry()
     }
 
-    fn setup(&self, env: &BeldiEnv) {
-        self.install(env);
-        self.seed(env);
+    /// Registers all ten SSFs.
+    fn install(&self, env: &BeldiEnv) {
+        install_geo(env);
+        install_rate(env);
+        install_profile(env);
+        install_recommend(env);
+        install_user(env);
+        install_search(env);
+        install_reserve_leg(env, "travel-reserve-hotel", "rooms");
+        install_reserve_leg(env, "travel-reserve-flight", "seats");
+        install_reserve(env, self.transactional, self.retry_contention);
+        install_frontend(env);
+    }
+
+    /// Seeds hotels, flights, rates, profiles, recommendations, and users.
+    fn seed(&self, env: &BeldiEnv) -> BeldiResult<()> {
+        // Geo index: one row holding every hotel's coordinates (the
+        // DSB geo service's in-memory index, materialized as data).
+        let mut points = Vec::with_capacity(self.hotels);
+        for i in 0..self.hotels {
+            let lat = (i as f64 * 0.37) % 10.0;
+            let lon = (i as f64 * 0.73) % 10.0;
+            points.push(vmap! { "id" => hotel_key(i), "lat" => lat, "lon" => lon });
+            env.seed(
+                "travel-rate",
+                "rates",
+                &hotel_key(i),
+                vmap! { "price" => 80 + ((i * 13) % 200) as i64 },
+            )?;
+            env.seed(
+                "travel-profile",
+                "profiles",
+                &hotel_key(i),
+                vmap! {
+                    "name" => format!("Hotel {i}"),
+                    "addr" => format!("{i} Main St"),
+                    "rating" => ((i * 7) % 50) as i64,
+                },
+            )?;
+            env.seed(
+                "travel-reserve-hotel",
+                "rooms",
+                &hotel_key(i),
+                vmap! { "available" => self.rooms_per_hotel },
+            )?;
+        }
+        env.seed("travel-geo", "points", "all", Value::List(points))?;
+
+        let mut recs = Vec::with_capacity(self.hotels);
+        for i in 0..self.hotels {
+            recs.push(vmap! {
+                "id" => hotel_key(i),
+                "price" => 80 + ((i * 13) % 200) as i64,
+                "rating" => ((i * 7) % 50) as i64,
+                "dist" => ((i * 11) % 100) as i64,
+            });
+        }
+        env.seed("travel-recommend", "recs", "all", Value::List(recs))?;
+
+        for i in 0..self.flights {
+            env.seed(
+                "travel-reserve-flight",
+                "seats",
+                &flight_key(i),
+                vmap! { "available" => self.seats_per_flight },
+            )?;
+        }
+        for i in 0..self.users {
+            env.seed(
+                "travel-user",
+                "users",
+                &user_key(i),
+                vmap! { "password" => format!("pw-{i}") },
+            )?;
+        }
+        Ok(())
     }
 
     /// The explorer over-weights reservations (50% instead of the mix's
@@ -329,11 +316,14 @@ impl crate::WorkflowApp for TravelApp {
         Value::Map(inventory)
     }
 
+    /// A failed read counts no effect, as in the other apps: such a run
+    /// shows lost effects and, as `canonical_state` reads -1, a state
+    /// that differs from the oracle's; never duplicates.
     fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        let (rooms, seats) = self.remaining_inventory(env);
         let initial =
             self.hotels as i64 * self.rooms_per_hotel + self.flights as i64 * self.seats_per_flight;
-        initial - rooms - seats
+        self.remaining_inventory(env)
+            .map_or(0, |(rooms, seats)| initial - rooms - seats)
     }
 }
 
@@ -618,6 +608,7 @@ fn install_frontend(env: &BeldiEnv) {
 mod tests {
     use super::*;
     use crate::rng::request_rng;
+    use crate::WorkflowApp;
 
     fn small_app() -> TravelApp {
         TravelApp {
@@ -633,8 +624,7 @@ mod tests {
     fn installed_env() -> (BeldiEnv, TravelApp) {
         let env = BeldiEnv::for_tests();
         let app = small_app();
-        app.install(&env);
-        app.seed(&env);
+        app.setup(&env);
         (env, app)
     }
 
@@ -699,7 +689,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out.get_str("status"), Some("reserved"));
-        let (rooms, seats) = app.remaining_inventory(&env);
+        let (rooms, seats) = app.remaining_inventory(&env).unwrap();
         assert_eq!(rooms, 10 * 3 - 1);
         assert_eq!(seats, 10 * 3 - 1);
     }
@@ -729,7 +719,7 @@ mod tests {
             .read_current("travel-reserve-hotel", "rooms", "hotel-1")
             .unwrap();
         assert_eq!(h1.get_int("available"), Some(3));
-        let (rooms, seats) = app.remaining_inventory(&env);
+        let (rooms, seats) = app.remaining_inventory(&env).unwrap();
         assert_eq!(rooms, 27);
         assert_eq!(seats, 27);
     }
@@ -758,7 +748,7 @@ mod tests {
         }
         // Inventory only moved by successful reservations (rooms == seats
         // drop in lockstep).
-        let (rooms, seats) = app.remaining_inventory(&env);
+        let (rooms, seats) = app.remaining_inventory(&env).unwrap();
         assert_eq!(rooms - seats, 0, "legs must move in lockstep");
     }
 }

@@ -579,7 +579,7 @@ fn travel() -> Measured {
         };
         let app = Arc::new(app);
         app.install(&env);
-        app.seed(&env);
+        app.seed(&env)?;
         let clock = env.clock().clone();
         let clients: Vec<_> = (0..8)
             .map(|t| {
@@ -596,7 +596,7 @@ fn travel() -> Measured {
         for client in clients {
             client.join().map_err(|_| "a reservation client panicked")?;
         }
-        let (rooms, seats) = app.remaining_inventory(&env);
+        let (rooms, seats) = app.remaining_inventory(&env)?;
         let cells = [rooms, seats, (rooms - seats).abs()].map(|n| n.to_string());
         consistency.push([vec![system.to_owned()], cells.to_vec()].concat());
     }

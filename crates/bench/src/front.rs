@@ -21,7 +21,10 @@
 //!
 //! Request sizes are bounded by constants: a declared body over 1 MiB is
 //! answered `413` before it is allocated, a request or header line over
-//! 8 KiB or a 65th header `431`; either closes the connection.
+//! 8 KiB or a 65th header `431`; either closes the connection. So is time:
+//! a socket thread closes a connection whose peer, for `IDLE_TIMEOUT`
+//! (5 s of host time), sends none of the bytes it waits for or takes
+//! none it writes, mid-request included.
 //!
 //! **Admission order is fixed.** Requests are admitted by connection
 //! index (accept order), then by sequence within the connection, never
@@ -31,9 +34,10 @@
 //! other participant runs and virtual time stands still. That models
 //! closed-loop clients with zero think time, one per connection: a
 //! client that keeps an answered connection open while it waits on
-//! another connection stalls the door. A door with no open connection
-//! holds too. So a run whose clients all connect before any of them
-//! sends is a function of the seed (DESIGN.md §14 states the trade-off).
+//! another connection stalls the door until `IDLE_TIMEOUT` closes that
+//! connection. A door with no open connection holds too. So a run whose
+//! clients all connect before any of them sends is a function of the
+//! seed (DESIGN.md §14 states the trade-off).
 //!
 //! A caller may pin the workflow instance id with an
 //! `x-beldi-instance` header; retrying a request under the same id
@@ -69,6 +73,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::task::Poll;
+use std::time::Duration;
 
 use beldi::simclock::{Hist, JoinHandle, SimInstant};
 use beldi::value::{json, Value};
@@ -226,6 +231,11 @@ const MAX_BODY_BYTES: usize = 1 << 20;
 const MAX_LINE_BYTES: usize = 8 << 10;
 /// Most header lines the door accepts per request (`431` above it).
 const MAX_HEADERS: usize = 64;
+/// How long a socket thread waits on its peer, for a request's next
+/// bytes or for room to write a reply, before it closes the connection:
+/// the longest one silent peer stalls the door's hold. Longer than any
+/// pause a closed-loop client leaves between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn headers_too_large() -> Response {
     Response::json(
@@ -357,13 +367,16 @@ impl Response {
 /// A socket thread: parses requests off `stream`, answers `GET /healthz`
 /// itself, hands every other request to the admission participant and
 /// writes its reply. Returns when the peer closes, a request is
-/// rejected, or the door crashed the connection.
+/// rejected, the door crashed the connection, or the peer stayed silent
+/// or unread for [`IDLE_TIMEOUT`].
 fn serve_connection(
     index: usize,
     stream: TcpStream,
     events: &mpsc::Sender<Event>,
     replies: &mpsc::Receiver<Option<Response>>,
 ) -> io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     while let Some(framed) = read_request(&mut reader)? {
@@ -1080,6 +1093,57 @@ mod tests {
         });
         assert_eq!(early, (200, "{\"ok\":\"front-0\"}".to_owned()));
         assert_eq!(late, (200, "{\"ok\":\"front-1\"}".to_owned()));
+    }
+
+    /// Whether the door closed `stream`: reads, discarding what they get,
+    /// end at end of file or in a reset, not in `stream`'s read timeout.
+    fn closed_by_door(mut stream: TcpStream) -> bool {
+        loop {
+            match stream.read(&mut [0; 1 << 16]) {
+                Ok(0) => return true,
+                Ok(_) => {}
+                Err(e) => return e.kind() == io::ErrorKind::ConnectionReset,
+            }
+        }
+    }
+
+    /// A client's invoke waits while the door holds for three peers that
+    /// owe it their next request: one silent after `/healthz`, one
+    /// stalled partway through a request line, and one that pipelines
+    /// `/healthz` and never reads a reply. The door closes each after
+    /// `IDLE_TIMEOUT`, then answers the client.
+    #[test]
+    fn idle_peers_are_closed_and_the_door_moves_on() {
+        let env = Arc::new(crate::front_env(Mode::Beldi));
+        let noop = |_: &mut beldi::SsfContext, _| Ok(Value::Null);
+        env.register_ssf("noop", &[], Arc::new(noop));
+        let bound = IDLE_TIMEOUT + IDLE_TIMEOUT / 2;
+        let (answer, closed) = serve(&env, move |addr| {
+            let peer = |sent: String| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream.set_read_timeout(Some(bound)).unwrap();
+                stream.write_all(sent.as_bytes()).unwrap();
+                stream
+            };
+            let healthz = "GET /healthz HTTP/1.1\r\n\r\n";
+            let mut silent = peer(healthz.into());
+            BufReader::new(&mut silent)
+                .read_line(&mut String::new())
+                .unwrap();
+            let peers = [
+                silent,
+                peer("POST /invoke/noop HTTP/1.1\r\ncontent-le".into()),
+                peer(healthz.repeat(4096)),
+            ];
+            let mut client = FrontClient::new(addr);
+            client.request("GET", "/healthz", &[], "").unwrap();
+            let conn = client.conn.as_ref().unwrap().get_ref();
+            conn.set_read_timeout(Some(bound)).unwrap();
+            let answer = client.invoke("noop", &Value::Null).unwrap();
+            (answer, peers.map(closed_by_door))
+        });
+        assert_eq!(answer, (200, "{\"ok\":null}".to_owned()));
+        assert_eq!(closed, [true; 3], "silent, stalled, pipeliner");
     }
 
     #[test]

@@ -20,7 +20,7 @@ use beldi::schema::{
 };
 use beldi::value::{vmap, Value};
 use beldi::{callee_id, finalize_marker, log_key, BeldiConfig, BeldiEnv, CrashPlan, Label};
-use beldi_apps::{MediaApp, TravelApp};
+use beldi_apps::{MediaApp, TravelApp, WorkflowApp};
 use beldi_simdb::DbSnapshot;
 use beldi_simfaas::InvocationCtx;
 use parking_lot::Mutex;
@@ -74,10 +74,8 @@ fn register_chain(env: &BeldiEnv, in_flight: &Arc<Mutex<Option<DbSnapshot>>>) {
 fn a_quiesced_run_stores_each_fact_once() {
     let env = BeldiEnv::for_tests();
     let (media, travel) = (MediaApp::small(), TravelApp::small());
-    media.install(&env);
-    media.seed(&env);
-    travel.install(&env);
-    travel.seed(&env);
+    media.setup(&env);
+    travel.setup(&env);
     let in_flight = Arc::default();
     register_chain(&env, &in_flight);
 

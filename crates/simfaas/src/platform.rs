@@ -80,20 +80,6 @@ pub struct PlatformConfig {
     pub saturation: SaturationPolicy,
 }
 
-impl Default for PlatformConfig {
-    fn default() -> Self {
-        PlatformConfig {
-            concurrency_limit: 1000,
-            invoke_timeout: Duration::from_secs(60),
-            cold_start: Duration::from_millis(120),
-            warm_start: Duration::from_millis(1),
-            invoke_overhead: Duration::from_millis(8),
-            warm_pool_per_fn: 512,
-            saturation: SaturationPolicy::Queue,
-        }
-    }
-}
-
 impl PlatformConfig {
     /// A zero-overhead configuration for unit tests.
     pub fn for_tests() -> Self {

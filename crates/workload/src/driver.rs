@@ -3,7 +3,7 @@
 //! Where [`crate::RateRunner`] reproduces wrk2's *open-loop* arrivals for
 //! the paper's latency-vs-throughput figures, this module measures the
 //! system the way a capacity benchmark does: `N` client workers share one
-//! [`BeldiEnv`] (and therefore one sharded database) and each issues the
+//! [`BeldiEnv`] (one database, a lock per table) and each issues the
 //! next request the moment the previous one completes. Throughput is
 //! whatever the system sustains; latency is pure service time.
 //!
@@ -96,12 +96,6 @@ pub struct DriveOptions {
     /// Virtual-time period of the GC timers (and half the storage
     /// sampling period).
     pub gc_period: Duration,
-    /// `T` (the execution lease and recycle horizon) for GC-enabled
-    /// runs — small relative to the run's virtual duration, so recycling
-    /// reaches steady state within the measured window, but above the
-    /// run's latency tail: the lease kills any instance still running `T`
-    /// after its launch.
-    pub gc_t_max: Duration,
     /// Platform concurrency cap override (`None` = the driver default of
     /// 1000). The in-flight stress tests pin this *low* to prove the
     /// point of the cooperative runtime: 10k parked workflows over a few
@@ -137,6 +131,13 @@ pub struct ChaosOptions {
 /// Kill probability at each collector (`ic.*`/`gc.*`) crash point of a
 /// chaos drive.
 const COLLECTOR_KILL_PROB: f64 = 4e-3;
+
+/// `T` (the execution lease and recycle horizon) of a GC-enabled drive:
+/// small relative to the run's virtual duration, so recycling reaches
+/// steady state within the measured window, but above the run's latency
+/// tail, as the lease kills any instance still running `T` after its
+/// launch.
+const GC_T_MAX: Duration = Duration::from_secs(4);
 
 /// Hard cap on a chaos drive's injected crashes: it guarantees a storm
 /// ends. A storm that reaches it injects no more, so the cap shaped its
@@ -181,7 +182,6 @@ impl Default for DriveOptions {
             tail_cache: true,
             gc: false,
             gc_period: Duration::from_millis(500),
-            gc_t_max: Duration::from_secs(4),
             platform_concurrency: None,
             chaos: None,
         }
@@ -646,7 +646,7 @@ fn build_bench_env(
     let mut cfg = BeldiConfig::for_mode(mode).with_tail_cache(opts.tail_cache);
     if gc {
         cfg = cfg
-            .with_t_max(opts.gc_t_max)
+            .with_t_max(GC_T_MAX)
             .with_collector_period(opts.gc_period);
     }
     if let Some(c) = chaos {

@@ -253,7 +253,7 @@ impl WorkflowApp for PipelineApp {
         "root"
     }
 
-    fn setup(&self, env: &BeldiEnv) {
+    fn install(&self, env: &BeldiEnv) {
         use std::sync::Arc;
         // The unlogged read goes through a captured handle, which makes
         // the environment own a reference to itself: sabotaged

@@ -514,7 +514,6 @@ fn online_gc_conserves_state_and_bounds_storage() {
         seed: 13,
         model_latency: true,
         gc: true,
-        gc_t_max: Duration::from_secs(4),
         gc_period: Duration::from_secs(1),
         ..DriveOptions::default()
     };

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use beldi_repro::apps::SocialApp;
+use beldi_repro::apps::{SocialApp, WorkflowApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, StormPolicy};
 use beldi_repro::simclock::Metric;
 use beldi_repro::value::vmap;
@@ -28,8 +28,7 @@ fn main() {
         follows_per_user: 4,
         ..SocialApp::default()
     };
-    app.install(&env);
-    app.seed(&env);
+    app.setup(&env);
     env.start_collectors();
 
     println!("== Composing posts (with a 2% crash storm running) ==");

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use beldi_repro::apps::TravelApp;
+use beldi_repro::apps::{TravelApp, WorkflowApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv};
 use beldi_repro::value::vmap;
 
@@ -32,8 +32,7 @@ fn main() {
     println!("== Searching and booking on Beldi ==");
     let env = BeldiEnv::for_tests();
     let travel = app();
-    travel.install(&env);
-    travel.seed(&env);
+    travel.setup(&env);
 
     // Search near a location — geo + rate + profile fan-out.
     let results = env
@@ -88,15 +87,14 @@ fn main() {
     assert_eq!(sold_out.get_str("status"), Some("unavailable"));
     assert_eq!(before, after, "hotel leg rolled back atomically");
 
-    let (rooms, seats) = travel.remaining_inventory(&env);
+    let (rooms, seats) = travel.remaining_inventory(&env).unwrap();
     println!("   inventory: rooms={rooms} seats={seats} (moved in lockstep)\n");
     assert_eq!(rooms, seats, "transactional legs never drift");
 
     println!("== The same contended workload on the baseline ==");
     let env = BeldiEnv::for_tests_with(BeldiConfig::baseline());
     let travel = app();
-    travel.install(&env);
-    travel.seed(&env);
+    travel.setup(&env);
     let env = Arc::new(env);
     // The environment runs on a seeded schedule: its client threads are
     // started through its clock.
@@ -115,7 +113,7 @@ fn main() {
     for c in clients {
         c.join().unwrap();
     }
-    let (rooms, seats) = travel.remaining_inventory(&env);
+    let (rooms, seats) = travel.remaining_inventory(&env).unwrap();
     println!(
         "   inventory: rooms={rooms} seats={seats} → drift = {}",
         (rooms - seats).abs()

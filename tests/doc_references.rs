@@ -9,8 +9,9 @@
 //!
 //! DESIGN.md itself stays within [`DESIGN_MAX_BYTES`]: an edit that adds
 //! to it makes room by taking out as much. It says what the code does
-//! now: every crate has a row in its inventory, every backticked path it
-//! gives names a file or directory, and it names no pull request and no
+//! now: every crate has a row in its inventory and denies `unwrap` and
+//! `expect` in its library code (§11), every backticked path it gives
+//! names a file or directory, and it names no pull request and no
 //! `before → after` number, which belong in CHANGES.md.
 
 use std::collections::BTreeSet;
@@ -24,7 +25,7 @@ const SOURCES: [&str; 3] = ["crates", "tests", "benchmark"];
 
 /// The most bytes DESIGN.md may hold: its size when the bound was set,
 /// lowered, never raised, as the file shrinks.
-const DESIGN_MAX_BYTES: u64 = 38_195;
+const DESIGN_MAX_BYTES: u64 = 38_189;
 
 /// The keywords that declare a name a reference may give.
 const DECLARATIONS: [&str; 5] = ["fn", "struct", "enum", "trait", "type"];
@@ -302,9 +303,8 @@ fn every_design_path_names_a_file_or_directory() {
     );
 }
 
-#[test]
-fn every_crate_has_a_design_inventory_row() {
-    let design = std::fs::read_to_string(root().join("DESIGN.md")).unwrap();
+/// The name of every directory under `crates/`, sorted.
+fn crates() -> Vec<String> {
     let mut crates: Vec<_> = std::fs::read_dir(root().join("crates"))
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -312,12 +312,34 @@ fn every_crate_has_a_design_inventory_row() {
         .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
         .collect();
     crates.sort();
-    let missing: Vec<_> = crates
-        .iter()
+    assert!(crates.len() >= 9, "only {} crates found", crates.len());
+    crates
+}
+
+#[test]
+fn every_crate_has_a_design_inventory_row() {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).unwrap();
+    let missing: Vec<_> = crates()
+        .into_iter()
         .filter(|name| !design.contains(&format!("| `crates/{name}` |")))
         .collect();
-    assert!(crates.len() >= 9, "only {} crates found", crates.len());
     assert!(missing.is_empty(), "no DESIGN §2 row: {missing:#?}");
+}
+
+/// DESIGN §11's panic rule, as each crate's `src/lib.rs` states it.
+const PANIC_DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used)]";
+
+#[test]
+fn every_crate_denies_unwrap_and_expect() {
+    let missing: Vec<_> = crates()
+        .into_iter()
+        .filter(|name| {
+            let lib = root().join("crates").join(name).join("src/lib.rs");
+            let lib = std::fs::read_to_string(lib).unwrap();
+            !lib.lines().any(|line| line.trim() == PANIC_DENY)
+        })
+        .collect();
+    assert!(missing.is_empty(), "no `{PANIC_DENY}`: {missing:#?}");
 }
 
 /// The lines of `text` that tell history: a `PR <n>`, or a number, `→`

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi_repro::apps::{MediaApp, SocialApp, TravelApp};
+use beldi_repro::apps::{MediaApp, SocialApp, TravelApp, WorkflowApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, StormPolicy};
 use beldi_repro::simclock::Metric;
 use beldi_repro::value::{vmap, Value};
@@ -45,9 +45,9 @@ fn all_apps_serve_their_mix_in_all_modes() {
         travel.install(&env);
         media.install(&env);
         social.install(&env);
-        travel.seed(&env);
-        media.seed(&env);
-        social.seed(&env);
+        travel.seed(&env).unwrap();
+        media.seed(&env).unwrap();
+        social.seed(&env).unwrap();
         let mut rng = beldi_repro::apps::rng::request_rng(99);
         for _ in 0..15 {
             env.invoke(travel.entry(), travel.request(&mut rng))
@@ -85,7 +85,7 @@ fn travel_inventory_consistent_under_crash_storm() {
         ..TravelApp::default()
     };
     app.install(&env);
-    app.seed(&env);
+    app.seed(&env).unwrap();
     env.start_collectors();
     env.platform().faults().set_storm_policy(Some(StormPolicy {
         ssf_prob: 0.01,
@@ -123,7 +123,7 @@ fn travel_inventory_consistent_under_crash_storm() {
         env.telemetry().get(Metric::IcRestarted) > 0,
         "the timer-driven intent collector never re-launched a killed instance"
     );
-    let (rooms, seats) = app.remaining_inventory(&env);
+    let (rooms, seats) = app.remaining_inventory(&env).unwrap();
     assert_eq!(rooms, seats, "legs must never drift under Beldi");
     assert_eq!(
         rooms,
@@ -147,12 +147,12 @@ fn baseline_duplicates_reservations_on_retry() {
         ..TravelApp::default()
     };
     app.install(&env);
-    app.seed(&env);
+    app.seed(&env).unwrap();
     let req = vmap! { "op" => "reserve", "user" => "user-0", "hotel" => "hotel-1", "flight" => "flight-1" };
     // One logical reservation, delivered twice (provider retry).
     env.invoke(app.entry(), req.clone()).unwrap();
     env.invoke(app.entry(), req).unwrap();
-    let (rooms, seats) = app.remaining_inventory(&env);
+    let (rooms, seats) = app.remaining_inventory(&env).unwrap();
     // 2 rooms + 2 seats gone for one logical booking.
     assert_eq!(rooms, 38);
     assert_eq!(seats, 38);
@@ -172,7 +172,7 @@ fn load_driver_runs_media_app_under_timers() {
         ..MediaApp::default()
     };
     app.install(&env);
-    app.seed(&env);
+    app.seed(&env).unwrap();
     env.start_collectors();
     let env = Arc::new(env);
     let runner = RateRunner::new(env.clock().clone(), 60.0, Duration::from_secs(2), 16);
@@ -206,7 +206,7 @@ fn storage_stays_bounded_under_gc() {
         ..SocialApp::default()
     };
     app.install(&env);
-    app.seed(&env);
+    app.seed(&env).unwrap();
 
     let intent_rows = |env: &BeldiEnv| {
         let mut n = 0;
@@ -261,7 +261,7 @@ fn sovereignty_holds_across_apps() {
         ..MediaApp::default()
     };
     media.install(&env);
-    media.seed(&env);
+    media.seed(&env).unwrap();
     let out = env.invoke("intruder", Value::Null);
     assert!(out.is_err(), "intruder read another SSF's table");
 }
