@@ -20,7 +20,8 @@
 //! - the **tail cache**, which lets a read or a write of a data table skip
 //!   the traversal: a read validates the cached row with its point read,
 //!   a write with its own case-B update, guarded by the row's creation
-//!   time ([`TailCache`] has both soundness arguments).
+//!   time; a read or a plain write of a key with no entry tries `HEAD`
+//!   ([`TailCache`] has the soundness arguments).
 //!
 //! Functions here take a [`DaalParams`] handle instead of a full
 //! [`crate::SsfContext`] so they can be unit-tested against a bare
@@ -69,8 +70,9 @@ pub(crate) struct DaalParams<'a> {
     /// began on a `HEAD` it creates, and a fresh read on a row it appends
     /// (see [`append_row`]); the GC ages orphans by these stamps.
     pub now_ms: &'a dyn Fn() -> u64,
-    /// The tail cache a data-table write tries before it traverses;
-    /// `None` for shadow tables, or with the cache off.
+    /// The tail cache a data-table write tries (its entry, else `HEAD` for
+    /// a plain write) before it traverses; `None` for shadow tables, or
+    /// with the cache off.
     pub tail_cache: Option<&'a TailCache>,
     /// When the writing intent was created: no execution of it writes
     /// earlier. A cached tail row created before this holds every entry
@@ -205,6 +207,22 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// - otherwise the entry is dropped and the operation falls back to the
 ///   full traversal, which refreshes the entry.
 ///
+/// A key with no entry has an implicit one: `HEAD`, the row every chain
+/// starts at, which the GC never deletes from a data table. It is always
+/// reachable, so without a `NextRow` it is the whole chain, and the checks
+/// above hold on it as on any tail; an absent `HEAD` means the key has no
+/// chain, which a read answers with `Null` and a write's case B creates.
+/// A miss on a `HEAD`-only key thus costs one get or update, not a scan
+/// as well; a miss on a longer chain pays one failed attempt before it
+/// traverses.
+///
+/// A conditional step (a `condWrite`, a lock) with no entry does not try
+/// `HEAD`: it traverses, as with the cache off. Conditional steps are the
+/// ones that contend — a lock retries every millisecond while its holder
+/// lives — and a failed conditional update still takes the item's write
+/// capacity (two of them, B1 and B2), so on a long chain every
+/// contender's miss would queue on `HEAD`.
+///
 /// # Why a validated read is sound
 ///
 /// Chain rows move through a one-way lifecycle: created unlinked → linked
@@ -215,9 +233,9 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// unlinks only interior rows (which have `NextRow`) and never deletes
 /// the head or a reachable row, so no step can make a tail unreachable
 /// without first giving it a successor. Entries enter the cache only as
-/// reachable tails — a completed traversal's, or the row case B resolved
-/// a write on after one — hence a validated hit reads exactly the row a
-/// fresh traversal would have found.
+/// reachable tails — a completed traversal's, the row case B resolved a
+/// write on after one, or a `HEAD` — hence a validated hit reads exactly
+/// the row a fresh traversal would have found.
 ///
 /// # Why a validated write is sound
 ///
@@ -243,7 +261,7 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// That same property makes the **capacity bound** trivial to enforce:
 /// each shard holds at most `capacity_per_shard` entries, and an insert
 /// into a full shard evicts one arbitrary resident entry first (O(1);
-/// an evicted key simply pays one traversal on its next use). Without
+/// an evicted key pays a `HEAD` try or a traversal on its next use). Without
 /// the bound, production key cardinality — millions of users — would
 /// grow the map monotonically for the life of the process.
 pub(crate) struct TailCache {
@@ -354,11 +372,12 @@ impl TailCache {
 }
 
 /// The current value of `key` — [`read_value`] — with an optional
-/// [`TailCache`]: one point get on a validated hit, scan + get (and a
-/// refreshed entry) otherwise. Absent keys and value-less tails read as
-/// `Null`. A hit is a cached row id whose point read confirmed it is
-/// still the tail; everything else — absent entry or failed validation —
-/// is a miss; the store's registry counts both.
+/// [`TailCache`]: one point get when it validates the cached row, or
+/// with no entry `HEAD` (see [`TailCache`]); scan + get (and a refreshed
+/// entry) otherwise. Absent keys and value-less tails read as `Null`. A
+/// hit is a read the point get answered: a row it confirmed is still the
+/// tail, or an absent `HEAD` (no chain); a miss is a read that traversed.
+/// The store's registry counts both.
 ///
 /// The validating get asks for `Value` and `NextRow` only: the row's
 /// write log — up to `N` entries — stays in the store.
@@ -369,19 +388,28 @@ pub(crate) fn read_value_cached(
     key: &Arc<str>,
 ) -> BeldiResult<Value> {
     if let Some(cache) = cache {
-        if let Some(row_id) = cache.get(table.name(), key) {
-            let pk = PrimaryKey::hash_sort(key, row_id);
-            let tail_probe = Projection::attrs(schema::TAIL_PROBE);
-            let probed = db.get(table, &pk, Some(&tail_probe))?;
-            // Present (with or without a value) and no successor.
-            if let Some(value) = probed.map(|row| schema::tail_probe(table.name(), key, row)) {
-                if let Some(value) = value? {
-                    db.telemetry().add(Metric::TailCacheHits, 1);
-                    return Ok(value);
-                }
+        let cached = cache.get(table.name(), key);
+        let row_id = cached.clone().unwrap_or_else(|| ROW_HEAD.into());
+        let pk = PrimaryKey::hash_sort(key, &row_id);
+        let tail_probe = Projection::attrs(schema::TAIL_PROBE);
+        let probed = db.get(table, &pk, Some(&tail_probe))?;
+        // Present (with or without a value) and no successor: the tail,
+        // cached if it was not. An absent `HEAD`: no chain, nothing cached.
+        let answer = match probed {
+            Some(row) => schema::tail_probe(table.name(), key, row)?.map(|v| (v, true)),
+            None if &*row_id == ROW_HEAD => Some((Value::Null, false)),
+            None => None,
+        };
+        if let Some((value, present)) = answer {
+            db.telemetry().add(Metric::TailCacheHits, 1);
+            if present && cached.is_none() {
+                cache.put(table.name(), key, &row_id);
             }
-            // The cached row filled up (has a successor) or was GC-deleted:
-            // stale entry, take the slow path.
+            return Ok(value);
+        }
+        // The row filled up (has a successor) or was GC-deleted: stale
+        // entry, take the slow path.
+        if cached.is_some() {
             cache.invalidate(table.name(), key);
         }
         db.telemetry().add(Metric::TailCacheMisses, 1);
@@ -435,16 +463,17 @@ impl WriteOutcome {
 
 /// Executes one exactly-once DAAL write step (Figs. 6/7 and 17/18).
 ///
-/// With a [`TailCache`] entry for the key, case B first runs directly on
-/// the cached row, under a condition that makes the row's own log a check
-/// over the whole chain (see [`TailCache`]); a hit is one conditional
-/// update. Without an entry, or when that condition fails, the step scans
-/// the DAAL for a prior record of `log_key` (case A anywhere in the
-/// chain), then runs the lock-free tail protocol: attempt the conditional
-/// update at the tail candidate (case B, split into B1/B2 when `user_cond`
-/// is present), re-read on failure and dispatch to case A (already done),
-/// C (follow `NextRow`), or D (append a fresh row and advance). A step
-/// that case B resolves on that path leaves its row in the cache.
+/// With a [`TailCache`], case B first runs directly on the key's cached
+/// row (with no entry, `HEAD` for a plain write), under a condition that
+/// makes the row's own log a check over the whole chain (see
+/// [`TailCache`]); a hit is one conditional update. Otherwise, or when
+/// that condition fails, the step scans the DAAL for a prior record of
+/// `log_key` (case A anywhere in the chain), then runs the lock-free tail
+/// protocol: attempt the conditional update at the tail candidate (case
+/// B, split into B1/B2 when `user_cond` is present), re-read on failure
+/// and dispatch to case A (already done), C (follow `NextRow`), or D
+/// (append a fresh row and advance). A step that case B resolves on that
+/// path leaves its row in the cache.
 ///
 /// `user_cond` is evaluated *inside the database's atomicity scope* against
 /// the tail row, so callers may gate on `Value` or `LockOwner` paths.
@@ -618,15 +647,17 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
     }
 }
 
-/// Case B on the key's cached tail row, without a traversal. `None` when
-/// there is no entry, or when case B's condition failed there; the entry
-/// is then dropped and the caller traverses.
+/// Case B on the key's cached tail row, or for a plain write with no
+/// entry on `HEAD`, without a traversal. `None` when the cache is off,
+/// for a conditional step with no entry, or when case B's condition
+/// failed; a stale entry is then dropped and the caller traverses.
 ///
 /// A non-`HEAD` row must still exist (an update must not resurrect a row
 /// the GC deleted) and must be older than the writing intent, which makes
 /// `not_exists(RecentWrites.{log_key})` in this one row a check over the
-/// whole chain (see [`TailCache`]). `HEAD` has no predecessor, so it needs
-/// neither clause.
+/// whole chain (see [`TailCache`]). `HEAD` needs neither clause: it has no
+/// predecessor, and an absent one is the chain case B creates. A step
+/// resolved on an uncached `HEAD` leaves it in the cache.
 fn write_cached(
     p: &DaalParams<'_>,
     table: &TableRef,
@@ -636,8 +667,11 @@ fn write_cached(
     let Some(cache) = p.tail_cache else {
         return Ok(None);
     };
-    let Some(row_id) = cache.get(table.name(), key) else {
-        return Ok(None);
+    let cached = cache.get(table.name(), key);
+    let row_id = match cached.clone() {
+        Some(row_id) => row_id,
+        None if step.user_cond.is_none() => ROW_HEAD.into(),
+        None => return Ok(None),
     };
     let guard = if &*row_id == ROW_HEAD {
         Cond::True
@@ -648,12 +682,16 @@ fn write_cached(
     let pk = PrimaryKey::hash_sort(key, &row_id);
     let resolved = case_b(p, table, &pk, step, guard)?;
     let telemetry = p.db.telemetry();
-    match resolved {
-        Some(_) => telemetry.add(Metric::TailCacheWriteHits, 1),
-        None => {
-            cache.invalidate(table.name(), key);
-            telemetry.add(Metric::TailCacheWriteFallbacks, 1);
+    if resolved.is_some() {
+        if cached.is_none() {
+            cache.put(table.name(), key, &row_id);
         }
+        telemetry.add(Metric::TailCacheWriteHits, 1);
+    } else {
+        if cached.is_some() {
+            cache.invalidate(table.name(), key);
+        }
+        telemetry.add(Metric::TailCacheWriteFallbacks, 1);
     }
     Ok(resolved)
 }
@@ -939,6 +977,45 @@ mod tests {
                 Some(&cond),
             )
             .unwrap()
+        }
+
+        /// One write step through `cache`, with the store calls it made:
+        /// `(gets, writes, queries)`.
+        fn cached_write(
+            &self,
+            cache: &TailCache,
+            key: &str,
+            log_key: &str,
+            payload: Update,
+            cond: Option<&Cond>,
+        ) -> (WriteOutcome, (u64, u64, u64)) {
+            let ids = &self.counter;
+            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
+            let p = DaalParams {
+                new_row_id: &gen,
+                tail_cache: Some(cache),
+                ..self.params()
+            };
+            let before = self.db.metrics();
+            let table = p.db.table("t");
+            let out = try_write(&p, &table, &key.into(), &log_key.into(), payload, cond);
+            let d = self.db.metrics().delta(&before);
+            (out.unwrap(), (d.gets, d.writes, d.queries))
+        }
+
+        /// `key`'s value read through `cache`, with the store calls the
+        /// read made: `(gets, queries)`.
+        fn cached_read(&self, cache: &TailCache, key: &str) -> (Value, (u64, u64)) {
+            let before = self.db.metrics();
+            let v = read_value_cached(&self.db, Some(cache), &self.db.table("t"), &key.into());
+            let d = self.db.metrics().delta(&before);
+            (v.unwrap(), (d.gets, d.queries))
+        }
+
+        /// The `RecentWrites` map of `key`'s row `row_id`.
+        fn log_of(&self, key: &str, row_id: &str) -> Option<Value> {
+            let row = self.db.get("t", &PrimaryKey::hash_sort(key, row_id), None);
+            row.unwrap()?.get_attr(A_WRITES).cloned()
         }
 
         fn value(&self, key: &str) -> Value {
@@ -1237,15 +1314,158 @@ mod tests {
         assert_eq!(f.db.metrics().queries, q_before, "hit must not scan");
     }
 
+    /// An absent `HEAD` means no chain: one get answers `Null`.
     #[test]
     fn cached_read_of_absent_key_is_null_and_uncached() {
         let f = Fixture::new();
         let cache = TailCache::new();
+        let (v, calls) = f.cached_read(&cache, "nope");
         assert_eq!(
-            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"nope".into()).unwrap(),
-            Value::Null
+            (v, calls),
+            (Value::Null, (1, 0)),
+            "(value, (gets, queries))"
         );
         assert!(cache.get("t", "nope").is_none(), "no negative caching");
+    }
+
+    /// A seeded key's chain is its `HEAD`: an uncached read is one get,
+    /// and leaves `HEAD` cached.
+    #[test]
+    fn an_uncached_read_of_a_head_only_key_is_one_get() {
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        seed(&f.db, &f.db.table("t"), "k", Value::Int(10), 0).unwrap();
+        let (v, calls) = f.cached_read(&cache, "k");
+        assert_eq!(
+            (v, calls),
+            (Value::Int(10), (1, 0)),
+            "(value, (gets, queries))"
+        );
+        assert_eq!(f.hits_and_misses(), (1, 0));
+        assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
+    }
+
+    /// A fresh key's uncached write is one update, which creates `HEAD`
+    /// and leaves it cached.
+    #[test]
+    fn an_uncached_write_of_a_fresh_key_is_one_update() {
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        let payload = Update::new().set(A_VALUE, Value::Int(7));
+        let (out, calls) = f.cached_write(&cache, "k", "i#0", payload, None);
+        assert_eq!(
+            (out, calls),
+            (WriteOutcome::Applied, (0, 1, 0)),
+            "(gets, writes, queries)"
+        );
+        assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
+        assert_eq!((f.value("k"), f.chain_len("k")), (Value::Int(7), 1));
+        assert_eq!(
+            f.log_of("k", ROW_HEAD),
+            Some(beldi_value::vmap! { "i#0" => true })
+        );
+    }
+
+    /// A false conditional write and a lock on a fresh key do not try
+    /// `HEAD` blind: they traverse (one query), as with the cache off, and
+    /// log their outcome on `HEAD`, which they leave cached. B1 fails and
+    /// B2 logs `false`; the lock applies.
+    #[test]
+    fn a_false_cond_write_and_a_lock_on_a_fresh_key_log_on_head() {
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        let payload = Update::new().set(A_VALUE, Value::Int(1));
+        let never = Cond::eq(A_VALUE, Value::Int(5));
+        let (out, calls) = f.cached_write(&cache, "c", "a#0", payload, Some(&never));
+        assert_eq!((out, calls), (WriteOutcome::ConditionFalse, (0, 2, 1)));
+        assert_eq!(
+            f.log_of("c", ROW_HEAD),
+            Some(beldi_value::vmap! { "a#0" => false })
+        );
+        assert_eq!(f.value("c"), Value::Null);
+
+        let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
+        let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
+        let lock = Update::new().set(A_LOCK, owner.clone());
+        let (out, calls) = f.cached_write(&cache, "l", "b#0", lock, Some(&free));
+        assert_eq!((out, calls), (WriteOutcome::Applied, (0, 1, 1)));
+        assert_eq!(
+            f.log_of("l", ROW_HEAD),
+            Some(beldi_value::vmap! { "b#0" => true })
+        );
+        let table = f.db.table("t");
+        assert_eq!(lock_owner(&f.db, &table, &"l".into()).unwrap(), Some(owner));
+        for key in ["c", "l"] {
+            assert_eq!(cache.get("t", key).as_deref(), Some(ROW_HEAD), "{key}");
+        }
+        let t = f.db.telemetry();
+        let counts = (
+            t.get(Metric::TailCacheWriteHits),
+            t.get(Metric::TailCacheWriteFallbacks),
+        );
+        assert_eq!(counts, (0, 0), "no blind try on `HEAD`");
+    }
+
+    /// On a key whose `HEAD` has a successor, the uncached read pays one
+    /// get more than a traversal, and the write one failed update more;
+    /// both find the tail's value and cache the tail.
+    #[test]
+    fn a_head_with_a_successor_falls_back_to_the_traversal() {
+        let f = Fixture::new();
+        for step in 0..5 {
+            f.write("k", &format!("i#{step}"), step);
+        }
+        assert_eq!(f.chain_len("k"), 2);
+        let cache = TailCache::new();
+        let (v, calls) = f.cached_read(&cache, "k");
+        assert_eq!(
+            (v, calls),
+            (Value::Int(4), (2, 1)),
+            "(value, (gets, queries))"
+        );
+        assert_eq!(f.hits_and_misses(), (0, 1));
+        let tail = cache.get("t", "k").unwrap();
+        assert_ne!(&*tail, ROW_HEAD);
+
+        let cache = TailCache::new();
+        let payload = Update::new().set(A_VALUE, Value::Int(5));
+        let (out, calls) = f.cached_write(&cache, "k", "i#5", payload, None);
+        assert_eq!(
+            (out, calls),
+            (WriteOutcome::Applied, (0, 2, 1)),
+            "(gets, writes, queries)"
+        );
+        assert_eq!(f.db.telemetry().get(Metric::TailCacheWriteFallbacks), 1);
+        assert_eq!(cache.get("t", "k"), Some(tail));
+        assert_eq!((f.value("k"), f.chain_len("k")), (Value::Int(5), 2));
+    }
+
+    /// A step logged in `HEAD` and replayed, uncached, after `HEAD` gained
+    /// a successor: the plain step's `HEAD` attempt fails, the traversal
+    /// finds the entry (case A), and the replay returns the logged outcome
+    /// and changes nothing; so does the conditional step's.
+    #[test]
+    fn a_step_logged_in_head_replays_after_head_gained_a_successor() {
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        let write = |v: i64| Update::new().set(A_VALUE, Value::Int(v));
+        let never = Cond::eq(A_VALUE, Value::Int(-1));
+        f.cached_write(&cache, "k", "early#0", write(42), None);
+        f.cached_write(&cache, "k", "early#1", write(43), Some(&never));
+        for step in 0..4 {
+            f.cached_write(&cache, "k", &format!("later#{step}"), write(step), None);
+        }
+        assert_eq!(f.chain_len("k"), 2);
+        let before = f.db.snapshot();
+        for (log_key, cond, logged) in [
+            ("early#0", None, WriteOutcome::Applied),
+            ("early#1", Some(&never), WriteOutcome::ConditionFalse),
+        ] {
+            let (out, _) = f.cached_write(&TailCache::new(), "k", log_key, write(0), cond);
+            assert_eq!(out, logged, "{log_key}");
+        }
+        assert_eq!(f.db.snapshot(), before, "a replay changes nothing");
+        assert_eq!(f.value("k"), Value::Int(3));
     }
 
     #[test]

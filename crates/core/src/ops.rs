@@ -465,8 +465,9 @@ mod tests {
         );
     }
 
-    /// Writes that never fill a row resolve on the cached tail: after the
-    /// first write's traversal, every write is a hit and none falls back.
+    /// Writes that never fill a row resolve on the cached tail: the first
+    /// write creates `HEAD`, the implicit entry of an uncached key, and
+    /// every write is a hit; none falls back and none scans.
     #[test]
     fn a_fill_free_write_loop_hits_the_cached_tail() {
         let env = BeldiEnv::for_tests();
@@ -481,9 +482,9 @@ mod tests {
             t.get(Metric::TailCacheWriteHits),
             t.get(Metric::TailCacheWriteFallbacks),
         );
-        assert_eq!(counts, (9, 0), "(write hits, write fallbacks)");
+        assert_eq!(counts, (10, 0), "(write hits, write fallbacks)");
         let d = env.db_metrics().delta(&before);
-        assert_eq!((d.queries, d.writes), (1, 10), "only the first write scans");
+        assert_eq!((d.queries, d.writes), (0, 10), "no write scans");
     }
 
     /// An intent created after the key's tail was appended writes that

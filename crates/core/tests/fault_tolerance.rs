@@ -463,7 +463,9 @@ fn expired_execution_lease_kills_instances_before_their_next_effect() {
 /// `Label::DaalWritePreApply`, and the row never gets the step's entry.
 /// Only scans cost time here (10 ms each); the lease is 5 ms, so the
 /// write's traversal scan carries the instance across its deadline after
-/// `Label::DaalWriteEnter` passed.
+/// `Label::DaalWriteEnter` passed. The tail cache is off: with it on, a
+/// fresh key's write tries `HEAD` and does not traverse (the cached twin
+/// below).
 #[test]
 fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
     beldi::silence_crash_backtraces();
@@ -471,7 +473,9 @@ fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
         scan_base: Duration::from_millis(10),
         ..LatencyModel::zero()
     };
-    let cfg = BeldiConfig::beldi().with_t_max(Duration::from_millis(5));
+    let cfg = BeldiConfig::beldi()
+        .with_t_max(Duration::from_millis(5))
+        .with_tail_cache(false);
     let env = BeldiEnv::builder(cfg).latency(scans_only).build();
     env.register_ssf(
         "w",
@@ -497,6 +501,70 @@ fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
         .collect();
     assert_eq!(passed.last(), Some(&Label::DaalWriteEnter), "{passed:?}");
     assert!(!passed.contains(&Label::DaalWritePreApply), "{passed:?}");
+}
+
+/// The cached twin of the test above, on an uncached key whose `HEAD`
+/// already has a successor: the write tries `HEAD` (one failed update,
+/// which costs no time here), then traverses, and the scan carries it
+/// across its deadline. No chain row gets the step's entry, and the
+/// write never applies.
+#[test]
+fn a_lease_that_expires_inside_a_cached_writes_traversal_kills_before_the_write() {
+    beldi::silence_crash_backtraces();
+    let scans_only = LatencyModel {
+        scan_base: Duration::from_millis(10),
+        ..LatencyModel::zero()
+    };
+    let cfg = BeldiConfig::beldi()
+        .with_t_max(Duration::from_millis(5))
+        .with_row_capacity(1);
+    let env = BeldiEnv::builder(cfg).latency(scans_only).build();
+    env.register_ssf(
+        "w",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.write("t", "k", Value::Int(1))?;
+            Ok(Value::Null)
+        }),
+    );
+    // A two-row chain: `HEAD`, full, linked to `R-1`.
+    let chain = [
+        vmap! {
+            "Key" => "k", "RowId" => "HEAD", "Value" => 0i64, "LogSize" => 1i64,
+            "Created" => 0i64, "RecentWrites" => vmap! { "s#0" => true }, "NextRow" => "R-1"
+        },
+        vmap! {
+            "Key" => "k", "RowId" => "R-1", "Value" => 0i64, "LogSize" => 0i64,
+            "Created" => 0i64, "Appended" => true
+        },
+    ];
+    for row in chain {
+        #[expect(clippy::disallowed_methods, reason = "the test plants a chain")]
+        env.db().put("w.data.t", row).unwrap();
+    }
+    assert_eq!(env.daal_chain_len("w", "t", "k").unwrap(), 2);
+    let faults = env.platform().faults();
+    env.telemetry().start_record(env.clock().clone());
+    env.invoke_attempts("w", "i", Value::Null, 1).unwrap_err();
+    assert_eq!(faults.timeout_count(), 1);
+    assert_eq!(env.telemetry().get(Metric::TailCacheWriteFallbacks), 1);
+    let rows = env
+        .db()
+        .query("w.data.t", &Value::from("k"), &ScanRequest::all())
+        .unwrap();
+    let logged: Vec<String> = rows
+        .iter()
+        .filter_map(|r| r.get_attr("RecentWrites").and_then(Value::as_map))
+        .flat_map(|m| m.keys().map(ToString::to_string))
+        .collect();
+    assert_eq!(logged, ["s#0"], "the killed step's entry landed");
+    let record = env.telemetry().take_record();
+    let passed: Vec<Label> = crash_stream(&record)
+        .filter(|e| e.instance == "i")
+        .map(|e| e.label)
+        .collect();
+    assert!(passed.contains(&Label::DaalWritePreApply), "{passed:?}");
+    assert!(!passed.contains(&Label::DaalWritePostApply), "{passed:?}");
 }
 
 /// A relaunch's lease runs from its launch, not from the end of its

@@ -22,6 +22,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -64,6 +65,10 @@ pub struct StoreCall {
     pub rows: u64,
     /// Bytes it read or wrote, as the store counts them.
     pub bytes: u64,
+    /// Its modelled latency, as the store's model sampled it: the time
+    /// the call took, less any wait of a write behind an earlier write to
+    /// one of its items.
+    pub latency: Duration,
     /// The innermost op scope open when it was issued.
     pub issuer: Option<Op>,
 }
@@ -214,6 +219,7 @@ mod tests {
             cond: None,
             rows: 1,
             bytes: 8,
+            latency: Duration::from_millis(2),
             issuer,
         }
     }

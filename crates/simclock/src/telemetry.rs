@@ -453,15 +453,17 @@ telemetry! {
 
         // ---- DAAL tail cache (core) ----
 
-        /// Reads whose cached tail a point read confirmed.
+        /// Reads a point read answered: the cached tail (with no entry,
+        /// `HEAD`) confirmed, or an absent `HEAD`.
         TailCacheHits => "core.tail_cache.hits",
-        /// Reads that traversed: no entry, or a stale one.
+        /// Reads that traversed: the tried row had a successor or was gone.
         TailCacheMisses => "core.tail_cache.misses",
-        /// Logged writes that case B resolved on the cached tail row,
-        /// without a traversal.
+        /// Logged writes that case B resolved on the cached tail row (for
+        /// a plain write with no entry, `HEAD`), without a traversal.
         TailCacheWriteHits => "core.tail_cache.write_hits",
         /// Cached write attempts whose condition failed, so the write
-        /// traversed (a write with no entry traverses uncounted).
+        /// traversed (a conditional step with no entry traverses
+        /// uncounted).
         TailCacheWriteFallbacks => "core.tail_cache.write_fallbacks",
     }
 

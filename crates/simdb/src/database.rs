@@ -6,6 +6,7 @@ use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi_simclock::{
     Metric, MetricsSnapshot, SharedClock, SimClock, SimInstant, StoreCall, StoreKind, Telemetry,
@@ -271,10 +272,11 @@ impl Database {
     }
 
     /// Counts one store call of `kind` on `table` — its op counter, the
-    /// bytes it read or wrote, the rows a query or scan page examined, a
-    /// condition that failed (`cond` is whether it held, `None` for no
-    /// condition) — and records it in the run record if a reader started
-    /// one (`key` is formatted only then).
+    /// bytes it read or wrote, the rows a query or scan page examined (a
+    /// transaction's items), a condition that failed (`cond` is whether it
+    /// held, `None` for no condition) — samples its modelled latency, and
+    /// records it in the run record if a reader started one (`key` is
+    /// formatted only then). Returns the latency, for the caller to wait.
     fn bill(
         &self,
         kind: StoreKind,
@@ -283,7 +285,7 @@ impl Database {
         cond: Option<bool>,
         rows: usize,
         bytes: usize,
-    ) {
+    ) -> Duration {
         let (op, moved) = match kind {
             StoreKind::Get => (Metric::DbGets, Metric::DbBytesRead),
             StoreKind::Write => (Metric::DbWrites, Metric::DbBytesWritten),
@@ -302,6 +304,7 @@ impl Database {
         if cond == Some(false) {
             self.count(Metric::DbCondFailures, 1);
         }
+        let latency = self.sampler.sample(kind, rows, bytes);
         self.telemetry.log_store(|issuer| StoreCall {
             kind,
             table: table.into(),
@@ -309,8 +312,10 @@ impl Database {
             cond,
             rows: rows as u64,
             bytes: bytes as u64,
+            latency,
             issuer,
         });
+        latency
     }
 
     /// Creates a table.
@@ -362,7 +367,7 @@ impl Database {
     ///
     /// Zero-cost samples return immediately, so zero-latency test
     /// databases never touch the queue.
-    fn serial_write_sleep(&self, items: &[(&Table, &PrimaryKey)], d: std::time::Duration) {
+    fn serial_write_sleep(&self, items: &[(&Table, &PrimaryKey)], d: Duration) {
         if d.is_zero() {
             return;
         }
@@ -412,9 +417,8 @@ impl Database {
         let item = self.lock(t).rows.get(key).map(|row| read(row, projection));
         let bytes = item.as_ref().map(SizeOf::size_bytes).unwrap_or(0);
         let rows = usize::from(item.is_some());
-        self.bill(StoreKind::Get, t.name(), Some(key), None, rows, bytes);
-        self.clock
-            .sleep(self.sampler.sample(StoreKind::Get, 1, bytes));
+        let latency = self.bill(StoreKind::Get, t.name(), Some(key), None, rows, bytes);
+        self.clock.sleep(latency);
         Ok(item)
     }
 
@@ -426,11 +430,8 @@ impl Database {
         let size = self
             .lock(t)
             .put_row(key.clone(), item, t.schema.max_row_bytes)?;
-        self.bill(StoreKind::Write, t.name(), Some(&key), None, 1, size);
-        self.serial_write_sleep(
-            &[(&**t, &key)],
-            self.sampler.sample(StoreKind::Write, 1, size),
-        );
+        let latency = self.bill(StoreKind::Write, t.name(), Some(&key), None, 1, size);
+        self.serial_write_sleep(&[(&**t, &key)], latency);
         Ok(())
     }
 
@@ -460,21 +461,16 @@ impl Database {
         match result {
             Ok(size) => {
                 let held = conditional.then_some(true);
-                self.bill(StoreKind::Write, t.name(), Some(key), held, 1, size);
-                self.serial_write_sleep(
-                    &[(&**t, key)],
-                    self.sampler.sample(StoreKind::Write, 1, size),
-                );
+                let latency = self.bill(StoreKind::Write, t.name(), Some(key), held, 1, size);
+                self.serial_write_sleep(&[(&**t, key)], latency);
                 Ok(())
             }
             Err(DbError::ConditionFailed) => {
-                self.bill(StoreKind::Write, t.name(), Some(key), Some(false), 0, 0);
                 // A failed conditional write still costs a round trip —
                 // and still occupies the item's write capacity.
-                self.serial_write_sleep(
-                    &[(&**t, key)],
-                    self.sampler.sample(StoreKind::Write, 1, 0),
-                );
+                let failed = Some(false);
+                let latency = self.bill(StoreKind::Write, t.name(), Some(key), failed, 0, 0);
+                self.serial_write_sleep(&[(&**t, key)], latency);
                 Err(DbError::ConditionFailed)
             }
             Err(e) => Err(e),
@@ -500,8 +496,8 @@ impl Database {
             Err(e) => return Err(e),
         };
         let held = (!matches!(cond, Cond::True)).then_some(result.is_ok());
-        self.bill(StoreKind::Delete, t.name(), Some(key), held, rows, 0);
-        self.serial_write_sleep(&[(&**t, key)], self.sampler.sample(StoreKind::Delete, 1, 0));
+        let latency = self.bill(StoreKind::Delete, t.name(), Some(key), held, rows, 0);
+        self.serial_write_sleep(&[(&**t, key)], latency);
         result
     }
 
@@ -604,8 +600,8 @@ impl Database {
         rows: usize,
         bytes: usize,
     ) {
-        self.bill(kind, table, key, None, rows, bytes);
-        self.clock.sleep(self.sampler.sample(kind, rows, bytes));
+        let latency = self.bill(kind, table, key, None, rows, bytes);
+        self.clock.sleep(latency);
     }
 
     /// Exact-match lookup through a secondary index, in key order.
@@ -769,7 +765,7 @@ impl Database {
                 items.try_for_each(|(op, key)| write!(f, "{}/{key} ", op.table()))
             });
             let kind = StoreKind::TransactWrite;
-            self.bill(kind, first, Some(&items), cond, ops.len(), bytes);
+            self.bill(kind, first, Some(&items), cond, ops.len(), bytes)
         };
         let slot = |op: &TransactOp| names.partition_point(|name| *name < op.table());
         let mut guards: Vec<TableGuard<'_>> = tables.values().map(|t| self.lock(t)).collect();
@@ -780,11 +776,8 @@ impl Database {
         for (i, (op, key)) in ops.iter().zip(&keys).enumerate() {
             if !cond_holds(op.cond(), guards[slot(op)].rows.get(key))? {
                 drop(guards);
-                billed(Some(false), 0);
-                self.serial_write_sleep(
-                    &items,
-                    self.sampler.sample(StoreKind::TransactWrite, ops.len(), 0),
-                );
+                let latency = billed(Some(false), 0);
+                self.serial_write_sleep(&items, latency);
                 return Err(DbError::TransactionCanceled { failed_op: i });
             }
         }
@@ -832,12 +825,8 @@ impl Database {
             }
         }
         drop(guards);
-        billed(Some(true), bytes);
-        self.serial_write_sleep(
-            &items,
-            self.sampler
-                .sample(StoreKind::TransactWrite, ops.len(), bytes),
-        );
+        let latency = billed(Some(true), bytes);
+        self.serial_write_sleep(&items, latency);
         Ok(())
     }
 }
@@ -995,6 +984,77 @@ mod tests {
         }
         assert_eq!(db.writes_in_flight(), 0);
         assert_eq!(db.metrics().lock_waits, 5, "all but the first queued");
+    }
+
+    /// Each recorded store call carries the latency its caller waited:
+    /// on one thread, with no write queued behind another, the recorded
+    /// latencies of a call of every kind sum to the clock's advance.
+    #[test]
+    fn recorded_latencies_sum_to_the_clock_advance() {
+        use beldi_simclock::EventKind;
+        let clock: SharedClock = beldi_simclock::SimClock::shared(1);
+        let db = Database::new(clock.clone(), LatencyModel::dynamo(), 3);
+        db.create_table(
+            "t",
+            TableSchema::hash_and_sort("Key", "RowId").with_index("Tag"),
+        )
+        .unwrap();
+        db.create_table("u", TableSchema::hash_only("Id")).unwrap();
+        let t0 = clock.now();
+        db.telemetry().start_record(clock.clone());
+        let key = PrimaryKey::hash_sort("k", "r");
+        let set = Update::new().set("Tag", true);
+        db.put("t", vmap! { "Key" => "k", "RowId" => "r0", "Tag" => true })
+            .unwrap();
+        db.update("t", &key, &Cond::not_exists("Tag"), &set)
+            .unwrap();
+        let held = db.update("t", &key, &Cond::not_exists("Tag"), &set);
+        assert_eq!(held, Err(DbError::ConditionFailed));
+        db.get("t", &key, None).unwrap();
+        db.query("t", &Value::from("k"), &ScanRequest::all())
+            .unwrap();
+        db.index_query("t", "Tag", &Value::Bool(true), &ScanRequest::all())
+            .unwrap();
+        db.scan_all("t", &ScanRequest::all()).unwrap();
+        db.distinct_hash_keys("t").unwrap();
+        let bump = |cond| TransactOp::Update {
+            table: "u".into(),
+            key: PrimaryKey::hash("x"),
+            cond,
+            update: Update::new().inc("N", 1),
+        };
+        db.transact_write(&[bump(Cond::True)]).unwrap();
+        db.transact_write(&[bump(Cond::not_exists("N"))])
+            .unwrap_err();
+        db.delete("t", &key, &Cond::True).unwrap();
+        let record = db.telemetry().take_record();
+        let calls: Vec<&StoreCall> = record
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Store(call) => Some(call),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(calls.len(), 11);
+        let kinds = [
+            StoreKind::Get,
+            StoreKind::Write,
+            StoreKind::Delete,
+            StoreKind::Query,
+            StoreKind::Scan,
+            StoreKind::TransactWrite,
+        ];
+        for kind in kinds {
+            assert!(calls.iter().any(|c| c.kind == kind), "no {kind:?} call");
+        }
+        assert!(calls.iter().all(|c| !c.latency.is_zero()));
+        let recorded: Duration = calls.iter().map(|c| c.latency).sum();
+        let advance = clock.now().since(t0);
+        assert_eq!(
+            advance.checked_sub(recorded),
+            Some(Duration::ZERO),
+            "the residue"
+        );
     }
 
     /// An item is its table's and its key's: one key written in two

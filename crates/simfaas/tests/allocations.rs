@@ -120,6 +120,7 @@ fn recording_into_the_registry_allocates_nothing() {
             cond: None,
             rows: 1,
             bytes: 8,
+            latency: Duration::from_millis(2),
             issuer,
         });
         drop(inner);

@@ -25,6 +25,7 @@ pub struct RateRunner {
     rate_per_sec: f64,
     duration: Duration,
     issuers: usize,
+    marked: Option<Request>,
 }
 
 /// Result of one constant-rate run.
@@ -38,6 +39,9 @@ pub struct RunReport {
     pub errors: u64,
     /// Latency percentile summary.
     pub latency: Percentiles,
+    /// The latency of the requests [`RateRunner::marking`] picked (none
+    /// without it), measured the same way.
+    pub marked: Percentiles,
 }
 
 impl RateRunner {
@@ -55,7 +59,15 @@ impl RateRunner {
             rate_per_sec,
             duration,
             issuers,
+            marked: None,
         }
+    }
+
+    /// Also summarizes, in [`RunReport::marked`], the latency of each
+    /// request whose index `marked` picks (it returns `true`).
+    pub fn marking(mut self, marked: Request) -> Self {
+        self.marked = Some(marked);
+        self
     }
 
     /// Executes the run and collects latencies.
@@ -66,7 +78,7 @@ impl RateRunner {
         let next = Arc::new(AtomicU64::new(0));
         let errors = Arc::new(AtomicU64::new(0));
         let done = Arc::new(AtomicUsize::new(0));
-        let hist = Arc::new(Mutex::new(Histogram::new()));
+        let hist = Arc::new(Mutex::new((Histogram::new(), Histogram::new())));
 
         let mut handles = Vec::with_capacity(self.issuers);
         for issuer in 0..self.issuers {
@@ -76,8 +88,9 @@ impl RateRunner {
             let done = Arc::clone(&done);
             let hist = Arc::clone(&hist);
             let request = Arc::clone(&request);
+            let marked = self.marked.clone();
             let body = move || {
-                let mut local = Histogram::new();
+                let (mut local, mut local_marked) = (Histogram::new(), Histogram::new());
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= total {
@@ -88,12 +101,17 @@ impl RateRunner {
                     let ok = request(i);
                     let latency = clock.now().since(intended);
                     local.record(latency);
+                    if marked.as_ref().is_some_and(|marked| marked(i)) {
+                        local_marked.record(latency);
+                    }
                     if !ok {
                         errors.fetch_add(1, Ordering::Relaxed);
                     }
                     done.fetch_add(1, Ordering::Relaxed);
                 }
-                hist.lock().merge(&local);
+                let mut hist = hist.lock();
+                hist.0.merge(&local);
+                hist.1.merge(&local_marked);
             };
             let name = format!("issuer-{issuer}");
             handles.push(self.clock.spawn(name, Box::new(body)));
@@ -105,12 +123,13 @@ impl RateRunner {
         }
 
         let elapsed = self.clock.now().since(start).as_secs_f64().max(1e-9);
-        let latency = hist.lock().percentiles();
+        let hist = hist.lock();
         RunReport {
             offered_rate: self.rate_per_sec,
             achieved_rate: done.load(Ordering::Relaxed) as f64 / elapsed,
             errors: errors.load(Ordering::Relaxed),
-            latency,
+            latency: hist.0.percentiles(),
+            marked: hist.1.percentiles(),
         }
     }
 }
@@ -150,6 +169,7 @@ mod tests {
         // arrival, 1.99 s in.
         assert_eq!(report.latency.max, Duration::ZERO);
         assert_eq!(report.achieved_rate, 200.0 / 1.99);
+        assert_eq!(report.marked.count, 0, "nothing marked");
     }
 
     #[test]
@@ -180,6 +200,26 @@ mod tests {
         assert!(report.latency.p99 > Duration::from_millis(1000));
         // 100 requests, the last done 2.01 s in.
         assert_eq!(report.achieved_rate, 100.0 / 2.01);
+    }
+
+    /// The marked summary holds the picked requests' latencies, measured
+    /// as the whole run's are: here every third request of the backlog
+    /// above.
+    #[test]
+    fn marked_requests_are_summarized_apart() {
+        let clock = sim_clock();
+        let runner = RateRunner::new(clock.clone(), 100.0, Duration::from_secs(1), 2)
+            .marking(Arc::new(|i| i % 3 == 0));
+        let report = runner.run(Arc::new(move |_| {
+            clock.sleep(Duration::from_millis(40));
+            true
+        }));
+        let mut expected = Histogram::new();
+        for i in (0..100u64).step_by(3) {
+            expected.record(Duration::from_millis(40 + 20 * (i / 2)));
+        }
+        assert_eq!(report.marked, expected.percentiles());
+        assert_eq!(report.latency.count, 100);
     }
 
     #[test]
