@@ -42,21 +42,15 @@ use rand::rngs::SmallRng;
 /// the crash-schedule explorer (`beldi-workload`) to drive any workflow
 /// generically and to check exactly-once semantics after recovery.
 ///
-/// The two verification hooks are the contract that makes the explorer's
-/// oracle comparison sound:
-///
-/// - [`WorkflowApp::canonical_state`] projects the application's final
-///   state into a [`Value`] that is *identical* between a crash-free run
-///   and any crashed-and-recovered run of the same request sequence.
-///   Identifiers minted via `logged_uuid` can legitimately differ when a
-///   crash lands before the id was logged (the re-execution draws a fresh
-///   one), so the projection replaces uuid-valued ids with the content
-///   they point to and keeps only deterministic fields.
-/// - [`WorkflowApp::effect_count`] totals the externally visible side
-///   effects recorded in state (rows stored, list entries appended,
-///   inventory consumed). A duplicated effect — the failure exactly-once
-///   semantics rule out — changes the count even if it escapes the
-///   canonical projection.
+/// [`WorkflowApp::canonical_state`] is the contract that makes the
+/// explorer's oracle comparison sound: it projects the application's final
+/// state into a [`Value`] that is *identical* between a crash-free run and
+/// any crashed-and-recovered run of the same request sequence. Identifiers
+/// minted via `logged_uuid` can legitimately differ when a crash lands
+/// before the id was logged (the re-execution draws a fresh one), so the
+/// projection replaces uuid-valued ids with the content they point to and
+/// keeps only deterministic fields. A step applied twice is judged from
+/// the run record, app-independently (`beldi_workload::history`).
 pub trait WorkflowApp: Send + Sync {
     /// Short app name ("media", "social", "travel").
     fn kind(&self) -> &'static str;
@@ -115,9 +109,6 @@ pub trait WorkflowApp: Send + Sync {
     fn bench_fingerprint(&self, env: &BeldiEnv) -> Value {
         self.canonical_state(env)
     }
-
-    /// Total externally visible effects recorded in state.
-    fn effect_count(&self, env: &BeldiEnv) -> i64;
 }
 
 /// Builds the explorer-sized instance of an app by name

@@ -319,30 +319,6 @@ impl crate::WorkflowApp for MediaApp {
             "review_rows" => review_rows as i64,
         }
     }
-
-    fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        let list_len = |ssf: &str, table: &str, key: &str| -> i64 {
-            env.read_current(ssf, table, key)
-                .ok()
-                .and_then(|v| v.as_list().map(Vec::len))
-                .unwrap_or(0) as i64
-        };
-        let mut total = env
-            .db()
-            .distinct_hash_keys(&beldi::schema::data_table(
-                "media-review-storage",
-                "reviews",
-            ))
-            .map(|k| k.len())
-            .unwrap_or(0) as i64;
-        for i in 0..self.movies {
-            total += list_len("media-movie-review", "bymovie", &movie_key(i));
-        }
-        for u in 0..self.users {
-            total += list_len("media-user-review", "byuser", &format!("uid-{u}"));
-        }
-        total
-    }
 }
 
 // ---- SSF bodies ----

@@ -304,28 +304,6 @@ impl crate::WorkflowApp for SocialApp {
             "url_targets" => Value::List(urls),
         }
     }
-
-    fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        let row_count = |ssf: &str, table: &str| -> i64 {
-            env.db()
-                .distinct_hash_keys(&beldi::schema::data_table(ssf, table))
-                .map(|k| k.len())
-                .unwrap_or(0) as i64
-        };
-        let mut total =
-            row_count("social-post-storage", "posts") + row_count("social-url-shorten", "urls");
-        for u in 0..self.users {
-            let user = user_key(u);
-            for table in ["usertl", "hometl"] {
-                total += env
-                    .read_current("social-timeline-storage", table, &user)
-                    .ok()
-                    .and_then(|v| v.as_list().map(Vec::len))
-                    .unwrap_or(0) as i64;
-            }
-        }
-        total
-    }
 }
 
 /// Replaces shortened-link tokens (`s.ly/<logged uuid prefix>`) with a

@@ -315,16 +315,6 @@ impl crate::WorkflowApp for TravelApp {
         }
         Value::Map(inventory)
     }
-
-    /// A failed read counts no effect, as in the other apps: such a run
-    /// shows lost effects and, as `canonical_state` reads -1, a state
-    /// that differs from the oracle's; never duplicates.
-    fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        let initial =
-            self.hotels as i64 * self.rooms_per_hotel + self.flights as i64 * self.seats_per_flight;
-        self.remaining_inventory(env)
-            .map_or(0, |(rooms, seats)| initial - rooms - seats)
-    }
 }
 
 // ---- SSF bodies ----

@@ -210,13 +210,13 @@ pub(crate) fn main(args: &Args) {
                     rec.recovered_intents.to_string(),
                     rec.recovery_p50_ms.to_string(),
                     rec.recovery_p99_ms.to_string(),
-                    rec.duplicate_effects.to_string(),
+                    rec.history_findings.to_string(),
                     if rec.digest_match { "ok" } else { "MISMATCH" }.to_owned(),
                 ])
             })
             .collect();
         print_table(
-            "Crash storm recovery (virtual-time latency; conservation vs crash-free oracle)",
+            "Crash storm recovery (virtual-time latency; history checker findings; conservation vs crash-free oracle)",
             &[
                 "run",
                 "crashes",
@@ -225,7 +225,7 @@ pub(crate) fn main(args: &Args) {
                 "recovered",
                 "rec_p50_ms",
                 "rec_p99_ms",
-                "dup_fx",
+                "history",
                 "digest",
             ],
             &chaos_rows,
@@ -273,8 +273,8 @@ fn print_checks(report: &BenchReport, opts: &DriveOptions) -> bool {
     if let Some(chaos) = &opts.chaos {
         let what = format!(
             "every chaos run counts no corruption after a storm that crashed, recovers at p99 <= \
-             T/3 = {} ms, and ends in its crash-free oracle's state with no extra effect (beldi, \
-             cross-table), or with one in some run of each app (baseline)",
+             T/3 = {} ms, and ends in its crash-free oracle's state with a clean run record \
+             (beldi, cross-table), or applies a step twice in some run of each app (baseline)",
             max_recovery_p99_ms(chaos.t_max)
         );
         failed |= print_verdict("check", &what, &recovery_gate(report, chaos.t_max));

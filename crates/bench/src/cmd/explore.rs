@@ -1,7 +1,8 @@
 //! Systematic crash-schedule exploration over the paper's applications:
 //! sweep every labelled crash point (depth 1) plus sampled multi-crash
-//! schedules (depth 2), recover via the intent collector, and diff the
-//! final state against a crash-free oracle (see `DESIGN.md` §8).
+//! schedules (depth 2), recover via the intent collector, diff the final
+//! state against a crash-free oracle, and judge each run's record with the
+//! history checker (see `DESIGN.md` §8).
 //!
 //! `--gc-interleave` runs one garbage-collector pass per SSF after every
 //! frontend request (the online-GC regime): the collectors' own crash
@@ -18,9 +19,9 @@
 //! when one does — the self-test).
 //!
 //! Exit status: 0 when the `check:` line holds (`gate::crash_verdict`:
-//! beldi and cross-table are clean, and each app's baseline sweep has a
-//! run with more effects than its oracle, §2.1) or, under `--canary`,
-//! when a logged mode caught the bug; 1 otherwise.
+//! beldi and cross-table are clean, and in each app's baseline sweep the
+//! history checker finds a step a retry applied twice, §2.1) or, under
+//! `--canary`, when a logged mode caught the bug; 1 otherwise.
 //! Every violation line carries the seed and schedule needed to replay it.
 
 use beldi::Mode;
@@ -100,7 +101,6 @@ pub(crate) fn main(args: &Args) {
                 report.crash_points.to_string(),
                 report.schedules.to_string(),
                 report.crashes_injected.to_string(),
-                report.oracle_effects.to_string(),
                 report.violations.len().to_string(),
             ]);
             for v in &report.violations {
@@ -122,7 +122,6 @@ pub(crate) fn main(args: &Args) {
             "crash_points",
             "schedules",
             "crashes",
-            "effects",
             "violations",
         ],
         &rows,
@@ -145,8 +144,8 @@ pub(crate) fn main(args: &Args) {
         return;
     }
     println!();
-    let what = "every beldi and cross-table sweep is clean, and every app's baseline sweep \
-                has a run with more effects than its crash-free oracle";
+    let what = "every beldi and cross-table sweep is clean, and in every app's baseline \
+                sweep the history checker finds a step applied twice";
     let failures = crash_verdict(reports.iter().map(CrashCheck::of_sweep));
     if crate::print_verdict("check", what, &failures) {
         std::process::exit(1);

@@ -63,10 +63,6 @@ pub struct BeldiConfig {
     pub ic_restart_delay: Duration,
     /// Period of the IC/GC timer triggers (AWS minimum: 1 minute, §7.2).
     pub collector_period: Duration,
-    /// Maximum intents an IC or GC pass processes (Appendix A's bounding:
-    /// collectors are SSFs themselves and must fit inside execution
-    /// timeouts, so work is paged across passes). `None` = unbounded.
-    pub collector_batch_limit: Option<usize>,
     /// Cache the DAAL tail row id per `(table, key)` so reads and logged
     /// writes of data tables skip the traversal scan (Beldi mode only;
     /// `daal::TailCache` has why a validated hit is sound). It is never
@@ -83,8 +79,6 @@ pub struct BeldiConfig {
 pub enum ConfigError {
     /// `daal_row_capacity` was zero: no DAAL row could hold any entry.
     ZeroRowCapacity,
-    /// `collector_batch_limit` was `Some(0)`: no pass would progress.
-    ZeroCollectorBatch,
     /// `collector_period` was zero: the timers would fire continuously.
     ZeroCollectorPeriod,
     /// `t_max` was zero: every instance would be killed at launch.
@@ -95,9 +89,6 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ConfigError::ZeroRowCapacity => "DAAL row capacity must be at least 1",
-            ConfigError::ZeroCollectorBatch => {
-                "collector batch limit of 0 would make no pass progress"
-            }
             ConfigError::ZeroCollectorPeriod => "collector period must be nonzero",
             ConfigError::ZeroLease => "t_max lease must be nonzero",
         })
@@ -115,7 +106,6 @@ impl BeldiConfig {
             t_max: Duration::from_secs(60),
             ic_restart_delay: Duration::from_secs(30),
             collector_period: Duration::from_secs(60),
-            collector_batch_limit: None,
             daal_tail_cache: true,
         }
     }
@@ -156,9 +146,6 @@ impl BeldiConfig {
         if self.daal_row_capacity == 0 {
             return Err(ConfigError::ZeroRowCapacity);
         }
-        if self.collector_batch_limit == Some(0) {
-            return Err(ConfigError::ZeroCollectorBatch);
-        }
         if self.collector_period.is_zero() {
             return Err(ConfigError::ZeroCollectorPeriod);
         }
@@ -192,13 +179,6 @@ impl BeldiConfig {
         self
     }
 
-    /// Bounds the intents processed per collector pass (Appendix A's
-    /// paging).
-    pub fn with_collector_batch_limit(mut self, n: usize) -> Self {
-        self.collector_batch_limit = Some(n);
-        self
-    }
-
     /// Enables or disables the DAAL tail-row cache (on by default).
     /// Disabling it restores the always-scan read and write paths:
     /// §7.3's "one extra scan per read", which `fig13` and `costs`
@@ -228,13 +208,11 @@ mod tests {
             .with_t_max(Duration::from_secs(5))
             .with_ic_restart_delay(Duration::from_secs(1))
             .with_collector_period(Duration::from_secs(2))
-            .with_collector_batch_limit(64)
             .with_tail_cache(false);
         assert_eq!(c.daal_row_capacity, 7);
         assert_eq!(c.t_max, Duration::from_secs(5));
         assert_eq!(c.ic_restart_delay, Duration::from_secs(1));
         assert_eq!(c.collector_period, Duration::from_secs(2));
-        assert_eq!(c.collector_batch_limit, Some(64));
         assert!(!c.daal_tail_cache);
     }
 
@@ -261,10 +239,6 @@ mod tests {
         use ConfigError::*;
         let cases = [
             (BeldiConfig::beldi().with_row_capacity(0), ZeroRowCapacity),
-            (
-                BeldiConfig::beldi().with_collector_batch_limit(0),
-                ZeroCollectorBatch,
-            ),
             (
                 BeldiConfig::beldi().with_collector_period(Duration::ZERO),
                 ZeroCollectorPeriod,

@@ -39,6 +39,7 @@ use beldi_value::{Cond, Path, Update, Value};
 use parking_lot::Mutex;
 
 use crate::error::{BeldiError, BeldiResult};
+use crate::ids;
 use crate::schema::{
     self, DaalRow, SkelRow, A_APPENDED, A_CREATED, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_VALUE,
     A_WRITES, ROW_HEAD,
@@ -603,7 +604,7 @@ fn case_b(
         clippy::disallowed_methods,
         reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
     )]
-    match p.db.update(table, pk, &cond, &step.apply) {
+    match ids::logging(step.log_key, || p.db.update(table, pk, &cond, &step.apply)) {
         Ok(()) => {
             (p.crash)(Label::DaalWritePostApply);
             return Ok(Some(WriteOutcome::Applied));
@@ -624,7 +625,7 @@ fn case_b(
         clippy::disallowed_methods,
         reason = "between Label::DaalWritePreLogFalse and Label::DaalWritePostLogFalse"
     )]
-    match p.db.update(table, pk, &cond, &log_false) {
+    match ids::logging(step.log_key, || p.db.update(table, pk, &cond, &log_false)) {
         Ok(()) => {
             (p.crash)(Label::DaalWritePostLogFalse);
             Ok(Some(WriteOutcome::ConditionFalse))

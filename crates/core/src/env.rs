@@ -123,8 +123,6 @@ pub(crate) struct EnvCore {
     /// Tail-row cache for DAAL reads (`Some` only in Beldi mode with
     /// [`BeldiConfig::daal_tail_cache`] on).
     pub tail_cache: Option<daal::TailCache>,
-    /// Per-SSF rotating scan cursors for batch-limited IC passes.
-    ic_cursors: Mutex<HashMap<String, usize>>,
     timers: Mutex<Vec<beldi_simfaas::TimerHandle>>,
 }
 
@@ -142,18 +140,6 @@ impl EnvCore {
             .get(name)
             .cloned()
             .ok_or_else(|| BeldiError::Protocol(format!("SSF {name} not registered")))
-    }
-
-    /// The start offset for a batch-limited IC scan over `len` unfinished
-    /// intents: a per-SSF cursor advanced by `limit` each pass, so
-    /// successive bounded passes rotate through the whole index instead
-    /// of truncating the same prefix (which starves the tail).
-    pub(crate) fn ic_scan_offset(&self, ssf: &str, limit: usize, len: usize) -> usize {
-        let mut cursors = self.ic_cursors.lock();
-        let cursor = cursors.entry(ssf.to_owned()).or_insert(0);
-        let start = *cursor % len.max(1);
-        *cursor = cursor.wrapping_add(limit);
-        start
     }
 
     /// Records the recovery latency of a completed instance, once, iff
@@ -251,7 +237,6 @@ impl EnvBuilder {
                 config: self.config,
                 registry: RwLock::new(HashMap::new()),
                 tail_cache,
-                ic_cursors: Mutex::new(HashMap::new()),
                 timers: Mutex::new(Vec::new()),
             }),
         }

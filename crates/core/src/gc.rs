@@ -153,10 +153,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     (hooks.crash)(Label::GcEnter);
 
     // Step 2: classify recyclable intents: done, and finished longer than
-    // the horizon ago. A pass may be bounded (Appendix A): collectors are
-    // SSFs with execution timeouts, so the remainder waits for later
-    // passes.
-    let batch_limit = core.config.collector_batch_limit.unwrap_or(usize::MAX);
+    // the horizon ago.
     // Each recyclable intent with the steps its done-mark lists.
     let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
     // Classifying needs the done-mark's four small attributes; the
@@ -174,7 +171,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
         let Some(finished) = mark.finished_ms else {
             continue;
         };
-        if now_ms.saturating_sub(finished) <= t_ms || recyclable.len() >= batch_limit {
+        if now_ms.saturating_sub(finished) <= t_ms {
             continue;
         }
         match mark.log_steps() {
@@ -232,14 +229,14 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // Step 6: remove the recycled intents themselves — and, with each,
     // what the fault injector kept about the instance. From here on the
     // id can only come back as a zombie past its lease, whose counters
-    // start over.
-    let step = t.op(Op::GcRecycle, &ssf.name);
+    // start over. Each delete runs in its intent's scope, so the run
+    // record names the instance it recycles.
     for (id, _) in &recyclable {
+        let _step = t.op(Op::GcRecycle, id);
         intent::delete(db, intent_table, id)?;
         core.platform.faults().forget(id);
         report.recycled_intents += 1;
     }
-    drop(step);
     (hooks.crash)(Label::GcExit);
     Ok(report)
 }

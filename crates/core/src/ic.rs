@@ -71,21 +71,9 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, crash: &dyn Fn(Label)) -> BeldiResult<Ic
     crash(Label::IcEnter);
     let _scan = core.telemetry().op(Op::IcScan, &ssf.name);
     let table = &ssf.intent_table;
-    let mut rows = core
+    let rows = core
         .db
         .index_query(table, A_DONE, &Value::Bool(false), &ScanRequest::all())?;
-    // Appendix A: collectors are SSFs with execution timeouts, so a pass
-    // may be bounded. The batch window *rotates* through the index via a
-    // persisted per-SSF cursor: truncating the same prefix every pass
-    // would starve the tail whenever the first `limit` intents stay
-    // ineligible (too recent, or perpetually crashing re-executions).
-    if let Some(limit) = core.config.collector_batch_limit {
-        if rows.len() > limit {
-            let start = core.ic_scan_offset(&ssf.name, limit, rows.len());
-            rows.rotate_left(start);
-            rows.truncate(limit);
-        }
-    }
     crash(Label::IcPostScan);
     let now_ms = core.platform.clock().now().as_millis();
     let delay_ms = core.config.ic_restart_delay.as_millis() as u64;

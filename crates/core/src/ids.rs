@@ -16,8 +16,7 @@ use std::sync::Arc;
 /// re-executions of the same intent).
 pub type InstanceId = Arc<str>;
 
-/// A step number within an instance.
-pub type StepNumber = u64;
+pub use beldi_simclock::StepNumber;
 
 /// Separator between instance id and step in a log key. A callee id
 /// contains it too, so a key splits at the last one.
@@ -45,6 +44,15 @@ pub fn parse_log_key(key: &str) -> Option<(&str, StepNumber)> {
     let (instance, step) = key.rsplit_once(LOG_KEY_SEP)?;
     let step = step.parse().ok()?;
     Some((instance, step))
+}
+
+/// Makes `call`, its store calls tagged in the run record as tries to log
+/// the outcome of the step `log_key` names ([`beldi_simclock::logging_step`]).
+pub(crate) fn logging<R>(log_key: &str, call: impl FnOnce() -> R) -> R {
+    match parse_log_key(log_key) {
+        Some((_, step)) => beldi_simclock::logging_step(step, call),
+        None => call(),
+    }
 }
 
 /// The id of the callee invoked at the caller's invoke-log entry `log_key`.

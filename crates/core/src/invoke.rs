@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use beldi_simclock::Op;
+use beldi_simclock::{logging_step, Op};
 use beldi_simdb::{DbError, PrimaryKey};
 use beldi_simfaas::Platform;
 use beldi_value::{Cond, Map, Update, Value};
@@ -370,10 +370,8 @@ impl SsfContext {
         }
         let pk = PrimaryKey::hash(&log_key);
         self.crash(Label::InvokePreEntry);
-        match self
-            .db()
-            .update(log, &pk, &Cond::not_exists(A_LOG_KEY), &update)
-        {
+        let fresh = Cond::not_exists(A_LOG_KEY);
+        match logging_step(step, || self.db().update(log, &pk, &fresh, &update)) {
             Ok(()) => {
                 self.log_steps.push(step);
                 Ok(InvokeEntry {

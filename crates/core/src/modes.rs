@@ -24,6 +24,7 @@ use beldi_value::{Cond, Update, Value};
 
 use crate::daal::WriteOutcome;
 use crate::error::{BeldiError, BeldiResult};
+use crate::ids;
 use crate::schema::{self, A_FLAG, A_KEY, A_LOG_KEY, A_VALUE};
 
 // ---- Plain tables ----
@@ -88,7 +89,7 @@ pub(crate) fn cross_table_write(
         },
         write_entry_put(log.name(), log_key, true),
     ];
-    match db.transact_write(&ops) {
+    match ids::logging(log_key, || db.transact_write(&ops)) {
         Ok(()) => Ok(WriteOutcome::Applied),
         Err(DbError::TransactionCanceled { failed_op }) if failed_op == LOG_OP => {
             // The step already executed; replay its logged outcome.
@@ -98,7 +99,8 @@ pub(crate) fn cross_table_write(
             // The user condition failed at the serialization point; log
             // the false outcome (unless a racing re-execution logged
             // first, in which case replay it).
-            match db.transact_write(&[write_entry_put(log.name(), log_key, false)]) {
+            let log_false = [write_entry_put(log.name(), log_key, false)];
+            match ids::logging(log_key, || db.transact_write(&log_false)) {
                 Ok(()) => Ok(WriteOutcome::ConditionFalse),
                 Err(DbError::TransactionCanceled { .. }) => logged_flag(db, log, log_key),
                 Err(e) => Err(e.into()),

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use beldi_simclock::Op;
+use beldi_simclock::{logging_step, Op};
 use beldi_simdb::{DbError, PrimaryKey, TableRef};
 use beldi_value::{Cond, Path, Update, Value};
 
@@ -96,7 +96,7 @@ impl SsfContext {
         let entry_cond = Cond::not_exists(A_LOG_KEY);
         let update = Update::with_capacity(1).set(A_VALUE, val.clone());
         let pk = PrimaryKey::hash(&log_key);
-        match self.db().update(log, &pk, &entry_cond, &update) {
+        match logging_step(step, || self.db().update(log, &pk, &entry_cond, &update)) {
             Ok(()) => {
                 self.log_steps.push(step);
                 self.crash(Label::ReadPostLog);
@@ -206,7 +206,7 @@ impl SsfContext {
                 // Unlogged: a retry applies it again.
                 let pk = PrimaryKey::hash(key);
                 let cond = user_cond.cloned().unwrap_or(Cond::True);
-                match self.db().update(physical, &pk, &cond, &payload) {
+                match logging_step(step, || self.db().update(physical, &pk, &cond, &payload)) {
                     Ok(()) => WriteOutcome::Applied,
                     Err(DbError::ConditionFailed) => WriteOutcome::ConditionFalse,
                     Err(e) => return Err(e.into()),

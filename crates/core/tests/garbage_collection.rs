@@ -590,25 +590,6 @@ fn a_run_of_recyclable_shadow_rows_is_collected_to_head_and_tail() {
     assert_eq!(chain_rows(&env, shadow, &key), (2, 2), "{built} rows built");
 }
 
-#[test]
-fn collector_batch_limit_pages_work_across_passes() {
-    // Appendix A: a bounded pass recycles at most `limit` intents; the
-    // remainder is picked up by subsequent passes.
-    let env = counter_env(gc_config().with_collector_batch_limit(2));
-    for _ in 0..5 {
-        env.invoke("ctr", Value::Null).unwrap();
-    }
-    // Past `T` all 5 are recyclable, but every pass recycles at most 2:
-    // three passes drain them.
-    wait_t(&env);
-    let recycled: Vec<usize> = (0..3)
-        .map(|_| env.run_gc_once("ctr").unwrap().recycled_intents)
-        .collect();
-    assert_eq!(recycled, [2, 2, 1], "paged passes drain the backlog");
-    assert_eq!(table_len(&env, "ctr.intent"), 0);
-    assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(5));
-}
-
 /// A pass costs what its garbage costs: the same requests drive 8 keys
 /// past the row capacity beside 100 and beside 5,000 keys that were
 /// seeded and never touched, and every pass reports and is billed the

@@ -47,69 +47,6 @@ fn plant_intent(env: &BeldiEnv, ssf: &str, id: &str, args: Value, now_ms: u64) {
         .unwrap();
 }
 
-/// A bounded IC pass must rotate its batch window through the index: with
-/// `limit` freshly-launched (hence ineligible) intents parked at the head
-/// of the scan, the one aged, recoverable intent must still be reached
-/// within `ceil(total / limit)` passes. Before the rotating cursor, every
-/// pass truncated the same prefix and the tail starved forever.
-#[test]
-fn bounded_ic_pass_rotates_past_an_ineligible_head() {
-    let cfg = BeldiConfig::beldi()
-        .with_collector_batch_limit(2)
-        // One virtual hour: the freshly planted intents below stay
-        // "too recent" for the whole test.
-        .with_ic_restart_delay(Duration::from_secs(3_600));
-    let env = sink_env(cfg);
-
-    // One genuinely recoverable intent: a crashed async execution…
-    let id = env.invoke_async("sink", Value::Int(7)).unwrap();
-    env.platform()
-        .faults()
-        .plan(id.clone(), CrashPlan::AtLabel(Label::DaalWritePreApply));
-    env.clock().sleep(Duration::from_millis(30));
-    assert_eq!(env.platform().faults().injected_count(), 1);
-    // …aged past the restart delay.
-    env.clock().sleep(Duration::from_secs(7_200));
-
-    // Eight fresh unfinished intents crowd the index. They are never
-    // eligible (too recent), so they only burn batch slots — the
-    // starvation scenario.
-    let now = env.clock().now().as_millis();
-    for i in 0..8 {
-        let call = vmap! { "Op" => "call", "Input" => "p" };
-        plant_intent(&env, "sink", &format!("poison-{i}"), call, now);
-    }
-
-    // 9 unfinished rows, batch 2: the rotating cursor covers every scan
-    // offset within ceil(9 / 2) = 5 passes, wherever the aged intent
-    // sits in index order.
-    let mut restarted = 0;
-    for _ in 0..5 {
-        restarted += env.run_ic_once("sink").unwrap().restarted;
-        if restarted > 0 {
-            break;
-        }
-    }
-    assert_eq!(
-        restarted, 1,
-        "bounded passes never reached the aged intent — batch window not rotating"
-    );
-
-    // The re-launch completes the crashed workflow exactly once.
-    let deadline = env.clock().now().plus(Duration::from_secs(5));
-    while env.read_current("sink", "t", "count").unwrap() != Value::Int(1) {
-        assert!(
-            env.clock().now() < deadline,
-            "re-launched intent never completed"
-        );
-        env.clock().sleep(Duration::from_millis(10));
-    }
-    assert_eq!(
-        env.read_current("sink", "t", "last").unwrap(),
-        Value::Int(7)
-    );
-}
-
 /// An intent row with no stored call envelope cannot be re-fired. The IC
 /// must count it as corrupt and quarantine it (mark it done with a null
 /// outcome) so the unfinished index stops returning it — before the fix

@@ -1,6 +1,7 @@
 //! The run record: every store call names the op or collector step that
-//! issued it, the calls it holds are exactly the ones the store counted,
-//! and a run's record is a function of its seed.
+//! issued it, and a call that logs a step's outcome names the step; the
+//! calls it holds are exactly the ones the store counted, and a run's
+//! record is a function of its seed.
 
 mod common;
 
@@ -8,10 +9,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use beldi::value::{Cond, Value};
 use beldi::{BeldiConfig, BeldiEnv, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::{small_app, WorkflowApp};
-use beldi_simclock::{Event, EventKind, Op};
+use beldi_simclock::{Event, EventKind, Op, StoreKind};
 use beldi_simdb::LatencyModel;
 use common::{join_all, spawn};
 
@@ -131,4 +133,63 @@ fn same_seed_gives_the_same_record() {
     };
     assert!(issued_by(Op::TxnCommit) > 0);
     assert!(issued_by(Op::GcClassify) > 0 && issued_by(Op::IcScan) > 0);
+}
+
+/// A crash-free run at row capacity 2 applies each step exactly once: every
+/// step of the root (three writes to one key, a read, a conditional write,
+/// a call) and of its callee has exactly one tagged store call whose
+/// condition held. The third write fills `HEAD` and appends: the new row's
+/// create and its link carry no step, nor does any other call.
+#[test]
+fn each_step_has_one_held_tagged_call_and_an_append_none() {
+    let env = BeldiEnv::for_tests_with(BeldiConfig::beldi().with_row_capacity(2));
+    env.register_ssf(
+        "callee",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.write("t", "c", Value::Int(1))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "root",
+        &["t"],
+        Arc::new(|ctx, _| {
+            for i in 0..3 {
+                ctx.write("t", "k", Value::Int(i))?;
+            }
+            ctx.read("t", "k")?;
+            ctx.cond_write("t", "k", Value::Int(9), Cond::True)?;
+            ctx.sync_invoke("callee", Value::Null)
+        }),
+    );
+    env.telemetry().start_record(env.clock().clone());
+    env.invoke("root", Value::Null).unwrap();
+    let record = env.telemetry().take_record();
+
+    let mut held: BTreeMap<(&str, u64), usize> = BTreeMap::new();
+    let mut untagged_writes = 0;
+    for event in &record {
+        let EventKind::Store(call) = &event.kind else {
+            continue;
+        };
+        match call.step {
+            Some(step) if call.cond != Some(false) => {
+                let instance = event.instance.as_deref().expect("a tagged call's instance");
+                *held.entry((instance, step)).or_default() += 1;
+            }
+            Some(_) => {}
+            None if &*call.table == "root.data.t" && call.kind == StoreKind::Write => {
+                untagged_writes += 1;
+            }
+            None => {}
+        }
+    }
+    let steps: Vec<(bool, u64)> = held.keys().map(|&(i, s)| (i.ends_with(".c"), s)).collect();
+    let root_steps = (0..6).map(|s| (false, s));
+    assert_eq!(steps, root_steps.chain([(true, 0)]).collect::<Vec<_>>());
+    assert!(held.values().all(|&n| n == 1), "{held:?}");
+    assert_eq!(env.daal_chain_len("root", "t", "k").unwrap(), 2);
+    // The appended row's create and its link.
+    assert_eq!(untagged_writes, 2, "{record:#?}");
 }

@@ -53,7 +53,7 @@ mod ticker;
 
 pub use clock::{Clock, JoinHandle, SharedClock, SimInstant};
 pub use histogram::{Histogram, Percentiles};
-pub use record::{Event, EventKind, OpScope, StoreCall, StoreKind};
+pub use record::{logging_step, Event, EventKind, OpScope, StepNumber, StoreCall, StoreKind};
 pub use sim::SimClock;
 pub use sync::{park_on, Permit, Semaphore};
 pub use telemetry::{Gauge, Hist, Metric, MetricsSnapshot, Op, PlatformSnapshot, Telemetry};

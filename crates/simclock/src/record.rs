@@ -13,10 +13,14 @@
 //! step ([`Telemetry::op`]), which counts the op whether or not a reader
 //! is on. A scope restores the one it opened in when it drops, so a
 //! synchronous callee running on its caller's thread hands the thread
-//! back to its caller's scope.
+//! back to its caller's scope. A call that tries to log the outcome of
+//! one of its instance's steps also carries that step: `core` makes it
+//! inside [`logging_step`], so one logical effect is named `(instance,
+//! step)` across every execution of the instance.
 //!
 //! With no reader, recording an event is one relaxed load and builds
-//! nothing, and a scope is a thread-local swap: nothing is allocated.
+//! nothing, and a scope or a step tag is a thread-local swap: nothing is
+//! allocated.
 
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -48,6 +52,10 @@ pub enum StoreKind {
     TransactWrite,
 }
 
+/// A step number within an instance: its log entries' key is
+/// `instance#step`.
+pub type StepNumber = u64;
+
 /// One store call, as the store billed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreCall {
@@ -71,6 +79,9 @@ pub struct StoreCall {
     pub latency: Duration,
     /// The innermost op scope open when it was issued.
     pub issuer: Option<Op>,
+    /// The step whose outcome it tries to log ([`logging_step`]); `None`
+    /// for every other call.
+    pub step: Option<StepNumber>,
 }
 
 /// What happened.
@@ -124,6 +135,26 @@ pub(crate) struct Recorder {
 thread_local! {
     /// The innermost op scope open on this thread, with its instance.
     static ISSUER: Cell<Option<(Op, Arc<str>)>> = const { Cell::new(None) };
+    /// The step the store calls this thread makes try to log, if any.
+    static STEP: Cell<Option<StepNumber>> = const { Cell::new(None) };
+}
+
+/// Makes `call`, tagging the store calls it makes on this thread as tries
+/// to log the outcome of `step` of the innermost op scope's instance.
+pub fn logging_step<R>(step: StepNumber, call: impl FnOnce() -> R) -> R {
+    /// Restores the outer tag, also when `call` unwinds.
+    struct Restore(Option<StepNumber>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STEP.try_with(|slot| slot.set(self.0)).ok();
+        }
+    }
+    let _outer = Restore(
+        STEP.try_with(|slot| slot.replace(Some(step)))
+            .ok()
+            .flatten(),
+    );
+    call()
 }
 
 /// An op scope, open until dropped (see the module docs). It lives on the
@@ -172,9 +203,9 @@ impl Telemetry {
     }
 
     /// Records a store call under the innermost op scope: `call` is given
-    /// the scope's op, and is built only if a reader has the record
-    /// started.
-    pub fn log_store(&self, call: impl FnOnce(Option<Op>) -> StoreCall) {
+    /// the scope's op and the step tag ([`logging_step`]), and is built
+    /// only if a reader has the record started.
+    pub fn log_store(&self, call: impl FnOnce(Option<Op>, Option<StepNumber>) -> StoreCall) {
         if self.recording() {
             let issuer = ISSUER.try_with(|slot| {
                 let current = slot.take();
@@ -182,7 +213,8 @@ impl Telemetry {
                 current
             });
             let (op, instance) = issuer.ok().flatten().unzip();
-            self.push(instance, EventKind::Store(call(op)));
+            let step = STEP.try_with(Cell::get).ok().flatten();
+            self.push(instance, EventKind::Store(call(op, step)));
         }
     }
 
@@ -211,7 +243,7 @@ mod tests {
     use super::*;
     use crate::{SimClock, StoreKind};
 
-    fn call(issuer: Option<Op>) -> StoreCall {
+    fn call(issuer: Option<Op>, step: Option<StepNumber>) -> StoreCall {
         StoreCall {
             kind: StoreKind::Get,
             table: "t".into(),
@@ -221,6 +253,7 @@ mod tests {
             bytes: 8,
             latency: Duration::from_millis(2),
             issuer,
+            step,
         }
     }
 
@@ -271,6 +304,30 @@ mod tests {
         assert_eq!(instances, [None, Some("a"), Some("b"), Some("a"), None]);
         assert_eq!(t.get(Op::SyncInvoke.metric()), 1);
         assert_eq!(t.get(Op::Write.metric()), 1);
+    }
+
+    /// A step tag covers the calls made inside it, nested tags restore the
+    /// outer one, and a call outside every tag carries none.
+    #[test]
+    fn a_step_tag_covers_only_the_calls_inside_it() {
+        let t = Telemetry::new();
+        t.start_record(SimClock::shared(0));
+        t.log_store(call);
+        logging_step(3, || {
+            t.log_store(call);
+            logging_step(4, || t.log_store(call));
+            t.log_store(call);
+        });
+        t.log_store(call);
+        let steps: Vec<Option<StepNumber>> = t
+            .take_record()
+            .iter()
+            .map(|e| match &e.kind {
+                EventKind::Store(c) => c.step,
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps, [None, Some(3), Some(4), Some(3), None]);
     }
 
     /// Nothing is recorded before a reader starts the record or after it

@@ -518,7 +518,8 @@ telemetry! {
         GcLogPrune => "core.op.gc_log_prune",
         /// GC steps 4–5: the DAAL and shadow sweep.
         GcDaal => "core.op.gc_daal",
-        /// GC step 6: deleting recyclable intents.
+        /// GC step 6: a recyclable intent's delete, in its instance's
+        /// scope.
         GcRecycle => "core.op.gc_recycle",
     }
 

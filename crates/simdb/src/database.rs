@@ -305,7 +305,7 @@ impl Database {
             self.count(Metric::DbCondFailures, 1);
         }
         let latency = self.sampler.sample(kind, rows, bytes);
-        self.telemetry.log_store(|issuer| StoreCall {
+        self.telemetry.log_store(|issuer, step| StoreCall {
             kind,
             table: table.into(),
             key: key.map(ToString::to_string),
@@ -314,6 +314,7 @@ impl Database {
             bytes: bytes as u64,
             latency,
             issuer,
+            step,
         });
         latency
     }

@@ -13,7 +13,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-use beldi_simclock::{Gauge, Hist, Metric, Op, StoreCall, StoreKind, Telemetry};
+use beldi_simclock::{logging_step, Gauge, Hist, Metric, Op, StoreCall, StoreKind, Telemetry};
 use beldi_simfaas::{FaultInjector, Label, Probe};
 
 /// The system allocator, counting the allocations each thread makes.
@@ -110,18 +110,21 @@ fn recording_into_the_registry_allocates_nothing() {
         t.move_gauge(Gauge::FaasActive, -1);
         t.record(Hist::Recovery, Duration::from_millis(3));
         // An op scope, a second nested in it, and a store call under
-        // both, with no reader of the run record.
+        // both and a step tag, with no reader of the run record.
         let outer = t.op(Op::SyncInvoke, &instance);
         let inner = t.op(Op::Read, &instance);
-        t.log_store(|issuer| StoreCall {
-            kind: StoreKind::Get,
-            table: "t".into(),
-            key: Some("k".into()),
-            cond: None,
-            rows: 1,
-            bytes: 8,
-            latency: Duration::from_millis(2),
-            issuer,
+        logging_step(7, || {
+            t.log_store(|issuer, step| StoreCall {
+                kind: StoreKind::Get,
+                table: "t".into(),
+                key: Some("k".into()),
+                cond: None,
+                rows: 1,
+                bytes: 8,
+                latency: Duration::from_millis(2),
+                issuer,
+                step,
+            })
         });
         drop(inner);
         drop(outer);

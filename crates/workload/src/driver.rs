@@ -55,6 +55,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::history;
 use crate::wire::{with_key, Wire};
 use crate::wire_fields;
 use beldi_simclock::Histogram;
@@ -106,7 +107,8 @@ pub struct DriveOptions {
     /// mid-flight while the client workers push the normal request mix,
     /// with both collectors running on timers. The run then verifies the
     /// end state against a crash-free oracle drive of the same request
-    /// stream and records a [`RecoverySection`]. Baseline, which retries
+    /// stream, judges the storm's run record with the [`crate::history`]
+    /// checker and records a [`RecoverySection`]. Baseline, which retries
     /// but logs nothing, is the recovery check's negative control.
     pub chaos: Option<ChaosOptions>,
 }
@@ -309,8 +311,8 @@ wire_fields!(InFlightSample: t_us, live);
 wire_fields!(InFlightSeries: samples, high_water);
 
 /// The recovery record of one chaos drive: what the storm did, how fast
-/// killed workflows came back, and whether the end state matches a
-/// crash-free oracle run of the same request stream.
+/// killed workflows came back, and what the checks of its end state and
+/// its run record found.
 ///
 /// Recovery latency is defined on **virtual time**: for every instance
 /// the injector killed at least once and that reached `Done`, the
@@ -350,10 +352,10 @@ pub struct RecoverySection {
     pub recovery_p90_ms: u64,
     /// 99th-percentile recovery latency, virtual ms.
     pub recovery_p99_ms: u64,
-    /// Effects the chaos run produced beyond the oracle run (clamped at
-    /// zero from below; lost effects surface as a digest mismatch
-    /// instead). Exactly-once demands zero.
-    pub duplicate_effects: i64,
+    /// What the [`crate::history`] checker found in the storm's run
+    /// record, from its first request to the end of its recovery drain.
+    /// Exactly-once demands zero.
+    pub history_findings: u64,
     /// The oracle run's state digest.
     pub oracle_digest: String,
     /// Whether the chaos run's conservation digest equals the oracle's.
@@ -363,7 +365,7 @@ pub struct RecoverySection {
 wire_fields!(RecoverySection:
     injected_crashes, restarts, crash_sites, ic_passes, ic_restarted, ic_crashes, gc_crashes,
     ic_corrupt, gc_corrupt, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
-    duplicate_effects, oracle_digest, digest_match
+    history_findings, oracle_digest, digest_match
 );
 
 /// The result of one `app × mode × workers` drive.
@@ -394,8 +396,6 @@ pub struct BenchRun {
     /// state fingerprint — equal across runs with the same seed and
     /// worker count.
     pub state_digest: String,
-    /// The app's effect count after the run.
-    pub effects: i64,
     /// Whether online GC ran concurrently with the workers.
     pub gc: bool,
     /// Storage-growth series (always recorded; sampled densely when GC
@@ -409,7 +409,7 @@ pub struct BenchRun {
 
 wire_fields!(BenchRun:
     app, mode, workers, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
-    latency, db, state_digest, effects, gc, storage, in_flight, recovery
+    latency, db, state_digest, gc, storage, in_flight, recovery
 );
 wire_fields!(MetricsSnapshot:
     gets, writes, queries, scans, transact_writes, deletes, cond_failures, bytes_read,
@@ -727,6 +727,9 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         reason = "wall-clock runtime is operator reporting only and never enters the simulated timeline or logged state"
     )]
     let wall_start = std::time::Instant::now();
+    if chaos.is_some() {
+        env.telemetry().start_record(env.clock().clone());
+    }
     let load = run_load(&shape);
 
     if chaos.is_some() {
@@ -753,15 +756,15 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         .samples
         .push(storage_sample(&env, load.elapsed.as_micros() as u64));
     let digest = state_digest(app, &env);
-    let effects = app.effect_count(&env);
 
     // Conservation check: re-drive the same request stream crash-free and
-    // compare final-state digests and effect counts. The apps'
-    // fingerprints are interleaving-invariant, so under exactly-once
-    // semantics the digests must be bit-identical no matter what the
-    // storm killed.
+    // compare final-state digests. The apps' fingerprints are
+    // interleaving-invariant, so under exactly-once semantics the digests
+    // must be bit-identical no matter what the storm killed. The storm's
+    // own record is judged by the history checker.
     let recovery = chaos.map(|_| {
         let t = env.telemetry();
+        let history_findings = history::check(&t.take_record()).len() as u64;
         let latencies = t.histogram(Hist::Recovery);
         let pct = |q: f64| latencies.quantile(q).as_millis() as u64;
         let oracle_opts = DriveOptions {
@@ -783,7 +786,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
             recovery_p50_ms: pct(0.50),
             recovery_p90_ms: pct(0.90),
             recovery_p99_ms: pct(0.99),
-            duplicate_effects: (effects - oracle.effects).max(0),
+            history_findings,
             digest_match: digest == oracle.state_digest,
             oracle_digest: oracle.state_digest,
         }
@@ -801,7 +804,6 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         latency: LatencySummary::from_histogram(&load.hist),
         db,
         state_digest: digest,
-        effects,
         gc,
         storage,
         in_flight: load.in_flight,
@@ -1022,7 +1024,6 @@ mod tests {
                 ..MetricsSnapshot::default()
             },
             state_digest: "00000000deadbeef".into(),
-            effects: 7,
             gc: true,
             storage: StorageSeries {
                 samples: vec![StorageSample {
@@ -1073,7 +1074,7 @@ mod tests {
                 recovery_p50_ms: 120,
                 recovery_p90_ms: 450,
                 recovery_p99_ms: 900,
-                duplicate_effects: 0,
+                history_findings: 0,
                 oracle_digest: "00000000deadbeef".into(),
                 digest_match: true,
             }),
@@ -1135,7 +1136,6 @@ mod tests {
             [
                 "app",
                 "db",
-                "effects",
                 "elapsed_virtual_us",
                 "errors",
                 "gc",
@@ -1202,9 +1202,9 @@ mod tests {
             [
                 "crash_sites",
                 "digest_match",
-                "duplicate_effects",
                 "gc_corrupt",
                 "gc_crashes",
+                "history_findings",
                 "ic_corrupt",
                 "ic_crashes",
                 "ic_passes",

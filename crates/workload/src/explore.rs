@@ -9,7 +9,7 @@
 //! 1. **Oracle run** — a crash-free run of a fixed, seeded request
 //!    sequence with the fault injector in trace mode, recording every
 //!    crash point any instance passes (the *global crash stream*) plus the
-//!    final canonical application state and effect count.
+//!    final canonical application state.
 //! 2. **Depth-1 sweep** — one run per recorded crash point `k`, with a
 //!    global plan that kills whatever instance reaches step `k`. Up to the
 //!    crash the run is byte-identical to the oracle (same seeds, same
@@ -23,12 +23,13 @@
 //! intent through the intent collector on virtual time, and the state is
 //! read once no invocation is in flight. The run passes
 //! when (a) every request succeeded, (b) recovery quiesced, (c) the
-//! canonical state equals the oracle's, and (d) the effect count equals
-//! the oracle's. Any failure becomes a [`Violation`] carrying the exact
-//! seed and schedule needed to replay it (see `DESIGN.md` §8).
+//! canonical state equals the oracle's, and (d) the [`crate::history`]
+//! checker finds no step applied twice and no call on a recycled instance
+//! in the run's record. Any failure becomes a [`Violation`] carrying the
+//! exact seed and schedule needed to replay it (see `DESIGN.md` §8).
 //!
 //! Baseline, which retries but logs nothing, is the negative control: a
-//! retry re-applies effects (§2.1), [`crate::gate::crash_verdict`].
+//! retry re-applies steps (§2.1), [`crate::gate::crash_verdict`].
 //!
 //! With [`ExploreOptions::gc_check`] the explorer additionally verifies
 //! GC quiescence per schedule: every done intent carries the finish time
@@ -47,6 +48,8 @@ use beldi_apps::WorkflowApp;
 use beldi_simclock::Metric;
 use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
 use beldi_simfaas::crash_stream;
+
+use crate::history;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,8 +122,8 @@ pub enum ViolationKind {
     NoCrashInjected,
     /// Canonical application state differs from the crash-free oracle.
     StateDivergence,
-    /// Effect count differs from the crash-free oracle.
-    EffectDivergence,
+    /// The run record breaks a clause of the [`crate::history`] checker.
+    History,
     /// Logs/intents/DAAL rows survived the GC quiescence check.
     GcResidue,
     /// A collector counted (and skipped) a corrupt chain or intent.
@@ -134,7 +137,7 @@ impl std::fmt::Display for ViolationKind {
             ViolationKind::IncompleteRecovery => "incomplete-recovery",
             ViolationKind::NoCrashInjected => "no-crash-injected",
             ViolationKind::StateDivergence => "state-divergence",
-            ViolationKind::EffectDivergence => "effect-divergence",
+            ViolationKind::History => "history",
             ViolationKind::GcResidue => "gc-residue",
             ViolationKind::Corruption => "corruption",
         };
@@ -187,10 +190,6 @@ pub struct ExploreReport {
     pub schedules: usize,
     /// Total crashes injected across all schedules.
     pub crashes_injected: u64,
-    /// The oracle's effect count.
-    pub oracle_effects: i64,
-    /// Schedules whose run made more effects than the oracle (§2.1).
-    pub duplicating: usize,
     /// The labels at which the schedules made their first crash, each
     /// once, in [`Label::ALL`] order: what the sweep covered.
     pub crashed_labels: Vec<Label>,
@@ -317,21 +316,6 @@ impl WorkflowApp for PipelineApp {
             "sink" => Value::List(sinks),
         }
     }
-
-    fn effect_count(&self, env: &BeldiEnv) -> i64 {
-        get_int(env, "root", "rt", "count")
-            + get_int(env, "root", "rt", "gate")
-            + get_int(env, "worker", "wt", "count")
-            + sink_counts(env).iter().sum::<i64>()
-    }
-}
-
-/// The pipeline's integer at `ssf`'s `table`/`key`, 0 when absent.
-fn get_int(env: &BeldiEnv, ssf: &str, table: &str, key: &str) -> i64 {
-    env.read_current(ssf, table, key)
-        .ok()
-        .and_then(|v| v.as_int())
-        .unwrap_or(0)
 }
 
 /// The key `sink` counts the worker's run `run` under.
@@ -341,9 +325,10 @@ fn sink_key(run: i64) -> String {
 
 /// How many times `sink` counted each worker run, in run order.
 fn sink_counts(env: &BeldiEnv) -> Vec<i64> {
-    let runs = get_int(env, "worker", "wt", "count");
+    let int = |ssf, table, key: &str| env.read_current(ssf, table, key).ok()?.as_int();
+    let runs = int("worker", "wt", "count").unwrap_or(0);
     (1..=runs)
-        .map(|run| get_int(env, "sink", "st", &sink_key(run)))
+        .map(|run| int("sink", "st", &sink_key(run)).unwrap_or(0))
         .collect()
 }
 
@@ -358,7 +343,8 @@ struct RunOutcome {
     errors: Vec<String>,
     unfinished: usize,
     state: Value,
-    effects: i64,
+    /// What the [`history`] checker found in the run's record.
+    history: Vec<String>,
     gc_residue: Option<String>,
     corruption: Option<String>,
 }
@@ -439,7 +425,6 @@ fn run_schedule(
     let record = env.telemetry().take_record();
     let crash_points = crash_stream(&record).map(|v| v.label).collect();
     let state = app.canonical_state(&env);
-    let effects = app.effect_count(&env);
     let gc_residue = if opts.gc_check && mode != Mode::Baseline {
         gc_quiescence_residue(&env, mode)
     } else {
@@ -451,7 +436,7 @@ fn run_schedule(
         errors,
         unfinished,
         state,
-        effects,
+        history: history::check(&record),
         gc_residue,
         corruption: counted_corruption(&env),
     };
@@ -626,21 +611,24 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         crash_points: oracle.crash_points.len(),
         schedules: 0,
         crashes_injected: 0,
-        oracle_effects: oracle.effects,
-        duplicating: 0,
         crashed_labels: Vec::new(),
         reached_labels: Vec::new(),
         violations: Vec::new(),
     };
     let mut reached: Vec<Label> = oracle.crash_points.clone();
-    if !oracle.errors.is_empty() || oracle.unfinished != 0 || oracle.corruption.is_some() {
+    if !oracle.errors.is_empty()
+        || oracle.unfinished != 0
+        || oracle.corruption.is_some()
+        || !oracle.history.is_empty()
+    {
         report.violations.push(Violation {
             kind: ViolationKind::RequestError,
             schedule: Vec::new(),
             label: "<oracle>",
             detail: format!(
-                "crash-free oracle run failed: errors={:?} unfinished={} corruption={:?}",
-                oracle.errors, oracle.unfinished, oracle.corruption
+                "crash-free oracle run failed: errors={:?} unfinished={} corruption={:?} \
+                 history={:?}",
+                oracle.errors, oracle.unfinished, oracle.corruption, oracle.history
             ),
         });
         return report;
@@ -725,12 +713,8 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
                 ),
             );
         }
-        if out.effects != oracle.effects {
-            report.duplicating += usize::from(out.effects > oracle.effects);
-            fail(
-                ViolationKind::EffectDivergence,
-                format!("effects {} != oracle {}", out.effects, oracle.effects),
-            );
+        for finding in out.history {
+            fail(ViolationKind::History, finding);
         }
         if let Some(residue) = out.gc_residue {
             fail(ViolationKind::GcResidue, residue);

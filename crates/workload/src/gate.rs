@@ -23,8 +23,8 @@ use beldi::Mode;
 use crate::driver::{
     runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, MAX_CRASHES, REBASELINE,
 };
-use crate::explore::ViolationKind::{EffectDivergence, StateDivergence};
-use crate::explore::{ExploreReport, Violation};
+use crate::explore::ExploreReport;
+use crate::explore::ViolationKind::{History, StateDivergence};
 
 /// Most differing fields listed per run before the rest are counted.
 const MAX_LISTED_DIFFS: usize = 8;
@@ -215,10 +215,12 @@ pub struct CrashCheck<'a> {
     pub app: &'a str,
     /// The mode it ran in.
     pub mode: Mode,
-    /// Divergences from the crash-free oracle's state or effect count.
+    /// Runs whose end state differs from the crash-free oracle's.
     pub diverged: usize,
-    /// Runs with more effects than the oracle: a retry re-applied one.
-    pub duplicated: usize,
+    /// What the [`crate::history`] checker found in the runs' records.
+    /// Baseline runs no collector, so each of its findings is a step a
+    /// retry applied twice (clause (a)).
+    pub history: usize,
     /// Every other violation: a failed oracle run, a crash that never
     /// fired, an error, unfinished recovery, GC residue, corruption.
     pub broken: usize,
@@ -227,22 +229,22 @@ pub struct CrashCheck<'a> {
 impl<'a> CrashCheck<'a> {
     /// What an explorer sweep found.
     pub fn of_sweep(report: &'a ExploreReport) -> Self {
-        let divergence = |v: &&Violation| matches!(v.kind, StateDivergence | EffectDivergence);
-        let diverged = report.violations.iter().filter(divergence).count();
+        let count = |kind| report.violations.iter().filter(|v| v.kind == kind).count();
+        let (diverged, history) = (count(StateDivergence), count(History));
         CrashCheck {
             app: &report.app,
             mode: report.mode,
             diverged,
-            duplicated: report.duplicating,
-            broken: report.violations.len() - diverged,
+            history,
+            broken: report.violations.len() - diverged - history,
         }
     }
 }
 
 /// The verdict of `explore` and `drive --chaos`: a logged mode's check
 /// fails on any violation, any on a broken one. Baseline, whose retries
-/// re-apply effects (§2.1), is the negative control: each app it checked
-/// must have a run with more effects than the oracle.
+/// re-apply steps (§2.1), is the negative control: the history checker
+/// must find a step applied twice in each app it checked.
 pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Vec<String> {
     let mut failures = Vec::new();
     let mut controls: BTreeMap<&str, usize> = BTreeMap::new();
@@ -252,19 +254,18 @@ pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Ve
             failures.push(format!("{at}: {} violation(s) no mode may show", c.broken));
         }
         if c.mode == Mode::Baseline {
-            *controls.entry(c.app).or_default() += c.duplicated;
-        } else if c.diverged > 0 {
+            *controls.entry(c.app).or_default() += c.history;
+        } else if c.diverged + c.history > 0 {
             failures.push(format!(
                 "{at}: exactly-once is violated — {} divergence(s) from the crash-free \
-                 oracle's state (digest mismatch) or effect count, {} run(s) with duplicate \
-                 effects",
-                c.diverged, c.duplicated
+                 oracle's state (digest mismatch), {} history checker finding(s)",
+                c.diverged, c.history
             ));
         }
     }
     for (app, _) in controls.into_iter().filter(|&(_, n)| n == 0) {
         failures.push(format!(
-            "{app}/baseline: no run made more effects than its crash-free oracle — \
+            "{app}/baseline: the history checker found no step applied twice — \
              the negative control did not bite"
         ));
     }
@@ -280,8 +281,9 @@ pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Ve
 /// - the collectors counted no corruption: the IC quarantined no
 ///   intent, and the GC skipped no corrupt chain or intent;
 /// - recovery p99 (virtual ms) is at most [`max_recovery_p99_ms`];
-/// - by [`crash_verdict`], a logged run matches its crash-free oracle,
-///   and some baseline run of each app makes a duplicate effect.
+/// - by [`crash_verdict`], a logged run matches its crash-free oracle
+///   and its storm's record is clean, and each app's baseline storm
+///   applies some step twice.
 ///
 /// Vacuous passes are rejected: a report with no chaos run at all fails,
 /// as does a chaos run whose storm never actually injected a crash or
@@ -334,8 +336,8 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
             app: &run.app,
             // A mode no name parses to is held to the logged modes' bar.
             mode: Mode::parse(&run.mode).unwrap_or(Mode::Beldi),
-            diverged: usize::from(!rec.digest_match) + usize::from(rec.duplicate_effects > 0),
-            duplicated: usize::from(rec.duplicate_effects > 0),
+            diverged: usize::from(!rec.digest_match),
+            history: rec.history_findings as usize,
             broken: 0,
         });
         if rec.ic_corrupt + rec.gc_corrupt > 0 {
@@ -394,7 +396,6 @@ mod tests {
             latency: LatencySummary::default(),
             db: MetricsSnapshot::default(),
             state_digest: String::new(),
-            effects: 0,
             gc: false,
             storage: StorageSeries::default(),
             in_flight: Default::default(),
@@ -421,7 +422,7 @@ mod tests {
                 recovery_p50_ms: 100,
                 recovery_p90_ms: 300,
                 recovery_p99_ms: 800,
-                duplicate_effects: 0,
+                history_findings: 0,
                 oracle_digest: "abcd".into(),
                 digest_match: true,
             }),
@@ -664,14 +665,14 @@ mod tests {
             app,
             mode,
             diverged: 0,
-            duplicated: 0,
+            history: 0,
             broken: 0,
         }
     }
 
     /// Baseline is the crash checks' negative control: it may diverge
-    /// from the oracle, and each app must duplicate an effect somewhere,
-    /// while any violation of a logged mode fails.
+    /// from the oracle, and the history checker must find a step applied
+    /// twice in each app, while any violation of a logged mode fails.
     #[test]
     fn crash_verdict_expects_duplicates_of_baseline_only() {
         let diverged = || CrashCheck {
@@ -679,7 +680,7 @@ mod tests {
             ..check("media", Mode::Baseline)
         };
         let duplicated = CrashCheck {
-            duplicated: 2,
+            history: 2,
             ..check("media", Mode::Baseline)
         };
         let clean = crash_verdict([check("media", Mode::Beldi), diverged(), duplicated]);
@@ -688,17 +689,25 @@ mod tests {
             diverged: 1,
             ..check("media", Mode::CrossTable)
         };
-        let failures = crash_verdict([lost]);
-        assert_eq!(failures.len(), 1, "{failures:?}");
+        let reapplied = CrashCheck {
+            history: 1,
+            ..check("social", Mode::Beldi)
+        };
+        let failures = crash_verdict([lost, reapplied]);
+        assert_eq!(failures.len(), 2, "{failures:?}");
         assert!(
             failures[0].starts_with("media/cross-table: exactly-once is violated"),
+            "{failures:?}"
+        );
+        assert!(
+            failures[1].starts_with("social/beldi: exactly-once is violated"),
             "{failures:?}"
         );
         // Divergence without a duplicate does not make the control bite.
         let blind = crash_verdict([diverged()]);
         assert_eq!(blind.len(), 1, "{blind:?}");
         assert!(
-            blind[0].starts_with("media/baseline: no run made more effects"),
+            blind[0].starts_with("media/baseline: the history checker found no step"),
             "{blind:?}"
         );
     }
@@ -710,7 +719,7 @@ mod tests {
     fn crash_verdict_fails_a_broken_baseline_check() {
         let broken = CrashCheck {
             broken: 1,
-            duplicated: 1,
+            history: 1,
             ..check("travel", Mode::Baseline)
         };
         let failures = crash_verdict([broken]);
@@ -721,9 +730,9 @@ mod tests {
         );
     }
 
-    /// A baseline storm that conserved everything is a negative control
-    /// that did not bite, and so is one that only lost state; one that
-    /// duplicated an effect passes.
+    /// A baseline storm whose record shows no step applied twice is a
+    /// negative control that did not bite, even if it lost state; one
+    /// whose record shows one passes.
     #[test]
     fn recovery_gate_expects_a_baseline_storm_to_duplicate() {
         let mut r = chaos_run("travel");
@@ -733,10 +742,10 @@ mod tests {
         assert!(
             failures
                 .iter()
-                .any(|f| f.starts_with("travel/baseline: no run made more effects")),
+                .any(|f| f.starts_with("travel/baseline: the history checker found no step")),
             "{failures:?}"
         );
-        r.recovery.as_mut().unwrap().duplicate_effects = 3;
+        r.recovery.as_mut().unwrap().history_findings = 3;
         assert_eq!(recovery_gate(&report(vec![r]), T_MAX), Vec::<String>::new());
     }
 
@@ -753,12 +762,14 @@ mod tests {
     }
 
     #[test]
-    fn recovery_gate_rejects_duplicate_effects() {
+    fn recovery_gate_rejects_history_findings() {
         let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().duplicate_effects = 2;
+        r.recovery.as_mut().unwrap().history_findings = 2;
         let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
-            failures.iter().any(|f| f.contains("duplicate effect")),
+            failures
+                .iter()
+                .any(|f| f.contains("2 history checker finding(s)")),
             "{failures:?}"
         );
     }

@@ -16,8 +16,9 @@
 //!
 //! The crate also hosts the [`explore`](mod@explore) module: a seed-reproducible
 //! crash-schedule model checker that sweeps every labelled crash point of
-//! a workload, recovers via the intent collector, and diffs the final
-//! state against a crash-free oracle (DESIGN.md §8).
+//! a workload, recovers via the intent collector, diffs the final state
+//! against a crash-free oracle, and judges each run's record with the
+//! [`history`] checker (DESIGN.md §8).
 
 //! The [`driver`] module adds the closed-loop counterpart: `N` client
 //! workers saturate one shared environment and emit a machine-readable
@@ -32,6 +33,7 @@
 pub mod driver;
 pub mod explore;
 pub mod gate;
+pub mod history;
 mod runner;
 pub mod wire;
 

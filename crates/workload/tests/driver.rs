@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use beldi::value::{Map, Value};
+use beldi::value::{vmap, Map, Value};
 use beldi::{Label, Mode};
 use beldi_apps::{bench_app, MixProfile, WorkflowApp};
 use beldi_workload::driver::{
@@ -128,11 +128,6 @@ fn assert_travel_conserved(app: &dyn WorkflowApp, opts: &DriveOptions, run: &Ben
             }
         }
     }
-    assert_eq!(
-        run.effects,
-        2 * reservations,
-        "each reservation consumes exactly one room and one seat"
-    );
     // The full per-key inventory must match the recomputation: the
     // travel fingerprint is its canonical state, one sorted map of
     // hotel/flight → remaining.
@@ -163,7 +158,8 @@ fn social_counters_are_conserved_under_8_workers() {
     let users = 40i64;
     let follows = 4i64;
     let mut composes = 0i64;
-    let mut hometl_entries = 0i64;
+    let mut usertl = vec![0i64; users as usize];
+    let mut hometl = vec![0i64; users as usize];
     for req in regenerate_requests(app.as_ref(), &opts) {
         if req.get_str("op") == Some("compose") {
             composes += 1;
@@ -180,19 +176,35 @@ fn social_counters_are_conserved_under_8_workers() {
                 .unwrap()
                 .parse()
                 .unwrap();
+            usertl[author as usize] += 1;
             // followers(author) = author-1 .. author-4 (mod users).
-            let is_follower = (1..=follows).any(|d| (author + users - d) % users == mention);
-            hometl_entries += follows + i64::from(!is_follower);
+            let followers: Vec<i64> = (1..=follows)
+                .map(|d| (author + users - d) % users)
+                .collect();
+            for &f in &followers {
+                hometl[f as usize] += 1;
+            }
+            if !followers.contains(&mention) {
+                hometl[mention as usize] += 1;
+            }
         }
     }
     assert!(composes > 30, "write-heavy mix should compose a lot");
-    let expected_effects = composes       // post rows
-        + composes                        // url rows
-        + composes                        // user-timeline entries
-        + hometl_entries; // home-timeline fan-out
+    // The social fingerprint counts rows and timeline entries per user.
+    let mut timelines = Map::new();
+    for u in 0..users as usize {
+        let counts = vmap! { "usertl" => usertl[u], "hometl" => hometl[u] };
+        timelines.insert(format!("user-{u}"), counts);
+    }
+    let expected = vmap! {
+        "post_rows" => composes,
+        "url_rows" => composes,
+        "timeline_len" => Value::Map(timelines),
+    };
     assert_eq!(
-        run.effects, expected_effects,
-        "fan-out effects diverged from the request streams"
+        run.state_digest,
+        format!("{:016x}", value_digest(&expected)),
+        "fan-out diverged from the request streams"
     );
 }
 
@@ -209,7 +221,6 @@ fn cross_table_and_beldi_agree_on_travel_state() {
     assert_eq!(a.errors, 0);
     assert_eq!(b.errors, 0);
     assert_eq!(a.state_digest, b.state_digest);
-    assert_eq!(a.effects, b.effects);
 }
 
 #[test]
@@ -222,7 +233,6 @@ fn tail_cache_does_not_change_results_only_cost() {
     let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &cached);
     let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &uncached);
     assert_eq!(a.state_digest, b.state_digest, "cache changed semantics");
-    assert_eq!(a.effects, b.effects);
     assert!(
         a.db.queries < b.db.queries,
         "cache should eliminate traversal scans ({} vs {})",
@@ -263,7 +273,7 @@ fn chaos_storm_recovers_to_the_oracle_state() {
     let rec = run.recovery.clone().expect("chaos runs record recovery");
     assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
     assert!(rec.digest_match, "conservation violated: {rec:?}");
-    assert_eq!(rec.duplicate_effects, 0, "{rec:?}");
+    assert_eq!(rec.history_findings, 0, "{rec:?}");
     assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
     // The storm draws at every probe, those under a loop too: this seed
     // kills an IC pass between two re-launches.
@@ -326,7 +336,7 @@ fn async_same_seed_runs_are_bit_identical_at_8_workers() {
 
 /// Canary for the gate itself, with nothing sabotaged: baseline retries
 /// killed workflows as the logged modes do but logs nothing, so a storm
-/// over it re-applies effects, and the recovery gate must flag that. Judged
+/// over it re-applies steps, and the recovery gate must flag that. Judged
 /// as baseline, the run is the gate's negative control and passes; the
 /// same run judged as beldi fails the conservation check. If this test
 /// ever breaks, the gate has gone blind.
@@ -339,7 +349,7 @@ fn recovery_gate_flags_a_baseline_storm() {
     let run = drive_app("social", Mode::Baseline, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
     let rec = run.recovery.as_ref().expect("chaos runs record recovery");
-    assert!(rec.duplicate_effects > 0 && !rec.digest_match, "{rec:?}");
+    assert!(rec.history_findings > 0 && !rec.digest_match, "{rec:?}");
     let failures = recovery_gate(&report_of(run.clone(), &opts), lease(&opts));
     assert_eq!(failures, Vec::<String>::new());
 
@@ -348,7 +358,7 @@ fn recovery_gate_flags_a_baseline_storm() {
         ..run
     };
     let failures = recovery_gate(&report_of(judged_as_beldi, &opts), lease(&opts));
-    for clause in ["digest mismatch", "duplicate effect"] {
+    for clause in ["digest mismatch", "history checker finding(s)"] {
         assert!(failures.iter().any(|f| f.contains(clause)), "{failures:?}");
     }
 }
@@ -357,8 +367,8 @@ fn recovery_gate_flags_a_baseline_storm() {
 /// behind the quarter-pool admission gate. The final state is a function
 /// of the request multiset, not of how many roots the gate lets run
 /// together: a 1000-permit pool (250 roots at a time — all 60) and an
-/// 8-permit pool (2 at a time) must land on the same digest and effect
-/// counts. Checked across apps and modes.
+/// 8-permit pool (2 at a time) must land on the same digest. Checked
+/// across apps and modes.
 #[test]
 fn final_state_does_not_depend_on_the_admission_width() {
     let wide = test_opts(60, 60, 7);
@@ -378,7 +388,6 @@ fn final_state_does_not_depend_on_the_admission_width() {
             a.state_digest, b.state_digest,
             "{kind}/{mode:?}: the admission width changed the final state"
         );
-        assert_eq!(a.effects, b.effects, "{kind}");
         for run in [&a, &b] {
             assert!(
                 run.in_flight.high_water >= 60,
@@ -455,7 +464,7 @@ fn async_chaos_storm_recovers_to_the_oracle_state() {
     let rec = run.recovery.clone().expect("chaos runs record recovery");
     assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
     assert!(rec.digest_match, "conservation violated: {rec:?}");
-    assert_eq!(rec.duplicate_effects, 0, "{rec:?}");
+    assert_eq!(rec.history_findings, 0, "{rec:?}");
     assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
     let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
     assert!(failures.is_empty(), "{failures:?}");
@@ -531,7 +540,6 @@ fn online_gc_conserves_state_and_bounds_storage() {
             with_gc.state_digest, without.state_digest,
             "{kind}: online GC changed the final application state"
         );
-        assert_eq!(with_gc.effects, without.effects, "{kind}");
 
         // Bounded storage: the collectors actually ran and recycled, and
         // the end-of-run metadata footprint is far below the GC-free
