@@ -35,7 +35,7 @@ pub use social::SocialApp;
 pub use travel::TravelApp;
 
 use beldi::value::Value;
-use beldi::{BeldiEnv, BeldiResult};
+use beldi::{BeldiEnv, BeldiResult, SsfContext};
 use rand::rngs::SmallRng;
 
 /// A uniform interface over the three case-study applications, used by
@@ -112,24 +112,12 @@ pub trait WorkflowApp: Send + Sync {
 }
 
 /// Builds the explorer-sized instance of an app by name
-/// (`media` / `social` / `travel`) for the given mode.
-///
-/// Travel normally wraps reservations in a cross-SSF transaction; that
-/// machinery is implemented over the DAAL/shadow tables and is
-/// unsupported in cross-table logging mode, so there the factory returns
-/// the paper's "fault-tolerance without transactions" configuration
-/// (§7.4) instead.
-pub fn small_app(kind: &str, mode: beldi::Mode) -> Option<Box<dyn WorkflowApp>> {
+/// (`media` / `social` / `travel`). Every app runs in every mode.
+pub fn small_app(kind: &str) -> Option<Box<dyn WorkflowApp>> {
     match kind {
         "media" => Some(Box::new(MediaApp::small())),
         "social" => Some(Box::new(SocialApp::small())),
-        "travel" => {
-            let mut app = TravelApp::small();
-            if mode == beldi::Mode::CrossTable {
-                app.transactional = false;
-            }
-            Some(Box::new(app))
-        }
+        "travel" => Some(Box::new(TravelApp::small())),
         _ => None,
     }
 }
@@ -164,7 +152,8 @@ impl MixProfile {
 }
 
 /// Builds the benchmark-sized instance of an app by name for the
-/// closed-loop workload driver (`beldi-workload::driver`).
+/// closed-loop workload driver (`beldi-workload::driver`). Every app runs
+/// in every mode, so `_mode` is unused.
 ///
 /// Differences from [`small_app`]:
 ///
@@ -177,10 +166,7 @@ impl MixProfile {
 ///   its final state is deterministic for a fixed request multiset;
 /// - the `mix` preset is applied ([`MixProfile::WriteHeavy`] maps to each
 ///   app's `*_MIX_WRITE_HEAVY` weights).
-///
-/// As in [`small_app`], travel drops its cross-SSF transaction in
-/// cross-table mode (unsupported there, §7.4).
-pub fn bench_app(kind: &str, mode: beldi::Mode, mix: MixProfile) -> Option<Box<dyn WorkflowApp>> {
+pub fn bench_app(kind: &str, _mode: beldi::Mode, mix: MixProfile) -> Option<Box<dyn WorkflowApp>> {
     let heavy = mix == MixProfile::WriteHeavy;
     match kind {
         "media" => Some(Box::new(MediaApp {
@@ -207,7 +193,7 @@ pub fn bench_app(kind: &str, mode: beldi::Mode, mix: MixProfile) -> Option<Box<d
             users: 20,
             rooms_per_hotel: 1_000_000,
             seats_per_flight: 1_000_000,
-            transactional: mode != beldi::Mode::CrossTable,
+            transactional: true,
             // Contention aborts are retried so the final inventory is a
             // pure function of the request multiset (seed-stability).
             retry_contention: true,
@@ -219,6 +205,31 @@ pub fn bench_app(kind: &str, mode: beldi::Mode, mix: MixProfile) -> Option<Box<d
         })),
         _ => None,
     }
+}
+
+/// The one locked read-modify-write (§6.1): locks `key` in `table`, reads
+/// it, writes what `f` makes of the current value, if anything, unlocks,
+/// and returns whether it wrote. Inside a transaction the read already
+/// takes the item's 2PL lock and `unlock` is refused, so there it only
+/// reads and writes. The only caller of `lock`/`unlock` in this crate.
+pub fn update_locked(
+    ctx: &mut SsfContext,
+    table: &str,
+    key: &str,
+    f: impl FnOnce(Value) -> Option<Value>,
+) -> BeldiResult<bool> {
+    let locked = !ctx.in_txn();
+    if locked {
+        ctx.lock(table, key)?;
+    }
+    let wrote = match f(ctx.read(table, key)?) {
+        Some(value) => ctx.write(table, key, value).map(|()| true)?,
+        None => false,
+    };
+    if locked {
+        ctx.unlock(table, key)?;
+    }
+    Ok(wrote)
 }
 
 /// The static half of "an application mutates state only through the

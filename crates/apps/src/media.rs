@@ -24,6 +24,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::rng::pick_mix;
+use crate::update_locked;
 
 /// Names of the media workflow's SSFs.
 pub const SSFS: [&str; 13] = [
@@ -413,19 +414,12 @@ fn install_list_append(env: &BeldiEnv, ssf: &'static str, table: &'static str) {
             match input.get_str("op") {
                 Some("append") => {
                     let review_id = input.get_str("review_id").unwrap_or_default();
-                    ctx.lock(table, &key)?;
-                    let mut list = ctx
-                        .read(table, &key)?
-                        .as_list()
-                        .cloned()
-                        .unwrap_or_default();
-                    list.push(Value::from(review_id));
-                    if list.len() > REVIEW_WINDOW {
-                        let drop = list.len() - REVIEW_WINDOW;
-                        list.drain(..drop);
-                    }
-                    ctx.write(table, &key, Value::List(list))?;
-                    ctx.unlock(table, &key)?;
+                    update_locked(ctx, table, &key, |current| {
+                        let mut list = current.as_list().cloned().unwrap_or_default();
+                        list.push(Value::from(review_id));
+                        list.drain(..list.len().saturating_sub(REVIEW_WINDOW));
+                        Some(Value::List(list))
+                    })?;
                     Ok(Value::Null)
                 }
                 Some("read") => ctx.read(table, &key),

@@ -25,6 +25,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::rng::pick_mix;
+use crate::update_locked;
 
 /// Names of the social workflow's SSFs.
 pub const SSFS: [&str; 13] = [
@@ -456,17 +457,13 @@ fn install_social_graph(env: &BeldiEnv) {
             Some("follow") => {
                 let follower = input.get_str("follower").unwrap_or_default();
                 let followee = input.get_str("followee").unwrap_or_default().to_owned();
-                ctx.lock("followers", &followee)?;
-                let mut list = ctx
-                    .read("followers", &followee)?
-                    .as_list()
-                    .cloned()
-                    .unwrap_or_default();
-                if !list.iter().any(|v| v.as_str() == Some(follower)) {
-                    list.push(Value::from(follower));
-                }
-                ctx.write("followers", &followee, Value::List(list))?;
-                ctx.unlock("followers", &followee)?;
+                update_locked(ctx, "followers", &followee, |current| {
+                    let mut list = current.as_list().cloned().unwrap_or_default();
+                    if !list.iter().any(|v| v.as_str() == Some(follower)) {
+                        list.push(Value::from(follower));
+                    }
+                    Some(Value::List(list))
+                })?;
                 Ok(Value::Null)
             }
             other => Err(BeldiError::Protocol(format!(
@@ -494,19 +491,12 @@ fn install_timeline_storage(env: &BeldiEnv) {
                         let Some(user) = user.as_str().map(str::to_owned) else {
                             continue;
                         };
-                        ctx.lock(table, &user)?;
-                        let mut tl = ctx
-                            .read(table, &user)?
-                            .as_list()
-                            .cloned()
-                            .unwrap_or_default();
-                        tl.push(Value::from(post_id));
-                        if tl.len() > TIMELINE_WINDOW {
-                            let drop = tl.len() - TIMELINE_WINDOW;
-                            tl.drain(..drop);
-                        }
-                        ctx.write(table, &user, Value::List(tl))?;
-                        ctx.unlock(table, &user)?;
+                        update_locked(ctx, table, &user, |current| {
+                            let mut tl = current.as_list().cloned().unwrap_or_default();
+                            tl.push(Value::from(post_id));
+                            tl.drain(..tl.len().saturating_sub(TIMELINE_WINDOW));
+                            Some(Value::List(tl))
+                        })?;
                     }
                     Ok(Value::Null)
                 }

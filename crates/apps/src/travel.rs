@@ -18,11 +18,12 @@
 use std::sync::Arc;
 
 use beldi::value::{vmap, Map, Value};
-use beldi::{BeldiEnv, BeldiError, BeldiResult, TxnOutcome};
+use beldi::{BeldiEnv, BeldiError, BeldiResult, Mode, TxnOutcome};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::rng::{normal_index, pick_mix};
+use crate::update_locked;
 
 /// Names of the travel workflow's SSFs.
 pub const SSFS: [&str; 10] = [
@@ -53,7 +54,7 @@ pub struct TravelApp {
     pub seats_per_flight: i64,
     /// Wrap reservations in a cross-SSF transaction (the paper also
     /// measures a Beldi configuration "for fault-tolerance but without
-    /// transactions", §7.4 — set this to false for that series).
+    /// transactions", §7.4: false; cross-table mode never has one).
     pub transactional: bool,
     /// Retry reservations that abort from wait-die lock contention
     /// (genuinely sold-out requests are never retried — the legs report
@@ -205,7 +206,8 @@ impl crate::WorkflowApp for TravelApp {
         install_search(env);
         install_reserve_leg(env, "travel-reserve-hotel", "rooms");
         install_reserve_leg(env, "travel-reserve-flight", "seats");
-        install_reserve(env, self.transactional, self.retry_contention);
+        let transactional = self.transactional && env.config().mode != Mode::CrossTable;
+        install_reserve(env, transactional, self.retry_contention);
         install_frontend(env);
     }
 
@@ -455,7 +457,8 @@ fn install_search(env: &BeldiEnv) {
 }
 
 /// The two reservation legs share one body parameterized by table name:
-/// check availability, report sold-out, decrement otherwise.
+/// under the item lock, check availability, report sold-out, decrement
+/// otherwise.
 ///
 /// Sold-out is reported as *data* (`{"sold_out": true}`) rather than a
 /// [`BeldiError::TxnAborted`], so the reserve coordinator can tell a
@@ -472,13 +475,15 @@ fn install_reserve_leg(env: &BeldiEnv, ssf: &'static str, table: &'static str) {
                 .get_str("key")
                 .ok_or_else(|| BeldiError::Protocol("reserve leg needs a key".into()))?
                 .to_owned();
-            let rec = ctx.read(table, &key)?;
-            let available = rec.get_int("available").unwrap_or(0);
-            if available <= 0 {
+            let mut remaining = 0;
+            let reserved = update_locked(ctx, table, &key, |rec| {
+                remaining = rec.get_int("available").unwrap_or(0) - 1;
+                (remaining >= 0).then(|| vmap! { "available" => remaining })
+            })?;
+            if !reserved {
                 return Ok(vmap! { "key" => key, "sold_out" => true });
             }
-            ctx.write(table, &key, vmap! { "available" => available - 1 })?;
-            Ok(vmap! { "key" => key, "remaining" => available - 1 })
+            Ok(vmap! { "key" => key, "remaining" => remaining })
         }),
     );
 }

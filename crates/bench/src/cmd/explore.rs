@@ -91,8 +91,9 @@ pub(crate) fn main(args: &Args) {
             let app: Box<dyn WorkflowApp> = match kind.as_str() {
                 "pipeline" if canary => PipelineApp::sabotaged(),
                 "pipeline" => Box::new(PipelineApp::default()),
-                _ => small_app(kind, mode)
-                    .unwrap_or_else(|| usage_error(format!("unknown --app {kind}"))),
+                _ => {
+                    small_app(kind).unwrap_or_else(|| usage_error(format!("unknown --app {kind}")))
+                }
             };
             let report = explore(app.as_ref(), mode, &opts);
             rows.push(vec![

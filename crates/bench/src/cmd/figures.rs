@@ -533,9 +533,12 @@ const TRAVEL_SERIES: [Series; 3] = [
 ];
 
 /// The sweeps' points: offered rates in requests per virtual second,
-/// the virtual time each is driven, and the open-loop issuer threads.
+/// the virtual time each is driven at least, the requests each issues at
+/// least (a low rate's window grows to them, so a 5 % share of them still
+/// gives a p50), and the open-loop issuer threads.
 const SWEEP_RATES: [f64; 8] = [100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0];
 const SWEEP_DURATION: Duration = Duration::from_millis(3000);
+const SWEEP_MIN_REQUESTS: f64 = 1_200.0;
 const SWEEP_ISSUERS: usize = 192;
 
 /// §7.4 and App. C.1: `app`'s DeathStarBench-derived mix, open-loop
@@ -556,8 +559,8 @@ fn sweep(
         for &rate in rates {
             let env = Arc::new(app_env(mode));
             app.setup(&env);
-            let mut runner =
-                RateRunner::new(env.clock().clone(), rate, SWEEP_DURATION, SWEEP_ISSUERS);
+            let window = SWEEP_DURATION.max(Duration::from_secs_f64(SWEEP_MIN_REQUESTS / rate));
+            let mut runner = RateRunner::new(env.clock().clone(), rate, window, SWEEP_ISSUERS);
             let payload = {
                 let app = Arc::clone(&app);
                 move |i| app.gen_load_request(&mut request_rng(seed + i))
@@ -621,9 +624,9 @@ fn app_env(mode: Mode) -> BeldiEnv {
 
 /// Fig. 15: the travel sweep, its reservations alone, then a burst of
 /// contended reservations per series and its legs' drift, zero exactly
-/// when a reservation is a transaction. No-txn Beldi's reservation p50 is
-/// 14–43 % below Beldi's (901.12 vs 1048.58 ms at 800 rps), so the claim
-/// checks the ordering only.
+/// when a reservation is a transaction. A point's reservations number 59
+/// to 129; no-txn Beldi's p50 is 10–34 % below Beldi's (933.89 vs
+/// 1081.34 ms at 800 rps), so the claim checks the ordering only.
 fn travel() -> Measured {
     let mut tables = sweep(
         travel_app,

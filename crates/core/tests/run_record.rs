@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::{Cond, Value};
-use beldi::{BeldiConfig, BeldiEnv, Mode};
+use beldi::{BeldiConfig, BeldiEnv};
 use beldi_apps::rng::request_rng;
 use beldi_apps::{small_app, WorkflowApp};
 use beldi_simclock::{Event, EventKind, Op, StoreKind};
@@ -44,7 +44,7 @@ fn by_issuer(kind: &str, record: &[Event]) -> BTreeMap<&'static str, (u64, u64)>
 fn every_store_call_names_its_issuer_and_the_issuers_sum_to_the_store_counts() {
     for kind in ["media", "social", "travel"] {
         let env = BeldiEnv::for_tests();
-        let app = small_app(kind, Mode::Beldi).expect("known app");
+        let app = small_app(kind).expect("known app");
         app.setup(&env);
         let before = env.db_metrics();
         env.telemetry().start_record(env.clock().clone());
@@ -93,7 +93,7 @@ fn recorded_drive(seed: u64) -> Vec<Event> {
         .latency(LatencyModel::dynamo())
         .build();
     let env = Arc::new(env);
-    let app: Arc<dyn WorkflowApp> = small_app("travel", Mode::Beldi).expect("known app").into();
+    let app: Arc<dyn WorkflowApp> = small_app("travel").expect("known app").into();
     app.setup(&env);
     env.telemetry().start_record(env.clock().clone());
     env.start_collectors();

@@ -24,7 +24,7 @@
 //! read once no invocation is in flight. The run passes
 //! when (a) every request succeeded, (b) recovery quiesced, (c) the
 //! canonical state equals the oracle's, and (d) the [`crate::history`]
-//! checker finds no step applied twice and no call on a recycled instance
+//! checker finds no step applied twice and no write for a recycled instance
 //! in the run's record. Any failure becomes a [`Violation`] carrying the
 //! exact seed and schedule needed to replay it (see `DESIGN.md` §8).
 //!

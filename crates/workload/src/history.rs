@@ -8,8 +8,10 @@
 //!   re-execution applied again (§2.1).
 //! - **(b)** Once GC step 6 has deleted an instance's intent (an
 //!   [`Op::GcRecycle`] delete on an intent table, issued in the instance's
-//!   scope), no later store call of a non-collector op carries that
-//!   instance (§5).
+//!   scope), no later store call of a non-collector op that can change the
+//!   store carries that instance (§5). Any execution of the instance
+//!   writes, starting with its intent registration; a read is a guard that
+//!   finds the intent gone and runs nothing.
 //!
 //! A repeat callback is not checked: it is an idempotent `set_if_absent`
 //! under `exists(CalleeFn)`, whose condition always holds, so the record
@@ -26,7 +28,7 @@ const COLLECTOR_OPS: [Op; 6] = [IcScan, IcRestart, GcClassify, GcLogPrune, GcDaa
 
 /// Checks `record` against both clauses: one line per broken one, naming
 /// the clause and the instance, with the step applied twice (a) or the op
-/// that called a recycled instance (b). Each `(instance, step)` and each
+/// that wrote for a recycled instance (b). Each `(instance, step)` and each
 /// recycled instance is reported once, at its first offending call, in
 /// record order.
 pub fn check(record: &[Event]) -> Vec<String> {
@@ -50,6 +52,10 @@ pub fn check(record: &[Event]) -> Vec<String> {
         if op == GcRecycle && call.kind == StoreKind::Delete && call.table.ends_with(".intent") {
             recycled.insert(&**instance);
         } else if !COLLECTOR_OPS.contains(&op)
+            && matches!(
+                call.kind,
+                StoreKind::Write | StoreKind::Delete | StoreKind::TransactWrite
+            )
             && recycled.contains(&**instance)
             && reported.insert(&**instance)
         {
@@ -142,16 +148,28 @@ mod tests {
         assert!(check(&record).is_empty());
     }
 
-    /// A call of a non-collector op on a recycled instance breaks (b).
+    /// A write of a non-collector op on a recycled instance breaks (b).
     #[test]
     fn a_call_after_the_recycle_breaks_b() {
         let record = [
             recycle("i"),
-            call("i", Op::Read, StoreKind::Get, "f.log", "i#0"),
-            call("i", Op::Read, StoreKind::Get, "f.log", "i#0"),
+            call("i", Op::Write, StoreKind::Write, "f.log", "i#0"),
+            call("i", Op::Write, StoreKind::Write, "f.log", "i#0"),
         ];
-        let want = "(b) `i` called by core.op.read after its recycle";
+        let want = "(b) `i` called by core.op.write after its recycle";
         assert_eq!(check(&record), [want]);
+    }
+
+    /// A read after the recycle changes nothing: a guard that finds the
+    /// intent gone does not break (b).
+    #[test]
+    fn a_read_after_the_recycle_does_not_break_b() {
+        let record = [
+            recycle("i"),
+            call("i", Op::IntentRegister, StoreKind::Get, "f.intent", "i"),
+            call("i", Op::Read, StoreKind::Query, "f.data.t", "k"),
+        ];
+        assert!(check(&record).is_empty());
     }
 
     /// GC step 6's delete, as a real run records it, names the recycled
@@ -171,8 +189,8 @@ mod tests {
             |e| matches!(&e.kind, EventKind::Store(c) if c.issuer == Some(Op::IntentRegister)),
         );
         let instance = registered.and_then(|e| e.instance.clone()).unwrap();
-        record.push(call(&instance, Op::Read, StoreKind::Get, "f.log", "x"));
-        let want = format!("(b) `{instance}` called by core.op.read after its recycle");
+        record.push(call(&instance, Op::Write, StoreKind::Write, "f.log", "x"));
+        let want = format!("(b) `{instance}` called by core.op.write after its recycle");
         assert_eq!(check(&record), [want]);
     }
 

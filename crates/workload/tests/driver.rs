@@ -91,16 +91,24 @@ fn different_seeds_change_the_state_digest() {
     assert_ne!(a.state_digest, b.state_digest);
 }
 
+/// On modelled latency, so reservations of one item interleave: in Beldi
+/// mode inside their transaction, in cross-table mode (no transactions)
+/// under each leg's item lock.
 #[test]
 fn travel_inventory_is_conserved_under_8_workers() {
-    let opts = test_opts(8, 160, 42);
+    let opts = DriveOptions {
+        model_latency: true,
+        ..test_opts(8, 160, 42)
+    };
     let mix = MixProfile::WriteHeavy;
-    let app = bench_app("travel", Mode::Beldi, mix).expect("travel");
-    let run = drive(app.as_ref(), Mode::Beldi, &opts);
-    assert_eq!(run.errors, 0, "{run:?}");
+    for mode in [Mode::Beldi, Mode::CrossTable] {
+        let app = bench_app("travel", mode, mix).expect("travel");
+        let run = drive(app.as_ref(), mode, &opts);
+        assert_eq!(run.errors, 0, "{mode:?}: {run:?}");
 
-    let reservations = assert_travel_conserved(app.as_ref(), &opts, &run);
-    assert!(reservations > 40, "write-heavy mix should reserve a lot");
+        let reservations = assert_travel_conserved(app.as_ref(), &opts, &run);
+        assert!(reservations > 40, "write-heavy mix should reserve a lot");
+    }
 }
 
 /// Independently recomputes the reservation demand per hotel/flight from

@@ -261,7 +261,7 @@ fn gc_interleaved_cross_table_sweep_with_quiescence_is_clean() {
 /// signal and before a flush.
 #[test]
 fn smoke_travel_sweep_crashes_a_commit() {
-    let app = small_app("travel", Mode::Beldi).unwrap();
+    let app = small_app("travel").unwrap();
     let report = explore(app.as_ref(), Mode::Beldi, &ExploreOptions::smoke());
     assert!(report.ok(), "{:#?}", report.violations);
     for label in [Label::TxnPreSignal, Label::TxnPreFlushItem] {
@@ -356,7 +356,7 @@ fn every_crash_label_is_reached_or_listed() {
         };
         for kind in ["media", "social", "travel"] {
             for mode in [Mode::Beldi, Mode::CrossTable, Mode::Baseline] {
-                let app = small_app(kind, mode).unwrap();
+                let app = small_app(kind).unwrap();
                 reached.extend(explore(app.as_ref(), mode, &opts).reached_labels);
             }
         }

@@ -64,11 +64,9 @@ fn a_straggler_writes_before_its_intent_is_recycled() {
 /// `T` later, and the intent collector then relaunches `root`, so
 /// `worker` re-runs its async step. The callee confirmed its
 /// registration before its done-mark, so the re-run fires the call
-/// without registering, and the stub finds no intent and runs nothing.
-///
-/// That guard read is a call of the recycled instance, so clause (b)
-/// reports it, though no execution of `sink` runs: the clause cannot
-/// tell a guard read from an execution.
+/// without registering, and the stub finds no intent and runs nothing:
+/// its guard read of the recycled instance writes nothing, so clause (b)
+/// holds.
 #[test]
 fn a_caller_relaunched_after_its_async_callee_is_recycled_applies_no_step_twice() {
     let env = recorded_env();
@@ -105,8 +103,7 @@ fn a_caller_relaunched_after_its_async_callee_is_recycled_applies_no_step_twice(
     assert_eq!(env.drain_recovery(20).unwrap().unfinished, 0);
     env.clock().sleep(Duration::from_millis(50));
 
-    let guard_read =
-        format!("(b) `{root}#0.c#0.c` called by core.op.intent_register after its recycle");
-    assert_eq!(check(&env.telemetry().take_record()), [guard_read]);
+    let findings = check(&env.telemetry().take_record());
+    assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(env.read_current("sink", "st", "k").unwrap(), Value::Int(1));
 }

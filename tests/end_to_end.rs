@@ -29,7 +29,6 @@ fn all_apps_serve_their_mix_in_all_modes() {
             users: 4,
             rooms_per_hotel: 50,
             seats_per_flight: 50,
-            transactional: mode != Mode::CrossTable,
             ..TravelApp::default()
         };
         let media = MediaApp {
