@@ -64,9 +64,10 @@ pub struct BeldiConfig {
     /// Period of the IC/GC timer triggers (AWS minimum: 1 minute, §7.2).
     pub collector_period: Duration,
     /// Cache the DAAL tail row id per `(table, key)` so reads and logged
-    /// writes of data tables skip the traversal scan (Beldi mode only;
-    /// `daal::TailCache` has why a validated hit is sound). It is never
-    /// authoritative, and disabling it changes costs, not semantics.
+    /// writes of data tables skip the traversal scan, and plain shadow
+    /// writes try `HEAD` first (Beldi mode only; `daal::TailCache` has why
+    /// a validated hit is sound). It is never authoritative, and disabling
+    /// it changes costs, not semantics.
     pub daal_tail_cache: bool,
 }
 

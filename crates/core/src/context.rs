@@ -41,9 +41,10 @@ pub struct SsfContext {
     pub(crate) is_async: bool,
     pub(crate) txn: Option<TxnState>,
     /// When this intent was created (registered), in virtual
-    /// milliseconds: no execution of it writes earlier. 0 when unknown,
-    /// which leaves only `HEAD` rows to cached writes.
-    created_ms: u64,
+    /// milliseconds: no execution of it writes earlier, and a transaction
+    /// it begins takes this age for wait-die. 0 when unknown, which
+    /// leaves only `HEAD` rows to cached writes.
+    pub(crate) created_ms: u64,
     /// Virtual deadline of this *launch*'s execution lease: launch +
     /// [`crate::BeldiConfig::t_max`]. Checked at every crash probe — the
     /// platform-timeout contract the GC's `finish + T_max` recycling rule
@@ -208,8 +209,9 @@ impl SsfContext {
 
     /// Runs `f` with DAAL parameters bound to this context for a write
     /// to `physical`: its store, row capacity, clock, the tail cache (for
-    /// this SSF's data tables; shadow tables are not cached), the
-    /// intent's creation time, crash probes and row-id source.
+    /// this SSF's data tables; shadow tables are not cached, but with the
+    /// cache on their plain writes try `HEAD` first), the intent's
+    /// creation time, crash probes and row-id source.
     pub(crate) fn with_daal<R>(
         &self,
         physical: &TableRef,
@@ -223,11 +225,13 @@ impl SsfContext {
             .tables
             .iter()
             .any(|t| t.data.name() == physical.name());
+        let cache = self.core.tail_cache.as_ref();
         f(&DaalParams {
             db: self.db(),
             capacity: self.core.config.daal_row_capacity,
             now_ms: &now_ms,
-            tail_cache: self.core.tail_cache.as_ref().filter(|_| data),
+            tail_cache: cache.filter(|_| data),
+            head_first: cache.is_some(),
             intent_created_ms: self.created_ms,
             crash: &crash,
             new_row_id: &new_row_id,

@@ -71,10 +71,12 @@ pub(crate) struct DaalParams<'a> {
     /// began on a `HEAD` it creates, and a fresh read on a row it appends
     /// (see [`append_row`]); the GC ages orphans by these stamps.
     pub now_ms: &'a dyn Fn() -> u64,
-    /// The tail cache a data-table write tries (its entry, else `HEAD` for
-    /// a plain write) before it traverses; `None` for shadow tables, or
-    /// with the cache off.
+    /// The tail cache whose entry a data-table write tries before it
+    /// traverses; `None` for shadow tables, or with the cache off.
     pub tail_cache: Option<&'a TailCache>,
+    /// Whether a plain write with no cache entry tries `HEAD` before it
+    /// traverses: with the cache on, in a data or a shadow table.
+    pub head_first: bool,
     /// When the writing intent was created: no execution of it writes
     /// earlier. A cached tail row created before this holds every entry
     /// the intent can have logged in the key's chain (see [`TailCache`]).
@@ -253,9 +255,14 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// has no predecessor. A failed attempt writes nothing, so its fallback
 /// is the traversal path unchanged.
 ///
-/// Shadow tables are *not* cached: finished shadow chains are deleted
+/// Shadow tables keep *no* entries: finished shadow chains are deleted
 /// wholesale, tail included, and their reads happen on the cold
-/// transaction-recovery path anyway.
+/// transaction-recovery path anyway. A plain shadow write still tries
+/// `HEAD` first ([`DaalParams::head_first`]): the item's lock created it
+/// one step earlier, so it is usually the whole chain, and the argument
+/// above holds for it unchanged. The GC deletes a shadow `HEAD` only once
+/// its transaction's intents are `T` past done, when no execution writes
+/// there; an absent one is created exactly as the traversal would.
 ///
 /// The cache is deliberately never authoritative — dropping any entry at
 /// any time is correct — so sizing and invalidation need no precision.
@@ -649,29 +656,27 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
 }
 
 /// Case B on the key's cached tail row, or for a plain write with no
-/// entry on `HEAD`, without a traversal. `None` when the cache is off,
-/// for a conditional step with no entry, or when case B's condition
-/// failed; a stale entry is then dropped and the caller traverses.
+/// entry on `HEAD` ([`DaalParams::head_first`]), without a traversal.
+/// `None` when the cache is off, for a conditional step with no entry, or
+/// when case B's condition failed; a stale entry is then dropped and the
+/// caller traverses.
 ///
 /// A non-`HEAD` row must still exist (an update must not resurrect a row
 /// the GC deleted) and must be older than the writing intent, which makes
 /// `not_exists(RecentWrites.{log_key})` in this one row a check over the
 /// whole chain (see [`TailCache`]). `HEAD` needs neither clause: it has no
 /// predecessor, and an absent one is the chain case B creates. A step
-/// resolved on an uncached `HEAD` leaves it in the cache.
+/// resolved on an uncached `HEAD` of a data table leaves it in the cache.
 fn write_cached(
     p: &DaalParams<'_>,
     table: &TableRef,
     key: &Arc<str>,
     step: &StepWrite<'_>,
 ) -> BeldiResult<Option<WriteOutcome>> {
-    let Some(cache) = p.tail_cache else {
-        return Ok(None);
-    };
-    let cached = cache.get(table.name(), key);
+    let cached = p.tail_cache.and_then(|cache| cache.get(table.name(), key));
     let row_id = match cached.clone() {
         Some(row_id) => row_id,
-        None if step.user_cond.is_none() => ROW_HEAD.into(),
+        None if p.head_first && step.user_cond.is_none() => ROW_HEAD.into(),
         None => return Ok(None),
     };
     let guard = if &*row_id == ROW_HEAD {
@@ -684,12 +689,12 @@ fn write_cached(
     let resolved = case_b(p, table, &pk, step, guard)?;
     let telemetry = p.db.telemetry();
     if resolved.is_some() {
-        if cached.is_none() {
+        if let (None, Some(cache)) = (&cached, p.tail_cache) {
             cache.put(table.name(), key, &row_id);
         }
         telemetry.add(Metric::TailCacheWriteHits, 1);
     } else {
-        if cached.is_some() {
+        if let (Some(_), Some(cache)) = (&cached, p.tail_cache) {
             cache.invalidate(table.name(), key);
         }
         telemetry.add(Metric::TailCacheWriteFallbacks, 1);
@@ -938,6 +943,7 @@ mod tests {
                 capacity: 3,
                 now_ms: &|| 0,
                 tail_cache: None,
+                head_first: false,
                 intent_created_ms: 0,
                 crash: &no_crash,
                 new_row_id: &|| unreachable!("row-id generator not wired"),
@@ -995,6 +1001,7 @@ mod tests {
             let p = DaalParams {
                 new_row_id: &gen,
                 tail_cache: Some(cache),
+                head_first: true,
                 ..self.params()
             };
             let before = self.db.metrics();

@@ -305,11 +305,6 @@ impl SsfContext {
     /// the same timestamp.
     pub fn logged_now_ms(&mut self) -> BeldiResult<u64> {
         let _op = self.op(Op::Read);
-        self.log_now_ms()
-    }
-
-    /// [`SsfContext::logged_now_ms`] under its caller's scope.
-    pub(crate) fn log_now_ms(&mut self) -> BeldiResult<u64> {
         let (step, now) = (self.step, Value::Int(self.raw_now_ms() as i64));
         let v = self.log_value(now)?;
         schema::time(&v).ok_or_else(|| self.corrupt_entry(step))

@@ -23,9 +23,14 @@
 //!   that SSF's one finalize claim, and a second signal to the same SSF
 //!   replays or joins it.
 //!
-//! Commit pays only for what it changes: one index query per shadow
-//! table finds an SSF's entries, a signal logs nothing at its sender, and
-//! a read of a committed value uses the tail cache.
+//! A transaction pays only for its items. Begin logs one entry, the id:
+//! its wait-die age is its intent's creation time, which the intent row
+//! already stores, so a transaction the instance begins again after a
+//! wait-die kill keeps its age (Rosenkrantz, Stearns & Lewis, 1978).
+//! With the tail cache on, a shadow write is one update on the `HEAD` its
+//! lock created. Commit pays only for what it changes: one index query
+//! per shadow table finds an SSF's entries, a signal logs nothing at its
+//! sender, and a read of a committed value uses the tail cache.
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -250,14 +255,15 @@ impl SsfContext {
                 return Ok(());
             }
         }
-        // The id and creation time are nondeterministic, so they are
-        // logged: a re-executed instance resumes the *same* transaction
-        // (and still owns its locks).
+        // The id is nondeterministic, so it is logged: a re-executed
+        // instance resumes the *same* transaction (and still owns its
+        // locks). The age is the intent's creation time, which its row
+        // stores, so a replay and a transaction begun again after a
+        // wait-die kill both keep it.
         let id = self.log_uuid()?.into();
-        let start_ms = self.log_now_ms()?;
         self.txn = Some(TxnState::owned(TxnContext {
             id,
-            start_ms,
+            start_ms: self.created_ms,
             mode: TxnMode::Execute,
         }));
         Ok(())

@@ -408,6 +408,48 @@ fn shadow_chains_are_reclaimed_after_commit() {
     assert_eq!(env.read_current("txn", "t", "b").unwrap(), Value::Int(2));
 }
 
+/// A pass that finds a shadow chain an earlier pass stamped whole has
+/// nothing left to stamp there: it reads none of the chain's owners from
+/// the intent table, where they are gone anyway, and once the dangle wait
+/// is over it deletes the chain.
+#[test]
+fn a_stamped_shadow_chain_is_deleted_without_probing_its_owners() {
+    let env = BeldiEnv::for_tests_with(gc_config());
+    env.register_ssf(
+        "txn",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            for v in 1..=4 {
+                ctx.write("t", "a", Value::Int(v))?;
+            }
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    env.invoke("txn", Value::Null).unwrap();
+    let shadow = "txn.data.t.shadow";
+    assert_eq!(table_len(&env, shadow), 2, "four writes at capacity 3");
+    let pass = || {
+        wait_t(&env);
+        let before = env.db_metrics();
+        let report = env.run_gc_once("txn").unwrap();
+        (report, env.db_metrics().delta(&before))
+    };
+
+    // The first pass recycles the owner and its finalize marker, which
+    // makes every row of the chain recyclable: it stamps both.
+    let (first, _) = pass();
+    assert_eq!((first.recycled_intents, first.disconnected_rows), (2, 2));
+    assert_eq!(first.deleted_rows, 0);
+    let (second, cost) = pass();
+    assert_eq!((second.recycled_intents, second.disconnected_rows), (0, 0));
+    assert_eq!(cost.gets, 0, "{cost:?}");
+    assert_eq!(second.deleted_rows, 2);
+    assert_eq!(table_len(&env, shadow), 0);
+    assert_eq!(env.read_current("txn", "t", "a").unwrap(), Value::Int(4));
+}
+
 #[test]
 fn cross_table_mode_write_log_is_pruned() {
     let env = counter_env(BeldiConfig::cross_table().with_t_max(Duration::from_millis(100)));

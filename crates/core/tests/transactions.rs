@@ -10,8 +10,8 @@ use beldi::value::{vmap, Cond, Path, Value};
 use beldi::{
     crash_stream, finalize_marker, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome,
 };
-use beldi_simclock::Event;
-use beldi_simdb::ScanRequest;
+use beldi_simclock::{Event, SimInstant};
+use beldi_simdb::{PrimaryKey, ScanRequest};
 use beldi_simfaas::Visit;
 
 mod common;
@@ -702,13 +702,13 @@ fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
 fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // One SSF's transaction reads, writes and commits one key. Each stage
     // pays for the item once:
-    // - begin: 2 writes (the logged id and start time);
+    // - begin: 1 write (the logged id);
     // - read: lock (query + write: the seeded key is not cached yet, and
     //   the traversal leaves its tail cached), shadow-entry create
     //   (write), the committed value through the tail cache (get), read
     //   log (write);
-    // - write: the shadow write (query + write: shadow tables are not
-    //   cached), under the held lock;
+    // - write: the shadow write (one update on `HEAD`), under the held
+    //   lock;
     // - commit: finalize marker (write), shadow index (query: its answer
     //   holds the entry's tail), flush-and-release (write, on the cached
     //   tail), callee index (query).
@@ -731,7 +731,7 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (1, 8, 4, 0, 0, 0)
+        (1, 7, 3, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
@@ -829,6 +829,152 @@ fn a_shadow_chain_longer_than_a_row_commits_its_tail() {
     env.invoke("w", Value::Null).unwrap();
     assert_eq!(env.db().row_count("w.data.t.shadow").unwrap(), 3);
     assert_eq!(env.read_current("w", "t", "k").unwrap(), Value::Int(7));
+}
+
+/// The store calls of each `ctx.write` of `k` inside one transaction that
+/// already holds `k`'s lock, as `(gets, writes, queries, failed
+/// conditions)`, then the committed value.
+fn shadow_write_costs(cfg: BeldiConfig, writes: i64) -> (Vec<(u64, u64, u64, u64)>, Value) {
+    let env = BeldiEnv::for_tests_with(cfg);
+    env.register_ssf("w", &["t"], Arc::new(|_, _| Ok(Value::Null)));
+    let mut ctx = env.test_context("w", "pinned");
+    ctx.begin_tx().unwrap();
+    ctx.lock("t", "k").unwrap();
+    let costs = (1..=writes)
+        .map(|v| {
+            let before = env.db_metrics();
+            ctx.write("t", "k", Value::Int(v)).unwrap();
+            let d = env.db_metrics().delta(&before);
+            assert_eq!((d.scans, d.deletes), (0, 0), "write {v}");
+            (d.gets, d.writes, d.queries, d.cond_failures)
+        })
+        .collect();
+    assert_eq!(ctx.end_tx().unwrap(), TxnOutcome::Committed);
+    (costs, env.read_current("w", "t", "k").unwrap())
+}
+
+/// With the tail cache on, a shadow write tries the entry's `HEAD`, which
+/// the lock created: one update and no query while `HEAD` is the whole
+/// chain. Once the chain outgrows it (row capacity 3), the try fails and
+/// the write traverses, and the commit flushes the tail's value. With the
+/// cache off, every shadow write traverses, as the paper's DAAL does.
+#[test]
+fn a_shadow_write_is_one_update_on_head_until_the_chain_outgrows_it() {
+    let (head_only, committed) = shadow_write_costs(BeldiConfig::beldi(), 2);
+    assert_eq!(head_only, [(0, 1, 0, 0); 2]);
+    assert_eq!(committed, Value::Int(2));
+
+    let (costs, committed) = shadow_write_costs(BeldiConfig::beldi().with_row_capacity(3), 7);
+    // Three entries fill `HEAD`. A later write fails on it (a failed
+    // update) and traverses (a query). The tail it finds takes the entry
+    // (an update) unless it is full too: then the failed case B there, the
+    // re-read that finds it full, the new row, its link and the entry.
+    assert_eq!(costs[..3], [(0, 1, 0, 0); 3]);
+    let (append, tail) = ((1, 5, 1, 2), (0, 2, 1, 1));
+    assert_eq!(costs[3..], [append, tail, tail, append]);
+    assert_eq!(committed, Value::Int(7));
+
+    let (uncached, _) = shadow_write_costs(BeldiConfig::beldi().with_tail_cache(false), 2);
+    assert_eq!(uncached, [(0, 1, 1, 0); 2]);
+}
+
+/// Takes, in one transaction per key, the first item its input lists that
+/// wait-die lets it lock, and commits; a transaction wait-die kills
+/// aborts, and the next one begins.
+fn register_taker(env: &BeldiEnv) {
+    env.register_ssf(
+        "taker",
+        &["t"],
+        Arc::new(|ctx, keys: Value| {
+            for key in keys.as_list().into_iter().flatten() {
+                let key = key.as_str().unwrap_or_default();
+                ctx.begin_tx()?;
+                match ctx.read("t", key) {
+                    Ok(_) => {
+                        ctx.end_tx()?;
+                        return Ok(Value::from(key));
+                    }
+                    Err(BeldiError::TxnAborted) => {
+                        assert_eq!(ctx.end_tx()?, TxnOutcome::Aborted);
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Err(BeldiError::TxnAborted)
+        }),
+    );
+}
+
+/// A transaction's wait-die age is its intent's creation time, not the
+/// time it began. Each `taker` instance below is killed once by a plan,
+/// at the label named, and relaunched by hand, in virtual time (ms):
+///
+/// - 5: `old` locks `held` and dies before releasing it;
+/// - 10: `young` dies by wait-die against `old` on `held`, aborts, and
+///   dies before it begins its next transaction;
+/// - 12: `younger` begins its transaction and dies before its lock;
+/// - 15: `young` again: its second transaction, with a new id and the
+///   age 10, locks `mine` and dies before releasing it;
+/// - 20: `younger` again requests `mine`. It began its transaction at
+///   12, before `young`'s second began, but its intent is younger, so it
+///   dies rather than wait.
+#[test]
+fn a_transaction_is_as_old_as_its_intent_even_when_begun_again() {
+    let env = BeldiEnv::for_tests();
+    register_taker(&env);
+    let owner = |key: &str| {
+        let pk = PrimaryKey::hash_sort(key, beldi::schema::ROW_HEAD);
+        let row = env.db().get("taker.data.t", &pk, None).unwrap().unwrap();
+        let lock = row.get_attr(beldi::A_LOCK).unwrap().clone();
+        (
+            lock.get_str("Id").unwrap().to_owned(),
+            lock.get_int("Ts").unwrap(),
+        )
+    };
+    let created = |id: &str| {
+        let pk = PrimaryKey::hash(id);
+        let row = env.db().get("taker.intent", &pk, None).unwrap().unwrap();
+        row.get_int(beldi::schema::A_CREATED).unwrap()
+    };
+    let killed_at = |id: &str, label: Label, keys: &[&str]| {
+        let at = env.clock().now().as_millis();
+        env.platform().faults().plan(id, CrashPlan::AtLabel(label));
+        let keys = Value::List(keys.iter().map(|&k| Value::from(k)).collect());
+        let out = env.invoke_attempts("taker", id, keys, 1);
+        assert!(out.is_err(), "{id} at {at} ms: {out:?}");
+    };
+    let sleep_until = |ms| env.clock().sleep_until(SimInstant::from_millis(ms));
+
+    sleep_until(5);
+    killed_at("old", Label::TxnPreReleaseItem, &["held"]);
+    let (old_txn, old_ts) = owner("held");
+    assert_eq!((old_ts, created("old")), (5, 5));
+
+    sleep_until(10);
+    killed_at("young", Label::TxnPostFinalize, &["held", "mine"]);
+    sleep_until(12);
+    killed_at("younger", Label::WriteEnter, &["mine"]);
+    sleep_until(15);
+    killed_at("young", Label::TxnPreReleaseItem, &["held", "mine"]);
+    let (young_txn, young_ts) = owner("mine");
+    assert_eq!((young_ts, created("young")), (10, 10));
+    // The first transaction's id, logged at `young`'s step 0.
+    let log = env
+        .db()
+        .get("taker.log", &PrimaryKey::hash("young#0"), None);
+    let first_txn = log.unwrap().unwrap().get_str("Value").unwrap().to_owned();
+    assert_ne!(young_txn, first_txn);
+    assert_eq!(owner("held"), (old_txn, old_ts), "`old` still holds `held`");
+
+    sleep_until(20);
+    let out = env.invoke_attempts("taker", "younger", Value::List(vec!["mine".into()]), 1);
+    assert!(matches!(out, Err(BeldiError::TxnAborted)), "{out:?}");
+    assert_eq!(created("younger"), 12);
+    assert_eq!(
+        owner("mine"),
+        (young_txn, young_ts),
+        "`young` still holds `mine`"
+    );
 }
 
 /// Registers SSFs that each increment `t/k`, then call, in the transaction

@@ -10,10 +10,11 @@
 //!    sequence with the fault injector in trace mode, recording every
 //!    crash point any instance passes (the *global crash stream*) plus the
 //!    final canonical application state.
-//! 2. **Depth-1 sweep** — one run per recorded crash point `k`, with a
-//!    global plan that kills whatever instance reaches step `k`. Up to the
-//!    crash the run is byte-identical to the oracle (same seeds, same
-//!    sequential schedule), so every schedule is reached deterministically.
+//! 2. **Depth-1 sweep** — one run per recorded crash point `k` (every
+//!    `stride`-th, and the first of each label), with a global plan that
+//!    kills whatever instance reaches step `k`. Up to the crash the run is
+//!    byte-identical to the oracle (same seeds, same sequential schedule),
+//!    so every schedule is reached deterministically.
 //! 3. **Depth-2 samples** — seeded random pairs `[i, i+gap]`
 //!    ([`beldi_simfaas::CrashPlan::Script`]): the second crash lands in
 //!    the *recovery* of the first, exercising multi-crash restarts.
@@ -62,9 +63,11 @@ pub struct ExploreOptions {
     /// pair sampler. Identical options ⇒ identical report.
     pub seed: u64,
     /// Sweep every `stride`-th crash point (1 = exhaustive; smoke tests
-    /// use larger strides).
+    /// use larger strides), and the first point of every label the oracle
+    /// passes.
     pub stride: usize,
-    /// Cap on depth-1 schedules after striding (`None` = all).
+    /// Cap on the strided depth-1 schedules (`None` = all); the one at
+    /// each label's first crash point is always run.
     pub max_depth1: Option<usize>,
     /// Seeded random depth-2 pairs to run (0 = depth 1 only).
     pub depth2_samples: usize,
@@ -95,12 +98,12 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// CI's preset (`explore --smoke`): every fifth crash point and two
-    /// depth-2 pairs over three requests. It is sized to kill commits: at
-    /// seed 42 three is the fewest requests with which the travel app
-    /// commits a reservation (with two, nothing reserves), and every fifth
-    /// point of that run includes a crash before a commit signal and one
-    /// before a flush (every seventh includes neither).
+    /// CI's preset (`explore --smoke`): every fifth crash point, the first
+    /// of every label, and two depth-2 pairs over three requests. It is
+    /// sized to kill commits: at seed 42 three is the fewest requests with
+    /// which the travel app commits a reservation (with two, nothing
+    /// reserves), so its sweep crashes before a commit signal and before a
+    /// flush.
     pub fn smoke() -> Self {
         ExploreOptions {
             requests: 3,
@@ -634,15 +637,23 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
         return report;
     }
 
-    // Depth 1: one schedule per (strided) crash point.
+    // Depth 1: one schedule per strided crash point, and one at the first
+    // point of every label the oracle passes, so no label it reaches goes
+    // uncrashed whatever the stride; the cap drops strided points only.
     let stride = opts.stride.max(1);
-    let mut schedules: Vec<Vec<u64>> = (0..oracle.crash_points.len() as u64)
+    let mut points: Vec<u64> = (0..oracle.crash_points.len() as u64)
         .step_by(stride)
-        .map(|k| vec![k])
         .collect();
     if let Some(cap) = opts.max_depth1 {
-        schedules.truncate(cap);
+        points.truncate(cap);
     }
+    points.extend(Label::ALL.into_iter().filter_map(|label| {
+        let first = oracle.crash_points.iter().position(|&l| l == label);
+        first.map(|k| k as u64)
+    }));
+    points.sort_unstable();
+    points.dedup();
+    let mut schedules: Vec<Vec<u64>> = points.into_iter().map(|k| vec![k]).collect();
 
     // Depth 2: seeded pairs [i, i+gap]; the second crash lands during the
     // recovery of the first (the global stream keeps counting across
