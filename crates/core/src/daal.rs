@@ -260,9 +260,9 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// transaction-recovery path anyway. A plain shadow write still tries
 /// `HEAD` first ([`DaalParams::head_first`]): the item's lock created it
 /// one step earlier, so it is usually the whole chain, and the argument
-/// above holds for it unchanged. The GC deletes a shadow `HEAD` only once
-/// its transaction's intents are `T` past done, when no execution writes
-/// there; an absent one is created exactly as the traversal would.
+/// above holds for it unchanged. The GC deletes a shadow chain only once
+/// its transaction has finalized in the SSF, when no execution writes
+/// there; an absent `HEAD` is created exactly as the traversal would.
 ///
 /// The cache is deliberately never authoritative — dropping any entry at
 /// any time is correct — so sizing and invalidation need no precision.
@@ -481,7 +481,8 @@ impl WriteOutcome {
 /// B, split into B1/B2 when `user_cond` is present), re-read on failure
 /// and dispatch to case A (already done), C (follow `NextRow`), or D
 /// (append a fresh row and advance). A step that case B resolves on that
-/// path leaves its row in the cache.
+/// path leaves its row in the cache. When the traversal ends at the
+/// `HEAD` whose case B just failed, the first round starts at the re-read.
 ///
 /// `user_cond` is evaluated *inside the database's atomicity scope* against
 /// the tail row, so callers may gate on `Value` or `LockOwner` paths.
@@ -505,13 +506,14 @@ pub(crate) fn try_write(
     (p.crash)(Label::DaalWriteEnter);
     // What case B writes, built once however often the loop retries.
     let step = StepWrite::new(p, log_key, payload, user_cond);
-    if let Some(outcome) = write_cached(p, table, key, &step)? {
-        return Ok(outcome);
-    }
+    let failed_on_head = match write_cached(p, table, key, &step)? {
+        Cached::Resolved(outcome) => return Ok(outcome),
+        Cached::Failed { on_head } => on_head,
+    };
     // Bound the retry loop defensively; every iteration either makes
     // progress along the chain or observes a concurrent writer's progress,
     // so this bound is never hit in practice.
-    for _ in 0..MAX_WRITE_ROUNDS {
+    for round in 0..MAX_WRITE_ROUNDS {
         let chain = traverse(p.db, table, key, Some(log_key))?;
         // The step's flag in any chain row: a write may have landed in a
         // row that filled up afterwards.
@@ -524,7 +526,11 @@ pub(crate) fn try_write(
         let start = chain
             .last()
             .map_or_else(|| ROW_HEAD.into(), |r| r.row_id.clone());
-        match write_at(p, table, key, start, &step)? {
+        // Case B just failed on `HEAD` under the condition `write_at` puts
+        // on it, and no write undoes what failed it: when the traversal
+        // ends there, the next step is the re-read.
+        let tried = round == 0 && failed_on_head && &*start == ROW_HEAD;
+        match write_at(p, table, key, start, &step, tried)? {
             Some(outcome) => return Ok(outcome),
             // The local view went stale (e.g. the GC deleted the candidate
             // row under us); rebuild it and retry.
@@ -655,11 +661,19 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
     }
 }
 
+/// What [`write_cached`] did.
+enum Cached {
+    /// Case B resolved the step.
+    Resolved(WriteOutcome),
+    /// The caller traverses: there was no row to try, or case B failed on
+    /// it, and then `on_head` tells whether that row was `HEAD`.
+    Failed { on_head: bool },
+}
+
 /// Case B on the key's cached tail row, or for a plain write with no
 /// entry on `HEAD` ([`DaalParams::head_first`]), without a traversal.
-/// `None` when the cache is off, for a conditional step with no entry, or
-/// when case B's condition failed; a stale entry is then dropped and the
-/// caller traverses.
+/// Nothing is tried when the cache is off or for a conditional step with
+/// no entry; a stale entry whose case B failed is dropped.
 ///
 /// A non-`HEAD` row must still exist (an update must not resurrect a row
 /// the GC deleted) and must be older than the writing intent, which makes
@@ -672,14 +686,15 @@ fn write_cached(
     table: &TableRef,
     key: &Arc<str>,
     step: &StepWrite<'_>,
-) -> BeldiResult<Option<WriteOutcome>> {
+) -> BeldiResult<Cached> {
     let cached = p.tail_cache.and_then(|cache| cache.get(table.name(), key));
     let row_id = match cached.clone() {
         Some(row_id) => row_id,
         None if p.head_first && step.user_cond.is_none() => ROW_HEAD.into(),
-        None => return Ok(None),
+        None => return Ok(Cached::Failed { on_head: false }),
     };
-    let guard = if &*row_id == ROW_HEAD {
+    let on_head = &*row_id == ROW_HEAD;
+    let guard = if on_head {
         Cond::True
     } else {
         let created = Value::Int(p.intent_created_ms as i64);
@@ -688,21 +703,22 @@ fn write_cached(
     let pk = PrimaryKey::hash_sort(key, &row_id);
     let resolved = case_b(p, table, &pk, step, guard)?;
     let telemetry = p.db.telemetry();
-    if resolved.is_some() {
+    if let Some(outcome) = resolved {
         if let (None, Some(cache)) = (&cached, p.tail_cache) {
             cache.put(table.name(), key, &row_id);
         }
         telemetry.add(Metric::TailCacheWriteHits, 1);
-    } else {
-        if let (Some(_), Some(cache)) = (&cached, p.tail_cache) {
-            cache.invalidate(table.name(), key);
-        }
-        telemetry.add(Metric::TailCacheWriteFallbacks, 1);
+        return Ok(Cached::Resolved(outcome));
     }
-    Ok(resolved)
+    if let (Some(_), Some(cache)) = (&cached, p.tail_cache) {
+        cache.invalidate(table.name(), key);
+    }
+    telemetry.add(Metric::TailCacheWriteFallbacks, 1);
+    Ok(Cached::Failed { on_head })
 }
 
-/// Runs the tail protocol starting from row `row_id`.
+/// Runs the tail protocol starting from row `row_id`; `tried` says case B
+/// already failed there, so the first round starts at the re-read.
 ///
 /// Returns `Ok(Some(outcome))` when the step resolved, and `Ok(None)` when
 /// the local view proved stale and the caller should re-scan. A step case
@@ -713,11 +729,12 @@ fn write_at(
     key: &Arc<str>,
     mut row_id: Arc<str>,
     step: &StepWrite<'_>,
+    tried: bool,
 ) -> BeldiResult<Option<WriteOutcome>> {
     // The row whose `NextRow` pointer we last chased, for pointer repair
     // (see below).
     let mut chased_from: Option<Arc<str>> = None;
-    for _ in 0..MAX_CHASE {
+    for chase in 0..MAX_CHASE {
         let pk = PrimaryKey::hash_sort(key, &row_id);
         // Rows other than HEAD must already exist: a conditional update
         // that "succeeds" against a row the GC deleted would resurrect it
@@ -728,11 +745,13 @@ fn write_at(
         } else {
             Cond::exists(A_KEY)
         };
-        if let Some(outcome) = case_b(p, table, &pk, step, existence)? {
-            if let Some(cache) = p.tail_cache {
-                cache.put(table.name(), key, &row_id);
+        if chase > 0 || !tried {
+            if let Some(outcome) = case_b(p, table, &pk, step, existence)? {
+                if let Some(cache) = p.tail_cache {
+                    cache.put(table.name(), key, &row_id);
+                }
+                return Ok(Some(outcome));
             }
-            return Ok(Some(outcome));
         }
 
         // The conditional writes failed: re-read the row and dispatch on

@@ -34,11 +34,12 @@
 //! keys a sparse index over appended rows lists (`Sweep::table` has the
 //! exactness argument), so a pass costs what its garbage costs.
 //!
-//! Shadow tables (§6.2) are collected the same way, except whole chains —
-//! including head and tail — are deleted once every entry is recyclable,
-//! since a finished transaction never reads its shadow again. A chain a
-//! pass stamped whole is only waiting out its dangle time: later passes
-//! do not probe its owners again.
+//! A shadow chain (§6.2) goes whole with its transaction's finalize
+//! marker in its SSF ([`finalize_marker`]), in the pass that recycles it,
+//! with no owner probe, stamp or dangle wait; a marker an owner claimed
+//! waits for its claimant, whose finalize may re-run. With no marker, a
+//! chain stays while its item's lock is its transaction's, which only
+//! finalize, after claiming the marker, releases.
 //!
 //! The GC needs only at-least-once semantics (Fig. 10 note): every action
 //! is an idempotent conditional update or delete.
@@ -52,11 +53,13 @@ use beldi_value::{Cond, Update, Value};
 
 use crate::config::Mode;
 use crate::daal;
-use crate::env::{EnvCore, Ssf};
+use crate::env::{EnvCore, Ssf, SsfTable};
 use crate::error::BeldiResult;
-use crate::ids::{log_key, parse_log_key, StepNumber};
+use crate::ids::{finalize_marker, log_key, parse_log_key};
 use crate::intent;
-use crate::schema::{DaalRow, DoneMark, A_APPENDED, A_DANGLE, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW};
+use crate::schema::{
+    self, DaalRow, DoneMark, ShadowRef, A_APPENDED, A_DANGLE, A_ID, A_KEY, A_LOG_KEY, A_NEXT_ROW,
+};
 use crate::Label;
 
 /// Summary of one garbage-collector pass.
@@ -155,32 +158,40 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     (hooks.crash)(Label::GcEnter);
 
     // Step 2: classify recyclable intents: done, and finished longer than
-    // the horizon ago.
-    // Each recyclable intent with the steps its done-mark lists.
-    let mut recyclable: Vec<(Arc<str>, Vec<StepNumber>)> = Vec::new();
-    // Classifying needs the done-mark's four small attributes; the
+    // the horizon ago. Each with the steps its done-mark lists and, for a
+    // claimed finalize marker, its claimant.
+    let mut recyclable = Vec::new();
+    // Classifying needs the done-mark's five small attributes; the
     // envelopes (`Ret`, and `Args` until the done-mark) that make up most
     // of an intent row stay in the store.
     let classify = ScanRequest::all().with_projection(Projection::attrs(DoneMark::ATTRS));
     let step = t.op(Op::GcClassify, &ssf.name);
-    for row in db.scan_all(intent_table, &classify)? {
+    let intents = db.scan_all(intent_table, &classify)?;
+    for row in &intents {
         // A corrupt done-mark leaves when the intent may go, or what it
         // owns in the log, unknown: it and its entries stay.
-        let Ok(mark) = DoneMark::decode(intent_table.name(), &row) else {
+        let Ok(mark) = DoneMark::decode(intent_table.name(), row) else {
             report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents);
             continue;
         };
-        let Some(finished) = mark.finished_ms else {
-            continue;
-        };
-        if now_ms.saturating_sub(finished) <= t_ms {
+        if mark
+            .finished_ms
+            .is_none_or(|f| now_ms.saturating_sub(f) <= t_ms)
+        {
             continue;
         }
         match mark.log_steps() {
-            Ok(steps) => recyclable.push((mark.id.clone(), steps)),
+            Ok(steps) => recyclable.push((mark.id.clone(), steps, mark.claimant.cloned())),
             Err(_) => report_corruption(t, Metric::GcCorruptIntents, &mut report.corrupt_intents),
         }
     }
+    // A claim goes once its claimant goes in this pass or has gone: one
+    // whose claimant stays leaves `gone` and the list.
+    let mut gone: HashSet<Arc<str>> = recyclable.iter().map(|(id, ..)| id.clone()).collect();
+    recyclable.retain(|(id, _, claimant)| match claimant {
+        Some(owner) if !gone.contains(owner) && listed(&intents, owner) => !gone.remove(id),
+        _ => true,
+    });
     drop(step);
     (hooks.crash)(Label::GcPostClassify);
 
@@ -193,7 +204,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
         clippy::disallowed_methods,
         reason = "between Label::GcPostClassify and Label::GcPostLogPrune"
     )]
-    for (id, steps) in &recyclable {
+    for (id, steps, _) in &recyclable {
         for &step in steps {
             let pk = PrimaryKey::hash(log_key(id, step));
             match db.delete(&ssf.log_table, &pk, &present) {
@@ -218,12 +229,13 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
             hooks,
             report: &mut report,
             intent_table,
-            recyclable: recyclable.iter().map(|(id, _)| id.clone()).collect(),
+            recyclable: gone,
+            intents: &intents,
             absent: HashMap::new(),
         };
         for table in &ssf.tables {
-            sweep.table(&table.data, false)?;
-            sweep.table(&table.shadow, true)?;
+            sweep.table(&table.data)?;
+            sweep.shadow(&ssf.name, table)?;
         }
     }
     (hooks.crash)(Label::GcPostDaal);
@@ -233,7 +245,7 @@ fn pass(core: &Arc<EnvCore>, ssf: &Ssf, hooks: &GcHooks<'_>) -> BeldiResult<GcRe
     // id can only come back as a zombie past its lease, whose counters
     // start over. Each delete runs in its intent's scope, so the run
     // record names the instance it recycles.
-    for (id, _) in &recyclable {
+    for (id, ..) in &recyclable {
         let _step = t.op(Op::GcRecycle, id);
         intent::delete(db, intent_table, id)?;
         core.platform.faults().forget(id);
@@ -254,75 +266,45 @@ struct Sweep<'a> {
     intent_table: &'a TableRef,
     /// The intents this pass recycles.
     recyclable: HashSet<Arc<str>>,
+    /// Step 2's read of the intent table.
+    intents: &'a [Value],
     /// Owners probed so far: whether each is absent from the intent table.
     absent: HashMap<String, bool>,
 }
 
 impl Sweep<'_> {
-    /// Collects one DAAL (or shadow) table: disconnect fully recyclable
-    /// non-tail rows, then delete rows that have dangled for more than
-    /// `T`.
+    /// Collects one DAAL table: disconnect fully recyclable non-tail rows,
+    /// then delete rows that have dangled for more than `T`.
     ///
-    /// In a data table everything steps 4–5 can touch — an interior row, a
-    /// dangle-stamped row, the orphan of a lost append, a cyclic chain — is
-    /// or requires a non-head row, and every non-head row carries
-    /// [`A_APPENDED`]. So the sparse index on it lists exactly the keys
-    /// with anything to collect, and a pass costs what its garbage costs.
-    /// Shadow tables are walked key by key: every shadow chain is
-    /// garbage-to-be and is collected whole, head included.
-    fn table(&mut self, table: &TableRef, is_shadow: bool) -> BeldiResult<()> {
-        let keys = if is_shadow {
-            self.db.distinct_hash_keys(table)?
-        } else {
-            // One index entry per non-head row, in key order: a key's rows
-            // are adjacent, so `dedup` leaves each key once.
-            let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
-            let mut keys: Vec<Value> = self
-                .db
-                .index_query(table, A_APPENDED, &Value::Bool(true), &keys_only)?
-                .iter()
-                .filter_map(|row| row.get_attr(A_KEY).cloned())
-                .collect();
-            keys.dedup();
-            keys
-        };
-        for key in &keys {
-            if let Some(key) = key.as_shared_str() {
-                self.key(table, key, is_shadow)?;
-            }
+    /// Everything steps 4–5 can touch — an interior row, a dangle-stamped
+    /// row, the orphan of a lost append, a cyclic chain — is or requires a
+    /// non-head row, and every non-head row carries [`A_APPENDED`]. So the
+    /// sparse index on it lists exactly the keys with anything to collect,
+    /// and a pass costs what its garbage costs.
+    fn table(&mut self, table: &TableRef) -> BeldiResult<()> {
+        // One index entry per non-head row, in key order: a key's rows are
+        // adjacent, so `dedup` leaves each key once.
+        let keys_only = ScanRequest::all().with_projection(Projection::attrs([A_KEY]));
+        let mut keys = self
+            .db
+            .index_query(table, A_APPENDED, &Value::Bool(true), &keys_only)?;
+        keys.dedup();
+        for key in keys
+            .iter()
+            .filter_map(|row| row.get_attr(A_KEY)?.as_shared_str())
+        {
+            self.key(table, key)?;
         }
         Ok(())
     }
 
-    fn key(&mut self, table: &TableRef, key: &Arc<str>, is_shadow: bool) -> BeldiResult<()> {
+    fn key(&mut self, table: &TableRef, key: &Arc<str>) -> BeldiResult<()> {
         let (db, now_ms, t_ms) = (self.db, self.now_ms, self.t_ms);
         // Full (unprojected) rows: the GC inspects every log entry.
         let rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
         let Some((rows, chain, reachable)) = reconstruct_chain(table.name(), key, &rows) else {
             return self.corrupt_chain();
         };
-
-        // Shadow chains: once *every* row (tail included) is recyclable the
-        // whole chain — head and tail too, per §6.2 — is stamped and later
-        // deleted wholesale, with reachability ignored. A chain stamped
-        // whole by an earlier pass has nothing left to stamp: its owners
-        // are not probed again.
-        if is_shadow && chain.iter().any(|&i| rows[i].dangle_ms.is_none()) {
-            let mut all_recyclable = true;
-            for &i in &chain {
-                if !self.recyclable(&rows[i])? {
-                    all_recyclable = false;
-                    break;
-                }
-            }
-            if all_recyclable {
-                for &i in &chain {
-                    if rows[i].dangle_ms.is_none() {
-                        self.stamp(table, key, rows[i].row_id)?;
-                    }
-                }
-            }
-        }
 
         // Step 4: disconnect fully recyclable interior rows (never the
         // head, never the tail). A row is unlinked through `prev`, the last
@@ -371,9 +353,8 @@ impl Sweep<'_> {
             }
         }
 
-        // Step 5: delete rows that dangled for more than `T`; shadow chains
-        // are deleted wholesale once stamped. Interior rows must
-        // additionally be unreachable *at deletion time*: the pass-start
+        // Step 5: delete rows that dangled for more than `T` and are
+        // unreachable *at deletion time*: the pass-start
         // snapshot is stale by now — a concurrent collector working from
         // its own pre-disconnect view can re-link a dangling row while
         // unlinking that row's neighbour (its guarded `prev.NextRow` update
@@ -389,37 +370,61 @@ impl Sweep<'_> {
         if candidates.is_empty() {
             return Ok(());
         }
-        let fresh_rows;
-        let fresh_reachable = if is_shadow {
-            None
-        } else {
-            (self.hooks.probe)(Label::GcStep5PreRescan);
-            fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
-            let Some((_, _, fresh)) = reconstruct_chain(table.name(), key, &fresh_rows) else {
-                return self.corrupt_chain();
-            };
-            Some(fresh)
+        (self.hooks.probe)(Label::GcStep5PreRescan);
+        let fresh_rows = db.query(table, &Value::from(key), &ScanRequest::all())?;
+        let Some((_, _, fresh_reachable)) = reconstruct_chain(table.name(), key, &fresh_rows)
+        else {
+            return self.corrupt_chain();
         };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "between Label::GcStep5PreDelete and Label::GcPostDaal"
-        )]
         for row_id in candidates {
-            if fresh_reachable
-                .as_ref()
-                .is_some_and(|f| f.contains(&**row_id))
-            {
+            if fresh_reachable.contains(&**row_id) {
                 continue; // Re-linked since the pass snapshot: still live.
             }
             (self.hooks.probe)(Label::GcStep5PreDelete);
-            let pk = PrimaryKey::hash_sort(key, row_id);
-            match db.delete(table, &pk, &Cond::True) {
-                Ok(()) => self.report.deleted_rows += 1,
-                Err(DbError::ConditionFailed) => {}
-                Err(e) => return Err(e.into()),
+            self.delete(table, key, row_id)?;
+        }
+        Ok(())
+    }
+
+    /// Deletes whole each shadow chain of `table` whose transaction has
+    /// finalized in `ssf`: its marker goes in this pass, or is absent and
+    /// the item's lock is not the transaction's. A chain none of whose
+    /// rows names its transaction, made after the GC deleted it, goes too.
+    fn shadow(&mut self, ssf: &str, table: &SsfTable) -> BeldiResult<()> {
+        let refs = ScanRequest::all().with_projection(Projection::attrs(ShadowRef::ATTRS));
+        let rows = self.db.scan_all(&table.shadow, &refs)?;
+        // The scan answers in key order: a chain's rows are adjacent.
+        for chain in rows.chunk_by(|a, b| a.get_attr(A_KEY) == b.get_attr(A_KEY)) {
+            let decode = |row| ShadowRef::decode(table.shadow.name(), row);
+            let Ok(chain) = chain.iter().map(decode).collect::<BeldiResult<Vec<_>>>() else {
+                self.corrupt_chain()?;
+                continue;
+            };
+            let finalized = match chain.iter().find_map(|row| row.item) {
+                Some((txn, key)) => {
+                    let marker = finalize_marker(ssf, txn);
+                    self.recyclable.contains(&marker)
+                        || !listed(self.intents, &marker) && !self.locked(&table.data, key, txn)?
+                }
+                None => true,
+            };
+            if finalized {
+                for row in &chain {
+                    self.delete(&table.shadow, row.skey, row.row_id)?;
+                }
             }
         }
         Ok(())
+    }
+
+    /// Whether `txn` holds `key`'s lock in `data`. A lock that breaks its
+    /// decode rule counts the chain corrupt, and reads as held.
+    fn locked(&mut self, data: &TableRef, key: &Arc<str>, txn: &str) -> BeldiResult<bool> {
+        let lock = daal::lock_owner(self.db, data, key)?.unwrap_or_default();
+        match schema::lock_owner(data.name(), key, &lock) {
+            Ok(holder) => Ok(holder.is_some_and(|(id, _)| id == txn)),
+            Err(_) => self.corrupt_chain().map(|()| true),
+        }
     }
 
     /// True when every write-log entry in `row` belongs to a recyclable
@@ -475,12 +480,33 @@ impl Sweep<'_> {
         Ok(())
     }
 
+    /// Deletes a row and counts it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "steps 4–5 delete between Label::GcPostLogPrune (Label::GcStep5PreDelete \
+                  in a data table) and Label::GcPostDaal"
+    )]
+    fn delete(&mut self, table: &TableRef, key: &Arc<str>, row_id: &Arc<str>) -> BeldiResult<()> {
+        let pk = PrimaryKey::hash_sort(key, row_id);
+        self.db.delete(table, &pk, &Cond::True)?;
+        self.report.deleted_rows += 1;
+        Ok(())
+    }
+
     /// Counts a corrupt chain; the key is left untouched.
     fn corrupt_chain(&mut self) -> BeldiResult<()> {
         let count = &mut self.report.corrupt_chains;
         report_corruption(self.t, Metric::GcCorruptChains, count);
         Ok(())
     }
+}
+
+/// Whether `id` is among `intents`, a scan of an intent table: it answers
+/// in key order, so a binary search finds it.
+fn listed(intents: &[Value], id: &str) -> bool {
+    intents
+        .binary_search_by(|row| row.get_str(A_ID).cmp(&Some(id)))
+        .is_ok()
 }
 
 /// `key`'s rows decoded, the positions of the chain reachable from

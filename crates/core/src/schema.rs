@@ -119,8 +119,8 @@ pub const A_RESULT: &str = "Result";
 /// registration, before its done-mark; absent means not confirmed. A
 /// replay of `async_invoke` reads it to skip registering again.
 pub const A_REGISTERED: &str = "Registered";
-/// Transaction id the invocation happened under (indexed), or absent.
-/// Never decoded: its index answers a query by value.
+/// Transaction id the invocation happened under (indexed), or absent;
+/// on a shadow row, the transaction whose chain it is (`ShadowRef`).
 pub const A_TXN_ID: &str = "TxnId";
 /// Logged write outcome in a cross-table-mode write-log entry. Required.
 pub const A_FLAG: &str = "Flag";
@@ -235,11 +235,6 @@ impl IntentRecord {
     pub fn root_outcome(self, table: &str) -> BeldiResult<Value> {
         self.ret.ok_or_else(|| corrupt(table, &self.id, A_RET))
     }
-
-    /// A finalize marker's [`A_CLAIMANT`], read from its whole row.
-    pub fn claimant<'r>(table: &str, id: &str, row: &'r Value) -> BeldiResult<Option<&'r str>> {
-        opt(row, A_CLAIMANT, Value::as_str).map_err(|attr| corrupt(table, id, attr))
-    }
 }
 
 /// GC step 2's read of an intent row, projected to [`DoneMark::ATTRS`].
@@ -249,28 +244,34 @@ pub struct DoneMark<'r> {
     pub id: &'r Arc<str>,
     /// The finish time; `None` while the intent is not done.
     pub finished_ms: Option<u64>,
+    /// On a finalize marker an owner claimed, the owner: its
+    /// [`A_CLAIMANT`].
+    pub claimant: Option<&'r Arc<str>>,
     table: &'r str,
     row: &'r Value,
 }
 
 impl<'r> DoneMark<'r> {
     /// The attributes the decoder reads.
-    pub const ATTRS: [&'static str; 4] = [A_ID, A_DONE, A_FINISH, A_LOG_STEPS];
+    pub const ATTRS: [&'static str; 5] = [A_ID, A_DONE, A_FINISH, A_LOG_STEPS, A_CLAIMANT];
 
-    /// Decodes an intent row's id, done flag and finish time.
+    /// Decodes an intent row's id, done flag, finish time and claimant.
     pub fn decode(table: &'r str, row: &'r Value) -> BeldiResult<Self> {
         let id = req(row, A_ID, Value::as_shared_str).map_err(|attr| corrupt(table, "", attr))?;
-        let finished = match req(row, A_DONE, Value::as_bool) {
-            Ok(true) => req(row, A_FINISH, time).map(Some),
-            done => done.map(|_| None),
+        let mark = || -> Rule<Self> {
+            let finished_ms = match req(row, A_DONE, Value::as_bool)? {
+                true => Some(req(row, A_FINISH, time)?),
+                false => None,
+            };
+            Ok(DoneMark {
+                id,
+                finished_ms,
+                claimant: opt(row, A_CLAIMANT, Value::as_shared_str)?,
+                table,
+                row,
+            })
         };
-        let finished_ms = finished.map_err(|attr| corrupt(table, id, attr))?;
-        Ok(DoneMark {
-            id,
-            finished_ms,
-            table,
-            row,
-        })
+        mark().map_err(|attr| corrupt(table, id, attr))
     }
 
     /// The steps the intent logged at, its [`A_LOG_STEPS`].
@@ -510,6 +511,41 @@ pub(crate) fn shadow_probe(table: &str, key: &str, mut row: Value) -> BeldiResul
     written(&mut row).map_err(|attr| corrupt(table, key, attr))
 }
 
+/// A shadow row as the GC reads it, projected to [`ShadowRef::ATTRS`]:
+/// where it is, and the transaction and item its chain buffers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShadowRef<'r> {
+    pub skey: &'r Arc<str>,
+    pub row_id: &'r Arc<str>,
+    /// Its [`A_TXN_ID`] and [`A_ORIG_KEY`]. Absent means a write made the
+    /// row after the GC had deleted its chain: the lock step that makes a
+    /// chain sets them, and an append carries them over.
+    pub item: Option<(&'r Arc<str>, &'r Arc<str>)>,
+}
+
+impl<'r> ShadowRef<'r> {
+    /// The attributes the decoder reads.
+    pub const ATTRS: [&'static str; 4] = [A_KEY, A_ROW_ID, A_TXN_ID, A_ORIG_KEY];
+
+    /// Decodes a row the projection returned.
+    pub fn decode(table: &str, row: &'r Value) -> BeldiResult<Self> {
+        let skey =
+            req(row, A_KEY, Value::as_shared_str).map_err(|attr| corrupt(table, "", attr))?;
+        let decoded = || -> Rule<Self> {
+            let item = match opt(row, A_TXN_ID, Value::as_shared_str)? {
+                Some(txn) => Some((txn, req(row, A_ORIG_KEY, Value::as_shared_str)?)),
+                None => None,
+            };
+            Ok(ShadowRef {
+                skey,
+                row_id: req(row, A_ROW_ID, Value::as_shared_str)?,
+                item,
+            })
+        };
+        decoded().map_err(|attr| corrupt(table, skey, attr))
+    }
+}
+
 impl TxnContext {
     /// Decodes a context: `Id`, `StartMs` (a time) and `Mode`, required.
     pub(crate) fn decode(v: &Value) -> Option<Self> {
@@ -718,9 +754,10 @@ mod tests {
         let marker = with(&marker, A_CREATED, Some(Value::Int(2)));
         let rec = IntentRecord::decode("i", &marker).unwrap();
         assert!(rec.done && !rec.is_async && rec.args.is_none());
-        assert_eq!(IntentRecord::claimant("i", "x", &marker), Ok(Some("owner")));
+        let claimant = DoneMark::decode("i", &marker).unwrap().claimant;
+        assert_eq!(claimant.map(|c| &**c), Some("owner"));
         let bad = with(&marker, A_CLAIMANT, Some(Value::Int(1)));
-        let err = IntentRecord::claimant("i", "x", &bad).unwrap_err();
+        let err = DoneMark::decode("i", &bad).unwrap_err();
         assert_eq!(err, corrupt("i", "x", A_CLAIMANT));
         // A done root without its outcome has nothing to replay.
         let err = rec.root_outcome("i").unwrap_err();
@@ -764,8 +801,9 @@ mod tests {
 
     /// DAAL and shadow rows: a row without `Created` is not one created
     /// at 0, a pointer or a flag of the wrong kind is not absent, a
-    /// written shadow tail without its value is not `Null`, and a shadow
-    /// row without its `OrigTable` does not belong to the table it is in.
+    /// written shadow tail without its value is not `Null`, a shadow row
+    /// without its `OrigTable` does not belong to the table it is in, and
+    /// one with a `TxnId` but no `OrigKey` names no item.
     #[test]
     fn a_daal_or_shadow_row_breaking_a_rule_is_corrupt() {
         let writes = beldi_value::vmap! { "i#0" => true, "i#1" => 1i64 };
@@ -817,6 +855,18 @@ mod tests {
         assert_eq!(err, corrupt("s", "tx|k", A_VALUE));
         let locked = with(&unwritten, A_WRITTEN, Some(Value::Bool(false)));
         assert_eq!(shadow_probe("s", "tx|k", locked), Ok(None));
+
+        // The GC's read: a row that names its transaction names its item
+        // too; one a write made after its chain was deleted names neither.
+        let named = with(&shadow, A_TXN_ID, Some(Value::from("tx")));
+        let item = ShadowRef::decode("s", &named).unwrap().item;
+        assert_eq!(item.map(|(txn, key)| (&**txn, &**key)), Some(("tx", "k")));
+        assert_eq!(ShadowRef::decode("s", &shadow).unwrap().item, None);
+        for (attr, v) in [(A_ORIG_KEY, None), (A_TXN_ID, Some(Value::Int(1)))] {
+            let bad = with(&named, attr, v.clone());
+            let err = ShadowRef::decode("s", &bad).unwrap_err();
+            assert_eq!(err, corrupt("s", "tx|k", attr), "{attr} = {v:?}");
+        }
     }
 
     #[test]

@@ -200,9 +200,8 @@ use crate::daal;
 use crate::ids::finalize_marker;
 use crate::invoke::{self, Envelope, Outcome};
 use crate::schema::{
-    self, shadow_key, IntentRecord, InvokeEntry, ShadowRow, A_CLAIMANT, A_CREATED, A_DONE,
-    A_FINISH, A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN,
-    ROW_HEAD,
+    self, shadow_key, DoneMark, InvokeEntry, ShadowRow, A_CLAIMANT, A_CREATED, A_DONE, A_FINISH,
+    A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
 };
 use crate::Label;
 
@@ -611,13 +610,16 @@ impl SsfContext {
             .update(table, &pk, &Cond::not_exists(A_ID), &update)
         {
             Ok(()) => Ok(true),
-            Err(DbError::ConditionFailed) => match self.db().get(table, &pk, None)? {
-                Some(row) => {
-                    let claimant = IntentRecord::claimant(table.name(), marker, &row)?;
-                    Ok(claimant == Some(self.instance_id()))
+            Err(DbError::ConditionFailed) => {
+                let mark = Projection::attrs(DoneMark::ATTRS);
+                match self.db().get(table, &pk, Some(&mark))? {
+                    Some(row) => {
+                        let claimant = DoneMark::decode(table.name(), &row)?.claimant;
+                        Ok(claimant == Some(self.instance()))
+                    }
+                    None => Ok(false),
                 }
-                None => Ok(false),
-            },
+            }
             Err(e) => Err(e.into()),
         }
     }

@@ -408,12 +408,12 @@ fn shadow_chains_are_reclaimed_after_commit() {
     assert_eq!(env.read_current("txn", "t", "b").unwrap(), Value::Int(2));
 }
 
-/// A pass that finds a shadow chain an earlier pass stamped whole has
-/// nothing left to stamp there: it reads none of the chain's owners from
-/// the intent table, where they are gone anyway, and once the dangle wait
-/// is over it deletes the chain.
+/// A shadow chain goes, whole, in the pass that recycles its
+/// transaction's finalize marker: until then it stays, and that pass
+/// reads none of the chain's owners, stamps nothing, and keeps the
+/// committed value.
 #[test]
-fn a_stamped_shadow_chain_is_deleted_without_probing_its_owners() {
+fn a_shadow_chain_goes_in_the_pass_that_recycles_its_marker() {
     let env = BeldiEnv::for_tests_with(gc_config());
     env.register_ssf(
         "txn",
@@ -430,22 +430,19 @@ fn a_stamped_shadow_chain_is_deleted_without_probing_its_owners() {
     env.invoke("txn", Value::Null).unwrap();
     let shadow = "txn.data.t.shadow";
     assert_eq!(table_len(&env, shadow), 2, "four writes at capacity 3");
-    let pass = || {
-        wait_t(&env);
-        let before = env.db_metrics();
-        let report = env.run_gc_once("txn").unwrap();
-        (report, env.db_metrics().delta(&before))
-    };
+    let young = env.run_gc_once("txn").unwrap();
+    assert_eq!(young, GcReport::default());
+    assert_eq!(table_len(&env, shadow), 2);
 
-    // The first pass recycles the owner and its finalize marker, which
-    // makes every row of the chain recyclable: it stamps both.
-    let (first, _) = pass();
-    assert_eq!((first.recycled_intents, first.disconnected_rows), (2, 2));
-    assert_eq!(first.deleted_rows, 0);
-    let (second, cost) = pass();
-    assert_eq!((second.recycled_intents, second.disconnected_rows), (0, 0));
-    assert_eq!(cost.gets, 0, "{cost:?}");
-    assert_eq!(second.deleted_rows, 2);
+    // Past `T` the pass recycles the owner and its finalize marker, and
+    // deletes the chain's two rows with them.
+    wait_t(&env);
+    let before = env.db_metrics();
+    let report = env.run_gc_once("txn").unwrap();
+    let cost = env.db_metrics().delta(&before);
+    assert_eq!(report.recycled_intents, 2);
+    assert_eq!((report.disconnected_rows, report.deleted_rows), (0, 2));
+    assert_eq!((cost.gets, cost.writes), (0, 0), "{cost:?}");
     assert_eq!(table_len(&env, shadow), 0);
     assert_eq!(env.read_current("txn", "t", "a").unwrap(), Value::Int(4));
 }
@@ -585,15 +582,14 @@ fn a_run_of_recyclable_rows_is_collected_to_head_and_tail() {
     assert_eq!(env.read_current("ctr", "t", "k").unwrap(), Value::Int(14));
 }
 
-/// The same for a shadow chain that is not yet whole garbage: a
-/// transaction's callee writes one item ten times and finishes, then its
-/// caller writes the item once more and dies before the commit. Past `T`
-/// every row but the tail holds only the callee's entries; the rows
-/// between head and tail go, and the unfinished caller's tail stays on
-/// the chain. (A shadow row is deleted once its dangle wait is over,
-/// reachable or not, so a leaked row would cut the tail off the head.)
+/// A shadow chain is never collected in part: a transaction's callee
+/// writes one item ten times and finishes, then its caller writes the
+/// item once more and dies before the commit. Past `T` every row but the
+/// tail holds only the callee's entries, and the chain stays whole
+/// through any number of passes; once the relaunched caller commits the
+/// tail's value, the pass past `T` deletes the chain whole.
 #[test]
-fn a_run_of_recyclable_shadow_rows_is_collected_to_head_and_tail() {
+fn an_unfinished_transactions_shadow_chain_stays_whole_until_its_commit() {
     beldi::silence_crash_backtraces();
     let env = BeldiEnv::for_tests_with(gc_config().with_row_capacity(2));
     env.register_ssf(
@@ -626,10 +622,18 @@ fn a_run_of_recyclable_shadow_rows_is_collected_to_head_and_tail() {
     assert_eq!(reached, built);
     for _ in 0..3 {
         wait_t(&env);
-        env.run_gc_once("txn").unwrap();
+        let report = env.run_gc_once("txn").unwrap();
+        assert_eq!((report.disconnected_rows, report.deleted_rows), (0, 0));
     }
-    // Head and tail, and the tail is still reached from the head.
-    assert_eq!(chain_rows(&env, shadow, &key), (2, 2), "{built} rows built");
+    assert_eq!(chain_rows(&env, shadow, &key), (built, built));
+
+    env.invoke_attempts("txn", "root", Value::Null, 1).unwrap();
+    assert_eq!(env.read_current("txn", "t", "k").unwrap(), Value::Int(10));
+    assert_eq!(chain_rows(&env, shadow, &key), (built, built));
+    wait_t(&env);
+    let report = env.run_gc_once("txn").unwrap();
+    assert_eq!(report.deleted_rows, built, "{report:?}");
+    assert_eq!(table_len(&env, shadow), 0);
 }
 
 /// A pass costs what its garbage costs: the same requests drive 8 keys
@@ -816,5 +820,199 @@ fn a_crash_anywhere_leaves_no_log_row_behind() {
             }
             assert_eq!(env.read_current("root", "t", "k").unwrap(), Value::Int(1));
         }
+    }
+}
+
+/// The row at the end of `key`'s chain in `table`, walked from `HEAD`.
+fn tail_row(env: &BeldiEnv, table: &str, key: &str) -> Value {
+    use beldi::schema::{A_NEXT_ROW, A_ROW_ID, ROW_HEAD};
+    let rows = env
+        .db()
+        .query(table, &Value::from(key), &ScanRequest::all())
+        .unwrap();
+    let row = |id: &str| rows.iter().find(|r| r.get_str(A_ROW_ID) == Some(id));
+    let mut tail = row(ROW_HEAD).expect("a HEAD");
+    while let Some(next) = tail.get_str(A_NEXT_ROW) {
+        tail = row(next).expect("a linked row");
+    }
+    tail.clone()
+}
+
+/// The transaction id that holds `key`'s lock in `leg`'s table, if any.
+fn lock_holder(env: &BeldiEnv, key: &str) -> Option<String> {
+    let tail = tail_row(env, "leg.data.t", key);
+    let lock = tail.get_attr(beldi::A_LOCK).filter(|l| !l.is_null())?;
+    Some(
+        lock.get_str("Id")
+            .expect("a lock names its owner")
+            .to_owned(),
+    )
+}
+
+/// A transaction's owner `owner` calls its one leg, which writes `x` (1
+/// → 2) and only reads `y`, both in `leg`'s table.
+fn leg_env() -> BeldiEnv {
+    let env = BeldiEnv::for_tests_with(gc_config());
+    env.register_ssf(
+        "leg",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.read("t", "y")?;
+            ctx.write("t", "x", Value::Int(2))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "owner",
+        &[],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            ctx.sync_invoke("leg", Value::Null)?;
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    for key in ["x", "y"] {
+        env.seed("leg", "t", key, Value::Int(1)).unwrap();
+    }
+    env
+}
+
+/// An owner killed before it finalizes, and relaunched only after its
+/// leg's intent has been recycled, still commits: its leg's shadow chains
+/// wait for the transaction's finalize marker, not for the leg. Collected
+/// once the leg was `T` past done, the chains would leave the relaunched
+/// owner's commit nothing to flush or release: `x` would stay 1 and both
+/// locks would stay the transaction's.
+#[test]
+fn a_late_recovered_owner_commits_what_its_recycled_leg_wrote() {
+    beldi::silence_crash_backtraces();
+    let env = leg_env();
+    let faults = env.platform().faults();
+    faults.plan("o1", CrashPlan::AtLabel(Label::TxnPreFinalize));
+    env.invoke_attempts("owner", "o1", Value::Null, 1)
+        .unwrap_err();
+    let txn = lock_holder(&env, "x").expect("x locked");
+    assert_eq!(lock_holder(&env, "y").as_deref(), Some(&*txn));
+    for _ in 0..3 {
+        wait_t(&env);
+        env.run_gc_once("leg").unwrap();
+    }
+    assert_eq!(table_len(&env, "leg.intent"), 0, "the leg was recycled");
+    assert_eq!(
+        table_len(&env, "leg.data.t.shadow"),
+        2,
+        "x's and y's chains"
+    );
+
+    env.invoke_attempts("owner", "o1", Value::Null, 1).unwrap();
+    assert_eq!(env.read_current("leg", "t", "x").unwrap(), Value::Int(2));
+    for key in ["x", "y"] {
+        assert_eq!(lock_holder(&env, key), None, "{key} still locked");
+    }
+}
+
+/// A chain whose finalize marker is absent stays while its item's lock is
+/// its transaction's, however long the owner takes: each pass past `T`
+/// reads the data table's index and the two locks (a traversal and a get
+/// each), and deletes nothing.
+#[test]
+fn a_chain_whose_lock_is_held_outlives_any_number_of_passes() {
+    beldi::silence_crash_backtraces();
+    let env = leg_env();
+    let faults = env.platform().faults();
+    faults.plan("o1", CrashPlan::AtLabel(Label::TxnPreFinalize));
+    env.invoke_attempts("owner", "o1", Value::Null, 1)
+        .unwrap_err();
+    for pass in 0..6 {
+        wait_t(&env);
+        let before = env.db_metrics();
+        let report = env.run_gc_once("leg").unwrap();
+        let cost = env.db_metrics().delta(&before);
+        assert_eq!((report.deleted_rows, report.disconnected_rows), (0, 0));
+        assert_eq!(
+            (cost.queries, cost.gets, cost.writes),
+            (3, 2, 0),
+            "pass {pass}"
+        );
+        assert_eq!(table_len(&env, "leg.data.t.shadow"), 2, "pass {pass}");
+    }
+}
+
+/// A marker its owner claimed is not recycled while the owner is not
+/// done, even long past its own finish time: the owner, killed after its
+/// finalize, may run it again and needs the chain. The claim and its
+/// claimant go together, in the first pass more than `T` after the
+/// relaunched owner's done-mark, and the chain with them.
+#[test]
+fn a_claimed_marker_waits_for_its_claimant() {
+    beldi::silence_crash_backtraces();
+    let env = BeldiEnv::for_tests_with(gc_config());
+    env.register_ssf(
+        "txn",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            ctx.write("t", "a", Value::Int(1))?;
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    let faults = env.platform().faults();
+    faults.plan("o", CrashPlan::AtLabel(Label::TxnPostFinalize));
+    env.invoke_attempts("txn", "o", Value::Null, 1).unwrap_err();
+    assert_eq!(table_len(&env, "txn.intent"), 2, "the owner and its claim");
+    for _ in 0..3 {
+        wait_t(&env);
+        let report = env.run_gc_once("txn").unwrap();
+        assert_eq!((report.recycled_intents, report.deleted_rows), (0, 0));
+    }
+    assert_eq!(table_len(&env, "txn.data.t.shadow"), 1);
+
+    env.invoke_attempts("txn", "o", Value::Null, 1).unwrap();
+    let owner = env.db().get("txn.intent", &PrimaryKey::hash("o"), None);
+    let done_at = owner.unwrap().unwrap().get_int("FinishTime").unwrap() as u64;
+    let pass_at = |ms: u64| {
+        env.clock()
+            .sleep_until(beldi_simclock::SimInstant::from_millis(ms));
+        env.run_gc_once("txn").unwrap()
+    };
+    let at_t = pass_at(done_at + 100);
+    assert_eq!((at_t.recycled_intents, at_t.deleted_rows), (0, 0));
+    let past_t = pass_at(done_at + 101);
+    assert_eq!((past_t.recycled_intents, past_t.deleted_rows), (2, 1));
+    assert_eq!(table_len(&env, "txn.intent"), 0);
+    assert_eq!(table_len(&env, "txn.data.t.shadow"), 0);
+    assert_eq!(env.read_current("txn", "t", "a").unwrap(), Value::Int(1));
+}
+
+/// A leg killed after its callback but before its done-mark leaves its
+/// owner free to commit, and stays unfinished. Relaunched only after the
+/// pass that recycled its transaction's marker deleted its chains, it
+/// makes them again as its lock steps replay; the next pass finds the
+/// marker gone and the locks not the transaction's, and deletes them.
+#[test]
+fn a_chain_a_late_relaunched_leg_makes_goes_by_its_lock() {
+    beldi::silence_crash_backtraces();
+    let env = leg_env();
+    let faults = env.platform().faults();
+    faults.set_global_plan(Some(CrashPlan::AtLabel(Label::WrapperPreDone)));
+    env.invoke_as("owner", "o1", Value::Null).unwrap();
+    assert_eq!(faults.injected_count(), 1);
+    assert_eq!(env.read_current("leg", "t", "x").unwrap(), Value::Int(2));
+    wait_t(&env);
+    let report = env.run_gc_once("leg").unwrap();
+    assert_eq!((report.recycled_intents, report.deleted_rows), (1, 2));
+    assert_eq!(table_len(&env, "leg.intent"), 1, "the unfinished leg");
+
+    let drain = env.drain_recovery(5).unwrap();
+    assert_eq!((drain.restarted, drain.unfinished), (1, 0), "{drain:?}");
+    assert_eq!(table_len(&env, "leg.data.t.shadow"), 2, "made again");
+    let report = env.run_gc_once("leg").unwrap();
+    assert_eq!(report.deleted_rows, 2, "{report:?}");
+    assert_eq!(table_len(&env, "leg.data.t.shadow"), 0);
+    assert_eq!(env.read_current("leg", "t", "x").unwrap(), Value::Int(2));
+    for key in ["x", "y"] {
+        assert_eq!(lock_holder(&env, key), None, "{key} locked again");
     }
 }

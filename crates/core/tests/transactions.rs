@@ -868,10 +868,11 @@ fn a_shadow_write_is_one_update_on_head_until_the_chain_outgrows_it() {
     // Three entries fill `HEAD`. A later write fails on it (a failed
     // update) and traverses (a query). The tail it finds takes the entry
     // (an update) unless it is full too: then the failed case B there, the
-    // re-read that finds it full, the new row, its link and the entry.
+    // re-read that finds it full, the new row, its link and the entry. A
+    // traversal that ends at the `HEAD` just tried starts at the re-read.
     assert_eq!(costs[..3], [(0, 1, 0, 0); 3]);
-    let (append, tail) = ((1, 5, 1, 2), (0, 2, 1, 1));
-    assert_eq!(costs[3..], [append, tail, tail, append]);
+    let (head_append, append, tail) = ((1, 4, 1, 1), (1, 5, 1, 2), (0, 2, 1, 1));
+    assert_eq!(costs[3..], [head_append, tail, tail, append]);
     assert_eq!(committed, Value::Int(7));
 
     let (uncached, _) = shadow_write_costs(BeldiConfig::beldi().with_tail_cache(false), 2);

@@ -642,8 +642,8 @@ impl Database {
         }
     }
 
-    /// Returns the distinct hash-key values of a table, sorted (the GC's
-    /// shadow-table walk and verification walks).
+    /// Returns the distinct hash-key values of a table, sorted
+    /// (verification walks).
     pub fn distinct_hash_keys(&self, table: &(impl AsTable + ?Sized)) -> DbResult<Vec<Value>> {
         let table = table.as_table(self);
         let t = table.resolve()?;
