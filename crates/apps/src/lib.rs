@@ -251,6 +251,13 @@ mod clippy_canaries {
         env.db()
             .update("t", &key, &Cond::True, &Update::new().inc("N", 1))
             .ok();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "canary: Database::update_returning"
+        )]
+        env.db()
+            .update_returning("t", &key, &Cond::True, &Update::new(), &Default::default())
+            .ok();
         #[expect(clippy::disallowed_methods, reason = "canary: Database::delete")]
         env.db().delete("t", &key, &Cond::True).ok();
         #[expect(
@@ -297,8 +304,8 @@ mod clippy_canaries {
             let own: Vec<_> = mine.iter().filter(|e| !root.contains(e)).collect();
             assert_eq!(
                 own.len(),
-                4,
-                "{crate_name}: put, update, delete, transact_write: {own:?}"
+                5,
+                "{crate_name}: put, update, update_returning, delete, transact_write: {own:?}"
             );
             assert!(own.iter().all(|e| e.contains("beldi_simdb::Database::")));
         }

@@ -70,7 +70,6 @@ pub(crate) fn main(args: &Args) {
         requests: args.or_smoke("--requests", smoke.requests),
         seed: args.get("--seed"),
         stride: args.or_smoke("--stride", smoke.stride),
-        max_depth1: None,
         depth2_samples: args.or_smoke("--depth2-samples", smoke.depth2_samples),
         gc_check: args.flag("--gc-check"),
         gc_interleave: args.flag("--gc-interleave"),

@@ -442,6 +442,10 @@ pub(crate) fn read_value(db: &Database, table: &TableRef, key: &Arc<str>) -> Bel
     read_value_cached(db, None, table, key)
 }
 
+/// A resolved [`try_write`]: its outcome, and the value case B returned,
+/// if the step asked for one and applied the payload.
+type Resolved = (WriteOutcome, Option<Value>);
+
 /// Outcome of [`try_write`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WriteOutcome {
@@ -494,7 +498,12 @@ impl WriteOutcome {
 ///
 /// Returns whether the payload was applied. Exactly-once: re-executions
 /// find the logged flag and return the original outcome without touching
-/// the row again.
+/// the row again. With `returning`, it also returns the item's value when
+/// case B applies the payload now: the `Value` of the tail row it updated,
+/// as the update left it, returned by that one write
+/// ([`Database::update_returning`]). A step that resolves otherwise —
+/// case A's replay, a false condition — returns no value, and its caller
+/// reads the item as before.
 pub(crate) fn try_write(
     p: &DaalParams<'_>,
     table: &TableRef,
@@ -502,12 +511,13 @@ pub(crate) fn try_write(
     log_key: &Arc<str>,
     payload: Update,
     user_cond: Option<&Cond>,
-) -> BeldiResult<WriteOutcome> {
+    returning: bool,
+) -> BeldiResult<Resolved> {
     (p.crash)(Label::DaalWriteEnter);
     // What case B writes, built once however often the loop retries.
-    let step = StepWrite::new(p, log_key, payload, user_cond);
-    let failed_on_head = match write_cached(p, table, key, &step)? {
-        Cached::Resolved(outcome) => return Ok(outcome),
+    let step = &StepWrite::new(p, log_key, payload, user_cond, returning);
+    let failed_on_head = match write_cached(p, table, key, step)? {
+        Cached::Resolved(resolved) => return Ok(resolved),
         Cached::Failed { on_head } => on_head,
     };
     // Bound the retry loop defensively; every iteration either makes
@@ -520,7 +530,7 @@ pub(crate) fn try_write(
         if let Some(flag) = chain.iter().find_map(|r| r.logged) {
             // Case A (found during the scan): the operation already
             // executed in some chain row; replay its outcome.
-            return Ok(WriteOutcome::from_flag(flag));
+            return Ok((WriteOutcome::from_flag(flag), None));
         }
         // Fresh DAALs start at HEAD (the conditional update creates it).
         let start = chain
@@ -530,8 +540,8 @@ pub(crate) fn try_write(
         // on it, and no write undoes what failed it: when the traversal
         // ends there, the next step is the re-read.
         let tried = round == 0 && failed_on_head && &*start == ROW_HEAD;
-        match write_at(p, table, key, start, &step, tried)? {
-            Some(outcome) => return Ok(outcome),
+        match write_at(p, table, key, start, step, tried)? {
+            Some(resolved) => return Ok(resolved),
             // The local view went stale (e.g. the GC deleted the candidate
             // row under us); rebuild it and retry.
             None => continue,
@@ -558,6 +568,8 @@ struct StepWrite<'a> {
     now_ms: u64,
     apply: Update,
     user_cond: Option<&'a Cond>,
+    /// Whether B1 returns the row's `Value`.
+    returning: bool,
 }
 
 impl<'a> StepWrite<'a> {
@@ -566,6 +578,7 @@ impl<'a> StepWrite<'a> {
         log_key: &'a Arc<str>,
         payload: Update,
         user_cond: Option<&'a Cond>,
+        returning: bool,
     ) -> Self {
         let now_ms = (p.now_ms)();
         StepWrite {
@@ -573,6 +586,7 @@ impl<'a> StepWrite<'a> {
             now_ms,
             apply: log_actions(log_key, true, now_ms, payload),
             user_cond,
+            returning,
         }
     }
 }
@@ -600,14 +614,14 @@ fn log_actions(log_key: &Arc<str>, flag: bool, now_ms: u64, update: Update) -> U
 /// Case B at row `pk`, under [`case_b_cond`] and `guard`: B1 (or plain
 /// B) applies the payload and logs `true`; when its condition fails, a
 /// conditional step tries B2, which logs `false`. `None` when neither
-/// condition held.
+/// condition held. A returning step's B1 returns the row's `Value`.
 fn case_b(
     p: &DaalParams<'_>,
     table: &TableRef,
     pk: &PrimaryKey,
     step: &StepWrite<'_>,
     guard: Cond,
-) -> BeldiResult<Option<WriteOutcome>> {
+) -> BeldiResult<Option<Resolved>> {
     let mut cond = case_b_cond(p, step.log_key).and(guard.clone());
     if let Some(uc) = step.user_cond {
         cond = cond.and(uc.clone());
@@ -617,10 +631,17 @@ fn case_b(
         clippy::disallowed_methods,
         reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
     )]
-    match ids::logging(step.log_key, || p.db.update(table, pk, &cond, &step.apply)) {
-        Ok(()) => {
+    let applied = ids::logging(step.log_key, || match step.returning {
+        true => {
+            p.db.update_returning(table, pk, &cond, &step.apply, &Projection::attrs([A_VALUE]))
+                .map(|row| Some(schema::data_value(Some(&row))))
+        }
+        false => p.db.update(table, pk, &cond, &step.apply).map(|()| None),
+    });
+    match applied {
+        Ok(value) => {
             (p.crash)(Label::DaalWritePostApply);
-            return Ok(Some(WriteOutcome::Applied));
+            return Ok(Some((WriteOutcome::Applied, value)));
         }
         Err(DbError::ConditionFailed) => {}
         Err(e) => return Err(refused(p, table, pk, e)),
@@ -641,7 +662,7 @@ fn case_b(
     match ids::logging(step.log_key, || p.db.update(table, pk, &cond, &log_false)) {
         Ok(()) => {
             (p.crash)(Label::DaalWritePostLogFalse);
-            Ok(Some(WriteOutcome::ConditionFalse))
+            Ok(Some((WriteOutcome::ConditionFalse, None)))
         }
         Err(DbError::ConditionFailed) => Ok(None),
         Err(e) => Err(refused(p, table, pk, e)),
@@ -664,7 +685,7 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
 /// What [`write_cached`] did.
 enum Cached {
     /// Case B resolved the step.
-    Resolved(WriteOutcome),
+    Resolved(Resolved),
     /// The caller traverses: there was no row to try, or case B failed on
     /// it, and then `on_head` tells whether that row was `HEAD`.
     Failed { on_head: bool },
@@ -703,12 +724,12 @@ fn write_cached(
     let pk = PrimaryKey::hash_sort(key, &row_id);
     let resolved = case_b(p, table, &pk, step, guard)?;
     let telemetry = p.db.telemetry();
-    if let Some(outcome) = resolved {
+    if let Some(resolved) = resolved {
         if let (None, Some(cache)) = (&cached, p.tail_cache) {
             cache.put(table.name(), key, &row_id);
         }
         telemetry.add(Metric::TailCacheWriteHits, 1);
-        return Ok(Cached::Resolved(outcome));
+        return Ok(Cached::Resolved(resolved));
     }
     if let (Some(_), Some(cache)) = (&cached, p.tail_cache) {
         cache.invalidate(table.name(), key);
@@ -730,7 +751,7 @@ fn write_at(
     mut row_id: Arc<str>,
     step: &StepWrite<'_>,
     tried: bool,
-) -> BeldiResult<Option<WriteOutcome>> {
+) -> BeldiResult<Option<Resolved>> {
     // The row whose `NextRow` pointer we last chased, for pointer repair
     // (see below).
     let mut chased_from: Option<Arc<str>> = None;
@@ -746,11 +767,11 @@ fn write_at(
             Cond::exists(A_KEY)
         };
         if chase > 0 || !tried {
-            if let Some(outcome) = case_b(p, table, &pk, step, existence)? {
+            if let Some(resolved) = case_b(p, table, &pk, step, existence)? {
                 if let Some(cache) = p.tail_cache {
                     cache.put(table.name(), key, &row_id);
                 }
-                return Ok(Some(outcome));
+                return Ok(Some(resolved));
             }
         }
 
@@ -790,7 +811,7 @@ fn write_at(
         if let Some(flag) = row.logged(table.name(), key, step.log_key)? {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
-            return Ok(Some(WriteOutcome::from_flag(flag)));
+            return Ok(Some((WriteOutcome::from_flag(flag), None)));
         }
         match row.next {
             // Case C: the row filled up and points onward; chase the tail.
@@ -983,8 +1004,10 @@ mod tests {
                 &log_key.into(),
                 Update::new().set(A_VALUE, Value::Int(v)),
                 None,
+                false,
             )
             .unwrap()
+            .0
         }
 
         fn cond_write(&self, key: &str, log_key: &str, v: i64, cond: Cond) -> WriteOutcome {
@@ -1001,8 +1024,10 @@ mod tests {
                 &log_key.into(),
                 Update::new().set(A_VALUE, Value::Int(v)),
                 Some(&cond),
+                false,
             )
             .unwrap()
+            .0
         }
 
         /// One write step through `cache`, with the store calls it made:
@@ -1025,9 +1050,17 @@ mod tests {
             };
             let before = self.db.metrics();
             let table = p.db.table("t");
-            let out = try_write(&p, &table, &key.into(), &log_key.into(), payload, cond);
+            let out = try_write(
+                &p,
+                &table,
+                &key.into(),
+                &log_key.into(),
+                payload,
+                cond,
+                false,
+            );
             let d = self.db.metrics().delta(&before);
-            (out.unwrap(), (d.gets, d.writes, d.queries))
+            (out.unwrap().0, (d.gets, d.writes, d.queries))
         }
 
         /// `key`'s value read through `cache`, with the store calls the
@@ -1078,6 +1111,7 @@ mod tests {
                 &"i#1".into(),
                 payload,
                 None,
+                false,
             );
             assert_eq!(out, Err(schema::corrupt("t", "k", attr)));
             row.as_map_mut().unwrap().remove(attr);
@@ -1185,6 +1219,8 @@ mod tests {
         assert_eq!(f.chain_len("k"), 2);
     }
 
+    /// A lock's write sets the owner and, asked to, returns the item's
+    /// value; a replay of the step and a failed lock return none.
     #[test]
     fn lock_payload_sets_owner() {
         let f = Fixture::new();
@@ -1197,31 +1233,27 @@ mod tests {
         };
         let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
-        let out = try_write(
-            &p,
-            &p.db.table("t"),
-            &"k".into(),
-            &"a#1".into(),
-            Update::new().set(A_LOCK, owner.clone()),
-            Some(&free),
-        )
-        .unwrap();
-        assert_eq!(out, WriteOutcome::Applied);
+        let lock = |log_key: &str, owner: &Value| {
+            let before = f.db.metrics();
+            let payload = Update::new().set(A_LOCK, owner.clone());
+            let (t, k, l) = (p.db.table("t"), "k".into(), log_key.into());
+            let out = try_write(&p, &t, &k, &l, payload, Some(&free), true).unwrap();
+            let d = f.db.metrics().delta(&before);
+            (out, (d.gets, d.writes))
+        };
+        assert_eq!(
+            lock("a#1", &owner),
+            ((WriteOutcome::Applied, Some(Value::Int(1))), (0, 1))
+        );
         assert_eq!(
             lock_owner(&f.db, &f.db.table("t"), &"k".into()).unwrap(),
-            Some(owner)
+            Some(owner.clone())
         );
+        // Its replay finds the step logged and returns no value.
+        assert_eq!(lock("a#1", &owner).0, (WriteOutcome::Applied, None));
         // A second transaction fails to acquire.
-        let out = try_write(
-            &p,
-            &p.db.table("t"),
-            &"k".into(),
-            &"b#0".into(),
-            Update::new().set(A_LOCK, crate::txn::lock_owner_value(&"txn-2".into(), 30)),
-            Some(&free),
-        )
-        .unwrap();
-        assert_eq!(out, WriteOutcome::ConditionFalse);
+        let other = crate::txn::lock_owner_value(&"txn-2".into(), 30);
+        assert_eq!(lock("b#0", &other).0, (WriteOutcome::ConditionFalse, None));
     }
 
     /// An appended row's `Created` is a clock read taken after its
@@ -1258,9 +1290,10 @@ mod tests {
             &"i#3".into(),
             Update::new().set(A_VALUE, Value::Int(3)),
             None,
+            false,
         )
         .unwrap();
-        assert_eq!(out, WriteOutcome::Applied);
+        assert_eq!(out, (WriteOutcome::Applied, None));
         assert_eq!(f.chain_len("k"), 2);
         let row = f.db.get("t", &PrimaryKey::hash_sort("k", "R-new"), None);
         let created = row.unwrap().unwrap().get_int(A_CREATED);

@@ -37,9 +37,10 @@
 //! A shadow chain (§6.2) goes whole with its transaction's finalize
 //! marker in its SSF ([`finalize_marker`]), in the pass that recycles it,
 //! with no owner probe, stamp or dangle wait; a marker an owner claimed
-//! waits for its claimant, whose finalize may re-run. With no marker, a
-//! chain stays while its item's lock is its transaction's, which only
-//! finalize, after claiming the marker, releases.
+//! waits for its claimant, whose finalize may re-run. With no marker in
+//! step 2's scan, a chain stays while its item's lock is its
+//! transaction's, which only finalize, after claiming the marker,
+//! releases, or while a get finds the marker claimed since the scan.
 //!
 //! The GC needs only at-least-once semantics (Fig. 10 note): every action
 //! is an idempotent conditional update or delete.
@@ -312,14 +313,14 @@ impl Sweep<'_> {
         // successor's predecessor is the unlinked row's.
         if chain.len() > 2 {
             let mut prev = &rows[chain[0]];
-            for &i in &chain[1..chain.len() - 1] {
-                let row = &rows[i];
+            for pair in chain[1..].windows(2) {
+                let (row, successor) = (&rows[pair[0]], &rows[pair[1]]);
                 // Already disconnected and awaiting deletion, or still live.
                 let Some(next) = row.next.filter(|_| row.dangle_ms.is_none()) else {
                     prev = row;
                     continue;
                 };
-                if !self.recyclable(row)? {
+                if !self.recyclable(row, successor.created_ms)? {
                     prev = row;
                     continue;
                 }
@@ -390,6 +391,12 @@ impl Sweep<'_> {
     /// finalized in `ssf`: its marker goes in this pass, or is absent and
     /// the item's lock is not the transaction's. A chain none of whose
     /// rows names its transaction, made after the GC deleted it, goes too.
+    ///
+    /// A marker step 2's scan does not list may have been claimed since:
+    /// finalize claims it before it frees a lock, so a free lock is
+    /// followed by a get of the marker, which then finds it. The chain
+    /// stays until the marker goes, and a leg that re-executes meanwhile
+    /// replays its shadow writes from it.
     fn shadow(&mut self, ssf: &str, table: &SsfTable) -> BeldiResult<()> {
         let refs = ScanRequest::all().with_projection(Projection::attrs(ShadowRef::ATTRS));
         let rows = self.db.scan_all(&table.shadow, &refs)?;
@@ -404,7 +411,9 @@ impl Sweep<'_> {
                 Some((txn, key)) => {
                     let marker = finalize_marker(ssf, txn);
                     self.recyclable.contains(&marker)
-                        || !listed(self.intents, &marker) && !self.locked(&table.data, key, txn)?
+                        || !listed(self.intents, &marker)
+                            && !self.locked(&table.data, key, txn)?
+                            && self.intent_absent(&marker)?
                 }
                 None => true,
             };
@@ -427,14 +436,22 @@ impl Sweep<'_> {
         }
     }
 
-    /// True when every write-log entry in `row` belongs to a recyclable
+    /// True when every write-log entry in `row`, an interior row whose
+    /// successor was created at `successor_ms`, belongs to a recyclable
     /// owner.
-    fn recyclable(&mut self, row: &DaalRow<'_>) -> BeldiResult<bool> {
+    ///
+    /// An appended row's `Created` is read after its predecessor was read
+    /// full, so every entry of `row` was written no later than
+    /// `successor_ms`, and each entry's owner registered its intent before
+    /// writing it. When that is before this pass's clock read, step 2's
+    /// scan, taken after it, lists every such owner not yet recycled.
+    fn recyclable(&mut self, row: &DaalRow<'_>, successor_ms: u64) -> BeldiResult<bool> {
+        let registered_before_scan = successor_ms < self.now_ms;
         for log_key in row.writes.into_iter().flat_map(|w| w.keys()) {
             let Some((owner, _)) = parse_log_key(log_key) else {
                 return Ok(false); // Unparseable: be conservative.
             };
-            if !self.owner_recyclable(owner)? {
+            if !self.owner_recyclable(owner, registered_before_scan)? {
                 return Ok(false);
             }
         }
@@ -444,22 +461,33 @@ impl Sweep<'_> {
     /// True when `owner`'s logs may be pruned: either classified
     /// recyclable this pass, or already absent from the intent table
     /// (recycled by an earlier pass — every instance registers its intent
-    /// before any logged operation, so absence is conclusive).
-    fn owner_recyclable(&mut self, owner: &str) -> BeldiResult<bool> {
+    /// before any logged operation, so absence is conclusive). Step 2's
+    /// scan decides an owner it lists, and one that `registered_before_scan`
+    /// and it does not list; only the rest is probed.
+    fn owner_recyclable(&mut self, owner: &str, registered_before_scan: bool) -> BeldiResult<bool> {
         if self.recyclable.contains(owner) {
             return Ok(true);
+        }
+        let scanned = listed(self.intents, owner);
+        if scanned || registered_before_scan {
+            return Ok(!scanned);
         }
         if let Some(&hit) = self.absent.get(owner) {
             return Ok(hit);
         }
-        // An existence probe: the envelopes stay in the store.
-        let (id_only, pk) = (Projection::attrs([A_ID]), PrimaryKey::hash(owner));
-        let absent = self
-            .db
-            .get(self.intent_table, &pk, Some(&id_only))?
-            .is_none();
+        let absent = self.intent_absent(owner)?;
         self.absent.insert(owner.to_owned(), absent);
         Ok(absent)
+    }
+
+    /// Whether intent `id` is absent from the intent table now: an
+    /// existence probe, whose envelopes stay in the store.
+    fn intent_absent(&self, id: &str) -> BeldiResult<bool> {
+        let (id_only, pk) = (Projection::attrs([A_ID]), PrimaryKey::hash(id));
+        Ok(self
+            .db
+            .get(self.intent_table, &pk, Some(&id_only))?
+            .is_none())
     }
 
     /// Stamps `DangleTime = now` on a row (idempotent-if-absent) and
@@ -933,6 +961,88 @@ mod tests {
             (scan.scans, 0, 0, 0)
         );
         assert_eq!(e.db().row_count("f.intent").unwrap(), 0);
+    }
+
+    /// Step 4 decides an entry's owner from step 2's scan: one the scan
+    /// lists stays, and one it does not list is gone when the row's
+    /// successor was created before the pass began, so every entry in the
+    /// row, and its owner's registration, came before the scan. Over full
+    /// rows whose owners an earlier pass recycled, a pass makes no intent
+    /// get; only a successor created at or after its clock read is probed.
+    #[test]
+    fn owners_of_full_rows_are_decided_by_the_classify_scan() {
+        // HEAD -> B -> C -> D: B holds an entry of `gone` (recycled by an
+        // earlier pass), C one of `live` (registered, running).
+        let pass = |successor_ms: i64| {
+            let e = env();
+            let row = |id: &str, next: Option<&str>, owner: &str, created: i64| {
+                let mut row = vmap! {
+                    A_KEY => "k", A_ROW_ID => id, A_VALUE => 1i64, A_APPENDED => true,
+                    crate::schema::A_LOG_SIZE => 1i64, A_CREATED => created,
+                    crate::schema::A_WRITES => vmap! { log_key(owner, 0) => true }
+                };
+                if let Some(n) = next {
+                    row.as_map_mut().unwrap().insert(A_NEXT_ROW, Value::from(n));
+                }
+                #[expect(clippy::disallowed_methods, reason = "the test plants a row")]
+                e.db().put("f.data.t", row).unwrap();
+            };
+            plant_row(&e, ROW_HEAD, 0, Some("B"), None);
+            row("B", Some("C"), "gone", 0);
+            row("C", Some("D"), "live", successor_ms);
+            row("D", None, "live", successor_ms);
+            let intents = e.db().table("f.intent");
+            intent::register(
+                e.db(),
+                &intents,
+                &"live".into(),
+                Value::Null,
+                false,
+                None,
+                0,
+            )
+            .unwrap();
+            e.clock().sleep(Duration::from_millis(10));
+            let before = e.db_metrics();
+            let report = run_gc(e.test_core(), &e.test_ssf("f")).unwrap();
+            (report.disconnected_rows, e.db_metrics().delta(&before).gets)
+        };
+        // B goes, C stays; the scan decided both.
+        assert_eq!(pass(5), (1, 0));
+        // C created after the pass's clock read: `gone` is probed.
+        assert_eq!(pass(1_000), (1, 1));
+    }
+
+    /// A leg's finalize claims its marker after step 2's scan and frees
+    /// the item's lock before the pass reads it: the pass then finds the
+    /// marker by a get and keeps the chain, which goes with the marker.
+    #[test]
+    fn a_marker_claimed_after_the_scan_keeps_its_shadow_chain() {
+        let e = BeldiEnv::for_tests();
+        e.register_ssf(
+            "leg",
+            &["t"],
+            Arc::new(|ctx, _| {
+                ctx.write("t", "k", Value::Int(1))?;
+                Ok(Value::Null)
+            }),
+        );
+        e.register_ssf("owner", &[], Arc::new(|_, _| Ok(Value::Null)));
+        let owner = RefCell::new(e.test_context("owner", "o"));
+        owner.borrow_mut().begin_tx().unwrap();
+        owner.borrow_mut().sync_invoke("leg", Value::Null).unwrap();
+        let commit = |label: Label| {
+            if label == Label::GcPostLogPrune {
+                owner.borrow_mut().end_tx().unwrap();
+            }
+        };
+        let hooks = GcHooks {
+            crash: &commit,
+            probe: &|_| {},
+        };
+        run_gc_with(e.test_core(), &e.test_ssf("leg"), &hooks).unwrap();
+        assert_eq!(e.read_current("leg", "t", "k").unwrap(), Value::Int(1));
+        assert_eq!(e.db().row_count("leg.data.t.shadow").unwrap(), 1);
     }
 
     /// The horizon is exact: an intent whose done-mark ran at `t` survives

@@ -39,7 +39,7 @@ use crate::schema::{
     opt, req, time, IntentRecord, InvokeEntry, Rule, A_CALLEE_FN, A_LOG_KEY, A_REGISTERED,
     A_RESULT, A_TXN_ID,
 };
-use crate::txn::{TxnContext, TxnMode};
+use crate::txn::{TxnContext, TxnState};
 use crate::Label;
 
 /// How many times an invocation (or callback) is retried against platform
@@ -101,6 +101,10 @@ pub(crate) enum Envelope {
         id: Arc<str>,
         /// The transaction context in `Commit` or `Abort` mode.
         txn: TxnContext,
+        /// True when the sender knows the receiving SSF invoked no SSF
+        /// inside the transaction: its finalize then signals no one and
+        /// queries no log ([`Outcome::Leaf`]).
+        leaf: bool,
     },
 }
 
@@ -113,6 +117,7 @@ const K_ASYNC: &str = "Async";
 const K_FIRST_ATTEMPT: &str = "FirstAttempt";
 const K_CALLEE_ID: &str = "CalleeId";
 const K_RESULT: &str = "Result";
+const K_LEAF: &str = "Leaf";
 
 impl Envelope {
     /// A call outside a transaction and not a retry: every call
@@ -229,11 +234,14 @@ impl Envelope {
                 m.insert(K_CALLER, caller.into());
                 m
             }
-            Envelope::TxnSignal { id, txn } => {
-                let mut m = Map::with_capacity(3);
+            Envelope::TxnSignal { id, txn, leaf } => {
+                let mut m = Map::with_capacity(3 + usize::from(leaf));
                 m.insert(K_OP, "txnsignal".into());
                 m.insert(K_ID, id.into());
                 m.insert(K_TXN, txn.to_value());
+                if leaf {
+                    m.insert(K_LEAF, Value::Bool(true));
+                }
                 m
             }
         };
@@ -269,6 +277,7 @@ impl Envelope {
                 "txnsignal" => Envelope::TxnSignal {
                     id: string(K_ID)?.ok_or(K_ID)?,
                     txn: req(&v, K_TXN, TxnContext::decode)?,
+                    leaf: opt(&v, K_LEAF, Value::as_bool)?.unwrap_or(false),
                 },
                 _ => return Err(K_OP),
             })
@@ -285,6 +294,13 @@ impl Envelope {
 pub(crate) enum Outcome {
     /// The body completed with this return value.
     Ok(Value),
+    /// A transactional callee's body completed with this return value,
+    /// and it invoked no SSF inside the transaction: a leaf of the
+    /// transaction's call tree (R*'s leaf participant). A caller whose
+    /// every callee in the transaction answered so knows them without a
+    /// log query, and tells each that it has no callees. No other
+    /// outcome carries the tag.
+    Leaf(Value),
     /// The enclosing transaction aborted.
     Abort,
     /// The body returned an application error.
@@ -303,6 +319,7 @@ impl Outcome {
     pub fn into_value(self) -> Value {
         match self {
             Outcome::Ok(v) => beldi_value::vmap! { "Outcome" => "ok", "Ret" => v },
+            Outcome::Leaf(v) => beldi_value::vmap! { "Outcome" => "leaf", "Ret" => v },
             Outcome::Abort => beldi_value::vmap! { "Outcome" => "abort" },
             Outcome::Error(m) => beldi_value::vmap! { "Outcome" => "error", "Msg" => m },
             Outcome::Expired => beldi_value::vmap! { "Outcome" => "expired" },
@@ -330,7 +347,7 @@ impl Outcome {
     /// Converts the outcome into the caller-facing API result.
     pub fn into_result(self) -> BeldiResult<Value> {
         match self {
-            Outcome::Ok(v) => Ok(v),
+            Outcome::Ok(v) | Outcome::Leaf(v) => Ok(v),
             Outcome::Abort => Err(BeldiError::TxnAborted),
             Outcome::Error(m) => Err(BeldiError::Protocol(m)),
             Outcome::Expired => Err(BeldiError::Protocol("retry past its T_max window".into())),
@@ -361,8 +378,8 @@ impl SsfContext {
         let txn_id = self
             .txn
             .as_ref()
-            .filter(|t| t.ctx.mode == TxnMode::Execute && !t.ended)
-            .map(|t| &t.ctx.id);
+            .and_then(TxnState::forwarded)
+            .map(|ctx| &ctx.id);
         let mut update =
             Update::with_capacity(1 + usize::from(txn_id.is_some())).set(A_CALLEE_FN, callee_fn);
         if let Some(id) = txn_id {
@@ -431,7 +448,12 @@ impl SsfContext {
     /// own `end_tx`.
     pub fn sync_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<Value> {
         let _op = self.op(Op::SyncInvoke);
-        let outcome = self.invoke_with_entry(callee, input)?;
+        let in_txn = self.txn.as_ref().is_some_and(|t| t.forwarded().is_some());
+        let outcome = self.invoke_with_entry(callee, input);
+        if let Some(t) = self.txn.as_mut().filter(|_| in_txn) {
+            t.invoked(callee, matches!(outcome, Ok(Outcome::Leaf(_))));
+        }
+        let outcome = outcome?;
         if matches!(outcome, Outcome::Abort) {
             if let Some(t) = &mut self.txn {
                 t.aborted = true;
@@ -456,10 +478,7 @@ impl SsfContext {
             (entry.callee_id, Some(self.ssf.name.clone()))
         };
         let logged = caller.is_some();
-        let txn = self
-            .txn
-            .as_ref()
-            .and_then(|t| (t.ctx.mode == TxnMode::Execute && !t.ended).then(|| t.ctx.clone()));
+        let txn = self.txn.as_ref().and_then(TxnState::forwarded).cloned();
         let envelope = Envelope::Call {
             id: Some(callee_id.clone()),
             input,
@@ -680,6 +699,7 @@ pub(crate) fn handle_callback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::TxnMode;
     use crate::BeldiEnv;
     use beldi_simfaas::InvocationCtx;
     use parking_lot::Mutex;
@@ -827,6 +847,16 @@ mod tests {
                     start_ms: 9,
                     mode: TxnMode::Commit,
                 },
+                leaf: false,
+            },
+            Envelope::TxnSignal {
+                id: "s".into(),
+                txn: TxnContext {
+                    id: "t".into(),
+                    start_ms: 9,
+                    mode: TxnMode::Abort,
+                },
+                leaf: true,
             },
         ];
         for e in &cases {
@@ -883,6 +913,7 @@ mod tests {
         for o in [
             Outcome::Ok(Value::Int(1)),
             Outcome::Ok(beldi_value::vmap! { "Outcome" => "nested", "Ret" => 2i64 }),
+            Outcome::Leaf(Value::Int(3)),
             Outcome::Abort,
             Outcome::Error("boom".into()),
             Outcome::Expired,
@@ -897,6 +928,7 @@ mod tests {
             Value::from("ok"),
             beldi_value::vmap! { "Outcome" => 1i64, "Ret" => 2i64 },
             beldi_value::vmap! { "Outcome" => "ok" },
+            beldi_value::vmap! { "Outcome" => "leaf" },
             beldi_value::vmap! { "Outcome" => "error" },
             beldi_value::vmap! { "Outcome" => "error", "Msg" => 5i64 },
         ] {
@@ -910,10 +942,9 @@ mod tests {
 
     #[test]
     fn outcome_into_result_maps_variants() {
-        assert_eq!(
-            Outcome::Ok(Value::Int(2)).into_result().unwrap(),
-            Value::Int(2)
-        );
+        for o in [Outcome::Ok(Value::Int(2)), Outcome::Leaf(Value::Int(2))] {
+            assert_eq!(o.into_result().unwrap(), Value::Int(2));
+        }
         assert!(matches!(
             Outcome::Abort.into_result(),
             Err(BeldiError::TxnAborted)

@@ -176,13 +176,29 @@ impl SsfContext {
         payload: Update,
         user_cond: Option<&Cond>,
     ) -> BeldiResult<WriteOutcome> {
+        let out = self.write_step_returning(physical, key, payload, user_cond, false)?;
+        Ok(out.0)
+    }
+
+    /// [`SsfContext::write_step`]; with `returning`, also the item's value
+    /// when the write returned it ([`daal::try_write`]: in Beldi
+    /// mode, a step case B applied now). A transactional lock asks for it.
+    pub(crate) fn write_step_returning(
+        &mut self,
+        physical: &TableRef,
+        key: &Arc<str>,
+        payload: Update,
+        user_cond: Option<&Cond>,
+        returning: bool,
+    ) -> BeldiResult<(WriteOutcome, Option<Value>)> {
         let step = self.step;
         self.step += 1;
         let log_key = || crate::ids::log_key(self.instance(), step);
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
             Mode::Beldi => self.with_daal(physical, |p| {
-                daal::try_write(p, physical, key, &log_key(), payload, user_cond)
+                let log_key = &log_key();
+                daal::try_write(p, physical, key, log_key, payload, user_cond, returning)
             })?,
             Mode::CrossTable => {
                 // Either outcome leaves the step's entry in the log.
@@ -196,7 +212,7 @@ impl SsfContext {
                     user_cond,
                 )?;
                 self.log_steps.push(step);
-                out
+                (out, None)
             }
             #[expect(
                 clippy::disallowed_methods,
@@ -207,8 +223,8 @@ impl SsfContext {
                 let pk = PrimaryKey::hash(key);
                 let cond = user_cond.cloned().unwrap_or(Cond::True);
                 match logging_step(step, || self.db().update(physical, &pk, &cond, &payload)) {
-                    Ok(()) => WriteOutcome::Applied,
-                    Err(DbError::ConditionFailed) => WriteOutcome::ConditionFalse,
+                    Ok(()) => (WriteOutcome::Applied, None),
+                    Err(DbError::ConditionFailed) => (WriteOutcome::ConditionFalse, None),
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -235,7 +251,7 @@ impl SsfContext {
     /// [`SsfContext::begin_tx`] switches locking to wait-die.
     pub fn lock(&mut self, table: &str, key: &str) -> BeldiResult<()> {
         if self.in_txn() {
-            return self.txn_lock(table, &key.into()).map(|_| ());
+            return self.txn_lock(table, &key.into(), false).map(drop);
         }
         let _op = self.op(Op::Lock);
         if self.mode() == Mode::Baseline {

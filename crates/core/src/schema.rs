@@ -558,11 +558,12 @@ impl TxnContext {
 }
 
 impl Outcome {
-    /// Decodes an outcome envelope: `Ret` is required on an `ok`, `Msg`
-    /// on an `error`. The return value is read, not taken.
+    /// Decodes an outcome envelope: `Ret` is required on an `ok` or a
+    /// `leaf`, `Msg` on an `error`. The return value is read, not taken.
     pub(crate) fn decode(v: &Value) -> Option<Self> {
         Some(match v.get_str("Outcome")? {
             "ok" => Outcome::Ok(v.get_attr("Ret")?.clone()),
+            "leaf" => Outcome::Leaf(v.get_attr("Ret")?.clone()),
             "abort" => Outcome::Abort,
             "error" => Outcome::Error(v.get_str("Msg")?.to_owned()),
             "expired" => Outcome::Expired,

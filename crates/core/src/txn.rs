@@ -28,9 +28,15 @@
 //! already stores, so a transaction the instance begins again after a
 //! wait-die kill keeps its age (Rosenkrantz, Stearns & Lewis, 1978).
 //! With the tail cache on, a shadow write is one update on the `HEAD` its
-//! lock created. Commit pays only for what it changes: one index query
-//! per shadow table finds an SSF's entries, a signal logs nothing at its
-//! sender, and a read of a committed value uses the tail cache.
+//! lock created, and a lock's write returns the item's committed value,
+//! so the read that took the lock issues no get. Commit pays only for
+//! what it changes: one index query per shadow table finds an SSF's
+//! entries, and a signal logs nothing at its sender. A callee that
+//! invoked no SSF inside the transaction says so in its outcome
+//! ([`Outcome::Leaf`]); an owner whose every callee did takes its callees
+//! from its own execution and tells each it has none, so a depth-one
+//! transaction's commit queries no log (R*'s leaf participants: Mohan,
+//! Lindsay & Obermarck, 1986).
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -145,6 +151,12 @@ pub(crate) struct TxnState {
     /// The `(logical table, key)` items this execution locked (few, so a
     /// list). Replay rebuilds it: each first lock replays as applied.
     locked: Vec<(String, String)>,
+    /// The SSFs this SSF invoked inside the transaction, sorted, while
+    /// every one of those calls answered [`Outcome::Leaf`]; `None` once
+    /// one did not, or when they are unknown (a signal that does not say
+    /// its SSF has none). Replay rebuilds it as it rebuilds `locked`: a
+    /// replayed call returns its logged outcome.
+    callees: Option<Vec<Arc<str>>>,
 }
 
 impl TxnState {
@@ -157,6 +169,7 @@ impl TxnState {
             ended: false,
             nested: 0,
             locked: Vec::new(),
+            callees: Some(Vec::new()),
         }
     }
 
@@ -167,6 +180,50 @@ impl TxnState {
             ..TxnState::inherited(ctx)
         }
     }
+
+    /// A state for a commit or abort signal: its SSF's callees are
+    /// unknown, unless the signal says it has none (`leaf`).
+    pub fn signalled(ctx: TxnContext, leaf: bool) -> Self {
+        TxnState {
+            callees: leaf.then(Vec::new),
+            ..TxnState::inherited(ctx)
+        }
+    }
+
+    /// The context a call forwards: one still executing.
+    pub fn forwarded(&self) -> Option<&TxnContext> {
+        (self.ctx.mode == TxnMode::Execute && !self.ended).then_some(&self.ctx)
+    }
+
+    /// Records a call to `callee` inside the transaction, and whether it
+    /// answered as a leaf.
+    pub fn invoked(&mut self, callee: &str, leaf: bool) {
+        match &mut self.callees {
+            Some(set) if leaf => {
+                if let Err(at) = set.binary_search_by(|c| (**c).cmp(callee)) {
+                    set.insert(at, callee.into());
+                }
+            }
+            callees => *callees = None,
+        }
+    }
+
+    /// True for a callee that invoked no SSF inside the transaction: its
+    /// outcome is an [`Outcome::Leaf`].
+    pub fn is_leaf(&self) -> bool {
+        !self.owned && self.callees.as_ref().is_some_and(Vec::is_empty)
+    }
+}
+
+/// What [`SsfContext::txn_lock`] found.
+#[derive(Debug, Default)]
+pub(crate) struct Locked {
+    /// This call created the item's shadow entry, which then holds no
+    /// write: an SSF's instances in one transaction run one at a time
+    /// (async invokes are refused inside one).
+    fresh: bool,
+    /// The item's committed value, when the lock's write returned it.
+    value: Option<Value>,
 }
 
 /// The op a decision runs as: a commit or an abort.
@@ -326,10 +383,11 @@ impl SsfContext {
     // ---- Execute-mode operation semantics (§6.2) ----
 
     /// Acquires the transaction's lock on `key` with wait-die deadlock
-    /// prevention (Fig. 11), unless this execution holds it. Returns true
-    /// when this call created the item's shadow entry, which then holds no
-    /// write: an SSF's instances in one transaction run one at a time
-    /// (async invokes are refused inside one).
+    /// prevention (Fig. 11), unless this execution holds it. A lock taken
+    /// for a `read` returns the item's committed value when its write
+    /// applied now: the tail row's `Value`, returned by the one
+    /// conditional update that set the lock. A lock replayed from its log
+    /// entry returns none.
     ///
     /// # Errors
     ///
@@ -337,28 +395,31 @@ impl SsfContext {
     /// the lock — this transaction must die (it cannot kill the holder;
     /// SSFs have no way to kill each other, which is why wait-die rather
     /// than wound-wait).
-    pub(crate) fn txn_lock(&mut self, logical: &str, key: &Arc<str>) -> BeldiResult<bool> {
+    pub(crate) fn txn_lock(
+        &mut self,
+        logical: &str,
+        key: &Arc<str>,
+        read: bool,
+    ) -> BeldiResult<Locked> {
         let holds = |t: &TxnState| t.locked.iter().any(|(l, k)| l == logical && **k == **key);
         if self.txn.as_ref().is_some_and(holds) {
-            return Ok(false);
+            return Ok(Locked::default());
         }
         let _op = self.op(Op::Lock);
         let physical = self.data_table(logical)?;
         let ctx = self.txn_ctx_cloned()?;
         let owner = lock_owner_value(&ctx.id, ctx.start_ms);
         for _ in 0..MAX_WAIT_SPINS {
-            let out = self.write_step(
-                &physical,
-                key,
-                Update::new().set(A_LOCK, owner.clone()),
-                Some(&Self::lock_free_cond(&ctx.id)),
-            )?;
+            let payload = Update::new().set(A_LOCK, owner.clone());
+            let free = Self::lock_free_cond(&ctx.id);
+            let (out, value) =
+                self.write_step_returning(&physical, key, payload, Some(&free), read)?;
             if out.as_bool() {
-                let created = self.ensure_shadow_entry(logical, key)?;
+                let fresh = self.ensure_shadow_entry(logical, key)?;
                 if let Some(t) = &mut self.txn {
                     t.locked.push((logical.to_owned(), key.to_string()));
                 }
-                return Ok(created);
+                return Ok(Locked { fresh, value });
             }
             // Who holds it? Logged so replay takes the same branch.
             let _retry = self.op(Op::WaitDieRetry);
@@ -392,8 +453,8 @@ impl SsfContext {
     /// transaction wrote the item, else the real value. Logged.
     pub(crate) fn txn_read(&mut self, logical: &str, key: &str) -> BeldiResult<Value> {
         let key = key.into();
-        let fresh = self.txn_lock(logical, &key)?;
-        let val = self.txn_effective_value(logical, &key, fresh)?;
+        let locked = self.txn_lock(logical, &key, true)?;
+        let val = self.txn_effective_value(logical, &key, locked)?;
         self.log_value(val)
     }
 
@@ -401,7 +462,7 @@ impl SsfContext {
     /// table (flushed to the real table at commit).
     pub(crate) fn txn_write(&mut self, logical: &str, key: &str, value: Value) -> BeldiResult<()> {
         let key = key.into();
-        self.txn_lock(logical, &key)?;
+        self.txn_lock(logical, &key, false)?;
         self.shadow_write(logical, &key, value)
     }
 
@@ -420,8 +481,8 @@ impl SsfContext {
         cond: Cond,
     ) -> BeldiResult<bool> {
         let key = key.into();
-        let fresh = self.txn_lock(logical, &key)?;
-        let cur = self.txn_effective_value(logical, &key, fresh)?;
+        let locked = self.txn_lock(logical, &key, true)?;
+        let cur = self.txn_effective_value(logical, &key, locked)?;
         let cur = self.log_value(cur)?;
         let row = beldi_value::vmap! { A_VALUE => cur };
         let holds = cond
@@ -434,17 +495,17 @@ impl SsfContext {
     }
 
     /// The value this transaction observes for `key`: its own shadow write
-    /// if present, else the committed value, read through the tail cache
-    /// like any data read (shadow tables are not cached). A `fresh` shadow
-    /// entry (see [`SsfContext::txn_lock`]) is not probed; on replay the
-    /// read log returns the logged value either way.
+    /// if present, else the committed value — the one its lock returned,
+    /// or read through the tail cache like any data read (shadow tables
+    /// are not cached). A fresh shadow entry ([`Locked`]) is not probed;
+    /// on replay the read log returns the logged value either way.
     fn txn_effective_value(
         &mut self,
         logical: &str,
         key: &Arc<str>,
-        fresh: bool,
+        locked: Locked,
     ) -> BeldiResult<Value> {
-        if !fresh {
+        if !locked.fresh {
             let ctx = self.txn_ctx_cloned()?;
             let shadow = self.shadow_table(logical)?;
             let skey = shadow_key(&ctx.id, key);
@@ -454,6 +515,9 @@ impl SsfContext {
                     return Ok(written);
                 }
             }
+        }
+        if let Some(value) = locked.value {
+            return Ok(value);
         }
         let physical = self.data_table(logical)?;
         daal::read_value_cached(self.db(), self.core.tail_cache.as_ref(), &physical, key)
@@ -560,12 +624,21 @@ impl SsfContext {
             }
         }
 
-        // 2. Signal the callees this SSF invoked inside the transaction.
+        // 2. Signal the callees this SSF invoked inside the transaction:
+        // those its execution knows when each answered as a leaf (then
+        // each is told it has none), else those its log's index names.
         let signal_ctx = ctx.with_mode(decision);
-        for callee in self.txn_callees(&ctx.id)? {
+        let known = self.txn.as_ref().and_then(|t| t.callees.clone());
+        let leaf = known.is_some();
+        let callees = match known {
+            Some(callees) => callees,
+            None => self.txn_callees(&ctx.id)?,
+        };
+        for callee in callees {
             let signal = Envelope::TxnSignal {
                 id: finalize_marker(&callee, &ctx.id),
                 txn: signal_ctx.clone(),
+                leaf,
             }
             .into_value();
             self.crash(Label::TxnPreSignal);
@@ -659,7 +732,7 @@ impl SsfContext {
 
     /// The deterministic sorted set of SSFs this SSF invoked inside the
     /// transaction, from the log's transaction-id index.
-    fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<String>> {
+    fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<Arc<str>>> {
         let rows = self.db().index_query(
             &self.ssf.log_table,
             A_TXN_ID,
@@ -668,7 +741,7 @@ impl SsfContext {
         )?;
         let mut set = BTreeSet::new();
         for row in &rows {
-            set.insert(InvokeEntry::callee_fn(self.ssf.log_table.name(), row)?.to_owned());
+            set.insert(InvokeEntry::callee_fn(self.ssf.log_table.name(), row)?.into());
         }
         Ok(set.into_iter().collect())
     }

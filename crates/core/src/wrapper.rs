@@ -79,7 +79,7 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             invoke::handle_callback(core, ssf, &callee_id, result).into_value()
         }
         Envelope::AsyncReg { id, input, caller } => run_async_reg(core, ssf, &id, input, &caller),
-        Envelope::TxnSignal { id, txn } => run_txn_signal(core, ssf, id, txn),
+        Envelope::TxnSignal { id, txn, leaf } => run_txn_signal(core, ssf, id, txn, leaf),
     }
 }
 
@@ -198,7 +198,10 @@ fn run_call(
     ctx.caller = caller.clone();
     ctx.is_async = is_async;
     ctx.txn = txn.map(TxnState::inherited);
-    let outcome = run_body(&mut ctx, &ssf.body, input);
+    let outcome = match run_body(&mut ctx, &ssf.body, input) {
+        Outcome::Ok(v) if ctx.txn.as_ref().is_some_and(TxnState::is_leaf) => Outcome::Leaf(v),
+        outcome => outcome,
+    };
     let ret = finish(core, &mut ctx, caller.as_deref(), outcome);
     // The intent is durably done: if this instance was ever killed by the
     // injector, its recovery completes here (crashes *after* this point
@@ -321,18 +324,21 @@ fn run_async_reg(
 ///
 /// Its instance id is this SSF's finalize marker for the transaction
 /// ([`crate::ids::finalize_marker`]), so the registration below is the
-/// SSF's finalize claim, which every later signal replays or resumes.
+/// SSF's finalize claim, which every later signal replays or resumes. A
+/// `leaf` signal says the SSF invoked no SSF inside the transaction.
 fn run_txn_signal(
     core: &Arc<EnvCore>,
     ssf: &Arc<Ssf>,
     instance: Arc<str>,
     txn: crate::TxnContext,
+    leaf: bool,
 ) -> Value {
     let probe = core.platform.faults().instance_started(&instance);
     let now_ms = core.platform.clock().now().as_millis();
     let envelope = Envelope::TxnSignal {
         id: instance.clone(),
         txn: txn.clone(),
+        leaf,
     };
     let earlier = match intent::register(
         &core.db,
@@ -353,7 +359,7 @@ fn run_txn_signal(
     let decision = txn.mode;
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
     let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, now_ms);
-    ctx.txn = Some(TxnState::inherited(txn));
+    ctx.txn = Some(TxnState::signalled(txn, leaf));
     let op = ctx.op(decision_op(decision));
     let outcome = match ctx.finalize(decision) {
         Ok(()) => Outcome::Ok(Value::Null),

@@ -3,6 +3,7 @@
 //! protocol.
 
 use beldi::Label;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -10,7 +11,7 @@ use beldi::value::{vmap, Cond, Path, Value};
 use beldi::{
     crash_stream, finalize_marker, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, TxnOutcome,
 };
-use beldi_simclock::{Event, SimInstant};
+use beldi_simclock::{Event, EventKind, SimInstant, StoreKind};
 use beldi_simdb::{PrimaryKey, ScanRequest};
 use beldi_simfaas::Visit;
 
@@ -704,14 +705,13 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // pays for the item once:
     // - begin: 1 write (the logged id);
     // - read: lock (query + write: the seeded key is not cached yet, and
-    //   the traversal leaves its tail cached), shadow-entry create
-    //   (write), the committed value through the tail cache (get), read
-    //   log (write);
+    //   the traversal leaves its tail cached; the write returns the
+    //   committed value), shadow-entry create (write), read log (write);
     // - write: the shadow write (one update on `HEAD`), under the held
     //   lock;
     // - commit: finalize marker (write), shadow index (query: its answer
     //   holds the entry's tail), flush-and-release (write, on the cached
-    //   tail), callee index (query).
+    //   tail). The execution invoked no one: no callee index query.
     let env = BeldiEnv::for_tests();
     register_incrementer(&env);
     env.seed("incr", "t", "k", Value::Int(0)).unwrap();
@@ -731,7 +731,7 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (1, 7, 3, 0, 0, 0)
+        (0, 7, 2, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
@@ -760,10 +760,10 @@ fn signal_intents(env: &BeldiEnv, ssf: &str) -> usize {
 /// leg that reads and writes its item. A signal costs its platform
 /// invocation and the leg's share of the commit: the intent registration
 /// (which is the leg's finalize claim), shadow index (query), flush and
-/// release (write, on the tail the leg's lock left cached), callee index
-/// (query) and done-mark (write).
-/// The owner adds its own claim (write) and callee index (query). The
-/// sender writes no log entry for the signal, and the leg no marker row.
+/// release (write, on the tail the leg's lock left cached) and done-mark
+/// (write). The owner adds its own claim (write). The leg answered as a
+/// leaf, so neither queries a callee index. The sender writes no log
+/// entry for the signal, and the leg no marker row.
 #[test]
 fn a_signal_costs_its_invocation_its_intent_its_finalize_and_its_done_mark() {
     let env = BeldiEnv::for_tests();
@@ -795,7 +795,7 @@ fn a_signal_costs_its_invocation_its_intent_its_finalize_and_its_done_mark() {
             d.deletes,
             d.cond_failures
         ),
-        (0, 4, 3, 0, 0, 0)
+        (0, 4, 1, 0, 0, 0)
     );
     let invocations = env.platform_metrics().invocations - platform.invocations;
     assert_eq!(invocations, 1, "the signal, and no callback");
@@ -1047,7 +1047,8 @@ fn a_diamond_finalizes_its_shared_callee_once() {
 
 /// A→B→A′: B signals A's SSF, whose finalize the owner already claimed.
 /// That signal replays the owner's claim instead of finalizing A's items
-/// a second time, and registers no intent of its own.
+/// a second time, and registers no intent of its own. B is no leaf, so
+/// both finalizes query their log: the owner's answer holds A′'s call.
 #[test]
 fn a_cycle_back_to_the_owner_replays_its_claim() {
     let env = BeldiEnv::for_tests();
@@ -1061,7 +1062,105 @@ fn a_cycle_back_to_the_owner_replays_its_claim() {
         assert_eq!(visits(&trace, Label::TxnPreFinalize), 2, "the owner and b");
         assert_eq!(invocations, 2, "a→b and b→a");
         assert_eq!(signal_intents(&env, "a"), 0);
+        assert_eq!(log_queries(&record), [("a.log", 1), ("b.log", 1)].into());
     }
+}
+
+/// The callee-index queries in `record`: per SSF log table, how many.
+fn log_queries(record: &[Event]) -> BTreeMap<&str, usize> {
+    let mut out = BTreeMap::new();
+    for event in record {
+        if let EventKind::Store(call) = &event.kind {
+            if call.kind == StoreKind::Query && call.table.ends_with(".log") {
+                *out.entry(&*call.table).or_default() += 1;
+            }
+        }
+    }
+    out
+}
+
+/// The gets in `record` of items in data tables (not shadow tables).
+fn data_gets(record: &[Event]) -> usize {
+    let data = |t: &str| t.contains(".data.") && !t.ends_with(".shadow");
+    record
+        .iter()
+        .filter(|e| matches!(&e.kind, EventKind::Store(c) if c.kind == StoreKind::Get && data(&c.table)))
+        .count()
+}
+
+/// A depth-one transaction, the travel app's shape: every callee answered
+/// as a leaf, so the owner takes its callees from its own execution and
+/// tells each it has none. No finalize queries a log, and no leg gets the
+/// item its lock just wrote: the lock's write returned its value.
+#[test]
+fn a_depth_one_commit_reads_no_log_and_no_item_it_locked() {
+    let env = reservation_env();
+    env.seed("hotel", "rooms", "k", Value::Int(4)).unwrap();
+    env.seed("flight", "seats", "k", Value::Int(4)).unwrap();
+    let (out, record) = recorded(&env, || {
+        env.invoke("reserve", vmap! { "key" => "k" }).unwrap()
+    });
+    assert_eq!(out, Value::from("reserved"));
+    let trace: Vec<Visit> = crash_stream(&record).collect();
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 2);
+    assert_eq!(log_queries(&record), BTreeMap::new());
+    assert_eq!(data_gets(&record), 0);
+    for (ssf, table) in [("hotel", "rooms"), ("flight", "seats")] {
+        assert_eq!(env.read_current(ssf, table, "k").unwrap(), Value::Int(3));
+    }
+}
+
+/// A→B→C: B invoked C inside the transaction, so B is no leaf. The owner
+/// and B query their logs, C's signal does not say it has no callees, and
+/// every item commits.
+#[test]
+fn a_callee_that_is_no_leaf_keeps_the_log_queries() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "b", "c"]);
+    let (record, invocations) = commit_hops(&env, "owner", &[("b", &["c"])]);
+    assert_eq!(values(&env, &["a", "b", "c"]), [1, 1, 1]);
+    assert_eq!(invocations, 2, "a→b and b→c");
+    let queried = [("a.log", 1), ("b.log", 1), ("c.log", 1)].into();
+    assert_eq!(log_queries(&record), queried);
+}
+
+/// A→B, A→B′: two instances of one leaf SSF. The owner signals B's SSF
+/// once, and that finalize flushes both instances' writes to its item
+/// (B′ read B's shadow write) with no log query.
+#[test]
+fn a_leaf_called_twice_gets_one_signal_and_commits_both_instances() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "b"]);
+    let (record, invocations) = commit_hops(&env, "owner", &[("b", &[]), ("b", &[])]);
+    let trace: Vec<Visit> = crash_stream(&record).collect();
+    assert_eq!(values(&env, &["a", "b"]), [1, 2]);
+    assert_eq!(invocations, 1, "one signal");
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 2, "one per item");
+    assert_eq!(log_queries(&record), BTreeMap::new());
+}
+
+/// A leg whose outcome carries no leaf flag: an application error the
+/// owner lets pass. The owner cannot vouch for that leg's callees, so
+/// both finalizes query their logs, and the leg's write still commits.
+#[test]
+fn a_leg_whose_outcome_carries_no_flag_queries_its_log() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a"]);
+    env.register_ssf(
+        "oops",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.write("t", "k", Value::Int(7))?;
+            Err(BeldiError::Protocol("an application error".into()))
+        }),
+    );
+    let mut ctx = env.test_context("a", "owner");
+    ctx.begin_tx().unwrap();
+    assert!(ctx.sync_invoke("oops", Value::Null).is_err());
+    let (outcome, record) = recorded(&env, || ctx.end_tx().unwrap());
+    assert_eq!(outcome, TxnOutcome::Committed);
+    assert_eq!(log_queries(&record), [("a.log", 1), ("oops.log", 1)].into());
+    assert_eq!(env.read_current("oops", "t", "k").unwrap(), Value::Int(7));
 }
 
 /// The owner dies after B's signal landed and before C's: the retried

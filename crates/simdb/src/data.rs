@@ -93,7 +93,8 @@ impl TableData {
     /// handle to its map (then the levels written are copied first and the
     /// reader keeps what it read). With no row at `key`, `cond` is
     /// evaluated on the empty item and the update applied to a fresh row
-    /// holding only the key attributes. Returns the new size in bytes.
+    /// holding only the key attributes. Returns the new size in bytes and
+    /// the updated row.
     ///
     /// All or nothing: if `cond` is false ([`DbError::ConditionFailed`]),
     /// an action fails, the result would re-file the row (its key
@@ -108,7 +109,7 @@ impl TableData {
         cond: &Cond,
         update: &Update,
         schema: &TableSchema,
-    ) -> DbResult<usize> {
+    ) -> DbResult<(usize, &Value)> {
         let TableData { rows, indexes } = self;
         // One search: the condition is evaluated on the entry it guards.
         let row = match rows.entry(key.clone()) {
@@ -128,8 +129,7 @@ impl TableData {
                 schema.check_key(&row, key)?;
                 let size = fits(row.size_bytes(), schema.max_row_bytes)?;
                 index_row(indexes, key, &row);
-                e.insert(row);
-                return Ok(size);
+                return Ok((size, e.insert(row)));
             }
         };
         check(cond, Some(row))?;
@@ -173,7 +173,7 @@ impl TableData {
                 index.entry(new.clone()).or_default().insert(key.clone());
             }
         }
-        Ok(size)
+        Ok((size, row))
     }
 
     /// Removes the row at `key` if `cond` holds on it (on the empty item
@@ -605,7 +605,7 @@ mod tests {
                 .clone()
                 .ok_or(())
                 .and_then(|new| reference.put_row(key.clone(), new, s.max_row_bytes).map_err(drop));
-            let got = p.update_row(&key, &cond, &update, &s);
+            let got = p.update_row(&key, &cond, &update, &s).map(|(size, _)| size);
             // Gone through, failed or rolled back: the reader saw none of it.
             prop_assert_eq!(
                 (format!("{whole:?}"), format!("{projected:?}")), printed, "{} on {}", update, row

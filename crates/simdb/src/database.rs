@@ -192,6 +192,21 @@ impl Drop for InFlight<'_> {
     }
 }
 
+/// The bytes one store call moved: those its kind reads or writes, and
+/// those a write returned ([`Database::update_returning`]), which count as
+/// read. Its modelled latency and its run-record entry take both.
+#[derive(Clone, Copy)]
+struct Moved {
+    bytes: usize,
+    returned: usize,
+}
+
+impl From<usize> for Moved {
+    fn from(bytes: usize) -> Self {
+        Moved { bytes, returned: 0 }
+    }
+}
+
 /// A simulated strongly consistent NoSQL database.
 ///
 /// Each table has one lock over its rows and indexes. All methods are
@@ -272,7 +287,7 @@ impl Database {
     }
 
     /// Counts one store call of `kind` on `table` — its op counter, the
-    /// bytes it read or wrote, the rows a query or scan page examined (a
+    /// bytes it read, wrote or returned ([`Moved`]), the rows a query or scan page examined (a
     /// transaction's items), a condition that failed (`cond` is whether it
     /// held, `None` for no condition) — samples its modelled latency, and
     /// records it in the run record if a reader started one (`key` is
@@ -284,8 +299,9 @@ impl Database {
         key: Option<&dyn fmt::Display>,
         cond: Option<bool>,
         rows: usize,
-        bytes: usize,
+        bytes: impl Into<Moved>,
     ) -> Duration {
+        let Moved { bytes, returned } = bytes.into();
         let (op, moved) = match kind {
             StoreKind::Get => (Metric::DbGets, Metric::DbBytesRead),
             StoreKind::Write => (Metric::DbWrites, Metric::DbBytesWritten),
@@ -295,23 +311,26 @@ impl Database {
             StoreKind::TransactWrite => (Metric::DbTransactWrites, Metric::DbBytesWritten),
         };
         self.count(op, 1);
-        if bytes > 0 {
-            self.count(moved, bytes);
+        for (metric, n) in [(moved, bytes), (Metric::DbBytesRead, returned)] {
+            if n > 0 {
+                self.count(metric, n);
+            }
         }
+        let bytes_total = bytes + returned;
         if matches!(kind, StoreKind::Query | StoreKind::Scan) {
             self.count(Metric::DbRowsScanned, rows);
         }
         if cond == Some(false) {
             self.count(Metric::DbCondFailures, 1);
         }
-        let latency = self.sampler.sample(kind, rows, bytes);
+        let latency = self.sampler.sample(kind, rows, bytes_total);
         self.telemetry.log_store(|issuer, step| StoreCall {
             kind,
             table: table.into(),
             key: key.map(ToString::to_string),
             cond,
             rows: rows as u64,
-            bytes: bytes as u64,
+            bytes: bytes_total as u64,
             latency,
             issuer,
             step,
@@ -455,16 +474,59 @@ impl Database {
         cond: &Cond,
         update: &Update,
     ) -> DbResult<()> {
+        self.update_projected(table, key, cond, update, None)
+            .map(drop)
+    }
+
+    /// [`Database::update`], returning the updated row through
+    /// `projection` — DynamoDB's `UpdateItem` with `ReturnValues` set to
+    /// the new item, projected. One write, under the same condition and
+    /// with the same effect; the returned bytes are billed as read, and
+    /// what `projection` leaves out stays in the store.
+    ///
+    /// # Errors
+    ///
+    /// As [`Database::update`]; a failed update returns nothing.
+    pub fn update_returning(
+        &self,
+        table: &(impl AsTable + ?Sized),
+        key: &PrimaryKey,
+        cond: &Cond,
+        update: &Update,
+        projection: &Projection,
+    ) -> DbResult<Value> {
+        let returned = self.update_projected(table, key, cond, update, Some(projection))?;
+        Ok(returned.unwrap_or_default())
+    }
+
+    /// The one conditional update: with a projection, the updated row
+    /// through it.
+    fn update_projected(
+        &self,
+        table: &(impl AsTable + ?Sized),
+        key: &PrimaryKey,
+        cond: &Cond,
+        update: &Update,
+        projection: Option<&Projection>,
+    ) -> DbResult<Option<Value>> {
         let table = table.as_table(self);
         let t = table.resolve()?;
-        let result = self.lock(t).update_row(key, cond, update, &t.schema);
+        let result = {
+            let mut data = self.lock(t);
+            let updated = data.update_row(key, cond, update, &t.schema);
+            updated.map(|(size, row)| (size, projection.map(|p| p.apply(row))))
+        };
         let conditional = !matches!(cond, Cond::True);
         match result {
-            Ok(size) => {
+            Ok((size, returned)) => {
                 let held = conditional.then_some(true);
-                let latency = self.bill(StoreKind::Write, t.name(), Some(key), held, 1, size);
+                let bytes = Moved {
+                    bytes: size,
+                    returned: returned.as_ref().map_or(0, SizeOf::size_bytes),
+                };
+                let latency = self.bill(StoreKind::Write, t.name(), Some(key), held, 1, bytes);
                 self.serial_write_sleep(&[(&**t, key)], latency);
-                Ok(())
+                Ok(returned)
             }
             Err(DbError::ConditionFailed) => {
                 // A failed conditional write still costs a round trip —
@@ -793,9 +855,9 @@ impl Database {
             let data = &mut guards[slot(op)];
             let prior = data.rows.get(key).cloned();
             let result = match op {
-                TransactOp::Update { update, .. } => {
-                    data.update_row(key, &Cond::True, update, schema)
-                }
+                TransactOp::Update { update, .. } => data
+                    .update_row(key, &Cond::True, update, schema)
+                    .map(|(size, _)| size),
                 TransactOp::Put { item, .. } => {
                     data.put_row(key.clone(), item.clone(), schema.max_row_bytes)
                 }

@@ -45,9 +45,12 @@ impl Projection {
     ///
     /// Absent paths are simply omitted; structural errors (e.g. a path
     /// indexing through a scalar) also omit the path, matching DynamoDB's
-    /// lenient projection behaviour.
+    /// lenient projection behaviour. The copy is sized by the paths the
+    /// item holds, not by every path of the projection.
     pub fn apply(&self, item: &Value) -> Value {
-        let mut out = Value::Map(beldi_value::Map::with_capacity(self.paths.len()));
+        let held = |p: &&Path| matches!(item.get_path(p), Ok(Some(_)));
+        let found = self.paths.iter().filter(held).count();
+        let mut out = Value::Map(beldi_value::Map::with_capacity(found));
         for p in &self.paths {
             if let Ok(Some(v)) = item.get_path(p) {
                 // set_path only fails on structural mismatch, which cannot

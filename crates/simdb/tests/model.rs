@@ -175,15 +175,19 @@ impl Model {
                 rows.insert(key, row);
                 (Vec::new(), bill)
             }
-            Op::Update(t, key, cond, update) => {
+            Op::Update(t, key, cond, update, returning) => {
                 let (schema, rows) = self.table(t)?;
                 if !holds(cond, rows.get(key)) {
                     return cond_failed(bill!(writes: 1, cond_failures: 1));
                 }
                 let row = updated(schema, key, rows.get(key), update)?;
-                let bill = bill!(writes: 1, bytes_written: row.size_bytes());
+                // A returning update answers the new row, projected; its
+                // bytes are billed as read.
+                let items: Vec<Value> = returning.iter().map(|p| p.apply(&row)).collect();
+                let bill =
+                    bill!(writes: 1, bytes_written: row.size_bytes(), bytes_read: bytes(&items));
                 rows.insert(key.clone(), row);
-                (Vec::new(), bill)
+                (items, bill)
             }
             Op::Delete(t, key, cond) => {
                 let (_, rows) = self.table(t)?;
@@ -302,7 +306,8 @@ fn parts(op: &TransactOp) -> (&str, &Cond) {
 enum Op {
     Put(&'static str, Value),
     Get(&'static str, PrimaryKey, Option<Projection>),
-    Update(&'static str, PrimaryKey, Cond, Update),
+    /// With a projection, `update_returning` through it.
+    Update(&'static str, PrimaryKey, Cond, Update, Option<Projection>),
     Delete(&'static str, PrimaryKey, Cond),
     Query(&'static str, Value, Option<Projection>),
     Scan(&'static str, Option<Projection>),
@@ -334,8 +339,16 @@ fn run(store: &Store, op: &Op) -> (Result<Vec<Value>, DbError>, Bill) {
         (Op::Get(t, key, p), Some(h)) => db
             .get(&h[t], key, p.as_ref())
             .map(|v| v.into_iter().collect()),
-        (Op::Update(t, key, cond, update), None) => none(db.update(t, key, cond, update)),
-        (Op::Update(t, key, cond, update), Some(h)) => none(db.update(&h[t], key, cond, update)),
+        (Op::Update(t, key, cond, update, None), None) => none(db.update(t, key, cond, update)),
+        (Op::Update(t, key, cond, update, None), Some(h)) => {
+            none(db.update(&h[t], key, cond, update))
+        }
+        (Op::Update(t, key, cond, update, Some(p)), None) => db
+            .update_returning(t, key, cond, update, p)
+            .map(|row| vec![row]),
+        (Op::Update(t, key, cond, update, Some(p)), Some(h)) => db
+            .update_returning(&h[t], key, cond, update, p)
+            .map(|row| vec![row]),
         (Op::Delete(t, key, cond), None) => none(db.delete(t, key, cond)),
         (Op::Delete(t, key, cond), Some(h)) => none(db.delete(&h[t], key, cond)),
         (Op::Query(t, hash, p), None) => db.query(t, hash, &req(p)),
@@ -527,9 +540,9 @@ fn op() -> impl Strategy<Value = Op> {
         (0..20usize, 0..64usize, projection())
             .prop_map(|(t, k, p)| Op::Get(table(t), key(table(t), k), p)),
         (0..20usize, 0..64usize, cond(), update())
-            .prop_map(|(t, k, c, u)| Op::Update(table(t), key(table(t), k), c, u)),
-        (0..20usize, 0..64usize, cond(), update())
-            .prop_map(|(t, k, c, u)| Op::Update(table(t), key(table(t), k), c, u)),
+            .prop_map(|(t, k, c, u)| Op::Update(table(t), key(table(t), k), c, u, None)),
+        (0..20usize, 0..64usize, cond(), update(), projection())
+            .prop_map(|(t, k, c, u, p)| Op::Update(table(t), key(table(t), k), c, u, p)),
         // The DAAL's own use of its index: a row's tag set, changed or
         // removed, sometimes by an update that then fails on `S`.
         (0..64usize, 0..4usize, 0..3usize).prop_map(|(k, v, how)| {
@@ -538,7 +551,7 @@ fn op() -> impl Strategy<Value = Op> {
                 1 => Update::new().remove("Tag"),
                 _ => Update::new().set("Tag", value(v)).inc("S", 1),
             };
-            Op::Update(DAAL, key(DAAL, k), Cond::exists("Key"), retag)
+            Op::Update(DAAL, key(DAAL, k), Cond::exists("Key"), retag, None)
         }),
         (0..20usize, 0..64usize, cond())
             .prop_map(|(t, k, c)| Op::Delete(table(t), key(table(t), k), c)),

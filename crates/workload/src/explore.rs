@@ -64,11 +64,8 @@ pub struct ExploreOptions {
     pub seed: u64,
     /// Sweep every `stride`-th crash point (1 = exhaustive; smoke tests
     /// use larger strides), and the first point of every label the oracle
-    /// passes.
+    /// passes (`usize::MAX`: those only).
     pub stride: usize,
-    /// Cap on the strided depth-1 schedules (`None` = all); the one at
-    /// each label's first crash point is always run.
-    pub max_depth1: Option<usize>,
     /// Seeded random depth-2 pairs to run (0 = depth 1 only).
     pub depth2_samples: usize,
     /// Also assert GC quiescence after every schedule.
@@ -89,7 +86,6 @@ impl Default for ExploreOptions {
             requests: 4,
             seed: 42,
             stride: 1,
-            max_depth1: None,
             depth2_samples: 0,
             gc_check: false,
             gc_interleave: false,
@@ -639,14 +635,11 @@ pub fn explore(app: &dyn WorkflowApp, mode: Mode, opts: &ExploreOptions) -> Expl
 
     // Depth 1: one schedule per strided crash point, and one at the first
     // point of every label the oracle passes, so no label it reaches goes
-    // uncrashed whatever the stride; the cap drops strided points only.
+    // uncrashed whatever the stride. Point 0 is its label's first.
     let stride = opts.stride.max(1);
     let mut points: Vec<u64> = (0..oracle.crash_points.len() as u64)
         .step_by(stride)
         .collect();
-    if let Some(cap) = opts.max_depth1 {
-        points.truncate(cap);
-    }
     points.extend(Label::ALL.into_iter().filter_map(|label| {
         let first = oracle.crash_points.iter().position(|&l| l == label);
         first.map(|k| k as u64)

@@ -343,7 +343,7 @@ fn labels_of_the_rarer_paths() -> Vec<Label> {
 #[test]
 fn every_crash_label_is_reached_or_listed() {
     let oracles = ExploreOptions {
-        max_depth1: Some(0),
+        stride: usize::MAX,
         depth2_samples: 0,
         ..ExploreOptions::smoke()
     };

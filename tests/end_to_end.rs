@@ -59,11 +59,23 @@ fn all_apps_serve_their_mix_in_all_modes() {
     }
 }
 
-/// The paper's headline consistency claim, end to end: under a crash
-/// storm with collectors running on timers, the travel app's two
-/// inventory legs never drift on Beldi.
+/// The paper's headline consistency claim, end to end: under crash
+/// storms with collectors running on timers, the travel app's two
+/// inventory legs never drift on Beldi. Whether a storm leaves an instance
+/// only the timer-driven intent collector can finish depends on where its
+/// seed kills; across the two storms, one does.
 #[test]
 fn travel_inventory_consistent_under_crash_storm() {
+    let restarted: u64 = [0xABCD, 0xABCE].into_iter().map(reserve_under_storm).sum();
+    assert!(
+        restarted > 0,
+        "the timer-driven intent collector never re-launched a killed instance"
+    );
+}
+
+/// Reserves under a storm seeded `seed`; asserts the legs did not drift
+/// and returns how many instances the intent collector re-launched.
+fn reserve_under_storm(seed: u64) -> u64 {
     // Modelled storage latency makes the storm take virtual time (a few
     // seconds per client), and the collector periods are sized to it so
     // that both collectors tick many times while requests are in flight.
@@ -90,7 +102,7 @@ fn travel_inventory_consistent_under_crash_storm() {
         ssf_prob: 0.01,
         collector_prob: 0.01,
         max_crashes: 60,
-        seed: 0xABCD,
+        seed,
     }));
 
     let env = Arc::new(env);
@@ -118,10 +130,6 @@ fn travel_inventory_consistent_under_crash_storm() {
     env.platform().faults().set_storm_policy(None);
     env.stop_collectors();
 
-    assert!(
-        env.telemetry().get(Metric::IcRestarted) > 0,
-        "the timer-driven intent collector never re-launched a killed instance"
-    );
     let (rooms, seats) = app.remaining_inventory(&env).unwrap();
     assert_eq!(rooms, seats, "legs must never drift under Beldi");
     assert_eq!(
@@ -129,6 +137,7 @@ fn travel_inventory_consistent_under_crash_storm() {
         8 * 5 - total_reserved,
         "every successful reservation decremented exactly one room"
     );
+    env.telemetry().get(Metric::IcRestarted)
 }
 
 /// The same storm on the baseline shows the motivating anomaly: retrying
