@@ -221,10 +221,10 @@ const TAIL_CACHE_SHARDS: usize = 16;
 ///
 /// A conditional step (a `condWrite`, a lock) with no entry does not try
 /// `HEAD`: it traverses, as with the cache off. Conditional steps are the
-/// ones that contend — a lock retries every millisecond while its holder
-/// lives — and a failed conditional update still takes the item's write
-/// capacity (two of them, B1 and B2), so on a long chain every
-/// contender's miss would queue on `HEAD`.
+/// ones that contend, and a failed conditional update still takes the
+/// item's write capacity, so on a long chain every contender's miss would
+/// queue on `HEAD`. A refused lock try on a cached tail is one failed
+/// update and one projected get, and keeps the entry.
 ///
 /// # Why a validated read is sound
 ///
@@ -379,8 +379,8 @@ impl TailCache {
     }
 }
 
-/// The current value of `key` — [`read_value`] — with an optional
-/// [`TailCache`]: one point get when it validates the cached row, or
+/// The current value of `key`, the `Value` of its tail row, with an
+/// optional [`TailCache`]: one point get when it validates the cached row, or
 /// with no entry `HEAD` (see [`TailCache`]); scan + get (and a refreshed
 /// entry) otherwise. Absent keys and value-less tails read as `Null`. A
 /// hit is a read the point get answered: a row it confirmed is still the
@@ -435,39 +435,56 @@ pub(crate) fn read_value_cached(
     Ok(schema::data_value(row.as_ref()))
 }
 
-/// The current value of `key`, i.e. the `Value` column of its tail row.
-///
-/// Absent keys and keys whose tail carries no value read as `Null`.
-pub(crate) fn read_value(db: &Database, table: &TableRef, key: &Arc<str>) -> BeldiResult<Value> {
-    read_value_cached(db, None, table, key)
+/// What a write step does beyond applying its payload.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepKind<'a> {
+    /// A plain write: it applies and logs `true`.
+    Write,
+    /// A conditional write: it applies under the condition, else logs
+    /// `false` (B2), an outcome its caller sees and a replay repeats.
+    Cond(&'a Cond),
+    /// A lock try: it applies under `free`, else logs nothing and is
+    /// [`WriteOutcome::Refused`]; `returning` has B1 return the item's value.
+    Lock { free: &'a Cond, returning: bool },
 }
 
-/// A resolved [`try_write`]: its outcome, and the value case B returned,
-/// if the step asked for one and applied the payload.
-type Resolved = (WriteOutcome, Option<Value>);
+impl<'a> StepKind<'a> {
+    /// The condition the payload is applied under, if any.
+    pub fn cond(self) -> Option<&'a Cond> {
+        match self {
+            StepKind::Write => None,
+            StepKind::Cond(cond) | StepKind::Lock { free: cond, .. } => Some(cond),
+        }
+    }
+}
 
 /// Outcome of [`try_write`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WriteOutcome {
     /// The payload was applied (now, or by a previous execution of the
-    /// same step).
-    Applied,
+    /// same step); with the item's value when a returning lock's B1
+    /// applied it now.
+    Applied(Option<Value>),
     /// The user condition evaluated to false (now, or previously); the
     /// payload was not applied but the outcome was logged.
     ConditionFalse,
+    /// A lock try found the lock held: nothing was logged, and this is
+    /// the `LockOwner` the refusing row holds (`Null` in cross-table
+    /// mode, whose cancelled transaction returns no row).
+    Refused(Value),
 }
 
 impl WriteOutcome {
     /// The boolean the paper's `condWrite` returns.
-    pub fn as_bool(self) -> bool {
-        matches!(self, WriteOutcome::Applied)
+    pub fn as_bool(&self) -> bool {
+        matches!(self, WriteOutcome::Applied(_))
     }
 
-    /// Decodes a `RecentWrites` flag back into an outcome: plain writes
-    /// log `true` (Fig. 3), conditional writes the condition's outcome.
-    fn from_flag(flag: bool) -> Self {
+    /// Decodes a logged flag back into an outcome: plain writes log
+    /// `true` (Fig. 3), conditional writes the condition's outcome.
+    pub fn from_flag(flag: bool) -> Self {
         match flag {
-            true => WriteOutcome::Applied,
+            true => WriteOutcome::Applied(None),
             false => WriteOutcome::ConditionFalse,
         }
     }
@@ -481,41 +498,33 @@ impl WriteOutcome {
 /// [`TailCache`]); a hit is one conditional update. Otherwise, or when
 /// that condition fails, the step scans the DAAL for a prior record of
 /// `log_key` (case A anywhere in the chain), then runs the lock-free tail
-/// protocol: attempt the conditional update at the tail candidate (case
-/// B, split into B1/B2 when `user_cond` is present), re-read on failure
-/// and dispatch to case A (already done), C (follow `NextRow`), or D
-/// (append a fresh row and advance). A step that case B resolves on that
-/// path leaves its row in the cache. When the traversal ends at the
+/// protocol: case B at the tail candidate ([`case_b`]), re-read on
+/// failure and dispatch to case A (already done), C (follow `NextRow`),
+/// or D (append a fresh row and advance). A step that case B resolves on
+/// that path leaves its row in the cache. When the traversal ends at the
 /// `HEAD` whose case B just failed, the first round starts at the re-read.
 ///
-/// `user_cond` is evaluated *inside the database's atomicity scope* against
-/// the tail row, so callers may gate on `Value` or `LockOwner` paths.
+/// The `kind`'s condition is evaluated *inside the database's atomicity
+/// scope* against the tail row, so callers may gate on `Value` or
+/// `LockOwner` paths; `payload` is what a successful write applies beyond
+/// logging (`Value`, `LockOwner`, or a shadow write's metadata).
 ///
-/// `payload` is what a successful write applies to the row beyond
-/// logging: the same lock-free loop serves plain writes (set `Value`),
-/// lock operations (set `LockOwner`), and shadow-table writes (set `Value`
-/// plus shadow metadata).
-///
-/// Returns whether the payload was applied. Exactly-once: re-executions
-/// find the logged flag and return the original outcome without touching
-/// the row again. With `returning`, it also returns the item's value when
-/// case B applies the payload now: the `Value` of the tail row it updated,
-/// as the update left it, returned by that one write
-/// ([`Database::update_returning`]). A step that resolves otherwise —
-/// case A's replay, a false condition — returns no value, and its caller
-/// reads the item as before.
+/// Exactly-once: re-executions find the logged flag and return the
+/// original outcome without touching the row again; a refused lock try
+/// ([`case_b`]) writes nothing, and its caller tries the step again. A
+/// returning lock's B1 that applies now returns the tail's `Value`
+/// ([`Database::update_returning`]); otherwise the caller reads the item.
 pub(crate) fn try_write(
     p: &DaalParams<'_>,
     table: &TableRef,
     key: &Arc<str>,
     log_key: &Arc<str>,
     payload: Update,
-    user_cond: Option<&Cond>,
-    returning: bool,
-) -> BeldiResult<Resolved> {
+    kind: StepKind<'_>,
+) -> BeldiResult<WriteOutcome> {
     (p.crash)(Label::DaalWriteEnter);
     // What case B writes, built once however often the loop retries.
-    let step = &StepWrite::new(p, log_key, payload, user_cond, returning);
+    let step = &StepWrite::new(p, log_key, payload, kind);
     let failed_on_head = match write_cached(p, table, key, step)? {
         Cached::Resolved(resolved) => return Ok(resolved),
         Cached::Failed { on_head } => on_head,
@@ -530,7 +539,7 @@ pub(crate) fn try_write(
         if let Some(flag) = chain.iter().find_map(|r| r.logged) {
             // Case A (found during the scan): the operation already
             // executed in some chain row; replay its outcome.
-            return Ok((WriteOutcome::from_flag(flag), None));
+            return Ok(WriteOutcome::from_flag(flag));
         }
         // Fresh DAALs start at HEAD (the conditional update creates it).
         let start = chain
@@ -560,33 +569,24 @@ const MAX_WRITE_ROUNDS: usize = 64;
 const MAX_CHASE: usize = 128;
 
 /// What one write step writes in case B: the payload with a `true` log
-/// entry (B1, or plain B), and for a conditional step the user condition,
-/// under which B2 logs `false` instead.
+/// entry (B1, or plain B), under its kind's condition.
 struct StepWrite<'a> {
     log_key: &'a Arc<str>,
     /// The time the step began, stamped on a `HEAD` it creates.
     now_ms: u64,
     apply: Update,
-    user_cond: Option<&'a Cond>,
-    /// Whether B1 returns the row's `Value`.
-    returning: bool,
+    kind: StepKind<'a>,
 }
 
 impl<'a> StepWrite<'a> {
-    fn new(
-        p: &DaalParams<'_>,
-        log_key: &'a Arc<str>,
-        payload: Update,
-        user_cond: Option<&'a Cond>,
-        returning: bool,
-    ) -> Self {
+    fn new(p: &DaalParams<'_>, log_key: &'a Arc<str>, payload: Update, kind: StepKind<'a>) -> Self {
         let now_ms = (p.now_ms)();
+        let apply = log_actions(log_key, true, now_ms, payload);
         StepWrite {
             log_key,
             now_ms,
-            apply: log_actions(log_key, true, now_ms, payload),
-            user_cond,
-            returning,
+            apply,
+            kind,
         }
     }
 }
@@ -613,17 +613,20 @@ fn log_actions(log_key: &Arc<str>, flag: bool, now_ms: u64, update: Update) -> U
 
 /// Case B at row `pk`, under [`case_b_cond`] and `guard`: B1 (or plain
 /// B) applies the payload and logs `true`; when its condition fails, a
-/// conditional step tries B2, which logs `false`. `None` when neither
-/// condition held. A returning step's B1 returns the row's `Value`.
+/// conditional write tries B2, which logs `false`, and a lock try re-reads
+/// the row: a tail under `guard` that holds no entry of the step and the
+/// lock held refuses the try, which writes nothing (a full tail is not
+/// appended to). `None` when neither held. A returning lock's B1 returns
+/// the row's `Value`.
 fn case_b(
     p: &DaalParams<'_>,
     table: &TableRef,
     pk: &PrimaryKey,
     step: &StepWrite<'_>,
     guard: Cond,
-) -> BeldiResult<Option<Resolved>> {
+) -> BeldiResult<Option<WriteOutcome>> {
     let mut cond = case_b_cond(p, step.log_key).and(guard.clone());
-    if let Some(uc) = step.user_cond {
+    if let Some(uc) = step.kind.cond() {
         cond = cond.and(uc.clone());
     }
     (p.crash)(Label::DaalWritePreApply);
@@ -631,27 +634,40 @@ fn case_b(
         clippy::disallowed_methods,
         reason = "between Label::DaalWritePreApply and Label::DaalWritePostApply"
     )]
-    let applied = ids::logging(step.log_key, || match step.returning {
-        true => {
+    let applied = ids::logging(step.log_key, || match step.kind {
+        StepKind::Lock {
+            returning: true, ..
+        } => {
             p.db.update_returning(table, pk, &cond, &step.apply, &Projection::attrs([A_VALUE]))
                 .map(|row| Some(schema::data_value(Some(&row))))
         }
-        false => p.db.update(table, pk, &cond, &step.apply).map(|()| None),
+        _ => p.db.update(table, pk, &cond, &step.apply).map(|()| None),
     });
     match applied {
         Ok(value) => {
             (p.crash)(Label::DaalWritePostApply);
-            return Ok(Some((WriteOutcome::Applied, value)));
+            return Ok(Some(WriteOutcome::Applied(value)));
         }
         Err(DbError::ConditionFailed) => {}
         Err(e) => return Err(refused(p, table, pk, e)),
     }
-
-    // Case B2 (conditional writes only): the user condition was false
-    // at the serialization point; log the failed outcome.
-    if step.user_cond.is_none() {
-        return Ok(None);
+    match step.kind {
+        StepKind::Write => return Ok(None),
+        StepKind::Lock { free, .. } => {
+            let entry = Path::attr(A_WRITES).then_attr(step.log_key.clone());
+            let seen = Projection::attrs([A_NEXT_ROW, A_KEY, A_CREATED, A_LOCK]);
+            let seen = seen.with_path(entry.clone());
+            let tail = Cond::not_exists(entry).and(Cond::not_exists(A_NEXT_ROW));
+            let row = p.db.get(table, pk, Some(&seen))?.unwrap_or_default();
+            let held = matches!(tail.and(guard).eval(&row), Ok(true))
+                && matches!(free.eval(&row), Ok(false));
+            return Ok(held.then(|| WriteOutcome::Refused(schema::lock_value(Some(&row)))));
+        }
+        StepKind::Cond(_) => {}
     }
+
+    // Case B2: the user condition was false at the serialization point;
+    // log the failed outcome.
     let cond = case_b_cond(p, step.log_key).and(guard);
     let log_false = log_actions(step.log_key, false, step.now_ms, Update::new());
     (p.crash)(Label::DaalWritePreLogFalse);
@@ -662,7 +678,7 @@ fn case_b(
     match ids::logging(step.log_key, || p.db.update(table, pk, &cond, &log_false)) {
         Ok(()) => {
             (p.crash)(Label::DaalWritePostLogFalse);
-            Ok(Some((WriteOutcome::ConditionFalse, None)))
+            Ok(Some(WriteOutcome::ConditionFalse))
         }
         Err(DbError::ConditionFailed) => Ok(None),
         Err(e) => Err(refused(p, table, pk, e)),
@@ -685,7 +701,7 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
 /// What [`write_cached`] did.
 enum Cached {
     /// Case B resolved the step.
-    Resolved(Resolved),
+    Resolved(WriteOutcome),
     /// The caller traverses: there was no row to try, or case B failed on
     /// it, and then `on_head` tells whether that row was `HEAD`.
     Failed { on_head: bool },
@@ -711,7 +727,7 @@ fn write_cached(
     let cached = p.tail_cache.and_then(|cache| cache.get(table.name(), key));
     let row_id = match cached.clone() {
         Some(row_id) => row_id,
-        None if p.head_first && step.user_cond.is_none() => ROW_HEAD.into(),
+        None if p.head_first && step.kind.cond().is_none() => ROW_HEAD.into(),
         None => return Ok(Cached::Failed { on_head: false }),
     };
     let on_head = &*row_id == ROW_HEAD;
@@ -751,7 +767,7 @@ fn write_at(
     mut row_id: Arc<str>,
     step: &StepWrite<'_>,
     tried: bool,
-) -> BeldiResult<Option<Resolved>> {
+) -> BeldiResult<Option<WriteOutcome>> {
     // The row whose `NextRow` pointer we last chased, for pointer repair
     // (see below).
     let mut chased_from: Option<Arc<str>> = None;
@@ -811,7 +827,7 @@ fn write_at(
         if let Some(flag) = row.logged(table.name(), key, step.log_key)? {
             // Case A: a concurrent re-execution of this very step (the IC
             // racing the original instance) already performed it.
-            return Ok(Some((WriteOutcome::from_flag(flag), None)));
+            return Ok(Some(WriteOutcome::from_flag(flag)));
         }
         match row.next {
             // Case C: the row filled up and points onward; chase the tail.
@@ -937,15 +953,10 @@ pub(crate) fn seed(
     Ok(())
 }
 
-/// The lock owner recorded on `key`'s tail row, if any.
-pub(crate) fn lock_owner(
-    db: &Database,
-    table: &TableRef,
-    key: &Arc<str>,
-) -> BeldiResult<Option<Value>> {
-    Ok(read_tail_row(db, table, key, &Projection::attrs([A_LOCK]))?
-        .and_then(|mut row| row.take_attr(A_LOCK))
-        .filter(|v| !v.is_null()))
+/// The `LockOwner` recorded on `key`'s tail row (`Null` if none).
+pub(crate) fn lock_owner(db: &Database, table: &TableRef, key: &Arc<str>) -> BeldiResult<Value> {
+    let tail = read_tail_row(db, table, key, &Projection::attrs([A_LOCK]))?;
+    Ok(schema::lock_value(tail.as_ref()))
 }
 
 #[cfg(test)]
@@ -990,77 +1001,40 @@ mod tests {
             }
         }
 
-        fn write(&self, key: &str, log_key: &str, v: i64) -> WriteOutcome {
-            let ids = &self.counter;
-            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
-            let p = DaalParams {
-                new_row_id: &gen,
-                ..self.params()
-            };
-            try_write(
-                &p,
-                &p.db.table("t"),
-                &key.into(),
-                &log_key.into(),
-                Update::new().set(A_VALUE, Value::Int(v)),
-                None,
-                false,
-            )
-            .unwrap()
-            .0
-        }
-
-        fn cond_write(&self, key: &str, log_key: &str, v: i64, cond: Cond) -> WriteOutcome {
-            let ids = &self.counter;
-            let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
-            let p = DaalParams {
-                new_row_id: &gen,
-                ..self.params()
-            };
-            try_write(
-                &p,
-                &p.db.table("t"),
-                &key.into(),
-                &log_key.into(),
-                Update::new().set(A_VALUE, Value::Int(v)),
-                Some(&cond),
-                false,
-            )
-            .unwrap()
-            .0
-        }
-
-        /// One write step through `cache`, with the store calls it made:
-        /// `(gets, writes, queries)`.
-        fn cached_write(
+        /// One write step, uncached unless `cache` is given, with the
+        /// store calls it made: `(gets, writes, queries)`.
+        fn step(
             &self,
-            cache: &TailCache,
+            cache: Option<&TailCache>,
             key: &str,
             log_key: &str,
             payload: Update,
-            cond: Option<&Cond>,
+            kind: StepKind<'_>,
         ) -> (WriteOutcome, (u64, u64, u64)) {
             let ids = &self.counter;
             let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
             let p = DaalParams {
                 new_row_id: &gen,
-                tail_cache: Some(cache),
-                head_first: true,
+                tail_cache: cache,
+                head_first: cache.is_some(),
                 ..self.params()
             };
             let before = self.db.metrics();
             let table = p.db.table("t");
-            let out = try_write(
-                &p,
-                &table,
-                &key.into(),
-                &log_key.into(),
-                payload,
-                cond,
-                false,
-            );
+            let out = try_write(&p, &table, &key.into(), &log_key.into(), payload, kind);
             let d = self.db.metrics().delta(&before);
-            (out.unwrap().0, (d.gets, d.writes, d.queries))
+            (out.unwrap(), (d.gets, d.writes, d.queries))
+        }
+
+        fn write(&self, key: &str, log_key: &str, v: i64) -> WriteOutcome {
+            let payload = Update::new().set(A_VALUE, Value::Int(v));
+            self.step(None, key, log_key, payload, StepKind::Write).0
+        }
+
+        fn cond_write(&self, key: &str, log_key: &str, v: i64, cond: Cond) -> WriteOutcome {
+            let payload = Update::new().set(A_VALUE, Value::Int(v));
+            self.step(None, key, log_key, payload, StepKind::Cond(&cond))
+                .0
         }
 
         /// `key`'s value read through `cache`, with the store calls the
@@ -1079,7 +1053,7 @@ mod tests {
         }
 
         fn value(&self, key: &str) -> Value {
-            read_value(&self.db, &self.db.table("t"), &key.into()).unwrap()
+            read_value_cached(&self.db, None, &self.db.table("t"), &key.into()).unwrap()
         }
 
         fn chain_len(&self, key: &str) -> usize {
@@ -1110,8 +1084,7 @@ mod tests {
                 &"k".into(),
                 &"i#1".into(),
                 payload,
-                None,
-                false,
+                StepKind::Write,
             );
             assert_eq!(out, Err(schema::corrupt("t", "k", attr)));
             row.as_map_mut().unwrap().remove(attr);
@@ -1123,7 +1096,7 @@ mod tests {
     #[test]
     fn first_write_creates_head() {
         let f = Fixture::new();
-        assert_eq!(f.write("k", "i#0", 7), WriteOutcome::Applied);
+        assert_eq!(f.write("k", "i#0", 7), WriteOutcome::Applied(None));
         assert_eq!(f.value("k"), Value::Int(7));
         assert_eq!(f.chain_len("k"), 1);
     }
@@ -1137,9 +1110,9 @@ mod tests {
     #[test]
     fn rewrite_of_same_step_is_idempotent() {
         let f = Fixture::new();
-        assert_eq!(f.write("k", "i#0", 1), WriteOutcome::Applied);
+        assert_eq!(f.write("k", "i#0", 1), WriteOutcome::Applied(None));
         // Re-execution of the same step: outcome replayed, value untouched.
-        assert_eq!(f.write("k", "i#0", 999), WriteOutcome::Applied);
+        assert_eq!(f.write("k", "i#0", 999), WriteOutcome::Applied(None));
         assert_eq!(f.value("k"), Value::Int(1));
     }
 
@@ -1171,7 +1144,7 @@ mod tests {
         }
         // The early write's record now lives in a non-tail row; replaying
         // it must find the record there (case A during the scan).
-        assert_eq!(f.write("k", "early#0", 0), WriteOutcome::Applied);
+        assert_eq!(f.write("k", "early#0", 0), WriteOutcome::Applied(None));
         assert_eq!(f.value("k"), Value::Int(6));
     }
 
@@ -1201,7 +1174,7 @@ mod tests {
         let f = Fixture::new();
         f.write("k", "a#0", 5);
         let ok = f.cond_write("k", "a#1", 6, Cond::eq(A_VALUE, Value::Int(5)));
-        assert_eq!(ok, WriteOutcome::Applied);
+        assert_eq!(ok, WriteOutcome::Applied(None));
         assert_eq!(f.value("k"), Value::Int(6));
     }
 
@@ -1214,46 +1187,79 @@ mod tests {
         // Row is now full. A failed cond write must extend the chain and
         // still see the carried value in the new tail.
         let out = f.cond_write("k", "i#3", 99, Cond::eq(A_VALUE, Value::Int(2)));
-        assert_eq!(out, WriteOutcome::Applied);
+        assert_eq!(out, WriteOutcome::Applied(None));
         assert_eq!(f.value("k"), Value::Int(99));
         assert_eq!(f.chain_len("k"), 2);
     }
 
     /// A lock's write sets the owner and, asked to, returns the item's
-    /// value; a replay of the step and a failed lock return none.
+    /// value; a replay of the step returns none. A refused try is the
+    /// traversal, the failed update and the re-read that names the holder,
+    /// and writes nothing; tried again once the lock is free, the same
+    /// step acquires.
     #[test]
     fn lock_payload_sets_owner() {
         let f = Fixture::new();
         f.write("k", "a#0", 1);
-        let ids = &f.counter;
-        let gen = move || format!("R{}", ids.fetch_add(1, Ordering::Relaxed)).into();
-        let p = DaalParams {
-            new_row_id: &gen,
-            ..f.params()
-        };
-        let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let lock = |log_key: &str, owner: &Value| {
-            let before = f.db.metrics();
             let payload = Update::new().set(A_LOCK, owner.clone());
-            let (t, k, l) = (p.db.table("t"), "k".into(), log_key.into());
-            let out = try_write(&p, &t, &k, &l, payload, Some(&free), true).unwrap();
-            let d = f.db.metrics().delta(&before);
-            (out, (d.gets, d.writes))
+            let kind = StepKind::Lock {
+                free: &free,
+                returning: true,
+            };
+            f.step(None, "k", log_key, payload, kind)
         };
-        assert_eq!(
-            lock("a#1", &owner),
-            ((WriteOutcome::Applied, Some(Value::Int(1))), (0, 1))
-        );
+        let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
+        let applied = WriteOutcome::Applied(Some(Value::Int(1)));
+        assert_eq!(lock("a#1", &owner), (applied.clone(), (0, 1, 1)));
         assert_eq!(
             lock_owner(&f.db, &f.db.table("t"), &"k".into()).unwrap(),
-            Some(owner.clone())
+            owner.clone()
         );
         // Its replay finds the step logged and returns no value.
-        assert_eq!(lock("a#1", &owner).0, (WriteOutcome::Applied, None));
-        // A second transaction fails to acquire.
+        assert_eq!(lock("a#1", &owner).0, WriteOutcome::Applied(None));
+        // A second transaction's try is refused.
         let other = crate::txn::lock_owner_value(&"txn-2".into(), 30);
-        assert_eq!(lock("b#0", &other).0, (WriteOutcome::ConditionFalse, None));
+        let before = f.db.snapshot();
+        let refused = WriteOutcome::Refused(owner);
+        assert_eq!(lock("b#0", &other), (refused, (1, 1, 1)));
+        assert_eq!(f.db.snapshot(), before, "a refused try writes nothing");
+        let release = Update::new().set(A_LOCK, Value::Null);
+        f.step(None, "k", "a#2", release, StepKind::Write);
+        assert_eq!(lock("b#0", &other).0, applied);
+        let entry = beldi_value::vmap! { "b#0" => true };
+        assert_eq!(f.log_of("k", "R0"), Some(entry), "one entry");
+    }
+
+    /// A refused lock try on a cached tail with room is one failed update
+    /// and one projected get: it names the holder, writes nothing and
+    /// keeps the cache entry.
+    #[test]
+    fn a_refused_lock_try_on_a_cached_tail_keeps_its_entry() {
+        let f = Fixture::new();
+        let cache = TailCache::new();
+        let lock = |log_key: &str, id: &str| {
+            let id: Arc<str> = id.into();
+            let owner = crate::txn::lock_owner_value(&id, 0);
+            let free = crate::SsfContext::lock_free_cond(&id);
+            let kind = StepKind::Lock {
+                free: &free,
+                returning: false,
+            };
+            let payload = Update::new().set(A_LOCK, owner);
+            f.step(Some(&cache), "k", log_key, payload, kind)
+        };
+        assert_eq!(lock("a#0", "a").0, WriteOutcome::Applied(None));
+        assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
+        let before = f.db.snapshot();
+        let holder = crate::txn::lock_owner_value(&"a".into(), 0);
+        for _ in 0..3 {
+            let refused = (WriteOutcome::Refused(holder.clone()), (1, 1, 0));
+            assert_eq!(lock("b#0", "b"), refused, "(gets, writes, queries)");
+        }
+        assert_eq!(f.db.snapshot(), before, "a refused try writes nothing");
+        assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
     }
 
     /// An appended row's `Created` is a clock read taken after its
@@ -1289,11 +1295,10 @@ mod tests {
             &"k".into(),
             &"i#3".into(),
             Update::new().set(A_VALUE, Value::Int(3)),
-            None,
-            false,
+            StepKind::Write,
         )
         .unwrap();
-        assert_eq!(out, (WriteOutcome::Applied, None));
+        assert_eq!(out, WriteOutcome::Applied(None));
         assert_eq!(f.chain_len("k"), 2);
         let row = f.db.get("t", &PrimaryKey::hash_sort("k", "R-new"), None);
         let created = row.unwrap().unwrap().get_int(A_CREATED);
@@ -1412,10 +1417,10 @@ mod tests {
         let f = Fixture::new();
         let cache = TailCache::new();
         let payload = Update::new().set(A_VALUE, Value::Int(7));
-        let (out, calls) = f.cached_write(&cache, "k", "i#0", payload, None);
+        let (out, calls) = f.step(Some(&cache), "k", "i#0", payload, StepKind::Write);
         assert_eq!(
             (out, calls),
-            (WriteOutcome::Applied, (0, 1, 0)),
+            (WriteOutcome::Applied(None), (0, 1, 0)),
             "(gets, writes, queries)"
         );
         assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
@@ -1436,7 +1441,7 @@ mod tests {
         let cache = TailCache::new();
         let payload = Update::new().set(A_VALUE, Value::Int(1));
         let never = Cond::eq(A_VALUE, Value::Int(5));
-        let (out, calls) = f.cached_write(&cache, "c", "a#0", payload, Some(&never));
+        let (out, calls) = f.step(Some(&cache), "c", "a#0", payload, StepKind::Cond(&never));
         assert_eq!((out, calls), (WriteOutcome::ConditionFalse, (0, 2, 1)));
         assert_eq!(
             f.log_of("c", ROW_HEAD),
@@ -1447,14 +1452,23 @@ mod tests {
         let owner = crate::txn::lock_owner_value(&"txn-1".into(), 17);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
         let lock = Update::new().set(A_LOCK, owner.clone());
-        let (out, calls) = f.cached_write(&cache, "l", "b#0", lock, Some(&free));
-        assert_eq!((out, calls), (WriteOutcome::Applied, (0, 1, 1)));
+        let (out, calls) = f.step(
+            Some(&cache),
+            "l",
+            "b#0",
+            lock,
+            StepKind::Lock {
+                free: &free,
+                returning: false,
+            },
+        );
+        assert_eq!((out, calls), (WriteOutcome::Applied(None), (0, 1, 1)));
         assert_eq!(
             f.log_of("l", ROW_HEAD),
             Some(beldi_value::vmap! { "b#0" => true })
         );
         let table = f.db.table("t");
-        assert_eq!(lock_owner(&f.db, &table, &"l".into()).unwrap(), Some(owner));
+        assert_eq!(lock_owner(&f.db, &table, &"l".into()).unwrap(), owner);
         for key in ["c", "l"] {
             assert_eq!(cache.get("t", key).as_deref(), Some(ROW_HEAD), "{key}");
         }
@@ -1489,10 +1503,10 @@ mod tests {
 
         let cache = TailCache::new();
         let payload = Update::new().set(A_VALUE, Value::Int(5));
-        let (out, calls) = f.cached_write(&cache, "k", "i#5", payload, None);
+        let (out, calls) = f.step(Some(&cache), "k", "i#5", payload, StepKind::Write);
         assert_eq!(
             (out, calls),
-            (WriteOutcome::Applied, (0, 2, 1)),
+            (WriteOutcome::Applied(None), (0, 2, 1)),
             "(gets, writes, queries)"
         );
         assert_eq!(f.db.telemetry().get(Metric::TailCacheWriteFallbacks), 1);
@@ -1510,18 +1524,29 @@ mod tests {
         let cache = TailCache::new();
         let write = |v: i64| Update::new().set(A_VALUE, Value::Int(v));
         let never = Cond::eq(A_VALUE, Value::Int(-1));
-        f.cached_write(&cache, "k", "early#0", write(42), None);
-        f.cached_write(&cache, "k", "early#1", write(43), Some(&never));
+        f.step(Some(&cache), "k", "early#0", write(42), StepKind::Write);
+        f.step(
+            Some(&cache),
+            "k",
+            "early#1",
+            write(43),
+            StepKind::Cond(&never),
+        );
         for step in 0..4 {
-            f.cached_write(&cache, "k", &format!("later#{step}"), write(step), None);
+            let log_key = format!("later#{step}");
+            f.step(Some(&cache), "k", &log_key, write(step), StepKind::Write);
         }
         assert_eq!(f.chain_len("k"), 2);
         let before = f.db.snapshot();
-        for (log_key, cond, logged) in [
-            ("early#0", None, WriteOutcome::Applied),
-            ("early#1", Some(&never), WriteOutcome::ConditionFalse),
+        for (log_key, kind, logged) in [
+            ("early#0", StepKind::Write, WriteOutcome::Applied(None)),
+            (
+                "early#1",
+                StepKind::Cond(&never),
+                WriteOutcome::ConditionFalse,
+            ),
         ] {
-            let (out, _) = f.cached_write(&TailCache::new(), "k", log_key, write(0), cond);
+            let (out, _) = f.step(Some(&TailCache::new()), "k", log_key, write(0), kind);
             assert_eq!(out, logged, "{log_key}");
         }
         assert_eq!(f.db.snapshot(), before, "a replay changes nothing");

@@ -724,7 +724,7 @@ impl BeldiEnv {
     pub fn read_current(&self, ssf: &str, table: &str, key: &str) -> BeldiResult<Value> {
         let physical = self.core.db.table(&schema::data_table(ssf, table));
         match self.core.config.mode {
-            Mode::Beldi => daal::read_value(&self.core.db, &physical, &key.into()),
+            Mode::Beldi => daal::read_value_cached(&self.core.db, None, &physical, &key.into()),
             Mode::CrossTable | Mode::Baseline => {
                 modes::baseline_read(&self.core.db, &physical, key)
             }

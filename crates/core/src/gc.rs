@@ -429,7 +429,7 @@ impl Sweep<'_> {
     /// Whether `txn` holds `key`'s lock in `data`. A lock that breaks its
     /// decode rule counts the chain corrupt, and reads as held.
     fn locked(&mut self, data: &TableRef, key: &Arc<str>, txn: &str) -> BeldiResult<bool> {
-        let lock = daal::lock_owner(self.db, data, key)?.unwrap_or_default();
+        let lock = daal::lock_owner(self.db, data, key)?;
         match schema::lock_owner(data.name(), key, &lock) {
             Ok(holder) => Ok(holder.is_some_and(|(id, _)| id == txn)),
             Err(_) => self.corrupt_chain().map(|()| true),
@@ -677,7 +677,7 @@ mod tests {
             "re-linked row must not be deleted"
         );
         assert_eq!(
-            daal::read_value(e.db(), &e.db().table("f.data.t"), &"k".into()).unwrap(),
+            daal::read_value_cached(e.db(), None, &e.db().table("f.data.t"), &"k".into()).unwrap(),
             Value::Int(3),
             "tail value lost — the chain was severed"
         );

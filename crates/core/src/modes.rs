@@ -22,7 +22,7 @@
 use beldi_simdb::{Database, DbError, PrimaryKey, TableRef, TransactOp};
 use beldi_value::{Cond, Update, Value};
 
-use crate::daal::WriteOutcome;
+use crate::daal::{StepKind, WriteOutcome};
 use crate::error::{BeldiError, BeldiResult};
 use crate::ids;
 use crate::schema::{self, A_FLAG, A_KEY, A_LOG_KEY, A_VALUE};
@@ -38,9 +38,10 @@ pub(crate) fn baseline_read(db: &Database, table: &TableRef, key: &str) -> Beldi
 
 // ---- Cross-table transactional logging ----
 
-/// Index of the log-entry `Put` inside the transact batches below; a
-/// cancellation blaming this op means "this step already executed".
-const LOG_OP: usize = 1;
+/// Index of the log-entry `Put`, first in the transact batches below: a
+/// cancellation blaming it means "this step already executed", and one
+/// blaming the data op, "this step is not logged".
+const LOG_OP: usize = 0;
 
 fn write_entry_put(log: &str, log_key: &str, flag: bool) -> TransactOp {
     TransactOp::Put {
@@ -57,18 +58,17 @@ fn logged_flag(db: &Database, log: &TableRef, log_key: &str) -> BeldiResult<Writ
         .ok_or_else(|| {
             BeldiError::Protocol(format!("write-log entry {log_key} vanished after conflict"))
         })?;
-    Ok(match schema::write_entry(log.name(), log_key, &row)? {
-        true => WriteOutcome::Applied,
-        false => WriteOutcome::ConditionFalse,
-    })
+    let flag = schema::write_entry(log.name(), log_key, &row)?;
+    Ok(WriteOutcome::from_flag(flag))
 }
 
 /// Exactly-once write in cross-table mode: atomically update the data row
 /// *and* insert the log entry in one cross-table transaction.
 ///
 /// `payload` is applied to the data row on success (e.g. `SET Value = v`
-/// or `SET LockOwner = o`); `user_cond` gates it, with the false outcome
-/// logged exactly as in the DAAL protocol (Fig. 17).
+/// or `SET LockOwner = o`) under the `kind`'s condition. A conditional
+/// write logs the false outcome exactly as in the DAAL protocol (Fig. 17);
+/// a refused lock try logs nothing.
 pub(crate) fn cross_table_write(
     db: &Database,
     table: &TableRef,
@@ -76,24 +76,25 @@ pub(crate) fn cross_table_write(
     key: &str,
     log_key: &str,
     payload: Update,
-    user_cond: Option<&Cond>,
+    kind: StepKind<'_>,
 ) -> BeldiResult<WriteOutcome> {
-    let pk = PrimaryKey::hash(key);
-    let data_cond = user_cond.cloned().unwrap_or(Cond::True);
     let ops = [
+        write_entry_put(log.name(), log_key, true),
         TransactOp::Update {
             table: table.name().to_string(),
-            key: pk,
-            cond: data_cond,
+            key: PrimaryKey::hash(key),
+            cond: kind.cond().cloned().unwrap_or(Cond::True),
             update: payload,
         },
-        write_entry_put(log.name(), log_key, true),
     ];
     match ids::logging(log_key, || db.transact_write(&ops)) {
-        Ok(()) => Ok(WriteOutcome::Applied),
+        Ok(()) => Ok(WriteOutcome::Applied(None)),
         Err(DbError::TransactionCanceled { failed_op }) if failed_op == LOG_OP => {
             // The step already executed; replay its logged outcome.
             logged_flag(db, log, log_key)
+        }
+        Err(DbError::TransactionCanceled { .. }) if matches!(kind, StepKind::Lock { .. }) => {
+            Ok(WriteOutcome::Refused(Value::Null))
         }
         Err(DbError::TransactionCanceled { .. }) => {
             // The user condition failed at the serialization point; log
@@ -162,7 +163,7 @@ mod tests {
             "k",
             "i#0",
             payload,
-            None,
+            StepKind::Write,
         );
         assert_eq!(out, Err(schema::corrupt("w", "i#0", A_FLAG)));
         assert_eq!(
@@ -182,19 +183,27 @@ mod tests {
             "k",
             "i#0",
             payload.clone(),
-            None,
+            StepKind::Write,
         )
         .unwrap();
-        assert_eq!(out, WriteOutcome::Applied);
+        assert_eq!(out, WriteOutcome::Applied(None));
         assert_eq!(
             baseline_read(&db, &db.table("d"), "k").unwrap(),
             Value::Int(5)
         );
         // Replay of the same step: logged, so the data row is untouched.
         let other = Update::new().set(A_VALUE, Value::Int(99));
-        let out = cross_table_write(&db, &db.table("d"), &db.table("w"), "k", "i#0", other, None)
-            .unwrap();
-        assert_eq!(out, WriteOutcome::Applied);
+        let out = cross_table_write(
+            &db,
+            &db.table("d"),
+            &db.table("w"),
+            "k",
+            "i#0",
+            other,
+            StepKind::Write,
+        )
+        .unwrap();
+        assert_eq!(out, WriteOutcome::Applied(None));
         assert_eq!(
             baseline_read(&db, &db.table("d"), "k").unwrap(),
             Value::Int(5)
@@ -211,7 +220,7 @@ mod tests {
             "k",
             "i#0",
             Update::new().set(A_VALUE, Value::Int(1)),
-            None,
+            StepKind::Write,
         )
         .unwrap();
         let cond = Cond::ge(A_VALUE, 100i64);
@@ -223,7 +232,7 @@ mod tests {
             "k",
             "i#1",
             payload.clone(),
-            Some(&cond),
+            StepKind::Cond(&cond),
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
@@ -236,7 +245,7 @@ mod tests {
             "k",
             "i#2",
             Update::new().set(A_VALUE, Value::Int(200)),
-            None,
+            StepKind::Write,
         )
         .unwrap();
         let out = cross_table_write(
@@ -246,7 +255,7 @@ mod tests {
             "k",
             "i#1",
             payload,
-            Some(&cond),
+            StepKind::Cond(&cond),
         )
         .unwrap();
         assert_eq!(out, WriteOutcome::ConditionFalse);
@@ -256,23 +265,30 @@ mod tests {
         );
     }
 
+    /// A lock try sets the owner and logs `true`; a refused one is one
+    /// cancelled transaction and logs nothing.
     #[test]
     fn cross_table_lock_payload() {
         let db = db();
-        let owner = crate::txn::lock_owner_value(&"t1".into(), 7);
         let free = Cond::not_exists(A_LOCK).or(Cond::eq(A_LOCK, Value::Null));
-        let out = cross_table_write(
-            &db,
-            &db.table("d"),
-            &db.table("w"),
-            "k",
-            "i#0",
-            Update::new().set(A_LOCK, owner.clone()),
-            Some(&free),
-        )
-        .unwrap();
-        assert_eq!(out, WriteOutcome::Applied);
+        let lock = |log_key: &str, id: &str| {
+            let before = db.metrics();
+            let owner = crate::txn::lock_owner_value(&id.into(), 7);
+            let payload = Update::new().set(A_LOCK, owner);
+            let kind = StepKind::Lock {
+                free: &free,
+                returning: false,
+            };
+            let (d, w) = (&db.table("d"), &db.table("w"));
+            let out = cross_table_write(&db, d, w, "k", log_key, payload, kind).unwrap();
+            (out, db.metrics().delta(&before).transact_writes)
+        };
+        assert_eq!(lock("i#0", "t1"), (WriteOutcome::Applied(None), 1));
         let row = db.get("d", &PrimaryKey::hash("k"), None).unwrap().unwrap();
+        let owner = crate::txn::lock_owner_value(&"t1".into(), 7);
         assert_eq!(row.get_attr(A_LOCK), Some(&owner));
+        assert_eq!(lock("j#0", "t2"), (WriteOutcome::Refused(Value::Null), 1));
+        let entry = db.get("w", &PrimaryKey::hash("j#0"), None).unwrap();
+        assert_eq!(entry, None, "a refused try logs nothing");
     }
 }

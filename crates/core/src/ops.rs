@@ -12,11 +12,15 @@
 //!   linked DAAL, or a cross-table transaction in that mode);
 //! - [`SsfContext::lock`] / [`SsfContext::unlock`] are conditional writes
 //!   against the item's lock-owner column (§6.1): lock ownership belongs
-//!   to the *intent*, so a re-executed instance still holds its locks;
+//!   to the *intent*, so a re-executed instance still holds its locks. A
+//!   lock wait is one step: a refused try logs nothing and backs off (1
+//!   ms, doubling to 64 ms); the acquiring try logs `true`, and a wait-die
+//!   death `false`;
 //! - [`SsfContext::logged_now_ms`] and [`SsfContext::logged_uuid`] make
 //!   the two common sources of nondeterminism replayable.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use beldi_simclock::{logging_step, Op};
 use beldi_simdb::{DbError, PrimaryKey, TableRef};
@@ -24,16 +28,15 @@ use beldi_value::{Cond, Path, Update, Value};
 
 use crate::config::Mode;
 use crate::context::SsfContext;
-use crate::daal::{self, WriteOutcome};
+use crate::daal::{self, StepKind, WriteOutcome};
 use crate::error::{BeldiError, BeldiResult};
 use crate::modes;
 use crate::schema::{self, A_LOCK, A_LOG_KEY, A_VALUE};
 use crate::Label;
 
-/// Maximum spins while waiting for a contended lock before concluding the
-/// application has a liveness bug (standalone locks have no deadlock
-/// prevention; transactions use wait-die and abort much earlier).
-const MAX_LOCK_SPINS: usize = 100_000;
+/// The longest pause between two tries of a lock wait: latency a waiter
+/// may pay after the lock frees, against a try per pause while it is held.
+const LOCK_BACKOFF_CAP: Duration = Duration::from_millis(64);
 
 impl SsfContext {
     // ---- Read (Fig. 5) ----
@@ -51,26 +54,15 @@ impl SsfContext {
         }
         let physical = self.data_table(table)?;
         self.crash(Label::ReadEnter);
-        let val = self.raw_read_value(&physical, key)?;
+        // A Beldi read goes through the tail cache (`daal::TailCache`).
+        let val = match self.mode() {
+            Mode::Beldi => {
+                let cache = self.core.tail_cache.as_ref();
+                daal::read_value_cached(self.db(), cache, &physical, &key.into())?
+            }
+            Mode::CrossTable | Mode::Baseline => modes::baseline_read(self.db(), &physical, key)?,
+        };
         self.log_value(val)
-    }
-
-    /// The mode-appropriate raw (unlogged) read of a data table.
-    ///
-    /// Beldi-mode reads go through the environment's tail-row cache when
-    /// enabled, turning the common case from a traversal scan plus a point
-    /// get into a single validated point get (the driver's measured hot
-    /// path; see `daal::TailCache`).
-    pub(crate) fn raw_read_value(&self, physical: &TableRef, key: &str) -> BeldiResult<Value> {
-        match self.mode() {
-            Mode::Beldi => daal::read_value_cached(
-                self.db(),
-                self.core.tail_cache.as_ref(),
-                physical,
-                &key.into(),
-            ),
-            Mode::CrossTable | Mode::Baseline => modes::baseline_read(self.db(), physical, key),
-        }
     }
 
     /// Records `val` in the read log under the next step and returns the
@@ -129,8 +121,8 @@ impl SsfContext {
             return self.txn_write(table, key, value);
         }
         let physical = self.data_table(table)?;
-        let key = key.into();
-        self.write_step(&physical, &key, Update::new().set(A_VALUE, value), None)?;
+        let set = Update::new().set(A_VALUE, value);
+        self.write_step(&physical, &key.into(), set, StepKind::Write)?;
         Ok(())
     }
 
@@ -158,61 +150,59 @@ impl SsfContext {
             &physical,
             &key.into(),
             Update::new().set(A_VALUE, value),
-            Some(&cond),
+            StepKind::Cond(&cond),
         )?;
         Ok(out.as_bool())
     }
 
     /// One write step against a physical table, dispatched by mode (in
-    /// baseline, unlogged). `payload` is the update applied on success;
-    /// `user_cond` optionally gates it (with the false outcome logged).
+    /// baseline, unlogged). `payload` is the update applied on success,
+    /// under the `kind`'s condition.
     ///
     /// Consumes one step number. Callers outside this module use it for
-    /// lock transitions and transaction flushes.
+    /// lock releases, shadow writes and transaction flushes.
     pub(crate) fn write_step(
         &mut self,
         physical: &TableRef,
         key: &Arc<str>,
         payload: Update,
-        user_cond: Option<&Cond>,
+        kind: StepKind<'_>,
     ) -> BeldiResult<WriteOutcome> {
-        let out = self.write_step_returning(physical, key, payload, user_cond, false)?;
-        Ok(out.0)
+        self.step += 1;
+        self.write_at(self.step - 1, physical, key, payload, kind)
     }
 
-    /// [`SsfContext::write_step`]; with `returning`, also the item's value
-    /// when the write returned it ([`daal::try_write`]: in Beldi
-    /// mode, a step case B applied now). A transactional lock asks for it.
-    pub(crate) fn write_step_returning(
+    /// [`SsfContext::write_step`] at `step`, which the caller took.
+    fn write_at(
         &mut self,
+        step: crate::ids::StepNumber,
         physical: &TableRef,
         key: &Arc<str>,
         payload: Update,
-        user_cond: Option<&Cond>,
-        returning: bool,
-    ) -> BeldiResult<(WriteOutcome, Option<Value>)> {
-        let step = self.step;
-        self.step += 1;
+        kind: StepKind<'_>,
+    ) -> BeldiResult<WriteOutcome> {
         let log_key = || crate::ids::log_key(self.instance(), step);
         self.crash(Label::WriteEnter);
         let out = match self.mode() {
             Mode::Beldi => self.with_daal(physical, |p| {
-                let log_key = &log_key();
-                daal::try_write(p, physical, key, log_key, payload, user_cond, returning)
+                daal::try_write(p, physical, key, &log_key(), payload, kind)
             })?,
             Mode::CrossTable => {
-                // Either outcome leaves the step's entry in the log.
+                let log = &self.ssf.log_table;
                 let out = modes::cross_table_write(
                     self.db(),
                     physical,
-                    &self.ssf.log_table,
+                    log,
                     key,
                     &log_key(),
                     payload,
-                    user_cond,
+                    kind,
                 )?;
-                self.log_steps.push(step);
-                (out, None)
+                // Every outcome but a refused lock try leaves the step's entry.
+                if !matches!(out, WriteOutcome::Refused(_)) {
+                    self.log_steps.push(step);
+                }
+                out
             }
             #[expect(
                 clippy::disallowed_methods,
@@ -221,10 +211,10 @@ impl SsfContext {
             Mode::Baseline => {
                 // Unlogged: a retry applies it again.
                 let pk = PrimaryKey::hash(key);
-                let cond = user_cond.cloned().unwrap_or(Cond::True);
+                let cond = kind.cond().cloned().unwrap_or(Cond::True);
                 match logging_step(step, || self.db().update(physical, &pk, &cond, &payload)) {
-                    Ok(()) => (WriteOutcome::Applied, None),
-                    Err(DbError::ConditionFailed) => (WriteOutcome::ConditionFalse, None),
+                    Ok(()) => WriteOutcome::Applied(None),
+                    Err(DbError::ConditionFailed) => WriteOutcome::ConditionFalse,
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -258,23 +248,51 @@ impl SsfContext {
             return Ok(());
         }
         let physical = self.data_table(table)?;
-        let (owner_id, key) = (self.instance().clone(), key.into());
-        let owner = crate::txn::lock_owner_value(&owner_id, 0);
-        for _ in 0..MAX_LOCK_SPINS {
-            let out = self.write_step(
-                &physical,
-                &key,
-                Update::new().set(A_LOCK, owner.clone()),
-                Some(&Self::lock_free_cond(&owner_id)),
-            )?;
-            if out.as_bool() {
-                return Ok(());
+        let owner = (&self.instance().clone(), 0);
+        let never = |_: &Self, _: &Value| Ok(false);
+        self.lock_wait(&physical, &key.into(), owner, false, never)
+            .map(drop)
+    }
+
+    /// Takes the lock on `key` for `owner` (an id and its age) in one step
+    /// (module docs), returning the item's value when a `returning` try
+    /// applied now. Each try passes the write probes, so the lease bounds
+    /// the wait. When `dies` judges a refusing holder fatal, the step logs
+    /// `false` (a write whose condition never holds: B2 logs it, appending
+    /// to a full row) and the wait, like a replay of it, ends in
+    /// [`BeldiError::TxnAborted`].
+    pub(crate) fn lock_wait(
+        &mut self,
+        physical: &TableRef,
+        key: &Arc<str>,
+        (owner_id, age): (&Arc<str>, u64),
+        returning: bool,
+        mut dies: impl FnMut(&Self, &Value) -> BeldiResult<bool>,
+    ) -> BeldiResult<Option<Value>> {
+        let step = self.step;
+        self.step += 1;
+        let free = &Self::lock_free_cond(owner_id);
+        let lock = StepKind::Lock { free, returning };
+        let owner = crate::txn::lock_owner_value(owner_id, age);
+        let mut pause = Duration::from_millis(1);
+        loop {
+            let set = Update::new().set(A_LOCK, owner.clone());
+            let holder = match self.write_at(step, physical, key, set, lock)? {
+                WriteOutcome::Applied(value) => return Ok(value),
+                WriteOutcome::ConditionFalse => return Err(BeldiError::TxnAborted),
+                WriteOutcome::Refused(holder) => holder,
+            };
+            if dies(self, &holder)? {
+                let death = StepKind::Cond(&Cond::False);
+                return match self.write_at(step, physical, key, Update::new(), death)? {
+                    // A racing execution of this instance took the lock here.
+                    WriteOutcome::Applied(value) => Ok(value),
+                    _ => Err(BeldiError::TxnAborted),
+                };
             }
-            self.clock().sleep(std::time::Duration::from_millis(1));
+            self.clock().sleep(pause);
+            pause = (pause * 2).min(LOCK_BACKOFF_CAP);
         }
-        Err(BeldiError::Protocol(format!(
-            "lock on {table}/{key} never became free (application liveness bug?)"
-        )))
     }
 
     /// Releases the lock on `key`.
@@ -300,18 +318,12 @@ impl SsfContext {
         }
         let physical = self.data_table(table)?;
         let held = Cond::eq(Path::attr(A_LOCK).then_attr("Id"), self.instance());
-        let out = self.write_step(
-            &physical,
-            &key.into(),
-            Update::new().set(A_LOCK, Value::Null),
-            Some(&held),
-        )?;
-        if out.as_bool() {
-            Ok(())
-        } else {
-            Err(BeldiError::Protocol(format!(
+        let release = Update::new().set(A_LOCK, Value::Null);
+        match self.write_step(&physical, &key.into(), release, StepKind::Cond(&held))? {
+            WriteOutcome::Applied(_) => Ok(()),
+            _ => Err(BeldiError::Protocol(format!(
                 "unlock of {table}/{key}, which this intent does not hold"
-            )))
+            ))),
         }
     }
 
@@ -590,6 +602,57 @@ mod tests {
         other.unlock("state", "k").unwrap();
     }
 
+    /// A lock wait is one step however many tries it takes: the waiter
+    /// below is refused while the holder sleeps 10 ms (tries at 0, 1, 3
+    /// and 7 ms), and acquires at 15 ms. Its lock leaves one entry, `w#0`,
+    /// and its next op takes step 1, as with no wait, in both logged
+    /// modes.
+    #[test]
+    fn a_lock_wait_is_one_step_however_many_tries_it_takes() {
+        for mode in [crate::Mode::Beldi, crate::Mode::CrossTable] {
+            let (env, mut holder) = test_ctx(mode);
+            holder.lock("state", "k").unwrap();
+            let clock = env.clock().clone();
+            let release = env.clock().spawn(
+                "holder".into(),
+                Box::new(move || {
+                    clock.sleep(std::time::Duration::from_millis(10));
+                    holder.unlock("state", "k").unwrap();
+                }),
+            );
+            let mut waiter = env.test_context("f", "w");
+            let before = env.db_metrics();
+            waiter.lock("state", "k").unwrap();
+            let refused = env.db_metrics().delta(&before).cond_failures;
+            assert_eq!(refused, 4, "{mode:?}: refused tries");
+            assert_eq!(env.clock().now().as_millis(), 15, "{mode:?}");
+            waiter.write("state", "k", Value::Int(1)).unwrap();
+            release.join().unwrap();
+            // The waiter's entries: in the key's write logs, or log rows.
+            let (table, attr) = match mode {
+                crate::Mode::Beldi => ("f.data.state", schema::A_WRITES),
+                _ => ("f.log", A_LOG_KEY),
+            };
+            let rows = env
+                .db()
+                .scan_all(&env.db().table(table), &beldi_simdb::ScanRequest::all())
+                .unwrap();
+            let mut entries: Vec<String> = rows
+                .iter()
+                .filter_map(|row| row.get_attr(attr))
+                .flat_map(|v| -> Vec<String> {
+                    match v.as_map() {
+                        Some(log) => log.keys().map(|k| k.to_string()).collect(),
+                        None => v.as_str().map(str::to_owned).into_iter().collect(),
+                    }
+                })
+                .filter(|k| k.starts_with("w#"))
+                .collect();
+            entries.sort();
+            assert_eq!(entries, ["w#0", "w#1"], "{mode:?}");
+        }
+    }
+
     #[test]
     fn unlock_without_lock_is_an_error() {
         let (_env, mut ctx) = test_ctx(crate::Mode::Beldi);
@@ -619,7 +682,9 @@ mod tests {
     }
 
     /// The differential test of cached writes: random write histories
-    /// run with the tail cache on and off.
+    /// run with the tail cache on and off. A refused lock try consumes no
+    /// step: it logs nothing, so the intent's next op takes its step, and
+    /// a lock run again there may acquire.
     mod cached_against_uncached {
         use super::*;
         use crate::ids::StepNumber;
@@ -641,7 +706,7 @@ mod tests {
 
         impl Op {
             /// The key, payload and condition `write_step` takes when
-            /// intent `id` runs this op.
+            /// intent `id` runs this op; a lock's makes it a lock try.
             fn args(self, id: &Arc<str>) -> (Arc<str>, Update, Option<Cond>) {
                 let (k, update, cond) = match self {
                     Op::Write(k, v) => (k, Update::new().set(A_VALUE, v), None),
@@ -755,12 +820,19 @@ mod tests {
                     SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, launch_ms);
                 ctx.step = step as StepNumber;
                 let (key, update, cond) = op.args(&id);
-                let out = ctx
-                    .write_step(&physical, &key, update, cond.as_ref())
-                    .unwrap();
+                let kind = match (op, &cond) {
+                    (Op::Lock(_), Some(free)) => StepKind::Lock {
+                        free,
+                        returning: false,
+                    },
+                    (_, Some(cond)) => StepKind::Cond(cond),
+                    (_, None) => StepKind::Write,
+                };
+                let out = ctx.write_step(&physical, &key, update, kind).unwrap();
                 match intent.ran.get(step) {
-                    Some(&(_, first)) => assert_eq!(out, first, "{id} replayed step {step}"),
-                    None => intent.ran.push((op, out)),
+                    Some((_, first)) => assert_eq!(&out, first, "{id} replayed step {step}"),
+                    None if matches!(out, WriteOutcome::Refused(_)) => {}
+                    None => intent.ran.push((op, out.clone())),
                 }
                 outcomes.push(out);
             }

@@ -421,6 +421,13 @@ pub(crate) fn data_value(row: Option<&Value>) -> Value {
         .unwrap_or(Value::Null)
 }
 
+/// The [`A_LOCK`] of a data row: `Null`, free, when absent.
+pub(crate) fn lock_value(row: Option<&Value>) -> Value {
+    row.and_then(|r| r.get_attr(A_LOCK))
+        .cloned()
+        .unwrap_or(Value::Null)
+}
+
 /// The projection of a tail-cache probe.
 pub(crate) const TAIL_PROBE: [&str; 2] = [A_VALUE, A_NEXT_ROW];
 

@@ -253,7 +253,7 @@ use beldi_value::{Cond, Path, Update};
 
 use crate::config::Mode;
 use crate::context::SsfContext;
-use crate::daal;
+use crate::daal::{self, StepKind};
 use crate::ids::finalize_marker;
 use crate::invoke::{self, Envelope, Outcome};
 use crate::schema::{
@@ -261,13 +261,6 @@ use crate::schema::{
     A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
 };
 use crate::Label;
-
-/// Wait-die retry budget: an older transaction spins this many times
-/// (sleeping between attempts) for a younger lock holder to finish.
-const MAX_WAIT_SPINS: usize = 20_000;
-
-/// Virtual-time pause between wait-die lock retries.
-const WAIT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(1);
 
 impl SsfContext {
     // ---- Public API (Fig. 2) ----
@@ -383,18 +376,18 @@ impl SsfContext {
     // ---- Execute-mode operation semantics (§6.2) ----
 
     /// Acquires the transaction's lock on `key` with wait-die deadlock
-    /// prevention (Fig. 11), unless this execution holds it. A lock taken
-    /// for a `read` returns the item's committed value when its write
-    /// applied now: the tail row's `Value`, returned by the one
-    /// conditional update that set the lock. A lock replayed from its log
-    /// entry returns none.
+    /// prevention (Fig. 11) in one [`SsfContext::lock_wait`], unless this
+    /// execution holds it. A lock taken for a `read` returns
+    /// the item's committed value when its write applied now: the tail
+    /// row's `Value`, returned by the one conditional update that set the
+    /// lock. A lock replayed from its log entry returns none.
     ///
     /// # Errors
     ///
     /// [`BeldiError::TxnAborted`] when a strictly older transaction holds
     /// the lock — this transaction must die (it cannot kill the holder;
     /// SSFs have no way to kill each other, which is why wait-die rather
-    /// than wound-wait).
+    /// than wound-wait). The death is logged at the lock's step.
     pub(crate) fn txn_lock(
         &mut self,
         logical: &str,
@@ -408,45 +401,22 @@ impl SsfContext {
         let _op = self.op(Op::Lock);
         let physical = self.data_table(logical)?;
         let ctx = self.txn_ctx_cloned()?;
-        let owner = lock_owner_value(&ctx.id, ctx.start_ms);
-        for _ in 0..MAX_WAIT_SPINS {
-            let payload = Update::new().set(A_LOCK, owner.clone());
-            let free = Self::lock_free_cond(&ctx.id);
-            let (out, value) =
-                self.write_step_returning(&physical, key, payload, Some(&free), read)?;
-            if out.as_bool() {
-                let fresh = self.ensure_shadow_entry(logical, key)?;
-                if let Some(t) = &mut self.txn {
-                    t.locked.push((logical.to_owned(), key.to_string()));
-                }
-                return Ok(Locked { fresh, value });
-            }
-            // Who holds it? Logged so replay takes the same branch.
-            let _retry = self.op(Op::WaitDieRetry);
-            let holder = daal::lock_owner(self.db(), &physical, key)?.unwrap_or(Value::Null);
-            let holder = self.log_value(holder)?;
-            match schema::lock_owner(physical.name(), key, &holder)? {
-                None => continue, // Freed in between; retry immediately.
-                Some((owner_id, owner_ts)) => {
-                    if owner_id == &*ctx.id {
-                        continue; // Stale view of our own lock; retry.
-                    }
-                    if ctx.is_older_than(owner_ts, owner_id) {
-                        // We are older: wait for the younger holder.
-                        self.clock().sleep(WAIT_BACKOFF);
-                    } else {
-                        // We are younger: die.
-                        if let Some(t) = &mut self.txn {
-                            t.aborted = true;
-                        }
-                        return Err(BeldiError::TxnAborted);
-                    }
-                }
-            }
+        // Wait-die: a younger transaction dies; an older one waits.
+        let dies = |this: &Self, holder: &Value| {
+            let _retry = this.op(Op::WaitDieRetry);
+            let holder = schema::lock_owner(physical.name(), key, holder)?;
+            Ok(holder.is_some_and(|(id, ts)| !ctx.is_older_than(ts, id)))
+        };
+        let out = self.lock_wait(&physical, key, (&ctx.id, ctx.start_ms), read, dies);
+        if let (Err(BeldiError::TxnAborted), Some(t)) = (&out, &mut self.txn) {
+            t.aborted = true;
         }
-        Err(BeldiError::Protocol(format!(
-            "transaction lock on {logical}/{key} starved"
-        )))
+        let value = out?;
+        let fresh = self.ensure_shadow_entry(logical, key)?;
+        if let Some(t) = &mut self.txn {
+            t.locked.push((logical.to_owned(), key.to_string()));
+        }
+        Ok(Locked { fresh, value })
     }
 
     /// Transactional read: lock, then read the shadow value if this
@@ -563,7 +533,7 @@ impl SsfContext {
             Update::new()
                 .set(A_VALUE, value)
                 .set(A_WRITTEN, Value::Bool(true)),
-            None,
+            StepKind::Write,
         )?;
         Ok(())
     }
@@ -611,12 +581,12 @@ impl SsfContext {
                 None => (Label::TxnPreReleaseItem, release, false),
             };
             self.crash(label);
-            let out = self.write_step(&physical, &e.key, update, Some(&held))?;
+            let out = self.write_step(&physical, &e.key, update, StepKind::Cond(&held))?;
             // A release may find the lock gone (a replayed release). A
             // flush that does reads the lock: a damaged one is corruption.
             if flush && !out.as_bool() {
                 let holder = daal::lock_owner(self.db(), &physical, &e.key)?;
-                schema::lock_owner(physical.name(), &e.key, &holder.unwrap_or_default())?;
+                schema::lock_owner(physical.name(), &e.key, &holder)?;
                 return Err(BeldiError::Protocol(format!(
                     "commit of {}/{} found its lock not held",
                     e.logical, e.key

@@ -719,6 +719,61 @@ fn a_failed_conditional_write_changes_nothing() {
     }
 }
 
+/// A kill between a lock's acquiring try and its return — after the
+/// update that took it, or as the step exits — leaves the lock held by
+/// the intent: the retry re-acquires it by the step's one entry and
+/// logs no second, in both logged modes.
+#[test]
+fn a_kill_after_a_lock_is_taken_reacquires_it_with_one_entry() {
+    for (cfg, labels) in [
+        (
+            BeldiConfig::beldi(),
+            &[Label::DaalWritePostApply, Label::WriteExit][..],
+        ),
+        (BeldiConfig::cross_table(), &[Label::WriteExit][..]),
+    ] {
+        for &label in labels {
+            let env = BeldiEnv::for_tests_with(cfg.clone());
+            env.register_ssf(
+                "f",
+                &["t"],
+                Arc::new(|ctx, _| {
+                    ctx.lock("t", "k")?;
+                    let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                    ctx.write("t", "k", Value::Int(v + 1))?;
+                    ctx.unlock("t", "k")?;
+                    Ok(Value::Null)
+                }),
+            );
+            env.platform().faults().plan("r", CrashPlan::AtLabel(label));
+            env.invoke_as("f", "r", Value::Null).unwrap();
+            assert_eq!(env.platform().faults().injected_count(), 1, "{label}");
+            assert_eq!(env.read_current("f", "t", "k").unwrap(), Value::Int(1));
+            // The lock's entry (step 0) is in `k`'s write log, or a log row.
+            let all = ScanRequest::all();
+            let mut entries = Vec::new();
+            for row in env.db().scan_all(&env.db().table("f.log"), &all).unwrap() {
+                entries.extend(row.get_str(beldi::schema::A_LOG_KEY).map(str::to_owned));
+            }
+            for row in env
+                .db()
+                .scan_all(&env.db().table("f.data.t"), &all)
+                .unwrap()
+            {
+                let log = row
+                    .get_attr(beldi::schema::A_WRITES)
+                    .and_then(Value::as_map);
+                entries.extend(
+                    log.into_iter()
+                        .flat_map(|l| l.keys().map(|k| k.to_string())),
+                );
+            }
+            entries.sort();
+            assert_eq!(entries, ["r#0", "r#1", "r#2", "r#3"], "{label}");
+        }
+    }
+}
+
 /// A killed instance's recovery latency is sampled once, however often
 /// the instance is replayed after it finished, and the mark that says so
 /// goes with the rest of what the injector keeps about the instance when

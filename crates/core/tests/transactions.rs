@@ -1258,3 +1258,111 @@ fn baseline_mode_txn_calls_are_noops() {
     env.invoke("b", Value::Null).unwrap();
     assert_eq!(env.read_current("b", "x", "k").unwrap(), Value::Int(1));
 }
+
+/// Registers `tx`: after `delay` ms it begins a transaction, reads `t/k`
+/// (taking its lock), holds it `hold` ms and commits.
+fn register_holder(env: &BeldiEnv) {
+    let clock = env.clock().clone();
+    env.register_ssf(
+        "tx",
+        &["t"],
+        Arc::new(move |ctx, input| {
+            let ms = |name| Duration::from_millis(input.get_int(name).unwrap_or(0) as u64);
+            clock.sleep(ms("delay"));
+            ctx.begin_tx()?;
+            ctx.read("t", "k")?;
+            clock.sleep(ms("hold"));
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+}
+
+/// The entries instance `id` left in `tx`'s log and in `t/k`'s write
+/// logs, by log key, with the flag of each write entry.
+fn entries_of(env: &BeldiEnv, id: &str) -> BTreeMap<String, Option<bool>> {
+    let mine = |k: &str| k.starts_with(&format!("{id}#"));
+    let mut out = BTreeMap::new();
+    let all = ScanRequest::all();
+    for row in env.db().scan_all(&env.db().table("tx.log"), &all).unwrap() {
+        let key = row.get_str(beldi::schema::A_LOG_KEY).unwrap();
+        if mine(key) {
+            out.insert(key.to_owned(), None);
+        }
+    }
+    let k = Value::from("k");
+    for row in env.db().query("tx.data.t", &k, &all).unwrap() {
+        let log = row
+            .get_attr(beldi::schema::A_WRITES)
+            .and_then(Value::as_map);
+        for (key, flag) in log.into_iter().flat_map(|log| log.iter()) {
+            if mine(key) {
+                out.insert(key.to_string(), flag.as_bool());
+            }
+        }
+    }
+    out
+}
+
+/// An older transaction's lock wait logs nothing: `old` (age 0) finds
+/// `k` held by `young` (age 1) at 5 ms, waits, backing off, until the
+/// holder commits at 21 ms, and leaves the entries an uncontended run
+/// leaves, at the same steps.
+#[test]
+fn an_older_waiter_logs_nothing_while_it_waits() {
+    let env = Arc::new(BeldiEnv::for_tests());
+    register_holder(&env);
+    let run = |id: &'static str, delay: i64, hold: i64| {
+        spawn(&env, id, move |env| {
+            let input = vmap! { "delay" => delay, "hold" => hold };
+            env.invoke_as("tx", id, input).unwrap();
+        })
+    };
+    let old = run("old", 5, 0);
+    env.clock().sleep(Duration::from_millis(1));
+    let young = run("young", 0, 20);
+    join_all(vec![old, young]);
+    assert!(env.db_metrics().cond_failures >= 4, "`old` waited");
+    run("solo", 0, 0).join().unwrap();
+    let steps = |id: &str| -> Vec<(String, Option<bool>)> {
+        let entries = entries_of(&env, id).into_iter();
+        entries.map(|(k, f)| (k.replacen(id, "_", 1), f)).collect()
+    };
+    assert!(
+        steps("solo").contains(&("_#1".into(), Some(true))),
+        "its lock"
+    );
+    assert_eq!(steps("old"), steps("solo"));
+}
+
+/// A younger transaction's death is one `false` entry at its lock's
+/// step, and a replay of it, run after the holder has freed the lock,
+/// dies again rather than acquiring.
+#[test]
+fn a_younger_transaction_dies_once_and_its_replay_dies_again() {
+    let env = Arc::new(BeldiEnv::for_tests());
+    register_holder(&env);
+    let holder = spawn(&env, "holder", |env| {
+        let input = vmap! { "hold" => 20i64 };
+        env.invoke_as("tx", "holder", input).unwrap();
+    });
+    env.clock().sleep(Duration::from_millis(1));
+    let faults = env.platform().faults();
+    faults.plan("young", CrashPlan::AtLabel(Label::DaalWritePostLogFalse));
+    let out = env.invoke_attempts("tx", "young", Value::Null, 1);
+    assert!(out.is_err(), "killed after its death entry: {out:?}");
+    // Step 0 logs the transaction id; the lock is step 1.
+    let death = BTreeMap::from([("young#0".into(), None), ("young#1".into(), Some(false))]);
+    assert_eq!(entries_of(&env, "young"), death);
+    holder.join().unwrap();
+    let out = env.invoke_attempts("tx", "young", Value::Null, 1);
+    assert!(matches!(out, Err(BeldiError::TxnAborted)), "{out:?}");
+    assert_eq!(entries_of(&env, "young"), death);
+    let row = env.db().get(
+        "tx.data.t",
+        &PrimaryKey::hash_sort("k", beldi::schema::ROW_HEAD),
+        None,
+    );
+    let lock = row.unwrap().unwrap().get_attr(beldi::A_LOCK).cloned();
+    assert_eq!(lock, Some(Value::Null), "the replay did not take the lock");
+}

@@ -495,8 +495,8 @@ telemetry! {
         /// Locks taken or released: a standalone lock or unlock, or a
         /// transaction's lock on an item it had not locked.
         Lock => "core.op.lock",
-        /// Wait-die retries: a transaction's lock attempt found the item
-        /// held and read who holds it.
+        /// Wait-die retries: a transaction's lock try was refused, and the
+        /// holder it found decides whether it waits or dies.
         WaitDieRetry => "core.op.wait_die_retry",
         /// Intent registrations, an async stub's check included.
         IntentRegister => "core.op.intent_register",
