@@ -187,23 +187,41 @@ pub fn bench_app(kind: &str, _mode: beldi::Mode, mix: MixProfile) -> Option<Box<
                 social::SOCIAL_MIX_DEFAULT
             },
         })),
-        "travel" => Some(Box::new(TravelApp {
-            hotels: 25,
-            flights: 25,
-            users: 20,
-            rooms_per_hotel: 1_000_000,
-            seats_per_flight: 1_000_000,
-            transactional: true,
-            // Contention aborts are retried so the final inventory is a
-            // pure function of the request multiset (seed-stability).
-            retry_contention: true,
-            mix: if heavy {
-                travel::TRAVEL_MIX_WRITE_HEAVY
-            } else {
-                travel::TRAVEL_MIX_DEFAULT
-            },
-        })),
+        "travel" => Some(Box::new(bench_travel(if heavy {
+            travel::TRAVEL_MIX_WRITE_HEAVY
+        } else {
+            travel::TRAVEL_MIX_DEFAULT
+        }))),
         _ => None,
+    }
+}
+
+/// [`bench_app`]'s travel app under `mix`.
+fn bench_travel(mix: [u32; 4]) -> TravelApp {
+    TravelApp {
+        hotels: 25,
+        flights: 25,
+        users: 20,
+        rooms_per_hotel: 1_000_000,
+        seats_per_flight: 1_000_000,
+        transactional: true,
+        // Contention aborts are retried so the final inventory is a
+        // pure function of the request multiset (seed-stability).
+        retry_contention: true,
+        mix,
+    }
+}
+
+/// The contended shape of `drive --smoke`'s golden matrix: [`bench_app`]'s
+/// travel app with as few hotels and flights as [`TravelApp::small`] and
+/// the write-heavy mix, so concurrent reservations meet on their items
+/// and wait-die decides who waits.
+pub fn contended_travel() -> TravelApp {
+    let small = TravelApp::small();
+    TravelApp {
+        hotels: small.hotels,
+        flights: small.flights,
+        ..bench_travel(travel::TRAVEL_MIX_WRITE_HEAVY)
     }
 }
 

@@ -123,13 +123,18 @@ impl MediaApp {
                 "op" => "page",
                 "movie_id" => movie_key(rng.gen_range(0..self.movies)),
             },
-            _ => vmap! {
-                "op" => "compose",
-                "user" => user_key(rng.gen_range(0..self.users)),
-                "title" => title_of(rng.gen_range(0..self.movies)),
-                "text" => "A review with depth and nuance. ",
-                "rating" => rng.gen_range(0..11i64),
-            },
+            _ => self.compose_request(rng),
+        }
+    }
+
+    /// A review-compose request.
+    fn compose_request(&self, rng: &mut SmallRng) -> Value {
+        vmap! {
+            "op" => "compose",
+            "user" => user_key(rng.gen_range(0..self.users)),
+            "title" => title_of(rng.gen_range(0..self.movies)),
+            "text" => "A review with depth and nuance. ",
+            "rating" => rng.gen_range(0..11i64),
         }
     }
 }
@@ -209,13 +214,7 @@ impl crate::WorkflowApp for MediaApp {
     /// exactly-once semantics actually protect.
     fn gen_request(&self, rng: &mut SmallRng) -> Value {
         if rng.gen_range(0..2usize) == 0 {
-            vmap! {
-                "op" => "compose",
-                "user" => user_key(rng.gen_range(0..self.users)),
-                "title" => title_of(rng.gen_range(0..self.movies)),
-                "text" => "A review with depth and nuance. ",
-                "rating" => rng.gen_range(0..11i64),
-            }
+            self.compose_request(rng)
         } else {
             self.request(rng)
         }

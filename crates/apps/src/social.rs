@@ -114,15 +114,18 @@ impl SocialApp {
         match pick_mix(rng, &self.mix) {
             0 => vmap! { "op" => "home-timeline", "user" => user },
             1 => vmap! { "op" => "user-timeline", "user" => user },
-            _ => {
-                let mention = user_key(rng.gen_range(0..self.users));
-                vmap! {
-                    "op" => "compose",
-                    "user" => user,
-                    "text" => format!("hello @{mention} see http://long.example/{}", rng.gen_range(0..10_000)),
-                    "media" => Value::List(vec![Value::from(format!("img-{}", rng.gen_range(0..100)))]),
-                }
-            }
+            _ => self.compose_request(user, rng),
+        }
+    }
+
+    /// A post-compose request by `user`, mentioning another user.
+    fn compose_request(&self, user: String, rng: &mut SmallRng) -> Value {
+        let mention = user_key(rng.gen_range(0..self.users));
+        vmap! {
+            "op" => "compose",
+            "user" => user,
+            "text" => format!("hello @{mention} see http://long.example/{}", rng.gen_range(0..10_000)),
+            "media" => Value::List(vec![Value::from(format!("img-{}", rng.gen_range(0..100)))]),
         }
     }
 }
@@ -182,19 +185,7 @@ impl crate::WorkflowApp for SocialApp {
     fn gen_request(&self, rng: &mut SmallRng) -> Value {
         if rng.gen_range(0..2usize) == 0 {
             let user = user_key(rng.gen_range(0..self.users));
-            let mention = user_key(rng.gen_range(0..self.users));
-            vmap! {
-                "op" => "compose",
-                "user" => user,
-                "text" => format!(
-                    "hello @{mention} see http://long.example/{}",
-                    rng.gen_range(0..10_000)
-                ),
-                "media" => Value::List(vec![Value::from(format!(
-                    "img-{}",
-                    rng.gen_range(0..100)
-                ))]),
-            }
+            self.compose_request(user, rng)
         } else {
             self.request(rng)
         }

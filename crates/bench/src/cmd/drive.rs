@@ -2,7 +2,9 @@
 //! `BENCH_results.json` and the CI perf gate (`DESIGN.md` §9).
 //!
 //! `--smoke` is the CI preset: all three apps × {beldi, cross-table},
-//! workers {1, 4}, 120 requests per run, plus the front door's row —
+//! workers {1, 4}, 120 requests per run, plus the contended travel shape
+//! (`travel-contended`: `beldi_apps::contended_travel`, in the logged
+//! modes, storm-free) and the front door's row —
 //! the media/beldi stream of 64 requests over 4 connections through real
 //! sockets, checked against its in-process replay. Every number in the
 //! report but `wall_ms` repeats exactly for the same flags.
@@ -20,7 +22,7 @@
 use std::time::Duration;
 
 use beldi::Mode;
-use beldi_apps::{bench_app, MixProfile};
+use beldi_apps::{bench_app, contended_travel, MixProfile, WorkflowApp};
 use beldi_workload::driver::{drive, BenchReport, ChaosOptions, DriveOptions};
 use beldi_workload::gate::{
     front_gate, growth_gate, max_recovery_p99_ms, recovery_gate, GROWTH_SLACK_ROWS, MAX_GROWTH,
@@ -108,32 +110,47 @@ pub(crate) fn main(args: &Args) {
         front: None,
     };
     let mut rows = Vec::new();
+    let mut drive_row = |app: &dyn WorkflowApp, mode: Mode, w: usize, name: &str| {
+        let opts = DriveOptions {
+            workers: w,
+            ..opts_template.clone()
+        };
+        let mut run = drive(app, mode, &opts);
+        run.app = name.to_owned();
+        rows.push(vec![
+            run.app.clone(),
+            run.mode.clone(),
+            w.to_string(),
+            run.ops.to_string(),
+            run.errors.to_string(),
+            format!("{:.1}", run.throughput_rps),
+            format!("{:.2}", run.latency.p50_us as f64 / 1e3),
+            format!("{:.2}", run.latency.p99_us as f64 / 1e3),
+            format!("{:.1}", run.db.total_ops() as f64 / run.ops.max(1) as f64),
+            run.db.lock_waits.to_string(),
+            run.wait_die_retries.to_string(),
+            run.in_flight.high_water.to_string(),
+            run.wall_ms.to_string(),
+        ]);
+        report.runs.push(run);
+    };
     for kind in &apps {
         for &mode in &modes {
             for &w in &workers {
                 let Some(app) = bench_app(kind, mode, mix) else {
                     usage_error(format!("unknown --app {kind}"));
                 };
-                let opts = DriveOptions {
-                    workers: w,
-                    ..opts_template.clone()
-                };
-                let run = drive(app.as_ref(), mode, &opts);
-                rows.push(vec![
-                    run.app.clone(),
-                    run.mode.clone(),
-                    w.to_string(),
-                    run.ops.to_string(),
-                    run.errors.to_string(),
-                    format!("{:.1}", run.throughput_rps),
-                    format!("{:.2}", run.latency.p50_us as f64 / 1e3),
-                    format!("{:.2}", run.latency.p99_us as f64 / 1e3),
-                    format!("{:.1}", run.db.total_ops() as f64 / run.ops.max(1) as f64),
-                    run.db.lock_waits.to_string(),
-                    run.in_flight.high_water.to_string(),
-                    run.wall_ms.to_string(),
-                ]);
-                report.runs.push(run);
+                drive_row(app.as_ref(), mode, w, kind);
+            }
+        }
+    }
+    // The contended shape joins the smoke matrix but not a storm's: its
+    // cross-table recovery under a storm is not yet within T/3.
+    if args.flag("--smoke") && !args.flag("--chaos") && apps.iter().any(|kind| kind == "travel") {
+        let contended = contended_travel();
+        for &mode in modes.iter().filter(|&&mode| mode != Mode::Baseline) {
+            for &w in &workers {
+                drive_row(&contended, mode, w, "travel-contended");
             }
         }
     }
@@ -151,6 +168,7 @@ pub(crate) fn main(args: &Args) {
             "p99_ms",
             "db_ops/req",
             "lock_waits",
+            "wd_retries",
             "in_flight",
             "wall_ms",
         ],

@@ -20,7 +20,7 @@
 //! - the **tail cache**, which lets a read or a write of a data table skip
 //!   the traversal: a read validates the cached row with its point read,
 //!   a write with its own case-B update, guarded by the row's creation
-//!   time; a read or a plain write of a key with no entry tries `HEAD`
+//!   time; a read or a write step of a key with no entry tries `HEAD`
 //!   ([`TailCache`] has the soundness arguments).
 //!
 //! Functions here take a [`DaalParams`] handle instead of a full
@@ -31,6 +31,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasherDefault;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use beldi_simclock::Metric;
@@ -41,8 +42,8 @@ use parking_lot::Mutex;
 use crate::error::{BeldiError, BeldiResult};
 use crate::ids;
 use crate::schema::{
-    self, DaalRow, SkelRow, A_APPENDED, A_CREATED, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_VALUE,
-    A_WRITES, ROW_HEAD,
+    self, DaalRow, SkelRow, A_APPENDED, A_CREATED, A_KEY, A_LOCK, A_LOG_SIZE, A_NEXT_ROW, A_ROW_ID,
+    A_VALUE, A_WRITES, ROW_HEAD,
 };
 use crate::Label;
 
@@ -74,7 +75,7 @@ pub(crate) struct DaalParams<'a> {
     /// The tail cache whose entry a data-table write tries before it
     /// traverses; `None` for shadow tables, or with the cache off.
     pub tail_cache: Option<&'a TailCache>,
-    /// Whether a plain write with no cache entry tries `HEAD` before it
+    /// Whether a write step with no cache entry tries `HEAD` before it
     /// traverses: with the cache on, in a data or a shadow table.
     pub head_first: bool,
     /// When the writing intent was created: no execution of it writes
@@ -206,9 +207,10 @@ const TAIL_CACHE_SHARDS: usize = 16;
 ///   the current tail (see below) and its `Value` is returned;
 /// - a **write** runs case B — one conditional update — on the row, under
 ///   [`try_write`]'s condition plus, for a non-`HEAD` row, `exists(Key)`
-///   and `Created <` the writing intent's creation time;
-/// - otherwise the entry is dropped and the operation falls back to the
-///   full traversal, which refreshes the entry.
+///   and `Created <` the writing intent's creation time; when it fails,
+///   one re-read of the row decides the step's next move;
+/// - a row that has a successor or is gone drops the entry, and the
+///   operation falls back to the full traversal, which refreshes it.
 ///
 /// A key with no entry has an implicit one: `HEAD`, the row every chain
 /// starts at, which the GC never deletes from a data table. It is always
@@ -216,15 +218,15 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// above hold on it as on any tail; an absent `HEAD` means the key has no
 /// chain, which a read answers with `Null` and a write's case B creates.
 /// A miss on a `HEAD`-only key thus costs one get or update, not a scan
-/// as well; a miss on a longer chain pays one failed attempt before it
-/// traverses.
+/// as well; a miss on a longer chain pays one failed attempt (a write,
+/// and its re-read) before it traverses.
 ///
-/// A conditional step (a `condWrite`, a lock) with no entry does not try
-/// `HEAD`: it traverses, as with the cache off. Conditional steps are the
-/// ones that contend, and a failed conditional update still takes the
-/// item's write capacity, so on a long chain every contender's miss would
-/// queue on `HEAD`. A refused lock try on a cached tail is one failed
-/// update and one projected get, and keeps the entry.
+/// Every kind of write step tries the row alike: a conditional write's
+/// B2 and a lock try's refusal are decided there as on any tail. A
+/// refused lock try writes nothing and its waiter backs off, so a
+/// contender's failed updates on `HEAD` are spaced by its back-off. A
+/// refused try on a cached tail is one failed update and one projected
+/// get, and keeps the entry.
 ///
 /// # Why a validated read is sound
 ///
@@ -252,8 +254,11 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// So if the tail is older than the intent, no execution of it can have
 /// logged this step in an earlier row, and the tail's
 /// `not_exists(RecentWrites.{log_key})` checks the whole chain. `HEAD`
-/// has no predecessor. A failed attempt writes nothing, so its fallback
-/// is the traversal path unchanged.
+/// has no predecessor. A failed attempt writes nothing. Its re-read may
+/// answer case A from the row alone, since an entry is a record wherever
+/// it is; a refusal or an append needs the row to stand for the chain,
+/// so when the row is no older than the intent the traversal checks the
+/// rows before it first.
 ///
 /// Shadow tables keep *no* entries: finished shadow chains are deleted
 /// wholesale, tail included, and their reads happen on the cold
@@ -445,6 +450,7 @@ pub(crate) enum StepKind<'a> {
     Cond(&'a Cond),
     /// A lock try: it applies under `free`, else logs nothing and is
     /// [`WriteOutcome::Refused`]; `returning` has B1 return the item's value.
+    /// `free` reads only `LockOwner`, which a failed try's re-read holds.
     Lock { free: &'a Cond, returning: bool },
 }
 
@@ -492,17 +498,19 @@ impl WriteOutcome {
 
 /// Executes one exactly-once DAAL write step (Figs. 6/7 and 17/18).
 ///
-/// With a [`TailCache`], case B first runs directly on the key's cached
-/// row (with no entry, `HEAD` for a plain write), under a condition that
-/// makes the row's own log a check over the whole chain (see
-/// [`TailCache`]); a hit is one conditional update. Otherwise, or when
-/// that condition fails, the step scans the DAAL for a prior record of
-/// `log_key` (case A anywhere in the chain), then runs the lock-free tail
-/// protocol: case B at the tail candidate ([`case_b`]), re-read on
-/// failure and dispatch to case A (already done), C (follow `NextRow`),
-/// or D (append a fresh row and advance). A step that case B resolves on
-/// that path leaves its row in the cache. When the traversal ends at the
-/// `HEAD` whose case B just failed, the first round starts at the re-read.
+/// The step first tries the row it reaches without a traversal: the
+/// key's cached tail, or with no entry `HEAD` ([`DaalParams::head_first`]),
+/// under a guard that makes the row's own log a check over the whole
+/// chain (see [`TailCache`]). With neither, it scans the DAAL for a prior
+/// record of `log_key` (case A anywhere in the chain) and tries the tail.
+/// Every row then follows one tail rule: case B ([`case_b`]), and when it
+/// fails, one re-read of that row, which decides case A (already done), a
+/// refused lock try, case C (follow `NextRow`), case D (append a fresh row
+/// and advance), or a return to the traversal: the untraversed row is
+/// gone, has a successor, or fails its guard. A failed guard leaves the
+/// rows before the one read unchecked; when the traversal finds no entry
+/// there and ends at that row, the read decides as on any traversed tail.
+/// A row that case B or a refusal resolves the step on stays cached.
 ///
 /// The `kind`'s condition is evaluated *inside the database's atomicity
 /// scope* against the tail row, so callers may gate on `Value` or
@@ -511,9 +519,10 @@ impl WriteOutcome {
 ///
 /// Exactly-once: re-executions find the logged flag and return the
 /// original outcome without touching the row again; a refused lock try
-/// ([`case_b`]) writes nothing, and its caller tries the step again. A
-/// returning lock's B1 that applies now returns the tail's `Value`
-/// ([`Database::update_returning`]); otherwise the caller reads the item.
+/// writes nothing, not even on a full tail, and its caller tries the step
+/// again. A returning lock's B1 that applies now returns the tail's
+/// `Value` ([`Database::update_returning`]); otherwise the caller reads
+/// the item.
 pub(crate) fn try_write(
     p: &DaalParams<'_>,
     table: &TableRef,
@@ -525,35 +534,138 @@ pub(crate) fn try_write(
     (p.crash)(Label::DaalWriteEnter);
     // What case B writes, built once however often the loop retries.
     let step = &StepWrite::new(p, log_key, payload, kind);
-    let failed_on_head = match write_cached(p, table, key, step)? {
-        Cached::Resolved(resolved) => return Ok(resolved),
-        Cached::Failed { on_head } => on_head,
+    let mut cached = p.tail_cache.and_then(|cache| cache.get(table.name(), key));
+    let mut at = cached
+        .clone()
+        .or_else(|| p.head_first.then(|| ROW_HEAD.into()));
+    let starts_untraversed = at.is_some();
+    let remember = |cached: &Option<Arc<str>>, row_id: &Arc<str>| match p.tail_cache {
+        Some(cache) if cached.as_ref() != Some(row_id) => cache.put(table.name(), key, row_id),
+        _ => {}
     };
-    // Bound the retry loop defensively; every iteration either makes
-    // progress along the chain or observes a concurrent writer's progress,
-    // so this bound is never hit in practice.
-    for round in 0..MAX_WRITE_ROUNDS {
-        let chain = traverse(p.db, table, key, Some(log_key))?;
-        // The step's flag in any chain row: a write may have landed in a
-        // row that filled up afterwards.
-        if let Some(flag) = chain.iter().find_map(|r| r.logged) {
-            // Case A (found during the scan): the operation already
-            // executed in some chain row; replay its outcome.
+    let forget = |cached: &mut Option<Arc<str>>| {
+        if let (Some(cache), Some(_)) = (p.tail_cache, cached.take()) {
+            cache.invalidate(table.name(), key);
+        }
+    };
+    // The row whose `NextRow` pointer we last followed, for pointer repair.
+    let mut chased_from: Option<Arc<str>> = None;
+    // Every try resolves the step, moves along the chain or follows a
+    // concurrent writer's progress, so this bound is never hit in practice.
+    for round in 0..MAX_WRITE_TRIES {
+        let row_id = match at.take() {
+            Some(row_id) => row_id,
+            None => {
+                chased_from = None;
+                match scan(p, table, key, log_key)? {
+                    ControlFlow::Continue(tail) => tail,
+                    ControlFlow::Break(replayed) => return Ok(replayed),
+                }
+            }
+        };
+        let untraversed = round == 0 && starts_untraversed;
+        let on_head = &*row_id == ROW_HEAD;
+        // `HEAD` is the one row case B may create; any other must exist, as
+        // an update must not resurrect a row the GC deleted. One tried
+        // untraversed must also be older than the intent.
+        let guard = match on_head {
+            true => Cond::True,
+            false if untraversed => {
+                let created = Value::Int(p.intent_created_ms as i64);
+                Cond::exists(A_KEY).and(Cond::lt(A_CREATED, created))
+            }
+            false => Cond::exists(A_KEY),
+        };
+        let pk = PrimaryKey::hash_sort(key, &row_id);
+        let resolved = case_b(p, table, &pk, step, guard)?;
+        if untraversed {
+            let metric = match resolved {
+                Some(_) => Metric::TailCacheWriteHits,
+                None => Metric::TailCacheWriteFallbacks,
+            };
+            p.db.telemetry().add(metric, 1);
+        }
+        if let Some(resolved) = resolved {
+            remember(&cached, &row_id);
+            return Ok(resolved);
+        }
+
+        // The one re-read, which decides the remaining cases (their order
+        // is safe because B has no incoming transitions, Fig. 7b).
+        let Some(read) = p.db.get(table, &pk, Some(&reread(log_key)))? else {
+            // Stale view: the row is gone (GC) or was never created (we
+            // are past the end). If we *followed a pointer* here, the
+            // chain itself is damaged: rows are created before they are
+            // linked, so a pointer whose target is absent means the GC
+            // deleted the target (possible only when the `T` synchrony
+            // assumption was violated — e.g. a collector outliving
+            // stragglers under extreme time compression). Left alone, the
+            // dangling pointer livelocks every future write to this key;
+            // deleted row ids are never recreated, so CAS-clearing the
+            // pointer is a safe repair that restores liveness. Then
+            // re-scan either way.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "between Label::DaalWritePreApply and the re-scan's: an idempotent \
+                          repair that only a violated `T` makes necessary"
+            )]
+            if let Some(prev) = &chased_from {
+                let prev_pk = PrimaryKey::hash_sort(key, prev);
+                let cond = Cond::eq(A_NEXT_ROW, &row_id);
+                let update = Update::new().remove(A_NEXT_ROW);
+                match p.db.update(table, &prev_pk, &cond, &update) {
+                    Ok(()) | Err(DbError::ConditionFailed) => {}
+                    Err(e) => return Err(e.into()),
+                }
+            }
+            forget(&mut cached);
+            continue;
+        };
+        let row = DaalRow::decode(table.name(), key, &read)?;
+        if let Some(flag) = row.logged(table.name(), key, log_key)? {
+            // Case A: a re-execution of this very step (the IC racing the
+            // original instance) already performed it.
             return Ok(WriteOutcome::from_flag(flag));
         }
-        // Fresh DAALs start at HEAD (the conditional update creates it).
-        let start = chain
-            .last()
-            .map_or_else(|| ROW_HEAD.into(), |r| r.row_id.clone());
-        // Case B just failed on `HEAD` under the condition `write_at` puts
-        // on it, and no write undoes what failed it: when the traversal
-        // ends there, the next step is the re-read.
-        let tried = round == 0 && failed_on_head && &*start == ROW_HEAD;
-        match write_at(p, table, key, start, step, tried)? {
-            Some(resolved) => return Ok(resolved),
-            // The local view went stale (e.g. the GC deleted the candidate
-            // row under us); rebuild it and retry.
-            None => continue,
+        // An untraversed row stands for the chain only while it is the tail
+        // and passes its guard. Otherwise the traversal checks the rows
+        // before it; when the traversal ends at this row, the read decides.
+        let too_young = !on_head && row.created_ms >= p.intent_created_ms;
+        if untraversed && (row.next.is_some() || too_young) {
+            if row.next.is_some() {
+                forget(&mut cached);
+            }
+            match scan(p, table, key, log_key)? {
+                ControlFlow::Break(replayed) => return Ok(replayed),
+                ControlFlow::Continue(tail) if tail != row_id => {
+                    chased_from = None;
+                    at = Some(tail);
+                    continue;
+                }
+                ControlFlow::Continue(_) => {}
+            }
+        }
+        let held =
+            matches!(step.kind, StepKind::Lock { free, .. } if free.eval(&read) == Ok(false));
+        match row.next {
+            // Case C: the row filled up and points onward; chase the tail.
+            Some(next) => {
+                at = Some(next.clone());
+                chased_from = Some(row_id);
+            }
+            // A lock held on the tail: the try is refused and writes
+            // nothing, on a full tail too.
+            None if held => {
+                remember(&cached, &row_id);
+                return Ok(WriteOutcome::Refused(schema::lock_value(Some(&read))));
+            }
+            // Case D: full tail. Append a fresh row and advance to it.
+            None if row.log_size >= p.capacity as u64 => {
+                at = Some(append_row(p, table, key, &read, row.row_id)?);
+                chased_from = Some(row_id);
+            }
+            // The tail has room: a race failed case B; try it again.
+            None => at = Some(row_id),
         }
     }
     Err(BeldiError::Protocol(format!(
@@ -562,11 +674,35 @@ pub(crate) fn try_write(
     )))
 }
 
-const MAX_WRITE_ROUNDS: usize = 64;
-/// Bound on tail-chasing within one scan round. Concurrent writers can
-/// legitimately extend the chain a handful of rows while we chase; a long
-/// chase simply re-scans.
-const MAX_CHASE: usize = 128;
+const MAX_WRITE_TRIES: usize = 1024;
+
+/// The traversal: the step's flag in any chain row (case A, replayed), or
+/// else the row case B tries next, the tail (`HEAD` for a fresh key).
+fn scan(
+    p: &DaalParams<'_>,
+    table: &TableRef,
+    key: &Arc<str>,
+    log_key: &Arc<str>,
+) -> BeldiResult<ControlFlow<WriteOutcome, Arc<str>>> {
+    let chain = traverse(p.db, table, key, Some(log_key))?;
+    // The step's flag in any chain row: a write may have landed in a row
+    // that filled up afterwards.
+    if let Some(flag) = chain.iter().find_map(|r| r.logged) {
+        return Ok(ControlFlow::Break(WriteOutcome::from_flag(flag)));
+    }
+    let tail = chain.last().map(|r| r.row_id.clone());
+    Ok(ControlFlow::Continue(
+        tail.unwrap_or_else(|| ROW_HEAD.into()),
+    ))
+}
+
+/// What a failed case B re-reads of its row: what the tail rule decides
+/// on, the step's entry, and what an append carries (not the write log).
+fn reread(log_key: &Arc<str>) -> Projection {
+    let attrs = [A_ROW_ID, A_NEXT_ROW, A_LOG_SIZE, A_CREATED];
+    Projection::attrs(attrs.into_iter().chain(CARRY_ATTRS))
+        .with_path(Path::attr(A_WRITES).then_attr(log_key.clone()))
+}
 
 /// What one write step writes in case B: the payload with a `true` log
 /// entry (B1, or plain B), under its kind's condition.
@@ -613,11 +749,9 @@ fn log_actions(log_key: &Arc<str>, flag: bool, now_ms: u64, update: Update) -> U
 
 /// Case B at row `pk`, under [`case_b_cond`] and `guard`: B1 (or plain
 /// B) applies the payload and logs `true`; when its condition fails, a
-/// conditional write tries B2, which logs `false`, and a lock try re-reads
-/// the row: a tail under `guard` that holds no entry of the step and the
-/// lock held refuses the try, which writes nothing (a full tail is not
-/// appended to). `None` when neither held. A returning lock's B1 returns
-/// the row's `Value`.
+/// conditional write tries B2, which logs `false`. `None` when neither
+/// held; a lock try has no B2. A returning lock's B1 returns the row's
+/// `Value`.
 fn case_b(
     p: &DaalParams<'_>,
     table: &TableRef,
@@ -625,9 +759,9 @@ fn case_b(
     step: &StepWrite<'_>,
     guard: Cond,
 ) -> BeldiResult<Option<WriteOutcome>> {
-    let mut cond = case_b_cond(p, step.log_key).and(guard.clone());
+    let mut b1 = case_b_cond(p, step.log_key).and(guard.clone());
     if let Some(uc) = step.kind.cond() {
-        cond = cond.and(uc.clone());
+        b1 = b1.and(uc.clone());
     }
     (p.crash)(Label::DaalWritePreApply);
     #[expect(
@@ -638,10 +772,10 @@ fn case_b(
         StepKind::Lock {
             returning: true, ..
         } => {
-            p.db.update_returning(table, pk, &cond, &step.apply, &Projection::attrs([A_VALUE]))
+            p.db.update_returning(table, pk, &b1, &step.apply, &Projection::attrs([A_VALUE]))
                 .map(|row| Some(schema::data_value(Some(&row))))
         }
-        _ => p.db.update(table, pk, &cond, &step.apply).map(|()| None),
+        _ => p.db.update(table, pk, &b1, &step.apply).map(|()| None),
     });
     match applied {
         Ok(value) => {
@@ -651,20 +785,9 @@ fn case_b(
         Err(DbError::ConditionFailed) => {}
         Err(e) => return Err(refused(p, table, pk, e)),
     }
-    match step.kind {
-        StepKind::Write => return Ok(None),
-        StepKind::Lock { free, .. } => {
-            let entry = Path::attr(A_WRITES).then_attr(step.log_key.clone());
-            let seen = Projection::attrs([A_NEXT_ROW, A_KEY, A_CREATED, A_LOCK]);
-            let seen = seen.with_path(entry.clone());
-            let tail = Cond::not_exists(entry).and(Cond::not_exists(A_NEXT_ROW));
-            let row = p.db.get(table, pk, Some(&seen))?.unwrap_or_default();
-            let held = matches!(tail.and(guard).eval(&row), Ok(true))
-                && matches!(free.eval(&row), Ok(false));
-            return Ok(held.then(|| WriteOutcome::Refused(schema::lock_value(Some(&row)))));
-        }
-        StepKind::Cond(_) => {}
-    }
+    let StepKind::Cond(_) = step.kind else {
+        return Ok(None);
+    };
 
     // Case B2: the user condition was false at the serialization point;
     // log the failed outcome.
@@ -696,159 +819,6 @@ fn refused(p: &DaalParams<'_>, table: &TableRef, pk: &PrimaryKey, e: DbError) ->
             .unwrap_or(e.into()),
         _ => e.into(),
     }
-}
-
-/// What [`write_cached`] did.
-enum Cached {
-    /// Case B resolved the step.
-    Resolved(WriteOutcome),
-    /// The caller traverses: there was no row to try, or case B failed on
-    /// it, and then `on_head` tells whether that row was `HEAD`.
-    Failed { on_head: bool },
-}
-
-/// Case B on the key's cached tail row, or for a plain write with no
-/// entry on `HEAD` ([`DaalParams::head_first`]), without a traversal.
-/// Nothing is tried when the cache is off or for a conditional step with
-/// no entry; a stale entry whose case B failed is dropped.
-///
-/// A non-`HEAD` row must still exist (an update must not resurrect a row
-/// the GC deleted) and must be older than the writing intent, which makes
-/// `not_exists(RecentWrites.{log_key})` in this one row a check over the
-/// whole chain (see [`TailCache`]). `HEAD` needs neither clause: it has no
-/// predecessor, and an absent one is the chain case B creates. A step
-/// resolved on an uncached `HEAD` of a data table leaves it in the cache.
-fn write_cached(
-    p: &DaalParams<'_>,
-    table: &TableRef,
-    key: &Arc<str>,
-    step: &StepWrite<'_>,
-) -> BeldiResult<Cached> {
-    let cached = p.tail_cache.and_then(|cache| cache.get(table.name(), key));
-    let row_id = match cached.clone() {
-        Some(row_id) => row_id,
-        None if p.head_first && step.kind.cond().is_none() => ROW_HEAD.into(),
-        None => return Ok(Cached::Failed { on_head: false }),
-    };
-    let on_head = &*row_id == ROW_HEAD;
-    let guard = if on_head {
-        Cond::True
-    } else {
-        let created = Value::Int(p.intent_created_ms as i64);
-        Cond::exists(A_KEY).and(Cond::lt(A_CREATED, created))
-    };
-    let pk = PrimaryKey::hash_sort(key, &row_id);
-    let resolved = case_b(p, table, &pk, step, guard)?;
-    let telemetry = p.db.telemetry();
-    if let Some(resolved) = resolved {
-        if let (None, Some(cache)) = (&cached, p.tail_cache) {
-            cache.put(table.name(), key, &row_id);
-        }
-        telemetry.add(Metric::TailCacheWriteHits, 1);
-        return Ok(Cached::Resolved(resolved));
-    }
-    if let (Some(_), Some(cache)) = (&cached, p.tail_cache) {
-        cache.invalidate(table.name(), key);
-    }
-    telemetry.add(Metric::TailCacheWriteFallbacks, 1);
-    Ok(Cached::Failed { on_head })
-}
-
-/// Runs the tail protocol starting from row `row_id`; `tried` says case B
-/// already failed there, so the first round starts at the re-read.
-///
-/// Returns `Ok(Some(outcome))` when the step resolved, and `Ok(None)` when
-/// the local view proved stale and the caller should re-scan. A step case
-/// B resolves leaves its row, then the tail, in the cache.
-fn write_at(
-    p: &DaalParams<'_>,
-    table: &TableRef,
-    key: &Arc<str>,
-    mut row_id: Arc<str>,
-    step: &StepWrite<'_>,
-    tried: bool,
-) -> BeldiResult<Option<WriteOutcome>> {
-    // The row whose `NextRow` pointer we last chased, for pointer repair
-    // (see below).
-    let mut chased_from: Option<Arc<str>> = None;
-    for chase in 0..MAX_CHASE {
-        let pk = PrimaryKey::hash_sort(key, &row_id);
-        // Rows other than HEAD must already exist: a conditional update
-        // that "succeeds" against a row the GC deleted would resurrect it
-        // as an unreachable orphan, silently losing the write. HEAD is the
-        // one row the write path is allowed to create.
-        let existence = if &*row_id == ROW_HEAD {
-            Cond::True
-        } else {
-            Cond::exists(A_KEY)
-        };
-        if chase > 0 || !tried {
-            if let Some(resolved) = case_b(p, table, &pk, step, existence)? {
-                if let Some(cache) = p.tail_cache {
-                    cache.put(table.name(), key, &row_id);
-                }
-                return Ok(Some(resolved));
-            }
-        }
-
-        // The conditional writes failed: re-read the row and dispatch on
-        // the remaining cases (their order is safe because B has no
-        // incoming transitions, Fig. 7b).
-        let Some(whole) = p.db.get(table, &pk, None)? else {
-            // Stale view: the candidate row is gone (GC) or was never
-            // created (we are past the end). If we *chased a pointer*
-            // here, the chain itself is damaged: rows are created before
-            // they are linked, so a point-read pointer whose target is
-            // absent means the GC deleted the target (possible only when
-            // the `T` synchrony assumption was violated — e.g. a
-            // collector outliving stragglers under extreme time
-            // compression). Left alone, the dangling pointer livelocks
-            // every future write to this key (the tail can never be
-            // reached); deleted row ids are never recreated, so
-            // CAS-clearing the pointer is a safe repair that restores
-            // liveness. Then re-scan from scratch either way.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "between Label::DaalWritePreApply and the re-scan's: an idempotent \
-                          repair that only a violated `T` makes necessary"
-            )]
-            if let Some(prev) = &chased_from {
-                let prev_pk = PrimaryKey::hash_sort(key, prev);
-                let cond = Cond::eq(A_NEXT_ROW, &row_id);
-                let update = Update::new().remove(A_NEXT_ROW);
-                match p.db.update(table, &prev_pk, &cond, &update) {
-                    Ok(()) | Err(DbError::ConditionFailed) => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            return Ok(None);
-        };
-        let row = DaalRow::decode(table.name(), key, &whole)?;
-        if let Some(flag) = row.logged(table.name(), key, step.log_key)? {
-            // Case A: a concurrent re-execution of this very step (the IC
-            // racing the original instance) already performed it.
-            return Ok(Some(WriteOutcome::from_flag(flag)));
-        }
-        match row.next {
-            // Case C: the row filled up and points onward; chase the tail.
-            Some(next) => {
-                let next = next.clone();
-                chased_from = Some(row_id);
-                row_id = next;
-            }
-            // Case D: full tail. Append a fresh row and advance to it.
-            // (The row may instead still have space if only the user
-            // condition raced; looping retries case B1 on it.)
-            None if row.log_size >= p.capacity as u64 => {
-                let appended = append_row(p, table, key, &whole, row.row_id)?;
-                chased_from = Some(row_id);
-                row_id = appended;
-            }
-            None => {}
-        }
-    }
-    // Too much concurrent churn for one local view; rebuild it.
-    Ok(None)
 }
 
 /// Appends a fresh row after the full row `prev` (case D).
@@ -962,7 +932,7 @@ pub(crate) fn lock_owner(db: &Database, table: &TableRef, key: &Arc<str>) -> Bel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{daal_schema, A_ROW_ID};
+    use crate::schema::daal_schema;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn no_crash(_: Label) {}
@@ -970,6 +940,9 @@ mod tests {
     struct Fixture {
         db: std::sync::Arc<Database>,
         counter: AtomicU64,
+        /// When the writing intent was created; the clock reads 0, so a
+        /// cached non-`HEAD` row passes its guard only when this is above 0.
+        intent_created_ms: u64,
     }
 
     impl Fixture {
@@ -979,6 +952,7 @@ mod tests {
             Fixture {
                 db,
                 counter: AtomicU64::new(0),
+                intent_created_ms: 0,
             }
         }
 
@@ -995,7 +969,7 @@ mod tests {
                 now_ms: &|| 0,
                 tail_cache: None,
                 head_first: false,
-                intent_created_ms: 0,
+                intent_created_ms: self.intent_created_ms,
                 crash: &no_crash,
                 new_row_id: &|| unreachable!("row-id generator not wired"),
             }
@@ -1024,6 +998,24 @@ mod tests {
             let out = try_write(&p, &table, &key.into(), &log_key.into(), payload, kind);
             let d = self.db.metrics().delta(&before);
             (out.unwrap(), (d.gets, d.writes, d.queries))
+        }
+
+        /// A lock try of intent `id` on `key`, as [`Fixture::step`] makes it.
+        fn lock(
+            &self,
+            cache: Option<&TailCache>,
+            key: &str,
+            log_key: &str,
+            id: &str,
+        ) -> (WriteOutcome, (u64, u64, u64)) {
+            let id: Arc<str> = id.into();
+            let free = crate::SsfContext::lock_free_cond(&id);
+            let payload = Update::new().set(A_LOCK, crate::txn::lock_owner_value(&id, 0));
+            let kind = StepKind::Lock {
+                free: &free,
+                returning: false,
+            };
+            self.step(cache, key, log_key, payload, kind)
         }
 
         fn write(&self, key: &str, log_key: &str, v: i64) -> WriteOutcome {
@@ -1239,17 +1231,7 @@ mod tests {
     fn a_refused_lock_try_on_a_cached_tail_keeps_its_entry() {
         let f = Fixture::new();
         let cache = TailCache::new();
-        let lock = |log_key: &str, id: &str| {
-            let id: Arc<str> = id.into();
-            let owner = crate::txn::lock_owner_value(&id, 0);
-            let free = crate::SsfContext::lock_free_cond(&id);
-            let kind = StepKind::Lock {
-                free: &free,
-                returning: false,
-            };
-            let payload = Update::new().set(A_LOCK, owner);
-            f.step(Some(&cache), "k", log_key, payload, kind)
-        };
+        let lock = |log_key: &str, id: &str| f.lock(Some(&cache), "k", log_key, id);
         assert_eq!(lock("a#0", "a").0, WriteOutcome::Applied(None));
         assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
         let before = f.db.snapshot();
@@ -1260,6 +1242,70 @@ mod tests {
         }
         assert_eq!(f.db.snapshot(), before, "a refused try writes nothing");
         assert_eq!(cache.get("t", "k").as_deref(), Some(ROW_HEAD));
+    }
+
+    /// A lock try on a full tail whose lock is held is refused and appends
+    /// no row, with the cache on as off. The cached row is no older than
+    /// the intent, so its guard fails: the traversal finds no entry and
+    /// ends at the row the re-read saw, and that read refuses.
+    #[test]
+    fn a_lock_refused_on_a_full_tail_appends_no_row() {
+        for cached in [false, true] {
+            let f = Fixture::new();
+            let tail_cache = TailCache::new();
+            let cache = cached.then_some(&tail_cache);
+            f.lock(cache, "k", "a#0", "a");
+            for step in 1..6 {
+                let payload = Update::new().set(A_VALUE, Value::Int(step));
+                f.step(cache, "k", &format!("a#{step}"), payload, StepKind::Write);
+            }
+            assert_eq!(f.chain_len("k"), 2, "`HEAD` and `R0`, both full");
+            if cached {
+                assert_eq!(tail_cache.get("t", "k").as_deref(), Some("R0"));
+            }
+            let before = f.db.snapshot();
+            let holder = crate::txn::lock_owner_value(&"a".into(), 0);
+            let refused = (WriteOutcome::Refused(holder), (1, 1, 1));
+            assert_eq!(f.lock(cache, "k", "b#0", "b"), refused, "cached: {cached}");
+            assert_eq!(f.db.snapshot(), before, "no row appended");
+        }
+    }
+
+    /// A step whose cached non-`HEAD` tail is full tries case B there once
+    /// and reads the row once, then appends: (1, 4, 1) (gets, writes,
+    /// queries) for a plain write when the row is no older than the intent
+    /// (the traversal checks the rows its guard stood for), and (1, 4, 0)
+    /// when it is older. A lock on such a tail whose lock is free makes
+    /// that one read, not a second one for a refusal.
+    #[test]
+    fn a_full_cached_tail_takes_one_try_and_one_read() {
+        for (intent_created_ms, queries) in [(0, 1), (1, 0)] {
+            let f = Fixture {
+                intent_created_ms,
+                ..Fixture::new()
+            };
+            let cache = TailCache::new();
+            let write = |step: i64| {
+                let payload = Update::new().set(A_VALUE, Value::Int(step));
+                f.step(
+                    Some(&cache),
+                    "k",
+                    &format!("w#{step}"),
+                    payload,
+                    StepKind::Write,
+                )
+            };
+            (0..6).for_each(|step| drop(write(step)));
+            assert_eq!(cache.get("t", "k").as_deref(), Some("R0"));
+            let appended = (WriteOutcome::Applied(None), (1, 4, queries));
+            assert_eq!(write(6), appended, "intent created at {intent_created_ms}");
+            (7..9).for_each(|step| drop(write(step)));
+            assert_eq!(cache.get("t", "k").as_deref(), Some("R1"));
+            let lock = f.lock(Some(&cache), "k", "a#0", "a");
+            assert_eq!(lock, appended, "intent created at {intent_created_ms}");
+            assert_eq!(f.chain_len("k"), 4);
+            assert_eq!(cache.get("t", "k").as_deref(), Some("R2"));
+        }
     }
 
     /// An appended row's `Created` is a clock read taken after its
@@ -1431,18 +1477,17 @@ mod tests {
         );
     }
 
-    /// A false conditional write and a lock on a fresh key do not try
-    /// `HEAD` blind: they traverse (one query), as with the cache off, and
-    /// log their outcome on `HEAD`, which they leave cached. B1 fails and
-    /// B2 logs `false`; the lock applies.
+    /// A false conditional write and a lock on a fresh key try `HEAD` as a
+    /// plain write does: no query. They log their outcome on `HEAD`, which
+    /// they leave cached. B1 fails and B2 logs `false`; the lock applies.
     #[test]
-    fn a_false_cond_write_and_a_lock_on_a_fresh_key_log_on_head() {
+    fn a_false_cond_write_and_a_lock_on_a_fresh_key_are_updates_on_head() {
         let f = Fixture::new();
         let cache = TailCache::new();
         let payload = Update::new().set(A_VALUE, Value::Int(1));
         let never = Cond::eq(A_VALUE, Value::Int(5));
         let (out, calls) = f.step(Some(&cache), "c", "a#0", payload, StepKind::Cond(&never));
-        assert_eq!((out, calls), (WriteOutcome::ConditionFalse, (0, 2, 1)));
+        assert_eq!((out, calls), (WriteOutcome::ConditionFalse, (0, 2, 0)));
         assert_eq!(
             f.log_of("c", ROW_HEAD),
             Some(beldi_value::vmap! { "a#0" => false })
@@ -1462,7 +1507,7 @@ mod tests {
                 returning: false,
             },
         );
-        assert_eq!((out, calls), (WriteOutcome::Applied(None), (0, 1, 1)));
+        assert_eq!((out, calls), (WriteOutcome::Applied(None), (0, 1, 0)));
         assert_eq!(
             f.log_of("l", ROW_HEAD),
             Some(beldi_value::vmap! { "b#0" => true })
@@ -1477,12 +1522,13 @@ mod tests {
             t.get(Metric::TailCacheWriteHits),
             t.get(Metric::TailCacheWriteFallbacks),
         );
-        assert_eq!(counts, (0, 0), "no blind try on `HEAD`");
+        assert_eq!(counts, (2, 0), "both resolved on `HEAD`");
     }
 
     /// On a key whose `HEAD` has a successor, the uncached read pays one
-    /// get more than a traversal, and the write one failed update more;
-    /// both find the tail's value and cache the tail.
+    /// get more than a traversal, and the write one failed update and the
+    /// re-read that finds the successor; both find the tail's value and
+    /// cache the tail.
     #[test]
     fn a_head_with_a_successor_falls_back_to_the_traversal() {
         let f = Fixture::new();
@@ -1506,7 +1552,7 @@ mod tests {
         let (out, calls) = f.step(Some(&cache), "k", "i#5", payload, StepKind::Write);
         assert_eq!(
             (out, calls),
-            (WriteOutcome::Applied(None), (0, 2, 1)),
+            (WriteOutcome::Applied(None), (1, 2, 1)),
             "(gets, writes, queries)"
         );
         assert_eq!(f.db.telemetry().get(Metric::TailCacheWriteFallbacks), 1);
@@ -1515,9 +1561,10 @@ mod tests {
     }
 
     /// A step logged in `HEAD` and replayed, uncached, after `HEAD` gained
-    /// a successor: the plain step's `HEAD` attempt fails, the traversal
+    /// a successor: the plain step's `HEAD` attempt fails, its re-read
     /// finds the entry (case A), and the replay returns the logged outcome
-    /// and changes nothing; so does the conditional step's.
+    /// with no traversal and changes nothing; so does the conditional
+    /// step's.
     #[test]
     fn a_step_logged_in_head_replays_after_head_gained_a_successor() {
         let f = Fixture::new();
@@ -1546,8 +1593,9 @@ mod tests {
                 WriteOutcome::ConditionFalse,
             ),
         ] {
-            let (out, _) = f.step(Some(&TailCache::new()), "k", log_key, write(0), kind);
-            assert_eq!(out, logged, "{log_key}");
+            let (out, (_, _, queries)) =
+                f.step(Some(&TailCache::new()), "k", log_key, write(0), kind);
+            assert_eq!((out, queries), (logged, 0), "{log_key}");
         }
         assert_eq!(f.db.snapshot(), before, "a replay changes nothing");
         assert_eq!(f.value("k"), Value::Int(3));

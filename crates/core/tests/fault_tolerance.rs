@@ -504,8 +504,9 @@ fn a_lease_that_expires_inside_a_write_traversal_kills_before_the_write() {
 }
 
 /// The cached twin of the test above, on an uncached key whose `HEAD`
-/// already has a successor: the write tries `HEAD` (one failed update,
-/// which costs no time here), then traverses, and the scan carries it
+/// already has a successor: the write tries `HEAD` (one failed update and
+/// the re-read that finds the successor, which cost no time here), then
+/// traverses, and the scan carries it
 /// across its deadline. No chain row gets the step's entry, and the
 /// write never applies.
 #[test]

@@ -704,9 +704,10 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // One SSF's transaction reads, writes and commits one key. Each stage
     // pays for the item once:
     // - begin: 1 write (the logged id);
-    // - read: lock (query + write: the seeded key is not cached yet, and
-    //   the traversal leaves its tail cached; the write returns the
-    //   committed value), shadow-entry create (write), read log (write);
+    // - read: lock (write: the seeded key is not cached yet, so the lock
+    //   tries `HEAD`, the whole chain, and leaves it cached; the write
+    //   returns the committed value), shadow-entry create (write), read
+    //   log (write);
     // - write: the shadow write (one update on `HEAD`), under the held
     //   lock;
     // - commit: finalize marker (write), shadow index (query: its answer
@@ -731,7 +732,7 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (0, 7, 2, 0, 0, 0)
+        (0, 7, 1, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
@@ -856,7 +857,8 @@ fn shadow_write_costs(cfg: BeldiConfig, writes: i64) -> (Vec<(u64, u64, u64, u64
 /// With the tail cache on, a shadow write tries the entry's `HEAD`, which
 /// the lock created: one update and no query while `HEAD` is the whole
 /// chain. Once the chain outgrows it (row capacity 3), the try fails and
-/// the write traverses, and the commit flushes the tail's value. With the
+/// its re-read appends or traverses, and the commit flushes the tail's
+/// value. With the
 /// cache off, every shadow write traverses, as the paper's DAAL does.
 #[test]
 fn a_shadow_write_is_one_update_on_head_until_the_chain_outgrows_it() {
@@ -865,13 +867,15 @@ fn a_shadow_write_is_one_update_on_head_until_the_chain_outgrows_it() {
     assert_eq!(committed, Value::Int(2));
 
     let (costs, committed) = shadow_write_costs(BeldiConfig::beldi().with_row_capacity(3), 7);
-    // Three entries fill `HEAD`. A later write fails on it (a failed
-    // update) and traverses (a query). The tail it finds takes the entry
-    // (an update) unless it is full too: then the failed case B there, the
-    // re-read that finds it full, the new row, its link and the entry. A
-    // traversal that ends at the `HEAD` just tried starts at the re-read.
+    // Three entries fill `HEAD`. The next write fails on it (a failed
+    // update), and the re-read finds it full with no successor: the new
+    // row, its link and the entry follow, with no traversal. Once `HEAD`
+    // has a successor, its re-read sends a write to the traversal (a
+    // query), and the tail takes the entry (an update) unless it is full
+    // too: then the failed case B there, its re-read, the new row, its
+    // link and the entry.
     assert_eq!(costs[..3], [(0, 1, 0, 0); 3]);
-    let (head_append, append, tail) = ((1, 4, 1, 1), (1, 5, 1, 2), (0, 2, 1, 1));
+    let (head_append, append, tail) = ((1, 4, 0, 1), (2, 5, 1, 2), (1, 2, 1, 1));
     assert_eq!(costs[3..], [head_append, tail, tail, append]);
     assert_eq!(committed, Value::Int(7));
 

@@ -458,12 +458,12 @@ telemetry! {
         TailCacheHits => "core.tail_cache.hits",
         /// Reads that traversed: the tried row had a successor or was gone.
         TailCacheMisses => "core.tail_cache.misses",
-        /// Logged writes that case B resolved on the cached tail row (for
-        /// a plain write with no entry, `HEAD`), without a traversal.
+        /// Logged write steps that case B resolved on the row tried
+        /// without a traversal: the cached tail, or with no entry `HEAD`.
         TailCacheWriteHits => "core.tail_cache.write_hits",
-        /// Cached write attempts whose condition failed, so the write
-        /// traversed (a conditional step with no entry traverses
-        /// uncounted).
+        /// Logged write steps whose case B failed on that row, so its
+        /// re-read decided the step: case A, a refusal, an append, or the
+        /// traversal.
         TailCacheWriteFallbacks => "core.tail_cache.write_fallbacks",
     }
 

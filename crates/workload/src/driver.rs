@@ -48,7 +48,7 @@ use std::time::Duration;
 use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
-use beldi_simclock::{Hist, Metric};
+use beldi_simclock::{Hist, Metric, Op};
 use beldi_simdb::{LatencyModel, MetricsSnapshot};
 use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
 use parking_lot::Mutex;
@@ -392,6 +392,9 @@ pub struct BenchRun {
     pub latency: LatencySummary,
     /// Database operation delta over the measured window.
     pub db: MetricsSnapshot,
+    /// Lock tries a transaction found refused, so wait-die judged the
+    /// holder (`core.op.wait_die_retry` over the window).
+    pub wait_die_retries: u64,
     /// FNV-1a digest (hex) of the app's interleaving-invariant final
     /// state fingerprint — equal across runs with the same seed and
     /// worker count.
@@ -409,7 +412,7 @@ pub struct BenchRun {
 
 wire_fields!(BenchRun:
     app, mode, workers, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
-    latency, db, state_digest, gc, storage, in_flight, recovery
+    latency, db, wait_die_retries, state_digest, gc, storage, in_flight, recovery
 );
 wire_fields!(MetricsSnapshot:
     gets, writes, queries, scans, transact_writes, deletes, cond_failures, bytes_read,
@@ -702,6 +705,8 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
     let env = Arc::new(build_bench_env(app, mode, opts, chaos, gc));
     // Open the measurement window: everything from here is the run.
     let window = env.db_metrics();
+    let retries = || env.telemetry().get(Op::WaitDieRetry.metric());
+    let retries_before = retries();
     let faults = env.platform().faults();
     if let Some(c) = chaos {
         // The storm races the load and the collectors. Crash panics are
@@ -745,6 +750,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
             .expect("recovery drain must not fail");
     }
     let db = env.db_metrics().delta(&window);
+    let wait_die_retries = retries() - retries_before;
     // The steady-state endpoint: one final sample after the last request
     // (and collector stop / recovery drain), then the end-of-run DAAL
     // depth statistic.
@@ -803,6 +809,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         throughput_rps: opts.total_ops as f64 / load.elapsed.as_secs_f64().max(1e-9),
         latency: LatencySummary::from_histogram(&load.hist),
         db,
+        wait_die_retries,
         state_digest: digest,
         gc,
         storage,
@@ -1023,6 +1030,7 @@ mod tests {
                 partition_ops: vec![3],
                 ..MetricsSnapshot::default()
             },
+            wait_die_retries: 7,
             state_digest: "00000000deadbeef".into(),
             gc: true,
             storage: StorageSeries {
@@ -1147,6 +1155,7 @@ mod tests {
                 "state_digest",
                 "storage",
                 "throughput_rps",
+                "wait_die_retries",
                 "wall_ms",
                 "workers",
             ]

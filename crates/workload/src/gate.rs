@@ -395,6 +395,7 @@ mod tests {
             throughput_rps: rps,
             latency: LatencySummary::default(),
             db: MetricsSnapshot::default(),
+            wait_die_retries: 0,
             state_digest: String::new(),
             gc: false,
             storage: StorageSeries::default(),
