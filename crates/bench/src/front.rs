@@ -81,7 +81,7 @@ use beldi::{BeldiEnv, BeldiResult, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::bench_app;
 use beldi_runtime::{Executor, Handle};
 use beldi_simfaas::{CrashSignal, Label, Probe};
-use beldi_workload::driver::{state_digest, FrontRun, LatencySummary};
+use beldi_workload::driver::{state_digest, Counters, FrontRun, LatencySummary};
 
 /// What the acceptor and the socket threads tell the admission
 /// participant, over one channel.
@@ -580,7 +580,7 @@ impl Admission {
             return self.reply(index, None);
         }
         let latency = self.env.clock().now().since(flight.admitted);
-        self.env.telemetry().record(Hist::FrontRequest, latency);
+        self.env.telemetry().record(Hist::Request, latency);
         let response = match result {
             Ok(value) => Response::json(200, "OK", format!("{{\"ok\":{}}}", json::to_json(&value))),
             Err(e) => Response::json(
@@ -772,7 +772,7 @@ impl FrontSmokeReport {
             run.elapsed_virtual_us as f64 / 1e3,
             run.latency.p50_us as f64 / 1e3,
             run.latency.p99_us as f64 / 1e3,
-            run.db.total_ops()
+            run.counters.db_ops()
         );
         println!("  front digest:      {}", run.front_digest);
         println!("  in-process digest: {}", run.inproc_digest);
@@ -813,7 +813,7 @@ pub fn front_smoke(
     let served_env = Arc::new(crate::front_env(mode));
     app.setup(&served_env);
     let clock = served_env.clock().clone();
-    let (t0, db0) = (clock.now(), served_env.db_metrics());
+    let (t0, window) = (clock.now(), Counters::read(served_env.telemetry()));
     let door = FrontDoor::start(Arc::clone(&served_env), "127.0.0.1:0", seed)?;
     let started = std::time::Instant::now();
     let n_slots = clients.max(1);
@@ -846,8 +846,8 @@ pub fn front_smoke(
     door.shutdown();
     let wall = started.elapsed();
     let elapsed = clock.now().since(t0);
-    let db = served_env.db_metrics().delta(&db0);
-    let latency = served_env.telemetry().histogram(Hist::FrontRequest);
+    let counters = Counters::since(&window, served_env.telemetry());
+    let latency = served_env.telemetry().histogram(Hist::Request);
     let front_digest = state_digest(app.as_ref(), &served_env);
 
     // In-process side: the same stream, no sockets, no executor.
@@ -867,7 +867,7 @@ pub fn front_smoke(
             errors: requests as u64 - answered.load(Ordering::SeqCst),
             elapsed_virtual_us: elapsed.as_micros() as u64,
             latency: LatencySummary::from_histogram(&latency),
-            db,
+            counters,
             front_digest,
             inproc_digest,
         },
@@ -1041,7 +1041,7 @@ mod tests {
         }
         // The workflows really ran, timed on the environment's clock.
         assert_ne!(app.canonical_state(&env), Value::Null);
-        let latency = env.telemetry().histogram(Hist::FrontRequest);
+        let latency = env.telemetry().histogram(Hist::Request);
         assert_eq!(latency.len(), 5);
         assert!(latency.min() > std::time::Duration::ZERO);
     }
@@ -1153,7 +1153,7 @@ mod tests {
         let failures = beldi_workload::front_gate(&report.run);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(report.rps > 0.0);
-        assert!(report.run.latency.p50_us > 0 && report.run.db.total_ops() > 0);
+        assert!(report.run.latency.p50_us > 0 && report.run.counters.db_ops() > 0);
     }
 
     #[test]

@@ -536,9 +536,9 @@ telemetry! {
         /// at least once and that reached `Done`, intent creation to
         /// `Done` on virtual time, sampled once per instance.
         Recovery => "core.recovery",
-        /// A workflow request through the HTTP front door: admission to
-        /// reply on virtual time, one sample per answered request.
-        FrontRequest => "front.request",
+        /// A root request on virtual time, issue (at the HTTP front
+        /// door, admission) to reply: one sample per answered request.
+        Request => "root.request",
     }
 }
 

@@ -26,14 +26,13 @@
 //!   gets a fixed share of `total_ops` and its own seeded RNG
 //!   ([`worker_rng`]). With the schedule seeded too, everything in a
 //!   [`BenchRun`] but `wall_ms` — latency summary, virtual duration,
-//!   per-kind database deltas, every storage and in-flight sample, the
-//!   chaos recovery record, the final-state digest — is a pure function
-//!   of `(seed, options)`.
-//! - **Metrics windows.** The database counters are read after
-//!   setup/seeding and again at the end, so [`BenchRun::db`] is exactly
-//!   the measured run's operation [`delta`](MetricsSnapshot::delta).
-//!   Everything else — collector passes, recovery latencies — is read
-//!   from the environment's one registry, [`BeldiEnv::telemetry`].
+//!   counters, every sample, the chaos recovery record, the final-state
+//!   digest — is a pure function of `(seed, options)`.
+//! - **One window.** The environment's one registry,
+//!   [`BeldiEnv::telemetry`], is read after setup and again where the run
+//!   ends (after the recovery drain), so [`BenchRun::counters`] holds every
+//!   counter the measured run moved. Request and recovery latencies are
+//!   its histograms.
 //!
 //! Reports serialize to JSON via `beldi_value::json` (see `DESIGN.md` §9
 //! for the schema) and read back for the CI regression gate; each report
@@ -48,8 +47,8 @@ use std::time::Duration;
 use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
-use beldi_simclock::{Hist, Metric, Op};
-use beldi_simdb::{LatencyModel, MetricsSnapshot};
+use beldi_simclock::{Hist, Metric, Telemetry};
+use beldi_simdb::LatencyModel;
 use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -60,10 +59,8 @@ use crate::wire::{with_key, Wire};
 use crate::wire_fields;
 use beldi_simclock::Histogram;
 
-/// Report schema version (bumped on incompatible JSON changes). Schema 2
-/// reports named one of two load engines per run; their multi-worker
-/// numbers come from a loop this build no longer has.
-pub const BENCH_SCHEMA: i64 = 3;
+/// Report schema version (bumped on incompatible JSON changes).
+pub const BENCH_SCHEMA: i64 = 4;
 
 /// How to write a fresh `BENCH_baseline.json`, quoted by every message
 /// that refuses a stale one.
@@ -89,13 +86,12 @@ pub struct DriveOptions {
     /// Run timer-triggered per-SSF garbage collectors *concurrently with
     /// the client workers* (online GC, paper §5): background collector
     /// functions fire every [`DriveOptions::gc_period`] of virtual time
-    /// while the workers drive load, and the run records a
-    /// storage-growth series ([`StorageSeries`]) proving the DAAL/log
-    /// tables reach a steady-state plateau instead of growing without
-    /// bound.
+    /// while the workers drive load, and the run's [`BenchRun::samples`]
+    /// show whether the DAAL/log tables reach a steady-state plateau
+    /// instead of growing without bound.
     pub gc: bool,
-    /// Virtual-time period of the GC timers (and half the storage
-    /// sampling period).
+    /// Virtual-time period of the GC timers (and half the sampling
+    /// period).
     pub gc_period: Duration,
     /// Platform concurrency cap override (`None` = the driver default of
     /// 1000). The in-flight stress tests pin this *low* to prove the
@@ -139,7 +135,7 @@ const COLLECTOR_KILL_PROB: f64 = 4e-3;
 /// steady state within the measured window, but above the run's latency
 /// tail, as the lease kills any instance still running `T` after its
 /// launch.
-const GC_T_MAX: Duration = Duration::from_secs(4);
+pub const GC_T_MAX: Duration = Duration::from_secs(4);
 
 /// Hard cap on a chaos drive's injected crashes: it guarantees a storm
 /// ends. A storm that reaches it injects no more, so the cap shaped its
@@ -224,95 +220,84 @@ impl LatencySummary {
 
 wire_fields!(LatencySummary: p50_us, p90_us, p95_us, p99_us, mean_us, max_us);
 
-/// One storage-growth observation, taken on virtual time during a run.
-///
-/// Sampling is observational: it reads table sizes without touching the
-/// latency model or metrics.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StorageSample {
+/// The registry counters a run's measured window moved, by
+/// [`Metric::as_str`] name. A counter the window left alone is absent and
+/// reads 0, so a new row of the telemetry table reaches every report.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Counters(BTreeMap<String, u64>);
+
+impl FromIterator<(Metric, u64)> for Counters {
+    fn from_iter<I: IntoIterator<Item = (Metric, u64)>>(counts: I) -> Self {
+        let moved = counts.into_iter().filter(|&(_, n)| n > 0);
+        Counters(moved.map(|(m, n)| (m.as_str().to_owned(), n)).collect())
+    }
+}
+
+impl Counters {
+    /// What `t`'s counters hold: the reading a window opens with.
+    pub fn read(t: &Telemetry) -> Self {
+        Metric::ALL.into_iter().map(|m| (m, t.get(m))).collect()
+    }
+
+    /// What `t`'s counters moved since `start` was read from it.
+    pub fn since(start: &Counters, t: &Telemetry) -> Self {
+        let moved = |m| t.get(m) - start.get(m);
+        Metric::ALL.into_iter().map(|m| (m, moved(m))).collect()
+    }
+
+    /// Counter `m`'s value.
+    pub fn get(&self, m: Metric) -> u64 {
+        self.0.get(m.as_str()).copied().unwrap_or(0)
+    }
+
+    /// Store operations of every kind (`MetricsSnapshot::total_ops`).
+    pub fn db_ops(&self) -> u64 {
+        use Metric::{DbDeletes, DbGets, DbQueries, DbScans, DbTransactWrites, DbWrites};
+        let kinds = [
+            DbGets,
+            DbWrites,
+            DbQueries,
+            DbScans,
+            DbTransactWrites,
+            DbDeletes,
+        ];
+        kinds.into_iter().map(|m| self.get(m)).sum()
+    }
+}
+
+impl Wire for Counters {
+    fn encode(&self) -> Option<Value> {
+        self.0.encode()
+    }
+    fn decode(v: Option<&Value>) -> Self {
+        Counters(Wire::decode(v))
+    }
+}
+
+/// One observation of a run on virtual time, by the sampler thread or
+/// after the last reply. It reads table sizes and the executor's task
+/// count, and touches neither the latency model nor a counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sample {
     /// Virtual microseconds since the measurement window opened.
     pub t_us: u64,
+    /// Live executor tasks: the client workers, plus the drive's own
+    /// await-all task.
+    pub live: u64,
     /// Total rows across Beldi metadata tables (intent, log, shadow
     /// tables) — the storage GC exists to bound.
     pub meta_rows: u64,
     /// Total rows across application data tables (DAAL rows in Beldi
     /// mode; one row per key otherwise).
     pub data_rows: u64,
-    /// Cumulative completed GC passes at sample time.
-    pub gc_passes: u64,
-    /// Cumulative intents recycled.
-    pub gc_recycled: u64,
-    /// Cumulative log entries deleted.
-    pub gc_deleted_log_entries: u64,
-    /// Cumulative DAAL/shadow rows deleted.
-    pub gc_deleted_rows: u64,
-    /// Cumulative corrupt (cyclic) chains encountered — any non-zero
-    /// value is a red flag.
-    pub gc_corrupt_chains: u64,
-    /// Cumulative completed intent-collector passes at sample time
-    /// (zero unless the run started the IC timers, i.e. chaos mode).
-    pub ic_passes: u64,
-    /// Cumulative instances re-launched by the IC.
-    pub ic_restarted: u64,
-    /// Cumulative corrupt (envelope-less) intents quarantined by the IC
-    /// — `gc_corrupt_chains`'s twin; any non-zero value is a red flag.
-    pub ic_corrupt: u64,
-    /// Per-table row counts, sorted by table name.
-    pub tables: BTreeMap<String, u64>,
 }
 
-wire_fields!(StorageSample:
-    t_us, meta_rows, data_rows, gc_passes, gc_recycled, gc_deleted_log_entries, gc_deleted_rows,
-    gc_corrupt_chains, ic_passes, ic_restarted, ic_corrupt, tables
-);
+wire_fields!(Sample: t_us, live, meta_rows, data_rows);
 
-/// The storage-growth record of one run: periodic [`StorageSample`]s
-/// plus end-of-run DAAL statistics. See `DESIGN.md` §10 for how
-/// `drive --gc`'s growth check reads this.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StorageSeries {
-    /// Samples in time order; the last one is taken after the workers
-    /// finish (the steady-state endpoint the growth check reads).
-    pub samples: Vec<StorageSample>,
-    /// Longest DAAL chain (rows reachable from `HEAD`) across every
-    /// Beldi data-table key at the end of the run; zero in non-Beldi
-    /// modes.
-    pub max_chain_len: u64,
-}
-
-wire_fields!(StorageSeries: samples, max_chain_len);
-
-/// One in-flight observation: how many executor tasks were live at a
-/// moment of virtual time.
-///
-/// "Live" counts every unfinished task on the run's executor — the client
-/// workers, plus the drive's own await-all task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InFlightSample {
-    /// Virtual microseconds since the measurement window opened.
-    pub t_us: u64,
-    /// Live executor tasks at sample time.
-    pub live: u64,
-}
-
-/// The in-flight record of one drive: periodic [`InFlightSample`]s plus
-/// the high-water mark.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InFlightSeries {
-    /// Samples in time order.
-    pub samples: Vec<InFlightSample>,
-    /// Maximum concurrent live tasks: the post-spawn reading (every
-    /// client worker is in flight at that point) or the largest sample,
-    /// whichever is greater. The ≥10k acceptance gate reads this.
-    pub high_water: u64,
-}
-
-wire_fields!(InFlightSample: t_us, live);
-wire_fields!(InFlightSeries: samples, high_water);
-
-/// The recovery record of one chaos drive: what the storm did, how fast
-/// killed workflows came back, and what the checks of its end state and
-/// its run record found.
+/// The recovery record of one chaos drive: where the storm struck, how
+/// fast killed workflows came back, and what the checks of its end state
+/// and its run record found. What it and the collectors counted is in
+/// the run's [`BenchRun::counters`].
 ///
 /// Recovery latency is defined on **virtual time**: for every instance
 /// the injector killed at least once and that reached `Done`, the
@@ -321,28 +306,8 @@ wire_fields!(InFlightSeries: samples, high_water);
 /// from it (log-bucketed: within ~3% of the exact sample).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoverySection {
-    /// Total crashes the storm injected.
-    pub injected_crashes: u64,
-    /// Instance restarts observed by the injector (re-executions of an
-    /// already-seen instance id — root retries, IC re-launches, and
-    /// collector passes resuming after a kill).
-    pub restarts: u64,
     /// Injected crashes per crash-point label, sorted by label.
     pub crash_sites: BTreeMap<String, u64>,
-    /// Completed IC passes (timer-triggered plus the post-run drain).
-    pub ic_passes: u64,
-    /// Instances the IC re-launched.
-    pub ic_restarted: u64,
-    /// IC passes killed mid-flight by the storm.
-    pub ic_crashes: u64,
-    /// GC passes killed mid-flight by the storm.
-    pub gc_crashes: u64,
-    /// Corrupt (envelope-less) intents the IC quarantined — zero in a
-    /// healthy system.
-    pub ic_corrupt: u64,
-    /// Corrupt chains plus intents the GC counted and skipped — zero in
-    /// a healthy system.
-    pub gc_corrupt: u64,
     /// Killed instances that reached `Done` (the recovery-latency
     /// sample count).
     pub recovered_intents: u64,
@@ -363,8 +328,7 @@ pub struct RecoverySection {
 }
 
 wire_fields!(RecoverySection:
-    injected_crashes, restarts, crash_sites, ic_passes, ic_restarted, ic_crashes, gc_crashes,
-    ic_corrupt, gc_corrupt, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
+    crash_sites, recovered_intents, recovery_p50_ms, recovery_p90_ms, recovery_p99_ms,
     history_findings, oracle_digest, digest_match
 );
 
@@ -390,33 +354,34 @@ pub struct BenchRun {
     pub throughput_rps: f64,
     /// Per-request service latency (virtual).
     pub latency: LatencySummary,
-    /// Database operation delta over the measured window.
-    pub db: MetricsSnapshot,
-    /// Lock tries a transaction found refused, so wait-die judged the
-    /// holder (`core.op.wait_die_retry` over the window).
-    pub wait_die_retries: u64,
+    /// Every registry counter the measured window moved.
+    pub counters: Counters,
     /// FNV-1a digest (hex) of the app's interleaving-invariant final
     /// state fingerprint — equal across runs with the same seed and
     /// worker count.
     pub state_digest: String,
     /// Whether online GC ran concurrently with the workers.
     pub gc: bool,
-    /// Storage-growth series (always recorded; sampled densely when GC
-    /// is on, final-only otherwise).
-    pub storage: StorageSeries,
-    /// In-flight client-task series.
-    pub in_flight: InFlightSeries,
+    /// Samples in time order, one per sampler period; the last is taken
+    /// after the workers finish (and the collectors stop, and a chaos
+    /// run's recovery drain): the endpoint the growth check reads.
+    pub samples: Vec<Sample>,
+    /// Per-table row counts at the last sample, sorted by table name.
+    pub tables: BTreeMap<String, u64>,
+    /// Longest DAAL chain (rows reachable from `HEAD`) across every
+    /// Beldi data-table key at the end of the run; zero in non-Beldi
+    /// modes.
+    pub max_chain_len: u64,
+    /// Most live executor tasks at once: the post-spawn reading (every
+    /// client worker is in flight then) or the largest sample.
+    pub high_water: u64,
     /// Recovery record (`Some` only for chaos drives).
     pub recovery: Option<RecoverySection>,
 }
 
 wire_fields!(BenchRun:
     app, mode, workers, ops, errors, elapsed_virtual_us, wall_ms, throughput_rps,
-    latency, db, wait_die_retries, state_digest, gc, storage, in_flight, recovery
-);
-wire_fields!(MetricsSnapshot:
-    gets, writes, queries, scans, transact_writes, deletes, cond_failures, bytes_read,
-    bytes_written, rows_scanned, lock_waits, partition_ops
+    latency, counters, state_digest, gc, samples, tables, max_chain_len, high_water, recovery
 );
 
 impl BenchRun {
@@ -461,8 +426,8 @@ pub struct FrontRun {
     pub elapsed_virtual_us: u64,
     /// Per-request latency at the door, admission to reply (virtual).
     pub latency: LatencySummary,
-    /// Database operations over the HTTP run.
-    pub db: MetricsSnapshot,
+    /// Every registry counter the HTTP run moved.
+    pub counters: Counters,
     /// Fingerprint digest of the served environment's final state.
     pub front_digest: String,
     /// Fingerprint digest after the in-process replay.
@@ -470,7 +435,7 @@ pub struct FrontRun {
 }
 
 wire_fields!(FrontRun:
-    app, mode, requests, clients, errors, elapsed_virtual_us, latency, db, front_digest,
+    app, mode, requests, clients, errors, elapsed_virtual_us, latency, counters, front_digest,
     inproc_digest
 );
 
@@ -585,31 +550,26 @@ pub fn driver_platform(concurrency: Option<usize>) -> PlatformConfig {
     }
 }
 
-/// Takes one storage-growth observation (`elapsed_us` = virtual time
-/// since the measurement window opened).
-fn storage_sample(env: &BeldiEnv, elapsed_us: u64) -> StorageSample {
-    let t = env.telemetry();
-    let mut sample = StorageSample {
-        t_us: elapsed_us,
-        gc_passes: t.get(Metric::GcPasses),
-        gc_recycled: t.get(Metric::GcRecycledIntents),
-        gc_deleted_log_entries: t.get(Metric::GcDeletedLogEntries),
-        gc_deleted_rows: t.get(Metric::GcDeletedRows),
-        gc_corrupt_chains: t.get(Metric::GcCorruptChains),
-        ic_passes: t.get(Metric::IcPasses),
-        ic_restarted: t.get(Metric::IcRestarted),
-        ic_corrupt: t.get(Metric::IcCorrupt),
-        ..StorageSample::default()
+/// Every table's row count, sorted by table name.
+fn table_rows(env: &BeldiEnv) -> BTreeMap<String, u64> {
+    let counts = env.db().table_row_counts().into_iter();
+    counts.map(|(name, rows)| (name, rows as u64)).collect()
+}
+
+/// The observation of `tables` ([`table_rows`]) at `t_us` of virtual
+/// time since the window opened, with `live` executor tasks.
+fn sample(t_us: u64, live: u64, tables: &BTreeMap<String, u64>) -> Sample {
+    let rows = |meta| {
+        tables
+            .iter()
+            .filter(move |(name, _)| schema::is_meta_table(name) == meta)
     };
-    for (name, rows) in env.db().table_row_counts() {
-        if schema::is_meta_table(&name) {
-            sample.meta_rows += rows as u64;
-        } else {
-            sample.data_rows += rows as u64;
-        }
-        sample.tables.insert(name, rows as u64);
+    Sample {
+        t_us,
+        live,
+        meta_rows: rows(true).map(|(_, n)| n).sum(),
+        data_rows: rows(false).map(|(_, n)| n).sum(),
     }
-    sample
 }
 
 /// Longest DAAL chain across every registered data-table key (Beldi
@@ -688,10 +648,10 @@ struct Load {
     /// Virtual time from the first request's issue to the last reply.
     elapsed: Duration,
     errors: u64,
-    hist: Histogram,
-    /// Storage observations taken while the load ran.
-    storage_samples: Vec<StorageSample>,
-    in_flight: InFlightSeries,
+    /// Observations taken while the load ran.
+    samples: Vec<Sample>,
+    /// [`BenchRun::high_water`].
+    high_water: u64,
 }
 
 /// Runs one drive of `app` in `mode`: the set-up, the load loop
@@ -704,9 +664,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
     let gc = (opts.gc || chaos.is_some()) && mode != Mode::Baseline;
     let env = Arc::new(build_bench_env(app, mode, opts, chaos, gc));
     // Open the measurement window: everything from here is the run.
-    let window = env.db_metrics();
-    let retries = || env.telemetry().get(Op::WaitDieRetry.metric());
-    let retries_before = retries();
+    let window = Counters::read(env.telemetry());
     let faults = env.platform().faults();
     if let Some(c) = chaos {
         // The storm races the load and the collectors. Crash panics are
@@ -749,18 +707,15 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         env.drain_recovery(50)
             .expect("recovery drain must not fail");
     }
-    let db = env.db_metrics().delta(&window);
-    let wait_die_retries = retries() - retries_before;
+    let counters = Counters::since(&window, env.telemetry());
     // The steady-state endpoint: one final sample after the last request
-    // (and collector stop / recovery drain), then the end-of-run DAAL
-    // depth statistic.
-    let mut storage = StorageSeries {
-        samples: load.storage_samples,
-        max_chain_len: max_chain_len(&env, mode),
-    };
-    storage
-        .samples
-        .push(storage_sample(&env, load.elapsed.as_micros() as u64));
+    // (and collector stop / recovery drain), when no task is live, then
+    // the end-of-run DAAL depth statistic.
+    let elapsed_us = load.elapsed.as_micros() as u64;
+    let max_chain = max_chain_len(&env, mode);
+    let tables = table_rows(&env);
+    let mut samples = load.samples;
+    samples.push(sample(elapsed_us, 0, &tables));
     let digest = state_digest(app, &env);
 
     // Conservation check: re-drive the same request stream crash-free and
@@ -779,15 +734,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         };
         let oracle = drive(app, mode, &oracle_opts);
         RecoverySection {
-            injected_crashes: faults.injected_count(),
-            restarts: faults.restart_count(),
             crash_sites: faults.crash_sites(),
-            ic_passes: t.get(Metric::IcPasses),
-            ic_restarted: t.get(Metric::IcRestarted),
-            ic_crashes: t.get(Metric::IcCrashes),
-            gc_crashes: t.get(Metric::GcCrashes),
-            ic_corrupt: t.get(Metric::IcCorrupt),
-            gc_corrupt: t.get(Metric::GcCorruptChains) + t.get(Metric::GcCorruptIntents),
             recovered_intents: latencies.len(),
             recovery_p50_ms: pct(0.50),
             recovery_p90_ms: pct(0.90),
@@ -804,16 +751,17 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         workers: opts.workers,
         ops: opts.total_ops,
         errors: load.errors,
-        elapsed_virtual_us: load.elapsed.as_micros() as u64,
+        elapsed_virtual_us: elapsed_us,
         wall_ms: wall_start.elapsed().as_millis() as u64,
         throughput_rps: opts.total_ops as f64 / load.elapsed.as_secs_f64().max(1e-9),
-        latency: LatencySummary::from_histogram(&load.hist),
-        db,
-        wait_die_retries,
+        latency: LatencySummary::from_histogram(&env.telemetry().histogram(Hist::Request)),
+        counters,
         state_digest: digest,
         gc,
-        storage,
-        in_flight: load.in_flight,
+        samples,
+        tables,
+        max_chain_len: max_chain,
+        high_water: load.high_water,
         recovery,
     }
 }
@@ -847,7 +795,6 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     let clock = env.clock().clone();
     let start = clock.now();
     let errors = Arc::new(AtomicU64::new(0));
-    let hist = Arc::new(Mutex::new(Histogram::new()));
     let entry = app.entry_point();
     let chaos = shape.chaos;
     // Admission gate: roots must never saturate the platform's worker
@@ -864,10 +811,9 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     for w in 0..opts.workers {
         let requests = worker_requests(app, opts, w);
         let (env, clock) = (Arc::clone(env), clock.clone());
-        let (errors, hist) = (Arc::clone(&errors), Arc::clone(&hist));
+        let errors = Arc::clone(&errors);
         let admission = Arc::clone(&admission);
         clients.push(rt.spawn(async move {
-            let mut local = Histogram::new();
             for (i, request) in requests.into_iter().enumerate() {
                 let t0 = clock.now();
                 let instance = match chaos {
@@ -882,18 +828,16 @@ fn run_load(shape: &RunShape<'_>) -> Load {
                 if result.is_err() {
                     errors.fetch_add(1, Ordering::Relaxed);
                 }
-                local.record(clock.now().since(t0));
+                env.telemetry().record(Hist::Request, clock.now().since(t0));
             }
-            hist.lock().merge(&local);
         }));
     }
     // Every client worker is live right here, before the executor runs.
     let spawned_live = handle.live_tasks() as u64;
 
-    // Sampler thread: the in-flight curve, plus storage growth when
-    // collectors run.
+    // Sampler thread: the in-flight and storage-growth curves.
     let sampler_stop = Arc::new(AtomicBool::new(false));
-    let sampled = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+    let sampled = Arc::new(Mutex::new(Vec::new()));
     let sampler = {
         let stop = Arc::clone(&sampler_stop);
         let sampled = Arc::clone(&sampled);
@@ -905,14 +849,10 @@ fn run_load(shape: &RunShape<'_>) -> Load {
             while !stop.load(Ordering::Relaxed) {
                 c.sleep(period);
                 let elapsed = c.now().since(start).as_micros() as u64;
-                let mut sampled = sampled.lock();
-                sampled.0.push(InFlightSample {
-                    t_us: elapsed,
-                    live: handle.live_tasks() as u64,
-                });
-                if gc {
-                    sampled.1.push(storage_sample(&env, elapsed));
-                }
+                let live = handle.live_tasks() as u64;
+                sampled
+                    .lock()
+                    .push(sample(elapsed, live, &table_rows(&env)));
             }
         };
         clock.spawn("sampler".into(), Box::new(body))
@@ -931,18 +871,13 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     if let Err(panic) = sampler.join() {
         std::panic::resume_unwind(panic);
     }
-    let (samples, storage_samples) = std::mem::take(&mut *sampled.lock());
+    let samples = std::mem::take(&mut *sampled.lock());
     let high_water = samples.iter().map(|s| s.live).fold(spawned_live, u64::max);
-    let hist = std::mem::take(&mut *hist.lock());
     Load {
         elapsed,
         errors: errors.load(Ordering::Relaxed),
-        hist,
-        storage_samples,
-        in_flight: InFlightSeries {
-            samples,
-            high_water,
-        },
+        samples,
+        high_water,
     }
 }
 
@@ -1024,60 +959,39 @@ mod tests {
                 mean_us: 12,
                 max_us: 40,
             },
-            db: MetricsSnapshot {
-                gets: 5,
-                writes: 4,
-                partition_ops: vec![3],
-                ..MetricsSnapshot::default()
-            },
-            wait_die_retries: 7,
+            counters: [
+                (Metric::DbGets, 5),
+                (Metric::DbWrites, 4),
+                (Metric::WaitDieRetry, 7),
+            ]
+            .into_iter()
+            .collect(),
             state_digest: "00000000deadbeef".into(),
             gc: true,
-            storage: StorageSeries {
-                samples: vec![StorageSample {
-                    t_us: 500_000,
+            samples: vec![
+                Sample {
+                    t_us: 250_000,
+                    live: 10_400,
                     meta_rows: 40,
                     data_rows: 40,
-                    gc_passes: 3,
-                    gc_recycled: 12,
-                    gc_deleted_log_entries: 30,
-                    gc_deleted_rows: 9,
-                    gc_corrupt_chains: 0,
-                    ic_passes: 5,
-                    ic_restarted: 2,
-                    ic_corrupt: 0,
-                    tables: [("f.intent".to_owned(), 4u64)].into_iter().collect(),
-                }],
-                max_chain_len: 3,
-            },
-            in_flight: InFlightSeries {
-                samples: vec![
-                    InFlightSample {
-                        t_us: 250_000,
-                        live: 10_400,
-                    },
-                    InFlightSample {
-                        t_us: 750_000,
-                        live: 3_200,
-                    },
-                ],
-                high_water: 10_412,
-            },
+                },
+                Sample {
+                    t_us: 750_000,
+                    live: 3_200,
+                    meta_rows: 44,
+                    data_rows: 40,
+                },
+            ],
+            tables: [("f.intent".to_owned(), 4u64)].into_iter().collect(),
+            max_chain_len: 3,
+            high_water: 10_412,
             recovery: Some(RecoverySection {
-                injected_crashes: 17,
-                restarts: 21,
                 crash_sites: [
                     ("wrapper.enter".to_owned(), 9u64),
                     ("ic.exit".to_owned(), 2u64),
                 ]
                 .into_iter()
                 .collect(),
-                ic_passes: 5,
-                ic_restarted: 2,
-                ic_crashes: 2,
-                gc_crashes: 1,
-                ic_corrupt: 0,
-                gc_corrupt: 0,
                 recovered_intents: 14,
                 recovery_p50_ms: 120,
                 recovery_p90_ms: 450,
@@ -1114,19 +1028,14 @@ mod tests {
     }
 
     /// The wire names are the Rust field names; this pins them, so
-    /// renaming a field cannot silently change the report schema.
+    /// renaming a field cannot silently change the report schema. The
+    /// `counters` keys are the registry's names
+    /// (`tests/driver.rs::counters_are_the_registrys_names`).
     #[test]
     fn report_keys_are_pinned() {
         let run = BenchRun {
-            in_flight: InFlightSeries {
-                samples: vec![InFlightSample::default()],
-                high_water: 1,
-            },
+            samples: vec![Sample::default()],
             recovery: Some(Wire::decode(None)),
-            storage: StorageSeries {
-                samples: vec![StorageSample::default()],
-                max_chain_len: 0,
-            },
             ..Wire::decode(None)
         };
         let report = BenchReport {
@@ -1143,19 +1052,20 @@ mod tests {
             keys_of(run),
             [
                 "app",
-                "db",
+                "counters",
                 "elapsed_virtual_us",
                 "errors",
                 "gc",
-                "in_flight",
+                "high_water",
                 "latency",
+                "max_chain_len",
                 "mode",
                 "ops",
                 "recovery",
+                "samples",
                 "state_digest",
-                "storage",
+                "tables",
                 "throughput_rps",
-                "wait_die_retries",
                 "wall_ms",
                 "workers",
             ]
@@ -1165,66 +1075,20 @@ mod tests {
             ["max_us", "mean_us", "p50_us", "p90_us", "p95_us", "p99_us"]
         );
         assert_eq!(
-            keys_of(run.get_attr("db").unwrap()),
-            [
-                "bytes_read",
-                "bytes_written",
-                "cond_failures",
-                "deletes",
-                "gets",
-                "lock_waits",
-                "partition_ops",
-                "queries",
-                "rows_scanned",
-                "scans",
-                "transact_writes",
-                "writes",
-            ]
-        );
-        let storage = run.get_attr("storage").unwrap();
-        assert_eq!(keys_of(storage), ["max_chain_len", "samples"]);
-        assert_eq!(
-            keys_of(&storage.get_list("samples").unwrap()[0]),
-            [
-                "data_rows",
-                "gc_corrupt_chains",
-                "gc_deleted_log_entries",
-                "gc_deleted_rows",
-                "gc_passes",
-                "gc_recycled",
-                "ic_corrupt",
-                "ic_passes",
-                "ic_restarted",
-                "meta_rows",
-                "t_us",
-                "tables",
-            ]
-        );
-        let in_flight = run.get_attr("in_flight").unwrap();
-        assert_eq!(keys_of(in_flight), ["high_water", "samples"]);
-        assert_eq!(
-            keys_of(&in_flight.get_list("samples").unwrap()[0]),
-            ["live", "t_us"]
+            keys_of(&run.get_list("samples").unwrap()[0]),
+            ["data_rows", "live", "meta_rows", "t_us"]
         );
         assert_eq!(
             keys_of(run.get_attr("recovery").unwrap()),
             [
                 "crash_sites",
                 "digest_match",
-                "gc_corrupt",
-                "gc_crashes",
                 "history_findings",
-                "ic_corrupt",
-                "ic_crashes",
-                "ic_passes",
-                "ic_restarted",
-                "injected_crashes",
                 "oracle_digest",
                 "recovered_intents",
                 "recovery_p50_ms",
                 "recovery_p90_ms",
                 "recovery_p99_ms",
-                "restarts",
             ]
         );
     }
@@ -1246,7 +1110,8 @@ mod tests {
         assert!(BenchReport::from_json("[1,2]")
             .unwrap_err()
             .contains("schema"));
-        assert!(BenchReport::from_json("{\"schema\":3}")
+        let no_runs = format!("{{\"schema\":{BENCH_SCHEMA}}}");
+        assert!(BenchReport::from_json(&no_runs)
             .unwrap_err()
             .contains("runs"));
         let stale = BenchReport::from_json("{\"schema\":2,\"runs\":[]}").unwrap_err();

@@ -46,10 +46,11 @@ use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, BeldiError, CrashPlan, Label, Mode};
 use beldi_apps::rng::request_rng;
 use beldi_apps::WorkflowApp;
-use beldi_simclock::Metric;
 use beldi_simdb::{DbSnapshot, Projection, ScanRequest};
 use beldi_simfaas::crash_stream;
 
+use crate::driver::Counters;
+use crate::gate::counted_corruption;
 use crate::history;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -437,7 +438,7 @@ fn run_schedule(
         state,
         history: history::check(&record),
         gc_residue,
-        corruption: counted_corruption(&env),
+        corruption: counted_corruption(&Counters::read(env.telemetry())),
     };
     (outcome, env)
 }
@@ -452,23 +453,6 @@ fn await_idle(env: &BeldiEnv) -> i64 {
         env.clock().sleep(Duration::from_millis(1));
     }
     env.platform_metrics().active
-}
-
-/// The corruption the run's collectors counted and skipped, if any: a
-/// pass goes on past it, so it is read from the registry.
-fn counted_corruption(env: &BeldiEnv) -> Option<String> {
-    let t = env.telemetry();
-    let metrics = [
-        Metric::GcCorruptChains,
-        Metric::GcCorruptIntents,
-        Metric::IcCorrupt,
-    ];
-    let counted: Vec<String> = metrics
-        .into_iter()
-        .filter(|&m| t.get(m) > 0)
-        .map(|m| format!("{} = {}", m.as_str(), t.get(m)))
-        .collect();
-    (!counted.is_empty()).then(|| counted.join(", "))
 }
 
 /// Drives the GC to quiescence and reports anything left behind.

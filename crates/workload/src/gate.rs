@@ -19,9 +19,11 @@ use std::time::Duration;
 
 use beldi::value::{json, Value};
 use beldi::Mode;
+use beldi_simclock::Metric::{self, GcCorruptChains, GcCorruptIntents, IcCorrupt};
 
 use crate::driver::{
-    runs_by_key, BenchReport, BenchRun, FrontRun, RecoverySection, MAX_CRASHES, REBASELINE,
+    runs_by_key, BenchReport, BenchRun, Counters, FrontRun, RecoverySection, MAX_CRASHES,
+    REBASELINE,
 };
 use crate::explore::ExploreReport;
 use crate::explore::ViolationKind::{History, StateDivergence};
@@ -132,68 +134,76 @@ pub const MAX_GROWTH: f64 = 0.25;
 /// of intents in flight at sample time) never trip the ratio check.
 pub const GROWTH_SLACK_ROWS: u64 = 64;
 
-/// Checks one GC-enabled run's storage series for *bounded* steady-state
-/// growth, appending human-readable failures.
-///
-/// The property checked: once online GC reaches steady state, Beldi's
-/// metadata tables (intents, logs, shadows, disconnected DAAL rows) stop
-/// growing — the row count at the end of the run must not exceed the
-/// count at the midpoint by more than [`MAX_GROWTH`] plus
-/// [`GROWTH_SLACK_ROWS`]. Without GC both grow linearly with requests,
-/// so a broken (or never-firing) collector fails loudly. Also rejected:
-/// zero completed GC passes, too few samples to judge, and any
-/// corrupt-chain report.
-fn check_growth(run: &BenchRun, failures: &mut Vec<String>) {
-    let key = run.key();
-    let samples = &run.storage.samples;
-    if samples.len() < 4 {
-        failures.push(format!(
-            "{key}: only {} storage sample(s) — run too short to judge steady state",
-            samples.len()
-        ));
-        return;
-    }
-    let last = &samples[samples.len() - 1];
-    if last.gc_passes == 0 {
-        failures.push(format!("{key}: online GC never completed a pass"));
-    }
-    if last.gc_corrupt_chains > 0 {
-        failures.push(format!(
-            "{key}: GC reported {} corrupt DAAL chain(s)",
-            last.gc_corrupt_chains
-        ));
-    }
-    let mid = &samples[samples.len() / 2];
-    for (label, mid_rows, end_rows) in [
-        ("metadata", mid.meta_rows, last.meta_rows),
-        ("data", mid.data_rows, last.data_rows),
-    ] {
-        let bound = (mid_rows as f64 * (1.0 + MAX_GROWTH)) as u64 + GROWTH_SLACK_ROWS;
-        if end_rows > bound {
-            failures.push(format!(
-                "{key}: {label} rows grew {mid_rows} → {end_rows} between the run midpoint \
-                 and the end (bound {bound}) — storage is not reaching a steady state"
-            ));
-        }
-    }
+/// The corruption a run's collectors counted and went on past, if any:
+/// the GC's corrupt chains and intents and the IC's quarantined intents,
+/// each as `name = count`. Zero in a healthy system.
+pub fn counted_corruption(counters: &Counters) -> Option<String> {
+    let counted: Vec<String> = [GcCorruptChains, GcCorruptIntents, IcCorrupt]
+        .into_iter()
+        .filter(|&m| counters.get(m) > 0)
+        .map(|m| format!("{} = {}", m.as_str(), counters.get(m)))
+        .collect();
+    (!counted.is_empty()).then(|| counted.join(", "))
 }
 
-/// The storage-growth check of a `drive --gc` report: every GC-enabled
-/// run must show bounded steady-state metadata/data growth (see
-/// `check_growth`).
+/// The storage-growth check of a `drive --gc` report whose collectors ran
+/// under the lease `t_max`, as human-readable failures.
+///
+/// Once online GC reaches steady state, Beldi's metadata tables
+/// (intents, logs, shadows, disconnected DAAL rows) stop growing: a GC
+/// run's row count at its end must not exceed the count at its midpoint
+/// by more than [`MAX_GROWTH`] plus [`GROWTH_SLACK_ROWS`]. Without GC both
+/// grow linearly with requests, so a broken (or never-firing) collector
+/// fails loudly. Also rejected: zero completed GC passes, no recycled
+/// intent in a run longer than `2T` (an intent is recyclable `T` after it
+/// finished), too few samples to judge, and any [`counted_corruption`].
 ///
 /// Runs recorded with `gc: false` are skipped — Baseline mode has no
 /// collectors, so a `drive --gc --mode all` report legitimately mixes
 /// both — but a report with *no* GC-enabled run at all fails rather
 /// than passing vacuously.
-pub fn growth_gate(report: &BenchReport) -> Vec<String> {
+pub fn growth_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
     let mut failures = Vec::new();
     let gc_runs: Vec<&BenchRun> = report.runs.iter().filter(|r| r.gc).collect();
     if gc_runs.is_empty() {
         failures.push("growth gate: report contains no GC-enabled runs".to_owned());
     }
     for run in gc_runs {
-        check_growth(run, &mut failures);
+        let (key, samples) = (run.key(), &run.samples);
+        if samples.len() < 4 {
+            failures.push(format!(
+                "{key}: only {} sample(s) — run too short to judge steady state",
+                samples.len()
+            ));
+            continue;
+        }
+        if run.counters.get(Metric::GcPasses) == 0 {
+            failures.push(format!("{key}: online GC never completed a pass"));
+        }
+        let window = Duration::from_micros(run.elapsed_virtual_us);
+        if run.counters.get(Metric::GcRecycledIntents) == 0 && window > 2 * t_max {
+            failures.push(format!(
+                "{key}: GC recycled no intent in a {} ms run, longer than 2T = {} ms",
+                window.as_millis(),
+                (2 * t_max).as_millis()
+            ));
+        }
+        if let Some(counted) = counted_corruption(&run.counters) {
+            failures.push(format!("{key}: corruption counted: {counted}"));
+        }
+        let (mid, last) = (&samples[samples.len() / 2], &samples[samples.len() - 1]);
+        for (label, mid_rows, end_rows) in [
+            ("metadata", mid.meta_rows, last.meta_rows),
+            ("data", mid.data_rows, last.data_rows),
+        ] {
+            let bound = (mid_rows as f64 * (1.0 + MAX_GROWTH)) as u64 + GROWTH_SLACK_ROWS;
+            if end_rows > bound {
+                failures.push(format!(
+                    "{key}: {label} rows grew {mid_rows} → {end_rows} between the run midpoint \
+                     and the end (bound {bound}) — storage is not reaching a steady state"
+                ));
+            }
+        }
     }
     failures
 }
@@ -278,8 +288,7 @@ pub fn crash_verdict<'a>(checks: impl IntoIterator<Item = CrashCheck<'a>>) -> Ve
 /// Every chaos run (one carrying a [`crate::driver::RecoverySection`])
 /// must have survived its crash storm:
 ///
-/// - the collectors counted no corruption: the IC quarantined no
-///   intent, and the GC skipped no corrupt chain or intent;
+/// - the collectors counted no corruption ([`counted_corruption`]);
 /// - recovery p99 (virtual ms) is at most [`max_recovery_p99_ms`];
 /// - by [`crash_verdict`], a logged run matches its crash-free oracle
 ///   and its storm's record is clean, and each app's baseline storm
@@ -308,12 +317,13 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
     let mut checks = Vec::new();
     for (run, rec) in chaos_runs {
         let key = run.key();
-        if rec.injected_crashes == 0 {
+        let injected = run.counters.get(Metric::FaultsInjected);
+        if injected == 0 {
             failures.push(format!(
                 "{key}: the storm injected no crashes — the chaos check is vacuous \
                  (raise the kill rates or the op count)"
             ));
-        } else if rec.injected_crashes >= MAX_CRASHES {
+        } else if injected >= MAX_CRASHES {
             failures.push(format!(
                 "{key}: the storm reached its cap of {MAX_CRASHES} crashes and stopped \
                  injecting — the cap shaped the schedule (lower the kill rates or the op count)"
@@ -340,11 +350,8 @@ pub fn recovery_gate(report: &BenchReport, t_max: Duration) -> Vec<String> {
             history: rec.history_findings as usize,
             broken: 0,
         });
-        if rec.ic_corrupt + rec.gc_corrupt > 0 {
-            failures.push(format!(
-                "{key}: IC quarantined {} corrupt intent(s), GC skipped {} corrupt item(s)",
-                rec.ic_corrupt, rec.gc_corrupt
-            ));
+        if let Some(counted) = counted_corruption(&run.counters) {
+            failures.push(format!("{key}: corruption counted: {counted}"));
         }
         if rec.recovery_p99_ms > max_p99 {
             failures.push(format!(
@@ -380,8 +387,7 @@ pub fn front_gate(front: &FrontRun) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{BenchRun, LatencySummary, RecoverySection, StorageSample, StorageSeries};
-    use beldi_simdb::MetricsSnapshot;
+    use crate::driver::{BenchRun, LatencySummary, RecoverySection, Sample, GC_T_MAX};
 
     fn run(app: &str, workers: usize, rps: f64, errors: u64) -> BenchRun {
         BenchRun {
@@ -394,12 +400,13 @@ mod tests {
             wall_ms: 1,
             throughput_rps: rps,
             latency: LatencySummary::default(),
-            db: MetricsSnapshot::default(),
-            wait_die_retries: 0,
+            counters: [(Metric::DbGets, 200)].into_iter().collect(),
             state_digest: String::new(),
             gc: false,
-            storage: StorageSeries::default(),
-            in_flight: Default::default(),
+            samples: Vec::new(),
+            tables: BTreeMap::new(),
+            max_chain_len: 0,
+            high_water: 0,
             recovery: None,
         }
     }
@@ -407,18 +414,19 @@ mod tests {
     /// A chaos run with a healthy recovery section on top of the
     /// sound-run defaults; tests break individual fields.
     fn chaos_run(app: &str) -> BenchRun {
+        let counters = [
+            (Metric::FaultsInjected, 20),
+            (Metric::FaultsRestarts, 25),
+            (Metric::IcPasses, 6),
+            (Metric::IcRestarted, 4),
+            (Metric::IcCrashes, 1),
+            (Metric::GcCrashes, 1),
+        ];
         BenchRun {
             state_digest: "abcd".into(),
+            counters: counters.into_iter().collect(),
             recovery: Some(RecoverySection {
-                injected_crashes: 20,
-                restarts: 25,
                 crash_sites: [("wrapper.enter".to_owned(), 20u64)].into_iter().collect(),
-                ic_passes: 6,
-                ic_restarted: 4,
-                ic_crashes: 1,
-                gc_crashes: 1,
-                ic_corrupt: 0,
-                gc_corrupt: 0,
                 recovered_intents: 15,
                 recovery_p50_ms: 100,
                 recovery_p90_ms: 300,
@@ -431,27 +439,45 @@ mod tests {
         }
     }
 
-    /// A GC-enabled run whose meta-row series is given explicitly.
+    /// A GC-enabled run whose meta-row series is given explicitly, one
+    /// sample a second, which recycled an intent per pass.
     fn gc_run(meta_series: &[u64], gc_passes: u64) -> BenchRun {
         let samples = meta_series
             .iter()
             .enumerate()
-            .map(|(i, &meta_rows)| StorageSample {
+            .map(|(i, &meta_rows)| Sample {
                 t_us: (i as u64 + 1) * 1_000_000,
                 meta_rows,
                 data_rows: 100,
-                gc_passes,
-                ..StorageSample::default()
+                ..Sample::default()
             })
             .collect();
         BenchRun {
             gc: true,
-            storage: StorageSeries {
-                samples,
-                max_chain_len: 2,
-            },
+            elapsed_virtual_us: meta_series.len() as u64 * 1_000_000,
+            counters: [
+                (Metric::GcPasses, gc_passes),
+                (Metric::GcRecycledIntents, gc_passes),
+            ]
+            .into_iter()
+            .collect(),
+            samples,
+            max_chain_len: 2,
             ..run("media", 4, 10.0, 0)
         }
+    }
+
+    /// `run` with counter `m` at `n`.
+    fn with_count(mut run: BenchRun, m: Metric, n: u64) -> BenchRun {
+        let others = Metric::ALL.into_iter().filter(|&o| o != m);
+        let counts: Vec<(Metric, u64)> = others.map(|o| (o, run.counters.get(o))).collect();
+        run.counters = counts.into_iter().chain([(m, n)]).collect();
+        run
+    }
+
+    /// The growth check of `runs` under the drive's lease `T`.
+    fn growth_of(runs: Vec<BenchRun>) -> Vec<String> {
+        growth_gate(&report(runs), GC_T_MAX)
     }
 
     /// The smoke storm's lease.
@@ -491,9 +517,12 @@ mod tests {
     fn one_op_off_fails_naming_the_run_and_the_field() {
         let base = report(vec![run("media", 1, 100.0, 0), run("media", 4, 300.0, 0)]);
         let mut off = base.clone();
-        off.runs[1].db.gets += 1;
+        off.runs[1].counters = [(Metric::DbGets, 201)].into_iter().collect();
         let failures = gate(&base, &off);
-        assert_eq!(failures[0], "media/beldi/w4.db.gets: baseline 0, current 1");
+        assert_eq!(
+            failures[0],
+            "media/beldi/w4.counters.simdb.gets: baseline 200, current 201"
+        );
         assert!(failures[1].contains(REBASELINE), "{failures:?}");
         assert_eq!(failures.len(), 2, "the equal run is not mentioned");
         // No tolerance in either direction: faster is a difference too.
@@ -532,11 +561,12 @@ mod tests {
         assert_eq!(gate(&base, &base), Vec::<String>::new());
         let mut off = base.clone();
         if let Some(front) = off.front.as_mut() {
-            front.db.gets += 1;
+            front.counters = [(Metric::DbGets, 1)].into_iter().collect();
         }
+        // A counter the baseline did not move is absent from it.
         assert_eq!(
             gate(&base, &off)[0],
-            "report.front.db.gets: baseline 0, current 1"
+            "report.front.counters.simdb.gets: baseline \"<absent>\", current 1"
         );
         let missing = report(vec![run("media", 1, 100.0, 0)]);
         assert!(gate(&base, &missing)[0].starts_with("report.front: baseline {"));
@@ -546,7 +576,7 @@ mod tests {
     fn a_schema_1_baseline_is_refused_with_the_regenerate_command() {
         let current = report(vec![run("media", 1, 100.0, 0)]);
         let named = format!("\"schema\": {}", crate::driver::BENCH_SCHEMA);
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let stale = current
                 .to_json()
                 .replace(&named, &format!("\"schema\": {old}"));
@@ -583,7 +613,7 @@ mod tests {
     fn growth_gate_accepts_a_plateau() {
         // Metadata grows during warm-up, then plateaus: bounded.
         let r = gc_run(&[400, 700, 820, 800, 790, 810], 30);
-        let failures = growth_gate(&report(vec![r]));
+        let failures = growth_of(vec![r]);
         assert!(failures.is_empty(), "{failures:?}");
     }
 
@@ -591,9 +621,9 @@ mod tests {
     #[test]
     fn growth_gate_holds_at_the_bound_and_fails_one_row_past() {
         let at_bound = gc_run(&[400, 700, 800, 800, 900, 1_064], 30);
-        assert_eq!(growth_gate(&report(vec![at_bound])), Vec::<String>::new());
+        assert_eq!(growth_of(vec![at_bound]), Vec::<String>::new());
         let past = gc_run(&[400, 700, 800, 800, 900, 1_065], 30);
-        let failures = growth_gate(&report(vec![past]));
+        let failures = growth_of(vec![past]);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("800 → 1065") && failures[0].contains("bound 1064"));
     }
@@ -602,7 +632,7 @@ mod tests {
     fn growth_gate_rejects_linear_growth() {
         // Metadata keeps climbing past the midpoint: GC is not keeping up.
         let r = gc_run(&[500, 1000, 1500, 2000, 2500, 3000], 30);
-        let failures = growth_gate(&report(vec![r]));
+        let failures = growth_of(vec![r]);
         assert!(
             failures.iter().any(|f| f.contains("not reaching")),
             "{failures:?}"
@@ -613,14 +643,14 @@ mod tests {
     fn growth_gate_rejects_degenerate_runs() {
         // GC never fired.
         let r = gc_run(&[100, 100, 100, 100], 0);
-        let failures = growth_gate(&report(vec![r]));
+        let failures = growth_of(vec![r]);
         assert!(
             failures.iter().any(|f| f.contains("never completed")),
             "{failures:?}"
         );
 
         // No GC-enabled run in the whole report: never pass vacuously.
-        let failures = growth_gate(&report(vec![run("media", 1, 10.0, 0)]));
+        let failures = growth_of(vec![run("media", 1, 10.0, 0)]);
         assert!(
             failures.iter().any(|f| f.contains("no GC-enabled runs")),
             "{failures:?}"
@@ -631,28 +661,57 @@ mod tests {
             gc_run(&[400, 700, 800, 790], 10),
             run("media", 1, 10.0, 0),
         ]);
-        assert!(growth_gate(&mixed).is_empty());
+        assert!(growth_gate(&mixed, GC_T_MAX).is_empty());
 
         // Too few samples to judge.
         let r = gc_run(&[100, 100], 5);
-        let failures = growth_gate(&report(vec![r]));
+        let failures = growth_of(vec![r]);
         assert!(
             failures.iter().any(|f| f.contains("too short")),
             "{failures:?}"
         );
 
-        // Corruption is always fatal.
-        let mut r = gc_run(&[100, 100, 100, 100], 5);
-        r.storage.samples.last_mut().unwrap().gc_corrupt_chains = 1;
-        let failures = growth_gate(&report(vec![r]));
-        assert!(
-            failures.iter().any(|f| f.contains("corrupt")),
-            "{failures:?}"
-        );
+        // Corruption any collector counted is always fatal.
+        for m in [
+            Metric::GcCorruptChains,
+            Metric::GcCorruptIntents,
+            Metric::IcCorrupt,
+        ] {
+            let r = with_count(gc_run(&[100, 100, 100, 100], 5), m, 1);
+            let counted = format!("corruption counted: {} = 1", m.as_str());
+            let failures = growth_of(vec![r]);
+            assert!(
+                failures.iter().any(|f| f.contains(&counted)),
+                "{failures:?}"
+            );
+        }
 
         // An empty report never passes vacuously.
-        let failures = growth_gate(&report(vec![]));
+        let failures = growth_of(vec![]);
         assert!(!failures.is_empty());
+    }
+
+    /// An intent that finished in a run's first `T` is recyclable by its
+    /// second, so a GC run longer than `2T` (8 s) recycles something.
+    #[test]
+    fn growth_gate_passes_a_gc_run_longer_than_2t_that_recycled() {
+        let r = gc_run(&[400, 700, 800, 800, 790, 810, 800, 800, 805], 30);
+        assert_eq!(r.elapsed_virtual_us, 9_000_000);
+        assert_eq!(growth_of(vec![r]), Vec::<String>::new());
+    }
+
+    /// A collector that passes but never recycles fails once the run is
+    /// longer than `2T`; a run of exactly `2T` cannot tell.
+    #[test]
+    fn growth_gate_fails_a_gc_run_longer_than_2t_that_recycled_nothing() {
+        let series = [400, 700, 800, 800, 790, 810, 800, 800, 805];
+        let dead = with_count(gc_run(&series, 30), Metric::GcRecycledIntents, 0);
+        assert_eq!(
+            growth_of(vec![dead]),
+            ["media/beldi/w4: GC recycled no intent in a 9000 ms run, longer than 2T = 8000 ms"]
+        );
+        let at_2t = with_count(gc_run(&series[..8], 30), Metric::GcRecycledIntents, 0);
+        assert_eq!(growth_of(vec![at_2t]), Vec::<String>::new());
     }
 
     #[test]
@@ -819,31 +878,31 @@ mod tests {
 
     #[test]
     fn recovery_gate_rejects_corrupt_intents() {
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().ic_corrupt = 1;
+        let r = with_count(chaos_run("travel"), Metric::IcCorrupt, 1);
         let failures = recovery_gate(&report(vec![r]), T_MAX);
-        assert!(
-            failures.iter().any(|f| f.contains("corrupt intent")),
-            "{failures:?}"
+        assert_eq!(
+            failures,
+            ["travel/beldi/w4: corruption counted: core.ic.corrupt = 1"]
         );
     }
 
     #[test]
     fn recovery_gate_rejects_gc_counted_corruption() {
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().gc_corrupt = 1;
-        let failures = recovery_gate(&report(vec![r]), T_MAX);
-        assert!(
-            failures.iter().any(|f| f.contains("GC skipped 1 corrupt")),
-            "{failures:?}"
-        );
+        for m in [Metric::GcCorruptChains, Metric::GcCorruptIntents] {
+            let r = with_count(chaos_run("travel"), m, 1);
+            let failures = recovery_gate(&report(vec![r]), T_MAX);
+            let counted = format!("corruption counted: {} = 1", m.as_str());
+            assert!(
+                failures.iter().any(|f| f.contains(&counted)),
+                "{failures:?}"
+            );
+        }
     }
 
     #[test]
     fn recovery_gate_rejects_vacuous_storms() {
         // A storm that never fired proves nothing.
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().injected_crashes = 0;
+        let r = with_count(chaos_run("travel"), Metric::FaultsInjected, 0);
         let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures.iter().any(|f| f.contains("vacuous")),
@@ -873,13 +932,12 @@ mod tests {
     /// shaped its schedule: one crash under the cap passes, the cap fails.
     #[test]
     fn recovery_gate_rejects_a_storm_at_the_crash_cap() {
-        let mut r = chaos_run("travel");
-        r.recovery.as_mut().unwrap().injected_crashes = MAX_CRASHES - 1;
+        let r = with_count(chaos_run("travel"), Metric::FaultsInjected, MAX_CRASHES - 1);
         assert_eq!(
             recovery_gate(&report(vec![r.clone()]), T_MAX),
             Vec::<String>::new()
         );
-        r.recovery.as_mut().unwrap().injected_crashes = MAX_CRASHES;
+        let r = with_count(r, Metric::FaultsInjected, MAX_CRASHES);
         let failures = recovery_gate(&report(vec![r]), T_MAX);
         assert!(
             failures

@@ -39,8 +39,8 @@ pub mod wire;
 
 pub use beldi_simclock::{Histogram, Percentiles};
 pub use driver::{
-    drive, BenchReport, BenchRun, ChaosOptions, DriveOptions, FrontRun, InFlightSample,
-    InFlightSeries, RecoverySection, StorageSample, StorageSeries,
+    drive, BenchReport, BenchRun, ChaosOptions, Counters, DriveOptions, FrontRun, RecoverySection,
+    Sample,
 };
 pub use explore::{explore, ExploreOptions, ExploreReport, PipelineApp, Violation, ViolationKind};
 pub use gate::{crash_verdict, front_gate, gate, growth_gate, recovery_gate, CrashCheck};

@@ -8,9 +8,10 @@ use std::time::Duration;
 use beldi::value::{vmap, Map, Value};
 use beldi::{Label, Mode};
 use beldi_apps::{bench_app, MixProfile, WorkflowApp};
+use beldi_simclock::Metric;
 use beldi_workload::driver::{
     drive, ops_for_worker, value_digest, worker_rng, BenchReport, BenchRun, ChaosOptions,
-    DriveOptions,
+    DriveOptions, GC_T_MAX,
 };
 use beldi_workload::recovery_gate;
 
@@ -52,8 +53,8 @@ fn modelled(mut run: BenchRun) -> BenchRun {
 }
 
 /// Four workers, modelled latency, online GC: the whole record — latency
-/// summary, virtual duration, throughput, database deltas, every storage
-/// sample, the state digest — is a function of the seed.
+/// summary, virtual duration, throughput, counters, every sample, the
+/// state digest — is a function of the seed.
 #[test]
 fn same_seed_drives_are_bit_identical_at_4_workers() {
     let opts = DriveOptions {
@@ -69,7 +70,7 @@ fn same_seed_drives_are_bit_identical_at_4_workers() {
         let a = drive_app(kind, mode, MixProfile::Default, &opts);
         let b = drive_app(kind, mode, MixProfile::Default, &opts);
         assert_eq!(a.errors, 0, "{kind}: {a:?}");
-        assert!(a.latency.p50_us > 0 && a.storage.samples.len() > 1, "{a:?}");
+        assert!(a.latency.p50_us > 0 && a.samples.len() > 1, "{a:?}");
         assert_eq!(modelled(a), modelled(b), "{kind}");
     }
 }
@@ -241,11 +242,12 @@ fn tail_cache_does_not_change_results_only_cost() {
     let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &cached);
     let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &uncached);
     assert_eq!(a.state_digest, b.state_digest, "cache changed semantics");
+    let queries = |run: &BenchRun| run.counters.get(Metric::DbQueries);
     assert!(
-        a.db.queries < b.db.queries,
+        queries(&a) < queries(&b),
         "cache should eliminate traversal scans ({} vs {})",
-        a.db.queries,
-        b.db.queries
+        queries(&a),
+        queries(&b)
     );
 }
 
@@ -279,10 +281,11 @@ fn chaos_storm_recovers_to_the_oracle_state() {
     let run = drive_app("media", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
     let rec = run.recovery.clone().expect("chaos runs record recovery");
-    assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
+    let injected = run.counters.get(Metric::FaultsInjected);
+    assert!(injected > 0, "the storm had no teeth: {rec:?}");
     assert!(rec.digest_match, "conservation violated: {rec:?}");
     assert_eq!(rec.history_findings, 0, "{rec:?}");
-    assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
+    assert_eq!(run.counters.get(Metric::IcCorrupt), 0, "{:?}", run.counters);
     // The storm draws at every probe, those under a loop too: this seed
     // kills an IC pass between two re-launches.
     assert!(
@@ -311,7 +314,8 @@ fn chaos_same_seed_runs_are_bit_identical() {
     let a = drive_app("social", Mode::Beldi, MixProfile::Default, &opts);
     let b = drive_app("social", Mode::Beldi, MixProfile::Default, &opts);
     let rec = a.recovery.as_ref().expect("chaos runs record recovery");
-    assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
+    let injected = a.counters.get(Metric::FaultsInjected);
+    assert!(injected > 0, "the storm had no teeth: {rec:?}");
     assert!(
         rec.recovered_intents > 0 && rec.recovery_p99_ms > 0,
         "{rec:?}"
@@ -333,11 +337,11 @@ fn async_same_seed_runs_are_bit_identical_at_8_workers() {
     let a = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(a.errors, 0, "{a:?}");
     assert!(
-        a.in_flight.high_water >= 8,
+        a.high_water >= 8,
         "a closed loop keeps every worker in flight: {:?}",
-        a.in_flight
+        a.samples
     );
-    assert!(a.in_flight.samples.len() > 1, "{:?}", a.in_flight);
+    assert!(a.samples.len() > 1, "{:?}", a.samples);
     let b = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(modelled(a), modelled(b));
 }
@@ -398,9 +402,9 @@ fn final_state_does_not_depend_on_the_admission_width() {
         );
         for run in [&a, &b] {
             assert!(
-                run.in_flight.high_water >= 60,
+                run.high_water >= 60,
                 "{kind}: all 60 workers spawn up front: {:?}",
-                run.in_flight
+                run.samples
             );
         }
     }
@@ -427,9 +431,9 @@ fn async_drive_sustains_10k_in_flight_workflows() {
     let run = drive(app.as_ref(), Mode::Baseline, &opts);
     assert_eq!(run.errors, 0, "errors at 10k in flight");
     assert!(
-        run.in_flight.high_water >= 10_000,
+        run.high_water >= 10_000,
         "high water {} < 10k — the load was not concurrently in flight",
-        run.in_flight.high_water
+        run.high_water
     );
     assert_travel_conserved(app.as_ref(), &opts, &run);
 }
@@ -448,9 +452,9 @@ fn async_drive_beldi_mode_parks_1k_workflows() {
     let run = drive(app.as_ref(), Mode::Beldi, &opts);
     assert_eq!(run.errors, 0, "{:?}", run.errors);
     assert!(
-        run.in_flight.high_water >= 1_000,
+        run.high_water >= 1_000,
         "high water {} < 1k",
-        run.in_flight.high_water
+        run.high_water
     );
     assert_travel_conserved(app.as_ref(), &opts, &run);
     let again = drive(app.as_ref(), Mode::Beldi, &opts);
@@ -468,12 +472,13 @@ fn async_chaos_storm_recovers_to_the_oracle_state() {
     };
     let run = drive_app("media", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
-    assert!(run.in_flight.high_water >= 80, "{:?}", run.in_flight);
+    assert!(run.high_water >= 80, "{:?}", run.samples);
     let rec = run.recovery.clone().expect("chaos runs record recovery");
-    assert!(rec.injected_crashes > 0, "the storm had no teeth: {rec:?}");
+    let injected = run.counters.get(Metric::FaultsInjected);
+    assert!(injected > 0, "the storm had no teeth: {rec:?}");
     assert!(rec.digest_match, "conservation violated: {rec:?}");
     assert_eq!(rec.history_findings, 0, "{rec:?}");
-    assert_eq!(rec.ic_corrupt, 0, "{rec:?}");
+    assert_eq!(run.counters.get(Metric::IcCorrupt), 0, "{:?}", run.counters);
     let failures = recovery_gate(&report_of(run, &opts), lease(&opts));
     assert!(failures.is_empty(), "{failures:?}");
 }
@@ -491,11 +496,46 @@ fn async_drive_runs_gc_collectors() {
     let run = drive_app("travel", Mode::Beldi, MixProfile::Default, &opts);
     assert_eq!(run.errors, 0, "{run:?}");
     assert!(run.gc);
-    let last = run.storage.samples.last().expect("final storage sample");
     assert!(
-        last.gc_passes >= 1,
-        "the collectors completed no GC pass: {last:?}"
+        run.counters.get(Metric::GcPasses) >= 1,
+        "the collectors completed no GC pass: {:?}",
+        run.counters
     );
+}
+
+/// A run's counters are the registry's, by name: every key a report
+/// carries is a `Metric` name of a counter the run moved, and a travel
+/// drive reports the commits its transactions ran.
+#[test]
+fn counters_are_the_registrys_names() {
+    let run = drive_app(
+        "travel",
+        Mode::Beldi,
+        MixProfile::Default,
+        &test_opts(2, 40, 5),
+    );
+    assert!(
+        run.counters.get(Metric::TxnCommit) > 0,
+        "{:?}",
+        run.counters
+    );
+    let encoded = run.to_value();
+    let counters = encoded
+        .get_attr("counters")
+        .and_then(Value::as_map)
+        .unwrap();
+    let names: Vec<&str> = Metric::ALL.iter().map(|m| m.as_str()).collect();
+    for (name, count) in counters.iter() {
+        assert!(
+            names.contains(&name.as_str()),
+            "{name} is no registry counter"
+        );
+        assert!(
+            count.as_int().unwrap() > 0,
+            "{name}: an unmoved counter is absent"
+        );
+    }
+    assert!(counters.len() > 10, "{counters:?}");
 }
 
 #[test]
@@ -510,8 +550,7 @@ fn run_report_fields_are_sound() {
     assert_eq!(run.errors, 0);
     assert!(run.elapsed_virtual_us > 0);
     assert!(run.throughput_rps > 0.0);
-    assert!(run.db.total_ops() > 0);
-    assert_eq!(run.db.partition_ops.len(), 1);
+    assert!(run.counters.db_ops() > 0);
     assert!(run.latency.p50_us <= run.latency.p99_us);
     assert!(run.latency.p99_us <= run.latency.max_us);
     assert_eq!(run.key(), "media/beldi/w2");
@@ -552,11 +591,15 @@ fn online_gc_conserves_state_and_bounds_storage() {
         // Bounded storage: the collectors actually ran and recycled, and
         // the end-of-run metadata footprint is far below the GC-free
         // run's (which retains every intent/log row of all 200 requests).
-        let last = with_gc.storage.samples.last().unwrap();
-        assert!(last.gc_passes > 0, "{kind}: no GC pass completed");
-        assert!(last.gc_recycled > 0, "{kind}: nothing was recycled");
-        assert_eq!(last.gc_corrupt_chains, 0, "{kind}");
-        let nogc_meta = without.storage.samples.last().unwrap().meta_rows;
+        let count = |m| with_gc.counters.get(m);
+        assert!(count(Metric::GcPasses) > 0, "{kind}: no GC pass completed");
+        assert!(
+            count(Metric::GcRecycledIntents) > 0,
+            "{kind}: nothing was recycled"
+        );
+        assert_eq!(count(Metric::GcCorruptChains), 0, "{kind}");
+        let last = with_gc.samples.last().unwrap();
+        let nogc_meta = without.samples.last().unwrap().meta_rows;
         assert!(
             last.meta_rows * 2 < nogc_meta,
             "{kind}: GC left {} metadata rows vs {} without GC — not bounded",
@@ -564,7 +607,7 @@ fn online_gc_conserves_state_and_bounds_storage() {
             nogc_meta
         );
         // And the growth gate accepts the run.
-        let failures = beldi_workload::growth_gate(&report_of(with_gc, &opts));
+        let failures = beldi_workload::growth_gate(&report_of(with_gc, &opts), GC_T_MAX);
         assert!(failures.is_empty(), "{kind}: {failures:?}");
     }
 }
