@@ -29,17 +29,16 @@ use std::sync::Arc;
 
 use beldi_simclock::{logging_step, Op};
 use beldi_simdb::{DbError, PrimaryKey};
-use beldi_simfaas::Platform;
+use beldi_simfaas::{CrashSignal, Platform};
 use beldi_value::{Cond, Map, Update, Value};
 
 use crate::context::SsfContext;
 use crate::env::{EnvCore, Ssf};
 use crate::error::{BeldiError, BeldiResult};
 use crate::schema::{
-    opt, req, time, IntentRecord, InvokeEntry, Rule, A_CALLEE_FN, A_LOG_KEY, A_REGISTERED,
-    A_RESULT, A_TXN_ID,
+    opt, req, time, IntentRecord, InvokeEntry, Rule, A_CALLEE_FN, A_LOG_KEY, A_REGISTERED, A_RESULT,
 };
-use crate::txn::{TxnContext, TxnState};
+use crate::txn::{CallTree, TxnContext, K_CALLEES};
 use crate::Label;
 
 /// How many times an invocation (or callback) is retried against platform
@@ -101,10 +100,9 @@ pub(crate) enum Envelope {
         id: Arc<str>,
         /// The transaction context in `Commit` or `Abort` mode.
         txn: TxnContext,
-        /// True when the sender knows the receiving SSF invoked no SSF
-        /// inside the transaction: its finalize then signals no one and
-        /// queries no log ([`Outcome::Leaf`]).
-        leaf: bool,
+        /// The receiving SSF's subtree of the transaction's call tree:
+        /// whom its finalize signals, and with what.
+        callees: CallTree,
     },
 }
 
@@ -117,7 +115,6 @@ const K_ASYNC: &str = "Async";
 const K_FIRST_ATTEMPT: &str = "FirstAttempt";
 const K_CALLEE_ID: &str = "CalleeId";
 const K_RESULT: &str = "Result";
-const K_LEAF: &str = "Leaf";
 
 impl Envelope {
     /// A call outside a transaction and not a retry: every call
@@ -234,14 +231,12 @@ impl Envelope {
                 m.insert(K_CALLER, caller.into());
                 m
             }
-            Envelope::TxnSignal { id, txn, leaf } => {
-                let mut m = Map::with_capacity(3 + usize::from(leaf));
+            Envelope::TxnSignal { id, txn, callees } => {
+                let mut m = Map::with_capacity(3 + usize::from(!callees.0.is_empty()));
                 m.insert(K_OP, "txnsignal".into());
                 m.insert(K_ID, id.into());
                 m.insert(K_TXN, txn.to_value());
-                if leaf {
-                    m.insert(K_LEAF, Value::Bool(true));
-                }
+                callees.put(&mut m);
                 m
             }
         };
@@ -277,7 +272,7 @@ impl Envelope {
                 "txnsignal" => Envelope::TxnSignal {
                     id: string(K_ID)?.ok_or(K_ID)?,
                     txn: req(&v, K_TXN, TxnContext::decode)?,
-                    leaf: opt(&v, K_LEAF, Value::as_bool)?.unwrap_or(false),
+                    callees: opt(&v, K_CALLEES, CallTree::decode)?.unwrap_or_default(),
                 },
                 _ => return Err(K_OP),
             })
@@ -289,18 +284,12 @@ impl Envelope {
 // ---- Outcome envelopes ----
 
 /// The result of a completed SSF execution, as recorded in the intent
-/// table, delivered by callbacks, and returned to callers.
+/// table, delivered by callbacks, and returned to callers; a reply from a
+/// callee in a transaction also carries its [`CallTree`] ([`Reply`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Outcome {
     /// The body completed with this return value.
     Ok(Value),
-    /// A transactional callee's body completed with this return value,
-    /// and it invoked no SSF inside the transaction: a leaf of the
-    /// transaction's call tree (R*'s leaf participant). A caller whose
-    /// every callee in the transaction answered so knows them without a
-    /// log query, and tells each that it has no callees. No other
-    /// outcome carries the tag.
-    Leaf(Value),
     /// The enclosing transaction aborted.
     Abort,
     /// The body returned an application error.
@@ -314,12 +303,14 @@ pub(crate) enum Outcome {
     Logged,
 }
 
+/// A callee's reply: its outcome, and its call tree under [`K_CALLEES`].
+pub(crate) type Reply = (Outcome, CallTree);
+
 impl Outcome {
     /// Serializes the outcome; the return value moves into it.
     pub fn into_value(self) -> Value {
         match self {
             Outcome::Ok(v) => beldi_value::vmap! { "Outcome" => "ok", "Ret" => v },
-            Outcome::Leaf(v) => beldi_value::vmap! { "Outcome" => "leaf", "Ret" => v },
             Outcome::Abort => beldi_value::vmap! { "Outcome" => "abort" },
             Outcome::Error(m) => beldi_value::vmap! { "Outcome" => "error", "Msg" => m },
             Outcome::Expired => beldi_value::vmap! { "Outcome" => "expired" },
@@ -327,27 +318,37 @@ impl Outcome {
         }
     }
 
-    /// What an outcome becomes when the row that must store it would be
-    /// `size` bytes, over the store's `limit`: an error naming both, which
-    /// is recorded, returned and replayed in its place.
-    pub fn too_large(size: usize, limit: usize) -> Self {
-        Outcome::Error(format!(
+    /// What a reply becomes when the row that must store it would be
+    /// `size` bytes, over the store's `limit`: an error naming both, with
+    /// its call tree, recorded, returned and replayed in its place.
+    pub fn too_large(reply: &Value, size: usize, limit: usize) -> Value {
+        let mut error = Outcome::Error(format!(
             "outcome too large to store: its row would be {size} B, over the {limit} B limit"
         ))
+        .into_value();
+        if let (Some(callees), Some(m)) = (reply.get_attr(K_CALLEES), error.as_map_mut()) {
+            m.insert(K_CALLEES, callees.clone());
+        }
+        error
     }
 
-    /// Decodes a reply ([`Outcome::decode`]). One that is not an outcome
-    /// decodes as an error, so a caller never mistakes an infrastructure
-    /// failure for success.
+    /// Decodes a reply ([`Outcome::decode_reply`]). One that is not an
+    /// outcome decodes as an error, so a caller never mistakes an
+    /// infrastructure failure for success.
+    pub fn reply(v: Value) -> Reply {
+        let malformed = || Outcome::Error(format!("malformed outcome envelope: {v}"));
+        Outcome::decode_reply(&v).unwrap_or_else(|| (malformed(), CallTree::default()))
+    }
+
+    /// [`Outcome::reply`] without its call tree.
     pub fn from_reply(v: Value) -> Self {
-        Outcome::decode(&v)
-            .unwrap_or_else(|| Outcome::Error(format!("malformed outcome envelope: {v}")))
+        Outcome::reply(v).0
     }
 
     /// Converts the outcome into the caller-facing API result.
     pub fn into_result(self) -> BeldiResult<Value> {
         match self {
-            Outcome::Ok(v) | Outcome::Leaf(v) => Ok(v),
+            Outcome::Ok(v) => Ok(v),
             Outcome::Abort => Err(BeldiError::TxnAborted),
             Outcome::Error(m) => Err(BeldiError::Protocol(m)),
             Outcome::Expired => Err(BeldiError::Protocol("retry past its T_max window".into())),
@@ -375,16 +376,7 @@ impl SsfContext {
         // function of the root id (bit-identical chaos crash schedules per
         // seed) and lets the callback address this entry; the entry stores
         // no copy of it. The fresh row is seeded with its key.
-        let txn_id = self
-            .txn
-            .as_ref()
-            .and_then(TxnState::forwarded)
-            .map(|ctx| &ctx.id);
-        let mut update =
-            Update::with_capacity(1 + usize::from(txn_id.is_some())).set(A_CALLEE_FN, callee_fn);
-        if let Some(id) = txn_id {
-            update = update.set(A_TXN_ID, id);
-        }
+        let update = Update::with_capacity(1).set(A_CALLEE_FN, callee_fn);
         let pk = PrimaryKey::hash(&log_key);
         self.crash(Label::InvokePreEntry);
         let fresh = Cond::not_exists(A_LOG_KEY);
@@ -417,14 +409,14 @@ impl SsfContext {
             .transpose()
     }
 
-    /// The outcome a callee that answered [`Outcome::Logged`] left in this
+    /// The reply a callee that answered [`Outcome::Logged`] left in this
     /// instance's entry at `step`. Its callback precedes its done-mark, so
     /// the entry holds it; one that does not is a protocol error, never a
     /// `Null` result.
-    fn logged_outcome(&self, step: crate::ids::StepNumber) -> BeldiResult<Outcome> {
+    fn logged_reply(&self, step: crate::ids::StepNumber) -> BeldiResult<Reply> {
         let log_key = crate::ids::log_key(self.instance(), step);
         match self.reload_entry(&log_key)?.and_then(|e| e.result) {
-            Some(outcome) => Ok(outcome),
+            Some(reply) => Ok(reply),
             None => Err(BeldiError::Protocol(format!(
                 "callee answered `logged`, but invoke-log entry {log_key} holds no result"
             ))),
@@ -439,7 +431,8 @@ impl SsfContext {
     /// id is logged before the call, the callee logs every step under that
     /// id, and its result reaches this SSF's invoke log via the callback
     /// protocol before the callee completes. Inside a transaction the
-    /// context is forwarded, so the callee's operations join it.
+    /// context is forwarded, so the callee's operations join it, and its
+    /// reply's call tree joins this SSF's (no reply: an empty one).
     ///
     /// # Errors
     ///
@@ -448,12 +441,13 @@ impl SsfContext {
     /// own `end_tx`.
     pub fn sync_invoke(&mut self, callee: &str, input: Value) -> BeldiResult<Value> {
         let _op = self.op(Op::SyncInvoke);
-        let in_txn = self.txn.as_ref().is_some_and(|t| t.forwarded().is_some());
-        let outcome = self.invoke_with_entry(callee, input);
+        let in_txn = self.in_txn();
+        let reply = self.invoke_with_entry(callee, input);
         if let Some(t) = self.txn.as_mut().filter(|_| in_txn) {
-            t.invoked(callee, matches!(outcome, Ok(Outcome::Leaf(_))));
+            let subtree = reply.as_ref().map(|(_, tree)| tree.clone());
+            t.invoked(&self.ssf.name, callee.into(), subtree.unwrap_or_default());
         }
-        let outcome = outcome?;
+        let (outcome, _) = reply?;
         if matches!(outcome, Outcome::Abort) {
             if let Some(t) = &mut self.txn {
                 t.aborted = true;
@@ -463,22 +457,23 @@ impl SsfContext {
     }
 
     /// The call loop: create/replay the invoke-log entry (none in baseline),
-    /// then call until a result is obtained (directly or via the callback
+    /// then call until a reply is obtained (directly or via the callback
     /// landing in the log, which baseline's callee, named by no caller, skips).
-    fn invoke_with_entry(&mut self, callee: &str, input: Value) -> BeldiResult<Outcome> {
+    fn invoke_with_entry(&mut self, callee: &str, input: Value) -> BeldiResult<Reply> {
         let step = self.step;
         let (callee_id, caller) = if self.mode() == crate::Mode::Baseline {
             (crate::ids::callee_id(&self.next_log_key()), None)
         } else {
             let entry = self.invoke_entry(callee)?;
-            if let Some(outcome) = entry.result {
+            if let Some(reply) = entry.result {
                 // A previous execution already has the callee's result.
-                return Ok(outcome);
+                return Ok(reply);
             }
             (entry.callee_id, Some(self.ssf.name.clone()))
         };
         let logged = caller.is_some();
-        let txn = self.txn.as_ref().and_then(TxnState::forwarded).cloned();
+        let in_txn = self.in_txn();
+        let txn = self.txn.as_ref().filter(|_| in_txn).map(|t| t.ctx.clone());
         let envelope = Envelope::Call {
             id: Some(callee_id.clone()),
             input,
@@ -498,9 +493,9 @@ impl SsfContext {
             };
             match self.platform().invoke_sync(callee, payload) {
                 Ok(v) => {
-                    return match Outcome::from_reply(v) {
-                        Outcome::Logged => self.logged_outcome(step),
-                        outcome => Ok(outcome),
+                    return match Outcome::reply(v) {
+                        (Outcome::Logged, _) => self.logged_reply(step),
+                        reply => Ok(reply),
                     }
                 }
                 Err(_) => {
@@ -509,7 +504,7 @@ impl SsfContext {
                     let log_key = crate::ids::log_key(self.instance(), step);
                     let entry = logged.then(|| self.reload_entry(&log_key)).transpose()?;
                     if let Some(e) = entry.flatten() {
-                        if let Some(outcome) = e.result {
+                        if let Some(reply) = e.result {
                             // A killed callee whose callback landed is a
                             // completed recovery nobody else will observe:
                             // the callback precedes the done-mark, so a
@@ -524,7 +519,7 @@ impl SsfContext {
                                     self.core.record_recovery(&callee_id, rec.created_ms);
                                 }
                             }
-                            return Ok(outcome);
+                            return Ok(reply);
                         }
                     }
                     if attempt + 1 < MAX_INVOKE_ATTEMPTS {
@@ -535,7 +530,7 @@ impl SsfContext {
         }
         // Give up this execution; the intent collector (or the caller's
         // own re-invocation) will resume from the logs.
-        panic!("beldi: callee `{callee}` unreachable after {MAX_INVOKE_ATTEMPTS} attempts");
+        give_up(callee);
     }
 
     // ---- Asynchronous invocation (Fig. 20) ----
@@ -572,9 +567,7 @@ impl SsfContext {
                 }
                 .into_value();
                 self.crash(Label::InvokePreAsyncReg);
-                if deliver(self.platform(), callee, &reg).is_none() {
-                    panic!("beldi: async registration at `{callee}` unreachable");
-                }
+                deliver(self.platform(), callee, &reg);
             }
             (entry.callee_id, Some(self.ssf.name.clone()))
         };
@@ -591,22 +584,31 @@ impl SsfContext {
     }
 }
 
+/// Gives the execution up once a message to `to` went unanswered
+/// [`MAX_INVOKE_ATTEMPTS`] times: a modelled crash, resumed from the logs.
+/// Its [`CrashSignal`] names `to`, so `InvokeError::Crashed` does, and
+/// `silence_crash_backtraces` keeps it as quiet as an injected crash.
+fn give_up(to: &str) -> ! {
+    let point = format!("give-up: `{to}` unreachable after {MAX_INVOKE_ATTEMPTS} attempts");
+    std::panic::panic_any(CrashSignal { point })
+}
+
 // ---- Callbacks (callee → caller) ----
 
 /// Sends a callback to `caller_fn` recording `result` (or, when `None`, an
 /// async callee's registration confirmation) for `callee_id`.
 ///
-/// At-least-once: retried a bounded number of times until a caller
-/// instance acknowledges it ([`handle_callback`]'s reply). The
+/// At-least-once: retried until a caller instance acknowledges it
+/// ([`handle_callback`]'s reply), or given up ([`deliver`]). The
 /// acknowledgement is `Ok` when the entry holds `result` or there is no
 /// entry, `Logged` when the caller recorded a replacement for an outcome
-/// too large to store; `None` when no instance acknowledged it.
+/// too large to store.
 pub(crate) fn send_callback(
     core: &EnvCore,
     caller_fn: &str,
     callee_id: &Arc<str>,
     result: Option<&Value>,
-) -> Option<Outcome> {
+) -> Outcome {
     let envelope = Envelope::Callback {
         callee_id: callee_id.clone(),
         result: result.cloned(),
@@ -625,9 +627,9 @@ pub(crate) fn send_callback(
 
 /// Invokes `callee` with `payload` until the platform returns a reply, at
 /// most [`MAX_INVOKE_ATTEMPTS`] times with [`RETRY_BACKOFF`] between
-/// attempts; the reply, if one came. For a message whose reply carries no
-/// result: an async registration, a commit signal.
-pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> Option<Value> {
+/// attempts, then gives up ([`give_up`]); the reply. For a message whose
+/// reply carries no result: an async registration, a commit signal.
+pub(crate) fn deliver(platform: &Arc<Platform>, callee: &str, payload: &Value) -> Value {
     deliver_until(platform, callee, payload, Some)
 }
 
@@ -638,7 +640,7 @@ fn deliver_until<T>(
     callee: &str,
     payload: &Value,
     accept: impl Fn(Value) -> Option<T>,
-) -> Option<T> {
+) -> T {
     for attempt in 0..MAX_INVOKE_ATTEMPTS {
         if attempt > 0 {
             platform.clock().sleep(RETRY_BACKOFF);
@@ -648,10 +650,10 @@ fn deliver_until<T>(
             .ok()
             .and_then(&accept)
         {
-            return Some(ack);
+            return ack;
         }
     }
-    None
+    give_up(callee)
 }
 
 /// Handles an incoming callback at the caller's side: records the result
@@ -682,9 +684,9 @@ pub(crate) fn handle_callback(
         Err(e) => Err(e),
     };
     let recorded = match result {
-        Some(r) => match record(Update::with_capacity(1).set_if_absent(A_RESULT, r)) {
+        Some(r) => match record(Update::with_capacity(1).set_if_absent(A_RESULT, r.clone())) {
             Err(DbError::RowTooLarge { size, limit }) => {
-                let error = Outcome::too_large(size, limit).into_value();
+                let error = Outcome::too_large(&r, size, limit);
                 record(Update::with_capacity(1).set_if_absent(A_RESULT, error))
                     .map(|()| Outcome::Logged)
             }
@@ -703,6 +705,7 @@ mod tests {
     use crate::BeldiEnv;
     use beldi_simfaas::InvocationCtx;
     use parking_lot::Mutex;
+    use std::collections::BTreeMap;
 
     /// `caller` calls `stub`, a bare platform handler that answers
     /// `logged`, first calling `caller` back with `result` when there is
@@ -767,8 +770,9 @@ mod tests {
     }
 
     /// A callback the caller answers with an error (its store write
-    /// failed) is not delivered: the callee retries it, then crashes
-    /// before its done-mark, leaving its intent to the collector.
+    /// failed) is not delivered: the callee retries it, then gives up
+    /// before its done-mark, a crash that names the caller, leaving its
+    /// intent to the collector.
     #[test]
     fn a_callback_answered_with_an_error_is_not_delivered() {
         let env = BeldiEnv::for_tests();
@@ -785,10 +789,12 @@ mod tests {
             first_attempt_ms: None,
         };
         let before = env.platform_metrics().invocations;
-        assert!(env
-            .platform()
-            .invoke_sync("callee", call.into_value())
-            .is_err());
+        let crash = env.platform().invoke_sync("callee", call.into_value());
+        let unreachable = "give-up: `failing` unreachable after 5 attempts";
+        assert!(
+            matches!(&crash, Err(beldi_simfaas::InvokeError::Crashed(why)) if why == unreachable),
+            "{crash:?}"
+        );
         let invocations = env.platform_metrics().invocations - before;
         assert_eq!(invocations, 1 + MAX_INVOKE_ATTEMPTS as u64);
         let table = crate::schema::intent_table("callee");
@@ -847,7 +853,7 @@ mod tests {
                     start_ms: 9,
                     mode: TxnMode::Commit,
                 },
-                leaf: false,
+                callees: CallTree::default(),
             },
             Envelope::TxnSignal {
                 id: "s".into(),
@@ -856,7 +862,7 @@ mod tests {
                     start_ms: 9,
                     mode: TxnMode::Abort,
                 },
-                leaf: true,
+                callees: a_tree(),
             },
         ];
         for e in &cases {
@@ -908,31 +914,63 @@ mod tests {
         );
     }
 
+    /// The call tree `{b: {c: {}}, d: {}}`.
+    fn a_tree() -> CallTree {
+        let b = CallTree(BTreeMap::from([("c".into(), CallTree::default())]));
+        CallTree(BTreeMap::from([
+            ("b".into(), b),
+            ("d".into(), CallTree::default()),
+        ]))
+    }
+
+    /// `outcome` as a reply that carries `callees`.
+    fn reply_of(outcome: Outcome, callees: CallTree) -> Value {
+        let mut reply = outcome.into_value();
+        callees.put(reply.as_map_mut().unwrap());
+        reply
+    }
+
     #[test]
     fn outcome_round_trips() {
         for o in [
             Outcome::Ok(Value::Int(1)),
             Outcome::Ok(beldi_value::vmap! { "Outcome" => "nested", "Ret" => 2i64 }),
-            Outcome::Leaf(Value::Int(3)),
             Outcome::Abort,
             Outcome::Error("boom".into()),
             Outcome::Expired,
             Outcome::Logged,
         ] {
             assert_eq!(Outcome::from_reply(o.clone().into_value()), o);
+            // A reply carries its call tree; an empty one is left out.
+            for tree in [CallTree::default(), a_tree()] {
+                let reply = reply_of(o.clone(), tree.clone());
+                assert_eq!(
+                    reply.get_attr(K_CALLEES).is_some(),
+                    tree != CallTree::default()
+                );
+                assert_eq!(Outcome::reply(reply), (o.clone(), tree));
+            }
         }
+        // A too-large replacement keeps the reply's call tree.
+        let big = reply_of(Outcome::Ok(Value::Int(1)), a_tree());
+        let (error, tree) = Outcome::reply(Outcome::too_large(&big, 9, 8));
+        assert!(matches!(error, Outcome::Error(m) if m.contains("9 B, over the 8 B")));
+        assert_eq!(tree, a_tree());
         // Malformed outcomes decode as errors, never as success: an `ok`
-        // without its return value and an `error` without a message too.
+        // without its return value, an `error` without a message, a kind
+        // that is none and a call tree that is not one too.
         for v in [
             Value::Null,
             Value::from("ok"),
             beldi_value::vmap! { "Outcome" => 1i64, "Ret" => 2i64 },
             beldi_value::vmap! { "Outcome" => "ok" },
-            beldi_value::vmap! { "Outcome" => "leaf" },
+            beldi_value::vmap! { "Outcome" => "leaf", "Ret" => 2i64 },
             beldi_value::vmap! { "Outcome" => "error" },
             beldi_value::vmap! { "Outcome" => "error", "Msg" => 5i64 },
+            beldi_value::vmap! { "Outcome" => "abort", "Callees" => "b" },
+            beldi_value::vmap! { "Outcome" => "abort", "Callees" => beldi_value::vmap! { "b" => 1i64 } },
         ] {
-            assert_eq!(Outcome::decode(&v), None, "{v}");
+            assert_eq!(Outcome::decode_reply(&v), None, "{v}");
             let Outcome::Error(msg) = Outcome::from_reply(v) else {
                 panic!("a malformed reply decodes as an error");
             };
@@ -942,9 +980,10 @@ mod tests {
 
     #[test]
     fn outcome_into_result_maps_variants() {
-        for o in [Outcome::Ok(Value::Int(2)), Outcome::Leaf(Value::Int(2))] {
-            assert_eq!(o.into_result().unwrap(), Value::Int(2));
-        }
+        assert_eq!(
+            Outcome::Ok(Value::Int(2)).into_result().unwrap(),
+            Value::Int(2)
+        );
         assert!(matches!(
             Outcome::Abort.into_result(),
             Err(BeldiError::TxnAborted)

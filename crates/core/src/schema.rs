@@ -23,8 +23,8 @@ use beldi_value::{Map, Path, Value};
 
 use crate::error::{BeldiError, BeldiResult};
 use crate::ids::{callee_id, StepNumber};
-use crate::invoke::Outcome;
-use crate::txn::{TxnContext, TxnMode};
+use crate::invoke::{Outcome, Reply};
+use crate::txn::{CallTree, TxnContext, TxnMode, K_CALLEES};
 
 // ---- Attribute names: linked DAAL rows (Fig. 4) ----
 
@@ -106,21 +106,20 @@ pub const A_LOG_STEPS: &str = "LogSteps";
 /// Log key `instance#step` (hash key of the log table). Required.
 pub const A_LOG_KEY: &str = "LogKey";
 /// Callee function name, required on an invoke entry (it is what makes a
-/// log entry one): commit/abort propagation reads it, and a callback's
-/// condition is that it exists. The callee's id is the entry's `LogKey`
-/// plus `.c` ([`crate::callee_id`]).
+/// log entry one): a callback's condition is that it exists. The callee's
+/// id is the entry's `LogKey` plus `.c` ([`crate::callee_id`]).
 pub const A_CALLEE_FN: &str = "CalleeFn";
-/// The callee's outcome envelope, set on a synchronous call's invoke entry
-/// by its callback (first writer wins) before its done-mark: the one
-/// place that outcome is stored, or an error naming its size if too large.
-/// Absent means the callback has not landed.
+/// The callee's reply, set on a synchronous call's invoke entry by its
+/// callback (first writer wins) before its done-mark: the one place that
+/// outcome and its call tree are stored, or an error naming its size,
+/// with the tree, if too large. Absent means the callback has not landed.
 pub const A_RESULT: &str = "Result";
 /// `true` on an async call's invoke entry once the callee confirmed its
 /// registration, before its done-mark; absent means not confirmed. A
 /// replay of `async_invoke` reads it to skip registering again.
 pub const A_REGISTERED: &str = "Registered";
-/// Transaction id the invocation happened under (indexed), or absent;
-/// on a shadow row, the transaction whose chain it is (`ShadowRef`).
+/// The transaction whose chain a shadow row is (indexed); absent only on
+/// a row a write made after the GC deleted its chain (`ShadowRef`).
 pub const A_TXN_ID: &str = "TxnId";
 /// Logged write outcome in a cross-table-mode write-log entry. Required.
 pub const A_FLAG: &str = "Flag";
@@ -299,8 +298,8 @@ pub(crate) fn write_entry(table: &str, key: &str, row: &Value) -> BeldiResult<bo
 pub(crate) struct InvokeEntry {
     /// The callee instance id, derived from the entry's key.
     pub callee_id: Arc<str>,
-    /// The callee's outcome, once its callback landed.
-    pub result: Option<Outcome>,
+    /// The callee's reply, once its callback landed.
+    pub result: Option<Reply>,
     /// Whether an async callee confirmed registration (on finishing).
     pub registered: bool,
 }
@@ -313,17 +312,11 @@ impl InvokeEntry {
             req(row, A_CALLEE_FN, Value::as_str)?;
             Ok(InvokeEntry {
                 callee_id: callee_id(log_key),
-                result: opt(row, A_RESULT, Outcome::decode)?,
+                result: opt(row, A_RESULT, Outcome::decode_reply)?,
                 registered: opt(row, A_REGISTERED, Value::as_bool)?.unwrap_or(false),
             })
         };
         entry().map_err(|attr| corrupt(table, log_key, attr))
-    }
-
-    /// The callee function an invoke entry names, its [`A_CALLEE_FN`].
-    pub fn callee_fn<'r>(table: &str, row: &'r Value) -> BeldiResult<&'r str> {
-        let key = row.get_str(A_LOG_KEY).unwrap_or_default();
-        req(row, A_CALLEE_FN, Value::as_str).map_err(|attr| corrupt(table, key, attr))
     }
 }
 
@@ -565,18 +558,35 @@ impl TxnContext {
 }
 
 impl Outcome {
-    /// Decodes an outcome envelope: `Ret` is required on an `ok` or a
-    /// `leaf`, `Msg` on an `error`. The return value is read, not taken.
+    /// Decodes an outcome envelope: `Ret` is required on an `ok`, `Msg` on
+    /// an `error`. The return value is read, not taken.
     pub(crate) fn decode(v: &Value) -> Option<Self> {
         Some(match v.get_str("Outcome")? {
             "ok" => Outcome::Ok(v.get_attr("Ret")?.clone()),
-            "leaf" => Outcome::Leaf(v.get_attr("Ret")?.clone()),
             "abort" => Outcome::Abort,
             "error" => Outcome::Error(v.get_str("Msg")?.to_owned()),
             "expired" => Outcome::Expired,
             "logged" => Outcome::Logged,
             _ => return None,
         })
+    }
+
+    /// Decodes a reply: its outcome, and its call tree, absent if empty.
+    pub(crate) fn decode_reply(v: &Value) -> Option<Reply> {
+        let callees = opt(v, K_CALLEES, CallTree::decode).ok()?;
+        Some((Outcome::decode(v)?, callees.unwrap_or_default()))
+    }
+}
+
+impl CallTree {
+    /// Decodes a call tree: a map whose every value is one.
+    pub(crate) fn decode(v: &Value) -> Option<Self> {
+        let mut tree = CallTree::default();
+        for (ssf, subtree) in v.as_map()?.iter() {
+            let subtree = CallTree::decode(subtree)?;
+            tree.0.insert(ssf.as_str().into(), subtree);
+        }
+        Some(tree)
     }
 }
 
@@ -640,12 +650,11 @@ pub fn intent_schema() -> TableSchema {
     TableSchema::hash_only(A_ID).with_index(A_DONE)
 }
 
-/// Schema of a log table: indexed — invoke entries only, the index being
-/// sparse — by transaction id for commit/abort propagation. A callback
-/// writes its entry by key, and the collector deletes the keys the
-/// intent's [`A_LOG_STEPS`] names.
+/// Schema of a log table, with no index: an entry is read by its key, a
+/// callback writes its entry by key, and the collector deletes the keys
+/// the intent's [`A_LOG_STEPS`] names.
 pub fn log_schema() -> TableSchema {
-    TableSchema::hash_only(A_LOG_KEY).with_index(A_TXN_ID)
+    TableSchema::hash_only(A_LOG_KEY)
 }
 
 /// Schema of a plain one-row-per-key data table (baseline and cross-table
@@ -657,9 +666,8 @@ pub fn plain_data_schema() -> TableSchema {
 /// Schema of a shadow table: hash `Key` (= `txn|key`), sort `RowId`,
 /// indexed by transaction id.
 ///
-/// Both `TxnId` indexes, this one and the log's, are the only durable
-/// list of what a transaction's instances of an SSF touched or invoked,
-/// which its finalizing instance must release and signal. This one's
+/// The index is the only durable list of what a transaction's instances
+/// of an SSF touched, which its finalizing instance must release. Its
 /// answer also carries the entries (`ShadowRow::ATTRS`): every row of a
 /// chain carries `TxnId`, and simdb's index answers from the stored rows
 /// under their table lock (DESIGN §1), not from a copy that could lag.
@@ -689,7 +697,7 @@ mod tests {
     #[test]
     fn schemas_have_expected_indexes() {
         assert_eq!(intent_schema().index_attrs, [A_DONE]);
-        assert_eq!(log_schema().index_attrs, [A_TXN_ID]);
+        assert!(log_schema().index_attrs.is_empty());
         assert_eq!(daal_schema().sort_attr.as_deref(), Some(A_ROW_ID));
         assert_eq!(daal_schema().index_attrs, [A_APPENDED]);
         assert_eq!(shadow_schema().index_attrs, [A_TXN_ID]);

@@ -31,12 +31,13 @@
 //! lock created, and a lock's write returns the item's committed value,
 //! so the read that took the lock issues no get. Commit pays only for
 //! what it changes: one index query per shadow table finds an SSF's
-//! entries, and a signal logs nothing at its sender. A callee that
-//! invoked no SSF inside the transaction says so in its outcome
-//! ([`Outcome::Leaf`]); an owner whose every callee did takes its callees
-//! from its own execution and tells each it has none, so a depth-one
-//! transaction's commit queries no log (R*'s leaf participants: Mohan,
-//! Lindsay & Obermarck, 1986).
+//! entries, and a signal logs nothing at its sender.
+//!
+//! No commit or abort reads a log to find whom to signal. Each SSF knows
+//! its subordinates from its execution, as in R*'s tree of processes
+//! (Mohan, Lindsay & Obermarck, 1986), and that knowledge travels up in
+//! replies and down in signals ([`CallTree`]): a finalize, in a fresh
+//! instance, needs nothing the GC recycles, however late it runs.
 //!
 //! The target isolation level is **opacity**: strict serializability plus
 //! the guarantee that even doomed transactions only observe consistent
@@ -44,11 +45,24 @@
 //! *replays* whatever a crashed instance read (Fig. 12's OCC infinite
 //! loop is reproduced as a test in `tests/opacity.rs`).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use beldi_value::{Map, Value};
+use beldi_simclock::Op;
+use beldi_simdb::{DbError, PrimaryKey, Projection, ScanRequest};
+use beldi_value::{Cond, Map, Path, Update, Value};
 
+use crate::config::Mode;
+use crate::context::SsfContext;
+use crate::daal::{self, StepKind};
 use crate::error::{BeldiError, BeldiResult};
+use crate::ids::finalize_marker;
+use crate::invoke::{self, Envelope, Outcome};
+use crate::schema::{
+    self, shadow_key, DoneMark, ShadowRow, A_CLAIMANT, A_CREATED, A_DONE, A_FINISH, A_ID, A_KEY,
+    A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
+};
+use crate::Label;
 
 /// Phase of a distributed transaction context (§6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,15 +129,6 @@ impl TxnContext {
         Value::Map(m)
     }
 
-    /// A copy of this context in a different mode.
-    pub(crate) fn with_mode(&self, mode: TxnMode) -> Self {
-        TxnContext {
-            id: self.id.clone(),
-            start_ms: self.start_ms,
-            mode,
-        }
-    }
-
     /// Wait-die seniority: `self` waits for `owner` only when `self` is
     /// older. Ties break on the id so the order is total.
     pub(crate) fn is_older_than(&self, owner_start_ms: u64, owner_id: &str) -> bool {
@@ -151,12 +156,10 @@ pub(crate) struct TxnState {
     /// The `(logical table, key)` items this execution locked (few, so a
     /// list). Replay rebuilds it: each first lock replays as applied.
     locked: Vec<(String, String)>,
-    /// The SSFs this SSF invoked inside the transaction, sorted, while
-    /// every one of those calls answered [`Outcome::Leaf`]; `None` once
-    /// one did not, or when they are unknown (a signal that does not say
-    /// its SSF has none). Replay rebuilds it as it rebuilds `locked`: a
-    /// replayed call returns its logged outcome.
-    callees: Option<Vec<Arc<str>>>,
+    /// The `(caller, callee)` SSF pairs of the transaction's calls this SSF
+    /// knows: its own and those in the trees their replies carried, or in
+    /// its signal's tree. Replay rebuilds it as it rebuilds `locked`.
+    calls: BTreeSet<(Arc<str>, Arc<str>)>,
 }
 
 impl TxnState {
@@ -169,49 +172,65 @@ impl TxnState {
             ended: false,
             nested: 0,
             locked: Vec::new(),
-            callees: Some(Vec::new()),
+            calls: BTreeSet::new(),
         }
     }
 
-    /// A state for a context created by this instance.
-    pub fn owned(ctx: TxnContext) -> Self {
-        TxnState {
-            owned: true,
-            ..TxnState::inherited(ctx)
+    /// Records a call from `caller` to `callee`, whose reply (or signal)
+    /// carried `subtree`.
+    pub fn invoked(&mut self, caller: &Arc<str>, callee: Arc<str>, subtree: CallTree) {
+        for (next, subtree) in subtree.0 {
+            self.invoked(&callee, next, subtree);
+        }
+        self.calls.insert((caller.clone(), callee));
+    }
+
+    /// The call tree SSF `me` passes on: each SSF reachable from `me` with
+    /// all its callees where `me`'s signals first reach it (by name, depth
+    /// first), and with none elsewhere, where its signal replays.
+    pub fn tree(&self, me: &Arc<str>) -> CallTree {
+        match self.calls.is_empty() {
+            true => CallTree::default(),
+            false => self.unroll(me, &mut BTreeSet::from([me])),
         }
     }
 
-    /// A state for a commit or abort signal: its SSF's callees are
-    /// unknown, unless the signal says it has none (`leaf`).
-    pub fn signalled(ctx: TxnContext, leaf: bool) -> Self {
-        TxnState {
-            callees: leaf.then(Vec::new),
-            ..TxnState::inherited(ctx)
+    fn unroll<'a>(&'a self, ssf: &Arc<str>, reached: &mut BTreeSet<&'a Arc<str>>) -> CallTree {
+        let mut tree = CallTree::default();
+        for (_, callee) in self.calls.iter().filter(|(from, _)| from == ssf) {
+            let subtree = match reached.insert(callee) {
+                true => self.unroll(callee, reached),
+                false => CallTree::default(),
+            };
+            tree.0.insert(callee.clone(), subtree);
         }
+        tree
     }
+}
 
-    /// The context a call forwards: one still executing.
-    pub fn forwarded(&self) -> Option<&TxnContext> {
-        (self.ctx.mode == TxnMode::Execute && !self.ended).then_some(&self.ctx)
-    }
+/// The key of a call tree in a reply or a signal, absent when empty.
+pub(crate) const K_CALLEES: &str = "Callees";
 
-    /// Records a call to `callee` inside the transaction, and whether it
-    /// answered as a leaf.
-    pub fn invoked(&mut self, callee: &str, leaf: bool) {
-        match &mut self.callees {
-            Some(set) if leaf => {
-                if let Err(at) = set.binary_search_by(|c| (**c).cmp(callee)) {
-                    set.insert(at, callee.into());
-                }
-            }
-            callees => *callees = None,
+/// A subtree of a transaction's call tree: the SSFs one SSF invoked inside
+/// the transaction, each with its own subtree ([`TxnState::tree`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct CallTree(pub BTreeMap<Arc<str>, CallTree>);
+
+impl CallTree {
+    /// The tree as a reply's or a signal's field.
+    fn into_value(self) -> Value {
+        let mut m = Map::with_capacity(self.0.len());
+        for (ssf, subtree) in self.0 {
+            m.insert(ssf, subtree.into_value());
         }
+        Value::Map(m)
     }
 
-    /// True for a callee that invoked no SSF inside the transaction: its
-    /// outcome is an [`Outcome::Leaf`].
-    pub fn is_leaf(&self) -> bool {
-        !self.owned && self.callees.as_ref().is_some_and(Vec::is_empty)
+    /// Puts the tree into a reply's or a signal's map `m`.
+    pub fn put(self, m: &mut Map) {
+        if !self.0.is_empty() {
+            m.insert(K_CALLEES, self.into_value());
+        }
     }
 }
 
@@ -244,23 +263,6 @@ pub(crate) fn lock_owner_value(owner_id: &Arc<str>, start_ms: u64) -> Value {
 }
 
 // ---- The transaction protocol on SsfContext ----
-
-use std::collections::{BTreeMap, BTreeSet};
-
-use beldi_simclock::Op;
-use beldi_simdb::{DbError, PrimaryKey, Projection, ScanRequest};
-use beldi_value::{Cond, Path, Update};
-
-use crate::config::Mode;
-use crate::context::SsfContext;
-use crate::daal::{self, StepKind};
-use crate::ids::finalize_marker;
-use crate::invoke::{self, Envelope, Outcome};
-use crate::schema::{
-    self, shadow_key, DoneMark, InvokeEntry, ShadowRow, A_CLAIMANT, A_CREATED, A_DONE, A_FINISH,
-    A_ID, A_KEY, A_LOCK, A_ORIG_KEY, A_ORIG_TABLE, A_TXN_ID, A_VALUE, A_WRITTEN, ROW_HEAD,
-};
-use crate::Label;
 
 impl SsfContext {
     // ---- Public API (Fig. 2) ----
@@ -309,12 +311,15 @@ impl SsfContext {
         // locks). The age is the intent's creation time, which its row
         // stores, so a replay and a transaction begun again after a
         // wait-die kill both keep it.
-        let id = self.log_uuid()?.into();
-        self.txn = Some(TxnState::owned(TxnContext {
-            id,
+        let ctx = TxnContext {
+            id: self.log_uuid()?.into(),
             start_ms: self.created_ms,
             mode: TxnMode::Execute,
-        }));
+        };
+        self.txn = Some(TxnState {
+            owned: true,
+            ..TxnState::inherited(ctx)
+        });
         Ok(())
     }
 
@@ -594,30 +599,26 @@ impl SsfContext {
             }
         }
 
-        // 2. Signal the callees this SSF invoked inside the transaction:
-        // those its execution knows when each answered as a leaf (then
-        // each is told it has none), else those its log's index names.
-        let signal_ctx = ctx.with_mode(decision);
-        let known = self.txn.as_ref().and_then(|t| t.callees.clone());
-        let leaf = known.is_some();
-        let callees = match known {
-            Some(callees) => callees,
-            None => self.txn_callees(&ctx.id)?,
+        // 2. Signal the SSFs this one invoked inside the transaction, as
+        // its execution or its signal names them, each with its subtree.
+        let signal_ctx = TxnContext {
+            mode: decision,
+            ..ctx.clone()
         };
-        for callee in callees {
+        let signals = self.txn.as_ref().map(|t| t.tree(&self.ssf.name));
+        for (callee, callees) in signals.unwrap_or_default().0 {
             let signal = Envelope::TxnSignal {
                 id: finalize_marker(&callee, &ctx.id),
                 txn: signal_ctx.clone(),
-                leaf,
+                callees,
             }
             .into_value();
             self.crash(Label::TxnPreSignal);
-            // Unreachable: crash; the retried sender signals again. A
+            // Unreachable: give up; the retried sender signals again. A
             // callee whose share failed answers its error: this share's.
-            match invoke::deliver(self.platform(), &callee, &signal).map(|r| Outcome::decode(&r)) {
-                None => panic!("beldi: signal to `{callee}` unreachable"),
-                Some(Some(Outcome::Error(m))) => return Err(BeldiError::Protocol(m)),
-                Some(_) => {}
+            let reply = invoke::deliver(self.platform(), &callee, &signal);
+            if let Some(Outcome::Error(m)) = Outcome::decode(&reply) {
+                return Err(BeldiError::Protocol(m));
             }
         }
         self.crash(Label::TxnPostFinalize);
@@ -699,22 +700,6 @@ impl SsfContext {
         }
         Ok(out.into_iter().collect())
     }
-
-    /// The deterministic sorted set of SSFs this SSF invoked inside the
-    /// transaction, from the log's transaction-id index.
-    fn txn_callees(&self, txn_id: &str) -> BeldiResult<Vec<Arc<str>>> {
-        let rows = self.db().index_query(
-            &self.ssf.log_table,
-            A_TXN_ID,
-            &Value::from(txn_id),
-            &ScanRequest::all(),
-        )?;
-        let mut set = BTreeSet::new();
-        for row in &rows {
-            set.insert(InvokeEntry::callee_fn(self.ssf.log_table.name(), row)?.into());
-        }
-        Ok(set.into_iter().collect())
-    }
 }
 
 #[cfg(test)]
@@ -730,9 +715,11 @@ mod tests {
         };
         let v = ctx.to_value();
         assert_eq!(TxnContext::decode(&v).unwrap(), ctx);
-        let c2 = ctx.with_mode(TxnMode::Commit);
-        assert_eq!(c2.mode, TxnMode::Commit);
-        assert_eq!(c2.id, ctx.id);
+        let commit = TxnContext {
+            mode: TxnMode::Commit,
+            ..ctx
+        };
+        assert_eq!(TxnContext::decode(&commit.to_value()).unwrap(), commit);
     }
 
     #[test]
@@ -772,6 +759,50 @@ mod tests {
                 "({ts}, {id})"
             );
         }
+    }
+
+    /// The call tree `{ssf: subtree, ..}`.
+    fn tree<const N: usize>(calls: [(&str, CallTree); N]) -> CallTree {
+        CallTree(
+            calls
+                .into_iter()
+                .map(|(ssf, sub)| (ssf.into(), sub))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_call_tree_merges_its_calls_and_reaches_each_ssf_once() {
+        let leaf = CallTree::default;
+        let ctx = TxnContext {
+            id: "t".into(),
+            start_ms: 0,
+            mode: TxnMode::Execute,
+        };
+        // A calls B twice, each B calls D, and the two D's call on to E,
+        // and to F and A′, who calls H; A calls C, whose D calls G.
+        let mut a = TxnState::inherited(ctx.clone());
+        let me: Arc<str> = "a".into();
+        a.invoked(&me, "b".into(), tree([("d", tree([("e", leaf())]))]));
+        let a_h = tree([("a", tree([("h", leaf())])), ("f", leaf())]);
+        a.invoked(&me, "b".into(), tree([("d", a_h)]));
+        a.invoked(&me, "c".into(), tree([("d", tree([("g", leaf())]))]));
+        // D's first signal, through B, carries all four of D's callees,
+        // and C's none; A′'s call to H is A's, and A is the root.
+        let d = tree([("a", leaf()), ("e", leaf()), ("f", leaf()), ("g", leaf())]);
+        let want = tree([
+            ("b", tree([("d", d)])),
+            ("c", tree([("d", leaf())])),
+            ("h", leaf()),
+        ]);
+        assert_eq!(a.tree(&me), want);
+        // What a signal carries is the tree its receiver passes on.
+        let mut b = TxnState::inherited(ctx);
+        let b_name: Arc<str> = "b".into();
+        for (callee, subtree) in want.0[&b_name].clone().0 {
+            b.invoked(&b_name, callee, subtree);
+        }
+        assert_eq!(b.tree(&b_name), want.0[&b_name]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    completed, replays a root's recorded outcome or answers a callee's
 //!    caller that the outcome is in its invoke log;
 //! 3. runs the body with a [`SsfContext`], converting its result (or a
-//!    dangling transaction) into an outcome envelope;
+//!    dangling transaction) into a reply ([`invoke::Reply`]);
 //! 4. calls the caller back (a result, or an async callee's confirmation)
 //!    *before* marking the intent done (Fig. 9 — the ordering that keeps
 //!    federated garbage collectors from outrunning the caller);
@@ -20,7 +20,8 @@
 //!    finish time and, with no caller, its outcome.
 //!
 //! Panics inside any step model crashes: the platform catches them and the
-//! intent collector later re-executes the instance from its logs.
+//! intent collector later re-executes the instance from its logs, as it
+//! does one that gave up on an unanswered message ([`invoke::deliver`]).
 
 use std::sync::{Arc, Weak};
 
@@ -35,7 +36,7 @@ use crate::env::{EnvCore, Ssf};
 use crate::error::BeldiError;
 use crate::intent;
 use crate::invoke::{self, Envelope, Outcome};
-use crate::txn::{decision_op, TxnMode, TxnState};
+use crate::txn::{decision_op, CallTree, TxnMode, TxnState};
 use crate::Label;
 
 /// Builds the platform handler wrapping SSF `ssf`.
@@ -79,7 +80,7 @@ fn dispatch(core: &Arc<EnvCore>, ssf: &Arc<Ssf>, ictx: &InvocationCtx, payload: 
             invoke::handle_callback(core, ssf, &callee_id, result).into_value()
         }
         Envelope::AsyncReg { id, input, caller } => run_async_reg(core, ssf, &id, input, &caller),
-        Envelope::TxnSignal { id, txn, leaf } => run_txn_signal(core, ssf, id, txn, leaf),
+        Envelope::TxnSignal { id, txn, callees } => run_txn_signal(core, ssf, id, txn, callees),
     }
 }
 
@@ -198,11 +199,11 @@ fn run_call(
     ctx.caller = caller.clone();
     ctx.is_async = is_async;
     ctx.txn = txn.map(TxnState::inherited);
-    let outcome = match run_body(&mut ctx, &ssf.body, input) {
-        Outcome::Ok(v) if ctx.txn.as_ref().is_some_and(TxnState::is_leaf) => Outcome::Leaf(v),
-        outcome => outcome,
-    };
-    let ret = finish(core, &mut ctx, caller.as_deref(), outcome);
+    let mut reply = run_body(&mut ctx, &ssf.body, input).into_value();
+    if let (Some(t), Some(m)) = (ctx.txn.as_ref().filter(|t| !t.owned), reply.as_map_mut()) {
+        t.tree(&ssf.name).put(m);
+    }
+    let ret = finish(core, &mut ctx, caller.as_deref(), reply);
     // The intent is durably done: if this instance was ever killed by the
     // injector, its recovery completes here (crashes *after* this point
     // land in the replay path above instead).
@@ -236,10 +237,10 @@ fn run_body(ctx: &mut SsfContext, body: &crate::env::SsfBody, input: Value) -> O
 }
 
 /// The completion sequence shared by calls and signals: callback to the
-/// caller — a sync callee's outcome, an async one's registration
+/// caller — a sync callee's reply, an async one's registration
 /// confirmation — then mark the intent done (in that order — Fig. 9). The
 /// callback's payload (or, with no caller, the intent's `Ret`) and the
-/// value returned share one outcome. An outcome too large for the row that
+/// value returned share one reply. A reply too large for the row that
 /// stores it is replaced by [`Outcome::too_large`]: the caller records the
 /// replacement in its entry and this callee answers `Logged`, or a root
 /// stores and returns it.
@@ -247,20 +248,17 @@ fn finish(
     core: &Arc<EnvCore>,
     ctx: &mut SsfContext,
     caller: Option<&str>,
-    outcome: Outcome,
+    mut outcome_value: Value,
 ) -> Value {
     let instance = ctx.instance().clone();
-    let mut outcome_value = outcome.into_value();
     ctx.crash(Label::WrapperPreCallback);
     if let Some(c) = caller {
         let result = (!ctx.is_async).then_some(&outcome_value);
-        match invoke::send_callback(core, c, &instance, result) {
-            // Without the callback the caller may never learn the outcome;
-            // crash and let the intent collector retry the whole tail.
-            None => panic!("beldi: callback to `{c}` undeliverable"),
-            // The caller recorded a replacement: it reads it from its entry.
-            Some(Outcome::Logged) => outcome_value = Outcome::Logged.into_value(),
-            Some(_) => {}
+        // Without the callback the caller may never learn the outcome: an
+        // undelivered one gives up, and the intent collector retries the
+        // whole tail. A caller that recorded a replacement reads its entry.
+        if invoke::send_callback(core, c, &instance, result) == Outcome::Logged {
+            outcome_value = Outcome::Logged.into_value();
         }
     }
     ctx.crash(Label::WrapperPreDone);
@@ -269,7 +267,7 @@ fn finish(
         |ret| intent::mark_done(&core.db, table, &instance, ret, &ctx.log_steps, now_ms);
     let mut done = mark_done(caller.is_none().then(|| outcome_value.clone()));
     if let Err(BeldiError::Db(DbError::RowTooLarge { size, limit })) = done {
-        outcome_value = Outcome::too_large(size, limit).into_value();
+        outcome_value = Outcome::too_large(&outcome_value, size, limit);
         done = mark_done(Some(outcome_value.clone()));
     }
     if let Err(e) = done {
@@ -324,21 +322,22 @@ fn run_async_reg(
 ///
 /// Its instance id is this SSF's finalize marker for the transaction
 /// ([`crate::ids::finalize_marker`]), so the registration below is the
-/// SSF's finalize claim, which every later signal replays or resumes. A
-/// `leaf` signal says the SSF invoked no SSF inside the transaction.
+/// SSF's finalize claim, which every later signal replays or resumes.
+/// `callees` is the SSF's subtree of the transaction's call tree: whom
+/// its finalize signals.
 fn run_txn_signal(
     core: &Arc<EnvCore>,
     ssf: &Arc<Ssf>,
     instance: Arc<str>,
     txn: crate::TxnContext,
-    leaf: bool,
+    callees: CallTree,
 ) -> Value {
     let probe = core.platform.faults().instance_started(&instance);
     let now_ms = core.platform.clock().now().as_millis();
     let envelope = Envelope::TxnSignal {
         id: instance.clone(),
         txn: txn.clone(),
-        leaf,
+        callees: callees.clone(),
     };
     let earlier = match intent::register(
         &core.db,
@@ -359,12 +358,16 @@ fn run_txn_signal(
     let decision = txn.mode;
     debug_assert!(matches!(decision, TxnMode::Commit | TxnMode::Abort));
     let mut ctx = SsfContext::new(core.clone(), ssf.clone(), probe, created_ms, now_ms);
-    ctx.txn = Some(TxnState::signalled(txn, leaf));
+    let mut state = TxnState::inherited(txn);
+    for (callee, subtree) in callees.0 {
+        state.invoked(&ssf.name, callee, subtree);
+    }
+    ctx.txn = Some(state);
     let op = ctx.op(decision_op(decision));
     let outcome = match ctx.finalize(decision) {
         Ok(()) => Outcome::Ok(Value::Null),
         Err(e) => Outcome::Error(e.to_string()),
     };
     drop(op);
-    finish(core, &mut ctx, None, outcome)
+    finish(core, &mut ctx, None, outcome.into_value())
 }

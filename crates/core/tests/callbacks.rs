@@ -284,11 +284,10 @@ fn caller_crash_after_callback_reuses_logged_result() {
 /// Read entries and invoke entries share `{ssf}.log`. Only an invoke
 /// entry names a callee function, and its callee id is derived from its
 /// own key (stored nowhere in the entry), which is how the callback finds
-/// it; the transaction-id index is sparse, so commit propagation sees
-/// invoke entries only, however many reads the instance logged beside
-/// them.
+/// it. No entry names a transaction: commit propagation follows the call
+/// tree in the callee's reply, not the log.
 #[test]
-fn callee_and_txn_indexes_list_invoke_entries_only() {
+fn invoke_entries_alone_name_a_callee_and_no_entry_a_transaction() {
     let env = caller_callee_env(BeldiConfig::beldi());
     env.register_ssf(
         "front",
@@ -305,7 +304,7 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
     env.seed("front", "ft", "seen", Value::Int(0)).unwrap();
     let out = env.invoke_as("front", "f-1", Value::Int(3)).unwrap();
     assert_eq!(out.get_int("run"), Some(1));
-    // The commit reached the callee through the transaction-id index.
+    // The commit reached the callee through the call tree.
     assert_eq!(
         env.read_current("callee", "ct", "runs").unwrap(),
         Value::Int(1)
@@ -316,7 +315,7 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
     let (invokes, reads): (Vec<_>, Vec<_>) =
         rows.iter().partition(|r| r.get_str("CalleeFn").is_some());
     assert!(reads.len() >= 3, "{} read entries", reads.len());
-    assert!(reads.iter().all(|r| r.get_attr("TxnId").is_none()));
+    assert!(rows.iter().all(|r| r.get_attr("TxnId").is_none()));
     assert!(rows.iter().all(|r| r.get_attr("CalleeId").is_none()));
     let callee_intents = env
         .db()
@@ -338,15 +337,8 @@ fn callee_and_txn_indexes_list_invoke_entries_only() {
         panic!("one invoke entry: {invokes:?}");
     };
     assert!(call.get_attr("Result").is_some(), "{call:?}");
-    let txn = call.get_attr("TxnId").expect("invoked inside the txn");
-    let by_txn = env
-        .db()
-        .index_query(log, "TxnId", txn, &ScanRequest::all())
-        .unwrap();
-    assert!(!by_txn.is_empty());
-    for entry in &by_txn {
-        assert_eq!(entry.get_str("CalleeFn"), Some("callee"), "{entry:?}");
-    }
+    assert_eq!(call.get_str("CalleeFn"), Some("callee"), "{call:?}");
+    assert!(call.get_attr("TxnId").is_none(), "{call:?}");
 }
 
 /// A callback addresses its entry by the key its callee id names, and the

@@ -838,9 +838,10 @@ fn tail_row(env: &BeldiEnv, table: &str, key: &str) -> Value {
     tail.clone()
 }
 
-/// The transaction id that holds `key`'s lock in `leg`'s table, if any.
-fn lock_holder(env: &BeldiEnv, key: &str) -> Option<String> {
-    let tail = tail_row(env, "leg.data.t", key);
+/// The transaction id that holds `key`'s lock in `ssf`'s table `t`, if
+/// any.
+fn lock_holder(env: &BeldiEnv, ssf: &str, key: &str) -> Option<String> {
+    let tail = tail_row(env, &format!("{ssf}.data.t"), key);
     let lock = tail.get_attr(beldi::A_LOCK).filter(|l| !l.is_null())?;
     Some(
         lock.get_str("Id")
@@ -892,8 +893,8 @@ fn a_late_recovered_owner_commits_what_its_recycled_leg_wrote() {
     faults.plan("o1", CrashPlan::AtLabel(Label::TxnPreFinalize));
     env.invoke_attempts("owner", "o1", Value::Null, 1)
         .unwrap_err();
-    let txn = lock_holder(&env, "x").expect("x locked");
-    assert_eq!(lock_holder(&env, "y").as_deref(), Some(&*txn));
+    let txn = lock_holder(&env, "leg", "x").expect("x locked");
+    assert_eq!(lock_holder(&env, "leg", "y").as_deref(), Some(&*txn));
     for _ in 0..3 {
         wait_t(&env);
         env.run_gc_once("leg").unwrap();
@@ -908,8 +909,84 @@ fn a_late_recovered_owner_commits_what_its_recycled_leg_wrote() {
     env.invoke_attempts("owner", "o1", Value::Null, 1).unwrap();
     assert_eq!(env.read_current("leg", "t", "x").unwrap(), Value::Int(2));
     for key in ["x", "y"] {
-        assert_eq!(lock_holder(&env, key), None, "{key} still locked");
+        assert_eq!(lock_holder(&env, "leg", key), None, "{key} still locked");
     }
+}
+
+/// A transaction's owner calls `mid`, which calls `leaf`, which writes
+/// `x` (1 → 2) and only reads `y`, both in `leaf`'s table.
+fn nested_env() -> BeldiEnv {
+    let env = BeldiEnv::for_tests_with(gc_config());
+    env.register_ssf(
+        "leaf",
+        &["t"],
+        Arc::new(|ctx, _| {
+            ctx.read("t", "y")?;
+            ctx.write("t", "x", Value::Int(2))?;
+            Ok(Value::Null)
+        }),
+    );
+    env.register_ssf(
+        "mid",
+        &[],
+        Arc::new(|ctx, input| ctx.sync_invoke("leaf", input)),
+    );
+    env.register_ssf(
+        "owner",
+        &[],
+        Arc::new(|ctx, _| {
+            ctx.begin_tx()?;
+            ctx.sync_invoke("mid", Value::Null)?;
+            ctx.end_tx()?;
+            Ok(Value::Null)
+        }),
+    );
+    for key in ["x", "y"] {
+        env.seed("leaf", "t", key, Value::Int(1)).unwrap();
+    }
+    env
+}
+
+/// The nested case of the test above: the owner is killed before it
+/// finalizes and relaunched only after `mid` and `leaf` were recycled,
+/// `mid`'s invoke-log entries with it. `mid`'s reply carried `leaf`, so
+/// the relaunched owner's replayed call to `mid` still names it: the
+/// commit reaches `leaf`, flushes `x` and frees both locks, and the next
+/// pass past `T` takes both chains with `leaf`'s finalize marker.
+#[test]
+fn a_late_recovered_owner_commits_what_its_recycled_nested_leg_wrote() {
+    beldi::silence_crash_backtraces();
+    let env = nested_env();
+    let faults = env.platform().faults();
+    faults.plan("o1", CrashPlan::AtLabel(Label::TxnPreFinalize));
+    env.invoke_attempts("owner", "o1", Value::Null, 1)
+        .unwrap_err();
+    let txn = lock_holder(&env, "leaf", "x").expect("x locked");
+    assert_eq!(lock_holder(&env, "leaf", "y").as_deref(), Some(&*txn));
+    for _ in 0..3 {
+        wait_t(&env);
+        env.run_gc_once("mid").unwrap();
+        env.run_gc_once("leaf").unwrap();
+    }
+    for ssf in ["mid", "leaf"] {
+        let (intents, log) = (format!("{ssf}.intent"), format!("{ssf}.log"));
+        assert_eq!(table_len(&env, &intents), 0, "{ssf} was recycled");
+        assert_eq!(table_len(&env, &log), 0, "{ssf}'s log was recycled");
+    }
+    assert_eq!(
+        table_len(&env, "leaf.data.t.shadow"),
+        2,
+        "x's and y's chains"
+    );
+
+    env.invoke_attempts("owner", "o1", Value::Null, 1).unwrap();
+    assert_eq!(env.read_current("leaf", "t", "x").unwrap(), Value::Int(2));
+    for key in ["x", "y"] {
+        assert_eq!(lock_holder(&env, "leaf", key), None, "{key} still locked");
+    }
+    wait_t(&env);
+    env.run_gc_once("leaf").unwrap();
+    assert_eq!(table_len(&env, "leaf.data.t.shadow"), 0, "both chains");
 }
 
 /// A chain whose finalize marker is absent stays while its item's lock is
@@ -1013,6 +1090,6 @@ fn a_chain_a_late_relaunched_leg_makes_goes_by_its_lock() {
     assert_eq!(table_len(&env, "leg.data.t.shadow"), 0);
     assert_eq!(env.read_current("leg", "t", "x").unwrap(), Value::Int(2));
     for key in ["x", "y"] {
-        assert_eq!(lock_holder(&env, key), None, "{key} locked again");
+        assert_eq!(lock_holder(&env, "leg", key), None, "{key} locked again");
     }
 }

@@ -463,52 +463,67 @@ fn commit_protocol_survives_crashes() {
     // Crash the root at each commit-protocol point; the retried instance
     // must finish the commit exactly once. `k` is written (its commit is
     // one flush-and-release write) and `r` only read (its commit is a
-    // release), so every label below is on the commit path.
-    for label in [
-        Label::TxnPreFinalize,
-        Label::TxnPreFlushItem,
-        Label::TxnPreReleaseItem,
-        Label::TxnPostFinalize,
-    ] {
-        let env = BeldiEnv::for_tests();
-        env.register_ssf(
-            "txnroot",
-            &["t"],
-            Arc::new(|ctx, _| {
-                ctx.begin_tx()?;
-                let r = ctx.read("t", "r")?.as_int().unwrap_or(0);
-                let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
-                ctx.write("t", "k", Value::Int(v + r))?;
-                ctx.end_tx()?;
-                Ok(Value::Null)
-            }),
-        );
-        env.seed("txnroot", "t", "k", Value::Int(0)).unwrap();
-        env.seed("txnroot", "t", "r", Value::Int(1)).unwrap();
-        let id = format!("txn-crash-{label}");
-        env.platform()
-            .faults()
-            .plan(id.clone(), CrashPlan::AtLabel(label));
-        env.invoke_as("txnroot", &id, Value::Null).unwrap();
-        assert_eq!(
-            env.platform().faults().crash_sites().get(label.as_str()),
-            Some(&1),
-            "label {label} never crashed"
-        );
-        for (key, want) in [("k", 1), ("r", 1)] {
-            assert_eq!(
-                env.read_current("txnroot", "t", key).unwrap(),
-                Value::Int(want),
-                "label {label}, key {key}"
-            );
+    // release), so every label below is on the commit path. In the hops
+    // shape the root also calls B, which calls C, inside the transaction:
+    // its commit signals B, and B's signals C.
+    for hops in [false, true] {
+        let mut labels = vec![
+            Label::TxnPreFinalize,
+            Label::TxnPreFlushItem,
+            Label::TxnPreReleaseItem,
+            Label::TxnPostFinalize,
+        ];
+        if hops {
+            labels.push(Label::TxnPreSignal);
         }
-        // Both locks were released: a second transaction takes them.
-        env.invoke("txnroot", Value::Null).unwrap();
-        assert_eq!(
-            env.read_current("txnroot", "t", "k").unwrap(),
-            Value::Int(2),
-            "label {label}"
-        );
+        for label in labels {
+            let env = BeldiEnv::for_tests();
+            register_hops(&env, &["b", "c"]);
+            env.register_ssf(
+                "txnroot",
+                &["t"],
+                Arc::new(move |ctx, _| {
+                    ctx.begin_tx()?;
+                    let r = ctx.read("t", "r")?.as_int().unwrap_or(0);
+                    let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                    ctx.write("t", "k", Value::Int(v + r))?;
+                    if hops {
+                        ctx.sync_invoke("b", Value::List(vec!["c".into()]))?;
+                    }
+                    ctx.end_tx()?;
+                    Ok(Value::Null)
+                }),
+            );
+            env.seed("txnroot", "t", "k", Value::Int(0)).unwrap();
+            env.seed("txnroot", "t", "r", Value::Int(1)).unwrap();
+            let id = format!("txn-crash-{label}-{hops}");
+            env.platform()
+                .faults()
+                .plan(id.clone(), CrashPlan::AtLabel(label));
+            env.invoke_as("txnroot", &id, Value::Null).unwrap();
+            assert_eq!(
+                env.platform().faults().crash_sites().get(label.as_str()),
+                Some(&1),
+                "label {label} never crashed"
+            );
+            let legs: &[&str] = if hops { &["b", "c"] } else { &[] };
+            for (key, want) in [("k", 1), ("r", 1)] {
+                assert_eq!(
+                    env.read_current("txnroot", "t", key).unwrap(),
+                    Value::Int(want),
+                    "label {label}, key {key}"
+                );
+            }
+            assert_eq!(values(&env, legs), vec![1; legs.len()], "label {label}");
+            // Every lock was released: a second transaction takes them.
+            env.invoke("txnroot", Value::Null).unwrap();
+            assert_eq!(
+                env.read_current("txnroot", "t", "k").unwrap(),
+                Value::Int(2),
+                "label {label}"
+            );
+            assert_eq!(values(&env, legs), vec![2; legs.len()], "label {label}");
+        }
     }
 }
 
@@ -1051,8 +1066,8 @@ fn a_diamond_finalizes_its_shared_callee_once() {
 
 /// A→B→A′: B signals A's SSF, whose finalize the owner already claimed.
 /// That signal replays the owner's claim instead of finalizing A's items
-/// a second time, and registers no intent of its own. B is no leaf, so
-/// both finalizes query their log: the owner's answer holds A′'s call.
+/// a second time, and registers no intent of its own. B's reply carried
+/// A′'s call, so no finalize queries a log.
 #[test]
 fn a_cycle_back_to_the_owner_replays_its_claim() {
     let env = BeldiEnv::for_tests();
@@ -1066,11 +1081,43 @@ fn a_cycle_back_to_the_owner_replays_its_claim() {
         assert_eq!(visits(&trace, Label::TxnPreFinalize), 2, "the owner and b");
         assert_eq!(invocations, 2, "a→b and b→a");
         assert_eq!(signal_intents(&env, "a"), 0);
-        assert_eq!(log_queries(&record), [("a.log", 1), ("b.log", 1)].into());
+        assert_eq!(log_queries(&record), BTreeMap::new());
     }
 }
 
-/// The callee-index queries in `record`: per SSF log table, how many.
+/// A→B→C→B′: C calls back into B's SSF, not the owner's. B's finalize
+/// signals C, and C's signal to B, whose finalize is under way, carries
+/// no callees: it re-runs B's logged steps and signals no one, so the
+/// wave ends, one signal per edge and no crash, and every item commits.
+#[test]
+fn a_cycle_back_to_a_callee_ends_its_wave() {
+    let env = BeldiEnv::for_tests();
+    // B calls C; C calls B′, who calls no one.
+    for (ssf, next) in [("b", "c"), ("c", "b")] {
+        env.register_ssf(
+            ssf,
+            &["t"],
+            Arc::new(move |ctx, input| {
+                let v = ctx.read("t", "k")?.as_int().unwrap_or(0);
+                ctx.write("t", "k", Value::Int(v + 1))?;
+                if input != Value::Bool(false) {
+                    ctx.sync_invoke(next, Value::Bool(ssf == "b"))?;
+                }
+                Ok(Value::Null)
+            }),
+        );
+    }
+    register_hops(&env, &["a"]);
+    let (_, invocations) = commit_hops(&env, "owner", &[("b", &[])]);
+    assert_eq!(invocations, 3, "a→b, b→c and c→b");
+    assert_eq!(env.platform_metrics().crashes, 0);
+    assert_eq!(values(&env, &["a", "b", "c"]), [1, 2, 1]);
+    for ssf in ["b", "c"] {
+        assert_eq!(lock_of(&env, ssf), Some(Value::Null), "{ssf} locked");
+    }
+}
+
+/// The queries of log tables in `record`: per SSF log table, how many.
 fn log_queries(record: &[Event]) -> BTreeMap<&str, usize> {
     let mut out = BTreeMap::new();
     for event in record {
@@ -1092,10 +1139,10 @@ fn data_gets(record: &[Event]) -> usize {
         .count()
 }
 
-/// A depth-one transaction, the travel app's shape: every callee answered
-/// as a leaf, so the owner takes its callees from its own execution and
-/// tells each it has none. No finalize queries a log, and no leg gets the
-/// item its lock just wrote: the lock's write returned its value.
+/// A depth-one transaction, the travel app's shape: the owner takes its
+/// callees from its own execution, and each leg's reply and signal carry
+/// no call tree. No finalize queries a log, and no leg gets the item its
+/// lock just wrote: the lock's write returned its value.
 #[test]
 fn a_depth_one_commit_reads_no_log_and_no_item_it_locked() {
     let env = reservation_env();
@@ -1114,18 +1161,77 @@ fn a_depth_one_commit_reads_no_log_and_no_item_it_locked() {
     }
 }
 
-/// A→B→C: B invoked C inside the transaction, so B is no leaf. The owner
-/// and B query their logs, C's signal does not say it has no callees, and
-/// every item commits.
+/// A→B→C: B invoked C inside the transaction, and its reply said so. The
+/// owner signals B with C in its signal, B signals C, every item commits,
+/// and no finalize queries a log.
 #[test]
-fn a_callee_that_is_no_leaf_keeps_the_log_queries() {
+fn a_nested_callee_is_signalled_along_the_tree_its_caller_returned() {
     let env = BeldiEnv::for_tests();
     register_hops(&env, &["a", "b", "c"]);
     let (record, invocations) = commit_hops(&env, "owner", &[("b", &["c"])]);
     assert_eq!(values(&env, &["a", "b", "c"]), [1, 1, 1]);
     assert_eq!(invocations, 2, "a→b and b→c");
-    let queried = [("a.log", 1), ("b.log", 1), ("c.log", 1)].into();
-    assert_eq!(log_queries(&record), queried);
+    assert_eq!(log_queries(&record), BTreeMap::new());
+}
+
+/// The `LockOwner` of `ssf`'s item `t/k`, on its `HEAD` (no chain here
+/// outgrows it).
+fn lock_of(env: &BeldiEnv, ssf: &str) -> Option<Value> {
+    let pk = PrimaryKey::hash_sort("k", beldi::schema::ROW_HEAD);
+    let row = env.db().get(&format!("{ssf}.data.t"), &pk, None).unwrap();
+    row.unwrap().get_attr(beldi::A_LOCK).cloned()
+}
+
+/// A→B→C, aborted by its owner after C wrote: the abort reaches C along
+/// the tree B's reply carried, with no log query, so C's write is
+/// discarded and its lock freed, and the next transaction of the shape
+/// commits.
+#[test]
+fn an_abort_of_a_nested_shape_frees_the_innermost_lock() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "b", "c"]);
+    let mut ctx = env.test_context("a", "aborted");
+    ctx.begin_tx().unwrap();
+    ctx.sync_invoke("b", Value::List(vec!["c".into()])).unwrap();
+    assert!(
+        matches!(lock_of(&env, "c"), Some(Value::Map(_))),
+        "c locked"
+    );
+    let (outcome, record) = recorded(&env, || ctx.abort_tx().unwrap());
+    assert_eq!(outcome, TxnOutcome::Aborted);
+    assert_eq!(log_queries(&record), BTreeMap::new());
+    assert_eq!(lock_of(&env, "c"), Some(Value::Null), "c's lock freed");
+    let (_, invocations) = commit_hops(&env, "next", &[("b", &["c"])]);
+    assert_eq!(invocations, 2, "a→b and b→c");
+    assert_eq!(values(&env, &["a", "b", "c"]), [1, 1, 1]);
+}
+
+/// A→B→D→E and A→C→D→F: D's two instances called on to different SSFs.
+/// D finalizes once, at B's signal, which carries both E and F, so every
+/// lock is released; C's signal to D replays that finalize.
+#[test]
+fn a_shared_callee_signals_what_each_of_its_instances_called() {
+    let env = BeldiEnv::for_tests();
+    register_hops(&env, &["a", "d", "e", "f"]);
+    env.register_ssf(
+        "b",
+        &["t"],
+        Arc::new(|ctx, _| ctx.sync_invoke("d", Value::List(vec!["e".into()]))),
+    );
+    env.register_ssf(
+        "c",
+        &["t"],
+        Arc::new(|ctx, _| ctx.sync_invoke("d", Value::List(vec!["f".into()]))),
+    );
+    let (record, invocations) = commit_hops(&env, "owner", &[("b", &[]), ("c", &[])]);
+    let trace: Vec<Visit> = crash_stream(&record).collect();
+    assert_eq!(values(&env, &["a", "d", "e", "f"]), [1, 2, 1, 1]);
+    assert_eq!(invocations, 6, "one per edge: c→d replays b→d's finalize");
+    assert_eq!(visits(&trace, Label::TxnPreFlushItem), 4, "a, d, e, f");
+    assert_eq!(log_queries(&record), BTreeMap::new());
+    for ssf in ["d", "e", "f"] {
+        assert_eq!(lock_of(&env, ssf), Some(Value::Null), "{ssf} locked");
+    }
 }
 
 /// A→B, A→B′: two instances of one leaf SSF. The owner signals B's SSF
@@ -1143,11 +1249,11 @@ fn a_leaf_called_twice_gets_one_signal_and_commits_both_instances() {
     assert_eq!(log_queries(&record), BTreeMap::new());
 }
 
-/// A leg whose outcome carries no leaf flag: an application error the
-/// owner lets pass. The owner cannot vouch for that leg's callees, so
-/// both finalizes query their logs, and the leg's write still commits.
+/// A leg that answered an application error the owner lets pass: its
+/// error reply carries its call tree as an `ok` would, so no finalize
+/// queries a log, and the leg's write still commits.
 #[test]
-fn a_leg_whose_outcome_carries_no_flag_queries_its_log() {
+fn a_leg_that_answered_an_error_commits_with_no_log_query() {
     let env = BeldiEnv::for_tests();
     register_hops(&env, &["a"]);
     env.register_ssf(
@@ -1163,7 +1269,7 @@ fn a_leg_whose_outcome_carries_no_flag_queries_its_log() {
     assert!(ctx.sync_invoke("oops", Value::Null).is_err());
     let (outcome, record) = recorded(&env, || ctx.end_tx().unwrap());
     assert_eq!(outcome, TxnOutcome::Committed);
-    assert_eq!(log_queries(&record), [("a.log", 1), ("oops.log", 1)].into());
+    assert_eq!(log_queries(&record), BTreeMap::new());
     assert_eq!(env.read_current("oops", "t", "k").unwrap(), Value::Int(7));
 }
 

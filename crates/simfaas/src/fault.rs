@@ -30,19 +30,21 @@ use parking_lot::Mutex;
 
 use crate::Label;
 
-/// Panic payload distinguishing an injected crash from a genuine bug.
+/// Panic payload distinguishing a modelled crash from a genuine bug: an
+/// injected one, or an instance that gives itself up once a message's
+/// retries ran out.
 #[derive(Debug, Clone)]
 pub struct CrashSignal {
-    /// The crash-point label where the instance died.
+    /// The crash-point label where the instance died, or why it gave up.
     pub point: String,
 }
 
 /// Guards [`silence_crash_backtraces`] against double installation.
 static BACKTRACES_SILENCED: AtomicBool = AtomicBool::new(false);
 
-/// Installs a panic hook that silences injected [`CrashSignal`] panics
-/// (they are simulated crashes, not bugs) while delegating everything
-/// else to the previous hook.
+/// Installs a panic hook that silences [`CrashSignal`] panics (they are
+/// modelled crashes, not bugs) while delegating everything else to the
+/// previous hook.
 ///
 /// Idempotent: only the first call installs the hook; repeated calls are
 /// no-ops instead of chaining ever-deeper hook wrappers.
