@@ -45,11 +45,11 @@ use rand::rngs::SmallRng;
 /// [`WorkflowApp::canonical_state`] is the contract that makes the
 /// explorer's oracle comparison sound: it projects the application's final
 /// state into a [`Value`] that is *identical* between a crash-free run and
-/// any crashed-and-recovered run of the same request sequence. Identifiers
-/// minted via `logged_uuid` can legitimately differ when a crash lands
-/// before the id was logged (the re-execution draws a fresh one), so the
-/// projection replaces uuid-valued ids with the content they point to and
-/// keeps only deterministic fields. A step applied twice is judged from
+/// any crashed-and-recovered run of the same request sequence. A
+/// re-execution mints the `logged_uuid` its step minted, but a run whose
+/// roots are named otherwise mints others, so the projection replaces
+/// uuid-valued ids with the content they point to and keeps only
+/// deterministic fields. A step applied twice is judged from
 /// the run record, app-independently (`beldi_workload::history`).
 pub trait WorkflowApp: Send + Sync {
     /// Short app name ("media", "social", "travel").

@@ -231,11 +231,13 @@ impl crate::WorkflowApp for SocialApp {
         }
     }
 
-    /// Post ids and shortened links are `logged_uuid`s, so timelines are
-    /// projected id → post content, with `s.ly/<uuid8>` tokens normalized
-    /// to `s.ly/~`; the url table contributes its (deterministic) original
-    /// URLs sorted, plus row counts for posts and urls so a duplicated
-    /// store is visible even when unreferenced.
+    /// Post ids and shortened links are `logged_uuid`s, named after the
+    /// roots, so timelines are projected id → post content, with
+    /// `s.ly/<uuid8>` tokens normalized to `s.ly/~`; the url table
+    /// contributes its (deterministic) original URLs sorted, plus row
+    /// counts for posts and urls. A re-executed store of a post or a link
+    /// lands on the row its id names, so those counts do not show it; a
+    /// step applied twice is judged by `beldi_workload::history`.
     fn canonical_state(&self, env: &BeldiEnv) -> Value {
         let project_post = |id: &Value| -> Value {
             let Some(id) = id.as_str() else {
@@ -313,7 +315,7 @@ fn install_unique_id(env: &BeldiEnv) {
     env.register_ssf(
         "social-unique-id",
         &[],
-        Arc::new(|ctx, _| Ok(Value::from(ctx.logged_uuid()?))),
+        Arc::new(|ctx, _| Ok(Value::from(ctx.logged_uuid()))),
     );
 }
 
@@ -323,7 +325,7 @@ fn install_url_shorten(env: &BeldiEnv) {
         &["urls"],
         Arc::new(|ctx, input| {
             let url = input.get_str("url").unwrap_or_default().to_owned();
-            let short = format!("s.ly/{}", &ctx.logged_uuid()?[..8]);
+            let short = format!("s.ly/{}", &ctx.logged_uuid()[..8]);
             // Persist the mapping so the short link resolves later.
             ctx.write("urls", &short, Value::from(url))?;
             Ok(Value::from(short))
@@ -681,6 +683,38 @@ mod tests {
             .read_current("social-url-shorten", "urls", short)
             .unwrap();
         assert_eq!(resolved.as_str(), Some("http://example.com/very/long/path"));
+    }
+
+    /// Every link of a post gets its own short link, and so its own
+    /// `urls` row: the links are minted by sibling calls of one root, so
+    /// an id whose first digits came from the caller's log key would give
+    /// them all one.
+    #[test]
+    fn each_link_of_a_post_stores_its_own_url_row() {
+        let (env, app) = installed_env();
+        let links = [
+            "http://a.example/1",
+            "http://b.example/2",
+            "https://c.example/3",
+        ];
+        compose(
+            &env,
+            &app,
+            "user-3",
+            &format!("see {}", links.join(" and ")),
+        );
+        let table = beldi::schema::data_table("social-url-shorten", "urls");
+        let shorts = env.db().distinct_hash_keys(&table).unwrap();
+        assert_eq!(shorts.len(), links.len(), "{shorts:?}");
+        let mut targets: Vec<Value> = shorts
+            .iter()
+            .map(|short| {
+                env.read_current("social-url-shorten", "urls", short.as_str().unwrap())
+                    .unwrap()
+            })
+            .collect();
+        targets.sort_by_key(Value::to_string);
+        assert_eq!(targets, links.map(Value::from));
     }
 
     #[test]

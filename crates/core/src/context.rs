@@ -150,12 +150,6 @@ impl SsfContext {
         self.clock().now().as_millis()
     }
 
-    /// A fresh UUID. **Not** logged; callers must log it themselves (as
-    /// `sync_invoke` does with callee ids).
-    pub(crate) fn fresh_uuid(&self) -> String {
-        self.core.platform.new_uuid()
-    }
-
     /// Consumes and returns the next log key (`instance#step`).
     pub(crate) fn next_log_key(&mut self) -> Arc<str> {
         let k = log_key(self.instance(), self.step);
@@ -219,7 +213,6 @@ impl SsfContext {
     ) -> BeldiResult<R> {
         let now_ms = || self.raw_now_ms();
         let crash = |label: Label| self.crash(label);
-        let new_row_id = || crate::ids::shared(format_args!("R-{}", self.fresh_uuid()));
         let data = self
             .ssf
             .tables
@@ -234,7 +227,7 @@ impl SsfContext {
             head_first: cache.is_some(),
             intent_created_ms: self.created_ms,
             crash: &crash,
-            new_row_id: &new_row_id,
+            new_row_id: &|| self.core.next_row_id(),
         })
     }
 }

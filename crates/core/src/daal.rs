@@ -323,7 +323,7 @@ impl TailCache {
     /// FNV-1a shard routing over table and key.
     fn shard(&self, table: &str, key: &str) -> &Mutex<TailShard> {
         use std::hash::Hasher;
-        let mut h = beldi_value::Fnv1a::new();
+        let mut h = beldi_value::Fnv1a::default();
         h.write(table.as_bytes());
         h.write(key.as_bytes());
         &self.shards[(h.finish() as usize) % TAIL_CACHE_SHARDS]

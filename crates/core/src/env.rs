@@ -124,6 +124,9 @@ pub(crate) struct EnvCore {
     /// [`BeldiConfig::daal_tail_cache`] on).
     pub tail_cache: Option<daal::TailCache>,
     timers: Mutex<Vec<beldi_simfaas::TimerHandle>>,
+    /// Roots named and DAAL rows appended: the next ones' id numbers.
+    roots: AtomicU64,
+    rows: AtomicU64,
 }
 
 impl EnvCore {
@@ -131,6 +134,20 @@ impl EnvCore {
     /// shares).
     pub(crate) fn telemetry(&self) -> &Telemetry {
         self.platform.telemetry()
+    }
+
+    /// The id of the next root the environment names: counted, so it
+    /// depends on no store call or invocation made before it.
+    fn next_root_id(&self) -> String {
+        self.platform
+            .issue_id("root", self.roots.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The id of the next DAAL row appended, `R-{id}`: counted, so every
+    /// try — a live duplicate's at the same step too — gets its own.
+    pub(crate) fn next_row_id(&self) -> Arc<str> {
+        let n = self.rows.fetch_add(1, Ordering::Relaxed);
+        crate::ids::shared(format_args!("R-{}", self.platform.issue_id("row", n)))
     }
 
     /// The registered SSF `name`.
@@ -238,6 +255,8 @@ impl EnvBuilder {
                 registry: RwLock::new(HashMap::new()),
                 tail_cache,
                 timers: Mutex::new(Vec::new()),
+                roots: AtomicU64::new(0),
+                rows: AtomicU64::new(0),
             }),
         }
     }
@@ -459,12 +478,13 @@ impl BeldiEnv {
 
     /// Invokes SSF `name` as a workflow root and waits for the result.
     ///
-    /// The driver side of exactly-once: a fresh instance id is chosen
-    /// once, and platform-level failures (crashes, timeouts) are retried
-    /// with the *same* id until the intent completes — so the workflow
-    /// executes exactly once no matter how many times its instances crash
-    /// mid-flight. Baseline retries the same way but logs nothing, so a
-    /// retry re-applies its killed attempt's effects (§2.1).
+    /// The driver side of exactly-once: the instance id is named once,
+    /// from the environment's count of roots, and platform-level failures
+    /// (crashes, timeouts) are retried with the *same* id until the
+    /// intent completes — so the workflow executes exactly once no matter
+    /// how many times its instances crash mid-flight. Baseline retries the
+    /// same way but logs nothing, so a retry re-applies its killed
+    /// attempt's effects (§2.1).
     ///
     /// # Errors
     ///
@@ -473,7 +493,7 @@ impl BeldiEnv {
     /// - [`BeldiError::Protocol`] for application errors;
     /// - [`BeldiError::Invoke`] when the platform failed beyond recovery.
     pub fn invoke(&self, name: &str, input: Value) -> BeldiResult<Value> {
-        let instance = self.core.platform.new_uuid();
+        let instance = self.core.next_root_id();
         self.invoke_as(name, &instance, input)
     }
 
@@ -511,7 +531,7 @@ impl BeldiEnv {
     /// plays the caller's role in Fig. 20), so the intent collector can
     /// finish the execution even if this initial dispatch is lost.
     pub fn invoke_async(&self, name: &str, input: Value) -> BeldiResult<String> {
-        let instance: Arc<str> = self.core.platform.new_uuid().into();
+        let instance: Arc<str> = self.core.next_root_id().into();
         if self.core.config.mode != Mode::Baseline {
             let now_ms = self.clock().now().as_millis();
             intent::register(
@@ -1010,6 +1030,28 @@ mod tests {
             env.clock().sleep(Duration::from_millis(1));
         }
         assert_eq!(env.read_current("writer", "t", "k").unwrap(), Value::Int(5));
+    }
+
+    /// A root's id comes from the environment's count of roots: the
+    /// store calls and the invocations made before it — a pinned root's,
+    /// a collector pass's — do not move it, and each root gets its own.
+    #[test]
+    fn a_roots_id_depends_on_nothing_that_ran_before_it() {
+        let named = |busy: bool| {
+            let env = BeldiEnv::for_tests();
+            let who = Arc::new(|ctx: &mut SsfContext, _| Ok(Value::from(ctx.instance_id())));
+            env.register_ssf("who", &["t"], who);
+            if busy {
+                env.seed("who", "t", "k", Value::Int(1)).unwrap();
+                env.invoke_as("who", "pinned", Value::Null).unwrap();
+                env.run_gc_once("who").unwrap();
+            }
+            let first = env.invoke("who", Value::Null).unwrap();
+            (first, env.invoke_async("who", Value::Null).unwrap())
+        };
+        let (first, second) = named(false);
+        assert_eq!(named(true), (first.clone(), second.clone()));
+        assert_ne!(first.as_str(), Some(second.as_str()));
     }
 
     #[test]

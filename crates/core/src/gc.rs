@@ -773,14 +773,15 @@ mod tests {
         });
         let transaction: SsfBody = Arc::new(|ctx, input| {
             ctx.begin_tx()?;
+            ctx.read("t", "k")?;
             ctx.write("t", "k", input)?;
             ctx.end_tx()?;
             Ok(Value::Null)
         });
         // (config, body, intents recycled: four instances, plus a
         // finalize marker each in the transaction case; entries each
-        // instance logs at least: a read and an invoke, or a transaction's
-        // id)
+        // instance logs at least: a read and an invoke, or a read in a
+        // transaction)
         for (cfg, body, intents, per_instance) in [
             (BeldiConfig::beldi(), read_write_invoke.clone(), 4, 2),
             (BeldiConfig::cross_table(), read_write_invoke, 4, 2),

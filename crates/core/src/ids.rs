@@ -1,12 +1,13 @@
 //! Instance ids, step numbers, and log keys.
 //!
-//! Every SSF execution is identified by an *instance id* (§3.3): the
-//! platform request id for workflow roots, and for a callee the id
-//! [`callee_id`] derives from its caller's invoke-log key, which a callback
-//! inverts to write that entry by key. Every external operation inside an
-//! instance gets a monotonically increasing *step number*; the pair keys
-//! all of Beldi's logs (Fig. 3). Each id and log key is built once, as one
-//! shared string that every row key, attribute and path naming it holds.
+//! Every SSF execution is identified by an *instance id* (§3.3): a root's
+//! is issued, not drawn ([`beldi_simfaas::Platform::issue_id`]), and a
+//! callee's is the id [`callee_id`] derives from its caller's invoke-log
+//! key, which a callback inverts to write that entry by key. Every
+//! external operation inside an instance gets a monotonically increasing
+//! *step number*; the pair keys all of Beldi's logs (Fig. 3). Each id and
+//! log key is built once, as one shared string that every row key,
+//! attribute and path naming it holds.
 
 use std::cell::RefCell;
 use std::fmt::{self, Write as _};

@@ -16,8 +16,9 @@
 //!   lock wait is one step: a refused try logs nothing and backs off (1
 //!   ms, doubling to 64 ms); the acquiring try logs `true`, and a wait-die
 //!   death `false`;
-//! - [`SsfContext::logged_now_ms`] and [`SsfContext::logged_uuid`] make
-//!   the two common sources of nondeterminism replayable.
+//! - [`SsfContext::logged_now_ms`] logs the clock, so a re-execution
+//!   reads the same time; [`SsfContext::logged_uuid`] needs no entry: its
+//!   id is derived from its step.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -335,29 +336,17 @@ impl SsfContext {
         let _op = self.op(Op::Read);
         let (step, now) = (self.step, Value::Int(self.raw_now_ms() as i64));
         let v = self.log_value(now)?;
-        schema::time(&v).ok_or_else(|| self.corrupt_entry(step))
+        let key = || crate::ids::log_key(self.instance(), step);
+        schema::time(&v).ok_or_else(|| schema::corrupt(self.ssf.log_table.name(), &key(), A_VALUE))
     }
 
-    /// A fresh UUID, logged so re-executions see the same id.
-    pub fn logged_uuid(&mut self) -> BeldiResult<String> {
-        let _op = self.op(Op::Read);
-        self.log_uuid()
-    }
-
-    /// [`SsfContext::logged_uuid`] under its caller's scope.
-    pub(crate) fn log_uuid(&mut self) -> BeldiResult<String> {
-        let (step, fresh) = (self.step, Value::from(self.fresh_uuid()));
-        let v = self.log_value(fresh)?;
-        v.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| self.corrupt_entry(step))
-    }
-
-    /// The error naming the logged value of this instance's entry at
-    /// `step` as not of the kind its reader logged.
-    fn corrupt_entry(&self, step: crate::ids::StepNumber) -> BeldiError {
-        let log_key = crate::ids::log_key(self.instance(), step);
-        schema::corrupt(self.ssf.log_table.name(), &log_key, A_VALUE)
+    /// A unique id, the same on every execution of this step: derived
+    /// from `(instance, step)` ([`beldi_simfaas::Platform::issue_id`]), it
+    /// needs no log entry. It consumes its step in every mode.
+    pub fn logged_uuid(&mut self) -> String {
+        let id = self.platform().issue_id(self.instance(), self.step);
+        self.step += 1;
+        id
     }
 }
 
@@ -393,8 +382,7 @@ mod tests {
 
     /// A read entry a replay finds damaged is `Corrupt`, never a default:
     /// one without a `Value` is not a logged `Null`, a clock read that is
-    /// not a non-negative int is not 0, a uuid that is not a string is
-    /// not `""`.
+    /// not a non-negative int is not 0.
     #[test]
     fn a_replayed_read_entry_breaking_its_rule_is_corrupt() {
         use crate::schema::corrupt;
@@ -412,9 +400,6 @@ mod tests {
             let mut replay = env.test_context("f", "inst-1");
             assert_eq!(replay.logged_now_ms(), Err(damaged()));
         }
-        plant(beldi_value::vmap! { A_LOG_KEY => "inst-1#0", A_VALUE => 7i64 });
-        let mut replay = env.test_context("f", "inst-1");
-        assert_eq!(replay.logged_uuid(), Err(damaged()));
     }
 
     #[test]
@@ -660,16 +645,37 @@ mod tests {
         assert!(ctx.unlock("state", "k").is_err());
     }
 
+    /// A re-execution of a step gets the step's id; another step or
+    /// another instance gets another, of the platform's shape.
     #[test]
     fn logged_uuid_is_stable_across_replay() {
         let (env, mut ctx) = test_ctx(crate::Mode::Beldi);
-        let a = ctx.logged_uuid().unwrap();
+        let a = [ctx.logged_uuid(), ctx.logged_uuid()];
         let mut replay = env.test_context("f", "inst-1");
-        let b = replay.logged_uuid().unwrap();
-        assert_eq!(a, b);
-        // A different instance gets a different id.
+        assert_eq!([replay.logged_uuid(), replay.logged_uuid()], a);
+        assert_ne!(a[0], a[1]);
         let mut other = env.test_context("f", "inst-2");
-        assert_ne!(other.logged_uuid().unwrap(), a);
+        assert!(!a.contains(&other.logged_uuid()));
+        assert!(a
+            .iter()
+            .all(|id| id.len() == 25 && id.as_bytes()[16] == b'-'));
+    }
+
+    /// A logged uuid needs no entry: in every mode it consumes its step
+    /// and moves no store counter.
+    #[test]
+    fn a_logged_uuid_moves_no_store_counter() {
+        for mode in [
+            crate::Mode::Beldi,
+            crate::Mode::CrossTable,
+            crate::Mode::Baseline,
+        ] {
+            let (env, mut ctx) = test_ctx(mode);
+            let before = env.db_metrics();
+            ctx.logged_uuid();
+            assert_eq!(ctx.step(), 1, "{mode:?}");
+            assert_eq!(env.db_metrics(), before, "{mode:?}");
+        }
     }
 
     #[test]

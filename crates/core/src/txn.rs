@@ -306,13 +306,12 @@ impl SsfContext {
                 return Ok(());
             }
         }
-        // The id is nondeterministic, so it is logged: a re-executed
-        // instance resumes the *same* transaction (and still owns its
-        // locks). The age is the intent's creation time, which its row
+        // The id is derived from this step: a re-executed instance
+        // resumes the *same* transaction (and still owns its locks). The age is the intent's creation time, which its row
         // stores, so a replay and a transaction begun again after a
         // wait-die kill both keep it.
         let ctx = TxnContext {
-            id: self.log_uuid()?.into(),
+            id: self.logged_uuid().into(),
             start_ms: self.created_ms,
             mode: TxnMode::Execute,
         };

@@ -216,6 +216,39 @@ fn baseline_mode_duplicates_effects_under_retry() {
     assert_eq!(env.telemetry().histogram(Hist::Recovery).len(), 1);
 }
 
+/// A logged uuid survives a kill: the relaunch mints the id the killed
+/// execution wrote, in every mode (baseline logs nothing, and needs no
+/// log for it).
+#[test]
+fn a_relaunch_mints_the_killed_executions_uuid() {
+    for cfg in [
+        BeldiConfig::beldi(),
+        BeldiConfig::cross_table(),
+        BeldiConfig::baseline(),
+    ] {
+        let mode = cfg.mode;
+        let env = BeldiEnv::for_tests_with(cfg);
+        env.register_ssf(
+            "minter",
+            &["t"],
+            Arc::new(|ctx, _| {
+                let id = ctx.logged_uuid();
+                ctx.write("t", "k", Value::from(id.as_str()))?;
+                Ok(Value::from(id))
+            }),
+        );
+        env.platform()
+            .faults()
+            .plan("m", CrashPlan::AtLabel(Label::WriteExit));
+        assert!(env.invoke_attempts("minter", "m", Value::Null, 1).is_err());
+        let written = env.read_current("minter", "t", "k").unwrap();
+        assert!(written.as_str().is_some(), "{mode:?}");
+        let relaunched = env.invoke_as("minter", "m", Value::Null).unwrap();
+        assert_eq!(relaunched, written, "{mode:?}");
+        assert_eq!(env.platform().faults().injected_count(), 1, "{mode:?}");
+    }
+}
+
 /// A crashed *asynchronous* instance is finished by the intent collector.
 #[test]
 fn intent_collector_completes_crashed_async_instance() {

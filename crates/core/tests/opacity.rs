@@ -180,10 +180,10 @@ fn unlocked_reads_demonstrate_why_locking_matters() {
         spawn(&env, "observer", move |env| {
             while !stop.load(Ordering::Relaxed) {
                 // Raw reads with no locks — the commit flush writes x and
-                // y in two separate row updates, so a torn observation is
-                // possible in between.
-                let x = env.read_current("pair", "t", "x").unwrap();
+                // y in two separate row updates, x first, so a read of y
+                // before y's flush and of x after x's sees them torn.
                 let y = env.read_current("pair", "t", "y").unwrap();
+                let x = env.read_current("pair", "t", "x").unwrap();
                 if x != y {
                     torn.fetch_add(1, Ordering::Relaxed);
                 }

@@ -718,7 +718,7 @@ fn crash_at_the_second_touch_of_a_key_replays_the_held_lock() {
 fn read_write_commit_of_one_key_has_a_pinned_cost() {
     // One SSF's transaction reads, writes and commits one key. Each stage
     // pays for the item once:
-    // - begin: 1 write (the logged id);
+    // - begin: nothing (the id is derived from its step);
     // - read: lock (write: the seeded key is not cached yet, so the lock
     //   tries `HEAD`, the whole chain, and leaves it cached; the write
     //   returns the committed value), shadow-entry create (write), read
@@ -747,7 +747,7 @@ fn read_write_commit_of_one_key_has_a_pinned_cost() {
             d.deletes,
             d.cond_failures
         ),
-        (0, 7, 1, 0, 0, 0)
+        (0, 6, 1, 0, 0, 0)
     );
     assert_eq!(env.read_current("incr", "t", "k").unwrap(), Value::Int(1));
 }
@@ -978,11 +978,8 @@ fn a_transaction_is_as_old_as_its_intent_even_when_begun_again() {
     killed_at("young", Label::TxnPreReleaseItem, &["held", "mine"]);
     let (young_txn, young_ts) = owner("mine");
     assert_eq!((young_ts, created("young")), (10, 10));
-    // The first transaction's id, logged at `young`'s step 0.
-    let log = env
-        .db()
-        .get("taker.log", &PrimaryKey::hash("young#0"), None);
-    let first_txn = log.unwrap().unwrap().get_str("Value").unwrap().to_owned();
+    // The first transaction's id, derived from `young`'s step 0.
+    let first_txn = env.platform().issue_id("young", 0);
     assert_ne!(young_txn, first_txn);
     assert_eq!(owner("held"), (old_txn, old_ts), "`old` still holds `held`");
 
@@ -1461,8 +1458,9 @@ fn a_younger_transaction_dies_once_and_its_replay_dies_again() {
     faults.plan("young", CrashPlan::AtLabel(Label::DaalWritePostLogFalse));
     let out = env.invoke_attempts("tx", "young", Value::Null, 1);
     assert!(out.is_err(), "killed after its death entry: {out:?}");
-    // Step 0 logs the transaction id; the lock is step 1.
-    let death = BTreeMap::from([("young#0".into(), None), ("young#1".into(), Some(false))]);
+    // Step 0 derives the transaction id and logs nothing; the lock is
+    // step 1.
+    let death = BTreeMap::from([("young#1".into(), Some(false))]);
     assert_eq!(entries_of(&env, "young"), death);
     holder.join().unwrap();
     let out = env.invoke_attempts("tx", "young", Value::Null, 1);

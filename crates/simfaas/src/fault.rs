@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 
 use beldi_simclock::{EventKind, Gauge, Metric, Telemetry};
+use beldi_value::Fnv1a;
 use parking_lot::Mutex;
 
 use crate::Label;
@@ -132,20 +133,17 @@ impl StormPolicy {
         }
         // FNV-1a over the decision key; the top 53 bits map uniformly
         // onto [0, 1).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ self.seed;
-        for chunk in [
-            instance.as_bytes(),
-            b"\x00",
-            &generation.to_le_bytes(),
-            label.as_str().as_bytes(),
-            b"\x00",
-            &u64::from(label_count).to_le_bytes(),
-        ] {
-            for &b in chunk {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+        let h = Fnv1a::seeded(
+            self.seed,
+            &[
+                instance.as_bytes(),
+                b"\x00",
+                &generation.to_le_bytes(),
+                label.as_str().as_bytes(),
+                b"\x00",
+                &u64::from(label_count).to_le_bytes(),
+            ],
+        );
         ((h >> 11) as f64 / (1u64 << 53) as f64) < prob
     }
 }

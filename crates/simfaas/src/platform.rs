@@ -14,10 +14,8 @@ use beldi_simclock::{
     park_on, EventKind, Gauge, JoinHandle, Metric, Permit, PlatformSnapshot, Semaphore,
     SharedClock, SimClock, Telemetry, Ticker, TickerHandle,
 };
-use beldi_value::Value;
+use beldi_value::{Fnv1a, Value};
 use parking_lot::{Mutex, RwLock};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::error::{InvokeError, InvokeResult};
 use crate::fault::{CrashSignal, FaultInjector, Probe};
@@ -26,10 +24,10 @@ use crate::Label;
 /// Context handed to a running function instance.
 #[derive(Clone)]
 pub struct InvocationCtx {
-    /// The crash-probe handle of the fresh id the platform assigned to
-    /// this execution (AWS "request id"). The id is this run's alone (a
-    /// re-execution is a new request), so the injector keeps no entry
-    /// for it.
+    /// The crash-probe handle of the id the platform assigned to this
+    /// execution (AWS "request id"), [`Platform::issue_id`]'s for the
+    /// invocation's number. The id is this run's alone (a re-execution is
+    /// a new request), so the injector keeps no entry for it.
     probe: Probe,
     /// Handle back to the platform (for nested invocations).
     pub platform: Arc<Platform>,
@@ -54,11 +52,9 @@ pub type FunctionHandler = Arc<dyn Fn(&InvocationCtx, Value) -> Value + Send + S
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SaturationPolicy {
     /// Queue the invocation until a worker slot frees (latency grows at
-    /// saturation — the shape in Figs. 14/15/26).
+    /// saturation — the shape in Figs. 14/15/26). A synchronous call
+    /// still queued at its timeout is [`InvokeError::Throttled`].
     Queue,
-    /// Reject immediately with [`InvokeError::Throttled`] (AWS gateway
-    /// behaviour beyond the account limit).
-    Reject,
 }
 
 /// Platform tuning knobs. Durations are in *virtual* time.
@@ -155,9 +151,9 @@ struct Job {
     permit: Permit,
 }
 
-/// Length of a [`Platform::new_uuid`] id: 16 hex digits, a dash, 8 hex
-/// digits (more once the counter passes `u32::MAX`).
-const UUID_LEN: usize = 25;
+/// Length of a [`Platform::issue_id`] id: 16 hex digits, a dash, 8 hex
+/// digits (more once the number passes `u32::MAX`).
+const ID_LEN: usize = 25;
 
 /// Where a worker delivers its one reply.
 type ReplySink = Box<dyn FnOnce(InvokeResult<Value>) + Send>;
@@ -332,12 +328,15 @@ pub struct Platform {
     /// The deployment's registry: the platform creates it, and the
     /// database and every layer above record into it.
     telemetry: Arc<Telemetry>,
-    uuid_rng: Mutex<SmallRng>,
-    uuid_ctr: AtomicU64,
+    /// The seed of every id the platform issues, and the number of the
+    /// next request id.
+    seed: u64,
+    requests: AtomicU64,
 }
 
 impl Platform {
-    /// Creates a platform on the given clock, with a fresh registry.
+    /// Creates a platform on the given clock, with a fresh registry,
+    /// whose ids ([`Platform::issue_id`]) are seeded with `seed`.
     pub fn new(clock: SharedClock, config: PlatformConfig, seed: u64) -> Arc<Self> {
         let permits = Semaphore::new(config.concurrency_limit);
         let telemetry = Arc::new(Telemetry::new());
@@ -348,8 +347,8 @@ impl Platform {
             permits,
             faults: FaultInjector::recording_into(telemetry.clone()),
             telemetry,
-            uuid_rng: Mutex::new(SmallRng::seed_from_u64(seed)),
-            uuid_ctr: AtomicU64::new(0),
+            seed,
+            requests: AtomicU64::new(0),
         })
     }
 
@@ -390,16 +389,17 @@ impl Platform {
         self.telemetry.move_gauge(Gauge::FaasActive, -1);
     }
 
-    /// Generates a fresh unique id (deterministic per platform seed).
-    ///
-    /// Serves as AWS's "request id" and as Beldi's caller-generated callee
-    /// ids (§3.3).
-    pub fn new_uuid(&self) -> String {
-        let n = self.uuid_ctr.fetch_add(1, Ordering::Relaxed);
-        let r: u64 = self.uuid_rng.lock().gen();
+    /// The `n`-th id of `issuer`, `{16 hex}-{8 hex}`: a seeded FNV-1a over
+    /// `issuer`'s bytes, `0xff` (no UTF-8 string holds it) and `n`'s
+    /// little-endian bytes, then `n`, so an id is the same on every host.
+    /// No id is drawn: issuing `(issuer, n)` again (a re-execution at the
+    /// same step) gives the same id. AWS's request ids (numbered
+    /// invocations) and Beldi's root, row and logged ids.
+    pub fn issue_id(&self, issuer: &str, n: u64) -> String {
+        let hash = Fnv1a::seeded(self.seed, &[issuer.as_bytes(), &[0xff], &n.to_le_bytes()]);
         // Sized up front: `format!` would grow the string twice.
-        let mut id = String::with_capacity(UUID_LEN);
-        write!(id, "{r:016x}-{n:08x}").ok(); // Writing to a `String` cannot fail.
+        let mut id = String::with_capacity(ID_LEN);
+        write!(id, "{hash:016x}-{n:08x}").ok(); // Writing to a `String` cannot fail.
         id
     }
 
@@ -450,18 +450,11 @@ impl Platform {
     }
 
     /// The one admission step behind every entry point: resolves `name`
-    /// and takes a concurrency permit under the saturation policy —
-    /// `Reject` throttles at once, `Queue` parks the caller's waker in
-    /// the semaphore until a permit frees.
+    /// and takes a concurrency permit, parking the caller's waker in the
+    /// semaphore until one frees.
     async fn admit(&self, name: &str) -> InvokeResult<(FunctionEntry, Permit)> {
         let entry = self.lookup(name)?;
-        let permit = match self.config.saturation {
-            SaturationPolicy::Queue => self.permits.acquire().await,
-            SaturationPolicy::Reject => {
-                self.permits.try_acquire().ok_or_else(|| self.throttled())?
-            }
-        };
-        Ok((entry, permit))
+        Ok((entry, self.permits.acquire().await))
     }
 
     /// Counts and names a refusal at the concurrency cap.
@@ -560,9 +553,7 @@ impl Platform {
     ///
     /// Unlike [`Platform::invoke_sync`] there is no caller-side timeout:
     /// queued invocations wait for a permit indefinitely (the platform
-    /// `T_max` execution lease bounds runaway workers instead). Under
-    /// [`SaturationPolicy::Reject`] the future resolves to
-    /// [`InvokeError::Throttled`] immediately when no permit is free.
+    /// `T_max` execution lease bounds runaway workers instead).
     pub fn invoke_pending(
         self: &Arc<Self>,
         name: &str,
@@ -589,8 +580,9 @@ impl Platform {
     ) -> (Container, Job) {
         let warm = pool.lock().idle.pop();
         let cold = warm.is_none();
+        let n = self.requests.fetch_add(1, Ordering::Relaxed);
         let ctx = InvocationCtx {
-            probe: Probe::untracked(self.new_uuid().into()),
+            probe: Probe::untracked(self.issue_id("request", n).into()),
             platform: self.clone(),
         };
         let startup = self.config.invoke_overhead
@@ -700,7 +692,7 @@ mod tests {
     use super::*;
     use beldi_simclock::{Clock, SimInstant};
     use beldi_value::vmap;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
     use std::thread::ThreadId;
@@ -807,8 +799,14 @@ mod tests {
     #[test]
     fn request_ids_are_unique() {
         let p = Platform::for_tests();
-        let ids: HashSet<String> = (0..1000).map(|_| p.new_uuid()).collect();
-        assert_eq!(ids.len(), 1000);
+        p.register(
+            "id",
+            Arc::new(|ctx: &InvocationCtx, _| Value::from(&**ctx.request_id())),
+        );
+        let id = || p.invoke_sync("id", Value::Null).unwrap();
+        let ids: BTreeSet<Value> = (0..200).map(|_| id()).collect();
+        assert_eq!(ids.len(), 200);
+        assert!(ids.iter().all(|id| id.as_str().unwrap().len() == ID_LEN));
     }
 
     #[test]
@@ -935,26 +933,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 0, "the caller did not wait");
         p.clock().sleep(Duration::from_millis(1));
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn concurrency_cap_rejects_when_policy_is_reject() {
-        let mut cfg = PlatformConfig::for_tests();
-        cfg.concurrency_limit = 1;
-        cfg.saturation = SaturationPolicy::Reject;
-        let p = Platform::new(SimClock::shared(0), cfg, 0);
-        p.register("slow", holding_handler(Duration::from_secs(10)));
-        let p2 = p.clone();
-        let first = on_clock(&p, move || p2.invoke_sync("slow", Value::Null));
-        // Let the first invocation take the only permit.
-        p.clock().sleep(Duration::from_secs(1));
-        assert_eq!(p.metrics().active, 1);
-        assert_eq!(
-            p.invoke_sync("slow", Value::Null),
-            Err(InvokeError::Throttled)
-        );
-        first().unwrap();
-        assert_eq!(p.metrics().throttles, 1);
     }
 
     #[test]
@@ -1533,21 +1511,6 @@ mod tests {
         for (i, h) in handles.into_iter().enumerate() {
             assert_eq!(h.take_result(), Some(Value::Int(i as i64)));
         }
-    }
-
-    #[test]
-    fn pending_invoke_reject_policy_throttles() {
-        let mut cfg = PlatformConfig::for_tests();
-        cfg.concurrency_limit = 0;
-        cfg.saturation = SaturationPolicy::Reject;
-        let p = Platform::new(SimClock::shared(0), cfg, 0);
-        p.register("echo", echo_handler());
-        let rt = beldi_runtime::Executor::new(p.clock().clone(), 2);
-        let err = rt
-            .block_on(p.invoke_pending("echo", Value::Null))
-            .unwrap_err();
-        assert!(matches!(err, InvokeError::Throttled));
-        assert_eq!(p.metrics().throttles, 1);
     }
 
     #[test]

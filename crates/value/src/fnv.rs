@@ -3,8 +3,8 @@
 //! `std::collections::hash_map::DefaultHasher` is randomly keyed per
 //! process, so anything that must hash identically across runs, threads,
 //! or machines — cache sharding, benchmark state digests — uses this
-//! fixed-basis hasher instead. One shared implementation keeps the magic
-//! constants in one place.
+//! fixed-basis hasher instead (seeded, for storm kills and platform ids).
+//! One shared implementation keeps the magic constants in one place.
 
 use std::hash::{Hash, Hasher};
 
@@ -24,15 +24,18 @@ impl Default for Fnv1a {
 }
 
 impl Fnv1a {
-    /// Starts a hasher at the offset basis.
-    pub fn new() -> Self {
-        Fnv1a::default()
+    /// Digest of `parts` in order, from the offset basis XOR `seed`: the
+    /// same on every host. A caller separates parts of variable length.
+    pub fn seeded(seed: u64, parts: &[&[u8]]) -> u64 {
+        let mut h = Fnv1a(OFFSET_BASIS ^ seed);
+        parts.iter().for_each(|part| h.write(part));
+        h.finish()
     }
 
     /// Digest of one hashable value (e.g. a [`crate::Value`], whose
     /// `Hash` impl is content-based and platform-independent).
     pub fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         value.hash(&mut h);
         h.finish()
     }
@@ -58,13 +61,13 @@ mod tests {
     #[test]
     fn matches_the_reference_vectors() {
         // Published FNV-1a 64-bit test vectors.
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write(b"");
         assert_eq!(h.finish(), 0xcbf2_9ce4_8422_2325);
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write(b"a");
         assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
     }

@@ -49,7 +49,7 @@ use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
 use beldi_simclock::{Hist, Metric, Telemetry};
 use beldi_simdb::LatencyModel;
-use beldi_simfaas::{PlatformConfig, SaturationPolicy, StormPolicy};
+use beldi_simfaas::{CrashPlan, Label, PlatformConfig, SaturationPolicy, StormPolicy};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -105,7 +105,9 @@ pub struct DriveOptions {
     /// end state against a crash-free oracle drive of the same request
     /// stream, judges the storm's run record with the [`crate::history`]
     /// checker and records a [`RecoverySection`]. Baseline, which retries
-    /// but logs nothing, is the recovery check's negative control.
+    /// but logs nothing, is the recovery check's negative control: besides
+    /// the storm's draws, the first instance past a write's exit dies
+    /// there, so every storm has a write for baseline to re-apply.
     pub chaos: Option<ChaosOptions>,
 }
 
@@ -148,8 +150,8 @@ pub(crate) const MAX_CRASHES: u64 = 10_000;
 const CHAOS_IC_RESTART_DELAY: Duration = Duration::from_millis(100);
 
 impl ChaosOptions {
-    /// The `drive --smoke` storm, 100x the default rate: the lowest tried
-    /// at which every app's one-worker baseline storm duplicates (seed 42).
+    /// The `drive --smoke` storm, 100x the default rate: enough kills in
+    /// a 120-request run to put recovery under load.
     pub fn smoke() -> Self {
         ChaosOptions {
             ssf_kill_prob: 5e-2,
@@ -637,9 +639,9 @@ struct RunShape<'a> {
     env: &'a Arc<BeldiEnv>,
     /// Whether garbage collectors run beside the load.
     gc: bool,
-    /// A chaos run: the IC runs beside the GC, and each root gets a fixed
-    /// id (`storm-w{w}-op{i}`), so with log-key-derived callee ids the
-    /// storm's kill schedule is a pure function of the seed.
+    /// A chaos run: the IC runs beside the GC. In every run a root's id is
+    /// the platform's id for its `(worker, request)`, so with log-key-derived
+    /// callee ids the storm's kill schedule is a pure function of the seed.
     chaos: bool,
 }
 
@@ -676,6 +678,11 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
             max_crashes: MAX_CRASHES,
             seed: opts.seed,
         }));
+        // One kill on purpose: the first instance past a write's exit dies
+        // there, so baseline's control bites whatever the storm drew
+        // (travel writes only in its few reservations).
+        faults.set_global_plan(Some(CrashPlan::AtLabel(Label::WriteExit)));
+        env.telemetry().start_record(env.clock().clone());
     }
     let shape = RunShape {
         app,
@@ -690,9 +697,6 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         reason = "wall-clock runtime is operator reporting only and never enters the simulated timeline or logged state"
     )]
     let wall_start = std::time::Instant::now();
-    if chaos.is_some() {
-        env.telemetry().start_record(env.clock().clone());
-    }
     let load = run_load(&shape);
 
     if chaos.is_some() {
@@ -700,6 +704,7 @@ pub fn drive(app: &dyn WorkflowApp, mode: Mode, opts: &DriveOptions) -> BenchRun
         // completion on virtual time so the end state is quiescent and
         // comparable to the oracle's.
         faults.set_storm_policy(None);
+        faults.set_global_plan(None);
         #[expect(
             clippy::expect_used,
             reason = "with the storm off no probe kills a drain pass, and the in-memory store fails no call the IC makes"
@@ -796,7 +801,6 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     let start = clock.now();
     let errors = Arc::new(AtomicU64::new(0));
     let entry = app.entry_point();
-    let chaos = shape.chaos;
     // Admission gate: roots must never saturate the platform's worker
     // pool, because every admitted root issues *nested* SSF calls that
     // need permits of their own — hand all the permits to parked roots
@@ -809,17 +813,14 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     ));
     let mut clients = Vec::with_capacity(opts.workers);
     for w in 0..opts.workers {
-        let requests = worker_requests(app, opts, w);
+        let (requests, issuer) = (worker_requests(app, opts, w), format!("worker-{w}"));
         let (env, clock) = (Arc::clone(env), clock.clone());
         let errors = Arc::clone(&errors);
         let admission = Arc::clone(&admission);
         clients.push(rt.spawn(async move {
             for (i, request) in requests.into_iter().enumerate() {
                 let t0 = clock.now();
-                let instance = match chaos {
-                    true => format!("storm-w{w}-op{i}"),
-                    false => env.platform().new_uuid(),
-                };
+                let instance = env.platform().issue_id(&issuer, i as u64);
                 let permit = admission.acquire().await;
                 let result = env
                     .invoke_task(entry, &instance, request, MAX_ROOT_ATTEMPTS)

@@ -375,6 +375,33 @@ fn recovery_gate_flags_a_baseline_storm() {
     }
 }
 
+/// A chaos drive kills the first instance past a write's exit on purpose,
+/// so baseline's control bites even where the storm draws no kill (and
+/// travel writes only in its few reservations); the logged modes recover
+/// from that kill to the oracle's state.
+#[test]
+fn a_drive_kills_a_write_on_purpose() {
+    let opts = DriveOptions {
+        chaos: Some(ChaosOptions {
+            ssf_kill_prob: 0.0,
+            ..ChaosOptions::smoke()
+        }),
+        ..test_opts(1, 120, 42)
+    };
+    for mode in [Mode::Baseline, Mode::Beldi] {
+        let run = drive_app("travel", mode, MixProfile::Default, &opts);
+        let rec = run.recovery.as_ref().expect("chaos runs record recovery");
+        // The collectors' storm still draws; no SSF probe does.
+        let ssf_sites: Vec<_> = (rec.crash_sites.iter())
+            .filter(|(label, _)| !label.starts_with("ic.") && !label.starts_with("gc."))
+            .collect();
+        assert_eq!(ssf_sites, [(&"write.exit".to_owned(), &1)], "{mode:?}");
+        let baseline = mode == Mode::Baseline;
+        assert_eq!(rec.history_findings > 0, baseline, "{mode:?}: {rec:?}");
+        assert!(baseline || rec.digest_match, "{rec:?}");
+    }
+}
+
 /// With `workers = total_ops` every request is in flight at once, parked
 /// behind the quarter-pool admission gate. The final state is a function
 /// of the request multiset, not of how many roots the gate lets run

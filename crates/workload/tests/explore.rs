@@ -76,7 +76,7 @@ fn baseline_sweep_counts_a_duplicated_effect() {
     assert_eq!(pinned.label, "write.exit");
     assert_eq!(
         pinned.detail,
-        "(a) step 0 of `2b05935e6f17747d-00000000#2.c` applied twice"
+        "(a) step 0 of `fb4a6672c1108d7f-00000000#2.c` applied twice"
     );
     assert!(
         history.iter().all(|v| v.detail.starts_with("(a) ")),
