@@ -16,9 +16,10 @@ use beldi::value::{vmap, Cond, Value};
 use beldi::{BeldiConfig, BeldiEnv, BeldiError, Mode, SsfBody};
 use beldi_apps::rng::request_rng;
 use beldi_apps::{MediaApp, SocialApp, TravelApp, WorkflowApp};
+use beldi_runtime::Executor;
 use beldi_simfaas::{PlatformConfig, SaturationPolicy};
-use beldi_workload::driver::lambda_like_platform;
-use beldi_workload::{Histogram, RateRunner};
+use beldi_workload::driver::{lambda_like_platform, run_clients, Client, Outcome};
+use beldi_workload::{Histogram, Percentiles};
 
 use crate::cli::run_error;
 use crate::{harness, print_table, print_verdict};
@@ -503,15 +504,15 @@ fn gc_minutes(minutes: usize, rate: f64) -> Measured {
         if t_max.is_some() {
             env.start_collectors();
         }
+        let rt = Executor::new(env.clock().clone(), 7);
         for minute in 0..minutes {
-            let runner = RateRunner::new(env.clock().clone(), rate, Duration::from_secs(60), 4);
-            let env2 = Arc::clone(&env);
-            let report = runner.run(Arc::new(move |i| {
-                env2.invoke("hot-writer", Value::Int(i as i64)).is_ok()
-            }));
+            // A fresh issuer per minute: a repeated instance id would replay.
+            let arrivals = (0..(rate * 60.0) as i64).map(Value::Int);
+            let clients = open_loop(&format!("minute-{minute}"), rate, arrivals.collect());
+            let latency = percentiles(&run_clients(&rt, &env, "hot-writer", clients, 4));
             let depth = (mode == Mode::Beldi).then(|| env.daal_chain_len("hot-writer", "t", "k"));
             let depth = depth.map_or("-".to_owned(), |len| len.unwrap_or(0).to_string());
-            let (p50, p99) = (ms(report.latency.p50), ms(report.latency.p99));
+            let (p50, p99) = (ms(latency.p50), ms(latency.p99));
             rows.push(vec![name.to_owned(), minute.to_string(), p50, p99, depth]);
         }
         env.stop_collectors();
@@ -535,11 +536,33 @@ const TRAVEL_SERIES: [Series; 3] = [
 /// The sweeps' points: offered rates in requests per virtual second,
 /// the virtual time each is driven at least, the requests each issues at
 /// least (a low rate's window grows to them, so a 5 % share of them still
-/// gives a p50), and the open-loop issuer threads.
+/// gives a p50), and the requests in flight at once (wrk2's connections).
 const SWEEP_RATES: [f64; 8] = [100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0];
 const SWEEP_DURATION: Duration = Duration::from_millis(3000);
 const SWEEP_MIN_REQUESTS: f64 = 1_200.0;
-const SWEEP_ISSUERS: usize = 192;
+const SWEEP_IN_FLIGHT: usize = 192;
+
+/// An open-loop schedule of `requests` at `rate` per virtual second: a
+/// client per arrival, request `i` issued `i / rate` in by issuer
+/// `{issuer}-{i}`.
+fn open_loop(issuer: &str, rate: f64, requests: Vec<Value>) -> Vec<Client> {
+    let interval_ns = (1e9 / rate) as u64;
+    let arrivals = requests.into_iter().zip(0u64..);
+    arrivals
+        .map(|(request, i)| Client {
+            issuer: format!("{issuer}-{i}"),
+            start: Duration::from_nanos(i * interval_ns),
+            requests: vec![request],
+        })
+        .collect()
+}
+
+/// The latency percentiles of `outcomes`.
+fn percentiles<'a>(outcomes: impl IntoIterator<Item = &'a Outcome>) -> Percentiles {
+    let mut hist = Histogram::new();
+    outcomes.into_iter().for_each(|o| hist.record(o.latency));
+    hist.percentiles()
+}
 
 /// §7.4 and App. C.1: `app`'s DeathStarBench-derived mix, open-loop
 /// (wrk2's method) at each of `rates` (the figures': [`SWEEP_RATES`]) on a
@@ -560,34 +583,30 @@ fn sweep(
             let env = Arc::new(app_env(mode));
             app.setup(&env);
             let window = SWEEP_DURATION.max(Duration::from_secs_f64(SWEEP_MIN_REQUESTS / rate));
-            let mut runner = RateRunner::new(env.clock().clone(), rate, window, SWEEP_ISSUERS);
-            let payload = {
-                let app = Arc::clone(&app);
-                move |i| app.gen_load_request(&mut request_rng(seed + i))
-            };
-            if let Some(marked) = marked {
-                let payload = payload.clone();
-                runner = runner.marking(Arc::new(move |i| marked(&payload(i))));
-            }
-            let app = Arc::clone(&app);
-            let p = runner.run(Arc::new(move |i| {
-                env.invoke(app.entry_point(), payload(i)).is_ok()
-            }));
-            let point = [system.to_owned(), format!("{:.0}", p.offered_rate)];
+            let total = (rate * window.as_secs_f64()).floor() as u64;
+            let payloads: Vec<Value> = (0..total)
+                .map(|i| app.gen_load_request(&mut request_rng(seed + i)))
+                .collect();
+            let picked: Vec<bool> = payloads.iter().map(marked.unwrap_or(|_| false)).collect();
+            let clients = open_loop("arrival", rate, payloads);
+            let (rt, start) = (Executor::new(env.clock().clone(), seed), env.clock().now());
+            let outcomes = run_clients(&rt, &env, app.entry_point(), clients, SWEEP_IN_FLIGHT);
+            let elapsed = env.clock().now().since(start).as_secs_f64().max(1e-9);
+            let p = percentiles(&outcomes);
+            let errors = outcomes.iter().filter(|o| !o.ok).count();
+            let point = [system.to_owned(), format!("{rate:.0}")];
             let mut row = point.to_vec();
             row.extend([
-                format!("{:.0}", p.achieved_rate),
-                ms(p.latency.p50),
-                ms(p.latency.p99),
+                format!("{:.0}", outcomes.len() as f64 / elapsed),
+                ms(p.p50),
+                ms(p.p99),
+                errors.to_string(),
             ]);
-            row.push(p.errors.to_string());
             rows.push(row);
+            let picked = outcomes.iter().zip(picked).filter(|&(_, picked)| picked);
+            let m = percentiles(picked.map(|(o, _)| o));
             let mut row = point.to_vec();
-            row.extend([
-                p.marked.count.to_string(),
-                ms(p.marked.p50),
-                ms(p.marked.p99),
-            ]);
+            row.extend([m.count.to_string(), ms(m.p50), ms(m.p99)]);
             marked_rows.push(row);
         }
     }
@@ -625,8 +644,8 @@ fn app_env(mode: Mode) -> BeldiEnv {
 /// Fig. 15: the travel sweep, its reservations alone, then a burst of
 /// contended reservations per series and its legs' drift, zero exactly
 /// when a reservation is a transaction. A point's reservations number 59
-/// to 129; no-txn Beldi's p50 is 10–34 % below Beldi's (933.89 vs
-/// 1081.34 ms at 800 rps), so the claim checks the ordering only.
+/// to 129; no-txn Beldi's reservation p50 is 3–28 % below Beldi's (933.89
+/// vs 999.42 ms at 800 rps), so the claim checks the ordering only.
 fn travel() -> Measured {
     let mut tables = sweep(
         travel_app,
@@ -646,25 +665,18 @@ fn travel() -> Measured {
             transactional,
             ..TravelApp::default()
         };
-        let app = Arc::new(app);
         app.install(&env);
         app.seed(&env)?;
-        let clock = env.clock().clone();
-        let clients: Vec<_> = (0..8)
-            .map(|t| {
-                let (env, app) = (Arc::clone(&env), Arc::clone(&app));
-                let client = move || {
-                    let mut rng = request_rng(0xC0 + t);
-                    for _ in 0..12 {
-                        env.invoke(app.entry(), app.reserve_request(&mut rng)).ok();
-                    }
-                };
-                clock.spawn(format!("client-{t}"), Box::new(client))
-            })
-            .collect();
-        for client in clients {
-            client.join().map_err(|_| "a reservation client panicked")?;
-        }
+        let clients = (0..8).map(|t| {
+            let mut rng = request_rng(0xC0 + t);
+            Client {
+                issuer: format!("client-{t}"),
+                start: Duration::ZERO,
+                requests: (0..12).map(|_| app.reserve_request(&mut rng)).collect(),
+            }
+        });
+        let rt = Executor::new(env.clock().clone(), TRAVEL_SEED);
+        run_clients(&rt, &env, app.entry(), clients.collect(), 8);
         let (rooms, seats) = app.remaining_inventory(&env)?;
         let cells = [rooms, seats, (rooms - seats).abs()].map(|n| n.to_string());
         consistency.push([vec![system.to_owned()], cells.to_vec()].concat());

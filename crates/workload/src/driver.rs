@@ -1,20 +1,20 @@
-//! The closed-loop concurrent workload driver (`BENCH_results.json`).
+//! The load loop and the closed-loop workload driver (`BENCH_results.json`).
 //!
-//! Where [`crate::RateRunner`] reproduces wrk2's *open-loop* arrivals for
-//! the paper's latency-vs-throughput figures, this module measures the
-//! system the way a capacity benchmark does: `N` client workers share one
-//! [`BeldiEnv`] (one database, a lock per table) and each issues the
-//! next request the moment the previous one completes. Throughput is
-//! whatever the system sustains; latency is pure service time.
+//! [`run_clients`] is the one load loop: each [`Client`] is a task on one
+//! [`beldi_runtime::Executor`] that waits for its start offset, then
+//! awaits [`BeldiEnv::invoke_task`] for each of its requests in turn,
+//! behind an admission gate. The figures' open-loop sweeps pass a client
+//! per arrival; [`drive`] passes `N` client workers at offset 0 that
+//! share one [`BeldiEnv`] (one database, a lock per table), each issuing
+//! its next request the moment the previous one completes — a capacity
+//! benchmark: throughput is whatever the system sustains.
 //!
 //! Design points:
 //!
-//! - **One load loop.** A worker is a task on one
-//!   [`beldi_runtime::Executor`], awaiting [`BeldiEnv::invoke_task`] for
-//!   each of its requests in turn; a waiting worker is a parked waker,
-//!   not an OS thread, so "every request in flight at once" is simply
-//!   `workers = total_ops`. The SSF bodies run on platform worker
-//!   threads, bounded by the concurrency cap.
+//! - **One load loop.** A client waiting for its start, a permit or a
+//!   reply is a parked waker, not an OS thread, so "every request in
+//!   flight at once" is simply `workers = total_ops`. The SSF bodies run
+//!   on platform worker threads, bounded by the concurrency cap.
 //! - **Virtual time.** The environment runs on its default clock, a
 //!   [`SimClock`](beldi_simclock::SimClock) seeded with the run's seed:
 //!   the executor thread, every platform worker, collector timer and the
@@ -40,13 +40,14 @@
 //! beside it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use beldi::value::Value;
 use beldi::{schema, BeldiConfig, BeldiEnv, Mode, MAX_ROOT_ATTEMPTS};
 use beldi_apps::WorkflowApp;
+use beldi_runtime::{Executor, Semaphore};
 use beldi_simclock::{Hist, Metric, Telemetry};
 use beldi_simdb::LatencyModel;
 use beldi_simfaas::{CrashPlan, Label, PlatformConfig, SaturationPolicy, StormPolicy};
@@ -541,8 +542,11 @@ pub fn lambda_like_platform() -> PlatformConfig {
 }
 
 /// [`lambda_like_platform`] with an effectively unbounded invocation
-/// timeout (a closed-loop client waits for its reply however long the
-/// queue) and, optionally, another concurrency cap.
+/// timeout and, optionally, another concurrency cap. A root sent by
+/// [`run_clients`] (`Platform::invoke_pending`) has no caller-side
+/// timeout; this one bounds the nested calls inside it — a sync callee's
+/// admission and reply, an async callee's admission — which a saturated
+/// cap queues however long.
 pub fn driver_platform(concurrency: Option<usize>) -> PlatformConfig {
     let aws = lambda_like_platform();
     PlatformConfig {
@@ -780,16 +784,12 @@ fn worker_requests(app: &dyn WorkflowApp, opts: &DriveOptions, w: usize) -> Vec<
         .collect()
 }
 
-/// The load loop: `opts.workers` closed-loop client tasks on one
-/// executor, each awaiting [`BeldiEnv::invoke_task`] for its
-/// [`worker_requests`] in turn, with the collector timers and a sampler
-/// thread beside them. A worker waiting for its reply — or for the
-/// admission gate — is a parked waker, which is what lets one process
-/// carry ≥10k concurrent workflows over a handful of platform threads.
+/// `drive`'s part of the load: `opts.workers` closed-loop [`Client`]s
+/// at offset 0, a quarter of the platform's instances in flight, with the
+/// collector timers and a sampler thread beside them.
 fn run_load(shape: &RunShape<'_>) -> Load {
     let (app, opts, env, gc) = (shape.app, shape.opts, shape.env, shape.gc);
-    let rt = beldi_runtime::Executor::new(env.clock().clone(), opts.seed);
-    let handle = rt.handle();
+    let rt = Executor::new(env.clock().clone(), opts.seed);
     // The collector timers are threads of the environment's clock.
     if gc {
         match shape.chaos {
@@ -799,42 +799,6 @@ fn run_load(shape: &RunShape<'_>) -> Load {
     }
     let clock = env.clock().clone();
     let start = clock.now();
-    let errors = Arc::new(AtomicU64::new(0));
-    let entry = app.entry_point();
-    // Admission gate: roots must never saturate the platform's worker
-    // pool, because every admitted root issues *nested* SSF calls that
-    // need permits of their own — hand all the permits to parked roots
-    // and the pool livelocks with every root stuck behind its own
-    // callees. A quarter of the pool for roots leaves the rest for
-    // nested fan-out; workers past the gate stay parked on semaphore
-    // wakers.
-    let admission = Arc::new(beldi_runtime::Semaphore::new(
-        (env.platform().config().concurrency_limit / 4).max(1),
-    ));
-    let mut clients = Vec::with_capacity(opts.workers);
-    for w in 0..opts.workers {
-        let (requests, issuer) = (worker_requests(app, opts, w), format!("worker-{w}"));
-        let (env, clock) = (Arc::clone(env), clock.clone());
-        let errors = Arc::clone(&errors);
-        let admission = Arc::clone(&admission);
-        clients.push(rt.spawn(async move {
-            for (i, request) in requests.into_iter().enumerate() {
-                let t0 = clock.now();
-                let instance = env.platform().issue_id(&issuer, i as u64);
-                let permit = admission.acquire().await;
-                let result = env
-                    .invoke_task(entry, &instance, request, MAX_ROOT_ATTEMPTS)
-                    .await;
-                drop(permit);
-                if result.is_err() {
-                    errors.fetch_add(1, Ordering::Relaxed);
-                }
-                env.telemetry().record(Hist::Request, clock.now().since(t0));
-            }
-        }));
-    }
-    // Every client worker is live right here, before the executor runs.
-    let spawned_live = handle.live_tasks() as u64;
 
     // Sampler thread: the in-flight and storage-growth curves.
     let sampler_stop = Arc::new(AtomicBool::new(false));
@@ -843,7 +807,7 @@ fn run_load(shape: &RunShape<'_>) -> Load {
         let stop = Arc::clone(&sampler_stop);
         let sampled = Arc::clone(&sampled);
         let c = clock.clone();
-        let handle = handle.clone();
+        let handle = rt.handle();
         let env = Arc::clone(env);
         let period = opts.gc_period.max(Duration::from_millis(1)) * 2;
         let body = move || {
@@ -859,27 +823,120 @@ fn run_load(shape: &RunShape<'_>) -> Load {
         clock.spawn("sampler".into(), Box::new(body))
     };
 
-    // Drive everything to completion on this thread: the await-all task
-    // keeps the executor running until the last worker finishes.
-    rt.block_on(async move {
-        for c in clients {
-            c.await;
-        }
+    let clients = (0..opts.workers).map(|w| Client {
+        issuer: format!("worker-{w}"),
+        start: Duration::ZERO,
+        requests: worker_requests(app, opts, w),
     });
+    // Roots must not hold every platform instance: each admitted root
+    // issues *nested* SSF calls that need instances of their own, so a
+    // pool handed wholly to roots livelocks with every root stuck behind
+    // its own callees. A quarter for roots leaves the rest for fan-out.
+    let in_flight = (env.platform().config().concurrency_limit / 4).max(1);
+    let outcomes = run_clients(&rt, env, app.entry_point(), clients.collect(), in_flight);
     let elapsed = clock.now().since(start);
     sampler_stop.store(true, Ordering::Relaxed);
     env.stop_collectors();
     if let Err(panic) = sampler.join() {
         std::panic::resume_unwind(panic);
     }
+    for o in &outcomes {
+        env.telemetry().record(Hist::Request, o.latency);
+    }
     let samples = std::mem::take(&mut *sampled.lock());
+    // Every client is live once spawned, before the executor first runs.
+    let spawned_live = opts.workers as u64;
     let high_water = samples.iter().map(|s| s.live).fold(spawned_live, u64::max);
     Load {
         elapsed,
-        errors: errors.load(Ordering::Relaxed),
+        errors: outcomes.iter().filter(|o| !o.ok).count() as u64,
         samples,
         high_water,
     }
+}
+
+/// One client of [`run_clients`]: an issuer that sends its requests in
+/// order, the first `start` after the load opens, each later one the
+/// moment the one before replies. Request `i`'s instance id is
+/// [`Platform::issue_id`](beldi_simfaas::Platform::issue_id)`(issuer, i)`,
+/// so two loads on one environment need different issuer names: a
+/// repeated id replays the earlier instance's reply instead of executing.
+#[derive(Debug)]
+pub struct Client {
+    /// Names the client's instance ids.
+    pub issuer: String,
+    /// When the first request is issued, from the load's start.
+    pub start: Duration,
+    /// The entry point's inputs, in issue order.
+    pub requests: Vec<Value>,
+}
+
+/// What one request of [`run_clients`] came to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome {
+    /// Virtual time from the request's issue to its reply, the wait for
+    /// admission included; a client's first request is issued at its
+    /// start, so a late arrival's backlog counts (no coordinated omission).
+    pub latency: Duration,
+    /// Whether the invocation returned `Ok`.
+    pub ok: bool,
+}
+
+/// The load loop. Each client is a task on `rt` that waits for its
+/// start, then awaits [`BeldiEnv::invoke_task`] of `entry` for each of
+/// its requests in turn, behind an admission gate of `in_flight`
+/// permits. A client waiting for its start, a permit or a reply is a
+/// parked waker, not a thread, so one loop runs a closed loop (`W`
+/// clients at offset 0: [`drive`]) and an open one (a client per arrival,
+/// at `i / rate`, with wrk2's connection count as the gate: the figures).
+/// Returns every request's [`Outcome`], client by client in issue order.
+///
+/// # Panics
+///
+/// Panics when `in_flight` is zero.
+pub fn run_clients(
+    rt: &Executor,
+    env: &Arc<BeldiEnv>,
+    entry: &str,
+    clients: Vec<Client>,
+    in_flight: usize,
+) -> Vec<Outcome> {
+    assert!(in_flight > 0, "need at least one request in flight");
+    let (handle, start) = (rt.handle(), env.clock().now());
+    let admission = Arc::new(Semaphore::new(in_flight));
+    let tasks: Vec<_> = clients
+        .into_iter()
+        .map(|client| {
+            let (env, handle) = (Arc::clone(env), handle.clone());
+            let (admission, entry) = (Arc::clone(&admission), entry.to_owned());
+            rt.spawn(async move {
+                let mut issued = start.plus(client.start);
+                handle.sleep_until(issued).await;
+                let mut outcomes = Vec::with_capacity(client.requests.len());
+                for (i, request) in client.requests.into_iter().enumerate() {
+                    let instance = env.platform().issue_id(&client.issuer, i as u64);
+                    let permit = admission.acquire().await;
+                    let reply = env.invoke_task(&entry, &instance, request, MAX_ROOT_ATTEMPTS);
+                    let ok = reply.await.is_ok();
+                    drop(permit);
+                    let now = handle.now();
+                    outcomes.push(Outcome {
+                        latency: now.since(issued),
+                        ok,
+                    });
+                    issued = now;
+                }
+                outcomes
+            })
+        })
+        .collect();
+    rt.block_on(async move {
+        let mut outcomes = Vec::new();
+        for task in tasks {
+            outcomes.extend(task.await);
+        }
+        outcomes
+    })
 }
 
 /// FNV-1a digest of a [`Value`], stable across platforms and runs
@@ -904,6 +961,172 @@ pub fn runs_by_key(report: &BenchReport) -> BTreeMap<String, &BenchRun> {
 mod tests {
     use super::*;
     use beldi::value::vmap;
+    use beldi::{BeldiError, SsfBody};
+    use beldi_apps::MediaApp;
+    use beldi_simclock::SimInstant;
+
+    /// An environment whose `echo` SSF costs `overhead` of platform time
+    /// and nothing else (no cold starts, zero-latency storage), fails on
+    /// an input divisible by 5 when `fail_fifths`, and logs when each
+    /// execution of its body starts.
+    fn echo_env(
+        mode: Mode,
+        overhead: Duration,
+        fail_fifths: bool,
+    ) -> (Arc<BeldiEnv>, Arc<Mutex<Vec<SimInstant>>>) {
+        let platform = PlatformConfig {
+            concurrency_limit: 100,
+            invoke_timeout: Duration::from_secs(3600),
+            cold_start: Duration::ZERO,
+            warm_start: Duration::ZERO,
+            invoke_overhead: overhead,
+            warm_pool_per_fn: 100,
+            saturation: SaturationPolicy::Queue,
+        };
+        let env = BeldiEnv::builder(BeldiConfig::for_mode(mode))
+            .platform(platform)
+            .build();
+        let (clock, started) = (env.clock().clone(), Arc::new(Mutex::new(Vec::new())));
+        let log = Arc::clone(&started);
+        let body: SsfBody = Arc::new(move |_, input| {
+            log.lock().push(clock.now());
+            match input.as_int() {
+                Some(i) if fail_fifths && i % 5 == 0 => {
+                    Err(BeldiError::Protocol(format!("request {i} fails")))
+                }
+                _ => Ok(input),
+            }
+        });
+        env.register_ssf("echo", &[], body);
+        (Arc::new(env), started)
+    }
+
+    /// An open-loop schedule: a client per arrival, every `interval`, of
+    /// one request each, `Value::Int(i)`.
+    fn arrivals(issuer: &str, n: u32, interval: Duration) -> Vec<Client> {
+        let client = |i: u32| Client {
+            issuer: format!("{issuer}-{i}"),
+            start: interval * i,
+            requests: vec![Value::Int(i64::from(i))],
+        };
+        (0..n).map(client).collect()
+    }
+
+    /// 100 arrivals a virtual second for 2 s: 200 requests, each body
+    /// run at its arrival, none late, the last 1.99 s in.
+    #[test]
+    fn issues_the_scheduled_number_of_requests() {
+        let (env, started) = echo_env(Mode::Baseline, Duration::ZERO, false);
+        let (rt, t0) = (Executor::new(env.clock().clone(), 1), env.clock().now());
+        let clients = arrivals("a", 200, Duration::from_millis(10));
+        let outcomes = run_clients(&rt, &env, "echo", clients, 4);
+        assert_eq!(outcomes.len(), 200);
+        assert!(outcomes.iter().all(|o| o.ok && o.latency == Duration::ZERO));
+        let expected: Vec<_> = (0..200u32)
+            .map(|i| t0.plus(Duration::from_millis(10) * i))
+            .collect();
+        assert_eq!(*started.lock(), expected);
+        assert_eq!(env.clock().now().since(t0), Duration::from_millis(1990));
+    }
+
+    /// Two closed-loop clients of 25 requests: the 10 whose input is a
+    /// multiple of 5 fail, and are counted, not retried.
+    #[test]
+    fn errors_are_counted() {
+        let (env, started) = echo_env(Mode::Baseline, Duration::from_millis(1), true);
+        let client = |c: i64| Client {
+            issuer: format!("worker-{c}"),
+            start: Duration::ZERO,
+            requests: (0..25).map(|i| Value::Int(2 * i + c)).collect(),
+        };
+        let rt = Executor::new(env.clock().clone(), 1);
+        let outcomes = run_clients(&rt, &env, "echo", vec![client(0), client(1)], 2);
+        assert_eq!(outcomes.iter().filter(|o| !o.ok).count(), 10);
+        assert_eq!(started.lock().len(), 50);
+        // Client by client, in issue order: client 0 sends 0, 2, 4, ...
+        assert!(!outcomes[0].ok && outcomes[1].ok && !outcomes[5].ok);
+    }
+
+    /// 40 ms of platform overhead, an arrival every 10 ms and 2 requests
+    /// in flight: the gate serves one request every 20 ms, so request
+    /// `i`, due at `10 i` ms, replies at `40 + 10 i + 20 (i / 2)` ms. The
+    /// backlog shows as latency from each request's start.
+    #[test]
+    fn a_backlog_shows_as_latency_from_each_start() {
+        let (env, _) = echo_env(Mode::Baseline, Duration::from_millis(40), false);
+        let (rt, t0) = (Executor::new(env.clock().clone(), 1), env.clock().now());
+        let clients = arrivals("a", 100, Duration::from_millis(10));
+        let outcomes = run_clients(&rt, &env, "echo", clients, 2);
+        let latencies: Vec<_> = outcomes.iter().map(|o| o.latency).collect();
+        let expected: Vec<_> = (0..100u64)
+            .map(|i| Duration::from_millis(40 + 20 * (i / 2)))
+            .collect();
+        assert_eq!(latencies, expected);
+        assert_eq!(env.clock().now().since(t0), Duration::from_millis(2010));
+    }
+
+    /// Two loads on one environment, under different issuers, both
+    /// execute. A load that repeats an issuer repeats its instance ids,
+    /// and each of its requests replays the earlier instance's reply.
+    #[test]
+    fn two_loads_on_one_environment_both_execute() {
+        let (env, started) = echo_env(Mode::Beldi, Duration::from_millis(1), false);
+        let rt = Executor::new(env.clock().clone(), 1);
+        let load = |issuer| {
+            let clients = arrivals(issuer, 20, Duration::from_millis(5));
+            let outcomes = run_clients(&rt, &env, "echo", clients, 4);
+            assert!(outcomes.iter().all(|o| o.ok));
+        };
+        load("minute-0");
+        load("minute-1");
+        assert_eq!(started.lock().len(), 40);
+        load("minute-0");
+        assert_eq!(started.lock().len(), 40, "a repeated id executes nothing");
+    }
+
+    /// The same seed gives the same outcomes: a media app on modelled
+    /// storage latency, 6 closed-loop clients of 8 requests and a late
+    /// one, 3 in flight. Another seed gives other latencies.
+    #[test]
+    fn the_same_seed_gives_the_same_outcomes() {
+        let run = |seed: u64| {
+            let env = BeldiEnv::builder(BeldiConfig::beldi())
+                .seed(seed)
+                .latency(LatencyModel::dynamo())
+                .platform(driver_platform(None))
+                .build();
+            let app = MediaApp {
+                movies: 10,
+                users: 6,
+                ..MediaApp::default()
+            };
+            app.setup(&env);
+            let env = Arc::new(env);
+            let clients = (0..7).map(|c| {
+                let mut rng = worker_rng(seed, c);
+                Client {
+                    issuer: format!("worker-{c}"),
+                    start: Duration::from_millis(if c == 6 { 500 } else { 0 }),
+                    requests: (0..8).map(|_| app.gen_load_request(&mut rng)).collect(),
+                }
+            });
+            let rt = Executor::new(env.clock().clone(), seed);
+            run_clients(&rt, &env, app.entry(), clients.collect(), 3)
+        };
+        let first = run(7);
+        assert_eq!(first.len(), 56);
+        assert!(first.iter().all(|o| o.ok));
+        assert_eq!(run(7), first);
+        assert_ne!(run(8), first);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one request in flight")]
+    fn zero_in_flight_bound_rejected() {
+        let (env, _) = echo_env(Mode::Baseline, Duration::ZERO, false);
+        let rt = Executor::new(env.clock().clone(), 1);
+        run_clients(&rt, &env, "echo", arrivals("a", 1, Duration::ZERO), 0);
+    }
 
     #[test]
     fn ops_split_covers_total_exactly() {

@@ -7,11 +7,12 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use beldi_repro::apps::rng::request_rng;
 use beldi_repro::apps::{MediaApp, SocialApp, TravelApp, WorkflowApp};
 use beldi_repro::beldi::{BeldiConfig, BeldiEnv, Mode, StormPolicy};
 use beldi_repro::simclock::Metric;
 use beldi_repro::value::{vmap, Value};
-use beldi_repro::workload::RateRunner;
+use beldi_repro::workload::{run_clients, Client, Executor, Histogram};
 
 /// Every app serves its full request mix in every mode.
 #[test]
@@ -47,7 +48,7 @@ fn all_apps_serve_their_mix_in_all_modes() {
         travel.seed(&env).unwrap();
         media.seed(&env).unwrap();
         social.seed(&env).unwrap();
-        let mut rng = beldi_repro::apps::rng::request_rng(99);
+        let mut rng = request_rng(99);
         for _ in 0..15 {
             env.invoke(travel.entry(), travel.request(&mut rng))
                 .unwrap_or_else(|e| panic!("travel in {mode:?}: {e}"));
@@ -111,7 +112,7 @@ fn reserve_under_storm(seed: u64) -> u64 {
         .map(|t| {
             let (e, app, reserved) = (Arc::clone(&env), app.clone(), Arc::clone(&reserved));
             let client = move || {
-                let mut rng = beldi_repro::apps::rng::request_rng(t);
+                let mut rng = request_rng(t);
                 for _ in 0..10 {
                     if let Ok(out) = e.invoke(app.entry(), app.reserve_request(&mut rng)) {
                         if out.get_str("status") == Some("reserved") {
@@ -183,21 +184,25 @@ fn load_driver_runs_media_app_under_timers() {
     app.seed(&env).unwrap();
     env.start_collectors();
     let env = Arc::new(env);
-    let runner = RateRunner::new(env.clock().clone(), 60.0, Duration::from_secs(2), 16);
-    let env2 = Arc::clone(&env);
-    let app2 = app.clone();
-    let report = runner.run(Arc::new(move |i| {
-        let mut rng = beldi_repro::apps::rng::request_rng(1000 + i);
-        env2.invoke(app2.entry(), app2.request(&mut rng)).is_ok()
-    }));
+    // 60 arrivals per virtual second, 16 in flight.
+    let clients = (0..120u32).map(|i| Client {
+        issuer: format!("arrival-{i}"),
+        start: Duration::from_secs(1) / 60 * i,
+        requests: vec![app.request(&mut request_rng(1000 + u64::from(i)))],
+    });
+    let rt = Executor::new(env.clock().clone(), 7);
+    let outcomes = run_clients(&rt, &env, app.entry(), clients.collect(), 16);
     env.stop_collectors();
     assert!(
         env.telemetry().get(Metric::GcPasses) > 0,
         "no collector ticked"
     );
-    assert_eq!(report.errors, 0, "all requests served");
-    assert_eq!(report.latency.count, 120);
-    assert!(report.latency.p99 >= report.latency.p50);
+    assert!(outcomes.iter().all(|o| o.ok), "all requests served");
+    let mut latency = Histogram::new();
+    outcomes.iter().for_each(|o| latency.record(o.latency));
+    let latency = latency.percentiles();
+    assert_eq!(latency.count, 120);
+    assert!(latency.p99 >= latency.p50);
 }
 
 /// Garbage collection keeps total storage bounded across a long run of a
@@ -231,7 +236,7 @@ fn storage_stays_bounded_under_gc() {
         n
     };
 
-    let mut rng = beldi_repro::apps::rng::request_rng(3);
+    let mut rng = request_rng(3);
     for round in 0..4 {
         for _ in 0..8 {
             env.invoke(app.entry(), app.request(&mut rng)).unwrap();
