@@ -99,16 +99,6 @@ impl MediaApp {
         }
     }
 
-    /// Sets the request-mix weights (builder style).
-    pub fn with_mix(mut self, mix: [u32; 2]) -> Self {
-        assert!(
-            mix.iter().sum::<u32>() > 0,
-            "mix weights must not all be zero"
-        );
-        self.mix = mix;
-        self
-    }
-
     /// The workflow's entry SSF.
     pub fn entry(&self) -> &'static str {
         "media-frontend"

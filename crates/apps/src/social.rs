@@ -91,16 +91,6 @@ impl SocialApp {
         }
     }
 
-    /// Sets the request-mix weights (builder style).
-    pub fn with_mix(mut self, mix: [u32; 3]) -> Self {
-        assert!(
-            mix.iter().sum::<u32>() > 0,
-            "mix weights must not all be zero"
-        );
-        self.mix = mix;
-        self
-    }
-
     /// The workflow's entry SSF.
     pub fn entry(&self) -> &'static str {
         "social-frontend"

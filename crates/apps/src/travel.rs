@@ -115,16 +115,6 @@ impl TravelApp {
         }
     }
 
-    /// Sets the request-mix weights (builder style).
-    pub fn with_mix(mut self, mix: [u32; 4]) -> Self {
-        assert!(
-            mix.iter().sum::<u32>() > 0,
-            "mix weights must not all be zero"
-        );
-        self.mix = mix;
-        self
-    }
-
     /// The workflow's entry SSF.
     pub fn entry(&self) -> &'static str {
         "travel-frontend"

@@ -190,9 +190,6 @@ pub(crate) fn read_tail_row(
     Ok(db.get(table, &pk, Some(proj))?)
 }
 
-/// Number of independently locked [`TailCache`] shards.
-const TAIL_CACHE_SHARDS: usize = 16;
-
 /// A shared cache of the last known tail row id per `(table, key)` — the
 /// hot-path optimization behind [`crate::BeldiConfig::daal_tail_cache`].
 ///
@@ -270,117 +267,48 @@ const TAIL_CACHE_SHARDS: usize = 16;
 /// there; an absent `HEAD` is created exactly as the traversal would.
 ///
 /// The cache is deliberately never authoritative — dropping any entry at
-/// any time is correct — so sizing and invalidation need no precision.
-/// That same property makes the **capacity bound** trivial to enforce:
-/// each shard holds at most `capacity_per_shard` entries, and an insert
-/// into a full shard evicts one arbitrary resident entry first (O(1);
-/// an evicted key pays a `HEAD` try or a traversal on its next use). Without
-/// the bound, production key cardinality — millions of users — would
-/// grow the map monotonically for the life of the process.
-pub(crate) struct TailCache {
-    shards: Vec<Mutex<TailShard>>,
-    capacity_per_shard: usize,
-}
+/// any time is correct — so invalidation needs no precision.
+///
+/// # Why the size needs no bound
+///
+/// An entry is made only for a key whose chain exists: an absent `HEAD`
+/// caches nothing, and shadow tables cache nothing. A data table's `HEAD`
+/// is never deleted, and the SSF API deletes no key. So the cache never
+/// holds more entries than its data tables hold keys.
+pub(crate) struct TailCache(Mutex<BTreeMap<Arc<str>, TailKeys>>);
 
-/// One shard: table → key → tail row id. Two levels, so that a probe
-/// with a `(&str, &str)` builds no owned key; the key and the row id are
-/// the shared strings the read already held.
-#[derive(Default)]
-struct TailShard {
-    tables: BTreeMap<String, TailKeys>,
-    /// Entries across all tables.
-    len: usize,
-}
-
-/// A table's cached tails. FNV-hashed, so the order the map keeps — and
-/// so which entry a full shard evicts — is a function of the `put`s, the
-/// same in every process.
+/// A table's cached tails, key → tail row id: a probe with a
+/// `(&str, &str)` builds no owned key, and the key and the row id are the
+/// shared strings the operation already held. FNV-hashed: nothing
+/// iterates it, and FNV hashes a short key in fewer steps than SipHash.
 type TailKeys = HashMap<Arc<str>, Arc<str>, BuildHasherDefault<beldi_value::Fnv1a>>;
 
-/// Total capacity of the DAAL tail cache (entries across all shards).
-/// An entry is a `(table, key) → row id` triple of short strings, so
-/// this bounds the cache to a few megabytes while comfortably holding
-/// benchmark-scale working sets.
-const TAIL_CACHE_CAPACITY: usize = 65_536;
-
 impl TailCache {
-    /// Creates an empty cache of [`TAIL_CACHE_CAPACITY`] entries.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        TailCache::with_capacity(TAIL_CACHE_CAPACITY)
-    }
-
-    /// Creates an empty cache holding at most `capacity` entries in
-    /// total (split evenly across shards, at least one per shard).
-    fn with_capacity(capacity: usize) -> Self {
-        TailCache {
-            shards: (0..TAIL_CACHE_SHARDS)
-                .map(|_| Mutex::new(TailShard::default()))
-                .collect(),
-            capacity_per_shard: (capacity / TAIL_CACHE_SHARDS).max(1),
-        }
-    }
-
-    /// FNV-1a shard routing over table and key.
-    fn shard(&self, table: &str, key: &str) -> &Mutex<TailShard> {
-        use std::hash::Hasher;
-        let mut h = beldi_value::Fnv1a::default();
-        h.write(table.as_bytes());
-        h.write(key.as_bytes());
-        &self.shards[(h.finish() as usize) % TAIL_CACHE_SHARDS]
+        TailCache(Mutex::new(BTreeMap::new()))
     }
 
     fn get(&self, table: &str, key: &str) -> Option<Arc<str>> {
-        let shard = self.shard(table, key).lock();
-        shard.tables.get(table)?.get(key).cloned()
+        self.0.lock().get(table)?.get(key).cloned()
     }
 
-    fn put(&self, table: &str, key: &Arc<str>, row_id: &Arc<str>) {
-        let mut shard = self.shard(table, key).lock();
-        if let Some(cached) = shard.tables.get_mut(table).and_then(|t| t.get_mut(&**key)) {
-            cached.clone_from(row_id);
-            return;
-        }
-        if shard.len >= self.capacity_per_shard {
-            // Evict an arbitrary resident of the fullest table. Any choice
-            // is sound (the cache is validated at use); arbitrary needs no
-            // recency bookkeeping on the hit path.
-            let fullest = shard.tables.values_mut().max_by_key(|keys| keys.len());
-            if let Some(keys) = fullest {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "an FNV-hashed map: its first key is a function of the puts"
-                )]
-                if let Some(victim) = keys.keys().next().cloned() {
-                    keys.remove(&victim);
-                    shard.len -= 1;
-                }
-            }
-        }
-        match shard.tables.get_mut(table) {
-            Some(keys) => {
-                keys.insert(key.clone(), row_id.clone());
-            }
-            None => {
-                let keys = TailKeys::from_iter([(key.clone(), row_id.clone())]);
-                shard.tables.insert(table.to_owned(), keys);
-            }
-        }
-        shard.len += 1;
+    fn put(&self, table: &Arc<str>, key: &Arc<str>, row_id: &Arc<str>) {
+        let mut tables = self.0.lock();
+        let keys = tables.entry(Arc::clone(table)).or_default();
+        keys.insert(Arc::clone(key), Arc::clone(row_id));
     }
 
     fn invalidate(&self, table: &str, key: &str) {
-        let mut shard = self.shard(table, key).lock();
-        if let Some(keys) = shard.tables.get_mut(table) {
-            if keys.remove(key).is_some() {
-                shard.len -= 1;
-            }
+        if let Some(keys) = self.0.lock().get_mut(table) {
+            keys.remove(key);
         }
     }
 
-    /// Resident entries across all shards.
+    /// Resident entries across all tables.
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.0.lock().values().map(HashMap::len).sum()
     }
 }
 
@@ -1613,7 +1541,7 @@ mod tests {
             beldi_value::vmap! { A_KEY => "k", A_ROW_ID => ROW_HEAD, A_LOG_SIZE => 0i64 },
         )
         .unwrap();
-        cache.put("t", &"k".into(), &ROW_HEAD.into());
+        cache.put(&"t".into(), &"k".into(), &ROW_HEAD.into());
         let before = f.db.metrics();
         assert_eq!(
             read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap(),
@@ -1641,119 +1569,51 @@ mod tests {
         assert_eq!(v, Value::Int(4));
         assert_ne!(cache.get("t", "k").unwrap(), cached_row, "entry refreshed");
         // A deleted cached row (GC) also falls back cleanly.
-        cache.put("t", &"k".into(), &"R-gone".into());
+        cache.put(&"t".into(), &"k".into(), &"R-gone".into());
         assert_eq!(
             read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &"k".into()).unwrap(),
             Value::Int(4)
         );
     }
 
+    /// The cache holds one entry per key with a chain and nothing else:
+    /// `n` keys written through it, every fourth past a row's capacity so
+    /// that it appends, then read back, and `m` absent keys read, leave
+    /// `n` entries, and every read is one get. A stale entry the read
+    /// invalidates leaves.
     #[test]
-    fn tail_cache_capacity_is_bounded_with_arbitrary_eviction() {
+    fn the_cache_holds_one_entry_per_key_with_a_chain() {
         let f = Fixture::new();
-        // 16 shards × 2 entries per shard.
-        let cache = TailCache::with_capacity(32);
-        for i in 0..500 {
-            let key = format!("k{i}");
-            f.write(&key, "a#0", i);
-            read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &key.as_str().into()).unwrap();
-        }
-        assert!(
-            cache.len() <= 32,
-            "cache exceeded its bound: {} entries",
-            cache.len()
-        );
-        // Evicted keys still read correctly (traversal fallback + refresh).
-        for i in 0..500 {
-            let key = format!("k{i}");
-            assert_eq!(
-                read_value_cached(&f.db, Some(&cache), &f.db.table("t"), &key.as_str().into())
-                    .unwrap(),
-                Value::Int(i),
-            );
-        }
-        assert!(cache.len() <= 32);
-    }
-
-    /// Which tails a full cache keeps decides which reads pay a traversal,
-    /// so it must be a function of the run: two caches given the same
-    /// `put`s keep the same survivors (with a per-map random hash seed
-    /// they disagree).
-    #[test]
-    fn eviction_is_the_same_in_every_cache() {
-        let survivors = || {
-            let cache = TailCache::with_capacity(32);
-            for i in 0..500 {
-                cache.put("t", &format!("k{i}").into(), &format!("R{i}").into());
-            }
-            (0..500)
-                .filter(|i| cache.get("t", &format!("k{i}")).is_some())
-                .collect::<Vec<_>>()
-        };
-        let first = survivors();
-        assert_eq!(first.len(), 32);
-        assert_eq!(first, survivors());
-    }
-
-    #[test]
-    fn bounded_cache_preserves_hit_rate_when_working_set_fits() {
-        // The A/B the capacity satellite demands: for a working set that
-        // fits (the smoke-scale case), the bounded cache behaves
-        // *identically* to an effectively unbounded one — same hits, same
-        // misses, same issued scans.
-        let run = |capacity: usize| {
-            let f = Fixture::new();
-            let cache = TailCache::with_capacity(capacity);
-            for i in 0..40 {
-                f.write(&format!("k{i}"), "a#0", i);
-            }
-            for round in 0..5 {
-                for i in 0..40 {
-                    let v = read_value_cached(
-                        &f.db,
-                        Some(&cache),
-                        &f.db.table("t"),
-                        &format!("k{i}").into(),
-                    )
-                    .unwrap();
-                    assert_eq!(v, Value::Int(i), "round {round}");
-                }
-            }
-            let (hits, misses) = f.hits_and_misses();
-            (hits, misses, f.db.metrics().queries)
-        };
-        let bounded = run(1_024);
-        let unbounded = run(1 << 20);
-        assert_eq!(bounded, unbounded, "(hits, misses, scans) must match");
-        let (hits, misses, _) = bounded;
-        assert!(
-            hits >= 4 * misses,
-            "a fitting working set should be hit-dominated: {hits} hits / {misses} misses"
-        );
-    }
-
-    #[test]
-    fn tight_cache_keeps_semantics_while_losing_hits() {
-        // Under severe pressure (capacity << working set) reads stay
-        // correct; only the hit rate degrades.
-        let f = Fixture::new();
-        let cache = TailCache::with_capacity(1); // 1 entry per shard.
-        for i in 0..60 {
-            f.write(&format!("k{i}"), "a#0", i);
-        }
-        for i in 0..60 {
-            assert_eq!(
-                read_value_cached(
-                    &f.db,
+        let cache = TailCache::new();
+        let (n, m) = (40, 25);
+        for i in 0..n {
+            let steps = if i % 4 == 0 { 5 } else { 1 };
+            for step in 0..steps {
+                let payload = Update::new().set(A_VALUE, Value::Int(i));
+                let key = format!("k{i}");
+                f.step(
                     Some(&cache),
-                    &f.db.table("t"),
-                    &format!("k{i}").into()
-                )
-                .unwrap(),
-                Value::Int(i),
-            );
+                    &key,
+                    &format!("w#{step}"),
+                    payload,
+                    StepKind::Write,
+                );
+            }
         }
-        assert!(cache.len() <= TAIL_CACHE_SHARDS);
+        assert_eq!((f.chain_len("k0"), f.chain_len("k1")), (2, 1));
+        for i in 0..n {
+            assert_eq!(f.cached_read(&cache, &format!("k{i}")).0, Value::Int(i));
+        }
+        for i in 0..m {
+            assert_eq!(f.cached_read(&cache, &format!("absent{i}")).0, Value::Null);
+        }
+        assert_eq!(f.hits_and_misses(), (65, 0), "every read one get");
+        assert_eq!(cache.len(), 40, "absent reads add nothing");
+        // A stale entry of a key with no chain: its read drops it.
+        cache.put(&"t".into(), &"ghost".into(), &"R-gone".into());
+        assert_eq!(cache.len(), 41);
+        assert_eq!(f.cached_read(&cache, "ghost").0, Value::Null);
+        assert_eq!((cache.len(), cache.get("t", "ghost")), (40, None));
     }
 
     #[test]

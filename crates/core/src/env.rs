@@ -225,7 +225,8 @@ impl EnvBuilder {
         self
     }
 
-    /// Seeds the platform/database RNGs (UUIDs, latency jitter).
+    /// Seeds the ids [`Platform::issue_id`] hashes, the store's latency
+    /// jitter and the default [`SimClock`]'s schedule.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self

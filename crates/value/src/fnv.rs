@@ -2,8 +2,8 @@
 //!
 //! `std::collections::hash_map::DefaultHasher` is randomly keyed per
 //! process, so anything that must hash identically across runs, threads,
-//! or machines — cache sharding, benchmark state digests — uses this
-//! fixed-basis hasher instead (seeded, for storm kills and platform ids).
+//! or machines — benchmark state digests, and (seeded) storm kills and
+//! platform ids — uses this fixed-basis hasher instead.
 //! One shared implementation keeps the magic constants in one place.
 
 use std::hash::{Hash, Hasher};

@@ -179,16 +179,6 @@ impl Value {
         self.as_map_mut().and_then(|m| m.remove(name))
     }
 
-    /// Convenience: takes a string-typed top-level attribute out of a map
-    /// value (an attribute of another type is dropped), the map's string
-    /// itself.
-    pub fn take_str(&mut self, name: &str) -> Option<Arc<str>> {
-        match self.take_attr(name) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Convenience: gets a string-typed top-level attribute of a map value.
     pub fn get_str(&self, name: &str) -> Option<&str> {
         self.get_attr(name).and_then(Value::as_str)
